@@ -21,8 +21,10 @@ fi
 
 # The tier-1 gate (`cargo test -q`, umbrella package only) is a strict
 # subset of the workspace run, so one invocation covers both.
-step "cargo test --workspace -q (every crate: unit + integration + doctests)"
-cargo test --workspace -q
+# --no-fail-fast: cargo otherwise stops at the first failing test binary
+# and the suites after it (wire_transport among them) never run.
+step "cargo test --workspace -q --no-fail-fast (every crate: unit + integration + doctests)"
+cargo test --workspace -q --no-fail-fast
 
 # The socket path is load-bearing (Transport::Socket routes the whole
 # agent/upcall protocol through the framed codec and the reactor), so its

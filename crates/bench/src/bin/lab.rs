@@ -8,6 +8,8 @@
 //!   (the CI shape).
 //! * `--json` / `--json-dir DIR` write one `BENCH_<scenario>.json` per
 //!   scenario for `report --compare`.
+//! * `DL_FLIGHT_DUMP_DIR=DIR` in the environment makes the fault
+//!   scenarios' systems write their flight-recorder dumps there.
 //!
 //! Exit status: `0` all scenarios ran and every predicate held, `1` at
 //! least one predicate failed (or a trial errored), `2` a scenario file
@@ -47,6 +49,8 @@ fn main() -> ExitCode {
         return usage("no scenario files given");
     }
     let out_dir = json_dir.or_else(|| json.then(|| PathBuf::from(".")));
+    let flight_dump_dir =
+        std::env::var_os("DL_FLIGHT_DUMP_DIR").filter(|d| !d.is_empty()).map(PathBuf::from);
 
     // Parse everything up front: a malformed scenario is a configuration
     // error (exit 2) and should surface before any trial burns time.
@@ -63,7 +67,7 @@ fn main() -> ExitCode {
 
     let mut failed_asserts = 0usize;
     for sc in &scenarios {
-        let run = match run_scenario(sc, quick) {
+        let run = match run_scenario(sc, quick, flight_dump_dir.as_deref()) {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("error: {e}");

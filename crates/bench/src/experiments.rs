@@ -602,8 +602,9 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         header: vec![s("configuration"), s("ns/open+close"), s("time"), s("repo updates/open")],
         rows,
         notes: vec![
-            "with tracking on, each read open inserts and purges a Sync row (2 repo updates); \
-             the ablation drops them at the price of the read/unlink race"
+            "with tracking on, each read open inserts and purges a Sync row (2 repo updates, \
+             both unlogged: a commit under the dl_files row lock, no log force); the ablation \
+             drops them at the price of the read/unlink race"
                 .into(),
         ],
     }

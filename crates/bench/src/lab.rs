@@ -50,6 +50,7 @@
 //! `op_p50_ms` / `op_p99_ms` / `op_mean_ms` beside the mean-rate columns.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,15 +85,20 @@ pub struct AssertOutcome {
 }
 
 /// Expands the scenario into its trial plan and drives every trial
-/// through the kind's engine loop.
-pub fn run_scenario(sc: &Scenario, quick: bool) -> Result<ScenarioRun, String> {
+/// through the kind's engine loop. The systems a fault scenario (`mixed`)
+/// builds also write their flight-recorder dumps into `flight_dump_dir`.
+pub fn run_scenario(
+    sc: &Scenario,
+    quick: bool,
+    flight_dump_dir: Option<&Path>,
+) -> Result<ScenarioRun, String> {
     let plan = expand(sc, quick).map_err(|e| e.to_string())?;
     let mut run = match sc.kind {
         Kind::CommitThroughput => commit_throughput(sc, &plan),
         Kind::Replication => replication(sc, &plan),
         Kind::CheckpointShipping => checkpoint_shipping(sc, &plan),
         Kind::FrontEnd => front_end(sc, &plan),
-        Kind::Mixed => mixed(sc, &plan),
+        Kind::Mixed => mixed(sc, &plan, flight_dump_dir),
         Kind::Sharding => sharding(sc, &plan),
         Kind::WireFrontEnd => wire_front_end(sc, &plan),
     }?;
@@ -650,21 +656,20 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
 // front_end — the a12 engine loop
 // ===========================================================================
 
-/// One timed burst of token-read cycles against `f`, `clients` threads x
-/// `cycles` each, all funnelling through the node's upcall pool (token
-/// validation + claimed read open + close, two repository commits per
-/// cycle). Records every cycle's latency into `lat`; returns cycles/sec.
+/// One timed burst of update cycles against `f`: `clients` threads x
+/// `cycles` each, every client on its own file (write token → write open →
+/// write → close). The open and the close-as-commit run on the node's
+/// upcall pool and park their worker in forced log writes — the `dl_uip`
+/// claim, then prepare, host commit and decide. (A token *read* cycle
+/// would not do: `dl_tokens`/`dl_sync` are unlogged, so it forces nothing
+/// and occupies a worker for its CPU time only.) Records every cycle's
+/// latency into `lat`; returns cycles/sec.
 fn upcall_burst(f: &Fixture, clients: usize, cycles: usize, lat: &Histogram) -> f64 {
-    // One token-embedded path per client, generated outside the timed
-    // region: the burst measures the upcall admission path, not SELECT.
-    let paths: Vec<String> =
-        (0..clients).map(|t| f.token_path(t % f.paths.len(), TokenKind::Read)).collect();
-    let fs = f.sys.fs(SRV).expect("fs");
+    let content = make_content(64);
     let elapsed = run_threads(clients, |t| {
         for _ in 0..cycles {
             let started = Instant::now();
-            let fd = fs.open(&APP, &paths[t], OpenOptions::read_only()).expect("open");
-            fs.close(fd).expect("close");
+            f.managed_update_no_wait(t, &content);
             lat.record_duration(started.elapsed());
         }
     });
@@ -721,6 +726,10 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                         n_files: clients as usize,
                         file_size: 1024,
                         db_sync_latency_ns: sync_ns,
+                        // Archive inside the close, on the upcall worker:
+                        // back-to-back updates of one file then never wait
+                        // on the single archiver thread.
+                        sync_archive: true,
                         upcall_pool: Some((pool_min, pool_max)),
                         // A gather window on the repository's group commit:
                         // each commit parks its upcall worker for the
@@ -968,7 +977,11 @@ fn parse_version(data: &[u8]) -> u64 {
     std::str::from_utf8(&data[..20]).ok().and_then(|t| t.parse().ok()).unwrap_or(0)
 }
 
-fn mixed_trial(sc: &Scenario, t: &TrialSpec) -> Result<MixedOutcome, String> {
+fn mixed_trial(
+    sc: &Scenario,
+    t: &TrialSpec,
+    flight_dump_dir: Option<&Path>,
+) -> Result<MixedOutcome, String> {
     let p = &t.params;
     let clients = p.clients.unwrap_or(4);
     let ops = need(sc, t, "ops", p.ops)?;
@@ -1058,6 +1071,7 @@ fn mixed_trial(sc: &Scenario, t: &TrialSpec) -> Result<MixedOutcome, String> {
         fault,
         repo_faults.clone(),
         host_faults.clone(),
+        flight_dump_dir,
     );
 
     // Per-op latency, adopted into the system registry so it rides the
@@ -1434,7 +1448,11 @@ fn mixed_trial(sc: &Scenario, t: &TrialSpec) -> Result<MixedOutcome, String> {
     Ok(out)
 }
 
-fn mixed(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
+fn mixed(
+    sc: &Scenario,
+    plan: &Plan,
+    flight_dump_dir: Option<&Path>,
+) -> Result<ScenarioRun, String> {
     let mut rows = Vec::new();
     let mut metrics = BTreeMap::new();
     let mut sums: BTreeMap<&str, f64> = BTreeMap::new();
@@ -1453,7 +1471,7 @@ fn mixed(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         let mut events = Vec::new();
         let mut vlat = HistogramSnapshot::default();
         for t in &trials {
-            let o = mixed_trial(sc, t)?;
+            let o = mixed_trial(sc, t, flight_dump_dir)?;
             if let Some(lat) = o.snapshot.histograms.get("lab.op_latency_ns") {
                 vlat.merge(lat);
             }
@@ -1994,7 +2012,7 @@ mod tests {
 
     fn run(text: &str) -> ScenarioRun {
         let sc = parse_scenario("test.jsonl", text).unwrap();
-        run_scenario(&sc, true).unwrap()
+        run_scenario(&sc, true, None).unwrap()
     }
 
     #[test]
@@ -2122,7 +2140,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let err = run_scenario(&sc, true).err().expect("sever off the wire must fail");
+        let err = run_scenario(&sc, true, None).err().expect("sever off the wire must fail");
         assert!(err.contains("wire_front_end"), "must point at the wire kind: {err}");
     }
 

@@ -113,18 +113,20 @@ pub fn fixture_with_fault(
     fault: Option<FaultInjector>,
     repo_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
 ) -> Fixture {
-    fixture_with_faults(opts, fault, repo_faults, None)
+    fixture_with_faults(opts, fault, repo_faults, None, None)
 }
 
 /// [`fixture_with_fault`] with one more fault surface: a
 /// [`dl_minidb::DiskFaults`] layer under the *host database's* storage
 /// environment, so lab scenarios can exhaust or shear the coordinator's
-/// WAL rather than the repository's.
+/// WAL rather than the repository's — and a directory for the system's
+/// flight-recorder dumps (`SystemBuilder::flight_dump_dir`).
 pub fn fixture_with_faults(
     opts: FixtureOptions,
     fault: Option<FaultInjector>,
     repo_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
     host_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
+    flight_dump_dir: Option<&std::path::Path>,
 ) -> Fixture {
     let mut dlfm = DlfmConfig::new(SRV);
     dlfm.sync_archive = opts.sync_archive;
@@ -165,13 +167,15 @@ pub fn fixture_with_faults(
         }
         None => mem_env(),
     };
-    let sys = SystemBuilder::new()
+    let mut builder = SystemBuilder::new()
         .host_env(host_env.clone())
         .host_db_opts(opts.db)
         .host_replicas(opts.host_replicas)
-        .file_server_with(spec)
-        .build()
-        .expect("build system");
+        .file_server_with(spec);
+    if let Some(dir) = flight_dump_dir {
+        builder = builder.flight_dump_dir(dir);
+    }
+    let sys = builder.build().expect("build system");
 
     let raw = sys.raw_fs(SRV).expect("raw fs");
     raw.mkdir_p(&Cred::root(), "/data", 0o777).expect("mkdir");

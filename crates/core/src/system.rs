@@ -20,6 +20,7 @@
 //! standby after a primary crash, fencing the old primary by epoch.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -224,6 +225,7 @@ pub struct SystemBuilder {
     host_replicas: usize,
     clock: Arc<dyn Clock>,
     servers: Vec<FileServerSpec>,
+    flight_dump_dir: Option<PathBuf>,
 }
 
 impl SystemBuilder {
@@ -234,7 +236,16 @@ impl SystemBuilder {
             host_replicas: 0,
             clock: Arc::new(WallClock),
             servers: Vec::new(),
+            flight_dump_dir: None,
         }
+    }
+
+    /// Also writes every flight-recorder dump (crash, failover, host
+    /// failover) to a file in `dir`; survives crash/recover cycles. Without
+    /// it dumps are kept in memory only ([`DataLinksSystem::last_flight_dump`]).
+    pub fn flight_dump_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.flight_dump_dir = Some(dir.into());
+        self
     }
 
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -326,6 +337,7 @@ impl SystemBuilder {
             self.clock,
             parts,
             false,
+            self.flight_dump_dir,
         )
         .map(|(sys, _)| sys)
     }
@@ -376,6 +388,9 @@ pub struct CrashImage {
     /// The flight-recorder dump taken at the crash boundary — the last
     /// 2PC span events of every layer, for post-mortem reading.
     flight_dump: Option<String>,
+    /// Carried forward to the recovered system
+    /// ([`SystemBuilder::flight_dump_dir`]).
+    flight_dump_dir: Option<PathBuf>,
 }
 
 impl CrashImage {
@@ -491,6 +506,9 @@ pub struct DataLinksSystem {
     pool_roster: Arc<PoolRoster>,
     /// The most recent flight-recorder dump (crash or failover), if any.
     last_flight_dump: Mutex<Option<String>>,
+    /// Where dumps are also written as files
+    /// ([`SystemBuilder::flight_dump_dir`]).
+    flight_dump_dir: Option<PathBuf>,
 }
 
 impl DataLinksSystem {
@@ -503,6 +521,7 @@ impl DataLinksSystem {
         clock: Arc<dyn Clock>,
         parts: Vec<NodeParts>,
         run_recovery: bool,
+        flight_dump_dir: Option<PathBuf>,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
         let db = Database::open_with(host_env.clone(), host_db).map_err(|e| e.to_string())?;
         let engine =
@@ -600,6 +619,7 @@ impl DataLinksSystem {
             registry,
             pool_roster: Arc::new(PoolRoster::default()),
             last_flight_dump: Mutex::new(None),
+            flight_dump_dir,
         };
         sys.register_host_metrics();
         // The aggregate pool gauges read the roster live — registered as
@@ -1145,9 +1165,10 @@ impl DataLinksSystem {
 
     /// Renders every layer's flight recorder (the coordinator-side engine
     /// ring plus each node's DLFM ring) into one dump, stores it as the
-    /// last dump, and — when `DL_FLIGHT_DUMP_DIR` is set — writes it to a
-    /// file there. Never prints to stdout/stderr (the lab's report pipeline
-    /// owns those streams).
+    /// last dump, and — when the system was built with a
+    /// [`SystemBuilder::flight_dump_dir`] — writes it to a file there. Never
+    /// prints to stdout/stderr (the lab's report pipeline owns those
+    /// streams).
     fn dump_flight(&self, reason: &str) -> String {
         let mut out = self.engine.flight_recorder().render("engine.host", reason);
         let mut names: Vec<&String> = self.nodes.keys().collect();
@@ -1157,18 +1178,14 @@ impl DataLinksSystem {
             out.push('\n');
             out.push_str(&node.server.flight_recorder().render(&format!("dlfm.{name}"), reason));
         }
-        if let Ok(dir) = std::env::var("DL_FLIGHT_DUMP_DIR") {
-            if !dir.is_empty() {
-                use std::sync::atomic::AtomicU64;
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-                let safe: String = reason
-                    .chars()
-                    .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-                    .collect();
-                let file = format!("flight-{}-{seq}-{safe}.log", std::process::id());
-                let _ = std::fs::write(std::path::Path::new(&dir).join(file), &out);
-            }
+        if let Some(dir) = &self.flight_dump_dir {
+            use std::sync::atomic::AtomicU64;
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+            let safe: String =
+                reason.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect();
+            let file = format!("flight-{}-{seq}-{safe}.log", std::process::id());
+            let _ = std::fs::write(dir.join(file), &out);
         }
         *self.last_flight_dump.lock() = Some(out.clone());
         out
@@ -1685,6 +1702,7 @@ impl DataLinksSystem {
             registry: _,
             pool_roster: _,
             last_flight_dump: _,
+            flight_dump_dir,
         } = self;
         drop(engine);
         drop(db);
@@ -1738,6 +1756,7 @@ impl DataLinksSystem {
             nodes: parts,
             stop_at_lsn: None,
             flight_dump: Some(flight_dump),
+            flight_dump_dir,
         }
     }
 
@@ -1756,13 +1775,23 @@ impl DataLinksSystem {
             nodes,
             stop_at_lsn,
             flight_dump: _,
+            flight_dump_dir,
         } = image;
         if let Some(lsn) = stop_at_lsn {
             // Point-in-time open handled by restore(); plain recovery
             // ignores it.
             let _ = lsn;
         }
-        Self::assemble(host_env, host_db, host_replicas, coord_epoch, clock, nodes, true)
+        Self::assemble(
+            host_env,
+            host_db,
+            host_replicas,
+            coord_epoch,
+            clock,
+            nodes,
+            true,
+            flight_dump_dir,
+        )
     }
 
     // --- coordinated backup / restore (§4.4) ---------------------------------------
@@ -1783,7 +1812,9 @@ impl DataLinksSystem {
         lsn: Lsn,
     ) -> Result<(DataLinksSystem, SystemRestoreReport), String> {
         let image = self.crash();
-        let CrashImage { host_db, host_replicas, coord_epoch, clock, nodes, .. } = image;
+        let CrashImage {
+            host_db, host_replicas, coord_epoch, clock, nodes, flight_dump_dir, ..
+        } = image;
 
         let restored_env = backup.host_env.fork().map_err(|e| e.to_string())?;
         let db = Database::open_with(
@@ -1796,8 +1827,16 @@ impl DataLinksSystem {
         db.checkpoint().map_err(|e| e.to_string())?;
         drop(db);
 
-        let (sys, _) =
-            Self::assemble(restored_env, host_db, host_replicas, coord_epoch, clock, nodes, true)?;
+        let (sys, _) = Self::assemble(
+            restored_env,
+            host_db,
+            host_replicas,
+            coord_epoch,
+            clock,
+            nodes,
+            true,
+            flight_dump_dir,
+        )?;
         let report = sys.reconcile_files_with_metadata()?;
         Ok((sys, report))
     }

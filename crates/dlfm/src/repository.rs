@@ -15,9 +15,15 @@
 //! | `dl_txns`    | marker rows mapping repository sub-transactions to host transactions |
 //!
 //! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
-//! survive a crash (every descriptor is gone), so recovery truncates them.
-//! `dl_files`, `dl_uip` and `dl_intents` are the durable state recovery
-//! works from.
+//! survive a crash (every descriptor is gone). They are **unlogged** tables
+//! (`dl_minidb::Schema::unlogged`): a write to them takes its row locks and
+//! is visible at commit like any other, but forces no log record, reaches no
+//! snapshot and no standby, and every reopen of the repository — crash
+//! recovery, failover promotion, restore — finds both empty. `dl_files`,
+//! `dl_uip`, `dl_intents` and `dl_txns` are the durable state recovery works
+//! from, and every write to them is forced before it is acted on. A grant
+//! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
+//! one commit whose log record carries the `dl_uip` row only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -199,7 +205,7 @@ pub enum WriteClaim {
 pub struct Repository {
     db: Database,
     /// Auto-commit write transactions performed (the "extra database update
-    /// operations" the paper counts in §4.5).
+    /// operations" the paper counts in §4.5), forced or unlogged alike.
     pub update_ops: AtomicU64,
 }
 
@@ -251,7 +257,8 @@ impl Repository {
                     ],
                     "tokkey",
                 )
-                .expect("static schema"),
+                .expect("static schema")
+                .unlogged(),
             )?;
         }
         if !db.has_table("dl_sync") {
@@ -267,7 +274,8 @@ impl Repository {
                     ],
                     "synckey",
                 )
-                .expect("static schema"),
+                .expect("static schema")
+                .unlogged(),
             )?;
             db.create_index("dl_sync", "path")?;
         }
@@ -439,6 +447,7 @@ impl Repository {
 
     /// Records a validated token entry: "the user has permission to access
     /// the file till time t" (§4.1). Keyed by userid, not processid.
+    /// Unlogged: a crash closes every descriptor the entry could admit.
     pub fn put_token_entry(
         &self,
         uid: u32,
@@ -492,7 +501,8 @@ impl Repository {
 
     // --- dl_sync ---------------------------------------------------------------
 
-    /// Inserts a Sync-table entry for an approved open (§4.5).
+    /// Inserts a Sync-table entry for an approved open (§4.5). Unlogged,
+    /// like its removal at close.
     pub fn add_sync(&self, entry: &SyncEntry) -> DbResult<()> {
         self.bump();
         let mut txn = self.db.begin();
@@ -774,25 +784,6 @@ impl Repository {
             _ => None,
         })
     }
-
-    // --- recovery ----------------------------------------------------------------
-
-    /// Truncates open-file state that cannot survive a crash: token entries
-    /// and the Sync table.
-    pub fn clear_transient(&self) -> DbResult<()> {
-        for table in ["dl_tokens", "dl_sync"] {
-            let rows = self.db.scan_committed(table)?;
-            if rows.is_empty() {
-                continue;
-            }
-            let mut txn = self.db.begin();
-            for row in rows {
-                txn.delete(table, &row[0])?;
-            }
-            txn.commit()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -922,10 +913,8 @@ mod tests {
                 .unwrap();
         }
         let r = Repository::open(env).unwrap();
-        // Crash recovery: durable intents remain...
+        // Crash recovery: durable intents remain, open-file state is gone.
         assert_eq!(r.list_intents().len(), 1);
-        // ...and the recovery driver clears transient open state.
-        r.clear_transient().unwrap();
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
     }
@@ -1016,6 +1005,34 @@ mod tests {
             r.claim_write_open("/f", 3, 9, false).unwrap(),
             WriteClaim::Granted { .. }
         ));
+    }
+
+    #[test]
+    fn open_file_state_forces_no_log_write_and_a_write_claim_logs_only_the_uip_row() {
+        let r = repo();
+        let mut txn = r.db().begin();
+        r.insert_file_in(&mut txn, &entry("/f")).unwrap();
+        txn.commit().unwrap();
+
+        // Token entry, tracked read open, read close: all unlogged.
+        let tail = r.db().state_id();
+        r.put_token_entry(7, "/f", TokenKind::Read, u64::MAX).unwrap();
+        assert!(r.claim_read_sync("/f", 1, 7).unwrap());
+        r.remove_sync("/f", 1).unwrap();
+        assert_eq!(r.db().state_id(), tail);
+
+        // The write grant's UIP row is what recovery rolls back from: it is
+        // forced, alone, in the same commit that adds the Sync row.
+        assert!(matches!(
+            r.claim_write_open("/f", 2, 7, true).unwrap(),
+            WriteClaim::Granted { .. }
+        ));
+        let frames = r.db().wal_reader().read_from(tail).unwrap();
+        let [(_, dl_minidb::wal::WalRecord::Commit { ops, .. })] = &frames.records[..] else {
+            panic!("one commit record expected, got {:?}", frames.records);
+        };
+        assert_eq!(ops.iter().map(|op| op.table()).collect::<Vec<_>>(), ["dl_uip"]);
+        assert_eq!(r.sync_entries("/f").len(), 1);
     }
 
     #[test]

@@ -1233,8 +1233,9 @@ impl DlfmServer {
 
     /// Runs crash recovery: settles in-doubt sub-transactions against the
     /// host's outcomes, reconciles file-system state from intents, restores
-    /// in-flight updates to their last committed version, re-submits lost
-    /// archive jobs, and clears transient open state.
+    /// in-flight updates to their last committed version and re-submits
+    /// lost archive jobs. Token entries and the Sync table need no step:
+    /// they are unlogged, so the reopened repository holds none.
     pub fn recover(&self) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
         let host = self.host.read().clone();
@@ -1321,9 +1322,6 @@ impl DlfmServer {
             let _ = self.repo.remove_uip(&uip.path);
         }
 
-        // 5. Token entries and the Sync table describe open files; after a
-        //    crash there are none.
-        self.repo.clear_transient().map_err(|e| e.to_string())?;
         self.bump_epoch();
         Ok(report)
     }

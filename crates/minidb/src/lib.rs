@@ -22,6 +22,12 @@
 //!   `prepare`/`commit_prepared` path so a database instance can act as a
 //!   2PC *participant* (DLFM's repository does exactly this, per the
 //!   companion SIGMOD 2000 paper "DLFM: A Transactional Resource Manager").
+//! * **Unlogged tables** — a table created with [`Schema::unlogged()`] keeps
+//!   2PL and commit-time visibility but its rows never reach the log, a
+//!   snapshot or a standby; a transaction that wrote nothing else commits
+//!   without a log force. It is empty after every recovery, promotion or
+//!   restore — the class for state a crash invalidates anyway (DLFM's
+//!   token entries and Sync table describe open descriptors).
 //! * **Coordinator hooks** — external resource managers enlist in a host
 //!   transaction via [`Participant`] and are driven through
 //!   prepare/commit/abort; the commit decision is logged before participants

@@ -967,6 +967,38 @@ mod tests {
     }
 
     #[test]
+    fn unlogged_rows_reach_no_standby_by_frames_or_by_image() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        db.create_table(schema("u").unlogged()).unwrap();
+        db.create_index("u", "v").unwrap();
+        let mut tx = db.begin();
+        tx.insert("t", row(1, "durable")).unwrap();
+        tx.insert("u", row(1, "transient")).unwrap();
+        tx.commit().unwrap();
+
+        // Frame shipping, then promotion.
+        let tailing = StandbyDb::open(StorageEnv::mem()).unwrap();
+        ship_all(&db, &tailing);
+        // Checkpoint install (the frames are gone), then promotion.
+        db.checkpoint_and_truncate().unwrap();
+        let installed = StandbyDb::open(StorageEnv::mem()).unwrap();
+        ship_all(&db, &installed);
+        assert!(installed.wal_base_lsn() > 0, "caught up from the image");
+
+        for standby in [tailing, installed] {
+            assert_eq!(standby.count("t").unwrap(), 1);
+            assert_eq!(standby.count("u").unwrap(), 0);
+            let promoted = Database::open(standby.env().clone()).unwrap();
+            assert_eq!(promoted.count("t").unwrap(), 1);
+            assert!(promoted.schema("u").unwrap().unlogged);
+            assert_eq!(promoted.count("u").unwrap(), 0);
+            assert!(promoted.inner().tables.read()["u"].has_index("v"));
+        }
+        assert_eq!(db.count("u").unwrap(), 1, "the live primary keeps its rows");
+    }
+
+    #[test]
     fn wait_applied_times_out_and_wakes() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();

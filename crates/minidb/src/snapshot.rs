@@ -14,6 +14,12 @@
 //! completeness is what makes WAL truncation below `base_lsn` safe
 //! ([`crate::wal::Wal::truncate_below`]): nothing recovery needs can hide
 //! in the truncated prefix.
+//!
+//! Format version 3 records each table's logged/unlogged class in its
+//! schema and writes an unlogged table's schema and indexed columns but
+//! **no rows** — the log never carried them either, so every path that
+//! rebuilds state from an image (recovery, checkpoint shipping, standby
+//! promotion, backup, point-in-time restore) yields the table empty.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +32,7 @@ use crate::table::TableStore;
 use crate::wal::{Lsn, TxId};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];
@@ -144,6 +150,10 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
         body.put_u32(indexed.len() as u32);
         for col in &indexed {
             body.put_str(col);
+        }
+        if store.schema.unlogged {
+            body.put_u32(0);
+            continue;
         }
         body.put_u32(store.len() as u32);
         for (_, row) in store.iter() {
@@ -292,6 +302,31 @@ mod tests {
     }
 
     #[test]
+    fn unlogged_table_keeps_schema_and_indexes_but_no_rows() {
+        let schema = Schema::new(
+            "opens",
+            vec![Column::new("id", ColumnType::Int), Column::new("path", ColumnType::Text)],
+            "id",
+        )
+        .unwrap()
+        .unlogged();
+        let mut store = TableStore::new(schema);
+        store.create_index("path").unwrap();
+        store.apply_insert(vec![Value::Int(1), Value::Text("/f".into())]);
+        let mut snap = sample();
+        snap.tables.insert("opens".to_string(), store);
+
+        let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
+        write_snapshot(&dev, (&snap).into()).unwrap();
+        let read = read_snapshot(&dev).unwrap().expect("valid snapshot");
+        let opens = &read.tables["opens"];
+        assert!(opens.schema.unlogged);
+        assert!(opens.has_index("path"));
+        assert!(opens.is_empty(), "unlogged rows never reach an image");
+        assert_eq!(read.tables["movies"].len(), 2, "logged tables are unaffected");
+    }
+
+    #[test]
     fn empty_device_reads_none() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
         assert!(read_snapshot(&dev).unwrap().is_none());
@@ -333,9 +368,9 @@ mod tests {
     fn outdated_format_version_reads_none() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
         write_snapshot(&dev, (&sample()).into()).unwrap();
-        // Rewrite the version field to 1 (the pre-checkpoint-shipping
-        // format): the slot must read as invalid, not misparse.
-        dev.write_at(4, &1u32.to_le_bytes()).unwrap();
+        // Rewrite the version field to 2 (the format before schemas carried
+        // a table class): the slot must read as invalid, not misparse.
+        dev.write_at(4, &2u32.to_le_bytes()).unwrap();
         assert!(read_snapshot(&dev).unwrap().is_none());
     }
 }

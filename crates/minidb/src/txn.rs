@@ -19,13 +19,16 @@ enum TxnState {
 
 /// An open transaction. Writes are buffered privately (deferred update) and
 /// applied to the shared stores at commit, after the commit record is
-/// durable. Dropping an unfinished transaction aborts it.
+/// durable. Writes to unlogged tables ([`crate::Schema::unlogged()`]) take the
+/// same locks and are applied at the same point, but stay out of the log.
+/// Dropping an unfinished transaction aborts it.
 pub struct Txn {
     db: Database,
     id: TxId,
     /// (table, key) -> pending row (`None` = deleted). Read-your-own-writes.
     overlay: HashMap<(String, Value), Option<Row>>,
-    /// Ordered redo list, exactly what the commit record will carry.
+    /// Ordered op list, applied to the stores at commit; the commit record
+    /// carries the ones on logged tables ([`Txn::logged_ops`]).
     ops: Vec<RowOp>,
     state: TxnState,
 }
@@ -277,12 +280,25 @@ impl Txn {
         Ok(())
     }
 
+    /// The redo ops: everything buffered except writes to unlogged tables,
+    /// whose rows recovery is meant to lose.
+    fn logged_ops(&self) -> Vec<RowOp> {
+        let tables = self.db.inner().tables.read();
+        self.ops
+            .iter()
+            .filter(|op| !tables.get(op.table()).is_some_and(|store| store.schema.unlogged))
+            .cloned()
+            .collect()
+    }
+
     // --- Coordinator commit ----------------------------------------------------
 
     /// Commits: prepares any enlisted participants, logs the commit decision
     /// (with redo ops), applies to the shared stores, then completes the
     /// participants. Returns the commit LSN — the database state identifier
-    /// the archive tags file versions with (§4.4).
+    /// the archive tags file versions with (§4.4). A transaction with
+    /// nothing to redo and no participants (read-only, or writing unlogged
+    /// tables only) appends nothing and returns the current tail.
     pub fn commit(mut self) -> DbResult<Lsn> {
         self.ensure_active()?;
         let participants = self.db.take_participants(self.id);
@@ -299,23 +315,31 @@ impl Txn {
             }
         }
 
-        // Decision + apply. Empty read-only transactions skip the log write.
-        let lsn = if self.ops.is_empty() && participants.is_empty() {
-            self.db.inner().wal.tail_lsn()
-        } else {
-            let names: Vec<String> = participants.iter().map(|(n, _)| n.clone()).collect();
+        // Decision + apply. The log write is for recovery: with no redo ops
+        // and no participants awaiting an outcome there is nothing to force.
+        let logged = self.logged_ops();
+        let forced = !logged.is_empty() || !participants.is_empty();
+        let lsn = {
             let inner = self.db.inner();
             // Shared: concurrent committers ride the same group-commit
-            // batch; only checkpoint/backup take this exclusively.
-            let _latch = inner.commit_latch.read();
-            let lsn = inner.wal.append(&WalRecord::Commit {
-                txid: self.id,
-                participants: names,
-                ops: self.ops.clone(),
-            })?;
-            let mut tables = inner.tables.write();
-            for op in &self.ops {
-                apply_op(&mut tables, op)?;
+            // batch; only checkpoint/backup take this exclusively. It keeps
+            // log tail and stores in step, so an unforced commit skips it.
+            let _latch = forced.then(|| inner.commit_latch.read());
+            let lsn = if forced {
+                let names: Vec<String> = participants.iter().map(|(n, _)| n.clone()).collect();
+                inner.wal.append(&WalRecord::Commit {
+                    txid: self.id,
+                    participants: names,
+                    ops: logged,
+                })?
+            } else {
+                inner.wal.tail_lsn()
+            };
+            if !self.ops.is_empty() {
+                let mut tables = inner.tables.write();
+                for op in &self.ops {
+                    apply_op(&mut tables, op)?;
+                }
             }
             lsn
         };
@@ -367,16 +391,19 @@ impl Txn {
     /// Durably prepares this transaction (2PC phase one, participant role):
     /// the redo ops hit the log, locks are retained, and the transaction can
     /// only finish via [`Txn::commit_prepared`] / [`Txn::abort_prepared`].
+    /// Unlogged writes ride along in memory only: a live `commit_prepared`
+    /// applies them, an in-doubt resolution after a crash never sees them.
     pub fn prepare(&mut self) -> DbResult<()> {
         self.ensure_active()?;
+        let logged = self.logged_ops();
         // The shared latch makes append + live-prepared registration atomic
         // with respect to checkpoints: without it, a checkpoint could
         // snapshot between the two — missing the registration — and then
         // truncate the Prepare record, losing the only durable copy of an
         // undecided transaction's redo ops.
         let _latch = self.db.inner().commit_latch.read();
-        self.db.inner().wal.append(&WalRecord::Prepare { txid: self.id, ops: self.ops.clone() })?;
-        self.db.register_prepared(self.id, self.ops.clone());
+        self.db.inner().wal.append(&WalRecord::Prepare { txid: self.id, ops: logged.clone() })?;
+        self.db.register_prepared(self.id, logged);
         self.state = TxnState::Prepared;
         Ok(())
     }

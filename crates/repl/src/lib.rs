@@ -181,7 +181,9 @@ pub trait ShipTarget: Send + Sync {
     fn wait_snapshot_idle(&self, timeout: Duration) -> bool;
 }
 
-/// Name of the replica-local session table holding validated token entries.
+/// Name of the replica-local session table holding validated token entries
+/// — unlogged, like the primary's `dl_tokens`: a replica restart ends every
+/// session it was serving.
 const SESSION_TOKENS: &str = "repl_tokens";
 
 /// One hot standby of a DLFM repository.
@@ -192,8 +194,8 @@ pub struct Standby {
     archive: Arc<ArchiveStore>,
     fence: Arc<EpochFence>,
     stats: Arc<ReplStats>,
-    /// Replica-local durable store for validated token entries (the
-    /// replicated repository is apply-only).
+    /// Replica-local store for validated token entries (the replicated
+    /// repository is apply-only).
     session: Database,
     /// Serializes validations: one validation daemon per node, as in the
     /// paper's prototype. Replica fan-out, not per-replica concurrency, is
@@ -214,7 +216,7 @@ pub struct Standby {
 
 impl Standby {
     /// Opens a standby over `env` (the replicated repository) and
-    /// `session_env` (the replica-local durable token-session store).
+    /// `session_env` (the replica-local token-session store).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: String,
@@ -241,7 +243,8 @@ impl Standby {
                         ],
                         "tokkey",
                     )
-                    .expect("static schema"),
+                    .expect("static schema")
+                    .unlogged(),
                 )
                 .map_err(|e| e.to_string())?;
         }
@@ -349,7 +352,7 @@ impl Standby {
 
     /// Validates a read token exactly the way the primary's upcall path
     /// does — MAC + expiry against the shared per-server secret — and
-    /// records the token entry durably in the replica-local session store.
+    /// records the token entry in the replica-local session store.
     pub fn validate_read_token(
         &self,
         path: &str,

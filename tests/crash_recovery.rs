@@ -336,6 +336,9 @@ mod host_failover_2pc {
         )
         .unwrap();
         sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
+        // Host shipping is asynchronous: a test that fails the host over
+        // right away must still find the schema on the standby it promotes.
+        assert!(sys.wait_host_replicas_caught_up(CATCH_UP));
         sys
     }
 
@@ -465,6 +468,9 @@ mod sharded_host_failover_2pc {
         )
         .unwrap();
         sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
+        // Host shipping is asynchronous: a test that fails the host over
+        // right away must still find the schema on the standby it promotes.
+        assert!(sys.wait_host_replicas_caught_up(CATCH_UP));
         sys
     }
 
@@ -652,4 +658,63 @@ fn crash_between_commit_and_archive_recovers_version() {
     let archived = sys.node("srv").unwrap().server.archive_store().get("/d/f.bin", 2);
     assert!(archived.is_some(), "committed version must be archived after recovery");
     assert_eq!(archived.unwrap().data, b"committed v2");
+}
+
+/// Token entries and Sync rows are unlogged (they describe open
+/// descriptors): a crash with a write open granted loses both — and nothing
+/// recovery needs. The forced `dl_uip` row still drives the rollback, the
+/// surviving token string must be validated afresh before it admits anyone,
+/// and no ghost Sync row blocks the unlink.
+#[test]
+fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
+    let sys = build();
+    update(&sys, b"the committed truth");
+
+    let (_, write_path) =
+        sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs("srv").unwrap();
+    let fd = fs.open(&APP, &write_path, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"torn").unwrap();
+    let _ = fd; // never closed: the crash takes the descriptor down
+    {
+        let node = sys.node("srv").unwrap();
+        let repo = node.server.repository();
+        let now = node.server.clock().now_ms();
+        assert!(repo.get_uip("/d/f.bin").is_some());
+        assert_eq!(repo.sync_entries("/d/f.bin").len(), 1);
+        assert!(repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now));
+        // The live Sync row does its job: unlink is refused while open.
+        let mut tx = sys.begin();
+        assert!(tx.delete("t", &Value::Int(1)).is_err());
+        tx.abort();
+    }
+
+    let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+    assert_eq!(reports["srv"].updates_rolled_back, 1, "the forced UIP row drove the rollback");
+    let raw = sys.raw_fs("srv").unwrap();
+    assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"the committed truth");
+    let url = datalinks::core::DatalinkUrl::parse("dlfs://srv/d/f.bin").unwrap();
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 2, "metadata still at version 2");
+
+    let node = sys.node("srv").unwrap();
+    let repo = node.server.repository();
+    let now = node.server.clock().now_ms();
+    assert!(repo.get_uip("/d/f.bin").is_none());
+    assert!(repo.sync_entries("/d/f.bin").is_empty(), "no ghost Sync row");
+    assert!(
+        !repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now),
+        "the pre-crash token entry must not survive"
+    );
+    // Without an entry the bare name admits nobody; the (unexpired) token
+    // string has to go through validation again, and then does.
+    let fs = sys.fs("srv").unwrap();
+    assert!(fs.open(&APP, "/d/f.bin", OpenOptions::write_truncate()).is_err());
+    let fd = fs.open(&APP, &write_path, OpenOptions::write_truncate()).unwrap();
+    fs.close(fd).unwrap();
+
+    // Unlink goes through.
+    let mut tx = sys.begin();
+    tx.delete("t", &Value::Int(1)).unwrap();
+    tx.commit().unwrap();
+    assert!(repo.get_file("/d/f.bin").is_none());
 }

@@ -23,15 +23,18 @@ const SRV: &str = "srv";
 // elastic upcall pool: burst growth, idle shrink
 // ---------------------------------------------------------------------------
 
+const BURST_CLIENTS: usize = 16;
+
 /// A standalone DLFM server whose repository pays a deterministic sync
-/// latency, so every token validation parks its upcall worker — the
-/// occupancy that forces pool growth.
+/// latency, with one linked full-control file per burst client, so every
+/// write open and its close park their upcall worker in a forced log write
+/// (the `dl_uip` claim, then its removal) — the occupancy that forces pool
+/// growth. Token entries and Sync rows are unlogged and park nobody.
 fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
     let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
     admin.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
-    admin.write_file(&APP, "/d/f.bin", b"seed").unwrap();
     let mut cfg = DlfmConfig::new(SRV).upcall_workers(min, max);
     cfg.upcall_idle_ms = 15;
     let server = Arc::new(
@@ -44,6 +47,13 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
         )
         .unwrap(),
     );
+    for t in 0..BURST_CLIENTS {
+        let path = format!("/d/f{t}.bin");
+        admin.write_file(&APP, &path, b"seed").unwrap();
+        server.link_file(1, &path, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
+    }
+    server.prepare_host(1).unwrap();
+    server.commit_host(1);
     (server, clock)
 }
 
@@ -52,23 +62,24 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     let (server, clock) = slow_repo_server(2, 24);
     let (daemon, client) = UpcallDaemon::spawn(Arc::clone(&server));
 
-    // Burst: 16 threads each validating tokens (every validation commits a
-    // token entry into the slow repository, parking a worker ~400 µs).
+    // Burst: 16 threads each cycling write opens of their own file — token
+    // validation, the claim (parks a worker ~400 µs on the forced `dl_uip`
+    // row), and a close without a write (~400 µs again to remove it).
     std::thread::scope(|scope| {
-        for t in 0..16 {
+        for t in 0..BURST_CLIENTS {
             let client = client.clone();
             let key = server.config().token_key.clone();
             let now = clock.now_ms();
             scope.spawn(move || {
-                for k in 0..8 {
-                    let tok = AccessToken::generate(
-                        &key,
-                        SRV,
-                        "/d/f.bin",
-                        TokenKind::Read,
-                        now + 60_000 + (t * 100 + k) as u64,
-                    );
-                    client.validate_token("/d/f.bin", &tok.encode(), APP.uid).unwrap();
+                let path = format!("/d/f{t}.bin");
+                for k in 0..8u64 {
+                    let tok =
+                        AccessToken::generate(&key, SRV, &path, TokenKind::Write, now + 60_000 + k);
+                    client.validate_token(&path, &tok.encode(), APP.uid).unwrap();
+                    let opener = (t as u64) * 100 + k;
+                    let decision = client.open_check(&path, APP.uid, TokenKind::Write, opener);
+                    assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
+                    client.close_notify(&path, opener, false, 4, 0).unwrap();
                 }
             });
         }
@@ -91,8 +102,9 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     assert_eq!(daemon.pool_stats().workers(), 2, "idle pool must return to upcall_workers_min");
     assert!(daemon.pool_stats().retires() > 0);
 
-    // And it still serves after shrinking.
-    assert!(client.mutation_check("/d/f.bin").is_ok());
+    // And it still serves after shrinking (the veto is the answer here:
+    // a linked full-control file cannot be removed).
+    assert!(client.mutation_check("/d/f0.bin").is_err());
 }
 
 // ---------------------------------------------------------------------------

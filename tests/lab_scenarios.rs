@@ -52,7 +52,7 @@ fn crash_injection_fails_over_once_and_loses_no_acked_links() {
     // and the remaining operations served by the new primary.
     let file = scenarios_dir().join("kill_primary_mid_burst.jsonl");
     let sc = dl_lab::load_scenario(&file).expect("shipped scenario parses");
-    let run = dl_bench::lab::run_scenario(&sc, true).expect("scenario runs");
+    let run = dl_bench::lab::run_scenario(&sc, true, None).expect("scenario runs");
 
     assert_eq!(run.metrics.get("failovers"), Some(&1.0), "metrics: {:?}", run.metrics);
     assert_eq!(run.metrics.get("lost_acked_links"), Some(&0.0), "metrics: {:?}", run.metrics);

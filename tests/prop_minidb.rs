@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbError, Row, Schema, StandbyDb, StorageEnv, Value,
+    Column, ColumnType, Database, DbError, Row, Schema, StandbyDb, StorageEnv, Txn, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -45,9 +45,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn schema() -> Schema {
+fn schema(table: &str) -> Schema {
     Schema::new(
-        "t",
+        table,
         vec![Column::new("k", ColumnType::Int), Column::new("v", ColumnType::Text)],
         "k",
     )
@@ -58,56 +58,75 @@ fn row(k: i64, v: &str) -> Row {
     vec![Value::Int(k), Value::Text(v.to_string())]
 }
 
+/// Runs `op` against `table` inside `tx`, mirroring it into `shadow` when
+/// the statement took effect. A statement that fails on the row's state
+/// (duplicate key, missing row) leaves the transaction alive.
+fn apply_op(
+    tx: &mut Txn,
+    table: &str,
+    op: &Op,
+    shadow: &mut BTreeMap<i64, String>,
+) -> Result<(), DbError> {
+    let result = match op {
+        Op::Insert(k, v) => tx.insert(table, row(*k, v)).map(|()| {
+            shadow.insert(*k, v.clone());
+        }),
+        Op::Update(k, v) => tx.update(table, &Value::Int(*k), row(*k, v)).map(|()| {
+            shadow.insert(*k, v.clone());
+        }),
+        Op::Delete(k) => tx.delete(table, &Value::Int(*k)).map(|()| {
+            shadow.remove(k);
+        }),
+    };
+    match result {
+        Err(DbError::DuplicateKey(_) | DbError::RowNotFound) => Ok(()),
+        other => other,
+    }
+}
+
+/// The committed rows of `table` as a model-shaped map.
+fn committed(db: &Database, table: &str) -> BTreeMap<i64, String> {
+    db.scan_committed(table)
+        .unwrap()
+        .iter()
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_text().unwrap().to_string()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Committed-state equivalence with a model across commits, aborts,
-    /// checkpoints and crashes.
+    /// checkpoints and crashes. Every transaction mirrors its ops into an
+    /// unlogged twin table `u`: live, `u` follows its own model like any
+    /// table; across a crash it is empty while `t` is untouched.
     #[test]
     fn recovery_matches_model(steps in proptest::collection::vec(step_strategy(), 1..25)) {
         let env = StorageEnv::mem();
         let mut db = Database::open(env.clone()).unwrap();
-        db.create_table(schema()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        db.create_table(schema("u").unlogged()).unwrap();
         let mut model: BTreeMap<i64, String> = BTreeMap::new();
+        let mut model_u: BTreeMap<i64, String> = BTreeMap::new();
 
         for step in steps {
             match step {
                 Step::Txn { ops, commit } => {
                     let mut tx = db.begin();
                     let mut shadow = model.clone();
+                    let mut shadow_u = model_u.clone();
                     let mut ok = true;
-                    for op in ops {
-                        let result = match &op {
-                            Op::Insert(k, v) => {
-                                match tx.insert("t", row(*k, v)) {
-                                    Ok(()) => { shadow.insert(*k, v.clone()); Ok(()) }
-                                    Err(DbError::DuplicateKey(_)) => Ok(()), // statement failed, txn lives
-                                    Err(e) => Err(e),
-                                }
-                            }
-                            Op::Update(k, v) => {
-                                match tx.update("t", &Value::Int(*k), row(*k, v)) {
-                                    Ok(()) => { shadow.insert(*k, v.clone()); Ok(()) }
-                                    Err(DbError::RowNotFound) => Ok(()),
-                                    Err(e) => Err(e),
-                                }
-                            }
-                            Op::Delete(k) => {
-                                match tx.delete("t", &Value::Int(*k)) {
-                                    Ok(()) => { shadow.remove(k); Ok(()) }
-                                    Err(DbError::RowNotFound) => Ok(()),
-                                    Err(e) => Err(e),
-                                }
-                            }
-                        };
-                        if result.is_err() {
-                            ok = false;
+                    for op in &ops {
+                        ok = apply_op(&mut tx, "t", op, &mut shadow).is_ok()
+                            && apply_op(&mut tx, "u", op, &mut shadow_u).is_ok();
+                        if !ok {
                             break;
                         }
                     }
                     if ok && commit {
                         tx.commit().unwrap();
                         model = shadow;
+                        model_u = shadow_u;
                     } else {
                         tx.abort();
                     }
@@ -118,26 +137,19 @@ proptest! {
                 Step::Crash => {
                     drop(db);
                     db = Database::open(env.clone()).unwrap();
+                    model_u.clear();
                 }
             }
             // Invariant: committed view == model at every step boundary.
-            let rows = db.scan_committed("t").unwrap();
-            let got: BTreeMap<i64, String> = rows
-                .iter()
-                .map(|r| (r[0].as_int().unwrap(), r[1].as_text().unwrap().to_string()))
-                .collect();
-            prop_assert_eq!(&got, &model);
+            prop_assert_eq!(&committed(&db, "t"), &model);
+            prop_assert_eq!(&committed(&db, "u"), &model_u);
         }
 
         // Final recovery must also agree.
         drop(db);
         let db = Database::open(env).unwrap();
-        let rows = db.scan_committed("t").unwrap();
-        let got: BTreeMap<i64, String> = rows
-            .iter()
-            .map(|r| (r[0].as_int().unwrap(), r[1].as_text().unwrap().to_string()))
-            .collect();
-        prop_assert_eq!(got, model);
+        prop_assert_eq!(committed(&db, "t"), model);
+        prop_assert!(committed(&db, "u").is_empty());
     }
 
     /// Checkpoint shipping safety: no interleaving of commits, checkpoints,
@@ -152,7 +164,7 @@ proptest! {
     ) {
         let env = StorageEnv::mem();
         let db = Database::open(env.clone()).unwrap();
-        db.create_table(schema()).unwrap();
+        db.create_table(schema("t")).unwrap();
         let standby_env = StorageEnv::mem();
         let mut standby = StandbyDb::open(standby_env.clone()).unwrap();
 
@@ -223,7 +235,7 @@ proptest! {
     fn point_in_time_is_exact(values in proptest::collection::vec("[a-z]{1,6}", 2..10)) {
         let env = StorageEnv::mem();
         let db = Database::open(env).unwrap();
-        db.create_table(schema()).unwrap();
+        db.create_table(schema("t")).unwrap();
 
         let mut states = Vec::new();
         for (i, v) in values.iter().enumerate() {

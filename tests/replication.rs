@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet};
-use datalinks::dlfm::{ControlMode, TokenKind};
+use datalinks::dlfm::{ControlMode, TokenKind, UipEntry};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
@@ -146,16 +146,37 @@ fn replicas_serve_reads_without_the_primary_and_lag_drains() {
 
 #[test]
 fn lagging_replica_reads_fall_back_to_the_primary() {
-    let sys = build(1, 1);
-    // Link + update, then read immediately — without waiting for the
-    // shipper. Whether the standby has applied yet or not, the routed
-    // read must succeed with the committed bytes (primary fallback covers
-    // the lag window; validation still runs at the replica).
+    // A standby that has not even heard of the link cannot serve the file;
+    // the routed read must still succeed with the committed bytes
+    // (validation runs at the replica, the primary supplies the content).
+    // Shipping is paused first so that the lag is a fact, not a race: a
+    // standby that *has* the link but not yet the update serves the
+    // previous committed version instead — plain `serve_read` is not
+    // read-your-writes (`freshness_token_reads_never_observe_pre_write_state`).
+    let sys = build(1, 0);
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    let set = sys.node(SRV).unwrap().replication.clone().unwrap();
+    set.set_paused(true);
+
+    sys.raw_fs(SRV).unwrap().write_file(&APP, "/d/f0.bin", b"seed-0").unwrap();
+    let mut tx = sys.begin();
+    tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}/d/f0.bin"))]).unwrap();
+    tx.commit().unwrap();
     write_once(&sys, 0, b"fresh bytes");
+
+    let fallbacks = sys.engine().stats.replica_fallbacks.get();
     for _ in 0..10 {
         let tp = read_token_path(&sys, 0);
         assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"fresh bytes");
     }
+    assert_eq!(sys.engine().stats.replica_fallbacks.get() - fallbacks, 10);
+
+    // Once the lag drains the replica serves the same bytes on its own.
+    set.set_paused(false);
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    let tp = read_token_path(&sys, 0);
+    assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"fresh bytes");
+    assert_eq!(sys.engine().stats.replica_fallbacks.get() - fallbacks, 10);
 }
 
 #[test]
@@ -230,6 +251,49 @@ fn failover_matches_a_crash_recovered_primary() {
 }
 
 #[test]
+fn promoted_standby_starts_without_token_entries_or_sync_rows() {
+    // The unlogged tables never ship: a standby promoted while a write open
+    // is granted on the primary inherits the forced UIP row (and rolls the
+    // update back) but no token entry and no Sync row.
+    let mut sys = build(1, 1);
+    write_once(&sys, 0, b"committed state");
+    let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"doomed in-flight bytes").unwrap();
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    {
+        let set = sys.node(SRV).unwrap().replication.clone().unwrap();
+        let standby_env = set.standbys()[0].env().fork().unwrap();
+        let shipped = datalinks::dlfm::Repository::open(standby_env).unwrap();
+        assert_eq!(shipped.list_uip().len(), 1, "the claim's UIP row shipped");
+        assert!(shipped.sync_entries("/d/f0.bin").is_empty(), "its Sync row did not");
+        assert_eq!(sys.node(SRV).unwrap().server.repository().sync_entries("/d/f0.bin").len(), 1);
+    }
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert_eq!(report.updates_rolled_back, 1);
+    let node = sys.node(SRV).unwrap();
+    let repo = node.server.repository();
+    let now = node.server.clock().now_ms();
+    assert!(repo.sync_entries("/d/f0.bin").is_empty(), "no ghost Sync row");
+    assert!(!repo.check_token_entry(APP.uid, "/d/f0.bin", TokenKind::Write, now));
+    let raw = sys.raw_fs(SRV).unwrap();
+    assert_eq!(raw.read_file(&Cred::root(), "/d/f0.bin").unwrap(), b"committed state");
+
+    // The old token string is re-validated by the promoted node, the bare
+    // name admits nobody, and unlink is not blocked.
+    let fs = sys.fs(SRV).unwrap();
+    assert!(fs.open(&APP, "/d/f0.bin", OpenOptions::write_truncate()).is_err());
+    let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
+    fs.close(fd).unwrap();
+    let mut tx = sys.begin();
+    tx.delete("t", &Value::Int(0)).unwrap();
+    tx.commit().unwrap();
+    assert!(repo.get_file("/d/f0.bin").is_none());
+}
+
+#[test]
 fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     let mut sys = build(1, 1);
     write_once(&sys, 0, b"pre-failover");
@@ -244,7 +308,11 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
 
     // The stale primary commits more work to its own (now irrelevant) log
     // and its shipper tries to ship it: the epoch fence must reject.
-    old_server.repository().put_token_entry(9, "/stale", TokenKind::Read, u64::MAX).unwrap();
+    // (A forced write: token entries and Sync rows never reach the log.)
+    old_server
+        .repository()
+        .put_uip(&UipEntry { path: "/stale".into(), new_version: 2, opener: 9 })
+        .unwrap();
     let err = old_set.ship_once().unwrap_err();
     assert!(matches!(err, datalinks::repl::ReplError::StaleEpoch { .. }), "got {err}");
     assert!(old_set.stats().stale_rejections() >= 1);

@@ -63,6 +63,9 @@ fn build(shards: usize, replicas: usize, host_replicas: usize) -> DataLinksSyste
         DlColumnOptions::new(ControlMode::Rdd).on_unlink(OnUnlink::Restore).token_ttl_ms(600_000),
     )
     .unwrap();
+    // Host shipping is asynchronous: a test that fails the host over right
+    // away must still find the schema on the standby it promotes.
+    assert!(sys.wait_host_replicas_caught_up(CATCH_UP));
     sys
 }
 

@@ -65,8 +65,8 @@ fn metrics_snapshot_spans_every_layer() {
     assert!(text.contains("pool_total_workers"), "exposition:\n{text}");
 }
 
-/// Running the shipped `kill_host_mid_burst` scenario with
-/// `DL_FLIGHT_DUMP_DIR` set must leave flight-recorder dumps on disk, and
+/// Running the shipped `kill_host_mid_burst` scenario with a flight-dump
+/// directory must leave flight-recorder dumps on disk there, and
 /// the host-failover dump must contain the cross-layer 2PC span trail:
 /// engine-side DML spans, DLFM claims/prepares, the fence being raised at
 /// the new coordinator generation, and the promoted coordinator's fenced
@@ -75,13 +75,12 @@ fn metrics_snapshot_spans_every_layer() {
 fn kill_host_mid_burst_dumps_fenced_decision_spans() {
     let dump_dir = std::env::temp_dir().join(format!("dl-flight-test-{}", std::process::id()));
     std::fs::create_dir_all(&dump_dir).expect("create dump dir");
-    std::env::set_var("DL_FLIGHT_DUMP_DIR", &dump_dir);
 
     let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("scenarios")
         .join("kill_host_mid_burst.jsonl");
     let sc = dl_lab::load_scenario(&file).expect("shipped scenario parses");
-    let run = dl_bench::lab::run_scenario(&sc, true).expect("scenario runs");
+    let run = dl_bench::lab::run_scenario(&sc, true, Some(&dump_dir)).expect("scenario runs");
     assert_eq!(run.metrics.get("host_failovers"), Some(&1.0), "metrics: {:?}", run.metrics);
 
     let mut dumps = Vec::new();
@@ -89,7 +88,6 @@ fn kill_host_mid_burst_dumps_fenced_decision_spans() {
         let path = entry.expect("dir entry").path();
         dumps.push(std::fs::read_to_string(&path).expect("dump readable"));
     }
-    std::env::remove_var("DL_FLIGHT_DUMP_DIR");
     let _ = std::fs::remove_dir_all(&dump_dir);
     assert!(!dumps.is_empty(), "crash_host must write at least one flight dump");
 
