@@ -29,15 +29,16 @@
 //! default 25): numeric cells by relative drift, text cells by inequality,
 //! disappeared rows always.
 //!
-//! Cross-table gate mode (no experiments run): compare one numeric cell
-//! across two *different* trajectories — e.g. a14's wire churn throughput
-//! against a12's in-process churn throughput — and fail if the ratio
-//! candidate/baseline falls below a floor:
+//! Gate mode (no experiments run): compare one numeric cell from each of
+//! two trajectory rows — in different files, or a row against a baseline
+//! row of its own table, e.g. a14's wire churn throughput against a14's
+//! in-process baseline — and fail if the ratio candidate/baseline falls
+//! below a floor:
 //!
 //! ```text
-//! report --gate 'bench-results/BENCH_a12.json::agent churn, shared executor' \
+//! report --gate 'bench-results/BENCH_a14.json::local baseline' \
 //!               'bench-results/BENCH_a14.json::wire churn' \
-//!               --column ops/s --min-ratio 0.05
+//!               --column ops/s --min-ratio 0.12
 //! ```
 
 use dl_bench::experiments as exp;

@@ -689,8 +689,10 @@ impl DataLinksSystem {
                     client,
                     Arc::new(NetStats::new()),
                 )?;
-                let connector =
-                    Arc::new(WireConnector::new(&part.name, Arc::new(NetStats::new()))?);
+                let connector = Arc::new(WireConnector::new(
+                    Arc::new(NetStats::new()),
+                    Duration::from_millis(part.dlfm_cfg.wire_call_timeout_ms),
+                ));
                 let agent = Arc::new(WireAgent(connector.connect(daemon.socket_path(), "engine")?));
                 let upc = Arc::new(WireUpcall(connector.connect(daemon.socket_path(), "dlfs")?));
                 (Some(WireLink { daemon, connector }), agent, upc)
@@ -1069,8 +1071,9 @@ impl DataLinksSystem {
         if let Some(wire) = &node.wire {
             // Server-side frame/connection instruments under
             // `net.<name>.*`; the client connector contributes the
-            // caller-observed round-trip distribution and the node's
-            // presumed-abort resolution count rides alongside.
+            // caller-observed round-trip distribution and its call
+            // timeouts, and the node's presumed-abort resolution count
+            // rides alongside.
             let stats = Arc::clone(wire.daemon.stats());
             macro_rules! net_counter {
                 ($field:ident) => {{
@@ -1100,8 +1103,12 @@ impl DataLinksSystem {
             registry
                 .register_counter_fn(&format!("net.{name}.presumed_aborts"), move || aborts.get());
             let cli = Arc::clone(wire.connector.stats());
-            registry.register_histogram_fn(&format!("net.{name}.round_trip_ns"), move || {
-                cli.round_trip_ns.snapshot()
+            registry.register_histogram_fn(&format!("net.{name}.round_trip_ns"), {
+                let cli = Arc::clone(&cli);
+                move || cli.round_trip_ns.snapshot()
+            });
+            registry.register_counter_fn(&format!("net.{name}.call_timeouts"), move || {
+                cli.call_timeouts.get()
             });
         }
     }

@@ -41,6 +41,9 @@ struct StoreInner {
     versions: HashMap<String, Vec<ArchivedVersion>>,
     /// Files with an archive job in flight.
     archiving: HashMap<String, u64>,
+    /// Jobs whose in-flight marker has cleared but whose completion
+    /// callback has not returned yet.
+    settling: usize,
     /// In-flight (dirty, rolled-back) images moved aside at recovery.
     quarantine: Vec<(String, Vec<u8>)>,
     /// Mirror stores (replica archives): every content mutation — `put`,
@@ -303,10 +306,28 @@ impl ArchiveStore {
         self.inner.lock().archiving.contains_key(path)
     }
 
-    /// Blocks until no archive job is in flight for `path`.
+    /// Clears `path`'s in-flight marker on behalf of a job whose
+    /// completion callback runs next; [`ArchiveStore::wait_archived`]
+    /// keeps waiting until the matching [`ArchiveStore::end_settling`].
+    fn begin_settling(&self, path: &str) {
+        let mut inner = self.inner.lock();
+        inner.archiving.remove(path);
+        inner.settling += 1;
+        self.done.notify_all();
+    }
+
+    fn end_settling(&self) {
+        self.inner.lock().settling -= 1;
+        self.done.notify_all();
+    }
+
+    /// Blocks until no archive job is in flight for `path` *and* no
+    /// job's completion callback is still running — the callback commits
+    /// to the repository (`needs_archive` clears), and a caller draining
+    /// the system must not see that write land after its drain returned.
     pub fn wait_archived(&self, path: &str) {
         let mut inner = self.inner.lock();
-        while inner.archiving.contains_key(path) {
+        while inner.archiving.contains_key(path) || inner.settling > 0 {
             self.done.wait(&mut inner);
         }
     }
@@ -371,12 +392,13 @@ fn run_job(
             store.prune_to_latest(&job.path);
         }
     }
-    store.end_archiving(&job.path);
+    store.begin_settling(&job.path);
     // Unconditionally: even a job that stored nothing must wake waiters
     // blocked on the (now cleared) in-flight marker.
     if let Some(cb) = on_complete {
         cb(&job.path, job.version);
     }
+    store.end_settling();
 }
 
 impl Archiver {
@@ -569,12 +591,8 @@ mod tests {
             prune: false,
         });
         // The callback runs after the in-flight marker clears, on the
-        // worker thread; poll briefly for it.
+        // worker thread; `wait_archived` covers it too.
         store.wait_archived("/f");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while seen.lock().is_empty() && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
         assert_eq!(seen.lock().clone(), vec![("/f".to_string(), 3)]);
 
         archiver.submit_sync(ArchiveJob {
@@ -585,6 +603,46 @@ mod tests {
             prune: false,
         });
         assert_eq!(seen.lock().len(), 2, "sync path honours the callback too");
+    }
+
+    #[test]
+    fn wait_archived_outlasts_the_completion_callback() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        let store = Arc::new(ArchiveStore::new());
+        let (entered_tx, entered) = mpsc::channel();
+        let (go, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let archiver = Archiver::spawn_with(
+            Arc::clone(&store),
+            None,
+            Some(Arc::new(move |_: &str, _: u64| {
+                entered_tx.send(()).unwrap();
+                let _ = gate.lock().recv();
+            })),
+        );
+        archiver.submit(ArchiveJob {
+            path: "/f".into(),
+            version: 1,
+            state_id: 1,
+            data: Some(b"v1".to_vec()),
+            prune: false,
+        });
+        entered.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        // Inside the callback the marker is already clear (what epoch
+        // waiters rely on), yet a drain must keep waiting.
+        assert!(!store.is_archiving("/f"));
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                store.wait_archived("/f");
+                drained.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!drained.load(Ordering::SeqCst), "drain returned mid-callback");
+            go.send(()).unwrap();
+        });
+        assert!(drained.load(Ordering::SeqCst));
     }
 
     #[test]

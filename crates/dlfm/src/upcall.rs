@@ -201,12 +201,8 @@ impl UpcallClient {
         self.server.config().dlfm_cred.uid
     }
 
-    /// Epoch-based waiting for `Busy` replies: read before the check, wait
-    /// for a change, retry.
-    pub fn epoch(&self) -> u64 {
-        self.server.epoch()
-    }
-
+    /// Epoch-based waiting for `Busy` replies: wait for a change from the
+    /// epoch read before the check, retry.
     pub fn wait_epoch_change(&self, seen: u64) {
         self.server.wait_epoch_change(seen)
     }
@@ -224,7 +220,18 @@ impl UpcallClient {
 /// protocol identical over both.
 pub trait UpcallTransport: Send + Sync {
     fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String>;
-    fn open_check(&self, path: &str, uid: u32, wanted: TokenKind, opener: u64) -> OpenDecision;
+    /// Runs the open check. The `u64` is the sync epoch as it stood
+    /// *before* the check ran — what a `Busy` caller hands to
+    /// [`UpcallTransport::wait_epoch_change`], so a release that lands
+    /// between the check and the wait is never slept through. It means
+    /// nothing beside any other decision.
+    fn open_check(
+        &self,
+        path: &str,
+        uid: u32,
+        wanted: TokenKind,
+        opener: u64,
+    ) -> (u64, OpenDecision);
     fn close_notify(
         &self,
         path: &str,
@@ -240,8 +247,6 @@ pub trait UpcallTransport: Send + Sync {
     fn strict_link(&self) -> bool;
     /// The identity DLFM daemons run as (DLFS compares file owners to it).
     fn dlfm_uid(&self) -> u32;
-    /// Current sync epoch, for `Busy` retry loops.
-    fn epoch(&self) -> u64;
     /// Blocks until the epoch moves past `seen`.
     fn wait_epoch_change(&self, seen: u64);
     /// Round-trips made through this endpoint (benches).
@@ -253,8 +258,15 @@ impl UpcallTransport for UpcallClient {
         UpcallClient::validate_token(self, path, token, uid)
     }
 
-    fn open_check(&self, path: &str, uid: u32, wanted: TokenKind, opener: u64) -> OpenDecision {
-        UpcallClient::open_check(self, path, uid, wanted, opener)
+    fn open_check(
+        &self,
+        path: &str,
+        uid: u32,
+        wanted: TokenKind,
+        opener: u64,
+    ) -> (u64, OpenDecision) {
+        let epoch = self.server.epoch();
+        (epoch, UpcallClient::open_check(self, path, uid, wanted, opener))
     }
 
     fn close_notify(
@@ -286,10 +298,6 @@ impl UpcallTransport for UpcallClient {
 
     fn dlfm_uid(&self) -> u32 {
         UpcallClient::dlfm_uid(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        UpcallClient::epoch(self)
     }
 
     fn wait_epoch_change(&self, seen: u64) {

@@ -13,9 +13,11 @@
 //!   agent executor: settlement queued behind lock-waiting link jobs is
 //!   the classic bounded-executor deadlock, see `crate::agent`).
 //!   Thousands of connections therefore ride on a fixed thread count.
-//! * [`WireConnector`] / [`WireConn`] — the client. One reactor
-//!   multiplexes any number of outbound connections; each call is a
-//!   request-id-correlated frame round-trip.
+//! * [`WireConnector`] / [`WireConn`] — the client, which has no thread
+//!   of its own: a connection is a blocking socket, and each call writes
+//!   its frame and then reads the socket itself (one caller at a time
+//!   reads for everyone waiting on the connection) until its
+//!   request-id-correlated reply is in.
 //! * [`WireAgent`] / [`WireUpcall`] — adapters giving the wire client the
 //!   [`AgentConnection`] and [`UpcallTransport`] surfaces, so the engine
 //!   and DLFS cannot tell the transports apart.
@@ -25,18 +27,21 @@
 //! [`DlfmServer::resolve_client_loss`]: commit only if the host recorded
 //! a commit, abort otherwise — a client that died between prepare and
 //! decide never committed. A link job racing the disconnect settles its
-//! own sub-transaction when it finds the connection's tombstone, so no
+//! own sub-transaction when it finds its connection no longer live, so no
 //! sub-transaction leaks the resolution sweep.
 
 use std::collections::{HashMap, HashSet};
+use std::io::{self, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl_net::{Message, NetEvent, Reactor, ReactorHandle};
+use dl_net::{encode_frame, FrameDecoder, Message, NetEvent, Reactor, ReactorHandle};
 use dl_obs::{Counter, NetStats};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::agent::{AgentConnection, AgentJob, MainDaemon};
 use crate::modes::{ControlMode, OnUnlink};
@@ -44,11 +49,6 @@ use crate::pool::{ElasticPool, PoolOptions, PoolStats};
 use crate::server::{DlfmServer, OpenDecision};
 use crate::token::TokenKind;
 use crate::upcall::{UpcallClient, UpcallReply, UpcallRequest, UpcallTransport};
-
-/// How long a client waits for a reply frame before declaring the call
-/// lost. Generous: every server-side stage is pool-queued, and a stall
-/// this long means the connection or the daemon is gone.
-const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 // Enum ↔ u8 wire mappings. `dl-net` carries raw discriminants so it
 // stays independent of DLFM's type definitions; this module is the one
@@ -114,6 +114,44 @@ fn result_msg(result: Result<(), String>) -> Message {
     }
 }
 
+/// The server's per-connection bookkeeping: which connections are live,
+/// and which host transactions each still has in flight. A connection is
+/// in the table from its `Accepted` to its `Disconnected` and at no other
+/// time, so the table is bounded by open sockets however many connections
+/// come and go. Touched from the reactor thread and the pools; the map is
+/// the serialization point.
+#[derive(Default)]
+struct Sessions(Mutex<HashMap<u64, HashSet<u64>>>);
+
+impl Sessions {
+    fn opened(&self, conn: u64) {
+        self.0.lock().insert(conn, HashSet::new());
+    }
+
+    /// Forgets `conn`, returning the host transactions it left unsettled.
+    fn closed(&self, conn: u64) -> Vec<u64> {
+        self.0.lock().remove(&conn).map(|s| s.into_iter().collect()).unwrap_or_default()
+    }
+
+    /// Is `conn` still connected? Any queued job asks this before it
+    /// applies work or replies.
+    fn is_live(&self, conn: u64) -> bool {
+        self.0.lock().contains_key(&conn)
+    }
+
+    fn track(&self, conn: u64, txid: u64) {
+        if let Some(set) = self.0.lock().get_mut(&conn) {
+            set.insert(txid);
+        }
+    }
+
+    fn settled(&self, conn: u64, txid: u64) {
+        if let Some(set) = self.0.lock().get_mut(&conn) {
+            set.remove(&txid);
+        }
+    }
+}
+
 /// Distinguishes concurrently-running wire daemons' socket files within
 /// one process (tests spin up many nodes).
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -131,6 +169,8 @@ pub struct WireDaemon {
     settle: Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
     presumed_aborts: Arc<Counter>,
     stats: Arc<NetStats>,
+    #[cfg(test)]
+    sessions: Arc<Sessions>,
 }
 
 impl WireDaemon {
@@ -178,17 +218,13 @@ impl WireDaemon {
         ));
         let presumed_aborts = Arc::new(Counter::new());
 
-        // Host transactions each connection still has in flight, and the
-        // tombstones of connections already torn down. Both are touched
-        // from the reactor thread and the pools; the maps are the
-        // serialization point.
-        let inflight: Arc<Mutex<HashMap<u64, HashSet<u64>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let dead: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
+        let sessions = Arc::new(Sessions::default());
 
         let reactor = {
             let server = Arc::clone(&server);
             let settle = Arc::clone(&settle);
             let presumed_aborts = Arc::clone(&presumed_aborts);
+            let sessions = Arc::clone(&sessions);
             Reactor::spawn(&format!("wire-{name}"), Some(listener), Arc::clone(&stats), |h| {
                 let h = h.clone();
                 move |ev| {
@@ -199,8 +235,7 @@ impl WireDaemon {
                         &executor,
                         &settle,
                         &upcall,
-                        &inflight,
-                        &dead,
+                        &sessions,
                         &presumed_aborts,
                     )
                 }
@@ -208,7 +243,15 @@ impl WireDaemon {
             .map_err(|e| format!("spawn wire reactor: {e}"))?
         };
 
-        Ok(WireDaemon { _reactor: reactor, path, settle, presumed_aborts, stats })
+        Ok(WireDaemon {
+            _reactor: reactor,
+            path,
+            settle,
+            presumed_aborts,
+            stats,
+            #[cfg(test)]
+            sessions,
+        })
     }
 
     /// The Unix-socket path clients connect to.
@@ -249,18 +292,15 @@ fn serve_event(
     executor: &Arc<ElasticPool<AgentJob>>,
     settle: &Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
     upcall: &UpcallClient,
-    inflight: &Arc<Mutex<HashMap<u64, HashSet<u64>>>>,
-    dead: &Arc<Mutex<HashSet<u64>>>,
+    sessions: &Arc<Sessions>,
     presumed_aborts: &Arc<Counter>,
 ) {
     let (conn, rid, msg) = match ev {
-        NetEvent::Accepted(_) => return,
+        NetEvent::Accepted(conn) => return sessions.opened(conn),
         NetEvent::Disconnected(conn) => {
-            // Tombstone first: any queued or future job for this
-            // connection must see it before deciding to apply work.
-            dead.lock().insert(conn);
-            let txids: Vec<u64> =
-                inflight.lock().remove(&conn).map(|s| s.into_iter().collect()).unwrap_or_default();
+            // Off the table first: any queued or future job for this
+            // connection must find it gone before deciding to apply work.
+            let txids = sessions.closed(conn);
             if !txids.is_empty() {
                 let server = Arc::clone(server);
                 let presumed_aborts = Arc::clone(presumed_aborts);
@@ -305,10 +345,10 @@ fn serve_event(
                 h.send(conn, rid, &Message::Err("bad mode/on_unlink discriminant".into()));
                 return;
             };
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
+            sessions.track(conn, txid);
+            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
             executor.submit(AgentJob::Wire(Box::new(move || {
-                if dead.lock().contains(&conn) {
+                if !sessions.is_live(conn) {
                     return;
                 }
                 let srv = &server;
@@ -323,7 +363,7 @@ fn serve_event(
                             Ok(inner) => inner,
                             Err(msg) => Err(format!("agent {msg}")),
                         };
-                        if dead.lock().contains(&conn) {
+                        if !sessions.is_live(conn) {
                             // The connection died while we linked: the
                             // disconnect sweep may have run before this
                             // sub-transaction existed. Settle it here —
@@ -339,10 +379,10 @@ fn serve_event(
             })));
         }
         Message::Unlink { txid, coord_epoch, path } => {
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
+            sessions.track(conn, txid);
+            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
             executor.submit(AgentJob::Wire(Box::new(move || {
-                if dead.lock().contains(&conn) {
+                if !sessions.is_live(conn) {
                     return;
                 }
                 let srv = &server;
@@ -357,7 +397,7 @@ fn serve_event(
                             Ok(inner) => inner,
                             Err(msg) => Err(format!("agent {msg}")),
                         };
-                        if dead.lock().contains(&conn) {
+                        if !sessions.is_live(conn) {
                             if result.is_ok() {
                                 srv.abort_host(txid);
                             }
@@ -371,8 +411,8 @@ fn serve_event(
 
         // --- 2PC settlement, on the dedicated settle pool ----------------
         Message::Prepare { txid, coord_epoch } => {
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
+            sessions.track(conn, txid);
+            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
             settle.submit(Box::new(move || {
                 let srv = &server;
                 crate::pool::deliver_or_rethrow(
@@ -386,7 +426,7 @@ fn serve_event(
                             Ok(inner) => inner,
                             Err(msg) => Err(format!("agent {msg}")),
                         };
-                        if !dead.lock().contains(&conn) {
+                        if sessions.is_live(conn) {
                             h.send(conn, rid, &result_msg(result));
                         }
                     },
@@ -394,8 +434,7 @@ fn serve_event(
             }));
         }
         Message::Commit { txid, coord_epoch } => {
-            let (h, server, dead, inflight) =
-                (h.clone(), Arc::clone(server), Arc::clone(dead), Arc::clone(inflight));
+            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
             settle.submit(Box::new(move || {
                 // A fenced coordinator's decision is dropped, not applied
                 // (the promoted host owns the outcome now); the reply
@@ -403,25 +442,20 @@ fn serve_event(
                 if server.guard_coordinator(coord_epoch).is_ok() {
                     server.commit_host(txid);
                 }
-                if let Some(set) = inflight.lock().get_mut(&conn) {
-                    set.remove(&txid);
-                }
-                if !dead.lock().contains(&conn) {
+                sessions.settled(conn, txid);
+                if sessions.is_live(conn) {
                     h.send(conn, rid, &Message::Ok);
                 }
             }));
         }
         Message::Abort { txid, coord_epoch } => {
-            let (h, server, dead, inflight) =
-                (h.clone(), Arc::clone(server), Arc::clone(dead), Arc::clone(inflight));
+            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
             settle.submit(Box::new(move || {
                 if server.guard_coordinator(coord_epoch).is_ok() {
                     server.abort_host(txid);
                 }
-                if let Some(set) = inflight.lock().get_mut(&conn) {
-                    set.remove(&txid);
-                }
-                if !dead.lock().contains(&conn) {
+                sessions.settled(conn, txid);
+                if sessions.is_live(conn) {
                     h.send(conn, rid, &Message::Ok);
                 }
             }));
@@ -444,6 +478,10 @@ fn serve_event(
                 h.send(conn, rid, &Message::Err("bad token-kind discriminant".into()));
                 return;
             };
+            // Read before the check is queued: a release that lands while
+            // the check runs moves the epoch past this value, so a client
+            // that is told Busy and waits on it returns at once.
+            let epoch = server.epoch();
             let h = h.clone();
             upcall.submit_with(
                 UpcallRequest::OpenCheck { path, uid, wanted, opener },
@@ -453,7 +491,7 @@ fn serve_event(
                             Message::OpenApproved { uid: open_as.uid, gid: open_as.gid }
                         }
                         UpcallReply::Open(OpenDecision::NotManaged) => Message::OpenNotManaged,
-                        UpcallReply::Open(OpenDecision::Busy) => Message::OpenBusy,
+                        UpcallReply::Open(OpenDecision::Busy) => Message::OpenBusy(epoch),
                         UpcallReply::Open(OpenDecision::Rejected(e)) => Message::OpenRejected(e),
                         UpcallReply::Rejected(e) => Message::OpenRejected(e),
                         other => Message::OpenRejected(format!("unexpected reply {other:?}")),
@@ -507,57 +545,20 @@ fn serve_event(
     }
 }
 
-/// Per-connection client state shared with the connector's event handler.
-#[derive(Default)]
-struct ConnShared {
-    /// Outstanding calls by request-id; the handler routes reply frames
-    /// here. Dropping a sender fails the waiting caller fast.
-    pending: Mutex<HashMap<u64, mpsc::Sender<Message>>>,
-    dead: AtomicBool,
-    round_trips: AtomicU64,
-}
-
-/// The client side: one reactor multiplexing any number of outbound wire
-/// connections.
+/// The client side: mints outbound wire connections that share one set
+/// of instruments and one call timeout. It runs no thread — every
+/// connection does its own socket I/O on its callers' threads.
 pub struct WireConnector {
-    _reactor: Reactor,
-    handle: ReactorHandle,
-    conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>>,
     stats: Arc<NetStats>,
+    call_timeout: Duration,
 }
 
 impl WireConnector {
-    /// Starts the client reactor. `stats` sees every connection's frames
-    /// and the caller-observed round-trip latency.
-    pub fn new(name: &str, stats: Arc<NetStats>) -> Result<WireConnector, String> {
-        let conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let reactor = {
-            let conns = Arc::clone(&conns);
-            Reactor::spawn(&format!("wire-cli-{name}"), None, Arc::clone(&stats), |_h| {
-                move |ev| match ev {
-                    NetEvent::Accepted(_) => {}
-                    NetEvent::Frame { conn, request_id, msg } => {
-                        let shared = conns.lock().get(&conn).map(Arc::clone);
-                        if let Some(shared) = shared {
-                            if let Some(tx) = shared.pending.lock().remove(&request_id) {
-                                let _ = tx.send(msg);
-                            }
-                        }
-                    }
-                    NetEvent::Disconnected(conn) => {
-                        if let Some(shared) = conns.lock().remove(&conn) {
-                            shared.dead.store(true, Ordering::Relaxed);
-                            // Drop every waiting caller's sender: they get
-                            // a RecvError now instead of a full timeout.
-                            shared.pending.lock().clear();
-                        }
-                    }
-                }
-            })
-            .map_err(|e| format!("spawn wire client reactor: {e}"))?
-        };
-        let handle = reactor.handle();
-        Ok(WireConnector { _reactor: reactor, handle, conns, stats })
+    /// `stats` sees every connection's frames and the caller-observed
+    /// round-trip latency; `call_timeout` bounds each call's wait for its
+    /// reply (`DlfmConfig::wire_call_timeout_ms`).
+    pub fn new(stats: Arc<NetStats>, call_timeout: Duration) -> WireConnector {
+        WireConnector { stats, call_timeout }
     }
 
     /// Opens a connection to a [`WireDaemon`]'s socket and performs the
@@ -565,17 +566,23 @@ impl WireConnector {
     /// coordinator epoch the server held at connect time — exactly like
     /// an in-process agent handle, so failover fencing works unchanged.
     pub fn connect(&self, socket: &Path, client: &str) -> Result<Arc<WireConn>, String> {
-        let stream = std::os::unix::net::UnixStream::connect(socket)
+        let stream = UnixStream::connect(socket)
             .map_err(|e| format!("connect {}: {e}", socket.display()))?;
-        let id = self.handle.register(stream).map_err(|e| format!("register wire conn: {e}"))?;
-        let shared = Arc::new(ConnShared::default());
-        self.conns.lock().insert(id, Arc::clone(&shared));
+        // The socket's own timeouts are what wake a caller blocked in
+        // `read`/`write` to re-check its deadline.
+        stream
+            .set_read_timeout(Some(self.call_timeout))
+            .and_then(|()| stream.set_write_timeout(Some(self.call_timeout)))
+            .map_err(|e| format!("wire call timeout {:?}: {e}", self.call_timeout))?;
+        self.stats.connection_opened();
         let mut conn = WireConn {
-            id,
-            handle: self.handle.clone(),
-            shared,
+            stream,
+            state: Mutex::new(CallState::default()),
+            reply_parked: Condvar::new(),
             stats: Arc::clone(&self.stats),
+            call_timeout: self.call_timeout,
             next_req: AtomicU64::new(1),
+            round_trips: AtomicU64::new(0),
             server_name: String::new(),
             coord_epoch: 0,
             strict_link: false,
@@ -601,14 +608,39 @@ impl WireConnector {
     }
 }
 
+/// What the callers of one connection share, under [`WireConn::state`].
+#[derive(Default)]
+struct CallState {
+    decoder: FrameDecoder,
+    /// Calls in flight by request-id: `None` while the reply is awaited,
+    /// `Some` once the reader parked it. Replies to ids not in here (a
+    /// call that timed out) are dropped.
+    pending: HashMap<u64, Option<Message>>,
+    /// Some caller is blocked in `read` on the socket, lock released; it
+    /// reads for everyone in `pending`.
+    reading: bool,
+    dead: bool,
+}
+
 /// One client connection: request-id-correlated call/reply over a frame
 /// stream, plus the session parameters cached from the Hello handshake.
+///
+/// There is no I/O thread behind it. A caller writes its frame, then
+/// either becomes the connection's reader — one caller at a time reads
+/// the socket, decodes every complete frame and parks replies for the
+/// other request-ids waiting — or sleeps until the reader parks its
+/// reply (the WAL's leader/follower shape). A lone caller therefore
+/// does write → read with nobody to hand off to.
 pub struct WireConn {
-    id: u64,
-    handle: ReactorHandle,
-    shared: Arc<ConnShared>,
+    stream: UnixStream,
+    state: Mutex<CallState>,
+    /// Signalled after every read that had other callers waiting on it,
+    /// and when the connection dies.
+    reply_parked: Condvar,
     stats: Arc<NetStats>,
+    call_timeout: Duration,
     next_req: AtomicU64,
+    round_trips: AtomicU64,
     server_name: String,
     coord_epoch: u64,
     strict_link: bool,
@@ -618,39 +650,134 @@ pub struct WireConn {
 
 impl WireConn {
     /// One frame round-trip: send `msg`, block until the correlated reply
-    /// arrives, the connection dies, or the 30 s call timeout passes.
+    /// arrives, the connection dies, or the call timeout passes. A call
+    /// that turns reader late can overshoot its deadline by up to one
+    /// more timeout (the socket's read timeout is the tick it re-checks
+    /// on); a timed-out call leaves the connection usable.
     pub fn call(&self, msg: Message) -> Result<Message, String> {
-        if self.shared.dead.load(Ordering::Relaxed) {
+        let rid = self.next_req.fetch_add(1, Ordering::Relaxed);
+        let frame = encode_frame(rid, &msg);
+        let started = Instant::now();
+        let deadline = started + self.call_timeout;
+
+        let mut st = self.state.lock();
+        if st.dead {
             return Err(format!("wire connection to '{}' is closed", self.server_name));
         }
-        let rid = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.shared.pending.lock().insert(rid, tx);
-        let started = Instant::now();
-        self.handle.send(self.id, rid, &msg);
-        match rx.recv_timeout(CALL_TIMEOUT) {
-            Ok(reply) => {
+        // Written under the state lock, so frames never interleave.
+        if (&self.stream).write_all(&frame).is_err() {
+            self.mark_dead(&mut st);
+            return Err(self.lost());
+        }
+        self.stats.frames_out.inc();
+        self.stats.bytes_out.add(frame.len() as u64);
+        st.pending.insert(rid, None);
+
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(reply) = st.pending.get_mut(&rid).and_then(Option::take) {
+                st.pending.remove(&rid);
                 self.stats.round_trip_ns.record_duration(started.elapsed());
-                self.shared.round_trips.fetch_add(1, Ordering::Relaxed);
-                Ok(reply)
+                self.round_trips.fetch_add(1, Ordering::Relaxed);
+                return Ok(reply);
             }
-            Err(_) => {
-                self.shared.pending.lock().remove(&rid);
-                Err(format!("wire call to '{}' failed: connection lost", self.server_name))
+            if st.dead {
+                st.pending.remove(&rid);
+                return Err(self.lost());
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                st.pending.remove(&rid);
+                self.stats.call_timeouts.inc();
+                return Err(format!(
+                    "wire call to '{}' timed out after {:?}",
+                    self.server_name, self.call_timeout
+                ));
+            }
+            if st.reading {
+                self.reply_parked.wait_for(&mut st, deadline - now);
+                continue;
+            }
+
+            st.reading = true;
+            let got = MutexGuard::unlocked(&mut st, || (&self.stream).read(&mut buf));
+            st.reading = false;
+            match got {
+                Ok(0) => self.mark_dead(&mut st),
+                Ok(n) => {
+                    self.stats.bytes_in.add(n as u64);
+                    self.park_replies(&mut st, &buf[..n]);
+                }
+                // The socket's read timeout, or a signal: back to the
+                // deadline check above.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => self.mark_dead(&mut st),
+            }
+            // Whoever else waits must look again: its reply may be parked,
+            // and if this caller is done one of them has to read next.
+            if st.pending.len() > 1 {
+                self.reply_parked.notify_all();
             }
         }
+    }
+
+    /// Decodes every complete frame in `bytes` (plus what earlier reads
+    /// left over) and parks each reply some caller still waits for.
+    fn park_replies(&self, st: &mut CallState, bytes: &[u8]) {
+        st.decoder.feed(bytes);
+        loop {
+            match st.decoder.next_frame() {
+                Ok(Some((rid, msg))) => {
+                    self.stats.frames_in.inc();
+                    if let Some(slot) = st.pending.get_mut(&rid) {
+                        *slot = Some(msg);
+                    }
+                }
+                Ok(None) => return,
+                Err(_) => {
+                    self.stats.decode_errors.inc();
+                    return self.mark_dead(st);
+                }
+            }
+        }
+    }
+
+    /// Tears the connection down, once: shuts the socket (which also
+    /// unblocks a reader mid-`read`) and fails every waiting caller.
+    fn mark_dead(&self, st: &mut CallState) {
+        if !st.dead {
+            st.dead = true;
+            self.stats.connection_closed();
+            let _ = self.stream.shutdown(Shutdown::Both);
+            self.reply_parked.notify_all();
+        }
+    }
+
+    fn lost(&self) -> String {
+        format!("wire call to '{}' failed: connection lost", self.server_name)
     }
 
     /// Severs the connection abruptly — no goodbye, no flush. This is the
     /// a14 scenario's fault injection: whatever 2PC state the connection
     /// held must resolve by presumed abort on the server.
     pub fn sever(&self) {
-        self.handle.close(self.id);
+        // Socket first, lock second: a caller stuck in `write` holds the
+        // lock, and the shutdown is what unsticks it.
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.mark_dead(&mut self.state.lock());
     }
 
-    /// Has the connection been torn down (severed or lost)?
+    /// Has the connection been torn down — severed, or found lost by a
+    /// call? Nothing watches an idle connection: one whose server went
+    /// away reads as alive until its next call.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Relaxed)
+        self.state.lock().dead
     }
 
     /// The server's repository durable LSN — the wire form of the
@@ -667,6 +794,14 @@ impl WireConn {
             Message::Ok => Ok(()),
             Message::Err(e) => Err(e),
             other => Err(format!("unexpected reply {other:?}")),
+        }
+    }
+}
+
+impl Drop for WireConn {
+    fn drop(&mut self) {
+        if !self.state.get_mut().dead {
+            self.stats.connection_closed();
         }
     }
 }
@@ -745,23 +880,30 @@ impl UpcallTransport for WireUpcall {
         }
     }
 
-    fn open_check(&self, path: &str, uid: u32, wanted: TokenKind, opener: u64) -> OpenDecision {
+    fn open_check(
+        &self,
+        path: &str,
+        uid: u32,
+        wanted: TokenKind,
+        opener: u64,
+    ) -> (u64, OpenDecision) {
         let reply = self.0.call(Message::OpenCheck {
             path: path.to_string(),
             uid,
             wanted: token_kind_to_u8(wanted),
             opener,
         });
-        match reply {
+        let decision = match reply {
             Ok(Message::OpenApproved { uid, gid }) => {
                 OpenDecision::Approved { open_as: dl_fskit::Cred { uid, gid } }
             }
             Ok(Message::OpenNotManaged) => OpenDecision::NotManaged,
-            Ok(Message::OpenBusy) => OpenDecision::Busy,
+            Ok(Message::OpenBusy(epoch)) => return (epoch, OpenDecision::Busy),
             Ok(Message::OpenRejected(e)) => OpenDecision::Rejected(e),
             Ok(other) => OpenDecision::Rejected(format!("unexpected reply {other:?}")),
             Err(e) => OpenDecision::Rejected(e),
-        }
+        };
+        (0, decision)
     }
 
     fn close_notify(
@@ -801,13 +943,6 @@ impl UpcallTransport for WireUpcall {
         self.0.dlfm_uid
     }
 
-    fn epoch(&self) -> u64 {
-        match self.0.call(Message::EpochGet) {
-            Ok(Message::EpochIs(e)) => e,
-            _ => 0,
-        }
-    }
-
     fn wait_epoch_change(&self, seen: u64) {
         // No server-side blocking over the wire: poll the epoch with a
         // short sleep. A dead connection returns immediately — the caller
@@ -823,6 +958,88 @@ impl UpcallTransport for WireUpcall {
     }
 
     fn round_trip_count(&self) -> u64 {
-        self.0.shared.round_trips.load(Ordering::Relaxed)
+        self.0.round_trips.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ArchiveStore, DlfmConfig, UpcallDaemon};
+    use dl_fskit::{FileSystem, MemFs, SimClock};
+    use dl_minidb::StorageEnv;
+
+    fn daemon() -> WireDaemon {
+        let clock = Arc::new(SimClock::new(1_000_000));
+        let fs = Arc::new(MemFs::with_clock(clock.clone()));
+        let server = Arc::new(
+            DlfmServer::new(
+                DlfmConfig::new("srv1"),
+                fs as Arc<dyn FileSystem>,
+                StorageEnv::mem(),
+                Arc::new(ArchiveStore::new()),
+                clock,
+            )
+            .unwrap(),
+        );
+        let (_upcalls, client) = UpcallDaemon::spawn(Arc::clone(&server));
+        let main = MainDaemon::new(Arc::clone(&server));
+        WireDaemon::spawn(server, &main, client, Arc::new(NetStats::new())).unwrap()
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn connection_bookkeeping_is_bounded_by_open_sockets() {
+        let daemon = daemon();
+        let tracked = || daemon.sessions.0.lock().len();
+        let connector = WireConnector::new(Arc::new(NetStats::new()), Duration::from_secs(30));
+        let standing = connector.connect(daemon.socket_path(), "standing").unwrap();
+        assert_eq!(tracked(), 1);
+
+        for i in 0..10_000u64 {
+            drop(UnixStream::connect(daemon.socket_path()).unwrap());
+            // Keep the backlog of half-dead sockets short of the listen
+            // queue and the fd limit.
+            if i % 64 == 63 {
+                wait_until("churned sockets to drain", || daemon.stats.connections.get() == 1);
+            }
+        }
+        wait_until("every churned connection to disconnect", || {
+            daemon.stats.disconnects.get() == 10_000
+        });
+        assert_eq!(tracked(), 1, "only the standing connection may still be tracked");
+        assert!(standing.call(Message::EpochGet).is_ok());
+    }
+
+    #[test]
+    fn a_call_nobody_answers_times_out_and_is_counted() {
+        let path = std::env::temp_dir().join(format!("dl-wire-mute-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        // A daemon whose handler never replies — not even to Hello.
+        let _mute =
+            Reactor::spawn("mute", Some(listener), Arc::new(NetStats::new()), |_h| |_ev| {})
+                .unwrap();
+
+        let stats = Arc::new(NetStats::new());
+        let connector = WireConnector::new(Arc::clone(&stats), Duration::from_millis(50));
+        let started = Instant::now();
+        let err = connector.connect(&path, "patient").err().expect("nobody answered");
+        let waited = started.elapsed();
+        let _ = std::fs::remove_file(&path);
+
+        assert!(err.contains("timed out after 50ms"), "{err}");
+        assert!(!err.contains("connection lost"), "{err}");
+        assert!(waited >= Duration::from_millis(50), "gave up early: {waited:?}");
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+        assert_eq!(stats.call_timeouts.get(), 1);
+        assert_eq!(stats.connections.get(), 0, "the abandoned connection is accounted closed");
     }
 }

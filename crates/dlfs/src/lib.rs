@@ -179,8 +179,10 @@ impl Dlfs {
         opener: u64,
     ) -> FsResult<OpenDecision> {
         loop {
-            let epoch = self.upcall.epoch();
-            match self.upcall.open_check(path, cred.uid, wanted, opener) {
+            // The epoch comes back with the decision, read before the
+            // check ran: over a socket that is one round trip, not two.
+            let (epoch, decision) = self.upcall.open_check(path, cred.uid, wanted, opener);
+            match decision {
                 OpenDecision::Busy => match self.cfg.wait_policy {
                     WaitPolicy::Fail => return Err(FsError::Busy),
                     WaitPolicy::Block => {

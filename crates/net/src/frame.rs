@@ -135,7 +135,8 @@ pub enum Message {
         path: String,
         opener: u64,
     },
-    /// Current sync/archive epoch (DLFS Busy-wait polls this over the wire).
+    /// Current sync/archive epoch (DLFS's Busy wait polls this over the
+    /// wire until it moves past the epoch its `OpenBusy` reply carried).
     EpochGet,
     /// The repository's durable LSN — the freshness token of
     /// read-your-writes routing.
@@ -150,7 +151,11 @@ pub enum Message {
         gid: u32,
     },
     OpenNotManaged,
-    OpenBusy,
+    /// A conflicting open or in-flight archive holds the file. Carries
+    /// the sync epoch the server read *before* it ran the check, so the
+    /// client can wait for a change from that epoch without having asked
+    /// for it in a separate round trip.
+    OpenBusy(u64),
     OpenRejected(String),
     EpochIs(u64),
     Freshness(u64),
@@ -274,7 +279,7 @@ impl Message {
             Message::TokenKindIs(_) => T_TOKEN_KIND,
             Message::OpenApproved { .. } => T_OPEN_APPROVED,
             Message::OpenNotManaged => T_OPEN_NOT_MANAGED,
-            Message::OpenBusy => T_OPEN_BUSY,
+            Message::OpenBusy(_) => T_OPEN_BUSY,
             Message::OpenRejected(_) => T_OPEN_REJECTED,
             Message::EpochIs(_) => T_EPOCH_IS,
             Message::Freshness(_) => T_FRESHNESS,
@@ -338,18 +343,15 @@ impl Message {
                 put_str(out, path);
                 put_u64(out, *opener);
             }
-            Message::EpochGet
-            | Message::FreshnessToken
-            | Message::Ok
-            | Message::OpenNotManaged
-            | Message::OpenBusy => {}
+            Message::EpochGet | Message::FreshnessToken | Message::Ok | Message::OpenNotManaged => {
+            }
             Message::Err(e) | Message::OpenRejected(e) => put_str(out, e),
             Message::TokenKindIs(k) => out.push(*k),
             Message::OpenApproved { uid, gid } => {
                 put_u32(out, *uid);
                 put_u32(out, *gid);
             }
-            Message::EpochIs(v) | Message::Freshness(v) => put_u64(out, *v),
+            Message::OpenBusy(v) | Message::EpochIs(v) | Message::Freshness(v) => put_u64(out, *v),
         }
     }
 
@@ -406,7 +408,7 @@ impl Message {
             T_TOKEN_KIND => Message::TokenKindIs(r.u8()?),
             T_OPEN_APPROVED => Message::OpenApproved { uid: r.u32()?, gid: r.u32()? },
             T_OPEN_NOT_MANAGED => Message::OpenNotManaged,
-            T_OPEN_BUSY => Message::OpenBusy,
+            T_OPEN_BUSY => Message::OpenBusy(r.u64()?),
             T_OPEN_REJECTED => Message::OpenRejected(r.string()?),
             T_EPOCH_IS => Message::EpochIs(r.u64()?),
             T_FRESHNESS => Message::Freshness(r.u64()?),

@@ -14,15 +14,18 @@
 //!   [u8 tag][payload]` frame. The decoder is incremental: partial reads
 //!   and torn frames park until more bytes arrive, garbage fails with a
 //!   [`DecodeError`] instead of a panic.
-//! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the runtime. One
-//!   poller thread drives readiness over nonblocking
-//!   `std::os::unix::net` sockets (hand-declared poll(2), no tokio/mio),
-//!   keeping per-connection read buffers and bounded write queues; frame
-//!   and connection events surface through a caller-supplied handler.
+//! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the server-side
+//!   runtime. One poller thread drives *read* readiness over nonblocking
+//!   `std::os::unix::net` sockets (hand-declared poll(2), no tokio/mio);
+//!   frame and connection events surface through a caller-supplied
+//!   handler. Replies are written by whoever sends them, straight to the
+//!   socket; the poller only drains what a full kernel buffer left
+//!   behind.
 //!
-//! Higher layers (`dl-dlfm`'s `WireDaemon` and wire clients) map these
-//! frames onto the in-process server machinery; this crate knows nothing
-//! about DLFM itself.
+//! Higher layers map these frames onto the in-process server machinery:
+//! `dl-dlfm`'s `WireDaemon` sits on the reactor, and its wire clients use
+//! the codec alone over blocking sockets. This crate knows nothing about
+//! DLFM itself.
 
 mod frame;
 mod reactor;

@@ -72,7 +72,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         any::<u8>().prop_map(Message::TokenKindIs),
         (any::<u32>(), any::<u32>()).prop_map(|(uid, gid)| Message::OpenApproved { uid, gid }),
         Just(Message::OpenNotManaged),
-        Just(Message::OpenBusy),
+        any::<u64>().prop_map(Message::OpenBusy),
         s.prop_map(Message::OpenRejected),
         any::<u64>().prop_map(Message::EpochIs),
         any::<u64>().prop_map(Message::Freshness),

@@ -15,7 +15,9 @@ use crate::metrics::{Counter, Gauge, Histogram};
 pub struct NetStats {
     /// Complete frames decoded off the wire.
     pub frames_in: Counter,
-    /// Frames queued for transmission.
+    /// Frames accepted for transmission on a live connection (a frame
+    /// sent to an unknown or already-closed connection is dropped and
+    /// not counted).
     pub frames_out: Counter,
     /// Raw bytes read / written (partial reads and writes included).
     pub bytes_in: Counter,
@@ -23,10 +25,13 @@ pub struct NetStats {
     /// Byte streams that failed to decode (bad tag, oversized frame,
     /// malformed payload). Each one costs the connection.
     pub decode_errors: Counter,
-    /// Writes that could not complete because the peer's socket buffer
-    /// was full — the frame stayed queued and the poller retried on the
-    /// next writability wakeup.
+    /// Sends that found the peer's socket buffer full: the sender queued
+    /// the unwritten remainder behind the connection and woke the poller
+    /// to drain it on the next writability wakeup.
     pub backpressure_stalls: Counter,
+    /// Client calls that gave up waiting for their reply frame
+    /// (`DlfmConfig::wire_call_timeout_ms`). The connection stays usable.
+    pub call_timeouts: Counter,
     /// Connections accepted (server) or registered (client).
     pub accepts: Counter,
     /// Connections torn down, for any reason.
@@ -35,8 +40,8 @@ pub struct NetStats {
     pub connections: Gauge,
     /// High-water mark of `connections`.
     pub peak_connections: Gauge,
-    /// Request/reply round-trip latency as the *caller* saw it: send,
-    /// poller wakeups on both ends, dispatch, reply decode.
+    /// Request/reply round-trip latency as the *caller* saw it: write,
+    /// the server's poller wakeup and dispatch, reply read and decode.
     pub round_trip_ns: Histogram,
 }
 
@@ -67,6 +72,7 @@ impl NetStats {
             ("bytes_out", self.bytes_out.get()),
             ("decode_errors", self.decode_errors.get()),
             ("backpressure_stalls", self.backpressure_stalls.get()),
+            ("call_timeouts", self.call_timeouts.get()),
             ("accepts", self.accepts.get()),
             ("disconnects", self.disconnects.get()),
         ]

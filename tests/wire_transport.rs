@@ -4,15 +4,22 @@
 //! these scenarios pin that the behaviour is indistinguishable from the
 //! in-process path: engine DML 2PC, managed token writes, presumed abort
 //! when a connection dies mid-2PC, and coordinator fencing across host
-//! failover.
+//! failover. Since PR 14 the client side has no I/O thread — callers read
+//! the socket themselves — so the shared-connection cases (concurrent
+//! calls, sever with calls in flight) and the frame cost of a managed
+//! open are pinned here too.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
-use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink, TokenKind, Transport, WireAgent};
+use datalinks::dlfm::{
+    AgentConnection, ControlMode, OnUnlink, TokenKind, Transport, UpcallRequest, WireAgent,
+};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
+use dl_net::Message;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -125,6 +132,148 @@ fn managed_token_update_flows_through_the_wire_upcall() {
     // Read it back under a read token, again through the wire upcall.
     let tp = read_token_path(&sys, 0);
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"over the wire");
+}
+
+// ---------------------------------------------------------------------------
+// one connection, many callers: whoever reads the socket reads for everyone
+// ---------------------------------------------------------------------------
+
+#[test]
+fn concurrent_calls_on_one_connection_each_get_their_own_reply() {
+    const CALLERS: usize = 8;
+    let sys = build(CALLERS);
+    let conn = sys.node(SRV).unwrap().wire().unwrap().connect("shared").unwrap();
+
+    // A mutation check on a linked file is refused with the file's own
+    // path in the text: eight callers, eight distinct reply payloads.
+    let start = Barrier::new(CALLERS);
+    std::thread::scope(|s| {
+        for t in 0..CALLERS {
+            let (conn, start) = (&conn, &start);
+            s.spawn(move || {
+                let path = format!("/d/f{t}.bin");
+                start.wait();
+                for _ in 0..200 {
+                    match conn.call(Message::MutationCheck { path: path.clone() }) {
+                        Ok(Message::Err(e)) => {
+                            assert!(
+                                e.starts_with(&path),
+                                "caller {t} got someone else's reply: {e}"
+                            )
+                        }
+                        other => panic!("caller {t}: unexpected {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    assert!(!conn.is_dead());
+    let snap = sys.registry().snapshot();
+    assert_eq!(snap.counters.get(&format!("net.{SRV}.decode_errors")), Some(&0));
+    assert_eq!(snap.counters.get(&format!("net.{SRV}.call_timeouts")), Some(&0));
+}
+
+#[test]
+fn sever_with_calls_in_flight_fails_them_all_promptly() {
+    const CALLERS: usize = 4;
+    // Upcall workers park inside the `/d/hang` mutation check until the
+    // test lets go, so the calls below are in flight for as long as it
+    // needs them to be.
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let (release, parked) = mpsc::channel::<()>();
+    let parked = Mutex::new(parked);
+    let hook = {
+        let arrived = Arc::clone(&arrived);
+        Arc::new(move |req: &UpcallRequest| {
+            if matches!(req, UpcallRequest::MutationCheck { path } if path == "/d/hang") {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let _ = parked.lock().unwrap().recv();
+            }
+        })
+    };
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .file_server_with(spec().upcall_fault_injector(hook))
+        .build()
+        .unwrap();
+    let conn = sys.node(SRV).unwrap().wire().unwrap().connect("doomed").unwrap();
+
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let conn = &conn;
+                s.spawn(move || conn.call(Message::MutationCheck { path: "/d/hang".into() }))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while arrived.load(Ordering::SeqCst) < CALLERS {
+            assert!(Instant::now() < deadline, "calls never reached the daemon");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let severed = Instant::now();
+        conn.sever();
+        for c in callers {
+            let err = c.join().unwrap().expect_err("a severed call cannot succeed");
+            assert!(err.contains("connection lost"), "{err}");
+        }
+        assert!(severed.elapsed() < Duration::from_secs(1), "took {:?}", severed.elapsed());
+    });
+    assert!(conn.is_dead());
+    assert!(conn.call(Message::EpochGet).unwrap_err().contains("is closed"));
+    drop(release); // unparks the workers: their replies go nowhere
+}
+
+// ---------------------------------------------------------------------------
+// the sync epoch rides the Busy reply: a managed open is one round trip
+// ---------------------------------------------------------------------------
+
+#[test]
+fn uncontended_token_open_close_costs_three_request_frames() {
+    let sys = build(1);
+    let frames_in =
+        || *sys.registry().snapshot().counters.get(&format!("net.{SRV}.frames_in")).unwrap();
+    let before = frames_in();
+    write_once(&sys, 0, b"three frames");
+    // ValidateToken (lookup), OpenCheck (open), CloseNotify (close) — and
+    // no EpochGet ahead of the open check.
+    assert_eq!(frames_in() - before, 3);
+}
+
+#[test]
+fn second_writer_waits_out_busy_over_the_socket() {
+    let sys = build(1);
+    let busy_waits =
+        || *sys.registry().snapshot().counters.get(&format!("dlfs.{SRV}.busy_waits")).unwrap();
+    let waits_before = busy_waits();
+
+    // The first writer holds the file open...
+    let (_, path) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).unwrap();
+
+    std::thread::scope(|s| {
+        // ...so the second one's open check comes back Busy with the
+        // epoch to wait on, and it blocks polling for a change.
+        let second = s.spawn(|| write_once(&sys, 0, b"second"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while busy_waits() == waits_before {
+            assert!(Instant::now() < deadline, "the second writer never saw Busy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!second.is_finished(), "the second writer must block while the file is open");
+
+        fs.write(fd, b"first").unwrap();
+        fs.close(fd).unwrap();
+        second.join().unwrap();
+    });
+
+    let node = sys.node(SRV).unwrap();
+    node.server.archive_store().wait_archived("/d/f0.bin");
+    assert_eq!(node.server.repository().get_file("/d/f0.bin").unwrap().cur_version, 3);
+    let tp = read_token_path(&sys, 0);
+    assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"second");
 }
 
 // ---------------------------------------------------------------------------
