@@ -12,7 +12,11 @@
 //! | `dl_sync`    | the Sync table (§4.5): one row per open of a managed file  |
 //! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
 //! | `dl_intents` | write-ahead intents for eager file-system changes (take-over undo info) |
-//! | `dl_txns`    | marker rows mapping repository sub-transactions to host transactions |
+//!
+//! Which host transaction a repository sub-transaction belongs to is not a
+//! table: it rides in the sub-transaction's `Prepare` log record
+//! (`Txn::prepare(Some(host_txid))`) and recovery reads it back with
+//! `Database::in_doubt_coordinator`.
 //!
 //! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
 //! survive a crash (every descriptor is gone). They are **unlogged** tables
@@ -20,7 +24,7 @@
 //! is visible at commit like any other, but forces no log record, reaches no
 //! snapshot and no standby, and every reopen of the repository — crash
 //! recovery, failover promotion, restore — finds both empty. `dl_files`,
-//! `dl_uip`, `dl_intents` and `dl_txns` are the durable state recovery works
+//! `dl_uip` and `dl_intents` are the durable state recovery works
 //! from, and every write to them is forced before it is acted on. A grant
 //! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
 //! one commit whose log record carries the `dl_uip` row only.
@@ -35,8 +39,7 @@ use crate::modes::{ControlMode, OnUnlink};
 use crate::token::TokenKind;
 
 /// Names of all repository tables.
-pub const TABLES: [&str; 6] =
-    ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents", "dl_txns"];
+pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
 
 /// A row of `dl_files`.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,19 +314,6 @@ impl Repository {
                 .expect("static schema"),
             )?;
             db.create_index("dl_intents", "host_txid")?;
-        }
-        if !db.has_table("dl_txns") {
-            db.create_table(
-                Schema::new(
-                    "dl_txns",
-                    vec![
-                        Column::new("host_txid", ColumnType::Int),
-                        Column::new("server", ColumnType::Text),
-                    ],
-                    "host_txid",
-                )
-                .expect("static schema"),
-            )?;
         }
         Ok(())
     }
@@ -764,26 +754,6 @@ impl Repository {
             })
             .collect()
     }
-
-    // --- dl_txns ----------------------------------------------------------------
-
-    /// Adds the host-transaction marker row inside a sub-transaction. The
-    /// marker is what lets crash recovery map an in-doubt repository
-    /// transaction back to its host transaction.
-    pub fn mark_host_txn_in(&self, txn: &mut Txn, host_txid: u64, server: &str) -> DbResult<()> {
-        txn.insert("dl_txns", vec![Value::Int(host_txid as i64), Value::Text(server.to_string())])
-    }
-
-    /// Extracts the host txid from an in-doubt transaction's op list by
-    /// finding its `dl_txns` marker insert.
-    pub fn host_txid_of_ops(ops: &[dl_minidb::RowOp]) -> Option<u64> {
-        ops.iter().find_map(|op| match op {
-            dl_minidb::RowOp::Insert { table, row } if table == "dl_txns" => {
-                row.first().and_then(|v| v.as_int()).map(|i| i as u64)
-            }
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -917,28 +887,6 @@ mod tests {
         assert_eq!(r.list_intents().len(), 1);
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
-    }
-
-    #[test]
-    fn host_txid_extracted_from_ops() {
-        let r = repo();
-        let mut txn = r.db().begin();
-        r.mark_host_txn_in(&mut txn, 1234, "srv1").unwrap();
-        r.insert_file_in(&mut txn, &entry("/f")).unwrap();
-        txn.prepare().unwrap();
-        let repo_txid = txn.id();
-        std::mem::forget(txn);
-        drop(r);
-
-        // Reopen: the prepared txn is in doubt; map it back to host 1234.
-        // (Storage env was mem-shared through the db; simulate via ops API.)
-        // Here we just exercise the extractor directly:
-        let ops = vec![dl_minidb::RowOp::Insert {
-            table: "dl_txns".into(),
-            row: vec![Value::Int(1234), Value::Text("srv1".into())],
-        }];
-        assert_eq!(Repository::host_txid_of_ops(&ops), Some(1234));
-        let _ = repo_txid;
     }
 
     #[test]

@@ -232,7 +232,6 @@ struct SubTxn {
     undo: Vec<UndoFs>,
     deferred: Vec<DeferredFs>,
     unlink_intents: Vec<String>,
-    marked: bool,
     prepared: bool,
 }
 
@@ -512,7 +511,6 @@ impl DlfmServer {
                 undo: Vec::new(),
                 deferred: Vec::new(),
                 unlink_intents: Vec::new(),
-                marked: false,
                 prepared: false,
             }))
         }))
@@ -612,12 +610,6 @@ impl DlfmServer {
         let mut guard = cell.lock();
         let sub = &mut *guard;
         let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
-        if !sub.marked {
-            self.repo
-                .mark_host_txn_in(txn, host_txid, &self.cfg.server_name)
-                .map_err(|e| e.to_string())?;
-            sub.marked = true;
-        }
         self.repo.insert_file_in(txn, &entry).map_err(|e| e.to_string())?;
         if constrained {
             self.repo.remove_intent_in(txn, host_txid, path).map_err(|e| e.to_string())?;
@@ -678,12 +670,6 @@ impl DlfmServer {
         let mut guard = cell.lock();
         let sub = &mut *guard;
         let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
-        if !sub.marked {
-            self.repo
-                .mark_host_txn_in(txn, host_txid, &self.cfg.server_name)
-                .map_err(|e| e.to_string())?;
-            sub.marked = true;
-        }
         self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
         sub.unlink_intents.push(path.to_string());
         match entry.on_unlink {
@@ -713,7 +699,7 @@ impl DlfmServer {
         let sub = &mut *guard;
         match sub.txn.as_mut() {
             Some(txn) => {
-                txn.prepare().map_err(|e| e.to_string())?;
+                txn.prepare(Some(host_txid)).map_err(|e| e.to_string())?;
                 sub.prepared = true;
                 self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
                 Ok(())
@@ -1247,11 +1233,14 @@ impl DlfmServer {
         let mut report = RecoveryReport::default();
         let host = self.host.read().clone();
 
-        // 1. In-doubt repository sub-transactions.
+        // 1. In-doubt repository sub-transactions — link/unlink and close
+        //    sub-transactions alike — settle by the outcome of the host
+        //    transaction their `Prepare` record names.
         for txid in self.repo.db().in_doubt_txns() {
-            let ops = self.repo.db().in_doubt_ops(txid).unwrap_or_default();
-            let host_txid = Repository::host_txid_of_ops(&ops);
-            let commit = host_txid
+            let commit = self
+                .repo
+                .db()
+                .in_doubt_coordinator(txid)
                 .and_then(|h| host.as_ref().and_then(|hook| hook.outcome(h)))
                 .unwrap_or(false); // presumed abort
             self.repo.db().resolve_in_doubt(txid, commit).map_err(|e| e.to_string())?;
@@ -1438,10 +1427,14 @@ impl PreparedTxnParticipant {
 }
 
 impl dl_minidb::Participant for PreparedTxnParticipant {
-    fn prepare(&self, _txid: u64) -> Result<(), String> {
+    fn prepare(&self, txid: u64) -> Result<(), String> {
         let mut guard = self.txn.lock();
         match guard.as_mut() {
-            Some(txn) => txn.prepare().map_err(|e| e.to_string()),
+            // The host txid is only known here (the host transaction is
+            // begun inside `HostHook::commit_file_update`); naming it in
+            // the `Prepare` record is what lets recovery resolve an
+            // in-doubt update against the host's outcome.
+            Some(txn) => txn.prepare(Some(txid)).map_err(|e| e.to_string()),
             None => Err("already settled".into()),
         }
     }

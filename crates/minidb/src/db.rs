@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
 use crate::lock::LockManager;
-use crate::ops::RowOp;
+use crate::ops::{PreparedTxn, RowOp};
 use crate::replica::ReplicationFeed;
 use crate::snapshot::{latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotSource};
 use crate::table::TableStore;
@@ -122,12 +122,12 @@ pub(crate) struct DbInner {
     pub(crate) commit_latch: RwLock<()>,
     snapshot_gen: AtomicU64,
     /// Participant-side transactions prepared but undecided at recovery.
-    in_doubt: Mutex<HashMap<TxId, Vec<RowOp>>>,
+    in_doubt: Mutex<HashMap<TxId, PreparedTxn>>,
     /// *Live* prepared transactions (2PC phase one done, decision pending,
     /// the `Txn` handle still open). A checkpoint persists these alongside
     /// the recovery-time in-doubt set so WAL truncation can never cut away
     /// the only durable copy of an undecided transaction's redo ops.
-    live_prepared: Mutex<HashMap<TxId, Vec<RowOp>>>,
+    live_prepared: Mutex<HashMap<TxId, PreparedTxn>>,
     /// Coordinator-side outcomes for transactions that had participants.
     outcomes: Mutex<HashMap<TxId, bool>>,
     /// Observer-injected statements awaiting pickup by their transaction.
@@ -259,9 +259,10 @@ impl Database {
                         outcomes.insert(*txid, true);
                     }
                 }
-                WalRecord::Prepare { txid, ops } => {
+                WalRecord::Prepare { txid, coordinator, ops } => {
                     max_txid = max_txid.max(*txid);
-                    prepared.insert(*txid, ops.clone());
+                    prepared
+                        .insert(*txid, PreparedTxn { coordinator: *coordinator, ops: ops.clone() });
                 }
                 WalRecord::Decide { txid, commit } => {
                     max_txid = max_txid.max(*txid);
@@ -284,8 +285,8 @@ impl Database {
                     }
                 }
                 WalRecord::Decide { txid, commit: true } => {
-                    if let Some(ops) = prepared.get(txid) {
-                        for op in ops {
+                    if let Some(txn) = prepared.get(txid) {
+                        for op in &txn.ops {
                             apply_op(&mut tables, op)?;
                         }
                     }
@@ -296,7 +297,7 @@ impl Database {
 
         // Prepared-but-undecided transactions are in doubt; the coordinator
         // (DataLinks recovery orchestration) resolves them.
-        let in_doubt: HashMap<TxId, Vec<RowOp>> =
+        let in_doubt: HashMap<TxId, PreparedTxn> =
             prepared.into_iter().filter(|(txid, _)| !decided.contains_key(txid)).collect();
 
         // Seed the self-tuning checkpoint budget from the snapshot we
@@ -459,12 +460,19 @@ impl Database {
         ids
     }
 
-    /// The redo ops of an in-doubt transaction. 2PC recovery orchestrators
-    /// inspect these to map a participant transaction back to its
-    /// coordinator transaction (the prepare payload is the only durable
-    /// record of that association, as in presumed-abort 2PC).
+    /// The redo ops of an in-doubt transaction.
     pub fn in_doubt_ops(&self, txid: TxId) -> Option<Vec<RowOp>> {
-        self.inner.in_doubt.lock().get(&txid).cloned()
+        self.inner.in_doubt.lock().get(&txid).map(|txn| txn.ops.clone())
+    }
+
+    /// The coordinator transaction in-doubt transaction `txid` is a branch
+    /// of — what [`Txn::prepare`] was given, read back from the `Prepare`
+    /// record (the only durable record of that association, as in
+    /// presumed-abort 2PC). A 2PC recovery orchestrator resolves `txid` by
+    /// *that* transaction's outcome; `None` when `txid` is not in doubt or
+    /// named no coordinator.
+    pub fn in_doubt_coordinator(&self, txid: TxId) -> Option<TxId> {
+        self.inner.in_doubt.lock().get(&txid).and_then(|txn| txn.coordinator)
     }
 
     /// Settles an in-doubt transaction per the coordinator's decision.
@@ -474,7 +482,7 @@ impl Database {
         // transaction as neither prepared nor decided — and truncation
         // would then lose its redo ops for good.
         let _latch = self.inner.commit_latch.read();
-        let ops = self
+        let txn = self
             .inner
             .in_doubt
             .lock()
@@ -483,7 +491,7 @@ impl Database {
         self.inner.wal.append(&WalRecord::Decide { txid, commit })?;
         if commit {
             let mut tables = self.inner.tables.write();
-            for op in &ops {
+            for op in &txn.ops {
                 apply_op(&mut tables, op)?;
             }
         }
@@ -573,8 +581,8 @@ impl Database {
             // recovery (in_doubt) or still live right now: the snapshot
             // must carry their redo ops so truncation cannot orphan them.
             let mut prepared = self.inner.in_doubt.lock().clone();
-            for (txid, ops) in self.inner.live_prepared.lock().iter() {
-                prepared.insert(*txid, ops.clone());
+            for (txid, txn) in self.inner.live_prepared.lock().iter() {
+                prepared.insert(*txid, txn.clone());
             }
             let outcomes = self.inner.outcomes.lock().clone();
             write_snapshot(
@@ -634,8 +642,8 @@ impl Database {
 
     /// Registers a live prepared transaction (called by [`Txn::prepare`])
     /// so checkpoints persist its redo ops until a decision is logged.
-    pub(crate) fn register_prepared(&self, txid: TxId, ops: Vec<RowOp>) {
-        self.inner.live_prepared.lock().insert(txid, ops);
+    pub(crate) fn register_prepared(&self, txid: TxId, txn: PreparedTxn) {
+        self.inner.live_prepared.lock().insert(txid, txn);
     }
 
     /// Drops a live prepared registration once its decision is durable.
@@ -1128,7 +1136,7 @@ mod tests {
             let mut tx = db.begin();
             txid = tx.id();
             tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare().unwrap();
+            tx.prepare(None).unwrap();
             std::mem::forget(tx); // crash: no decision ever logged
         }
         let db = Database::open(env.clone()).unwrap();
@@ -1155,7 +1163,7 @@ mod tests {
             let mut tx = db.begin();
             txid = tx.id();
             tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare().unwrap();
+            tx.prepare(None).unwrap();
             std::mem::forget(tx);
         }
         let db = Database::open(env.clone()).unwrap();
@@ -1174,7 +1182,7 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare().unwrap();
+            tx.prepare(None).unwrap();
             tx.commit_prepared().unwrap();
         }
         let db = Database::open(env).unwrap();
@@ -1193,7 +1201,7 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare().unwrap();
+            tx.prepare(None).unwrap();
             db.checkpoint().unwrap();
             tx.commit_prepared().unwrap();
         }
@@ -1318,7 +1326,7 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("t", row(1, "live")).unwrap();
         tx.insert("u", row(1, "live")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
         tx.commit_prepared().unwrap();
         assert_eq!((db.count("t").unwrap(), db.count("u").unwrap()), (1, 1));
 
@@ -1328,7 +1336,7 @@ mod tests {
         let txid = tx.id();
         tx.insert("t", row(2, "doubt")).unwrap();
         tx.insert("u", row(2, "doubt")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
         std::mem::forget(tx);
         drop(db);
 

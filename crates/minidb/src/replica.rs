@@ -54,7 +54,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::db::apply_op;
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::RowOp;
+use crate::ops::PreparedTxn;
 use crate::snapshot::{
     latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotData, SnapshotSource,
 };
@@ -98,7 +98,7 @@ impl ReplicationFeed {
 struct StandbyInner {
     tables: HashMap<String, TableStore>,
     /// Prepared-but-undecided participant transactions (in-doubt).
-    prepared: HashMap<TxId, Vec<RowOp>>,
+    prepared: HashMap<TxId, PreparedTxn>,
     /// Coordinator outcomes replicated from `Commit` records that named
     /// participants (persisted by the standby's own checkpoints so a
     /// promotion after truncation still answers outcome queries).
@@ -244,7 +244,7 @@ impl StandbyDb {
 
     fn apply_record(
         tables: &mut HashMap<String, TableStore>,
-        prepared: &mut HashMap<TxId, Vec<RowOp>>,
+        prepared: &mut HashMap<TxId, PreparedTxn>,
         outcomes: &mut HashMap<TxId, bool>,
         rec: &WalRecord,
     ) -> DbResult<()> {
@@ -258,13 +258,13 @@ impl StandbyDb {
                     apply_op(tables, op)?;
                 }
             }
-            WalRecord::Prepare { txid, ops } => {
-                prepared.insert(*txid, ops.clone());
+            WalRecord::Prepare { txid, coordinator, ops } => {
+                prepared.insert(*txid, PreparedTxn { coordinator: *coordinator, ops: ops.clone() });
             }
             WalRecord::Decide { txid, commit } => {
-                if let Some(ops) = prepared.remove(txid) {
+                if let Some(txn) = prepared.remove(txid) {
                     if *commit {
-                        for op in &ops {
+                        for op in &txn.ops {
                             apply_op(tables, op)?;
                         }
                     }
@@ -741,7 +741,7 @@ mod tests {
         // An in-doubt prepare ships too.
         let mut tx = db.begin();
         tx.insert("t", row(8, "doubt")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
         std::mem::forget(tx);
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
@@ -797,7 +797,7 @@ mod tests {
 
         let mut tx = db.begin();
         tx.insert("t", row(1, "2pc")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
         ship_all(&db, &standby);
         assert_eq!(standby.count("t").unwrap(), 0, "prepared ops stay pending");
         assert_eq!(standby.in_doubt_txns().len(), 1);

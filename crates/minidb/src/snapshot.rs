@@ -20,6 +20,11 @@
 //! **no rows** — the log never carried them either, so every path that
 //! rebuilds state from an image (recovery, checkpoint shipping, standby
 //! promotion, backup, point-in-time restore) yields the table empty.
+//!
+//! Format version 4 stores each undecided prepared transaction with the
+//! coordinator transaction its `Prepare` record named
+//! ([`crate::ops::PreparedTxn`]), so an in-doubt branch whose `Prepare`
+//! was truncated away can still be resolved against the right outcome.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,12 +32,12 @@ use std::sync::Arc;
 use crate::codec::{crc32, get_row, get_schema, put_row, put_schema, Dec, Enc};
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::RowOp;
+use crate::ops::PreparedTxn;
 use crate::table::TableStore;
 use crate::wal::{Lsn, TxId};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];
@@ -80,8 +85,8 @@ pub struct SnapshotData {
     pub next_txid: TxId,
     /// Coordinator outcomes of transactions that had 2PC participants.
     pub outcomes: HashMap<TxId, bool>,
-    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
-    pub prepared: HashMap<TxId, Vec<RowOp>>,
+    /// Transactions prepared but undecided as of `base_lsn`.
+    pub prepared: HashMap<TxId, PreparedTxn>,
     /// Committed table stores.
     pub tables: HashMap<String, TableStore>,
 }
@@ -99,8 +104,8 @@ pub struct SnapshotSource<'a> {
     pub next_txid: TxId,
     /// Coordinator outcomes of transactions that had 2PC participants.
     pub outcomes: &'a HashMap<TxId, bool>,
-    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
-    pub prepared: &'a HashMap<TxId, Vec<RowOp>>,
+    /// Transactions prepared but undecided as of `base_lsn`.
+    pub prepared: &'a HashMap<TxId, PreparedTxn>,
     /// Committed table stores.
     pub tables: &'a HashMap<String, TableStore>,
 }
@@ -138,7 +143,7 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
     body.put_u32(prepared_ids.len() as u32);
     for txid in prepared_ids {
         body.put_u64(*txid);
-        RowOp::encode_list(&snap.prepared[txid], &mut body);
+        snap.prepared[txid].encode(&mut body);
     }
     body.put_u32(snap.tables.len() as u32);
     let mut names: Vec<&String> = snap.tables.keys().collect();
@@ -220,7 +225,7 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     let mut prepared = HashMap::with_capacity(nprepared);
     for _ in 0..nprepared {
         let txid = dec.get_u64()?;
-        prepared.insert(txid, RowOp::decode_list(&mut dec)?);
+        prepared.insert(txid, PreparedTxn::decode(&mut dec)?);
     }
     let ntables = dec.get_u32()? as usize;
     let mut tables = HashMap::with_capacity(ntables);
@@ -252,6 +257,7 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
 mod tests {
     use super::*;
     use crate::device::MemDevice;
+    use crate::ops::RowOp;
     use crate::value::{Column, ColumnType, Schema, Value};
 
     fn sample() -> SnapshotData {
@@ -273,10 +279,13 @@ mod tests {
         let mut prepared = HashMap::new();
         prepared.insert(
             9u64,
-            vec![RowOp::Insert {
-                table: "movies".into(),
-                row: vec![Value::Int(3), Value::Text("Stalker".into())],
-            }],
+            PreparedTxn {
+                coordinator: Some(41),
+                ops: vec![RowOp::Insert {
+                    table: "movies".into(),
+                    row: vec![Value::Int(3), Value::Text("Stalker".into())],
+                }],
+            },
         );
         SnapshotData { generation: 3, base_lsn: 128, next_txid: 10, outcomes, prepared, tables }
     }
@@ -291,7 +300,8 @@ mod tests {
         assert_eq!(snap.next_txid, 10);
         assert_eq!(snap.outcomes.get(&7), Some(&true));
         assert_eq!(snap.outcomes.get(&8), Some(&false));
-        assert_eq!(snap.prepared.get(&9).map(|ops| ops.len()), Some(1));
+        assert_eq!(snap.prepared[&9].coordinator, Some(41));
+        assert_eq!(snap.prepared[&9].ops.len(), 1);
         let movies = &snap.tables["movies"];
         assert_eq!(movies.len(), 2);
         assert!(movies.has_index("title"));
@@ -368,9 +378,10 @@ mod tests {
     fn outdated_format_version_reads_none() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
         write_snapshot(&dev, (&sample()).into()).unwrap();
-        // Rewrite the version field to 2 (the format before schemas carried
-        // a table class): the slot must read as invalid, not misparse.
-        dev.write_at(4, &2u32.to_le_bytes()).unwrap();
+        // Rewrite the version field to 3 (the format before prepared
+        // transactions carried their coordinator): the slot must read as
+        // invalid, not misparse.
+        dev.write_at(4, &3u32.to_le_bytes()).unwrap();
         assert!(read_snapshot(&dev).unwrap().is_none());
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use crate::db::{apply_op, Database, DmlEvent, InjectedDml, OpKind};
 use crate::error::{DbError, DbResult};
 use crate::lock::{LockMode, LockRes};
-use crate::ops::RowOp;
+use crate::ops::{PreparedTxn, RowOp};
 use crate::value::{Row, Value};
 use crate::wal::{Lsn, TxId, WalRecord};
 
@@ -393,7 +393,13 @@ impl Txn {
     /// only finish via [`Txn::commit_prepared`] / [`Txn::abort_prepared`].
     /// Unlogged writes ride along in memory only: a live `commit_prepared`
     /// applies them, an in-doubt resolution after a crash never sees them.
-    pub fn prepare(&mut self) -> DbResult<()> {
+    ///
+    /// `coordinator` is the coordinator's transaction id — what
+    /// [`crate::Participant::prepare`] receives. It is logged with the
+    /// `Prepare` record and is all recovery has to ask the coordinator
+    /// about ([`Database::in_doubt_coordinator`]): a branch prepared with
+    /// `None` can only ever be presumed aborted.
+    pub fn prepare(&mut self, coordinator: Option<TxId>) -> DbResult<()> {
         self.ensure_active()?;
         let logged = self.logged_ops();
         // The shared latch makes append + live-prepared registration atomic
@@ -402,8 +408,12 @@ impl Txn {
         // truncate the Prepare record, losing the only durable copy of an
         // undecided transaction's redo ops.
         let _latch = self.db.inner().commit_latch.read();
-        self.db.inner().wal.append(&WalRecord::Prepare { txid: self.id, ops: logged.clone() })?;
-        self.db.register_prepared(self.id, logged);
+        self.db.inner().wal.append(&WalRecord::Prepare {
+            txid: self.id,
+            coordinator,
+            ops: logged.clone(),
+        })?;
+        self.db.register_prepared(self.id, PreparedTxn { coordinator, ops: logged });
         self.state = TxnState::Prepared;
         Ok(())
     }
@@ -763,7 +773,7 @@ mod tests {
         let d = db();
         let mut tx = d.begin();
         tx.insert("t", row(1, "a")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
         assert!(matches!(tx.insert("t", row(2, "b")), Err(DbError::InvalidTxnState(_))));
         assert!(matches!(tx.get("t", &Value::Int(1)), Err(DbError::InvalidTxnState(_))));
         tx.commit_prepared().unwrap();
@@ -778,7 +788,7 @@ mod tests {
 
         let mut tx = d.begin();
         tx.update("t", &Value::Int(1), row(1, "p")).unwrap();
-        tx.prepare().unwrap();
+        tx.prepare(None).unwrap();
 
         let d2 = d.clone();
         let blocked = thread::spawn(move || {

@@ -74,7 +74,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::codec::{crc32, Dec, Enc};
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::RowOp;
+use crate::ops::{PreparedTxn, RowOp};
 
 /// Log sequence number: logical byte offset of a record frame in the log.
 pub type Lsn = u64;
@@ -89,8 +89,10 @@ pub enum WalRecord {
     Ddl(RowOp),
     /// Coordinator commit decision with full redo information.
     Commit { txid: TxId, participants: Vec<String>, ops: Vec<RowOp> },
-    /// Participant prepared state (2PC phase one).
-    Prepare { txid: TxId, ops: Vec<RowOp> },
+    /// Participant prepared state (2PC phase one). `coordinator` names the
+    /// coordinator's transaction, so an in-doubt branch can be resolved
+    /// against that transaction's outcome (see [`PreparedTxn`]).
+    Prepare { txid: TxId, coordinator: Option<TxId>, ops: Vec<RowOp> },
     /// Participant decision (2PC phase two).
     Decide { txid: TxId, commit: bool },
     /// Snapshot `generation` covers the log strictly before this record.
@@ -114,10 +116,10 @@ impl WalRecord {
                 }
                 RowOp::encode_list(ops, &mut enc);
             }
-            WalRecord::Prepare { txid, ops } => {
+            WalRecord::Prepare { txid, coordinator, ops } => {
                 enc.put_u8(2);
                 enc.put_u64(*txid);
-                RowOp::encode_list(ops, &mut enc);
+                PreparedTxn::encode_parts(*coordinator, ops, &mut enc);
             }
             WalRecord::Decide { txid, commit } => {
                 enc.put_u8(3);
@@ -146,7 +148,11 @@ impl WalRecord {
                 let ops = RowOp::decode_list(&mut dec)?;
                 WalRecord::Commit { txid, participants, ops }
             }
-            2 => WalRecord::Prepare { txid: dec.get_u64()?, ops: RowOp::decode_list(&mut dec)? },
+            2 => {
+                let txid = dec.get_u64()?;
+                let PreparedTxn { coordinator, ops } = PreparedTxn::decode(&mut dec)?;
+                WalRecord::Prepare { txid, coordinator, ops }
+            }
             3 => WalRecord::Decide { txid: dec.get_u64()?, commit: dec.get_bool()? },
             4 => WalRecord::Checkpoint { generation: dec.get_u64()? },
             t => return Err(DbError::Corrupt(format!("unknown wal record tag {t}"))),
@@ -1269,7 +1275,8 @@ mod tests {
                 participants: vec!["dlfm@srv1".into(), "dlfm@srv2".into()],
                 ops: vec![insert_op(1), insert_op(2)],
             },
-            WalRecord::Prepare { txid: 10, ops: vec![insert_op(3)] },
+            WalRecord::Prepare { txid: 10, coordinator: None, ops: vec![insert_op(3)] },
+            WalRecord::Prepare { txid: 11, coordinator: Some(7), ops: vec![insert_op(4)] },
             WalRecord::Decide { txid: 10, commit: true },
             WalRecord::Checkpoint { generation: 3 },
         ];

@@ -247,7 +247,7 @@ mod checkpoint_truncation_crashes {
             let txid = {
                 let mut tx = db.begin();
                 tx.insert("t", vec![Value::Int(50), Value::Text("pending".into())]).unwrap();
-                tx.prepare().unwrap();
+                tx.prepare(None).unwrap();
                 let txid = tx.id();
                 db.checkpoint_and_truncate().unwrap();
                 std::mem::forget(tx); // crash: no decision ever logged
@@ -717,4 +717,197 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     tx.delete("t", &Value::Int(1)).unwrap();
     tx.commit().unwrap();
     assert!(repo.get_file("/d/f.bin").is_none());
+}
+
+/// The participant side of the 2PC window, for every kind of DLFM
+/// sub-transaction: the repository's `Prepare` is durable and the crash
+/// lands (a) before the host's `Commit` record or (b) after it but before
+/// the repository's `Decide`. Recovery must settle the in-doubt branch by
+/// the *host's* outcome — the close sub-transaction of an update included,
+/// which once carried no pointer back to its host transaction and was
+/// presumed aborted under a committed host row.
+///
+/// The crash is staged by shearing the logs at record boundaries after a
+/// clean run (logs are append-only, so a sheared log *is* the log as of
+/// that instant). What no shear can take back is the file-server side of a
+/// finished run — the archive copy of the new version, the attributes an
+/// unlink restored — so case (a) asserts on link state, content and
+/// metadata only.
+mod in_doubt_branch_follows_the_host_outcome {
+    use std::sync::Arc;
+
+    use datalinks::core::{DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec};
+    use datalinks::dlfm::{ControlMode, TokenKind};
+    use datalinks::fskit::{Cred, OpenOptions, SimClock};
+    use datalinks::minidb::wal::{read_until, WalRecord};
+    use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv, Value};
+
+    const APP: Cred = Cred { uid: 100, gid: 100 };
+    const SRV: &str = "srv";
+
+    struct Rig {
+        sys: DataLinksSystem,
+        host_env: StorageEnv,
+        repo_env: StorageEnv,
+    }
+
+    /// `/d/f.bin` linked as row 1 at version 1; `/d/new.bin` on disk,
+    /// unlinked.
+    fn rig() -> Rig {
+        let (host_env, repo_env) = (StorageEnv::mem(), StorageEnv::mem());
+        let mut spec = FileServerSpec::new(SRV);
+        spec.repo_env = repo_env.clone();
+        let sys = DataLinksSystem::builder()
+            .clock(Arc::new(SimClock::new(1_000_000)))
+            .host_env(host_env.clone())
+            .file_server_with(spec)
+            .build()
+            .unwrap();
+        let raw = sys.raw_fs(SRV).unwrap();
+        raw.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
+        raw.write_file(&APP, "/d/f.bin", b"version-1").unwrap();
+        raw.write_file(&APP, "/d/new.bin", b"candidate").unwrap();
+        sys.create_table(
+            Schema::new(
+                "t",
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::nullable("body", ColumnType::DataLink),
+                ],
+                "id",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
+        link(&sys, 1, "/d/f.bin");
+        Rig { sys, host_env, repo_env }
+    }
+
+    fn link(sys: &DataLinksSystem, id: i64, path: &str) {
+        let mut tx = sys.begin();
+        tx.insert("t", vec![Value::Int(id), Value::DataLink(format!("dlfs://{SRV}{path}"))])
+            .unwrap();
+        tx.commit().unwrap();
+    }
+
+    fn unlink(sys: &DataLinksSystem, id: i64) {
+        let mut tx = sys.begin();
+        tx.delete("t", &Value::Int(id)).unwrap();
+        tx.commit().unwrap();
+    }
+
+    fn update(sys: &DataLinksSystem, content: &[u8]) {
+        let (_, path) = sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Write).unwrap();
+        let fs = sys.fs(SRV).unwrap();
+        let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).unwrap();
+        fs.write(fd, content).unwrap();
+        fs.close(fd).unwrap();
+        sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f.bin");
+    }
+
+    /// Shears `env`'s log just below its last record matching `which`: that
+    /// record and everything after it never reached the disk.
+    fn shear_from_last(env: &StorageEnv, which: impl Fn(&WalRecord) -> bool) {
+        let dev = env.device("wal").unwrap();
+        let records = read_until(&dev, 0, None).unwrap();
+        let (lsn, _) =
+            records.iter().rev().find(|(_, rec)| which(rec)).expect("record to shear at");
+        dev.set_len(*lsn).unwrap();
+    }
+
+    /// Runs `op`, crashes, shears the repository log below the op's
+    /// `Decide` — and, for a crash *before* the host's decision, the host
+    /// log below the op's `Commit` — then recovers.
+    fn crash_in_the_window(
+        rig: Rig,
+        host_committed: bool,
+        op: impl FnOnce(&DataLinksSystem),
+    ) -> DataLinksSystem {
+        let Rig { sys, host_env, repo_env } = rig;
+        op(&sys);
+        let image = sys.crash();
+        shear_from_last(&repo_env, |rec| matches!(rec, WalRecord::Decide { .. }));
+        if !host_committed {
+            shear_from_last(
+                &host_env,
+                |rec| matches!(rec, WalRecord::Commit { participants, .. } if !participants.is_empty()),
+            );
+        }
+        let (sys, reports) = DataLinksSystem::recover(image).unwrap();
+        let resolved: Vec<bool> =
+            reports[SRV].in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
+        assert_eq!(resolved, [host_committed], "one in-doubt branch, settled the host's way");
+        sys
+    }
+
+    fn meta_version(sys: &DataLinksSystem, path: &str) -> Option<u64> {
+        let url = DatalinkUrl::parse(&format!("dlfs://{SRV}{path}")).unwrap();
+        sys.engine().file_meta(&url).map(|(_, _, version)| version)
+    }
+
+    fn content(sys: &DataLinksSystem, path: &str) -> Vec<u8> {
+        sys.raw_fs(SRV).unwrap().read_file(&Cred::root(), path).unwrap()
+    }
+
+    #[test]
+    fn update_prepared_but_host_undecided_rolls_back_file_and_metadata() {
+        let sys = crash_in_the_window(rig(), false, |sys| update(sys, b"version-2"));
+        assert_eq!(content(&sys, "/d/f.bin"), b"version-1");
+        assert_eq!(meta_version(&sys, "/d/f.bin"), Some(1));
+        let repo = sys.node(SRV).unwrap().server.repository();
+        assert_eq!(repo.get_file("/d/f.bin").unwrap().cur_version, 1);
+        assert!(repo.get_uip("/d/f.bin").is_none(), "the in-flight update is rolled back");
+    }
+
+    #[test]
+    fn update_decided_by_the_host_commits_file_and_metadata() {
+        let sys = crash_in_the_window(rig(), true, |sys| update(sys, b"version-2"));
+        assert_eq!(content(&sys, "/d/f.bin"), b"version-2", "the acknowledged write survives");
+        assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
+        let server = &sys.node(SRV).unwrap().server;
+        assert_eq!(server.repository().get_file("/d/f.bin").unwrap().cur_version, 2);
+        assert!(server.repository().get_uip("/d/f.bin").is_none());
+        let archived = server.archive_store().get("/d/f.bin", 2).expect("version 2 archived");
+        assert_eq!(archived.data, b"version-2");
+        // And the next update builds on version 2.
+        update(&sys, b"version-3");
+        assert_eq!(meta_version(&sys, "/d/f.bin"), Some(3));
+    }
+
+    #[test]
+    fn link_follows_the_host_outcome() {
+        for host_committed in [false, true] {
+            let sys = crash_in_the_window(rig(), host_committed, |sys| link(sys, 2, "/d/new.bin"));
+            let linked = sys.node(SRV).unwrap().server.repository().get_file("/d/new.bin");
+            assert_eq!(linked.is_some(), host_committed);
+            assert_eq!(
+                sys.db().get_committed("t", &Value::Int(2)).unwrap().is_some(),
+                host_committed
+            );
+            assert_eq!(meta_version(&sys, "/d/new.bin").is_some(), host_committed);
+            let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/new.bin").unwrap();
+            assert_eq!(attr.uid == APP.uid, !host_committed, "take-over undone iff aborted");
+            assert!(sys.node(SRV).unwrap().server.repository().list_intents().is_empty());
+        }
+    }
+
+    #[test]
+    fn unlink_follows_the_host_outcome() {
+        for host_committed in [false, true] {
+            let sys = crash_in_the_window(rig(), host_committed, |sys| unlink(sys, 1));
+            let linked = sys.node(SRV).unwrap().server.repository().get_file("/d/f.bin");
+            assert_eq!(linked.is_none(), host_committed);
+            assert_eq!(
+                sys.db().get_committed("t", &Value::Int(1)).unwrap().is_none(),
+                host_committed
+            );
+            assert_eq!(meta_version(&sys, "/d/f.bin").is_none(), host_committed);
+            assert!(sys.node(SRV).unwrap().server.repository().list_intents().is_empty());
+            if host_committed {
+                let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/f.bin").unwrap();
+                assert_eq!(attr.uid, APP.uid, "the committed unlink hands the file back");
+            }
+        }
+    }
 }
