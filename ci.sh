@@ -26,6 +26,17 @@ fi
 step "cargo test --workspace -q --no-fail-fast (every crate: unit + integration + doctests)"
 cargo test --workspace -q --no-fail-fast
 
+# Flake guard (ROADMAP item 0(b)), scoped to the suites whose subjects race
+# by design: unforced log appends are carried to disk by whichever thread
+# flushes next (a committer, the shipper's idle poll, a checkpoint), and
+# these three suites crash, promote and drain across that window. One green
+# run proves little about a race; five in a row, failing on the first red.
+step "flake guard: crash_recovery + group_commit + replication x5"
+for round in 1 2 3 4 5; do
+  cargo test --offline -q --test crash_recovery --test group_commit --test replication \
+    || { echo "flake guard: round $round failed" >&2; exit 1; }
+done
+
 # The socket path is load-bearing (Transport::Socket routes the whole
 # agent/upcall protocol through the framed codec and the reactor), so its
 # smoke suite gets a named step even though the workspace run above

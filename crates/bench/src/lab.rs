@@ -660,7 +660,7 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
 /// `cycles` each, every client on its own file (write token → write open →
 /// write → close). The open and the close-as-commit run on the node's
 /// upcall pool and park their worker in forced log writes — the `dl_uip`
-/// claim, then prepare, host commit and decide. (A token *read* cycle
+/// claim, then prepare and host commit (the decide is unforced). (A token *read* cycle
 /// would not do: `dl_tokens`/`dl_sync` are unlogged, so it forces nothing
 /// and occupies a worker for its CPU time only.) Records every cycle's
 /// latency into `lat`; returns cycles/sec.

@@ -408,8 +408,8 @@ impl DataLinksEngine {
             .and_then(|(_, bytes)| bytes.ok_or_else(|| format!("no readable content for {path}")))
     }
 
-    /// [`DataLinksEngine::serve_read`] with a *freshness token*: the commit
-    /// LSN of the caller's last write against `server`'s repository
+    /// [`DataLinksEngine::serve_read`] with a *freshness token*: the log
+    /// tail of `server`'s repository as of the caller's last write
     /// (`DataLinksSystem::freshness_token`). The routed read then
     /// guarantees read-your-writes: the picked standby either catches up
     /// to `min_lsn` within [`FRESHNESS_WAIT`] or the read reroutes to the
@@ -456,6 +456,14 @@ impl DataLinksEngine {
         // the floor, a stalled one backs off to the `FRESHNESS_WAIT`
         // ceiling — PR 4's fixed behaviour.
         if let (Some(standby), Some(min)) = (&replica, min_lsn) {
+            // The token is a log *tail*: the write's last record (the
+            // unforced `Decide`) may still sit in the primary's batch,
+            // where no shipper can see it. Flush it out, or the wait below
+            // would depend on the shipper's idle poll.
+            let repo = primary.repository().db();
+            if repo.durable_lsn() < min {
+                let _ = repo.flush();
+            }
             let ewma = self.lag_ewmas.read().get(node).cloned().unwrap_or_default();
             let bound = ewma.bound();
             let started = std::time::Instant::now();

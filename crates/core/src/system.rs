@@ -902,6 +902,8 @@ impl DataLinksSystem {
         let wal = self.db.wal_telemetry();
         registry.register_histogram("minidb.host.fsync_ns", wal.fsync_ns);
         registry.register_histogram("minidb.host.wal_batch_frames", wal.batch_frames);
+        registry.register_counter("minidb.host.unforced_appends", wal.unforced_appends);
+        registry.register_gauge("minidb.host.unflushed_bytes", wal.unflushed_bytes);
         let db_tel = self.db.telemetry();
         registry.register_histogram("minidb.host.checkpoint_ns", db_tel.checkpoint_ns);
         registry.register_gauge("minidb.host.checkpoint_bytes", db_tel.checkpoint_bytes);
@@ -1022,6 +1024,8 @@ impl DataLinksSystem {
         let wal = repo_db.wal_telemetry();
         registry.register_histogram(&format!("minidb.{name}.fsync_ns"), wal.fsync_ns);
         registry.register_histogram(&format!("minidb.{name}.wal_batch_frames"), wal.batch_frames);
+        registry.register_counter(&format!("minidb.{name}.unforced_appends"), wal.unforced_appends);
+        registry.register_gauge(&format!("minidb.{name}.unflushed_bytes"), wal.unflushed_bytes);
         let db_tel = repo_db.telemetry();
         registry.register_histogram(&format!("minidb.{name}.checkpoint_ns"), db_tel.checkpoint_ns);
         registry
@@ -1213,9 +1217,9 @@ impl DataLinksSystem {
     }
 
     /// Drives shipping until `server`'s standbys (every shard's, for a
-    /// sharded logical server) hold everything durable on the primary
-    /// (trivially true unreplicated). Returns whether the lag drained
-    /// within `timeout`.
+    /// sharded logical server) hold the primary's whole log tail — the
+    /// unforced records too, which are flushed first (trivially true
+    /// unreplicated). Returns whether the lag drained within `timeout`.
     pub fn wait_replicas_caught_up(&self, server: &str, timeout: Duration) -> Result<bool, String> {
         let mut all = true;
         for name in self.member_names(server)? {
@@ -1272,13 +1276,15 @@ impl DataLinksSystem {
         self.engine.serve_read(server, path, token, uid)
     }
 
-    /// A *freshness token* for `server`: the repository's current durable
-    /// LSN. Capture it right after a write commits (it is ≥ the write's
-    /// commit LSN) and hand it to [`DataLinksSystem::serve_read_fresh`] —
-    /// that read is then guaranteed to observe the write, wherever it
-    /// routes. Cheap: one atomic load, no I/O.
+    /// A *freshness token* for `server`: the repository's current log
+    /// tail. Capture it right after a write commits (it covers every
+    /// record of the write, the unforced `Decide` included — the durable
+    /// watermark may not yet) and hand it to
+    /// [`DataLinksSystem::serve_read_fresh`] — that read is then
+    /// guaranteed to observe the write, wherever it routes. Cheap: one
+    /// lock, no I/O; the read flushes the tail if it still has to.
     pub fn freshness_token(&self, server: &str) -> Result<Lsn, String> {
-        Ok(self.node(server)?.server.repository().db().durable_lsn())
+        Ok(self.node(server)?.server.repository().db().state_id())
     }
 
     /// [`DataLinksSystem::freshness_token`] for a sharded logical server:

@@ -25,7 +25,9 @@
 //! snapshot and no standby, and every reopen of the repository — crash
 //! recovery, failover promotion, restore — finds both empty. `dl_files`,
 //! `dl_uip` and `dl_intents` are the durable state recovery works
-//! from, and every write to them is forced before it is acted on. A grant
+//! from, and every write to them that recovery could not re-derive is
+//! forced before it is acted on (DESIGN.md "Force audit" lists the two
+//! that are not). A grant
 //! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
 //! one commit whose log record carries the `dl_uip` row only.
 
@@ -410,6 +412,11 @@ impl Repository {
     /// the time it runs, a newer update may already have committed (and
     /// re-set the flag for *its* version) — a stale clear must be a no-op
     /// or a crash could skip re-archiving the newest committed copy.
+    ///
+    /// The commit is **unforced** (`Txn::commit_unforced`): the flag only
+    /// tells recovery which versions to look for in the archive store, so a
+    /// clear lost in a crash costs one idempotent re-check, and nobody
+    /// waits on a log sync for it.
     pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<()> {
         self.bump();
         let key = Value::Text(path.to_string());
@@ -420,7 +427,7 @@ impl Repository {
             row[10] = Value::Bool(false);
             txn.update("dl_files", &key, row)?;
         }
-        txn.commit()?;
+        txn.commit_unforced()?;
         Ok(())
     }
 

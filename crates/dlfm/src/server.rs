@@ -310,6 +310,9 @@ pub struct DlfmServer {
     recorder: Arc<dl_obs::FlightRecorder>,
     /// `dlfm.<server_name>` — the `source` stamped on every span event.
     flight_source: String,
+    /// Set by [`DlfmServer::simulate_crash`]: a crashed server must not
+    /// tidy up on drop.
+    crashed: std::sync::atomic::AtomicBool,
     pub stats: DlfmStats,
 }
 
@@ -367,6 +370,7 @@ impl DlfmServer {
             coord_fence: AtomicU64::new(0),
             recorder: Arc::new(dl_obs::FlightRecorder::new(flight_ring_capacity)),
             flight_source,
+            crashed: std::sync::atomic::AtomicBool::new(false),
             stats: DlfmStats::default(),
         })
     }
@@ -525,8 +529,10 @@ impl DlfmServer {
     /// *without* running their abort paths (a real crash runs no
     /// destructors). Prepared sub-transactions stay in doubt in the
     /// repository log; active ones simply evaporate (their buffered ops
-    /// were never logged). Call before dropping the server in crash tests.
+    /// were never logged), and the repository log's unforced tail stays
+    /// unflushed. Call before dropping the server in crash tests.
     pub fn simulate_crash(&self) {
+        self.crashed.store(true, Ordering::SeqCst);
         let mut pending = self.pending.lock();
         for (_, cell) in pending.drain() {
             let mut sub = cell.lock();
@@ -708,6 +714,25 @@ impl DlfmServer {
         }
     }
 
+    /// The `decide` span of a settled sub-transaction. `forced` says whether
+    /// the decision waited on a log sync: a prepared branch's `Decide` is an
+    /// unforced append under group commit (the host's outcome is the
+    /// durable record); an unprepared one settles with an ordinary commit
+    /// or logs nothing.
+    fn record_decide(&self, host_txid: u64, outcome: &str, prepared: bool) {
+        let forced = !(prepared && self.cfg.db.wal.group_commit);
+        self.recorder.record(
+            &self.flight_source,
+            "decide",
+            host_txid,
+            "",
+            format!(
+                "outcome={outcome} fence={} forced={forced}",
+                self.coord_fence.load(Ordering::SeqCst)
+            ),
+        );
+    }
+
     /// 2PC phase two, commit path.
     pub fn commit_host(&self, host_txid: u64) {
         let cell = {
@@ -717,14 +742,8 @@ impl DlfmServer {
                 None => return,
             }
         };
-        self.recorder.record(
-            &self.flight_source,
-            "decide",
-            host_txid,
-            "",
-            format!("outcome=commit fence={}", self.coord_fence.load(Ordering::SeqCst)),
-        );
         let mut sub = cell.lock();
+        self.record_decide(host_txid, "commit", sub.prepared);
         if let Some(txn) = sub.txn.take() {
             let result = if sub.prepared {
                 txn.commit_prepared().map(|_| ())
@@ -765,14 +784,8 @@ impl DlfmServer {
                 None => return,
             }
         };
-        self.recorder.record(
-            &self.flight_source,
-            "decide",
-            host_txid,
-            "",
-            format!("outcome=abort fence={}", self.coord_fence.load(Ordering::SeqCst)),
-        );
         let mut sub = cell.lock();
+        self.record_decide(host_txid, "abort", sub.prepared);
         if let Some(txn) = sub.txn.take() {
             if sub.prepared {
                 let _ = txn.abort_prepared();
@@ -1320,6 +1333,18 @@ impl DlfmServer {
 
         self.bump_epoch();
         Ok(report)
+    }
+}
+
+impl Drop for DlfmServer {
+    /// Clean shutdown: put the repository log's unforced tail on disk, so
+    /// the next start finds decided branches decided instead of asking the
+    /// host about each. A crashed server ([`DlfmServer::simulate_crash`])
+    /// skips it — losing that tail is what a crash does.
+    fn drop(&mut self) {
+        if !self.crashed.load(Ordering::SeqCst) {
+            let _ = self.repo.db().flush();
+        }
     }
 }
 

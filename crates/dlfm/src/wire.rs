@@ -335,7 +335,7 @@ fn serve_event(
         }
         Message::EpochGet => h.send(conn, rid, &Message::EpochIs(server.epoch())),
         Message::FreshnessToken => {
-            h.send(conn, rid, &Message::Freshness(server.repository().db().durable_lsn()))
+            h.send(conn, rid, &Message::Freshness(server.repository().db().state_id()))
         }
 
         // --- link/unlink, on the shared agent executor -------------------
@@ -780,8 +780,8 @@ impl WireConn {
         self.state.lock().dead
     }
 
-    /// The server's repository durable LSN — the wire form of the
-    /// freshness token read-your-writes routing uses.
+    /// The server's repository log tail — the wire form of the freshness
+    /// token read-your-writes routing uses (`DataLinksSystem::freshness_token`).
     pub fn freshness_token(&self) -> Result<u64, String> {
         match self.call(Message::FreshnessToken)? {
             Message::Freshness(lsn) => Ok(lsn),

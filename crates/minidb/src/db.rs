@@ -505,9 +505,21 @@ impl Database {
         self.inner.wal.tail_lsn()
     }
 
-    /// One past the last byte the log has durably synced.
+    /// One past the last byte the log has durably synced. Trails
+    /// [`Database::state_id`] while a commit is in flight or an unforced
+    /// record (a participant `Decide`, [`Txn::commit_unforced`]) waits for
+    /// the next flush.
     pub fn durable_lsn(&self) -> Lsn {
         self.inner.wal.durable_lsn()
+    }
+
+    /// Makes the whole log tail durable ([`crate::wal::Wal::flush`]); a
+    /// no-op when nothing is pending. Unforced records need no flush for
+    /// correctness — recovery re-derives them — so this is for whoever
+    /// wants the tail *itself* on disk: a replication shipper with nothing
+    /// else to wake it, a drain that compares LSNs, a clean shutdown.
+    pub fn flush(&self) -> DbResult<()> {
+        self.inner.wal.flush()
     }
 
     /// The log's checkpoint low-water mark (0 until the first truncation).
@@ -545,7 +557,7 @@ impl Database {
     /// *checkpoint shipping* (install the latest snapshot, then tail the
     /// suffix) when the frames it needs were truncated away.
     pub fn replication_feed(&self) -> ReplicationFeed {
-        ReplicationFeed::new(self.wal_reader(), self.inner.env.clone())
+        ReplicationFeed::new(self.clone())
     }
 
     /// Writes a snapshot to the older ping-pong slot and logs a checkpoint.
@@ -574,6 +586,12 @@ impl Database {
         let started = std::time::Instant::now();
         let generation = self.inner.snapshot_gen.load(Ordering::SeqCst) + 1;
         let dev = self.inner.env.device(slot_for_generation(generation))?;
+        // The image below is of the in-memory tables, which already hold
+        // the effects of unforced records still in the batch. Flush them
+        // first: a crash between the snapshot sync and the `Checkpoint`
+        // append must find a log that reaches the snapshot's base, or new
+        // appends would land *below* it and be skipped by the next replay.
+        self.inner.wal.flush()?;
         let base_lsn = self.inner.wal.tail_lsn();
         {
             let tables = self.inner.tables.read();
@@ -646,15 +664,17 @@ impl Database {
         self.inner.live_prepared.lock().insert(txid, txn);
     }
 
-    /// Drops a live prepared registration once its decision is durable.
+    /// Drops a live prepared registration once its decision is logged.
     pub(crate) fn unregister_prepared(&self, txid: TxId) {
         self.inner.live_prepared.lock().remove(&txid);
     }
 
     /// A moment-in-time backup: forks the storage environment under the
-    /// commit latch so the copy is transaction-consistent.
+    /// commit latch so the copy is transaction-consistent, flushing any
+    /// unforced log tail first so the copy holds the state the latch froze.
     pub fn backup(&self) -> DbResult<StorageEnv> {
         let _latch = self.inner.commit_latch.write();
+        self.inner.wal.flush()?;
         self.inner.env.fork()
     }
 
@@ -1184,10 +1204,96 @@ mod tests {
             tx.insert("t", row(1, "x")).unwrap();
             tx.prepare(None).unwrap();
             tx.commit_prepared().unwrap();
+            db.flush().unwrap(); // clean shutdown: the Decide is unforced
         }
         let db = Database::open(env).unwrap();
         assert_eq!(db.count("t").unwrap(), 1);
         assert!(db.in_doubt_txns().is_empty());
+    }
+
+    #[test]
+    fn decide_lost_in_a_crash_leaves_the_branch_in_doubt_under_its_coordinator() {
+        // The Decide is an unforced append: live, the commit is applied and
+        // visible at once; a crash before the next flush loses the record
+        // and the branch comes back in doubt, naming the coordinator
+        // transaction whose outcome settles it.
+        let env = StorageEnv::mem();
+        let txid = {
+            let db = Database::open(env.clone()).unwrap();
+            db.create_table(schema("t")).unwrap();
+            let mut tx = db.begin();
+            let txid = tx.id();
+            tx.insert("t", row(1, "x")).unwrap();
+            tx.prepare(Some(77)).unwrap();
+            let decided_at = tx.commit_prepared().unwrap();
+            assert_eq!(db.count("t").unwrap(), 1, "applied without waiting for the log");
+            assert_eq!(db.state_id(), decided_at);
+            assert!(db.durable_lsn() < decided_at, "the Decide is batched, not synced");
+            assert_eq!(db.wal_telemetry().unforced_appends.get(), 1);
+            assert!(db.wal_telemetry().unflushed_bytes.get() > 0);
+            txid
+        };
+        let db = Database::open(env.clone()).unwrap();
+        assert_eq!(db.in_doubt_txns(), vec![txid]);
+        assert_eq!(db.in_doubt_coordinator(txid), Some(77));
+        assert_eq!(db.count("t").unwrap(), 0);
+        db.resolve_in_doubt(txid, true).unwrap();
+        assert_eq!(db.count("t").unwrap(), 1);
+        assert_eq!(Database::open(env).unwrap().count("t").unwrap(), 1, "the resolution is forced");
+    }
+
+    #[test]
+    fn a_later_forced_commit_carries_the_unforced_decide_to_disk() {
+        let env = StorageEnv::mem();
+        {
+            let db = Database::open(env.clone()).unwrap();
+            db.create_table(schema("t")).unwrap();
+            let mut tx = db.begin();
+            tx.insert("t", row(1, "2pc")).unwrap();
+            tx.prepare(None).unwrap();
+            tx.commit_prepared().unwrap();
+            let syncs = db.wal_telemetry().fsync_ns.snapshot().count;
+            let mut tx = db.begin();
+            tx.insert("t", row(2, "plain")).unwrap();
+            let lsn = tx.commit().unwrap();
+            assert_eq!(db.durable_lsn(), lsn, "one flush covers both records");
+            assert_eq!(db.wal_telemetry().fsync_ns.snapshot().count, syncs + 1);
+            assert_eq!(db.wal_telemetry().unflushed_bytes.get(), 0);
+        }
+        let db = Database::open(env).unwrap();
+        assert_eq!(db.count("t").unwrap(), 2);
+        assert!(db.in_doubt_txns().is_empty());
+    }
+
+    #[test]
+    fn unforced_commit_is_visible_at_once_and_durable_with_the_next_flush() {
+        let env = StorageEnv::mem();
+        let db = Database::open(env.clone()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let syncs = db.wal_telemetry().fsync_ns.snapshot().count;
+        let mut tx = db.begin();
+        tx.insert("t", row(1, "lazy")).unwrap();
+        let lsn = tx.commit_unforced().unwrap();
+        assert_eq!(db.count("t").unwrap(), 1);
+        assert_eq!(db.wal_telemetry().fsync_ns.snapshot().count, syncs, "no device sync");
+        assert!(db.durable_lsn() < lsn);
+        // Crash now: the commit is gone, whole.
+        assert_eq!(Database::open(env.fork().unwrap()).unwrap().count("t").unwrap(), 0);
+        // A backup flushes first, so it holds what the live database shows.
+        let backup = db.backup().unwrap();
+        assert_eq!(db.durable_lsn(), lsn);
+        assert_eq!(Database::open(backup).unwrap().count("t").unwrap(), 1);
+    }
+
+    #[test]
+    fn unforced_commit_with_participants_is_forced_anyway() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut tx = db.begin();
+        db.enlist_participant(tx.id(), "p", Arc::new(FakeParticipant::default()));
+        tx.insert("t", row(1, "decision")).unwrap();
+        let lsn = tx.commit_unforced().unwrap();
+        assert_eq!(db.durable_lsn(), lsn, "a 2PC decision never rides unforced");
     }
 
     #[test]
@@ -1204,6 +1310,7 @@ mod tests {
             tx.prepare(None).unwrap();
             db.checkpoint().unwrap();
             tx.commit_prepared().unwrap();
+            db.flush().unwrap();
         }
         let db = Database::open(env).unwrap();
         assert_eq!(db.count("t").unwrap(), 1);

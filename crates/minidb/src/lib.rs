@@ -14,7 +14,9 @@
 //!   leader/follower group-commit pipeline ([`WalOptions`], via
 //!   [`DbOptions::wal`](db::DbOptions)): concurrent committers share one
 //!   device write + sync without ever being acknowledged before their own
-//!   frame is durable.
+//!   frame is durable. Records recovery can re-derive (a participant's
+//!   `Decide`, [`Txn::commit_unforced`]) are appended *unforced*: logged in
+//!   order, written by the next flush, never waited for.
 //! * **Concurrency control** — strict two-phase locking with table-level
 //!   intent locks, row-level S/X locks, and wait-for-graph deadlock
 //!   detection.

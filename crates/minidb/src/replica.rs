@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::db::apply_op;
+use crate::db::{apply_op, Database};
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
 use crate::ops::PreparedTxn;
@@ -74,12 +74,12 @@ use crate::wal::{
 #[derive(Clone)]
 pub struct ReplicationFeed {
     reader: WalReader,
-    env: StorageEnv,
+    db: Database,
 }
 
 impl ReplicationFeed {
-    pub(crate) fn new(reader: WalReader, env: StorageEnv) -> ReplicationFeed {
-        ReplicationFeed { reader, env }
+    pub(crate) fn new(db: Database) -> ReplicationFeed {
+        ReplicationFeed { reader: db.wal_reader(), db }
     }
 
     /// The live WAL tail reader.
@@ -87,11 +87,20 @@ impl ReplicationFeed {
         &self.reader
     }
 
+    /// Flushes the primary's unforced log tail ([`Database::flush`]) so it
+    /// becomes shippable. The reader only ever shows durable frames, and an
+    /// unforced record otherwise waits for the next forced append: a
+    /// shipper calls this when its wait for growth times out, and before
+    /// it declares the standbys caught up.
+    pub fn flush(&self) -> DbResult<()> {
+        self.db.flush()
+    }
+
     /// The newest valid checkpoint image the primary has on disk, if any.
     /// May transiently return an older image (or `None`) while the primary
     /// is mid-checkpoint — a shipper simply retries on its next round.
     pub fn latest_checkpoint(&self) -> DbResult<Option<SnapshotData>> {
-        latest_valid_snapshot(&self.env, |_| true)
+        latest_valid_snapshot(&self.db.inner().env, |_| true)
     }
 }
 
@@ -618,7 +627,7 @@ fn record_txid(rec: &WalRecord) -> TxId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::{Database, DbOptions};
+    use crate::db::DbOptions;
     use crate::value::{Column, ColumnType, Schema};
     use crate::wal::WalOptions;
 
@@ -738,10 +747,11 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("t", row(7, "keep")).unwrap();
         tx.commit().unwrap();
-        // An in-doubt prepare ships too.
+        // An in-doubt prepare ships too, with the coordinator it names.
         let mut tx = db.begin();
+        let doubt = tx.id();
         tx.insert("t", row(8, "doubt")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare(Some(4242)).unwrap();
         std::mem::forget(tx);
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
@@ -751,6 +761,7 @@ mod tests {
         let promoted = Database::open(standby.env().clone()).unwrap();
         assert_eq!(promoted.count("t").unwrap(), 1);
         assert_eq!(promoted.in_doubt_txns(), standby.in_doubt_txns());
+        assert_eq!(promoted.in_doubt_coordinator(doubt), Some(4242));
         // The promoted database is a full primary: it can commit.
         let mut tx = promoted.begin();
         tx.insert("t", row(9, "new-primary")).unwrap();
@@ -802,7 +813,16 @@ mod tests {
         assert_eq!(standby.count("t").unwrap(), 0, "prepared ops stay pending");
         assert_eq!(standby.in_doubt_txns().len(), 1);
 
+        // The Decide is unforced: the primary shows the commit at once, the
+        // standby — which only ever sees synced frames — keeps serving the
+        // pre-commit state until a flush hands the record to the shipper.
         tx.commit_prepared().unwrap();
+        assert_eq!(db.count("t").unwrap(), 1);
+        ship_all(&db, &standby);
+        assert_eq!(standby.count("t").unwrap(), 0, "unflushed decide has not shipped");
+        assert_eq!(standby.in_doubt_txns().len(), 1);
+
+        db.flush().unwrap();
         ship_all(&db, &standby);
         assert_eq!(standby.count("t").unwrap(), 1, "decide applies the prepared ops");
         assert!(standby.in_doubt_txns().is_empty());
@@ -964,6 +984,31 @@ mod tests {
         let tx = promoted.begin();
         assert!(tx.id() > txid, "promoted primary must not reuse txids");
         tx.abort();
+    }
+
+    #[test]
+    fn in_doubt_coordinator_survives_the_image_path() {
+        // The Prepare record is truncated away on the primary: the only
+        // copy of "which coordinator transaction is this a branch of" a
+        // fresh standby ever sees is the checkpoint image's.
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut tx = db.begin();
+        let txid = tx.id();
+        tx.insert("t", row(1, "doubt")).unwrap();
+        tx.prepare(Some(99)).unwrap();
+        db.checkpoint_and_truncate().unwrap();
+        std::mem::forget(tx);
+
+        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        ship_all(&db, &standby);
+        assert!(standby.wal_base_lsn() > 0, "caught up from the image");
+        // The standby's own checkpoint (restart path) keeps it too.
+        let env = standby.env().clone();
+        drop(standby);
+        let promoted = Database::open(StandbyDb::open(env).unwrap().env().clone()).unwrap();
+        assert_eq!(promoted.in_doubt_txns(), vec![txid]);
+        assert_eq!(promoted.in_doubt_coordinator(txid), Some(99));
     }
 
     #[test]

@@ -19,7 +19,8 @@ enum TxnState {
 
 /// An open transaction. Writes are buffered privately (deferred update) and
 /// applied to the shared stores at commit, after the commit record is
-/// durable. Writes to unlogged tables ([`crate::Schema::unlogged()`]) take the
+/// durable (or merely logged, for the two unforced shapes:
+/// [`Txn::commit_unforced`] and a prepared branch's decision). Writes to unlogged tables ([`crate::Schema::unlogged()`]) take the
 /// same locks and are applied at the same point, but stay out of the log.
 /// Dropping an unfinished transaction aborts it.
 pub struct Txn {
@@ -299,7 +300,23 @@ impl Txn {
     /// the archive tags file versions with (§4.4). A transaction with
     /// nothing to redo and no participants (read-only, or writing unlogged
     /// tables only) appends nothing and returns the current tail.
-    pub fn commit(mut self) -> DbResult<Lsn> {
+    pub fn commit(self) -> DbResult<Lsn> {
+        self.commit_inner(true)
+    }
+
+    /// Commits without waiting for the commit record to reach the disk
+    /// ([`crate::wal::Wal::append_unforced`]): applied and visible on
+    /// return, durable with the next flush, and lost — together with
+    /// everything logged after it — if a crash comes first. Only for
+    /// changes whose loss recovery repairs by itself; DLFM clears
+    /// `needs_archive` this way (losing the clear re-checks one archived
+    /// version). A transaction with enlisted participants is forced
+    /// regardless: its commit record *is* the 2PC decision.
+    pub fn commit_unforced(self) -> DbResult<Lsn> {
+        self.commit_inner(false)
+    }
+
+    fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
         let participants = self.db.take_participants(self.id);
 
@@ -318,20 +335,22 @@ impl Txn {
         // Decision + apply. The log write is for recovery: with no redo ops
         // and no participants awaiting an outcome there is nothing to force.
         let logged = self.logged_ops();
-        let forced = !logged.is_empty() || !participants.is_empty();
+        let logs = !logged.is_empty() || !participants.is_empty();
         let lsn = {
             let inner = self.db.inner();
             // Shared: concurrent committers ride the same group-commit
             // batch; only checkpoint/backup take this exclusively. It keeps
-            // log tail and stores in step, so an unforced commit skips it.
-            let _latch = forced.then(|| inner.commit_latch.read());
-            let lsn = if forced {
+            // log tail and stores in step, so a commit that logs nothing
+            // skips it.
+            let _latch = logs.then(|| inner.commit_latch.read());
+            let lsn = if logs {
                 let names: Vec<String> = participants.iter().map(|(n, _)| n.clone()).collect();
-                inner.wal.append(&WalRecord::Commit {
-                    txid: self.id,
-                    participants: names,
-                    ops: logged,
-                })?
+                let record = WalRecord::Commit { txid: self.id, participants: names, ops: logged };
+                if force || !participants.is_empty() {
+                    inner.wal.append(&record)?
+                } else {
+                    inner.wal.append_unforced(&record)?
+                }
             } else {
                 inner.wal.tail_lsn()
             };
@@ -418,7 +437,15 @@ impl Txn {
         Ok(())
     }
 
-    /// Commits a prepared transaction (2PC phase two).
+    /// Commits a prepared transaction (2PC phase two). The `Decide` record
+    /// is appended **unforced**: what makes the decision durable is the
+    /// coordinator's own commit record, forced before phase two begins,
+    /// and a branch that crashes without its `Decide` comes back in doubt
+    /// and is resolved from that outcome
+    /// ([`Database::in_doubt_coordinator`]). The coordinator must
+    /// therefore keep the outcome answerable until this log has the
+    /// `Decide` durably. The returned LSN is the log tail after the
+    /// record — a position, not a durability promise.
     pub fn commit_prepared(mut self) -> DbResult<Lsn> {
         if self.state != TxnState::Prepared {
             return Err(DbError::InvalidTxnState(format!(
@@ -429,7 +456,8 @@ impl Txn {
         let lsn = {
             let inner = self.db.inner();
             let _latch = inner.commit_latch.read();
-            let lsn = inner.wal.append(&WalRecord::Decide { txid: self.id, commit: true })?;
+            let lsn =
+                inner.wal.append_unforced(&WalRecord::Decide { txid: self.id, commit: true })?;
             let mut tables = inner.tables.write();
             for op in &self.ops {
                 apply_op(&mut tables, op)?;
@@ -438,7 +466,9 @@ impl Txn {
             // never observe the decided state with the transaction still
             // listed as prepared (it would resurface as in-doubt after the
             // Decide record is truncated, and a re-resolution would
-            // double-apply or contradict the acknowledged decision).
+            // double-apply or contradict the acknowledged decision). The
+            // checkpoint flushes the batch before it snapshots, so the
+            // unforced Decide is on disk below the image that omits us.
             self.db.unregister_prepared(self.id);
             lsn
         };
@@ -447,7 +477,10 @@ impl Txn {
         Ok(lsn)
     }
 
-    /// Rolls back a prepared transaction (2PC phase two, abort path).
+    /// Rolls back a prepared transaction (2PC phase two, abort path). The
+    /// `Decide` is unforced, like [`Txn::commit_prepared`]'s, and needs
+    /// even less: losing it leaves the branch in doubt with no commit
+    /// outcome on record, which presumed abort settles the same way.
     pub fn abort_prepared(mut self) -> DbResult<()> {
         if self.state != TxnState::Prepared {
             return Err(DbError::InvalidTxnState(format!(
@@ -455,14 +488,20 @@ impl Txn {
                 self.id, self.state
             )));
         }
-        {
-            // Same latch discipline as commit_prepared: decision append and
-            // deregistration are atomic w.r.t. checkpoints.
-            let _latch = self.db.inner().commit_latch.read();
-            self.db.inner().wal.append(&WalRecord::Decide { txid: self.id, commit: false })?;
-            self.db.unregister_prepared(self.id);
-        }
+        self.log_abort_decision()?;
         self.finish_local();
+        Ok(())
+    }
+
+    /// Logs `Decide{abort}` for this prepared transaction and drops its
+    /// live-prepared registration. Same latch discipline as
+    /// `commit_prepared`: decision append and deregistration are atomic
+    /// w.r.t. checkpoints.
+    fn log_abort_decision(&self) -> DbResult<()> {
+        let inner = self.db.inner();
+        let _latch = inner.commit_latch.read();
+        inner.wal.append_unforced(&WalRecord::Decide { txid: self.id, commit: false })?;
+        self.db.unregister_prepared(self.id);
         Ok(())
     }
 }
@@ -474,17 +513,8 @@ impl Drop for Txn {
             TxnState::Prepared => {
                 // A *dropped* prepared transaction is a programming bug, not
                 // a crash (crashes never run Drop). Settle it as an abort so
-                // locks and log state stay coherent (same latch discipline
-                // as abort_prepared).
-                {
-                    let _latch = self.db.inner().commit_latch.read();
-                    let _ = self
-                        .db
-                        .inner()
-                        .wal
-                        .append(&WalRecord::Decide { txid: self.id, commit: false });
-                    self.db.unregister_prepared(self.id);
-                }
+                // locks and log state stay coherent.
+                let _ = self.log_abort_decision();
                 self.abort_in_place();
             }
             TxnState::Active => self.abort_in_place(),

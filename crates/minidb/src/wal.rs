@@ -37,6 +37,23 @@
 //! batch always holds exactly one frame, so the log bytes are identical to
 //! the per-commit-sync mode — recovery cannot tell the modes apart.
 //!
+//! # Unforced appends
+//!
+//! Not every record is worth a wait. [`Wal::append_unforced`] encodes the
+//! frame into the current batch and returns at once; the next leader flush
+//! — any later forced append, a checkpoint, or an explicit [`Wal::flush`]
+//! — writes it in log order with everything batched around it. A crash can
+//! therefore lose only a *suffix* of unforced records, never one out of
+//! the middle, and a record may be appended unforced exactly when recovery
+//! can re-derive it from what *is* forced (a participant's `Decide` from
+//! its coordinator's outcome; a flag clear whose loss repeats idempotent
+//! work). Which records qualify is a property of the call site, not an
+//! option: there is no knob, and the per-commit-sync mode forces every
+//! append, unforced or not. A failed flush drops the forced frames it
+//! caught (their appenders report the error) but carries the unforced
+//! ones over to the head of the next batch — they have no waiter to tell,
+//! and the in-memory state they describe has already moved.
+//!
 //! # Truncation (bounded logs)
 //!
 //! LSNs are *logical* byte offsets that never restart, but the log device
@@ -65,10 +82,11 @@
 //! *checkpoint shipping* (install the latest snapshot, then tail the
 //! suffix).
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl_obs::Histogram;
+use dl_obs::{Counter, Gauge, Histogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::codec::{crc32, Dec, Enc};
@@ -309,6 +327,10 @@ struct WalState {
     batch: Vec<u8>,
     batch_base: Lsn,
     batch_frames: usize,
+    /// Byte ranges of the unforced frames inside `batch`
+    /// ([`Wal::append_unforced`]): what a failed flush carries over to the
+    /// next batch instead of dropping.
+    batch_unforced: Vec<Range<usize>>,
     /// A leader is currently writing/syncing `[durable, batch_base)`.
     leader_active: bool,
     /// Recycled batch buffer (micro-fix: no fresh frame `Vec` per append).
@@ -317,7 +339,8 @@ struct WalState {
     /// flush drops *every* non-durable frame (the failed batch and anything
     /// batched while it was in flight) and rewinds the log to the durable
     /// watermark; the log itself stays usable, so a transient device fault
-    /// (ENOSPC) costs exactly the commits caught in it. A waiter that
+    /// (ENOSPC) costs exactly the commits caught in it (unforced frames are
+    /// re-enqueued rather than dropped — nobody waits on them). A waiter that
     /// enqueued when this had length `e` decides its fate exactly: if a
     /// failure `failures[e]` exists, its frame survived iff it was durable
     /// before that first post-enqueue failure (`my_lsn <= failures[e]`) —
@@ -487,6 +510,13 @@ pub struct WalTelemetry {
     /// Frames made durable per flush: the group-commit batch-size
     /// distribution (always 1 in per-commit-sync mode).
     pub batch_frames: Arc<Histogram>,
+    /// Records appended without waiting for their flush
+    /// ([`Wal::append_unforced`]; always 0 in per-commit-sync mode).
+    pub unforced_appends: Arc<Counter>,
+    /// Log bytes accepted but not yet durable (`tail − durable`). Forced
+    /// frames sit here for the length of one flush; a value that *stays*
+    /// above zero is an unforced tail waiting for the next flush.
+    pub unflushed_bytes: Arc<Gauge>,
 }
 
 impl WalTelemetry {
@@ -494,6 +524,8 @@ impl WalTelemetry {
         WalTelemetry {
             fsync_ns: Arc::new(Histogram::new()),
             batch_frames: Arc::new(Histogram::new()),
+            unforced_appends: Arc::new(Counter::new()),
+            unflushed_bytes: Arc::new(Gauge::new()),
         }
     }
 }
@@ -551,6 +583,7 @@ impl Wal {
                     batch: Vec::new(),
                     batch_base: valid_end,
                     batch_frames: 0,
+                    batch_unforced: Vec::new(),
                     leader_active: false,
                     spare: Vec::new(),
                     failures: Vec::new(),
@@ -615,29 +648,101 @@ impl Wal {
         Ok(state.end)
     }
 
+    /// Appends a record **without waiting for it to become durable**: the
+    /// frame joins the current group-commit batch and the call returns its
+    /// LSN (the log tail after the record) at once. The next leader flush
+    /// — a later forced [`Wal::append`], a checkpoint, [`Wal::flush`] —
+    /// makes it durable, in log order. Only for records recovery can
+    /// re-derive (see the module docs); the returned LSN names a log
+    /// position, not synced bytes. In per-commit-sync mode this *is*
+    /// [`Wal::append`].
+    pub fn append_unforced(&self, rec: &WalRecord) -> DbResult<Lsn> {
+        if !self.opts.group_commit {
+            return self.append(rec);
+        }
+        let payload = rec.encode();
+        let mut state = self.state.lock();
+        // A flush this appender had to lead and that failed re-enqueued
+        // the unforced frames it caught; the record is then admitted over
+        // the batch bound rather than lost (its effects are already live).
+        let _ = self.make_room(&mut state);
+        let at = state.batch.len();
+        let lsn = self.enqueue(&mut state, &payload);
+        let frame = at..state.batch.len();
+        state.batch_unforced.push(frame);
+        self.telemetry.unforced_appends.inc();
+        Ok(lsn)
+    }
+
+    /// Makes everything appended so far durable: leads a flush (or waits
+    /// out the one in flight) until the durable watermark covers the tail
+    /// as of the call; a no-op when nothing is pending. What bounds the
+    /// staleness of an unforced tail when no forced append follows it.
+    pub fn flush(&self) -> DbResult<()> {
+        let mut state = self.state.lock();
+        let target = state.end;
+        let epoch = state.failures.len();
+        while state.durable < target {
+            if state.failures.len() > epoch {
+                // A flush failed meanwhile and rewound the log: `target`
+                // no longer names anything. The unforced frames are back
+                // in the batch; the caller may simply flush again.
+                let e = state.last_failure.clone().unwrap_or_default();
+                return Err(DbError::Io(format!("wal flush failed: {e}")));
+            }
+            self.follow_or_lead(&mut state)?;
+        }
+        Ok(())
+    }
+
+    /// One step towards durability: park until the flush in flight
+    /// finishes, or — with no leader — flush the pending batch ourselves.
+    fn follow_or_lead(&self, state: &mut parking_lot::MutexGuard<'_, WalState>) -> DbResult<()> {
+        if state.leader_active {
+            self.flushed.wait(state);
+            Ok(())
+        } else {
+            self.lead_flush(state)
+        }
+    }
+
+    /// Back-pressure: a full batch must flush before growing further. An
+    /// active leader will wake us; with none, the batch holds frames nobody
+    /// is waiting on (unforced ones), so this appender leads the flush
+    /// itself instead of parking on a condvar nobody may signal.
+    fn make_room(&self, state: &mut parking_lot::MutexGuard<'_, WalState>) -> DbResult<()> {
+        while state.batch_frames >= self.opts.max_batch.max(1) {
+            self.follow_or_lead(state)?;
+        }
+        Ok(())
+    }
+
+    /// Encodes one frame into the batch; returns the log tail after it.
+    fn enqueue(&self, state: &mut WalState, payload: &[u8]) -> Lsn {
+        encode_frame(&mut state.batch, payload);
+        state.batch_frames += 1;
+        state.end += (FRAME_HEADER + payload.len()) as u64;
+        self.telemetry.unflushed_bytes.set((state.end - state.durable) as i64);
+        state.end
+    }
+
     /// Group-commit path: enqueue the frame, then either follow (park on
     /// the condvar until a leader makes it durable) or lead (flush the
     /// whole batch with one write + one sync).
     fn append_grouped(&self, payload: &[u8]) -> DbResult<Lsn> {
         let mut state = self.state.lock();
-        // Back-pressure: a full batch must flush before growing further.
-        while state.batch_frames >= self.opts.max_batch.max(1) {
-            self.flushed.wait(&mut state);
-        }
+        self.make_room(&mut state)?;
         // The failure epoch our frame enqueues under: a failed flush drops
-        // every non-durable frame and rewinds the log, so after a failure
-        // our LSN may be reassigned to a *different* frame. The failure
-        // log decides our fate exactly (see `WalState::failures`).
+        // every non-durable forced frame and rewinds the log, so after a
+        // failure our LSN may be reassigned to a *different* frame. The
+        // failure log decides our fate exactly (see `WalState::failures`).
         let epoch = state.failures.len();
-        encode_frame(&mut state.batch, payload);
-        state.batch_frames += 1;
-        state.end += (FRAME_HEADER + payload.len()) as u64;
-        let my_lsn = state.end;
+        let my_lsn = self.enqueue(&mut state, payload);
 
         loop {
             if let Some(&durable_at_failure) = state.failures.get(epoch) {
-                // A flush failed after we enqueued. It dropped every frame
-                // not yet durable, so ours survived iff it was durable
+                // A flush failed after we enqueued. It dropped every forced
+                // frame not yet durable, so ours survived iff it was durable
                 // before that first post-enqueue failure. (`state.durable`
                 // alone cannot tell: our log address space may since have
                 // been reassigned to a later frame and flushed.)
@@ -650,13 +755,9 @@ impl Wal {
             if state.durable >= my_lsn {
                 return Ok(my_lsn);
             }
-            if state.leader_active {
-                // Follow: a leader is flushing; it (or a successor) will
-                // cover our frame and wake us.
-                self.flushed.wait(&mut state);
-            } else {
-                self.lead_flush(&mut state)?;
-            }
+            // Follow: a leader is flushing; it (or a successor) will cover
+            // our frame and wake us. Or lead.
+            self.follow_or_lead(&mut state)?;
         }
     }
 
@@ -676,6 +777,7 @@ impl Wal {
         }
         let next = std::mem::take(&mut state.spare);
         let buf = std::mem::replace(&mut state.batch, next);
+        let unforced = std::mem::take(&mut state.batch_unforced);
         let lsn_base = state.batch_base;
         let flush_to = state.end;
         let frames = state.batch_frames as u64;
@@ -696,6 +798,7 @@ impl Wal {
                 self.telemetry.fsync_ns.record_duration(flush_start.elapsed());
                 self.telemetry.batch_frames.record(frames);
                 state.durable = flush_to;
+                self.telemetry.unflushed_bytes.set((state.end - flush_to) as i64);
                 let mut buf = buf;
                 buf.clear();
                 state.spare = buf;
@@ -705,19 +808,32 @@ impl Wal {
                 Ok(())
             }
             Err(e) => {
-                // Transient failure: drop every non-durable frame — the
-                // failed batch *and* anything batched while it was in
-                // flight (later frames' device offsets assume the failed
-                // range was written) — and rewind to the durable
-                // watermark. Waiters read the failure log and report
-                // their commit as dropped; the log stays usable.
+                // Transient failure: rewind to the durable watermark. Every
+                // non-durable *forced* frame is dropped — the failed batch
+                // and anything batched while it was in flight (later
+                // frames' device offsets assume the failed range was
+                // written); their waiters read the failure log and report
+                // the commit as dropped. *Unforced* frames have no waiter
+                // and describe state that is already live in memory, so
+                // they are carried over, in log order, to the head of the
+                // next batch. The log stays usable.
                 let durable = state.durable;
                 state.failures.push(durable);
                 state.last_failure = Some(e.to_string());
-                state.end = state.durable;
-                state.batch_base = state.durable;
-                state.batch.clear();
-                state.batch_frames = 0;
+                let late = std::mem::take(&mut state.batch);
+                let late_unforced = std::mem::take(&mut state.batch_unforced);
+                for (frames, ranges) in [(&buf, &unforced), (&late, &late_unforced)] {
+                    for range in ranges {
+                        let at = state.batch.len();
+                        state.batch.extend_from_slice(&frames[range.clone()]);
+                        let kept = at..state.batch.len();
+                        state.batch_unforced.push(kept);
+                    }
+                }
+                state.batch_frames = state.batch_unforced.len();
+                state.batch_base = durable;
+                state.end = durable + state.batch.len() as u64;
+                self.telemetry.unflushed_bytes.set(state.batch.len() as i64);
                 let mut buf = buf;
                 buf.clear();
                 state.spare = buf;
@@ -729,9 +845,10 @@ impl Wal {
     }
 
     /// The log tail: one past the last accepted record. Records at or above
-    /// [`Wal::durable_lsn`] may still be in flight, but every `append`
-    /// returns only after its own frame is durable, so an LSN handed to a
-    /// caller always refers to synced bytes.
+    /// [`Wal::durable_lsn`] are in flight or — appended unforced — waiting
+    /// for the next flush. An LSN returned by [`Wal::append`] refers to
+    /// synced bytes; one returned by [`Wal::append_unforced`], like the
+    /// tail itself, only names a log position.
     pub fn tail_lsn(&self) -> Lsn {
         self.state.lock().end
     }
@@ -767,9 +884,10 @@ impl Wal {
         let mut state = self.state.lock();
         // Quiesce: no leader mid-flush, no batched frames waiting. Waiting
         // on the flush condvar releases the state lock, so in-flight
-        // leaders finish and wake us.
+        // leaders finish and wake us; batched frames with no leader are
+        // unforced ones nobody else will flush.
         while state.leader_active || state.batch_frames > 0 {
-            self.flushed.wait(&mut state);
+            self.follow_or_lead(&mut state)?;
         }
         let mut view = self.view.write();
         let new_base = new_base.min(state.durable);
@@ -1284,6 +1402,264 @@ mod tests {
             let bytes = rec.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
         }
+    }
+
+    // --- unforced appends -------------------------------------------------------
+
+    fn decide(txid: u64) -> WalRecord {
+        WalRecord::Decide { txid, commit: true }
+    }
+
+    fn decided_txids(recs: &[(Lsn, WalRecord)]) -> Vec<u64> {
+        recs.iter()
+            .map(|(_, r)| match r {
+                WalRecord::Decide { txid, .. } => *txid,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unforced_append_returns_at_once_and_flush_makes_it_durable() {
+        let d = Arc::new(MemDevice::new());
+        let (wal, _) = Wal::open(Arc::clone(&d) as Arc<dyn Device>).unwrap();
+        let reader = wal.reader();
+        let a = wal.append(&decide(1)).unwrap();
+
+        let b = wal.append_unforced(&decide(2)).unwrap();
+        assert!(b > a);
+        assert_eq!(wal.tail_lsn(), b, "the tail covers the unforced record");
+        assert_eq!(wal.durable_lsn(), a, "nothing was synced for it");
+        assert_eq!(d.sync_count(), 1);
+        assert_eq!(d.snapshot().len() as u64, a, "nor written");
+        assert_eq!(reader.read_from(0).unwrap().records.len(), 1, "readers see durable frames");
+        assert_eq!(wal.telemetry().unforced_appends.get(), 1);
+        assert_eq!(wal.telemetry().unflushed_bytes.get() as u64, b - a);
+
+        wal.flush().unwrap();
+        assert_eq!(wal.durable_lsn(), b);
+        assert_eq!(reader.durable_lsn(), b, "the flush publishes to shippers");
+        assert_eq!(decided_txids(&reader.read_from(0).unwrap().records), vec![1, 2]);
+        assert_eq!(wal.telemetry().unflushed_bytes.get(), 0);
+        // Nothing pending: a flush is free.
+        let syncs = d.sync_count();
+        wal.flush().unwrap();
+        assert_eq!(d.sync_count(), syncs);
+
+        drop(wal);
+        let (_, recs) = Wal::open(d as Arc<dyn Device>).unwrap();
+        assert_eq!(decided_txids(&recs), vec![1, 2]);
+    }
+
+    #[test]
+    fn interleaved_forced_and_unforced_frames_cut_anywhere_replay_a_log_order_prefix() {
+        // u = unforced, F = forced:  u1 F2 u3 u4 F5 u6. Each forced append
+        // flushes the unforced frames batched before it, in order; u6 is
+        // still in memory at the "crash". Whatever byte the device is cut
+        // at, replay is a whole-frame prefix *in append order* — so a lost
+        // record takes everything after it along — and with the full device
+        // every forced append that returned Ok is there.
+        let d = Arc::new(MemDevice::new());
+        let mut ends: Vec<(u64, Lsn)> = Vec::new();
+        {
+            let (wal, _) = Wal::open(Arc::clone(&d) as Arc<dyn Device>).unwrap();
+            for (txid, forced) in [(1, false), (2, true), (3, false), (4, false), (5, true)] {
+                let lsn = if forced {
+                    let lsn = wal.append(&decide(txid)).unwrap();
+                    assert_eq!(wal.durable_lsn(), lsn, "forced append {txid} acked before sync");
+                    lsn
+                } else {
+                    wal.append_unforced(&decide(txid)).unwrap()
+                };
+                ends.push((txid, lsn));
+            }
+            wal.append_unforced(&decide(6)).unwrap();
+        }
+        let bytes = d.snapshot();
+        assert_eq!(bytes.len() as u64, ends.last().unwrap().1, "u6 never reached the device");
+        for cut in 0..=bytes.len() {
+            let torn = Arc::new(MemDevice::from_bytes(bytes[..cut].to_vec())) as Arc<dyn Device>;
+            let (_, recs) = Wal::open(torn).unwrap();
+            let expect: Vec<u64> =
+                ends.iter().filter(|(_, end)| *end <= cut as u64).map(|(t, _)| *t).collect();
+            assert_eq!(decided_txids(&recs), expect, "cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn full_batch_of_unforced_frames_makes_progress_without_a_forced_appender() {
+        // max_batch 2 and nobody ever forces: the appender that finds the
+        // batch full must lead the flush itself — there is no leader to
+        // wake it, and parking would hang this test.
+        let d = dev();
+        let wal = Arc::new(
+            Wal::open_with(Arc::clone(&d), WalOptions { max_batch: 2, ..Default::default() })
+                .unwrap()
+                .0,
+        );
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let wal = Arc::clone(&wal);
+                scope.spawn(move || {
+                    for k in 0..5 {
+                        wal.append_unforced(&decide(t * 10 + k)).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(wal.durable_lsn() > 0, "full batches flushed along the way");
+        wal.flush().unwrap();
+        assert_eq!(wal.durable_lsn(), wal.tail_lsn());
+        drop(wal);
+        let (_, recs) = Wal::open(d).unwrap();
+        assert_eq!(recs.len(), 20);
+    }
+
+    #[test]
+    fn forced_appender_behind_a_full_unforced_batch_is_not_stranded() {
+        let d = dev();
+        let (wal, _) =
+            Wal::open_with(Arc::clone(&d), WalOptions { max_batch: 1, ..Default::default() })
+                .unwrap();
+        wal.append_unforced(&decide(1)).unwrap();
+        let lsn = wal.append(&decide(2)).unwrap();
+        assert_eq!(wal.durable_lsn(), lsn);
+        drop(wal);
+        assert_eq!(decided_txids(&Wal::open(d).unwrap().1), vec![1, 2]);
+    }
+
+    #[test]
+    fn failed_flush_drops_forced_frames_and_carries_unforced_ones_over() {
+        let faults = crate::device::DiskFaults::new();
+        let env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
+        let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        let durable = wal.append(&decide(1)).unwrap();
+        wal.append_unforced(&decide(2)).unwrap();
+        wal.append_unforced(&decide(3)).unwrap();
+
+        faults.inject_enospc(1);
+        assert!(wal.append(&decide(4)).is_err(), "the forced appender learns of the failure");
+        // The log rewound to the durable watermark, minus nothing unforced:
+        // the two frames are batched again, re-addressed from there.
+        assert_eq!(wal.durable_lsn(), durable);
+        let frame = durable; // every Decide frame has the first one's length
+        assert_eq!(wal.tail_lsn(), durable + 2 * frame);
+        assert_eq!(wal.telemetry().unflushed_bytes.get() as u64, 2 * frame);
+
+        // An explicit flush caught in a failure reports it and loses nothing.
+        faults.inject_enospc(1);
+        assert!(wal.flush().is_err());
+        assert_eq!(wal.tail_lsn(), durable + 2 * frame);
+
+        let end = wal.append(&decide(5)).unwrap();
+        assert_eq!((wal.durable_lsn(), wal.tail_lsn()), (end, end));
+        drop(wal);
+        let (_, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        assert_eq!(decided_txids(&recs), vec![1, 2, 3, 5], "only the failed forced frame is gone");
+    }
+
+    /// A device whose next armed `write_at` parks until released and then
+    /// fails: holds a leader mid-flush so a test can batch behind it.
+    struct StallThenFail {
+        inner: MemDevice,
+        armed: std::sync::atomic::AtomicBool,
+        entered: std::sync::mpsc::SyncSender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Device for StallThenFail {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> DbResult<usize> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> DbResult<()> {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                self.entered.send(()).unwrap();
+                self.release.lock().recv().unwrap();
+                return Err(DbError::Io("injected write failure".into()));
+            }
+            self.inner.write_at(offset, data)
+        }
+        fn len(&self) -> DbResult<u64> {
+            self.inner.len()
+        }
+        fn sync(&self) -> DbResult<()> {
+            self.inner.sync()
+        }
+        fn set_len(&self, len: u64) -> DbResult<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    #[test]
+    fn unforced_frames_batched_during_a_failing_flush_are_carried_over_too() {
+        // The leader's write is in flight when an unforced frame joins the
+        // *next* batch; the write then fails. Both batches' unforced
+        // frames must survive, in append order; the forced frame must not.
+        let (entered_tx, entered) = std::sync::mpsc::sync_channel(1);
+        let (release, release_rx) = std::sync::mpsc::sync_channel(1);
+        let dev = Arc::new(StallThenFail {
+            inner: MemDevice::new(),
+            armed: std::sync::atomic::AtomicBool::new(false),
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        });
+        let wal = Arc::new(Wal::open(Arc::clone(&dev) as Arc<dyn Device>).unwrap().0);
+        wal.append(&decide(1)).unwrap();
+        wal.append_unforced(&decide(2)).unwrap();
+        dev.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let leader = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append(&decide(3)))
+        };
+        entered.recv().unwrap(); // the leader holds [u2, F3] at the device
+        wal.append_unforced(&decide(4)).unwrap();
+        release.send(()).unwrap();
+        assert!(leader.join().unwrap().is_err());
+        wal.flush().unwrap();
+        assert_eq!(wal.durable_lsn(), wal.tail_lsn());
+        drop(wal);
+        let (_, recs) = Wal::open(dev as Arc<dyn Device>).unwrap();
+        assert_eq!(decided_txids(&recs), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn per_commit_sync_forces_unforced_appends_and_writes_the_same_bytes() {
+        // The baseline arm stays honest: per-commit-sync mode has no lazy
+        // path, so a log written through append_unforced is byte- and
+        // sync-identical to one written through append.
+        let run = |unforced: bool| {
+            let d = Arc::new(MemDevice::new());
+            let (wal, _) =
+                Wal::open_with(Arc::clone(&d) as Arc<dyn Device>, WalOptions::per_commit_sync())
+                    .unwrap();
+            for i in 0..10u64 {
+                let rec = decide(i);
+                let lsn = if unforced && i % 2 == 1 {
+                    wal.append_unforced(&rec)
+                } else {
+                    wal.append(&rec)
+                }
+                .unwrap();
+                assert_eq!(wal.durable_lsn(), lsn);
+            }
+            assert_eq!(wal.telemetry().unforced_appends.get(), 0);
+            (d.snapshot(), d.sync_count())
+        };
+        assert_eq!(run(false), run(true));
+        assert_eq!(run(true).1, 10);
+    }
+
+    #[test]
+    fn truncation_flushes_an_unforced_tail_instead_of_waiting_on_it() {
+        let env = StorageEnv::mem();
+        let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        let cut = wal.append(&decide(1)).unwrap();
+        let tail = wal.append_unforced(&decide(2)).unwrap();
+        assert_eq!(wal.truncate_below(cut).unwrap(), cut);
+        assert_eq!(wal.durable_lsn(), tail);
+        drop(wal);
+        let (wal, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        assert_eq!((wal.base_lsn(), decided_txids(&recs)), (cut, vec![2]));
     }
 
     // --- truncation -----------------------------------------------------------

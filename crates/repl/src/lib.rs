@@ -579,9 +579,14 @@ impl ShipCore {
     }
 }
 
+/// How long the shipper waits for the durable watermark to grow before it
+/// flushes the primary's unforced log tail itself.
+const SHIP_POLL: Duration = Duration::from_millis(20);
+
 /// The shipping daemon: wakes on the primary's durable watermark (fed by
 /// the group-commit leader after each batch sync) and continuously applies
-/// to the standbys.
+/// to the standbys. When the watermark sits still for one poll (20 ms) it
+/// flushes the primary's log, so records appended unforced ship too.
 pub struct Replicator {
     core: Arc<ShipCore>,
     stop: Arc<AtomicBool>,
@@ -617,9 +622,17 @@ impl Replicator {
                     continue;
                 }
                 let seen = worker_core.cursor();
-                worker_core.feed.reader().wait_past(seen, Duration::from_millis(20));
+                let durable = worker_core.feed.reader().wait_past(seen, SHIP_POLL);
                 if worker_paused.load(Ordering::SeqCst) {
                     continue;
+                }
+                if durable <= seen {
+                    // Nothing forced came by for a whole poll: whatever the
+                    // primary appended unforced since (a `Decide`, a flag
+                    // clear) is waiting for a flush nobody else will lead.
+                    // This bounds a standby's staleness at one poll of
+                    // primary idleness without a timer thread of its own.
+                    let _ = worker_core.feed.flush();
                 }
                 match worker_core.ship_once() {
                     Ok(_) => {}
@@ -655,15 +668,21 @@ impl Replicator {
         durable.saturating_sub(applied)
     }
 
-    /// Drives shipping until the lag drains to zero or `timeout` elapses.
+    /// Drives shipping until the standbys hold the primary's *whole* log
+    /// tail — unforced records included, which are flushed first — or
+    /// `timeout` elapses.
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.lag() == 0 {
+            // "Caught up" compares against the durable watermark, so put
+            // the unforced tail under it first (a failed flush retries on
+            // the next round, like a failed ship).
+            let flushed = self.core.feed.flush().is_ok();
+            if flushed && self.lag() == 0 {
                 break;
             }
             if self.ship_once().is_err() || Instant::now() >= deadline {
-                if self.lag() != 0 {
+                if !flushed || self.lag() != 0 {
                     return false;
                 }
                 break;

@@ -144,6 +144,7 @@ proptest! {
 /// after it, mid-truncation with a torn control record, or with a torn
 /// snapshot slot — recovery must produce the same committed state.
 mod checkpoint_truncation_crashes {
+    use datalinks::minidb::snapshot::latest_valid_snapshot;
     use datalinks::minidb::{
         Column, ColumnType, Database, DbError, DbOptions, Schema, StorageEnv, Value,
     };
@@ -264,6 +265,36 @@ mod checkpoint_truncation_crashes {
             let db = open(&env);
             assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
             assert!(db.in_doubt_txns().is_empty());
+        }
+
+        // The other side of the window: the decision is *logged* — as an
+        // unforced append still sitting in the group-commit batch — when the
+        // checkpoint runs. The image must show the transaction decided or
+        // prepared, never both (a re-resolution would double-apply), and
+        // the log below the image's base must hold the Decide, so a crash
+        // right after the truncation recovers the decided state as is.
+        for commit in [true, false] {
+            let (env, db) = seeded(1);
+            let mut tx = db.begin();
+            let txid = tx.id();
+            tx.insert("t", vec![Value::Int(50), Value::Text("decided".into())]).unwrap();
+            tx.prepare(Some(9)).unwrap();
+            if commit {
+                tx.commit_prepared().unwrap();
+            } else {
+                tx.abort_prepared().unwrap();
+            }
+            assert!(db.durable_lsn() < db.state_id(), "the Decide is batched, not synced");
+            let (_, base) = db.checkpoint_and_truncate().unwrap();
+            assert!(db.durable_lsn() >= base, "the checkpoint flushed it below its base");
+            let image = latest_valid_snapshot(&env, |_| true).unwrap().expect("snapshot");
+            assert!(!image.prepared.contains_key(&txid), "decided in the tables, not prepared");
+            assert_eq!(image.tables["t"].len(), if commit { 2 } else { 1 });
+            drop(db);
+
+            let db = open(&env);
+            assert!(db.in_doubt_txns().is_empty());
+            assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
         }
     }
 
@@ -740,7 +771,7 @@ mod in_doubt_branch_follows_the_host_outcome {
     use datalinks::dlfm::{ControlMode, TokenKind};
     use datalinks::fskit::{Cred, OpenOptions, SimClock};
     use datalinks::minidb::wal::{read_until, WalRecord};
-    use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv, Value};
+    use datalinks::minidb::{Column, ColumnType, Lsn, Schema, StorageEnv, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
     const SRV: &str = "srv";
@@ -806,33 +837,41 @@ mod in_doubt_branch_follows_the_host_outcome {
         sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f.bin");
     }
 
-    /// Shears `env`'s log just below its last record matching `which`: that
-    /// record and everything after it never reached the disk.
-    fn shear_from_last(env: &StorageEnv, which: impl Fn(&WalRecord) -> bool) {
+    /// Shears `env`'s log just below the last record at or above `from`
+    /// that matches `which`: that record and everything after it never
+    /// reached the disk. Returns whether there was such a record.
+    fn shear_from_last(env: &StorageEnv, from: Lsn, which: impl Fn(&WalRecord) -> bool) -> bool {
         let dev = env.device("wal").unwrap();
         let records = read_until(&dev, 0, None).unwrap();
-        let (lsn, _) =
-            records.iter().rev().find(|(_, rec)| which(rec)).expect("record to shear at");
-        dev.set_len(*lsn).unwrap();
+        let at = records.iter().rev().find(|(lsn, rec)| *lsn >= from && which(rec));
+        if let Some((lsn, _)) = at {
+            dev.set_len(*lsn).unwrap();
+        }
+        at.is_some()
     }
 
     /// Runs `op`, crashes, shears the repository log below the op's
     /// `Decide` — and, for a crash *before* the host's decision, the host
-    /// log below the op's `Commit` — then recovers.
+    /// log below the op's `Commit` — then recovers. (The `Decide` is an
+    /// unforced append: when nothing flushed it before the crash it is
+    /// already gone, which is the same disk.)
     fn crash_in_the_window(
         rig: Rig,
         host_committed: bool,
         op: impl FnOnce(&DataLinksSystem),
     ) -> DataLinksSystem {
         let Rig { sys, host_env, repo_env } = rig;
+        let host_mark = sys.state_id();
+        let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
         op(&sys);
         let image = sys.crash();
-        shear_from_last(&repo_env, |rec| matches!(rec, WalRecord::Decide { .. }));
+        shear_from_last(&repo_env, repo_mark, |rec| matches!(rec, WalRecord::Decide { .. }));
         if !host_committed {
-            shear_from_last(
+            assert!(shear_from_last(
                 &host_env,
+                host_mark,
                 |rec| matches!(rec, WalRecord::Commit { participants, .. } if !participants.is_empty()),
-            );
+            ));
         }
         let (sys, reports) = DataLinksSystem::recover(image).unwrap();
         let resolved: Vec<bool> =
@@ -873,6 +912,30 @@ mod in_doubt_branch_follows_the_host_outcome {
         // And the next update builds on version 2.
         update(&sys, b"version-3");
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(3));
+    }
+
+    #[test]
+    fn acknowledged_update_survives_a_crash_that_takes_its_unforced_decide() {
+        // No shear: the close returned, the archive copy landed, and the
+        // repository's `Decide` (and the archiver's flag clear) are still
+        // in the group-commit batch — unforced appends nothing has flushed.
+        // The crash loses them; the forced host `Commit` settles the branch.
+        let Rig { sys, .. } = rig();
+        update(&sys, b"version-2");
+        let repo = sys.node(SRV).unwrap().server.repository().db().clone();
+        assert!(repo.durable_lsn() < repo.state_id(), "the Decide was never synced");
+        drop(repo);
+
+        let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+        let resolved: Vec<bool> =
+            reports[SRV].in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
+        assert_eq!(resolved, [true], "in doubt after the crash, committed by the host outcome");
+        assert_eq!(content(&sys, "/d/f.bin"), b"version-2");
+        assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
+        let server = &sys.node(SRV).unwrap().server;
+        let entry = server.repository().get_file("/d/f.bin").unwrap();
+        assert_eq!((entry.cur_version, entry.needs_archive), (2, false));
+        assert_eq!(server.archive_store().get("/d/f.bin", 2).unwrap().data, b"version-2");
     }
 
     #[test]

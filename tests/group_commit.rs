@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbOptions, Row, Schema, StorageEnv, Value, WalOptions,
+    Column, ColumnType, Database, DbOptions, DiskFaults, Row, Schema, StorageEnv, Value, WalOptions,
 };
 
 fn schema() -> Schema {
@@ -194,6 +194,94 @@ fn concurrent_group_commit_recovers_every_acknowledged_txn() {
         for k in 0..10i64 {
             assert!(db.get_committed("t", &Value::Int(t * 100 + k)).unwrap().is_some());
         }
+    }
+}
+
+/// Unforced records (a prepared branch's `Decide`, `commit_unforced`) caught
+/// in a failed flush are carried over, not dropped: their effects are live in
+/// memory and nobody is waiting to be told. The forced commit caught with
+/// them fails and is *not* applied. Once a flush succeeds, the reopened log
+/// equals the in-memory tables.
+#[test]
+fn failed_flush_keeps_unforced_records_and_the_log_catches_up_with_memory() {
+    let faults = DiskFaults::new();
+    let env = StorageEnv::mem_with_faults(std::sync::Arc::clone(&faults), 0);
+    let db = Database::open_with(env.clone(), group_opts(0)).unwrap();
+    db.create_table(schema()).unwrap();
+
+    let mut tx = db.begin();
+    tx.insert("t", row(1, "2pc")).unwrap();
+    tx.prepare(Some(7)).unwrap();
+    tx.commit_prepared().unwrap(); // Decide: batched
+    let mut tx = db.begin();
+    tx.insert("t", row(2, "lazy")).unwrap();
+    tx.commit_unforced().unwrap(); // Commit: batched behind it
+
+    faults.inject_enospc(1);
+    let mut tx = db.begin();
+    tx.insert("t", row(3, "caught")).unwrap();
+    assert!(tx.commit().is_err(), "the forced commit reports the failed flush");
+    assert_eq!(faults.enospc_hits(), 1);
+    assert_eq!(db.count("t").unwrap(), 2, "and is not applied");
+
+    let mut tx = db.begin();
+    tx.insert("t", row(4, "after")).unwrap();
+    let lsn = tx.commit().unwrap();
+    assert_eq!(db.durable_lsn(), lsn, "the retry flushed the carried-over frames too");
+
+    let live = {
+        let mut rows = db.scan_committed("t").unwrap();
+        rows.sort_by_key(|r| r[0].as_int().unwrap());
+        rows
+    };
+    drop(db);
+    let db = Database::open(env).unwrap();
+    assert!(db.in_doubt_txns().is_empty(), "the Decide made it");
+    let mut replayed = db.scan_committed("t").unwrap();
+    replayed.sort_by_key(|r| r[0].as_int().unwrap());
+    assert_eq!(replayed, live);
+    assert_eq!(replayed.len(), 3);
+}
+
+/// Committers racing unforced and forced commits into the same batches: each
+/// thread alternates the two on its own keys and ends on a forced one, so
+/// after a crash every thread must have *all* its keys — a forced commit
+/// carries every record logged before it, its own thread's unforced ones
+/// included — and in any case never a key without its predecessors.
+#[test]
+fn concurrent_unforced_and_forced_commits_survive_as_per_thread_prefixes() {
+    let env = StorageEnv::mem_with_sync_latency(20_000);
+    const PER_THREAD: i64 = 20;
+    {
+        let db = Database::open_with(env.clone(), group_opts(0)).unwrap();
+        db.create_table(schema()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4i64 {
+                let db = db.clone();
+                scope.spawn(move || {
+                    for k in 0..PER_THREAD {
+                        let mut tx = db.begin();
+                        tx.insert("t", row(t * 100 + k, "w")).unwrap();
+                        if k % 2 == 0 {
+                            tx.commit_unforced().unwrap();
+                        } else {
+                            tx.commit().unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        // Crash: whatever unforced tail is still batched is lost.
+    }
+    let db = Database::open(env).unwrap();
+    for t in 0..4i64 {
+        let present: Vec<bool> = (0..PER_THREAD)
+            .map(|k| db.get_committed("t", &Value::Int(t * 100 + k)).unwrap().is_some())
+            .collect();
+        let kept = present.iter().take_while(|p| **p).count();
+        assert!(present[kept..].iter().all(|p| !p), "thread {t} survived with a hole: {present:?}");
+        // The last commit of every thread (k = 19) is forced.
+        assert_eq!(kept as i64, PER_THREAD, "thread {t} lost an acknowledged forced commit");
     }
 }
 

@@ -113,6 +113,11 @@ fn replicas_serve_reads_without_the_primary_and_lag_drains() {
     write_once(&sys, 0, b"version two bytes");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     assert_eq!(sys.replication_lag(SRV).unwrap(), 0);
+    // "Caught up" is the whole tail: the update's unforced records (the
+    // participant `Decide`, the archiver's flag clear) were flushed and
+    // shipped too, not left in the primary's batch.
+    let repo = sys.node(SRV).unwrap().server.repository().db();
+    assert_eq!(repo.state_id(), repo.durable_lsn());
 
     // Routed reads validate at a replica and serve its mirrored archive.
     let primary_validations_before = sys.node(SRV).unwrap().server.stats.token_validations.get();
@@ -414,6 +419,108 @@ fn freshness_reads_under_live_shipping_always_see_the_write() {
             content.as_bytes(),
             "freshness-token read observed pre-write state in round {round}"
         );
+    }
+}
+
+/// Runs one update of file `id` up to the acknowledged close — no wait for
+/// the archive copy, no flush, nothing forced after it.
+fn close_an_update(sys: &DataLinksSystem, id: i64, content: &[u8]) {
+    let (_, path) = sys.select_datalink("t", &Value::Int(id), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, content).unwrap();
+    fs.close(fd).unwrap();
+}
+
+/// Stages the window an unforced `Decide` opens: the shipper is paused (so
+/// its idle poll cannot flush the primary), an update commits, and one
+/// synchronous ship round hands the standby everything *durable* — the
+/// claim and the `Prepare`, not the `Decide`.
+fn standby_holding_prepare_but_not_decide(sys: &DataLinksSystem, set: &ReplicaSet, content: &[u8]) {
+    set.set_paused(true);
+    close_an_update(sys, 0, content);
+    let repo = sys.node(SRV).unwrap().server.repository().db();
+    assert!(repo.durable_lsn() < repo.state_id(), "the Decide is batched, not synced");
+    while set.lag() > 0 {
+        set.ship_once().unwrap();
+    }
+    assert_eq!(set.standbys()[0].applied_lsn(), repo.durable_lsn());
+}
+
+#[test]
+fn standby_behind_an_unforced_decide_serves_the_old_version_then_converges_by_itself() {
+    let sys = build(1, 1);
+    write_once(&sys, 0, b"version two");
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    let set = sys.node(SRV).unwrap().replication.clone().unwrap();
+    standby_holding_prepare_but_not_decide(&sys, &set, b"version three");
+
+    // Prepared is not committed: the replica keeps answering with the
+    // last version it saw decided (plain reads are not read-your-writes).
+    let standby = &set.standbys()[0];
+    assert_eq!(standby.file_entry("/d/f0.bin").unwrap().cur_version, 2);
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version two");
+
+    // The primary goes idle: no forced append will ever carry the Decide
+    // out. The resumed shipper's poll (20 ms) times out, flushes the
+    // primary's tail itself and ships it — nobody else helps.
+    set.set_paused(false);
+    let waited = std::time::Instant::now();
+    while standby.file_entry("/d/f0.bin").unwrap().cur_version != 3 {
+        assert!(waited.elapsed() < CATCH_UP, "an idle primary's unforced tail never shipped");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f0.bin");
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version three");
+}
+
+#[test]
+fn promotion_behind_an_unforced_decide_commits_the_update_from_the_host_outcome() {
+    let mut sys = build(1, 1);
+    write_once(&sys, 0, b"version two");
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    let set = sys.node(SRV).unwrap().replication.clone().unwrap();
+    standby_holding_prepare_but_not_decide(&sys, &set, b"version three");
+    sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f0.bin");
+    drop(set);
+
+    // The primary dies with the Decide in its memory only. The promoted
+    // standby finds the close sub-transaction in doubt, reads the host txid
+    // out of its Prepare record and asks the host — which committed.
+    let report = sys.fail_over(SRV).unwrap();
+    let resolved: Vec<bool> = report.in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
+    assert_eq!(resolved, [true], "resolved by the host outcome, not presumed aborted");
+    assert_eq!(report.updates_rolled_back, 0, "the acknowledged update is not rolled back");
+
+    assert_eq!(link_state(&sys), vec![("/d/f0.bin".to_string(), 3)]);
+    let url = datalinks::core::DatalinkUrl::parse(&format!("dlfs://{SRV}/d/f0.bin")).unwrap();
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 3, "host metadata agrees");
+    let disk = sys.raw_fs(SRV).unwrap().read_file(&Cred::root(), "/d/f0.bin").unwrap();
+    assert_eq!(disk, b"version three");
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version three");
+    write_once(&sys, 0, b"version four");
+    assert_eq!(link_state(&sys), vec![("/d/f0.bin".to_string(), 4)]);
+}
+
+#[test]
+fn freshness_token_taken_right_after_close_covers_the_unforced_decide() {
+    let sys = build(2, 1);
+    for round in 0..8 {
+        let content = format!("round {round}");
+        close_an_update(&sys, 0, content.as_bytes());
+        // The token is the log tail, so it is past the Decide even though
+        // the durable watermark is not; the fresh read flushes what it
+        // needs and may not answer with the version before.
+        let token = sys.freshness_token(SRV).unwrap();
+        let repo = sys.node(SRV).unwrap().server.repository().db();
+        assert!(token >= repo.durable_lsn());
+        let tp = read_token_path(&sys, 0);
+        assert_eq!(
+            sys.serve_read_fresh(SRV, &tp, APP.uid, token).unwrap(),
+            content.as_bytes(),
+            "freshness-token read observed pre-write state in round {round}"
+        );
+        sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f0.bin");
     }
 }
 

@@ -39,6 +39,20 @@ fn metrics_snapshot_spans_every_layer() {
         assert!(snap.counters.contains_key(name), "missing counter {name}: {snap:?}");
     }
     assert!(snap.counters["dlfm.srv1.links"] >= 2, "both fixture files were linked");
+    // The WAL's unforced-append instruments, adopted per database like
+    // fsync_ns: the update's participant `Decide` and the archiver's flag
+    // clear skipped their log waits on the repository; the host, a pure
+    // coordinator, forces everything.
+    assert!(snap.counters["minidb.srv1.unforced_appends"] >= 2, "{snap:?}");
+    assert_eq!(snap.counters["minidb.host.unforced_appends"], 0);
+    for name in ["minidb.srv1.unflushed_bytes", "minidb.host.unflushed_bytes"] {
+        assert!(snap.gauges.contains_key(name), "missing gauge {name}");
+    }
+    assert_eq!(snap.gauges["minidb.host.unflushed_bytes"], 0.0);
+    // And the flight recorder says so on the decide span of a prepared
+    // branch (the fixture's links): nobody waited on a log sync for it.
+    let ring = f.sys.node(SRV).unwrap().server.flight_recorder().render("dlfm.srv1", "test");
+    assert!(ring.contains("outcome=commit") && ring.contains("forced=false"), "{ring}");
     assert!(snap.counters["dlfs.srv1.managed_opens"] >= 1, "the managed read went through dlfs");
     // Histograms from the host database (2PC fsync path), the DLFM upcall
     // round trip and the engine's freshness machinery.
