@@ -14,6 +14,17 @@ cargo fmt --check
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# One protocol, one dispatcher (DESIGN.md "Protocol and dispatch"):
+# `dl_net::Message` is the only agent/upcall message set and
+# `DlfmServer::handle` the only dispatch. A second request/reply enum, or
+# one of the knobs deleted with the duplicate paths, must not come back.
+step "guard: no second protocol definition, no deleted front-end knobs"
+if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
+    crates/ src/ tests/ scenarios/; then
+  echo "guard: a duplicate protocol definition or a deleted knob reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use dl_core::{
     ControlMode, DataLinksSystem, DlColumnOptions, FileServerSpec, ShardRouter, TokenKind,
 };
-use dl_dlfm::{FaultInjector, Transport, UpcallRequest, WireAgent};
+use dl_dlfm::{AgentConnection, DlfmClient, FaultInjector, Message, Transport};
 use dl_fskit::{Cred, OpenOptions};
 use dl_lab::{expand, InjectAction, Kind, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec};
 use dl_minidb::{Column, ColumnType, Database, DbOptions, Schema, StorageEnv, Value, WalOptions};
@@ -689,18 +689,30 @@ fn settled_workers(f: &Fixture) -> usize {
     }
 }
 
+/// One link → 2PC → unlink → 2PC round on `path` through `agent`, under
+/// host transactions `link_tx` and `link_tx + 1`.
+fn churn_cycle(agent: &DlfmClient, link_tx: u64, path: &str) -> Result<(), String> {
+    agent.link(link_tx, path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
+    agent.prepare(link_tx)?;
+    agent.commit(link_tx);
+    let unlink_tx = link_tx + 1;
+    agent.unlink(unlink_tx, path)?;
+    agent.prepare(unlink_tx)?;
+    agent.commit(unlink_tx);
+    Ok(())
+}
+
+/// Peak OS threads the node's agent executor ever ran.
+fn executor_peak_threads(node: &dl_core::FileServerNode) -> usize {
+    node.main_daemon().executor_stats().map_or(0, |stats| stats.peak_workers())
+}
+
 fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
     let mut rows = Vec::new();
     let mut metrics = BTreeMap::new();
     // Which burst variant carries the "high concurrency" claims: the one
     // with the most clients.
-    let high_clients = plan
-        .trials
-        .iter()
-        .filter(|t| t.params.thread_per_agent.is_none())
-        .filter_map(|t| t.params.clients)
-        .max()
-        .unwrap_or(0);
+    let high_clients = plan.trials.iter().filter_map(|t| t.params.clients).max().unwrap_or(0);
     let mut low_clients = u64::MAX;
     let mut fixed_rate: BTreeMap<u64, f64> = BTreeMap::new();
     let burst_lat = Histogram::new();
@@ -711,7 +723,7 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         let t0 = &trials[0];
         let p = &t0.params;
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        match p.thread_per_agent {
+        match p.agents {
             // --- bursty upcall load: fixed vs adaptive ----------------------
             None => {
                 let clients = need(sc, t0, "clients", p.clients)?;
@@ -784,16 +796,15 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     vs_fixed,
                 ]);
             }
-            // --- agent churn: thread-per-agent vs shared executor -----------
-            Some(thread_per_agent) => {
-                let agents = need(sc, t0, "agents", p.agents)? as usize;
+            // --- agent churn over the shared executor -----------------------
+            Some(agents) => {
+                let agents = agents as usize;
                 title_agents = title_agents.max(agents as u64);
                 let (mut rate_sum, mut threads, mut connections) = (0.0f64, 0usize, 0usize);
                 for _ in &trials {
                     let f = fixture(FixtureOptions {
                         n_files: 1,
                         db_sync_latency_ns: sync_ns,
-                        thread_per_agent,
                         ..Default::default()
                     });
                     let raw = f.sys.raw_fs(SRV).expect("raw");
@@ -805,56 +816,34 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     let handles: Vec<_> = (0..agents).map(|_| node.connect_agent()).collect();
                     let drivers = 16.min(agents.max(1));
                     let elapsed = run_threads(drivers, |t| {
-                        use dl_minidb::Participant;
                         for (i, agent) in handles.iter().enumerate() {
                             if i % drivers != t {
                                 continue;
                             }
-                            let path = format!("/data/churn{i:04}.bin");
                             // Synthetic host txids well clear of the
                             // fixture's.
-                            let link_tx = 1_000_000 + 2 * i as u64;
-                            agent
-                                .link(
-                                    link_tx,
-                                    &path,
-                                    ControlMode::Rff,
-                                    true,
-                                    dl_dlfm::OnUnlink::Restore,
-                                )
-                                .expect("link");
-                            agent.prepare(link_tx).expect("prepare");
-                            agent.commit(link_tx);
-                            let unlink_tx = link_tx + 1;
-                            agent.unlink(unlink_tx, &path).expect("unlink");
-                            agent.prepare(unlink_tx).expect("prepare");
-                            agent.commit(unlink_tx);
+                            churn_cycle(
+                                agent,
+                                1_000_000 + 2 * i as u64,
+                                &format!("/data/churn{i:04}.bin"),
+                            )
+                            .expect("churn cycle");
                         }
                     });
                     rate_sum += (agents * 2) as f64 / elapsed.as_secs_f64();
-                    threads = match node.main_daemon().executor_stats() {
-                        Some(stats) => stats.peak_workers(),
-                        None => node.main_daemon().executor_threads(),
-                    };
+                    threads = executor_peak_threads(node);
                     connections = node.main_daemon().child_count();
                 }
                 let rate = rate_sum / trials.len() as f64;
-                if !thread_per_agent {
-                    // The multiplexing claims ride on the shared arm.
-                    metrics.insert("max_os_threads".into(), threads as f64);
-                    metrics.insert("churn_connections".into(), connections as f64);
-                }
+                metrics.insert("max_os_threads".into(), threads as f64);
+                metrics.insert("churn_connections".into(), connections as f64);
                 rows.push(vec![
                     t0.variant.clone(),
                     s(connections),
                     s(format!("{rate:.0}")),
                     s(threads),
                     s("--"),
-                    s(if thread_per_agent {
-                        "one OS thread per connection"
-                    } else {
-                        "connections multiplexed over the shared executor"
-                    }),
+                    s("connections multiplexed over the shared executor"),
                 ]);
             }
         }
@@ -1016,22 +1005,20 @@ fn mixed_trial(
     // panic inside their pool worker (containment turns that into a
     // `Rejected` reply; the op fails, the daemon lives).
     let armed = Arc::new(AtomicI64::new(0));
-    let fault: Option<FaultInjector> = if injections
-        .iter()
-        .any(|i| matches!(i.action, InjectAction::KillUpcallWorkers { .. }))
-    {
-        let armed = Arc::clone(&armed);
-        Some(Arc::new(move |req: &UpcallRequest| {
-            if matches!(req, UpcallRequest::ValidateToken { .. } | UpcallRequest::OpenCheck { .. })
-                && armed.load(Ordering::Relaxed) > 0
-                && armed.fetch_sub(1, Ordering::Relaxed) > 0
-            {
-                panic!("lab: injected upcall worker kill");
-            }
-        }))
-    } else {
-        None
-    };
+    let fault: Option<FaultInjector> =
+        if injections.iter().any(|i| matches!(i.action, InjectAction::KillUpcallWorkers { .. })) {
+            let armed = Arc::clone(&armed);
+            Some(Arc::new(move |req: &Message| {
+                if matches!(req, Message::ValidateToken { .. } | Message::OpenCheck { .. })
+                    && armed.load(Ordering::Relaxed) > 0
+                    && armed.fetch_sub(1, Ordering::Relaxed) > 0
+                {
+                    panic!("lab: injected upcall worker kill");
+                }
+            }))
+        } else {
+            None
+        };
 
     // The disk_enospc injection point: a fault layer under the DLFM
     // repository's storage environment, armed at injection boundaries.
@@ -1123,16 +1110,7 @@ fn mixed_trial(
                 let path = format!("/data/churn_c{client:03}_{g:08}.bin");
                 f.sys.raw_fs(SRV)?.write_file(&APP, &path, b"churn").map_err(|e| e.to_string())?;
                 let agent = f.sys.node(&owner(&path))?.connect_agent();
-                use dl_minidb::Participant;
-                let link_tx = 2_000_000 + 2 * g;
-                agent.link(link_tx, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-                agent.prepare(link_tx).map_err(|e| e.to_string())?;
-                agent.commit(link_tx);
-                let unlink_tx = link_tx + 1;
-                agent.unlink(unlink_tx, &path)?;
-                agent.prepare(unlink_tx).map_err(|e| e.to_string())?;
-                agent.commit(unlink_tx);
-                Ok(())
+                churn_cycle(&agent, 2_000_000 + 2 * g, &path)
             }
             Op::Read { file } => {
                 let acked_version = acked[file].load(Ordering::Relaxed);
@@ -1740,29 +1718,27 @@ fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
     }
     let node = f.sys.node(SRV).expect("node");
     let handles: Vec<_> = (0..workers).map(|_| node.connect_agent()).collect();
-    let drivers = 16.min(workers.max(1));
+    churn_rate(&handles, cycles)
+}
+
+/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
+/// `/data/wchurn<i>.bin`), multiplexed over 16 driver threads; link and
+/// unlink operations per second.
+fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
+    let drivers = 16.min(agents.len().max(1));
     let elapsed = run_threads(drivers, |d| {
-        use dl_minidb::Participant;
-        for (i, agent) in handles.iter().enumerate() {
+        for (i, agent) in agents.iter().enumerate() {
             if i % drivers != d {
                 continue;
             }
             let path = format!("/data/wchurn{i:04}.bin");
             for r in 0..cycles {
-                let link_tx = 1_000_000 + 2 * (i * cycles + r) as u64;
-                agent
-                    .link(link_tx, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)
-                    .expect("link");
-                agent.prepare(link_tx).expect("prepare");
-                agent.commit(link_tx);
-                let unlink_tx = link_tx + 1;
-                agent.unlink(unlink_tx, &path).expect("unlink");
-                agent.prepare(unlink_tx).expect("prepare");
-                agent.commit(unlink_tx);
+                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
+                    .expect("churn cycle");
             }
         }
     });
-    (workers * cycles * 2) as f64 / elapsed.as_secs_f64()
+    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
 }
 
 /// One a14 trial: `agents` real socket connections held open together
@@ -1775,7 +1751,6 @@ fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
 /// hold exactly the fixture's own links and no claim may still be
 /// pending — anything else counts as an atomicity violation.
 fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
-    use dl_dlfm::AgentConnection;
     let p = &t.params;
     let agents = need(sc, t, "agents", p.agents)? as usize;
     let cycles = p.cycles.unwrap_or(1) as usize;
@@ -1817,46 +1792,29 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     // Every connection is a real socket, and they are all open at once:
     // the concurrency the scenario claims is whatever peak the net gauge
     // records, not an extrapolation.
-    let conns: Vec<_> =
-        (0..agents).map(|i| wire.connect(&format!("a14-{i}"))).collect::<Result<_, _>>()?;
+    let churners: Vec<DlfmClient> =
+        (0..workers).map(|i| wire.connect_client(&format!("a14-{i}"))).collect::<Result<_, _>>()?;
+    let doomed = (0..sever)
+        .map(|j| {
+            let conn = wire.connect(&format!("a14-doomed-{j}"))?;
+            Ok((Arc::clone(&conn), DlfmClient::connect(conn, "a14-doomed")?))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
 
     // Mid-2PC severing: the doomed connections link and prepare, then die
     // holding the in-doubt claim.
     let aborts_before = wire.daemon.presumed_aborts().get();
-    for (j, conn) in conns[workers..].iter().enumerate() {
-        let agent = WireAgent(Arc::clone(conn));
+    for (j, (conn, agent)) in doomed.iter().enumerate() {
         let txid = 3_000_000 + 2 * j as u64;
         let path = format!("/data/doomed{j:04}.bin");
         agent.link(txid, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-        agent.prepare(txid).map_err(|e| e.to_string())?;
+        agent.prepare(txid)?;
         conn.sever();
     }
 
     // Churn: the surviving connections drive full link/2PC/unlink rounds
     // over the wire while the severed claims resolve underneath.
-    let drivers = 16.min(workers.max(1));
-    let elapsed = run_threads(drivers, |d| {
-        for (i, conn) in conns[..workers].iter().enumerate() {
-            if i % drivers != d {
-                continue;
-            }
-            let agent = WireAgent(Arc::clone(conn));
-            let path = format!("/data/wchurn{i:04}.bin");
-            for r in 0..cycles {
-                let link_tx = 1_000_000 + 2 * (i * cycles + r) as u64;
-                agent
-                    .link(link_tx, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)
-                    .expect("link");
-                agent.prepare(link_tx).expect("prepare");
-                agent.commit(link_tx);
-                let unlink_tx = link_tx + 1;
-                agent.unlink(unlink_tx, &path).expect("unlink");
-                agent.prepare(unlink_tx).expect("prepare");
-                agent.commit(unlink_tx);
-            }
-        }
-    });
-    let rate = (workers * cycles * 2) as f64 / elapsed.as_secs_f64();
+    let rate = churn_rate(&churners, cycles);
 
     // The severed claims must drain: presumed abort resolves each one and
     // the pending table empties.
@@ -1883,19 +1841,15 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     let unresolved = node.server.pending_host_txns().len() as u64;
     let atomicity_violations = leftovers + unresolved;
 
-    let executor_peak_threads = (node
-        .main_daemon()
-        .executor_stats()
-        .map(|s| s.peak_workers())
-        .unwrap_or_else(|| node.main_daemon().executor_threads())
-        + wire.daemon.settle_stats().peak_workers()) as u64;
+    let executor_peak_threads =
+        (executor_peak_threads(node) + wire.daemon.settle_stats().peak_workers()) as u64;
 
     // Snapshot while the surviving connections are still open, so the
     // live `net.*.connections` gauge backs the concurrency claim too.
     let snapshot = f.sys.metrics();
     let peak_connections =
         snapshot.gauges.get(&format!("net.{SRV}.peak_connections")).copied().unwrap_or(0.0);
-    drop(conns);
+    drop(churners);
     Ok(WireOutcome {
         rate,
         severed: sever as u64,

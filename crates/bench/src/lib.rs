@@ -64,9 +64,6 @@ pub struct FixtureOptions {
     /// Bounds of the elastic upcall pool; `None` keeps the `DlfmConfig`
     /// defaults, `Some((n, n))` pins the PR 2 fixed shape (a12 arms).
     pub upcall_pool: Option<(usize, usize)>,
-    /// Run one OS thread per agent connection (the paper's child-agent
-    /// model) instead of the shared executor (a12 contrast arm).
-    pub thread_per_agent: bool,
     /// DLFM namespace shards behind the node (a13 scale-out arms).
     pub shards: usize,
     /// How the engine and DLFS reach the node: in-process queues or the
@@ -91,7 +88,6 @@ impl Default for FixtureOptions {
             replicas: 0,
             host_replicas: 0,
             upcall_pool: None,
-            thread_per_agent: false,
             shards: 1,
             transport: Transport::Local,
         }
@@ -133,7 +129,6 @@ pub fn fixture_with_faults(
     dlfm.track_read_sync = opts.track_read_sync;
     dlfm.strict_link = opts.strict;
     dlfm.db = opts.db;
-    dlfm.thread_per_agent = opts.thread_per_agent;
     dlfm.transport = opts.transport;
     if let Some((min, max)) = opts.upcall_pool {
         dlfm = dlfm.upcall_workers(min, max);

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dl_dlfm::{
-    AccessToken, AgentConnection, AgentParticipant, ControlMode, DlfmServer, HostHook, OnUnlink,
+    AccessToken, AgentConnection, ControlMode, DlfmClient, DlfmServer, HostHook, OnUnlink,
     TokenKind,
 };
 use dl_fskit::Clock;
@@ -112,10 +112,9 @@ pub struct EngineStats {
 /// A file server known to the engine.
 pub struct ServerRegistration {
     pub name: String,
-    /// Agent connection carrying link/unlink requests (and 2PC) — the
-    /// in-process [`dl_dlfm::AgentHandle`] or a wire connection; the
-    /// engine speaks the trait and cannot tell which.
-    pub agent: Arc<dyn AgentConnection>,
+    /// Agent connection carrying link/unlink requests (and 2PC), over
+    /// whichever carrier the node runs; the engine cannot tell which.
+    pub agent: Arc<DlfmClient>,
     /// Shared token secret (matches the server's `DlfmConfig`).
     pub token_key: Vec<u8>,
     /// Direct handle for metadata stats (in-process shortcut for what the
@@ -123,15 +122,6 @@ pub struct ServerRegistration {
     pub server: Arc<DlfmServer>,
     /// Hot standbys serving the routed read path, when provisioned.
     pub replication: Option<Arc<ReplicaSet>>,
-    /// Width of the node's routed-read validation lane — the same
-    /// capacity model as the node's front-end pools
-    /// (`DlfmConfig::read_lane_width`). 1 reproduces the paper's
-    /// one-validation-daemon prototype shape.
-    pub read_lane_width: usize,
-    /// Live width source overriding `read_lane_width`: sampled on every
-    /// lane admission, so a lane driven by the node's pool-worker gauge
-    /// widens as the elastic pools grow (`DlfmConfig::read_lane_auto`).
-    pub read_lane_width_fn: Option<Arc<dyn Fn() -> usize + Send + Sync>>,
 }
 
 /// Per-registration read lane: the primary arm of the routed read path
@@ -139,8 +129,8 @@ pub struct ServerRegistration {
 /// daemon capacity. At width 1 (the default) this is the paper's
 /// prototype shape, serialized exactly like a replica's validation
 /// daemon, so a10's replica-count sweep compares equal per-node capacity;
-/// a wider front end (elastic upcall pool, shared agent executor) raises
-/// the width through `DlfmConfig::read_lane_width`.
+/// a node provisioned with `FileServerSpec::front_end` gets a live width
+/// instead ([`DataLinksEngine::set_read_lane_source`]).
 ///
 /// This is a deliberate *model*, not an accident: in-process, every
 /// "node" shares one machine, so without a per-node capacity bound the
@@ -149,37 +139,24 @@ pub struct ServerRegistration {
 /// win. The lane applies only to the routed read path — the DLFS upcall
 /// path (the elastic pool) is untouched.
 struct ReadLane {
-    width: LaneWidth,
+    /// Live width source, sampled on every admission (the system's
+    /// pool-worker gauge, so the lane tracks elastic pool growth —
+    /// `DlfmConfig::read_lane_auto`). `None`: the lane is 1 wide.
+    width: Option<LaneWidthFn>,
     busy: Mutex<usize>,
     freed: parking_lot::Condvar,
 }
 
-/// Where a lane's width comes from: a fixed knob, or a live source
-/// sampled on every admission (the node's pool-worker gauge, so the lane
-/// tracks elastic pool growth — `DlfmConfig::read_lane_auto`).
-enum LaneWidth {
-    Fixed(usize),
-    Live(Arc<dyn Fn() -> usize + Send + Sync>),
-}
-
-impl LaneWidth {
-    fn current(&self) -> usize {
-        match self {
-            LaneWidth::Fixed(w) => *w,
-            LaneWidth::Live(f) => f(),
-        }
-        .max(1)
-    }
-}
+type LaneWidthFn = Arc<dyn Fn() -> usize + Send + Sync>;
 
 impl ReadLane {
-    fn new(width: LaneWidth) -> ReadLane {
+    fn new(width: Option<LaneWidthFn>) -> ReadLane {
         ReadLane { width, busy: Mutex::new(0), freed: parking_lot::Condvar::new() }
     }
 
     fn acquire(self: &Arc<Self>) -> LaneGuard {
         let mut busy = self.busy.lock();
-        while *busy >= self.width.current() {
+        while *busy >= self.width.as_ref().map_or(1, |f| f().max(1)) {
             // Bounded wait, not a pure park: a live width can *grow*
             // without any permit being released, and nobody signals the
             // condvar when a pool spawns a worker — re-sample on a short
@@ -318,24 +295,18 @@ impl DataLinksEngine {
     /// Re-registering a name replaces the previous registration — failover
     /// swaps the promoted server in this way.
     pub fn register_server(&self, reg: ServerRegistration) {
-        let width = match &reg.read_lane_width_fn {
-            Some(f) => LaneWidth::Live(Arc::clone(f)),
-            None => LaneWidth::Fixed(reg.read_lane_width),
-        };
-        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(width)));
+        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(None)));
         self.lag_ewmas.write().entry(reg.name.clone()).or_default();
         self.servers.write().insert(reg.name.clone(), reg);
     }
 
     /// Points `server`'s read lane at a live width source (sampled per
     /// admission) — the width follows the node's real pool capacity
-    /// instead of a static knob. Waiting readers observe growth within a
+    /// instead of staying at 1. Waiting readers observe growth within a
     /// few milliseconds (the lane re-samples its width source on every
     /// acquire and on a short poll while parked).
     pub fn set_read_lane_source(&self, server: &str, f: Arc<dyn Fn() -> usize + Send + Sync>) {
-        self.read_lanes
-            .write()
-            .insert(server.to_string(), Arc::new(ReadLane::new(LaneWidth::Live(f))));
+        self.read_lanes.write().insert(server.to_string(), Arc::new(ReadLane::new(Some(f))));
     }
 
     /// Registers the shard router of a partitioned logical server.
@@ -654,7 +625,7 @@ impl DmlObserver for DataLinksEngine {
                 db.enlist_participant(
                     event.txid,
                     &format!("dlfm@{}", reg.name),
-                    Arc::new(AgentParticipant(Arc::clone(&reg.agent))),
+                    Arc::clone(&reg.agent) as Arc<dyn dl_minidb::Participant>,
                 );
                 db.inject_dml(
                     event.txid,
@@ -678,7 +649,7 @@ impl DmlObserver for DataLinksEngine {
                 db.enlist_participant(
                     event.txid,
                     &format!("dlfm@{}", reg.name),
-                    Arc::new(AgentParticipant(Arc::clone(&reg.agent))),
+                    Arc::clone(&reg.agent) as Arc<dyn dl_minidb::Participant>,
                 );
                 let (size, mtime) = reg.server.stat_file(&url.path).unwrap_or((0, 0));
                 db.inject_dml(

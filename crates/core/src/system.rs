@@ -26,16 +26,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dl_dlfm::{
-    AgentConnection, AgentHandle, ArchiveStore, ContentSource, DlfmConfig, DlfmServer,
-    FaultInjector, MainDaemon, PoolProbe, RecoveryReport, TokenKind, Transport, UpcallDaemon,
-    WireAgent, WireConn, WireConnector, WireDaemon, WireUpcall,
+    ArchiveStore, ContentSource, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, MainDaemon,
+    PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
 use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, WallClock};
 use dl_minidb::{Database, DbOptions, Lsn, Schema, StorageEnv, Txn, Value};
 use dl_obs::{NetStats, Registry};
-use dl_repl::{HostReplicaSet, HostReplicaSetOptions, ReplicaSet, ReplicaSetOptions};
+use dl_repl::{HostReplicaSetOptions, HostStandby, ReplicaSet, ReplicaSetOptions, Standby};
 use parking_lot::Mutex;
 
 use crate::datalink::{DatalinkUrl, DlColumnOptions};
@@ -44,9 +43,9 @@ use crate::shard::{ShardRouter, ShardedFs};
 
 /// The wire front of a `Transport::Socket` node: the server-side
 /// [`WireDaemon`] listening on its Unix socket, plus the node-local
-/// [`WireConnector`] the engine and DLFS connections were minted from
-/// (extra client connections — scenario drivers, tests — ride the same
-/// connector).
+/// [`WireConnector`] the engine's and DLFS's connections were opened
+/// through (extra client connections — scenario drivers, tests — ride the
+/// same connector).
 pub struct WireLink {
     pub daemon: WireDaemon,
     pub connector: Arc<WireConnector>,
@@ -56,6 +55,12 @@ impl WireLink {
     /// Opens a fresh framed connection to this node's wire daemon.
     pub fn connect(&self, client: &str) -> Result<Arc<WireConn>, String> {
         self.connector.connect(self.daemon.socket_path(), client)
+    }
+
+    /// A fresh connection with the `Hello` handshake done: the typed
+    /// client the engine and DLFS use.
+    pub fn connect_client(&self, client: &str) -> Result<DlfmClient, String> {
+        DlfmClient::connect(self.connect(client)?, client)
     }
 }
 
@@ -86,12 +91,12 @@ pub struct FileServerNode {
     /// partitioned logical server; `None` for a plain node.
     shard: Option<(String, usize, usize)>,
     main: MainDaemon,
-    upcall: UpcallDaemon,
 }
 
 impl FileServerNode {
-    /// A fresh agent connection (per-database-connection in the paper).
-    pub fn connect_agent(&self) -> AgentHandle {
+    /// A fresh in-process connection (per-database-connection in the
+    /// paper).
+    pub fn connect_agent(&self) -> DlfmClient {
         self.main.connect()
     }
 
@@ -103,11 +108,11 @@ impl FileServerNode {
     /// Live gauges of the node's elastic upcall pool (workers, queue
     /// depth, growth/shrink/panic counters).
     pub fn upcall_pool_stats(&self) -> &dl_dlfm::PoolStats {
-        self.upcall.pool_stats()
+        self.main.upcall_pool_stats()
     }
 
-    /// The main daemon fronting agent connections (connection counts,
-    /// executor thread gauges).
+    /// The main daemon: the node's lanes (connection counts, pool
+    /// gauges).
     pub fn main_daemon(&self) -> &MainDaemon {
         &self.main
     }
@@ -119,7 +124,7 @@ impl FileServerNode {
     /// snapshot taken the moment the client returns can read the pool's
     /// panic counter one short.
     pub fn quiesce_upcalls(&self, timeout: Duration) -> bool {
-        self.upcall.wait_idle(timeout)
+        self.main.wait_upcalls_idle(timeout)
     }
 }
 
@@ -141,12 +146,12 @@ pub struct FileServerSpec {
     /// node's repository. Zero (the default) runs the node unreplicated —
     /// the paper's single-point-of-failure shape.
     pub replicas: usize,
-    /// Fault-injection hook for the upcall daemon: called with every
-    /// request before it is dispatched, on the pool worker's thread. A
-    /// panic inside the hook exercises the pool's containment path (the
-    /// caller sees a rejection, not a wedged daemon). `None` (the
-    /// default) runs the daemon unhooked; the scenario lab arms this for
-    /// kill-an-upcall-worker injections.
+    /// Fault-injection hook for the node's lanes: called with every
+    /// request a pool worker serves, before it is dispatched, on the
+    /// worker's thread. A panic inside the hook exercises the pool's
+    /// containment path (the caller sees a rejection, not a wedged
+    /// daemon). `None` (the default) runs the daemons unhooked; the
+    /// scenario lab arms this for kill-an-upcall-worker injections.
     pub upcall_fault: Option<FaultInjector>,
     /// Number of shard nodes this *logical* server's namespace is
     /// partitioned across. 1 (the default) builds the classic single
@@ -187,7 +192,7 @@ impl FileServerSpec {
         self
     }
 
-    /// Installs a fault-injection hook on the node's upcall daemon (see
+    /// Installs a fault-injection hook on the node's lanes (see
     /// [`FileServerSpec::upcall_fault`]). The hook survives crash
     /// recovery and failover — the rebuilt node keeps the same injector.
     pub fn upcall_fault_injector(mut self, fault: FaultInjector) -> FileServerSpec {
@@ -200,18 +205,17 @@ impl FileServerSpec {
     /// validation lane *follows the live pool size* — its width is the
     /// system's `pool.total_workers` gauge sampled on every admission
     /// (floor `min`), so a pool that grew under load widens the lane with
-    /// it instead of pinning it to a static knob.
+    /// it instead of leaving it 1 wide.
     pub fn front_end(mut self, min: usize, max: usize) -> FileServerSpec {
         self.dlfm.upcall_workers_min = min.max(1);
         self.dlfm.upcall_workers_max = max.max(min).max(1);
-        self.dlfm.read_lane_width = min.max(1);
         self.dlfm.read_lane_auto = true;
         self
     }
 
-    /// Selects the node's agent/upcall transport: in-process handles (the
-    /// default) or real framed Unix-domain sockets served by a
-    /// [`WireDaemon`].
+    /// Selects the carrier under the node's agent/upcall clients:
+    /// in-process (the default) or real framed Unix-domain sockets served
+    /// by a [`WireDaemon`].
     pub fn transport(mut self, transport: Transport) -> FileServerSpec {
         self.dlfm.transport = transport;
         self
@@ -430,7 +434,7 @@ fn split_embedded_token(token_path: &str) -> Result<(&str, &str), String> {
 /// the frozen replica set holding the promotion target and the coordinator
 /// generation the fence moved to.
 struct HostOutage {
-    replication: Arc<HostReplicaSet>,
+    replication: Arc<ReplicaSet<HostStandby>>,
     epoch: u64,
 }
 
@@ -483,7 +487,7 @@ pub struct DataLinksSystem {
     /// Hot standbys of the host database, when provisioned and the host is
     /// up. `None` while the host is down (see `host_outage`) or when the
     /// system runs the paper's unreplicated single-coordinator shape.
-    host_replication: Option<Arc<HostReplicaSet>>,
+    host_replication: Option<Arc<ReplicaSet<HostStandby>>>,
     /// Present exactly while the host is crashed but not yet promoted.
     host_outage: Option<HostOutage>,
     /// Current coordinator generation (the host fence epoch).
@@ -535,7 +539,7 @@ impl DataLinksSystem {
                 db.checkpoint_and_truncate()
                     .map_err(|e| format!("post-recovery host checkpoint: {e}"))?;
             }
-            let set = HostReplicaSet::build(
+            let set = ReplicaSet::<HostStandby>::build(
                 db.replication_feed(),
                 HostReplicaSetOptions {
                     replicas: host_replicas,
@@ -667,42 +671,26 @@ impl DataLinksSystem {
         // connection minted under an older one stays refused.
         server.fence_coordinator(coord_epoch);
         let report = if run_recovery { Some(server.recover()?) } else { None };
-        let (upcall, client) =
-            UpcallDaemon::spawn_with_fault_injector(Arc::clone(&server), part.upcall_fault.clone());
-        let main = MainDaemon::new(Arc::clone(&server));
+        let main = MainDaemon::with_fault_injector(Arc::clone(&server), part.upcall_fault.clone());
 
-        // Transport selection. Local hands the engine and DLFS in-process
-        // handles — the fast path. Socket stands up the node's wire daemon
-        // and mints real framed connections for both; from here down the
-        // node is identical either way, because everything speaks the
-        // `AgentConnection`/`UpcallTransport` traits.
-        let (wire, agent, upcall_transport): (
-            Option<WireLink>,
-            Arc<dyn AgentConnection>,
-            Arc<dyn dl_dlfm::UpcallTransport>,
-        ) = match part.dlfm_cfg.transport {
-            Transport::Local => (None, Arc::new(main.connect()), Arc::new(client)),
-            Transport::Socket => {
-                let daemon = WireDaemon::spawn(
-                    Arc::clone(&server),
-                    &main,
-                    client,
-                    Arc::new(NetStats::new()),
-                )?;
-                let connector = Arc::new(WireConnector::new(
+        // Carrier selection — the one place the transport matters. Socket
+        // stands up the node's wire daemon; the engine's and DLFS's
+        // connections then ride whichever carrier the node has. From here
+        // down the node is identical either way: both are `DlfmClient`s.
+        let wire = match part.dlfm_cfg.transport {
+            Transport::Local => None,
+            Transport::Socket => Some(WireLink {
+                daemon: WireDaemon::spawn(&main, Arc::new(NetStats::new()))?,
+                connector: Arc::new(WireConnector::new(
                     Arc::new(NetStats::new()),
                     Duration::from_millis(part.dlfm_cfg.wire_call_timeout_ms),
-                ));
-                let agent = Arc::new(WireAgent(connector.connect(daemon.socket_path(), "engine")?));
-                let upc = Arc::new(WireUpcall(connector.connect(daemon.socket_path(), "dlfs")?));
-                (Some(WireLink { daemon, connector }), agent, upc)
-            }
+                )),
+            }),
         };
-        let dlfs = Arc::new(Dlfs::with_transport(
-            part.fs.clone() as Arc<dyn FileSystem>,
-            upcall_transport,
-            part.dlfs_cfg,
-        ));
+        let agent = Self::mint_client(&main, wire.as_ref(), "engine")?;
+        let upcalls = Self::mint_client(&main, wire.as_ref(), "dlfs")?;
+        let dlfs =
+            Arc::new(Dlfs::new(part.fs.clone() as Arc<dyn FileSystem>, upcalls, part.dlfs_cfg));
         let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
         let raw = Arc::new(Lfs::new(part.fs.clone() as Arc<dyn FileSystem>));
 
@@ -725,7 +713,7 @@ impl DataLinksSystem {
             let fallback_fs = Lfs::new(part.fs.clone() as Arc<dyn FileSystem>);
             let fallback: ContentSource =
                 Arc::new(move |path: &str| fallback_fs.read_file(&Cred::root(), path).ok());
-            let set = ReplicaSet::build(
+            let set = ReplicaSet::<Standby>::build(
                 server.repository().db().replication_feed(),
                 ReplicaSetOptions {
                     replicas: part.replicas,
@@ -749,12 +737,10 @@ impl DataLinksSystem {
 
         engine.register_server(ServerRegistration {
             name: part.name.clone(),
-            agent,
+            agent: Arc::new(agent),
             token_key: part.dlfm_cfg.token_key.clone(),
             server: Arc::clone(&server),
             replication: replication.clone(),
-            read_lane_width: part.dlfm_cfg.read_lane_width,
-            read_lane_width_fn: None,
         });
         Ok((
             FileServerNode {
@@ -773,10 +759,21 @@ impl DataLinksSystem {
                 upcall_fault: part.upcall_fault,
                 shard: part.shard,
                 main,
-                upcall,
             },
             report,
         ))
+    }
+
+    /// A fresh connection to a node over the carrier it runs.
+    fn mint_client(
+        main: &MainDaemon,
+        wire: Option<&WireLink>,
+        label: &str,
+    ) -> Result<DlfmClient, String> {
+        match wire {
+            Some(wire) => wire.connect_client(label),
+            None => Ok(main.connect()),
+        }
     }
 
     pub fn builder() -> SystemBuilder {
@@ -1017,7 +1014,7 @@ impl DataLinksSystem {
         dlfm_counter!(stale_coord_rejections);
         registry.register_histogram(
             &format!("dlfm.{name}.upcall_round_trip_ns"),
-            Arc::clone(node.upcall.round_trip_histogram()),
+            Arc::clone(node.main.upcall_round_trip_histogram()),
         );
 
         let repo_db = node.server.repository().db();
@@ -1120,19 +1117,15 @@ impl DataLinksSystem {
     /// (Re-)registers `name`'s live pools with the roster and — when the
     /// node asked for it (`DlfmConfig::read_lane_auto`, set by
     /// [`FileServerSpec::front_end`]) — points the node's read lane at
-    /// the roster's live worker total, floored at the configured width.
+    /// the roster's live worker total, floored at the upcall pool's floor.
     /// Called at assembly and after every failover rebuild, so the lane
     /// keeps tracking the *current* incarnation's pools.
     fn adopt_node_pools(&self, name: &str) {
         let Some(node) = self.nodes.get(name) else { return };
-        let mut probes: Vec<Arc<dyn PoolProbe>> = vec![node.upcall.pool_probe()];
-        if let Some(exec) = node.main.executor_probe() {
-            probes.push(exec);
-        }
-        self.pool_roster.set(name, probes);
+        self.pool_roster.set(name, node.main.pool_probes());
         if node.dlfm_cfg.read_lane_auto {
             let roster = Arc::clone(&self.pool_roster);
-            let floor = node.dlfm_cfg.read_lane_width.max(1);
+            let floor = node.dlfm_cfg.upcall_workers_min.max(1);
             self.engine
                 .set_read_lane_source(name, Arc::new(move || roster.total_workers().max(floor)));
         }
@@ -1451,7 +1444,7 @@ impl DataLinksSystem {
 
     /// The host database's hot standbys, when provisioned and the host is
     /// up.
-    pub fn host_replication(&self) -> Option<&Arc<HostReplicaSet>> {
+    pub fn host_replication(&self) -> Option<&Arc<ReplicaSet<HostStandby>>> {
         self.host_replication.as_ref()
     }
 
@@ -1544,7 +1537,7 @@ impl DataLinksSystem {
         // failover still out-ranks this one.
         let host_replicas = self.host_replicas.saturating_sub(1);
         let host_replication = if host_replicas > 0 {
-            let set = HostReplicaSet::build(
+            let set = ReplicaSet::<HostStandby>::build(
                 db.replication_feed(),
                 HostReplicaSetOptions {
                     replicas: host_replicas,
@@ -1568,21 +1561,14 @@ impl DataLinksSystem {
         for (name, node) in &self.nodes {
             node.server.set_host_hook(engine.clone());
             // Mint the agent connection fresh under the promoted
-            // generation, over whichever transport the node runs — a wire
-            // node's new connection handshakes the promoted epoch exactly
-            // like a local handle is stamped with it.
-            let agent: Arc<dyn AgentConnection> = match &node.wire {
-                Some(wire) => Arc::new(WireAgent(wire.connect("engine")?)),
-                None => Arc::new(node.main.connect()),
-            };
+            // generation, over whichever carrier the node runs: its Hello
+            // is answered with the promoted epoch.
             engine.register_server(ServerRegistration {
                 name: name.clone(),
-                agent,
+                agent: Arc::new(Self::mint_client(&node.main, node.wire.as_ref(), "engine")?),
                 token_key: node.dlfm_cfg.token_key.clone(),
                 server: Arc::clone(&node.server),
                 replication: node.replication.clone(),
-                read_lane_width: node.dlfm_cfg.read_lane_width,
-                read_lane_width_fn: None,
             });
             let mut pending = node.server.pending_host_txns();
             pending.sort_unstable();

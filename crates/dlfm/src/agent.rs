@@ -1,474 +1,231 @@
-//! The main daemon and per-connection child agents (§2.2).
+//! The main daemon and the lanes behind it (§2.2).
 //!
 //! "When a connect request from a database agent is received, the main
 //! daemon spawns a child agent which then establishes a connection with the
 //! requesting database agent. All subsequent requests (link/unlink
-//! operations) from the same connection are served by this child agent."
+//! operations) from the same connection are served by this child agent";
+//! "the upcall daemon ... services requests from DLFS to check the control
+//! mode and verify access permissions of linked files."
 //!
-//! The paper's shape — one thread per connection — collapses under the
-//! "millions of users" north star: N database connections would pin N OS
-//! threads per file server, nearly all of them idle. Since PR 5 the main
-//! daemon instead multiplexes every connection over one **shared agent
-//! executor** (an [`ElasticPool`] bounded by
-//! `DlfmConfig::agent_executor_threads`): an [`AgentHandle`] is a queue
-//! endpoint, not a thread, so 256 connections ride on a handful of
-//! workers. The paper's model survives as the
-//! `DlfmConfig::thread_per_agent` compat knob.
+//! The paper's shape — one thread per connection, one upcall daemon —
+//! collapses under many connections and serializes every repository commit.
+//! Here the daemons are **lanes**: two [`ElasticPool`]s a request is queued
+//! on by [`crate::server::lane`] — the shared *agent executor* (link/unlink,
+//! bounded by `DlfmConfig::agent_executor_threads`) and the elastic *upcall
+//! pool* (`DlfmConfig::upcall_workers_{min,max}`). A connection is a
+//! [`DlfmClient`], not a thread: 256 of them ride on a handful of workers,
+//! and the round trip through the upcall pool's queue is the IPC cost the
+//! paper's design keeps off the read path (§3.2, §4.2; benches E2/E4/A2/A3).
 //!
-//! Each child agent serves link/unlink requests and participates in the
-//! host transaction's 2PC; the DataLinks engine holds an [`AgentHandle`]
-//! per (connection, file server).
+//! [`MainDaemon`] owns the lanes and mints in-process connections; the wire
+//! daemon (`crate::wire`) queues decoded frames on the *same* lanes, so
+//! there is one capacity model under both carriers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::bounded;
+use dl_net::Message;
+use dl_obs::Histogram;
 
-use crate::modes::{ControlMode, OnUnlink};
-use crate::pool::{ElasticPool, PoolOptions, PoolStats};
-use crate::server::DlfmServer;
+use crate::client::{Carrier, DlfmClient};
+use crate::pool::{ElasticPool, PoolOptions, PoolProbe, PoolStats};
+use crate::server::{lane, DlfmServer, Lane};
 
-/// One unit of work on the shared agent executor. Local handles submit
-/// protocol requests; the wire daemon submits closures (a decoded frame
-/// plus its reply path), so socket connections multiplex over the *same*
-/// bounded pool as in-process ones — one capacity model, two transports.
-pub(crate) enum AgentJob {
-    Request(AgentRequest),
-    Wire(Box<dyn FnOnce() + Send>),
+/// Test instrumentation: runs on the lane worker before every request it
+/// serves; a panicking hook simulates a worker dying mid-request (the
+/// panic-containment regression tests and the lab's kill-a-worker
+/// injection arm this).
+pub type FaultInjector = Arc<dyn Fn(&Message) + Send + Sync>;
+
+/// What a lane worker serves requests with.
+pub(crate) struct Service {
+    pub(crate) server: Arc<DlfmServer>,
+    fault: Option<FaultInjector>,
 }
 
-pub(crate) enum AgentRequest {
-    Link {
-        host_txid: u64,
-        coord_epoch: u64,
-        path: String,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-        reply: Sender<Result<(), String>>,
-    },
-    Unlink {
-        host_txid: u64,
-        coord_epoch: u64,
-        path: String,
-        reply: Sender<Result<(), String>>,
-    },
-    Prepare {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<Result<(), String>>,
-    },
-    Commit {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<()>,
-    },
-    Abort {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<()>,
-    },
+impl Service {
+    /// A lane worker's body: serves `msg` and hands the reply to
+    /// `deliver`. A panic in the fault hook or the server call is
+    /// contained: the caller gets it in-band, labelled, *before* it is
+    /// re-thrown for the pool to count — a poisoned request costs one
+    /// reply, never a worker, and a healthy pool is never reported down.
+    pub(crate) fn serve(&self, msg: Message, deliver: impl FnOnce(Message)) {
+        crate::pool::deliver_or_rethrow(
+            msg.name(),
+            || {
+                if let Some(fault) = &self.fault {
+                    fault(&msg);
+                }
+                self.server.handle(msg)
+            },
+            |outcome| {
+                deliver(
+                    outcome.unwrap_or_else(|panic| Message::Err(format!("DLFM worker {panic}"))),
+                )
+            },
+        );
+    }
 }
 
-/// Where a handle's requests go: a dedicated child-agent thread
-/// (`thread_per_agent`) or the shared executor pool.
-///
-/// The executor route carries the server handle too: 2PC settlement
-/// (prepare/commit/abort) runs *inline* on the coordinator's thread, never
-/// through the bounded pool. Queueing settlement would deadlock under
-/// contention — link/unlink handlers block on repository row locks until
-/// the lock-holding transaction settles, so a pool saturated with
-/// lock-waiting link requests would leave no worker for the one commit
-/// that releases them (the classic bounded-executor starvation cycle).
-/// Inline settlement matches the close path's `PreparedTxnParticipant`,
-/// which already prepares/commits on the host's committing thread.
-#[derive(Clone)]
-enum AgentRoute {
-    Thread(Sender<AgentRequest>),
-    Executor { pool: Arc<ElasticPool<AgentJob>>, server: Arc<DlfmServer> },
+/// What a lane queues: one request's whole service — serve it, send its
+/// reply — built by the carrier that accepted the request and run by a
+/// worker with the lane's [`Service`].
+pub(crate) type Job = Box<dyn FnOnce(&Service) + Send>;
+
+/// A lane: a pool whose workers run [`Job`]s against `service`.
+pub(crate) fn lane_pool(opts: PoolOptions, service: &Arc<Service>) -> Arc<ElasticPool<Job>> {
+    let service = Arc::clone(service);
+    Arc::new(ElasticPool::new(opts, Arc::new(move |job: Job| job(&service))))
 }
 
-impl AgentRoute {
-    fn send(&self, req: AgentRequest) -> Result<(), String> {
-        match self {
-            AgentRoute::Thread(tx) => tx.send(req).map_err(|_| "child agent is down".to_string()),
-            AgentRoute::Executor { pool, .. } => {
-                pool.submit(AgentJob::Request(req));
-                Ok(())
-            }
+/// The node's pooled lanes. Shared by the in-process carrier and the wire
+/// daemon.
+pub(crate) struct Lanes {
+    pub(crate) service: Arc<Service>,
+    pub(crate) agent: Arc<ElasticPool<Job>>,
+    pub(crate) upcall: Arc<ElasticPool<Job>>,
+    /// Queue wait + service + reply of every in-process upcall — the IPC
+    /// cost the paper's zero-upcall read path avoids.
+    upcall_round_trip_ns: Arc<Histogram>,
+}
+
+/// The in-process carrier: the same messages the wire carries, handed to
+/// the same lanes without encoding. A pooled request costs two thread
+/// hand-offs — caller → lane worker → the caller's one-shot reply.
+struct LocalCarrier(Arc<Lanes>);
+
+impl Carrier for LocalCarrier {
+    fn call(&self, msg: Message) -> Result<Message, String> {
+        let lanes = &self.0;
+        let (pool, upcall) = match lane(&msg) {
+            // Settlement runs here, on the coordinator's own thread (see
+            // `Lane::Settle`) — like the close path's sub-transaction,
+            // which already prepares and commits on the host's committing
+            // thread.
+            Lane::Inline | Lane::Settle => return Ok(lanes.service.server.handle(msg)),
+            Lane::Agent => (&lanes.agent, false),
+            Lane::Upcall => (&lanes.upcall, true),
+        };
+        let started = upcall.then(Instant::now);
+        let (reply_tx, reply_rx) = bounded(1);
+        pool.submit(Box::new(move |service| {
+            service.serve(msg, |reply| {
+                let _ = reply_tx.send(reply);
+            })
+        }));
+        // `serve` always replies, so the channel only closes unanswered
+        // when the whole pool shut down under the request.
+        let reply = reply_rx.recv().map_err(|_| "DLFM daemons are down".to_string());
+        if let Some(started) = started {
+            lanes.upcall_round_trip_ns.record_duration(started.elapsed());
         }
+        reply
+    }
+
+    fn wait_epoch_change(&self, seen: u64) {
+        self.0.service.server.wait_epoch_change(seen)
     }
 }
 
-/// Handle to a child agent. One per database connection per file server.
-/// The handle is stamped with the **coordinator epoch** current at connect
-/// time; every request carries it, so after a host failover raises the
-/// server's fence, traffic from handles minted under the deposed host is
-/// recognizably stale and refused (see `DlfmServer::fence_coordinator`).
-#[derive(Clone)]
-pub struct AgentHandle {
-    route: AgentRoute,
-    server_name: String,
-    coord_epoch: u64,
-}
-
-impl AgentHandle {
-    /// Links a file in the context of `host_txid`.
-    pub fn link(
-        &self,
-        host_txid: u64,
-        path: &str,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-    ) -> Result<(), String> {
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Link {
-            host_txid,
-            coord_epoch: self.coord_epoch,
-            path: path.to_string(),
-            mode,
-            recovery,
-            on_unlink,
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
-    }
-
-    /// Unlinks a file in the context of `host_txid`.
-    pub fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String> {
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Unlink {
-            host_txid,
-            coord_epoch: self.coord_epoch,
-            path: path.to_string(),
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
-    }
-
-    /// The file server this agent fronts.
-    pub fn server_name(&self) -> &str {
-        &self.server_name
-    }
-
-    /// The coordinator epoch this handle was minted under.
-    pub fn coord_epoch(&self) -> u64 {
-        self.coord_epoch
-    }
-}
-
-/// The agent participates in the host transaction's two-phase commit (the
-/// paper's "operations done in DLFM are treated as a sub-transaction of
-/// the host database transaction"). On the thread route the phases forward
-/// to the dedicated agent thread; on the executor route they run inline on
-/// the coordinator's thread — settlement must always make progress even
-/// when every pool worker is blocked on a row lock it is about to release
-/// (see the `AgentRoute` docs).
-impl dl_minidb::Participant for AgentHandle {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            server.guard_coordinator(self.coord_epoch)?;
-            return server.prepare_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Prepare {
-            host_txid: txid,
-            coord_epoch: self.coord_epoch,
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
-    }
-
-    fn commit(&self, txid: u64) {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            // A fenced coordinator's decision is dropped, not applied: the
-            // promoted host owns this transaction's outcome now.
-            if server.guard_coordinator(self.coord_epoch).is_err() {
-                return;
-            }
-            return server.commit_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        if self
-            .route
-            .send(AgentRequest::Commit { host_txid: txid, coord_epoch: self.coord_epoch, reply })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
-    }
-
-    fn abort(&self, txid: u64) {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            if server.guard_coordinator(self.coord_epoch).is_err() {
-                return;
-            }
-            return server.abort_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        if self
-            .route
-            .send(AgentRequest::Abort { host_txid: txid, coord_epoch: self.coord_epoch, reply })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
-    }
-}
-
-/// What the DataLinks engine needs from an agent connection, independent
-/// of how it reaches the file server: the in-process [`AgentHandle`]
-/// fast path ([`crate::server::Transport::Local`]) and the framed socket
-/// client (`crate::wire::WireAgent`, [`crate::server::Transport::Socket`])
-/// implement the same surface, so sharded routing, failover fencing and
-/// 2PC enlistment work identically over both.
-pub trait AgentConnection: Send + Sync {
-    /// Links a file in the context of `host_txid`.
-    fn link(
-        &self,
-        host_txid: u64,
-        path: &str,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-    ) -> Result<(), String>;
-    /// Unlinks a file in the context of `host_txid`.
-    fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String>;
-    /// 2PC phase one for this connection's sub-transaction of `host_txid`.
-    fn prepare(&self, host_txid: u64) -> Result<(), String>;
-    /// 2PC decision, commit path.
-    fn commit(&self, host_txid: u64);
-    /// 2PC decision, abort path.
-    fn abort(&self, host_txid: u64);
-    /// The file server this connection fronts.
-    fn server_name(&self) -> &str;
-    /// The coordinator epoch the connection was minted under.
-    fn coord_epoch(&self) -> u64;
-}
-
-impl AgentConnection for AgentHandle {
-    fn link(
-        &self,
-        host_txid: u64,
-        path: &str,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-    ) -> Result<(), String> {
-        AgentHandle::link(self, host_txid, path, mode, recovery, on_unlink)
-    }
-
-    fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String> {
-        AgentHandle::unlink(self, host_txid, path)
-    }
-
-    fn prepare(&self, host_txid: u64) -> Result<(), String> {
-        dl_minidb::Participant::prepare(self, host_txid)
-    }
-
-    fn commit(&self, host_txid: u64) {
-        dl_minidb::Participant::commit(self, host_txid)
-    }
-
-    fn abort(&self, host_txid: u64) {
-        dl_minidb::Participant::abort(self, host_txid)
-    }
-
-    fn server_name(&self) -> &str {
-        AgentHandle::server_name(self)
-    }
-
-    fn coord_epoch(&self) -> u64 {
-        AgentHandle::coord_epoch(self)
-    }
-}
-
-/// Adapter enlisting any [`AgentConnection`] as a minidb 2PC participant
-/// (the engine registers one per touched file server per transaction).
-pub struct AgentParticipant(pub Arc<dyn AgentConnection>);
-
-impl dl_minidb::Participant for AgentParticipant {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        self.0.prepare(txid)
-    }
-
-    fn commit(&self, txid: u64) {
-        self.0.commit(txid)
-    }
-
-    fn abort(&self, txid: u64) {
-        self.0.abort(txid)
-    }
-}
-
-/// The main daemon: accepts connections. With the shared executor (the
-/// default) a connect is a queue registration; with `thread_per_agent` it
-/// spawns the paper's dedicated child-agent thread.
+/// The main daemon: owns the node's lanes and accepts connections. A
+/// connect is a queue registration, never a thread.
 pub struct MainDaemon {
-    server: Arc<DlfmServer>,
-    /// Shared executor, lazily irrelevant in thread-per-agent mode.
-    executor: Option<Arc<ElasticPool<AgentJob>>>,
-    children: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    lanes: Arc<Lanes>,
     connections: AtomicUsize,
 }
 
-/// Answers a `Result`-replied agent request through the shared
-/// panic-containment helper ([`crate::pool::deliver_or_rethrow`]): the
-/// caller gets the panic context in-band instead of a dropped reply
-/// channel mis-reporting a healthy executor as "child agent is down". The
-/// panic is then re-thrown — the executor pool counts it and keeps its
-/// worker; a dedicated agent thread dies with it (the paper's child-agent
-/// failure model, now with a labelled reply).
-fn answer(reply: &Sender<Result<(), String>>, label: &str, f: impl FnOnce() -> Result<(), String>) {
-    crate::pool::deliver_or_rethrow(label, f, |outcome| {
-        let result = match outcome {
-            Ok(inner) => inner,
-            Err(msg) => Err(format!("agent {msg}")),
-        };
-        let _ = reply.send(result);
-    });
-}
-
-/// Runs one agent request against the server. Link/unlink/prepare panics
-/// are answered in-band (see [`answer`]); `Commit` panics stay loud by
-/// design (a failed commit after the coordinator's decision is an
-/// invariant break — `DlfmServer::commit_host` panics on purpose), so
-/// their reply sender is dropped mid-unwind and the caller unblocks on
-/// the closed channel.
-fn serve(server: &DlfmServer, req: AgentRequest) {
-    match req {
-        AgentRequest::Link { host_txid, coord_epoch, path, mode, recovery, on_unlink, reply } => {
-            answer(&reply, "Link", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.link_file(host_txid, &path, mode, recovery, on_unlink)
-            });
-        }
-        AgentRequest::Unlink { host_txid, coord_epoch, path, reply } => {
-            answer(&reply, "Unlink", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.unlink_file(host_txid, &path)
-            });
-        }
-        AgentRequest::Prepare { host_txid, coord_epoch, reply } => {
-            answer(&reply, "Prepare", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.prepare_host(host_txid)
-            });
-        }
-        AgentRequest::Commit { host_txid, coord_epoch, reply } => {
-            // A fenced coordinator's decision is dropped, not applied (the
-            // promoted host owns the outcome); the reply still unblocks
-            // the zombie's committing thread.
-            if server.guard_coordinator(coord_epoch).is_ok() {
-                server.commit_host(host_txid);
-            }
-            let _ = reply.send(());
-        }
-        AgentRequest::Abort { host_txid, coord_epoch, reply } => {
-            if server.guard_coordinator(coord_epoch).is_ok() {
-                server.abort_host(host_txid);
-            }
-            let _ = reply.send(());
-        }
-    }
-}
-
 impl MainDaemon {
+    /// Starts the lanes over `server` (bounds from its [`crate::DlfmConfig`]).
     pub fn new(server: Arc<DlfmServer>) -> MainDaemon {
-        let cfg = server.config();
-        let executor = if cfg.thread_per_agent {
-            None
-        } else {
-            let opts = PoolOptions::adaptive(
-                &format!("dlfm-agent-{}", cfg.server_name),
+        Self::with_fault_injector(server, None)
+    }
+
+    /// [`MainDaemon::new`] with a test-only [`FaultInjector`].
+    pub fn with_fault_injector(
+        server: Arc<DlfmServer>,
+        fault: Option<FaultInjector>,
+    ) -> MainDaemon {
+        let service = Arc::new(Service { server, fault });
+        let cfg = service.server.config();
+        let name = &cfg.server_name;
+        let agent = lane_pool(
+            PoolOptions::adaptive(
+                &format!("dlfm-agent-{name}"),
                 1,
                 cfg.agent_executor_threads.max(1),
-            );
-            let srv = Arc::clone(&server);
-            let handler: Arc<dyn Fn(AgentJob) + Send + Sync> = Arc::new(move |job| match job {
-                AgentJob::Request(req) => serve(&srv, req),
-                AgentJob::Wire(f) => f(),
-            });
-            Some(Arc::new(ElasticPool::new(opts, handler)))
-        };
-        MainDaemon {
-            server,
-            executor,
-            children: parking_lot::Mutex::new(Vec::new()),
-            connections: AtomicUsize::new(0),
-        }
+            ),
+            &service,
+        );
+        let upcall = lane_pool(
+            PoolOptions::adaptive(
+                &format!("dlfm-upcall-{name}"),
+                cfg.upcall_workers_min,
+                cfg.upcall_workers_max,
+            )
+            .idle_timeout(Duration::from_millis(cfg.upcall_idle_ms.max(1))),
+            &service,
+        );
+        let lanes =
+            Lanes { service, agent, upcall, upcall_round_trip_ns: Arc::new(Histogram::new()) };
+        MainDaemon { lanes: Arc::new(lanes), connections: AtomicUsize::new(0) }
     }
 
-    /// Handles a connect request from a database agent: registers the
-    /// connection on the shared executor (or, in `thread_per_agent` mode,
-    /// spawns a dedicated child-agent thread) and returns its handle.
-    pub fn connect(&self) -> AgentHandle {
+    /// Handles a connect request: a fresh in-process connection, stamped
+    /// with the coordinator epoch current right now. Connections keep the
+    /// lanes alive after the daemon handle is dropped (a crashing node
+    /// abandons its daemons; a live mount does not lose its endpoint).
+    pub fn connect(&self) -> DlfmClient {
         self.connections.fetch_add(1, Ordering::Relaxed);
-        let name = self.server.config().server_name.clone();
-        // The handle inherits the coordinator epoch current right now: a
-        // handle minted before a host failover keeps the old epoch and is
-        // fenced out; re-connecting after promotion picks up the new one.
-        let coord_epoch = self.server.coordinator_epoch();
-        if let Some(pool) = &self.executor {
-            return AgentHandle {
-                route: AgentRoute::Executor {
-                    pool: Arc::clone(pool),
-                    server: Arc::clone(&self.server),
-                },
-                server_name: name,
-                coord_epoch,
-            };
-        }
-        let (tx, rx) = unbounded::<AgentRequest>();
-        let server = Arc::clone(&self.server);
-        let handle = std::thread::Builder::new()
-            .name(format!("dlfm-agent-{name}"))
-            .spawn(move || {
-                while let Ok(req) = rx.recv() {
-                    serve(&server, req);
-                }
-            })
-            .expect("spawn child agent");
-        self.children.lock().push(handle);
-        AgentHandle { route: AgentRoute::Thread(tx), server_name: name, coord_epoch }
+        DlfmClient::connect(Arc::new(LocalCarrier(Arc::clone(&self.lanes))), "local")
+            .expect("an in-process Hello is served inline and cannot fail")
     }
 
-    /// Number of agent connections accepted so far (logical child agents).
+    pub(crate) fn lanes(&self) -> &Arc<Lanes> {
+        &self.lanes
+    }
+
+    /// Number of in-process connections accepted so far (logical child
+    /// agents).
     pub fn child_count(&self) -> usize {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// OS threads currently serving agent requests: the executor pool's
-    /// live worker count, or — per-agent — the count of dedicated threads
-    /// still running (a dropped handle closes its channel and the thread
-    /// exits, so exited children are pruned before counting).
+    /// OS threads currently serving link/unlink requests.
     pub fn executor_threads(&self) -> usize {
-        match &self.executor {
-            Some(pool) => pool.stats().workers(),
-            None => {
-                let mut children = self.children.lock();
-                children.retain(|h| !h.is_finished());
-                children.len()
-            }
-        }
+        self.lanes.agent.stats().workers()
     }
 
-    /// Shared-executor gauges; `None` in `thread_per_agent` mode.
+    /// Agent-executor gauges. Always `Some` (the `Option` dates from a
+    /// mode without a shared executor; the repo benchmark pins the
+    /// signature).
     pub fn executor_stats(&self) -> Option<&PoolStats> {
-        self.executor.as_deref().map(|pool| pool.stats())
+        Some(self.lanes.agent.stats())
     }
 
-    /// Type-erased live size of the shared executor, for capacity
-    /// aggregation (`None` in `thread_per_agent` mode).
-    pub fn executor_probe(&self) -> Option<Arc<dyn crate::pool::PoolProbe>> {
-        self.executor.as_ref().map(|p| Arc::clone(p) as Arc<dyn crate::pool::PoolProbe>)
+    /// Upcall-pool gauges (workers, queue depth, growth/shrink/panic
+    /// counters).
+    pub fn upcall_pool_stats(&self) -> &PoolStats {
+        self.lanes.upcall.stats()
     }
 
-    /// The shared executor itself, for the wire daemon to submit decoded
-    /// frames onto.
-    pub(crate) fn wire_executor(&self) -> Option<Arc<ElasticPool<AgentJob>>> {
-        self.executor.as_ref().map(Arc::clone)
+    /// Type-erased live sizes of both lanes, for capacity aggregation.
+    pub fn pool_probes(&self) -> Vec<Arc<dyn PoolProbe>> {
+        vec![
+            Arc::clone(&self.lanes.upcall) as Arc<dyn PoolProbe>,
+            Arc::clone(&self.lanes.agent) as Arc<dyn PoolProbe>,
+        ]
+    }
+
+    /// Round-trip latency distribution of every in-process upcall.
+    pub fn upcall_round_trip_histogram(&self) -> &Arc<Histogram> {
+        &self.lanes.upcall_round_trip_ns
+    }
+
+    /// Blocks until the upcall pool's queue drains and every worker parks
+    /// (tests).
+    pub fn wait_upcalls_idle(&self, timeout: Duration) -> bool {
+        self.lanes.upcall.wait_idle(timeout)
     }
 }

@@ -11,15 +11,18 @@
 //! * [`server`] — link/unlink sub-transactions driven by the host's 2PC,
 //!   the open/close protocol (token entries, serialization, take-over,
 //!   metadata refresh, rollback), and crash recovery.
-//! * [`upcall`] — the upcall daemon servicing DLFS (§2.2) over channels,
-//!   standing in for the kernel↔user-space IPC of the original.
-//! * [`agent`] — the main daemon and child agents serving link/unlink
-//!   requests from database agents (§2.2), multiplexed over a shared
-//!   executor since PR 5 (one thread per connection survives as the
-//!   `thread_per_agent` compat knob).
-//! * [`pool`] — the elastic worker pool behind both the upcall daemon and
-//!   the agent executor: queue-depth growth, idle shrink, panic
-//!   containment.
+//! * [`client`], [`agent`], [`wire`] — the host↔DLFM conversation of §2.2
+//!   (child agents for link/unlink + 2PC, the upcall daemon for DLFS) as
+//!   **one protocol with one dispatcher**. `dl_net::Message` is the only
+//!   message set; [`DlfmServer::handle`] is the only place a request
+//!   becomes a server call, and [`server::lane`] names where it runs
+//!   (inline, agent executor, settlement, upcall pool). The engine and
+//!   DLFS hold a [`DlfmClient`] — the typed calls, written once — over a
+//!   [`Carrier`]: the in-process one [`MainDaemon::connect`] mints, or a
+//!   socket [`WireConn`] served by a [`WireDaemon`]. Both carriers queue
+//!   the same messages on the same lanes.
+//! * [`pool`] — the elastic worker pool behind every lane: queue-depth
+//!   growth, idle shrink, panic containment.
 //! * [`archive`] — the versioned archive server with asynchronous archiving
 //!   and database-state-identifier tagging (§4.4).
 //! * [`modes`] — the DATALINK control modes (Table 1 + the new rfd/rdd).
@@ -27,28 +30,29 @@
 
 pub mod agent;
 pub mod archive;
+pub mod client;
 pub mod modes;
 pub mod pool;
 pub mod repository;
 pub mod server;
 pub mod token;
-pub mod upcall;
 pub mod wire;
 
-pub use agent::{AgentConnection, AgentHandle, AgentParticipant, MainDaemon};
+pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
+pub use client::{AgentConnection, Carrier, DlfmClient, UpcallTransport};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use pool::{AtomicEwma, ElasticPool, PoolOptions, PoolProbe, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
-    DlfmConfig, DlfmServer, DlfmStats, HostHook, OpenDecision, RecoveryReport, RestoreOutcome,
-    Transport,
+    lane, DlfmConfig, DlfmServer, DlfmStats, HostHook, Lane, OpenDecision, RecoveryReport,
+    RestoreOutcome, Transport,
 };
 pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKind,
     TOKEN_MARKER,
 };
-pub use upcall::{
-    FaultInjector, UpcallClient, UpcallDaemon, UpcallReply, UpcallRequest, UpcallTransport,
-};
-pub use wire::{WireAgent, WireConn, WireConnector, WireDaemon, WireUpcall};
+pub use wire::{WireConn, WireConnector, WireDaemon};
+
+/// The protocol's one message set.
+pub use dl_net::Message;

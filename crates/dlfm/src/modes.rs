@@ -21,21 +21,39 @@ pub enum AccessControl {
     Dbms,
 }
 
-/// A DATALINK column's control mode.
+/// A DATALINK column's control mode. The discriminants are the protocol's
+/// `mode` byte (`dl_net::Message::Link`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControlMode {
     /// No referential integrity; file system controls everything.
-    Nff,
+    Nff = 0,
     /// Referential integrity; file system controls read and write.
-    Rff,
+    Rff = 1,
     /// Referential integrity; FS-controlled read; writes blocked.
-    Rfb,
+    Rfb = 2,
     /// Referential integrity; DBMS-controlled read; writes blocked.
-    Rdb,
+    Rdb = 3,
     /// **New in this paper**: FS-controlled read, DBMS-controlled write.
-    Rfd,
+    Rfd = 4,
     /// **New in this paper**: DBMS-controlled read and write (full control).
-    Rdd,
+    Rdd = 5,
+}
+
+impl From<ControlMode> for u8 {
+    fn from(mode: ControlMode) -> u8 {
+        mode as u8
+    }
+}
+
+impl TryFrom<u8> for ControlMode {
+    type Error = String;
+
+    fn try_from(b: u8) -> Result<ControlMode, String> {
+        ControlMode::ALL
+            .get(usize::from(b))
+            .copied()
+            .ok_or_else(|| format!("bad control-mode discriminant {b}"))
+    }
 }
 
 impl ControlMode {
@@ -129,13 +147,32 @@ impl FromStr for ControlMode {
 }
 
 /// What happens to the file when its link is removed (DB2's ON UNLINK).
+/// The discriminants are the protocol's `on_unlink` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnUnlink {
     /// Restore the original owner and permission bits.
     #[default]
-    Restore,
+    Restore = 0,
     /// Delete the file from the file system.
-    Delete,
+    Delete = 1,
+}
+
+impl From<OnUnlink> for u8 {
+    fn from(on_unlink: OnUnlink) -> u8 {
+        on_unlink as u8
+    }
+}
+
+impl TryFrom<u8> for OnUnlink {
+    type Error = String;
+
+    fn try_from(b: u8) -> Result<OnUnlink, String> {
+        match b {
+            0 => Ok(OnUnlink::Restore),
+            1 => Ok(OnUnlink::Delete),
+            _ => Err(format!("bad on-unlink discriminant {b}")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -201,5 +238,17 @@ mod tests {
             assert_eq!(mode.to_string().parse::<ControlMode>().unwrap(), mode);
         }
         assert!("xyz".parse::<ControlMode>().is_err());
+    }
+
+    #[test]
+    fn protocol_bytes_roundtrip_and_reject_unknown_discriminants() {
+        for mode in ControlMode::ALL {
+            assert_eq!(ControlMode::try_from(u8::from(mode)), Ok(mode));
+        }
+        assert!(ControlMode::try_from(6).is_err());
+        for on_unlink in [OnUnlink::Restore, OnUnlink::Delete] {
+            assert_eq!(OnUnlink::try_from(u8::from(on_unlink)), Ok(on_unlink));
+        }
+        assert!(OnUnlink::try_from(2).is_err());
     }
 }

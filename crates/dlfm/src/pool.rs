@@ -1,5 +1,5 @@
-//! An elastic worker pool — the shared engine behind the adaptive upcall
-//! daemon and the agent executor.
+//! An elastic worker pool — the shared engine behind the upcall pool, the
+//! agent executor and the wire daemon's settle pool.
 //!
 //! The paper's prototype ran one upcall daemon and one child agent per
 //! database connection (§2.2). PR 2 widened the upcall side to a *fixed*
@@ -48,17 +48,8 @@ pub struct PoolOptions {
 }
 
 impl PoolOptions {
-    /// A pool fixed at exactly `n` workers (compat shape: min == max).
-    pub fn fixed(name: &str, n: usize) -> PoolOptions {
-        PoolOptions {
-            min_workers: n,
-            max_workers: n,
-            idle_timeout: Duration::from_millis(100),
-            name: name.to_string(),
-        }
-    }
-
-    /// An adaptive pool between `min` and `max` workers.
+    /// An adaptive pool between `min` and `max` workers (`min == max`
+    /// pins it).
     pub fn adaptive(name: &str, min: usize, max: usize) -> PoolOptions {
         PoolOptions {
             min_workers: min,
@@ -80,9 +71,7 @@ impl PoolOptions {
 /// `Err("panicked while serving <label>: <context>")` when `f` panics —
 /// delivered *before* the panic is re-thrown, so a waiting client gets
 /// the failure in-band while the pool's catch still counts the panic (or
-/// a dedicated thread still dies with it). Both front doors — the upcall
-/// dispatch handler and the agent executor — share this so their panic
-/// semantics cannot drift apart.
+/// a dedicated thread still dies with it).
 pub fn deliver_or_rethrow<R>(
     label: &str,
     f: impl FnOnce() -> R,
@@ -530,7 +519,7 @@ mod tests {
         let done = Arc::new(AtomicU64::new(0));
         let done2 = Arc::clone(&done);
         let pool = ElasticPool::new(
-            PoolOptions::fixed("t", 1),
+            PoolOptions::adaptive("t", 1, 1),
             Arc::new(move |x: u64| {
                 if x == 13 {
                     panic!("injected");

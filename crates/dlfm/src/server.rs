@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dl_fskit::{Clock, Cred, FileKind, FileSystem, Lfs, SetAttr, WallClock};
+use dl_net::Message;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver};
@@ -23,14 +24,15 @@ use crate::modes::{ControlMode, OnUnlink};
 use crate::repository::{FileEntry, IntentAction, IntentEntry, Repository, SyncEntry, UipEntry};
 use crate::token::{AccessToken, TokenKind};
 
-/// How the host database and DLFS reach this DLFM instance.
+/// How the host database and DLFS reach this DLFM instance: which carrier
+/// their [`crate::DlfmClient`]s ride.
 ///
-/// `Local` is the in-process fast path: agent handles and upcall clients
-/// are queue endpoints straight into the daemon pools. `Socket` puts the
-/// same protocol on the wire — the node runs a `WireDaemon` serving
-/// framed Unix-socket connections (see `crate::wire`), which is how the
-/// paper's host↔DLFM boundary actually ships. Both paths drive identical
-/// server machinery; the choice is per-node via [`DlfmConfig::transport`].
+/// `Local` hands each [`dl_net::Message`] to the daemon pools in-process;
+/// `Socket` puts the same messages on the wire — the node runs a
+/// `WireDaemon` serving framed Unix-socket connections (see `crate::wire`),
+/// which is how the paper's host↔DLFM boundary actually ships. Both end in
+/// [`DlfmServer::handle`]; the choice is per-node via
+/// [`DlfmConfig::transport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     #[default]
@@ -76,25 +78,16 @@ pub struct DlfmConfig {
     /// worker retires; stretched automatically with observed service time
     /// (see `crates/dlfm/src/pool.rs`).
     pub upcall_idle_ms: u64,
-    /// Compat knob: run one OS thread per agent connection (the paper's
-    /// child-agent model) instead of multiplexing connections over the
-    /// shared agent executor.
-    pub thread_per_agent: bool,
-    /// Ceiling of the shared agent executor that serves all agent
-    /// connections when `thread_per_agent` is off. 256 connections
-    /// multiplex over at most this many OS threads.
+    /// Ceiling of the shared agent executor that serves every agent
+    /// connection's link/unlink requests: 256 connections multiplex over
+    /// at most this many OS threads.
     pub agent_executor_threads: usize,
-    /// Concurrent routed-read validations the DataLinks engine may run
-    /// against this node (its per-node `ReadLane` width). The default of 1
-    /// models the paper's one-validation-daemon prototype so replica
-    /// fan-out experiments compare equal per-node capacity; scale it with
-    /// the upcall pool bounds when the front end is provisioned wider.
-    pub read_lane_width: usize,
-    /// Derive the engine's per-node `ReadLane` width from the live worker
-    /// count of this node's daemon pools instead of the static
-    /// `read_lane_width` knob. Set by `FileServerSpec::front_end`; the
-    /// default stays static so capacity-comparison experiments (equal
-    /// per-node lanes) are unaffected.
+    /// Width of the engine's per-node `ReadLane` (concurrent routed-read
+    /// validations against this node). Off, the lane is 1 — the paper's
+    /// one-validation-daemon prototype, so replica fan-out experiments
+    /// compare equal per-node capacity. On (`FileServerSpec::front_end`),
+    /// it follows the live worker count of the system's daemon pools,
+    /// floored at `upcall_workers_min`.
     pub read_lane_auto: bool,
     /// How agents and upcalls reach this node: in-process queues
     /// ([`Transport::Local`], the default) or framed Unix-socket
@@ -127,9 +120,7 @@ impl DlfmConfig {
             upcall_workers_min: 2,
             upcall_workers_max: 64,
             upcall_idle_ms: 100,
-            thread_per_agent: false,
             agent_executor_threads: 16,
-            read_lane_width: 1,
             read_lane_auto: false,
             transport: Transport::default(),
             wire_call_timeout_ms: 30_000,
@@ -246,6 +237,41 @@ pub enum OpenDecision {
     Busy,
     /// Denied (bad token, blocked mode, ...).
     Rejected(String),
+}
+
+/// Where a request of the protocol runs (§2.2's daemons as queues).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// Cheap session reads (`Hello`, `EpochGet`, `FreshnessToken`) — and
+    /// anything that is not a request at all: served where it arrives.
+    Inline,
+    /// Link/unlink: the shared agent executor. These block on repository
+    /// row locks until the lock-holding transaction settles.
+    Agent,
+    /// 2PC settlement: never behind the agent executor's queue. A pool
+    /// saturated with lock-waiting links would leave no worker for the one
+    /// commit that releases them, so settlement runs on the coordinator's
+    /// own thread in-process and on a dedicated pool over the wire.
+    Settle,
+    /// The DLFS conversation: the elastic upcall pool.
+    Upcall,
+}
+
+/// The lane `msg` is served on. Sibling of [`DlfmServer::handle`]: a
+/// carrier asks this where to run a request, a lane worker asks `handle`
+/// what the request means.
+pub fn lane(msg: &Message) -> Lane {
+    match msg {
+        Message::Link { .. } | Message::Unlink { .. } => Lane::Agent,
+        Message::Prepare { .. } | Message::Commit { .. } | Message::Abort { .. } => Lane::Settle,
+        Message::ValidateToken { .. }
+        | Message::OpenCheck { .. }
+        | Message::CloseNotify { .. }
+        | Message::MutationCheck { .. }
+        | Message::RegisterOpen { .. }
+        | Message::UnregisterOpen { .. } => Lane::Upcall,
+        _ => Lane::Inline,
+    }
 }
 
 /// Mode-dependent attributes of a file *at rest* while linked.
@@ -1231,6 +1257,107 @@ impl DlfmServer {
     pub fn unregister_open(&self, path: &str, opener: u64) {
         let _ = self.repo.remove_sync(path, opener);
         self.bump_epoch();
+    }
+
+    // =====================================================================
+    // Protocol dispatch — the one place a request becomes a server call
+    // =====================================================================
+
+    /// Serves one request of the agent/upcall protocol and shapes its
+    /// reply. Every carrier ends here (`crate::agent` in-process,
+    /// `crate::wire` over sockets), so the rules below hold on both:
+    ///
+    /// * link/unlink/prepare stamped with a fenced coordinator epoch are
+    ///   refused; a fenced coordinator's *decision* is dropped, not applied
+    ///   (the promoted host owns the outcome now), and still answered `Ok`
+    ///   so the zombie's committing thread unblocks;
+    /// * a `mode`/`on_unlink`/`wanted` byte that names no variant is
+    ///   refused before anything runs;
+    /// * `OpenBusy` carries the sync epoch as it stood immediately before
+    ///   the check ran, so a release that lands while the check runs moves
+    ///   the epoch past it and a caller waiting on it returns at once;
+    /// * a reply-tagged message is not a request.
+    ///
+    /// A panic inside a server call propagates; lane workers contain it
+    /// (`Service::serve` in `crate::agent`).
+    pub fn handle(&self, msg: Message) -> Message {
+        let unit = |result: Result<(), String>| match result {
+            Ok(()) => Message::Ok,
+            Err(e) => Message::Err(e),
+        };
+        match msg {
+            Message::Hello { client: _ } => Message::HelloAck {
+                server: self.cfg.server_name.clone(),
+                coord_epoch: self.coordinator_epoch(),
+                strict_link: self.cfg.strict_link,
+                dlfm_uid: self.cfg.dlfm_cred.uid,
+                dlfm_gid: self.cfg.dlfm_cred.gid,
+            },
+            Message::EpochGet => Message::EpochIs(self.epoch()),
+            Message::FreshnessToken => Message::Freshness(self.repo.db().state_id()),
+
+            Message::Link { txid, coord_epoch, path, mode, recovery, on_unlink } => unit((|| {
+                let mode = ControlMode::try_from(mode)?;
+                let on_unlink = OnUnlink::try_from(on_unlink)?;
+                self.guard_coordinator(coord_epoch)?;
+                self.link_file(txid, &path, mode, recovery, on_unlink)
+            })(
+            )),
+            Message::Unlink { txid, coord_epoch, path } => unit(
+                self.guard_coordinator(coord_epoch).and_then(|()| self.unlink_file(txid, &path)),
+            ),
+            Message::Prepare { txid, coord_epoch } => {
+                unit(self.guard_coordinator(coord_epoch).and_then(|()| self.prepare_host(txid)))
+            }
+            Message::Commit { txid, coord_epoch } => {
+                if self.guard_coordinator(coord_epoch).is_ok() {
+                    self.commit_host(txid);
+                }
+                Message::Ok
+            }
+            Message::Abort { txid, coord_epoch } => {
+                if self.guard_coordinator(coord_epoch).is_ok() {
+                    self.abort_host(txid);
+                }
+                Message::Ok
+            }
+
+            Message::ValidateToken { path, token, uid } => {
+                match self.validate_token(&path, &token, uid) {
+                    Ok(kind) => Message::TokenKindIs(kind.into()),
+                    Err(e) => Message::Err(e),
+                }
+            }
+            Message::OpenCheck { path, uid, wanted, opener } => {
+                let wanted = match TokenKind::try_from(wanted) {
+                    Ok(wanted) => wanted,
+                    Err(e) => return Message::OpenRejected(e),
+                };
+                let epoch = self.epoch();
+                match self.open_check(&path, uid, wanted, opener) {
+                    OpenDecision::Approved { open_as } => {
+                        Message::OpenApproved { uid: open_as.uid, gid: open_as.gid }
+                    }
+                    OpenDecision::NotManaged => Message::OpenNotManaged,
+                    OpenDecision::Busy => Message::OpenBusy(epoch),
+                    OpenDecision::Rejected(e) => Message::OpenRejected(e),
+                }
+            }
+            Message::CloseNotify { path, opener, wrote, size, mtime } => {
+                unit(self.close_notify(&path, opener, wrote, size, mtime))
+            }
+            Message::MutationCheck { path } => unit(self.mutation_check(&path)),
+            Message::RegisterOpen { path, uid, opener } => {
+                self.register_open(&path, uid, opener);
+                Message::Ok
+            }
+            Message::UnregisterOpen { path, opener } => {
+                self.unregister_open(&path, opener);
+                Message::Ok
+            }
+
+            other => Message::Err(format!("unexpected message {other:?}")),
+        }
     }
 
     // =====================================================================

@@ -119,11 +119,30 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 // --- Tokens ------------------------------------------------------------------
 
 /// Token types — "multiple types of access tokens are provided for
-/// different types of file access" (§4.1).
+/// different types of file access" (§4.1). The discriminants are the
+/// protocol's `wanted` / `TokenKindIs` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
-    Read,
-    Write,
+    Read = 0,
+    Write = 1,
+}
+
+impl From<TokenKind> for u8 {
+    fn from(kind: TokenKind) -> u8 {
+        kind as u8
+    }
+}
+
+impl TryFrom<u8> for TokenKind {
+    type Error = String;
+
+    fn try_from(b: u8) -> Result<TokenKind, String> {
+        match b {
+            0 => Ok(TokenKind::Read),
+            1 => Ok(TokenKind::Write),
+            _ => Err(format!("bad token-kind discriminant {b}")),
+        }
+    }
 }
 
 impl TokenKind {

@@ -5,26 +5,25 @@
 //! calls. This module is that boundary made real on top of `dl-net`'s
 //! frame codec and poll(2) reactor:
 //!
-//! * [`WireDaemon`] — the server. One reactor thread serves every agent
-//!   and upcall connection of a node over a Unix-domain socket; decoded
-//!   frames fan out to the *same* pools the in-process path uses — link/
-//!   unlink to the shared agent executor, upcalls to the elastic upcall
-//!   pool, and 2PC settlement to a small dedicated settle pool (never the
-//!   agent executor: settlement queued behind lock-waiting link jobs is
-//!   the classic bounded-executor deadlock, see `crate::agent`).
-//!   Thousands of connections therefore ride on a fixed thread count.
-//! * [`WireConnector`] / [`WireConn`] — the client, which has no thread
-//!   of its own: a connection is a blocking socket, and each call writes
-//!   its frame and then reads the socket itself (one caller at a time
-//!   reads for everyone waiting on the connection) until its
-//!   request-id-correlated reply is in.
-//! * [`WireAgent`] / [`WireUpcall`] — adapters giving the wire client the
-//!   [`AgentConnection`] and [`UpcallTransport`] surfaces, so the engine
-//!   and DLFS cannot tell the transports apart.
+//! * [`WireDaemon`] — the server. One reactor thread serves every
+//!   connection of a node over a Unix-domain socket; each decoded frame is
+//!   queued on the lane [`crate::server::lane`] names — the *same* agent
+//!   executor and upcall pool the in-process carrier uses, plus a small
+//!   dedicated settle pool for 2PC settlement (never the agent executor:
+//!   see [`Lane::Settle`]) — where a worker runs it through
+//!   [`crate::DlfmServer::handle`]. Thousands of connections therefore ride on a
+//!   fixed thread count. What this module adds around that is session
+//!   bookkeeping only.
+//! * [`WireConnector`] / [`WireConn`] — the socket [`Carrier`], which has
+//!   no thread of its own: a connection is a blocking socket, and each
+//!   call writes its frame and then reads the socket itself (one caller at
+//!   a time reads for everyone waiting on the connection) until its
+//!   request-id-correlated reply is in. A [`crate::DlfmClient`] over it
+//!   gives the engine and DLFS the same typed calls they make in-process.
 //!
 //! **Presumed abort on connection loss.** A severed connection's
 //! unsettled host transactions are resolved on the settle pool through
-//! [`DlfmServer::resolve_client_loss`]: commit only if the host recorded
+//! [`crate::DlfmServer::resolve_client_loss`]: commit only if the host recorded
 //! a commit, abort otherwise — a client that died between prepare and
 //! decide never committed. A link job racing the disconnect settles its
 //! own sub-transaction when it finds its connection no longer live, so no
@@ -43,76 +42,10 @@ use dl_net::{encode_frame, FrameDecoder, Message, NetEvent, Reactor, ReactorHand
 use dl_obs::{Counter, NetStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::agent::{AgentConnection, AgentJob, MainDaemon};
-use crate::modes::{ControlMode, OnUnlink};
+use crate::agent::{lane_pool, Job, Lanes, MainDaemon};
+use crate::client::Carrier;
 use crate::pool::{ElasticPool, PoolOptions, PoolStats};
-use crate::server::{DlfmServer, OpenDecision};
-use crate::token::TokenKind;
-use crate::upcall::{UpcallClient, UpcallReply, UpcallRequest, UpcallTransport};
-
-// Enum ↔ u8 wire mappings. `dl-net` carries raw discriminants so it
-// stays independent of DLFM's type definitions; this module is the one
-// place the mapping lives.
-
-fn mode_to_u8(m: ControlMode) -> u8 {
-    match m {
-        ControlMode::Nff => 0,
-        ControlMode::Rff => 1,
-        ControlMode::Rfb => 2,
-        ControlMode::Rdb => 3,
-        ControlMode::Rfd => 4,
-        ControlMode::Rdd => 5,
-    }
-}
-
-fn mode_from_u8(b: u8) -> Option<ControlMode> {
-    Some(match b {
-        0 => ControlMode::Nff,
-        1 => ControlMode::Rff,
-        2 => ControlMode::Rfb,
-        3 => ControlMode::Rdb,
-        4 => ControlMode::Rfd,
-        5 => ControlMode::Rdd,
-        _ => return None,
-    })
-}
-
-fn on_unlink_to_u8(o: OnUnlink) -> u8 {
-    match o {
-        OnUnlink::Restore => 0,
-        OnUnlink::Delete => 1,
-    }
-}
-
-fn on_unlink_from_u8(b: u8) -> Option<OnUnlink> {
-    Some(match b {
-        0 => OnUnlink::Restore,
-        1 => OnUnlink::Delete,
-        _ => return None,
-    })
-}
-
-fn token_kind_to_u8(k: TokenKind) -> u8 {
-    match k {
-        TokenKind::Read => 0,
-        TokenKind::Write => 1,
-    }
-}
-
-fn token_kind_from_u8(b: u8) -> Option<TokenKind> {
-    Some(match b {
-        0 => TokenKind::Read,
-        1 => TokenKind::Write,
-        _ => return None,
-    })
-}
-
-fn result_msg(result: Result<(), String>) -> Message {
-    match result {
-        Ok(()) => Message::Ok,
-        Err(e) => Message::Err(e),
-    }
-}
+use crate::server::{lane, Lane};
 
 /// The server's per-connection bookkeeping: which connections are live,
 /// and which host transactions each still has in flight. A connection is
@@ -157,34 +90,34 @@ impl Sessions {
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The server side: a reactor serving framed agent/upcall connections
-/// over one Unix-domain socket, multiplexed onto the node's daemon pools.
+/// over one Unix-domain socket, multiplexed onto the node's lanes.
 pub struct WireDaemon {
     /// Owns the poller thread; dropped last-ish (field order) so handler
     /// state stays alive while it drains.
     _reactor: Reactor,
     path: PathBuf,
+    front: Arc<WireFront>,
+    stats: Arc<NetStats>,
+}
+
+/// What the reactor's handler and the jobs it queues share.
+struct WireFront {
+    lanes: Arc<Lanes>,
     /// 2PC settlement + disconnect resolution. Small and dedicated: these
     /// jobs must make progress even when every agent-executor worker
     /// blocks on a row lock only a settlement can release.
-    settle: Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
+    settle: Arc<ElasticPool<Job>>,
+    sessions: Sessions,
     presumed_aborts: Arc<Counter>,
-    stats: Arc<NetStats>,
-    #[cfg(test)]
-    sessions: Arc<Sessions>,
 }
 
 impl WireDaemon {
-    /// Binds the node's wire socket and starts serving. Frames route to
-    /// `main`'s shared agent executor (or a private one in
-    /// `thread_per_agent` mode), `upcall`'s elastic pool, and a dedicated
-    /// settle pool; `stats` sees every connection and frame.
-    pub fn spawn(
-        server: Arc<DlfmServer>,
-        main: &MainDaemon,
-        upcall: UpcallClient,
-        stats: Arc<NetStats>,
-    ) -> Result<WireDaemon, String> {
-        let name = server.config().server_name.clone();
+    /// Binds the node's wire socket and starts serving. Frames are queued
+    /// on `main`'s lanes and a dedicated settle pool; `stats` sees every
+    /// connection and frame.
+    pub fn spawn(main: &MainDaemon, stats: Arc<NetStats>) -> Result<WireDaemon, String> {
+        let lanes = Arc::clone(main.lanes());
+        let name = lanes.service.server.config().server_name.clone();
         let path = std::env::temp_dir().join(format!(
             "dl-wire-{}-{}-{}.sock",
             std::process::id(),
@@ -195,63 +128,24 @@ impl WireDaemon {
         let listener = std::os::unix::net::UnixListener::bind(&path)
             .map_err(|e| format!("bind wire socket {}: {e}", path.display()))?;
 
-        let executor = main.wire_executor().unwrap_or_else(|| {
-            // thread_per_agent mode has no shared executor; the wire
-            // daemon still multiplexes — that is its whole point — so it
-            // brings its own pool with the same bounds.
-            let cfg = server.config();
-            let opts = PoolOptions::adaptive(
-                &format!("dlfm-wire-agent-{name}"),
-                1,
-                cfg.agent_executor_threads.max(1),
-            );
-            let handler: Arc<dyn Fn(AgentJob) + Send + Sync> = Arc::new(|job| {
-                if let AgentJob::Wire(f) = job {
-                    f()
-                }
-            });
-            Arc::new(ElasticPool::new(opts, handler))
+        let front = Arc::new(WireFront {
+            settle: lane_pool(
+                PoolOptions::adaptive(&format!("dlfm-settle-{name}"), 4, 4),
+                &lanes.service,
+            ),
+            lanes,
+            sessions: Sessions::default(),
+            presumed_aborts: Arc::new(Counter::new()),
         });
-        let settle: Arc<ElasticPool<Box<dyn FnOnce() + Send>>> = Arc::new(ElasticPool::new(
-            PoolOptions::fixed(&format!("dlfm-settle-{name}"), 4),
-            Arc::new(|f: Box<dyn FnOnce() + Send>| f()),
-        ));
-        let presumed_aborts = Arc::new(Counter::new());
-
-        let sessions = Arc::new(Sessions::default());
-
         let reactor = {
-            let server = Arc::clone(&server);
-            let settle = Arc::clone(&settle);
-            let presumed_aborts = Arc::clone(&presumed_aborts);
-            let sessions = Arc::clone(&sessions);
+            let front = Arc::clone(&front);
             Reactor::spawn(&format!("wire-{name}"), Some(listener), Arc::clone(&stats), |h| {
                 let h = h.clone();
-                move |ev| {
-                    serve_event(
-                        ev,
-                        &h,
-                        &server,
-                        &executor,
-                        &settle,
-                        &upcall,
-                        &sessions,
-                        &presumed_aborts,
-                    )
-                }
+                move |ev| serve_event(ev, &h, &front)
             })
             .map_err(|e| format!("spawn wire reactor: {e}"))?
         };
-
-        Ok(WireDaemon {
-            _reactor: reactor,
-            path,
-            settle,
-            presumed_aborts,
-            stats,
-            #[cfg(test)]
-            sessions,
-        })
+        Ok(WireDaemon { _reactor: reactor, path, front, stats })
     }
 
     /// The Unix-socket path clients connect to.
@@ -262,12 +156,12 @@ impl WireDaemon {
     /// Host transactions settled by presumed abort after their connection
     /// died mid-2PC.
     pub fn presumed_aborts(&self) -> &Arc<Counter> {
-        &self.presumed_aborts
+        &self.front.presumed_aborts
     }
 
     /// Live gauges of the settle pool (thread-accounting in benches).
     pub fn settle_stats(&self) -> &PoolStats {
-        self.settle.stats()
+        self.front.settle.stats()
     }
 
     /// This daemon's wire instruments.
@@ -282,31 +176,20 @@ impl Drop for WireDaemon {
     }
 }
 
-/// One reactor event on the server: route a frame to the right pool, or
-/// sweep a dead connection's transactions.
-#[allow(clippy::too_many_arguments)]
-fn serve_event(
-    ev: NetEvent,
-    h: &ReactorHandle,
-    server: &Arc<DlfmServer>,
-    executor: &Arc<ElasticPool<AgentJob>>,
-    settle: &Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
-    upcall: &UpcallClient,
-    sessions: &Arc<Sessions>,
-    presumed_aborts: &Arc<Counter>,
-) {
+/// One reactor event on the server: queue a frame on its lane, or sweep a
+/// dead connection's transactions.
+fn serve_event(ev: NetEvent, h: &ReactorHandle, front: &Arc<WireFront>) {
     let (conn, rid, msg) = match ev {
-        NetEvent::Accepted(conn) => return sessions.opened(conn),
+        NetEvent::Accepted(conn) => return front.sessions.opened(conn),
         NetEvent::Disconnected(conn) => {
             // Off the table first: any queued or future job for this
             // connection must find it gone before deciding to apply work.
-            let txids = sessions.closed(conn);
+            let txids = front.sessions.closed(conn);
             if !txids.is_empty() {
-                let server = Arc::clone(server);
-                let presumed_aborts = Arc::clone(presumed_aborts);
-                settle.submit(Box::new(move || {
+                let presumed_aborts = Arc::clone(&front.presumed_aborts);
+                front.settle.submit(Box::new(move |service| {
                     for txid in txids {
-                        if !server.resolve_client_loss(txid) {
+                        if !service.server.resolve_client_loss(txid) {
                             presumed_aborts.inc();
                         }
                     }
@@ -317,232 +200,44 @@ fn serve_event(
         NetEvent::Frame { conn, request_id, msg } => (conn, request_id, msg),
     };
 
-    match msg {
-        // --- session, served inline on the reactor thread (cheap) -------
-        Message::Hello { client: _ } => {
-            let cfg = server.config();
-            h.send(
-                conn,
-                rid,
-                &Message::HelloAck {
-                    server: cfg.server_name.clone(),
-                    coord_epoch: server.coordinator_epoch(),
-                    strict_link: cfg.strict_link,
-                    dlfm_uid: cfg.dlfm_cred.uid,
-                    dlfm_gid: cfg.dlfm_cred.gid,
-                },
-            );
-        }
-        Message::EpochGet => h.send(conn, rid, &Message::EpochIs(server.epoch())),
-        Message::FreshnessToken => {
-            h.send(conn, rid, &Message::Freshness(server.repository().db().state_id()))
-        }
-
-        // --- link/unlink, on the shared agent executor -------------------
-        Message::Link { txid, coord_epoch, path, mode, recovery, on_unlink } => {
-            let (Some(mode), Some(on_unlink)) = (mode_from_u8(mode), on_unlink_from_u8(on_unlink))
-            else {
-                h.send(conn, rid, &Message::Err("bad mode/on_unlink discriminant".into()));
-                return;
-            };
-            sessions.track(conn, txid);
-            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
-            executor.submit(AgentJob::Wire(Box::new(move || {
-                if !sessions.is_live(conn) {
-                    return;
-                }
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WireLink",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.link_file(txid, &path, mode, recovery, on_unlink)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if !sessions.is_live(conn) {
-                            // The connection died while we linked: the
-                            // disconnect sweep may have run before this
-                            // sub-transaction existed. Settle it here —
-                            // presumed abort, same as the sweep.
-                            if result.is_ok() {
-                                srv.abort_host(txid);
-                            }
-                            return;
-                        }
-                        h.send(conn, rid, &result_msg(result));
-                    },
-                );
-            })));
-        }
-        Message::Unlink { txid, coord_epoch, path } => {
-            sessions.track(conn, txid);
-            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
-            executor.submit(AgentJob::Wire(Box::new(move || {
-                if !sessions.is_live(conn) {
-                    return;
-                }
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WireUnlink",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.unlink_file(txid, &path)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if !sessions.is_live(conn) {
-                            if result.is_ok() {
-                                srv.abort_host(txid);
-                            }
-                            return;
-                        }
-                        h.send(conn, rid, &result_msg(result));
-                    },
-                );
-            })));
-        }
-
-        // --- 2PC settlement, on the dedicated settle pool ----------------
-        Message::Prepare { txid, coord_epoch } => {
-            sessions.track(conn, txid);
-            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
-            settle.submit(Box::new(move || {
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WirePrepare",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.prepare_host(txid)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if sessions.is_live(conn) {
-                            h.send(conn, rid, &result_msg(result));
-                        }
-                    },
-                );
-            }));
-        }
-        Message::Commit { txid, coord_epoch } => {
-            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
-            settle.submit(Box::new(move || {
-                // A fenced coordinator's decision is dropped, not applied
-                // (the promoted host owns the outcome now); the reply
-                // still unblocks the caller — same as the local route.
-                if server.guard_coordinator(coord_epoch).is_ok() {
-                    server.commit_host(txid);
-                }
-                sessions.settled(conn, txid);
-                if sessions.is_live(conn) {
-                    h.send(conn, rid, &Message::Ok);
-                }
-            }));
-        }
-        Message::Abort { txid, coord_epoch } => {
-            let (h, server, sessions) = (h.clone(), Arc::clone(server), Arc::clone(sessions));
-            settle.submit(Box::new(move || {
-                if server.guard_coordinator(coord_epoch).is_ok() {
-                    server.abort_host(txid);
-                }
-                sessions.settled(conn, txid);
-                if sessions.is_live(conn) {
-                    h.send(conn, rid, &Message::Ok);
-                }
-            }));
-        }
-
-        // --- upcalls, on the elastic upcall pool -------------------------
-        Message::ValidateToken { path, token, uid } => {
-            let h = h.clone();
-            upcall.submit_with(UpcallRequest::ValidateToken { path, token, uid }, move |rep| {
-                let msg = match rep {
-                    UpcallReply::TokenValid(kind) => Message::TokenKindIs(token_kind_to_u8(kind)),
-                    UpcallReply::Rejected(e) => Message::Err(e),
-                    other => Message::Err(format!("unexpected reply {other:?}")),
-                };
-                h.send(conn, rid, &msg);
-            });
-        }
-        Message::OpenCheck { path, uid, wanted, opener } => {
-            let Some(wanted) = token_kind_from_u8(wanted) else {
-                h.send(conn, rid, &Message::Err("bad token-kind discriminant".into()));
-                return;
-            };
-            // Read before the check is queued: a release that lands while
-            // the check runs moves the epoch past this value, so a client
-            // that is told Busy and waits on it returns at once.
-            let epoch = server.epoch();
-            let h = h.clone();
-            upcall.submit_with(
-                UpcallRequest::OpenCheck { path, uid, wanted, opener },
-                move |rep| {
-                    let msg = match rep {
-                        UpcallReply::Open(OpenDecision::Approved { open_as }) => {
-                            Message::OpenApproved { uid: open_as.uid, gid: open_as.gid }
-                        }
-                        UpcallReply::Open(OpenDecision::NotManaged) => Message::OpenNotManaged,
-                        UpcallReply::Open(OpenDecision::Busy) => Message::OpenBusy(epoch),
-                        UpcallReply::Open(OpenDecision::Rejected(e)) => Message::OpenRejected(e),
-                        UpcallReply::Rejected(e) => Message::OpenRejected(e),
-                        other => Message::OpenRejected(format!("unexpected reply {other:?}")),
-                    };
-                    h.send(conn, rid, &msg);
-                },
-            );
-        }
-        Message::CloseNotify { path, opener, wrote, size, mtime } => {
-            let h = h.clone();
-            upcall.submit_with(
-                UpcallRequest::CloseNotify { path, opener, wrote, size, mtime },
-                move |rep| {
-                    let msg = match rep {
-                        UpcallReply::Ok => Message::Ok,
-                        UpcallReply::Rejected(e) => Message::Err(e),
-                        other => Message::Err(format!("unexpected reply {other:?}")),
-                    };
-                    h.send(conn, rid, &msg);
-                },
-            );
-        }
-        Message::MutationCheck { path } => {
-            let h = h.clone();
-            upcall.submit_with(UpcallRequest::MutationCheck { path }, move |rep| {
-                let msg = match rep {
-                    UpcallReply::Ok => Message::Ok,
-                    UpcallReply::Rejected(e) => Message::Err(e),
-                    other => Message::Err(format!("unexpected reply {other:?}")),
-                };
-                h.send(conn, rid, &msg);
-            });
-        }
-        Message::RegisterOpen { path, uid, opener } => {
-            let h = h.clone();
-            upcall.submit_with(UpcallRequest::RegisterOpen { path, uid, opener }, move |_rep| {
-                h.send(conn, rid, &Message::Ok);
-            });
-        }
-        Message::UnregisterOpen { path, opener } => {
-            let h = h.clone();
-            upcall.submit_with(UpcallRequest::UnregisterOpen { path, opener }, move |_rep| {
-                h.send(conn, rid, &Message::Ok);
-            });
-        }
-
-        // A server never receives reply-tagged frames.
-        other => {
-            h.send(conn, rid, &Message::Err(format!("unexpected message {other:?}")));
-        }
+    let on = lane(&msg);
+    let pool = match on {
+        // Cheap enough for the reactor thread.
+        Lane::Inline => return h.send(conn, rid, &front.lanes.service.server.handle(msg)),
+        Lane::Agent => &front.lanes.agent,
+        Lane::Settle => &front.settle,
+        Lane::Upcall => &front.lanes.upcall,
+    };
+    // What the connection owes the sweep: a link, unlink or prepare leaves
+    // its host transaction open on this connection until a decision
+    // settles it. A link/unlink additionally *claims*: it creates the
+    // sub-transaction the sweep may already have run too early to see.
+    let decides = matches!(msg, Message::Commit { .. } | Message::Abort { .. });
+    let settles = msg.txid().filter(|_| decides);
+    let claim = msg.txid().filter(|_| on == Lane::Agent);
+    if let Some(txid) = msg.txid().filter(|_| !decides) {
+        front.sessions.track(conn, txid);
     }
+    let (h, front) = (h.clone(), Arc::clone(front));
+    pool.submit(Box::new(move |service| {
+        let sessions = &front.sessions;
+        if claim.is_some() && !sessions.is_live(conn) {
+            return;
+        }
+        service.serve(msg, |reply| {
+            if let Some(txid) = settles {
+                sessions.settled(conn, txid);
+            }
+            if sessions.is_live(conn) {
+                h.send(conn, rid, &reply);
+            } else if let (Some(txid), Message::Ok) = (claim, &reply) {
+                // The connection died while we linked: the disconnect
+                // sweep may have run before this sub-transaction existed.
+                // Settle it here, by the sweep's own rule.
+                service.server.resolve_client_loss(txid);
+            }
+        });
+    }));
 }
 
 /// The client side: mints outbound wire connections that share one set
@@ -561,10 +256,10 @@ impl WireConnector {
         WireConnector { stats, call_timeout }
     }
 
-    /// Opens a connection to a [`WireDaemon`]'s socket and performs the
-    /// Hello handshake. The returned connection is stamped with the
-    /// coordinator epoch the server held at connect time — exactly like
-    /// an in-process agent handle, so failover fencing works unchanged.
+    /// Opens a connection to a [`WireDaemon`]'s socket. Nothing has been
+    /// said on it yet: [`crate::DlfmClient::connect`] over it performs
+    /// the `Hello` handshake. `client` labels the connection in its own
+    /// error messages.
     pub fn connect(&self, socket: &Path, client: &str) -> Result<Arc<WireConn>, String> {
         let stream = UnixStream::connect(socket)
             .map_err(|e| format!("connect {}: {e}", socket.display()))?;
@@ -575,31 +270,15 @@ impl WireConnector {
             .and_then(|()| stream.set_write_timeout(Some(self.call_timeout)))
             .map_err(|e| format!("wire call timeout {:?}: {e}", self.call_timeout))?;
         self.stats.connection_opened();
-        let mut conn = WireConn {
+        Ok(Arc::new(WireConn {
             stream,
             state: Mutex::new(CallState::default()),
             reply_parked: Condvar::new(),
             stats: Arc::clone(&self.stats),
             call_timeout: self.call_timeout,
             next_req: AtomicU64::new(1),
-            round_trips: AtomicU64::new(0),
-            server_name: String::new(),
-            coord_epoch: 0,
-            strict_link: false,
-            dlfm_uid: 0,
-            dlfm_gid: 0,
-        };
-        match conn.call(Message::Hello { client: client.to_string() })? {
-            Message::HelloAck { server, coord_epoch, strict_link, dlfm_uid, dlfm_gid } => {
-                conn.server_name = server;
-                conn.coord_epoch = coord_epoch;
-                conn.strict_link = strict_link;
-                conn.dlfm_uid = dlfm_uid;
-                conn.dlfm_gid = dlfm_gid;
-            }
-            other => return Err(format!("bad hello reply: {other:?}")),
-        }
-        Ok(Arc::new(conn))
+            label: client.to_string(),
+        }))
     }
 
     /// This connector's wire instruments.
@@ -622,8 +301,8 @@ struct CallState {
     dead: bool,
 }
 
-/// One client connection: request-id-correlated call/reply over a frame
-/// stream, plus the session parameters cached from the Hello handshake.
+/// One client connection — the socket [`Carrier`]: request-id-correlated
+/// call/reply over a frame stream.
 ///
 /// There is no I/O thread behind it. A caller writes its frame, then
 /// either becomes the connection's reader — one caller at a time reads
@@ -640,12 +319,8 @@ pub struct WireConn {
     stats: Arc<NetStats>,
     call_timeout: Duration,
     next_req: AtomicU64,
-    round_trips: AtomicU64,
-    server_name: String,
-    coord_epoch: u64,
-    strict_link: bool,
-    dlfm_uid: u32,
-    dlfm_gid: u32,
+    /// Who opened the connection (error messages).
+    label: String,
 }
 
 impl WireConn {
@@ -662,7 +337,7 @@ impl WireConn {
 
         let mut st = self.state.lock();
         if st.dead {
-            return Err(format!("wire connection to '{}' is closed", self.server_name));
+            return Err(format!("wire connection '{}' is closed", self.label));
         }
         // Written under the state lock, so frames never interleave.
         if (&self.stream).write_all(&frame).is_err() {
@@ -678,7 +353,6 @@ impl WireConn {
             if let Some(reply) = st.pending.get_mut(&rid).and_then(Option::take) {
                 st.pending.remove(&rid);
                 self.stats.round_trip_ns.record_duration(started.elapsed());
-                self.round_trips.fetch_add(1, Ordering::Relaxed);
                 return Ok(reply);
             }
             if st.dead {
@@ -690,8 +364,8 @@ impl WireConn {
                 st.pending.remove(&rid);
                 self.stats.call_timeouts.inc();
                 return Err(format!(
-                    "wire call to '{}' timed out after {:?}",
-                    self.server_name, self.call_timeout
+                    "wire call on '{}' timed out after {:?}",
+                    self.label, self.call_timeout
                 ));
             }
             if st.reading {
@@ -760,7 +434,7 @@ impl WireConn {
     }
 
     fn lost(&self) -> String {
-        format!("wire call to '{}' failed: connection lost", self.server_name)
+        format!("wire call on '{}' failed: connection lost", self.label)
     }
 
     /// Severs the connection abruptly — no goodbye, no flush. This is the
@@ -779,21 +453,22 @@ impl WireConn {
     pub fn is_dead(&self) -> bool {
         self.state.lock().dead
     }
+}
 
-    /// The server's repository log tail — the wire form of the freshness
-    /// token read-your-writes routing uses (`DataLinksSystem::freshness_token`).
-    pub fn freshness_token(&self) -> Result<u64, String> {
-        match self.call(Message::FreshnessToken)? {
-            Message::Freshness(lsn) => Ok(lsn),
-            other => Err(format!("unexpected reply {other:?}")),
-        }
+impl Carrier for WireConn {
+    fn call(&self, msg: Message) -> Result<Message, String> {
+        WireConn::call(self, msg)
     }
 
-    fn call_result(&self, msg: Message) -> Result<(), String> {
-        match self.call(msg)? {
-            Message::Ok => Ok(()),
-            Message::Err(e) => Err(e),
-            other => Err(format!("unexpected reply {other:?}")),
+    fn wait_epoch_change(&self, seen: u64) {
+        // No server-side blocking over the wire: poll the epoch with a
+        // short sleep. A dead connection returns immediately — the caller
+        // re-checks its condition and fails from there.
+        while let Ok(Message::EpochIs(e)) = self.call(Message::EpochGet) {
+            if e != seen {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -806,166 +481,10 @@ impl Drop for WireConn {
     }
 }
 
-/// A wire connection wearing the agent hat: the engine's 2PC participant
-/// and link/unlink channel, indistinguishable from a local
-/// [`crate::AgentHandle`].
-pub struct WireAgent(pub Arc<WireConn>);
-
-impl AgentConnection for WireAgent {
-    fn link(
-        &self,
-        host_txid: u64,
-        path: &str,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-    ) -> Result<(), String> {
-        self.0.call_result(Message::Link {
-            txid: host_txid,
-            coord_epoch: self.0.coord_epoch,
-            path: path.to_string(),
-            mode: mode_to_u8(mode),
-            recovery,
-            on_unlink: on_unlink_to_u8(on_unlink),
-        })
-    }
-
-    fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String> {
-        self.0.call_result(Message::Unlink {
-            txid: host_txid,
-            coord_epoch: self.0.coord_epoch,
-            path: path.to_string(),
-        })
-    }
-
-    fn prepare(&self, host_txid: u64) -> Result<(), String> {
-        self.0.call_result(Message::Prepare { txid: host_txid, coord_epoch: self.0.coord_epoch })
-    }
-
-    fn commit(&self, host_txid: u64) {
-        // A lost connection mid-decide is fine: the server's disconnect
-        // sweep asks the host for the recorded outcome and applies it.
-        let _ = self.0.call(Message::Commit { txid: host_txid, coord_epoch: self.0.coord_epoch });
-    }
-
-    fn abort(&self, host_txid: u64) {
-        let _ = self.0.call(Message::Abort { txid: host_txid, coord_epoch: self.0.coord_epoch });
-    }
-
-    fn server_name(&self) -> &str {
-        &self.0.server_name
-    }
-
-    fn coord_epoch(&self) -> u64 {
-        self.0.coord_epoch
-    }
-}
-
-/// A wire connection wearing the upcall hat: DLFS's endpoint when the
-/// node runs `Transport::Socket`.
-pub struct WireUpcall(pub Arc<WireConn>);
-
-impl UpcallTransport for WireUpcall {
-    fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String> {
-        match self.0.call(Message::ValidateToken {
-            path: path.to_string(),
-            token: token.to_string(),
-            uid,
-        })? {
-            Message::TokenKindIs(k) => {
-                token_kind_from_u8(k).ok_or_else(|| "bad token-kind discriminant".to_string())
-            }
-            Message::Err(e) => Err(e),
-            other => Err(format!("unexpected reply {other:?}")),
-        }
-    }
-
-    fn open_check(
-        &self,
-        path: &str,
-        uid: u32,
-        wanted: TokenKind,
-        opener: u64,
-    ) -> (u64, OpenDecision) {
-        let reply = self.0.call(Message::OpenCheck {
-            path: path.to_string(),
-            uid,
-            wanted: token_kind_to_u8(wanted),
-            opener,
-        });
-        let decision = match reply {
-            Ok(Message::OpenApproved { uid, gid }) => {
-                OpenDecision::Approved { open_as: dl_fskit::Cred { uid, gid } }
-            }
-            Ok(Message::OpenNotManaged) => OpenDecision::NotManaged,
-            Ok(Message::OpenBusy(epoch)) => return (epoch, OpenDecision::Busy),
-            Ok(Message::OpenRejected(e)) => OpenDecision::Rejected(e),
-            Ok(other) => OpenDecision::Rejected(format!("unexpected reply {other:?}")),
-            Err(e) => OpenDecision::Rejected(e),
-        };
-        (0, decision)
-    }
-
-    fn close_notify(
-        &self,
-        path: &str,
-        opener: u64,
-        wrote: bool,
-        size: u64,
-        mtime: u64,
-    ) -> Result<(), String> {
-        self.0.call_result(Message::CloseNotify {
-            path: path.to_string(),
-            opener,
-            wrote,
-            size,
-            mtime,
-        })
-    }
-
-    fn mutation_check(&self, path: &str) -> Result<(), String> {
-        self.0.call_result(Message::MutationCheck { path: path.to_string() })
-    }
-
-    fn register_open(&self, path: &str, uid: u32, opener: u64) {
-        let _ = self.0.call(Message::RegisterOpen { path: path.to_string(), uid, opener });
-    }
-
-    fn unregister_open(&self, path: &str, opener: u64) {
-        let _ = self.0.call(Message::UnregisterOpen { path: path.to_string(), opener });
-    }
-
-    fn strict_link(&self) -> bool {
-        self.0.strict_link
-    }
-
-    fn dlfm_uid(&self) -> u32 {
-        self.0.dlfm_uid
-    }
-
-    fn wait_epoch_change(&self, seen: u64) {
-        // No server-side blocking over the wire: poll the epoch with a
-        // short sleep. A dead connection returns immediately — the caller
-        // re-checks its condition and fails from there.
-        loop {
-            match self.0.call(Message::EpochGet) {
-                Ok(Message::EpochIs(e)) if e == seen => {
-                    std::thread::sleep(Duration::from_millis(1))
-                }
-                _ => return,
-            }
-        }
-    }
-
-    fn round_trip_count(&self) -> u64 {
-        self.0.round_trips.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchiveStore, DlfmConfig, UpcallDaemon};
+    use crate::{ArchiveStore, DlfmConfig, DlfmServer};
     use dl_fskit::{FileSystem, MemFs, SimClock};
     use dl_minidb::StorageEnv;
 
@@ -982,9 +501,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let (_upcalls, client) = UpcallDaemon::spawn(Arc::clone(&server));
-        let main = MainDaemon::new(Arc::clone(&server));
-        WireDaemon::spawn(server, &main, client, Arc::new(NetStats::new())).unwrap()
+        WireDaemon::spawn(&MainDaemon::new(server), Arc::new(NetStats::new())).unwrap()
     }
 
     fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -998,9 +515,11 @@ mod tests {
     #[test]
     fn connection_bookkeeping_is_bounded_by_open_sockets() {
         let daemon = daemon();
-        let tracked = || daemon.sessions.0.lock().len();
+        let tracked = || daemon.front.sessions.0.lock().len();
         let connector = WireConnector::new(Arc::new(NetStats::new()), Duration::from_secs(30));
         let standing = connector.connect(daemon.socket_path(), "standing").unwrap();
+        // A first round trip: the server has accepted the connection.
+        assert!(standing.call(Message::EpochGet).is_ok());
         assert_eq!(tracked(), 1);
 
         for i in 0..10_000u64 {
@@ -1031,7 +550,8 @@ mod tests {
         let stats = Arc::new(NetStats::new());
         let connector = WireConnector::new(Arc::clone(&stats), Duration::from_millis(50));
         let started = Instant::now();
-        let err = connector.connect(&path, "patient").err().expect("nobody answered");
+        let conn = connector.connect(&path, "patient").unwrap();
+        let err = crate::DlfmClient::connect(conn, "patient").err().expect("nobody answered");
         let waited = started.elapsed();
         let _ = std::fs::remove_file(&path);
 

@@ -5,8 +5,9 @@
 use std::sync::Arc;
 
 use dl_dlfm::{
-    embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostHook,
-    MainDaemon, OnUnlink, OpenDecision, TokenKind, UpcallDaemon,
+    embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
+    DlfmServer, FaultInjector, HostHook, MainDaemon, Message, OnUnlink, OpenDecision, TokenKind,
+    UpcallTransport, WireConnector, WireDaemon,
 };
 use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
 use dl_minidb::StorageEnv;
@@ -621,13 +622,13 @@ fn recovery_clears_transient_token_and_sync_state() {
 fn upcall_daemon_round_trips() {
     let f = fixture();
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
-    let (_daemon, client) = UpcallDaemon::spawn(Arc::clone(&f.server));
+    let client = MainDaemon::new(Arc::clone(&f.server)).connect();
 
     let tok = write_token(&f, "/data/clip.mpg");
     let kind = client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert_eq!(kind, TokenKind::Write);
 
-    match client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 8) {
+    match client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 8).1 {
         OpenDecision::Approved { open_as } => assert_eq!(open_as, f.server.config().dlfm_cred),
         other => panic!("unexpected {other:?}"),
     }
@@ -652,7 +653,6 @@ fn child_agents_drive_link_through_2pc() {
     assert_eq!(daemon.child_count(), 1);
 
     agent.link(11, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    use dl_minidb::Participant;
     agent.prepare(11).unwrap();
     agent.commit(11);
     assert!(f.server.repository().get_file("/data/clip.mpg").is_some());
@@ -669,7 +669,6 @@ fn agent_abort_undoes_link() {
     let daemon = MainDaemon::new(Arc::clone(&f.server));
     let agent = daemon.connect();
     agent.link(21, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    use dl_minidb::Participant;
     agent.abort(21);
     assert!(f.server.repository().get_file("/data/clip.mpg").is_none());
     assert_eq!(f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().uid, ALICE.uid);
@@ -771,7 +770,7 @@ fn strict_register_open_of_managed_file_blocks_unlink() {
     let f = fixture_with(cfg);
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rff);
 
-    let (_daemon, client) = UpcallDaemon::spawn(Arc::clone(&f.server));
+    let client = MainDaemon::new(Arc::clone(&f.server)).connect();
     client.register_open("/data/clip.mpg", ALICE.uid, 41);
     let err = f.server.unlink_file(2, "/data/clip.mpg").unwrap_err();
     assert!(err.contains("open"), "registered open must block unlink: {err}");
@@ -802,7 +801,7 @@ fn strict_register_open_never_runs_the_grant_protocol() {
 
     // Registration while the write is open must still be recorded (the
     // grant protocol would answer Busy here and record nothing).
-    let (_daemon, client) = UpcallDaemon::spawn(Arc::clone(&f.server));
+    let client = MainDaemon::new(Arc::clone(&f.server)).connect();
     client.register_open("/data/clip.mpg", ALICE.uid, 8);
     let sync = f.server.repository().sync_entries("/data/clip.mpg");
     assert_eq!(sync.len(), 2, "write grant + registration must both be visible: {sync:?}");
@@ -818,6 +817,24 @@ fn strict_register_open_never_runs_the_grant_protocol() {
     assert!(f.server.repository().get_uip("/data/clip.mpg").is_none());
 }
 
+/// Both carriers over one node: an in-process connection and a framed
+/// socket connection to a wire daemon on the same lanes.
+struct Carriers {
+    main: MainDaemon,
+    clients: [(&'static str, DlfmClient); 2],
+    _wire: WireDaemon,
+}
+
+fn carriers(f: &Fixture, fault: Option<FaultInjector>) -> Carriers {
+    let main = MainDaemon::with_fault_injector(Arc::clone(&f.server), fault);
+    let wire = WireDaemon::spawn(&main, Arc::new(dl_obs::NetStats::new())).unwrap();
+    let connector =
+        WireConnector::new(Arc::new(dl_obs::NetStats::new()), std::time::Duration::from_secs(30));
+    let conn = connector.connect(wire.socket_path(), "test").unwrap();
+    let clients = [("local", main.connect()), ("wire", DlfmClient::connect(conn, "test").unwrap())];
+    Carriers { main, clients, _wire: wire }
+}
+
 /// Regression (PR 5): a worker panic mid-dispatch must cost that request
 /// only. The old one-shot reply channel was simply dropped on a panic, so
 /// the client reported "upcall daemon is down" against a healthy pool.
@@ -827,28 +844,165 @@ fn upcall_worker_panic_is_contained_and_labelled() {
     // must survive its own panic and keep serving.
     let f = fixture_with(DlfmConfig::new("srv1").fixed_upcall_workers(1));
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
-    let injector: dl_dlfm::upcall::FaultInjector = Arc::new(|req| {
-        if let dl_dlfm::UpcallRequest::MutationCheck { path } = req {
+    let injector: FaultInjector = Arc::new(|req| {
+        if let Message::MutationCheck { path } = req {
             if path == "/data/boom" {
                 panic!("injected worker fault");
             }
         }
     });
-    let (daemon, client) =
-        UpcallDaemon::spawn_with_fault_injector(Arc::clone(&f.server), Some(injector));
+    let c = carriers(&f, Some(injector));
 
-    let err = client.mutation_check("/data/boom").unwrap_err();
+    for (served, (carrier, client)) in c.clients.iter().enumerate() {
+        let err = client.mutation_check("/data/boom").unwrap_err();
+        assert!(
+            err.contains("panicked") && err.contains("injected worker fault"),
+            "{carrier}: panic must surface in-band with its context, got: {err}"
+        );
+        assert!(!err.contains("down"), "{carrier}: a healthy pool must not be reported down");
+
+        // The pool survives and keeps serving.
+        assert!(client.mutation_check("/data/clip.mpg").is_err(), "linked file still vetoes");
+        let tok = read_token(&f, "/data/clip.mpg");
+        client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
+        assert!(c.main.wait_upcalls_idle(std::time::Duration::from_secs(5)));
+        assert_eq!(c.main.upcall_pool_stats().panics(), served as u64 + 1);
+        assert!(c.main.upcall_pool_stats().workers() >= 1);
+    }
+}
+
+// --- one protocol, one dispatcher ------------------------------------------------
+
+/// Every request of the protocol, in an order that makes each reply
+/// meaningful, plus what a server must refuse: bytes that name no enum
+/// variant, a fenced coordinator's traffic, and a reply sent as a request.
+/// The server's coordinator fence is at `FENCE`.
+const FENCE: u64 = 5;
+
+fn every_request(f: &Fixture) -> Vec<Message> {
+    let clip = || "/data/clip.mpg".to_string();
+    let link = |txid, coord_epoch, mode, on_unlink| Message::Link {
+        txid,
+        coord_epoch,
+        path: clip(),
+        mode,
+        recovery: true,
+        on_unlink,
+    };
+    let open = |wanted, opener| Message::OpenCheck { path: clip(), uid: ALICE.uid, wanted, opener };
+    vec![
+        Message::Hello { client: "table".into() },
+        Message::EpochGet,
+        Message::FreshnessToken,
+        link(1, FENCE, ControlMode::Rdd.into(), OnUnlink::Restore.into()),
+        Message::Prepare { txid: 1, coord_epoch: FENCE },
+        Message::Commit { txid: 1, coord_epoch: FENCE },
+        Message::ValidateToken {
+            path: clip(),
+            token: write_token(f, "/data/clip.mpg").encode(),
+            uid: ALICE.uid,
+        },
+        Message::ValidateToken { path: clip(), token: "garbage".into(), uid: ALICE.uid },
+        open(TokenKind::Write.into(), 7),
+        open(TokenKind::Write.into(), 8), // Busy, with the epoch
+        Message::CloseNotify { path: clip(), opener: 7, wrote: false, size: 0, mtime: 0 },
+        Message::MutationCheck { path: clip() },
+        Message::MutationCheck { path: "/data/unlinked".into() },
+        Message::RegisterOpen { path: "/data/other".into(), uid: ALICE.uid, opener: 9 },
+        Message::UnregisterOpen { path: "/data/other".into(), opener: 9 },
+        Message::Unlink { txid: 2, coord_epoch: FENCE, path: clip() },
+        Message::Abort { txid: 2, coord_epoch: FENCE },
+        Message::EpochGet,
+        Message::FreshnessToken,
+        // Discriminants no variant owns.
+        link(3, FENCE, 6, 0),
+        link(3, FENCE, 0, 2),
+        open(2, 10),
+        // A deposed coordinator's traffic.
+        link(4, FENCE - 1, 0, 0),
+        Message::Unlink { txid: 4, coord_epoch: FENCE - 1, path: clip() },
+        Message::Prepare { txid: 4, coord_epoch: FENCE - 1 },
+        Message::Commit { txid: 4, coord_epoch: FENCE - 1 },
+        // A reply is not a request.
+        Message::Ok,
+        Message::OpenBusy(3),
+    ]
+}
+
+/// The equivalence three dispatchers used to only promise: `handle` on a
+/// bare server, the in-process carrier and the socket carrier answer every
+/// request with the same `Message`.
+#[test]
+fn every_request_gets_the_same_reply_from_handle_and_both_carriers() {
+    let direct = fixture();
+    direct.server.fence_coordinator(FENCE);
+    let expected: Vec<(Message, Message)> = every_request(&direct)
+        .into_iter()
+        .map(|msg| (msg.clone(), direct.server.handle(msg)))
+        .collect();
+    // Spot checks: the table is only worth comparing if it says something.
+    let reply_to = |name: &str, nth: usize| {
+        &expected.iter().filter(|(req, _)| req.name() == name).nth(nth).unwrap().1
+    };
+    assert!(matches!(reply_to("Hello", 0), Message::HelloAck { coord_epoch: FENCE, .. }));
+    assert_eq!(reply_to("Link", 0), &Message::Ok);
+    assert_eq!(reply_to("ValidateToken", 0), &Message::TokenKindIs(TokenKind::Write.into()));
+    assert!(matches!(reply_to("OpenCheck", 0), Message::OpenApproved { .. }));
+    assert!(matches!(reply_to("OpenCheck", 1), Message::OpenBusy(_)));
+    assert!(matches!(reply_to("MutationCheck", 0), Message::Err(_)));
+    assert_eq!(reply_to("MutationCheck", 1), &Message::Ok);
+    assert!(matches!(reply_to("Link", 1), Message::Err(e) if e.contains("control-mode")));
+    assert!(matches!(reply_to("Link", 2), Message::Err(e) if e.contains("on-unlink")));
     assert!(
-        err.contains("panicked") && err.contains("injected worker fault"),
-        "panic must surface in-band with its context, got: {err}"
+        matches!(reply_to("OpenCheck", 2), Message::OpenRejected(e) if e.contains("token-kind"))
     );
-    assert_ne!(err, "upcall daemon is down", "a healthy pool must not be reported down");
+    assert!(matches!(reply_to("Link", 3), Message::Err(e) if e.contains("stale coordinator")));
+    assert_eq!(reply_to("Commit", 1), &Message::Ok, "a fenced decision is dropped, not refused");
+    assert!(matches!(reply_to("Ok", 0), Message::Err(e) if e.starts_with("unexpected message")));
 
-    // The pool survives and keeps serving.
-    assert!(client.mutation_check("/data/clip.mpg").is_err(), "linked file still vetoes");
-    let tok = read_token(&f, "/data/clip.mpg");
-    client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
-    assert!(daemon.wait_idle(std::time::Duration::from_secs(5)));
-    assert_eq!(daemon.pool_stats().panics(), 1);
-    assert!(daemon.pool_stats().workers() >= 1);
+    for carrier in [0, 1] {
+        let f = fixture();
+        f.server.fence_coordinator(FENCE);
+        let c = carriers(&f, None);
+        let (name, client) = &c.clients[carrier];
+        for (msg, want) in &expected {
+            assert_eq!(&client.call(msg.clone()).unwrap(), want, "{name}: reply to {msg:?}");
+        }
+    }
+}
+
+/// `OpenBusy` carries the sync epoch read immediately before the check
+/// ran, on either carrier: a release that lands between the check and the
+/// caller's wait has already moved the epoch past it, so the wait returns
+/// at once instead of sleeping through the only wake-up there will be.
+#[test]
+fn a_release_between_busy_and_wait_is_never_slept_through() {
+    let f = fixture();
+    link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
+    let c = carriers(&f, None);
+    for (round, (carrier, client)) in c.clients.iter().enumerate() {
+        let (holder, waiter) = (10 * round as u64 + 1, 10 * round as u64 + 2);
+        let tok = write_token(&f, "/data/clip.mpg");
+        client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
+        let (_, held) = client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, holder);
+        assert!(matches!(held, OpenDecision::Approved { .. }), "{carrier}: {held:?}");
+        let (seen, busy) = client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, waiter);
+        assert_eq!(busy, OpenDecision::Busy, "{carrier}");
+
+        // The release lands before the waiter gets round to waiting.
+        client.close_notify("/data/clip.mpg", holder, false, 0, 0).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                client.wait_epoch_change(seen);
+                let _ = done_tx.send(());
+            });
+            let woke = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            if woke.is_err() {
+                // Unpark the waiter so the scope can end, then fail.
+                f.server.unregister_open("/data/none", 0);
+            }
+            assert!(woke.is_ok(), "{carrier}: waited on an epoch the release had already passed");
+        });
+    }
 }

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dl_dlfm::{OpenDecision, TokenKind, UpcallClient, UpcallTransport};
+use dl_dlfm::{DlfmClient, OpenDecision, TokenKind, UpcallTransport};
 use dl_fskit::flock::{LockOp, LockOwner};
 use dl_fskit::{path as fspath, FileSystem};
 use dl_fskit::{Cred, DirEntry, FileAttr, FileKind, FsError, FsResult, Ino, OpenFlags, SetAttr};
@@ -107,21 +107,11 @@ pub struct Dlfs {
 const ROOT: Cred = Cred::root();
 
 impl Dlfs {
-    /// Wraps `inner`, talking to DLFM through an in-process `upcall`
-    /// channel client. Shorthand for [`Dlfs::with_transport`] with the
-    /// local transport — the common single-node construction.
-    pub fn new(inner: Arc<dyn FileSystem>, upcall: UpcallClient, cfg: DlfsConfig) -> Dlfs {
-        Dlfs::with_transport(inner, Arc::new(upcall), cfg)
-    }
-
-    /// Wraps `inner`, talking to DLFM through any [`UpcallTransport`] —
-    /// the in-process channel client or a wire connection. DLFS itself is
-    /// transport-blind; every interception below speaks the trait.
-    pub fn with_transport(
-        inner: Arc<dyn FileSystem>,
-        upcall: Arc<dyn UpcallTransport>,
-        cfg: DlfsConfig,
-    ) -> Dlfs {
+    /// Wraps `inner`, talking to DLFM through `upcall`. DLFS is blind to
+    /// the carrier under the client; every interception below speaks
+    /// [`UpcallTransport`].
+    pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient, cfg: DlfsConfig) -> Dlfs {
+        let upcall: Arc<dyn UpcallTransport> = Arc::new(upcall);
         let mut paths = HashMap::new();
         paths.insert(inner.root(), "/".to_string());
         Dlfs {

@@ -8,8 +8,8 @@ use std::thread;
 use std::time::Duration;
 
 use dl_dlfm::{
-    embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, OnUnlink,
-    TokenKind, UpcallDaemon,
+    embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon,
+    OnUnlink, TokenKind,
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
 use dl_fskit::{Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenOptions, SetAttr, SimClock};
@@ -26,7 +26,7 @@ struct Stack {
     server: Arc<DlfmServer>,
     dlfs: Arc<Dlfs>,
     clock: Arc<SimClock>,
-    _daemon: UpcallDaemon,
+    _daemon: MainDaemon,
 }
 
 fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
@@ -47,8 +47,8 @@ fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
         )
         .unwrap(),
     );
-    let (daemon, client) = UpcallDaemon::spawn(Arc::clone(&server));
-    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, client, dlfs_cfg));
+    let daemon = MainDaemon::new(Arc::clone(&server));
+    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, daemon.connect(), dlfs_cfg));
     let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
     Stack { lfs, raw, server, dlfs, clock, _daemon: daemon }
 }
@@ -310,9 +310,12 @@ fn aborted_update_restores_content_via_recovery_path() {
         )
         .unwrap(),
     );
-    let (daemon, client) = UpcallDaemon::spawn(Arc::clone(&server));
-    let dlfs =
-        Arc::new(Dlfs::new(fs.clone() as Arc<dyn FileSystem>, client, DlfsConfig::default()));
+    let daemon = MainDaemon::new(Arc::clone(&server));
+    let dlfs = Arc::new(Dlfs::new(
+        fs.clone() as Arc<dyn FileSystem>,
+        daemon.connect(),
+        DlfsConfig::default(),
+    ));
     let lfs = Lfs::new(dlfs.clone() as Arc<dyn FileSystem>);
 
     server.link_file(1, "/web/a.html", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();

@@ -157,7 +157,6 @@ pub struct Params {
     pub agents: Option<u64>,
     pub pool_min: Option<u64>,
     pub pool_max: Option<u64>,
-    pub thread_per_agent: Option<bool>,
     pub ops: Option<u64>,
     pub write_ratio: Option<f64>,
     pub churn_ratio: Option<f64>,
@@ -192,7 +191,6 @@ impl Params {
             agents,
             pool_min,
             pool_max,
-            thread_per_agent,
             ops,
             write_ratio,
             churn_ratio,
@@ -589,7 +587,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             "agents" => p.agents = Some(expect_u64(file, line, key, val, 1, 4096)?),
             "pool_min" => p.pool_min = Some(expect_u64(file, line, key, val, 1, 1024)?),
             "pool_max" => p.pool_max = Some(expect_u64(file, line, key, val, 1, 1024)?),
-            "thread_per_agent" => p.thread_per_agent = Some(expect_bool(file, line, key, val)?),
             "ops" => p.ops = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "write_ratio" => p.write_ratio = Some(expect_ratio(file, line, key, val)?),
             "churn_ratio" => p.churn_ratio = Some(expect_ratio(file, line, key, val)?),

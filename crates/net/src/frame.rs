@@ -257,6 +257,48 @@ impl<'a> Reader<'a> {
 }
 
 impl Message {
+    /// The variant's name, without its fields (labels, error text).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Message::Hello { .. } => "Hello",
+            Message::HelloAck { .. } => "HelloAck",
+            Message::Link { .. } => "Link",
+            Message::Unlink { .. } => "Unlink",
+            Message::Prepare { .. } => "Prepare",
+            Message::Commit { .. } => "Commit",
+            Message::Abort { .. } => "Abort",
+            Message::ValidateToken { .. } => "ValidateToken",
+            Message::OpenCheck { .. } => "OpenCheck",
+            Message::CloseNotify { .. } => "CloseNotify",
+            Message::MutationCheck { .. } => "MutationCheck",
+            Message::RegisterOpen { .. } => "RegisterOpen",
+            Message::UnregisterOpen { .. } => "UnregisterOpen",
+            Message::EpochGet => "EpochGet",
+            Message::FreshnessToken => "FreshnessToken",
+            Message::Ok => "Ok",
+            Message::Err(_) => "Err",
+            Message::TokenKindIs(_) => "TokenKindIs",
+            Message::OpenApproved { .. } => "OpenApproved",
+            Message::OpenNotManaged => "OpenNotManaged",
+            Message::OpenBusy(_) => "OpenBusy",
+            Message::OpenRejected(_) => "OpenRejected",
+            Message::EpochIs(_) => "EpochIs",
+            Message::Freshness(_) => "Freshness",
+        }
+    }
+
+    /// The host transaction an agent operation belongs to.
+    pub fn txid(&self) -> Option<u64> {
+        match self {
+            Message::Link { txid, .. }
+            | Message::Unlink { txid, .. }
+            | Message::Prepare { txid, .. }
+            | Message::Commit { txid, .. }
+            | Message::Abort { txid, .. } => Some(*txid),
+            _ => None,
+        }
+    }
+
     fn tag(&self) -> u8 {
         match self {
             Message::Hello { .. } => T_HELLO,

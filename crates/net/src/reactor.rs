@@ -54,20 +54,26 @@ extern "C" {
 /// What the reactor tells its owner. `Frame` carries the request-id so a
 /// server can stamp its reply and a client can correlate it.
 pub enum NetEvent {
-    /// A connection is up: accepted from the listener, or adopted through
-    /// [`ReactorHandle::register`].
+    /// A connection is up: accepted from the listener.
     Accepted(u64),
     /// A complete frame arrived on `conn`.
     Frame { conn: u64, request_id: u64, msg: Message },
     /// The connection is gone — peer hangup, I/O error, decode failure,
-    /// or an explicit [`ReactorHandle::close`]. Emitted exactly once per
-    /// connection that saw `Accepted`.
+    /// or the reactor shutting down. Emitted exactly once per connection
+    /// that saw `Accepted`.
     Disconnected(u64),
 }
 
 enum Cmd {
-    Register { id: u64, conn: Arc<ConnOut> },
-    Close { id: u64 },
+    #[cfg(test)]
+    Register {
+        id: u64,
+        conn: Arc<ConnOut>,
+    },
+    #[cfg(test)]
+    Close {
+        id: u64,
+    },
     Shutdown,
 }
 
@@ -150,7 +156,9 @@ impl ReactorHandle {
 
     /// Adopts an already-connected stream. Returns the connection id,
     /// good for [`ReactorHandle::send`] at once; the poller emits
-    /// `Accepted` when it starts reading the stream.
+    /// `Accepted` when it starts reading the stream. (Clients read their
+    /// own sockets; only this module's tests run a client-side reactor.)
+    #[cfg(test)]
     pub fn register(&self, stream: UnixStream) -> io::Result<u64> {
         let (id, conn) = self.0.add_conn(stream)?;
         self.push(Cmd::Register { id, conn });
@@ -195,6 +203,7 @@ impl ReactorHandle {
     /// Tears down `conn` from this side, flushing nothing: the socket is
     /// shut down both ways, so the peer sees the hangup even while some
     /// sender still holds the connection.
+    #[cfg(test)]
     pub fn close(&self, conn: u64) {
         self.push(Cmd::Close { id: conn });
     }
@@ -221,9 +230,8 @@ pub struct Reactor {
 
 impl Reactor {
     /// Spawns the poller thread. `listener`, when present, feeds the
-    /// accept loop; streams connected elsewhere are adopted through
-    /// [`ReactorHandle::register`]. `make_handler` receives the handle
-    /// first so the handler it builds can reply to frames.
+    /// accept loop. `make_handler` receives the handle first so the
+    /// handler it builds can reply to frames.
     pub fn spawn<F>(
         name: &str,
         listener: Option<UnixListener>,
@@ -306,9 +314,13 @@ impl Poller<'_> {
 
         loop {
             let cmds: Vec<Cmd> = std::mem::take(&mut *self.shared.cmds.lock());
+            // Outside this module's tests `Shutdown` is the only command.
+            #[cfg_attr(not(test), allow(clippy::never_loop))]
             for cmd in cmds {
                 match cmd {
+                    #[cfg(test)]
                     Cmd::Register { id, conn } => self.adopt(id, conn),
+                    #[cfg(test)]
                     Cmd::Close { id } => self.teardown(id),
                     Cmd::Shutdown => {
                         let ids: Vec<u64> = self.conns.keys().copied().collect();

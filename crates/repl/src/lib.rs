@@ -179,6 +179,8 @@ pub trait ShipTarget: Send + Sync {
     /// Blocks until the target's background snapshotter is idle (bounded
     /// retained-bytes observations need this).
     fn wait_snapshot_idle(&self, timeout: Duration) -> bool;
+    /// Snapshotter backlog (0–2): queued plus in-progress snapshot jobs.
+    fn snapshot_queue_depth(&self) -> usize;
 }
 
 /// Name of the replica-local session table holding validated token entries
@@ -436,6 +438,10 @@ impl ShipTarget for Standby {
     fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
         Standby::wait_snapshot_idle(self, timeout)
     }
+
+    fn snapshot_queue_depth(&self) -> usize {
+        Standby::snapshot_queue_depth(self)
+    }
 }
 
 /// A hot standby of the **host database** — the 2PC coordinator and
@@ -514,6 +520,10 @@ impl ShipTarget for HostStandby {
 
     fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
         self.db.wait_snapshot_idle(timeout)
+    }
+
+    fn snapshot_queue_depth(&self) -> usize {
+        HostStandby::snapshot_queue_depth(self)
     }
 }
 
@@ -725,7 +735,7 @@ impl Drop for Replicator {
     }
 }
 
-/// Options for provisioning a replica set.
+/// Options for provisioning a DLFM repository's replica set.
 pub struct ReplicaSetOptions {
     /// Number of hot standbys to provision.
     pub replicas: usize,
@@ -744,68 +754,107 @@ pub struct ReplicaSetOptions {
     pub fallback: Option<ContentSource>,
 }
 
-/// A primary's hot standbys plus the shipping daemon and the round-robin
-/// read router.
-pub struct ReplicaSet {
-    standbys: Vec<Arc<Standby>>,
+/// Options for provisioning a host-database replica set.
+pub struct HostReplicaSetOptions {
+    /// Number of hot standbys to provision.
+    pub replicas: usize,
+    /// Per-sync latency of the standby environments (matched to the host
+    /// database's, so replica durability costs what the primary's does).
+    pub sync_latency_ns: u64,
+    /// Initial fence epoch — the **coordinator generation**. A first
+    /// provisioning passes 0; a set rebuilt after `fail_over_host` passes
+    /// the promoted epoch so a later failover still out-ranks this one.
+    pub epoch: u64,
+}
+
+/// A primary's hot standbys plus their shipping daemon. `S` is what the
+/// set replicates: [`Standby`] for a DLFM repository (the default — such a
+/// set is also the round-robin read router), [`HostStandby`] for the host
+/// database, the coordinator half of "no single node loss stops traffic".
+/// There the fence epoch doubles as the **coordinator generation**:
+/// promotion bumps it, every DLFM node is told the new generation, and 2PC
+/// traffic from agent connections minted under an older generation is
+/// refused (the zombie-coordinator guard).
+pub struct ReplicaSet<S: ShipTarget = Standby> {
+    standbys: Vec<Arc<S>>,
     replicator: Replicator,
     fence: Arc<EpochFence>,
     stats: Arc<ReplStats>,
     next: AtomicUsize,
 }
 
-impl ReplicaSet {
+/// A fresh standby environment syncing at `latency_ns`.
+fn standby_env(latency_ns: u64) -> StorageEnv {
+    if latency_ns > 0 {
+        StorageEnv::mem_with_sync_latency(latency_ns)
+    } else {
+        StorageEnv::mem()
+    }
+}
+
+impl ReplicaSet<Standby> {
     /// Provisions `opts.replicas` fresh standbys fed from `feed` and
     /// spawns the shipper. A fresh standby catches up by delta when the
     /// primary's log is truncated (checkpoint install + WAL suffix) and by
     /// full-log replay otherwise. The caller mirrors the primary archive
     /// into each standby's store.
-    pub fn build(feed: ReplicationFeed, opts: ReplicaSetOptions) -> Result<ReplicaSet, String> {
-        assert!(opts.replicas > 0, "a replica set needs at least one standby");
-        let fence = Arc::new(EpochFence::new());
-        let stats = Arc::new(ReplStats::default());
-        let env = |latency: u64| {
-            if latency > 0 {
-                StorageEnv::mem_with_sync_latency(latency)
-            } else {
-                StorageEnv::mem()
-            }
-        };
-        let mut standbys = Vec::with_capacity(opts.replicas);
-        for i in 0..opts.replicas {
-            standbys.push(Arc::new(Standby::new(
+    pub fn build(feed: ReplicationFeed, opts: ReplicaSetOptions) -> Result<Self, String> {
+        Self::provision(&opts.server_name, feed, opts.replicas, 0, |i, fence, stats| {
+            Standby::new(
                 format!("{}#{i}", opts.server_name),
-                env(opts.sync_latency_ns),
-                env(opts.sync_latency_ns),
-                Arc::clone(&fence),
-                Arc::clone(&stats),
+                standby_env(opts.sync_latency_ns),
+                standby_env(opts.sync_latency_ns),
+                fence,
+                stats,
                 opts.server_name.clone(),
                 opts.token_key.clone(),
                 Arc::clone(&opts.clock),
                 opts.fallback.clone(),
-            )?));
-        }
-        let targets: Vec<Arc<dyn ShipTarget>> =
-            standbys.iter().map(|s| Arc::clone(s) as Arc<dyn ShipTarget>).collect();
-        let replicator = Replicator::spawn(
-            &opts.server_name,
-            feed,
-            targets,
-            fence.current(),
-            Arc::clone(&stats),
-        );
-        Ok(ReplicaSet { standbys, replicator, fence, stats, next: AtomicUsize::new(0) })
-    }
-
-    /// The set's standbys, in provisioning order.
-    pub fn standbys(&self) -> &[Arc<Standby>] {
-        &self.standbys
+            )
+        })
     }
 
     /// Round-robin pick for read routing.
     pub fn pick(&self) -> &Arc<Standby> {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.standbys.len();
         &self.standbys[i]
+    }
+}
+
+impl ReplicaSet<HostStandby> {
+    /// Provisions `opts.replicas` fresh host standbys fed from `feed`
+    /// (the host database's [`ReplicationFeed`]) and spawns the shipper
+    /// under `opts.epoch`.
+    pub fn build(feed: ReplicationFeed, opts: HostReplicaSetOptions) -> Result<Self, String> {
+        Self::provision("host", feed, opts.replicas, opts.epoch, |i, fence, stats| {
+            HostStandby::new(format!("host#{i}"), standby_env(opts.sync_latency_ns), fence, stats)
+        })
+    }
+}
+
+impl<S: ShipTarget + 'static> ReplicaSet<S> {
+    fn provision(
+        name: &str,
+        feed: ReplicationFeed,
+        replicas: usize,
+        epoch: u64,
+        standby: impl Fn(usize, Arc<EpochFence>, Arc<ReplStats>) -> Result<S, String>,
+    ) -> Result<Self, String> {
+        assert!(replicas > 0, "a replica set needs at least one standby");
+        let fence = Arc::new(EpochFence::at(epoch));
+        let stats = Arc::new(ReplStats::default());
+        let standbys = (0..replicas)
+            .map(|i| standby(i, Arc::clone(&fence), Arc::clone(&stats)).map(Arc::new))
+            .collect::<Result<Vec<_>, String>>()?;
+        let targets: Vec<Arc<dyn ShipTarget>> =
+            standbys.iter().map(|s| Arc::clone(s) as Arc<dyn ShipTarget>).collect();
+        let replicator = Replicator::spawn(name, feed, targets, epoch, Arc::clone(&stats));
+        Ok(ReplicaSet { standbys, replicator, fence, stats, next: AtomicUsize::new(0) })
+    }
+
+    /// The set's standbys, in provisioning order.
+    pub fn standbys(&self) -> &[Arc<S>] {
+        &self.standbys
     }
 
     /// Primary durable watermark minus the slowest standby's applied
@@ -825,7 +874,9 @@ impl ReplicaSet {
         self.replicator.ship_once()
     }
 
-    /// Pauses or resumes the background shipper (operator drain hook; see
+    /// Pauses or resumes the background shipper (operator drain hook, and
+    /// the deterministic way to hold back a standby — e.g. to stage a
+    /// decision logged on the host but not yet shipped; see
     /// [`Replicator::set_paused`]).
     pub fn set_paused(&self, paused: bool) {
         self.replicator.set_paused(paused);
@@ -859,126 +910,7 @@ impl ReplicaSet {
     /// The standby a failover promotes (the first; round-robin state does
     /// not affect durability, any standby is equally promotable after the
     /// fence).
-    pub fn promote_target(&self) -> &Arc<Standby> {
-        &self.standbys[0]
-    }
-}
-
-/// Options for provisioning a host-database replica set.
-pub struct HostReplicaSetOptions {
-    /// Number of hot standbys to provision.
-    pub replicas: usize,
-    /// Per-sync latency of the standby environments (matched to the host
-    /// database's, so replica durability costs what the primary's does).
-    pub sync_latency_ns: u64,
-    /// Initial fence epoch — the **coordinator generation**. A first
-    /// provisioning passes 0; a set rebuilt after `fail_over_host` passes
-    /// the promoted epoch so a later failover still out-ranks this one.
-    pub epoch: u64,
-}
-
-/// The host database's hot standbys plus their shipping daemon — the
-/// coordinator half of "no single node loss stops traffic". The fence
-/// epoch here doubles as the **coordinator generation**: promotion bumps
-/// it, every DLFM node is told the new generation, and 2PC traffic from
-/// agent connections minted under an older generation is refused (the
-/// zombie-coordinator guard).
-pub struct HostReplicaSet {
-    standbys: Vec<Arc<HostStandby>>,
-    replicator: Replicator,
-    fence: Arc<EpochFence>,
-    stats: Arc<ReplStats>,
-}
-
-impl HostReplicaSet {
-    /// Provisions `opts.replicas` fresh host standbys fed from `feed`
-    /// (the host database's [`ReplicationFeed`]) and spawns the shipper
-    /// under `opts.epoch`.
-    pub fn build(
-        feed: ReplicationFeed,
-        opts: HostReplicaSetOptions,
-    ) -> Result<HostReplicaSet, String> {
-        assert!(opts.replicas > 0, "a host replica set needs at least one standby");
-        let fence = Arc::new(EpochFence::at(opts.epoch));
-        let stats = Arc::new(ReplStats::default());
-        let env = |latency: u64| {
-            if latency > 0 {
-                StorageEnv::mem_with_sync_latency(latency)
-            } else {
-                StorageEnv::mem()
-            }
-        };
-        let mut standbys = Vec::with_capacity(opts.replicas);
-        for i in 0..opts.replicas {
-            standbys.push(Arc::new(HostStandby::new(
-                format!("host#{i}"),
-                env(opts.sync_latency_ns),
-                Arc::clone(&fence),
-                Arc::clone(&stats),
-            )?));
-        }
-        let targets: Vec<Arc<dyn ShipTarget>> =
-            standbys.iter().map(|s| Arc::clone(s) as Arc<dyn ShipTarget>).collect();
-        let replicator = Replicator::spawn("host", feed, targets, fence.current(), stats.clone());
-        Ok(HostReplicaSet { standbys, replicator, fence, stats })
-    }
-
-    /// The set's standbys, in provisioning order.
-    pub fn standbys(&self) -> &[Arc<HostStandby>] {
-        &self.standbys
-    }
-
-    /// Host durable watermark minus the slowest standby's applied
-    /// watermark, in bytes.
-    pub fn lag(&self) -> u64 {
-        self.replicator.lag()
-    }
-
-    /// Drives shipping until the lag drains to zero or `timeout` elapses.
-    pub fn wait_caught_up(&self, timeout: Duration) -> bool {
-        self.replicator.wait_caught_up(timeout)
-    }
-
-    /// Synchronous ship (tests; also how a fenced shipper's rejection is
-    /// observed deterministically).
-    pub fn ship_once(&self) -> Result<usize, ReplError> {
-        self.replicator.ship_once()
-    }
-
-    /// Pauses or resumes the background shipper (the deterministic way to
-    /// hold back a standby — e.g. to stage a decision logged on the host
-    /// but not yet shipped).
-    pub fn set_paused(&self, paused: bool) {
-        self.replicator.set_paused(paused);
-    }
-
-    /// Shipping and rejection counters.
-    pub fn stats(&self) -> &Arc<ReplStats> {
-        &self.stats
-    }
-
-    /// Deepest snapshotter backlog across this set's standbys (each 0–2).
-    pub fn snapshot_queue_depth(&self) -> usize {
-        self.standbys.iter().map(|s| s.snapshot_queue_depth()).max().unwrap_or(0)
-    }
-
-    /// The failover fence (= coordinator generation) of this set.
-    pub fn fence(&self) -> &Arc<EpochFence> {
-        &self.fence
-    }
-
-    /// Fences the set for host failover: bumps the coordinator generation
-    /// — every in-flight or future frame from the current shipper is now
-    /// stale — and joins the shipping daemon so no apply races the
-    /// promotion that follows. Returns the new generation.
-    pub fn freeze(&self) -> u64 {
-        let epoch = self.fence.bump();
-        self.replicator.stop();
-        epoch
-    }
-
-    /// The standby a host failover promotes.
-    pub fn promote_target(&self) -> &Arc<HostStandby> {
+    pub fn promote_target(&self) -> &Arc<S> {
         &self.standbys[0]
     }
 }
@@ -1203,7 +1135,7 @@ mod tests {
     fn paused_shipper_holds_lag_until_resumed() {
         let env = StorageEnv::mem();
         let db = repo_like_db(&env);
-        let set = ReplicaSet::build(
+        let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             ReplicaSetOptions {
                 replicas: 1,
@@ -1233,7 +1165,7 @@ mod tests {
     fn replica_set_round_robins_and_catches_up() {
         let env = StorageEnv::mem();
         let db = repo_like_db(&env);
-        let set = ReplicaSet::build(
+        let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             ReplicaSetOptions {
                 replicas: 3,
@@ -1266,7 +1198,7 @@ mod tests {
     fn freeze_is_idempotent_and_promotable() {
         let env = StorageEnv::mem();
         let db = repo_like_db(&env);
-        let set = ReplicaSet::build(
+        let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             ReplicaSetOptions {
                 replicas: 1,

@@ -336,9 +336,9 @@ mod host_failover_2pc {
     use std::time::Duration;
 
     use datalinks::core::{DataLinksSystem, DlColumnOptions};
-    use datalinks::dlfm::{AgentHandle, ControlMode, OnUnlink};
+    use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, OnUnlink};
     use datalinks::fskit::{Cred, SimClock};
-    use datalinks::minidb::{Column, ColumnType, Participant, Schema, Value};
+    use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
     const SRV: &str = "srv";
@@ -375,15 +375,15 @@ mod host_failover_2pc {
 
     /// A participant whose phase-two message dies with the coordinator:
     /// prepare goes through, the decision never reaches the DLFM.
-    struct LostDecision(AgentHandle);
+    struct LostDecision(DlfmClient);
 
-    impl Participant for LostDecision {
+    impl datalinks::minidb::Participant for LostDecision {
         fn prepare(&self, txid: u64) -> Result<(), String> {
-            self.0.prepare(txid)
+            AgentConnection::prepare(&self.0, txid)
         }
         fn commit(&self, _txid: u64) {}
         fn abort(&self, txid: u64) {
-            self.0.abort(txid);
+            AgentConnection::abort(&self.0, txid);
         }
     }
 
@@ -459,9 +459,9 @@ mod sharded_host_failover_2pc {
     use std::time::Duration;
 
     use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ShardRouter};
-    use datalinks::dlfm::{AgentHandle, ControlMode, OnUnlink};
+    use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, OnUnlink};
     use datalinks::fskit::{Cred, SimClock};
-    use datalinks::minidb::{Column, ColumnType, Participant, Schema, Value};
+    use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
     const SRV: &str = "srv1";
@@ -506,15 +506,15 @@ mod sharded_host_failover_2pc {
     }
 
     /// A participant whose phase-two message dies with the coordinator.
-    struct LostDecision(AgentHandle);
+    struct LostDecision(DlfmClient);
 
-    impl Participant for LostDecision {
+    impl datalinks::minidb::Participant for LostDecision {
         fn prepare(&self, txid: u64) -> Result<(), String> {
-            self.0.prepare(txid)
+            AgentConnection::prepare(&self.0, txid)
         }
         fn commit(&self, _txid: u64) {}
         fn abort(&self, txid: u64) {
-            self.0.abort(txid);
+            AgentConnection::abort(&self.0, txid);
         }
     }
 

@@ -10,11 +10,11 @@ use proptest::prelude::*;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
-    AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, OnUnlink, OpenDecision,
-    TokenKind, UpcallDaemon,
+    AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon,
+    OnUnlink, OpenDecision, TokenKind, UpcallTransport,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
-use datalinks::minidb::{Column, ColumnType, Participant, Schema, StorageEnv};
+use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv};
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -60,14 +60,15 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
 #[test]
 fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     let (server, clock) = slow_repo_server(2, 24);
-    let (daemon, client) = UpcallDaemon::spawn(Arc::clone(&server));
+    let daemon = MainDaemon::new(Arc::clone(&server));
+    let client = daemon.connect();
 
     // Burst: 16 threads each cycling write opens of their own file — token
     // validation, the claim (parks a worker ~400 µs on the forced `dl_uip`
     // row), and a close without a write (~400 µs again to remove it).
     std::thread::scope(|scope| {
         for t in 0..BURST_CLIENTS {
-            let client = client.clone();
+            let client = &client;
             let key = server.config().token_key.clone();
             let now = clock.now_ms();
             scope.spawn(move || {
@@ -77,7 +78,7 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
                         AccessToken::generate(&key, SRV, &path, TokenKind::Write, now + 60_000 + k);
                     client.validate_token(&path, &tok.encode(), APP.uid).unwrap();
                     let opener = (t as u64) * 100 + k;
-                    let decision = client.open_check(&path, APP.uid, TokenKind::Write, opener);
+                    let (_, decision) = client.open_check(&path, APP.uid, TokenKind::Write, opener);
                     assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
                     client.close_notify(&path, opener, false, 4, 0).unwrap();
                 }
@@ -85,7 +86,7 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
         }
     });
 
-    let stats = daemon.pool_stats();
+    let stats = daemon.upcall_pool_stats();
     assert!(
         stats.peak_workers() > 2,
         "a 16-client burst must grow the pool past its floor (peaked at {})",
@@ -94,13 +95,13 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     assert!(stats.grows() > 0);
 
     // Idle: the burst is over; the pool must shed back to the floor.
-    assert!(daemon.wait_idle(Duration::from_secs(5)));
+    assert!(daemon.wait_upcalls_idle(Duration::from_secs(5)));
     let deadline = Instant::now() + Duration::from_secs(5);
-    while daemon.pool_stats().workers() > 2 && Instant::now() < deadline {
+    while stats.workers() > 2 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(daemon.pool_stats().workers(), 2, "idle pool must return to upcall_workers_min");
-    assert!(daemon.pool_stats().retires() > 0);
+    assert_eq!(stats.workers(), 2, "idle pool must return to upcall_workers_min");
+    assert!(stats.retires() > 0);
 
     // And it still serves after shrinking (the veto is the answer here:
     // a linked full-control file cannot be removed).
@@ -174,10 +175,11 @@ fn agent_churn_storm_runs_on_a_bounded_executor() {
 
     // Every churned link was cleanly unlinked — no residue in the repo.
     assert!(node.server.repository().list_files().is_empty());
-    // One connection per round (plus the engine's own), far fewer threads.
+    // One connection per round (plus the engine's and DLFS's own), far
+    // fewer threads.
     let main = node.main_daemon();
-    assert_eq!(main.child_count(), STORMERS * ROUNDS + 1);
-    let stats = main.executor_stats().expect("shared executor is the default");
+    assert_eq!(main.child_count(), STORMERS * ROUNDS + 2);
+    let stats = main.executor_stats().expect("the agent executor always runs");
     assert!(
         stats.peak_workers() <= node.server.config().agent_executor_threads,
         "executor must never exceed its bound (peaked at {})",
@@ -190,7 +192,7 @@ fn many_idle_connections_cost_no_threads() {
     let sys = system();
     let node = sys.node(SRV).unwrap();
     let handles: Vec<_> = (0..256).map(|_| node.connect_agent()).collect();
-    assert_eq!(node.main_daemon().child_count(), 257);
+    assert_eq!(node.main_daemon().child_count(), 258, "256 + the engine's and DLFS's own");
     assert!(
         node.main_daemon().executor_threads() < 64,
         "256 idle connections must not pin 256 OS threads"
@@ -255,19 +257,6 @@ fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
     });
     assert!(linked.load(std::sync::atomic::Ordering::Relaxed) > 0, "some links must win");
     assert!(node.server.repository().list_files().is_empty(), "every win was unlinked");
-}
-
-#[test]
-fn thread_per_agent_compat_knob_still_spawns_dedicated_threads() {
-    let mut spec = FileServerSpec::new(SRV);
-    spec.dlfm.thread_per_agent = true;
-    let sys = DataLinksSystem::builder().file_server_with(spec).build().unwrap();
-    let node = sys.node(SRV).unwrap();
-    assert!(node.main_daemon().executor_stats().is_none());
-    let before = node.main_daemon().executor_threads();
-    let _a = node.connect_agent();
-    let _b = node.connect_agent();
-    assert_eq!(node.main_daemon().executor_threads(), before + 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet};
-use datalinks::dlfm::{ControlMode, TokenKind, UipEntry};
+use datalinks::dlfm::{AgentConnection, ControlMode, TokenKind, UipEntry};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
@@ -657,15 +657,15 @@ fn freshness_bound_adapts_down_on_a_healthy_set_and_backs_off_when_stalled() {
 
 /// A participant whose phase-two message dies with the coordinator (see
 /// the staging notes in tests/crash_recovery.rs).
-struct LostDecision(datalinks::dlfm::AgentHandle);
+struct LostDecision(datalinks::dlfm::DlfmClient);
 
 impl datalinks::minidb::Participant for LostDecision {
     fn prepare(&self, txid: u64) -> Result<(), String> {
-        self.0.prepare(txid)
+        AgentConnection::prepare(&self.0, txid)
     }
     fn commit(&self, _txid: u64) {}
     fn abort(&self, txid: u64) {
-        self.0.abort(txid);
+        AgentConnection::abort(&self.0, txid);
     }
 }
 
@@ -711,7 +711,6 @@ fn unshipped_decision_is_presumed_aborted_on_promotion() {
 #[test]
 fn zombie_coordinator_decisions_are_fenced_after_host_crash() {
     use datalinks::dlfm::OnUnlink;
-    use datalinks::minidb::Participant;
 
     let mut sys = build_host(1, 1);
     let raw = sys.raw_fs(SRV).unwrap();

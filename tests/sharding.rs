@@ -15,7 +15,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ShardRouter};
-use datalinks::dlfm::{ControlMode, OnUnlink, TokenKind};
+use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink, TokenKind};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
@@ -179,7 +179,6 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     // standby so the promotion inherits the claim.
     assert!(sys.wait_replicas_caught_up(&shard_name(1), CATCH_UP).unwrap());
     {
-        use datalinks::minidb::Participant;
         a0.prepare(txid).unwrap();
     }
     assert_eq!(
@@ -201,7 +200,6 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     // Seeing the failed shard, the coordinator aborts the transaction:
     // shard 0's prepared vote rolls back too.
     tx.abort();
-    use datalinks::minidb::Participant;
     a0.abort(txid);
     let s0 = sys.node(&shard_name(0)).unwrap();
     assert!(s0.server.pending_host_txns().is_empty(), "the abort settled shard 0");
@@ -234,7 +232,6 @@ fn coordinator_crash_mid_fan_out_presumed_aborts_every_shard() {
     a0.link(txid, &p0, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     a1.link(txid, &p1, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     {
-        use datalinks::minidb::Participant;
         a0.prepare(txid).unwrap();
         a1.prepare(txid).unwrap();
     }
@@ -265,8 +262,6 @@ fn coordinator_crash_mid_fan_out_presumed_aborts_every_shard() {
 
 #[test]
 fn zombie_coordinator_is_fenced_on_every_shard() {
-    use datalinks::minidb::Participant;
-
     let mut sys = build(2, 0, 1);
     let p0 = path_on(2, 0, "zombie");
     let p1 = path_on(2, 1, "zombie");

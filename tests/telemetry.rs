@@ -133,9 +133,9 @@ fn undersized_flight_ring_still_captures_the_fenced_decide_span() {
     use std::sync::Arc;
 
     use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
-    use datalinks::dlfm::{ControlMode, OnUnlink};
+    use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink};
     use datalinks::fskit::{Cred, SimClock};
-    use datalinks::minidb::{Column, ColumnType, Participant, Schema, Value};
+    use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
     let mut spec = FileServerSpec::new("srv");

@@ -14,9 +14,7 @@ use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
-use datalinks::dlfm::{
-    AgentConnection, ControlMode, OnUnlink, TokenKind, Transport, UpcallRequest, WireAgent,
-};
+use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, OnUnlink, TokenKind, Transport};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 use dl_net::Message;
@@ -184,8 +182,8 @@ fn sever_with_calls_in_flight_fails_them_all_promptly() {
     let parked = Mutex::new(parked);
     let hook = {
         let arrived = Arc::clone(&arrived);
-        Arc::new(move |req: &UpcallRequest| {
-            if matches!(req, UpcallRequest::MutationCheck { path } if path == "/d/hang") {
+        Arc::new(move |req: &Message| {
+            if matches!(req, Message::MutationCheck { path } if path == "/d/hang") {
                 arrived.fetch_add(1, Ordering::SeqCst);
                 let _ = parked.lock().unwrap().recv();
             }
@@ -292,7 +290,7 @@ fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
     // decision arrives. The host database never heard of the transaction,
     // so resolution must presume abort and roll the link back.
     let conn = wire.connect("torture").unwrap();
-    let agent = WireAgent(Arc::clone(&conn));
+    let agent = DlfmClient::connect(conn.clone(), "torture").unwrap();
     let txid = 9_000_001;
     agent.link(txid, "/d/orphan.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
     agent.prepare(txid).unwrap();
@@ -347,7 +345,7 @@ fn host_failover_fences_stale_wire_agents() {
     // while it holds the decision.
     let zombie = {
         let node = sys.node(SRV).unwrap();
-        WireAgent(node.wire().unwrap().connect("zombie").unwrap())
+        node.wire().unwrap().connect_client("zombie").unwrap()
     };
     let tx = sys.begin();
     let txid = tx.id();
@@ -382,7 +380,7 @@ fn host_failover_fences_stale_wire_agents() {
 
     let fresh = {
         let node = sys.node(SRV).unwrap();
-        WireAgent(node.wire().unwrap().connect("fresh").unwrap())
+        node.wire().unwrap().connect_client("fresh").unwrap()
     };
     let txid2 = 9_100_001;
     fresh.link(txid2, "/d/cand.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
