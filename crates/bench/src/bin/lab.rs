@@ -20,7 +20,21 @@ use std::process::ExitCode;
 
 use dl_bench::lab::{check_asserts, run_scenario};
 
+/// The fault scenarios panic on purpose (`lab: injected ...`), and an
+/// in-process call is served on its caller's thread, so those unwind on the
+/// lab's own client threads: keep them out of the report. Every other
+/// panic prints as usual.
+fn quiet_injected_panics() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !dl_dlfm::pool::panic_message(info.payload()).starts_with("lab: injected") {
+            default(info);
+        }
+    }));
+}
+
 fn main() -> ExitCode {
+    quiet_injected_panics();
     let mut quick = false;
     let mut json = false;
     let mut json_dir: Option<PathBuf> = None;

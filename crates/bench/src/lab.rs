@@ -1002,8 +1002,9 @@ fn mixed_trial(
 
     // The kill_upcall_workers injection point: an armed countdown the
     // upcall fault hook decrements — while positive, admission upcalls
-    // panic inside their pool worker (containment turns that into a
-    // `Rejected` reply; the op fails, the daemon lives).
+    // panic on the thread serving them (in-process, the client's own;
+    // containment turns that into a `Rejected` reply: the op fails, the
+    // client thread and the daemon live).
     let armed = Arc::new(AtomicI64::new(0));
     let fault: Option<FaultInjector> =
         if injections.iter().any(|i| matches!(i.action, InjectAction::KillUpcallWorkers { .. })) {

@@ -66,7 +66,7 @@ pub struct FixtureOptions {
     pub upcall_pool: Option<(usize, usize)>,
     /// DLFM namespace shards behind the node (a13 scale-out arms).
     pub shards: usize,
-    /// How the engine and DLFS reach the node: in-process queues or the
+    /// How the engine and DLFS reach the node: in-process calls or the
     /// framed socket transport (a14 wire front-end arms).
     pub transport: Transport,
 }

@@ -147,8 +147,9 @@ pub struct FileServerSpec {
     /// the paper's single-point-of-failure shape.
     pub replicas: usize,
     /// Fault-injection hook for the node's lanes: called with every
-    /// request a pool worker serves, before it is dispatched, on the
-    /// worker's thread. A panic inside the hook exercises the pool's
+    /// request a lane serves, before it is dispatched, on the thread
+    /// serving it (a pool worker over the wire, the caller itself
+    /// in-process). A panic inside the hook exercises the pool's
     /// containment path (the caller sees a rejection, not a wedged
     /// daemon). `None` (the default) runs the daemons unhooked; the
     /// scenario lab arms this for kill-an-upcall-worker injections.
@@ -1150,6 +1151,7 @@ impl DataLinksSystem {
                 pool.peak_queue_depth() as u64,
             );
             set(format!("dlfm.{name}.upcall_pool.tasks"), pool.tasks());
+            set(format!("dlfm.{name}.upcall_pool.caller_served"), pool.caller_served());
             set(format!("dlfm.{name}.upcall_pool.grows"), pool.grows());
             set(format!("dlfm.{name}.upcall_pool.retires"), pool.retires());
             set(format!("dlfm.{name}.upcall_pool.panics"), pool.panics());
@@ -1159,6 +1161,7 @@ impl DataLinksSystem {
             if let Some(exec) = main.executor_stats() {
                 set(format!("dlfm.{name}.agent_executor.queue_depth"), exec.queue_depth() as u64);
                 set(format!("dlfm.{name}.agent_executor.tasks"), exec.tasks());
+                set(format!("dlfm.{name}.agent_executor.caller_served"), exec.caller_served());
                 set(format!("dlfm.{name}.agent_executor.panics"), exec.panics());
             }
         }

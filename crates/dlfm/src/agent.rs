@@ -9,23 +9,28 @@
 //!
 //! The paper's shape — one thread per connection, one upcall daemon —
 //! collapses under many connections and serializes every repository commit.
-//! Here the daemons are **lanes**: two [`ElasticPool`]s a request is queued
-//! on by [`crate::server::lane`] — the shared *agent executor* (link/unlink,
-//! bounded by `DlfmConfig::agent_executor_threads`) and the elastic *upcall
-//! pool* (`DlfmConfig::upcall_workers_{min,max}`). A connection is a
-//! [`DlfmClient`], not a thread: 256 of them ride on a handful of workers,
-//! and the round trip through the upcall pool's queue is the IPC cost the
-//! paper's design keeps off the read path (§3.2, §4.2; benches E2/E4/A2/A3).
+//! Here the daemons are **lanes**: two [`ElasticPool`]s a request is served
+//! on as [`crate::server::lane`] names — the shared *agent executor*
+//! (link/unlink, bounded by `DlfmConfig::agent_executor_threads`) and the
+//! elastic *upcall pool* (`DlfmConfig::upcall_workers_{min,max}`). A
+//! connection is a [`DlfmClient`], not a thread: 256 of them ride on a
+//! handful of heads.
 //!
-//! [`MainDaemon`] owns the lanes and mints in-process connections; the wire
-//! daemon (`crate::wire`) queues decoded frames on the *same* lanes, so
-//! there is one capacity model under both carriers.
+//! [`MainDaemon`] owns the lanes and mints in-process connections, whose
+//! callers serve their own requests as guests of the lane
+//! ([`ElasticPool::serve_here`]): an in-process call is a function call
+//! under the lane's head bound, not a thread hop. The wire daemon
+//! (`crate::wire`) queues decoded frames on the *same* lanes — a frame has
+//! no caller thread to borrow — so the bounds mean one thing under both
+//! carriers. The IPC cost the paper's design keeps off the read path (§3.2,
+//! §4.2) is `Transport::Socket`'s to show (`net.<node>.round_trip_ns`); the
+//! in-process upcall columns of benches E2/E4/A2/A3 show the protocol's
+//! own work.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::bounded;
 use dl_net::Message;
 use dl_obs::Histogram;
 
@@ -33,24 +38,26 @@ use crate::client::{Carrier, DlfmClient};
 use crate::pool::{ElasticPool, PoolOptions, PoolProbe, PoolStats};
 use crate::server::{lane, DlfmServer, Lane};
 
-/// Test instrumentation: runs on the lane worker before every request it
-/// serves; a panicking hook simulates a worker dying mid-request (the
-/// panic-containment regression tests and the lab's kill-a-worker
-/// injection arm this).
+/// Test instrumentation: runs before every request a lane serves, on
+/// whichever thread serves it — a pool worker for a socket frame, the
+/// caller itself in-process; a panicking hook simulates that head dying
+/// mid-request (the panic-containment regression tests and the lab's
+/// kill-a-worker injection arm this).
 pub type FaultInjector = Arc<dyn Fn(&Message) + Send + Sync>;
 
-/// What a lane worker serves requests with.
+/// What a lane serves requests with.
 pub(crate) struct Service {
     pub(crate) server: Arc<DlfmServer>,
     fault: Option<FaultInjector>,
 }
 
 impl Service {
-    /// A lane worker's body: serves `msg` and hands the reply to
-    /// `deliver`. A panic in the fault hook or the server call is
-    /// contained: the caller gets it in-band, labelled, *before* it is
-    /// re-thrown for the pool to count — a poisoned request costs one
-    /// reply, never a worker, and a healthy pool is never reported down.
+    /// One request's service on a lane, worker or guest: serves `msg` and
+    /// hands the reply to `deliver`. A panic in the fault hook or the
+    /// server call is contained: the caller gets it in-band, labelled,
+    /// *before* it is re-thrown for the pool to count — a poisoned request
+    /// costs one reply, never a worker or the caller's thread, and a
+    /// healthy pool is never reported down.
     pub(crate) fn serve(&self, msg: Message, deliver: impl FnOnce(Message)) {
         crate::pool::deliver_or_rethrow(
             msg.name(),
@@ -86,14 +93,14 @@ pub(crate) struct Lanes {
     pub(crate) service: Arc<Service>,
     pub(crate) agent: Arc<ElasticPool<Job>>,
     pub(crate) upcall: Arc<ElasticPool<Job>>,
-    /// Queue wait + service + reply of every in-process upcall — the IPC
-    /// cost the paper's zero-upcall read path avoids.
+    /// Admission wait + service of every in-process upcall: what a DLFS
+    /// caller waits per upcall the paper's zero-upcall read path avoids.
     upcall_round_trip_ns: Arc<Histogram>,
 }
 
-/// The in-process carrier: the same messages the wire carries, handed to
-/// the same lanes without encoding. A pooled request costs two thread
-/// hand-offs — caller → lane worker → the caller's one-shot reply.
+/// The in-process carrier: the same messages the wire carries, served on
+/// the same lanes without encoding — and without a thread hand-off: the
+/// caller is a guest of the lane and runs its own request.
 struct LocalCarrier(Arc<Lanes>);
 
 impl Carrier for LocalCarrier {
@@ -109,19 +116,12 @@ impl Carrier for LocalCarrier {
             Lane::Upcall => (&lanes.upcall, true),
         };
         let started = upcall.then(Instant::now);
-        let (reply_tx, reply_rx) = bounded(1);
-        pool.submit(Box::new(move |service| {
-            service.serve(msg, |reply| {
-                let _ = reply_tx.send(reply);
-            })
-        }));
-        // `serve` always replies, so the channel only closes unanswered
-        // when the whole pool shut down under the request.
-        let reply = reply_rx.recv().map_err(|_| "DLFM daemons are down".to_string());
+        let mut reply = None;
+        pool.serve_here(|| lanes.service.serve(msg, |served| reply = Some(served)));
         if let Some(started) = started {
             lanes.upcall_round_trip_ns.record_duration(started.elapsed());
         }
-        reply
+        Ok(reply.expect("`serve` replies before it returns or unwinds"))
     }
 
     fn wait_epoch_change(&self, seen: u64) {
@@ -218,13 +218,14 @@ impl MainDaemon {
         ]
     }
 
-    /// Round-trip latency distribution of every in-process upcall.
+    /// Latency distribution of every in-process upcall (admission wait +
+    /// service).
     pub fn upcall_round_trip_histogram(&self) -> &Arc<Histogram> {
         &self.lanes.upcall_round_trip_ns
     }
 
-    /// Blocks until the upcall pool's queue drains and every worker parks
-    /// (tests).
+    /// Blocks until the upcall pool's queue drains, every worker parks and
+    /// no caller is mid-upcall (tests).
     pub fn wait_upcalls_idle(&self, timeout: Duration) -> bool {
         self.lanes.upcall.wait_idle(timeout)
     }

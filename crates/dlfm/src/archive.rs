@@ -20,10 +20,10 @@
 //! daemons and databases.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 /// One archived version of one file.
@@ -418,7 +418,7 @@ impl Archiver {
         source: Option<ContentSource>,
         on_complete: Option<ArchiveCompletion>,
     ) -> Archiver {
-        let (tx, rx) = unbounded::<Msg>();
+        let (tx, rx) = channel::<Msg>();
         let worker_store = Arc::clone(&store);
         let worker_source = source.clone();
         let worker_complete = on_complete.clone();

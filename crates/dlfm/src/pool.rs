@@ -18,6 +18,11 @@
 //! * **panics are contained** — a handler that panics costs that task, not
 //!   the worker: the panic is caught, counted, and the worker returns to
 //!   the queue. A pool never dies from a poisoned request.
+//! * **a caller that has a thread serves itself** — [`ElasticPool::serve_here`]
+//!   admits the calling thread as a *guest* of the pool: it takes one of
+//!   the `max` head slots, runs its own task under the same accounting and
+//!   panic containment as a worker, and leaves. No queue, no wake-up. Only
+//!   work that arrives without a thread to borrow (a socket frame) queues.
 //!
 //! The pool is deliberately synchronous (no async runtime in this
 //! workspace): workers are OS threads, and the simulated device latencies
@@ -160,7 +165,8 @@ impl<T: Send + 'static> PoolProbe for ElasticPool<T> {
 pub struct PoolStats {
     /// Worker threads currently alive.
     workers: AtomicUsize,
-    /// High-water mark of `workers`.
+    /// High-water mark of heads on the pool: worker threads alive, or busy
+    /// workers plus guests serving at once, whichever was larger.
     peak_workers: AtomicUsize,
     /// Workers currently parked waiting for a task.
     idle_workers: AtomicUsize,
@@ -168,8 +174,12 @@ pub struct PoolStats {
     queue_depth: AtomicUsize,
     /// Deepest backlog ever observed at submit time.
     peak_queue_depth: AtomicUsize,
-    /// Lifetime tasks completed (including panicked ones).
+    /// Lifetime tasks completed (including panicked ones), by workers and
+    /// guests alike.
     tasks: AtomicU64,
+    /// The part of `tasks` guests served in place (`serve_here`); the rest
+    /// was queued.
+    caller_served: AtomicU64,
     /// Workers spawned beyond the initial `min` (growth events).
     grows: AtomicU64,
     /// Workers retired by the idle window (shrink events).
@@ -205,6 +215,10 @@ impl PoolStats {
         self.tasks.load(Ordering::Relaxed)
     }
 
+    pub fn caller_served(&self) -> u64 {
+        self.caller_served.load(Ordering::Relaxed)
+    }
+
     pub fn grows(&self) -> u64 {
         self.grows.load(Ordering::Relaxed)
     }
@@ -222,8 +236,16 @@ impl PoolStats {
         self.service_ewma.current()
     }
 
-    fn record_service(&self, elapsed: Duration) {
-        self.service_ewma.record(elapsed, 3);
+    /// Runs one task under the pool's accounting, on whichever thread
+    /// serves it: service time, the task count, and a panic caught and
+    /// counted instead of taking that thread down.
+    fn run(&self, task: impl FnOnce()) {
+        let start = Instant::now();
+        if catch_unwind(AssertUnwindSafe(task)).is_err() {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        self.service_ewma.record(start.elapsed(), 3);
+        self.tasks.fetch_add(1, Ordering::Relaxed);
     }
 
     fn raise_peak(&self, of: &AtomicUsize, peak: &AtomicUsize) {
@@ -236,11 +258,17 @@ struct Queue<T> {
     tasks: VecDeque<T>,
     /// Senders gone: drain and exit.
     closed: bool,
+    /// Callers inside `serve_here` right now.
+    guests: usize,
+    /// Callers parked in `serve_here` until a head leaves the pool.
+    waiting_guests: usize,
 }
 
 struct Core<T> {
     queue: Mutex<Queue<T>>,
     available: Condvar,
+    /// Signalled when a guest leaves or a worker parks while guests wait.
+    slot_freed: Condvar,
     opts: PoolOptions,
     stats: PoolStats,
     worker_seq: AtomicUsize,
@@ -263,8 +291,14 @@ impl<T: Send + 'static> ElasticPool<T> {
         opts.min_workers = opts.min_workers.max(1);
         opts.max_workers = opts.max_workers.max(opts.min_workers);
         let core = Arc::new(Core {
-            queue: Mutex::new(Queue { tasks: VecDeque::new(), closed: false }),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                closed: false,
+                guests: 0,
+                waiting_guests: 0,
+            }),
             available: Condvar::new(),
+            slot_freed: Condvar::new(),
             opts,
             stats: PoolStats::default(),
             worker_seq: AtomicUsize::new(0),
@@ -293,6 +327,45 @@ impl<T: Send + 'static> ElasticPool<T> {
         // means every parked worker already has a task on the way — recruit.
         if depth > stats.idle_workers.load(Ordering::Relaxed) {
             self.try_grow();
+        }
+    }
+
+    /// Runs `task` on the calling thread, as a guest of the pool — the
+    /// path for a caller that would otherwise queue the task and sleep
+    /// until a worker had run it. The guest is admitted while busy workers
+    /// plus guests number fewer than `max_workers`, so the bound on heads
+    /// inside the handler means the same whoever serves; past it the
+    /// caller waits for a head to leave (the one time it blocks on another
+    /// thread). A panic in `task` is caught and counted like a worker's,
+    /// and the slot is released either way. Queued tasks are not gated on
+    /// guests: with both kinds of traffic on one pool, heads can overshoot
+    /// `max_workers` by the workers that pick up queued tasks meanwhile.
+    pub fn serve_here(&self, task: impl FnOnce()) {
+        let core = &*self.core;
+        let stats = &core.stats;
+        {
+            let mut queue = core.queue.lock();
+            loop {
+                // `idle_workers` only moves under the queue lock; a grow
+                // landing between the two loads can only undercount busy.
+                let busy = stats.workers().saturating_sub(stats.idle_workers());
+                let heads = busy + queue.guests;
+                if heads < core.opts.max_workers {
+                    stats.peak_workers.fetch_max(heads + 1, Ordering::Relaxed);
+                    break;
+                }
+                queue.waiting_guests += 1;
+                core.slot_freed.wait(&mut queue);
+                queue.waiting_guests -= 1;
+            }
+            queue.guests += 1;
+        }
+        stats.run(task);
+        stats.caller_served.fetch_add(1, Ordering::Relaxed);
+        let mut queue = core.queue.lock();
+        queue.guests -= 1;
+        if queue.waiting_guests > 0 {
+            core.slot_freed.notify_one();
         }
     }
 
@@ -360,6 +433,9 @@ impl<T: Send + 'static> ElasticPool<T> {
                         break None;
                     }
                     stats.idle_workers.fetch_add(1, Ordering::Relaxed);
+                    if queue.waiting_guests > 0 {
+                        core.slot_freed.notify_one();
+                    }
                     let timed_out =
                         core.available.wait_for(&mut queue, Self::retire_window(&core)).timed_out();
                     stats.idle_workers.fetch_sub(1, Ordering::Relaxed);
@@ -390,12 +466,7 @@ impl<T: Send + 'static> ElasticPool<T> {
                 stats.workers.fetch_sub(1, Ordering::Relaxed);
                 return;
             };
-            let start = Instant::now();
-            if catch_unwind(AssertUnwindSafe(|| handler(task))).is_err() {
-                stats.panics.fetch_add(1, Ordering::Relaxed);
-            }
-            stats.record_service(start.elapsed());
-            stats.tasks.fetch_add(1, Ordering::Relaxed);
+            stats.run(|| handler(task));
         }
     }
 
@@ -407,14 +478,15 @@ impl<T: Send + 'static> ElasticPool<T> {
         &self.core.opts
     }
 
-    /// Blocks until the queue is empty and every worker is parked (or
-    /// `timeout` elapses); returns whether it drained. Test/bench helper.
+    /// Blocks until the queue is empty, every worker is parked and no
+    /// guest is mid-service (or `timeout` elapses); returns whether it
+    /// drained. Test/bench helper.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             let drained = {
                 let queue = self.core.queue.lock();
-                queue.tasks.is_empty()
+                queue.tasks.is_empty() && queue.guests == 0
             };
             let stats = &self.core.stats;
             if drained && stats.idle_workers.load(Ordering::Relaxed) >= stats.workers() {
@@ -534,5 +606,36 @@ mod tests {
         assert_eq!(pool.stats().panics(), 1);
         assert_eq!(done.load(Ordering::Relaxed), 2, "tasks after the panic still run");
         assert_eq!(pool.stats().workers(), 1);
+    }
+
+    #[test]
+    fn a_guest_holds_a_head_slot_until_it_returns_or_unwinds() {
+        use std::sync::mpsc::channel;
+        let (pool, _) = counting_pool(PoolOptions::adaptive("t", 1, 1));
+        let (entered_tx, entered) = channel();
+        let (go, gate) = channel::<()>();
+        let (second_tx, second) = channel();
+        std::thread::scope(|s| {
+            let pool = &pool;
+            s.spawn(move || {
+                pool.serve_here(|| {
+                    entered_tx.send(()).unwrap();
+                    gate.recv().unwrap();
+                })
+            });
+            entered.recv().unwrap();
+            assert!(!pool.wait_idle(Duration::from_millis(20)), "a guest is mid-service");
+            // The pool is one head wide: a second guest waits its turn.
+            s.spawn(move || pool.serve_here(|| second_tx.send(()).unwrap()));
+            assert!(second.recv_timeout(Duration::from_millis(20)).is_err());
+            go.send(()).unwrap();
+            second.recv_timeout(Duration::from_secs(5)).expect("admitted once the slot freed");
+        });
+        assert!(pool.wait_idle(Duration::from_secs(5)));
+        pool.serve_here(|| panic!("injected"));
+        pool.serve_here(|| {}); // a slot leaked by the unwind would hang this
+        let stats = pool.stats();
+        assert_eq!((stats.panics(), stats.tasks(), stats.caller_served()), (1, 4, 4));
+        assert_eq!((stats.workers(), stats.peak_workers(), stats.grows()), (1, 1, 0));
     }
 }

@@ -89,7 +89,7 @@ pub struct DlfmConfig {
     /// it follows the live worker count of the system's daemon pools,
     /// floored at `upcall_workers_min`.
     pub read_lane_auto: bool,
-    /// How agents and upcalls reach this node: in-process queues
+    /// How agents and upcalls reach this node: in-process calls
     /// ([`Transport::Local`], the default) or framed Unix-socket
     /// connections served by a `WireDaemon` ([`Transport::Socket`]).
     pub transport: Transport,
@@ -239,7 +239,7 @@ pub enum OpenDecision {
     Rejected(String),
 }
 
-/// Where a request of the protocol runs (§2.2's daemons as queues).
+/// Where a request of the protocol runs (§2.2's daemons as lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Cheap session reads (`Hello`, `EpochGet`, `FreshnessToken`) — and
@@ -248,8 +248,8 @@ pub enum Lane {
     /// Link/unlink: the shared agent executor. These block on repository
     /// row locks until the lock-holding transaction settles.
     Agent,
-    /// 2PC settlement: never behind the agent executor's queue. A pool
-    /// saturated with lock-waiting links would leave no worker for the one
+    /// 2PC settlement: never behind the agent executor's bound. A lane
+    /// saturated with lock-waiting links would leave no slot for the one
     /// commit that releases them, so settlement runs on the coordinator's
     /// own thread in-process and on a dedicated pool over the wire.
     Settle,
@@ -258,8 +258,8 @@ pub enum Lane {
 }
 
 /// The lane `msg` is served on. Sibling of [`DlfmServer::handle`]: a
-/// carrier asks this where to run a request, a lane worker asks `handle`
-/// what the request means.
+/// carrier asks this where to run a request, whoever serves the lane asks
+/// `handle` what the request means.
 pub fn lane(msg: &Message) -> Lane {
     match msg {
         Message::Link { .. } | Message::Unlink { .. } => Lane::Agent,

@@ -835,13 +835,17 @@ fn carriers(f: &Fixture, fault: Option<FaultInjector>) -> Carriers {
     Carriers { main, clients, _wire: wire }
 }
 
-/// Regression (PR 5): a worker panic mid-dispatch must cost that request
-/// only. The old one-shot reply channel was simply dropped on a panic, so
-/// the client reported "upcall daemon is down" against a healthy pool.
+/// Regression (PR 5): a panic mid-dispatch must cost that request only,
+/// whichever thread serves it — a pool worker for the socket frame, the
+/// caller itself in-process. (The old one-shot reply channel was simply
+/// dropped on a panic, so the client reported "upcall daemon is down"
+/// against a healthy pool.)
 #[test]
 fn upcall_worker_panic_is_contained_and_labelled() {
-    // A single pinned worker makes the claim sharpest: the one worker
-    // must survive its own panic and keep serving.
+    // A lane one head wide makes the claim sharpest: the one worker must
+    // survive its own panic and keep serving, and the in-process caller's
+    // unwind must hand back the lane's only slot — leaked, the very next
+    // local call would wait for it forever.
     let f = fixture_with(DlfmConfig::new("srv1").fixed_upcall_workers(1));
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let injector: FaultInjector = Arc::new(|req| {
@@ -855,11 +859,10 @@ fn upcall_worker_panic_is_contained_and_labelled() {
 
     for (served, (carrier, client)) in c.clients.iter().enumerate() {
         let err = client.mutation_check("/data/boom").unwrap_err();
-        assert!(
-            err.contains("panicked") && err.contains("injected worker fault"),
-            "{carrier}: panic must surface in-band with its context, got: {err}"
+        assert_eq!(
+            err, "DLFM worker panicked while serving MutationCheck: injected worker fault",
+            "{carrier}: panic must surface in-band with its context (and no \"daemon is down\")"
         );
-        assert!(!err.contains("down"), "{carrier}: a healthy pool must not be reported down");
 
         // The pool survives and keeps serving.
         assert!(client.mutation_check("/data/clip.mpg").is_err(), "linked file still vetoes");
@@ -869,6 +872,10 @@ fn upcall_worker_panic_is_contained_and_labelled() {
         assert_eq!(c.main.upcall_pool_stats().panics(), served as u64 + 1);
         assert!(c.main.upcall_pool_stats().workers() >= 1);
     }
+    // Three requests per carrier; the local ones never left their caller.
+    assert_eq!(c.main.upcall_pool_stats().tasks(), 6);
+    assert_eq!(c.main.upcall_pool_stats().caller_served(), 3);
+    assert_eq!(c.main.upcall_pool_stats().peak_workers(), 1);
 }
 
 // --- one protocol, one dispatcher ------------------------------------------------

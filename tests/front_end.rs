@@ -3,18 +3,20 @@
 //! and a property test that interleaves strict-link registration with the
 //! managed open/close protocol asserting no opener claim ever leaks.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
-    AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon,
-    OnUnlink, OpenDecision, TokenKind, UpcallTransport,
+    AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig, DlfmServer,
+    FaultInjector, MainDaemon, OnUnlink, OpenDecision, TokenKind, UpcallTransport, WireConnector,
+    WireDaemon,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv};
+use datalinks::obs::NetStats;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -57,23 +59,27 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
     (server, clock)
 }
 
-#[test]
-fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
-    let (server, clock) = slow_repo_server(2, 24);
-    let daemon = MainDaemon::new(Arc::clone(&server));
-    let client = daemon.connect();
+const BURST_CYCLES: u64 = 8;
+const UPCALLS_PER_CYCLE: u64 = 3;
 
-    // Burst: 16 threads each cycling write opens of their own file — token
-    // validation, the claim (parks a worker ~400 µs on the forced `dl_uip`
-    // row), and a close without a write (~400 µs again to remove it).
+/// The burst: 16 threads sharing `client`, each cycling 8 write opens of
+/// its own file — token validation, the claim (~400 µs parked on the
+/// forced `dl_uip` row), and a close without a write (~400 µs again to
+/// remove it). `after_cycle` runs on the client's thread after each cycle.
+fn write_open_burst(
+    server: &DlfmServer,
+    clock: &SimClock,
+    client: &DlfmClient,
+    after_cycle: impl Fn() + Sync,
+) {
     std::thread::scope(|scope| {
         for t in 0..BURST_CLIENTS {
-            let client = &client;
+            let after_cycle = &after_cycle;
             let key = server.config().token_key.clone();
             let now = clock.now_ms();
             scope.spawn(move || {
                 let path = format!("/d/f{t}.bin");
-                for k in 0..8u64 {
+                for k in 0..BURST_CYCLES {
                     let tok =
                         AccessToken::generate(&key, SRV, &path, TokenKind::Write, now + 60_000 + k);
                     client.validate_token(&path, &tok.encode(), APP.uid).unwrap();
@@ -81,12 +87,29 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
                     let (_, decision) = client.open_check(&path, APP.uid, TokenKind::Write, opener);
                     assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
                     client.close_notify(&path, opener, false, 4, 0).unwrap();
+                    after_cycle();
                 }
             });
         }
     });
+}
+
+/// Over the carrier that queues: a socket frame has no caller thread to
+/// serve it, so a burst of them is what recruits pool workers (16 calls in
+/// flight on one multiplexed connection).
+#[test]
+fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
+    let (server, clock) = slow_repo_server(2, 24);
+    let daemon = MainDaemon::new(Arc::clone(&server));
+    let wire = WireDaemon::spawn(&daemon, Arc::new(NetStats::new())).unwrap();
+    let connector = WireConnector::new(Arc::new(NetStats::new()), Duration::from_secs(30));
+    let conn = connector.connect(wire.socket_path(), "burst").unwrap();
+    let client = DlfmClient::connect(conn, "burst").unwrap();
+
+    write_open_burst(&server, &clock, &client, || {});
 
     let stats = daemon.upcall_pool_stats();
+    assert_eq!(stats.caller_served(), 0, "every frame was queued");
     assert!(
         stats.peak_workers() > 2,
         "a 16-client burst must grow the pool past its floor (peaked at {})",
@@ -106,6 +129,52 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     // And it still serves after shrinking (the veto is the answer here:
     // a linked full-control file cannot be removed).
     assert!(client.mutation_check("/d/f0.bin").is_err());
+}
+
+/// The in-process twin: callers serve their own upcalls as guests of the
+/// lane, so the same burst recruits no thread at all — and
+/// `upcall_workers_max` still bounds the heads inside the server at once.
+#[test]
+fn in_process_upcall_burst_serves_on_its_callers_bounded_by_max_workers() {
+    const MAX: usize = 4;
+    let (server, clock) = slow_repo_server(2, MAX);
+    // Ground truth from inside the slot (the hook runs under it, right
+    // before `handle`): heads in at once, and their peak. Entrants hold
+    // their slot until MAX are in together, which forces the lane to its
+    // bound; a lane admitting fewer fails here by timeout, one admitting
+    // more shows up in the peak.
+    let inside = Arc::new((Mutex::new((0usize, 0usize)), Condvar::new()));
+    let hook: FaultInjector = {
+        let inside = Arc::clone(&inside);
+        Arc::new(move |_| {
+            let (lock, full) = &*inside;
+            let mut heads = lock.lock().unwrap();
+            heads.0 += 1;
+            heads.1 = heads.1.max(heads.0);
+            full.notify_all();
+            let (mut heads, wait) = full
+                .wait_timeout_while(heads, Duration::from_secs(10), |heads| heads.1 < MAX)
+                .unwrap();
+            heads.0 -= 1;
+            assert!(!wait.timed_out(), "the lane never let {MAX} callers serve at once");
+        })
+    };
+    let daemon = MainDaemon::with_fault_injector(Arc::clone(&server), Some(hook));
+    let client = daemon.connect();
+    let stats = daemon.upcall_pool_stats();
+
+    write_open_burst(&server, &clock, &client, || {
+        assert_eq!(stats.workers(), 2, "no thread is recruited for a caller that has one");
+    });
+
+    assert_eq!(inside.0.lock().unwrap().1, MAX, "heads inside the lane at once");
+    assert_eq!(stats.peak_workers(), MAX);
+    assert_eq!(stats.grows(), 0);
+    assert_eq!(stats.peak_queue_depth(), 0, "nothing was queued");
+    let sent = BURST_CLIENTS as u64 * BURST_CYCLES * UPCALLS_PER_CYCLE;
+    assert_eq!(stats.tasks(), sent);
+    assert_eq!(stats.caller_served(), sent);
+    assert!(daemon.wait_upcalls_idle(Duration::from_secs(5)));
 }
 
 // ---------------------------------------------------------------------------
@@ -257,6 +326,9 @@ fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
     });
     assert!(linked.load(std::sync::atomic::Ordering::Relaxed) > 0, "some links must win");
     assert!(node.server.repository().list_files().is_empty(), "every win was unlinked");
+    // The eight linkers served their own requests, two at a time.
+    let peak = node.main_daemon().executor_stats().expect("always runs").peak_workers();
+    assert!(peak <= 2, "agent_executor_threads bounds callers too (peaked at {peak})");
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ fn metrics_snapshot_spans_every_layer() {
         assert!(snap.gauges.contains_key(name), "missing gauge {name}");
     }
     assert!(snap.gauges["pool.total_workers"] >= 1.0);
+    // "Queued or served in place?" — in-process, every link and every
+    // upcall ran on its caller's thread.
+    for lane in ["upcall_pool", "agent_executor"] {
+        let served = snap.gauges[&format!("dlfm.srv1.{lane}.caller_served")];
+        assert!(served >= 2.0, "{lane}: {snap:?}");
+        assert_eq!(served, snap.gauges[&format!("dlfm.srv1.{lane}.tasks")], "{lane}");
+    }
 
     // The exposition is the same data under flattened names.
     let text = f.sys.metrics_text();
