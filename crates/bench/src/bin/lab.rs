@@ -7,7 +7,7 @@
 //! * `--quick` applies each scenario's `"quick"` parameter overrides
 //!   (the CI shape).
 //! * `--json` / `--json-dir DIR` write one `BENCH_<scenario>.json` per
-//!   scenario for `report --compare`.
+//!   scenario (the table as printed; EXPERIMENTS.md has the format).
 //! * `DL_FLIGHT_DUMP_DIR=DIR` in the environment makes the fault
 //!   scenarios' systems write their flight-recorder dumps there.
 //!

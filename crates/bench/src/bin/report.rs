@@ -8,209 +8,32 @@
 //! ```
 //!
 //! With `--json`, each table is additionally written as a
-//! `BENCH_<id>.json` trajectory file under `bench-results/` (override the
-//! directory with `--json-dir <dir>`); see EXPERIMENTS.md.
+//! `BENCH_<id>.json` file under `bench-results/` (override the directory
+//! with `--json-dir <dir>`); see EXPERIMENTS.md.
 //!
-//! The system-level experiments (the former a9–a12 runners) now live in
-//! the scenario lab: `cargo run -p dl-bench --bin lab -- scenarios/*.jsonl`
-//! emits the same `BENCH_a9..a12.json` trajectories, compatible with this
-//! binary's `--compare` history.
-//!
-//! Regression mode:
-//!
-//! ```text
-//! # run experiments, then diff the fresh BENCH_*.json against a saved dir
-//! report --json-dir new --compare old [--threshold 25]
-//! # pure diff of two saved directories, no experiments run
-//! report --compare old --current new [--threshold 25]
-//! ```
-//!
-//! Exits non-zero when any metric regressed beyond the threshold (percent,
-//! default 25): numeric cells by relative drift, text cells by inequality,
-//! disappeared rows always.
-//!
-//! Gate mode (no experiments run): compare one numeric cell from each of
-//! two trajectory rows — in different files, or a row against a baseline
-//! row of its own table, e.g. a14's wire churn throughput against a14's
-//! in-process baseline — and fail if the ratio candidate/baseline falls
-//! below a floor:
-//!
-//! ```text
-//! report --gate 'bench-results/BENCH_a14.json::local baseline' \
-//!               'bench-results/BENCH_a14.json::wire churn' \
-//!               --column ops/s --min-ratio 0.12
-//! ```
+//! These tables reproduce the paper's *shapes*; nothing gates on their
+//! timings. Performance numbers come from the repo benchmark
+//! (`benchmark/`), invariants from the scenario lab's `assert` lines
+//! (`cargo run -p dl-bench --bin lab -- scenarios/*.jsonl`).
 
 use dl_bench::experiments as exp;
-use dl_bench::trajectory;
-
-/// Loads every BENCH_*.json in `dir`, keyed by file stem.
-fn load_dir(dir: &str) -> Vec<(String, trajectory::Trajectory)> {
-    let mut out = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("compare: cannot read {dir}: {e}");
-            std::process::exit(2);
-        }
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().to_string();
-        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-            continue;
-        }
-        let text = std::fs::read_to_string(entry.path()).expect("read trajectory");
-        match trajectory::parse(&text) {
-            Ok(t) => out.push((name, t)),
-            Err(e) => {
-                eprintln!("compare: skipping {name}: {e}");
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Diffs every trajectory in `current_dir` against its namesake in
-/// `baseline_dir`; returns the total regression count.
-fn compare_dirs(baseline_dir: &str, current_dir: &str, threshold: f64) -> usize {
-    let baseline = load_dir(baseline_dir);
-    let current = load_dir(current_dir);
-    let mut regressions = 0usize;
-    for (name, cur) in &current {
-        match baseline.iter().find(|(n, _)| n == name) {
-            Some((_, base)) => {
-                let report = trajectory::compare(base, cur, threshold);
-                print!("{}", trajectory::render(&cur.id, &report, threshold));
-                regressions += report.regressions();
-            }
-            None => println!("== compare {}: no baseline {name} in {baseline_dir} ==", cur.id),
-        }
-    }
-    for (name, base) in &baseline {
-        if !current.iter().any(|(n, _)| n == name) {
-            println!("== compare {}: {name} missing from current run ==  <-- REGRESSION", base.id);
-            regressions += 1;
-        }
-    }
-    println!(
-        "\ncompare: {} trajectories, {regressions} regression(s) at threshold {threshold}%",
-        current.len()
-    );
-    regressions
-}
-
-/// Loads one side of a `--gate` comparison: `<path>::<row label>`.
-fn load_gate_cell(spec: &str, column: &str) -> Result<f64, String> {
-    let (path, row) = spec
-        .split_once("::")
-        .ok_or_else(|| format!("--gate arguments look like <file.json>::<row label>: {spec:?}"))?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("gate: cannot read {path}: {e}"))?;
-    let t = trajectory::parse(&text).map_err(|e| format!("gate: {path}: {e}"))?;
-    trajectory::read_cell(&t, row, column)
-}
-
-/// Cross-table single-cell gate; returns the process exit code.
-fn run_gate(baseline_spec: &str, candidate_spec: &str, column: &str, min_ratio: f64) -> i32 {
-    let cells = load_gate_cell(baseline_spec, column)
-        .and_then(|b| load_gate_cell(candidate_spec, column).map(|c| (b, c)));
-    let (base, cand) = match cells {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    if base <= 0.0 {
-        eprintln!("gate: baseline cell {baseline_spec:?} / {column:?} is {base}, cannot ratio");
-        return 2;
-    }
-    let ratio = cand / base;
-    let verdict = if ratio >= min_ratio { "PASS" } else { "FAIL" };
-    println!(
-        "gate [{column}]: candidate {cand:.1} vs baseline {base:.1} -> ratio {ratio:.3} \
-         (floor {min_ratio}) {verdict}"
-    );
-    if ratio >= min_ratio {
-        0
-    } else {
-        1
-    }
-}
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
-    let mut compare_dir: Option<String> = None;
-    let mut current_dir: Option<String> = None;
-    let mut gate: Option<(String, String)> = None;
-    let mut gate_column = "ops/s".to_string();
-    let mut min_ratio: f64 = 0.05;
-    let mut threshold: f64 = 25.0;
     let mut args: Vec<String> = Vec::new();
-    let mut it = raw.iter();
-    let dir_value = |flag: &str, v: Option<&String>| -> String {
-        v.filter(|d| !d.starts_with("--"))
-            .unwrap_or_else(|| panic!("{flag} needs a directory argument"))
-            .clone()
-    };
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json_dir = json_dir.or_else(|| Some("bench-results".to_string())),
-            "--json-dir" => json_dir = Some(dir_value("--json-dir", it.next())),
-            "--compare" => compare_dir = Some(dir_value("--compare", it.next())),
-            "--current" => current_dir = Some(dir_value("--current", it.next())),
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .expect("--threshold needs a percent value");
+            "--json-dir" => {
+                let dir = it.next().filter(|d| !d.starts_with("--"));
+                json_dir = Some(dir.expect("--json-dir needs a directory argument"));
             }
-            "--gate" => {
-                let base = it.next().expect("--gate needs <file.json>::<row> twice").clone();
-                let cand = it.next().expect("--gate needs a second <file.json>::<row>").clone();
-                gate = Some((base, cand));
-            }
-            "--column" => {
-                gate_column = it.next().expect("--column needs a header name").clone();
-            }
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .expect("--min-ratio needs a number");
-            }
-            _ => {
-                if let Some(dir) = a.strip_prefix("--json-dir=") {
-                    json_dir = Some(dir.to_string());
-                } else if let Some(dir) = a.strip_prefix("--compare=") {
-                    compare_dir = Some(dir.to_string());
-                } else if let Some(dir) = a.strip_prefix("--current=") {
-                    current_dir = Some(dir.to_string());
-                } else if let Some(pct) = a.strip_prefix("--threshold=") {
-                    threshold = pct.parse::<f64>().expect("--threshold needs a percent value");
-                } else {
-                    args.push(a.to_lowercase());
-                }
-            }
+            _ => match a.strip_prefix("--json-dir=") {
+                Some(dir) => json_dir = Some(dir.to_string()),
+                None => args.push(a.to_lowercase()),
+            },
         }
-    }
-
-    // Cross-table gate mode: one cell from each of two files, no
-    // experiments run.
-    if let Some((base, cand)) = &gate {
-        std::process::exit(run_gate(base, cand, &gate_column, min_ratio));
-    }
-
-    // Pure diff mode: two saved directories, no experiments run.
-    if let (Some(baseline), Some(current)) = (&compare_dir, &current_dir) {
-        let regressions = compare_dirs(baseline, current, threshold);
-        std::process::exit(if regressions > 0 { 1 } else { 0 });
-    }
-    if compare_dir.is_some() && json_dir.is_none() {
-        // Comparing a fresh run requires writing it somewhere first.
-        json_dir = Some("bench-results".to_string());
     }
 
     let quick = args.iter().any(|a| a == "--quick");
@@ -308,12 +131,5 @@ fn main() {
             rows,
             notes: Vec::new(),
         });
-    }
-
-    // Fresh-run compare: diff what we just wrote against the baseline dir.
-    if let Some(baseline) = &compare_dir {
-        let current = json_dir.as_deref().expect("compare mode implies a json dir");
-        let regressions = compare_dirs(baseline, current, threshold);
-        std::process::exit(if regressions > 0 { 1 } else { 0 });
     }
 }

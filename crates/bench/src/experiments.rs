@@ -62,9 +62,9 @@ impl Table {
         out
     }
 
-    /// Machine-readable form, written as `BENCH_<id>.json` trajectory files
-    /// by `report --json` (see EXPERIMENTS.md). Hand-rolled serialization:
-    /// the workspace builds without serde (vendor/README.md).
+    /// Machine-readable form, written as `BENCH_<id>.json` by `report
+    /// --json` and `lab --json` (see EXPERIMENTS.md). Hand-rolled
+    /// serialization: the workspace builds without serde (vendor/README.md).
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len() + 2);
@@ -602,9 +602,15 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         header: vec![s("configuration"), s("ns/open+close"), s("time"), s("repo updates/open")],
         rows,
         notes: vec![
-            "with tracking on, each read open inserts and purges a Sync row (2 repo updates, \
-             both unlogged: a commit under the dl_files row lock, no log force); the ablation \
-             drops them at the price of the read/unlink race"
+            "repo updates/open reads Repository::update_op_count, bumped per auto-commit call \
+             before its transaction runs. on: token-entry upsert (every rdd open, tracked or \
+             not) + Sync insert + Sync purge = 3. off: token-entry upsert + the close's Sync \
+             purge, which still runs, finds no row and commits nothing = 2"
+                .into(),
+            "so tracking costs the paper's two extra updates (3 committed vs 1) while the \
+             counted difference is one; both are unlogged (a commit under the dl_files row \
+             lock, no log force), and the ablation drops them at the price of the \
+             read/unlink race"
                 .into(),
         ],
     }
@@ -803,4 +809,104 @@ pub fn open_latency_distribution(mode: ControlMode, samples: usize) -> (u64, u64
         })
         .collect();
     (percentile(&mut lat, 0.50), percentile(&mut lat, 0.99), percentile(&mut lat, 1.0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dl_lab::json;
+
+    /// The cell of the row labelled `row` (first cell) under `column`.
+    fn cell<'a>(t: &'a Table, row: &str, column: &str) -> &'a str {
+        let col = t.header.iter().position(|h| h == column).expect("column");
+        let row = t.rows.iter().find(|r| r[0] == row).expect("row");
+        row[col].trim()
+    }
+
+    /// The tables whose cells are deterministic, at `report --quick`
+    /// iteration counts: nothing else in CI executes these runners.
+    #[test]
+    fn deterministic_paper_tables_hold_their_cells() {
+        // T1: the paper's Table 1 plus the rfd/rdd rows.
+        let t1 = t1_control_modes();
+        let ops = ["read", "read+tok", "write", "write+tok", "remove"];
+        for (mode, allowed) in [
+            ("nff", [true, true, true, true, true]),
+            ("rff", [true, true, true, true, false]),
+            ("rfb", [true, true, false, false, false]),
+            ("rdb", [false, true, false, false, false]),
+            ("rfd", [true, true, false, true, false]),
+            ("rdd", [false, true, false, true, false]),
+        ] {
+            for (op, allow) in ops.iter().zip(allowed) {
+                let want = if allow { "allow" } else { "deny" };
+                assert_eq!(cell(&t1, mode, op), want, "T1 {mode} / {op}");
+            }
+        }
+        assert_eq!(t1.rows.len(), 6);
+
+        // A2: 3 upcalls per session at the open/close boundary whatever the
+        // write count, against writes + 3 at a per-write boundary.
+        let sweep = [1usize, 8, 64, 256];
+        let a2 = a2_txn_boundary(&sweep);
+        assert_eq!(a2.rows.len(), sweep.len());
+        for writes in sweep {
+            let row = writes.to_string();
+            assert_eq!(cell(&a2, &row, "upcalls (open/close boundary)"), "3");
+            assert_eq!(cell(&a2, &row, "upcalls (per-write boundary)"), (writes + 3).to_string());
+        }
+
+        let a3 = a3_read_path(50);
+        assert_eq!(cell(&a3, "rfd", "upcalls/open"), "0.00");
+        assert_eq!(cell(&a3, "rdd", "upcalls/open"), "3.00");
+
+        // A4: what the 3 and the 2 are is in the table's own notes.
+        let a4 = a4_sync_table_cost(50);
+        assert_eq!(cell(&a4, "sync entries on (default)", "repo updates/open"), "3.00");
+        assert_eq!(cell(&a4, "sync entries off (ablation)", "repo updates/open"), "2.00");
+
+        let a6 = a6_crash_atomicity(3);
+        assert_eq!(a6.rows, vec![vec![s(3), s(3), s(3)]]);
+
+        let a7 = a7_point_in_time(5);
+        assert_eq!(a7.rows.len(), 5);
+        for row in &a7.rows {
+            assert_eq!(cell(&a7, &row[0], "content matches"), "true", "A7 {}", row[0]);
+        }
+
+        let a8 = a8_strict_link(50);
+        assert_eq!(cell(&a8, "default (paper prototype)", "upcalls/open"), "0.00");
+        assert_eq!(cell(&a8, "strict (window closed)", "upcalls/open"), "2.00");
+    }
+
+    /// `to_json` output is well-formed for the workspace's one JSON reader,
+    /// whatever the cells hold.
+    #[test]
+    fn to_json_round_trips_through_the_lab_json_reader() {
+        let t = Table {
+            id: "X1".into(),
+            title: "a \"quoted\" title\nwith a newline".into(),
+            header: vec![s("op"), s("back\\slash"), s("time")],
+            rows: vec![
+                vec![s("read"), s("bell\u{7}"), s("1.00 µs")],
+                vec![s("write"), s(""), s("\t")],
+            ],
+            notes: vec![s("µ, \u{1f} and \"\\\" together")],
+        };
+        let parsed = json::parse(&t.to_json()).expect("to_json emits valid JSON");
+        let field = |key: &str| {
+            let obj = parsed.as_obj().expect("one object");
+            &obj.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key:?}")).1
+        };
+        let strings = |v: &json::Value| -> Vec<String> {
+            v.as_arr().expect("array").iter().map(|c| s(c.as_str().expect("string cell"))).collect()
+        };
+        assert_eq!(field("id").as_str(), Some("X1"));
+        assert_eq!(field("title").as_str(), Some(t.title.as_str()));
+        assert_eq!(strings(field("header")), t.header);
+        let rows: Vec<Vec<String>> =
+            field("rows").as_arr().expect("rows").iter().map(strings).collect();
+        assert_eq!(rows, t.rows);
+        assert_eq!(strings(field("notes")), t.notes);
+    }
 }

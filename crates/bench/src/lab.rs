@@ -11,8 +11,8 @@
 //!   count, lag drain, failover with link-state preservation.
 //! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
 //!   and fresh-standby delta catch-up.
-//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts and agent
-//!   churn, fixed vs adaptive, thread-per-agent vs shared executor.
+//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts, fixed vs
+//!   adaptive, and agent churn over the shared executor.
 //! * [`Kind::Mixed`] — the generic client-mix loop with fault-injection
 //!   points (crash the primary at op N, stall/resume a standby, kill
 //!   upcall workers, exhaust the repository or host disk, shear the host
@@ -28,9 +28,8 @@
 //!
 //! Everything the old bespoke a9–a12 runners *asserted* is emitted here
 //! as a named **metric**; the acceptance thresholds live in the scenario
-//! file's `"assert"` list ([`check_asserts`]). Row labels come verbatim
-//! from the scenario's variant labels, so `report --compare` keys rows
-//! exactly as it did against the pre-lab BENCH history.
+//! file's `"assert"` list ([`check_asserts`]) — the lab's only gate. Row
+//! labels come verbatim from the scenario's variant labels.
 //!
 //! Metric aggregation across `variant × repeat` trials: counter-like
 //! metrics (`ops_failed`, `failovers`, `stale_reads`, ...) are summed,
@@ -186,10 +185,33 @@ fn bare_db_commit_rate(
     (threads * commits) as f64 / elapsed.as_secs_f64()
 }
 
+/// One timed burst of update cycles against `f`: `threads` x `cycles`,
+/// every thread rewriting its own linked file with `size` bytes (write
+/// token → write open → write → close-as-commit). Records each cycle's
+/// latency into `lat` when given; returns cycles/sec.
+fn update_cycle_rate(
+    f: &Fixture,
+    threads: usize,
+    cycles: usize,
+    size: usize,
+    lat: Option<&Histogram>,
+) -> f64 {
+    let content = make_content(size);
+    let elapsed = run_threads(threads, |t| {
+        for _ in 0..cycles {
+            let started = Instant::now();
+            f.managed_update_no_wait(t, &content);
+            if let Some(lat) = lat {
+                lat.record_duration(started.elapsed());
+            }
+        }
+    });
+    (threads * cycles) as f64 / elapsed.as_secs_f64()
+}
+
 /// Committed open/write/close cycles/sec through the full DataLinks stack:
-/// each thread updates its own linked file; every cycle drives several
-/// repository transactions plus the 2PC host commit, all over WAL devices
-/// with the given sync latency.
+/// every cycle drives several repository transactions plus the 2PC host
+/// commit, all over WAL devices with the given sync latency.
 fn stack_commit_rate(threads: usize, cycles: usize, sync_latency_ns: u64, wal: WalOptions) -> f64 {
     let f = fixture(FixtureOptions {
         n_files: threads,
@@ -199,13 +221,7 @@ fn stack_commit_rate(threads: usize, cycles: usize, sync_latency_ns: u64, wal: W
         db_sync_latency_ns: sync_latency_ns,
         ..Default::default()
     });
-    let content = make_content(1024);
-    let elapsed = run_threads(threads, |t| {
-        for _ in 0..cycles {
-            f.managed_update_no_wait(t, &content);
-        }
-    });
-    (threads * cycles) as f64 / elapsed.as_secs_f64()
+    update_cycle_rate(&f, threads, cycles, 1024, None)
 }
 
 fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
@@ -656,26 +672,6 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
 // front_end — the a12 engine loop
 // ===========================================================================
 
-/// One timed burst of update cycles against `f`: `clients` threads x
-/// `cycles` each, every client on its own file (write token → write open →
-/// write → close). The open and the close-as-commit run on the node's
-/// upcall pool and park their worker in forced log writes — the `dl_uip`
-/// claim, then prepare and host commit (the decide is unforced). (A token *read* cycle
-/// would not do: `dl_tokens`/`dl_sync` are unlogged, so it forces nothing
-/// and occupies a worker for its CPU time only.) Records every cycle's
-/// latency into `lat`; returns cycles/sec.
-fn upcall_burst(f: &Fixture, clients: usize, cycles: usize, lat: &Histogram) -> f64 {
-    let content = make_content(64);
-    let elapsed = run_threads(clients, |t| {
-        for _ in 0..cycles {
-            let started = Instant::now();
-            f.managed_update_no_wait(t, &content);
-            lat.record_duration(started.elapsed());
-        }
-    });
-    (clients * cycles) as f64 / elapsed.as_secs_f64()
-}
-
 /// Waits out the pool's idle window and reports the settled worker count.
 fn settled_workers(f: &Fixture) -> usize {
     let node = f.sys.node(SRV).expect("node");
@@ -700,6 +696,32 @@ fn churn_cycle(agent: &DlfmClient, link_tx: u64, path: &str) -> Result<(), Strin
     agent.prepare(unlink_tx)?;
     agent.commit(unlink_tx);
     Ok(())
+}
+
+/// The file agent `i` of a churn arm links and unlinks.
+fn churn_path(i: usize) -> String {
+    format!("/data/wchurn{i:04}.bin")
+}
+
+/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
+/// [`churn_path`]`(i)`, seeded by the caller), multiplexed over 16 driver
+/// threads; link and unlink operations per second.
+fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
+    let drivers = 16.min(agents.len().max(1));
+    let elapsed = run_threads(drivers, |d| {
+        for (i, agent) in agents.iter().enumerate() {
+            if i % drivers != d {
+                continue;
+            }
+            let path = churn_path(i);
+            for r in 0..cycles {
+                // Synthetic host txids well clear of the fixture's.
+                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
+                    .expect("churn cycle");
+            }
+        }
+    });
+    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
 }
 
 /// Peak OS threads the node's agent executor ever ran.
@@ -759,7 +781,15 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                         },
                         ..Default::default()
                     });
-                    rate_sum += upcall_burst(&f, clients as usize, cycles, &burst_lat);
+                    // The burst is *update* cycles: the open and the
+                    // close-as-commit hold a head of the upcall lane through
+                    // forced log writes — the `dl_uip` claim, then prepare
+                    // and host commit (the decide is unforced). A token
+                    // *read* cycle would not do: `dl_tokens`/`dl_sync` are
+                    // unlogged, so it forces nothing and occupies a head for
+                    // its CPU time only.
+                    rate_sum +=
+                        update_cycle_rate(&f, clients as usize, cycles, 64, Some(&burst_lat));
                     peak = f.sys.node(SRV).expect("node").upcall_pool_stats().peak_workers();
                     if adaptive {
                         settled = settled_workers(&f);
@@ -775,8 +805,6 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                             metrics.insert("adaptive_high_vs_fixed".into(), rate / base);
                         }
                     }
-                    // Bare "N.NNx" so `report --compare` diffs the ratio
-                    // numerically instead of as must-match-exactly text.
                     match base {
                         Some(base) => (format!("{:.2}x", rate / base), s(settled)),
                         None => (s("--"), s(settled)),
@@ -785,8 +813,6 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     fixed_rate.insert(clients, rate);
                     (s("--"), s(peak))
                 };
-                // Row labels carry the client count: `report --compare`
-                // keys rows by their first cell, so labels must be unique.
                 rows.push(vec![
                     t0.variant.clone(),
                     s(clients),
@@ -809,28 +835,11 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     });
                     let raw = f.sys.raw_fs(SRV).expect("raw");
                     for i in 0..agents {
-                        raw.write_file(&APP, &format!("/data/churn{i:04}.bin"), b"x")
-                            .expect("seed");
+                        raw.write_file(&APP, &churn_path(i), b"x").expect("seed");
                     }
                     let node = f.sys.node(SRV).expect("node");
                     let handles: Vec<_> = (0..agents).map(|_| node.connect_agent()).collect();
-                    let drivers = 16.min(agents.max(1));
-                    let elapsed = run_threads(drivers, |t| {
-                        for (i, agent) in handles.iter().enumerate() {
-                            if i % drivers != t {
-                                continue;
-                            }
-                            // Synthetic host txids well clear of the
-                            // fixture's.
-                            churn_cycle(
-                                agent,
-                                1_000_000 + 2 * i as u64,
-                                &format!("/data/churn{i:04}.bin"),
-                            )
-                            .expect("churn cycle");
-                        }
-                    });
-                    rate_sum += (agents * 2) as f64 / elapsed.as_secs_f64();
+                    rate_sum += churn_rate(&handles, 1);
                     threads = executor_peak_threads(node);
                     connections = node.main_daemon().child_count();
                 }
@@ -1715,31 +1724,11 @@ fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
     let f = fixture(FixtureOptions { n_files: 1, file_size: 256, ..Default::default() });
     let raw = f.sys.raw_fs(SRV).expect("raw fs");
     for i in 0..workers {
-        raw.write_file(&APP, &format!("/data/wchurn{i:04}.bin"), b"x").expect("seed");
+        raw.write_file(&APP, &churn_path(i), b"x").expect("seed");
     }
     let node = f.sys.node(SRV).expect("node");
     let handles: Vec<_> = (0..workers).map(|_| node.connect_agent()).collect();
     churn_rate(&handles, cycles)
-}
-
-/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
-/// `/data/wchurn<i>.bin`), multiplexed over 16 driver threads; link and
-/// unlink operations per second.
-fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
-    let drivers = 16.min(agents.len().max(1));
-    let elapsed = run_threads(drivers, |d| {
-        for (i, agent) in agents.iter().enumerate() {
-            if i % drivers != d {
-                continue;
-            }
-            let path = format!("/data/wchurn{i:04}.bin");
-            for r in 0..cycles {
-                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
-                    .expect("churn cycle");
-            }
-        }
-    });
-    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
 }
 
 /// One a14 trial: `agents` real socket connections held open together
@@ -1782,8 +1771,7 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     let raw = f.sys.raw_fs(SRV)?;
     let workers = agents - sever;
     for i in 0..workers {
-        raw.write_file(&APP, &format!("/data/wchurn{i:04}.bin"), b"x")
-            .map_err(|e| e.to_string())?;
+        raw.write_file(&APP, &churn_path(i), b"x").map_err(|e| e.to_string())?;
     }
     for j in 0..sever {
         raw.write_file(&APP, &format!("/data/doomed{j:04}.bin"), b"x")

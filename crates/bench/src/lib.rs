@@ -1,9 +1,11 @@
 //! Benchmark support: fixtures, workload generators and measurement
-//! helpers shared by the Criterion benches and the `report` binary.
+//! helpers shared by the `report` and `lab` binaries.
 //!
-//! Every experiment from DESIGN.md (T1, E1–E4, A1–A7) has its runner in
-//! [`experiments`] so the Criterion benches and the paper-style report
-//! print from the same code paths.
+//! Every paper table from DESIGN.md (T1, E1–E4, A1–A8) has its runner in
+//! [`experiments`], printed by `report`; the system-level scenarios run
+//! through the engines in [`lab`], gated by each scenario's own `assert`
+//! lines. Neither is a source of performance numbers: those come from the
+//! repo benchmark (`benchmark/`), gated by its pipeline (EXPERIMENTS.md).
 
 use std::time::{Duration, Instant};
 
@@ -18,7 +20,6 @@ use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value};
 
 pub mod experiments;
 pub mod lab;
-pub mod trajectory;
 
 /// The benchmark application user.
 pub const APP: Cred = Cred { uid: 100, gid: 100 };
@@ -96,27 +97,16 @@ impl Default for FixtureOptions {
 
 /// Builds a system, seeds files, creates the table and links every file.
 pub fn fixture(opts: FixtureOptions) -> Fixture {
-    fixture_with_fault(opts, None, None)
+    fixture_with_faults(opts, None, None, None, None)
 }
 
-/// [`fixture`] with optional fault hooks: an upcall fault injector on the
-/// node (the scenario lab's `kill_upcall_workers` injection point) and a
-/// [`dl_minidb::DiskFaults`] layer under the DLFM repository's storage environment
-/// (the lab's `disk_enospc` injection point). Separate from
-/// [`FixtureOptions`] so the options stay `Copy`.
-pub fn fixture_with_fault(
-    opts: FixtureOptions,
-    fault: Option<FaultInjector>,
-    repo_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
-) -> Fixture {
-    fixture_with_faults(opts, fault, repo_faults, None, None)
-}
-
-/// [`fixture_with_fault`] with one more fault surface: a
-/// [`dl_minidb::DiskFaults`] layer under the *host database's* storage
-/// environment, so lab scenarios can exhaust or shear the coordinator's
-/// WAL rather than the repository's — and a directory for the system's
-/// flight-recorder dumps (`SystemBuilder::flight_dump_dir`).
+/// [`fixture`] with the lab's fault surfaces: an upcall fault injector on
+/// the node (`kill_upcall_workers`), a [`dl_minidb::DiskFaults`] layer
+/// under the DLFM repository's storage environment (`disk_enospc`), one
+/// under the *host database's* (exhaust or shear the coordinator's WAL
+/// rather than the repository's), and a directory for the system's
+/// flight-recorder dumps (`SystemBuilder::flight_dump_dir`). Separate
+/// from [`FixtureOptions`] so the options stay `Copy`.
 pub fn fixture_with_faults(
     opts: FixtureOptions,
     fault: Option<FaultInjector>,

@@ -1,10 +1,9 @@
-//! A minimal JSON reader for scenario files.
+//! A minimal JSON reader for scenario files — and the workspace's only
+//! one: `dl-bench` checks its `BENCH_<id>.json` output through it too.
 //!
-//! The workspace is offline (no serde); this is the same hand-rolled
-//! byte-position parser idiom `dl-bench`'s trajectory loader uses, kept
-//! separate so the lab's schema layer (which `dl-bench` depends on) has no
-//! dependency back into the bench crate. Objects preserve key order and
-//! keep duplicate keys visible so the schema layer can reject them.
+//! The workspace is offline (no serde), so this is a hand-rolled
+//! byte-position parser. Objects preserve key order and keep duplicate
+//! keys visible so the schema layer can reject them.
 
 use std::fmt;
 

@@ -16,9 +16,8 @@
 //! ```
 //!
 //! The design follows AgentLab's experiment/variant/repeat model: variant
-//! labels are row keys in the emitted `BENCH_<id>.json` tables, so the
-//! existing `report --compare` trajectory pipeline gates scenario results
-//! with no new machinery.
+//! labels are row keys in the printed and emitted (`BENCH_<id>.json`)
+//! tables, and a scenario's own `assert` predicates are what gate it.
 
 pub mod json;
 pub mod plan;

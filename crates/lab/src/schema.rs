@@ -203,7 +203,7 @@ impl Params {
 /// One variant line: a row label plus its knob overrides.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Variant {
-    /// The row label — also the `report --compare` row key, verbatim.
+    /// The row label — the first cell of the variant's table row, verbatim.
     pub label: String,
     pub params: Params,
     /// Source line in the scenario file (for error reporting).
@@ -339,7 +339,7 @@ pub fn parse_scenario(file: &str, text: &str) -> Result<Scenario, SchemaError> {
                 file,
                 line,
                 format!(
-                    "duplicate variant label {:?} — labels are `--compare` row keys and must be unique",
+                    "duplicate variant label {:?} — labels are table row keys and must be unique",
                     variant.label
                 ),
             ));

@@ -39,7 +39,7 @@ fn promised_docs_have_their_content() {
     for (doc, must_contain) in [
         ("README.md", vec!["cargo build --release", "cargo test", "quickstart", "dl-bench"]),
         ("DESIGN.md", vec!["DATALINK", "rfd", "rdd", "token", "backup"]),
-        ("EXPERIMENTS.md", vec!["cargo bench -p dl-bench", "report", "BENCH_"]),
+        ("EXPERIMENTS.md", vec!["--bin lab", "report", "BENCH_"]),
         (
             "OPERATIONS.md",
             vec![
