@@ -21,12 +21,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Two harnesses, not four (EXPERIMENTS.md): numbers come from benchmark/,
 # gates from scenario asserts — no Criterion, no BENCH-file comparer. (The
 # bracketed first letters keep these patterns from matching this file.)
-step "guard: no second protocol definition, no deleted front-end knobs, no third harness"
+# One redo, one log, one follower (DESIGN.md "Recovery and replication"):
+# the ship daemon feeds one concrete fenced follower — no target trait, no
+# second fenced wrapper — and the log-slot swap lives in wal.rs alone.
+step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
+  || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
+    crates/ src/ tests/ scenarios/ \
+  || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob or a deleted harness reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type or a second slot swap reappeared (matches above)" >&2
   exit 1
 fi
 

@@ -506,31 +506,21 @@ fn ckpt_updates(db: &Database, rows: usize, updates: usize) {
     }
 }
 
-/// One fresh standby + ship daemon over `db`'s feed (a10-style plumbing
-/// with inert token machinery — this kind measures the storage layer).
+/// One fresh follower + ship daemon over `db`'s feed — this kind measures
+/// the storage layer, so no DLFM standby around it.
 fn ckpt_standby(
     db: &Database,
-) -> (Arc<dl_repl::Standby>, dl_repl::Replicator, Arc<dl_repl::ReplStats>) {
+) -> (Arc<dl_repl::Follower>, dl_repl::Replicator, Arc<dl_repl::ReplStats>) {
     let fence = Arc::new(dl_repl::EpochFence::new());
     let stats = Arc::new(dl_repl::ReplStats::default());
     let standby = Arc::new(
-        dl_repl::Standby::new(
-            "lab#0".into(),
-            StorageEnv::mem(),
-            StorageEnv::mem(),
-            fence,
-            Arc::clone(&stats),
-            "lab".into(),
-            b"lab-key".to_vec(),
-            Arc::new(dl_fskit::SimClock::new(1_000)),
-            None,
-        )
-        .expect("standby"),
+        dl_repl::Follower::new("lab#0".into(), StorageEnv::mem(), fence, Arc::clone(&stats))
+            .expect("standby"),
     );
     let repl = dl_repl::Replicator::spawn(
         "lab",
         db.replication_feed(),
-        vec![Arc::clone(&standby) as Arc<dyn dl_repl::ShipTarget>],
+        vec![Arc::clone(&standby)],
         0,
         Arc::clone(&stats),
     );

@@ -125,12 +125,10 @@ pub struct ServerRegistration {
 }
 
 /// Per-registration read lane: the primary arm of the routed read path
-/// admits at most `width` concurrent validations — the node's modelled
-/// daemon capacity. At width 1 (the default) this is the paper's
-/// prototype shape, serialized exactly like a replica's validation
-/// daemon, so a10's replica-count sweep compares equal per-node capacity;
-/// a node provisioned with `FileServerSpec::front_end` gets a live width
-/// instead ([`DataLinksEngine::set_read_lane_source`]).
+/// admits one validation at a time — the node's modelled daemon capacity,
+/// the paper's prototype shape, serialized exactly like a replica's
+/// validation daemon (`Standby::validate_read_token`), so a10's
+/// replica-count sweep compares equal per-node capacity.
 ///
 /// This is a deliberate *model*, not an accident: in-process, every
 /// "node" shares one machine, so without a per-node capacity bound the
@@ -138,45 +136,7 @@ pub struct ServerRegistration {
 /// primary and replica fan-out could never show its distributed-capacity
 /// win. The lane applies only to the routed read path — the DLFS upcall
 /// path (the elastic pool) is untouched.
-struct ReadLane {
-    /// Live width source, sampled on every admission (the system's
-    /// pool-worker gauge, so the lane tracks elastic pool growth —
-    /// `DlfmConfig::read_lane_auto`). `None`: the lane is 1 wide.
-    width: Option<LaneWidthFn>,
-    busy: Mutex<usize>,
-    freed: parking_lot::Condvar,
-}
-
-type LaneWidthFn = Arc<dyn Fn() -> usize + Send + Sync>;
-
-impl ReadLane {
-    fn new(width: Option<LaneWidthFn>) -> ReadLane {
-        ReadLane { width, busy: Mutex::new(0), freed: parking_lot::Condvar::new() }
-    }
-
-    fn acquire(self: &Arc<Self>) -> LaneGuard {
-        let mut busy = self.busy.lock();
-        while *busy >= self.width.as_ref().map_or(1, |f| f().max(1)) {
-            // Bounded wait, not a pure park: a live width can *grow*
-            // without any permit being released, and nobody signals the
-            // condvar when a pool spawns a worker — re-sample on a short
-            // period so waiting readers observe the wider lane.
-            self.freed.wait_for(&mut busy, std::time::Duration::from_millis(5));
-        }
-        *busy += 1;
-        LaneGuard(Arc::clone(self))
-    }
-}
-
-/// RAII permit on a [`ReadLane`].
-struct LaneGuard(Arc<ReadLane>);
-
-impl Drop for LaneGuard {
-    fn drop(&mut self) {
-        *self.0.busy.lock() -= 1;
-        self.0.freed.notify_one();
-    }
-}
+type ReadLane = Mutex<()>;
 
 /// Registered DATALINK columns of one table: (index, name, options).
 type TableDlColumns = Vec<(usize, String, DlColumnOptions)>;
@@ -295,18 +255,9 @@ impl DataLinksEngine {
     /// Re-registering a name replaces the previous registration — failover
     /// swaps the promoted server in this way.
     pub fn register_server(&self, reg: ServerRegistration) {
-        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(None)));
+        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(())));
         self.lag_ewmas.write().entry(reg.name.clone()).or_default();
         self.servers.write().insert(reg.name.clone(), reg);
-    }
-
-    /// Points `server`'s read lane at a live width source (sampled per
-    /// admission) — the width follows the node's real pool capacity
-    /// instead of staying at 1. Waiting readers observe growth within a
-    /// few milliseconds (the lane re-samples its width source on every
-    /// acquire and on a short poll while parked).
-    pub fn set_read_lane_source(&self, server: &str, f: Arc<dyn Fn() -> usize + Send + Sync>) {
-        self.read_lanes.write().insert(server.to_string(), Arc::new(ReadLane::new(Some(f))));
     }
 
     /// Registers the shard router of a partitioned logical server.
@@ -479,7 +430,7 @@ impl DataLinksEngine {
                 // sweep compares equal per-node work.
                 let kind = {
                     let lane = self.read_lanes.read().get(node).cloned();
-                    let _permit = lane.as_ref().map(|l| l.acquire());
+                    let _permit = lane.as_ref().map(|l| l.lock());
                     primary.validate_token(path, token, uid)?
                 };
                 let bytes = if fetch { Some(primary.read_linked(path)?) } else { None };

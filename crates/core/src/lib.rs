@@ -90,4 +90,4 @@ pub use system::{
 
 // Re-export the vocabulary types users need.
 pub use dl_dlfm::{AccessControl, ControlMode, OnUnlink, TokenKind};
-pub use dl_repl::{EpochFence, HostStandby, ReplError, ReplicaSet, Replicator, Standby};
+pub use dl_repl::{EpochFence, Follower, ReplError, ReplicaSet, Replicator, Standby};

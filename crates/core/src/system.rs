@@ -34,7 +34,7 @@ use dl_fskit::memfs::IoModel;
 use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, WallClock};
 use dl_minidb::{Database, DbOptions, Lsn, Schema, StorageEnv, Txn, Value};
 use dl_obs::{NetStats, Registry};
-use dl_repl::{HostReplicaSetOptions, HostStandby, ReplicaSet, ReplicaSetOptions, Standby};
+use dl_repl::{Follower, ReplicaSet, ReplicaSetOptions, Standby};
 use parking_lot::Mutex;
 
 use crate::datalink::{DatalinkUrl, DlColumnOptions};
@@ -198,19 +198,6 @@ impl FileServerSpec {
     /// recovery and failover — the rebuilt node keeps the same injector.
     pub fn upcall_fault_injector(mut self, fault: FaultInjector) -> FileServerSpec {
         self.upcall_fault = Some(fault);
-        self
-    }
-
-    /// Sizes the node's elastic front end in one stroke: the upcall pool
-    /// grows between `min` and `max` workers, and the routed-read
-    /// validation lane *follows the live pool size* — its width is the
-    /// system's `pool.total_workers` gauge sampled on every admission
-    /// (floor `min`), so a pool that grew under load widens the lane with
-    /// it instead of leaving it 1 wide.
-    pub fn front_end(mut self, min: usize, max: usize) -> FileServerSpec {
-        self.dlfm.upcall_workers_min = min.max(1);
-        self.dlfm.upcall_workers_max = max.max(min).max(1);
-        self.dlfm.read_lane_auto = true;
         self
     }
 
@@ -435,7 +422,7 @@ fn split_embedded_token(token_path: &str) -> Result<(&str, &str), String> {
 /// the frozen replica set holding the promotion target and the coordinator
 /// generation the fence moved to.
 struct HostOutage {
-    replication: Arc<ReplicaSet<HostStandby>>,
+    replication: Arc<ReplicaSet<Follower>>,
     epoch: u64,
 }
 
@@ -451,10 +438,9 @@ pub struct HostFailoverReport {
 }
 
 /// Live worker-pool probes of every node, keyed by node name. The
-/// aggregate `pool.total_*` gauges and the auto-width read lanes sample
-/// it *live* — a pool that grew under load is visible at the very next
-/// admission/snapshot, not at some later refresh. Failover replaces a
-/// node's probes in place.
+/// aggregate `pool.total_*` gauges sample it *live* — a pool that grew
+/// under load is visible at the very next snapshot, not at some later
+/// refresh. Failover replaces a node's probes in place.
 #[derive(Default)]
 pub struct PoolRoster {
     pools: Mutex<HashMap<String, Vec<Arc<dyn PoolProbe>>>>,
@@ -488,7 +474,7 @@ pub struct DataLinksSystem {
     /// Hot standbys of the host database, when provisioned and the host is
     /// up. `None` while the host is down (see `host_outage`) or when the
     /// system runs the paper's unreplicated single-coordinator shape.
-    host_replication: Option<Arc<ReplicaSet<HostStandby>>>,
+    host_replication: Option<Arc<ReplicaSet<Follower>>>,
     /// Present exactly while the host is crashed but not yet promoted.
     host_outage: Option<HostOutage>,
     /// Current coordinator generation (the host fence epoch).
@@ -540,13 +526,12 @@ impl DataLinksSystem {
                 db.checkpoint_and_truncate()
                     .map_err(|e| format!("post-recovery host checkpoint: {e}"))?;
             }
-            let set = ReplicaSet::<HostStandby>::build(
+            let set = ReplicaSet::<Follower>::build(
+                "host",
                 db.replication_feed(),
-                HostReplicaSetOptions {
-                    replicas: host_replicas,
-                    sync_latency_ns: host_env.sync_latency_ns(),
-                    epoch: coord_epoch,
-                },
+                host_replicas,
+                host_env.sync_latency_ns(),
+                coord_epoch,
             )?;
             Some(Arc::new(set))
         } else {
@@ -1115,21 +1100,12 @@ impl DataLinksSystem {
         }
     }
 
-    /// (Re-)registers `name`'s live pools with the roster and — when the
-    /// node asked for it (`DlfmConfig::read_lane_auto`, set by
-    /// [`FileServerSpec::front_end`]) — points the node's read lane at
-    /// the roster's live worker total, floored at the upcall pool's floor.
-    /// Called at assembly and after every failover rebuild, so the lane
-    /// keeps tracking the *current* incarnation's pools.
+    /// (Re-)registers `name`'s live pools with the roster behind the
+    /// `pool.total_*` gauges. Called at assembly and after every failover
+    /// rebuild, so the totals count the *current* incarnation's pools.
     fn adopt_node_pools(&self, name: &str) {
         let Some(node) = self.nodes.get(name) else { return };
         self.pool_roster.set(name, node.main.pool_probes());
-        if node.dlfm_cfg.read_lane_auto {
-            let roster = Arc::clone(&self.pool_roster);
-            let floor = node.dlfm_cfg.upcall_workers_min.max(1);
-            self.engine
-                .set_read_lane_source(name, Arc::new(move || roster.total_workers().max(floor)));
-        }
     }
 
     /// Pushes the live worker-pool gauges (the elastic upcall pools and the
@@ -1167,7 +1143,7 @@ impl DataLinksSystem {
         }
         // `pool.total_workers` / `pool.total_queue_depth` are registered
         // as live gauge functions over the roster (see `assemble`), not
-        // pushed here: the read lanes sample the same source.
+        // pushed here.
     }
 
     /// Renders every layer's flight recorder (the coordinator-side engine
@@ -1447,7 +1423,7 @@ impl DataLinksSystem {
 
     /// The host database's hot standbys, when provisioned and the host is
     /// up.
-    pub fn host_replication(&self) -> Option<&Arc<ReplicaSet<HostStandby>>> {
+    pub fn host_replication(&self) -> Option<&Arc<ReplicaSet<Follower>>> {
         self.host_replication.as_ref()
     }
 
@@ -1540,13 +1516,12 @@ impl DataLinksSystem {
         // failover still out-ranks this one.
         let host_replicas = self.host_replicas.saturating_sub(1);
         let host_replication = if host_replicas > 0 {
-            let set = ReplicaSet::<HostStandby>::build(
+            let set = ReplicaSet::<Follower>::build(
+                "host",
                 db.replication_feed(),
-                HostReplicaSetOptions {
-                    replicas: host_replicas,
-                    sync_latency_ns: promoted_env.sync_latency_ns(),
-                    epoch,
-                },
+                host_replicas,
+                promoted_env.sync_latency_ns(),
+                epoch,
             )?;
             Some(Arc::new(set))
         } else {
@@ -1598,14 +1573,8 @@ impl DataLinksSystem {
         self.host_replicas = host_replicas;
         self.host_replication = host_replication;
         // The coordinator changed identity: swap the host-side instruments
-        // to the promoted database/engine, re-point the auto read lanes at
-        // it (the re-registrations above reset them to fixed widths on the
-        // new engine), and count the failover.
+        // to the promoted database/engine and count the failover.
         self.register_host_metrics();
-        let names: Vec<String> = self.nodes.keys().cloned().collect();
-        for name in &names {
-            self.adopt_node_pools(name);
-        }
         self.registry.counter("system.host_failovers").inc();
         Ok(report)
     }

@@ -325,11 +325,14 @@ impl Repository {
         &self.db
     }
 
+    /// Counts one auto-commit update — called after its commit succeeded,
+    /// so a call that found nothing to change (a `remove_sync` of no row)
+    /// or lost a conflict is not an update.
     fn bump(&self) {
         self.update_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of auto-commit repository updates so far (bench A4).
+    /// Number of auto-commit repository updates committed so far (bench A4).
     pub fn update_op_count(&self) -> u64 {
         self.update_ops.load(Ordering::Relaxed)
     }
@@ -395,7 +398,6 @@ impl Repository {
 
     /// Clears the pending-archive flag once the archive job completed.
     pub fn clear_needs_archive(&self, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.update_column(
             "dl_files",
@@ -404,6 +406,7 @@ impl Repository {
             Value::Bool(false),
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -418,7 +421,6 @@ impl Repository {
     /// clear lost in a crash costs one idempotent re-check, and nobody
     /// waits on a log sync for it.
     pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<()> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         let row = txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?;
@@ -428,6 +430,7 @@ impl Repository {
             txn.update("dl_files", &key, row)?;
         }
         txn.commit_unforced()?;
+        self.bump();
         Ok(())
     }
 
@@ -452,7 +455,6 @@ impl Repository {
         kind: TokenKind,
         expiry_ms: u64,
     ) -> DbResult<()> {
-        self.bump();
         let key = Self::token_key(uid, path, kind);
         let mut txn = self.db.begin();
         let kv = Value::Text(key.clone());
@@ -463,6 +465,7 @@ impl Repository {
             txn.insert("dl_tokens", row)?;
         }
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -501,7 +504,6 @@ impl Repository {
     /// Inserts a Sync-table entry for an approved open (§4.5). Unlogged,
     /// like its removal at close.
     pub fn add_sync(&self, entry: &SyncEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_sync",
@@ -514,15 +516,16 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
     /// Purges the Sync-table entry at close (§4.5).
     pub fn remove_sync(&self, path: &str, opener: u64) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.delete("dl_sync", &Value::Text(sync_key(path, opener)))?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -566,7 +569,6 @@ impl Repository {
         uid: u32,
         read_conflicts: bool,
     ) -> DbResult<WriteClaim> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         let Some(row) = txn.get_for_update("dl_files", &key)? else {
@@ -605,6 +607,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(WriteClaim::Granted { entry, new_version })
     }
 
@@ -612,7 +615,6 @@ impl Repository {
     /// lock, verifies no write Sync entry exists and inserts the read Sync
     /// row. Returns false on a write conflict.
     pub fn claim_read_sync(&self, path: &str, opener: u64, uid: u32) -> DbResult<bool> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         if txn.get_for_update("dl_files", &key)?.is_none() {
@@ -635,6 +637,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(true)
     }
 
@@ -649,7 +652,6 @@ impl Repository {
 
     /// Records that `path` is being updated toward `new_version` (§4.4).
     pub fn put_uip(&self, entry: &UipEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_uip",
@@ -660,16 +662,17 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
     /// Clears the update-in-progress entry (close rollback path; the commit
     /// path clears it inside the close sub-transaction instead).
     pub fn remove_uip(&self, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.delete("dl_uip", &Value::Text(path.to_string()))?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -711,7 +714,6 @@ impl Repository {
     /// Durably logs an intent *before* the file system is mutated on behalf
     /// of an uncommitted host transaction (write-ahead intent).
     pub fn add_intent(&self, intent: &IntentEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_intents",
@@ -726,6 +728,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -736,10 +739,10 @@ impl Repository {
 
     /// Removes an intent immediately (runtime abort path).
     pub fn remove_intent(&self, host_txid: u64, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         self.remove_intent_in(&mut txn, host_txid, path)?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 

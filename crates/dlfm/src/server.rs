@@ -82,13 +82,6 @@ pub struct DlfmConfig {
     /// connection's link/unlink requests: 256 connections multiplex over
     /// at most this many OS threads.
     pub agent_executor_threads: usize,
-    /// Width of the engine's per-node `ReadLane` (concurrent routed-read
-    /// validations against this node). Off, the lane is 1 — the paper's
-    /// one-validation-daemon prototype, so replica fan-out experiments
-    /// compare equal per-node capacity. On (`FileServerSpec::front_end`),
-    /// it follows the live worker count of the system's daemon pools,
-    /// floored at `upcall_workers_min`.
-    pub read_lane_auto: bool,
     /// How agents and upcalls reach this node: in-process calls
     /// ([`Transport::Local`], the default) or framed Unix-socket
     /// connections served by a `WireDaemon` ([`Transport::Socket`]).
@@ -121,7 +114,6 @@ impl DlfmConfig {
             upcall_workers_max: 64,
             upcall_idle_ms: 100,
             agent_executor_threads: 16,
-            read_lane_auto: false,
             transport: Transport::default(),
             wire_call_timeout_ms: 30_000,
             flight_ring_capacity: 256,
@@ -132,14 +124,6 @@ impl DlfmConfig {
     /// [`DlfmConfig::flight_ring_capacity`]).
     pub fn flight_ring(mut self, capacity: usize) -> DlfmConfig {
         self.flight_ring_capacity = capacity;
-        self
-    }
-
-    /// Pins the upcall pool at exactly `n` workers (min == max — the
-    /// PR 2 fixed shape, kept as an operator/ablation convenience).
-    pub fn fixed_upcall_workers(mut self, n: usize) -> DlfmConfig {
-        self.upcall_workers_min = n;
-        self.upcall_workers_max = n;
         self
     }
 

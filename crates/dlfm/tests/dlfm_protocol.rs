@@ -846,7 +846,7 @@ fn upcall_worker_panic_is_contained_and_labelled() {
     // survive its own panic and keep serving, and the in-process caller's
     // unwind must hand back the lane's only slot — leaked, the very next
     // local call would wait for it forever.
-    let f = fixture_with(DlfmConfig::new("srv1").fixed_upcall_workers(1));
+    let f = fixture_with(DlfmConfig::new("srv1").upcall_workers(1, 1));
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let injector: FaultInjector = Arc::new(|req| {
         if let Message::MutationCheck { path } = req {

@@ -12,7 +12,7 @@ use crate::error::{DbError, DbResult};
 use crate::lock::LockManager;
 use crate::ops::{PreparedTxn, RowOp};
 use crate::replica::ReplicationFeed;
-use crate::snapshot::{latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotSource};
+use crate::snapshot::{slot_for_generation, write_snapshot, SnapshotData, SnapshotSource};
 use crate::table::TableStore;
 use crate::txn::Txn;
 use crate::value::{Row, Schema, Value};
@@ -211,94 +211,12 @@ impl Database {
     /// (the records are truncated away) and report
     /// [`DbError::TruncatedLog`].
     pub fn open_with(env: StorageEnv, opts: DbOptions) -> DbResult<Database> {
-        // Open the WAL first: it resolves the truncation control record
-        // (active slot device + logical base) and trims any torn tail.
-        let (wal, all_records) = Wal::open_env(&env, opts.wal)?;
-        let wal_base = wal.base_lsn();
-        if let Some(stop) = opts.stop_at_lsn {
-            if stop < wal_base {
-                return Err(DbError::TruncatedLog { base: wal_base });
-            }
-        }
-        let records: Vec<(Lsn, WalRecord)> = all_records
-            .into_iter()
-            .filter(|(lsn, _)| opts.stop_at_lsn.is_none_or(|stop| *lsn < stop))
-            .collect();
-
-        // Choose the newest usable snapshot. For point-in-time restores the
-        // snapshot must not already contain state past the target LSN.
-        let chosen = latest_valid_snapshot(&env, |snap| {
-            opts.stop_at_lsn.is_none_or(|stop| snap.base_lsn <= stop)
-        })?;
-        // Seed the recovery image from the snapshot (a complete image since
-        // format v2: tables plus transaction-resolution state).
-        let (generation, base_lsn, snap_next_txid, mut outcomes, mut prepared, mut tables) =
-            match chosen {
-                Some(s) => {
-                    (s.generation, s.base_lsn, s.next_txid, s.outcomes, s.prepared, s.tables)
-                }
-                None => (0, 0, 0, HashMap::new(), HashMap::new(), HashMap::new()),
-            };
-        if base_lsn < wal_base {
-            // The log was truncated on the promise of a durable snapshot at
-            // the low-water mark; without one there is a replay gap.
-            return Err(DbError::Corrupt(format!(
-                "log truncated to {wal_base} but the newest usable snapshot covers only {base_lsn}"
-            )));
-        }
-
-        // Scan the retained log for transaction-resolution state, overlaid
-        // on what the snapshot carried.
-        let mut decided: HashMap<TxId, bool> = HashMap::new();
-        let mut max_txid: TxId = snap_next_txid.saturating_sub(1);
-        for (_, rec) in &records {
-            match rec {
-                WalRecord::Commit { txid, participants, .. } => {
-                    max_txid = max_txid.max(*txid);
-                    if !participants.is_empty() {
-                        outcomes.insert(*txid, true);
-                    }
-                }
-                WalRecord::Prepare { txid, coordinator, ops } => {
-                    max_txid = max_txid.max(*txid);
-                    prepared
-                        .insert(*txid, PreparedTxn { coordinator: *coordinator, ops: ops.clone() });
-                }
-                WalRecord::Decide { txid, commit } => {
-                    max_txid = max_txid.max(*txid);
-                    decided.insert(*txid, *commit);
-                }
-                _ => {}
-            }
-        }
-
-        // Redo pass from the snapshot's base.
-        for (lsn, rec) in &records {
-            if *lsn < base_lsn {
-                continue;
-            }
-            match rec {
-                WalRecord::Ddl(op) => apply_op(&mut tables, op)?,
-                WalRecord::Commit { ops, .. } => {
-                    for op in ops {
-                        apply_op(&mut tables, op)?;
-                    }
-                }
-                WalRecord::Decide { txid, commit: true } => {
-                    if let Some(txn) = prepared.get(txid) {
-                        for op in &txn.ops {
-                            apply_op(&mut tables, op)?;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Prepared-but-undecided transactions are in doubt; the coordinator
-        // (DataLinks recovery orchestration) resolves them.
-        let in_doubt: HashMap<TxId, PreparedTxn> =
-            prepared.into_iter().filter(|(txid, _)| !decided.contains_key(txid)).collect();
+        // One recovery rule for every open (`SnapshotData::recover`): the
+        // newest usable image, then `redo` of the retained log above it.
+        // What is still prepared afterwards is in doubt; the coordinator
+        // (DataLinks recovery orchestration) resolves it.
+        let (wal, image) = SnapshotData::recover(&env, opts.wal, opts.stop_at_lsn)?;
+        let generation = image.generation;
 
         // Seed the self-tuning checkpoint budget from the snapshot we
         // recovered off (its slot device length is its serialized size).
@@ -309,16 +227,16 @@ impl Database {
             inner: Arc::new(DbInner {
                 env,
                 wal,
-                tables: RwLock::new(tables),
+                tables: RwLock::new(image.tables),
                 locks: LockManager::new(),
-                next_txid: AtomicU64::new(max_txid + 1),
+                next_txid: AtomicU64::new(image.next_txid),
                 observers: RwLock::new(Vec::new()),
                 participants: Mutex::new(HashMap::new()),
                 commit_latch: RwLock::new(()),
                 snapshot_gen: AtomicU64::new(generation),
-                in_doubt: Mutex::new(in_doubt),
+                in_doubt: Mutex::new(image.prepared),
                 live_prepared: Mutex::new(HashMap::new()),
-                outcomes: Mutex::new(outcomes),
+                outcomes: Mutex::new(image.outcomes),
                 injected: Mutex::new(HashMap::new()),
                 auto_checkpoint_bytes: opts.checkpoint_every_bytes,
                 last_snapshot_bytes: AtomicU64::new(last_snapshot_bytes),
@@ -879,6 +797,36 @@ mod tests {
             1,
             "restore must replay from scratch, not use the too-new snapshot"
         );
+    }
+
+    #[test]
+    fn point_in_time_restore_keeps_discarded_txids_used_and_outcomes_answerable() {
+        // The restore drops the rows of what came after the point, not the
+        // history: a branch still in doubt under a discarded coordinator
+        // transaction gets the decision that was made, and the restored
+        // database never hands a discarded id out again — also once the
+        // restored state is checkpointed and reopened, which is how the
+        // DataLinks restore continues from it.
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut tx = db.begin();
+        tx.insert("t", row(1, "kept")).unwrap();
+        let point = tx.commit().unwrap();
+        let mut tx = db.begin();
+        let discarded = tx.id();
+        db.enlist_participant(discarded, "p", Arc::new(FakeParticipant::default()));
+        tx.insert("t", row(2, "discarded")).unwrap();
+        tx.commit().unwrap();
+
+        let env = db.backup().unwrap();
+        let opts = DbOptions { stop_at_lsn: Some(point), ..Default::default() };
+        let restored = Database::open_with(env.clone(), opts).unwrap();
+        restored.checkpoint().unwrap();
+        drop(restored);
+        let restored = Database::open(env).unwrap();
+        assert_eq!(restored.count("t").unwrap(), 1);
+        assert_eq!(restored.coordinator_outcome(discarded), Some(true));
+        assert!(restored.begin().id() > discarded);
     }
 
     #[test]

@@ -40,11 +40,17 @@
 //!   column changes and turns them into link/unlink sub-transactions).
 //! * **Backup / point-in-time restore** — fork the storage environment and
 //!   replay the log up to a chosen LSN (§4.4's coordinated restore).
+//! * **One recovery rule** — a snapshot is a complete recovery image
+//!   ([`SnapshotData`]) and [`SnapshotData::redo`] the only place a log
+//!   record is mapped onto it; crash recovery, point-in-time restore, a
+//!   standby's restart and a standby's live apply are the same fold.
 //! * **Log shipping** — [`WalReader`] tails the live log (the group-commit
 //!   leader publishes the durable watermark after every batch sync) and
-//!   [`replica::StandbyDb`] is the apply-only receiving end: physical
-//!   replication with byte-identical standby logs, promotable by plain
-//!   `Database::open` (the `dl-repl` crate builds on these).
+//!   [`replica::StandbyDb`] is the apply-only receiving end, a follower of
+//!   the same code: its state is that image, its log an ordinary
+//!   [`wal::Wal`] it appends shipped bytes to verbatim (byte-identical
+//!   standby logs), promotable by plain `Database::open` (the `dl-repl`
+//!   crate builds on these).
 //! * **Checkpoint shipping & bounded logs** — a snapshot is a complete
 //!   recovery image (format v2), so
 //!   [`Database::checkpoint_and_truncate`](db::Database::checkpoint_and_truncate)

@@ -1,24 +1,26 @@
 //! Apply-only standby mode: the receiving end of WAL shipping.
 //!
-//! A [`StandbyDb`] holds the same storage-environment shape as a
-//! [`crate::Database`] but never originates records: it appends shipped
-//! frame bytes ([`crate::wal::ShippedFrames`]) to its own log device
-//! *verbatim* — physical replication, so the standby's retained log is
-//! byte-identical to the primary's over the shared LSN range — and applies
-//! the decoded records to its in-memory tables exactly the way crash
-//! replay would. Promotion is therefore trivial: open a normal
+//! A [`StandbyDb`] is a *follower of the primary's own code*, not a second
+//! implementation of it. Its state is the recovery image
+//! ([`SnapshotData`]) kept current by the same [`SnapshotData::redo`] crash
+//! recovery runs; its log is an ordinary [`Wal`] that it never originates
+//! records into — shipped frame bytes ([`ShippedFrames`]) are appended
+//! *verbatim* ([`Wal::append_shipped`]), physical replication, so the
+//! standby's retained log is byte-identical to the primary's over the
+//! shared LSN range; its restart is the primary's open sequence
+//! (`SnapshotData::recover`). Promotion is therefore trivial: open a normal
 //! [`crate::Database`] on the standby's environment and ordinary recovery
-//! sees an honest crash image of the primary as of the last applied frame.
+//! sees an honest crash image of the primary as of the last applied frame
+//! — by construction the state the standby itself was serving.
 //!
 //! # Checkpoint shipping and bounded standby logs
 //!
 //! Two mechanisms keep a standby's log from growing forever:
 //!
 //! * **Lockstep truncation** — when the standby applies a
-//!   [`WalRecord::Checkpoint`] frame it schedules its *own* snapshot (a
-//!   complete recovery image, same format the primary writes) covering the
-//!   log below that frame, then truncates its log below it — the same
-//!   slot-flip dance [`crate::wal::Wal::truncate_below`] performs, so a
+//!   [`WalRecord::Checkpoint`] frame it schedules its *own* snapshot
+//!   ([`write_snapshot`] of its image) covering the log below that frame,
+//!   then truncates its log below it ([`Wal::truncate_below`]), so a
 //!   primary with a retention budget bounds every standby automatically.
 //!   The snapshot is written by a background snapshotter thread, *not*
 //!   inside [`StandbyDb::apply`]: the image write is the slow part
@@ -34,36 +36,30 @@
 //!   the primary's latest checkpoint image instead
 //!   ([`StandbyDb::install_checkpoint`], fed by
 //!   [`ReplicationFeed::latest_checkpoint`]): it persists the image to its
-//!   own snapshot slot, resets its log to empty at the image's base, and
-//!   resumes tailing only the WAL suffix — *delta catch-up*, instead of
-//!   replaying the primary's whole history.
+//!   own snapshot slot, resets its log to empty at the image's base
+//!   ([`Wal::reset_to`]), adopts the image as its state, and resumes
+//!   tailing only the WAL suffix — *delta catch-up*, instead of replaying
+//!   the primary's whole history.
 //!
 //! The standby serves read-committed lookups (token checks, file-entry
-//! reads) but no transactions: there is no lock manager, no WAL append
-//! path, no observers. Prepared-but-undecided transactions are carried in
-//! the same in-doubt form recovery uses, so a `Decide` frame arriving
-//! later settles them. Readers that need *read-your-writes* freshness wait
-//! on [`StandbyDb::wait_applied`] for the standby to reach their write's
-//! commit LSN.
+//! reads) but no transactions: there is no lock manager, no commit path,
+//! no observers. Prepared-but-undecided transactions sit in the image's
+//! `prepared` map, the in-doubt form recovery uses, so a `Decide` frame
+//! arriving later settles them. Readers that need *read-your-writes*
+//! freshness wait on [`StandbyDb::wait_applied`] for the standby to reach
+//! their write's commit LSN.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::db::{apply_op, Database};
-use crate::device::{Device, StorageEnv};
+use crate::db::Database;
+use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
-use crate::ops::PreparedTxn;
-use crate::snapshot::{
-    latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotData, SnapshotSource,
-};
+use crate::snapshot::{latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotData};
 use crate::table::TableStore;
 use crate::value::{Row, Value};
-use crate::wal::{
-    log_slot_name, parse_frames, read_log_ctl, swap_log_slot, Lsn, ShippedFrames, TxId, WalReader,
-    WalRecord,
-};
+use crate::wal::{Lsn, ShippedFrames, TxId, Wal, WalOptions, WalReader, WalRecord};
 
 /// The primary-side feed a replication shipper consumes: the live
 /// [`WalReader`] plus access to the primary's checkpoint images, so the
@@ -105,23 +101,13 @@ impl ReplicationFeed {
 }
 
 struct StandbyInner {
-    tables: HashMap<String, TableStore>,
-    /// Prepared-but-undecided participant transactions (in-doubt).
-    prepared: HashMap<TxId, PreparedTxn>,
-    /// Coordinator outcomes replicated from `Commit` records that named
-    /// participants (persisted by the standby's own checkpoints so a
-    /// promotion after truncation still answers outcome queries).
-    outcomes: HashMap<TxId, bool>,
-    /// Highest transaction id seen in any applied record.
-    max_txid: TxId,
-    /// Next expected frame base — everything below is applied.
-    applied: Lsn,
-    /// Active log slot device (flips on truncation, like the primary's).
-    dev: Arc<dyn Device>,
-    /// Logical LSN of the device's first byte.
-    base: Lsn,
-    slot: u32,
-    ctl_seq: u64,
+    /// The standby's whole state: the recovery image as of the applied
+    /// watermark, which is its `base_lsn` — next expected frame base,
+    /// everything below is applied. `prepared` is the in-doubt set,
+    /// `outcomes` and `next_txid` ride along so the standby's own snapshots
+    /// (and a promotion after truncation) still answer outcome queries and
+    /// never re-issue a transaction id.
+    image: SnapshotData,
     /// Bumped by [`StandbyDb::install_checkpoint`]; a queued snapshot job
     /// from an older epoch is obsolete (the install superseded it) and the
     /// snapshotter discards it instead of snapshotting/truncating state
@@ -148,18 +134,23 @@ struct SnapQueue {
 }
 
 /// State shared between the standby's callers and its snapshotter thread.
+/// Lock order: `snap_io`, then `inner`, then the log's own mutex.
 struct StandbyShared {
     env: StorageEnv,
+    /// The standby's log: shipped bytes in, never a record of its own.
+    wal: Wal,
     inner: Mutex<StandbyInner>,
-    /// Signalled whenever `applied` advances ([`StandbyDb::wait_applied`]).
+    /// Signalled whenever the applied watermark advances
+    /// ([`StandbyDb::wait_applied`]).
     applied_grew: Condvar,
     snap_queue: Mutex<SnapQueue>,
     /// Signalled on enqueue, job completion, and shutdown.
     snap_cv: Condvar,
-    /// Serializes snapshot-slot device writes between the snapshotter and
+    /// Serializes the snapshotter's copy-and-write with
     /// [`StandbyDb::install_checkpoint`]: both write images into the
-    /// ping-pong slots, and an interleaved write could tear the image an
-    /// install is about to rely on for its log reset.
+    /// ping-pong slots, and a stale snapshot landing over (or tearing) the
+    /// image an install just reset the log against would leave a restart
+    /// with a log that starts above its newest image.
     snap_io: Mutex<()>,
 }
 
@@ -170,72 +161,18 @@ pub struct StandbyDb {
 }
 
 impl StandbyDb {
-    /// Opens (or re-opens after a standby restart) the apply-only database:
-    /// restores the newest valid checkpoint image, then replays whatever
-    /// log suffix its own devices already hold — exactly like crash replay.
-    /// A half-installed checkpoint (image durable, log not yet reset) is
-    /// completed here, so the install protocol is crash-safe end to end.
+    /// Opens (or re-opens after a standby restart) the apply-only database
+    /// with the primary's own open sequence: newest valid checkpoint image,
+    /// then redo of whatever log suffix its devices already hold. A
+    /// half-installed checkpoint (image durable, log not yet reset) is
+    /// completed there too, so the install protocol is crash-safe end to
+    /// end.
     pub fn open(env: StorageEnv) -> DbResult<StandbyDb> {
-        let (mut ctl_seq, mut base, mut slot) = read_log_ctl(&env)?;
-        let mut dev = env.device(log_slot_name(slot))?;
-
-        let snap = latest_valid_snapshot(&env, |_| true)?;
-        let (snap_base, mut tables, mut prepared, mut outcomes, mut max_txid) = match snap {
-            Some(s) => {
-                (s.base_lsn, s.tables, s.prepared, s.outcomes, s.next_txid.saturating_sub(1))
-            }
-            None => (0, HashMap::new(), HashMap::new(), HashMap::new(), 0),
-        };
-        if snap_base < base {
-            return Err(DbError::Corrupt(format!(
-                "standby log truncated to {base} but its newest snapshot covers only {snap_base}"
-            )));
-        }
-
-        // Replay the retained suffix, skipping what the snapshot covers.
-        let total = dev.len()?;
-        let mut bytes = vec![0u8; total as usize];
-        let got = dev.read_at(0, &mut bytes)?;
-        bytes.truncate(got);
-        let frames = parse_frames(&bytes, base);
-        let parsed_end = frames.last().map(|(lsn, _, flen)| lsn + flen).unwrap_or(base);
-        let mut applied = base;
-        if parsed_end >= snap_base {
-            for (lsn, rec, frame_len) in frames {
-                if lsn >= snap_base {
-                    Self::apply_record(&mut tables, &mut prepared, &mut outcomes, &rec)?;
-                    max_txid = max_txid.max(record_txid(&rec));
-                }
-                applied = lsn + frame_len;
-            }
-            applied = applied.max(snap_base);
-            dev.set_len(applied - base)?;
-        } else {
-            // The log predates the snapshot: a crash landed between a
-            // checkpoint install's image write and its log reset. Finish
-            // the reset now (flip to an empty slot at the image's base).
-            applied = snap_base;
-            let (dst, new_slot, new_seq) = swap_log_slot(&env, slot, ctl_seq, snap_base, &[])?;
-            slot = new_slot;
-            ctl_seq = new_seq;
-            base = snap_base;
-            dev = dst;
-        }
-
+        let (wal, image) = SnapshotData::recover(&env, WalOptions::default(), None)?;
         let shared = Arc::new(StandbyShared {
             env,
-            inner: Mutex::new(StandbyInner {
-                tables,
-                prepared,
-                outcomes,
-                max_txid,
-                applied,
-                dev,
-                base,
-                slot,
-                ctl_seq,
-                epoch: 0,
-            }),
+            wal,
+            inner: Mutex::new(StandbyInner { image, epoch: 0 }),
             applied_grew: Condvar::new(),
             snap_queue: Mutex::new(SnapQueue { pending: None, busy: false, shutdown: false }),
             snap_cv: Condvar::new(),
@@ -251,41 +188,8 @@ impl StandbyDb {
         Ok(StandbyDb { shared, snapshotter: Mutex::new(Some(snapshotter)) })
     }
 
-    fn apply_record(
-        tables: &mut HashMap<String, TableStore>,
-        prepared: &mut HashMap<TxId, PreparedTxn>,
-        outcomes: &mut HashMap<TxId, bool>,
-        rec: &WalRecord,
-    ) -> DbResult<()> {
-        match rec {
-            WalRecord::Ddl(op) => apply_op(tables, op)?,
-            WalRecord::Commit { txid, participants, ops } => {
-                if !participants.is_empty() {
-                    outcomes.insert(*txid, true);
-                }
-                for op in ops {
-                    apply_op(tables, op)?;
-                }
-            }
-            WalRecord::Prepare { txid, coordinator, ops } => {
-                prepared.insert(*txid, PreparedTxn { coordinator: *coordinator, ops: ops.clone() });
-            }
-            WalRecord::Decide { txid, commit } => {
-                if let Some(txn) = prepared.remove(txid) {
-                    if *commit {
-                        for op in &txn.ops {
-                            apply_op(tables, op)?;
-                        }
-                    }
-                }
-            }
-            WalRecord::Checkpoint { .. } => {}
-        }
-        Ok(())
-    }
-
     /// Applies one shipped range: appends the raw bytes to the standby log,
-    /// syncs, then applies the decoded records. The range may not start
+    /// syncs, then redoes the decoded records. The range may not start
     /// *past* the applied watermark — that gap means frames were lost in
     /// shipping and the standby must refuse rather than diverge — but an
     /// overlap with already-applied frames is fine: the shipper re-sends
@@ -300,36 +204,34 @@ impl StandbyDb {
     /// slow snapshot device never stalls the ship round.
     pub fn apply(&self, frames: &ShippedFrames) -> DbResult<()> {
         let mut inner = self.shared.inner.lock();
+        let applied = inner.image.base_lsn;
         if frames.is_empty() {
             return Ok(());
         }
-        if frames.base > inner.applied {
+        if frames.base > applied {
             return Err(DbError::InvalidTxnState(format!(
-                "standby expects frames at lsn {}, got {} (ship gap)",
-                inner.applied, frames.base
+                "standby expects frames at lsn {applied}, got {} (ship gap)",
+                frames.base
             )));
         }
-        if frames.end <= inner.applied {
+        if frames.end <= applied {
             return Ok(()); // full resend of applied frames: nothing to do
         }
         // The applied watermark always sits on a frame boundary, so the
         // byte skip is exactly the already-applied frame prefix.
-        let skip = (inner.applied - frames.base) as usize;
-        let inner = &mut *inner;
-        inner.dev.write_at(inner.applied - inner.base, &frames.bytes[skip..])?;
-        inner.dev.sync()?;
+        let skip = (applied - frames.base) as usize;
+        self.shared.wal.append_shipped(applied, &frames.bytes[skip..])?;
         let mut checkpoint_cut: Option<(u64, Lsn)> = None;
         for (lsn, rec) in &frames.records {
-            if *lsn < inner.applied {
+            if *lsn < applied {
                 continue;
             }
             if let WalRecord::Checkpoint { generation } = rec {
                 checkpoint_cut = Some((*generation, *lsn));
             }
-            Self::apply_record(&mut inner.tables, &mut inner.prepared, &mut inner.outcomes, rec)?;
-            inner.max_txid = inner.max_txid.max(record_txid(rec));
+            inner.image.redo(rec)?;
         }
-        inner.applied = frames.end;
+        inner.image.base_lsn = frames.end;
         if let Some((generation, cut)) = checkpoint_cut {
             // Coalescing enqueue: a newer checkpoint's image covers
             // everything an older pending one would have, so the newest
@@ -346,38 +248,26 @@ impl StandbyDb {
     /// whose next frame was truncated away on the primary (or a freshly
     /// provisioned one). Persists the image into the standby's own
     /// snapshot slot, resets the log to empty at the image's base, and
-    /// replaces the in-memory state. Returns `false` (and changes nothing)
-    /// when the standby is already at or past the image — the shipper then
-    /// just resumes framing. Crash-safe: the image is durable before the
-    /// log reset, and [`StandbyDb::open`] completes a reset that a crash
-    /// interrupted.
+    /// adopts the image as the in-memory state. Returns `false` (and
+    /// changes nothing) when the standby is already at or past the image —
+    /// the shipper then just resumes framing. Crash-safe: the image is
+    /// durable before the log reset, and [`StandbyDb::open`] completes a
+    /// reset that a crash interrupted.
     pub fn install_checkpoint(&self, snap: &SnapshotData) -> DbResult<bool> {
+        // Before `inner`: the snapshotter holds the slots across its own
+        // copy-and-write, so no snapshot of pre-install state can land
+        // after this image (see `StandbyShared::snap_io`).
+        let _slots = self.shared.snap_io.lock();
         let mut inner = self.shared.inner.lock();
-        if snap.base_lsn <= inner.applied {
+        if snap.base_lsn <= inner.image.base_lsn {
             return Ok(false);
         }
-        {
-            // Exclude the snapshotter from the slot devices while the
-            // install's image write is in flight (it must be durable and
-            // untorn before the log reset below relies on it).
-            let _slots = self.shared.snap_io.lock();
-            write_snapshot(
-                &self.shared.env.device(slot_for_generation(snap.generation))?,
-                snap.into(),
-            )?;
-        }
-        // Log reset: empty inactive slot at the image's base, then flip.
-        let (dst, slot, seq) =
-            swap_log_slot(&self.shared.env, inner.slot, inner.ctl_seq, snap.base_lsn, &[])?;
-        inner.slot = slot;
-        inner.ctl_seq = seq;
-        inner.base = snap.base_lsn;
-        inner.dev = dst;
-        inner.tables = snap.tables.clone();
-        inner.prepared = snap.prepared.clone();
-        inner.outcomes = snap.outcomes.clone();
-        inner.max_txid = inner.max_txid.max(snap.next_txid.saturating_sub(1));
-        inner.applied = snap.base_lsn;
+        write_snapshot(
+            &self.shared.env.device(slot_for_generation(snap.generation))?,
+            snap.into(),
+        )?;
+        self.shared.wal.reset_to(snap.base_lsn)?;
+        inner.image = snap.clone();
         // Obsolete any queued snapshot job: it described a pre-install
         // checkpoint cut that the log reset just superseded.
         inner.epoch += 1;
@@ -410,7 +300,7 @@ impl StandbyDb {
 
     /// One past the last applied byte (lag = primary durable − this).
     pub fn applied_lsn(&self) -> Lsn {
-        self.shared.inner.lock().applied
+        self.shared.inner.lock().image.base_lsn
     }
 
     /// Snapshotter backlog: queued plus in-progress snapshot jobs (0–2;
@@ -428,13 +318,13 @@ impl StandbyDb {
     pub fn wait_applied(&self, lsn: Lsn, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut inner = self.shared.inner.lock();
-        while inner.applied < lsn {
+        while inner.image.base_lsn < lsn {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
             }
             if self.shared.applied_grew.wait_for(&mut inner, deadline - now).timed_out()
-                && inner.applied < lsn
+                && inner.image.base_lsn < lsn
             {
                 return false;
             }
@@ -442,17 +332,23 @@ impl StandbyDb {
         true
     }
 
+    /// A copy of the standby's whole state: its recovery image as of the
+    /// applied watermark — what its next snapshot would persist, and what a
+    /// promotion's recovery reaches from its disks.
+    pub fn image(&self) -> SnapshotData {
+        self.shared.inner.lock().image.clone()
+    }
+
     /// The standby's log low-water mark (0 until its first truncation).
     pub fn wal_base_lsn(&self) -> Lsn {
-        self.shared.inner.lock().base
+        self.shared.wal.base_lsn()
     }
 
     /// Bytes of log the standby currently retains (`applied − base`): the
     /// quantity checkpoint shipping keeps bounded (once the snapshotter
     /// performed the truncation — [`StandbyDb::wait_snapshot_idle`]).
     pub fn wal_retained_bytes(&self) -> u64 {
-        let inner = self.shared.inner.lock();
-        inner.applied.saturating_sub(inner.base)
+        self.shared.wal.retained_bytes()
     }
 
     /// The standby's storage environment. Promotion opens a normal
@@ -465,39 +361,35 @@ impl StandbyDb {
 
     /// Whether the replicated catalog has a table `name`.
     pub fn has_table(&self, name: &str) -> bool {
-        self.shared.inner.lock().tables.contains_key(name)
+        self.shared.inner.lock().image.tables.contains_key(name)
+    }
+
+    /// Reads `table` of the replicated catalog under the state lock.
+    fn with_table<T>(&self, table: &str, read: impl FnOnce(&TableStore) -> T) -> DbResult<T> {
+        let inner = self.shared.inner.lock();
+        let store = inner.image.tables.get(table);
+        store.map(read).ok_or_else(|| DbError::NoSuchTable(table.to_string()))
     }
 
     /// Point lookup of the replicated committed row at `key`.
     pub fn get_committed(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
-        let inner = self.shared.inner.lock();
-        let store =
-            inner.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        Ok(store.get(key).cloned())
+        self.with_table(table, |store| store.get(key).cloned())
     }
 
     /// All replicated committed rows of `table`.
     pub fn scan_committed(&self, table: &str) -> DbResult<Vec<Row>> {
-        let inner = self.shared.inner.lock();
-        let store =
-            inner.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        Ok(store.iter().map(|(_, row)| row.clone()).collect())
+        self.with_table(table, |store| store.iter().map(|(_, row)| row.clone()).collect())
     }
 
     /// Replicated committed row count of `table`.
     pub fn count(&self, table: &str) -> DbResult<usize> {
-        let inner = self.shared.inner.lock();
-        inner
-            .tables
-            .get(table)
-            .map(|s| s.len())
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))
+        self.with_table(table, TableStore::len)
     }
 
     /// Transactions prepared on the primary but undecided as of the applied
     /// watermark (visible in-doubt state; promotion recovery settles them).
     pub fn in_doubt_txns(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self.shared.inner.lock().prepared.keys().copied().collect();
+        let mut ids: Vec<TxId> = self.shared.inner.lock().image.prepared.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -547,80 +439,33 @@ impl StandbyShared {
     }
 
     /// Writes one standby-side snapshot and truncates the log below the
-    /// job's cut. Clones the state under a brief lock, then performs the
-    /// slow image write unlocked so `apply` keeps streaming; the epoch is
-    /// re-checked before truncation in case a checkpoint install replaced
-    /// the world mid-write.
+    /// job's cut. Clones the image under a brief lock, then performs the
+    /// slow image write with only the slots held so `apply` keeps
+    /// streaming; the epoch is re-checked before truncation in case a
+    /// checkpoint install replaced the world in between.
     fn perform_snapshot(&self, job: SnapJob) -> DbResult<()> {
-        let (tables, prepared, outcomes, next_txid, base_lsn) = {
-            let inner = self.inner.lock();
-            if inner.epoch != job.epoch {
-                return Ok(());
-            }
-            (
-                inner.tables.clone(),
-                inner.prepared.clone(),
-                inner.outcomes.clone(),
-                inner.max_txid + 1,
-                // The applied watermark sits on a frame boundary and the
-                // cloned state covers everything below it — a valid (and
-                // possibly fresher-than-the-cut) snapshot base.
-                inner.applied,
-            )
-        };
         {
             let _slots = self.snap_io.lock();
+            let image = {
+                let inner = self.inner.lock();
+                if inner.epoch != job.epoch {
+                    return Ok(());
+                }
+                // The applied watermark (the clone's `base_lsn`) sits on a
+                // frame boundary and the image covers everything below it —
+                // a valid (and possibly fresher-than-the-cut) snapshot base.
+                SnapshotData { generation: job.generation, ..inner.image.clone() }
+            };
             write_snapshot(
                 &self.env.device(slot_for_generation(job.generation))?,
-                SnapshotSource {
-                    generation: job.generation,
-                    base_lsn,
-                    next_txid,
-                    outcomes: &outcomes,
-                    prepared: &prepared,
-                    tables: &tables,
-                },
+                (&image).into(),
             )?;
         }
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         if inner.epoch == job.epoch {
-            self.truncate_log(&mut inner, job.cut)?;
+            self.wal.truncate_below(job.cut)?;
         }
         Ok(())
-    }
-
-    /// Standby-side log truncation: same crash-safe slot dance as
-    /// [`crate::wal::Wal::truncate_below`] — copy the surviving suffix into
-    /// the inactive slot, then flip the control record.
-    fn truncate_log(&self, inner: &mut StandbyInner, new_base: Lsn) -> DbResult<()> {
-        if new_base <= inner.base {
-            return Ok(());
-        }
-        let len = (inner.applied - new_base) as usize;
-        let mut suffix = vec![0u8; len];
-        let got = inner.dev.read_at(new_base - inner.base, &mut suffix)?;
-        if got < len {
-            return Err(DbError::Corrupt(format!(
-                "standby truncate: short read of suffix at {new_base} ({got} of {len} bytes)"
-            )));
-        }
-        let (dst, slot, seq) =
-            swap_log_slot(&self.env, inner.slot, inner.ctl_seq, new_base, &suffix)?;
-        inner.slot = slot;
-        inner.ctl_seq = seq;
-        inner.base = new_base;
-        inner.dev = dst;
-        Ok(())
-    }
-}
-
-/// The highest transaction id a record names (0 for txid-less records).
-fn record_txid(rec: &WalRecord) -> TxId {
-    match rec {
-        WalRecord::Commit { txid, .. }
-        | WalRecord::Prepare { txid, .. }
-        | WalRecord::Decide { txid, .. } => *txid,
-        _ => 0,
     }
 }
 
@@ -953,6 +798,51 @@ mod tests {
         let snap = db.replication_feed().latest_checkpoint().unwrap().unwrap();
         assert!(!standby.install_checkpoint(&snap).unwrap(), "already past the image");
         assert_eq!(standby.count("t").unwrap(), 1);
+    }
+
+    #[test]
+    fn crash_between_image_write_and_log_reset_is_finished_by_either_open() {
+        // A checkpoint install makes the image durable, then resets the log
+        // to the image's base. A crash in between leaves a log that ends
+        // below its newest image; whichever open comes next — the standby's
+        // restart or a promotion — must finish the reset, or what it logs
+        // next would sit below the image and be skipped by every later
+        // recovery.
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let env = StorageEnv::mem();
+        {
+            let standby = StandbyDb::open(env.clone()).unwrap();
+            ship_all(&db, &standby); // holds the DDL frame, nothing else
+        }
+        for i in 0..10i64 {
+            let mut tx = db.begin();
+            tx.insert("t", row(i, "imaged")).unwrap();
+            tx.commit().unwrap();
+        }
+        db.checkpoint_and_truncate().unwrap();
+        let snap = db.replication_feed().latest_checkpoint().unwrap().unwrap();
+        // The first half of `install_checkpoint`, then the crash.
+        write_snapshot(&env.device(slot_for_generation(snap.generation)).unwrap(), (&snap).into())
+            .unwrap();
+
+        let standby = StandbyDb::open(env.fork().unwrap()).unwrap();
+        assert_eq!(standby.applied_lsn(), snap.base_lsn);
+        assert_eq!(standby.wal_base_lsn(), snap.base_lsn);
+        assert_eq!(standby.wal_retained_bytes(), 0);
+        assert_eq!(standby.count("t").unwrap(), 10);
+        ship_all(&db, &standby);
+        assert_eq!(standby.applied_lsn(), db.durable_lsn(), "shipping resumes at the image");
+
+        let promoted_env = env.fork().unwrap();
+        let promoted = Database::open(promoted_env.clone()).unwrap();
+        assert_eq!(promoted.wal_base_lsn(), snap.base_lsn);
+        assert_eq!(promoted.count("t").unwrap(), 10);
+        let mut tx = promoted.begin();
+        tx.insert("t", row(100, "after-promotion")).unwrap();
+        assert!(tx.commit().unwrap() > snap.base_lsn, "logged above the image, not below it");
+        drop(promoted);
+        assert_eq!(Database::open(promoted_env).unwrap().count("t").unwrap(), 11);
     }
 
     #[test]

@@ -25,16 +25,29 @@
 //! coordinator transaction its `Prepare` record named
 //! ([`crate::ops::PreparedTxn`]), so an in-doubt branch whose `Prepare`
 //! was truncated away can still be resolved against the right outcome.
+//!
+//! # The recovery rule
+//!
+//! Because the image is complete, recovery is one fold: start from the
+//! newest usable image (or the empty one) and [`SnapshotData::redo`] every
+//! retained log record at or above its base, in log order. `redo` is the
+//! only place a [`WalRecord`] is mapped onto tables, prepared transactions,
+//! outcomes and the transaction-id horizon, and
+//! `SnapshotData::recover` the only open sequence: a primary's crash
+//! recovery, a point-in-time restore, a standby's restart and a standby's
+//! live apply ([`crate::replica::StandbyDb`] keeps its state *as* this
+//! image) all run it, so they cannot disagree about what a record means.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::codec::{crc32, get_row, get_schema, put_row, put_schema, Dec, Enc};
+use crate::db::apply_op;
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
 use crate::ops::PreparedTxn;
 use crate::table::TableStore;
-use crate::wal::{Lsn, TxId};
+use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
 const VERSION: u32 = 4;
@@ -89,6 +102,123 @@ pub struct SnapshotData {
     pub prepared: HashMap<TxId, PreparedTxn>,
     /// Committed table stores.
     pub tables: HashMap<String, TableStore>,
+}
+
+impl Default for SnapshotData {
+    /// The image of a database nothing was ever logged to.
+    fn default() -> SnapshotData {
+        SnapshotData {
+            generation: 0,
+            base_lsn: 0,
+            next_txid: 1,
+            outcomes: HashMap::new(),
+            prepared: HashMap::new(),
+            tables: HashMap::new(),
+        }
+    }
+}
+
+impl SnapshotData {
+    /// What one log record does to the image — *the* recovery rule (module
+    /// docs). `Ddl` and `Commit` apply their ops (replay trusts the log); a
+    /// `Commit` that named participants is also the coordinator's outcome;
+    /// `Prepare` parks its ops, in doubt, under the coordinator it names;
+    /// `Decide` settles them, and one with nothing parked (the transaction
+    /// was decided below the image's base) is a no-op; every transaction id
+    /// seen pushes the id horizon. `Checkpoint` changes nothing: which
+    /// image is newest is read off the snapshot slots, never off the log.
+    /// The caller feeds records in log order, none below `base_lsn`, and
+    /// moves `base_lsn` past what it fed.
+    pub fn redo(&mut self, rec: &WalRecord) -> DbResult<()> {
+        if let WalRecord::Commit { txid, .. }
+        | WalRecord::Prepare { txid, .. }
+        | WalRecord::Decide { txid, .. } = rec
+        {
+            self.next_txid = self.next_txid.max(txid + 1);
+        }
+        match rec {
+            WalRecord::Ddl(op) => apply_op(&mut self.tables, op)?,
+            WalRecord::Commit { txid, participants, ops } => {
+                if !participants.is_empty() {
+                    self.outcomes.insert(*txid, true);
+                }
+                for op in ops {
+                    apply_op(&mut self.tables, op)?;
+                }
+            }
+            WalRecord::Prepare { txid, coordinator, ops } => {
+                let txn = PreparedTxn { coordinator: *coordinator, ops: ops.clone() };
+                self.prepared.insert(*txid, txn);
+            }
+            WalRecord::Decide { txid, commit } => {
+                if let Some(txn) = self.prepared.remove(txid).filter(|_| *commit) {
+                    for op in &txn.ops {
+                        apply_op(&mut self.tables, op)?;
+                    }
+                }
+            }
+            WalRecord::Checkpoint { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// The one open sequence (module docs): opens the log of `env` — which
+    /// resolves the truncation control record and trims a torn tail —
+    /// picks the newest valid image, and redoes the retained records at or
+    /// above its base. `stop_at` bounds both for a point-in-time restore:
+    /// no image past it, no table effect of a record at or above it (ids
+    /// and outcomes of those records are kept); a bound below the log's
+    /// low-water mark is [`DbError::TruncatedLog`]. A log that ends below
+    /// the image is a checkpoint install the crash interrupted after its
+    /// image write ([`crate::replica::StandbyDb::install_checkpoint`]); the
+    /// install's log reset is finished here. Returns the log and the image,
+    /// whose `base_lsn` now names the log position it is current to.
+    pub(crate) fn recover(
+        env: &StorageEnv,
+        wal_opts: WalOptions,
+        stop_at: Option<Lsn>,
+    ) -> DbResult<(Wal, SnapshotData)> {
+        let (wal, records) = Wal::open_env(env, wal_opts)?;
+        let wal_base = wal.base_lsn();
+        if stop_at.is_some_and(|stop| stop < wal_base) {
+            return Err(DbError::TruncatedLog { base: wal_base });
+        }
+        let usable = |snap: &SnapshotData| stop_at.is_none_or(|stop| snap.base_lsn <= stop);
+        let mut image = latest_valid_snapshot(env, usable)?.unwrap_or_default();
+        if image.base_lsn < wal_base {
+            // The log was truncated on the promise of a durable snapshot at
+            // the low-water mark; without one there is a replay gap.
+            return Err(DbError::Corrupt(format!(
+                "log truncated to {wal_base} but the newest usable snapshot covers only {}",
+                image.base_lsn
+            )));
+        }
+        if wal.tail_lsn() < image.base_lsn {
+            wal.reset_to(image.base_lsn)?;
+        }
+        let end = stop_at.unwrap_or(Lsn::MAX).min(wal.tail_lsn());
+        let kept = records.partition_point(|(lsn, _)| *lsn < end);
+        for (lsn, rec) in &records[..kept] {
+            if *lsn >= image.base_lsn {
+                image.redo(rec)?;
+            }
+        }
+        image.base_lsn = end;
+        if kept < records.len() {
+            // A point-in-time restore discards what the later records did
+            // to the tables, not that they happened: their transaction ids
+            // stay used, and a participant still in doubt under one of them
+            // is owed the decision its coordinator made (the DataLinks
+            // restore then reconciles the files with the restored rows).
+            let mut discarded = image.clone();
+            for (_, rec) in &records[kept..] {
+                discarded.redo(rec)?;
+            }
+            image.next_txid = discarded.next_txid;
+            image.outcomes = discarded.outcomes;
+        }
+        Ok((wal, image))
+    }
 }
 
 /// Borrowed write-side view of a snapshot: what [`write_snapshot`]

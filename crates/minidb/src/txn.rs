@@ -360,12 +360,16 @@ impl Txn {
                     apply_op(&mut tables, op)?;
                 }
             }
+            // Still under the latch: a checkpoint must never image the rows
+            // above without this outcome — its truncation cuts the `Commit`
+            // record away, and a participant that lost its unforced `Decide`
+            // is resolved against exactly this map.
+            if !participants.is_empty() {
+                self.db.record_outcome(self.id, true);
+            }
             lsn
         };
 
-        if !participants.is_empty() {
-            self.db.record_outcome(self.id, true);
-        }
         // Phase two.
         for (_, p) in &participants {
             p.commit(self.id);

@@ -81,6 +81,18 @@
 //! [`DbError::TruncatedLog`] — the signal for a shipper to fall back to
 //! *checkpoint shipping* (install the latest snapshot, then tail the
 //! suffix).
+//!
+//! # Following
+//!
+//! The receiving end's log is this same type, opened by the same
+//! [`Wal::open_env`] (control record, torn-tail trim); a follower just
+//! never originates a record. It needs two operations of its own and gets
+//! no third device-write path for them: [`Wal::append_shipped`] writes
+//! shipped frame bytes verbatim at the tail and syncs — the body of the
+//! per-commit path — and [`Wal::reset_to`] is the truncation slot dance
+//! keeping an empty suffix, for a log that a checkpoint image supersedes.
+//! There is one implementation of the slot swap and the control record,
+//! and it is private to this file.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -191,7 +203,7 @@ const CTL_SLOT_SIZE: u64 = 32;
 const CTL_RECORD_SIZE: usize = 28; // magic + seq + base + slot + crc
 
 /// Device name of wal slot `slot` (two slots ping-pong across truncations).
-pub(crate) fn log_slot_name(slot: u32) -> &'static str {
+fn log_slot_name(slot: u32) -> &'static str {
     if slot == 0 {
         "wal"
     } else {
@@ -202,7 +214,7 @@ pub(crate) fn log_slot_name(slot: u32) -> &'static str {
 /// Reads the newest valid log control record: `(seq, base, active slot)`.
 /// A missing or fully-torn control device means "never truncated":
 /// `(0, 0, slot 0)` — exactly the pre-truncation layout.
-pub(crate) fn read_log_ctl(env: &StorageEnv) -> DbResult<(u64, Lsn, u32)> {
+fn read_log_ctl(env: &StorageEnv) -> DbResult<(u64, Lsn, u32)> {
     let dev = env.device("wal.ctl")?;
     let mut bytes = [0u8; (CTL_SLOT_SIZE * 2) as usize];
     let got = dev.read_at(0, &mut bytes)?;
@@ -234,10 +246,10 @@ pub(crate) fn read_log_ctl(env: &StorageEnv) -> DbResult<(u64, Lsn, u32)> {
 /// device, syncs it, then flips the control record. The flip is the commit
 /// point — a crash before it leaves the old slot authoritative and
 /// untouched, a crash after it the new one, never a half-shifted log.
-/// [`Wal::truncate_below`] and the standby's lockstep truncation /
-/// checkpoint install all route through here. Returns the new
+/// Called from [`Wal::rebase`] only — truncation and the follower's reset
+/// are the same dance with a full or an empty suffix. Returns the new
 /// `(device, slot, ctl seq)`.
-pub(crate) fn swap_log_slot(
+fn swap_log_slot(
     env: &StorageEnv,
     cur_slot: u32,
     cur_ctl_seq: u64,
@@ -259,7 +271,7 @@ pub(crate) fn swap_log_slot(
 /// Writes log control record `seq` (into the ctl slot `seq % 2`, so a torn
 /// write can only damage the slot *not* holding the previous record) and
 /// syncs it. After this returns, `(base, slot)` is the durable truth.
-pub(crate) fn write_log_ctl(env: &StorageEnv, seq: u64, base: Lsn, slot: u32) -> DbResult<()> {
+fn write_log_ctl(env: &StorageEnv, seq: u64, base: Lsn, slot: u32) -> DbResult<()> {
     let dev = env.device("wal.ctl")?;
     let mut enc = Enc::with_capacity(CTL_RECORD_SIZE);
     enc.put_u32(CTL_MAGIC);
@@ -630,22 +642,47 @@ impl Wal {
         let mut frame = std::mem::take(&mut state.spare);
         frame.clear();
         encode_frame(&mut frame, payload);
-        let start = state.end;
+        let result = self.write_through(&mut state, &frame);
+        state.spare = frame;
+        result?;
+        self.telemetry.batch_frames.record(1);
+        Ok(state.end)
+    }
+
+    /// Writes whole frames at the tail and syncs them, all under the log
+    /// mutex: on success tail and durable watermark both sit after `frames`
+    /// and readers are told. The body of the per-commit path, and of the
+    /// follower's verbatim append.
+    fn write_through(&self, state: &mut WalState, frames: &[u8]) -> DbResult<()> {
         let (dev, base) = {
             let view = self.view.read();
             (Arc::clone(&view.dev), view.base)
         };
         let flush_start = Instant::now();
-        let result = dev.write_at(start - base, &frame).and_then(|()| dev.sync());
-        state.spare = frame;
-        result?;
+        dev.write_at(state.end - base, frames)?;
+        dev.sync()?;
         self.telemetry.fsync_ns.record_duration(flush_start.elapsed());
-        self.telemetry.batch_frames.record(1);
-        state.end = start + (FRAME_HEADER + payload.len()) as u64;
+        state.end += frames.len() as u64;
         state.durable = state.end;
         state.batch_base = state.end;
         self.ship.publish(state.end);
-        Ok(state.end)
+        Ok(())
+    }
+
+    /// Follower append: writes `frames` — whole frames another log already
+    /// framed and synced, shipped as [`ShippedFrames::bytes`] — verbatim at
+    /// the tail, which must be `at`, and syncs them. The bytes keep their
+    /// LSNs, so a follower's log stays byte-identical to its primary's over
+    /// the range both retain. A follower's log has no other appender.
+    pub fn append_shipped(&self, at: Lsn, frames: &[u8]) -> DbResult<()> {
+        let mut state = self.state.lock();
+        if at != state.end || state.durable != state.end {
+            return Err(DbError::InvalidTxnState(format!(
+                "shipped frames for lsn {at} do not continue a log durable to {} with tail {}",
+                state.durable, state.end
+            )));
+        }
+        self.write_through(&mut state, frames)
     }
 
     /// Appends a record **without waiting for it to become durable**: the
@@ -878,6 +915,24 @@ impl Wal {
     /// docs. Returns the new base (unchanged if `new_base` was not an
     /// advance). Bare-device logs ([`Wal::open`]) cannot truncate.
     pub fn truncate_below(&self, new_base: Lsn) -> DbResult<Lsn> {
+        self.rebase(new_base, false)
+    }
+
+    /// Follower reset: the log becomes empty at `new_base`, a position past
+    /// its tail — what installing a checkpoint image does to the log the
+    /// image supersedes (the frames in between are never coming). The same
+    /// slot dance as a truncation that keeps no suffix; the caller has made
+    /// the image durable first, and the next open finishes a reset a crash
+    /// interrupted (`SnapshotData::recover`).
+    pub fn reset_to(&self, new_base: Lsn) -> DbResult<()> {
+        self.rebase(new_base, true).map(drop)
+    }
+
+    /// Moves the log's base up to `new_base`, keeping the suffix at or
+    /// above it. Past the tail only for a `reset` (the kept suffix is then
+    /// empty and the tail jumps to the new base); a truncation clamps to
+    /// the durable watermark.
+    fn rebase(&self, new_base: Lsn, reset: bool) -> DbResult<Lsn> {
         let Some(env) = &self.env else {
             return Err(DbError::Io("wal has no storage environment; cannot truncate".into()));
         };
@@ -890,24 +945,32 @@ impl Wal {
             self.follow_or_lead(&mut state)?;
         }
         let mut view = self.view.write();
-        let new_base = new_base.min(state.durable);
+        let new_base = if reset { new_base } else { new_base.min(state.durable) };
         if new_base <= view.base {
             return Ok(view.base);
         }
         // Copy the surviving suffix [new_base, end) into the other slot.
-        let len = (state.end - new_base) as usize;
+        let len = state.end.saturating_sub(new_base) as usize;
         let mut suffix = vec![0u8; len];
-        let got = view.dev.read_at(new_base - view.base, &mut suffix)?;
-        if got < len {
-            return Err(DbError::Corrupt(format!(
-                "wal truncate: short read of suffix at {new_base} ({got} of {len} bytes)"
-            )));
+        if len > 0 {
+            let got = view.dev.read_at(new_base - view.base, &mut suffix)?;
+            if got < len {
+                return Err(DbError::Corrupt(format!(
+                    "wal truncate: short read of suffix at {new_base} ({got} of {len} bytes)"
+                )));
+            }
         }
         let (dst, slot, seq) = swap_log_slot(env, state.slot, state.ctl_seq, new_base, &suffix)?;
         state.ctl_seq = seq;
         state.slot = slot;
         view.dev = dst;
         view.base = new_base;
+        if new_base > state.end {
+            state.end = new_base;
+            state.durable = new_base;
+            state.batch_base = new_base;
+            self.ship.publish(new_base);
+        }
         Ok(new_base)
     }
 }
@@ -923,7 +986,7 @@ fn encode_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 /// Parses the valid frame prefix of `bytes`, whose first byte sits at log
 /// offset `base`. Stops quietly at the first torn/corrupt frame — callers
 /// that require the whole range (log shipping) check the parsed end.
-pub(crate) fn parse_frames(bytes: &[u8], base: Lsn) -> Vec<(Lsn, WalRecord, u64)> {
+fn parse_frames(bytes: &[u8], base: Lsn) -> Vec<(Lsn, WalRecord, u64)> {
     let mut out = Vec::new();
     let mut pos: usize = 0;
     while pos + FRAME_HEADER <= bytes.len() {
@@ -950,7 +1013,7 @@ pub(crate) fn parse_frames(bytes: &[u8], base: Lsn) -> Vec<(Lsn, WalRecord, u64)
 /// Reads every valid record with its LSN and frame length; the device's
 /// first byte sits at logical offset `base`. Stops quietly at the first
 /// torn/corrupt frame.
-pub(crate) fn read_all(dev: &Arc<dyn Device>, base: Lsn) -> DbResult<Vec<(Lsn, WalRecord, u64)>> {
+fn read_all(dev: &Arc<dyn Device>, base: Lsn) -> DbResult<Vec<(Lsn, WalRecord, u64)>> {
     let total = dev.len()?;
     let mut bytes = vec![0u8; total as usize];
     let got = dev.read_at(0, &mut bytes)?;
@@ -1752,6 +1815,72 @@ mod tests {
         let (wal, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(wal.tail_lsn(), tail);
+    }
+
+    // --- follower operations ---------------------------------------------------
+
+    #[test]
+    fn shipped_frames_land_verbatim_at_their_lsns_and_only_at_the_tail() {
+        let primary_env = StorageEnv::mem();
+        let (primary, _) = Wal::open_env(&primary_env, WalOptions::default()).unwrap();
+        for txid in 1..=3 {
+            primary.append(&decide(txid)).unwrap();
+        }
+        let first = primary.reader().read_from(0).unwrap();
+
+        let env = StorageEnv::mem();
+        let (follower, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        let syncs = follower.telemetry().fsync_ns.snapshot().count;
+        follower.append_shipped(0, &first.bytes).unwrap();
+        assert_eq!(
+            follower.telemetry().fsync_ns.snapshot().count,
+            syncs + 1,
+            "one write, one sync"
+        );
+        assert_eq!((follower.tail_lsn(), follower.durable_lsn()), (first.end, first.end));
+        // Not at the tail — a gap, or a resend — is refused and changes nothing.
+        assert!(follower.append_shipped(first.end + 1, &first.bytes).is_err());
+        assert!(follower.append_shipped(0, &first.bytes).is_err());
+        assert_eq!(follower.tail_lsn(), first.end);
+
+        primary.append(&decide(4)).unwrap();
+        let second = primary.reader().read_from(first.end).unwrap();
+        follower.append_shipped(second.base, &second.bytes).unwrap();
+        // Byte-identical devices, and the follower's own readers see it all.
+        let (p, f) = (primary_env.device("wal").unwrap(), env.device("wal").unwrap());
+        let (mut pb, mut fb) = (vec![0u8; second.end as usize], vec![0u8; second.end as usize]);
+        assert_eq!(p.read_at(0, &mut pb).unwrap(), f.read_at(0, &mut fb).unwrap());
+        assert_eq!(pb, fb);
+        assert_eq!(follower.reader().read_from(0).unwrap().records.len(), 4);
+        drop(follower);
+        let (_, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        assert_eq!(decided_txids(&recs), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn reset_empties_the_log_at_a_base_past_its_tail_and_survives_reopen() {
+        let env = StorageEnv::mem();
+        let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        let old_tail = wal.append(&decide(1)).unwrap();
+        let reader = wal.reader();
+        let base = old_tail + 10_000;
+        wal.reset_to(base).unwrap();
+        assert_eq!((wal.base_lsn(), wal.tail_lsn(), wal.durable_lsn()), (base, base, base));
+        assert_eq!(wal.retained_bytes(), 0);
+        assert_eq!(reader.durable_lsn(), base);
+        assert!(matches!(reader.read_from(0), Err(DbError::TruncatedLog { base: b }) if b == base));
+        // Not past the base any more: a repeat (or a lower target) is a no-op.
+        wal.reset_to(base).unwrap();
+        wal.reset_to(old_tail).unwrap();
+        assert_eq!(wal.base_lsn(), base);
+        // The log carries on from there, as an appender's or a follower's.
+        let tail = wal.append(&decide(2)).unwrap();
+        assert!(tail > base);
+        drop(wal);
+        let (wal, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
+        assert_eq!((wal.base_lsn(), wal.tail_lsn()), (base, tail));
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].0, base, "the first record after a reset sits at the new base");
     }
 
     #[test]

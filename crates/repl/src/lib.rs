@@ -5,21 +5,25 @@
 //! crash is a full outage until recovery replays. This crate turns the
 //! group-commit WAL (`dl_minidb::WalReader`) into a replication feed:
 //!
-//! * a [`Replicator`] daemon tails the primary repository's log and ships
-//!   every durable frame range to one or more [`Standby`] repositories
-//!   (`dl_minidb::StandbyDb`, apply-only physical replication — the
-//!   standby log is a byte prefix of the primary's at all times);
-//! * each standby also mirrors the primary's `ArchiveStore`
-//!   (`ArchiveStore::add_mirror`), so committed file bytes travel with
-//!   the metadata and a replica can serve reads entirely on its own;
+//! * a [`Replicator`] daemon tails a primary's log and ships every durable
+//!   frame range to one or more [`Follower`]s — the one thing it feeds: a
+//!   `dl_minidb::StandbyDb` (apply-only physical replication, its log a
+//!   byte prefix of the primary's at all times) behind an epoch fence;
 //! * the ship protocol carries an **epoch** number checked against a
 //!   shared [`EpochFence`]: promotion bumps the fence, so a stale
 //!   primary's shipper — one that missed the failover — has every
-//!   subsequent frame rejected instead of silently diverging a standby;
-//! * a [`ReplicaSet`] bundles the standbys with a round-robin picker —
-//!   the routing table the DataLinks engine uses to spread read-token
-//!   validation and replica-served reads across standbys while writes
-//!   stay on the primary.
+//!   subsequent frame rejected instead of silently diverging a follower;
+//! * a [`Standby`] is a follower of a DLFM *repository* plus what only a
+//!   read replica needs: a mirror of the primary's `ArchiveStore`
+//!   (`ArchiveStore::add_mirror`), so committed file bytes travel with
+//!   the metadata, a replica-local token-session store, and a content
+//!   fallback — enough to serve reads entirely on its own;
+//! * a [`ReplicaSet`] bundles the standbys of one primary with their
+//!   shipper: `ReplicaSet<Standby>` is also the round-robin read router
+//!   the DataLinks engine spreads token validation and replica-served
+//!   reads over while writes stay on the primary; the host database's set
+//!   is a `ReplicaSet<Follower>` — the coordinator needs durability and
+//!   failover, not token validation.
 //!
 //! ## The replica read protocol
 //!
@@ -163,24 +167,65 @@ impl ReplStats {
     }
 }
 
-/// Anything the ship daemon can feed: applies frame ranges in order and
-/// accepts checkpoint images for delta catch-up. Implemented by [`Standby`]
-/// (a DLFM repository replica with its token-session and mirrored-archive
-/// machinery) and [`HostStandby`] (a bare host-database replica — the 2PC
-/// coordinator needs durability and failover, not token validation).
-pub trait ShipTarget: Send + Sync {
-    /// Applies one shipped range, fencing stale epochs first.
-    fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError>;
-    /// Installs a primary checkpoint image (delta catch-up), fencing
-    /// stale epochs first. Returns whether it actually installed.
-    fn install_checkpoint(&self, epoch: u64, snap: &SnapshotData) -> Result<bool, ReplError>;
-    /// One past the last applied log byte.
-    fn applied_lsn(&self) -> Lsn;
-    /// Blocks until the target's background snapshotter is idle (bounded
-    /// retained-bytes observations need this).
-    fn wait_snapshot_idle(&self, timeout: Duration) -> bool;
-    /// Snapshotter backlog (0–2): queued plus in-progress snapshot jobs.
-    fn snapshot_queue_depth(&self) -> usize;
+/// A fenced follower: a `StandbyDb` that takes frame ranges and checkpoint
+/// images only from a shipper of the current epoch. The one thing the ship
+/// daemon feeds — a host-database standby is exactly this, a DLFM
+/// [`Standby`] wraps one. Everything it does not fence is the `StandbyDb`'s
+/// own (`applied_lsn`, `wait_applied`, `wal_retained_bytes`,
+/// `wait_snapshot_idle`, `snapshot_queue_depth`, the read-committed
+/// lookups, `env` — what a promotion reopens as a normal `Database`),
+/// reached by deref.
+pub struct Follower {
+    /// `<primary>#<ordinal>` (diagnostics).
+    pub name: String,
+    db: StandbyDb,
+    fence: Arc<EpochFence>,
+    stats: Arc<ReplStats>,
+}
+
+impl Follower {
+    /// Opens a follower over `env` (the replicated database).
+    pub fn new(
+        name: String,
+        env: StorageEnv,
+        fence: Arc<EpochFence>,
+        stats: Arc<ReplStats>,
+    ) -> Result<Follower, String> {
+        let db = StandbyDb::open(env).map_err(|e| e.to_string())?;
+        Ok(Follower { name, db, fence, stats })
+    }
+
+    /// Applies one shipped range, fencing stale epochs first. A rejected
+    /// range leaves the follower untouched.
+    pub fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError> {
+        self.check_fence(epoch)?;
+        self.db.apply(frames).map_err(|e| ReplError::Apply(e.to_string()))
+    }
+
+    /// Installs a primary checkpoint image (delta catch-up), fencing stale
+    /// epochs first. Returns whether the follower actually installed it
+    /// (`false`: it was already at or past the image).
+    pub fn install_checkpoint(&self, epoch: u64, snap: &SnapshotData) -> Result<bool, ReplError> {
+        self.check_fence(epoch)?;
+        self.db.install_checkpoint(snap).map_err(|e| ReplError::Apply(e.to_string()))
+    }
+
+    fn check_fence(&self, epoch: u64) -> Result<(), ReplError> {
+        let fence = self.fence.current();
+        if epoch != fence {
+            self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
+            return Err(ReplError::StaleEpoch { shipped: epoch, fence });
+        }
+        Ok(())
+    }
+}
+
+impl std::ops::Deref for Follower {
+    type Target = StandbyDb;
+
+    fn deref(&self) -> &StandbyDb {
+        &self.db
+    }
 }
 
 /// Name of the replica-local session table holding validated token entries
@@ -188,14 +233,12 @@ pub trait ShipTarget: Send + Sync {
 /// session it was serving.
 const SESSION_TOKENS: &str = "repl_tokens";
 
-/// One hot standby of a DLFM repository.
+/// One hot standby of a DLFM repository: a [`Follower`] of the repository
+/// database (reached by deref — `name`, `applied_lsn`, `env`, …) plus what
+/// makes it a read replica.
 pub struct Standby {
-    /// `<server>#<ordinal>` (diagnostics).
-    pub name: String,
-    db: StandbyDb,
+    follower: Arc<Follower>,
     archive: Arc<ArchiveStore>,
-    fence: Arc<EpochFence>,
-    stats: Arc<ReplStats>,
     /// Replica-local store for validated token entries (the replicated
     /// repository is apply-only).
     session: Database,
@@ -217,21 +260,16 @@ pub struct Standby {
 }
 
 impl Standby {
-    /// Opens a standby over `env` (the replicated repository) and
-    /// `session_env` (the replica-local token-session store).
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps `follower` (the replicated repository) with a replica-local
+    /// token-session store over `session_env`.
     pub fn new(
-        name: String,
-        env: StorageEnv,
+        follower: Arc<Follower>,
         session_env: StorageEnv,
-        fence: Arc<EpochFence>,
-        stats: Arc<ReplStats>,
         server_name: String,
         token_key: Vec<u8>,
         clock: Arc<dyn Clock>,
         fallback: Option<ContentSource>,
     ) -> Result<Standby, String> {
-        let db = StandbyDb::open(env).map_err(|e| e.to_string())?;
         let session =
             Database::open_with(session_env, DbOptions::default()).map_err(|e| e.to_string())?;
         if !session.has_table(SESSION_TOKENS) {
@@ -251,11 +289,8 @@ impl Standby {
                 .map_err(|e| e.to_string())?;
         }
         Ok(Standby {
-            name,
-            db,
+            follower,
             archive: Arc::new(ArchiveStore::new()),
-            fence,
-            stats,
             session,
             lane: Mutex::new(()),
             server_name,
@@ -267,66 +302,9 @@ impl Standby {
         })
     }
 
-    /// Applies one shipped range, fencing stale epochs first. A rejected
-    /// range leaves the standby untouched.
-    pub fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError> {
-        self.check_fence(epoch)?;
-        self.db.apply(frames).map_err(|e| ReplError::Apply(e.to_string()))
-    }
-
-    /// Installs a primary checkpoint image (delta catch-up), fencing stale
-    /// epochs first. Returns whether the standby actually installed it
-    /// (`false`: it was already at or past the image).
-    pub fn install_checkpoint(&self, epoch: u64, snap: &SnapshotData) -> Result<bool, ReplError> {
-        self.check_fence(epoch)?;
-        self.db.install_checkpoint(snap).map_err(|e| ReplError::Apply(e.to_string()))
-    }
-
-    fn check_fence(&self, epoch: u64) -> Result<(), ReplError> {
-        let fence = self.fence.current();
-        if epoch != fence {
-            self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(ReplError::StaleEpoch { shipped: epoch, fence });
-        }
-        Ok(())
-    }
-
-    /// One past the last applied log byte (lag = primary durable − this).
-    pub fn applied_lsn(&self) -> Lsn {
-        self.db.applied_lsn()
-    }
-
-    /// Bytes of log this standby retains — bounded by checkpoint shipping.
-    pub fn wal_retained_bytes(&self) -> u64 {
-        self.db.wal_retained_bytes()
-    }
-
-    /// Blocks until this standby has applied at least `lsn` or `timeout`
-    /// elapses; returns whether it caught up. The read-your-writes wait:
-    /// the engine parks here before serving a freshness-token read from
-    /// this replica, and falls back to the primary on timeout.
-    pub fn wait_applied(&self, lsn: Lsn, timeout: Duration) -> bool {
-        self.db.wait_applied(lsn, timeout)
-    }
-
-    /// Blocks until this standby's background snapshotter has no queued or
-    /// in-flight work; after a `true` return the retained-bytes bound from
-    /// the last shipped checkpoint is visible.
-    pub fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
-        self.db.wait_snapshot_idle(timeout)
-    }
-
-    /// Snapshotter backlog of this standby (0–2): queued plus in-progress
-    /// snapshot jobs. Stuck at 2 means checkpoints arrive faster than the
-    /// standby writes images.
-    pub fn snapshot_queue_depth(&self) -> usize {
-        self.db.snapshot_queue_depth()
-    }
-
-    /// The standby's repository environment (promotion opens a normal
-    /// `Database` — and with it a full DLFM repository — on a clone).
-    pub fn env(&self) -> &StorageEnv {
-        self.db.env()
+    /// The fenced follower underneath — what a [`Replicator`] feeds.
+    pub fn follower(&self) -> &Arc<Follower> {
+        &self.follower
     }
 
     /// The mirrored archive store.
@@ -337,7 +315,7 @@ impl Standby {
     /// The replicated file entry for `path`, if linked as of the applied
     /// watermark.
     pub fn file_entry(&self, path: &str) -> Option<FileEntry> {
-        self.db
+        self.follower
             .get_committed("dl_files", &Value::Text(path.to_string()))
             .ok()
             .flatten()
@@ -422,115 +400,18 @@ impl Standby {
     }
 }
 
-impl ShipTarget for Standby {
-    fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError> {
-        Standby::apply(self, epoch, frames)
-    }
+impl std::ops::Deref for Standby {
+    type Target = Follower;
 
-    fn install_checkpoint(&self, epoch: u64, snap: &SnapshotData) -> Result<bool, ReplError> {
-        Standby::install_checkpoint(self, epoch, snap)
-    }
-
-    fn applied_lsn(&self) -> Lsn {
-        Standby::applied_lsn(self)
-    }
-
-    fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
-        Standby::wait_snapshot_idle(self, timeout)
-    }
-
-    fn snapshot_queue_depth(&self) -> usize {
-        Standby::snapshot_queue_depth(self)
-    }
-}
-
-/// A hot standby of the **host database** — the 2PC coordinator and
-/// system of record. Unlike [`Standby`] it carries no token-session or
-/// archive machinery: the host standby exists so coordinator state
-/// (prepared transactions, decisions, the `__dl_meta` linkage rows) is
-/// durable on another node and a promotion can recover it byte-for-byte.
-pub struct HostStandby {
-    /// `host#<ordinal>` (diagnostics).
-    pub name: String,
-    db: StandbyDb,
-    fence: Arc<EpochFence>,
-    stats: Arc<ReplStats>,
-}
-
-impl HostStandby {
-    /// Opens a host standby over `env` (the replicated host database).
-    pub fn new(
-        name: String,
-        env: StorageEnv,
-        fence: Arc<EpochFence>,
-        stats: Arc<ReplStats>,
-    ) -> Result<HostStandby, String> {
-        let db = StandbyDb::open(env).map_err(|e| e.to_string())?;
-        Ok(HostStandby { name, db, fence, stats })
-    }
-
-    fn check_fence(&self, epoch: u64) -> Result<(), ReplError> {
-        let fence = self.fence.current();
-        if epoch != fence {
-            self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(ReplError::StaleEpoch { shipped: epoch, fence });
-        }
-        Ok(())
-    }
-
-    /// One past the last applied log byte.
-    pub fn applied_lsn(&self) -> Lsn {
-        self.db.applied_lsn()
-    }
-
-    /// Bytes of log this standby retains — bounded by checkpoint shipping.
-    pub fn wal_retained_bytes(&self) -> u64 {
-        self.db.wal_retained_bytes()
-    }
-
-    /// Snapshotter backlog of this standby (0–2): queued plus in-progress
-    /// snapshot jobs.
-    pub fn snapshot_queue_depth(&self) -> usize {
-        self.db.snapshot_queue_depth()
-    }
-
-    /// The standby's storage environment. Promotion opens a normal
-    /// [`Database`] on a clone of this: recovery then
-    /// re-derives the coordinator state — outcomes, prepared-but-undecided
-    /// transactions, the next transaction id — from the replicated log.
-    pub fn env(&self) -> &StorageEnv {
-        self.db.env()
-    }
-}
-
-impl ShipTarget for HostStandby {
-    fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError> {
-        self.check_fence(epoch)?;
-        self.db.apply(frames).map_err(|e| ReplError::Apply(e.to_string()))
-    }
-
-    fn install_checkpoint(&self, epoch: u64, snap: &SnapshotData) -> Result<bool, ReplError> {
-        self.check_fence(epoch)?;
-        self.db.install_checkpoint(snap).map_err(|e| ReplError::Apply(e.to_string()))
-    }
-
-    fn applied_lsn(&self) -> Lsn {
-        HostStandby::applied_lsn(self)
-    }
-
-    fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
-        self.db.wait_snapshot_idle(timeout)
-    }
-
-    fn snapshot_queue_depth(&self) -> usize {
-        HostStandby::snapshot_queue_depth(self)
+    fn deref(&self) -> &Follower {
+        &self.follower
     }
 }
 
 /// The shipping core shared by the daemon thread and synchronous callers.
 struct ShipCore {
     feed: ReplicationFeed,
-    standbys: Vec<Arc<dyn ShipTarget>>,
+    standbys: Vec<Arc<Follower>>,
     /// Epoch this shipper was spawned under; carried on every range.
     epoch: u64,
     cursor: Mutex<Lsn>,
@@ -546,7 +427,12 @@ impl ShipCore {
     /// the cursor to the image's base, and resume framing from there —
     /// delta catch-up instead of full-history replay.
     fn ship_once(&self) -> Result<usize, ReplError> {
-        let mut cursor = self.cursor.lock();
+        self.ship_from(&mut self.cursor.lock())
+    }
+
+    /// [`ShipCore::ship_once`] for a caller that already holds the cursor
+    /// lock — a round holds it from its first read to its last counter.
+    fn ship_from(&self, cursor: &mut Lsn) -> Result<usize, ReplError> {
         let frames = match self.feed.reader().read_from(*cursor) {
             Ok(frames) => frames,
             Err(DbError::TruncatedLog { base }) => {
@@ -605,12 +491,12 @@ pub struct Replicator {
 }
 
 impl Replicator {
-    /// Spawns the daemon under the fence's current epoch. `standbys` is
-    /// any mix of [`ShipTarget`]s (DLFM [`Standby`]s, [`HostStandby`]s).
+    /// Spawns the daemon under `epoch` (the fence's current one) feeding
+    /// `standbys`: bare followers, or [`Standby::follower`]s.
     pub fn spawn(
         name: &str,
         feed: ReplicationFeed,
-        standbys: Vec<Arc<dyn ShipTarget>>,
+        standbys: Vec<Arc<Follower>>,
         epoch: u64,
         stats: Arc<ReplStats>,
     ) -> Replicator {
@@ -644,7 +530,17 @@ impl Replicator {
                     // primary idleness without a timer thread of its own.
                     let _ = worker_core.feed.flush();
                 }
-                match worker_core.ship_once() {
+                let shipped = {
+                    // `set_paused(true)` passes through this lock before it
+                    // returns, so a round either finished before the pause
+                    // took effect or sees it here and never starts.
+                    let mut cursor = worker_core.cursor.lock();
+                    if worker_paused.load(Ordering::SeqCst) {
+                        continue;
+                    }
+                    worker_core.ship_from(&mut cursor)
+                };
+                match shipped {
                     Ok(_) => {}
                     // A fenced shipper belongs to a deposed primary: stop.
                     Err(ReplError::StaleEpoch { .. }) => break,
@@ -665,9 +561,15 @@ impl Replicator {
     /// Pauses or resumes the background daemon. An operator drain hook
     /// (OPERATIONS.md) and the deterministic way tests/experiments create
     /// a staleness window; synchronous [`Replicator::ship_once`] calls
-    /// still work while paused.
+    /// still work while paused. When `set_paused(true)` returns the daemon
+    /// is parked: a ship round that was in flight has finished, and the
+    /// daemon re-checks the flag under the cursor lock it ships under, so
+    /// no follower's applied watermark moves on its account until resumed.
     pub fn set_paused(&self, paused: bool) {
         self.paused.store(paused, Ordering::SeqCst);
+        if paused {
+            drop(self.core.cursor.lock());
+        }
     }
 
     /// Primary durable watermark minus the slowest standby's applied
@@ -754,28 +656,15 @@ pub struct ReplicaSetOptions {
     pub fallback: Option<ContentSource>,
 }
 
-/// Options for provisioning a host-database replica set.
-pub struct HostReplicaSetOptions {
-    /// Number of hot standbys to provision.
-    pub replicas: usize,
-    /// Per-sync latency of the standby environments (matched to the host
-    /// database's, so replica durability costs what the primary's does).
-    pub sync_latency_ns: u64,
-    /// Initial fence epoch — the **coordinator generation**. A first
-    /// provisioning passes 0; a set rebuilt after `fail_over_host` passes
-    /// the promoted epoch so a later failover still out-ranks this one.
-    pub epoch: u64,
-}
-
 /// A primary's hot standbys plus their shipping daemon. `S` is what the
-/// set replicates: [`Standby`] for a DLFM repository (the default — such a
-/// set is also the round-robin read router), [`HostStandby`] for the host
-/// database, the coordinator half of "no single node loss stops traffic".
-/// There the fence epoch doubles as the **coordinator generation**:
-/// promotion bumps it, every DLFM node is told the new generation, and 2PC
-/// traffic from agent connections minted under an older generation is
-/// refused (the zombie-coordinator guard).
-pub struct ReplicaSet<S: ShipTarget = Standby> {
+/// set is made of: [`Standby`] for a DLFM repository (the default — such a
+/// set is also the round-robin read router), bare [`Follower`]s for the
+/// host database, the coordinator half of "no single node loss stops
+/// traffic". There the fence epoch doubles as the **coordinator
+/// generation**: promotion bumps it, every DLFM node is told the new
+/// generation, and 2PC traffic from agent connections minted under an older
+/// generation is refused (the zombie-coordinator guard).
+pub struct ReplicaSet<S = Standby> {
     standbys: Vec<Arc<S>>,
     replicator: Replicator,
     fence: Arc<EpochFence>,
@@ -799,18 +688,17 @@ impl ReplicaSet<Standby> {
     /// full-log replay otherwise. The caller mirrors the primary archive
     /// into each standby's store.
     pub fn build(feed: ReplicationFeed, opts: ReplicaSetOptions) -> Result<Self, String> {
-        Self::provision(&opts.server_name, feed, opts.replicas, 0, |i, fence, stats| {
+        let latency = opts.sync_latency_ns;
+        Self::provision(&opts.server_name, feed, opts.replicas, latency, 0, |follower| {
             Standby::new(
-                format!("{}#{i}", opts.server_name),
-                standby_env(opts.sync_latency_ns),
-                standby_env(opts.sync_latency_ns),
-                fence,
-                stats,
+                follower,
+                standby_env(latency),
                 opts.server_name.clone(),
                 opts.token_key.clone(),
                 Arc::clone(&opts.clock),
                 opts.fallback.clone(),
             )
+            .map(Arc::new)
         })
     }
 
@@ -821,34 +709,48 @@ impl ReplicaSet<Standby> {
     }
 }
 
-impl ReplicaSet<HostStandby> {
-    /// Provisions `opts.replicas` fresh host standbys fed from `feed`
-    /// (the host database's [`ReplicationFeed`]) and spawns the shipper
-    /// under `opts.epoch`.
-    pub fn build(feed: ReplicationFeed, opts: HostReplicaSetOptions) -> Result<Self, String> {
-        Self::provision("host", feed, opts.replicas, opts.epoch, |i, fence, stats| {
-            HostStandby::new(format!("host#{i}"), standby_env(opts.sync_latency_ns), fence, stats)
-        })
+impl ReplicaSet<Follower> {
+    /// Provisions `replicas` fresh bare followers `<name>#<i>` fed from
+    /// `feed` — the host database's set — syncing at `sync_latency_ns`
+    /// (matched to the primary's, so replica durability costs what the
+    /// primary's does), and spawns the shipper under `epoch`, the initial
+    /// fence epoch: 0 for a first provisioning; a set rebuilt after
+    /// `fail_over_host` passes the promoted coordinator generation so a
+    /// later failover still out-ranks this one.
+    pub fn build(
+        name: &str,
+        feed: ReplicationFeed,
+        replicas: usize,
+        sync_latency_ns: u64,
+        epoch: u64,
+    ) -> Result<Self, String> {
+        Self::provision(name, feed, replicas, sync_latency_ns, epoch, Ok)
     }
 }
 
-impl<S: ShipTarget + 'static> ReplicaSet<S> {
+impl<S> ReplicaSet<S> {
+    /// Opens the followers, wraps each into the set's member type and
+    /// spawns the one shipper that feeds them.
     fn provision(
         name: &str,
         feed: ReplicationFeed,
         replicas: usize,
+        sync_latency_ns: u64,
         epoch: u64,
-        standby: impl Fn(usize, Arc<EpochFence>, Arc<ReplStats>) -> Result<S, String>,
+        member: impl Fn(Arc<Follower>) -> Result<Arc<S>, String>,
     ) -> Result<Self, String> {
         assert!(replicas > 0, "a replica set needs at least one standby");
         let fence = Arc::new(EpochFence::at(epoch));
         let stats = Arc::new(ReplStats::default());
-        let standbys = (0..replicas)
-            .map(|i| standby(i, Arc::clone(&fence), Arc::clone(&stats)).map(Arc::new))
+        let followers = (0..replicas)
+            .map(|i| {
+                let env = standby_env(sync_latency_ns);
+                Follower::new(format!("{name}#{i}"), env, Arc::clone(&fence), Arc::clone(&stats))
+                    .map(Arc::new)
+            })
             .collect::<Result<Vec<_>, String>>()?;
-        let targets: Vec<Arc<dyn ShipTarget>> =
-            standbys.iter().map(|s| Arc::clone(s) as Arc<dyn ShipTarget>).collect();
-        let replicator = Replicator::spawn(name, feed, targets, epoch, Arc::clone(&stats));
+        let standbys = followers.iter().cloned().map(member).collect::<Result<Vec<_>, String>>()?;
+        let replicator = Replicator::spawn(name, feed, followers, epoch, Arc::clone(&stats));
         Ok(ReplicaSet { standbys, replicator, fence, stats, next: AtomicUsize::new(0) })
     }
 
@@ -889,7 +791,8 @@ impl<S: ShipTarget + 'static> ReplicaSet<S> {
 
     /// Deepest snapshotter backlog across this set's standbys (each 0–2).
     pub fn snapshot_queue_depth(&self) -> usize {
-        self.standbys.iter().map(|s| s.snapshot_queue_depth()).max().unwrap_or(0)
+        let followers = &self.replicator.core.standbys;
+        followers.iter().map(|s| s.snapshot_queue_depth()).max().unwrap_or(0)
     }
 
     /// The failover fence shared by this set's standbys.
@@ -965,13 +868,16 @@ mod tests {
     fn standby_for(db: &Database, name: &str) -> (Arc<Standby>, Arc<EpochFence>, Arc<ReplStats>) {
         let fence = Arc::new(EpochFence::new());
         let stats = Arc::new(ReplStats::default());
+        let follower = Follower::new(
+            name.to_string(),
+            StorageEnv::mem(),
+            Arc::clone(&fence),
+            Arc::clone(&stats),
+        );
         let standby = Arc::new(
             Standby::new(
-                name.to_string(),
+                Arc::new(follower.unwrap()),
                 StorageEnv::mem(),
-                StorageEnv::mem(),
-                Arc::clone(&fence),
-                Arc::clone(&stats),
                 "srv1".to_string(),
                 b"dlfm-key-srv1".to_vec(),
                 Arc::new(SimClock::new(1_000)),
@@ -991,7 +897,7 @@ mod tests {
         let repl = Replicator::spawn(
             "srv1",
             db.replication_feed(),
-            vec![Arc::clone(&standby) as Arc<dyn ShipTarget>],
+            vec![Arc::clone(standby.follower())],
             0,
             Arc::clone(&stats),
         );
@@ -1015,7 +921,7 @@ mod tests {
         let repl = Replicator::spawn(
             "srv1",
             db.replication_feed(),
-            vec![Arc::clone(&standby) as Arc<dyn ShipTarget>],
+            vec![Arc::clone(standby.follower())],
             fence.current(),
             Arc::clone(&stats),
         );
@@ -1044,13 +950,16 @@ mod tests {
         let clock = Arc::new(SimClock::new(1_000));
         let fence = Arc::new(EpochFence::new());
         let stats = Arc::new(ReplStats::default());
+        let follower = Follower::new(
+            "srv1#0".into(),
+            StorageEnv::mem(),
+            Arc::clone(&fence),
+            Arc::clone(&stats),
+        );
         let standby = Arc::new(
             Standby::new(
-                "srv1#0".into(),
+                Arc::new(follower.unwrap()),
                 StorageEnv::mem(),
-                StorageEnv::mem(),
-                Arc::clone(&fence),
-                Arc::clone(&stats),
                 "srv1".into(),
                 b"key".to_vec(),
                 clock.clone(),
@@ -1061,7 +970,7 @@ mod tests {
         let repl = Replicator::spawn(
             "srv1",
             db.replication_feed(),
-            vec![Arc::clone(&standby) as Arc<dyn ShipTarget>],
+            vec![Arc::clone(standby.follower())],
             0,
             stats,
         );
@@ -1108,7 +1017,7 @@ mod tests {
         let repl = Replicator::spawn(
             "srv1",
             db.replication_feed(),
-            vec![Arc::clone(&standby) as Arc<dyn ShipTarget>],
+            vec![Arc::clone(standby.follower())],
             0,
             Arc::clone(&stats),
         );
@@ -1148,17 +1057,56 @@ mod tests {
         )
         .unwrap();
         assert!(set.wait_caught_up(Duration::from_secs(5)));
+        let standby = &set.standbys()[0];
         set.set_paused(true);
+        // Parked means parked *now*: the commit right behind the pause is
+        // never shipped, wherever in its loop the daemon was.
+        let applied = standby.applied_lsn();
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/held", 1)).unwrap();
         tx.commit().unwrap();
         // The daemon is parked: the lag stays.
-        std::thread::sleep(Duration::from_millis(50));
+        let watch_until = Instant::now() + Duration::from_millis(50);
+        while Instant::now() < watch_until {
+            assert_eq!(standby.applied_lsn(), applied, "a paused shipper shipped");
+            std::thread::yield_now();
+        }
         assert!(set.lag() > 0, "paused shipper must not drain the lag");
-        assert!(set.standbys()[0].file_entry("/held").is_none());
+        assert!(standby.file_entry("/held").is_none());
         set.set_paused(false);
         assert!(set.wait_caught_up(Duration::from_secs(5)));
-        assert!(set.standbys()[0].file_entry("/held").is_some());
+        assert!(standby.file_entry("/held").is_some());
+
+        // The same under a stream of commits, so every pause lands while a
+        // ship round is in flight: once `set_paused(true)` has returned that
+        // round is over, and nothing moves until the resume.
+        let stop = AtomicBool::new(false);
+        let mut shipped_while_paused = 0;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..100_000 {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let mut tx = db.begin();
+                    tx.insert("dl_files", file_row(&format!("/stream{i}"), 1)).unwrap();
+                    tx.commit().unwrap();
+                }
+            });
+            for _ in 0..20 {
+                // Long enough for the daemon to leave its paused nap (5 ms)
+                // and be shipping the stream again.
+                std::thread::sleep(Duration::from_millis(6));
+                set.set_paused(true);
+                let applied = standby.applied_lsn();
+                std::thread::sleep(Duration::from_millis(3));
+                shipped_while_paused += u32::from(standby.applied_lsn() != applied);
+                set.set_paused(false);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(shipped_while_paused, 0, "of 20 pauses under a commit stream");
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
     }
 
     #[test]

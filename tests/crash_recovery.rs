@@ -299,6 +299,74 @@ mod checkpoint_truncation_crashes {
     }
 
     #[test]
+    fn no_checkpoint_image_holds_a_participant_commit_without_its_outcome() {
+        // A coordinator commit and its outcome must enter a checkpoint
+        // image together: the image's truncation cuts away the `Commit`
+        // record, and a participant whose unforced `Decide` was lost is
+        // resolved against exactly that outcome. Four threads commit
+        // one-row 2PC transactions (row id = txid) while this thread
+        // checkpoints, truncates, backs up and recovers the backup, for
+        // about 2 s. Each recovery vouches for the rows it saw; committers
+        // delete their own vouched-for rows, so the table stays small.
+        use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+        struct Noop;
+        impl datalinks::minidb::Participant for Noop {
+            fn prepare(&self, _t: u64) -> Result<(), String> {
+                Ok(())
+            }
+            fn commit(&self, _t: u64) {}
+            fn abort(&self, _t: u64) {}
+        }
+        let (_env, db) = seeded(0);
+        let stop = AtomicBool::new(false);
+        let vouched = AtomicI64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut mine = std::collections::VecDeque::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut tx = db.begin();
+                        let id = tx.id() as i64;
+                        db.enlist_participant(tx.id(), "p", std::sync::Arc::new(Noop));
+                        tx.insert("t", vec![Value::Int(id), Value::Text("2pc".into())]).unwrap();
+                        for _ in 0..2 {
+                            if mine
+                                .front()
+                                .is_some_and(|old| *old <= vouched.load(Ordering::Relaxed))
+                            {
+                                tx.delete("t", &Value::Int(mine.pop_front().unwrap())).unwrap();
+                            }
+                        }
+                        tx.commit().unwrap();
+                        mine.push_back(id);
+                    }
+                });
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            let mut lost = None;
+            let mut checkpoints = 0;
+            while lost.is_none() && std::time::Instant::now() < deadline {
+                db.checkpoint_and_truncate().unwrap();
+                checkpoints += 1;
+                let recovered = open(&db.backup().unwrap());
+                let ids: Vec<i64> =
+                    state(&recovered).iter().map(|row| row[0].as_int().unwrap()).collect();
+                lost = ids
+                    .iter()
+                    .find(|id| recovered.coordinator_outcome(**id as u64) != Some(true))
+                    .copied();
+                vouched.store(ids.last().copied().unwrap_or(0), Ordering::Relaxed);
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(
+                lost, None,
+                "checkpoint {checkpoints}: a recovered image holds this transaction's row but \
+                 not its commit outcome"
+            );
+        });
+    }
+
+    #[test]
     fn point_in_time_restore_below_low_water_mark_is_refused() {
         // Truncation trades PITR depth for bounded logs; asking for a state
         // below the low-water mark must fail loudly, not restore garbage.

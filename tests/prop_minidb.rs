@@ -4,11 +4,13 @@
 //! replaying only the committed transactions.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbError, Row, Schema, StandbyDb, StorageEnv, Txn, Value,
+    Column, ColumnType, Database, DbError, Participant, Row, Schema, SnapshotData, StandbyDb,
+    StorageEnv, TxId, Txn, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -93,6 +95,57 @@ fn committed(db: &Database, table: &str) -> BTreeMap<i64, String> {
         .collect()
 }
 
+/// A 2PC participant that always votes yes.
+struct Yes;
+
+impl Participant for Yes {
+    fn prepare(&self, _txid: TxId) -> Result<(), String> {
+        Ok(())
+    }
+    fn commit(&self, _txid: TxId) {}
+    fn abort(&self, _txid: TxId) {}
+}
+
+/// What recovery must agree on, whichever way a database came back:
+/// committed rows of `t`, the coordinator outcome of every transaction id
+/// in `used`, the in-doubt transactions with the coordinators they name, and
+/// how many rows the unlogged twin `u` kept (none).
+#[derive(Debug, PartialEq)]
+struct Recovered {
+    rows: Vec<Row>,
+    outcomes: Vec<Option<bool>>,
+    in_doubt: Vec<(TxId, Option<TxId>)>,
+    unlogged_rows: usize,
+}
+
+impl Recovered {
+    fn of_database(db: &Database, used: &[TxId]) -> Recovered {
+        Recovered {
+            rows: db.scan_committed("t").unwrap(),
+            outcomes: used.iter().map(|txid| db.coordinator_outcome(*txid)).collect(),
+            in_doubt: db
+                .in_doubt_txns()
+                .into_iter()
+                .map(|txid| (txid, db.in_doubt_coordinator(txid)))
+                .collect(),
+            unlogged_rows: db.count("u").unwrap(),
+        }
+    }
+
+    /// The same reading of a standby's own image.
+    fn of_image(image: &SnapshotData, used: &[TxId]) -> Recovered {
+        let mut in_doubt: Vec<(TxId, Option<TxId>)> =
+            image.prepared.iter().map(|(txid, txn)| (*txid, txn.coordinator)).collect();
+        in_doubt.sort_unstable();
+        Recovered {
+            rows: image.tables["t"].iter().map(|(_, row)| row.clone()).collect(),
+            outcomes: used.iter().map(|txid| image.outcomes.get(txid).copied()).collect(),
+            in_doubt,
+            unlogged_rows: image.tables["u"].len(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -157,16 +210,28 @@ proptest! {
     /// make a standby diverge from the primary. `shape` drives which action
     /// runs at each step; the standby may catch up via frames or via a
     /// checkpoint-image install (when a truncation outran its cursor) — the
-    /// end state must be identical either way.
+    /// end state must be identical either way. `flavours` picks what each
+    /// committing step is: a plain commit, a coordinator commit with an
+    /// enlisted participant, or a participant branch prepared under a
+    /// coordinator id and then committed, aborted or left in doubt; every
+    /// one mirrors its op into the unlogged twin `u`. At the end the three
+    /// ways back — the primary reopened, the standby reopened, and the
+    /// promotion `Database::open` on the standby's disks — must be one
+    /// image.
     #[test]
     fn interleaved_checkpoint_truncate_ship_never_diverges(
-        shape in proptest::collection::vec((0u8..8, op_strategy()), 1..24)
+        shape in proptest::collection::vec((0u8..8, op_strategy()), 1..24),
+        flavours in proptest::collection::vec(0u8..8, 24),
     ) {
         let env = StorageEnv::mem();
         let db = Database::open(env.clone()).unwrap();
         db.create_table(schema("t")).unwrap();
+        db.create_table(schema("u").unlogged()).unwrap();
         let standby_env = StorageEnv::mem();
         let mut standby = StandbyDb::open(standby_env.clone()).unwrap();
+        // Every transaction id handed out, and those that reached the log.
+        let mut used: Vec<TxId> = Vec::new();
+        let mut logged: Vec<TxId> = Vec::new();
 
         // One full ship round: frames when available, image install when
         // the primary truncated past the standby's position.
@@ -190,17 +255,51 @@ proptest! {
             }
         };
 
-        for (action, op) in shape {
+        for (step, (action, op)) in shape.into_iter().enumerate() {
             match action {
                 // Commits are the common case; apply the op best-effort.
                 0..=3 => {
                     let mut tx = db.begin();
-                    let _ = match &op {
-                        Op::Insert(k, v) => tx.insert("t", row(*k, v)),
-                        Op::Update(k, v) => tx.update("t", &Value::Int(*k), row(*k, v)),
-                        Op::Delete(k) => tx.delete("t", &Value::Int(*k)),
-                    };
-                    tx.commit().unwrap();
+                    used.push(tx.id());
+                    let tail = db.state_id();
+                    let flavour = flavours[step];
+                    // A branch left in doubt keeps its row locks for good:
+                    // give it a key no later step can ask for.
+                    let op = if flavour == 7 { Op::Insert(1000 + step as i64, "doubt".into()) } else { op };
+                    for table in ["t", "u"] {
+                        let _ = match &op {
+                            Op::Insert(k, v) => tx.insert(table, row(*k, v)),
+                            Op::Update(k, v) => tx.update(table, &Value::Int(*k), row(*k, v)),
+                            Op::Delete(k) => tx.delete(table, &Value::Int(*k)),
+                        };
+                    }
+                    // The coordinator a participant branch names: any id but
+                    // its own, as when the host is another database.
+                    let coordinator = Some(tx.id() + 500);
+                    match flavour {
+                        0..=3 => {
+                            tx.commit().unwrap();
+                        }
+                        4 => {
+                            db.enlist_participant(tx.id(), "p", Arc::new(Yes));
+                            tx.commit().unwrap();
+                        }
+                        5 => {
+                            tx.prepare(coordinator).unwrap();
+                            tx.commit_prepared().unwrap();
+                        }
+                        6 => {
+                            tx.prepare(coordinator).unwrap();
+                            tx.abort_prepared().unwrap();
+                        }
+                        _ => {
+                            tx.prepare(coordinator).unwrap();
+                            std::mem::forget(tx); // the decision never comes
+                        }
+                    }
+                    if db.state_id() > tail {
+                        logged.push(*used.last().unwrap());
+                    }
                 }
                 4 => {
                     db.checkpoint().unwrap();
@@ -217,7 +316,9 @@ proptest! {
             }
         }
 
-        // Final catch-up, then the standby must mirror the primary exactly.
+        // Final catch-up (the last `Decide` may still be unforced), then
+        // the standby must mirror the primary exactly.
+        db.flush().unwrap();
         ship(&standby);
         prop_assert_eq!(standby.applied_lsn(), db.durable_lsn());
         prop_assert_eq!(standby.scan_committed("t").unwrap(), db.scan_committed("t").unwrap());
@@ -225,9 +326,28 @@ proptest! {
         // And again across a standby restart (its own snapshot + log
         // suffix must reproduce the same state).
         drop(standby);
-        let standby = StandbyDb::open(standby_env).unwrap();
+        let standby = StandbyDb::open(standby_env.clone()).unwrap();
         prop_assert_eq!(standby.applied_lsn(), db.durable_lsn());
         prop_assert_eq!(standby.scan_committed("t").unwrap(), db.scan_committed("t").unwrap());
+
+        // Three ways back, one image.
+        drop(db);
+        let primary = Database::open(env).unwrap();
+        let image = standby.image();
+        let promoted = Database::open(standby_env).unwrap();
+        let expected = Recovered::of_database(&primary, &used);
+        prop_assert_eq!(expected.unlogged_rows, 0);
+        prop_assert_eq!(&Recovered::of_image(&image, &used), &expected, "standby reopened");
+        prop_assert_eq!(&Recovered::of_database(&promoted, &used), &expected, "promotion");
+        // The next transaction id handed out: the standby's image and the
+        // promotion are the same fold over the same disks; the primary's
+        // own checkpoints also count ids that never reached the log (a
+        // transaction with nothing to redo), so it may be further along.
+        // Neither re-issues an id the log has seen.
+        let next = promoted.begin().id();
+        prop_assert_eq!(image.next_txid, next);
+        prop_assert!(primary.begin().id() >= next);
+        prop_assert!(logged.iter().all(|txid| *txid < next), "{:?} vs next {}", logged, next);
     }
 
     /// Point-in-time restore returns exactly the state at each commit.
