@@ -14,8 +14,8 @@ use dl_fskit::{Cred, FileSystem, Lfs, MemFs, OpenOptions};
 use dl_minidb::{Database, StorageEnv, Value};
 
 use crate::{
-    fixture, fmt_ns, make_content, percentile, run_threads, time_ns, Fixture, FixtureOptions, APP,
-    SRV, TABLE,
+    fixture, fmt_ns, make_content, percentile, run_threads, time_ns, FixtureOptions, APP, SRV,
+    TABLE,
 };
 
 /// A printable experiment result.
@@ -604,8 +604,8 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         notes: vec![
             "repo updates/open reads Repository::update_op_count, bumped after each auto-commit \
              update commits. on: token-entry upsert (every rdd open, tracked or not) + Sync \
-             insert + Sync purge = 3. off: the token-entry upsert = 1 (the close's Sync purge \
-             still runs, finds no row and commits nothing)"
+             insert + Sync purge = 3. off: the token-entry upsert = 1 (no Sync row can exist, so \
+             the close skips the purge)"
                 .into(),
             "so tracking costs the paper's two extra updates (3 vs 1); both are unlogged (a \
              commit under the dl_files row lock, no log force), and the ablation drops them at \
@@ -670,8 +670,10 @@ pub fn a6_crash_atomicity(rounds: usize) -> Table {
     use dl_core::DataLinksSystem;
     let mut survived = 0usize;
     let mut restored = 0usize;
+    let mut kept = 0usize;
+    let (mut rolled_back, mut rolled_forward) = (0u64, 0u64);
     for round in 0..rounds {
-        let f = fixture(FixtureOptions { n_files: 1, ..Default::default() });
+        let mut f = fixture(FixtureOptions { n_files: 1, ..Default::default() });
         let committed = make_content(1024 + round);
         f.managed_update(0, &committed);
 
@@ -680,23 +682,51 @@ pub fn a6_crash_atomicity(rounds: usize) -> Table {
         let fs = f.sys.fs(SRV).expect("fs");
         let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).expect("open");
         fs.write(fd, b"doomed").expect("write");
-        let Fixture { sys, paths, .. } = f;
-        let image = sys.crash();
-        let (sys, _) = DataLinksSystem::recover(image).expect("recover");
+        let (sys, reports) = DataLinksSystem::recover(f.sys.crash()).expect("recover");
+        f.sys = sys;
+        rolled_back += reports[SRV].updates_rolled_back;
 
-        let data = sys.raw_fs(SRV).expect("raw").read_file(&Cred::root(), &paths[0]).expect("read");
-        if data == committed {
+        let raw = |sys: &DataLinksSystem| {
+            sys.raw_fs(SRV).expect("raw").read_file(&Cred::root(), &f.paths[0]).expect("read")
+        };
+        if raw(&f.sys) == committed {
             restored += 1;
         }
         survived += 1;
+
+        // The other side of the commit point: an *acknowledged* update,
+        // crashed before anything flushed the repository's unforced close
+        // record. The claim survives; the host row says it committed.
+        let acked = make_content(2048 + round);
+        f.managed_update(0, &acked);
+        let (sys, reports) = DataLinksSystem::recover(f.sys.crash()).expect("recover");
+        rolled_forward += reports[SRV].updates_rolled_forward;
+        if raw(&sys) == acked {
+            kept += 1;
+        }
     }
     Table {
         id: "A6".into(),
-        title: "atomicity: crash mid-update always restores the last committed version (§4.2)"
+        title: "atomicity: crash mid-update always restores the last committed version, \
+                crash after the close always keeps the acknowledged one (§4.2)"
             .into(),
-        header: vec![s("crash rounds"), s("recovered"), s("content == last committed")],
-        rows: vec![vec![s(rounds), s(survived), s(restored)]],
-        notes: vec!["property-based variants live in tests/crash_recovery.rs".into()],
+        header: vec![
+            s("crash rounds"),
+            s("recovered"),
+            s("content == last committed"),
+            s("acked update kept"),
+        ],
+        rows: vec![vec![s(rounds), s(survived), s(restored), s(kept)]],
+        notes: vec![
+            format!(
+                "recovery reports, summed: updates_rolled_back {rolled_back}, \
+                 updates_rolled_forward {rolled_forward} (a surviving claim whose version the \
+                 host's metadata row already records)"
+            ),
+            "property-based variants live in tests/crash_recovery.rs; every cut point of the \
+             close path in tests/close_commit_sweep.rs"
+                .into(),
+        ],
     }
 }
 
@@ -866,7 +896,8 @@ mod tests {
         assert_eq!(cell(&a4, "sync entries off (ablation)", "repo updates/open"), "1.00");
 
         let a6 = a6_crash_atomicity(3);
-        assert_eq!(a6.rows, vec![vec![s(3), s(3), s(3)]]);
+        assert_eq!(a6.rows, vec![vec![s(3), s(3), s(3), s(3)]]);
+        assert!(a6.notes[0].contains("updates_rolled_back 3, updates_rolled_forward 3"));
 
         let a7 = a7_point_in_time(5);
         assert_eq!(a7.rows.len(), 5);

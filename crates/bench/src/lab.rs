@@ -773,8 +773,8 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     });
                     // The burst is *update* cycles: the open and the
                     // close-as-commit hold a head of the upcall lane through
-                    // forced log writes — the `dl_uip` claim, then prepare
-                    // and host commit (the decide is unforced). A token
+                    // forced log writes — the `dl_uip` claim, then the host
+                    // commit (the repository's close record is unforced). A token
                     // *read* cycle would not do: `dl_tokens`/`dl_sync` are
                     // unlogged, so it forces nothing and occupies a head for
                     // its CPU time only.
@@ -1212,17 +1212,20 @@ fn mixed_trial(
                 // controlled promotion of a caught-up standby would.
                 f.sys.wait_replicas_caught_up(SRV, Duration::from_secs(30))?;
                 let before = link_state(&f.sys, &node_names);
-                let dur = time_once(|| {
-                    f.sys.fail_over(&victim).expect("failover");
-                });
+                let started = Instant::now();
+                let recovery = f.sys.fail_over(&victim).expect("failover");
+                let dur = started.elapsed();
                 let after = link_state(&f.sys, &node_names);
                 let lost = before.iter().filter(|e| !after.contains(e)).count() as u64;
                 out.failovers += 1;
                 out.lost_acked_links += lost;
                 out.failover_ms = out.failover_ms.max(dur.as_nanos() as f64 / 1e6);
                 out.events.push(format!(
-                    "crash_primary@{end}: failover {}, {lost} acked links lost",
-                    fmt_ns(dur.as_nanos() as f64)
+                    "crash_primary@{end}: failover {}, {lost} acked links lost, \
+                     updates rolled forward {} / back {}",
+                    fmt_ns(dur.as_nanos() as f64),
+                    recovery.updates_rolled_forward,
+                    recovery.updates_rolled_back
                 ));
             }
             InjectAction::StallStandby => {

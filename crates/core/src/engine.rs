@@ -10,9 +10,10 @@
 //! * maintains the `__dl_meta` system table (file size, modification time,
 //!   version) *within the same transaction context* as the triggering
 //!   statement (§4.3), via observer-injected DML;
-//! * serves as DLFM's [`HostHook`]: close processing runs its metadata
-//!   refresh through a host transaction here, and crash recovery asks it
-//!   for host-transaction outcomes.
+//! * serves as DLFM's [`HostHook`]: close processing commits its metadata
+//!   refresh — the update's one commit point — through a host transaction
+//!   here, and crash recovery asks it for link/unlink transaction outcomes
+//!   and for the version a file's metadata row records.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -379,7 +380,7 @@ impl DataLinksEngine {
         // ceiling — PR 4's fixed behaviour.
         if let (Some(standby), Some(min)) = (&replica, min_lsn) {
             // The token is a log *tail*: the write's last record (the
-            // unforced `Decide`) may still sit in the primary's batch,
+            // close's unforced commit) may still sit in the primary's batch,
             // where no shipper can see it. Flush it out, or the wait below
             // would depend on the shipper's idle poll.
             let repo = primary.repository().db();
@@ -525,9 +526,13 @@ impl DataLinksEngine {
 
     /// Host-side metadata row for `url`, if present: (size, mtime, version).
     pub fn file_meta(&self, url: &DatalinkUrl) -> Option<(u64, u64, u64)> {
-        let row =
-            self.db.get_committed(META_TABLE, &Value::Text(url.to_string())).ok().flatten()?;
+        let row = self.meta_row(&url.to_string())?;
         Some((row[1].as_int()? as u64, row[2].as_int()? as u64, row[3].as_int()? as u64))
+    }
+
+    /// The committed `__dl_meta` row keyed by `url`, if any.
+    fn meta_row(&self, url: &str) -> Option<Row> {
+        self.db.get_committed(META_TABLE, &Value::Text(url.to_string())).ok().flatten()
     }
 
     /// The host database this engine is attached to.
@@ -634,10 +639,9 @@ impl HostHook for DataLinksEngine {
         new_size: u64,
         new_mtime: u64,
         new_version: u64,
-        participant: Arc<dyn dl_minidb::Participant>,
     ) -> Result<Lsn, String> {
         let mut tx = self.db.begin();
-        self.db.enlist_participant(tx.id(), &format!("dlfm-close:{url}"), participant);
+        let txid = tx.id();
         let key = Value::Text(url.to_string());
         let row: Row = vec![
             key.clone(),
@@ -652,15 +656,21 @@ impl HostHook for DataLinksEngine {
             tx.insert(META_TABLE, row)
         };
         result.map_err(|e| e.to_string())?;
+        // No participant: this commit record is the update's decision.
+        let lsn = tx.commit().map_err(|e| e.to_string())?;
         self.stats.meta_updates.inc();
         self.recorder.record(
             "engine.host",
             "commit_update",
-            tx.id(),
+            txid,
             url,
             format!("size={new_size} version={new_version}"),
         );
-        tx.commit().map_err(|e| e.to_string())
+        Ok(lsn)
+    }
+
+    fn file_version(&self, url: &str) -> Option<u64> {
+        self.meta_row(url).and_then(|row| row[3].as_int()).map(|v| v as u64)
     }
 
     fn outcome(&self, host_txid: u64) -> Option<bool> {

@@ -997,6 +997,7 @@ impl DataLinksSystem {
         dlfm_counter!(archives);
         dlfm_counter!(busy_responses);
         dlfm_counter!(rollbacks);
+        dlfm_counter!(updates_rolled_forward);
         dlfm_counter!(stale_coord_rejections);
         registry.register_histogram(
             &format!("dlfm.{name}.upcall_round_trip_ns"),
@@ -1250,7 +1251,7 @@ impl DataLinksSystem {
 
     /// A *freshness token* for `server`: the repository's current log
     /// tail. Capture it right after a write commits (it covers every
-    /// record of the write, the unforced `Decide` included — the durable
+    /// record of the write, the close's unforced commit included — the durable
     /// watermark may not yet) and hand it to
     /// [`DataLinksSystem::serve_read_fresh`] — that read is then
     /// guaranteed to observe the write, wherever it routes. Cheap: one

@@ -438,3 +438,99 @@ fn same_user_transaction_updates_row_and_file_together() {
     let row = sys.db().get_committed("movies", &Value::Int(1)).unwrap().unwrap();
     assert_eq!(row[1], Value::Text("Alien (remastered)".into()));
 }
+
+/// Table names of a commit record's redo ops.
+fn op_tables(rec: &dl_minidb::wal::WalRecord) -> Vec<&str> {
+    match rec {
+        dl_minidb::wal::WalRecord::Commit { ops, .. } => ops.iter().map(|op| op.table()).collect(),
+        other => panic!("an update logs commit records only, got {other:?}"),
+    }
+}
+
+#[test]
+fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record() {
+    let sys = build_system(ControlMode::Rdd);
+    insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+    let node = sys.node("srv1").unwrap();
+    let (host, repo) = (sys.db().clone(), node.server.repository().db().clone());
+    repo.flush().unwrap();
+    let (host_mark, repo_mark) = (host.state_id(), repo.state_id());
+    let (host_wal, repo_wal) = (host.wal_telemetry(), repo.wal_telemetry());
+    let syncs = |wal: &dl_minidb::WalTelemetry| wal.fsync_ns.snapshot().count;
+    let (host_syncs, repo_syncs) = (syncs(&host_wal), syncs(&repo_wal));
+    let repo_unforced = repo_wal.unforced_appends.get();
+
+    update_file(&sys, 1, b"alien v2");
+    node.server.archive_store().wait_archived("/movies/alien.mpg");
+
+    // Two forced log writes per update: the claim and the host's commit.
+    assert_eq!(syncs(&repo_wal) - repo_syncs, 1, "the repository forces the claim only");
+    assert_eq!(syncs(&host_wal) - host_syncs, 1, "the host forces its one commit");
+    assert_eq!(repo_wal.unforced_appends.get() - repo_unforced, 2);
+    assert_eq!(host_wal.unforced_appends.get(), 0);
+
+    // The repository log of the cycle: claim, close, flag clear — three
+    // plain commits, no `Prepare`, no `Decide`.
+    repo.flush().unwrap();
+    let repo_log = repo.wal_reader().read_from(repo_mark).unwrap().records;
+    let tables: Vec<Vec<&str>> = repo_log.iter().map(|(_, rec)| op_tables(rec)).collect();
+    assert_eq!(tables, [vec!["dl_uip"], vec!["dl_files", "dl_uip"], vec!["dl_files"]]);
+
+    // The host log of the cycle: one commit of the metadata row that
+    // enlisted nobody, so the never-pruned outcomes map gained nothing.
+    let host_log = host.wal_reader().read_from(host_mark).unwrap().records;
+    let [(_, dl_minidb::wal::WalRecord::Commit { txid, participants, ops })] = &host_log[..] else {
+        panic!("one host commit expected, got {host_log:?}");
+    };
+    assert!(participants.is_empty(), "the close transaction has no participant");
+    assert_eq!(ops.iter().map(|op| op.table()).collect::<Vec<_>>(), ["__dl_meta"]);
+    assert_eq!(host.coordinator_outcome(*txid), None, "no outcome entry for an update");
+    assert_eq!(sys.engine().stats.meta_updates.get(), 1);
+}
+
+#[test]
+fn failed_host_commit_rolls_the_file_back_and_moves_no_counter_or_version() {
+    // The host's disk fills up exactly under the close's commit record.
+    let faults = dl_minidb::DiskFaults::new();
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .host_env(dl_minidb::StorageEnv::mem_with_faults(Arc::clone(&faults), 0))
+        .file_server("srv1")
+        .build()
+        .unwrap();
+    let raw = sys.raw_fs("srv1").unwrap();
+    raw.mkdir_p(&Cred::root(), "/movies", 0o777).unwrap();
+    raw.write_file(&ALICE, "/movies/alien.mpg", b"alien v1").unwrap();
+    sys.create_table(movies_schema()).unwrap();
+    sys.define_datalink_column("movies", "clip", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
+    insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+    update_file(&sys, 1, b"alien v2");
+    let node = sys.node("srv1").unwrap();
+    node.server.archive_store().wait_archived("/movies/alien.mpg");
+    assert_eq!(sys.engine().stats.meta_updates.get(), 1);
+
+    let (_, path) =
+        sys.select_datalink("movies", &Value::Int(1), "clip", TokenKind::Write).unwrap();
+    let fs = sys.fs("srv1").unwrap();
+    let fd = fs.open(&ALICE, &path, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"doomed bytes").unwrap();
+    faults.inject_enospc(1);
+    assert!(fs.close(fd).is_err(), "the close reports the aborted update");
+    assert_eq!(faults.enospc_hits(), 1, "the fault landed on the host's commit");
+
+    assert_eq!(sys.engine().stats.meta_updates.get(), 1, "a failed commit is not an update");
+    assert_eq!(raw.read_file(&Cred::root(), "/movies/alien.mpg").unwrap(), b"alien v2");
+    let repo = node.server.repository();
+    assert!(repo.get_uip("/movies/alien.mpg").is_none(), "the claim is released");
+    assert_eq!(repo.get_file("/movies/alien.mpg").unwrap().cur_version, 2);
+    let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 2, "host metadata unmoved");
+    assert_eq!(node.server.stats.rollbacks.get(), 1);
+
+    // The disk freed up: the next update takes the version the failed one
+    // had claimed.
+    update_file(&sys, 1, b"alien v3");
+    assert_eq!(repo.get_file("/movies/alien.mpg").unwrap().cur_version, 3);
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 3);
+    assert_eq!(sys.engine().stats.meta_updates.get(), 2);
+}

@@ -26,7 +26,7 @@
 //! recovery, failover promotion, restore — finds both empty. `dl_files`,
 //! `dl_uip` and `dl_intents` are the durable state recovery works
 //! from, and every write to them that recovery could not re-derive is
-//! forced before it is acted on (DESIGN.md "Force audit" lists the two
+//! forced before it is acted on (DESIGN.md "Force audit" lists the ones
 //! that are not). A grant
 //! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
 //! one commit whose log record carries the `dl_uip` row only.
@@ -378,7 +378,7 @@ impl Repository {
         )
     }
 
-    /// Records a committed update inside the close sub-transaction: new
+    /// Records a committed update inside the close transaction: new
     /// version, its state identifier, and the pending-archive flag (§4.4).
     pub fn commit_version_in(
         &self,
@@ -554,7 +554,7 @@ impl Repository {
     // serialize it implicitly, but with a worker pool two opens (or an
     // open and a close) can interleave. All grants for one file serialize
     // on its `dl_files` row lock — every claim transaction takes that row
-    // exclusively *first* (the same first lock the close sub-transaction
+    // exclusively *first* (the same first lock the close transaction
     // takes), reads the fresh state under it, and inserts its UIP/Sync
     // rows in the same commit.
 
@@ -667,7 +667,7 @@ impl Repository {
     }
 
     /// Clears the update-in-progress entry (close rollback path; the commit
-    /// path clears it inside the close sub-transaction instead).
+    /// path clears it inside the close transaction instead).
     pub fn remove_uip(&self, path: &str) -> DbResult<()> {
         let mut txn = self.db.begin();
         txn.delete("dl_uip", &Value::Text(path.to_string()))?;

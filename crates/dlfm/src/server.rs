@@ -148,6 +148,9 @@ pub struct DlfmStats {
     pub archives: dl_obs::Counter,
     pub busy_responses: dl_obs::Counter,
     pub rollbacks: dl_obs::Counter,
+    /// Surviving claims recovery found committed on the host and rolled
+    /// forward (the close's unforced repository record was lost).
+    pub updates_rolled_forward: dl_obs::Counter,
     /// 2PC traffic refused because it carried a stale coordinator epoch
     /// (a zombie host's late decisions bouncing off the fence).
     pub stale_coord_rejections: dl_obs::Counter,
@@ -166,6 +169,7 @@ impl DlfmStats {
             ("archives", self.archives.get()),
             ("busy_responses", self.busy_responses.get()),
             ("rollbacks", self.rollbacks.get()),
+            ("updates_rolled_forward", self.updates_rolled_forward.get()),
             ("stale_coord_rejections", self.stale_coord_rejections.get()),
         ]
     }
@@ -175,18 +179,22 @@ impl DlfmStats {
 pub trait HostHook: Send + Sync {
     /// The host's current database state identifier (tail LSN).
     fn state_id(&self) -> u64;
-    /// Runs a host transaction updating the file's metadata row (§4.3) with
-    /// `participant` enlisted; returns the commit LSN.
+    /// Runs a host transaction updating the file's metadata row (§4.3);
+    /// returns the commit LSN. Its forced `Commit` record is the update's
+    /// one commit point: the transaction enlists nobody, and `Ok` means the
+    /// row durably says `new_version`.
     fn commit_file_update(
         &self,
         url: &str,
         new_size: u64,
         new_mtime: u64,
         new_version: u64,
-        participant: Arc<dyn dl_minidb::Participant>,
     ) -> Result<u64, String>;
-    /// Outcome of a host transaction during recovery. `None` = no commit
-    /// record = presumed abort.
+    /// The version the host's committed metadata row records for `url`
+    /// (`None` = no row). Recovery settles a surviving update claim by it.
+    fn file_version(&self, url: &str) -> Option<u64>;
+    /// Outcome of a link/unlink host transaction during recovery. `None` =
+    /// no commit record = presumed abort.
     fn outcome(&self, host_txid: u64) -> Option<bool>;
 }
 
@@ -1069,8 +1077,11 @@ impl DlfmServer {
         let uip = self.repo.get_uip(path).filter(|u| u.opener == opener);
         let Some(uip) = uip else {
             // Read close (or a write descriptor that never got a grant):
-            // purge the sync entry.
-            let _ = self.repo.remove_sync(path, opener);
+            // purge the sync entry. Only tracked reads and strict-link
+            // registrations ever wrote one.
+            if self.cfg.track_read_sync || self.cfg.strict_link {
+                let _ = self.repo.remove_sync(path, opener);
+            }
             self.bump_epoch();
             return Ok(());
         };
@@ -1091,8 +1102,7 @@ impl DlfmServer {
         // — never a guard-free window (§4.4's blocking rule, made airtight
         // for concurrent upcall workers).
         self.archive.begin_archiving(path, uip.new_version);
-        let result = self.commit_file_update(&entry, &uip, new_size, new_mtime);
-        match result {
+        match self.commit_file_update(&uip, new_size, new_mtime) {
             Ok(state_id) => {
                 let _ = self.repo.remove_sync(path, opener);
                 self.release_write_grant(&entry);
@@ -1113,11 +1123,38 @@ impl DlfmServer {
         }
     }
 
-    /// Runs the close sub-transaction, through the host hook when present
-    /// (update of file metadata and version bump in one transaction, §4.3).
+    /// `dlfs://<server><path>` — the key of the file's host metadata row.
+    fn file_url(&self, path: &str) -> String {
+        format!("dlfs://{}{path}", self.cfg.server_name)
+    }
+
+    /// The repository rows of a committed update, in lock order (`dl_files`
+    /// first, then `dl_uip` — the order the open-grant claims use, so a
+    /// concurrent claim cannot deadlock with it): the version the claim
+    /// reserved becomes current and awaits archiving, and the claim goes.
+    /// Nothing here is new information — every value is the claim row's,
+    /// which was forced at open.
+    fn close_rows_in(
+        &self,
+        txn: &mut dl_minidb::Txn,
+        uip: &UipEntry,
+        state_id: u64,
+    ) -> Result<(), String> {
+        self.repo
+            .commit_version_in(txn, &uip.path, uip.new_version, state_id)
+            .map_err(|e| e.to_string())?;
+        self.repo.remove_uip_in(txn, &uip.path).map_err(|e| e.to_string())
+    }
+
+    /// Commits the update (§4.3: file metadata and version change together).
+    /// With a host wired, the host's forced `Commit` of the metadata row is
+    /// the single commit point: the repository rows are staged first (their
+    /// row locks fence the file), the host commits, and the repository
+    /// record follows **unforced** — recovery re-derives it from the claim
+    /// and the host row ([`DlfmServer::recover`]). A host error drops the
+    /// staged rows and the caller rolls the file back.
     fn commit_file_update(
         &self,
-        entry: &FileEntry,
         uip: &UipEntry,
         new_size: u64,
         new_mtime: u64,
@@ -1125,36 +1162,26 @@ impl DlfmServer {
         let host = self.host.read().clone();
         let state_hint =
             host.as_ref().map(|h| h.state_id()).unwrap_or_else(|| self.repo.db().state_id());
-
-        // Lock order matters: `dl_files` first, then `dl_uip` — the same
-        // order the open-grant claims use — so a concurrent claim and this
-        // close sub-transaction cannot deadlock.
         let mut txn = self.repo.db().begin();
-        self.repo
-            .commit_version_in(&mut txn, &entry.path, uip.new_version, state_hint)
-            .map_err(|e| e.to_string())?;
-        self.repo.remove_uip_in(&mut txn, &entry.path).map_err(|e| e.to_string())?;
-
-        match host {
-            Some(hook) => {
-                let url = format!("dlfs://{}{}", self.cfg.server_name, entry.path);
-                let participant = Arc::new(PreparedTxnParticipant::new(txn));
-                let lsn = hook.commit_file_update(
-                    &url,
-                    new_size,
-                    new_mtime,
-                    uip.new_version,
-                    Arc::clone(&participant) as Arc<dyn dl_minidb::Participant>,
-                )?;
-                participant.ensure_settled()?;
-                Ok(lsn)
-            }
-            None => {
-                // Standalone mode (no host database wired): commit locally.
-                let lsn = txn.commit().map_err(|e| e.to_string())?;
-                Ok(lsn)
-            }
+        self.close_rows_in(&mut txn, uip, state_hint)?;
+        let Some(hook) = host else {
+            // Standalone mode (no host database wired): the repository's
+            // own forced commit is the commit point.
+            return txn.commit().map_err(|e| e.to_string());
+        };
+        let lsn = hook.commit_file_update(
+            &self.file_url(&uip.path),
+            new_size,
+            new_mtime,
+            uip.new_version,
+        )?;
+        if let Err(e) = txn.commit_unforced() {
+            // Same rule as `commit_host`: the coordinator has decided, so a
+            // repository that cannot follow must not pretend otherwise. The
+            // claim stays; recovery rolls it forward from the host row.
+            panic!("DLFM close record failed after the host committed {}: {e}", uip.path);
         }
+        Ok(lsn)
     }
 
     fn submit_archive(&self, entry: &FileEntry, version: u64, state_id: u64) {
@@ -1348,18 +1375,18 @@ impl DlfmServer {
     // Crash recovery (§4.2, §4.4)
     // =====================================================================
 
-    /// Runs crash recovery: settles in-doubt sub-transactions against the
-    /// host's outcomes, reconciles file-system state from intents, restores
-    /// in-flight updates to their last committed version and re-submits
+    /// Runs crash recovery: settles in-doubt link/unlink sub-transactions
+    /// against the host's outcomes, reconciles file-system state from
+    /// intents, settles surviving update claims against the host's metadata
+    /// rows (forward when the host committed, back otherwise) and re-submits
     /// lost archive jobs. Token entries and the Sync table need no step:
     /// they are unlogged, so the reopened repository holds none.
     pub fn recover(&self) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
         let host = self.host.read().clone();
 
-        // 1. In-doubt repository sub-transactions — link/unlink and close
-        //    sub-transactions alike — settle by the outcome of the host
-        //    transaction their `Prepare` record names.
+        // 1. In-doubt repository sub-transactions (link/unlink) settle by
+        //    the outcome of the host transaction their `Prepare` names.
         for txid in self.repo.db().in_doubt_txns() {
             let commit = self
                 .repo
@@ -1418,7 +1445,38 @@ impl DlfmServer {
             }
         }
 
-        // 3. Re-archive committed versions whose archive job was lost.
+        // 3. Surviving claims the host committed: roll forward. A close
+        //    commits once, on the host, and appends its repository record
+        //    unforced — so a claim can outlive its own commit. The claim was
+        //    forced at open and names the version it reserved; the host's
+        //    metadata row says whether that version took effect. (A claim
+        //    that survives is the newest update of its file: an unforced
+        //    record is only ever lost with everything logged after it.)
+        //    `needs_archive` stays set, so step 4 archives the new version.
+        if let Some(hook) = &host {
+            for uip in self.repo.list_uip() {
+                let Some(entry) = self.repo.get_file(&uip.path) else { continue };
+                let committed = hook
+                    .file_version(&self.file_url(&uip.path))
+                    .filter(|host_version| *host_version >= uip.new_version);
+                let Some(host_version) = committed else { continue };
+                let mut txn = self.repo.db().begin();
+                self.close_rows_in(&mut txn, &uip, hook.state_id())?;
+                txn.commit().map_err(|e| e.to_string())?;
+                self.release_write_grant(&entry);
+                self.stats.updates_rolled_forward.inc();
+                self.recorder.record(
+                    &self.flight_source,
+                    "roll_forward",
+                    0,
+                    &uip.path,
+                    format!("version={} host_version={host_version}", uip.new_version),
+                );
+                report.updates_rolled_forward += 1;
+            }
+        }
+
+        // 4. Re-archive committed versions whose archive job was lost.
         for entry in self.repo.files_needing_archive() {
             if self.archive.get(&entry.path, entry.cur_version).is_none()
                 && self.repo.get_uip(&entry.path).is_none()
@@ -1431,8 +1489,9 @@ impl DlfmServer {
             let _ = self.repo.clear_needs_archive(&entry.path);
         }
 
-        // 4. In-flight updates: restore last committed version, quarantine
-        //    the dirty image (§4.2).
+        // 5. Every other claim — the host never committed it (lower
+        //    version, no row, no host wired): restore the last committed
+        //    version, quarantine the dirty image (§4.2).
         for uip in self.repo.list_uip() {
             if let Some(entry) = self.repo.get_file(&uip.path) {
                 self.rollback_update(&entry);
@@ -1449,9 +1508,10 @@ impl DlfmServer {
 
 impl Drop for DlfmServer {
     /// Clean shutdown: put the repository log's unforced tail on disk, so
-    /// the next start finds decided branches decided instead of asking the
-    /// host about each. A crashed server ([`DlfmServer::simulate_crash`])
-    /// skips it — losing that tail is what a crash does.
+    /// the next start finds closes recorded and branches decided instead of
+    /// asking the host about each. A crashed server
+    /// ([`DlfmServer::simulate_crash`]) skips it — losing that tail is what
+    /// a crash does.
     fn drop(&mut self) {
         if !self.crashed.load(Ordering::SeqCst) {
             let _ = self.repo.db().flush();
@@ -1465,6 +1525,9 @@ pub struct RecoveryReport {
     pub in_doubt_resolved: Vec<(u64, bool)>,
     pub links_undone: u64,
     pub unlinks_completed: u64,
+    /// Surviving claims whose update the host had committed: version bump
+    /// and claim delete re-derived from the claim and the host row.
+    pub updates_rolled_forward: u64,
     pub updates_rolled_back: u64,
     pub archives_recovered: u64,
 }
@@ -1537,61 +1600,5 @@ impl DlfmServer {
             }
         }
         Ok(outcome)
-    }
-}
-
-/// Wraps a repository transaction as a host-transaction participant: the
-/// close sub-transaction prepares when the host prepares and settles with
-/// the host decision.
-struct PreparedTxnParticipant {
-    txn: Mutex<Option<dl_minidb::Txn>>,
-    settled: AtomicU64, // 0 = pending, 1 = committed, 2 = aborted
-}
-
-impl PreparedTxnParticipant {
-    fn new(txn: dl_minidb::Txn) -> Self {
-        PreparedTxnParticipant { txn: Mutex::new(Some(txn)), settled: AtomicU64::new(0) }
-    }
-
-    fn ensure_settled(&self) -> Result<(), String> {
-        match self.settled.load(Ordering::SeqCst) {
-            1 => Ok(()),
-            2 => Err("close sub-transaction aborted".into()),
-            _ => Err("close sub-transaction never settled".into()),
-        }
-    }
-}
-
-impl dl_minidb::Participant for PreparedTxnParticipant {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        let mut guard = self.txn.lock();
-        match guard.as_mut() {
-            // The host txid is only known here (the host transaction is
-            // begun inside `HostHook::commit_file_update`); naming it in
-            // the `Prepare` record is what lets recovery resolve an
-            // in-doubt update against the host's outcome.
-            Some(txn) => txn.prepare(Some(txid)).map_err(|e| e.to_string()),
-            None => Err("already settled".into()),
-        }
-    }
-
-    fn commit(&self, _txid: u64) {
-        if let Some(txn) = self.txn.lock().take() {
-            // Prepared by phase one; settle. An unprepared commit can only
-            // happen if the coordinator skipped phase one, which the host
-            // database never does.
-            let _ = txn.commit_prepared();
-            self.settled.store(1, Ordering::SeqCst);
-        }
-    }
-
-    fn abort(&self, _txid: u64) {
-        if let Some(txn) = self.txn.lock().take() {
-            // If prepared, this writes the abort decision; if the host
-            // aborted before phase one, abort_prepared errors and the
-            // transaction's Drop performs the plain abort instead.
-            let _ = txn.abort_prepared();
-            self.settled.store(2, Ordering::SeqCst);
-        }
     }
 }

@@ -415,10 +415,11 @@ impl HostHook for FailingHook {
         _size: u64,
         _mtime: u64,
         _version: u64,
-        participant: Arc<dyn dl_minidb::Participant>,
     ) -> Result<u64, String> {
-        participant.abort(0);
         Err("host metadata update failed".into())
+    }
+    fn file_version(&self, _url: &str) -> Option<u64> {
+        None
     }
     fn outcome(&self, _host_txid: u64) -> Option<bool> {
         None
@@ -458,9 +459,11 @@ impl HostHook for FixedOutcomes {
         _size: u64,
         _mtime: u64,
         _version: u64,
-        _participant: Arc<dyn dl_minidb::Participant>,
     ) -> Result<u64, String> {
         Err("not used".into())
+    }
+    fn file_version(&self, _url: &str) -> Option<u64> {
+        None
     }
     fn outcome(&self, host_txid: u64) -> Option<bool> {
         self.0.get(&host_txid).copied()

@@ -310,7 +310,9 @@ impl Txn {
     /// everything logged after it — if a crash comes first. Only for
     /// changes whose loss recovery repairs by itself; DLFM clears
     /// `needs_archive` this way (losing the clear re-checks one archived
-    /// version). A transaction with enlisted participants is forced
+    /// version) and records a committed update's version bump (losing it
+    /// re-derives it from the forced claim and the host's metadata row).
+    /// A transaction with enlisted participants is forced
     /// regardless: its commit record *is* the 2PC decision.
     pub fn commit_unforced(self) -> DbResult<Lsn> {
         self.commit_inner(false)

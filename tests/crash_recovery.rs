@@ -818,13 +818,17 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     assert!(repo.get_file("/d/f.bin").is_none());
 }
 
-/// The participant side of the 2PC window, for every kind of DLFM
-/// sub-transaction: the repository's `Prepare` is durable and the crash
-/// lands (a) before the host's `Commit` record or (b) after it but before
-/// the repository's `Decide`. Recovery must settle the in-doubt branch by
-/// the *host's* outcome — the close sub-transaction of an update included,
-/// which once carried no pointer back to its host transaction and was
-/// presumed aborted under a committed host row.
+/// The window between "the file server is ready" and "the host decided",
+/// for every kind of DLFM transaction. Link and unlink are 2PC branches:
+/// the repository's `Prepare` is durable and the crash lands (a) before the
+/// host's `Commit` record or (b) after it but before the repository's
+/// `Decide`; recovery settles the in-doubt branch by the *host's* outcome.
+/// An update has no branch: its forced claim at open is its vote, the
+/// host's `Commit` of the metadata row is the one commit point, and the
+/// repository's close record is an unforced append. The same two crash
+/// points — (a) claim durable, host undecided; (b) host committed, close
+/// record lost — settle by the version in the host's metadata row: roll
+/// back under (a), roll forward under (b).
 ///
 /// The crash is staged by shearing the logs at record boundaries after a
 /// clean run (logs are append-only, so a sheared log *is* the log as of
@@ -836,10 +840,11 @@ mod in_doubt_branch_follows_the_host_outcome {
     use std::sync::Arc;
 
     use datalinks::core::{DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec};
+    use datalinks::dlfm::RecoveryReport;
     use datalinks::dlfm::{ControlMode, TokenKind};
     use datalinks::fskit::{Cred, OpenOptions, SimClock};
     use datalinks::minidb::wal::{read_until, WalRecord};
-    use datalinks::minidb::{Column, ColumnType, Lsn, Schema, StorageEnv, Value};
+    use datalinks::minidb::{Column, ColumnType, Lsn, RowOp, Schema, StorageEnv, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
     const SRV: &str = "srv";
@@ -948,6 +953,43 @@ mod in_doubt_branch_follows_the_host_outcome {
         sys
     }
 
+    /// The repository's record of a finished close: the commit that
+    /// deletes the `dl_uip` claim (and bumps `dl_files` with it).
+    fn is_close_record(rec: &WalRecord) -> bool {
+        matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(
+            |op| matches!(op, RowOp::Delete { table, .. } if table == "dl_uip"),
+        ))
+    }
+
+    /// Runs one update of `/d/f.bin`, crashes, shears the repository log
+    /// below the update's close record — an unforced append: when nothing
+    /// flushed it before the crash it is already gone, which is the same
+    /// disk — and, for a crash *before* the host's decision, the host log
+    /// below the update's `Commit`; then recovers. No branch is ever in
+    /// doubt: the surviving claim settles by the host's metadata row.
+    fn crash_before_the_close_record(
+        rig: Rig,
+        host_committed: bool,
+        content: &[u8],
+    ) -> (DataLinksSystem, RecoveryReport) {
+        let Rig { sys, host_env, repo_env } = rig;
+        let host_mark = sys.state_id();
+        let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
+        update(&sys, content);
+        let image = sys.crash();
+        shear_from_last(&repo_env, repo_mark, is_close_record);
+        if !host_committed {
+            assert!(shear_from_last(&host_env, host_mark, |rec| matches!(
+                rec,
+                WalRecord::Commit { participants, .. } if participants.is_empty()
+            )));
+        }
+        let (sys, mut reports) = DataLinksSystem::recover(image).unwrap();
+        let report = reports.remove(SRV).unwrap();
+        assert!(report.in_doubt_resolved.is_empty(), "an update leaves no branch in doubt");
+        (sys, report)
+    }
+
     fn meta_version(sys: &DataLinksSystem, path: &str) -> Option<u64> {
         let url = DatalinkUrl::parse(&format!("dlfs://{SRV}{path}")).unwrap();
         sys.engine().file_meta(&url).map(|(_, _, version)| version)
@@ -959,7 +1001,8 @@ mod in_doubt_branch_follows_the_host_outcome {
 
     #[test]
     fn update_prepared_but_host_undecided_rolls_back_file_and_metadata() {
-        let sys = crash_in_the_window(rig(), false, |sys| update(sys, b"version-2"));
+        let (sys, report) = crash_before_the_close_record(rig(), false, b"version-2");
+        assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (0, 1));
         assert_eq!(content(&sys, "/d/f.bin"), b"version-1");
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(1));
         let repo = sys.node(SRV).unwrap().server.repository();
@@ -969,7 +1012,8 @@ mod in_doubt_branch_follows_the_host_outcome {
 
     #[test]
     fn update_decided_by_the_host_commits_file_and_metadata() {
-        let sys = crash_in_the_window(rig(), true, |sys| update(sys, b"version-2"));
+        let (sys, report) = crash_before_the_close_record(rig(), true, b"version-2");
+        assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (1, 0));
         assert_eq!(content(&sys, "/d/f.bin"), b"version-2", "the acknowledged write survives");
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
         let server = &sys.node(SRV).unwrap().server;
@@ -985,19 +1029,24 @@ mod in_doubt_branch_follows_the_host_outcome {
     #[test]
     fn acknowledged_update_survives_a_crash_that_takes_its_unforced_decide() {
         // No shear: the close returned, the archive copy landed, and the
-        // repository's `Decide` (and the archiver's flag clear) are still
-        // in the group-commit batch — unforced appends nothing has flushed.
-        // The crash loses them; the forced host `Commit` settles the branch.
+        // repository's close record (and the archiver's flag clear) are
+        // still in the group-commit batch — unforced appends nothing has
+        // flushed. The crash loses them; the claim survives, and the forced
+        // host `Commit` of the metadata row rolls it forward.
         let Rig { sys, .. } = rig();
         update(&sys, b"version-2");
         let repo = sys.node(SRV).unwrap().server.repository().db().clone();
-        assert!(repo.durable_lsn() < repo.state_id(), "the Decide was never synced");
+        assert!(repo.durable_lsn() < repo.state_id(), "the close record was never synced");
         drop(repo);
 
         let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
-        let resolved: Vec<bool> =
-            reports[SRV].in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
-        assert_eq!(resolved, [true], "in doubt after the crash, committed by the host outcome");
+        let report = &reports[SRV];
+        assert!(report.in_doubt_resolved.is_empty(), "an update leaves no branch in doubt");
+        assert_eq!(
+            (report.updates_rolled_forward, report.updates_rolled_back),
+            (1, 0),
+            "the surviving claim is committed by the host's metadata row"
+        );
         assert_eq!(content(&sys, "/d/f.bin"), b"version-2");
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
         let server = &sys.node(SRV).unwrap().server;

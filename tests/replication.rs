@@ -114,7 +114,7 @@ fn replicas_serve_reads_without_the_primary_and_lag_drains() {
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     assert_eq!(sys.replication_lag(SRV).unwrap(), 0);
     // "Caught up" is the whole tail: the update's unforced records (the
-    // participant `Decide`, the archiver's flag clear) were flushed and
+    // close record, the archiver's flag clear) were flushed and
     // shipped too, not left in the primary's batch.
     let repo = sys.node(SRV).unwrap().server.repository().db();
     assert_eq!(repo.state_id(), repo.durable_lsn());
@@ -432,15 +432,16 @@ fn close_an_update(sys: &DataLinksSystem, id: i64, content: &[u8]) {
     fs.close(fd).unwrap();
 }
 
-/// Stages the window an unforced `Decide` opens: the shipper is paused (so
-/// its idle poll cannot flush the primary), an update commits, and one
-/// synchronous ship round hands the standby everything *durable* — the
-/// claim and the `Prepare`, not the `Decide`.
+/// Stages the window the close's unforced repository record opens: the
+/// shipper is paused (so its idle poll cannot flush the primary), an update
+/// commits on the host, and one synchronous ship round hands the standby
+/// everything *durable* — the claim, not the close record. (The name is the
+/// pre-PR 21 one, when the held-back record was a 2PC `Decide`.)
 fn standby_holding_prepare_but_not_decide(sys: &DataLinksSystem, set: &ReplicaSet, content: &[u8]) {
     set.set_paused(true);
     close_an_update(sys, 0, content);
     let repo = sys.node(SRV).unwrap().server.repository().db();
-    assert!(repo.durable_lsn() < repo.state_id(), "the Decide is batched, not synced");
+    assert!(repo.durable_lsn() < repo.state_id(), "the close record is batched, not synced");
     while set.lag() > 0 {
         set.ship_once().unwrap();
     }
@@ -455,14 +456,14 @@ fn standby_behind_an_unforced_decide_serves_the_old_version_then_converges_by_it
     let set = sys.node(SRV).unwrap().replication.clone().unwrap();
     standby_holding_prepare_but_not_decide(&sys, &set, b"version three");
 
-    // Prepared is not committed: the replica keeps answering with the
-    // last version it saw decided (plain reads are not read-your-writes).
+    // Claimed is not committed: the replica keeps answering with the
+    // last version it saw closed (plain reads are not read-your-writes).
     let standby = &set.standbys()[0];
     assert_eq!(standby.file_entry("/d/f0.bin").unwrap().cur_version, 2);
     assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version two");
 
-    // The primary goes idle: no forced append will ever carry the Decide
-    // out. The resumed shipper's poll (20 ms) times out, flushes the
+    // The primary goes idle: no forced append will ever carry the close
+    // record out. The resumed shipper's poll (20 ms) times out, flushes the
     // primary's tail itself and ships it — nobody else helps.
     set.set_paused(false);
     let waited = std::time::Instant::now();
@@ -484,12 +485,12 @@ fn promotion_behind_an_unforced_decide_commits_the_update_from_the_host_outcome(
     sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f0.bin");
     drop(set);
 
-    // The primary dies with the Decide in its memory only. The promoted
-    // standby finds the close sub-transaction in doubt, reads the host txid
-    // out of its Prepare record and asks the host — which committed.
+    // The primary dies with the close record in its memory only. The
+    // promoted standby finds the claim, asks the host which version the
+    // file's metadata row records — the claimed one — and rolls forward.
     let report = sys.fail_over(SRV).unwrap();
-    let resolved: Vec<bool> = report.in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
-    assert_eq!(resolved, [true], "resolved by the host outcome, not presumed aborted");
+    assert!(report.in_doubt_resolved.is_empty(), "an update leaves no branch in doubt");
+    assert_eq!(report.updates_rolled_forward, 1, "committed from the host row, not rolled back");
     assert_eq!(report.updates_rolled_back, 0, "the acknowledged update is not rolled back");
 
     assert_eq!(link_state(&sys), vec![("/d/f0.bin".to_string(), 3)]);
@@ -508,7 +509,7 @@ fn freshness_token_taken_right_after_close_covers_the_unforced_decide() {
     for round in 0..8 {
         let content = format!("round {round}");
         close_an_update(&sys, 0, content.as_bytes());
-        // The token is the log tail, so it is past the Decide even though
+        // The token is the log tail, so it is past the close record even though
         // the durable watermark is not; the fresh read flushes what it
         // needs and may not answer with the version before.
         let token = sys.freshness_token(SRV).unwrap();

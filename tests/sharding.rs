@@ -389,6 +389,61 @@ fn shard_crash_mid_burst_resolves_all_in_doubt_with_zero_atomicity_violations() 
     }
 }
 
+/// The close path's one commit point, per shard: each shard's DLFM asks
+/// the host hook about *its* files under the logical server's URL. An
+/// acknowledged update on either shard loses its unforced close record to
+/// the crash; an open on shard 0 is still in flight. Every shard settles
+/// its own claims by the host's metadata rows.
+#[test]
+fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
+    let sys = build(2, 0, 0);
+    let acked = [path_on(2, 0, "acked"), path_on(2, 1, "acked")];
+    let in_flight = path_on(2, 0, "open");
+    for (i, p) in acked.iter().chain([&in_flight]).enumerate() {
+        seed_file(&sys, p, b"version-1");
+        link_row(&sys, i as i64, p);
+    }
+    let (_, tp) = sys.select_datalink("t", &Value::Int(2), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &tp, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"doomed").unwrap();
+    for (i, p) in acked.iter().enumerate() {
+        update(&sys, i as i64, p, b"version-2");
+        let repo = sys.node(&shard_name(i)).unwrap().server.repository().db();
+        assert!(repo.durable_lsn() < repo.state_id(), "shard {i}: the close record is unsynced");
+    }
+    drop(fs);
+
+    let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+    for (i, back) in [(0, 1), (1, 0)] {
+        let report = &reports[&shard_name(i)];
+        assert!(report.in_doubt_resolved.is_empty(), "shard {i}: {report:?}");
+        assert_eq!(
+            (report.updates_rolled_forward, report.updates_rolled_back),
+            (1, back),
+            "shard {i}: {report:?}"
+        );
+    }
+    let raw = sys.raw_fs(SRV).unwrap();
+    let meta_version = |p: &str| {
+        let url = datalinks::core::DatalinkUrl::parse(&format!("dlfs://{SRV}{p}")).unwrap();
+        sys.engine().file_meta(&url).unwrap().2
+    };
+    for (i, p) in acked.iter().enumerate() {
+        let server = &sys.node(&shard_name(i)).unwrap().server;
+        assert_eq!(raw.read_file(&Cred::root(), p).unwrap(), b"version-2");
+        assert_eq!((meta_version(p), server.repository().get_file(p).unwrap().cur_version), (2, 2));
+        assert!(server.repository().list_uip().is_empty());
+        assert_eq!(server.archive_store().get(p, 2).unwrap().data, b"version-2");
+        update(&sys, i as i64, p, b"version-3");
+        assert_eq!(meta_version(p), 3);
+    }
+    assert_eq!(raw.read_file(&Cred::root(), &in_flight).unwrap(), b"version-1");
+    assert_eq!(meta_version(&in_flight), 1);
+    update(&sys, 2, &in_flight, b"version-2");
+    assert_eq!(meta_version(&in_flight), 2);
+}
+
 #[test]
 fn router_metrics_agree_with_per_shard_dlfm_traffic() {
     let shards = 3;

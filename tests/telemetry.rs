@@ -28,6 +28,8 @@ fn metrics_snapshot_spans_every_layer() {
     for name in [
         "dlfm.srv1.links",
         "dlfm.srv1.token_validations",
+        "dlfm.srv1.rollbacks",
+        "dlfm.srv1.updates_rolled_forward",
         "dlfs.srv1.managed_opens",
         "engine.links",
         "engine.tokens_generated",
@@ -40,8 +42,8 @@ fn metrics_snapshot_spans_every_layer() {
     }
     assert!(snap.counters["dlfm.srv1.links"] >= 2, "both fixture files were linked");
     // The WAL's unforced-append instruments, adopted per database like
-    // fsync_ns: the update's participant `Decide` and the archiver's flag
-    // clear skipped their log waits on the repository; the host, a pure
+    // fsync_ns: the update's close record and the archiver's flag clear
+    // skipped their log waits on the repository; the host, a pure
     // coordinator, forces everything.
     assert!(snap.counters["minidb.srv1.unforced_appends"] >= 2, "{snap:?}");
     assert_eq!(snap.counters["minidb.host.unforced_appends"], 0);
