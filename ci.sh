@@ -27,16 +27,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # One commit point per update (DESIGN.md "Force audit"): the close commits
 # on the host and enlists nobody — no participant wrapper around the
 # repository's close transaction, no second close path.
-step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path"
+# The host row is the outcome (DESIGN.md "Force audit", *`Decide` lost*):
+# a link/unlink branch settles by `__dl_meta` like an update — no outcomes
+# map on the host, no coordinator id in a `Prepare`, no second question in
+# `HostHook`.
+step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "PreparedTxn[P]articipant|dlfm-[c]lose:|ensure_[s]ettled" crates/ src/ tests/ \
+  || grep -rnE "coordinator_[o]utcome|record_[o]utcome|in_doubt_[c]oordinator|fn [o]utcome\(" crates/ src/ tests/ \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap or a close-path participant reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant or a 2PC outcome copy reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -55,9 +60,9 @@ cargo test --workspace -q --no-fail-fast
 # Flake guard (ROADMAP item 0(b)), scoped to the suites whose subjects race
 # by design: unforced log appends are carried to disk by whichever thread
 # flushes next (a committer, the shipper's idle poll, a checkpoint), and
-# these suites crash, promote and drain across that window — the close
-# path's cut-point sweep cuts every boundary of it. One green run proves
-# little about a race; five in a row, failing on the first red.
+# these suites crash, promote and drain across that window — the cut-point
+# sweep (update, link and unlink) cuts every boundary of it. One green run
+# proves little about a race; five in a row, failing on the first red.
 step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \

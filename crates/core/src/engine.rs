@@ -12,8 +12,9 @@
 //!   statement (§4.3), via observer-injected DML;
 //! * serves as DLFM's [`HostHook`]: close processing commits its metadata
 //!   refresh — the update's one commit point — through a host transaction
-//!   here, and crash recovery asks it for link/unlink transaction outcomes
-//!   and for the version a file's metadata row records.
+//!   here, and crash recovery asks it one thing only — the version a
+//!   file's metadata row records, which settles updates, links and unlinks
+//!   alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -671,9 +672,5 @@ impl HostHook for DataLinksEngine {
 
     fn file_version(&self, url: &str) -> Option<u64> {
         self.meta_row(url).and_then(|row| row[3].as_int()).map(|v| v as u64)
-    }
-
-    fn outcome(&self, host_txid: u64) -> Option<bool> {
-        self.db.coordinator_outcome(host_txid)
     }
 }

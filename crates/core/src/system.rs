@@ -375,8 +375,6 @@ pub struct CrashImage {
     coord_epoch: u64,
     clock: Arc<dyn Clock>,
     nodes: Vec<NodeParts>,
-    /// Open the host database only up to this LSN (point-in-time restore).
-    stop_at_lsn: Option<Lsn>,
     /// The flight-recorder dump taken at the crash boundary — the last
     /// 2PC span events of every layer, for post-mortem reading.
     flight_dump: Option<String>,
@@ -432,8 +430,9 @@ pub struct HostFailoverReport {
     /// The coordinator generation the promoted host runs under.
     pub epoch: u64,
     /// DLFM sub-transactions left in doubt by the old coordinator's death,
-    /// as `(server, host_txid, committed)` — resolved on promotion from
-    /// the replicated WAL's outcomes (presumed abort when absent).
+    /// as `(server, host_txid, committed)` — settled on promotion by the
+    /// replicated `__dl_meta` rows (presumed abort when the decision never
+    /// shipped).
     pub in_doubt_resolved: Vec<(String, u64, bool)>,
 }
 
@@ -808,12 +807,6 @@ impl DataLinksSystem {
     /// [`FileServerSpec::shards`], if any.
     pub fn shard_router(&self, logical: &str) -> Option<&Arc<ShardRouter>> {
         self.routers.get(logical)
-    }
-
-    pub fn server_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.nodes.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// The node names `server` stands for: itself for a plain node, the
@@ -1260,18 +1253,6 @@ impl DataLinksSystem {
         Ok(self.node(server)?.server.repository().db().state_id())
     }
 
-    /// [`DataLinksSystem::freshness_token`] for a sharded logical server:
-    /// each shard has its own repository — its own LSN domain — so the
-    /// token must come from the shard owning `path`. Equivalent to
-    /// `freshness_token(server)` for a plain node.
-    pub fn freshness_token_for(&self, server: &str, path: &str) -> Result<Lsn, String> {
-        let name = match self.routers.get(server) {
-            Some(router) => router.name_of(router.shard_of(path)).to_string(),
-            None => server.to_string(),
-        };
-        self.freshness_token(&name)
-    }
-
     /// [`DataLinksSystem::serve_read`] with read-your-writes: the routed
     /// read never observes repository state older than `min_lsn` (a
     /// [`DataLinksSystem::freshness_token`]). A standby behind the token
@@ -1486,13 +1467,13 @@ impl DataLinksSystem {
     }
 
     /// Promotes a host standby after [`DataLinksSystem::crash_host`]: the
-    /// replicated WAL opens as the new host database (recovery re-derives
-    /// committed outcomes, prepared transactions and the in-doubt set), a
-    /// fresh engine installs on it, every node re-registers under the new
-    /// coordinator generation, and DLFM sub-transactions the old
-    /// coordinator left in doubt are resolved against the replicated
-    /// outcomes — presumed abort for anything the shipped log prefix never
-    /// decided. Remaining host standby slots re-provision against the new
+    /// replicated WAL opens as the new host database, a fresh engine
+    /// installs on it, every node re-registers under the new coordinator
+    /// generation, and DLFM sub-transactions the old coordinator left
+    /// pending settle by the replicated metadata rows
+    /// ([`DlfmServer::resolve_client_loss`], the rule crash recovery uses)
+    /// — presumed abort for anything the shipped log prefix never decided.
+    /// Remaining host standby slots re-provision against the new
     /// host, inheriting the fence generation.
     pub fn promote_host(&mut self) -> Result<HostFailoverReport, String> {
         let HostOutage { replication, epoch } =
@@ -1552,12 +1533,7 @@ impl DataLinksSystem {
             let mut pending = node.server.pending_host_txns();
             pending.sort_unstable();
             for (txid, _prepared) in pending {
-                let commit = db.coordinator_outcome(txid).unwrap_or(false);
-                if commit {
-                    node.server.commit_host(txid);
-                } else {
-                    node.server.abort_host(txid);
-                }
+                let commit = node.server.resolve_client_loss(txid);
                 report.in_doubt_resolved.push((name.clone(), txid, commit));
             }
         }
@@ -1726,14 +1702,13 @@ impl DataLinksSystem {
             coord_epoch,
             clock,
             nodes: parts,
-            stop_at_lsn: None,
             flight_dump: Some(flight_dump),
             flight_dump_dir,
         }
     }
 
     /// Rebuilds a system from a crash image and runs coordinated recovery:
-    /// host database redo, DLFM in-doubt resolution against host outcomes,
+    /// host database redo, DLFM in-doubt resolution against the host's rows,
     /// file-state reconciliation and in-flight update rollback.
     pub fn recover(
         image: CrashImage,
@@ -1745,15 +1720,9 @@ impl DataLinksSystem {
             coord_epoch,
             clock,
             nodes,
-            stop_at_lsn,
             flight_dump: _,
             flight_dump_dir,
         } = image;
-        if let Some(lsn) = stop_at_lsn {
-            // Point-in-time open handled by restore(); plain recovery
-            // ignores it.
-            let _ = lsn;
-        }
         Self::assemble(
             host_env,
             host_db,

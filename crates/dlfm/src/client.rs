@@ -176,7 +176,7 @@ impl AgentConnection for DlfmClient {
 
     fn commit(&self, host_txid: u64) {
         // A carrier lost mid-decide is fine: the server's disconnect sweep
-        // asks the host for the recorded outcome and applies it.
+        // reads the outcome off the host's metadata rows and applies it.
         let _ = self.call(Message::Commit { txid: host_txid, coord_epoch: self.coord_epoch });
     }
 

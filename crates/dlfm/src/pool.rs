@@ -474,10 +474,6 @@ impl<T: Send + 'static> ElasticPool<T> {
         &self.core.stats
     }
 
-    pub fn options(&self) -> &PoolOptions {
-        &self.core.opts
-    }
-
     /// Blocks until the queue is empty, every worker is parked and no
     /// guest is mid-service (or `timeout` elapses); returns whether it
     /// drained. Test/bench helper.

@@ -13,10 +13,11 @@
 //! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
 //! | `dl_intents` | write-ahead intents for eager file-system changes (take-over undo info) |
 //!
-//! Which host transaction a repository sub-transaction belongs to is not a
-//! table: it rides in the sub-transaction's `Prepare` log record
-//! (`Txn::prepare(Some(host_txid))`) and recovery reads it back with
-//! `Database::in_doubt_coordinator`.
+//! Which host transaction a repository sub-transaction belongs to is
+//! recorded nowhere: a branch left in doubt is settled by what it did —
+//! the `dl_files` rows its `Prepare` record inserts or deletes
+//! ([`Repository::in_doubt_files`]) name the files whose host metadata
+//! rows say whether it committed.
 //!
 //! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
 //! survive a crash (every descriptor is gone). They are **unlogged** tables
@@ -34,7 +35,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dl_minidb::{
-    Column, ColumnType, Database, DbOptions, DbResult, Row, Schema, StorageEnv, Txn, Value,
+    Column, ColumnType, Database, DbOptions, DbResult, Row, RowOp, Schema, StorageEnv, Txn, Value,
 };
 
 use crate::modes::{ControlMode, OnUnlink};
@@ -42,6 +43,13 @@ use crate::token::TokenKind;
 
 /// Names of all repository tables.
 pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
+
+/// What a link/unlink sub-transaction did to one file's `dl_files` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BranchOp {
+    Link,
+    Unlink,
+}
 
 /// A row of `dl_files`.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,6 +363,25 @@ impl Repository {
             .unwrap_or_default()
             .iter()
             .filter_map(FileEntry::from_row)
+            .collect()
+    }
+
+    /// The link/unlink work of in-doubt sub-transaction `txid`, read off
+    /// its redo ops: one entry per `dl_files` row it inserts or deletes.
+    pub fn in_doubt_files(&self, txid: u64) -> Vec<(String, BranchOp)> {
+        self.db
+            .in_doubt_ops(txid)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|op| match op {
+                RowOp::Insert { table, row } if table == "dl_files" => {
+                    Some((FileEntry::from_row(row)?.path, BranchOp::Link))
+                }
+                RowOp::Delete { table, key } if table == "dl_files" => {
+                    Some((key.as_text()?.to_string(), BranchOp::Unlink))
+                }
+                _ => None,
+            })
             .collect()
     }
 

@@ -15,13 +15,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dl_fskit::{Clock, Cred, FileKind, FileSystem, Lfs, SetAttr, WallClock};
+use dl_fskit::{Clock, Cred, FileKind, FileSystem, Lfs, SetAttr};
 use dl_net::Message;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::repository::{FileEntry, IntentAction, IntentEntry, Repository, SyncEntry, UipEntry};
+use crate::repository::{
+    BranchOp, FileEntry, IntentAction, IntentEntry, Repository, SyncEntry, UipEntry,
+};
 use crate::token::{AccessToken, TokenKind};
 
 /// How the host database and DLFS reach this DLFM instance: which carrier
@@ -156,25 +158,6 @@ pub struct DlfmStats {
     pub stale_coord_rejections: dl_obs::Counter,
 }
 
-impl DlfmStats {
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("upcalls", self.upcalls.get()),
-            ("token_validations", self.token_validations.get()),
-            ("open_checks", self.open_checks.get()),
-            ("close_notifies", self.close_notifies.get()),
-            ("links", self.links.get()),
-            ("unlinks", self.unlinks.get()),
-            ("takeovers", self.takeovers.get()),
-            ("archives", self.archives.get()),
-            ("busy_responses", self.busy_responses.get()),
-            ("rollbacks", self.rollbacks.get()),
-            ("updates_rolled_forward", self.updates_rolled_forward.get()),
-            ("stale_coord_rejections", self.stale_coord_rejections.get()),
-        ]
-    }
-}
-
 /// Hook back into the host database, implemented by the DataLinks engine.
 pub trait HostHook: Send + Sync {
     /// The host's current database state identifier (tail LSN).
@@ -191,11 +174,12 @@ pub trait HostHook: Send + Sync {
         new_version: u64,
     ) -> Result<u64, String>;
     /// The version the host's committed metadata row records for `url`
-    /// (`None` = no row). Recovery settles a surviving update claim by it.
+    /// (`None` = no row) — the one thing DLFM ever asks the host about a
+    /// transaction's fate. The row is written by the very host transaction
+    /// that links (version 1), updates (version + 1) or unlinks (deleted)
+    /// the file, so a surviving update claim and a link/unlink branch whose
+    /// decision never arrived both settle by it.
     fn file_version(&self, url: &str) -> Option<u64>;
-    /// Outcome of a link/unlink host transaction during recovery. `None` =
-    /// no commit record = presumed abort.
-    fn outcome(&self, host_txid: u64) -> Option<bool>;
 }
 
 /// A deferred file-system action executed when the sub-transaction commits.
@@ -214,8 +198,16 @@ struct SubTxn {
     txn: Option<dl_minidb::Txn>,
     undo: Vec<UndoFs>,
     deferred: Vec<DeferredFs>,
-    unlink_intents: Vec<String>,
+    /// The files this branch linked or unlinked — what the settle rule asks
+    /// the host about, and (the unlinks) whose intents a decision clears.
+    files: Vec<(String, BranchOp)>,
     prepared: bool,
+}
+
+impl SubTxn {
+    fn unlinked(&self) -> impl Iterator<Item = &String> {
+        self.files.iter().filter(|(_, op)| *op == BranchOp::Unlink).map(|(path, _)| path)
+    }
 }
 
 /// Decision returned by the open check.
@@ -393,17 +385,6 @@ impl DlfmServer {
         })
     }
 
-    /// Convenience constructor with wall clock.
-    pub fn with_defaults(cfg: DlfmConfig, fs: Arc<dyn FileSystem>) -> Result<DlfmServer, String> {
-        Self::new(
-            cfg,
-            fs,
-            dl_minidb::StorageEnv::mem(),
-            Arc::new(ArchiveStore::new()),
-            Arc::new(WallClock),
-        )
-    }
-
     pub fn config(&self) -> &DlfmConfig {
         &self.cfg
     }
@@ -532,7 +513,7 @@ impl DlfmServer {
                 txn: Some(self.repo.db().begin()),
                 undo: Vec::new(),
                 deferred: Vec::new(),
-                unlink_intents: Vec::new(),
+                files: Vec::new(),
                 prepared: false,
             }))
         }))
@@ -559,7 +540,7 @@ impl DlfmServer {
             }
             sub.undo.clear();
             sub.deferred.clear();
-            sub.unlink_intents.clear();
+            sub.files.clear();
         }
     }
 
@@ -648,6 +629,7 @@ impl DlfmServer {
                 mode: attr.mode,
             });
         }
+        sub.files.push((path.to_string(), BranchOp::Link));
         Ok(())
     }
 
@@ -695,7 +677,7 @@ impl DlfmServer {
         let sub = &mut *guard;
         let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
         self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
-        sub.unlink_intents.push(path.to_string());
+        sub.files.push((path.to_string(), BranchOp::Unlink));
         match entry.on_unlink {
             OnUnlink::Restore => sub.deferred.push(DeferredFs::RestoreAttrs {
                 path: path.to_string(),
@@ -723,7 +705,7 @@ impl DlfmServer {
         let sub = &mut *guard;
         match sub.txn.as_mut() {
             Some(txn) => {
-                txn.prepare(Some(host_txid)).map_err(|e| e.to_string())?;
+                txn.prepare().map_err(|e| e.to_string())?;
                 sub.prepared = true;
                 self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
                 Ok(())
@@ -734,7 +716,7 @@ impl DlfmServer {
 
     /// The `decide` span of a settled sub-transaction. `forced` says whether
     /// the decision waited on a log sync: a prepared branch's `Decide` is an
-    /// unforced append under group commit (the host's outcome is the
+    /// unforced append under group commit (the host's metadata row is the
     /// durable record); an unprepared one settles with an ordinary commit
     /// or logs nothing.
     fn record_decide(&self, host_txid: u64, outcome: &str, prepared: bool) {
@@ -786,8 +768,8 @@ impl DlfmServer {
                 }
             }
         }
-        for path in sub.unlink_intents.drain(..) {
-            let _ = self.repo.remove_intent(host_txid, &path);
+        for path in sub.unlinked() {
+            let _ = self.repo.remove_intent(host_txid, path);
         }
         sub.undo.clear();
         self.bump_epoch();
@@ -821,36 +803,83 @@ impl DlfmServer {
             }
         }
         // Unlink intents: no FS action was taken; just clear them.
-        for path in sub.unlink_intents.drain(..) {
-            let _ = self.repo.remove_intent(host_txid, &path);
+        for path in sub.unlinked() {
+            let _ = self.repo.remove_intent(host_txid, path);
         }
         sub.deferred.clear();
         self.bump_epoch();
     }
 
-    /// Settles a host transaction whose agent connection died mid-flight
-    /// (the wire daemon calls this for every txid a severed connection
-    /// left open). Same rule as crash recovery: ask the host for the
-    /// recorded outcome, and with no commit record, **presume abort** —
-    /// a client that vanished between prepare and decide never committed.
-    /// Returns `true` when the transaction committed. Idempotent: a
-    /// decision that raced in through another path finds no pending
-    /// sub-transaction and settles nothing.
-    pub fn resolve_client_loss(&self, host_txid: u64) -> bool {
-        let outcome = self.host.read().as_ref().and_then(|h| h.outcome(host_txid)).unwrap_or(false);
+    /// **The settle rule** — the one place a link/unlink branch whose
+    /// decision never arrived is mapped to commit or abort. The host
+    /// transaction that links a file upserts its `__dl_meta` row and the
+    /// one that unlinks it deletes the row, in the same forced `Commit`
+    /// that decides the branch: so the branch committed iff the row of a
+    /// file it touched is **present for a link, absent for an unlink**. The
+    /// row cannot have moved since: the branch still holds its `dl_files`
+    /// row locks (live) or nothing has been served yet (recovery), and any
+    /// later link, unlink or update of the path needs this branch decided
+    /// here first. All files of one branch agree — the host commit is
+    /// atomic — so the first decides. A branch with no file, or no host
+    /// wired, is presumed aborted. One `settle` span per branch says what
+    /// was asked and found. `txid` only labels that span.
+    fn host_committed(&self, txid: u64, files: &[(String, BranchOp)]) -> bool {
+        let host = self.host.read().clone();
+        let Some((hook, (path, op))) = host.as_ref().zip(files.first()) else {
+            let why = if host.is_none() { "no host wired" } else { "no file" };
+            self.recorder.record(
+                &self.flight_source,
+                "settle",
+                txid,
+                "",
+                format!("outcome=presumed-abort ({why})"),
+            );
+            return false;
+        };
+        // The row's version, and whether that is what a commit leaves.
+        let ask = |path: &str, op: BranchOp| {
+            let version = hook.file_version(&self.file_url(path));
+            (version, version.is_some() == (op == BranchOp::Link))
+        };
+        let (version, committed) = ask(path, *op);
+        debug_assert!(
+            files.iter().all(|(path, op)| ask(path, *op).1 == committed),
+            "the files of one branch disagree about its host transaction: {files:?}"
+        );
         self.recorder.record(
             &self.flight_source,
-            "client_loss",
-            host_txid,
-            "",
-            format!("outcome={}", if outcome { "commit" } else { "presumed-abort" }),
+            "settle",
+            txid,
+            path,
+            format!(
+                "expect={} host_version={} outcome={}",
+                if *op == BranchOp::Link { "present" } else { "absent" },
+                version.map_or("none".to_string(), |v| v.to_string()),
+                if committed { "commit" } else { "presumed-abort" }
+            ),
         );
-        if outcome {
+        committed
+    }
+
+    /// Settles a pending host transaction whose coordinator is gone — its
+    /// agent connection died mid-flight (the wire daemon calls this for
+    /// every txid a severed connection left open), or the host itself
+    /// failed over (the promoted coordinator calls it for every branch the
+    /// old one left) — by the settle rule, the same as crash recovery: a
+    /// coordinator that vanished between prepare and decide without the
+    /// host row to show for it never committed. Returns `true` when the
+    /// transaction committed. Idempotent: a decision that raced in through
+    /// another path finds no pending sub-transaction and settles nothing.
+    pub fn resolve_client_loss(&self, host_txid: u64) -> bool {
+        let Some(cell) = self.pending.lock().get(&host_txid).cloned() else { return false };
+        let files = cell.lock().files.clone();
+        let committed = self.host_committed(host_txid, &files);
+        if committed {
             self.commit_host(host_txid);
         } else {
             self.abort_host(host_txid);
         }
-        outcome
+        committed
     }
 
     fn set_attrs(&self, path: &str, uid: u32, gid: u32, mode: u16) -> Result<(), String> {
@@ -1376,24 +1405,19 @@ impl DlfmServer {
     // =====================================================================
 
     /// Runs crash recovery: settles in-doubt link/unlink sub-transactions
-    /// against the host's outcomes, reconciles file-system state from
-    /// intents, settles surviving update claims against the host's metadata
-    /// rows (forward when the host committed, back otherwise) and re-submits
-    /// lost archive jobs. Token entries and the Sync table need no step:
+    /// by the host's metadata rows (the settle rule, `host_committed`),
+    /// reconciles file-system state from intents, settles surviving update
+    /// claims by the same rows (forward when the host committed, back
+    /// otherwise) and re-submits lost archive jobs. Token entries and the Sync table need no step:
     /// they are unlogged, so the reopened repository holds none.
     pub fn recover(&self) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
         let host = self.host.read().clone();
 
         // 1. In-doubt repository sub-transactions (link/unlink) settle by
-        //    the outcome of the host transaction their `Prepare` names.
+        //    the host rows of the files they touched.
         for txid in self.repo.db().in_doubt_txns() {
-            let commit = self
-                .repo
-                .db()
-                .in_doubt_coordinator(txid)
-                .and_then(|h| host.as_ref().and_then(|hook| hook.outcome(h)))
-                .unwrap_or(false); // presumed abort
+            let commit = self.host_committed(0, &self.repo.in_doubt_files(txid));
             self.repo.db().resolve_in_doubt(txid, commit).map_err(|e| e.to_string())?;
             report.in_doubt_resolved.push((txid, commit));
         }

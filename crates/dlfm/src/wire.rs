@@ -23,9 +23,9 @@
 //!
 //! **Presumed abort on connection loss.** A severed connection's
 //! unsettled host transactions are resolved on the settle pool through
-//! [`crate::DlfmServer::resolve_client_loss`]: commit only if the host recorded
-//! a commit, abort otherwise — a client that died between prepare and
-//! decide never committed. A link job racing the disconnect settles its
+//! [`crate::DlfmServer::resolve_client_loss`]: commit only if the host's
+//! metadata rows show the transaction committed, abort otherwise — a
+//! client that died between prepare and decide never committed. A link job racing the disconnect settles its
 //! own sub-transaction when it finds its connection no longer live, so no
 //! sub-transaction leaks the resolution sweep.
 

@@ -421,9 +421,6 @@ impl HostHook for FailingHook {
     fn file_version(&self, _url: &str) -> Option<u64> {
         None
     }
-    fn outcome(&self, _host_txid: u64) -> Option<bool> {
-        None
-    }
 }
 
 #[test]
@@ -448,8 +445,11 @@ fn failed_close_commit_rolls_back_to_last_committed_version() {
 
 // --- crash recovery ----------------------------------------------------------
 
-struct FixedOutcomes(std::collections::HashMap<u64, bool>);
-impl HostHook for FixedOutcomes {
+const CLIP_URL: &str = "dlfs://srv1/data/clip.mpg";
+
+/// A host whose committed `__dl_meta` rows are fixed: url -> version.
+struct FixedRows(std::collections::HashMap<String, u64>);
+impl HostHook for FixedRows {
     fn state_id(&self) -> u64 {
         0
     }
@@ -462,11 +462,8 @@ impl HostHook for FixedOutcomes {
     ) -> Result<u64, String> {
         Err("not used".into())
     }
-    fn file_version(&self, _url: &str) -> Option<u64> {
-        None
-    }
-    fn outcome(&self, host_txid: u64) -> Option<bool> {
-        self.0.get(&host_txid).copied()
+    fn file_version(&self, url: &str) -> Option<u64> {
+        self.0.get(url).copied()
     }
 }
 
@@ -474,7 +471,7 @@ impl HostHook for FixedOutcomes {
 fn crash_and_recover(
     f: Fixture,
     repo_env: StorageEnv,
-    outcomes: &[(u64, bool)],
+    host_rows: &[(&str, u64)],
 ) -> (Arc<MemFs>, Arc<DlfmServer>, dl_dlfm::RecoveryReport) {
     let Fixture { fs, server, clock, .. } = f;
     let archive = Arc::clone(server.archive_store());
@@ -485,7 +482,8 @@ fn crash_and_recover(
     let server2 = Arc::new(
         DlfmServer::new(cfg, fs.clone() as Arc<dyn FileSystem>, repo_env, archive, clock).unwrap(),
     );
-    server2.set_host_hook(Arc::new(FixedOutcomes(outcomes.iter().copied().collect())));
+    let rows = host_rows.iter().map(|(url, version)| (url.to_string(), *version)).collect();
+    server2.set_host_hook(Arc::new(FixedRows(rows)));
     let report = server2.recover().unwrap();
     (fs, server2, report)
 }
@@ -513,7 +511,7 @@ fn crash_mid_update_restores_last_committed_version() {
     let dlfm = approved_write_open(&f, "/data/clip.mpg", 9);
     f.admin.write_file(&dlfm, "/data/clip.mpg", b"half-written garbage").unwrap();
     // CRASH before close.
-    let (fs, server2, report) = crash_and_recover(f, repo_env, &[(1, true)]);
+    let (fs, server2, report) = crash_and_recover(f, repo_env, &[(CLIP_URL, 1)]);
 
     assert_eq!(report.updates_rolled_back, 1);
     let admin = Lfs::new(fs as Arc<dyn FileSystem>);
@@ -556,7 +554,10 @@ fn crash_with_in_doubt_link_resolves_by_host_outcome() {
             .unwrap();
         f.server.prepare_host(77).unwrap();
         // CRASH between prepare and commit: the sub-transaction is in doubt.
-        let (fs, server2, report) = crash_and_recover(f, repo_env, &[(77, host_committed)]);
+        // The host transaction that links the file inserts its metadata
+        // row at version 1: the row is there iff the host committed.
+        let host_rows: &[(&str, u64)] = if host_committed { &[(CLIP_URL, 1)] } else { &[] };
+        let (fs, server2, report) = crash_and_recover(f, repo_env, host_rows);
 
         assert_eq!(report.in_doubt_resolved.len(), 1);
         assert_eq!(report.in_doubt_resolved[0].1, host_committed);
@@ -601,7 +602,7 @@ fn recovery_clears_transient_token_and_sync_state() {
         OpenDecision::Approved { .. }
     ));
 
-    let (_fs, server2, _report) = crash_and_recover(f, repo_env, &[(1, true)]);
+    let (_fs, server2, _report) = crash_and_recover(f, repo_env, &[(CLIP_URL, 1)]);
     assert!(server2.repository().sync_entries("/data/clip.mpg").is_empty());
     // A write open straight after recovery succeeds (no stale conflicts),
     // once a fresh token is presented.

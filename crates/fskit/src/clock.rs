@@ -7,7 +7,6 @@
 //! `Arc<dyn Clock>` instead of calling the OS clock directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// A source of milliseconds-since-epoch timestamps.
@@ -61,11 +60,6 @@ impl Clock for SimClock {
             self.now.load(Ordering::SeqCst)
         }
     }
-}
-
-/// Convenience constructor for the common shared-clock pattern.
-pub fn sim_clock(start_ms: u64) -> Arc<SimClock> {
-    Arc::new(SimClock::new(start_ms))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use crate::error::{FsError, FsResult};
 use crate::flock::{LockKind, LockOp, LockOwner};
 use crate::path;
-use crate::types::{Cred, DirEntry, FileAttr, FileKind, Ino, OpenFlags, SetAttr};
+use crate::types::{Cred, FileAttr, FileKind, Ino, OpenFlags, SetAttr};
 use crate::vnode::FileSystem;
 
 /// A file descriptor handle. Plain `u64` newtype; invalid after close.
@@ -91,11 +91,6 @@ impl Lfs {
             next_fd: AtomicU64::new(3), // 0..2 reserved, as tradition demands
             next_lock_owner: AtomicU64::new(1),
         }
-    }
-
-    /// The underlying file system (used by admin tooling and tests).
-    pub fn filesystem(&self) -> &Arc<dyn FileSystem> {
-        &self.fs
     }
 
     /// Walks all components of `dir_path`, returning the directory inode.
@@ -249,12 +244,6 @@ impl Lfs {
         self.lockctl(fd, LockOp::Lock(LockKind::Exclusive)).map(|_| ())
     }
 
-    /// Attributes of the file behind `fd`.
-    pub fn fstat(&self, fd: Fd) -> FsResult<FileAttr> {
-        let (ino, cred) = self.with_file(fd, |f| Ok((f.ino, f.cred)))?;
-        self.fs.fs_getattr(&cred, ino)
-    }
-
     /// Attributes of `abs_path`.
     pub fn stat(&self, cred: &Cred, abs_path: &str) -> FsResult<FileAttr> {
         let ino = self.resolve(cred, abs_path)?;
@@ -306,12 +295,6 @@ impl Lfs {
         let fparent = self.walk_dir(cred, &fparent_path)?;
         let tparent = self.walk_dir(cred, &tparent_path)?;
         self.fs.fs_rename(cred, fparent, &fname, tparent, &tname)
-    }
-
-    /// Lists a directory.
-    pub fn readdir(&self, cred: &Cred, abs_path: &str) -> FsResult<Vec<DirEntry>> {
-        let ino = self.resolve(cred, abs_path)?;
-        self.fs.fs_readdir(cred, ino)
     }
 
     /// Applies attribute changes to a path (admin helper).

@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
 use crate::lock::LockManager;
-use crate::ops::{PreparedTxn, RowOp};
+use crate::ops::RowOp;
 use crate::replica::ReplicationFeed;
 use crate::snapshot::{slot_for_generation, write_snapshot, SnapshotData, SnapshotSource};
 use crate::table::TableStore;
@@ -121,15 +121,14 @@ pub(crate) struct DbInner {
     /// state where the log tail and the committed stores agree.
     pub(crate) commit_latch: RwLock<()>,
     snapshot_gen: AtomicU64,
-    /// Participant-side transactions prepared but undecided at recovery.
-    in_doubt: Mutex<HashMap<TxId, PreparedTxn>>,
+    /// Redo ops of participant-side transactions prepared but undecided at
+    /// recovery.
+    in_doubt: Mutex<HashMap<TxId, Vec<RowOp>>>,
     /// *Live* prepared transactions (2PC phase one done, decision pending,
     /// the `Txn` handle still open). A checkpoint persists these alongside
     /// the recovery-time in-doubt set so WAL truncation can never cut away
     /// the only durable copy of an undecided transaction's redo ops.
-    live_prepared: Mutex<HashMap<TxId, PreparedTxn>>,
-    /// Coordinator-side outcomes for transactions that had participants.
-    outcomes: Mutex<HashMap<TxId, bool>>,
+    live_prepared: Mutex<HashMap<TxId, Vec<RowOp>>>,
     /// Observer-injected statements awaiting pickup by their transaction.
     injected: Mutex<HashMap<TxId, Vec<InjectedDml>>>,
     /// Log retention budget ([`DbOptions::checkpoint_every_bytes`]).
@@ -236,7 +235,6 @@ impl Database {
                 snapshot_gen: AtomicU64::new(generation),
                 in_doubt: Mutex::new(image.prepared),
                 live_prepared: Mutex::new(HashMap::new()),
-                outcomes: Mutex::new(image.outcomes),
                 injected: Mutex::new(HashMap::new()),
                 auto_checkpoint_bytes: opts.checkpoint_every_bytes,
                 last_snapshot_bytes: AtomicU64::new(last_snapshot_bytes),
@@ -359,16 +357,6 @@ impl Database {
         self.inner.participants.lock().remove(&txid).unwrap_or_default()
     }
 
-    pub(crate) fn record_outcome(&self, txid: TxId, committed: bool) {
-        self.inner.outcomes.lock().insert(txid, committed);
-    }
-
-    /// Did host transaction `txid` (which had participants) commit? `None`
-    /// means the log holds no commit decision — presumed abort.
-    pub fn coordinator_outcome(&self, txid: TxId) -> Option<bool> {
-        self.inner.outcomes.lock().get(&txid).copied()
-    }
-
     // --- Participant-side in-doubt management -------------------------------
 
     /// Transactions prepared here but undecided at recovery time.
@@ -378,19 +366,11 @@ impl Database {
         ids
     }
 
-    /// The redo ops of an in-doubt transaction.
+    /// The redo ops of an in-doubt transaction — all a recovery
+    /// orchestrator has to tell what the branch was about, and so which
+    /// coordinator rows say whether it committed.
     pub fn in_doubt_ops(&self, txid: TxId) -> Option<Vec<RowOp>> {
-        self.inner.in_doubt.lock().get(&txid).map(|txn| txn.ops.clone())
-    }
-
-    /// The coordinator transaction in-doubt transaction `txid` is a branch
-    /// of — what [`Txn::prepare`] was given, read back from the `Prepare`
-    /// record (the only durable record of that association, as in
-    /// presumed-abort 2PC). A 2PC recovery orchestrator resolves `txid` by
-    /// *that* transaction's outcome; `None` when `txid` is not in doubt or
-    /// named no coordinator.
-    pub fn in_doubt_coordinator(&self, txid: TxId) -> Option<TxId> {
-        self.inner.in_doubt.lock().get(&txid).and_then(|txn| txn.coordinator)
+        self.inner.in_doubt.lock().get(&txid).cloned()
     }
 
     /// Settles an in-doubt transaction per the coordinator's decision.
@@ -400,7 +380,7 @@ impl Database {
         // transaction as neither prepared nor decided — and truncation
         // would then lose its redo ops for good.
         let _latch = self.inner.commit_latch.read();
-        let txn = self
+        let ops = self
             .inner
             .in_doubt
             .lock()
@@ -409,7 +389,7 @@ impl Database {
         self.inner.wal.append(&WalRecord::Decide { txid, commit })?;
         if commit {
             let mut tables = self.inner.tables.write();
-            for op in &txn.ops {
+            for op in &ops {
                 apply_op(&mut tables, op)?;
             }
         }
@@ -480,8 +460,8 @@ impl Database {
 
     /// Writes a snapshot to the older ping-pong slot and logs a checkpoint.
     /// Returns the new snapshot generation. Since format v2 the snapshot is
-    /// a complete recovery image (tables, coordinator outcomes, undecided
-    /// prepared transactions, next transaction id), which is what makes the
+    /// a complete recovery image (tables, undecided prepared transactions,
+    /// next transaction id), which is what makes the
     /// follow-up [`Database::checkpoint_and_truncate`] safe.
     pub fn checkpoint(&self) -> DbResult<u64> {
         self.checkpoint_inner().map(|(generation, _)| generation)
@@ -520,14 +500,12 @@ impl Database {
             for (txid, txn) in self.inner.live_prepared.lock().iter() {
                 prepared.insert(*txid, txn.clone());
             }
-            let outcomes = self.inner.outcomes.lock().clone();
             write_snapshot(
                 &dev,
                 SnapshotSource {
                     generation,
                     base_lsn,
                     next_txid: self.inner.next_txid.load(Ordering::SeqCst),
-                    outcomes: &outcomes,
                     prepared: &prepared,
                     tables: &tables,
                 },
@@ -578,8 +556,8 @@ impl Database {
 
     /// Registers a live prepared transaction (called by [`Txn::prepare`])
     /// so checkpoints persist its redo ops until a decision is logged.
-    pub(crate) fn register_prepared(&self, txid: TxId, txn: PreparedTxn) {
-        self.inner.live_prepared.lock().insert(txid, txn);
+    pub(crate) fn register_prepared(&self, txid: TxId, ops: Vec<RowOp>) {
+        self.inner.live_prepared.lock().insert(txid, ops);
     }
 
     /// Drops a live prepared registration once its decision is logged.
@@ -800,13 +778,12 @@ mod tests {
     }
 
     #[test]
-    fn point_in_time_restore_keeps_discarded_txids_used_and_outcomes_answerable() {
+    fn point_in_time_restore_keeps_discarded_txids_used() {
         // The restore drops the rows of what came after the point, not the
-        // history: a branch still in doubt under a discarded coordinator
-        // transaction gets the decision that was made, and the restored
-        // database never hands a discarded id out again — also once the
-        // restored state is checkpointed and reopened, which is how the
-        // DataLinks restore continues from it.
+        // history: the restored database never hands a discarded id out
+        // again (a participant may still hold a branch under it) — also
+        // once the restored state is checkpointed and reopened, which is
+        // how the DataLinks restore continues from it.
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
         let mut tx = db.begin();
@@ -814,7 +791,6 @@ mod tests {
         let point = tx.commit().unwrap();
         let mut tx = db.begin();
         let discarded = tx.id();
-        db.enlist_participant(discarded, "p", Arc::new(FakeParticipant::default()));
         tx.insert("t", row(2, "discarded")).unwrap();
         tx.commit().unwrap();
 
@@ -825,7 +801,6 @@ mod tests {
         drop(restored);
         let restored = Database::open(env).unwrap();
         assert_eq!(restored.count("t").unwrap(), 1);
-        assert_eq!(restored.coordinator_outcome(discarded), Some(true));
         assert!(restored.begin().id() > discarded);
     }
 
@@ -1035,7 +1010,7 @@ mod tests {
         assert_eq!(p.prepared.load(Ordering::SeqCst), 1);
         assert_eq!(p.committed.load(Ordering::SeqCst), 1);
         assert_eq!(p.aborted.load(Ordering::SeqCst), 0);
-        assert_eq!(db.coordinator_outcome(txid), Some(true));
+        assert_eq!(db.count("t").unwrap(), 1);
     }
 
     #[test]
@@ -1054,10 +1029,25 @@ mod tests {
         assert_eq!(good.aborted.load(Ordering::SeqCst), 1);
         assert_eq!(bad.aborted.load(Ordering::SeqCst), 1);
         assert_eq!(db.count("t").unwrap(), 0);
-        // At runtime the abort is recorded explicitly; only after a crash
-        // does an unlogged abort become "presumed abort" (None) — covered by
-        // coordinator_outcome_survives_recovery below.
-        assert_eq!(db.coordinator_outcome(txid), Some(false));
+    }
+
+    #[test]
+    fn failed_commit_record_aborts_the_prepared_participants() {
+        // The disk fills under the coordinator's commit record: nothing was
+        // decided, so the participant that voted yes must be rolled back,
+        // not left prepared.
+        let faults = crate::device::DiskFaults::new();
+        let db = Database::open(StorageEnv::mem_with_faults(Arc::clone(&faults), 0)).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let p = Arc::new(FakeParticipant::default());
+        let mut tx = db.begin();
+        db.enlist_participant(tx.id(), "p", p.clone());
+        tx.insert("t", row(1, "x")).unwrap();
+        faults.inject_enospc(1);
+        assert!(tx.commit().is_err());
+        assert_eq!(p.prepared.load(Ordering::SeqCst), 1);
+        assert_eq!((p.committed.load(Ordering::SeqCst), p.aborted.load(Ordering::SeqCst)), (0, 1));
+        assert_eq!(db.count("t").unwrap(), 0);
     }
 
     #[test]
@@ -1073,25 +1063,6 @@ mod tests {
         assert_eq!(p.prepared.load(Ordering::SeqCst), 0);
     }
 
-    #[test]
-    fn coordinator_outcome_survives_recovery() {
-        let env = StorageEnv::mem();
-        let txid;
-        {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let p = Arc::new(FakeParticipant::default());
-            let mut tx = db.begin();
-            txid = tx.id();
-            db.enlist_participant(txid, "dlfm", p);
-            tx.insert("t", row(1, "x")).unwrap();
-            tx.commit().unwrap();
-        }
-        let db = Database::open(env).unwrap();
-        assert_eq!(db.coordinator_outcome(txid), Some(true));
-        assert_eq!(db.coordinator_outcome(txid + 100), None);
-    }
-
     // --- participant-side prepare/decide --------------------------------------
 
     #[test]
@@ -1104,7 +1075,7 @@ mod tests {
             let mut tx = db.begin();
             txid = tx.id();
             tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             std::mem::forget(tx); // crash: no decision ever logged
         }
         let db = Database::open(env.clone()).unwrap();
@@ -1131,7 +1102,7 @@ mod tests {
             let mut tx = db.begin();
             txid = tx.id();
             tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             std::mem::forget(tx);
         }
         let db = Database::open(env.clone()).unwrap();
@@ -1150,7 +1121,7 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             tx.commit_prepared().unwrap();
             db.flush().unwrap(); // clean shutdown: the Decide is unforced
         }
@@ -1160,11 +1131,11 @@ mod tests {
     }
 
     #[test]
-    fn decide_lost_in_a_crash_leaves_the_branch_in_doubt_under_its_coordinator() {
+    fn decide_lost_in_a_crash_leaves_the_branch_in_doubt_with_its_ops() {
         // The Decide is an unforced append: live, the commit is applied and
         // visible at once; a crash before the next flush loses the record
-        // and the branch comes back in doubt, naming the coordinator
-        // transaction whose outcome settles it.
+        // and the branch comes back in doubt, holding the redo ops its
+        // resolver reads to tell what to ask the coordinator.
         let env = StorageEnv::mem();
         let txid = {
             let db = Database::open(env.clone()).unwrap();
@@ -1172,7 +1143,7 @@ mod tests {
             let mut tx = db.begin();
             let txid = tx.id();
             tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare(Some(77)).unwrap();
+            tx.prepare().unwrap();
             let decided_at = tx.commit_prepared().unwrap();
             assert_eq!(db.count("t").unwrap(), 1, "applied without waiting for the log");
             assert_eq!(db.state_id(), decided_at);
@@ -1183,7 +1154,10 @@ mod tests {
         };
         let db = Database::open(env.clone()).unwrap();
         assert_eq!(db.in_doubt_txns(), vec![txid]);
-        assert_eq!(db.in_doubt_coordinator(txid), Some(77));
+        assert_eq!(
+            db.in_doubt_ops(txid),
+            Some(vec![RowOp::Insert { table: "t".into(), row: row(1, "x") }])
+        );
         assert_eq!(db.count("t").unwrap(), 0);
         db.resolve_in_doubt(txid, true).unwrap();
         assert_eq!(db.count("t").unwrap(), 1);
@@ -1198,7 +1172,7 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(1, "2pc")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             tx.commit_prepared().unwrap();
             let syncs = db.wal_telemetry().fsync_ns.snapshot().count;
             let mut tx = db.begin();
@@ -1255,7 +1229,7 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             db.checkpoint().unwrap();
             tx.commit_prepared().unwrap();
             db.flush().unwrap();
@@ -1381,7 +1355,7 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("t", row(1, "live")).unwrap();
         tx.insert("u", row(1, "live")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare().unwrap();
         tx.commit_prepared().unwrap();
         assert_eq!((db.count("t").unwrap(), db.count("u").unwrap()), (1, 1));
 
@@ -1391,7 +1365,7 @@ mod tests {
         let txid = tx.id();
         tx.insert("t", row(2, "doubt")).unwrap();
         tx.insert("u", row(2, "doubt")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare().unwrap();
         std::mem::forget(tx);
         drop(db);
 

@@ -80,7 +80,7 @@ pub use db::{
 pub use device::{Device, DiskFaults, FileDevice, MemDevice, StorageEnv};
 pub use error::{DbError, DbResult};
 pub use lock::LockMode;
-pub use ops::{PreparedTxn, RowOp};
+pub use ops::RowOp;
 pub use replica::{ReplicationFeed, StandbyDb};
 pub use snapshot::SnapshotData;
 pub use txn::Txn;

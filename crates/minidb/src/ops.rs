@@ -8,7 +8,6 @@
 use crate::codec::{get_row, get_schema, get_value, put_row, put_schema, put_value, Dec, Enc};
 use crate::error::{DbError, DbResult};
 use crate::value::{Row, Schema, Value};
-use crate::wal::TxId;
 
 /// One logical operation against the catalog or a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,41 +111,6 @@ impl RowOp {
     }
 }
 
-/// A participant transaction that is prepared but not yet decided — the
-/// in-doubt form shared by the `Prepare` log record, the live-prepared
-/// registry a checkpoint snapshots, recovery's in-doubt set and a standby.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PreparedTxn {
-    /// The coordinator's transaction this one is a branch of, as handed to
-    /// [`crate::Participant::prepare`]. Recovery asks the coordinator for
-    /// *that* transaction's outcome; `None` (no coordinator named) can only
-    /// be presumed aborted.
-    pub coordinator: Option<TxId>,
-    /// Redo ops, applied when the decision is commit.
-    pub ops: Vec<RowOp>,
-}
-
-impl PreparedTxn {
-    pub fn encode(&self, enc: &mut Enc) {
-        Self::encode_parts(self.coordinator, &self.ops, enc);
-    }
-
-    /// [`PreparedTxn::encode`] over borrowed parts (the `Prepare` log record
-    /// holds the same two fields inline).
-    pub(crate) fn encode_parts(coordinator: Option<TxId>, ops: &[RowOp], enc: &mut Enc) {
-        enc.put_bool(coordinator.is_some());
-        if let Some(coordinator) = coordinator {
-            enc.put_u64(coordinator);
-        }
-        RowOp::encode_list(ops, enc);
-    }
-
-    pub fn decode(dec: &mut Dec<'_>) -> DbResult<PreparedTxn> {
-        let coordinator = if dec.get_bool()? { Some(dec.get_u64()?) } else { None };
-        Ok(PreparedTxn { coordinator, ops: RowOp::decode_list(dec)? })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,19 +146,6 @@ mod tests {
         let mut dec = Dec::new(&bytes);
         assert_eq!(RowOp::decode_list(&mut dec).unwrap(), ops);
         assert!(dec.is_done());
-    }
-
-    #[test]
-    fn prepared_txn_roundtrips_with_and_without_a_coordinator() {
-        for coordinator in [None, Some(0), Some(u64::MAX)] {
-            let txn = PreparedTxn { coordinator, ops: ops_fixture() };
-            let mut enc = Enc::new();
-            txn.encode(&mut enc);
-            let bytes = enc.into_bytes();
-            let mut dec = Dec::new(&bytes);
-            assert_eq!(PreparedTxn::decode(&mut dec).unwrap(), txn);
-            assert!(dec.is_done());
-        }
     }
 
     #[test]

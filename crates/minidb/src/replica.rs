@@ -103,10 +103,9 @@ impl ReplicationFeed {
 struct StandbyInner {
     /// The standby's whole state: the recovery image as of the applied
     /// watermark, which is its `base_lsn` — next expected frame base,
-    /// everything below is applied. `prepared` is the in-doubt set,
-    /// `outcomes` and `next_txid` ride along so the standby's own snapshots
-    /// (and a promotion after truncation) still answer outcome queries and
-    /// never re-issue a transaction id.
+    /// everything below is applied. `prepared` is the in-doubt set;
+    /// `next_txid` rides along so a promotion after truncation never
+    /// re-issues a transaction id.
     image: SnapshotData,
     /// Bumped by [`StandbyDb::install_checkpoint`]; a queued snapshot job
     /// from an older epoch is obsolete (the install superseded it) and the
@@ -592,11 +591,11 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("t", row(7, "keep")).unwrap();
         tx.commit().unwrap();
-        // An in-doubt prepare ships too, with the coordinator it names.
+        // An in-doubt prepare ships too.
         let mut tx = db.begin();
         let doubt = tx.id();
         tx.insert("t", row(8, "doubt")).unwrap();
-        tx.prepare(Some(4242)).unwrap();
+        tx.prepare().unwrap();
         std::mem::forget(tx);
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
@@ -606,7 +605,7 @@ mod tests {
         let promoted = Database::open(standby.env().clone()).unwrap();
         assert_eq!(promoted.count("t").unwrap(), 1);
         assert_eq!(promoted.in_doubt_txns(), standby.in_doubt_txns());
-        assert_eq!(promoted.in_doubt_coordinator(doubt), Some(4242));
+        assert_eq!(promoted.in_doubt_ops(doubt).map(|ops| ops.len()), Some(1));
         // The promoted database is a full primary: it can commit.
         let mut tx = promoted.begin();
         tx.insert("t", row(9, "new-primary")).unwrap();
@@ -653,7 +652,7 @@ mod tests {
 
         let mut tx = db.begin();
         tx.insert("t", row(1, "2pc")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare().unwrap();
         ship_all(&db, &standby);
         assert_eq!(standby.count("t").unwrap(), 0, "prepared ops stay pending");
         assert_eq!(standby.in_doubt_txns().len(), 1);
@@ -846,47 +845,37 @@ mod tests {
     }
 
     #[test]
-    fn promotion_after_checkpoint_install_keeps_outcomes_and_txids() {
-        // Outcomes and the txid horizon must survive the image path: a
-        // promoted standby answers coordinator_outcome for transactions
-        // whose records were truncated away, and never re-issues txids.
+    fn promotion_after_checkpoint_install_keeps_txids() {
+        // The txid horizon must survive the image path: a promoted standby
+        // never re-issues the id of a transaction whose records were
+        // truncated away.
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        struct Yes;
-        impl crate::db::Participant for Yes {
-            fn prepare(&self, _t: TxId) -> Result<(), String> {
-                Ok(())
-            }
-            fn commit(&self, _t: TxId) {}
-            fn abort(&self, _t: TxId) {}
-        }
         let mut tx = db.begin();
         let txid = tx.id();
-        db.enlist_participant(txid, "p", Arc::new(Yes));
-        tx.insert("t", row(1, "2pc")).unwrap();
+        tx.insert("t", row(1, "truncated")).unwrap();
         tx.commit().unwrap();
         db.checkpoint_and_truncate().unwrap();
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
         ship_all(&db, &standby);
         let promoted = Database::open(standby.env().clone()).unwrap();
-        assert_eq!(promoted.coordinator_outcome(txid), Some(true));
         let tx = promoted.begin();
         assert!(tx.id() > txid, "promoted primary must not reuse txids");
         tx.abort();
     }
 
     #[test]
-    fn in_doubt_coordinator_survives_the_image_path() {
+    fn in_doubt_branch_survives_the_image_path() {
         // The Prepare record is truncated away on the primary: the only
-        // copy of "which coordinator transaction is this a branch of" a
-        // fresh standby ever sees is the checkpoint image's.
+        // copy of the branch's redo ops a fresh standby ever sees is the
+        // checkpoint image's.
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
         let mut tx = db.begin();
         let txid = tx.id();
         tx.insert("t", row(1, "doubt")).unwrap();
-        tx.prepare(Some(99)).unwrap();
+        tx.prepare().unwrap();
         db.checkpoint_and_truncate().unwrap();
         std::mem::forget(tx);
 
@@ -898,7 +887,10 @@ mod tests {
         drop(standby);
         let promoted = Database::open(StandbyDb::open(env).unwrap().env().clone()).unwrap();
         assert_eq!(promoted.in_doubt_txns(), vec![txid]);
-        assert_eq!(promoted.in_doubt_coordinator(txid), Some(99));
+        assert_eq!(
+            promoted.in_doubt_ops(txid),
+            Some(vec![crate::RowOp::Insert { table: "t".into(), row: row(1, "doubt") }])
+        );
     }
 
     #[test]

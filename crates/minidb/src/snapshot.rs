@@ -9,8 +9,8 @@
 //! Since format version 2 a snapshot is a **complete recovery image**, not
 //! just table data: it also carries the transaction-resolution state that
 //! recovery previously reconstructed by scanning the whole log — the next
-//! transaction id, coordinator outcomes of 2PC transactions, and the redo
-//! ops of transactions prepared but undecided as of `base_lsn`. That
+//! transaction id and the redo ops of transactions prepared but undecided
+//! as of `base_lsn`. That
 //! completeness is what makes WAL truncation below `base_lsn` safe
 //! ([`crate::wal::Wal::truncate_below`]): nothing recovery needs can hide
 //! in the truncated prefix.
@@ -21,18 +21,19 @@
 //! rebuilds state from an image (recovery, checkpoint shipping, standby
 //! promotion, backup, point-in-time restore) yields the table empty.
 //!
-//! Format version 4 stores each undecided prepared transaction with the
-//! coordinator transaction its `Prepare` record named
-//! ([`crate::ops::PreparedTxn`]), so an in-doubt branch whose `Prepare`
-//! was truncated away can still be resolved against the right outcome.
+//! Format version 5 drops what versions 2–4 carried for the coordinator's
+//! side of 2PC — a map of transaction outcomes, and with each prepared
+//! transaction the coordinator id its `Prepare` named. Whether a 2PC
+//! transaction committed is read off the rows its `Commit` carried, which
+//! the image holds anyway.
 //!
 //! # The recovery rule
 //!
 //! Because the image is complete, recovery is one fold: start from the
 //! newest usable image (or the empty one) and [`SnapshotData::redo`] every
 //! retained log record at or above its base, in log order. `redo` is the
-//! only place a [`WalRecord`] is mapped onto tables, prepared transactions,
-//! outcomes and the transaction-id horizon, and
+//! only place a [`WalRecord`] is mapped onto tables, prepared transactions
+//! and the transaction-id horizon, and
 //! `SnapshotData::recover` the only open sequence: a primary's crash
 //! recovery, a point-in-time restore, a standby's restart and a standby's
 //! live apply ([`crate::replica::StandbyDb`] keeps its state *as* this
@@ -45,12 +46,12 @@ use crate::codec::{crc32, get_row, get_schema, put_row, put_schema, Dec, Enc};
 use crate::db::apply_op;
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::PreparedTxn;
+use crate::ops::RowOp;
 use crate::table::TableStore;
 use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];
@@ -96,10 +97,8 @@ pub struct SnapshotData {
     /// First transaction id recovery may hand out (ids below it may have
     /// been used by records since truncated away).
     pub next_txid: TxId,
-    /// Coordinator outcomes of transactions that had 2PC participants.
-    pub outcomes: HashMap<TxId, bool>,
-    /// Transactions prepared but undecided as of `base_lsn`.
-    pub prepared: HashMap<TxId, PreparedTxn>,
+    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
+    pub prepared: HashMap<TxId, Vec<RowOp>>,
     /// Committed table stores.
     pub tables: HashMap<String, TableStore>,
 }
@@ -111,7 +110,6 @@ impl Default for SnapshotData {
             generation: 0,
             base_lsn: 0,
             next_txid: 1,
-            outcomes: HashMap::new(),
             prepared: HashMap::new(),
             tables: HashMap::new(),
         }
@@ -120,39 +118,29 @@ impl Default for SnapshotData {
 
 impl SnapshotData {
     /// What one log record does to the image — *the* recovery rule (module
-    /// docs). `Ddl` and `Commit` apply their ops (replay trusts the log); a
-    /// `Commit` that named participants is also the coordinator's outcome;
-    /// `Prepare` parks its ops, in doubt, under the coordinator it names;
-    /// `Decide` settles them, and one with nothing parked (the transaction
-    /// was decided below the image's base) is a no-op; every transaction id
-    /// seen pushes the id horizon. `Checkpoint` changes nothing: which
+    /// docs). `Ddl` and `Commit` apply their ops (replay trusts the log);
+    /// `Prepare` parks its ops, in doubt; `Decide` settles them, and one
+    /// with nothing parked (the transaction was decided below the image's
+    /// base) is a no-op; every transaction id seen pushes the id horizon
+    /// (`use_txid`). `Checkpoint` changes nothing: which
     /// image is newest is read off the snapshot slots, never off the log.
     /// The caller feeds records in log order, none below `base_lsn`, and
     /// moves `base_lsn` past what it fed.
     pub fn redo(&mut self, rec: &WalRecord) -> DbResult<()> {
-        if let WalRecord::Commit { txid, .. }
-        | WalRecord::Prepare { txid, .. }
-        | WalRecord::Decide { txid, .. } = rec
-        {
-            self.next_txid = self.next_txid.max(txid + 1);
-        }
+        self.use_txid(rec);
         match rec {
             WalRecord::Ddl(op) => apply_op(&mut self.tables, op)?,
-            WalRecord::Commit { txid, participants, ops } => {
-                if !participants.is_empty() {
-                    self.outcomes.insert(*txid, true);
-                }
+            WalRecord::Commit { ops, .. } => {
                 for op in ops {
                     apply_op(&mut self.tables, op)?;
                 }
             }
-            WalRecord::Prepare { txid, coordinator, ops } => {
-                let txn = PreparedTxn { coordinator: *coordinator, ops: ops.clone() };
-                self.prepared.insert(*txid, txn);
+            WalRecord::Prepare { txid, ops } => {
+                self.prepared.insert(*txid, ops.clone());
             }
             WalRecord::Decide { txid, commit } => {
-                if let Some(txn) = self.prepared.remove(txid).filter(|_| *commit) {
-                    for op in &txn.ops {
+                if let Some(ops) = self.prepared.remove(txid).filter(|_| *commit) {
+                    for op in &ops {
                         apply_op(&mut self.tables, op)?;
                     }
                 }
@@ -162,12 +150,22 @@ impl SnapshotData {
         Ok(())
     }
 
+    /// Pushes the id horizon past the transaction `rec` names, if any.
+    fn use_txid(&mut self, rec: &WalRecord) {
+        if let WalRecord::Commit { txid, .. }
+        | WalRecord::Prepare { txid, .. }
+        | WalRecord::Decide { txid, .. } = rec
+        {
+            self.next_txid = self.next_txid.max(txid + 1);
+        }
+    }
+
     /// The one open sequence (module docs): opens the log of `env` — which
     /// resolves the truncation control record and trims a torn tail —
     /// picks the newest valid image, and redoes the retained records at or
     /// above its base. `stop_at` bounds both for a point-in-time restore:
-    /// no image past it, no table effect of a record at or above it (ids
-    /// and outcomes of those records are kept); a bound below the log's
+    /// no image past it, no table effect of a record at or above it (the
+    /// transaction ids of those records stay used); a bound below the log's
     /// low-water mark is [`DbError::TruncatedLog`]. A log that ends below
     /// the image is a checkpoint install the crash interrupted after its
     /// image write ([`crate::replica::StandbyDb::install_checkpoint`]); the
@@ -204,18 +202,11 @@ impl SnapshotData {
             }
         }
         image.base_lsn = end;
-        if kept < records.len() {
-            // A point-in-time restore discards what the later records did
-            // to the tables, not that they happened: their transaction ids
-            // stay used, and a participant still in doubt under one of them
-            // is owed the decision its coordinator made (the DataLinks
-            // restore then reconciles the files with the restored rows).
-            let mut discarded = image.clone();
-            for (_, rec) in &records[kept..] {
-                discarded.redo(rec)?;
-            }
-            image.next_txid = discarded.next_txid;
-            image.outcomes = discarded.outcomes;
+        // A point-in-time restore discards what the later records did to
+        // the tables, not that they happened: their transaction ids stay
+        // used (a participant may still hold a branch under one of them).
+        for (_, rec) in &records[kept..] {
+            image.use_txid(rec);
         }
         Ok((wal, image))
     }
@@ -232,10 +223,8 @@ pub struct SnapshotSource<'a> {
     pub base_lsn: Lsn,
     /// First transaction id recovery may hand out.
     pub next_txid: TxId,
-    /// Coordinator outcomes of transactions that had 2PC participants.
-    pub outcomes: &'a HashMap<TxId, bool>,
-    /// Transactions prepared but undecided as of `base_lsn`.
-    pub prepared: &'a HashMap<TxId, PreparedTxn>,
+    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
+    pub prepared: &'a HashMap<TxId, Vec<RowOp>>,
     /// Committed table stores.
     pub tables: &'a HashMap<String, TableStore>,
 }
@@ -246,7 +235,6 @@ impl<'a> From<&'a SnapshotData> for SnapshotSource<'a> {
             generation: snap.generation,
             base_lsn: snap.base_lsn,
             next_txid: snap.next_txid,
-            outcomes: &snap.outcomes,
             prepared: &snap.prepared,
             tables: &snap.tables,
         }
@@ -261,19 +249,12 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
     body.put_u64(snap.base_lsn);
     body.put_u64(snap.next_txid);
     // Deterministic order keeps snapshots byte-comparable in tests.
-    let mut outcome_ids: Vec<&TxId> = snap.outcomes.keys().collect();
-    outcome_ids.sort();
-    body.put_u32(outcome_ids.len() as u32);
-    for txid in outcome_ids {
-        body.put_u64(*txid);
-        body.put_bool(snap.outcomes[txid]);
-    }
     let mut prepared_ids: Vec<&TxId> = snap.prepared.keys().collect();
     prepared_ids.sort();
     body.put_u32(prepared_ids.len() as u32);
     for txid in prepared_ids {
         body.put_u64(*txid);
-        snap.prepared[txid].encode(&mut body);
+        RowOp::encode_list(&snap.prepared[txid], &mut body);
     }
     body.put_u32(snap.tables.len() as u32);
     let mut names: Vec<&String> = snap.tables.keys().collect();
@@ -345,17 +326,11 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     let generation = dec.get_u64()?;
     let base_lsn = dec.get_u64()?;
     let next_txid = dec.get_u64()?;
-    let noutcomes = dec.get_u32()? as usize;
-    let mut outcomes = HashMap::with_capacity(noutcomes);
-    for _ in 0..noutcomes {
-        let txid = dec.get_u64()?;
-        outcomes.insert(txid, dec.get_bool()?);
-    }
     let nprepared = dec.get_u32()? as usize;
     let mut prepared = HashMap::with_capacity(nprepared);
     for _ in 0..nprepared {
         let txid = dec.get_u64()?;
-        prepared.insert(txid, PreparedTxn::decode(&mut dec)?);
+        prepared.insert(txid, RowOp::decode_list(&mut dec)?);
     }
     let ntables = dec.get_u32()? as usize;
     let mut tables = HashMap::with_capacity(ntables);
@@ -380,14 +355,13 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     if !dec.is_done() {
         return Err(DbError::Corrupt("trailing bytes in snapshot".into()));
     }
-    Ok(Some(SnapshotData { generation, base_lsn, next_txid, outcomes, prepared, tables }))
+    Ok(Some(SnapshotData { generation, base_lsn, next_txid, prepared, tables }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::MemDevice;
-    use crate::ops::RowOp;
     use crate::value::{Column, ColumnType, Schema, Value};
 
     fn sample() -> SnapshotData {
@@ -403,21 +377,15 @@ mod tests {
         store.create_index("title").unwrap();
         let mut tables = HashMap::new();
         tables.insert("movies".to_string(), store);
-        let mut outcomes = HashMap::new();
-        outcomes.insert(7u64, true);
-        outcomes.insert(8u64, false);
         let mut prepared = HashMap::new();
         prepared.insert(
             9u64,
-            PreparedTxn {
-                coordinator: Some(41),
-                ops: vec![RowOp::Insert {
-                    table: "movies".into(),
-                    row: vec![Value::Int(3), Value::Text("Stalker".into())],
-                }],
-            },
+            vec![RowOp::Insert {
+                table: "movies".into(),
+                row: vec![Value::Int(3), Value::Text("Stalker".into())],
+            }],
         );
-        SnapshotData { generation: 3, base_lsn: 128, next_txid: 10, outcomes, prepared, tables }
+        SnapshotData { generation: 3, base_lsn: 128, next_txid: 10, prepared, tables }
     }
 
     #[test]
@@ -428,10 +396,7 @@ mod tests {
         assert_eq!(snap.generation, 3);
         assert_eq!(snap.base_lsn, 128);
         assert_eq!(snap.next_txid, 10);
-        assert_eq!(snap.outcomes.get(&7), Some(&true));
-        assert_eq!(snap.outcomes.get(&8), Some(&false));
-        assert_eq!(snap.prepared[&9].coordinator, Some(41));
-        assert_eq!(snap.prepared[&9].ops.len(), 1);
+        assert_eq!(snap.prepared[&9].len(), 1);
         let movies = &snap.tables["movies"];
         assert_eq!(movies.len(), 2);
         assert!(movies.has_index("title"));
@@ -508,10 +473,10 @@ mod tests {
     fn outdated_format_version_reads_none() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
         write_snapshot(&dev, (&sample()).into()).unwrap();
-        // Rewrite the version field to 3 (the format before prepared
-        // transactions carried their coordinator): the slot must read as
-        // invalid, not misparse.
-        dev.write_at(4, &3u32.to_le_bytes()).unwrap();
+        // Rewrite the version field to 4 (the format that still carried a
+        // coordinator-outcomes map): the slot must read as invalid, not
+        // misparse.
+        dev.write_at(4, &4u32.to_le_bytes()).unwrap();
         assert!(read_snapshot(&dev).unwrap().is_none());
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use crate::db::{apply_op, Database, DmlEvent, InjectedDml, OpKind};
 use crate::error::{DbError, DbResult};
 use crate::lock::{LockMode, LockRes};
-use crate::ops::{PreparedTxn, RowOp};
+use crate::ops::RowOp;
 use crate::value::{Row, Value};
 use crate::wal::{Lsn, TxId, WalRecord};
 
@@ -42,11 +42,6 @@ impl Txn {
     /// This transaction's id (used to enlist participants).
     pub fn id(&self) -> TxId {
         self.id
-    }
-
-    /// Number of buffered operations (diagnostics).
-    pub fn pending_ops(&self) -> usize {
-        self.ops.len()
     }
 
     fn ensure_active(&self) -> DbResult<()> {
@@ -328,7 +323,6 @@ impl Txn {
                 for (_, q) in &participants {
                     q.abort(self.id);
                 }
-                self.db.record_outcome(self.id, false);
                 self.finish_local();
                 return Err(DbError::PrepareFailed(format!("{name}: {e}")));
             }
@@ -346,12 +340,22 @@ impl Txn {
             // skips it.
             let _latch = logs.then(|| inner.commit_latch.read());
             let lsn = if logs {
-                let names: Vec<String> = participants.iter().map(|(n, _)| n.clone()).collect();
-                let record = WalRecord::Commit { txid: self.id, participants: names, ops: logged };
-                if force || !participants.is_empty() {
-                    inner.wal.append(&record)?
+                let record = WalRecord::Commit { txid: self.id, ops: logged };
+                let appended = if force || !participants.is_empty() {
+                    inner.wal.append(&record)
                 } else {
-                    inner.wal.append_unforced(&record)?
+                    inner.wal.append_unforced(&record)
+                };
+                match appended {
+                    Ok(lsn) => lsn,
+                    Err(e) => {
+                        // A failed append leaves no record: the decision is
+                        // abort, and the participants that voted must hear it.
+                        for (_, p) in &participants {
+                            p.abort(self.id);
+                        }
+                        return Err(e);
+                    }
                 }
             } else {
                 inner.wal.tail_lsn()
@@ -361,13 +365,6 @@ impl Txn {
                 for op in &self.ops {
                     apply_op(&mut tables, op)?;
                 }
-            }
-            // Still under the latch: a checkpoint must never image the rows
-            // above without this outcome — its truncation cuts the `Commit`
-            // record away, and a participant that lost its unforced `Decide`
-            // is resolved against exactly this map.
-            if !participants.is_empty() {
-                self.db.record_outcome(self.id, true);
             }
             lsn
         };
@@ -398,9 +395,6 @@ impl Txn {
         for (_, p) in &participants {
             p.abort(self.id);
         }
-        if !participants.is_empty() {
-            self.db.record_outcome(self.id, false);
-        }
         self.finish_local();
     }
 
@@ -419,12 +413,11 @@ impl Txn {
     /// Unlogged writes ride along in memory only: a live `commit_prepared`
     /// applies them, an in-doubt resolution after a crash never sees them.
     ///
-    /// `coordinator` is the coordinator's transaction id — what
-    /// [`crate::Participant::prepare`] receives. It is logged with the
-    /// `Prepare` record and is all recovery has to ask the coordinator
-    /// about ([`Database::in_doubt_coordinator`]): a branch prepared with
-    /// `None` can only ever be presumed aborted.
-    pub fn prepare(&mut self, coordinator: Option<TxId>) -> DbResult<()> {
+    /// The record names no coordinator. What recovery asks the coordinator
+    /// about a branch left in doubt is the branch's own redo ops
+    /// ([`Database::in_doubt_ops`]): did the rows that must have committed
+    /// with them commit?
+    pub fn prepare(&mut self) -> DbResult<()> {
         self.ensure_active()?;
         let logged = self.logged_ops();
         // The shared latch makes append + live-prepared registration atomic
@@ -433,12 +426,8 @@ impl Txn {
         // truncate the Prepare record, losing the only durable copy of an
         // undecided transaction's redo ops.
         let _latch = self.db.inner().commit_latch.read();
-        self.db.inner().wal.append(&WalRecord::Prepare {
-            txid: self.id,
-            coordinator,
-            ops: logged.clone(),
-        })?;
-        self.db.register_prepared(self.id, PreparedTxn { coordinator, ops: logged });
+        self.db.inner().wal.append(&WalRecord::Prepare { txid: self.id, ops: logged.clone() })?;
+        self.db.register_prepared(self.id, logged);
         self.state = TxnState::Prepared;
         Ok(())
     }
@@ -447,11 +436,9 @@ impl Txn {
     /// is appended **unforced**: what makes the decision durable is the
     /// coordinator's own commit record, forced before phase two begins,
     /// and a branch that crashes without its `Decide` comes back in doubt
-    /// and is resolved from that outcome
-    /// ([`Database::in_doubt_coordinator`]). The coordinator must
-    /// therefore keep the outcome answerable until this log has the
-    /// `Decide` durably. The returned LSN is the log tail after the
-    /// record — a position, not a durability promise.
+    /// and is resolved from the rows that record committed
+    /// ([`Database::in_doubt_ops`]). The returned LSN is the log tail after
+    /// the record — a position, not a durability promise.
     pub fn commit_prepared(mut self) -> DbResult<Lsn> {
         if self.state != TxnState::Prepared {
             return Err(DbError::InvalidTxnState(format!(
@@ -485,8 +472,8 @@ impl Txn {
 
     /// Rolls back a prepared transaction (2PC phase two, abort path). The
     /// `Decide` is unforced, like [`Txn::commit_prepared`]'s, and needs
-    /// even less: losing it leaves the branch in doubt with no commit
-    /// outcome on record, which presumed abort settles the same way.
+    /// even less: losing it leaves the branch in doubt with no coordinator
+    /// row to show for it, which presumed abort settles the same way.
     pub fn abort_prepared(mut self) -> DbResult<()> {
         if self.state != TxnState::Prepared {
             return Err(DbError::InvalidTxnState(format!(
@@ -809,7 +796,7 @@ mod tests {
         let d = db();
         let mut tx = d.begin();
         tx.insert("t", row(1, "a")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare().unwrap();
         assert!(matches!(tx.insert("t", row(2, "b")), Err(DbError::InvalidTxnState(_))));
         assert!(matches!(tx.get("t", &Value::Int(1)), Err(DbError::InvalidTxnState(_))));
         tx.commit_prepared().unwrap();
@@ -824,7 +811,7 @@ mod tests {
 
         let mut tx = d.begin();
         tx.update("t", &Value::Int(1), row(1, "p")).unwrap();
-        tx.prepare(None).unwrap();
+        tx.prepare().unwrap();
 
         let d2 = d.clone();
         let blocked = thread::spawn(move || {

@@ -10,8 +10,8 @@
 //!
 //! * `Ddl` — catalog change, applied immediately (DDL is auto-committed).
 //! * `Commit` — a coordinator-side commit: the transaction's complete redo
-//!   op list plus the names of any enlisted 2PC participants. Writing this
-//!   record *is* the commit decision.
+//!   op list. Writing this record *is* the commit decision — for enlisted
+//!   2PC participants too, who read it back off the rows it carries.
 //! * `Prepare` / `Decide` — participant-side 2PC: `Prepare` persists the op
 //!   list without applying it; `Decide` settles it. A prepared transaction
 //!   with no decision on record is *in doubt* after recovery and must be
@@ -46,7 +46,7 @@
 //! therefore lose only a *suffix* of unforced records, never one out of
 //! the middle, and a record may be appended unforced exactly when recovery
 //! can re-derive it from what *is* forced (a participant's `Decide` from
-//! its coordinator's outcome; a flag clear whose loss repeats idempotent
+//! the rows its coordinator committed; a flag clear whose loss repeats idempotent
 //! work). Which records qualify is a property of the call site, not an
 //! option: there is no knob, and the per-commit-sync mode forces every
 //! append, unforced or not. A failed flush drops the forced frames it
@@ -104,7 +104,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::codec::{crc32, Dec, Enc};
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::{PreparedTxn, RowOp};
+use crate::ops::RowOp;
 
 /// Log sequence number: logical byte offset of a record frame in the log.
 pub type Lsn = u64;
@@ -118,11 +118,10 @@ pub enum WalRecord {
     /// Auto-committed catalog change.
     Ddl(RowOp),
     /// Coordinator commit decision with full redo information.
-    Commit { txid: TxId, participants: Vec<String>, ops: Vec<RowOp> },
-    /// Participant prepared state (2PC phase one). `coordinator` names the
-    /// coordinator's transaction, so an in-doubt branch can be resolved
-    /// against that transaction's outcome (see [`PreparedTxn`]).
-    Prepare { txid: TxId, coordinator: Option<TxId>, ops: Vec<RowOp> },
+    Commit { txid: TxId, ops: Vec<RowOp> },
+    /// Participant prepared state (2PC phase one): the redo ops, parked
+    /// until a `Decide`.
+    Prepare { txid: TxId, ops: Vec<RowOp> },
     /// Participant decision (2PC phase two).
     Decide { txid: TxId, commit: bool },
     /// Snapshot `generation` covers the log strictly before this record.
@@ -137,19 +136,15 @@ impl WalRecord {
                 enc.put_u8(0);
                 op.encode(&mut enc);
             }
-            WalRecord::Commit { txid, participants, ops } => {
+            WalRecord::Commit { txid, ops } => {
                 enc.put_u8(1);
                 enc.put_u64(*txid);
-                enc.put_u32(participants.len() as u32);
-                for p in participants {
-                    enc.put_str(p);
-                }
                 RowOp::encode_list(ops, &mut enc);
             }
-            WalRecord::Prepare { txid, coordinator, ops } => {
+            WalRecord::Prepare { txid, ops } => {
                 enc.put_u8(2);
                 enc.put_u64(*txid);
-                PreparedTxn::encode_parts(*coordinator, ops, &mut enc);
+                RowOp::encode_list(ops, &mut enc);
             }
             WalRecord::Decide { txid, commit } => {
                 enc.put_u8(3);
@@ -168,21 +163,8 @@ impl WalRecord {
         let mut dec = Dec::new(payload);
         let rec = match dec.get_u8()? {
             0 => WalRecord::Ddl(RowOp::decode(&mut dec)?),
-            1 => {
-                let txid = dec.get_u64()?;
-                let n = dec.get_u32()? as usize;
-                let mut participants = Vec::with_capacity(n);
-                for _ in 0..n {
-                    participants.push(dec.get_str()?);
-                }
-                let ops = RowOp::decode_list(&mut dec)?;
-                WalRecord::Commit { txid, participants, ops }
-            }
-            2 => {
-                let txid = dec.get_u64()?;
-                let PreparedTxn { coordinator, ops } = PreparedTxn::decode(&mut dec)?;
-                WalRecord::Prepare { txid, coordinator, ops }
-            }
+            1 => WalRecord::Commit { txid: dec.get_u64()?, ops: RowOp::decode_list(&mut dec)? },
+            2 => WalRecord::Prepare { txid: dec.get_u64()?, ops: RowOp::decode_list(&mut dec)? },
             3 => WalRecord::Decide { txid: dec.get_u64()?, commit: dec.get_bool()? },
             4 => WalRecord::Checkpoint { generation: dec.get_u64()? },
             t => return Err(DbError::Corrupt(format!("unknown wal record tag {t}"))),
@@ -1061,12 +1043,7 @@ mod tests {
         {
             let (wal, recs) = Wal::open(Arc::clone(&d)).unwrap();
             assert!(recs.is_empty());
-            wal.append(&WalRecord::Commit {
-                txid: 1,
-                participants: vec![],
-                ops: vec![insert_op(1)],
-            })
-            .unwrap();
+            wal.append(&WalRecord::Commit { txid: 1, ops: vec![insert_op(1)] }).unwrap();
             wal.append(&WalRecord::Decide { txid: 2, commit: false }).unwrap();
         }
         let (_, recs) = Wal::open(d).unwrap();
@@ -1090,8 +1067,7 @@ mod tests {
     fn torn_tail_is_truncated() {
         let d = dev();
         let (wal, _) = Wal::open(Arc::clone(&d)).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1, participants: vec![], ops: vec![insert_op(1)] })
-            .unwrap();
+        wal.append(&WalRecord::Commit { txid: 1, ops: vec![insert_op(1)] }).unwrap();
         let good_end = wal.tail_lsn();
         // Simulate a torn write: a header promising more bytes than exist.
         d.write_at(good_end, &[200, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
@@ -1139,11 +1115,7 @@ mod tests {
         // recovery cannot tell them apart (the equivalence the group-commit
         // pipeline promises).
         let records: Vec<WalRecord> = (0..20)
-            .map(|i| WalRecord::Commit {
-                txid: i,
-                participants: vec![],
-                ops: vec![insert_op(i as i64)],
-            })
+            .map(|i| WalRecord::Commit { txid: i, ops: vec![insert_op(i as i64)] })
             .collect();
         let d_per = Arc::new(MemDevice::new());
         let d_grp = Arc::new(MemDevice::new());
@@ -1193,7 +1165,6 @@ mod tests {
                         let lsn = wal
                             .append(&WalRecord::Commit {
                                 txid: (t * per + k) as u64,
-                                participants: vec![],
                                 ops: vec![insert_op(k as i64)],
                             })
                             .unwrap();
@@ -1262,12 +1233,8 @@ mod tests {
                 Wal::open_with(Arc::clone(&d) as Arc<dyn Device>, WalOptions::default()).unwrap();
             for i in 0..6i64 {
                 frame_ends.push(
-                    wal.append(&WalRecord::Commit {
-                        txid: i as u64,
-                        participants: vec![],
-                        ops: vec![insert_op(i)],
-                    })
-                    .unwrap(),
+                    wal.append(&WalRecord::Commit { txid: i as u64, ops: vec![insert_op(i)] })
+                        .unwrap(),
                 );
             }
         }
@@ -1451,13 +1418,8 @@ mod tests {
     fn record_roundtrip_all_variants() {
         let records = vec![
             WalRecord::Ddl(insert_op(0)),
-            WalRecord::Commit {
-                txid: 9,
-                participants: vec!["dlfm@srv1".into(), "dlfm@srv2".into()],
-                ops: vec![insert_op(1), insert_op(2)],
-            },
-            WalRecord::Prepare { txid: 10, coordinator: None, ops: vec![insert_op(3)] },
-            WalRecord::Prepare { txid: 11, coordinator: Some(7), ops: vec![insert_op(4)] },
+            WalRecord::Commit { txid: 9, ops: vec![insert_op(1), insert_op(2)] },
+            WalRecord::Prepare { txid: 10, ops: vec![insert_op(3)] },
             WalRecord::Decide { txid: 10, commit: true },
             WalRecord::Checkpoint { generation: 3 },
         ];

@@ -62,21 +62,6 @@ impl NetStats {
         self.disconnects.inc();
         self.connections.add(-1);
     }
-
-    /// Counter totals by name (telemetry adoption and tests).
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("frames_in", self.frames_in.get()),
-            ("frames_out", self.frames_out.get()),
-            ("bytes_in", self.bytes_in.get()),
-            ("bytes_out", self.bytes_out.get()),
-            ("decode_errors", self.decode_errors.get()),
-            ("backpressure_stalls", self.backpressure_stalls.get()),
-            ("call_timeouts", self.call_timeouts.get()),
-            ("accepts", self.accepts.get()),
-            ("disconnects", self.disconnects.get()),
-        ]
-    }
 }
 
 #[cfg(test)]

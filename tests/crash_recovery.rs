@@ -248,7 +248,7 @@ mod checkpoint_truncation_crashes {
             let txid = {
                 let mut tx = db.begin();
                 tx.insert("t", vec![Value::Int(50), Value::Text("pending".into())]).unwrap();
-                tx.prepare(None).unwrap();
+                tx.prepare().unwrap();
                 let txid = tx.id();
                 db.checkpoint_and_truncate().unwrap();
                 std::mem::forget(tx); // crash: no decision ever logged
@@ -278,7 +278,7 @@ mod checkpoint_truncation_crashes {
             let mut tx = db.begin();
             let txid = tx.id();
             tx.insert("t", vec![Value::Int(50), Value::Text("decided".into())]).unwrap();
-            tx.prepare(Some(9)).unwrap();
+            tx.prepare().unwrap();
             if commit {
                 tx.commit_prepared().unwrap();
             } else {
@@ -296,74 +296,6 @@ mod checkpoint_truncation_crashes {
             assert!(db.in_doubt_txns().is_empty());
             assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
         }
-    }
-
-    #[test]
-    fn no_checkpoint_image_holds_a_participant_commit_without_its_outcome() {
-        // A coordinator commit and its outcome must enter a checkpoint
-        // image together: the image's truncation cuts away the `Commit`
-        // record, and a participant whose unforced `Decide` was lost is
-        // resolved against exactly that outcome. Four threads commit
-        // one-row 2PC transactions (row id = txid) while this thread
-        // checkpoints, truncates, backs up and recovers the backup, for
-        // about 2 s. Each recovery vouches for the rows it saw; committers
-        // delete their own vouched-for rows, so the table stays small.
-        use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-        struct Noop;
-        impl datalinks::minidb::Participant for Noop {
-            fn prepare(&self, _t: u64) -> Result<(), String> {
-                Ok(())
-            }
-            fn commit(&self, _t: u64) {}
-            fn abort(&self, _t: u64) {}
-        }
-        let (_env, db) = seeded(0);
-        let stop = AtomicBool::new(false);
-        let vouched = AtomicI64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut mine = std::collections::VecDeque::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut tx = db.begin();
-                        let id = tx.id() as i64;
-                        db.enlist_participant(tx.id(), "p", std::sync::Arc::new(Noop));
-                        tx.insert("t", vec![Value::Int(id), Value::Text("2pc".into())]).unwrap();
-                        for _ in 0..2 {
-                            if mine
-                                .front()
-                                .is_some_and(|old| *old <= vouched.load(Ordering::Relaxed))
-                            {
-                                tx.delete("t", &Value::Int(mine.pop_front().unwrap())).unwrap();
-                            }
-                        }
-                        tx.commit().unwrap();
-                        mine.push_back(id);
-                    }
-                });
-            }
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-            let mut lost = None;
-            let mut checkpoints = 0;
-            while lost.is_none() && std::time::Instant::now() < deadline {
-                db.checkpoint_and_truncate().unwrap();
-                checkpoints += 1;
-                let recovered = open(&db.backup().unwrap());
-                let ids: Vec<i64> =
-                    state(&recovered).iter().map(|row| row[0].as_int().unwrap()).collect();
-                lost = ids
-                    .iter()
-                    .find(|id| recovered.coordinator_outcome(**id as u64) != Some(true))
-                    .copied();
-                vouched.store(ids.last().copied().unwrap_or(0), Ordering::Relaxed);
-            }
-            stop.store(true, Ordering::Relaxed);
-            assert_eq!(
-                lost, None,
-                "checkpoint {checkpoints}: a recovered image holds this transaction's row but \
-                 not its commit outcome"
-            );
-        });
     }
 
     #[test]
@@ -493,12 +425,16 @@ mod host_failover_2pc {
     fn shipped_decision_is_finished_by_the_promoted_host() {
         let mut sys = build(1);
         let agent = sys.node(SRV).unwrap().connect_agent();
-        let tx = sys.begin();
+        let mut tx = sys.begin();
         let txid = tx.id();
-        agent.link(txid, "/d/new.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
+        // Enlisted first, under the engine's own participant name, so the
+        // engine's enlist for the link below dedupes against it.
         sys.db().enlist_participant(txid, &format!("dlfm@{SRV}"), Arc::new(LostDecision(agent)));
-        // Prepares the DLFM and durably logs the commit decision — but the
-        // phase-two message dies with the coordinator.
+        tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}/d/new.bin"))])
+            .unwrap();
+        // Prepares the DLFM and durably logs the commit decision — the
+        // file's metadata row with it — but the phase-two message dies with
+        // the coordinator.
         tx.commit().unwrap();
         assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![(txid, true)]);
         assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the decision must ship");
@@ -647,18 +583,18 @@ mod sharded_host_failover_2pc {
         raw.write_file(&APP, &pa, b"cand-a").unwrap();
         raw.write_file(&APP, &pb, b"cand-b").unwrap();
 
-        let a = sys.node(&shard_name(0)).unwrap().connect_agent();
         let b = sys.node(&shard_name(1)).unwrap().connect_agent();
-        let tx = sys.begin();
+        let mut tx = sys.begin();
         let txid = tx.id();
-        a.link(txid, &pa, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-        b.link(txid, &pb, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-        sys.db().enlist_participant(txid, &format!("dlfm@{}", shard_name(0)), Arc::new(a));
+        // Enlisted first, under the engine's own name for shard B, so the
+        // engine's enlist for the link below dedupes against it.
         sys.db().enlist_participant(
             txid,
             &format!("dlfm@{}", shard_name(1)),
             Arc::new(LostDecision(b)),
         );
+        tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}{pa}"))]).unwrap();
+        tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{pb}"))]).unwrap();
         tx.commit().unwrap(); // phase two lands on A, dies on the way to B
         assert!(sys.node(&shard_name(0)).unwrap().server.pending_host_txns().is_empty());
         assert_eq!(
@@ -923,6 +859,14 @@ mod in_doubt_branch_follows_the_host_outcome {
         at.is_some()
     }
 
+    /// A host commit that carries a `__dl_meta` op — `alone` for an
+    /// update's close, beside the user row's op for a link or an unlink.
+    fn is_meta_commit(rec: &WalRecord, alone: bool) -> bool {
+        matches!(rec, WalRecord::Commit { ops, .. }
+            if ops.iter().any(|op| op.table() == "__dl_meta")
+                && ops.iter().all(|op| op.table() == "__dl_meta") == alone)
+    }
+
     /// Runs `op`, crashes, shears the repository log below the op's
     /// `Decide` — and, for a crash *before* the host's decision, the host
     /// log below the op's `Commit` — then recovers. (The `Decide` is an
@@ -940,11 +884,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         let image = sys.crash();
         shear_from_last(&repo_env, repo_mark, |rec| matches!(rec, WalRecord::Decide { .. }));
         if !host_committed {
-            assert!(shear_from_last(
-                &host_env,
-                host_mark,
-                |rec| matches!(rec, WalRecord::Commit { participants, .. } if !participants.is_empty()),
-            ));
+            assert!(shear_from_last(&host_env, host_mark, |rec| is_meta_commit(rec, false)));
         }
         let (sys, reports) = DataLinksSystem::recover(image).unwrap();
         let resolved: Vec<bool> =
@@ -979,10 +919,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         let image = sys.crash();
         shear_from_last(&repo_env, repo_mark, is_close_record);
         if !host_committed {
-            assert!(shear_from_last(&host_env, host_mark, |rec| matches!(
-                rec,
-                WalRecord::Commit { participants, .. } if participants.is_empty()
-            )));
+            assert!(shear_from_last(&host_env, host_mark, |rec| is_meta_commit(rec, true)));
         }
         let (sys, mut reports) = DataLinksSystem::recover(image).unwrap();
         let report = reports.remove(SRV).unwrap();

@@ -129,11 +129,11 @@ fn recovery_equivalence_per_commit_vs_group_commit() {
             // 2PC shapes: prepared-then-committed, prepared-then-aborted.
             let mut tx = db.begin();
             tx.insert("t", row(100, "2pc-commit")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             tx.commit_prepared().unwrap();
             let mut tx = db.begin();
             tx.insert("t", row(101, "2pc-abort")).unwrap();
-            tx.prepare(None).unwrap();
+            tx.prepare().unwrap();
             tx.abort_prepared().unwrap();
             let mut tx = db.begin();
             tx.update("t", &Value::Int(3), row(3, "updated")).unwrap();
@@ -211,7 +211,7 @@ fn failed_flush_keeps_unforced_records_and_the_log_catches_up_with_memory() {
 
     let mut tx = db.begin();
     tx.insert("t", row(1, "2pc")).unwrap();
-    tx.prepare(Some(7)).unwrap();
+    tx.prepare().unwrap();
     tx.commit_prepared().unwrap(); // Decide: batched
     let mut tx = db.begin();
     tx.insert("t", row(2, "lazy")).unwrap();

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbError, Participant, Row, Schema, SnapshotData, StandbyDb,
-    StorageEnv, TxId, Txn, Value,
+    Column, ColumnType, Database, DbError, Participant, Row, RowOp, Schema, SnapshotData,
+    StandbyDb, StorageEnv, TxId, Txn, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -107,39 +107,35 @@ impl Participant for Yes {
 }
 
 /// What recovery must agree on, whichever way a database came back:
-/// committed rows of `t`, the coordinator outcome of every transaction id
-/// in `used`, the in-doubt transactions with the coordinators they name, and
-/// how many rows the unlogged twin `u` kept (none).
+/// committed rows of `t`, the in-doubt transactions with the redo ops they
+/// hold, and how many rows the unlogged twin `u` kept (none).
 #[derive(Debug, PartialEq)]
 struct Recovered {
     rows: Vec<Row>,
-    outcomes: Vec<Option<bool>>,
-    in_doubt: Vec<(TxId, Option<TxId>)>,
+    in_doubt: Vec<(TxId, Vec<RowOp>)>,
     unlogged_rows: usize,
 }
 
 impl Recovered {
-    fn of_database(db: &Database, used: &[TxId]) -> Recovered {
+    fn of_database(db: &Database) -> Recovered {
         Recovered {
             rows: db.scan_committed("t").unwrap(),
-            outcomes: used.iter().map(|txid| db.coordinator_outcome(*txid)).collect(),
             in_doubt: db
                 .in_doubt_txns()
                 .into_iter()
-                .map(|txid| (txid, db.in_doubt_coordinator(txid)))
+                .map(|txid| (txid, db.in_doubt_ops(txid).unwrap()))
                 .collect(),
             unlogged_rows: db.count("u").unwrap(),
         }
     }
 
     /// The same reading of a standby's own image.
-    fn of_image(image: &SnapshotData, used: &[TxId]) -> Recovered {
-        let mut in_doubt: Vec<(TxId, Option<TxId>)> =
-            image.prepared.iter().map(|(txid, txn)| (*txid, txn.coordinator)).collect();
-        in_doubt.sort_unstable();
+    fn of_image(image: &SnapshotData) -> Recovered {
+        let mut in_doubt: Vec<(TxId, Vec<RowOp>)> =
+            image.prepared.iter().map(|(txid, ops)| (*txid, ops.clone())).collect();
+        in_doubt.sort_unstable_by_key(|(txid, _)| *txid);
         Recovered {
             rows: image.tables["t"].iter().map(|(_, row)| row.clone()).collect(),
-            outcomes: used.iter().map(|txid| image.outcomes.get(txid).copied()).collect(),
             in_doubt,
             unlogged_rows: image.tables["u"].len(),
         }
@@ -212,8 +208,8 @@ proptest! {
     /// checkpoint-image install (when a truncation outran its cursor) — the
     /// end state must be identical either way. `flavours` picks what each
     /// committing step is: a plain commit, a coordinator commit with an
-    /// enlisted participant, or a participant branch prepared under a
-    /// coordinator id and then committed, aborted or left in doubt; every
+    /// enlisted participant, or a participant branch prepared and then
+    /// committed, aborted or left in doubt; every
     /// one mirrors its op into the unlogged twin `u`. At the end the three
     /// ways back — the primary reopened, the standby reopened, and the
     /// promotion `Database::open` on the standby's disks — must be one
@@ -229,8 +225,7 @@ proptest! {
         db.create_table(schema("u").unlogged()).unwrap();
         let standby_env = StorageEnv::mem();
         let mut standby = StandbyDb::open(standby_env.clone()).unwrap();
-        // Every transaction id handed out, and those that reached the log.
-        let mut used: Vec<TxId> = Vec::new();
+        // The transaction ids that reached the log.
         let mut logged: Vec<TxId> = Vec::new();
 
         // One full ship round: frames when available, image install when
@@ -260,7 +255,7 @@ proptest! {
                 // Commits are the common case; apply the op best-effort.
                 0..=3 => {
                     let mut tx = db.begin();
-                    used.push(tx.id());
+                    let txid = tx.id();
                     let tail = db.state_id();
                     let flavour = flavours[step];
                     // A branch left in doubt keeps its row locks for good:
@@ -273,9 +268,6 @@ proptest! {
                             Op::Delete(k) => tx.delete(table, &Value::Int(*k)),
                         };
                     }
-                    // The coordinator a participant branch names: any id but
-                    // its own, as when the host is another database.
-                    let coordinator = Some(tx.id() + 500);
                     match flavour {
                         0..=3 => {
                             tx.commit().unwrap();
@@ -285,20 +277,20 @@ proptest! {
                             tx.commit().unwrap();
                         }
                         5 => {
-                            tx.prepare(coordinator).unwrap();
+                            tx.prepare().unwrap();
                             tx.commit_prepared().unwrap();
                         }
                         6 => {
-                            tx.prepare(coordinator).unwrap();
+                            tx.prepare().unwrap();
                             tx.abort_prepared().unwrap();
                         }
                         _ => {
-                            tx.prepare(coordinator).unwrap();
+                            tx.prepare().unwrap();
                             std::mem::forget(tx); // the decision never comes
                         }
                     }
                     if db.state_id() > tail {
-                        logged.push(*used.last().unwrap());
+                        logged.push(txid);
                     }
                 }
                 4 => {
@@ -335,10 +327,10 @@ proptest! {
         let primary = Database::open(env).unwrap();
         let image = standby.image();
         let promoted = Database::open(standby_env).unwrap();
-        let expected = Recovered::of_database(&primary, &used);
+        let expected = Recovered::of_database(&primary);
         prop_assert_eq!(expected.unlogged_rows, 0);
-        prop_assert_eq!(&Recovered::of_image(&image, &used), &expected, "standby reopened");
-        prop_assert_eq!(&Recovered::of_database(&promoted, &used), &expected, "promotion");
+        prop_assert_eq!(&Recovered::of_image(&image), &expected, "standby reopened");
+        prop_assert_eq!(&Recovered::of_database(&promoted), &expected, "promotion");
         // The next transaction id handed out: the standby's image and the
         // promotion are the same fold over the same disks; the primary's
         // own checkpoints also count ids that never reached the log (a
