@@ -31,17 +31,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # a link/unlink branch settles by `__dl_meta` like an update — no outcomes
 # map on the host, no coordinator id in a `Prepare`, no second question in
 # `HostHook`.
-step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome"
+# The intent is the vote (DESIGN.md "Force audit"): a link/unlink branch
+# forces its intent and ends with an ordinary commit — minidb has no
+# participant-side 2PC, no `Prepare`/`Decide` record, no in-doubt registry.
+step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "PreparedTxn[P]articipant|dlfm-[c]lose:|ensure_[s]ettled" crates/ src/ tests/ \
   || grep -rnE "coordinator_[o]utcome|record_[o]utcome|in_doubt_[c]oordinator|fn [o]utcome\(" crates/ src/ tests/ \
+  || grep -rnE "commit_[p]repared|abort_[p]repared|resolve_[i]n_doubt|in_doubt_[t]xns|in_doubt_[o]ps|WalRecord::[P]repare|WalRecord::[D]ecide" crates/ src/ tests/ \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant or a 2PC outcome copy reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant, a 2PC outcome copy or participant-side 2PC reappeared (matches above)" >&2
   exit 1
 fi
 

@@ -1305,9 +1305,9 @@ impl DataLinksSystem {
             node.server.archive_store().remove_mirror(standby.archive_store());
             standby.archive_store().seal_mirror_input();
         }
-        // The primary "crashes": volatile state evaporates, prepared
-        // sub-transactions stay in doubt in whatever log prefix reached
-        // the standby.
+        // The primary "crashes": volatile state evaporates; the forced
+        // intents of its open link/unlink branches survive in whatever log
+        // prefix reached the standby, for the promotion to settle.
         node.server.simulate_crash();
 
         let standby = replication.promote_target();

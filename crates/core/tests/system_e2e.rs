@@ -360,46 +360,61 @@ fn coordinated_point_in_time_restore() {
 
 #[test]
 fn restore_relinks_files_unlinked_after_the_restore_point() {
-    let sys = build_system(ControlMode::Rdd);
-    insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
-    let linked_state = sys.state_id();
-    let backup_early = sys.backup().unwrap();
+    // The restore crashes the running stack first. With the unlink's
+    // unforced `Commit` on disk the repository comes back without the link,
+    // and the reconcile pass re-links it; with the `Commit` lost the
+    // surviving intent settles by the *restored* rows, which still hold the
+    // file — the unlink aborts before the reconcile pass looks. Either way
+    // the link comes back, taken over again.
+    for end_durable in [true, false] {
+        let sys = build_system(ControlMode::Rdd);
+        insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+        let linked_state = sys.state_id();
+        let backup_early = sys.backup().unwrap();
 
-    // Unlink after the backup point.
-    let mut tx = sys.begin();
-    tx.delete("movies", &Value::Int(1)).unwrap();
-    tx.commit().unwrap();
-    assert!(sys.node("srv1").unwrap().server.repository().get_file("/movies/alien.mpg").is_none());
+        // Unlink after the backup point.
+        let mut tx = sys.begin();
+        tx.delete("movies", &Value::Int(1)).unwrap();
+        tx.commit().unwrap();
+        let repo = sys.node("srv1").unwrap().server.repository();
+        assert!(repo.get_file("/movies/alien.mpg").is_none());
+        if end_durable {
+            repo.db().flush().unwrap();
+        }
 
-    // Restore to when it was linked: the link must come back.
-    let (sys, report) = sys.restore(&backup_early, linked_state).unwrap();
-    assert_eq!(report.files_relinked, 1);
-    let node = sys.node("srv1").unwrap();
-    let entry = node.server.repository().get_file("/movies/alien.mpg").unwrap();
-    assert_eq!(entry.mode, ControlMode::Rdd);
-    assert_eq!(read_file(&sys, 1), b"alien v1");
+        // Restore to when it was linked: the link must come back.
+        let (sys, report) = sys.restore(&backup_early, linked_state).unwrap();
+        assert_eq!(report.files_relinked, u64::from(end_durable));
+        let node = sys.node("srv1").unwrap();
+        let entry = node.server.repository().get_file("/movies/alien.mpg").unwrap();
+        assert_eq!(entry.mode, ControlMode::Rdd);
+        assert!(node.server.repository().list_intents().is_empty());
+        let attr = node.raw.stat(&Cred::root(), "/movies/alien.mpg").unwrap();
+        assert_eq!(attr.uid, node.server.config().dlfm_cred.uid, "taken over again");
+        assert_eq!(read_file(&sys, 1), b"alien v1");
+    }
 }
 
 #[test]
 fn restore_unlinks_files_linked_after_the_restore_point() {
     // The restore crashes the running stack first. With the link's
-    // unforced `Decide` on disk the repository comes back holding the
-    // link, and the reconcile pass unlinks it; with the `Decide` lost the
-    // branch comes back in doubt and settles by the *restored* rows, which
-    // no longer hold the file — aborted before the reconcile pass looks.
-    // Either way the file ends unlinked and back with its owner.
-    for decide_durable in [true, false] {
+    // unforced `Commit` on disk the repository comes back holding the
+    // link, and the reconcile pass unlinks it; with the `Commit` lost the
+    // surviving intent settles by the *restored* rows, which no longer
+    // hold the file — aborted before the reconcile pass looks. Either way
+    // the file ends unlinked and back with its owner.
+    for end_durable in [true, false] {
         let sys = build_system(ControlMode::Rdd);
         insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
         let before_brazil = sys.state_id();
         insert_movie(&sys, 2, "Brazil", Some("dlfs://srv1/movies/brazil.mpg"));
-        if decide_durable {
+        if end_durable {
             sys.node("srv1").unwrap().server.repository().db().flush().unwrap();
         }
 
         let backup = sys.backup().unwrap();
         let (sys, report) = sys.restore(&backup, before_brazil).unwrap();
-        assert_eq!(report.files_unlinked, u64::from(decide_durable));
+        assert_eq!(report.files_unlinked, u64::from(end_durable));
         let node = sys.node("srv1").unwrap();
         assert!(node.server.repository().get_file("/movies/brazil.mpg").is_none());
         assert!(node.server.repository().list_intents().is_empty());
@@ -479,7 +494,7 @@ fn same_user_transaction_updates_row_and_file_together() {
 fn op_tables(rec: &dl_minidb::wal::WalRecord) -> Vec<&str> {
     match rec {
         dl_minidb::wal::WalRecord::Commit { ops, .. } => ops.iter().map(|op| op.table()).collect(),
-        other => panic!("an update logs commit records only, got {other:?}"),
+        other => panic!("commit records only, got {other:?}"),
     }
 }
 
@@ -506,7 +521,7 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
     assert_eq!(host_wal.unforced_appends.get(), 0);
 
     // The repository log of the cycle: claim, close, flag clear — three
-    // plain commits, no `Prepare`, no `Decide`.
+    // plain commits.
     repo.flush().unwrap();
     let repo_log = repo.wal_reader().read_from(repo_mark).unwrap().records;
     let tables: Vec<Vec<&str>> = repo_log.iter().map(|(_, rec)| op_tables(rec)).collect();
@@ -520,6 +535,38 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
     };
     assert_eq!(ops.iter().map(|op| op.table()).collect::<Vec<_>>(), ["__dl_meta"]);
     assert_eq!(sys.engine().stats.meta_updates.get(), 1);
+}
+
+#[test]
+fn link_and_unlink_each_force_their_intent_and_the_host_commit_only() {
+    // The intent is the vote: a link or an unlink forces its repository
+    // intent and the host's 2PC `Commit`, and ends its branch with one
+    // unforced repository commit of its `dl_files` row and the intent's
+    // removal.
+    let sys = build_system(ControlMode::Rdd);
+    let node = sys.node("srv1").unwrap();
+    let (host, repo) = (sys.db().clone(), node.server.repository().db().clone());
+    let syncs = |db: &dl_minidb::Database| db.wal_telemetry().fsync_ns.snapshot().count;
+    let repo_log_of = |op: &dyn Fn()| {
+        repo.flush().unwrap();
+        let (host_syncs, repo_syncs, mark) = (syncs(&host), syncs(&repo), repo.state_id());
+        op();
+        assert_eq!(syncs(&repo) - repo_syncs, 1, "the repository forces the intent only");
+        assert_eq!(syncs(&host) - host_syncs, 1, "the host forces its commit");
+        repo.flush().unwrap();
+        let log = repo.wal_reader().read_from(mark).unwrap().records;
+        log.iter().map(|(_, rec)| op_tables(rec).join("+")).collect::<Vec<_>>()
+    };
+    let link =
+        repo_log_of(&|| insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg")));
+    assert_eq!(link, ["dl_intents", "dl_files+dl_intents"]);
+    let unlink = repo_log_of(&|| {
+        let mut tx = sys.begin();
+        tx.delete("movies", &Value::Int(1)).unwrap();
+        tx.commit().unwrap();
+    });
+    assert_eq!(unlink, ["dl_intents", "dl_files+dl_intents"]);
+    assert_eq!(host.wal_telemetry().unforced_appends.get(), 0);
 }
 
 #[test]

@@ -11,13 +11,17 @@
 //! | `dl_tokens`  | validated token entries keyed by *userid* + path + kind (§4.1) |
 //! | `dl_sync`    | the Sync table (§4.5): one row per open of a managed file  |
 //! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
-//! | `dl_intents` | write-ahead intents for eager file-system changes (take-over undo info) |
+//! | `dl_intents` | link/unlink intents: one per file a branch touches — its 2PC vote |
 //!
-//! Which host transaction a repository sub-transaction belongs to is
-//! recorded nowhere: a branch left in doubt is settled by what it did —
-//! the `dl_files` rows its `Prepare` record inserts or deletes
-//! ([`Repository::in_doubt_files`]) name the files whose host metadata
-//! rows say whether it committed.
+//! A link/unlink sub-transaction forces exactly one kind of record: an
+//! intent per file ([`IntentEntry`]), written under the file's `dl_files`
+//! row lock before the branch changes the file system or answers its
+//! coordinator. The intent *is* the branch's vote — it names the host
+//! transaction, the file, and everything needed to finish the branch
+//! either way — and the branch's own `Commit` (which removes it) is an
+//! unforced append. An intent that survives a crash is a branch whose end
+//! the crash took; the host's metadata row for the file says which way it
+//! went.
 //!
 //! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
 //! survive a crash (every descriptor is gone). They are **unlogged** tables
@@ -35,7 +39,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dl_minidb::{
-    Column, ColumnType, Database, DbOptions, DbResult, Row, RowOp, Schema, StorageEnv, Txn, Value,
+    Column, ColumnType, Database, DbOptions, DbResult, Row, Schema, StorageEnv, Txn, Value,
 };
 
 use crate::modes::{ControlMode, OnUnlink};
@@ -44,11 +48,31 @@ use crate::token::TokenKind;
 /// Names of all repository tables.
 pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
 
-/// What a link/unlink sub-transaction did to one file's `dl_files` row.
+/// What a link/unlink sub-transaction does to one file's `dl_files` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BranchOp {
     Link,
     Unlink,
+}
+
+impl BranchOp {
+    fn as_str(self) -> &'static str {
+        match self {
+            BranchOp::Link => "link",
+            BranchOp::Unlink => "unlink",
+        }
+    }
+}
+
+fn on_unlink_value(on_unlink: OnUnlink) -> Value {
+    Value::Text(match on_unlink {
+        OnUnlink::Restore => "restore".into(),
+        OnUnlink::Delete => "delete".into(),
+    })
+}
+
+fn on_unlink_from(value: &Value) -> Option<OnUnlink> {
+    Some(if value.as_text()? == "delete" { OnUnlink::Delete } else { OnUnlink::Restore })
 }
 
 /// A row of `dl_files`.
@@ -78,10 +102,7 @@ impl FileEntry {
             Value::Text(self.path.clone()),
             Value::Text(self.mode.to_string()),
             Value::Bool(self.recovery),
-            Value::Text(match self.on_unlink {
-                OnUnlink::Restore => "restore".into(),
-                OnUnlink::Delete => "delete".into(),
-            }),
+            on_unlink_value(self.on_unlink),
             Value::Int(self.cur_version as i64),
             Value::Int(self.orig_uid as i64),
             Value::Int(self.orig_gid as i64),
@@ -97,10 +118,7 @@ impl FileEntry {
             path: row[0].as_text()?.to_string(),
             mode: row[1].as_text()?.parse().ok()?,
             recovery: matches!(row[2], Value::Bool(true)),
-            on_unlink: match row[3].as_text()? {
-                "delete" => OnUnlink::Delete,
-                _ => OnUnlink::Restore,
-            },
+            on_unlink: on_unlink_from(&row[3])?,
             cur_version: row[4].as_int()? as u64,
             orig_uid: row[5].as_int()? as u32,
             orig_gid: row[6].as_int()? as u32,
@@ -155,51 +173,61 @@ pub struct UipEntry {
     pub opener: u64,
 }
 
-/// What an intent row promises to do to the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntentAction {
-    /// Link applied constraints eagerly; undo = restore original attrs.
-    Link,
-    /// Unlink will restore original attrs after commit.
-    UnlinkRestore,
-    /// Unlink will delete the file after commit.
-    UnlinkDelete,
-}
-
-impl IntentAction {
-    fn as_str(self) -> &'static str {
-        match self {
-            IntentAction::Link => "link",
-            IntentAction::UnlinkRestore => "unlink-restore",
-            IntentAction::UnlinkDelete => "unlink-delete",
-        }
-    }
-
-    fn parse(s: &str) -> Option<IntentAction> {
-        match s {
-            "link" => Some(IntentAction::Link),
-            "unlink-restore" => Some(IntentAction::UnlinkRestore),
-            "unlink-delete" => Some(IntentAction::UnlinkDelete),
-            _ => None,
-        }
-    }
-}
-
-/// A row of `dl_intents` — a logged intent to mutate file-system state on
-/// behalf of a (not yet committed) host transaction, with undo information.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A row of `dl_intents` — a link/unlink branch's vote on one file,
+/// forced while the branch holds the file's `dl_files` row lock. It carries
+/// what recovery needs to finish the branch either way: the row a committed
+/// link inserts, the original attributes an aborted link (or a committed
+/// ON UNLINK RESTORE) puts back, the ON UNLINK action a committed unlink
+/// finishes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntentEntry {
     pub host_txid: u64,
-    pub path: String,
-    pub action: IntentAction,
-    pub orig_uid: u32,
-    pub orig_gid: u32,
-    pub orig_mode: u16,
+    pub op: BranchOp,
+    /// The file's identity and link options. For a link, the `dl_files`
+    /// row it inserts — at version 1, nothing to archive; an unlink's
+    /// version is not recorded (it reads back as 1).
+    pub file: FileEntry,
 }
 
 impl IntentEntry {
-    fn key(&self) -> String {
-        format!("{}|{}", self.host_txid, self.path)
+    fn key(host_txid: u64, path: &str) -> Value {
+        Value::Text(format!("{host_txid}|{path}"))
+    }
+
+    fn to_row(&self) -> Row {
+        let f = &self.file;
+        vec![
+            Self::key(self.host_txid, &f.path),
+            Value::Text(self.op.as_str().to_string()),
+            Value::Text(f.mode.to_string()),
+            Value::Bool(f.recovery),
+            on_unlink_value(f.on_unlink),
+            Value::Int(f.orig_uid as i64),
+            Value::Int(f.orig_gid as i64),
+            Value::Int(f.orig_mode as i64),
+            Value::Int(f.ino as i64),
+        ]
+    }
+
+    fn from_row(row: &Row) -> Option<IntentEntry> {
+        let (host_txid, path) = row[0].as_text()?.split_once('|')?;
+        Some(IntentEntry {
+            host_txid: host_txid.parse().ok()?,
+            op: if row[1].as_text()? == "link" { BranchOp::Link } else { BranchOp::Unlink },
+            file: FileEntry {
+                path: path.to_string(),
+                mode: row[2].as_text()?.parse().ok()?,
+                recovery: matches!(row[3], Value::Bool(true)),
+                on_unlink: on_unlink_from(&row[4])?,
+                cur_version: 1,
+                orig_uid: row[5].as_int()? as u32,
+                orig_gid: row[6].as_int()? as u32,
+                orig_mode: row[7].as_int()? as u16,
+                ino: row[8].as_int()? as u64,
+                state_id: 0,
+                needs_archive: false,
+            },
+        })
     }
 }
 
@@ -311,19 +339,21 @@ impl Repository {
                 Schema::new(
                     "dl_intents",
                     vec![
+                        // `<host txid>|<path>`
                         Column::new("ikey", ColumnType::Text),
-                        Column::new("host_txid", ColumnType::Int),
-                        Column::new("path", ColumnType::Text),
-                        Column::new("action", ColumnType::Text),
+                        Column::new("op", ColumnType::Text),
+                        Column::new("mode", ColumnType::Text),
+                        Column::new("recovery", ColumnType::Bool),
+                        Column::new("on_unlink", ColumnType::Text),
                         Column::new("orig_uid", ColumnType::Int),
                         Column::new("orig_gid", ColumnType::Int),
                         Column::new("orig_mode", ColumnType::Int),
+                        Column::new("ino", ColumnType::Int),
                     ],
                     "ikey",
                 )
                 .expect("static schema"),
             )?;
-            db.create_index("dl_intents", "host_txid")?;
         }
         Ok(())
     }
@@ -366,23 +396,12 @@ impl Repository {
             .collect()
     }
 
-    /// The link/unlink work of in-doubt sub-transaction `txid`, read off
-    /// its redo ops: one entry per `dl_files` row it inserts or deletes.
-    pub fn in_doubt_files(&self, txid: u64) -> Vec<(String, BranchOp)> {
-        self.db
-            .in_doubt_ops(txid)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|op| match op {
-                RowOp::Insert { table, row } if table == "dl_files" => {
-                    Some((FileEntry::from_row(row)?.path, BranchOp::Link))
-                }
-                RowOp::Delete { table, key } if table == "dl_files" => {
-                    Some((key.as_text()?.to_string(), BranchOp::Unlink))
-                }
-                _ => None,
-            })
-            .collect()
+    /// The file's row under an exclusive row lock held by `txn` — the lock
+    /// every link, unlink, open grant and close of the file takes first.
+    pub fn lock_file_in(&self, txn: &Txn, path: &str) -> DbResult<Option<FileEntry>> {
+        Ok(txn
+            .get_for_update("dl_files", &Value::Text(path.to_string()))?
+            .and_then(|row| FileEntry::from_row(&row)))
     }
 
     /// Adds the file row inside a caller-provided sub-transaction.
@@ -738,22 +757,11 @@ impl Repository {
 
     // --- dl_intents -------------------------------------------------------------
 
-    /// Durably logs an intent *before* the file system is mutated on behalf
-    /// of an uncommitted host transaction (write-ahead intent).
+    /// Forces a branch's intent — its vote — before the branch mutates the
+    /// file system or answers its coordinator.
     pub fn add_intent(&self, intent: &IntentEntry) -> DbResult<()> {
         let mut txn = self.db.begin();
-        txn.insert(
-            "dl_intents",
-            vec![
-                Value::Text(intent.key()),
-                Value::Int(intent.host_txid as i64),
-                Value::Text(intent.path.clone()),
-                Value::Text(intent.action.as_str().to_string()),
-                Value::Int(intent.orig_uid as i64),
-                Value::Int(intent.orig_gid as i64),
-                Value::Int(intent.orig_mode as i64),
-            ],
-        )?;
+        txn.insert("dl_intents", intent.to_row())?;
         txn.commit()?;
         self.bump();
         Ok(())
@@ -761,14 +769,32 @@ impl Repository {
 
     /// Removes an intent inside the committing sub-transaction.
     pub fn remove_intent_in(&self, txn: &mut Txn, host_txid: u64, path: &str) -> DbResult<()> {
-        txn.delete("dl_intents", &Value::Text(format!("{host_txid}|{path}")))
+        txn.delete("dl_intents", &IntentEntry::key(host_txid, path))
     }
 
-    /// Removes an intent immediately (runtime abort path).
+    /// Removes an intent on its own, **forced**: a link takes its vote back
+    /// when the file changed under it before anything was applied.
     pub fn remove_intent(&self, host_txid: u64, path: &str) -> DbResult<()> {
         let mut txn = self.db.begin();
         self.remove_intent_in(&mut txn, host_txid, path)?;
         txn.commit()?;
+        self.bump();
+        Ok(())
+    }
+
+    /// Removes an aborted branch's intents: one **unforced** commit. Losing
+    /// it in a crash leaves intents whose host transaction has no row to
+    /// show for them, which recovery settles as the same abort.
+    pub fn remove_intents<'a>(
+        &self,
+        host_txid: u64,
+        paths: impl IntoIterator<Item = &'a str>,
+    ) -> DbResult<()> {
+        let mut txn = self.db.begin();
+        for path in paths {
+            self.remove_intent_in(&mut txn, host_txid, path)?;
+        }
+        txn.commit_unforced()?;
         self.bump();
         Ok(())
     }
@@ -779,16 +805,7 @@ impl Repository {
             .scan_committed("dl_intents")
             .unwrap_or_default()
             .iter()
-            .filter_map(|row| {
-                Some(IntentEntry {
-                    host_txid: row[1].as_int()? as u64,
-                    path: row[2].as_text()?.to_string(),
-                    action: IntentAction::parse(row[3].as_text()?)?,
-                    orig_uid: row[4].as_int()? as u32,
-                    orig_gid: row[5].as_int()? as u32,
-                    orig_mode: row[6].as_int()? as u16,
-                })
-            })
+            .filter_map(IntentEntry::from_row)
             .collect()
     }
 }
@@ -906,22 +923,18 @@ mod tests {
         let env = StorageEnv::mem();
         {
             let r = Repository::open(env.clone()).unwrap();
-            r.add_intent(&IntentEntry {
-                host_txid: 5,
-                path: "/f".into(),
-                action: IntentAction::Link,
-                orig_uid: 10,
-                orig_gid: 10,
-                orig_mode: 0o644,
-            })
-            .unwrap();
+            r.add_intent(&IntentEntry { host_txid: 5, op: BranchOp::Link, file: entry("/f") })
+                .unwrap();
             r.put_token_entry(1, "/f", TokenKind::Read, u64::MAX).unwrap();
             r.add_sync(&SyncEntry { path: "/f".into(), kind: TokenKind::Read, opener: 1, uid: 1 })
                 .unwrap();
         }
         let r = Repository::open(env).unwrap();
         // Crash recovery: durable intents remain, open-file state is gone.
-        assert_eq!(r.list_intents().len(), 1);
+        assert_eq!(
+            r.list_intents(),
+            [IntentEntry { host_txid: 5, op: BranchOp::Link, file: entry("/f") }]
+        );
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
     }

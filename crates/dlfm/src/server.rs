@@ -11,7 +11,7 @@
 //! * the upcall service logic (token validation, open check, close
 //!   processing, remove/rename vetoes) invoked by the upcall daemon.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,9 +21,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::repository::{
-    BranchOp, FileEntry, IntentAction, IntentEntry, Repository, SyncEntry, UipEntry,
-};
+use crate::repository::{BranchOp, FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
 use crate::token::{AccessToken, TokenKind};
 
 /// How the host database and DLFS reach this DLFM instance: which carrier
@@ -198,16 +196,12 @@ struct SubTxn {
     txn: Option<dl_minidb::Txn>,
     undo: Vec<UndoFs>,
     deferred: Vec<DeferredFs>,
-    /// The files this branch linked or unlinked — what the settle rule asks
-    /// the host about, and (the unlinks) whose intents a decision clears.
+    /// The files this branch linked or unlinked, one forced intent each —
+    /// what the settle rule asks the host about, and whose intents the
+    /// decision clears.
     files: Vec<(String, BranchOp)>,
+    /// The coordinator asked for the vote (which the intents already cast).
     prepared: bool,
-}
-
-impl SubTxn {
-    fn unlinked(&self) -> impl Iterator<Item = &String> {
-        self.files.iter().filter(|(_, op)| *op == BranchOp::Unlink).map(|(path, _)| path)
-    }
 }
 
 /// Decision returned by the open check.
@@ -332,8 +326,8 @@ impl DlfmServer {
     /// Creates a server over the raw physical file system `fs`, with its
     /// repository in `repo_env` and a (possibly pre-existing) archive store.
     /// Runs crash recovery against whatever state the repository holds; the
-    /// host hook must be registered before recovery of in-doubt transactions
-    /// can settle, so call [`DlfmServer::recover`] after wiring the hook.
+    /// host hook must be registered before surviving intents and claims can
+    /// settle, so call [`DlfmServer::recover`] after wiring the hook.
     pub fn new(
         cfg: DlfmConfig,
         fs: Arc<dyn FileSystem>,
@@ -455,9 +449,9 @@ impl DlfmServer {
 
     /// Host transactions with live sub-transaction state on this server,
     /// as `(host_txid, prepared)`. The promoted coordinator walks this
-    /// after a host failover: prepared entries settle by the replicated
-    /// outcome (presumed abort when no decision shipped), unprepared ones
-    /// — whose host transaction can never commit now — abort outright.
+    /// after a host failover and settles each by the replicated metadata
+    /// rows (presumed abort when no decision shipped; an unprepared one
+    /// cannot have committed).
     pub fn pending_host_txns(&self) -> Vec<(u64, bool)> {
         self.pending.lock().iter().map(|(txid, cell)| (*txid, cell.lock().prepared)).collect()
     }
@@ -506,17 +500,38 @@ impl DlfmServer {
     // Link / unlink sub-transactions (§2.2)
     // =====================================================================
 
-    fn sub_txn(&self, host_txid: u64) -> Arc<Mutex<SubTxn>> {
-        let mut pending = self.pending.lock();
-        Arc::clone(pending.entry(host_txid).or_insert_with(|| {
-            Arc::new(Mutex::new(SubTxn {
-                txn: Some(self.repo.db().begin()),
-                undo: Vec::new(),
-                deferred: Vec::new(),
-                files: Vec::new(),
-                prepared: false,
-            }))
-        }))
+    /// Runs one link/unlink `op` in `host_txid`'s branch, opening the
+    /// branch on first use. A failed op that opened the branch aborts it
+    /// before the error is returned: the engine enlists this server as a
+    /// participant only after an op succeeds, so no `Commit` or `Abort`
+    /// would ever reach that branch, and its row lock would be held forever.
+    fn in_branch(
+        &self,
+        host_txid: u64,
+        op: impl FnOnce(&mut SubTxn) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let (cell, opened) = {
+            let mut pending = self.pending.lock();
+            match pending.get(&host_txid) {
+                Some(cell) => (Arc::clone(cell), false),
+                None => {
+                    let cell = Arc::new(Mutex::new(SubTxn {
+                        txn: Some(self.repo.db().begin()),
+                        undo: Vec::new(),
+                        deferred: Vec::new(),
+                        files: Vec::new(),
+                        prepared: false,
+                    }));
+                    pending.insert(host_txid, Arc::clone(&cell));
+                    (cell, true)
+                }
+            }
+        };
+        let result = op(&mut cell.lock());
+        if result.is_err() && opened {
+            self.abort_host(host_txid);
+        }
+        result
     }
 
     /// True when `host_txid` has link/unlink work pending on this server.
@@ -526,10 +541,10 @@ impl DlfmServer {
 
     /// Simulates a process crash: pending sub-transactions are abandoned
     /// *without* running their abort paths (a real crash runs no
-    /// destructors). Prepared sub-transactions stay in doubt in the
-    /// repository log; active ones simply evaporate (their buffered ops
-    /// were never logged), and the repository log's unforced tail stays
-    /// unflushed. Call before dropping the server in crash tests.
+    /// destructors). Their forced intents stay in the repository log for
+    /// recovery to settle; their buffered ops were never logged, and the
+    /// repository log's unforced tail stays unflushed. Call before dropping
+    /// the server in crash tests.
     pub fn simulate_crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
         let mut pending = self.pending.lock();
@@ -546,10 +561,11 @@ impl DlfmServer {
 
     /// Links `path` under `mode` as part of host transaction `host_txid`.
     ///
-    /// Constraints (chmod/chown) are applied to the file system *eagerly*,
-    /// preceded by a durable intent record carrying the undo information;
-    /// repository rows are buffered in the sub-transaction and commit with
-    /// the host transaction through 2PC.
+    /// Under the file's `dl_files` row lock the branch forces its intent —
+    /// its vote, carrying the row it inserts and the undo information —
+    /// then applies the access constraints (chmod/chown) to the file system
+    /// *eagerly* and buffers the row, which commits with the host
+    /// transaction through 2PC.
     pub fn link_file(
         &self,
         host_txid: u64,
@@ -570,13 +586,9 @@ impl DlfmServer {
         if attr.kind != FileKind::File {
             return Err(format!("cannot link {path}: not a regular file"));
         }
-        if self.repo.get_file(path).is_some() {
-            return Err(format!("file {path} is already linked"));
-        }
         if self.cfg.strict_link && !self.repo.sync_entries(path).is_empty() {
             return Err(format!("file {path} is currently open (strict link mode)"));
         }
-
         let entry = FileEntry {
             path: path.to_string(),
             mode,
@@ -590,173 +602,130 @@ impl DlfmServer {
             state_id: 0,
             needs_archive: false,
         };
-
-        // Apply access constraints eagerly, intent first (§2.2: "all these
-        // changes to the DLFM repository and file system are applied as
-        // part of the same DBMS transaction"). The intent row is durable
-        // immediately and is consumed by the sub-transaction's commit, so a
-        // crash at any point can undo (or re-enforce) the eager chmod/chown.
-        let (uid, gid, bits) = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
-        let constrained = (uid, gid, bits) != (attr.uid, attr.gid, attr.mode);
-        if constrained {
-            self.repo
-                .add_intent(&IntentEntry {
-                    host_txid,
-                    path: path.to_string(),
-                    action: IntentAction::Link,
-                    orig_uid: attr.uid,
-                    orig_gid: attr.gid,
-                    orig_mode: attr.mode,
-                })
-                .map_err(|e| e.to_string())?;
-        }
-
-        let cell = self.sub_txn(host_txid);
-        let mut guard = cell.lock();
-        let sub = &mut *guard;
-        let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
-        self.repo.insert_file_in(txn, &entry).map_err(|e| e.to_string())?;
-        if constrained {
-            self.repo.remove_intent_in(txn, host_txid, path).map_err(|e| e.to_string())?;
-            if mode.takes_over_at_link() {
-                self.stats.takeovers.inc();
+        self.in_branch(host_txid, |sub| {
+            let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
+            if self.repo.lock_file_in(txn, path).map_err(|e| e.to_string())?.is_some() {
+                return Err(format!("file {path} is already linked"));
             }
-            self.set_attrs(path, uid, gid, bits)?;
-            sub.undo.push(UndoFs::RestoreAttrs {
-                path: path.to_string(),
-                uid: attr.uid,
-                gid: attr.gid,
-                mode: attr.mode,
-            });
-        }
-        sub.files.push((path.to_string(), BranchOp::Link));
-        Ok(())
+            // §2.2: "all these changes to the DLFM repository and file
+            // system are applied as part of the same DBMS transaction".
+            let intent = IntentEntry { host_txid, op: BranchOp::Link, file: entry.clone() };
+            self.repo.add_intent(&intent).map_err(|e| e.to_string())?;
+            let (uid, gid, bits) = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
+            if (uid, gid, bits) != (attr.uid, attr.gid, attr.mode) {
+                if let Err(e) = self.set_attrs(path, uid, gid, bits) {
+                    // The file changed under us and nothing was applied:
+                    // take the vote back, durably, so that every intent a
+                    // crash leaves belongs to a branch that holds its file.
+                    let _ = self.repo.remove_intent(host_txid, path);
+                    return Err(e);
+                }
+                if mode.takes_over_at_link() {
+                    self.stats.takeovers.inc();
+                }
+                sub.undo.push(UndoFs::RestoreAttrs {
+                    path: path.to_string(),
+                    uid: attr.uid,
+                    gid: attr.gid,
+                    mode: attr.mode,
+                });
+            }
+            sub.files.push((path.to_string(), BranchOp::Link));
+            // Cannot fail: the row lock is held and the row is absent.
+            self.repo.insert_file_in(txn, &entry).map_err(|e| e.to_string())
+        })
     }
 
     /// Unlinks `path` as part of host transaction `host_txid`. Rejected
-    /// while the file is open (§4.5: the Sync table check). File-system
+    /// while the file is open (§4.5: the Sync table check). Under the
+    /// file's row lock the branch forces its intent; the file-system
     /// restoration (or deletion, per ON UNLINK) is deferred to commit.
     pub fn unlink_file(&self, host_txid: u64, path: &str) -> Result<(), String> {
         self.stats.unlinks.inc();
         self.recorder.record(&self.flight_source, "claim", host_txid, path, "unlink");
-        let entry = self.repo.get_file(path).ok_or_else(|| format!("file {path} is not linked"))?;
-        let sync = self.repo.sync_entries(path);
-        if !sync.is_empty() {
-            // §4.5: "when a read [or write] entry exists in the DLFM Sync
-            // table, any unlink operation by other applications will be
-            // rejected."
-            return Err(format!(
-                "file {path} is open ({} active access(es)); unlink rejected",
-                sync.len()
-            ));
-        }
-        if self.repo.get_uip(path).is_some() {
-            return Err(format!("file {path} has an update in progress"));
-        }
-
-        let action = match entry.on_unlink {
-            OnUnlink::Restore => IntentAction::UnlinkRestore,
-            OnUnlink::Delete => IntentAction::UnlinkDelete,
-        };
-        // Durable intent *survives* the sub-transaction commit: the
-        // deferred FS action runs after commit, and crash recovery replays
-        // it from the intent if we die in between.
-        self.repo
-            .add_intent(&IntentEntry {
-                host_txid,
-                path: path.to_string(),
-                action,
-                orig_uid: entry.orig_uid,
-                orig_gid: entry.orig_gid,
-                orig_mode: entry.orig_mode,
-            })
-            .map_err(|e| e.to_string())?;
-
-        let cell = self.sub_txn(host_txid);
-        let mut guard = cell.lock();
-        let sub = &mut *guard;
-        let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
-        self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
-        sub.files.push((path.to_string(), BranchOp::Unlink));
-        match entry.on_unlink {
-            OnUnlink::Restore => sub.deferred.push(DeferredFs::RestoreAttrs {
-                path: path.to_string(),
-                uid: entry.orig_uid,
-                gid: entry.orig_gid,
-                mode: entry.orig_mode,
-            }),
-            OnUnlink::Delete => {
-                sub.deferred.push(DeferredFs::DeleteFile { path: path.to_string() })
+        self.in_branch(host_txid, |sub| {
+            let txn = sub.txn.as_mut().ok_or("sub-transaction already settled")?;
+            let entry = self
+                .repo
+                .lock_file_in(txn, path)
+                .map_err(|e| e.to_string())?
+                .ok_or_else(|| format!("file {path} is not linked"))?;
+            let sync = self.repo.sync_entries(path);
+            if !sync.is_empty() {
+                // §4.5: "when a read [or write] entry exists in the DLFM
+                // Sync table, any unlink operation by other applications
+                // will be rejected."
+                return Err(format!(
+                    "file {path} is open ({} active access(es)); unlink rejected",
+                    sync.len()
+                ));
             }
-        }
+            if self.repo.get_uip(path).is_some() {
+                return Err(format!("file {path} has an update in progress"));
+            }
+            let intent = IntentEntry { host_txid, op: BranchOp::Unlink, file: entry.clone() };
+            self.repo.add_intent(&intent).map_err(|e| e.to_string())?;
+            sub.files.push((path.to_string(), BranchOp::Unlink));
+            self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
+            sub.deferred.push(match entry.on_unlink {
+                OnUnlink::Restore => DeferredFs::RestoreAttrs {
+                    path: path.to_string(),
+                    uid: entry.orig_uid,
+                    gid: entry.orig_gid,
+                    mode: entry.orig_mode,
+                },
+                OnUnlink::Delete => DeferredFs::DeleteFile { path: path.to_string() },
+            });
+            Ok(())
+        })
+    }
+
+    /// 2PC phase one for `host_txid`'s sub-transaction. Writes nothing: the
+    /// vote was forced with each intent, before the `Link`/`Unlink` reply,
+    /// so it is durable before the coordinator can decide. What is left to
+    /// check is that the branch is alive. A participant is enlisted only
+    /// after a successful `Link`/`Unlink`, so no branch here means it was
+    /// lost (a file-server failover) or already settled — and a yes for it
+    /// would let the host commit rows with no file state behind them.
+    pub fn prepare_host(&self, host_txid: u64) -> Result<(), String> {
+        let cell = self.pending.lock().get(&host_txid).cloned().ok_or_else(|| {
+            format!("no live sub-transaction for host tx{host_txid} here: vote no")
+        })?;
+        cell.lock().prepared = true;
+        self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
         Ok(())
     }
 
-    /// 2PC phase one for `host_txid`'s sub-transaction.
-    pub fn prepare_host(&self, host_txid: u64) -> Result<(), String> {
-        let cell = {
-            let pending = self.pending.lock();
-            match pending.get(&host_txid) {
-                Some(cell) => Arc::clone(cell),
-                None => return Ok(()), // nothing to prepare here
-            }
-        };
-        let mut guard = cell.lock();
-        let sub = &mut *guard;
-        match sub.txn.as_mut() {
-            Some(txn) => {
-                txn.prepare().map_err(|e| e.to_string())?;
-                sub.prepared = true;
-                self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
-                Ok(())
-            }
-            None => Err("sub-transaction already settled".into()),
-        }
-    }
-
     /// The `decide` span of a settled sub-transaction. `forced` says whether
-    /// the decision waited on a log sync: a prepared branch's `Decide` is an
-    /// unforced append under group commit (the host's metadata row is the
-    /// durable record); an unprepared one settles with an ordinary commit
-    /// or logs nothing.
-    fn record_decide(&self, host_txid: u64, outcome: &str, prepared: bool) {
-        let forced = !(prepared && self.cfg.db.wal.group_commit);
+    /// the decision waited on a log sync: under group commit the branch's
+    /// end is an unforced append (the intent and the host's metadata row
+    /// are the durable record).
+    fn record_decide(&self, host_txid: u64, outcome: &str) {
         self.recorder.record(
             &self.flight_source,
             "decide",
             host_txid,
             "",
             format!(
-                "outcome={outcome} fence={} forced={forced}",
-                self.coord_fence.load(Ordering::SeqCst)
+                "outcome={outcome} fence={} forced={}",
+                self.coord_fence.load(Ordering::SeqCst),
+                !self.cfg.db.wal.group_commit
             ),
         );
     }
 
-    /// 2PC phase two, commit path.
+    /// 2PC phase two, commit path: the unlinks' file-system actions, then
+    /// one ordinary unforced `Commit` carrying the branch's rows and the
+    /// removal of its intents. Both happen while the branch still holds its
+    /// `dl_files` row locks, so no later branch on the same files can force
+    /// its intent before this one's is gone from the log.
     pub fn commit_host(&self, host_txid: u64) {
-        let cell = {
-            let mut pending = self.pending.lock();
-            match pending.remove(&host_txid) {
-                Some(cell) => cell,
-                None => return,
-            }
-        };
+        let Some(cell) = self.pending.lock().remove(&host_txid) else { return };
         let mut sub = cell.lock();
-        self.record_decide(host_txid, "commit", sub.prepared);
-        if let Some(txn) = sub.txn.take() {
-            let result = if sub.prepared {
-                txn.commit_prepared().map(|_| ())
-            } else {
-                txn.commit().map(|_| ())
-            };
-            if let Err(e) = result {
-                // A failed local commit after the coordinator decided commit
-                // is a serious invariant break; surface loudly.
-                panic!("DLFM sub-transaction commit failed for host tx{host_txid}: {e}");
-            }
-        }
-        // Deferred FS actions (unlink restoration/deletion).
+        self.record_decide(host_txid, "commit");
+        // Deferred FS actions (unlink restoration/deletion). A crash before
+        // the `Commit` below lands leaves the intent, and recovery redoes
+        // them.
         for action in sub.deferred.drain(..) {
             match action {
                 DeferredFs::RestoreAttrs { path, uid, gid, mode } => {
@@ -768,43 +737,39 @@ impl DlfmServer {
                 }
             }
         }
-        for path in sub.unlinked() {
-            let _ = self.repo.remove_intent(host_txid, path);
+        if let Some(mut txn) = sub.txn.take() {
+            let result = sub
+                .files
+                .iter()
+                .try_for_each(|(path, _)| self.repo.remove_intent_in(&mut txn, host_txid, path))
+                .and_then(|()| txn.commit_unforced());
+            if let Err(e) = result {
+                // A failed local commit after the coordinator decided commit
+                // is a serious invariant break; surface loudly.
+                panic!("DLFM sub-transaction commit failed for host tx{host_txid}: {e}");
+            }
         }
         sub.undo.clear();
         self.bump_epoch();
     }
 
-    /// 2PC phase two, abort path (also called for never-prepared aborts).
+    /// 2PC phase two, abort path (also called for never-prepared aborts):
+    /// eager file-system changes are undone, the intents removed by one
+    /// unforced append, and only then does the branch let go of its row
+    /// locks (`Txn::abort`, which logs nothing).
     pub fn abort_host(&self, host_txid: u64) {
-        let cell = {
-            let mut pending = self.pending.lock();
-            match pending.remove(&host_txid) {
-                Some(cell) => cell,
-                None => return,
-            }
-        };
+        let Some(cell) = self.pending.lock().remove(&host_txid) else { return };
         let mut sub = cell.lock();
-        self.record_decide(host_txid, "abort", sub.prepared);
+        self.record_decide(host_txid, "abort");
+        for UndoFs::RestoreAttrs { path, uid, gid, mode } in sub.undo.drain(..) {
+            let _ = self.set_attrs(&path, uid, gid, mode);
+        }
+        if !sub.files.is_empty() {
+            let paths = sub.files.iter().map(|(path, _)| path.as_str());
+            let _ = self.repo.remove_intents(host_txid, paths);
+        }
         if let Some(txn) = sub.txn.take() {
-            if sub.prepared {
-                let _ = txn.abort_prepared();
-            } else {
-                txn.abort();
-            }
-        }
-        // Undo eager FS changes (link constraints).
-        for action in sub.undo.drain(..) {
-            match action {
-                UndoFs::RestoreAttrs { path, uid, gid, mode } => {
-                    let _ = self.set_attrs(&path, uid, gid, mode);
-                    let _ = self.repo.remove_intent(host_txid, &path);
-                }
-            }
-        }
-        // Unlink intents: no FS action was taken; just clear them.
-        for path in sub.unlinked() {
-            let _ = self.repo.remove_intent(host_txid, path);
+            txn.abort();
         }
         sub.deferred.clear();
         self.bump_epoch();
@@ -817,12 +782,15 @@ impl DlfmServer {
     /// that decides the branch: so the branch committed iff the row of a
     /// file it touched is **present for a link, absent for an unlink**. The
     /// row cannot have moved since: the branch still holds its `dl_files`
-    /// row locks (live) or nothing has been served yet (recovery), and any
-    /// later link, unlink or update of the path needs this branch decided
-    /// here first. All files of one branch agree — the host commit is
-    /// atomic — so the first decides. A branch with no file, or no host
-    /// wired, is presumed aborted. One `settle` span per branch says what
-    /// was asked and found. `txid` only labels that span.
+    /// row locks (live), or its intent survived a crash — and every later
+    /// link, unlink or update of the path forces a repository record of its
+    /// own after this branch's unforced end, so if that end was lost, so
+    /// was everything later on the path, none of which the host can have
+    /// committed. All files of one branch agree — the host commit is
+    /// atomic — so the first decides, and a committed link finds its row at
+    /// version 1. A branch with no file, or no host wired, is presumed
+    /// aborted. One `settle` span per branch says what was asked and found.
+    /// `txid` only labels that span.
     fn host_committed(&self, txid: u64, files: &[(String, BranchOp)]) -> bool {
         let host = self.host.read().clone();
         let Some((hook, (path, op))) = host.as_ref().zip(files.first()) else {
@@ -845,6 +813,10 @@ impl DlfmServer {
         debug_assert!(
             files.iter().all(|(path, op)| ask(path, *op).1 == committed),
             "the files of one branch disagree about its host transaction: {files:?}"
+        );
+        debug_assert!(
+            !(committed && *op == BranchOp::Link) || version == Some(1),
+            "a committed link found its host row at {version:?}, not version 1: {path}"
         );
         self.recorder.record(
             &self.flight_source,
@@ -1404,79 +1376,87 @@ impl DlfmServer {
     // Crash recovery (§4.2, §4.4)
     // =====================================================================
 
-    /// Runs crash recovery: settles in-doubt link/unlink sub-transactions
-    /// by the host's metadata rows (the settle rule, `host_committed`),
-    /// reconciles file-system state from intents, settles surviving update
-    /// claims by the same rows (forward when the host committed, back
-    /// otherwise) and re-submits lost archive jobs. Token entries and the Sync table need no step:
-    /// they are unlogged, so the reopened repository holds none.
+    /// Runs crash recovery: settles the link/unlink branches whose end a
+    /// crash took, by their surviving intents and the host's metadata rows
+    /// (the settle rule, `host_committed`); settles surviving update claims
+    /// by the same rows (forward when the host committed, back otherwise)
+    /// and re-submits lost archive jobs. Token entries and the Sync table
+    /// need no step: they are unlogged, so the reopened repository holds
+    /// none.
     pub fn recover(&self) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
         let host = self.host.read().clone();
 
-        // 1. In-doubt repository sub-transactions (link/unlink) settle by
-        //    the host rows of the files they touched.
-        for txid in self.repo.db().in_doubt_txns() {
-            let commit = self.host_committed(0, &self.repo.in_doubt_files(txid));
-            self.repo.db().resolve_in_doubt(txid, commit).map_err(|e| e.to_string())?;
-            report.in_doubt_resolved.push((txid, commit));
-        }
-
-        // 2. Intent reconciliation.
+        // 1. Surviving intents. A branch's intents — its forced vote — go
+        //    with its unforced `Commit` or abort record, so every intent
+        //    left is a branch the crash caught before that record reached
+        //    the disk. Each branch settles by the host rows of its files,
+        //    and the settlement is finished from the intents alone: a
+        //    committed link's row is rebuilt (version 1, nothing archived)
+        //    and its constraints enforced, a committed unlink's row goes
+        //    and its file-system action is redone, an aborted link gets its
+        //    original attributes back, an aborted unlink just drops its
+        //    intent.
+        let mut branches: BTreeMap<u64, Vec<IntentEntry>> = BTreeMap::new();
         for intent in self.repo.list_intents() {
-            let linked_now = self.repo.get_file(&intent.path);
-            match intent.action {
-                IntentAction::Link => {
-                    match linked_now {
-                        Some(entry) => {
-                            // Link committed: enforce the at-rest attrs (the
-                            // eager change may or may not have hit the FS).
-                            let (uid, gid, mode) =
-                                linked_attrs(entry.mode, &entry, &self.cfg.dlfm_cred);
-                            let _ = self.set_attrs(&intent.path, uid, gid, mode);
+            branches.entry(intent.host_txid).or_default().push(intent);
+        }
+        for (host_txid, intents) in branches {
+            let files: Vec<(String, BranchOp)> =
+                intents.iter().map(|i| (i.file.path.clone(), i.op)).collect();
+            let commit = self.host_committed(host_txid, &files);
+            let mut txn = self.repo.db().begin();
+            for IntentEntry { op, file, .. } in &intents {
+                let path = &file.path;
+                let linked_now = self.repo.get_file(path).is_some();
+                match (op, commit) {
+                    (BranchOp::Link, true) => {
+                        if !linked_now {
+                            self.repo.insert_file_in(&mut txn, file).map_err(|e| e.to_string())?;
                         }
-                        None => {
-                            // Link aborted: restore the original attributes.
-                            let _ = self.set_attrs(
-                                &intent.path,
-                                intent.orig_uid,
-                                intent.orig_gid,
-                                intent.orig_mode,
-                            );
-                            report.links_undone += 1;
-                        }
+                        let (uid, gid, mode) = linked_attrs(file.mode, file, &self.cfg.dlfm_cred);
+                        let _ = self.set_attrs(path, uid, gid, mode);
                     }
-                    let _ = self.repo.remove_intent(intent.host_txid, &intent.path);
-                }
-                IntentAction::UnlinkRestore | IntentAction::UnlinkDelete => {
-                    if linked_now.is_none() {
-                        // Unlink committed; finish (or redo) the FS action.
-                        if intent.action == IntentAction::UnlinkDelete {
-                            let _ = self.admin.remove(&ROOT, &intent.path);
-                            self.archive.forget(&intent.path);
-                        } else {
-                            let _ = self.set_attrs(
-                                &intent.path,
-                                intent.orig_uid,
-                                intent.orig_gid,
-                                intent.orig_mode,
-                            );
+                    (BranchOp::Link, false) => {
+                        let _ = self.set_attrs(path, file.orig_uid, file.orig_gid, file.orig_mode);
+                        report.links_undone += 1;
+                    }
+                    (BranchOp::Unlink, true) => {
+                        if linked_now {
+                            self.repo.delete_file_in(&mut txn, path).map_err(|e| e.to_string())?;
+                        }
+                        match file.on_unlink {
+                            OnUnlink::Delete => {
+                                let _ = self.admin.remove(&ROOT, path);
+                                self.archive.forget(path);
+                            }
+                            OnUnlink::Restore => {
+                                let _ = self.set_attrs(
+                                    path,
+                                    file.orig_uid,
+                                    file.orig_gid,
+                                    file.orig_mode,
+                                );
+                            }
                         }
                         report.unlinks_completed += 1;
                     }
-                    let _ = self.repo.remove_intent(intent.host_txid, &intent.path);
+                    (BranchOp::Unlink, false) => {}
                 }
+                self.repo.remove_intent_in(&mut txn, host_txid, path).map_err(|e| e.to_string())?;
             }
+            txn.commit().map_err(|e| e.to_string())?;
+            report.in_doubt_resolved.push((host_txid, commit));
         }
 
-        // 3. Surviving claims the host committed: roll forward. A close
+        // 2. Surviving claims the host committed: roll forward. A close
         //    commits once, on the host, and appends its repository record
         //    unforced — so a claim can outlive its own commit. The claim was
         //    forced at open and names the version it reserved; the host's
         //    metadata row says whether that version took effect. (A claim
         //    that survives is the newest update of its file: an unforced
         //    record is only ever lost with everything logged after it.)
-        //    `needs_archive` stays set, so step 4 archives the new version.
+        //    `needs_archive` stays set, so step 3 archives the new version.
         if let Some(hook) = &host {
             for uip in self.repo.list_uip() {
                 let Some(entry) = self.repo.get_file(&uip.path) else { continue };
@@ -1500,7 +1480,7 @@ impl DlfmServer {
             }
         }
 
-        // 4. Re-archive committed versions whose archive job was lost.
+        // 3. Re-archive committed versions whose archive job was lost.
         for entry in self.repo.files_needing_archive() {
             if self.archive.get(&entry.path, entry.cur_version).is_none()
                 && self.repo.get_uip(&entry.path).is_none()
@@ -1513,7 +1493,7 @@ impl DlfmServer {
             let _ = self.repo.clear_needs_archive(&entry.path);
         }
 
-        // 5. Every other claim — the host never committed it (lower
+        // 4. Every other claim — the host never committed it (lower
         //    version, no row, no host wired): restore the last committed
         //    version, quarantine the dirty image (§4.2).
         for uip in self.repo.list_uip() {
@@ -1532,7 +1512,7 @@ impl DlfmServer {
 
 impl Drop for DlfmServer {
     /// Clean shutdown: put the repository log's unforced tail on disk, so
-    /// the next start finds closes recorded and branches decided instead of
+    /// the next start finds closes recorded and branches ended instead of
     /// asking the host about each. A crashed server
     /// ([`DlfmServer::simulate_crash`]) skips it — losing that tail is what
     /// a crash does.
@@ -1546,6 +1526,8 @@ impl Drop for DlfmServer {
 /// What recovery did (assertable in tests, printed by the report binary).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
+    /// One entry per link/unlink branch a surviving intent left unsettled:
+    /// `(host_txid, committed)`.
     pub in_doubt_resolved: Vec<(u64, bool)>,
     pub links_undone: u64,
     pub unlinks_completed: u64,

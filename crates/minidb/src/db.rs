@@ -121,14 +121,6 @@ pub(crate) struct DbInner {
     /// state where the log tail and the committed stores agree.
     pub(crate) commit_latch: RwLock<()>,
     snapshot_gen: AtomicU64,
-    /// Redo ops of participant-side transactions prepared but undecided at
-    /// recovery.
-    in_doubt: Mutex<HashMap<TxId, Vec<RowOp>>>,
-    /// *Live* prepared transactions (2PC phase one done, decision pending,
-    /// the `Txn` handle still open). A checkpoint persists these alongside
-    /// the recovery-time in-doubt set so WAL truncation can never cut away
-    /// the only durable copy of an undecided transaction's redo ops.
-    live_prepared: Mutex<HashMap<TxId, Vec<RowOp>>>,
     /// Observer-injected statements awaiting pickup by their transaction.
     injected: Mutex<HashMap<TxId, Vec<InjectedDml>>>,
     /// Log retention budget ([`DbOptions::checkpoint_every_bytes`]).
@@ -212,8 +204,6 @@ impl Database {
     pub fn open_with(env: StorageEnv, opts: DbOptions) -> DbResult<Database> {
         // One recovery rule for every open (`SnapshotData::recover`): the
         // newest usable image, then `redo` of the retained log above it.
-        // What is still prepared afterwards is in doubt; the coordinator
-        // (DataLinks recovery orchestration) resolves it.
         let (wal, image) = SnapshotData::recover(&env, opts.wal, opts.stop_at_lsn)?;
         let generation = image.generation;
 
@@ -233,8 +223,6 @@ impl Database {
                 participants: Mutex::new(HashMap::new()),
                 commit_latch: RwLock::new(()),
                 snapshot_gen: AtomicU64::new(generation),
-                in_doubt: Mutex::new(image.prepared),
-                live_prepared: Mutex::new(HashMap::new()),
                 injected: Mutex::new(HashMap::new()),
                 auto_checkpoint_bytes: opts.checkpoint_every_bytes,
                 last_snapshot_bytes: AtomicU64::new(last_snapshot_bytes),
@@ -357,45 +345,6 @@ impl Database {
         self.inner.participants.lock().remove(&txid).unwrap_or_default()
     }
 
-    // --- Participant-side in-doubt management -------------------------------
-
-    /// Transactions prepared here but undecided at recovery time.
-    pub fn in_doubt_txns(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self.inner.in_doubt.lock().keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The redo ops of an in-doubt transaction — all a recovery
-    /// orchestrator has to tell what the branch was about, and so which
-    /// coordinator rows say whether it committed.
-    pub fn in_doubt_ops(&self, txid: TxId) -> Option<Vec<RowOp>> {
-        self.inner.in_doubt.lock().get(&txid).cloned()
-    }
-
-    /// Settles an in-doubt transaction per the coordinator's decision.
-    pub fn resolve_in_doubt(&self, txid: TxId, commit: bool) -> DbResult<()> {
-        // Latch before removal: a checkpoint between removing the in-doubt
-        // entry and appending the Decide record would snapshot the
-        // transaction as neither prepared nor decided — and truncation
-        // would then lose its redo ops for good.
-        let _latch = self.inner.commit_latch.read();
-        let ops = self
-            .inner
-            .in_doubt
-            .lock()
-            .remove(&txid)
-            .ok_or_else(|| DbError::InvalidTxnState(format!("tx{txid} not in doubt")))?;
-        self.inner.wal.append(&WalRecord::Decide { txid, commit })?;
-        if commit {
-            let mut tables = self.inner.tables.write();
-            for op in &ops {
-                apply_op(&mut tables, op)?;
-            }
-        }
-        Ok(())
-    }
-
     // --- Durability management ----------------------------------------------
 
     /// The current tail LSN — the paper's "database state identifier".
@@ -405,8 +354,7 @@ impl Database {
 
     /// One past the last byte the log has durably synced. Trails
     /// [`Database::state_id`] while a commit is in flight or an unforced
-    /// record (a participant `Decide`, [`Txn::commit_unforced`]) waits for
-    /// the next flush.
+    /// record ([`Txn::commit_unforced`]) waits for the next flush.
     pub fn durable_lsn(&self) -> Lsn {
         self.inner.wal.durable_lsn()
     }
@@ -460,8 +408,8 @@ impl Database {
 
     /// Writes a snapshot to the older ping-pong slot and logs a checkpoint.
     /// Returns the new snapshot generation. Since format v2 the snapshot is
-    /// a complete recovery image (tables, undecided prepared transactions,
-    /// next transaction id), which is what makes the
+    /// a complete recovery image (tables and next transaction id), which is
+    /// what makes the
     /// follow-up [`Database::checkpoint_and_truncate`] safe.
     pub fn checkpoint(&self) -> DbResult<u64> {
         self.checkpoint_inner().map(|(generation, _)| generation)
@@ -491,26 +439,15 @@ impl Database {
         // appends would land *below* it and be skipped by the next replay.
         self.inner.wal.flush()?;
         let base_lsn = self.inner.wal.tail_lsn();
-        {
-            let tables = self.inner.tables.read();
-            // Undecided prepared transactions, whether left over from
-            // recovery (in_doubt) or still live right now: the snapshot
-            // must carry their redo ops so truncation cannot orphan them.
-            let mut prepared = self.inner.in_doubt.lock().clone();
-            for (txid, txn) in self.inner.live_prepared.lock().iter() {
-                prepared.insert(*txid, txn.clone());
-            }
-            write_snapshot(
-                &dev,
-                SnapshotSource {
-                    generation,
-                    base_lsn,
-                    next_txid: self.inner.next_txid.load(Ordering::SeqCst),
-                    prepared: &prepared,
-                    tables: &tables,
-                },
-            )?;
-        }
+        write_snapshot(
+            &dev,
+            SnapshotSource {
+                generation,
+                base_lsn,
+                next_txid: self.inner.next_txid.load(Ordering::SeqCst),
+                tables: &self.inner.tables.read(),
+            },
+        )?;
         self.inner.wal.append(&WalRecord::Checkpoint { generation })?;
         self.inner.snapshot_gen.store(generation, Ordering::SeqCst);
         let snapshot_bytes = dev.len()?;
@@ -552,17 +489,6 @@ impl Database {
         }
         let _ = self.checkpoint_and_truncate();
         self.inner.checkpoint_running.store(false, Ordering::SeqCst);
-    }
-
-    /// Registers a live prepared transaction (called by [`Txn::prepare`])
-    /// so checkpoints persist its redo ops until a decision is logged.
-    pub(crate) fn register_prepared(&self, txid: TxId, ops: Vec<RowOp>) {
-        self.inner.live_prepared.lock().insert(txid, ops);
-    }
-
-    /// Drops a live prepared registration once its decision is logged.
-    pub(crate) fn unregister_prepared(&self, txid: TxId) {
-        self.inner.live_prepared.lock().remove(&txid);
     }
 
     /// A moment-in-time backup: forks the storage environment under the
@@ -1063,117 +989,17 @@ mod tests {
         assert_eq!(p.prepared.load(Ordering::SeqCst), 0);
     }
 
-    // --- participant-side prepare/decide --------------------------------------
+    // --- unforced commits ------------------------------------------------------
 
     #[test]
-    fn prepared_txn_is_in_doubt_after_crash() {
-        let env = StorageEnv::mem();
-        let txid;
-        {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let mut tx = db.begin();
-            txid = tx.id();
-            tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare().unwrap();
-            std::mem::forget(tx); // crash: no decision ever logged
-        }
-        let db = Database::open(env.clone()).unwrap();
-        assert_eq!(db.in_doubt_txns(), vec![txid]);
-        assert_eq!(db.count("t").unwrap(), 0, "undecided ops are not applied");
-
-        db.resolve_in_doubt(txid, true).unwrap();
-        assert_eq!(db.count("t").unwrap(), 1);
-        assert!(db.in_doubt_txns().is_empty());
-
-        // The resolution is durable.
-        let db2 = Database::open(env).unwrap();
-        assert_eq!(db2.count("t").unwrap(), 1);
-        assert!(db2.in_doubt_txns().is_empty());
-    }
-
-    #[test]
-    fn in_doubt_resolved_as_abort_discards_ops() {
-        let env = StorageEnv::mem();
-        let txid;
-        {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let mut tx = db.begin();
-            txid = tx.id();
-            tx.insert("t", row(1, "pending")).unwrap();
-            tx.prepare().unwrap();
-            std::mem::forget(tx);
-        }
-        let db = Database::open(env.clone()).unwrap();
-        db.resolve_in_doubt(txid, false).unwrap();
-        assert_eq!(db.count("t").unwrap(), 0);
-        let db2 = Database::open(env).unwrap();
-        assert_eq!(db2.count("t").unwrap(), 0);
-        assert!(db2.in_doubt_txns().is_empty());
-    }
-
-    #[test]
-    fn prepared_then_committed_txn_recovers_committed() {
+    fn a_later_forced_commit_carries_the_unforced_one_to_disk() {
         let env = StorageEnv::mem();
         {
             let db = Database::open(env.clone()).unwrap();
             db.create_table(schema("t")).unwrap();
             let mut tx = db.begin();
-            tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare().unwrap();
-            tx.commit_prepared().unwrap();
-            db.flush().unwrap(); // clean shutdown: the Decide is unforced
-        }
-        let db = Database::open(env).unwrap();
-        assert_eq!(db.count("t").unwrap(), 1);
-        assert!(db.in_doubt_txns().is_empty());
-    }
-
-    #[test]
-    fn decide_lost_in_a_crash_leaves_the_branch_in_doubt_with_its_ops() {
-        // The Decide is an unforced append: live, the commit is applied and
-        // visible at once; a crash before the next flush loses the record
-        // and the branch comes back in doubt, holding the redo ops its
-        // resolver reads to tell what to ask the coordinator.
-        let env = StorageEnv::mem();
-        let txid = {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let mut tx = db.begin();
-            let txid = tx.id();
-            tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare().unwrap();
-            let decided_at = tx.commit_prepared().unwrap();
-            assert_eq!(db.count("t").unwrap(), 1, "applied without waiting for the log");
-            assert_eq!(db.state_id(), decided_at);
-            assert!(db.durable_lsn() < decided_at, "the Decide is batched, not synced");
-            assert_eq!(db.wal_telemetry().unforced_appends.get(), 1);
-            assert!(db.wal_telemetry().unflushed_bytes.get() > 0);
-            txid
-        };
-        let db = Database::open(env.clone()).unwrap();
-        assert_eq!(db.in_doubt_txns(), vec![txid]);
-        assert_eq!(
-            db.in_doubt_ops(txid),
-            Some(vec![RowOp::Insert { table: "t".into(), row: row(1, "x") }])
-        );
-        assert_eq!(db.count("t").unwrap(), 0);
-        db.resolve_in_doubt(txid, true).unwrap();
-        assert_eq!(db.count("t").unwrap(), 1);
-        assert_eq!(Database::open(env).unwrap().count("t").unwrap(), 1, "the resolution is forced");
-    }
-
-    #[test]
-    fn a_later_forced_commit_carries_the_unforced_decide_to_disk() {
-        let env = StorageEnv::mem();
-        {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let mut tx = db.begin();
-            tx.insert("t", row(1, "2pc")).unwrap();
-            tx.prepare().unwrap();
-            tx.commit_prepared().unwrap();
+            tx.insert("t", row(1, "lazy")).unwrap();
+            tx.commit_unforced().unwrap();
             let syncs = db.wal_telemetry().fsync_ns.snapshot().count;
             let mut tx = db.begin();
             tx.insert("t", row(2, "plain")).unwrap();
@@ -1184,7 +1010,6 @@ mod tests {
         }
         let db = Database::open(env).unwrap();
         assert_eq!(db.count("t").unwrap(), 2);
-        assert!(db.in_doubt_txns().is_empty());
     }
 
     #[test]
@@ -1216,26 +1041,6 @@ mod tests {
         tx.insert("t", row(1, "decision")).unwrap();
         let lsn = tx.commit_unforced().unwrap();
         assert_eq!(db.durable_lsn(), lsn, "a 2PC decision never rides unforced");
-    }
-
-    #[test]
-    fn checkpoint_with_pending_prepare_still_recovers_decision() {
-        // Prepare, checkpoint (snapshot excludes undecided ops), decide
-        // commit, crash: replay must apply the ops via the prepared map from
-        // the full-log scan even though Prepare predates the snapshot base.
-        let env = StorageEnv::mem();
-        {
-            let db = Database::open(env.clone()).unwrap();
-            db.create_table(schema("t")).unwrap();
-            let mut tx = db.begin();
-            tx.insert("t", row(1, "x")).unwrap();
-            tx.prepare().unwrap();
-            db.checkpoint().unwrap();
-            tx.commit_prepared().unwrap();
-            db.flush().unwrap();
-        }
-        let db = Database::open(env).unwrap();
-        assert_eq!(db.count("t").unwrap(), 1);
     }
 
     // --- unlogged tables -------------------------------------------------------
@@ -1344,38 +1149,5 @@ mod tests {
         let reopened = Database::open(env.fork().unwrap()).unwrap();
         assert_eq!(reopened.count("t").unwrap(), 1);
         assert_unlogged_table_empty(&reopened);
-    }
-
-    #[test]
-    fn prepared_unlogged_ops_apply_live_but_not_from_in_doubt() {
-        let env = StorageEnv::mem();
-        let db = db_with_unlogged(env.clone());
-
-        // Live decision: both ops land.
-        let mut tx = db.begin();
-        tx.insert("t", row(1, "live")).unwrap();
-        tx.insert("u", row(1, "live")).unwrap();
-        tx.prepare().unwrap();
-        tx.commit_prepared().unwrap();
-        assert_eq!((db.count("t").unwrap(), db.count("u").unwrap()), (1, 1));
-
-        // Crash between prepare and decision: the in-doubt transaction
-        // carries the logged op only.
-        let mut tx = db.begin();
-        let txid = tx.id();
-        tx.insert("t", row(2, "doubt")).unwrap();
-        tx.insert("u", row(2, "doubt")).unwrap();
-        tx.prepare().unwrap();
-        std::mem::forget(tx);
-        drop(db);
-
-        let db = Database::open(env).unwrap();
-        assert_eq!(
-            db.in_doubt_ops(txid).unwrap(),
-            vec![RowOp::Insert { table: "t".into(), row: row(2, "doubt") }]
-        );
-        db.resolve_in_doubt(txid, true).unwrap();
-        assert_eq!(db.count("t").unwrap(), 2);
-        assert_unlogged_table_empty(&db);
     }
 }

@@ -26,9 +26,9 @@ use crate::error::{DbError, DbResult};
 ///   attached device fails with an `ENOSPC` I/O error and decrements it.
 ///   Failures are therefore a strict prefix of the writes that follow the
 ///   injection (the device never interleaves success and failure), which
-///   keeps two-phase commit sane: once a prepare's log write has
-///   succeeded the budget is exhausted, so the decision record that
-///   follows it cannot be the one that fails.
+///   keeps two-phase commit sane: once a vote's log write has succeeded
+///   the budget is exhausted, so the decision record that follows it
+///   cannot be the one that fails.
 /// - **Torn tail on crash** — [`DiskFaults::arm_torn_tail`] declares that
 ///   the last `bytes` of a named device never reached the platter. The
 ///   shear is applied by [`StorageEnv::apply_crash_faults`], which crash

@@ -14,16 +14,17 @@
 //!   leader/follower group-commit pipeline ([`WalOptions`], via
 //!   [`DbOptions::wal`](db::DbOptions)): concurrent committers share one
 //!   device write + sync without ever being acknowledged before their own
-//!   frame is durable. Records recovery can re-derive (a participant's
-//!   `Decide`, [`Txn::commit_unforced`]) are appended *unforced*: logged in
-//!   order, written by the next flush, never waited for.
+//!   frame is durable. Records recovery can re-derive
+//!   ([`Txn::commit_unforced`]) are appended *unforced*: logged in order,
+//!   written by the next flush, never waited for.
 //! * **Concurrency control** — strict two-phase locking with table-level
 //!   intent locks, row-level S/X locks, and wait-for-graph deadlock
 //!   detection.
-//! * **Transactions** — `begin`/`commit`/`abort`, plus an explicit
-//!   `prepare`/`commit_prepared` path so a database instance can act as a
-//!   2PC *participant* (DLFM's repository does exactly this, per the
-//!   companion SIGMOD 2000 paper "DLFM: A Transactional Resource Manager").
+//! * **Transactions** — `begin`/`commit`/`commit_unforced`/`abort`. There
+//!   is no participant-side prepare: DLFM's repository, the participant of
+//!   the companion SIGMOD 2000 paper "DLFM: A Transactional Resource
+//!   Manager", votes with a forced row of its own (its intent) and ends its
+//!   branch with an ordinary commit.
 //! * **Unlogged tables** — a table created with [`Schema::unlogged()`] keeps
 //!   2PL and commit-time visibility but its rows never reach the log, a
 //!   snapshot or a standby; a transaction that wrote nothing else commits
@@ -33,8 +34,8 @@
 //! * **Coordinator hooks** — external resource managers enlist in a host
 //!   transaction via [`Participant`] and are driven through
 //!   prepare/commit/abort; the commit decision is logged before participants
-//!   are told to commit, and recovery surfaces decided-but-unacknowledged
-//!   transactions for the orchestrator to finish.
+//!   are told to commit, and the rows it carries are what a participant
+//!   that missed phase two asks about.
 //! * **DML observers** — synchronous hooks invoked during statement
 //!   execution (the seam where the DataLinks engine intercepts DATALINK
 //!   column changes and turns them into link/unlink sub-transactions).

@@ -43,9 +43,7 @@
 //!
 //! The standby serves read-committed lookups (token checks, file-entry
 //! reads) but no transactions: there is no lock manager, no commit path,
-//! no observers. Prepared-but-undecided transactions sit in the image's
-//! `prepared` map, the in-doubt form recovery uses, so a `Decide` frame
-//! arriving later settles them. Readers that need *read-your-writes*
+//! no observers. Readers that need *read-your-writes*
 //! freshness wait on [`StandbyDb::wait_applied`] for the standby to reach
 //! their write's commit LSN.
 
@@ -59,7 +57,7 @@ use crate::error::{DbError, DbResult};
 use crate::snapshot::{latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotData};
 use crate::table::TableStore;
 use crate::value::{Row, Value};
-use crate::wal::{Lsn, ShippedFrames, TxId, Wal, WalOptions, WalReader, WalRecord};
+use crate::wal::{Lsn, ShippedFrames, Wal, WalOptions, WalReader, WalRecord};
 
 /// The primary-side feed a replication shipper consumes: the live
 /// [`WalReader`] plus access to the primary's checkpoint images, so the
@@ -103,8 +101,7 @@ impl ReplicationFeed {
 struct StandbyInner {
     /// The standby's whole state: the recovery image as of the applied
     /// watermark, which is its `base_lsn` — next expected frame base,
-    /// everything below is applied. `prepared` is the in-doubt set;
-    /// `next_txid` rides along so a promotion after truncation never
+    /// everything below is applied. `next_txid` rides along so a promotion after truncation never
     /// re-issues a transaction id.
     image: SnapshotData,
     /// Bumped by [`StandbyDb::install_checkpoint`]; a queued snapshot job
@@ -384,14 +381,6 @@ impl StandbyDb {
     pub fn count(&self, table: &str) -> DbResult<usize> {
         self.with_table(table, TableStore::len)
     }
-
-    /// Transactions prepared on the primary but undecided as of the applied
-    /// watermark (visible in-doubt state; promotion recovery settles them).
-    pub fn in_doubt_txns(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self.shared.inner.lock().image.prepared.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
 }
 
 impl Drop for StandbyDb {
@@ -591,21 +580,12 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("t", row(7, "keep")).unwrap();
         tx.commit().unwrap();
-        // An in-doubt prepare ships too.
-        let mut tx = db.begin();
-        let doubt = tx.id();
-        tx.insert("t", row(8, "doubt")).unwrap();
-        tx.prepare().unwrap();
-        std::mem::forget(tx);
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
         ship_all(&db, &standby);
-        assert_eq!(standby.in_doubt_txns().len(), 1);
 
         let promoted = Database::open(standby.env().clone()).unwrap();
         assert_eq!(promoted.count("t").unwrap(), 1);
-        assert_eq!(promoted.in_doubt_txns(), standby.in_doubt_txns());
-        assert_eq!(promoted.in_doubt_ops(doubt).map(|ops| ops.len()), Some(1));
         // The promoted database is a full primary: it can commit.
         let mut tx = promoted.begin();
         tx.insert("t", row(9, "new-primary")).unwrap();
@@ -645,31 +625,24 @@ mod tests {
     }
 
     #[test]
-    fn decide_after_prepare_applies_in_doubt_ops() {
+    fn unforced_commit_ships_with_the_next_flush() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
 
+        // The primary shows an unforced commit at once; the standby — which
+        // only ever sees synced frames — keeps serving the state before it
+        // until a flush hands the record to the shipper.
         let mut tx = db.begin();
-        tx.insert("t", row(1, "2pc")).unwrap();
-        tx.prepare().unwrap();
-        ship_all(&db, &standby);
-        assert_eq!(standby.count("t").unwrap(), 0, "prepared ops stay pending");
-        assert_eq!(standby.in_doubt_txns().len(), 1);
-
-        // The Decide is unforced: the primary shows the commit at once, the
-        // standby — which only ever sees synced frames — keeps serving the
-        // pre-commit state until a flush hands the record to the shipper.
-        tx.commit_prepared().unwrap();
+        tx.insert("t", row(1, "lazy")).unwrap();
+        tx.commit_unforced().unwrap();
         assert_eq!(db.count("t").unwrap(), 1);
         ship_all(&db, &standby);
-        assert_eq!(standby.count("t").unwrap(), 0, "unflushed decide has not shipped");
-        assert_eq!(standby.in_doubt_txns().len(), 1);
+        assert_eq!(standby.count("t").unwrap(), 0, "an unflushed commit has not shipped");
 
         db.flush().unwrap();
         ship_all(&db, &standby);
-        assert_eq!(standby.count("t").unwrap(), 1, "decide applies the prepared ops");
-        assert!(standby.in_doubt_txns().is_empty());
+        assert_eq!(standby.count("t").unwrap(), 1);
     }
 
     // --- checkpoint shipping ----------------------------------------------
@@ -859,38 +832,13 @@ mod tests {
 
         let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
         ship_all(&db, &standby);
+        // Promotion opens disks nobody writes any more: let the snapshot
+        // job the shipped `Checkpoint` queued finish first.
+        assert!(standby.wait_snapshot_idle(std::time::Duration::from_secs(10)));
         let promoted = Database::open(standby.env().clone()).unwrap();
         let tx = promoted.begin();
         assert!(tx.id() > txid, "promoted primary must not reuse txids");
         tx.abort();
-    }
-
-    #[test]
-    fn in_doubt_branch_survives_the_image_path() {
-        // The Prepare record is truncated away on the primary: the only
-        // copy of the branch's redo ops a fresh standby ever sees is the
-        // checkpoint image's.
-        let db = Database::open(StorageEnv::mem()).unwrap();
-        db.create_table(schema("t")).unwrap();
-        let mut tx = db.begin();
-        let txid = tx.id();
-        tx.insert("t", row(1, "doubt")).unwrap();
-        tx.prepare().unwrap();
-        db.checkpoint_and_truncate().unwrap();
-        std::mem::forget(tx);
-
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
-        ship_all(&db, &standby);
-        assert!(standby.wal_base_lsn() > 0, "caught up from the image");
-        // The standby's own checkpoint (restart path) keeps it too.
-        let env = standby.env().clone();
-        drop(standby);
-        let promoted = Database::open(StandbyDb::open(env).unwrap().env().clone()).unwrap();
-        assert_eq!(promoted.in_doubt_txns(), vec![txid]);
-        assert_eq!(
-            promoted.in_doubt_ops(txid),
-            Some(vec![crate::RowOp::Insert { table: "t".into(), row: row(1, "doubt") }])
-        );
     }
 
     #[test]

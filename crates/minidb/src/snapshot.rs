@@ -7,10 +7,8 @@
 //! highest generation and replays the log from its `base_lsn`.
 //!
 //! Since format version 2 a snapshot is a **complete recovery image**, not
-//! just table data: it also carries the transaction-resolution state that
-//! recovery previously reconstructed by scanning the whole log — the next
-//! transaction id and the redo ops of transactions prepared but undecided
-//! as of `base_lsn`. That
+//! just table data: it also carries what recovery previously reconstructed
+//! by scanning the whole log — the next transaction id. That
 //! completeness is what makes WAL truncation below `base_lsn` safe
 //! ([`crate::wal::Wal::truncate_below`]): nothing recovery needs can hide
 //! in the truncated prefix.
@@ -21,10 +19,13 @@
 //! rebuilds state from an image (recovery, checkpoint shipping, standby
 //! promotion, backup, point-in-time restore) yields the table empty.
 //!
-//! Format version 5 drops what versions 2–4 carried for the coordinator's
+//! Format version 5 dropped what versions 2–4 carried for the coordinator's
 //! side of 2PC — a map of transaction outcomes, and with each prepared
-//! transaction the coordinator id its `Prepare` named. Whether a 2PC
-//! transaction committed is read off the rows its `Commit` carried, which
+//! transaction the coordinator id its `Prepare` named. Format version 6
+//! drops the participant side: the redo ops of transactions prepared but
+//! undecided, which left with the `Prepare`/`Decide` records. Whether a 2PC
+//! transaction committed is read off the rows its `Commit` carried, and a
+//! participant's vote is a row of its own (DLFM's intent), both of which
 //! the image holds anyway.
 //!
 //! # The recovery rule
@@ -32,8 +33,8 @@
 //! Because the image is complete, recovery is one fold: start from the
 //! newest usable image (or the empty one) and [`SnapshotData::redo`] every
 //! retained log record at or above its base, in log order. `redo` is the
-//! only place a [`WalRecord`] is mapped onto tables, prepared transactions
-//! and the transaction-id horizon, and
+//! only place a [`WalRecord`] is mapped onto tables and the
+//! transaction-id horizon, and
 //! `SnapshotData::recover` the only open sequence: a primary's crash
 //! recovery, a point-in-time restore, a standby's restart and a standby's
 //! live apply ([`crate::replica::StandbyDb`] keeps its state *as* this
@@ -46,12 +47,11 @@ use crate::codec::{crc32, get_row, get_schema, put_row, put_schema, Dec, Enc};
 use crate::db::apply_op;
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
-use crate::ops::RowOp;
 use crate::table::TableStore;
 use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];
@@ -97,8 +97,6 @@ pub struct SnapshotData {
     /// First transaction id recovery may hand out (ids below it may have
     /// been used by records since truncated away).
     pub next_txid: TxId,
-    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
-    pub prepared: HashMap<TxId, Vec<RowOp>>,
     /// Committed table stores.
     pub tables: HashMap<String, TableStore>,
 }
@@ -106,23 +104,15 @@ pub struct SnapshotData {
 impl Default for SnapshotData {
     /// The image of a database nothing was ever logged to.
     fn default() -> SnapshotData {
-        SnapshotData {
-            generation: 0,
-            base_lsn: 0,
-            next_txid: 1,
-            prepared: HashMap::new(),
-            tables: HashMap::new(),
-        }
+        SnapshotData { generation: 0, base_lsn: 0, next_txid: 1, tables: HashMap::new() }
     }
 }
 
 impl SnapshotData {
     /// What one log record does to the image — *the* recovery rule (module
     /// docs). `Ddl` and `Commit` apply their ops (replay trusts the log);
-    /// `Prepare` parks its ops, in doubt; `Decide` settles them, and one
-    /// with nothing parked (the transaction was decided below the image's
-    /// base) is a no-op; every transaction id seen pushes the id horizon
-    /// (`use_txid`). `Checkpoint` changes nothing: which
+    /// every transaction id seen pushes the id horizon (`use_txid`).
+    /// `Checkpoint` changes nothing: which
     /// image is newest is read off the snapshot slots, never off the log.
     /// The caller feeds records in log order, none below `base_lsn`, and
     /// moves `base_lsn` past what it fed.
@@ -135,16 +125,6 @@ impl SnapshotData {
                     apply_op(&mut self.tables, op)?;
                 }
             }
-            WalRecord::Prepare { txid, ops } => {
-                self.prepared.insert(*txid, ops.clone());
-            }
-            WalRecord::Decide { txid, commit } => {
-                if let Some(ops) = self.prepared.remove(txid).filter(|_| *commit) {
-                    for op in &ops {
-                        apply_op(&mut self.tables, op)?;
-                    }
-                }
-            }
             WalRecord::Checkpoint { .. } => {}
         }
         Ok(())
@@ -152,10 +132,7 @@ impl SnapshotData {
 
     /// Pushes the id horizon past the transaction `rec` names, if any.
     fn use_txid(&mut self, rec: &WalRecord) {
-        if let WalRecord::Commit { txid, .. }
-        | WalRecord::Prepare { txid, .. }
-        | WalRecord::Decide { txid, .. } = rec
-        {
+        if let WalRecord::Commit { txid, .. } = rec {
             self.next_txid = self.next_txid.max(txid + 1);
         }
     }
@@ -223,8 +200,6 @@ pub struct SnapshotSource<'a> {
     pub base_lsn: Lsn,
     /// First transaction id recovery may hand out.
     pub next_txid: TxId,
-    /// Redo ops of transactions prepared but undecided as of `base_lsn`.
-    pub prepared: &'a HashMap<TxId, Vec<RowOp>>,
     /// Committed table stores.
     pub tables: &'a HashMap<String, TableStore>,
 }
@@ -235,7 +210,6 @@ impl<'a> From<&'a SnapshotData> for SnapshotSource<'a> {
             generation: snap.generation,
             base_lsn: snap.base_lsn,
             next_txid: snap.next_txid,
-            prepared: &snap.prepared,
             tables: &snap.tables,
         }
     }
@@ -248,15 +222,8 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
     body.put_u64(snap.generation);
     body.put_u64(snap.base_lsn);
     body.put_u64(snap.next_txid);
-    // Deterministic order keeps snapshots byte-comparable in tests.
-    let mut prepared_ids: Vec<&TxId> = snap.prepared.keys().collect();
-    prepared_ids.sort();
-    body.put_u32(prepared_ids.len() as u32);
-    for txid in prepared_ids {
-        body.put_u64(*txid);
-        RowOp::encode_list(&snap.prepared[txid], &mut body);
-    }
     body.put_u32(snap.tables.len() as u32);
+    // Deterministic order keeps snapshots byte-comparable in tests.
     let mut names: Vec<&String> = snap.tables.keys().collect();
     names.sort();
     for name in names {
@@ -326,12 +293,6 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     let generation = dec.get_u64()?;
     let base_lsn = dec.get_u64()?;
     let next_txid = dec.get_u64()?;
-    let nprepared = dec.get_u32()? as usize;
-    let mut prepared = HashMap::with_capacity(nprepared);
-    for _ in 0..nprepared {
-        let txid = dec.get_u64()?;
-        prepared.insert(txid, RowOp::decode_list(&mut dec)?);
-    }
     let ntables = dec.get_u32()? as usize;
     let mut tables = HashMap::with_capacity(ntables);
     for _ in 0..ntables {
@@ -355,7 +316,7 @@ pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     if !dec.is_done() {
         return Err(DbError::Corrupt("trailing bytes in snapshot".into()));
     }
-    Ok(Some(SnapshotData { generation, base_lsn, next_txid, prepared, tables }))
+    Ok(Some(SnapshotData { generation, base_lsn, next_txid, tables }))
 }
 
 #[cfg(test)]
@@ -377,15 +338,7 @@ mod tests {
         store.create_index("title").unwrap();
         let mut tables = HashMap::new();
         tables.insert("movies".to_string(), store);
-        let mut prepared = HashMap::new();
-        prepared.insert(
-            9u64,
-            vec![RowOp::Insert {
-                table: "movies".into(),
-                row: vec![Value::Int(3), Value::Text("Stalker".into())],
-            }],
-        );
-        SnapshotData { generation: 3, base_lsn: 128, next_txid: 10, prepared, tables }
+        SnapshotData { generation: 3, base_lsn: 128, next_txid: 10, tables }
     }
 
     #[test]
@@ -396,7 +349,6 @@ mod tests {
         assert_eq!(snap.generation, 3);
         assert_eq!(snap.base_lsn, 128);
         assert_eq!(snap.next_txid, 10);
-        assert_eq!(snap.prepared[&9].len(), 1);
         let movies = &snap.tables["movies"];
         assert_eq!(movies.len(), 2);
         assert!(movies.has_index("title"));
@@ -473,10 +425,10 @@ mod tests {
     fn outdated_format_version_reads_none() {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
         write_snapshot(&dev, (&sample()).into()).unwrap();
-        // Rewrite the version field to 4 (the format that still carried a
-        // coordinator-outcomes map): the slot must read as invalid, not
-        // misparse.
-        dev.write_at(4, &4u32.to_le_bytes()).unwrap();
+        // Rewrite the version field to 5 (the format that still carried
+        // the prepared-transaction column): the slot must read as invalid,
+        // not misparse.
+        dev.write_at(4, &5u32.to_le_bytes()).unwrap();
         assert!(read_snapshot(&dev).unwrap().is_none());
     }
 }

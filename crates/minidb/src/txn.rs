@@ -1,5 +1,6 @@
-//! Transactions: deferred-update write sets, strict 2PL, two commit shapes
-//! (coordinator commit and participant prepare/decide).
+//! Transactions: deferred-update write sets, strict 2PL, one commit shape
+//! (a `Commit` record, forced or not, that is the decision — for the
+//! participants this transaction coordinates too).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -13,15 +14,14 @@ use crate::wal::{Lsn, TxId, WalRecord};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxnState {
     Active,
-    Prepared,
     Finished,
 }
 
 /// An open transaction. Writes are buffered privately (deferred update) and
 /// applied to the shared stores at commit, after the commit record is
-/// durable (or merely logged, for the two unforced shapes:
-/// [`Txn::commit_unforced`] and a prepared branch's decision). Writes to unlogged tables ([`crate::Schema::unlogged()`]) take the
-/// same locks and are applied at the same point, but stay out of the log.
+/// durable (or merely logged, for [`Txn::commit_unforced`]). Writes to
+/// unlogged tables ([`crate::Schema::unlogged()`]) take the same locks and
+/// are applied at the same point, but stay out of the log.
 /// Dropping an unfinished transaction aborts it.
 pub struct Txn {
     db: Database,
@@ -305,8 +305,10 @@ impl Txn {
     /// everything logged after it — if a crash comes first. Only for
     /// changes whose loss recovery repairs by itself; DLFM clears
     /// `needs_archive` this way (losing the clear re-checks one archived
-    /// version) and records a committed update's version bump (losing it
-    /// re-derives it from the forced claim and the host's metadata row).
+    /// version), records a committed update's version bump (losing it
+    /// re-derives it from the forced claim and the host's metadata row) and
+    /// ends a link/unlink branch (losing it re-derives it from the forced
+    /// intent and the host's metadata row).
     /// A transaction with enlisted participants is forced
     /// regardless: its commit record *is* the 2PC decision.
     pub fn commit_unforced(self) -> DbResult<Lsn> {
@@ -404,114 +406,11 @@ impl Txn {
         self.overlay.clear();
         self.state = TxnState::Finished;
     }
-
-    // --- Participant-side prepare/decide ---------------------------------------
-
-    /// Durably prepares this transaction (2PC phase one, participant role):
-    /// the redo ops hit the log, locks are retained, and the transaction can
-    /// only finish via [`Txn::commit_prepared`] / [`Txn::abort_prepared`].
-    /// Unlogged writes ride along in memory only: a live `commit_prepared`
-    /// applies them, an in-doubt resolution after a crash never sees them.
-    ///
-    /// The record names no coordinator. What recovery asks the coordinator
-    /// about a branch left in doubt is the branch's own redo ops
-    /// ([`Database::in_doubt_ops`]): did the rows that must have committed
-    /// with them commit?
-    pub fn prepare(&mut self) -> DbResult<()> {
-        self.ensure_active()?;
-        let logged = self.logged_ops();
-        // The shared latch makes append + live-prepared registration atomic
-        // with respect to checkpoints: without it, a checkpoint could
-        // snapshot between the two — missing the registration — and then
-        // truncate the Prepare record, losing the only durable copy of an
-        // undecided transaction's redo ops.
-        let _latch = self.db.inner().commit_latch.read();
-        self.db.inner().wal.append(&WalRecord::Prepare { txid: self.id, ops: logged.clone() })?;
-        self.db.register_prepared(self.id, logged);
-        self.state = TxnState::Prepared;
-        Ok(())
-    }
-
-    /// Commits a prepared transaction (2PC phase two). The `Decide` record
-    /// is appended **unforced**: what makes the decision durable is the
-    /// coordinator's own commit record, forced before phase two begins,
-    /// and a branch that crashes without its `Decide` comes back in doubt
-    /// and is resolved from the rows that record committed
-    /// ([`Database::in_doubt_ops`]). The returned LSN is the log tail after
-    /// the record — a position, not a durability promise.
-    pub fn commit_prepared(mut self) -> DbResult<Lsn> {
-        if self.state != TxnState::Prepared {
-            return Err(DbError::InvalidTxnState(format!(
-                "tx{} is {:?}, not prepared",
-                self.id, self.state
-            )));
-        }
-        let lsn = {
-            let inner = self.db.inner();
-            let _latch = inner.commit_latch.read();
-            let lsn =
-                inner.wal.append_unforced(&WalRecord::Decide { txid: self.id, commit: true })?;
-            let mut tables = inner.tables.write();
-            for op in &self.ops {
-                apply_op(&mut tables, op)?;
-            }
-            // Deregister while still holding the latch: a checkpoint must
-            // never observe the decided state with the transaction still
-            // listed as prepared (it would resurface as in-doubt after the
-            // Decide record is truncated, and a re-resolution would
-            // double-apply or contradict the acknowledged decision). The
-            // checkpoint flushes the batch before it snapshots, so the
-            // unforced Decide is on disk below the image that omits us.
-            self.db.unregister_prepared(self.id);
-            lsn
-        };
-        self.finish_local();
-        self.db.maybe_auto_checkpoint();
-        Ok(lsn)
-    }
-
-    /// Rolls back a prepared transaction (2PC phase two, abort path). The
-    /// `Decide` is unforced, like [`Txn::commit_prepared`]'s, and needs
-    /// even less: losing it leaves the branch in doubt with no coordinator
-    /// row to show for it, which presumed abort settles the same way.
-    pub fn abort_prepared(mut self) -> DbResult<()> {
-        if self.state != TxnState::Prepared {
-            return Err(DbError::InvalidTxnState(format!(
-                "tx{} is {:?}, not prepared",
-                self.id, self.state
-            )));
-        }
-        self.log_abort_decision()?;
-        self.finish_local();
-        Ok(())
-    }
-
-    /// Logs `Decide{abort}` for this prepared transaction and drops its
-    /// live-prepared registration. Same latch discipline as
-    /// `commit_prepared`: decision append and deregistration are atomic
-    /// w.r.t. checkpoints.
-    fn log_abort_decision(&self) -> DbResult<()> {
-        let inner = self.db.inner();
-        let _latch = inner.commit_latch.read();
-        inner.wal.append_unforced(&WalRecord::Decide { txid: self.id, commit: false })?;
-        self.db.unregister_prepared(self.id);
-        Ok(())
-    }
 }
 
 impl Drop for Txn {
     fn drop(&mut self) {
-        match self.state {
-            TxnState::Finished => {}
-            TxnState::Prepared => {
-                // A *dropped* prepared transaction is a programming bug, not
-                // a crash (crashes never run Drop). Settle it as an abort so
-                // locks and log state stay coherent.
-                let _ = self.log_abort_decision();
-                self.abort_in_place();
-            }
-            TxnState::Active => self.abort_in_place(),
-        }
+        self.abort_in_place();
     }
 }
 
@@ -789,43 +688,5 @@ mod tests {
         let tx = d.begin();
         let lsn = tx.commit().unwrap();
         assert_eq!(lsn, before, "read-only commit writes nothing");
-    }
-
-    #[test]
-    fn txn_unusable_after_commit_like_states() {
-        let d = db();
-        let mut tx = d.begin();
-        tx.insert("t", row(1, "a")).unwrap();
-        tx.prepare().unwrap();
-        assert!(matches!(tx.insert("t", row(2, "b")), Err(DbError::InvalidTxnState(_))));
-        assert!(matches!(tx.get("t", &Value::Int(1)), Err(DbError::InvalidTxnState(_))));
-        tx.commit_prepared().unwrap();
-    }
-
-    #[test]
-    fn prepared_holds_locks_until_decision() {
-        let d = db();
-        let mut setup = d.begin();
-        setup.insert("t", row(1, "v")).unwrap();
-        setup.commit().unwrap();
-
-        let mut tx = d.begin();
-        tx.update("t", &Value::Int(1), row(1, "p")).unwrap();
-        tx.prepare().unwrap();
-
-        let d2 = d.clone();
-        let blocked = thread::spawn(move || {
-            let mut tx2 = d2.begin();
-            tx2.update("t", &Value::Int(1), row(1, "q")).unwrap();
-            tx2.commit().unwrap();
-        });
-        thread::sleep(Duration::from_millis(30));
-        assert!(!blocked.is_finished(), "prepared txn must retain its locks");
-        tx.commit_prepared().unwrap();
-        blocked.join().unwrap();
-        assert_eq!(
-            d.get_committed("t", &Value::Int(1)).unwrap().unwrap()[1],
-            Value::Text("q".into())
-        );
     }
 }

@@ -9,14 +9,12 @@
 //! Record vocabulary:
 //!
 //! * `Ddl` — catalog change, applied immediately (DDL is auto-committed).
-//! * `Commit` — a coordinator-side commit: the transaction's complete redo
-//!   op list. Writing this record *is* the commit decision — for enlisted
-//!   2PC participants too, who read it back off the rows it carries.
-//! * `Prepare` / `Decide` — participant-side 2PC: `Prepare` persists the op
-//!   list without applying it; `Decide` settles it. A prepared transaction
-//!   with no decision on record is *in doubt* after recovery and must be
-//!   resolved by the coordinator (the DataLinks recovery orchestrator does
-//!   this for DLFM repositories).
+//! * `Commit` — a commit: the transaction's complete redo op list. Writing
+//!   this record *is* the commit decision — for enlisted 2PC participants
+//!   too, who read it back off the rows it carries. There is no
+//!   participant-side record: a resource manager that joins a 2PC keeps
+//!   its vote in rows of its own (DLFM's forced intent, DESIGN.md "Force
+//!   audit").
 //! * `Checkpoint` — marks that a snapshot with the given generation covers
 //!   the log strictly before this record.
 //!
@@ -45,9 +43,9 @@
 //! — writes it in log order with everything batched around it. A crash can
 //! therefore lose only a *suffix* of unforced records, never one out of
 //! the middle, and a record may be appended unforced exactly when recovery
-//! can re-derive it from what *is* forced (a participant's `Decide` from
-//! the rows its coordinator committed; a flag clear whose loss repeats idempotent
-//! work). Which records qualify is a property of the call site, not an
+//! can re-derive it from what *is* forced (a DLFM branch's `Commit` from
+//! its forced intent and the rows its coordinator committed; a flag clear
+//! whose loss repeats idempotent work). Which records qualify is a property of the call site, not an
 //! option: there is no knob, and the per-commit-sync mode forces every
 //! append, unforced or not. A failed flush drops the forced frames it
 //! caught (their appenders report the error) but carries the unforced
@@ -117,13 +115,8 @@ pub type TxId = u64;
 pub enum WalRecord {
     /// Auto-committed catalog change.
     Ddl(RowOp),
-    /// Coordinator commit decision with full redo information.
+    /// Commit decision with full redo information.
     Commit { txid: TxId, ops: Vec<RowOp> },
-    /// Participant prepared state (2PC phase one): the redo ops, parked
-    /// until a `Decide`.
-    Prepare { txid: TxId, ops: Vec<RowOp> },
-    /// Participant decision (2PC phase two).
-    Decide { txid: TxId, commit: bool },
     /// Snapshot `generation` covers the log strictly before this record.
     Checkpoint { generation: u64 },
 }
@@ -141,16 +134,6 @@ impl WalRecord {
                 enc.put_u64(*txid);
                 RowOp::encode_list(ops, &mut enc);
             }
-            WalRecord::Prepare { txid, ops } => {
-                enc.put_u8(2);
-                enc.put_u64(*txid);
-                RowOp::encode_list(ops, &mut enc);
-            }
-            WalRecord::Decide { txid, commit } => {
-                enc.put_u8(3);
-                enc.put_u64(*txid);
-                enc.put_bool(*commit);
-            }
             WalRecord::Checkpoint { generation } => {
                 enc.put_u8(4);
                 enc.put_u64(*generation);
@@ -164,8 +147,6 @@ impl WalRecord {
         let rec = match dec.get_u8()? {
             0 => WalRecord::Ddl(RowOp::decode(&mut dec)?),
             1 => WalRecord::Commit { txid: dec.get_u64()?, ops: RowOp::decode_list(&mut dec)? },
-            2 => WalRecord::Prepare { txid: dec.get_u64()?, ops: RowOp::decode_list(&mut dec)? },
-            3 => WalRecord::Decide { txid: dec.get_u64()?, commit: dec.get_bool()? },
             4 => WalRecord::Checkpoint { generation: dec.get_u64()? },
             t => return Err(DbError::Corrupt(format!("unknown wal record tag {t}"))),
         };
@@ -1037,6 +1018,11 @@ mod tests {
         RowOp::Insert { table: "t".into(), row: vec![Value::Int(i)] }
     }
 
+    /// The smallest record: a commit with nothing to redo.
+    fn empty(txid: u64) -> WalRecord {
+        WalRecord::Commit { txid, ops: Vec::new() }
+    }
+
     #[test]
     fn append_and_replay() {
         let d = dev();
@@ -1044,12 +1030,12 @@ mod tests {
             let (wal, recs) = Wal::open(Arc::clone(&d)).unwrap();
             assert!(recs.is_empty());
             wal.append(&WalRecord::Commit { txid: 1, ops: vec![insert_op(1)] }).unwrap();
-            wal.append(&WalRecord::Decide { txid: 2, commit: false }).unwrap();
+            wal.append(&empty(2)).unwrap();
         }
         let (_, recs) = Wal::open(d).unwrap();
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[0].1, WalRecord::Commit { txid: 1, .. }));
-        assert!(matches!(recs[1].1, WalRecord::Decide { txid: 2, commit: false }));
+        assert!(matches!(recs[1].1, WalRecord::Commit { txid: 2, .. }));
     }
 
     #[test]
@@ -1082,8 +1068,8 @@ mod tests {
     fn corrupt_crc_stops_replay() {
         let d = dev();
         let (wal, _) = Wal::open(Arc::clone(&d)).unwrap();
-        let first_end = wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
-        wal.append(&WalRecord::Decide { txid: 2, commit: true }).unwrap();
+        let first_end = wal.append(&empty(1)).unwrap();
+        wal.append(&empty(2)).unwrap();
         // Flip a payload byte of the second record (which starts at the
         // first record's end).
         let mut b = [0u8; 1];
@@ -1098,9 +1084,9 @@ mod tests {
     fn read_until_respects_state_semantics() {
         let d = dev();
         let (wal, _) = Wal::open(Arc::clone(&d)).unwrap();
-        let a = wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
-        let b = wal.append(&WalRecord::Decide { txid: 2, commit: true }).unwrap();
-        wal.append(&WalRecord::Decide { txid: 3, commit: true }).unwrap();
+        let a = wal.append(&empty(1)).unwrap();
+        let b = wal.append(&empty(2)).unwrap();
+        wal.append(&empty(3)).unwrap();
 
         // A state id covers exactly the records logged before it.
         assert_eq!(read_until(&d, 0, Some(a)).unwrap().len(), 1);
@@ -1211,7 +1197,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 scope.spawn(move || {
                     for _ in 0..5 {
-                        wal.append(&WalRecord::Decide { txid: t, commit: true }).unwrap();
+                        wal.append(&empty(t)).unwrap();
                     }
                 });
             }
@@ -1264,8 +1250,8 @@ mod tests {
         assert_eq!(reader.durable_lsn(), 0);
         assert!(reader.read_from(0).unwrap().is_empty());
 
-        let a = wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
-        let b = wal.append(&WalRecord::Decide { txid: 2, commit: true }).unwrap();
+        let a = wal.append(&empty(1)).unwrap();
+        let b = wal.append(&empty(2)).unwrap();
         assert_eq!(reader.durable_lsn(), b);
 
         let frames = reader.read_from(0).unwrap();
@@ -1278,7 +1264,7 @@ mod tests {
         let tail = reader.read_from(a).unwrap();
         assert_eq!(tail.base, a);
         assert_eq!(tail.records.len(), 1);
-        assert!(matches!(tail.records[0].1, WalRecord::Decide { txid: 2, .. }));
+        assert!(matches!(tail.records[0].1, WalRecord::Commit { txid: 2, .. }));
     }
 
     #[test]
@@ -1312,7 +1298,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 scope.spawn(move || {
                     for k in 0..5 {
-                        wal.append(&WalRecord::Decide { txid: t * 10 + k, commit: true }).unwrap();
+                        wal.append(&empty(t * 10 + k)).unwrap();
                     }
                 });
             }
@@ -1327,15 +1313,15 @@ mod tests {
         let faults = crate::device::DiskFaults::new();
         let env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
+        wal.append(&empty(1)).unwrap();
 
         faults.inject_enospc(1);
-        let err = wal.append(&WalRecord::Decide { txid: 2, commit: true });
+        let err = wal.append(&empty(2));
         assert!(err.is_err(), "commit caught in the failed flush reports the error");
 
         // The log stays usable: the next append reuses the dropped frame's
         // address space and the tail rewinds over the failure.
-        let b = wal.append(&WalRecord::Decide { txid: 3, commit: true }).unwrap();
+        let b = wal.append(&empty(3)).unwrap();
         assert_eq!(wal.durable_lsn(), b);
         assert_eq!(wal.tail_lsn(), b);
 
@@ -1344,7 +1330,7 @@ mod tests {
         let txids: Vec<u64> = recs
             .iter()
             .map(|(_, r)| match r {
-                WalRecord::Decide { txid, .. } => *txid,
+                WalRecord::Commit { txid, .. } => *txid,
                 other => panic!("unexpected record {other:?}"),
             })
             .collect();
@@ -1361,7 +1347,7 @@ mod tests {
         let env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
         let wal = Arc::new(Wal::open_env(&env, WalOptions::tuned_for(8)).unwrap().0);
         for i in 0..4u64 {
-            wal.append(&WalRecord::Decide { txid: i, commit: true }).unwrap();
+            wal.append(&empty(i)).unwrap();
         }
 
         faults.inject_enospc(3);
@@ -1374,7 +1360,7 @@ mod tests {
                 scope.spawn(move || {
                     for k in 0..10u64 {
                         let txid = 100 + t * 100 + k;
-                        match wal.append(&WalRecord::Decide { txid, commit: true }) {
+                        match wal.append(&empty(txid)) {
                             Ok(_) => acked.lock().push(txid),
                             Err(_) => failed.lock().push(txid),
                         }
@@ -1391,7 +1377,7 @@ mod tests {
         let replayed: std::collections::HashSet<u64> = recs
             .iter()
             .map(|(_, r)| match r {
-                WalRecord::Decide { txid, .. } => *txid,
+                WalRecord::Commit { txid, .. } => *txid,
                 other => panic!("unexpected record {other:?}"),
             })
             .collect();
@@ -1419,8 +1405,7 @@ mod tests {
         let records = vec![
             WalRecord::Ddl(insert_op(0)),
             WalRecord::Commit { txid: 9, ops: vec![insert_op(1), insert_op(2)] },
-            WalRecord::Prepare { txid: 10, ops: vec![insert_op(3)] },
-            WalRecord::Decide { txid: 10, commit: true },
+            WalRecord::Commit { txid: 10, ops: Vec::new() },
             WalRecord::Checkpoint { generation: 3 },
         ];
         for rec in records {
@@ -1431,14 +1416,10 @@ mod tests {
 
     // --- unforced appends -------------------------------------------------------
 
-    fn decide(txid: u64) -> WalRecord {
-        WalRecord::Decide { txid, commit: true }
-    }
-
-    fn decided_txids(recs: &[(Lsn, WalRecord)]) -> Vec<u64> {
+    fn logged_txids(recs: &[(Lsn, WalRecord)]) -> Vec<u64> {
         recs.iter()
             .map(|(_, r)| match r {
-                WalRecord::Decide { txid, .. } => *txid,
+                WalRecord::Commit { txid, .. } => *txid,
                 other => panic!("unexpected record {other:?}"),
             })
             .collect()
@@ -1449,9 +1430,9 @@ mod tests {
         let d = Arc::new(MemDevice::new());
         let (wal, _) = Wal::open(Arc::clone(&d) as Arc<dyn Device>).unwrap();
         let reader = wal.reader();
-        let a = wal.append(&decide(1)).unwrap();
+        let a = wal.append(&empty(1)).unwrap();
 
-        let b = wal.append_unforced(&decide(2)).unwrap();
+        let b = wal.append_unforced(&empty(2)).unwrap();
         assert!(b > a);
         assert_eq!(wal.tail_lsn(), b, "the tail covers the unforced record");
         assert_eq!(wal.durable_lsn(), a, "nothing was synced for it");
@@ -1464,7 +1445,7 @@ mod tests {
         wal.flush().unwrap();
         assert_eq!(wal.durable_lsn(), b);
         assert_eq!(reader.durable_lsn(), b, "the flush publishes to shippers");
-        assert_eq!(decided_txids(&reader.read_from(0).unwrap().records), vec![1, 2]);
+        assert_eq!(logged_txids(&reader.read_from(0).unwrap().records), vec![1, 2]);
         assert_eq!(wal.telemetry().unflushed_bytes.get(), 0);
         // Nothing pending: a flush is free.
         let syncs = d.sync_count();
@@ -1473,7 +1454,7 @@ mod tests {
 
         drop(wal);
         let (_, recs) = Wal::open(d as Arc<dyn Device>).unwrap();
-        assert_eq!(decided_txids(&recs), vec![1, 2]);
+        assert_eq!(logged_txids(&recs), vec![1, 2]);
     }
 
     #[test]
@@ -1490,15 +1471,15 @@ mod tests {
             let (wal, _) = Wal::open(Arc::clone(&d) as Arc<dyn Device>).unwrap();
             for (txid, forced) in [(1, false), (2, true), (3, false), (4, false), (5, true)] {
                 let lsn = if forced {
-                    let lsn = wal.append(&decide(txid)).unwrap();
+                    let lsn = wal.append(&empty(txid)).unwrap();
                     assert_eq!(wal.durable_lsn(), lsn, "forced append {txid} acked before sync");
                     lsn
                 } else {
-                    wal.append_unforced(&decide(txid)).unwrap()
+                    wal.append_unforced(&empty(txid)).unwrap()
                 };
                 ends.push((txid, lsn));
             }
-            wal.append_unforced(&decide(6)).unwrap();
+            wal.append_unforced(&empty(6)).unwrap();
         }
         let bytes = d.snapshot();
         assert_eq!(bytes.len() as u64, ends.last().unwrap().1, "u6 never reached the device");
@@ -1507,7 +1488,7 @@ mod tests {
             let (_, recs) = Wal::open(torn).unwrap();
             let expect: Vec<u64> =
                 ends.iter().filter(|(_, end)| *end <= cut as u64).map(|(t, _)| *t).collect();
-            assert_eq!(decided_txids(&recs), expect, "cut at byte {cut}");
+            assert_eq!(logged_txids(&recs), expect, "cut at byte {cut}");
         }
     }
 
@@ -1527,7 +1508,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 scope.spawn(move || {
                     for k in 0..5 {
-                        wal.append_unforced(&decide(t * 10 + k)).unwrap();
+                        wal.append_unforced(&empty(t * 10 + k)).unwrap();
                     }
                 });
             }
@@ -1546,11 +1527,11 @@ mod tests {
         let (wal, _) =
             Wal::open_with(Arc::clone(&d), WalOptions { max_batch: 1, ..Default::default() })
                 .unwrap();
-        wal.append_unforced(&decide(1)).unwrap();
-        let lsn = wal.append(&decide(2)).unwrap();
+        wal.append_unforced(&empty(1)).unwrap();
+        let lsn = wal.append(&empty(2)).unwrap();
         assert_eq!(wal.durable_lsn(), lsn);
         drop(wal);
-        assert_eq!(decided_txids(&Wal::open(d).unwrap().1), vec![1, 2]);
+        assert_eq!(logged_txids(&Wal::open(d).unwrap().1), vec![1, 2]);
     }
 
     #[test]
@@ -1558,16 +1539,16 @@ mod tests {
         let faults = crate::device::DiskFaults::new();
         let env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        let durable = wal.append(&decide(1)).unwrap();
-        wal.append_unforced(&decide(2)).unwrap();
-        wal.append_unforced(&decide(3)).unwrap();
+        let durable = wal.append(&empty(1)).unwrap();
+        wal.append_unforced(&empty(2)).unwrap();
+        wal.append_unforced(&empty(3)).unwrap();
 
         faults.inject_enospc(1);
-        assert!(wal.append(&decide(4)).is_err(), "the forced appender learns of the failure");
+        assert!(wal.append(&empty(4)).is_err(), "the forced appender learns of the failure");
         // The log rewound to the durable watermark, minus nothing unforced:
         // the two frames are batched again, re-addressed from there.
         assert_eq!(wal.durable_lsn(), durable);
-        let frame = durable; // every Decide frame has the first one's length
+        let frame = durable; // every empty commit frame has the first one's length
         assert_eq!(wal.tail_lsn(), durable + 2 * frame);
         assert_eq!(wal.telemetry().unflushed_bytes.get() as u64, 2 * frame);
 
@@ -1576,11 +1557,11 @@ mod tests {
         assert!(wal.flush().is_err());
         assert_eq!(wal.tail_lsn(), durable + 2 * frame);
 
-        let end = wal.append(&decide(5)).unwrap();
+        let end = wal.append(&empty(5)).unwrap();
         assert_eq!((wal.durable_lsn(), wal.tail_lsn()), (end, end));
         drop(wal);
         let (_, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        assert_eq!(decided_txids(&recs), vec![1, 2, 3, 5], "only the failed forced frame is gone");
+        assert_eq!(logged_txids(&recs), vec![1, 2, 3, 5], "only the failed forced frame is gone");
     }
 
     /// A device whose next armed `write_at` parks until released and then
@@ -1629,22 +1610,22 @@ mod tests {
             release: Mutex::new(release_rx),
         });
         let wal = Arc::new(Wal::open(Arc::clone(&dev) as Arc<dyn Device>).unwrap().0);
-        wal.append(&decide(1)).unwrap();
-        wal.append_unforced(&decide(2)).unwrap();
+        wal.append(&empty(1)).unwrap();
+        wal.append_unforced(&empty(2)).unwrap();
         dev.armed.store(true, std::sync::atomic::Ordering::SeqCst);
         let leader = {
             let wal = Arc::clone(&wal);
-            std::thread::spawn(move || wal.append(&decide(3)))
+            std::thread::spawn(move || wal.append(&empty(3)))
         };
         entered.recv().unwrap(); // the leader holds [u2, F3] at the device
-        wal.append_unforced(&decide(4)).unwrap();
+        wal.append_unforced(&empty(4)).unwrap();
         release.send(()).unwrap();
         assert!(leader.join().unwrap().is_err());
         wal.flush().unwrap();
         assert_eq!(wal.durable_lsn(), wal.tail_lsn());
         drop(wal);
         let (_, recs) = Wal::open(dev as Arc<dyn Device>).unwrap();
-        assert_eq!(decided_txids(&recs), vec![1, 2, 4]);
+        assert_eq!(logged_txids(&recs), vec![1, 2, 4]);
     }
 
     #[test]
@@ -1658,7 +1639,7 @@ mod tests {
                 Wal::open_with(Arc::clone(&d) as Arc<dyn Device>, WalOptions::per_commit_sync())
                     .unwrap();
             for i in 0..10u64 {
-                let rec = decide(i);
+                let rec = empty(i);
                 let lsn = if unforced && i % 2 == 1 {
                     wal.append_unforced(&rec)
                 } else {
@@ -1678,13 +1659,13 @@ mod tests {
     fn truncation_flushes_an_unforced_tail_instead_of_waiting_on_it() {
         let env = StorageEnv::mem();
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        let cut = wal.append(&decide(1)).unwrap();
-        let tail = wal.append_unforced(&decide(2)).unwrap();
+        let cut = wal.append(&empty(1)).unwrap();
+        let tail = wal.append_unforced(&empty(2)).unwrap();
         assert_eq!(wal.truncate_below(cut).unwrap(), cut);
         assert_eq!(wal.durable_lsn(), tail);
         drop(wal);
         let (wal, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        assert_eq!((wal.base_lsn(), decided_txids(&recs)), (cut, vec![2]));
+        assert_eq!((wal.base_lsn(), logged_txids(&recs)), (cut, vec![2]));
     }
 
     // --- truncation -----------------------------------------------------------
@@ -1697,10 +1678,10 @@ mod tests {
         {
             let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
             for i in 0..10u64 {
-                wal.append(&WalRecord::Decide { txid: i, commit: true }).unwrap();
+                wal.append(&empty(i)).unwrap();
             }
             cut = wal.append(&WalRecord::Checkpoint { generation: 1 }).unwrap();
-            tail = wal.append(&WalRecord::Decide { txid: 99, commit: true }).unwrap();
+            tail = wal.append(&empty(99)).unwrap();
             let before = wal.retained_bytes();
             assert_eq!(wal.truncate_below(cut).unwrap(), cut);
             assert_eq!(wal.base_lsn(), cut);
@@ -1714,10 +1695,10 @@ mod tests {
         assert_eq!(wal.tail_lsn(), tail);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, cut, "surviving record keeps its logical LSN");
-        assert!(matches!(recs[0].1, WalRecord::Decide { txid: 99, .. }));
+        assert!(matches!(recs[0].1, WalRecord::Commit { txid: 99, .. }));
 
         // Appending after reopen continues the same address space.
-        let next = wal.append(&WalRecord::Decide { txid: 100, commit: true }).unwrap();
+        let next = wal.append(&empty(100)).unwrap();
         assert!(next > tail);
     }
 
@@ -1725,8 +1706,8 @@ mod tests {
     fn truncate_is_clamped_and_idempotent() {
         let env = StorageEnv::mem();
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        let a = wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
-        wal.append(&WalRecord::Decide { txid: 2, commit: true }).unwrap();
+        let a = wal.append(&empty(1)).unwrap();
+        wal.append(&empty(2)).unwrap();
         assert_eq!(wal.truncate_below(a).unwrap(), a);
         // Not an advance: stays put.
         assert_eq!(wal.truncate_below(0).unwrap(), a);
@@ -1740,8 +1721,8 @@ mod tests {
     fn reader_below_base_reports_truncation() {
         let env = StorageEnv::mem();
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        let a = wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
-        let b = wal.append(&WalRecord::Decide { txid: 2, commit: true }).unwrap();
+        let a = wal.append(&empty(1)).unwrap();
+        let b = wal.append(&empty(2)).unwrap();
         let reader = wal.reader();
         wal.truncate_below(a).unwrap();
         assert_eq!(reader.base_lsn(), a);
@@ -1763,14 +1744,13 @@ mod tests {
         let mut last = 0;
         for round in 0..4u64 {
             for i in 0..5u64 {
-                last =
-                    wal.append(&WalRecord::Decide { txid: round * 10 + i, commit: true }).unwrap();
+                last = wal.append(&empty(round * 10 + i)).unwrap();
             }
             let cut = wal.tail_lsn();
             assert_eq!(wal.truncate_below(cut).unwrap(), cut);
             assert_eq!(wal.retained_bytes(), 0);
         }
-        let tail = wal.append(&WalRecord::Decide { txid: 1000, commit: true }).unwrap();
+        let tail = wal.append(&empty(1000)).unwrap();
         assert!(tail > last);
         // Survives a reopen after four slot flips.
         drop(wal);
@@ -1786,7 +1766,7 @@ mod tests {
         let primary_env = StorageEnv::mem();
         let (primary, _) = Wal::open_env(&primary_env, WalOptions::default()).unwrap();
         for txid in 1..=3 {
-            primary.append(&decide(txid)).unwrap();
+            primary.append(&empty(txid)).unwrap();
         }
         let first = primary.reader().read_from(0).unwrap();
 
@@ -1805,7 +1785,7 @@ mod tests {
         assert!(follower.append_shipped(0, &first.bytes).is_err());
         assert_eq!(follower.tail_lsn(), first.end);
 
-        primary.append(&decide(4)).unwrap();
+        primary.append(&empty(4)).unwrap();
         let second = primary.reader().read_from(first.end).unwrap();
         follower.append_shipped(second.base, &second.bytes).unwrap();
         // Byte-identical devices, and the follower's own readers see it all.
@@ -1816,14 +1796,14 @@ mod tests {
         assert_eq!(follower.reader().read_from(0).unwrap().records.len(), 4);
         drop(follower);
         let (_, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        assert_eq!(decided_txids(&recs), vec![1, 2, 3, 4]);
+        assert_eq!(logged_txids(&recs), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn reset_empties_the_log_at_a_base_past_its_tail_and_survives_reopen() {
         let env = StorageEnv::mem();
         let (wal, _) = Wal::open_env(&env, WalOptions::default()).unwrap();
-        let old_tail = wal.append(&decide(1)).unwrap();
+        let old_tail = wal.append(&empty(1)).unwrap();
         let reader = wal.reader();
         let base = old_tail + 10_000;
         wal.reset_to(base).unwrap();
@@ -1836,7 +1816,7 @@ mod tests {
         wal.reset_to(old_tail).unwrap();
         assert_eq!(wal.base_lsn(), base);
         // The log carries on from there, as an appender's or a follower's.
-        let tail = wal.append(&decide(2)).unwrap();
+        let tail = wal.append(&empty(2)).unwrap();
         assert!(tail > base);
         drop(wal);
         let (wal, recs) = Wal::open_env(&env, WalOptions::default()).unwrap();
@@ -1848,7 +1828,7 @@ mod tests {
     #[test]
     fn truncate_unavailable_on_bare_device() {
         let (wal, _) = Wal::open(dev()).unwrap();
-        wal.append(&WalRecord::Decide { txid: 1, commit: true }).unwrap();
+        wal.append(&empty(1)).unwrap();
         assert!(wal.truncate_below(1).is_err());
     }
 

@@ -525,7 +525,8 @@ impl Replicator {
                 if durable <= seen {
                     // Nothing forced came by for a whole poll: whatever the
                     // primary appended unforced since (a close record, a
-                    // `Decide`, a flag clear) is waiting for a flush nobody else will lead.
+                    // branch's end, a flag clear) is waiting for a flush
+                    // nobody else will lead.
                     // This bounds a standby's staleness at one poll of
                     // primary idleness without a timer thread of its own.
                     let _ = worker_core.feed.flush();

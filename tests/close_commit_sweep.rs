@@ -4,14 +4,18 @@
 //! An update forces two log records — the `dl_uip` claim at open, the
 //! host's `Commit` of the metadata row at close — and appends the
 //! repository's close record (and the archiver's `needs_archive` clear)
-//! *unforced*. A link or an unlink forces its intent, its `Prepare` and the
-//! host's `Commit` (which inserts or deletes the file's metadata row), and
-//! appends the repository's `Decide` unforced. So at any instant the
-//! repository's disk holds everything forced so far plus **some prefix of
-//! the unforced tail**, and recovery must reach a consistent state from
-//! each of them by one rule: what the tail lost is settled by the host's
-//! metadata row — a surviving claim by its version, a branch left in doubt
-//! by its presence (link) or absence (unlink).
+//! *unforced*. A link or an unlink forces two as well — its intent (the
+//! branch's vote) and the host's `Commit` (which inserts or deletes the
+//! file's metadata row) — and ends the branch with one unforced repository
+//! record: the `Commit` of its `dl_files` row and intent removal, or, on
+//! abort, the intent removal alone. (An unlink's file-system action runs
+//! before its `Commit`, so "`Commit` kept, intent removal lost" is not a
+//! state the log can be in.) So at any instant the repository's disk holds
+//! everything forced so far plus **some prefix of the unforced tail**, and
+//! recovery must reach a consistent state from each of them by one rule:
+//! what the tail lost is settled by the host's metadata row — a surviving
+//! claim by its version, a surviving intent by its row's presence (link)
+//! or absence (unlink).
 //!
 //! The sweep visits every record boundary of the repository log at the
 //! moment it is the crash frontier. A seeded history — updates over the
@@ -27,13 +31,14 @@
 //! history is replayed per cut instead of one finished log being sheared
 //! everywhere. After a step that has a commit point the crash is also
 //! placed around it ([`Frontier`]): with the host log cut below the step's
-//! `Commit`, and — for a link or an unlink, whose phase two forces the log
-//! again — between the `Commit` and phase two, the `Decide` never written.
+//! `Commit` (for a link or an unlink: after the forced intent, the host
+//! undecided), and — for a link or an unlink — between the `Commit` and
+//! phase two, the branch's own `Commit` never written.
 //!
 //! After each recovery, per file: user-table row, host metadata row and
 //! repository row are all there at one version or all gone; the file is
 //! taken over iff linked; its bytes and the archive are that version's; no
-//! claim, intent, in-doubt or pending branch is left; the report's
+//! claim, intent or pending branch is left; the report's
 //! in-doubt, roll-forward and roll-back entries are exactly what the cut
 //! left unsettled; and the next update, unlink or link of every file
 //! proceeds.
@@ -142,7 +147,7 @@ enum Step {
     /// One transaction that unlinks the first file and links the second.
     Swap(usize, usize),
     /// A link whose host commit hits a full disk after the repository
-    /// voted yes: the host aborts, and tells the prepared branch so.
+    /// voted yes: the host aborts, and tells the branch so.
     LinkFailing(usize),
     /// `checkpoint_and_truncate` on the host and on the repository.
     Checkpoint,
@@ -360,24 +365,24 @@ fn replay(steps: &[Step], withhold_last: bool) -> (Rig, Model, Versions) {
 enum Tail {
     /// The record of a finished close: the commit that deletes the claim.
     Close,
-    /// A branch's decision.
-    Decide {
+    /// The end of a link/unlink branch: the commit that deletes its
+    /// intents — with its `dl_files` rows if it committed, alone if not.
+    End {
         commit: bool,
     },
     Other,
 }
 
 fn classify(rec: &WalRecord) -> Tail {
-    match rec {
-        WalRecord::Commit { ops, .. }
-            if ops
-                .iter()
-                .any(|op| matches!(op, RowOp::Delete { table, .. } if table == "dl_uip")) =>
-        {
-            Tail::Close
-        }
-        WalRecord::Decide { commit, .. } => Tail::Decide { commit: *commit },
-        _ => Tail::Other,
+    let WalRecord::Commit { ops, .. } = rec else { return Tail::Other };
+    let deletes =
+        |t: &str| ops.iter().any(|op| matches!(op, RowOp::Delete { table, .. } if table == t));
+    if deletes("dl_uip") {
+        Tail::Close
+    } else if deletes("dl_intents") {
+        Tail::End { commit: ops.iter().any(|op| op.table() == "dl_files") }
+    } else {
+        Tail::Other
     }
 }
 
@@ -443,7 +448,6 @@ fn audit(sys: &DataLinksSystem, want: &Versions, context: &str) {
     };
     assert!(repo.list_uip().is_empty(), "{context}: a claim outlived recovery");
     assert!(repo.list_intents().is_empty(), "{context}: an intent outlived recovery");
-    assert!(repo.db().in_doubt_txns().is_empty(), "{context}: a branch is still in doubt");
     assert!(node.server.pending_host_txns().is_empty(), "{context}: a branch is still pending");
     for (file, &version) in want.iter().enumerate() {
         let path = path_of(file);
@@ -484,10 +488,12 @@ enum Frontier {
     /// records are cut.
     After,
     /// A link/unlink between the host's `Commit` and phase two: the
-    /// decision is durable on the host, no `Decide` was ever appended.
+    /// decision is durable on the host, the branch's own `Commit` was
+    /// never appended.
     BeforePhaseTwo,
     /// Inside the step, before its commit point: the host log ends below
-    /// the step's `Commit` (for a link/unlink, phase two never ran either).
+    /// the step's `Commit` (for a link/unlink, only its forced intents are
+    /// on the repository's disk, and phase two never ran).
     BeforeCommit,
 }
 
@@ -517,12 +523,12 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
     let at = boundaries[cut];
     let lost = |kind: Tail| tail.iter().filter(|(lsn, k)| *lsn >= at && *k == kind).count() as u64;
     let rolled_forward = lost(Tail::Close) - lost_commit_point;
-    // The branches the cut leaves undecided, oldest first: those whose
-    // `Decide` it lost, then the one whose phase two never ran.
+    // The branches the cut leaves undecided, oldest first: those whose end
+    // it lost, then the one whose phase two never ran.
     let mut undecided: Vec<bool> = tail
         .iter()
         .filter_map(|(lsn, kind)| match kind {
-            Tail::Decide { commit } if *lsn >= at => Some(*commit),
+            Tail::End { commit } if *lsn >= at => Some(*commit),
             _ => None,
         })
         .collect();
@@ -560,7 +566,7 @@ fn every_cut_of_the_unforced_tail_recovers_row_file_and_archive_together() {
     let steps = history(SEED);
     assert_eq!(steps.iter().filter(|s| matches!(s, Step::Close(_))).count(), 12);
     assert_eq!(steps.iter().filter(|s| s.is_two_phase()).count(), 4);
-    let (mut crashes, mut forward_cuts, mut lost_decides) = (0, 0, 0);
+    let (mut crashes, mut forward_cuts, mut lost_ends) = (0, 0, 0);
     for upto in 1..=steps.len() {
         let last = steps[upto - 1];
         for frontier in [Frontier::After, Frontier::BeforePhaseTwo, Frontier::BeforeCommit] {
@@ -578,7 +584,7 @@ fn every_cut_of_the_unforced_tail_recovers_row_file_and_archive_together() {
                 crashes += 1;
                 let cuts_something = frontier == Frontier::After && cut + 1 < boundaries;
                 forward_cuts += usize::from(cuts_something && !last.is_two_phase());
-                lost_decides += usize::from(
+                lost_ends += usize::from(
                     frontier == Frontier::BeforePhaseTwo || (cuts_something && last.is_two_phase()),
                 );
                 cut += 1;
@@ -589,10 +595,10 @@ fn every_cut_of_the_unforced_tail_recovers_row_file_and_archive_together() {
         }
     }
     // The sweep is only worth its name if it actually cut unforced tails
-    // and left branches without their `Decide`.
+    // and left branches without their end.
     assert!(
-        crashes > steps.len() && forward_cuts >= 24 && lost_decides >= 6,
-        "{crashes} crashes, {forward_cuts} cuts, {lost_decides} lost decides"
+        crashes > steps.len() && forward_cuts >= 24 && lost_ends >= 6,
+        "{crashes} crashes, {forward_cuts} cuts, {lost_ends} lost branch ends"
     );
 }
 

@@ -238,64 +238,25 @@ mod checkpoint_truncation_crashes {
     }
 
     #[test]
-    fn undecided_prepared_txn_survives_truncation_and_crash() {
-        // 2PC window: prepare, checkpoint+truncate (the Prepare record is
-        // cut away — its only durable copy is now the snapshot), crash
-        // undecided. Recovery must still surface the transaction in doubt
-        // and settle it correctly in both directions.
-        for commit in [true, false] {
-            let (env, db) = seeded(1);
-            let txid = {
-                let mut tx = db.begin();
-                tx.insert("t", vec![Value::Int(50), Value::Text("pending".into())]).unwrap();
-                tx.prepare().unwrap();
-                let txid = tx.id();
-                db.checkpoint_and_truncate().unwrap();
-                std::mem::forget(tx); // crash: no decision ever logged
-                txid
-            };
-            drop(db);
+    fn unforced_commit_survives_truncation() {
+        // An unforced commit (a close record, a link/unlink branch's end) is
+        // still sitting in the group-commit batch when the checkpoint runs.
+        // The image holds its rows, and the log below the image's base must
+        // hold its record, so a crash right after the truncation recovers
+        // the committed state as is.
+        let (env, db) = seeded(1);
+        let mut tx = db.begin();
+        tx.insert("t", vec![Value::Int(50), Value::Text("unforced".into())]).unwrap();
+        tx.commit_unforced().unwrap();
+        assert!(db.durable_lsn() < db.state_id(), "the commit is batched, not synced");
+        let (_, base) = db.checkpoint_and_truncate().unwrap();
+        assert!(db.durable_lsn() >= base, "the checkpoint flushed it below its base");
+        let image = latest_valid_snapshot(&env, |_| true).unwrap().expect("snapshot");
+        assert_eq!(image.tables["t"].len(), 2);
+        drop(db);
 
-            let db = open(&env);
-            assert_eq!(db.in_doubt_txns(), vec![txid], "in-doubt via the snapshot");
-            db.resolve_in_doubt(txid, commit).unwrap();
-            assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
-            // The decision is durable across another crash.
-            drop(db);
-            let db = open(&env);
-            assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
-            assert!(db.in_doubt_txns().is_empty());
-        }
-
-        // The other side of the window: the decision is *logged* — as an
-        // unforced append still sitting in the group-commit batch — when the
-        // checkpoint runs. The image must show the transaction decided or
-        // prepared, never both (a re-resolution would double-apply), and
-        // the log below the image's base must hold the Decide, so a crash
-        // right after the truncation recovers the decided state as is.
-        for commit in [true, false] {
-            let (env, db) = seeded(1);
-            let mut tx = db.begin();
-            let txid = tx.id();
-            tx.insert("t", vec![Value::Int(50), Value::Text("decided".into())]).unwrap();
-            tx.prepare().unwrap();
-            if commit {
-                tx.commit_prepared().unwrap();
-            } else {
-                tx.abort_prepared().unwrap();
-            }
-            assert!(db.durable_lsn() < db.state_id(), "the Decide is batched, not synced");
-            let (_, base) = db.checkpoint_and_truncate().unwrap();
-            assert!(db.durable_lsn() >= base, "the checkpoint flushed it below its base");
-            let image = latest_valid_snapshot(&env, |_| true).unwrap().expect("snapshot");
-            assert!(!image.prepared.contains_key(&txid), "decided in the tables, not prepared");
-            assert_eq!(image.tables["t"].len(), if commit { 2 } else { 1 });
-            drop(db);
-
-            let db = open(&env);
-            assert!(db.in_doubt_txns().is_empty());
-            assert_eq!(db.count("t").unwrap(), if commit { 2 } else { 1 });
-        }
+        let db = open(&env);
+        assert_eq!(db.count("t").unwrap(), 2);
     }
 
     #[test]
@@ -756,10 +717,11 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
 
 /// The window between "the file server is ready" and "the host decided",
 /// for every kind of DLFM transaction. Link and unlink are 2PC branches:
-/// the repository's `Prepare` is durable and the crash lands (a) before the
-/// host's `Commit` record or (b) after it but before the repository's
-/// `Decide`; recovery settles the in-doubt branch by the *host's* outcome.
-/// An update has no branch: its forced claim at open is its vote, the
+/// the repository's intent — the branch's vote — is durable and the crash
+/// lands (a) before the host's `Commit` record or (b) after it but before
+/// the branch's own unforced `Commit`; recovery settles the surviving
+/// intent by the *host's* metadata row. An update has no branch: its forced
+/// claim at open is its vote, the
 /// host's `Commit` of the metadata row is the one commit point, and the
 /// repository's close record is an unforced append. The same two crash
 /// points — (a) claim durable, host undecided; (b) host committed, close
@@ -867,11 +829,12 @@ mod in_doubt_branch_follows_the_host_outcome {
                 && ops.iter().all(|op| op.table() == "__dl_meta") == alone)
     }
 
-    /// Runs `op`, crashes, shears the repository log below the op's
-    /// `Decide` — and, for a crash *before* the host's decision, the host
-    /// log below the op's `Commit` — then recovers. (The `Decide` is an
-    /// unforced append: when nothing flushed it before the crash it is
-    /// already gone, which is the same disk.)
+    /// Runs `op`, crashes, shears the repository log below the branch's
+    /// end — the commit that removes its intent — and, for a crash *before*
+    /// the host's decision, the host log below the op's `Commit`; then
+    /// recovers. (The branch's end is an unforced append: when nothing
+    /// flushed it before the crash it is already gone, which is the same
+    /// disk.)
     fn crash_in_the_window(
         rig: Rig,
         host_committed: bool,
@@ -882,14 +845,18 @@ mod in_doubt_branch_follows_the_host_outcome {
         let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
         op(&sys);
         let image = sys.crash();
-        shear_from_last(&repo_env, repo_mark, |rec| matches!(rec, WalRecord::Decide { .. }));
+        shear_from_last(&repo_env, repo_mark, |rec| {
+            matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(
+                |op| matches!(op, RowOp::Delete { table, .. } if table == "dl_intents"),
+            ))
+        });
         if !host_committed {
             assert!(shear_from_last(&host_env, host_mark, |rec| is_meta_commit(rec, false)));
         }
         let (sys, reports) = DataLinksSystem::recover(image).unwrap();
         let resolved: Vec<bool> =
             reports[SRV].in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
-        assert_eq!(resolved, [host_committed], "one in-doubt branch, settled the host's way");
+        assert_eq!(resolved, [host_committed], "one surviving branch, settled the host's way");
         sys
     }
 

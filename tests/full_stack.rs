@@ -8,7 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions};
-use datalinks::dlfm::{ControlMode, TokenKind};
+use datalinks::dlfm::{AgentConnection, ControlMode, TokenKind};
 use datalinks::fskit::{Cred, FsError, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
@@ -253,4 +253,84 @@ fn read_path_makes_zero_upcalls_for_unlinked_files() {
     }
     let after = sys.node("srv").unwrap().dlfs.upcall_client().round_trip_count();
     assert_eq!(after - before, 0, "unlinked traffic must bypass DLFM entirely");
+}
+
+/// Runs `step` on its own thread and fails the test unless it finishes
+/// within five seconds — the lock manager has no timeout, so a step stuck
+/// behind a row lock nobody will release would otherwise hang the suite.
+fn within<T: Send + 'static>(what: &str, step: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    thread::spawn(move || done.send(step()));
+    finished.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| {
+        panic!("{what} is still waiting after 5 s: a branch holds its row lock")
+    })
+}
+
+/// Blocks until `txid` has a link/unlink branch on the server — the racing
+/// op has passed its early checks and is about to queue on the row lock.
+fn wait_for_branch(sys: &DataLinksSystem, txid: u64) {
+    let server = &sys.node("srv").unwrap().server;
+    while !server.has_pending(txid) {
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_link_that_loses_a_same_path_race_leaves_no_branch_behind() {
+    // A links a file; B links the same file and queues behind A's row
+    // lock; A commits, so B finds the file linked and its statement fails.
+    // B's branch was opened but no participant was ever enlisted for it:
+    // the failed link must end it, or its row lock wedges the file.
+    let sys = Arc::new(build(ControlMode::Rdd, 0));
+    sys.raw_fs("srv").unwrap().write_file(&APP, "/d/race.bin", b"contested").unwrap();
+    let url = || Value::DataLink("dlfs://srv/d/race.bin".into());
+    let mut a = sys.begin();
+    a.insert("t", vec![Value::Int(1), url()]).unwrap();
+
+    let (b_txid, b_started) = std::sync::mpsc::channel();
+    let b = {
+        let sys = Arc::clone(&sys);
+        thread::spawn(move || {
+            let mut b = sys.begin();
+            b_txid.send(b.id()).unwrap();
+            let linked = b.insert("t", vec![Value::Int(2), url()]);
+            b.commit().unwrap();
+            linked
+        })
+    };
+    wait_for_branch(&sys, b_started.recv().unwrap());
+    a.commit().unwrap();
+    assert!(b.join().unwrap().is_err(), "B's link finds the file linked");
+
+    let writer = Arc::clone(&sys);
+    within("the next write open", move || write_once(&writer, 1, b"after the race"));
+    assert!(sys.node("srv").unwrap().server.pending_host_txns().is_empty());
+    assert!(sys.node("srv").unwrap().server.repository().list_intents().is_empty());
+}
+
+#[test]
+fn an_unlink_that_loses_a_same_path_race_leaves_no_branch_behind() {
+    // A unlinks a file; B's unlink of it (the agent call the engine makes,
+    // which enlists B only if it succeeds) queues behind A's row lock; A
+    // commits, so B finds no row. B's branch must end with the failure.
+    let sys = Arc::new(build(ControlMode::Rdd, 1));
+    let mut a = sys.begin();
+    a.delete("t", &Value::Int(0)).unwrap();
+
+    let b = sys.begin();
+    let b_txid = b.id();
+    let agent = sys.node("srv").unwrap().connect_agent();
+    let unlinked = thread::spawn(move || agent.unlink(b_txid, "/d/f0.bin"));
+    wait_for_branch(&sys, b_txid);
+    a.commit().unwrap();
+    assert!(unlinked.join().unwrap().is_err(), "B's unlink finds the file unlinked");
+    b.abort();
+
+    let linker = Arc::clone(&sys);
+    within("the next link", move || {
+        let mut tx = linker.begin();
+        tx.insert("t", vec![Value::Int(0), Value::DataLink("dlfs://srv/d/f0.bin".into())]).unwrap();
+        tx.commit().unwrap();
+    });
+    assert!(sys.node("srv").unwrap().server.pending_host_txns().is_empty());
 }

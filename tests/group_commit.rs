@@ -112,7 +112,7 @@ fn follower_commit_not_observable_before_shared_batch_syncs() {
 
 /// Acceptance criterion: a WAL written under group commit replays to the
 /// same committed state as one written with per-commit sync for the same
-/// op sequence — including prepare/decide 2PC records — and, executed
+/// op sequence — including unforced commits and aborts — and, executed
 /// single-threaded, the log bytes are identical.
 #[test]
 fn recovery_equivalence_per_commit_vs_group_commit() {
@@ -126,15 +126,13 @@ fn recovery_equivalence_per_commit_vs_group_commit() {
                 tx.insert("t", row(i, "plain")).unwrap();
                 tx.commit().unwrap();
             }
-            // 2PC shapes: prepared-then-committed, prepared-then-aborted.
+            // The other endings: an unforced commit, an abort.
             let mut tx = db.begin();
-            tx.insert("t", row(100, "2pc-commit")).unwrap();
-            tx.prepare().unwrap();
-            tx.commit_prepared().unwrap();
+            tx.insert("t", row(100, "unforced")).unwrap();
+            tx.commit_unforced().unwrap();
             let mut tx = db.begin();
-            tx.insert("t", row(101, "2pc-abort")).unwrap();
-            tx.prepare().unwrap();
-            tx.abort_prepared().unwrap();
+            tx.insert("t", row(101, "aborted")).unwrap();
+            tx.abort();
             let mut tx = db.begin();
             tx.update("t", &Value::Int(3), row(3, "updated")).unwrap();
             tx.delete("t", &Value::Int(7)).unwrap();
@@ -162,7 +160,7 @@ fn recovery_equivalence_per_commit_vs_group_commit() {
         rows
     };
     assert_eq!(scan(&db_per), scan(&db_grp));
-    assert_eq!(db_per.count("t").unwrap(), 10); // 10 plain +1 2pc -1 deleted
+    assert_eq!(db_per.count("t").unwrap(), 10); // 10 plain +1 unforced -1 deleted
     assert!(db_per.get_committed("t", &Value::Int(100)).unwrap().is_some());
     assert!(db_per.get_committed("t", &Value::Int(101)).unwrap().is_none());
 }
@@ -197,8 +195,8 @@ fn concurrent_group_commit_recovers_every_acknowledged_txn() {
     }
 }
 
-/// Unforced records (a prepared branch's `Decide`, `commit_unforced`) caught
-/// in a failed flush are carried over, not dropped: their effects are live in
+/// Unforced records (`commit_unforced`: a close record, a link/unlink
+/// branch's end) caught in a failed flush are carried over, not dropped: their effects are live in
 /// memory and nobody is waiting to be told. The forced commit caught with
 /// them fails and is *not* applied. Once a flush succeeds, the reopened log
 /// equals the in-memory tables.
@@ -209,13 +207,11 @@ fn failed_flush_keeps_unforced_records_and_the_log_catches_up_with_memory() {
     let db = Database::open_with(env.clone(), group_opts(0)).unwrap();
     db.create_table(schema()).unwrap();
 
-    let mut tx = db.begin();
-    tx.insert("t", row(1, "2pc")).unwrap();
-    tx.prepare().unwrap();
-    tx.commit_prepared().unwrap(); // Decide: batched
-    let mut tx = db.begin();
-    tx.insert("t", row(2, "lazy")).unwrap();
-    tx.commit_unforced().unwrap(); // Commit: batched behind it
+    for (k, v) in [(1, "lazy"), (2, "lazier")] {
+        let mut tx = db.begin();
+        tx.insert("t", row(k, v)).unwrap();
+        tx.commit_unforced().unwrap(); // batched
+    }
 
     faults.inject_enospc(1);
     let mut tx = db.begin();
@@ -236,7 +232,6 @@ fn failed_flush_keeps_unforced_records_and_the_log_catches_up_with_memory() {
     };
     drop(db);
     let db = Database::open(env).unwrap();
-    assert!(db.in_doubt_txns().is_empty(), "the Decide made it");
     let mut replayed = db.scan_committed("t").unwrap();
     replayed.sort_by_key(|r| r[0].as_int().unwrap());
     assert_eq!(replayed, live);

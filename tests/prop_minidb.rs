@@ -9,8 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbError, Participant, Row, RowOp, Schema, SnapshotData,
-    StandbyDb, StorageEnv, TxId, Txn, Value,
+    Column, ColumnType, Database, DbError, Participant, Row, Schema, SnapshotData, StandbyDb,
+    StorageEnv, TxId, Txn, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -107,36 +107,23 @@ impl Participant for Yes {
 }
 
 /// What recovery must agree on, whichever way a database came back:
-/// committed rows of `t`, the in-doubt transactions with the redo ops they
-/// hold, and how many rows the unlogged twin `u` kept (none).
+/// committed rows of `t` and how many rows the unlogged twin `u` kept
+/// (none).
 #[derive(Debug, PartialEq)]
 struct Recovered {
     rows: Vec<Row>,
-    in_doubt: Vec<(TxId, Vec<RowOp>)>,
     unlogged_rows: usize,
 }
 
 impl Recovered {
     fn of_database(db: &Database) -> Recovered {
-        Recovered {
-            rows: db.scan_committed("t").unwrap(),
-            in_doubt: db
-                .in_doubt_txns()
-                .into_iter()
-                .map(|txid| (txid, db.in_doubt_ops(txid).unwrap()))
-                .collect(),
-            unlogged_rows: db.count("u").unwrap(),
-        }
+        Recovered { rows: db.scan_committed("t").unwrap(), unlogged_rows: db.count("u").unwrap() }
     }
 
     /// The same reading of a standby's own image.
     fn of_image(image: &SnapshotData) -> Recovered {
-        let mut in_doubt: Vec<(TxId, Vec<RowOp>)> =
-            image.prepared.iter().map(|(txid, ops)| (*txid, ops.clone())).collect();
-        in_doubt.sort_unstable_by_key(|(txid, _)| *txid);
         Recovered {
             rows: image.tables["t"].iter().map(|(_, row)| row.clone()).collect(),
-            in_doubt,
             unlogged_rows: image.tables["u"].len(),
         }
     }
@@ -208,9 +195,8 @@ proptest! {
     /// checkpoint-image install (when a truncation outran its cursor) — the
     /// end state must be identical either way. `flavours` picks what each
     /// committing step is: a plain commit, a coordinator commit with an
-    /// enlisted participant, or a participant branch prepared and then
-    /// committed, aborted or left in doubt; every
-    /// one mirrors its op into the unlogged twin `u`. At the end the three
+    /// enlisted participant, an unforced commit or an abort; every one
+    /// mirrors its op into the unlogged twin `u`. At the end the three
     /// ways back — the primary reopened, the standby reopened, and the
     /// promotion `Database::open` on the standby's disks — must be one
     /// image.
@@ -257,10 +243,6 @@ proptest! {
                     let mut tx = db.begin();
                     let txid = tx.id();
                     let tail = db.state_id();
-                    let flavour = flavours[step];
-                    // A branch left in doubt keeps its row locks for good:
-                    // give it a key no later step can ask for.
-                    let op = if flavour == 7 { Op::Insert(1000 + step as i64, "doubt".into()) } else { op };
                     for table in ["t", "u"] {
                         let _ = match &op {
                             Op::Insert(k, v) => tx.insert(table, row(*k, v)),
@@ -268,7 +250,7 @@ proptest! {
                             Op::Delete(k) => tx.delete(table, &Value::Int(*k)),
                         };
                     }
-                    match flavour {
+                    match flavours[step] {
                         0..=3 => {
                             tx.commit().unwrap();
                         }
@@ -276,18 +258,10 @@ proptest! {
                             db.enlist_participant(tx.id(), "p", Arc::new(Yes));
                             tx.commit().unwrap();
                         }
-                        5 => {
-                            tx.prepare().unwrap();
-                            tx.commit_prepared().unwrap();
+                        5 | 6 => {
+                            tx.commit_unforced().unwrap();
                         }
-                        6 => {
-                            tx.prepare().unwrap();
-                            tx.abort_prepared().unwrap();
-                        }
-                        _ => {
-                            tx.prepare().unwrap();
-                            std::mem::forget(tx); // the decision never comes
-                        }
+                        _ => tx.abort(),
                     }
                     if db.state_id() > tail {
                         logged.push(txid);
@@ -308,7 +282,7 @@ proptest! {
             }
         }
 
-        // Final catch-up (the last `Decide` may still be unforced), then
+        // Final catch-up (the last commit may still be unforced), then
         // the standby must mirror the primary exactly.
         db.flush().unwrap();
         ship(&standby);

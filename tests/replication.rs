@@ -256,6 +256,34 @@ fn failover_matches_a_crash_recovered_primary() {
 }
 
 #[test]
+fn a_link_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
+    // The link's intent reaches the standby, the primary dies, and the
+    // promotion settles the intent by presumed abort: the file is handed
+    // back. The host transaction is still open — its participant must vote
+    // no when asked, or the host would commit a user row and a metadata row
+    // with no link behind them.
+    let mut sys = build(1, 0);
+    sys.raw_fs(SRV).unwrap().write_file(&APP, "/d/late.bin", b"orphan").unwrap();
+    let url = format!("dlfs://{SRV}/d/late.bin");
+    let mut tx = sys.begin();
+    tx.insert("t", vec![Value::Int(9), Value::DataLink(url.clone())]).unwrap();
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert_eq!(report.links_undone, 1);
+    assert!(tx.commit().is_err(), "no live branch on the promoted node: the vote is no");
+
+    let repo = sys.node(SRV).unwrap().server.repository();
+    let meta = sys.engine().file_meta(&datalinks::core::DatalinkUrl::parse(&url).unwrap());
+    assert!(sys.db().get_committed("t", &Value::Int(9)).unwrap().is_none(), "user row");
+    assert!(meta.is_none(), "__dl_meta row");
+    assert!(repo.get_file("/d/late.bin").is_none(), "dl_files row");
+    assert!(repo.list_intents().is_empty());
+    let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/late.bin").unwrap();
+    assert_eq!(attr.uid, APP.uid, "handed back to its owner");
+}
+
+#[test]
 fn promoted_standby_starts_without_token_entries_or_sync_rows() {
     // The unlogged tables never ship: a standby promoted while a write open
     // is granted on the primary inherits the forced UIP row (and rolls the

@@ -188,11 +188,11 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     );
 
     // Shard 1 crashes before its prepare; its standby takes over. The
-    // promotion itself resolves the inherited (unprepared, undecided)
-    // claim by presumed abort.
+    // promotion itself settles the inherited intent — the vote shard 1
+    // forced at link — by presumed abort: no host row stands behind it.
     let report = sys.fail_over(&shard_name(1)).unwrap();
-    assert_eq!(report.links_undone, 1, "the unvoted link intent is undone on promotion");
-    assert!(report.in_doubt_resolved.is_empty(), "nothing was prepared on shard 1");
+    assert_eq!(report.links_undone, 1, "the link intent is undone on promotion");
+    assert_eq!(report.in_doubt_resolved, vec![(txid, false)], "one presumed-abort entry");
     let s1 = sys.node(&shard_name(1)).unwrap();
     assert!(s1.server.pending_host_txns().is_empty(), "promotion settled shard 1's claim");
     assert!(s1.server.repository().get_file(&p1).is_none(), "the aborted link left nothing");
