@@ -34,7 +34,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The intent is the vote (DESIGN.md "Force audit"): a link/unlink branch
 # forces its intent and ends with an ordinary commit — minidb has no
 # participant-side 2PC, no `Prepare`/`Decide` record, no in-doubt registry.
-step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC"
+# One reconcile by the host rows (DESIGN.md "Recovery and replication"):
+# crash recovery, failover and point-in-time restore run the same per-file
+# rule — no second restore pass, no synthetic 2PC branch to re-link a file.
+step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -42,10 +45,11 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "PreparedTxn[P]articipant|dlfm-[c]lose:|ensure_[s]ettled" crates/ src/ tests/ \
   || grep -rnE "coordinator_[o]utcome|record_[o]utcome|in_doubt_[c]oordinator|fn [o]utcome\(" crates/ src/ tests/ \
   || grep -rnE "commit_[p]repared|abort_[p]repared|resolve_[i]n_doubt|in_doubt_[t]xns|in_doubt_[o]ps|WalRecord::[P]repare|WalRecord::[D]ecide" crates/ src/ tests/ \
+  || grep -rnE "restore_to_[v]ersions|Restore[O]utcome|reconcile_files_with_[m]etadata|column_options_for_[u]rl" crates/ src/ tests/ \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant, a 2PC outcome copy or participant-side 2PC reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC or a second reconcile reappeared (matches above)" >&2
   exit 1
 fi
 

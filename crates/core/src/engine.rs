@@ -12,16 +12,18 @@
 //!   statement (§4.3), via observer-injected DML;
 //! * serves as DLFM's [`HostHook`]: close processing commits its metadata
 //!   refresh — the update's one commit point — through a host transaction
-//!   here, and crash recovery asks it one thing only — the version a
-//!   file's metadata row records, which settles updates, links and unlinks
-//!   alike.
+//!   here, and a live branch whose decision was lost asks it one thing
+//!   only — the version a file's metadata row records;
+//! * hands recovery the same rows for a whole node at once
+//!   ([`DataLinksEngine::host_views`]), which settle updates, links and
+//!   unlinks alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dl_dlfm::{
-    AccessToken, AgentConnection, ControlMode, DlfmClient, DlfmServer, HostHook, OnUnlink,
-    TokenKind,
+    AccessToken, AgentConnection, ControlMode, DlfmClient, DlfmServer, HostFile, HostHook,
+    HostView, OnUnlink, TokenKind,
 };
 use dl_fskit::Clock;
 use dl_minidb::{
@@ -491,6 +493,44 @@ impl DataLinksEngine {
             .iter()
             .find(|(_, name, _)| name == column)
             .map(|(_, _, opts)| *opts)
+    }
+
+    /// The host's view of every file-server node, from the committed rows:
+    /// per node, path → the version of the file's `__dl_meta` row and the
+    /// options of the DATALINK column whose row references it (one scan
+    /// per table with such a column). A sharded logical server's paths go
+    /// to the shard its router assigns them. This is all the one reconcile
+    /// (`DlfmServer::recover`) takes from the host.
+    pub fn host_views(&self) -> Result<HashMap<String, HostView>, String> {
+        let mut options = HashMap::new();
+        for (table, dl_columns) in self.columns.read().iter() {
+            for row in self.db.scan_committed(table).map_err(|e| e.to_string())? {
+                for (idx, _, opts) in dl_columns {
+                    if let Ok(Some(url)) = Self::value_url(&row[*idx]) {
+                        options.insert(url.to_string(), *opts);
+                    }
+                }
+            }
+        }
+        let routers = self.routers.read();
+        let mut views: HashMap<String, HostView> = HashMap::new();
+        for row in self.db.scan_committed(META_TABLE).map_err(|e| e.to_string())? {
+            let key = row[0].as_text().unwrap_or_default();
+            let opts = options.get(key).copied().unwrap_or(DlColumnOptions::new(ControlMode::Rff));
+            let url = DatalinkUrl::parse(key)?;
+            let node = match routers.get(&url.server) {
+                Some(router) => router.name_of(router.shard_of(&url.path)).to_string(),
+                None => url.server,
+            };
+            let file = HostFile {
+                version: row[3].as_int().unwrap_or(1) as u64,
+                mode: opts.mode,
+                recovery: opts.recovery,
+                on_unlink: opts.on_unlink,
+            };
+            views.entry(node).or_default().insert(url.path, file);
+        }
+        Ok(views)
     }
 
     fn value_url(value: &Value) -> Result<Option<DatalinkUrl>, String> {

@@ -26,8 +26,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dl_dlfm::{
-    ArchiveStore, ContentSource, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, MainDaemon,
-    PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
+    ArchiveStore, ContentSource, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HostView,
+    MainDaemon, PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector,
+    WireDaemon,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
@@ -38,7 +39,7 @@ use dl_repl::{Follower, ReplicaSet, ReplicaSetOptions, Standby};
 use parking_lot::Mutex;
 
 use crate::datalink::{DatalinkUrl, DlColumnOptions};
-use crate::engine::{DataLinksEngine, ServerRegistration, META_TABLE};
+use crate::engine::{DataLinksEngine, ServerRegistration};
 use crate::shard::{ShardRouter, ShardedFs};
 
 /// The wire front of a `Transport::Socket` node: the server-side
@@ -398,7 +399,8 @@ pub struct SystemBackup {
     host_env: StorageEnv,
 }
 
-/// Outcome summary of a coordinated point-in-time restore.
+/// Outcome summary of a coordinated point-in-time restore: what the
+/// nodes' [`RecoveryReport`]s say the restored rows settled.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SystemRestoreReport {
     pub files_rolled_back: u64,
@@ -537,53 +539,58 @@ impl DataLinksSystem {
             None
         };
 
+        // Shard routers first, registered with the engine so traffic
+        // addressed to a logical name resolves per path to the owning
+        // shard — and so the host's view of a shard node is the paths its
+        // router assigns it.
+        let mut routers: HashMap<String, Arc<ShardRouter>> = HashMap::new();
+        for (logical, _, count) in parts.iter().filter_map(|part| part.shard.as_ref()) {
+            routers
+                .entry(logical.clone())
+                .or_insert_with(|| Arc::new(ShardRouter::new(logical, *count)));
+        }
+        for router in routers.values() {
+            engine.register_router(Arc::clone(router));
+        }
+
+        let mut views = if run_recovery { engine.host_views()? } else { HashMap::new() };
         let mut nodes = HashMap::new();
         let mut reports = HashMap::new();
         for part in parts {
             let name = part.name.clone();
+            let view = run_recovery.then(|| views.remove(&name).unwrap_or_default());
             let (node, report) =
-                Self::build_node(&engine, &clock, part, run_recovery, coord_epoch)?;
+                Self::build_node(&engine, &clock, part, view.as_ref(), coord_epoch)?;
             if let Some(report) = report {
                 reports.insert(name.clone(), report);
             }
             nodes.insert(name, node);
         }
 
-        // Group shard nodes back under their logical servers: build the
-        // router and the sharded front, and register the router with the
-        // engine so DML/token/read traffic addressed to the logical name
-        // resolves per path to the owning shard.
-        let mut shard_counts: HashMap<String, usize> = HashMap::new();
-        for node in nodes.values() {
-            if let Some((logical, _, count)) = &node.shard {
-                shard_counts.insert(logical.clone(), *count);
-            }
-        }
-        let mut routers = HashMap::new();
+        // The sharded front of each logical server: one namespace over its
+        // shard nodes' DLFS layers.
         let mut shard_fronts = HashMap::new();
         let mut sharded = HashMap::new();
-        for (logical, count) in shard_counts {
-            let router = Arc::new(ShardRouter::new(&logical, count));
+        for (logical, router) in &routers {
+            let count = router.shard_count();
             let mut dlfs_shards = Vec::with_capacity(count);
             for i in 0..count {
                 let shard = nodes
-                    .get(&ShardRouter::shard_name(&logical, i))
+                    .get(router.name_of(i))
                     .ok_or_else(|| format!("missing shard {i} of {logical}"))?;
                 dlfs_shards.push(Arc::clone(&shard.dlfs));
             }
-            let fs = Arc::clone(&nodes[&ShardRouter::shard_name(&logical, 0)].fs);
+            let fs = Arc::clone(&nodes[router.name_of(0)].fs);
             let front = Arc::new(ShardedFs::new(
                 fs as Arc<dyn FileSystem>,
                 dlfs_shards,
-                Arc::clone(&router),
+                Arc::clone(router),
             ));
-            engine.register_router(Arc::clone(&router));
             shard_fronts.insert(
                 logical.clone(),
                 Arc::new(Lfs::new(Arc::clone(&front) as Arc<dyn FileSystem>)),
             );
             sharded.insert(logical.clone(), front);
-            routers.insert(logical, router);
         }
 
         let registry = Arc::new(Registry::new());
@@ -632,15 +639,16 @@ impl DataLinksSystem {
     }
 
     /// Builds one file-server node from its durable parts: the DLFM server
-    /// (running recovery when asked), the DLFS/LFS stack, the daemons, the
-    /// engine registration, and — when provisioned — the replica set fed
-    /// from the repository's WAL. Used by initial assembly, crash
-    /// recovery, and failover promotion alike.
+    /// (reconciled against `recovery`, the host's view of the node, when
+    /// given), the DLFS/LFS stack, the daemons, the engine registration,
+    /// and — when provisioned — the replica set fed from the repository's
+    /// WAL. Used by initial assembly, crash recovery, point-in-time restore
+    /// and failover promotion alike.
     fn build_node(
         engine: &Arc<DataLinksEngine>,
         clock: &Arc<dyn Clock>,
         part: NodeParts,
-        run_recovery: bool,
+        recovery: Option<&HostView>,
         coord_epoch: u64,
     ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
         let server = Arc::new(DlfmServer::new(
@@ -655,7 +663,7 @@ impl DataLinksSystem {
         // connections below are minted at the current generation and any
         // connection minted under an older one stays refused.
         server.fence_coordinator(coord_epoch);
-        let report = if run_recovery { Some(server.recover()?) } else { None };
+        let report = recovery.map(|view| server.recover(view)).transpose()?;
         let main = MainDaemon::with_fault_injector(Arc::clone(&server), part.upcall_fault.clone());
 
         // Carrier selection — the one place the transport matters. Socket
@@ -685,7 +693,7 @@ impl DataLinksSystem {
             // *delta* (install the image, tail the suffix) instead of
             // replaying the primary's whole history — and so the log the
             // promoted primary inherited stays bounded from the start.
-            if run_recovery {
+            if report.is_some() {
                 server
                     .repository()
                     .db()
@@ -1279,12 +1287,14 @@ impl DataLinksSystem {
     /// Promotes a standby of `server` after a primary crash: the old
     /// primary's daemons are torn down and its replica set fenced (epoch
     /// bump — any frame a deposed shipper still sends is rejected), then
-    /// the first standby's repository opens as a normal database, DLFM
-    /// crash recovery runs on its applied state, and the node re-registers
-    /// with the promoted server as primary. Remaining standby slots are
-    /// re-provisioned fresh against the new primary. Returns the
-    /// promotion recovery report.
+    /// the first standby's repository opens as a normal database, is
+    /// reconciled against the host's rows like a crash-recovered primary
+    /// (whatever of the primary's log never shipped is re-derived from
+    /// them), and the node re-registers with the promoted server as
+    /// primary. Remaining standby slots are re-provisioned fresh against
+    /// the new primary. Returns the promotion recovery report.
     pub fn fail_over(&mut self, server: &str) -> Result<RecoveryReport, String> {
+        let view = self.engine.host_views()?.remove(server).unwrap_or_default();
         // Post-mortem first: the crashed primary's recorder dies with it.
         self.dump_flight(&format!("fail_over_{server}"));
         let node =
@@ -1341,20 +1351,13 @@ impl DataLinksSystem {
             upcall_fault: upcall_fault.clone(),
             shard: shard.clone(),
         };
-        match Self::build_node(&self.engine, &self.clock, parts, true, self.coord_epoch) {
-            Ok((new_node, report)) => {
-                Self::register_node_metrics(&self.registry, &new_node);
+        let rebuild = |parts| {
+            Self::build_node(&self.engine, &self.clock, parts, Some(&view), self.coord_epoch)
+        };
+        let (node, outcome) = match rebuild(parts) {
+            Ok((node, report)) => {
                 self.registry.counter("system.failovers").inc();
-                // A shard node's promoted DLFS must replace the dead one
-                // inside the logical server's sharded front.
-                if let Some((logical, idx, _)) = &new_node.shard {
-                    if let Some(front) = self.sharded.get(logical) {
-                        front.replace_shard(*idx, Arc::clone(&new_node.dlfs));
-                    }
-                }
-                self.nodes.insert(server.to_string(), new_node);
-                self.adopt_node_pools(server);
-                Ok(report.expect("promotion runs recovery"))
+                (node, Ok(report.expect("promotion runs recovery")))
             }
             Err(promote_err) => {
                 // Promotion failed. The node handle must survive: fall
@@ -1371,27 +1374,29 @@ impl DataLinksSystem {
                     upcall_fault,
                     shard,
                 };
-                let (old_node, _) =
-                    Self::build_node(&self.engine, &self.clock, fallback, true, self.coord_epoch)
-                        .map_err(|e| {
-                        format!(
-                            "promotion failed ({promote_err}) and primary re-recovery \
-                                 failed too ({e}); file server {server} is down"
-                        )
-                    })?;
-                Self::register_node_metrics(&self.registry, &old_node);
-                if let Some((logical, idx, _)) = &old_node.shard {
-                    if let Some(front) = self.sharded.get(logical) {
-                        front.replace_shard(*idx, Arc::clone(&old_node.dlfs));
-                    }
-                }
-                self.nodes.insert(server.to_string(), old_node);
-                self.adopt_node_pools(server);
-                Err(format!(
+                let (node, _) = rebuild(fallback).map_err(|e| {
+                    format!(
+                        "promotion failed ({promote_err}) and primary re-recovery \
+                         failed too ({e}); file server {server} is down"
+                    )
+                })?;
+                let err = format!(
                     "promotion failed: {promote_err}; crashed primary recovered in its place"
-                ))
+                );
+                (node, Err(err))
+            }
+        };
+        Self::register_node_metrics(&self.registry, &node);
+        // A shard node's rebuilt DLFS must replace the dead one inside the
+        // logical server's sharded front.
+        if let Some((logical, idx, _)) = &node.shard {
+            if let Some(front) = self.sharded.get(logical) {
+                front.replace_shard(*idx, Arc::clone(&node.dlfs));
             }
         }
+        self.nodes.insert(server.to_string(), node);
+        self.adopt_node_pools(server);
+        outcome
     }
 
     // --- host replication & coordinator failover --------------------------------
@@ -1445,9 +1450,10 @@ impl DataLinksSystem {
     /// gone, the shipping daemon is fenced and joined (nothing the dead
     /// host's log ships after this applies anywhere), and every DLFM node
     /// is told the new coordinator generation — a late 2PC decision from a
-    /// zombie of the old coordinator is refused from here on. Prepared
-    /// sub-transactions stay in doubt on the DLFM side until
-    /// [`DataLinksSystem::promote_host`] resolves them. Replica-routed
+    /// zombie of the old coordinator is refused from here on. Link/unlink
+    /// branches whose decision had not reached their node stay pending on
+    /// the DLFM side until [`DataLinksSystem::promote_host`] settles them
+    /// by the promoted host's rows. Replica-routed
     /// reads keep flowing throughout: token validation and content service
     /// never touch the host. Returns the new coordinator generation.
     pub fn crash_host(&mut self) -> Result<u64, String> {
@@ -1512,11 +1518,11 @@ impl DataLinksSystem {
 
         // Re-point every node at the new coordinator: host hook, engine
         // registration (the agent connection is minted at the promoted
-        // generation), and coordinator recovery for the node's in-doubt
-        // sub-transactions. "At all times there is no loss of integrity
-        // between the database and its linked files" — a claim the old
-        // coordinator prepared and then durably decided is finished the
-        // same way here; an undecided one is presumed aborted.
+        // generation), and coordinator recovery for the node's pending
+        // branches. "At all times there is no loss of integrity between the
+        // database and its linked files" — a branch whose host `Commit`
+        // shipped finds its rows on the promoted host and is finished; one
+        // whose `Commit` did not is presumed aborted.
         let mut report = HostFailoverReport { epoch, in_doubt_resolved: Vec::new() };
         for (name, node) in &self.nodes {
             node.server.set_host_hook(engine.clone());
@@ -1708,8 +1714,8 @@ impl DataLinksSystem {
     }
 
     /// Rebuilds a system from a crash image and runs coordinated recovery:
-    /// host database redo, DLFM in-doubt resolution against the host's rows,
-    /// file-state reconciliation and in-flight update rollback.
+    /// host database redo, then every node reconciled against the host's
+    /// rows (`DlfmServer::recover`).
     pub fn recover(
         image: CrashImage,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
@@ -1745,108 +1751,32 @@ impl DataLinksSystem {
     }
 
     /// Coordinated point-in-time restore: consumes the running system,
-    /// restores the host database from `backup` to `lsn`, then brings every
-    /// linked file to the version the restored database references (§4.4).
+    /// restores the host database from `backup` to `lsn`, then recovers the
+    /// system on it — the one reconcile brings every node's files to the
+    /// links and versions the restored rows reference (§4.4).
     pub fn restore(
         self,
         backup: &SystemBackup,
         lsn: Lsn,
     ) -> Result<(DataLinksSystem, SystemRestoreReport), String> {
-        let image = self.crash();
-        let CrashImage {
-            host_db, host_replicas, coord_epoch, clock, nodes, flight_dump_dir, ..
-        } = image;
-
-        let restored_env = backup.host_env.fork().map_err(|e| e.to_string())?;
-        let db = Database::open_with(
-            restored_env.clone(),
-            DbOptions { stop_at_lsn: Some(lsn), ..host_db },
-        )
-        .map_err(|e| e.to_string())?;
+        let mut image = self.crash();
+        image.host_env = backup.host_env.fork().map_err(|e| e.to_string())?;
+        let opts = DbOptions { stop_at_lsn: Some(lsn), ..image.host_db };
+        let db = Database::open_with(image.host_env.clone(), opts).map_err(|e| e.to_string())?;
         // Re-serialize the restored state into a fresh environment so the
         // new system's log continues cleanly from the restored state.
         db.checkpoint().map_err(|e| e.to_string())?;
         drop(db);
 
-        let (sys, _) = Self::assemble(
-            restored_env,
-            host_db,
-            host_replicas,
-            coord_epoch,
-            clock,
-            nodes,
-            true,
-            flight_dump_dir,
-        )?;
-        let report = sys.reconcile_files_with_metadata()?;
-        Ok((sys, report))
-    }
-
-    /// Brings every node's linked files in line with the restored
-    /// `__dl_meta` table: rollback to archived versions, unlink files no
-    /// longer referenced, re-link files whose links reappeared.
-    fn reconcile_files_with_metadata(&self) -> Result<SystemRestoreReport, String> {
+        let (sys, reports) = Self::recover(image)?;
         let mut report = SystemRestoreReport::default();
-
-        // Desired state per *node* from the restored metadata — a sharded
-        // logical server's URLs resolve to the shard owning each path.
-        let mut desired: HashMap<String, HashMap<String, u64>> = HashMap::new();
-        for row in self.db.scan_committed(META_TABLE).map_err(|e| e.to_string())? {
-            let url = DatalinkUrl::parse(row[0].as_text().unwrap_or_default())?;
-            let version = row[3].as_int().unwrap_or(1) as u64;
-            let owner = match self.routers.get(&url.server) {
-                Some(router) => router.name_of(router.shard_of(&url.path)).to_string(),
-                None => url.server,
-            };
-            desired.entry(owner).or_default().insert(url.path, version);
+        for node in reports.into_values() {
+            report.files_rolled_back += node.versions_rolled_back;
+            report.files_unlinked += node.files_unlinked;
+            report.files_relinked += node.files_relinked;
+            report.missing_versions.extend(node.missing_versions);
         }
-
-        for (name, node) in &self.nodes {
-            let want = desired.remove(name).unwrap_or_default();
-            // Row URLs name the logical server; shard nodes re-link under it.
-            let url_server = node.shard.as_ref().map(|(l, _, _)| l.as_str()).unwrap_or(name);
-
-            // Re-link files the restored database references but the
-            // repository no longer knows (unlinked after the restore point).
-            let known: std::collections::HashSet<String> =
-                node.server.repository().list_files().into_iter().map(|f| f.path).collect();
-            for path in want.keys() {
-                if known.contains(path) {
-                    continue;
-                }
-                let (mode, recovery, on_unlink) = self
-                    .column_options_for_url(&DatalinkUrl::new(url_server, path)?)
-                    .map(|o| (o.mode, o.recovery, o.on_unlink))
-                    .unwrap_or((dl_dlfm::ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore));
-                let txid = u64::MAX - report.files_relinked; // synthetic restore txn
-                node.server.link_file(txid, path, mode, recovery, on_unlink)?;
-                node.server.prepare_host(txid)?;
-                node.server.commit_host(txid);
-                report.files_relinked += 1;
-            }
-
-            let outcome = node.server.restore_to_versions(&want)?;
-            report.files_rolled_back += outcome.rolled_back;
-            report.files_unlinked += outcome.unlinked;
-            report.missing_versions.extend(outcome.missing_versions);
-        }
-        Ok(report)
-    }
-
-    /// Finds the column options governing `url` by scanning registered
-    /// DATALINK columns of the restored database.
-    fn column_options_for_url(&self, url: &DatalinkUrl) -> Option<DlColumnOptions> {
-        let url_text = url.to_string();
-        for row in self.db.scan_committed(crate::engine::COLUMNS_TABLE).ok()? {
-            let table = row[1].as_text()?.to_string();
-            let column = row[2].as_text()?.to_string();
-            let schema = self.db.schema(&table).ok()?;
-            let idx = schema.column_index(&column)?;
-            let rows = self.db.scan_committed(&table).ok()?;
-            if rows.iter().any(|r| matches!(&r[idx], Value::DataLink(u) if *u == url_text)) {
-                return self.engine.column_options(&table, &column);
-            }
-        }
-        None
+        report.missing_versions.sort();
+        Ok((sys, report))
     }
 }

@@ -45,8 +45,8 @@ pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use pool::{AtomicEwma, ElasticPool, PoolOptions, PoolProbe, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
-    lane, DlfmConfig, DlfmServer, DlfmStats, HostHook, Lane, OpenDecision, RecoveryReport,
-    RestoreOutcome, Transport,
+    lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, OpenDecision,
+    RecoveryReport, Transport,
 };
 pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKind,

@@ -414,16 +414,6 @@ impl Repository {
         txn.delete("dl_files", &Value::Text(path.to_string()))
     }
 
-    /// Bumps `cur_version` inside a caller-provided sub-transaction.
-    pub fn set_version_in(&self, txn: &mut Txn, path: &str, version: u64) -> DbResult<()> {
-        txn.update_column(
-            "dl_files",
-            &Value::Text(path.to_string()),
-            "cur_version",
-            Value::Int(version as i64),
-        )
-    }
-
     /// Records a committed update inside the close transaction: new
     /// version, its state identifier, and the pending-archive flag (§4.4).
     pub fn commit_version_in(
@@ -857,7 +847,7 @@ mod tests {
         assert_eq!(r.list_files().len(), 1);
 
         let mut txn = r.db().begin();
-        r.set_version_in(&mut txn, "/movies/clip.mpg", 5).unwrap();
+        r.commit_version_in(&mut txn, "/movies/clip.mpg", 5, 7).unwrap();
         txn.commit().unwrap();
         assert_eq!(r.get_file("/movies/clip.mpg").unwrap().cur_version, 5);
 

@@ -325,9 +325,8 @@ const ROOT: Cred = Cred::root();
 impl DlfmServer {
     /// Creates a server over the raw physical file system `fs`, with its
     /// repository in `repo_env` and a (possibly pre-existing) archive store.
-    /// Runs crash recovery against whatever state the repository holds; the
-    /// host hook must be registered before surviving intents and claims can
-    /// settle, so call [`DlfmServer::recover`] after wiring the hook.
+    /// Whatever the repository holds is brought to the host's rows by
+    /// [`DlfmServer::recover`], before the node serves anyone.
     pub fn new(
         cfg: DlfmConfig,
         fs: Arc<dyn FileSystem>,
@@ -788,25 +787,29 @@ impl DlfmServer {
     /// was everything later on the path, none of which the host can have
     /// committed. All files of one branch agree — the host commit is
     /// atomic — so the first decides, and a committed link finds its row at
-    /// version 1. A branch with no file, or no host wired, is presumed
-    /// aborted. One `settle` span per branch says what was asked and found.
-    /// `txid` only labels that span.
-    fn host_committed(&self, txid: u64, files: &[(String, BranchOp)]) -> bool {
-        let host = self.host.read().clone();
-        let Some((hook, (path, op))) = host.as_ref().zip(files.first()) else {
-            let why = if host.is_none() { "no host wired" } else { "no file" };
+    /// version 1. A branch with no file is presumed aborted. One `settle`
+    /// span per branch says what was asked and found. `version_of` reads
+    /// the host row of a path (live: the host hook; recovery: the host's
+    /// view of this node); `txid` only labels the span.
+    fn host_committed(
+        &self,
+        txid: u64,
+        files: &[(String, BranchOp)],
+        version_of: impl Fn(&str) -> Option<u64>,
+    ) -> bool {
+        let Some((path, op)) = files.first() else {
             self.recorder.record(
                 &self.flight_source,
                 "settle",
                 txid,
                 "",
-                format!("outcome=presumed-abort ({why})"),
+                "outcome=presumed-abort (no file)",
             );
             return false;
         };
         // The row's version, and whether that is what a commit leaves.
         let ask = |path: &str, op: BranchOp| {
-            let version = hook.file_version(&self.file_url(path));
+            let version = version_of(path);
             (version, version.is_some() == (op == BranchOp::Link))
         };
         let (version, committed) = ask(path, *op);
@@ -839,13 +842,17 @@ impl DlfmServer {
     /// failed over (the promoted coordinator calls it for every branch the
     /// old one left) — by the settle rule, the same as crash recovery: a
     /// coordinator that vanished between prepare and decide without the
-    /// host row to show for it never committed. Returns `true` when the
-    /// transaction committed. Idempotent: a decision that raced in through
-    /// another path finds no pending sub-transaction and settles nothing.
+    /// host row to show for it never committed, and with no host wired
+    /// nothing did. Returns `true` when the transaction committed.
+    /// Idempotent: a decision that raced in through another path finds no
+    /// pending sub-transaction and settles nothing.
     pub fn resolve_client_loss(&self, host_txid: u64) -> bool {
         let Some(cell) = self.pending.lock().get(&host_txid).cloned() else { return false };
         let files = cell.lock().files.clone();
-        let committed = self.host_committed(host_txid, &files);
+        let host = self.host.read().clone();
+        let committed = host.is_some_and(|hook| {
+            self.host_committed(host_txid, &files, |path| hook.file_version(&self.file_url(path)))
+        });
         if committed {
             self.commit_host(host_txid);
         } else {
@@ -1129,24 +1136,6 @@ impl DlfmServer {
         format!("dlfs://{}{path}", self.cfg.server_name)
     }
 
-    /// The repository rows of a committed update, in lock order (`dl_files`
-    /// first, then `dl_uip` — the order the open-grant claims use, so a
-    /// concurrent claim cannot deadlock with it): the version the claim
-    /// reserved becomes current and awaits archiving, and the claim goes.
-    /// Nothing here is new information — every value is the claim row's,
-    /// which was forced at open.
-    fn close_rows_in(
-        &self,
-        txn: &mut dl_minidb::Txn,
-        uip: &UipEntry,
-        state_id: u64,
-    ) -> Result<(), String> {
-        self.repo
-            .commit_version_in(txn, &uip.path, uip.new_version, state_id)
-            .map_err(|e| e.to_string())?;
-        self.repo.remove_uip_in(txn, &uip.path).map_err(|e| e.to_string())
-    }
-
     /// Commits the update (§4.3: file metadata and version change together).
     /// With a host wired, the host's forced `Commit` of the metadata row is
     /// the single commit point: the repository rows are staged first (their
@@ -1163,8 +1152,16 @@ impl DlfmServer {
         let host = self.host.read().clone();
         let state_hint =
             host.as_ref().map(|h| h.state_id()).unwrap_or_else(|| self.repo.db().state_id());
+        // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
+        // order the open-grant claims use): the claimed version becomes
+        // current and awaits archiving, the claim goes. Every value is the
+        // claim row's, forced at open.
         let mut txn = self.repo.db().begin();
-        self.close_rows_in(&mut txn, uip, state_hint)?;
+        let db_err = |e: dl_minidb::DbError| e.to_string();
+        self.repo
+            .commit_version_in(&mut txn, &uip.path, uip.new_version, state_hint)
+            .map_err(db_err)?;
+        self.repo.remove_uip_in(&mut txn, &uip.path).map_err(db_err)?;
         let Some(hook) = host else {
             // Standalone mode (no host database wired): the repository's
             // own forced commit is the commit point.
@@ -1373,118 +1370,55 @@ impl DlfmServer {
     }
 
     // =====================================================================
-    // Crash recovery (§4.2, §4.4)
+    // Recovery: one reconcile by the host rows (§4.2–§4.4)
     // =====================================================================
 
-    /// Runs crash recovery: settles the link/unlink branches whose end a
-    /// crash took, by their surviving intents and the host's metadata rows
-    /// (the settle rule, `host_committed`); settles surviving update claims
-    /// by the same rows (forward when the host committed, back otherwise)
-    /// and re-submits lost archive jobs. Token entries and the Sync table
-    /// need no step: they are unlogged, so the reopened repository holds
-    /// none.
-    pub fn recover(&self) -> Result<RecoveryReport, String> {
+    /// Brings this node to what `host` — the host's rows naming it — says:
+    /// the one recovery rule, run by crash recovery, file-server failover
+    /// and point-in-time restore before the node serves anyone. Every path
+    /// the view, `dl_files`, an intent or a claim names settles by
+    /// `DlfmServer::reconcile_file` in one forced repository commit; then
+    /// versions whose archive job was lost are archived from the disk.
+    /// Token entries and Sync rows are unlogged: none come back.
+    pub fn recover(&self, host: &HostView) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
-        let host = self.host.read().clone();
-
-        // 1. Surviving intents. A branch's intents — its forced vote — go
-        //    with its unforced `Commit` or abort record, so every intent
-        //    left is a branch the crash caught before that record reached
-        //    the disk. Each branch settles by the host rows of its files,
-        //    and the settlement is finished from the intents alone: a
-        //    committed link's row is rebuilt (version 1, nothing archived)
-        //    and its constraints enforced, a committed unlink's row goes
-        //    and its file-system action is redone, an aborted link gets its
-        //    original attributes back, an aborted unlink just drops its
-        //    intent.
-        let mut branches: BTreeMap<u64, Vec<IntentEntry>> = BTreeMap::new();
+        let mut local: BTreeMap<String, LocalRecords> = BTreeMap::new();
+        let mut branches: BTreeMap<u64, Vec<(String, BranchOp)>> = BTreeMap::new();
         for intent in self.repo.list_intents() {
-            branches.entry(intent.host_txid).or_default().push(intent);
+            let path = intent.file.path.clone();
+            branches.entry(intent.host_txid).or_default().push((path.clone(), intent.op));
+            local.entry(path).or_default().intent = Some(intent);
         }
-        for (host_txid, intents) in branches {
-            let files: Vec<(String, BranchOp)> =
-                intents.iter().map(|i| (i.file.path.clone(), i.op)).collect();
-            let commit = self.host_committed(host_txid, &files);
-            let mut txn = self.repo.db().begin();
-            for IntentEntry { op, file, .. } in &intents {
-                let path = &file.path;
-                let linked_now = self.repo.get_file(path).is_some();
-                match (op, commit) {
-                    (BranchOp::Link, true) => {
-                        if !linked_now {
-                            self.repo.insert_file_in(&mut txn, file).map_err(|e| e.to_string())?;
-                        }
-                        let (uid, gid, mode) = linked_attrs(file.mode, file, &self.cfg.dlfm_cred);
-                        let _ = self.set_attrs(path, uid, gid, mode);
-                    }
-                    (BranchOp::Link, false) => {
-                        let _ = self.set_attrs(path, file.orig_uid, file.orig_gid, file.orig_mode);
-                        report.links_undone += 1;
-                    }
-                    (BranchOp::Unlink, true) => {
-                        if linked_now {
-                            self.repo.delete_file_in(&mut txn, path).map_err(|e| e.to_string())?;
-                        }
-                        match file.on_unlink {
-                            OnUnlink::Delete => {
-                                let _ = self.admin.remove(&ROOT, path);
-                                self.archive.forget(path);
-                            }
-                            OnUnlink::Restore => {
-                                let _ = self.set_attrs(
-                                    path,
-                                    file.orig_uid,
-                                    file.orig_gid,
-                                    file.orig_mode,
-                                );
-                            }
-                        }
-                        report.unlinks_completed += 1;
-                    }
-                    (BranchOp::Unlink, false) => {}
-                }
-                self.repo.remove_intent_in(&mut txn, host_txid, path).map_err(|e| e.to_string())?;
-            }
-            txn.commit().map_err(|e| e.to_string())?;
-            report.in_doubt_resolved.push((host_txid, commit));
+        // A branch's outcome is the settle rule's, asked of the same rows
+        // the per-file rule reads below — so each file of a branch is
+        // finished the way the branch ended.
+        for (txid, files) in &branches {
+            let committed =
+                self.host_committed(*txid, files, |path| host.get(path).map(|h| h.version));
+            report.in_doubt_resolved.push((*txid, committed));
         }
+        for file in self.repo.list_files() {
+            let path = file.path.clone();
+            local.entry(path).or_default().file = Some(file);
+        }
+        for claim in self.repo.list_uip() {
+            let path = claim.path.clone();
+            local.entry(path).or_default().claim = Some(claim);
+        }
+        for path in host.keys() {
+            local.entry(path.clone()).or_default();
+        }
+        let host_state = self.host.read().as_ref().map(|hook| hook.state_id());
+        let state_id = host_state.unwrap_or_else(|| self.repo.db().state_id());
+        let mut txn = self.repo.db().begin();
+        for (path, records) in local {
+            self.reconcile_file(&mut txn, &path, host.get(&path), records, state_id, &mut report)?;
+        }
+        txn.commit().map_err(|e| e.to_string())?;
 
-        // 2. Surviving claims the host committed: roll forward. A close
-        //    commits once, on the host, and appends its repository record
-        //    unforced — so a claim can outlive its own commit. The claim was
-        //    forced at open and names the version it reserved; the host's
-        //    metadata row says whether that version took effect. (A claim
-        //    that survives is the newest update of its file: an unforced
-        //    record is only ever lost with everything logged after it.)
-        //    `needs_archive` stays set, so step 3 archives the new version.
-        if let Some(hook) = &host {
-            for uip in self.repo.list_uip() {
-                let Some(entry) = self.repo.get_file(&uip.path) else { continue };
-                let committed = hook
-                    .file_version(&self.file_url(&uip.path))
-                    .filter(|host_version| *host_version >= uip.new_version);
-                let Some(host_version) = committed else { continue };
-                let mut txn = self.repo.db().begin();
-                self.close_rows_in(&mut txn, &uip, hook.state_id())?;
-                txn.commit().map_err(|e| e.to_string())?;
-                self.release_write_grant(&entry);
-                self.stats.updates_rolled_forward.inc();
-                self.recorder.record(
-                    &self.flight_source,
-                    "roll_forward",
-                    0,
-                    &uip.path,
-                    format!("version={} host_version={host_version}", uip.new_version),
-                );
-                report.updates_rolled_forward += 1;
-            }
-        }
-
-        // 3. Re-archive committed versions whose archive job was lost.
+        // Re-archive committed versions whose archive job was lost.
         for entry in self.repo.files_needing_archive() {
-            if self.archive.get(&entry.path, entry.cur_version).is_none()
-                && self.repo.get_uip(&entry.path).is_none()
-            {
+            if self.archive.get(&entry.path, entry.cur_version).is_none() {
                 if let Ok(data) = self.admin.read_file(&ROOT, &entry.path) {
                     self.archive.put(&entry.path, entry.cur_version, entry.state_id, data);
                     report.archives_recovered += 1;
@@ -1493,20 +1427,158 @@ impl DlfmServer {
             let _ = self.repo.clear_needs_archive(&entry.path);
         }
 
-        // 4. Every other claim — the host never committed it (lower
-        //    version, no row, no host wired): restore the last committed
-        //    version, quarantine the dirty image (§4.2).
-        for uip in self.repo.list_uip() {
-            if let Some(entry) = self.repo.get_file(&uip.path) {
-                self.rollback_update(&entry);
-                self.release_write_grant(&entry);
-                report.updates_rolled_back += 1;
-            }
-            let _ = self.repo.remove_uip(&uip.path);
-        }
-
         self.bump_epoch();
         Ok(report)
+    }
+
+    /// **The reconcile rule** for one path — the table in DESIGN.md
+    /// ("Recovery and replication"). `host` is the host's row, `local` what
+    /// this node's log kept; the row changes go into `txn`. The host row
+    /// decides every case: an intent only supplies the entry and the
+    /// original attributes, a claim the version it reserved.
+    fn reconcile_file(
+        &self,
+        txn: &mut dl_minidb::Txn,
+        path: &str,
+        host: Option<&HostFile>,
+        local: LocalRecords,
+        state_id: u64,
+        report: &mut RecoveryReport,
+    ) -> Result<(), String> {
+        let LocalRecords { file, intent, claim } = local;
+        let db_err = |e: dl_minidb::DbError| e.to_string();
+        // A claim whose version the host row records committed (its close
+        // record was lost, the bytes on disk are that version's) and rolls
+        // forward below; any other claim never did, and its dirty bytes go.
+        let committed = claim.as_ref().filter(|c| host.is_some_and(|h| h.version >= c.new_version));
+        if claim.is_some() {
+            if let (Some(entry), None) = (&file, committed) {
+                self.rollback_update(entry);
+                report.updates_rolled_back += 1;
+            }
+            self.repo.remove_uip_in(txn, path).map_err(db_err)?;
+        }
+        let unlink_action = match &intent {
+            Some(IntentEntry { op: BranchOp::Unlink, file, .. }) => Some(file.on_unlink),
+            _ => None,
+        };
+        match (host, file) {
+            (None, Some(entry)) => {
+                self.repo.delete_file_in(txn, path).map_err(db_err)?;
+                if unlink_action == Some(OnUnlink::Delete) {
+                    let _ = self.admin.remove(&ROOT, path);
+                    self.archive.forget(path);
+                } else {
+                    let _ = self.set_attrs(path, entry.orig_uid, entry.orig_gid, entry.orig_mode);
+                }
+                match unlink_action {
+                    Some(_) => report.unlinks_completed += 1,
+                    None => report.files_unlinked += 1,
+                }
+            }
+            (None, None) => {
+                if let Some(IntentEntry { op: BranchOp::Link, file, .. }) = &intent {
+                    let _ = self.set_attrs(path, file.orig_uid, file.orig_gid, file.orig_mode);
+                    report.links_undone += 1;
+                }
+            }
+            (Some(row), None) => {
+                let entry = match &intent {
+                    Some(IntentEntry { op: BranchOp::Link, file, .. }) => Some(file.clone()),
+                    _ => self.entry_on_disk(path, row),
+                };
+                if let Some(entry) = entry {
+                    self.repo.insert_file_in(txn, &entry).map_err(db_err)?;
+                    report.files_relinked += u64::from(intent.is_none());
+                    self.move_to_version(txn, &entry, row.version, false, state_id, report)?;
+                    self.release_write_grant(&entry);
+                } else {
+                    report.missing_versions.push((path.to_string(), row.version));
+                }
+            }
+            (Some(row), Some(entry)) => {
+                let on_disk = committed.is_some_and(|c| c.new_version == row.version);
+                let moved =
+                    self.move_to_version(txn, &entry, row.version, on_disk, state_id, report)?;
+                if moved || claim.is_some() || unlink_action.is_some() {
+                    self.release_write_grant(&entry);
+                }
+            }
+        }
+        if let Some(intent) = &intent {
+            self.repo.remove_intent_in(txn, intent.host_txid, path).map_err(db_err)?;
+        }
+        Ok(())
+    }
+
+    /// The entry of a link the host committed and this node holds no
+    /// record of (a restore to before an unlink, a failover to a standby
+    /// the intent never reached): the column's options, and the attributes
+    /// on disk as the original ones — after a lost take-over those are the
+    /// linked ones, the owner being gone with the intent. `None` when the
+    /// file is not on disk.
+    fn entry_on_disk(&self, path: &str, row: &HostFile) -> Option<FileEntry> {
+        let attr = self.admin.stat(&ROOT, path).ok()?;
+        Some(FileEntry {
+            path: path.to_string(),
+            mode: row.mode,
+            recovery: row.recovery,
+            on_unlink: row.on_unlink,
+            cur_version: 1,
+            orig_uid: attr.uid,
+            orig_gid: attr.gid,
+            orig_mode: attr.mode,
+            ino: attr.ino,
+            state_id: 0,
+            needs_archive: false,
+        })
+    }
+
+    /// Moves `entry` to the host's `version`. The bytes: the disk's when
+    /// `on_disk`, else the archived version's if the store holds it; a newer
+    /// version it lacks is on disk, and an older one (RECOVERY NO prunes)
+    /// is reported missing and the file stays. `needs_archive` is set, so
+    /// the re-archive pass copies what the store lacks. Returns whether the
+    /// version moved.
+    fn move_to_version(
+        &self,
+        txn: &mut dl_minidb::Txn,
+        entry: &FileEntry,
+        version: u64,
+        on_disk: bool,
+        state_id: u64,
+        report: &mut RecoveryReport,
+    ) -> Result<bool, String> {
+        let (path, from) = (&entry.path, entry.cur_version);
+        if version == from {
+            return Ok(false);
+        }
+        match self.archive.get(path, version).filter(|_| !on_disk) {
+            Some(archived) => self
+                .admin
+                .write_file(&ROOT, path, &archived.data)
+                .map_err(|e| format!("restore {path} to version {version}: {e}"))?,
+            None if version < from => {
+                report.missing_versions.push((path.clone(), version));
+                return Ok(false);
+            }
+            None => {}
+        }
+        self.repo.commit_version_in(txn, path, version, state_id).map_err(|e| e.to_string())?;
+        if version < from {
+            report.versions_rolled_back += 1;
+            return Ok(true);
+        }
+        self.stats.updates_rolled_forward.inc();
+        self.recorder.record(
+            &self.flight_source,
+            "roll_forward",
+            0,
+            path,
+            format!("version={version} host_version={version} from={from}"),
+        );
+        report.updates_rolled_forward += 1;
+        Ok(true)
     }
 }
 
@@ -1523,6 +1595,30 @@ impl Drop for DlfmServer {
     }
 }
 
+/// One file of a node as the host's committed rows describe it: the
+/// version its `__dl_meta` row records and the options of the DATALINK
+/// column whose row references it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostFile {
+    pub version: u64,
+    pub mode: ControlMode,
+    pub recovery: bool,
+    pub on_unlink: OnUnlink,
+}
+
+/// The host's view of one node — path → [`HostFile`] for every file whose
+/// `__dl_meta` row names the node: the one input [`DlfmServer::recover`]
+/// takes from the host.
+pub type HostView = HashMap<String, HostFile>;
+
+/// What this node's own log kept about one path.
+#[derive(Default)]
+struct LocalRecords {
+    file: Option<FileEntry>,
+    intent: Option<IntentEntry>,
+    claim: Option<UipEntry>,
+}
+
 /// What recovery did (assertable in tests, printed by the report binary).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -1531,80 +1627,20 @@ pub struct RecoveryReport {
     pub in_doubt_resolved: Vec<(u64, bool)>,
     pub links_undone: u64,
     pub unlinks_completed: u64,
-    /// Surviving claims whose update the host had committed: version bump
-    /// and claim delete re-derived from the claim and the host row.
+    /// Files moved forward to the host row's version: a surviving claim
+    /// whose close record was lost, or an update this node never heard of.
     pub updates_rolled_forward: u64,
+    /// Surviving claims the host never committed, rolled back.
     pub updates_rolled_back: u64,
     pub archives_recovered: u64,
-}
-
-/// What a coordinated point-in-time restore did on this server (§4.4).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RestoreOutcome {
-    /// Files whose content was rolled back to an earlier archived version.
-    pub rolled_back: u64,
-    /// Files unlinked because the restored database no longer references
-    /// them.
-    pub unlinked: u64,
-    /// (path, version) pairs the archive could not supply — only possible
-    /// for columns linked with RECOVERY NO, whose old versions are pruned.
+    /// Links (`files_relinked`) and unlinks (`files_unlinked`) the host rows
+    /// hold and this node had no record of.
+    pub files_relinked: u64,
+    pub files_unlinked: u64,
+    /// Files moved back to the host row's older, archived version (a
+    /// point-in-time restore).
+    pub versions_rolled_back: u64,
+    /// `(path, version)` pairs the host rows name and nothing here can
+    /// supply: an old version a RECOVERY NO column pruned, a file gone.
     pub missing_versions: Vec<(String, u64)>,
-}
-
-impl DlfmServer {
-    /// Coordinated point-in-time restore (§4.4): brings every linked file
-    /// to the version the *restored* host database references. `desired`
-    /// maps file paths to the version recorded in the restored metadata;
-    /// linked files absent from the map are unlinked (their row vanished
-    /// from the restored database).
-    ///
-    /// The system must be quiesced (no open descriptors); the DataLinks
-    /// restore orchestrator guarantees that by rebuilding the stack first.
-    pub fn restore_to_versions(
-        &self,
-        desired: &HashMap<String, u64>,
-    ) -> Result<RestoreOutcome, String> {
-        let mut outcome = RestoreOutcome::default();
-        for entry in self.repo.list_files() {
-            match desired.get(&entry.path) {
-                None => {
-                    // The restored database does not reference this file.
-                    let _ = self.set_attrs(
-                        &entry.path,
-                        entry.orig_uid,
-                        entry.orig_gid,
-                        entry.orig_mode,
-                    );
-                    let mut txn = self.repo.db().begin();
-                    self.repo.delete_file_in(&mut txn, &entry.path).map_err(|e| e.to_string())?;
-                    txn.commit().map_err(|e| e.to_string())?;
-                    outcome.unlinked += 1;
-                }
-                Some(version) if *version != entry.cur_version => {
-                    match self.archive.get(&entry.path, *version) {
-                        Some(archived) => {
-                            self.admin
-                                .write_file(&ROOT, &entry.path, &archived.data)
-                                .map_err(|e| e.to_string())?;
-                            let mut txn = self.repo.db().begin();
-                            self.repo
-                                .set_version_in(&mut txn, &entry.path, *version)
-                                .map_err(|e| e.to_string())?;
-                            txn.commit().map_err(|e| e.to_string())?;
-                            self.release_write_grant(&entry);
-                            outcome.rolled_back += 1;
-                        }
-                        None => {
-                            outcome.missing_versions.push((entry.path.clone(), *version));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Already at the right version; just re-enforce attrs.
-                    self.release_write_grant(&entry);
-                }
-            }
-        }
-        Ok(outcome)
-    }
 }

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use dl_dlfm::{
     embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
-    DlfmServer, FaultInjector, HostHook, MainDaemon, Message, OnUnlink, OpenDecision, TokenKind,
-    UpcallTransport, WireConnector, WireDaemon,
+    DlfmServer, FaultInjector, HostFile, HostHook, MainDaemon, Message, OnUnlink, OpenDecision,
+    TokenKind, UpcallTransport, WireConnector, WireDaemon,
 };
 use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
 use dl_minidb::StorageEnv;
@@ -484,7 +484,22 @@ fn crash_and_recover(
     );
     let rows = host_rows.iter().map(|(url, version)| (url.to_string(), *version)).collect();
     server2.set_host_hook(Arc::new(FixedRows(rows)));
-    let report = server2.recover().unwrap();
+    // The same rows as the host's view of this node (every file here is
+    // linked rdd).
+    let view = host_rows
+        .iter()
+        .map(|(url, version)| {
+            let path = url.strip_prefix("dlfs://srv1").unwrap().to_string();
+            let row = HostFile {
+                version: *version,
+                mode: ControlMode::Rdd,
+                recovery: true,
+                on_unlink: OnUnlink::Restore,
+            };
+            (path, row)
+        })
+        .collect();
+    let report = server2.recover(&view).unwrap();
     (fs, server2, report)
 }
 

@@ -8,8 +8,8 @@ use std::thread;
 use std::time::Duration;
 
 use dl_dlfm::{
-    embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon,
-    OnUnlink, TokenKind,
+    embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostFile,
+    MainDaemon, OnUnlink, TokenKind,
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
 use dl_fskit::{Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenOptions, SetAttr, SimClock};
@@ -341,7 +341,15 @@ fn aborted_update_restores_content_via_recovery_path() {
     let server2 = Arc::new(
         DlfmServer::new(cfg, fs.clone() as Arc<dyn FileSystem>, repo_env, archive, clock).unwrap(),
     );
-    let report = server2.recover().unwrap();
+    // The host still records the link at version 1: the update never
+    // reached its commit point.
+    let row = HostFile {
+        version: 1,
+        mode: ControlMode::Rdd,
+        recovery: true,
+        on_unlink: OnUnlink::Restore,
+    };
+    let report = server2.recover(&[("/web/a.html".to_string(), row)].into()).unwrap();
     assert_eq!(report.updates_rolled_back, 1);
     assert_eq!(raw.read_file(&Cred::root(), "/web/a.html").unwrap(), b"stable");
 }

@@ -116,13 +116,16 @@ fn no_lost_updates_under_contention() {
     assert_eq!(versions.len(), 1 + writers * per);
 }
 
-#[test]
-fn rfd_reader_sees_before_or_after_never_torn() {
-    // rfd gives weaker read consistency, but a reader that *succeeds* in
-    // opening reads either the old or the new committed content — during
-    // the write the take-over makes opens fail (§4.2's implicit
-    // serialization).
-    let sys = Arc::new(build(ControlMode::Rfd, 1));
+/// Reads file 0 in a loop while one update rewrites it `AAAAAAAAAA` →
+/// `BBBBBBBBBB`, with `open_path` giving the path of each open. Every read
+/// must be one of `allowed`; returns how many reads succeeded. Afterwards
+/// the file holds the new bytes.
+fn read_through_an_update(
+    mode: ControlMode,
+    open_path: fn(&DataLinksSystem) -> String,
+    allowed: &'static [&'static [u8]],
+) -> u64 {
+    let sys = Arc::new(build(mode, 1));
     write_once(&sys, 0, b"AAAAAAAAAA");
     sys.node("srv").unwrap().server.archive_store().wait_archived("/d/f0.bin");
 
@@ -131,33 +134,60 @@ fn rfd_reader_sees_before_or_after_never_torn() {
     let stop_r = Arc::clone(&stop);
     let reader = thread::spawn(move || {
         let fs = sys_r.fs("srv").unwrap();
-        let mut outcomes = (0u64, 0u64, 0u64); // old, new, denied
+        let mut reads = 0u64;
         while stop_r.load(Ordering::Relaxed) == 0 {
-            match fs.open(&APP, "/d/f0.bin", OpenOptions::read_only()) {
+            match fs.open(&APP, &open_path(&sys_r), OpenOptions::read_only()) {
                 Ok(fd) => {
                     let data = fs.read_to_end(fd).unwrap();
                     fs.close(fd).unwrap();
-                    if data == b"AAAAAAAAAA" {
-                        outcomes.0 += 1;
-                    } else if data == b"BBBBBBBBBB" {
-                        outcomes.1 += 1;
-                    } else {
-                        panic!("torn read observed: {data:?}");
-                    }
+                    assert!(allowed.contains(&data.as_slice()), "read observed {data:?}");
+                    reads += 1;
                 }
-                Err(FsError::AccessDenied) | Err(FsError::Rejected(_)) => outcomes.2 += 1,
+                Err(FsError::AccessDenied) | Err(FsError::Rejected(_)) => {}
                 Err(e) => panic!("unexpected error {e}"),
             }
         }
-        outcomes
+        reads
     });
 
     thread::sleep(Duration::from_millis(10));
     write_once(&sys, 0, b"BBBBBBBBBB");
     thread::sleep(Duration::from_millis(10));
     stop.store(1, Ordering::Relaxed);
-    let (old, new, _denied) = reader.join().unwrap();
-    assert!(old + new > 0, "reader made progress");
+    let reads = reader.join().unwrap();
+    let raw = sys.raw_fs("srv").unwrap();
+    assert_eq!(raw.read_file(&Cred::root(), "/d/f0.bin").unwrap(), b"BBBBBBBBBB");
+    reads
+}
+
+#[test]
+fn rfd_reader_sees_old_empty_or_new_bytes() {
+    // rfd reads are file-system controlled: no token, no upcall, no Sync
+    // row. The take-over makes opens fail while the update holds the file,
+    // but a descriptor opened before it stays valid and may read the file
+    // between the writer's truncate and its write. So a read returns the
+    // old bytes, nothing, or the new bytes — never anything else.
+    let reads = read_through_an_update(
+        ControlMode::Rfd,
+        |_| "/d/f0.bin".to_string(),
+        &[b"AAAAAAAAAA", b"", b"BBBBBBBBBB"],
+    );
+    assert!(reads > 0, "reader made progress");
+}
+
+#[test]
+fn rdd_reader_sees_before_or_after_never_torn() {
+    // rdd reads are DB-controlled: every open presents a fresh read token
+    // and registers in the Sync table, so it conflicts with the update's
+    // write claim — a read open during the write waits out `Busy`, and a
+    // write open waits for the readers to close. Each read sees the old or
+    // the new committed bytes.
+    let reads = read_through_an_update(
+        ControlMode::Rdd,
+        |sys| sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Read).unwrap().1,
+        &[b"AAAAAAAAAA", b"BBBBBBBBBB"],
+    );
+    assert!(reads > 0, "reader made progress");
 }
 
 #[test]

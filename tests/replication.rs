@@ -283,6 +283,98 @@ fn a_link_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
     assert_eq!(attr.uid, APP.uid, "handed back to its owner");
 }
 
+/// User row ⇔ `__dl_meta` ⇔ `dl_files` ⇔ attributes for row `id`: all at
+/// version `want` with the file taken over, or all gone with the file back
+/// with its owner.
+fn assert_rows_agree(sys: &DataLinksSystem, id: i64, want: Option<u64>) {
+    let path = format!("/d/f{id}.bin");
+    let url = datalinks::core::DatalinkUrl::parse(&format!("dlfs://{SRV}{path}")).unwrap();
+    let node = sys.node(SRV).unwrap();
+    let user_row = sys.db().get_committed("t", &Value::Int(id)).unwrap();
+    assert_eq!(user_row.is_some(), want.is_some(), "user row");
+    assert_eq!(sys.engine().file_meta(&url).map(|(_, _, version)| version), want, "__dl_meta");
+    let entry = node.server.repository().get_file(&path);
+    assert_eq!(entry.map(|e| e.cur_version), want, "dl_files");
+    let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), &path).unwrap();
+    let dlfm = node.server.config().dlfm_cred;
+    let expect = if want.is_some() { (dlfm.uid, 0o400) } else { (APP.uid, 0o644) };
+    assert_eq!((attr.uid, attr.mode), expect, "attributes");
+}
+
+/// Pauses shipping to the one standby once it holds everything so far: what
+/// the primary logs from here on dies with it.
+fn cut_the_standby_off(sys: &DataLinksSystem) {
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    sys.set_replication_paused(SRV, true).unwrap();
+}
+
+#[test]
+fn failover_to_a_standby_without_the_link_relinks_it_from_the_host_row() {
+    let mut sys = build(1, 0);
+    cut_the_standby_off(&sys);
+    sys.raw_fs(SRV).unwrap().write_file(&APP, "/d/f0.bin", b"seed-0").unwrap();
+    let mut tx = sys.begin();
+    tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}/d/f0.bin"))]).unwrap();
+    tx.commit().unwrap();
+
+    // Neither the intent nor the branch's end reached the standby.
+    let report = sys.fail_over(SRV).unwrap();
+    assert!(report.in_doubt_resolved.is_empty());
+    assert_eq!(report.files_relinked, 1);
+    assert_rows_agree(&sys, 0, Some(1));
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"seed-0");
+
+    // The node carries on, but the re-link recorded the attributes it found:
+    // the take-over's original owner was only in the lost intent, so an
+    // unlink hands the file back to the DLFM (a known limit, ROADMAP).
+    write_once(&sys, 0, b"after the failover");
+    assert_rows_agree(&sys, 0, Some(2));
+    let mut tx = sys.begin();
+    tx.delete("t", &Value::Int(0)).unwrap();
+    tx.commit().unwrap();
+    assert!(sys.node(SRV).unwrap().server.repository().get_file("/d/f0.bin").is_none());
+    let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/f0.bin").unwrap();
+    let dlfm = sys.node(SRV).unwrap().server.config().dlfm_cred;
+    assert_eq!((attr.uid, attr.mode), (dlfm.uid, 0o400), "the attributes the re-link found");
+}
+
+#[test]
+fn failover_to_a_standby_without_the_update_rolls_it_forward_from_the_host_row() {
+    let mut sys = build(1, 1);
+    cut_the_standby_off(&sys);
+    // Claim, close record and archive flag clear are all on the primary only;
+    // the archive copies reach the standby's mirror.
+    write_once(&sys, 0, b"version two");
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (1, 0));
+    assert_rows_agree(&sys, 0, Some(2));
+    let server = &sys.node(SRV).unwrap().server;
+    assert_eq!(server.archive_store().get("/d/f0.bin", 2).unwrap().data, b"version two");
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version two");
+    write_once(&sys, 0, b"version three");
+    assert_rows_agree(&sys, 0, Some(3));
+}
+
+#[test]
+fn failover_to_a_standby_without_the_unlink_finishes_it_from_the_host_row() {
+    let mut sys = build(1, 1);
+    cut_the_standby_off(&sys);
+    let mut tx = sys.begin();
+    tx.delete("t", &Value::Int(0)).unwrap();
+    tx.commit().unwrap();
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert!(report.in_doubt_resolved.is_empty());
+    assert_eq!(report.files_unlinked, 1);
+    assert_rows_agree(&sys, 0, None);
+    // And the file links again.
+    let mut tx = sys.begin();
+    tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}/d/f0.bin"))]).unwrap();
+    tx.commit().unwrap();
+    assert_rows_agree(&sys, 0, Some(1));
+}
+
 #[test]
 fn promoted_standby_starts_without_token_entries_or_sync_rows() {
     // The unlogged tables never ship: a standby promoted while a write open
@@ -463,9 +555,12 @@ fn close_an_update(sys: &DataLinksSystem, id: i64, content: &[u8]) {
 /// Stages the window the close's unforced repository record opens: the
 /// shipper is paused (so its idle poll cannot flush the primary), an update
 /// commits on the host, and one synchronous ship round hands the standby
-/// everything *durable* — the claim, not the close record. (The name is the
-/// pre-PR 21 one, when the held-back record was a 2PC `Decide`.)
-fn standby_holding_prepare_but_not_decide(sys: &DataLinksSystem, set: &ReplicaSet, content: &[u8]) {
+/// everything *durable* — the claim, not the close record.
+fn standby_holding_the_claim_not_the_close(
+    sys: &DataLinksSystem,
+    set: &ReplicaSet,
+    content: &[u8],
+) {
     set.set_paused(true);
     close_an_update(sys, 0, content);
     let repo = sys.node(SRV).unwrap().server.repository().db();
@@ -477,12 +572,12 @@ fn standby_holding_prepare_but_not_decide(sys: &DataLinksSystem, set: &ReplicaSe
 }
 
 #[test]
-fn standby_behind_an_unforced_decide_serves_the_old_version_then_converges_by_itself() {
+fn standby_behind_an_unforced_close_serves_the_old_version_then_converges_by_itself() {
     let sys = build(1, 1);
     write_once(&sys, 0, b"version two");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     let set = sys.node(SRV).unwrap().replication.clone().unwrap();
-    standby_holding_prepare_but_not_decide(&sys, &set, b"version three");
+    standby_holding_the_claim_not_the_close(&sys, &set, b"version three");
 
     // Claimed is not committed: the replica keeps answering with the
     // last version it saw closed (plain reads are not read-your-writes).
@@ -504,12 +599,12 @@ fn standby_behind_an_unforced_decide_serves_the_old_version_then_converges_by_it
 }
 
 #[test]
-fn promotion_behind_an_unforced_decide_commits_the_update_from_the_host_outcome() {
+fn promotion_behind_an_unforced_close_commits_the_update_from_the_host_outcome() {
     let mut sys = build(1, 1);
     write_once(&sys, 0, b"version two");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     let set = sys.node(SRV).unwrap().replication.clone().unwrap();
-    standby_holding_prepare_but_not_decide(&sys, &set, b"version three");
+    standby_holding_the_claim_not_the_close(&sys, &set, b"version three");
     sys.node(SRV).unwrap().server.archive_store().wait_archived("/d/f0.bin");
     drop(set);
 
@@ -532,7 +627,7 @@ fn promotion_behind_an_unforced_decide_commits_the_update_from_the_host_outcome(
 }
 
 #[test]
-fn freshness_token_taken_right_after_close_covers_the_unforced_decide() {
+fn freshness_token_taken_right_after_close_covers_the_unforced_close_record() {
     let sys = build(2, 1);
     for round in 0..8 {
         let content = format!("round {round}");
