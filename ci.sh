@@ -21,9 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Two harnesses, not four (EXPERIMENTS.md): numbers come from benchmark/,
 # gates from scenario asserts — no Criterion, no BENCH-file comparer. (The
 # bracketed first letters keep these patterns from matching this file.)
-# One redo, one log, one follower (DESIGN.md "Recovery and replication"):
-# the ship daemon feeds one concrete fenced follower — no target trait, no
-# second fenced wrapper — and the log-slot swap lives in wal.rs alone.
+# One redo, one log, one database type, following is a mode (DESIGN.md
+# "Recovery and replication"): the ship daemon feeds one concrete fenced
+# follower — no target trait, no second fenced wrapper — that is a
+# `Database` in follower mode, not a standby type of its own; a promotion
+# flips that mode in place, so neither `promote_host` nor `fail_over` opens
+# the promote target's env; and the log-slot swap lives in wal.rs alone.
 # One commit point per update (DESIGN.md "Force audit"): the close commits
 # on the host and enlists nobody — no participant wrapper around the
 # repository's close transaction, no second close path.
@@ -37,7 +40,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # One reconcile by the host rows (DESIGN.md "Recovery and replication"):
 # crash recovery, failover and point-in-time restore run the same per-file
 # rule — no second restore pass, no synthetic 2PC branch to re-link a file.
-step "guard: no second protocol definition, no deleted knobs, no third harness, no second follower or slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile"
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -46,10 +49,13 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "coordinator_[o]utcome|record_[o]utcome|in_doubt_[c]oordinator|fn [o]utcome\(" crates/ src/ tests/ \
   || grep -rnE "commit_[p]repared|abort_[p]repared|resolve_[i]n_doubt|in_doubt_[t]xns|in_doubt_[o]ps|WalRecord::[P]repare|WalRecord::[D]ecide" crates/ src/ tests/ \
   || grep -rnE "restore_to_[v]ersions|Restore[O]utcome|reconcile_files_with_[m]etadata|column_options_for_[u]rl" crates/ src/ tests/ \
+  || grep -rnE "Standby[D]b|Standby[S]hared|Standby[I]nner" crates/ src/ tests/ \
+  || awk '/fn (promote_host|fail_over)\(/,/^    }$/' crates/core/src/system.rs \
+       | grep -nE "Database::[o]pen|promote_target\(\)\.[e]nv\(\)" \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, follower type, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC or a second reconcile reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC or a second reconcile reappeared (matches above)" >&2
   exit 1
 fi
 

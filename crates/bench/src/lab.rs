@@ -513,17 +513,19 @@ fn ckpt_standby(
 ) -> (Arc<dl_repl::Follower>, dl_repl::Replicator, Arc<dl_repl::ReplStats>) {
     let fence = Arc::new(dl_repl::EpochFence::new());
     let stats = Arc::new(dl_repl::ReplStats::default());
+    let feed = db.replication_feed();
     let standby = Arc::new(
-        dl_repl::Follower::new("lab#0".into(), StorageEnv::mem(), fence, Arc::clone(&stats))
-            .expect("standby"),
+        dl_repl::Follower::new(
+            "lab#0".into(),
+            StorageEnv::mem(),
+            feed.db_options(),
+            fence,
+            Arc::clone(&stats),
+        )
+        .expect("standby"),
     );
-    let repl = dl_repl::Replicator::spawn(
-        "lab",
-        db.replication_feed(),
-        vec![Arc::clone(&standby)],
-        0,
-        Arc::clone(&stats),
-    );
+    let repl =
+        dl_repl::Replicator::spawn("lab", feed, vec![Arc::clone(&standby)], 0, Arc::clone(&stats));
     (standby, repl, stats)
 }
 

@@ -83,7 +83,6 @@ pub struct FileServerNode {
     /// The wire transport, when the node runs `Transport::Socket`: every
     /// engine/DLFS round-trip of this node crosses real framed sockets.
     pub wire: Option<WireLink>,
-    repo_env: StorageEnv,
     dlfm_cfg: DlfmConfig,
     dlfs_cfg: DlfsConfig,
     replicas: usize,
@@ -468,7 +467,6 @@ pub struct DataLinksSystem {
     db: Database,
     engine: Arc<DataLinksEngine>,
     clock: Arc<dyn Clock>,
-    host_env: StorageEnv,
     host_db: DbOptions,
     /// Host standby count to (re-)provision after crashes and failovers.
     host_replicas: usize,
@@ -531,7 +529,6 @@ impl DataLinksSystem {
                 "host",
                 db.replication_feed(),
                 host_replicas,
-                host_env.sync_latency_ns(),
                 coord_epoch,
             )?;
             Some(Arc::new(set))
@@ -559,8 +556,9 @@ impl DataLinksSystem {
         for part in parts {
             let name = part.name.clone();
             let view = run_recovery.then(|| views.remove(&name).unwrap_or_default());
+            let repo = Self::open_repo(&part)?;
             let (node, report) =
-                Self::build_node(&engine, &clock, part, view.as_ref(), coord_epoch)?;
+                Self::build_node(&engine, &clock, part, repo, view.as_ref(), coord_epoch)?;
             if let Some(report) = report {
                 reports.insert(name.clone(), report);
             }
@@ -602,7 +600,6 @@ impl DataLinksSystem {
             db,
             engine,
             clock,
-            host_env,
             host_db,
             host_replicas,
             host_replication,
@@ -638,23 +635,31 @@ impl DataLinksSystem {
         Ok((sys, reports))
     }
 
-    /// Builds one file-server node from its durable parts: the DLFM server
-    /// (reconciled against `recovery`, the host's view of the node, when
-    /// given), the DLFS/LFS stack, the daemons, the engine registration,
-    /// and — when provisioned — the replica set fed from the repository's
-    /// WAL. Used by initial assembly, crash recovery, point-in-time restore
-    /// and failover promotion alike.
+    /// Opens a node's repository from its disks (crash recovery included)
+    /// under the node's database options.
+    fn open_repo(part: &NodeParts) -> Result<Database, String> {
+        Database::open_with(part.repo_env.clone(), part.dlfm_cfg.db).map_err(|e| e.to_string())
+    }
+
+    /// Builds one file-server node from its durable parts and its opened
+    /// repository `repo` (see [`DataLinksSystem::open_repo`], or a standby
+    /// promoted in place): the DLFM server (reconciled against `recovery`,
+    /// the host's view of the node, when given), the DLFS/LFS stack, the
+    /// daemons, the engine registration, and — when provisioned — the
+    /// replica set fed from the repository's WAL. Used by initial assembly,
+    /// crash recovery, point-in-time restore and failover promotion alike.
     fn build_node(
         engine: &Arc<DataLinksEngine>,
         clock: &Arc<dyn Clock>,
         part: NodeParts,
+        repo: Database,
         recovery: Option<&HostView>,
         coord_epoch: u64,
     ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
         let server = Arc::new(DlfmServer::new(
             part.dlfm_cfg.clone(),
             part.fs.clone() as Arc<dyn FileSystem>,
-            part.repo_env.clone(),
+            repo,
             Arc::clone(&part.archive),
             Arc::clone(clock),
         )?);
@@ -715,7 +720,6 @@ impl DataLinksSystem {
                     // tokens are signed under the logical name.
                     server_name: part.dlfm_cfg.server_name.clone(),
                     token_key: part.dlfm_cfg.token_key.clone(),
-                    sync_latency_ns: part.repo_env.sync_latency_ns(),
                     clock: Arc::clone(clock),
                     fallback: Some(fallback),
                 },
@@ -745,7 +749,6 @@ impl DataLinksSystem {
                 raw,
                 replication,
                 wire,
-                repo_env: part.repo_env,
                 dlfm_cfg: part.dlfm_cfg,
                 dlfs_cfg: part.dlfs_cfg,
                 replicas: part.replicas,
@@ -1287,7 +1290,7 @@ impl DataLinksSystem {
     /// Promotes a standby of `server` after a primary crash: the old
     /// primary's daemons are torn down and its replica set fenced (epoch
     /// bump — any frame a deposed shipper still sends is rejected), then
-    /// the first standby's repository opens as a normal database, is
+    /// the first standby's repository is promoted in place (no reopen), is
     /// reconciled against the host's rows like a crash-recovered primary
     /// (whatever of the primary's log never shipped is re-derived from
     /// them), and the node re-registers with the promoted server as
@@ -1321,12 +1324,11 @@ impl DataLinksSystem {
         node.server.simulate_crash();
 
         let standby = replication.promote_target();
-        let promoted_env = standby.env().clone();
+        let promoted = Database::clone(standby);
         let promoted_archive = Arc::clone(standby.archive_store());
         let FileServerNode {
             name,
             fs,
-            repo_env,
             dlfm_cfg,
             dlfs_cfg,
             replicas,
@@ -1336,12 +1338,13 @@ impl DataLinksSystem {
             ..
         } = node;
         let crashed_archive = Arc::clone(old_server.archive_store());
+        let repo_env = old_server.repository().db().env().clone();
         drop(old_server);
 
         let parts = NodeParts {
             name: name.clone(),
             fs: Arc::clone(&fs),
-            repo_env: promoted_env,
+            repo_env: promoted.env().clone(),
             archive: promoted_archive,
             dlfm_cfg: dlfm_cfg.clone(),
             dlfs_cfg,
@@ -1351,10 +1354,11 @@ impl DataLinksSystem {
             upcall_fault: upcall_fault.clone(),
             shard: shard.clone(),
         };
-        let rebuild = |parts| {
-            Self::build_node(&self.engine, &self.clock, parts, Some(&view), self.coord_epoch)
+        let rebuild = |parts, repo| {
+            Self::build_node(&self.engine, &self.clock, parts, repo, Some(&view), self.coord_epoch)
         };
-        let (node, outcome) = match rebuild(parts) {
+        let promotion = promoted.promote().map_err(|e| e.to_string());
+        let (node, outcome) = match promotion.and_then(|()| rebuild(parts, promoted)) {
             Ok((node, report)) => {
                 self.registry.counter("system.failovers").inc();
                 (node, Ok(report.expect("promotion runs recovery")))
@@ -1374,12 +1378,14 @@ impl DataLinksSystem {
                     upcall_fault,
                     shard,
                 };
-                let (node, _) = rebuild(fallback).map_err(|e| {
-                    format!(
-                        "promotion failed ({promote_err}) and primary re-recovery \
+                let (node, _) = Self::open_repo(&fallback)
+                    .and_then(|repo| rebuild(fallback, repo))
+                    .map_err(|e| {
+                        format!(
+                            "promotion failed ({promote_err}) and primary re-recovery \
                          failed too ({e}); file server {server} is down"
-                    )
-                })?;
+                        )
+                    })?;
                 let err = format!(
                     "promotion failed: {promote_err}; crashed primary recovered in its place"
                 );
@@ -1473,7 +1479,7 @@ impl DataLinksSystem {
     }
 
     /// Promotes a host standby after [`DataLinksSystem::crash_host`]: the
-    /// replicated WAL opens as the new host database, a fresh engine
+    /// standby becomes the new host database in place, a fresh engine
     /// installs on it, every node re-registers under the new coordinator
     /// generation, and DLFM sub-transactions the old coordinator left
     /// pending settle by the replicated metadata rows
@@ -1484,11 +1490,9 @@ impl DataLinksSystem {
     pub fn promote_host(&mut self) -> Result<HostFailoverReport, String> {
         let HostOutage { replication, epoch } =
             self.host_outage.take().ok_or("host database is not down")?;
-        let promoted_env = replication.promote_target().env().clone();
+        let db = Database::clone(replication.promote_target());
         drop(replication);
-
-        let db = Database::open_with(promoted_env.clone(), self.host_db)
-            .map_err(|e| format!("promoted host open: {e}"))?;
+        db.promote().map_err(|e| format!("promoted host: {e}"))?;
         // Bound the inherited log and seed the rebuilt standbys below from
         // an image + suffix rather than the whole history.
         db.checkpoint_and_truncate().map_err(|e| format!("promoted host checkpoint: {e}"))?;
@@ -1504,13 +1508,8 @@ impl DataLinksSystem {
         // failover still out-ranks this one.
         let host_replicas = self.host_replicas.saturating_sub(1);
         let host_replication = if host_replicas > 0 {
-            let set = ReplicaSet::<Follower>::build(
-                "host",
-                db.replication_feed(),
-                host_replicas,
-                promoted_env.sync_latency_ns(),
-                epoch,
-            )?;
+            let set =
+                ReplicaSet::<Follower>::build("host", db.replication_feed(), host_replicas, epoch)?;
             Some(Arc::new(set))
         } else {
             None
@@ -1552,7 +1551,6 @@ impl DataLinksSystem {
 
         self.db = db;
         self.engine = engine;
-        self.host_env = promoted_env;
         self.host_replicas = host_replicas;
         self.host_replication = host_replication;
         // The coordinator changed identity: swap the host-side instruments
@@ -1643,7 +1641,6 @@ impl DataLinksSystem {
             db,
             engine,
             clock,
-            host_env,
             host_db,
             host_replicas,
             host_replication,
@@ -1659,6 +1656,7 @@ impl DataLinksSystem {
             flight_dump_dir,
         } = self;
         drop(engine);
+        let host_env = db.env().clone();
         drop(db);
         // Host standby daemons die with the system (Replicator joins on
         // drop); recovery re-provisions fresh host standbys. If the crash
@@ -1678,7 +1676,8 @@ impl DataLinksSystem {
         let mut parts = Vec::new();
         for (_, node) in nodes {
             node.server.simulate_crash();
-            let _ = node.repo_env.apply_crash_faults();
+            let repo_env = node.server.repository().db().env().clone();
+            let _ = repo_env.apply_crash_faults();
             // Standby daemons die with the node; recovery re-provisions
             // fresh standbys of the recovered primary (NodeParts.replicas).
             // Detach the dead standbys' archive mirrors from the surviving
@@ -1692,7 +1691,7 @@ impl DataLinksSystem {
             parts.push(NodeParts {
                 name: node.name,
                 fs: node.fs,
-                repo_env: node.repo_env,
+                repo_env,
                 archive: Arc::clone(node.server.archive_store()),
                 dlfm_cfg: node.dlfm_cfg,
                 dlfs_cfg: node.dlfs_cfg,

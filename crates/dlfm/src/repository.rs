@@ -38,9 +38,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dl_minidb::{
-    Column, ColumnType, Database, DbOptions, DbResult, Row, Schema, StorageEnv, Txn, Value,
-};
+use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv, Txn, Value};
 
 use crate::modes::{ControlMode, OnUnlink};
 use crate::token::TokenKind;
@@ -251,16 +249,15 @@ pub struct Repository {
 }
 
 impl Repository {
-    /// Opens (or creates) the repository in `env`, running recovery.
+    /// Opens (or creates) the repository in `env` under default options,
+    /// running recovery.
     pub fn open(env: StorageEnv) -> DbResult<Repository> {
-        Self::open_with(env, DbOptions::default())
+        Self::new(Database::open(env)?)
     }
 
-    /// Opens with explicit database options — the seam through which the
-    /// DLFM server plumbs its commit-pipeline configuration (group commit
-    /// vs per-commit sync) into the repository's embedded minidb.
-    pub fn open_with(env: StorageEnv, opts: DbOptions) -> DbResult<Repository> {
-        let db = Database::open_with(env, opts)?;
+    /// The repository over an opened database — recovered from its disks,
+    /// or a promoted follower — creating whatever tables it lacks.
+    pub fn new(db: Database) -> DbResult<Repository> {
         Self::ensure_schema(&db)?;
         Ok(Repository { db, update_ops: AtomicU64::new(0) })
     }

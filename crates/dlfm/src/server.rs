@@ -324,17 +324,19 @@ const ROOT: Cred = Cred::root();
 
 impl DlfmServer {
     /// Creates a server over the raw physical file system `fs`, with its
-    /// repository in `repo_env` and a (possibly pre-existing) archive store.
-    /// Whatever the repository holds is brought to the host's rows by
+    /// repository in `repo` — opened by the caller under
+    /// [`DlfmConfig::db`] from its disks, or a standby promoted in place —
+    /// and a (possibly pre-existing) archive store. Whatever the
+    /// repository holds is brought to the host's rows by
     /// [`DlfmServer::recover`], before the node serves anyone.
     pub fn new(
         cfg: DlfmConfig,
         fs: Arc<dyn FileSystem>,
-        repo_env: dl_minidb::StorageEnv,
+        repo: dl_minidb::Database,
         archive: Arc<ArchiveStore>,
         clock: Arc<dyn Clock>,
     ) -> Result<DlfmServer, String> {
-        let repo = Arc::new(Repository::open_with(repo_env, cfg.db).map_err(|e| e.to_string())?);
+        let repo = Arc::new(Repository::new(repo).map_err(|e| e.to_string())?);
         let sync_epoch = Arc::new(SyncEpoch::default());
         let source_fs = Lfs::new(Arc::clone(&fs));
         let source: crate::archive::ContentSource =

@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use crate::{ArchiveStore, DlfmConfig, DlfmServer};
     use dl_fskit::{FileSystem, MemFs, SimClock};
-    use dl_minidb::StorageEnv;
+    use dl_minidb::{Database, StorageEnv};
 
     fn daemon() -> WireDaemon {
         let clock = Arc::new(SimClock::new(1_000_000));
@@ -495,7 +495,7 @@ mod tests {
             DlfmServer::new(
                 DlfmConfig::new("srv1"),
                 fs as Arc<dyn FileSystem>,
-                StorageEnv::mem(),
+                Database::open(StorageEnv::mem()).unwrap(),
                 Arc::new(ArchiveStore::new()),
                 clock,
             )

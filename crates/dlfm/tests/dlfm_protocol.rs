@@ -10,7 +10,7 @@ use dl_dlfm::{
     TokenKind, UpcallTransport, WireConnector, WireDaemon,
 };
 use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
-use dl_minidb::StorageEnv;
+use dl_minidb::{Database, StorageEnv};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
 
@@ -31,7 +31,7 @@ fn fixture_with(cfg: DlfmConfig) -> Fixture {
         DlfmServer::new(
             cfg,
             fs.clone() as Arc<dyn FileSystem>,
-            StorageEnv::mem(),
+            Database::open(StorageEnv::mem()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         )
@@ -480,7 +480,14 @@ fn crash_and_recover(
     drop(server); // the crash
 
     let server2 = Arc::new(
-        DlfmServer::new(cfg, fs.clone() as Arc<dyn FileSystem>, repo_env, archive, clock).unwrap(),
+        DlfmServer::new(
+            cfg,
+            fs.clone() as Arc<dyn FileSystem>,
+            Database::open(repo_env).unwrap(),
+            archive,
+            clock,
+        )
+        .unwrap(),
     );
     let rows = host_rows.iter().map(|(url, version)| (url.to_string(), *version)).collect();
     server2.set_host_hook(Arc::new(FixedRows(rows)));
@@ -515,7 +522,7 @@ fn crash_mid_update_restores_last_committed_version() {
         DlfmServer::new(
             DlfmConfig::new("srv1"),
             fs.clone() as Arc<dyn FileSystem>,
-            repo_env.clone(),
+            Database::open(repo_env.clone()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         )
@@ -556,7 +563,7 @@ fn crash_with_in_doubt_link_resolves_by_host_outcome() {
             DlfmServer::new(
                 DlfmConfig::new("srv1"),
                 fs.clone() as Arc<dyn FileSystem>,
-                repo_env.clone(),
+                Database::open(repo_env.clone()).unwrap(),
                 Arc::new(ArchiveStore::new()),
                 clock.clone(),
             )
@@ -602,7 +609,7 @@ fn recovery_clears_transient_token_and_sync_state() {
         DlfmServer::new(
             DlfmConfig::new("srv1"),
             fs.clone() as Arc<dyn FileSystem>,
-            repo_env.clone(),
+            Database::open(repo_env.clone()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         )

@@ -13,7 +13,7 @@ use dl_dlfm::{
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
 use dl_fskit::{Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenOptions, SetAttr, SimClock};
-use dl_minidb::StorageEnv;
+use dl_minidb::{Database, StorageEnv};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
 const BOB: Cred = Cred { uid: 101, gid: 101 };
@@ -41,7 +41,7 @@ fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
         DlfmServer::new(
             dlfm_cfg,
             fs.clone() as Arc<dyn FileSystem>,
-            StorageEnv::mem(),
+            Database::open(StorageEnv::mem()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         )
@@ -304,7 +304,7 @@ fn aborted_update_restores_content_via_recovery_path() {
         DlfmServer::new(
             DlfmConfig::new("srv1"),
             fs.clone() as Arc<dyn FileSystem>,
-            repo_env.clone(),
+            Database::open(repo_env.clone()).unwrap(),
             Arc::clone(&archive),
             clock.clone(),
         )
@@ -339,7 +339,14 @@ fn aborted_update_restores_content_via_recovery_path() {
     drop(server);
 
     let server2 = Arc::new(
-        DlfmServer::new(cfg, fs.clone() as Arc<dyn FileSystem>, repo_env, archive, clock).unwrap(),
+        DlfmServer::new(
+            cfg,
+            fs.clone() as Arc<dyn FileSystem>,
+            Database::open(repo_env).unwrap(),
+            archive,
+            clock,
+        )
+        .unwrap(),
     );
     // The host still records the link at version 1: the update never
     // reached its commit point.

@@ -1,5 +1,7 @@
 //! The database facade: open/recover, DDL, transactions, checkpoints,
-//! observers, 2PC participant registry, and read-committed helpers.
+//! observers, 2PC participant registry, and read-committed helpers — of a
+//! primary, or of a follower of one (`crate::replica`), which refuses local
+//! writes until promoted.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -11,7 +13,7 @@ use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
 use crate::lock::LockManager;
 use crate::ops::RowOp;
-use crate::replica::ReplicationFeed;
+use crate::replica::{Follow, ReplicationFeed, Snapshotter};
 use crate::snapshot::{slot_for_generation, write_snapshot, SnapshotData, SnapshotSource};
 use crate::table::TableStore;
 use crate::txn::Txn;
@@ -112,7 +114,7 @@ pub(crate) struct DbInner {
     pub(crate) wal: Wal,
     pub(crate) tables: RwLock<HashMap<String, TableStore>>,
     pub(crate) locks: LockManager,
-    next_txid: AtomicU64,
+    pub(crate) next_txid: AtomicU64,
     observers: RwLock<Vec<Arc<dyn DmlObserver>>>,
     participants: Mutex<HashMap<TxId, EnlistedParticipants>>,
     /// Commit pipeline gate: committers hold it *shared* across log append
@@ -123,8 +125,8 @@ pub(crate) struct DbInner {
     snapshot_gen: AtomicU64,
     /// Observer-injected statements awaiting pickup by their transaction.
     injected: Mutex<HashMap<TxId, Vec<InjectedDml>>>,
-    /// Log retention budget ([`DbOptions::checkpoint_every_bytes`]).
-    auto_checkpoint_bytes: u64,
+    /// The options it opened with (its followers open with them too).
+    pub(crate) opts: DbOptions,
     /// Serialized size of the newest snapshot (0 = none yet) — what the
     /// self-tuned retention budget keys off.
     last_snapshot_bytes: AtomicU64,
@@ -132,6 +134,7 @@ pub(crate) struct DbInner {
     checkpoint_running: AtomicBool,
     /// Checkpoint telemetry (see [`DbTelemetry`]).
     telemetry: DbTelemetry,
+    pub(crate) follow: Follow,
 }
 
 /// Telemetry handles for one database, beyond what the WAL itself records
@@ -158,7 +161,8 @@ impl DbTelemetry {
 /// Handle to a database. Clone freely; all clones share state.
 #[derive(Clone)]
 pub struct Database {
-    inner: Arc<DbInner>,
+    pub(crate) inner: Arc<DbInner>,
+    pub(crate) snapshotter: Arc<Snapshotter>,
 }
 
 /// Applies one logical op to the committed stores. Used by live commits and
@@ -189,6 +193,17 @@ pub(crate) fn apply_op(tables: &mut HashMap<String, TableStore>, op: &RowOp) -> 
         }
     }
     Ok(())
+}
+
+impl DbInner {
+    /// Records the newest image on disk (a checkpoint's, a follower's
+    /// snapshot or install): the next checkpoint takes the generation after
+    /// it, and the self-tuned retention budget keys off its size.
+    pub(crate) fn note_snapshot(&self, generation: u64, bytes: u64) {
+        self.snapshot_gen.fetch_max(generation, Ordering::SeqCst);
+        self.last_snapshot_bytes.store(bytes, Ordering::SeqCst);
+        self.telemetry.checkpoint_bytes.set(bytes.min(i64::MAX as u64) as i64);
+    }
 }
 
 impl Database {
@@ -224,22 +239,34 @@ impl Database {
                 commit_latch: RwLock::new(()),
                 snapshot_gen: AtomicU64::new(generation),
                 injected: Mutex::new(HashMap::new()),
-                auto_checkpoint_bytes: opts.checkpoint_every_bytes,
+                opts,
                 last_snapshot_bytes: AtomicU64::new(last_snapshot_bytes),
                 checkpoint_running: AtomicBool::new(false),
                 telemetry: DbTelemetry::new(),
+                follow: Follow::new(image.base_lsn),
             }),
+            snapshotter: Arc::default(),
         })
     }
 
-    pub(crate) fn inner(&self) -> &DbInner {
-        &self.inner
+    /// The storage environment this database lives in.
+    pub fn env(&self) -> &StorageEnv {
+        &self.inner.env
+    }
+
+    /// A follower's log holds the primary's bytes only.
+    pub(crate) fn refuse_if_following(&self) -> DbResult<()> {
+        match self.inner.follow.is_following() {
+            true => Err(DbError::Following),
+            false => Ok(()),
+        }
     }
 
     // --- DDL (auto-committed) ----------------------------------------------
 
     /// Creates a table. DDL is auto-committed and logged.
     pub fn create_table(&self, schema: Schema) -> DbResult<()> {
+        self.refuse_if_following()?;
         let mut tables = self.inner.tables.write();
         if tables.contains_key(&schema.table) {
             return Err(DbError::TableExists(schema.table));
@@ -251,6 +278,7 @@ impl Database {
 
     /// Creates a secondary index on `table.column`, back-filling it.
     pub fn create_index(&self, table: &str, column: &str) -> DbResult<()> {
+        self.refuse_if_following()?;
         let mut tables = self.inner.tables.write();
         let store = tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
         if !store.schema.columns.iter().any(|c| c.name == column) {
@@ -263,6 +291,7 @@ impl Database {
 
     /// Drops a table.
     pub fn drop_table(&self, table: &str) -> DbResult<()> {
+        self.refuse_if_following()?;
         let mut tables = self.inner.tables.write();
         if !tables.contains_key(table) {
             return Err(DbError::NoSuchTable(table.to_string()));
@@ -392,8 +421,7 @@ impl Database {
 
     /// A tail-reading handle over this database's live WAL, fed by the
     /// group-commit leader after every batch sync — the feed a replication
-    /// shipper tails (see [`crate::wal::WalReader`] and
-    /// [`crate::replica::StandbyDb`]).
+    /// shipper tails (see [`crate::wal::WalReader`] and `Database::apply`).
     pub fn wal_reader(&self) -> crate::wal::WalReader {
         self.inner.wal.reader()
     }
@@ -428,6 +456,7 @@ impl Database {
     }
 
     fn checkpoint_inner(&self) -> DbResult<(u64, Lsn)> {
+        self.refuse_if_following()?;
         let _latch = self.inner.commit_latch.write();
         let started = std::time::Instant::now();
         let generation = self.inner.snapshot_gen.load(Ordering::SeqCst) + 1;
@@ -449,11 +478,8 @@ impl Database {
             },
         )?;
         self.inner.wal.append(&WalRecord::Checkpoint { generation })?;
-        self.inner.snapshot_gen.store(generation, Ordering::SeqCst);
-        let snapshot_bytes = dev.len()?;
-        self.inner.last_snapshot_bytes.store(snapshot_bytes, Ordering::SeqCst);
+        self.inner.note_snapshot(generation, dev.len()?);
         self.inner.telemetry.checkpoint_ns.record_duration(started.elapsed());
-        self.inner.telemetry.checkpoint_bytes.set(snapshot_bytes.min(i64::MAX as u64) as i64);
         Ok((generation, base_lsn))
     }
 
@@ -462,7 +488,7 @@ impl Database {
     /// snapshot size)`, so the retained log is bounded by a small multiple
     /// of what a recovery replay would re-derive from the snapshot anyway.
     pub fn effective_checkpoint_budget(&self) -> u64 {
-        match self.inner.auto_checkpoint_bytes {
+        match self.inner.opts.checkpoint_every_bytes {
             0 => DbOptions::AUTO_CHECKPOINT_FLOOR
                 .max(self.inner.last_snapshot_bytes.load(Ordering::SeqCst).saturating_mul(4)),
             n => n,
@@ -477,7 +503,7 @@ impl Database {
     /// itself already succeeded, and a failed automatic checkpoint
     /// surfaces on the next explicit one.
     pub(crate) fn maybe_auto_checkpoint(&self) {
-        if self.inner.auto_checkpoint_bytes == DbOptions::NO_AUTO_CHECKPOINT {
+        if self.inner.opts.checkpoint_every_bytes == DbOptions::NO_AUTO_CHECKPOINT {
             return;
         }
         let budget = self.effective_checkpoint_budget();

@@ -40,6 +40,10 @@ pub enum DbError {
         /// The current truncation low-water mark of the log.
         base: u64,
     },
+    /// The database follows a primary: it takes shipped frames and
+    /// checkpoint images only, and refuses local logged writes, DDL and
+    /// checkpoints until promoted.
+    Following,
     /// Underlying storage failure.
     Io(String),
 }
@@ -61,6 +65,7 @@ impl fmt::Display for DbError {
             DbError::TruncatedLog { base } => {
                 write!(f, "log truncated below checkpoint low-water mark {base}")
             }
+            DbError::Following => write!(f, "a follower takes no local writes until promoted"),
             DbError::Io(m) => write!(f, "i/o error: {m}"),
         }
     }

@@ -42,15 +42,17 @@
 //! * **Backup / point-in-time restore** — fork the storage environment and
 //!   replay the log up to a chosen LSN (§4.4's coordinated restore).
 //! * **One recovery rule** — a snapshot is a complete recovery image
-//!   ([`SnapshotData`]) and [`SnapshotData::redo`] the only place a log
+//!   ([`SnapshotData`]) and [`snapshot::redo`] the only place a log
 //!   record is mapped onto it; crash recovery, point-in-time restore, a
-//!   standby's restart and a standby's live apply are the same fold.
-//! * **Log shipping** — [`WalReader`] tails the live log (the group-commit
-//!   leader publishes the durable watermark after every batch sync) and
-//!   [`replica::StandbyDb`] is the apply-only receiving end, a follower of
-//!   the same code: its state is that image, its log an ordinary
-//!   [`wal::Wal`] it appends shipped bytes to verbatim (byte-identical
-//!   standby logs), promotable by plain `Database::open` (the `dl-repl`
+//!   follower's open and a follower's live apply are the same fold.
+//! * **Log shipping and following** — [`WalReader`] tails the live log
+//!   (the group-commit leader publishes the durable watermark after every
+//!   batch sync); a follower is the same [`Database`] in *follower mode*
+//!   ([`Database::open_follower`], module [`replica`]): it refuses local
+//!   writes, appends shipped bytes verbatim to an ordinary [`wal::Wal`]
+//!   (byte-identical follower logs), redoes them into its own tables by the
+//!   one recovery rule, serves reads through the ordinary read path, and
+//!   [`Database::promote`] flips it to a primary in place (the `dl-repl`
 //!   crate builds on these).
 //! * **Checkpoint shipping & bounded logs** — a snapshot is a complete
 //!   recovery image (format v2), so
@@ -58,7 +60,7 @@
 //!   can drop the log below the snapshot's base (crash-safe slot-flip,
 //!   [`wal::Wal::truncate_below`]); [`DbOptions::checkpoint_every_bytes`](db::DbOptions)
 //!   automates it. A [`ReplicationFeed`] couples the WAL reader with the
-//!   checkpoint images so standbys do *delta catch-up* (install the latest
+//!   checkpoint images so followers do *delta catch-up* (install the latest
 //!   image, tail only the suffix) and truncate their own logs in lockstep.
 
 pub mod backup;
@@ -82,7 +84,7 @@ pub use device::{Device, DiskFaults, FileDevice, MemDevice, StorageEnv};
 pub use error::{DbError, DbResult};
 pub use lock::LockMode;
 pub use ops::RowOp;
-pub use replica::{ReplicationFeed, StandbyDb};
+pub use replica::ReplicationFeed;
 pub use snapshot::SnapshotData;
 pub use txn::Txn;
 pub use value::{Column, ColumnType, Row, Schema, Value};

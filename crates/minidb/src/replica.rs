@@ -1,63 +1,39 @@
-//! Apply-only standby mode: the receiving end of WAL shipping.
+//! Following: a [`Database`] applying a primary's shipped WAL.
 //!
-//! A [`StandbyDb`] is a *follower of the primary's own code*, not a second
-//! implementation of it. Its state is the recovery image
-//! ([`SnapshotData`]) kept current by the same [`SnapshotData::redo`] crash
-//! recovery runs; its log is an ordinary [`Wal`] that it never originates
-//! records into — shipped frame bytes ([`ShippedFrames`]) are appended
-//! *verbatim* ([`Wal::append_shipped`]), physical replication, so the
-//! standby's retained log is byte-identical to the primary's over the
-//! shared LSN range; its restart is the primary's open sequence
-//! (`SnapshotData::recover`). Promotion is therefore trivial: open a normal
-//! [`crate::Database`] on the standby's environment and ordinary recovery
-//! sees an honest crash image of the primary as of the last applied frame
-//! — by construction the state the standby itself was serving.
+//! Following is a *mode* of the one database type. A follower
+//! ([`Database::open_follower`]) opens with the primary's open sequence
+//! under the primary's [`DbOptions`], refuses local writes, DDL and
+//! checkpoints ([`DbError::Following`]), keeps its rows once, in its own
+//! tables, and serves reads through the ordinary read path.
+//! [`Database::apply`] appends shipped bytes verbatim to its ordinary log
+//! (byte-identical to the primary's over the shared LSN range) and redoes
+//! them by the one recovery rule; [`Database::promote`] flips the mode in
+//! place, reopening nothing.
 //!
-//! # Checkpoint shipping and bounded standby logs
-//!
-//! Two mechanisms keep a standby's log from growing forever:
-//!
-//! * **Lockstep truncation** — when the standby applies a
-//!   [`WalRecord::Checkpoint`] frame it schedules its *own* snapshot
-//!   ([`write_snapshot`] of its image) covering the log below that frame,
-//!   then truncates its log below it ([`Wal::truncate_below`]), so a
-//!   primary with a retention budget bounds every standby automatically.
-//!   The snapshot is written by a background snapshotter thread, *not*
-//!   inside [`StandbyDb::apply`]: the image write is the slow part
-//!   (full-state serialization plus a device sync), and doing it inline
-//!   would stall the ship round — and with it the standby's applied
-//!   watermark, which freshness-token readers wait on — for the whole
-//!   image write. `apply` only enqueues the (coalescing) snapshot job;
-//!   [`StandbyDb::wait_snapshot_idle`] exists for callers that need the
-//!   retained-bytes bound to be visible (operators, tests), and dropping
-//!   the `StandbyDb` drains the queue.
-//! * **Checkpoint install** — a newly-provisioned or badly-lagging standby
-//!   whose next frame was already truncated away on the primary receives
-//!   the primary's latest checkpoint image instead
-//!   ([`StandbyDb::install_checkpoint`], fed by
-//!   [`ReplicationFeed::latest_checkpoint`]): it persists the image to its
-//!   own snapshot slot, resets its log to empty at the image's base
-//!   ([`Wal::reset_to`]), adopts the image as its state, and resumes
-//!   tailing only the WAL suffix — *delta catch-up*, instead of replaying
-//!   the primary's whole history.
-//!
-//! The standby serves read-committed lookups (token checks, file-entry
-//! reads) but no transactions: there is no lock manager, no commit path,
-//! no observers. Readers that need *read-your-writes*
-//! freshness wait on [`StandbyDb::wait_applied`] for the standby to reach
-//! their write's commit LSN.
+//! Two mechanisms bound a follower's log. **Lockstep truncation**: a
+//! shipped [`WalRecord::Checkpoint`] queues a coalescing job for the
+//! follower's snapshotter thread — write its own image, then truncate below
+//! the record — so the slow image write never stalls a ship round or the
+//! freshness readers waiting on it. **Checkpoint install**: a follower
+//! whose next frame was truncated away on the primary installs the
+//! primary's latest image ([`Database::install_checkpoint`], fed by
+//! [`ReplicationFeed::latest_checkpoint`]) and tails only the suffix —
+//! delta catch-up instead of a full-history replay.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::db::Database;
+use crate::db::{Database, DbInner, DbOptions};
 use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
-use crate::snapshot::{latest_valid_snapshot, slot_for_generation, write_snapshot, SnapshotData};
-use crate::table::TableStore;
-use crate::value::{Row, Value};
-use crate::wal::{Lsn, ShippedFrames, Wal, WalOptions, WalReader, WalRecord};
+use crate::snapshot::{
+    latest_valid_snapshot, redo, slot_for_generation, write_snapshot, SnapshotData,
+};
+use crate::wal::{Lsn, ShippedFrames, WalReader, WalRecord};
 
 /// The primary-side feed a replication shipper consumes: the live
 /// [`WalReader`] plus access to the primary's checkpoint images, so the
@@ -94,27 +70,49 @@ impl ReplicationFeed {
     /// May transiently return an older image (or `None`) while the primary
     /// is mid-checkpoint — a shipper simply retries on its next round.
     pub fn latest_checkpoint(&self) -> DbResult<Option<SnapshotData>> {
-        latest_valid_snapshot(&self.db.inner().env, |_| true)
+        latest_valid_snapshot(self.db.env(), |_| true)
+    }
+
+    /// The primary this feed reads.
+    pub fn db(&self) -> &Database {
+        &self.db
+    }
+
+    /// The primary's options minus any point-in-time bound: what its
+    /// followers open with, so a promoted one runs as the primary did.
+    pub fn db_options(&self) -> DbOptions {
+        DbOptions { stop_at_lsn: None, ..self.db.inner.opts }
     }
 }
 
-struct StandbyInner {
-    /// The standby's whole state: the recovery image as of the applied
-    /// watermark, which is its `base_lsn` — next expected frame base,
-    /// everything below is applied. `next_txid` rides along so a promotion after truncation never
-    /// re-issues a transaction id.
-    image: SnapshotData,
-    /// Bumped by [`StandbyDb::install_checkpoint`]; a queued snapshot job
-    /// from an older epoch is obsolete (the install superseded it) and the
-    /// snapshotter discards it instead of snapshotting/truncating state
-    /// the job was never about.
+/// Follower mode and its state, in every database (idle on a primary).
+/// Lock order: `snap_io`, `state`, the tables, the log.
+pub(crate) struct Follow {
+    /// Set by [`Database::open_follower`], cleared by [`Database::promote`].
+    following: AtomicBool,
+    state: Mutex<FollowState>,
+    /// Signalled whenever the applied watermark advances.
+    applied_grew: Condvar,
+    jobs: Mutex<SnapJobs>,
+    /// Signalled on enqueue, job completion and shutdown.
+    jobs_changed: Condvar,
+    /// Held by the snapshotter across its copy-and-write and by an install:
+    /// both write the ping-pong slots, and a stale snapshot landing over the
+    /// image an install just reset the log against would leave a restart
+    /// with a log that starts above its newest image.
+    snap_io: Mutex<()>,
+}
+
+struct FollowState {
+    /// One past the last applied byte: every record below it is in the
+    /// tables, and the next shipped range must start at or below it.
+    applied: Lsn,
+    /// Bumped by an install, which obsoletes any queued snapshot job.
     epoch: u64,
 }
 
-/// One scheduled standby-side snapshot: write an image covering the log
-/// below `cut`, then truncate below `cut`. Jobs coalesce — only the newest
-/// checkpoint matters, since its image covers everything the older ones
-/// would have.
+/// One coalesced snapshot job: image the state, then truncate the log
+/// below `cut` (a newer checkpoint's job covers every older one).
 #[derive(Clone, Copy)]
 struct SnapJob {
     generation: u64,
@@ -122,346 +120,286 @@ struct SnapJob {
     epoch: u64,
 }
 
-struct SnapQueue {
+#[derive(Default)]
+struct SnapJobs {
     pending: Option<SnapJob>,
-    /// A job is being performed right now (popped but not finished).
+    /// A popped job is being performed.
     busy: bool,
     shutdown: bool,
 }
 
-/// State shared between the standby's callers and its snapshotter thread.
-/// Lock order: `snap_io`, then `inner`, then the log's own mutex.
-struct StandbyShared {
-    env: StorageEnv,
-    /// The standby's log: shipped bytes in, never a record of its own.
-    wal: Wal,
-    inner: Mutex<StandbyInner>,
-    /// Signalled whenever the applied watermark advances
-    /// ([`StandbyDb::wait_applied`]).
-    applied_grew: Condvar,
-    snap_queue: Mutex<SnapQueue>,
-    /// Signalled on enqueue, job completion, and shutdown.
-    snap_cv: Condvar,
-    /// Serializes the snapshotter's copy-and-write with
-    /// [`StandbyDb::install_checkpoint`]: both write images into the
-    /// ping-pong slots, and a stale snapshot landing over (or tearing) the
-    /// image an install just reset the log against would leave a restart
-    /// with a log that starts above its newest image.
-    snap_io: Mutex<()>,
-}
-
-/// A standby database continuously applying a primary's shipped WAL.
-pub struct StandbyDb {
-    shared: Arc<StandbyShared>,
-    snapshotter: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl StandbyDb {
-    /// Opens (or re-opens after a standby restart) the apply-only database
-    /// with the primary's own open sequence: newest valid checkpoint image,
-    /// then redo of whatever log suffix its devices already hold. A
-    /// half-installed checkpoint (image durable, log not yet reset) is
-    /// completed there too, so the install protocol is crash-safe end to
-    /// end.
-    pub fn open(env: StorageEnv) -> DbResult<StandbyDb> {
-        let (wal, image) = SnapshotData::recover(&env, WalOptions::default(), None)?;
-        let shared = Arc::new(StandbyShared {
-            env,
-            wal,
-            inner: Mutex::new(StandbyInner { image, epoch: 0 }),
+impl Follow {
+    pub(crate) fn new(applied: Lsn) -> Follow {
+        Follow {
+            following: AtomicBool::new(false),
+            state: Mutex::new(FollowState { applied, epoch: 0 }),
             applied_grew: Condvar::new(),
-            snap_queue: Mutex::new(SnapQueue { pending: None, busy: false, shutdown: false }),
-            snap_cv: Condvar::new(),
+            jobs: Mutex::default(),
+            jobs_changed: Condvar::new(),
             snap_io: Mutex::new(()),
-        });
-        let snapshotter = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("standby-snapshotter".into())
-                .spawn(move || shared.snapshot_loop())
-                .map_err(|e| DbError::Io(e.to_string()))?
-        };
-        Ok(StandbyDb { shared, snapshotter: Mutex::new(Some(snapshotter)) })
-    }
-
-    /// Applies one shipped range: appends the raw bytes to the standby log,
-    /// syncs, then redoes the decoded records. The range may not start
-    /// *past* the applied watermark — that gap means frames were lost in
-    /// shipping and the standby must refuse rather than diverge — but an
-    /// overlap with already-applied frames is fine: the shipper re-sends
-    /// from the slowest standby's position, so a faster standby skips the
-    /// prefix it already holds (apply is idempotent per frame).
-    ///
-    /// A [`WalRecord::Checkpoint`] frame in the range makes the standby
-    /// schedule its own snapshot covering the log below that frame and the
-    /// truncation of its log below it — the lockstep-truncation half of
-    /// checkpoint shipping (module docs). The snapshot itself is written
-    /// by the snapshotter thread; this call only enqueues the job, so a
-    /// slow snapshot device never stalls the ship round.
-    pub fn apply(&self, frames: &ShippedFrames) -> DbResult<()> {
-        let mut inner = self.shared.inner.lock();
-        let applied = inner.image.base_lsn;
-        if frames.is_empty() {
-            return Ok(());
         }
-        if frames.base > applied {
-            return Err(DbError::InvalidTxnState(format!(
-                "standby expects frames at lsn {applied}, got {} (ship gap)",
-                frames.base
-            )));
+    }
+
+    pub(crate) fn is_following(&self) -> bool {
+        self.following.load(Ordering::SeqCst)
+    }
+
+    fn require_following(&self) -> DbResult<()> {
+        match self.is_following() {
+            true => Ok(()),
+            false => Err(DbError::InvalidTxnState("not a follower".into())),
         }
-        if frames.end <= applied {
-            return Ok(()); // full resend of applied frames: nothing to do
-        }
-        // The applied watermark always sits on a frame boundary, so the
-        // byte skip is exactly the already-applied frame prefix.
-        let skip = (applied - frames.base) as usize;
-        self.shared.wal.append_shipped(applied, &frames.bytes[skip..])?;
-        let mut checkpoint_cut: Option<(u64, Lsn)> = None;
-        for (lsn, rec) in &frames.records {
-            if *lsn < applied {
-                continue;
-            }
-            if let WalRecord::Checkpoint { generation } = rec {
-                checkpoint_cut = Some((*generation, *lsn));
-            }
-            inner.image.redo(rec)?;
-        }
-        inner.image.base_lsn = frames.end;
-        if let Some((generation, cut)) = checkpoint_cut {
-            // Coalescing enqueue: a newer checkpoint's image covers
-            // everything an older pending one would have, so the newest
-            // job simply replaces whatever is queued.
-            let mut q = self.shared.snap_queue.lock();
-            q.pending = Some(SnapJob { generation, cut, epoch: inner.epoch });
-            self.shared.snap_cv.notify_all();
-        }
-        self.shared.applied_grew.notify_all();
-        Ok(())
-    }
-
-    /// Installs a primary checkpoint image: delta catch-up for a standby
-    /// whose next frame was truncated away on the primary (or a freshly
-    /// provisioned one). Persists the image into the standby's own
-    /// snapshot slot, resets the log to empty at the image's base, and
-    /// adopts the image as the in-memory state. Returns `false` (and
-    /// changes nothing) when the standby is already at or past the image —
-    /// the shipper then just resumes framing. Crash-safe: the image is
-    /// durable before the log reset, and [`StandbyDb::open`] completes a
-    /// reset that a crash interrupted.
-    pub fn install_checkpoint(&self, snap: &SnapshotData) -> DbResult<bool> {
-        // Before `inner`: the snapshotter holds the slots across its own
-        // copy-and-write, so no snapshot of pre-install state can land
-        // after this image (see `StandbyShared::snap_io`).
-        let _slots = self.shared.snap_io.lock();
-        let mut inner = self.shared.inner.lock();
-        if snap.base_lsn <= inner.image.base_lsn {
-            return Ok(false);
-        }
-        write_snapshot(
-            &self.shared.env.device(slot_for_generation(snap.generation))?,
-            snap.into(),
-        )?;
-        self.shared.wal.reset_to(snap.base_lsn)?;
-        inner.image = snap.clone();
-        // Obsolete any queued snapshot job: it described a pre-install
-        // checkpoint cut that the log reset just superseded.
-        inner.epoch += 1;
-        self.shared.applied_grew.notify_all();
-        Ok(true)
-    }
-
-    /// Blocks until the snapshotter has no queued or in-flight job, or
-    /// `timeout` elapses; returns whether it went idle. After a `true`
-    /// return (with no new checkpoints shipping concurrently), the
-    /// retained-bytes bound from the last shipped checkpoint is visible —
-    /// the wait operators and tests use before asserting on
-    /// [`StandbyDb::wal_retained_bytes`].
-    pub fn wait_snapshot_idle(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.shared.snap_queue.lock();
-        while q.pending.is_some() || q.busy {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if self.shared.snap_cv.wait_for(&mut q, deadline - now).timed_out()
-                && (q.pending.is_some() || q.busy)
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// One past the last applied byte (lag = primary durable − this).
-    pub fn applied_lsn(&self) -> Lsn {
-        self.shared.inner.lock().image.base_lsn
-    }
-
-    /// Snapshotter backlog: queued plus in-progress snapshot jobs (0–2;
-    /// jobs coalesce, so `pending` never holds more than one). A depth
-    /// stuck at 2 means checkpoints arrive faster than images are written.
-    pub fn snapshot_queue_depth(&self) -> usize {
-        let q = self.shared.snap_queue.lock();
-        usize::from(q.pending.is_some()) + usize::from(q.busy)
-    }
-
-    /// Blocks until the applied watermark reaches `lsn` or `timeout`
-    /// elapses; returns whether the standby caught up. The read-your-writes
-    /// wait: a reader holding the commit LSN of its last write as a
-    /// freshness token parks here before reading from this standby.
-    pub fn wait_applied(&self, lsn: Lsn, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock();
-        while inner.image.base_lsn < lsn {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if self.shared.applied_grew.wait_for(&mut inner, deadline - now).timed_out()
-                && inner.image.base_lsn < lsn
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// A copy of the standby's whole state: its recovery image as of the
-    /// applied watermark — what its next snapshot would persist, and what a
-    /// promotion's recovery reaches from its disks.
-    pub fn image(&self) -> SnapshotData {
-        self.shared.inner.lock().image.clone()
-    }
-
-    /// The standby's log low-water mark (0 until its first truncation).
-    pub fn wal_base_lsn(&self) -> Lsn {
-        self.shared.wal.base_lsn()
-    }
-
-    /// Bytes of log the standby currently retains (`applied − base`): the
-    /// quantity checkpoint shipping keeps bounded (once the snapshotter
-    /// performed the truncation — [`StandbyDb::wait_snapshot_idle`]).
-    pub fn wal_retained_bytes(&self) -> u64 {
-        self.shared.wal.retained_bytes()
-    }
-
-    /// The standby's storage environment. Promotion opens a normal
-    /// [`crate::Database`] on a clone of this.
-    pub fn env(&self) -> &StorageEnv {
-        &self.shared.env
-    }
-
-    // --- read-committed lookups (mirrors Database's helpers) ---------------
-
-    /// Whether the replicated catalog has a table `name`.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.shared.inner.lock().image.tables.contains_key(name)
-    }
-
-    /// Reads `table` of the replicated catalog under the state lock.
-    fn with_table<T>(&self, table: &str, read: impl FnOnce(&TableStore) -> T) -> DbResult<T> {
-        let inner = self.shared.inner.lock();
-        let store = inner.image.tables.get(table);
-        store.map(read).ok_or_else(|| DbError::NoSuchTable(table.to_string()))
-    }
-
-    /// Point lookup of the replicated committed row at `key`.
-    pub fn get_committed(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
-        self.with_table(table, |store| store.get(key).cloned())
-    }
-
-    /// All replicated committed rows of `table`.
-    pub fn scan_committed(&self, table: &str) -> DbResult<Vec<Row>> {
-        self.with_table(table, |store| store.iter().map(|(_, row)| row.clone()).collect())
-    }
-
-    /// Replicated committed row count of `table`.
-    pub fn count(&self, table: &str) -> DbResult<usize> {
-        self.with_table(table, TableStore::len)
     }
 }
 
-impl Drop for StandbyDb {
-    /// Signals shutdown and joins the snapshotter, which drains any queued
-    /// job first — so dropping a standby (node restart in tests, graceful
-    /// stop in `dl-repl`) leaves the last shipped checkpoint's snapshot
-    /// and truncation durable on disk.
+/// A follower's snapshotter thread. Every handle of the database shares
+/// it and the thread does not (it holds the database itself), so the last
+/// handle dropped — a node restart in tests, a graceful stop — drains and
+/// joins it, leaving the last shipped checkpoint's image and truncation on
+/// disk.
+#[derive(Default)]
+pub(crate) struct Snapshotter(Mutex<Option<(Arc<DbInner>, JoinHandle<()>)>>);
+
+impl Snapshotter {
+    /// Signals shutdown and joins the thread, which performs a queued job
+    /// first.
+    fn stop(&self) {
+        if let Some((db, thread)) = self.0.lock().take() {
+            db.follow.jobs.lock().shutdown = true;
+            db.follow.jobs_changed.notify_all();
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Snapshotter {
     fn drop(&mut self) {
-        self.shared.snap_queue.lock().shutdown = true;
-        self.shared.snap_cv.notify_all();
-        if let Some(handle) = self.snapshotter.lock().take() {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
-impl StandbyShared {
-    /// The snapshotter thread body: pop the (coalesced) job, perform it,
-    /// repeat. On shutdown it drains a pending job before exiting.
-    fn snapshot_loop(&self) {
-        loop {
-            let job = {
-                let mut q = self.snap_queue.lock();
-                loop {
-                    if let Some(job) = q.pending.take() {
-                        q.busy = true;
-                        break job;
-                    }
-                    if q.shutdown {
-                        return;
-                    }
-                    self.snap_cv.wait(&mut q);
+fn snapshot_loop(db: Arc<DbInner>) {
+    let follow = &db.follow;
+    loop {
+        let job = {
+            let mut jobs = follow.jobs.lock();
+            loop {
+                if let Some(job) = jobs.pending.take() {
+                    jobs.busy = true;
+                    break job;
                 }
-            };
-            // A failed snapshot leaves the standby's log unbounded but its
-            // state correct; the next shipped checkpoint retries. There is
-            // nowhere structured to report the error to from a detached
-            // thread, so it is intentionally dropped.
-            let _ = self.perform_snapshot(job);
-            let mut q = self.snap_queue.lock();
-            q.busy = false;
-            self.snap_cv.notify_all();
-        }
+                if jobs.shutdown {
+                    return;
+                }
+                follow.jobs_changed.wait(&mut jobs);
+            }
+        };
+        // A failed snapshot leaves the log unbounded but the state correct,
+        // and the next shipped checkpoint retries; a detached thread has
+        // nowhere structured to report it.
+        let _ = db.perform_snapshot(job);
+        follow.jobs.lock().busy = false;
+        follow.jobs_changed.notify_all();
     }
+}
 
-    /// Writes one standby-side snapshot and truncates the log below the
-    /// job's cut. Clones the image under a brief lock, then performs the
-    /// slow image write with only the slots held so `apply` keeps
-    /// streaming; the epoch is re-checked before truncation in case a
-    /// checkpoint install replaced the world in between.
+impl DbInner {
+    /// Writes one follower-side snapshot, then truncates below the job's
+    /// cut. The tables are copied under the state lock — the applied
+    /// watermark is a valid (possibly fresher-than-the-cut) base — and
+    /// written with only the slots held, so `apply` keeps streaming; the
+    /// epoch is re-checked before truncating in case an install replaced
+    /// the state in between.
     fn perform_snapshot(&self, job: SnapJob) -> DbResult<()> {
         {
-            let _slots = self.snap_io.lock();
+            let _slots = self.follow.snap_io.lock();
             let image = {
-                let inner = self.inner.lock();
-                if inner.epoch != job.epoch {
+                let state = self.follow.state.lock();
+                if state.epoch != job.epoch {
                     return Ok(());
                 }
-                // The applied watermark (the clone's `base_lsn`) sits on a
-                // frame boundary and the image covers everything below it —
-                // a valid (and possibly fresher-than-the-cut) snapshot base.
-                SnapshotData { generation: job.generation, ..inner.image.clone() }
+                SnapshotData {
+                    generation: job.generation,
+                    base_lsn: state.applied,
+                    next_txid: self.next_txid.load(Ordering::SeqCst),
+                    tables: self.tables.read().clone(),
+                }
             };
-            write_snapshot(
-                &self.env.device(slot_for_generation(job.generation))?,
-                (&image).into(),
-            )?;
+            let dev = self.env.device(slot_for_generation(job.generation))?;
+            write_snapshot(&dev, (&image).into())?;
+            self.note_snapshot(job.generation, dev.len()?);
         }
-        let inner = self.inner.lock();
-        if inner.epoch == job.epoch {
+        if self.follow.state.lock().epoch == job.epoch {
             self.wal.truncate_below(job.cut)?;
         }
         Ok(())
     }
 }
 
+/// Time left until `deadline` (zero once it passed).
+fn left(deadline: Instant) -> Duration {
+    deadline.saturating_duration_since(Instant::now())
+}
+
+impl Database {
+    /// Opens (or, after a crash of its node, reopens) a follower over `env`
+    /// with the primary's open sequence — newest valid image, redo of the
+    /// log suffix, finishing an install a crash interrupted — under the
+    /// primary's `opts` ([`ReplicationFeed::db_options`]), which a
+    /// promotion inherits.
+    pub fn open_follower(env: StorageEnv, opts: DbOptions) -> DbResult<Database> {
+        let db = Database::open_with(env, opts)?;
+        db.inner.follow.following.store(true, Ordering::SeqCst);
+        let inner = Arc::clone(&db.inner);
+        let thread = std::thread::Builder::new()
+            .name("follower-snapshotter".into())
+            .spawn(move || snapshot_loop(inner))
+            .map_err(|e| DbError::Io(e.to_string()))?;
+        *db.snapshotter.0.lock() = Some((Arc::clone(&db.inner), thread));
+        Ok(db)
+    }
+
+    /// Applies one shipped range: appends the bytes not yet applied to the
+    /// log verbatim, syncs, redoes their records into the tables and moves
+    /// the applied watermark to the range's end. A range starting *past*
+    /// the watermark is a ship gap and refused (diverging is not an
+    /// option); an overlap is skipped (the shipper re-sends from the
+    /// slowest follower's position). A `Checkpoint` record queues the
+    /// lockstep-truncation job; the image is written off this thread.
+    pub fn apply(&self, frames: &ShippedFrames) -> DbResult<()> {
+        let inner = &self.inner;
+        let follow = &inner.follow;
+        let mut state = follow.state.lock();
+        follow.require_following()?;
+        let applied = state.applied;
+        if frames.is_empty() || frames.end <= applied {
+            return Ok(());
+        }
+        if frames.base > applied {
+            return Err(DbError::InvalidTxnState(format!(
+                "follower expects frames at lsn {applied}, got {} (ship gap)",
+                frames.base
+            )));
+        }
+        // The watermark sits on a frame boundary, so this skips exactly the
+        // already-applied frames.
+        let skip = (applied - frames.base) as usize;
+        let _latch = inner.commit_latch.read();
+        inner.wal.append_shipped(applied, &frames.bytes[skip..])?;
+        let mut checkpoint = None;
+        {
+            let mut tables = inner.tables.write();
+            let mut next_txid = inner.next_txid.load(Ordering::SeqCst);
+            for (lsn, rec) in frames.records.iter().filter(|(lsn, _)| *lsn >= applied) {
+                if let WalRecord::Checkpoint { generation } = rec {
+                    checkpoint =
+                        Some(SnapJob { generation: *generation, cut: *lsn, epoch: state.epoch });
+                }
+                redo(&mut tables, &mut next_txid, rec)?;
+            }
+            inner.next_txid.fetch_max(next_txid, Ordering::SeqCst);
+        }
+        state.applied = frames.end;
+        if checkpoint.is_some() {
+            follow.jobs.lock().pending = checkpoint;
+            follow.jobs_changed.notify_all();
+        }
+        follow.applied_grew.notify_all();
+        Ok(())
+    }
+
+    /// Installs a primary checkpoint image (delta catch-up): persists it to
+    /// the follower's own slot, resets the log to empty at its base and
+    /// adopts its tables. Returns `false`, changing nothing, when the
+    /// follower is already at or past the image. Crash-safe: the image is
+    /// durable before the reset, and the next open finishes a reset a
+    /// crash interrupted.
+    pub fn install_checkpoint(&self, snap: &SnapshotData) -> DbResult<bool> {
+        let inner = &self.inner;
+        let follow = &inner.follow;
+        let _slots = follow.snap_io.lock();
+        let mut state = follow.state.lock();
+        follow.require_following()?;
+        if snap.base_lsn <= state.applied {
+            return Ok(false);
+        }
+        let dev = inner.env.device(slot_for_generation(snap.generation))?;
+        write_snapshot(&dev, snap.into())?;
+        inner.wal.reset_to(snap.base_lsn)?;
+        *inner.tables.write() = snap.tables.clone();
+        inner.next_txid.fetch_max(snap.next_txid, Ordering::SeqCst);
+        inner.note_snapshot(snap.generation, dev.len()?);
+        state.applied = snap.base_lsn;
+        state.epoch += 1;
+        follow.applied_grew.notify_all();
+        Ok(true)
+    }
+
+    /// Ends following in place: drains and joins the snapshotter, then
+    /// flips the mode, so local transactions, DDL and checkpoints run from
+    /// here on — on the tables, log and transaction-id horizon the follower
+    /// applied, which is what a recovery of its disks would reach. The
+    /// caller fences the shipper first; a range shipped after the flip is
+    /// refused. A no-op on a primary.
+    pub fn promote(&self) -> DbResult<()> {
+        self.snapshotter.stop();
+        let follow = &self.inner.follow;
+        let _state = follow.state.lock();
+        follow.following.store(false, Ordering::SeqCst);
+        // A job queued after the drain only bounded the log; the promoted
+        // database's next checkpoint does that.
+        follow.jobs.lock().pending = None;
+        Ok(())
+    }
+
+    /// One past the last applied byte (lag = primary durable − this);
+    /// frozen at the last apply once promoted.
+    pub fn applied_lsn(&self) -> Lsn {
+        self.inner.follow.state.lock().applied
+    }
+
+    /// Blocks until the applied watermark reaches `lsn` or `timeout`
+    /// elapses; returns whether it did. The read-your-writes wait: once it
+    /// returns `true`, reads see the rows of every record below `lsn`.
+    pub fn wait_applied(&self, lsn: Lsn, timeout: Duration) -> bool {
+        let follow = &self.inner.follow;
+        let deadline = Instant::now() + timeout;
+        let mut state = follow.state.lock();
+        while state.applied < lsn {
+            if follow.applied_grew.wait_for(&mut state, left(deadline)).timed_out() {
+                return state.applied >= lsn;
+            }
+        }
+        true
+    }
+
+    /// Blocks until the snapshotter has no queued or running job, or
+    /// `timeout` elapses; returns whether it went idle — after which the
+    /// retained-bytes bound of the last shipped checkpoint is visible.
+    pub fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
+        let follow = &self.inner.follow;
+        let deadline = Instant::now() + timeout;
+        let mut jobs = follow.jobs.lock();
+        while jobs.pending.is_some() || jobs.busy {
+            if follow.jobs_changed.wait_for(&mut jobs, left(deadline)).timed_out() {
+                return jobs.pending.is_none() && !jobs.busy;
+            }
+        }
+        true
+    }
+
+    /// Snapshotter backlog: queued plus running jobs (0–2). Stuck at 2
+    /// means checkpoints arrive faster than images are written.
+    pub fn snapshot_queue_depth(&self) -> usize {
+        let jobs = self.inner.follow.jobs.lock();
+        usize::from(jobs.pending.is_some()) + usize::from(jobs.busy)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::DbOptions;
-    use crate::value::{Column, ColumnType, Schema};
+    use crate::value::{Column, ColumnType, Row, Schema, Value};
     use crate::wal::WalOptions;
 
     fn schema(name: &str) -> Schema {
@@ -477,10 +415,15 @@ mod tests {
         vec![Value::Int(id), Value::Text(v.into())]
     }
 
+    /// A follower over `env` under default options.
+    fn follower(env: StorageEnv) -> Database {
+        Database::open_follower(env, DbOptions::default()).unwrap()
+    }
+
     /// Ships everything durable on `db` into `standby`, installing a
     /// checkpoint when the frames were truncated away — the same protocol
     /// `dl-repl`'s shipper runs.
-    fn ship_all(db: &Database, standby: &StandbyDb) {
+    fn ship_all(db: &Database, standby: &Database) {
         let feed = db.replication_feed();
         loop {
             match feed.reader().read_from(standby.applied_lsn()) {
@@ -502,7 +445,7 @@ mod tests {
         let primary_env = StorageEnv::mem();
         let db = Database::open(primary_env.clone()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
 
         for i in 0..5i64 {
             let mut tx = db.begin();
@@ -534,7 +477,7 @@ mod tests {
         tx.insert("t", row(2, "b")).unwrap();
         tx.commit().unwrap();
 
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         // Ship only the tail: a gap the standby must refuse.
         let frames = db.wal_reader().read_from(mid).unwrap();
         assert!(standby.apply(&frames).is_err());
@@ -552,7 +495,7 @@ mod tests {
         tx.insert("t", row(1, "a")).unwrap();
         tx.commit().unwrap();
 
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         let first = db.wal_reader().read_from(0).unwrap();
         standby.apply(&first).unwrap();
         let applied = standby.applied_lsn();
@@ -574,17 +517,18 @@ mod tests {
     }
 
     #[test]
-    fn promotion_opens_a_normal_database_on_the_standby_env() {
+    fn promotion_flips_the_follower_in_place() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
         let mut tx = db.begin();
         tx.insert("t", row(7, "keep")).unwrap();
         tx.commit().unwrap();
 
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         ship_all(&db, &standby);
 
-        let promoted = Database::open(standby.env().clone()).unwrap();
+        standby.promote().unwrap();
+        let promoted = &standby;
         assert_eq!(promoted.count("t").unwrap(), 1);
         // The promoted database is a full primary: it can commit.
         let mut tx = promoted.begin();
@@ -607,12 +551,12 @@ mod tests {
 
         let standby_env = StorageEnv::mem();
         let applied = {
-            let standby = StandbyDb::open(standby_env.clone()).unwrap();
+            let standby = follower(standby_env.clone());
             ship_all(&db, &standby);
             standby.applied_lsn()
         };
         // Standby restarts (crash of the replica node): state replays.
-        let standby = StandbyDb::open(standby_env).unwrap();
+        let standby = follower(standby_env);
         assert_eq!(standby.applied_lsn(), applied);
         assert_eq!(standby.count("t").unwrap(), 1);
 
@@ -628,7 +572,7 @@ mod tests {
     fn unforced_commit_ships_with_the_next_flush() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
 
         // The primary shows an unforced commit at once; the standby — which
         // only ever sees synced frames — keeps serving the state before it
@@ -663,7 +607,7 @@ mod tests {
         tx.commit().unwrap();
 
         // A fresh standby cannot tail from 0 — the frames are gone.
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         let feed = db.replication_feed();
         assert!(matches!(
             feed.reader().read_from(0),
@@ -680,7 +624,7 @@ mod tests {
     fn standby_truncates_in_lockstep_with_primary_checkpoints() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         for round in 0..3u64 {
             for i in 0..10u64 {
                 let mut tx = db.begin();
@@ -702,7 +646,7 @@ mod tests {
         // snapshot + suffix.
         let env = standby.env().clone();
         drop(standby);
-        let standby = StandbyDb::open(env).unwrap();
+        let standby = follower(env);
         assert_eq!(standby.count("t").unwrap(), 30);
         assert_eq!(standby.applied_lsn(), db.durable_lsn());
     }
@@ -718,9 +662,7 @@ mod tests {
         const SYNC_LATENCY: std::time::Duration = std::time::Duration::from_millis(25);
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby =
-            StandbyDb::open(StorageEnv::mem_with_sync_latency(SYNC_LATENCY.as_nanos() as u64))
-                .unwrap();
+        let standby = follower(StorageEnv::mem_with_sync_latency(SYNC_LATENCY.as_nanos() as u64));
         for i in 0..50i64 {
             let mut tx = db.begin();
             tx.insert("t", row(i, "bulk")).unwrap();
@@ -751,7 +693,7 @@ mod tests {
         // And a restart recovers from the async-written snapshot + suffix.
         let env = standby.env().clone();
         drop(standby);
-        let standby = StandbyDb::open(env).unwrap();
+        let standby = follower(env);
         assert_eq!(standby.count("t").unwrap(), 50);
         assert_eq!(standby.applied_lsn(), db.durable_lsn());
     }
@@ -760,7 +702,7 @@ mod tests {
     fn install_checkpoint_is_skipped_when_already_ahead() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         let mut tx = db.begin();
         tx.insert("t", row(1, "a")).unwrap();
         tx.commit().unwrap();
@@ -784,7 +726,7 @@ mod tests {
         db.create_table(schema("t")).unwrap();
         let env = StorageEnv::mem();
         {
-            let standby = StandbyDb::open(env.clone()).unwrap();
+            let standby = follower(env.clone());
             ship_all(&db, &standby); // holds the DDL frame, nothing else
         }
         for i in 0..10i64 {
@@ -798,7 +740,7 @@ mod tests {
         write_snapshot(&env.device(slot_for_generation(snap.generation)).unwrap(), (&snap).into())
             .unwrap();
 
-        let standby = StandbyDb::open(env.fork().unwrap()).unwrap();
+        let standby = follower(env.fork().unwrap());
         assert_eq!(standby.applied_lsn(), snap.base_lsn);
         assert_eq!(standby.wal_base_lsn(), snap.base_lsn);
         assert_eq!(standby.wal_retained_bytes(), 0);
@@ -807,7 +749,8 @@ mod tests {
         assert_eq!(standby.applied_lsn(), db.durable_lsn(), "shipping resumes at the image");
 
         let promoted_env = env.fork().unwrap();
-        let promoted = Database::open(promoted_env.clone()).unwrap();
+        let promoted = follower(promoted_env.clone());
+        promoted.promote().unwrap();
         assert_eq!(promoted.wal_base_lsn(), snap.base_lsn);
         assert_eq!(promoted.count("t").unwrap(), 10);
         let mut tx = promoted.begin();
@@ -830,13 +773,12 @@ mod tests {
         tx.commit().unwrap();
         db.checkpoint_and_truncate().unwrap();
 
-        let standby = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let standby = follower(StorageEnv::mem());
         ship_all(&db, &standby);
-        // Promotion opens disks nobody writes any more: let the snapshot
-        // job the shipped `Checkpoint` queued finish first.
-        assert!(standby.wait_snapshot_idle(std::time::Duration::from_secs(10)));
-        let promoted = Database::open(standby.env().clone()).unwrap();
-        let tx = promoted.begin();
+        // The shipped `Checkpoint` queued a snapshot job; the promotion
+        // drains it itself.
+        standby.promote().unwrap();
+        let tx = standby.begin();
         assert!(tx.id() > txid, "promoted primary must not reuse txids");
         tx.abort();
     }
@@ -853,22 +795,23 @@ mod tests {
         tx.commit().unwrap();
 
         // Frame shipping, then promotion.
-        let tailing = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let tailing = follower(StorageEnv::mem());
         ship_all(&db, &tailing);
         // Checkpoint install (the frames are gone), then promotion.
         db.checkpoint_and_truncate().unwrap();
-        let installed = StandbyDb::open(StorageEnv::mem()).unwrap();
+        let installed = follower(StorageEnv::mem());
         ship_all(&db, &installed);
         assert!(installed.wal_base_lsn() > 0, "caught up from the image");
 
         for standby in [tailing, installed] {
             assert_eq!(standby.count("t").unwrap(), 1);
             assert_eq!(standby.count("u").unwrap(), 0);
-            let promoted = Database::open(standby.env().clone()).unwrap();
+            standby.promote().unwrap();
+            let promoted = &standby;
             assert_eq!(promoted.count("t").unwrap(), 1);
             assert!(promoted.schema("u").unwrap().unlogged);
             assert_eq!(promoted.count("u").unwrap(), 0);
-            assert!(promoted.inner().tables.read()["u"].has_index("v"));
+            assert!(promoted.inner.tables.read()["u"].has_index("v"));
         }
         assert_eq!(db.count("u").unwrap(), 1, "the live primary keeps its rows");
     }
@@ -877,7 +820,7 @@ mod tests {
     fn wait_applied_times_out_and_wakes() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let standby = Arc::new(StandbyDb::open(StorageEnv::mem()).unwrap());
+        let standby = follower(StorageEnv::mem());
         let mut tx = db.begin();
         tx.insert("t", row(1, "a")).unwrap();
         let lsn = tx.commit().unwrap();
@@ -886,7 +829,7 @@ mod tests {
         assert!(!standby.wait_applied(lsn, std::time::Duration::from_millis(10)));
 
         let waiter = {
-            let standby = Arc::clone(&standby);
+            let standby = standby.clone();
             std::thread::spawn(move || {
                 standby.wait_applied(lsn, std::time::Duration::from_secs(10))
             })
@@ -894,5 +837,42 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         ship_all(&db, &standby);
         assert!(waiter.join().unwrap(), "apply must wake freshness waiters");
+    }
+
+    #[test]
+    fn follower_refuses_local_writes_until_promoted_in_place() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut shipped = Vec::new();
+        for i in 0..3i64 {
+            let mut tx = db.begin();
+            shipped.push(tx.id());
+            tx.insert("t", row(i, "shipped")).unwrap();
+            tx.commit().unwrap();
+        }
+        let standby = follower(StorageEnv::mem());
+        ship_all(&db, &standby);
+        let (applied, tail) = (standby.applied_lsn(), standby.state_id());
+
+        let mut tx = standby.begin();
+        tx.insert("t", row(10, "local")).unwrap();
+        assert_eq!(tx.commit(), Err(DbError::Following));
+        assert_eq!(standby.create_table(schema("u")), Err(DbError::Following));
+        assert_eq!(standby.checkpoint(), Err(DbError::Following));
+        assert_eq!((standby.applied_lsn(), standby.state_id()), (applied, tail), "nothing logged");
+        assert_eq!(standby.count("t").unwrap(), 3);
+        assert!(!standby.has_table("u"));
+        assert_eq!(standby.wal_base_lsn(), 0);
+
+        standby.promote().unwrap();
+        let mut tx = standby.begin();
+        assert!(shipped.iter().all(|id| tx.id() > *id), "no shipped txid is re-issued");
+        tx.insert("t", row(10, "local")).unwrap();
+        assert!(tx.commit().unwrap() > tail);
+        standby.create_table(schema("u")).unwrap();
+        standby.checkpoint().unwrap();
+        assert_eq!(standby.count("t").unwrap(), 4);
+        // The promoted database no longer takes shipped state.
+        assert!(standby.apply(&db.wal_reader().read_from(0).unwrap()).is_err());
     }
 }

@@ -31,14 +31,14 @@
 //! # The recovery rule
 //!
 //! Because the image is complete, recovery is one fold: start from the
-//! newest usable image (or the empty one) and [`SnapshotData::redo`] every
+//! newest usable image (or the empty one) and [`redo`] every
 //! retained log record at or above its base, in log order. `redo` is the
 //! only place a [`WalRecord`] is mapped onto tables and the
 //! transaction-id horizon, and
 //! `SnapshotData::recover` the only open sequence: a primary's crash
-//! recovery, a point-in-time restore, a standby's restart and a standby's
-//! live apply ([`crate::replica::StandbyDb`] keeps its state *as* this
-//! image) all run it, so they cannot disagree about what a record means.
+//! recovery, a point-in-time restore, a follower's open and a follower's
+//! live apply (`Database::apply` runs `redo` on the database's own tables)
+//! all run it, so they cannot disagree about what a record means.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,8 +69,7 @@ pub(crate) fn slot_for_generation(generation: u64) -> &'static str {
 /// Reads both ping-pong slots of `env` and returns the newest valid
 /// snapshot accepted by `usable` (recovery-time filtering, e.g. a
 /// point-in-time bound), if any. The single source of truth for snapshot
-/// selection — recovery, standby open and the replication feed all go
-/// through here.
+/// selection — every open and the replication feed go through here.
 pub fn latest_valid_snapshot(
     env: &StorageEnv,
     usable: impl Fn(&SnapshotData) -> bool,
@@ -109,34 +108,6 @@ impl Default for SnapshotData {
 }
 
 impl SnapshotData {
-    /// What one log record does to the image — *the* recovery rule (module
-    /// docs). `Ddl` and `Commit` apply their ops (replay trusts the log);
-    /// every transaction id seen pushes the id horizon (`use_txid`).
-    /// `Checkpoint` changes nothing: which
-    /// image is newest is read off the snapshot slots, never off the log.
-    /// The caller feeds records in log order, none below `base_lsn`, and
-    /// moves `base_lsn` past what it fed.
-    pub fn redo(&mut self, rec: &WalRecord) -> DbResult<()> {
-        self.use_txid(rec);
-        match rec {
-            WalRecord::Ddl(op) => apply_op(&mut self.tables, op)?,
-            WalRecord::Commit { ops, .. } => {
-                for op in ops {
-                    apply_op(&mut self.tables, op)?;
-                }
-            }
-            WalRecord::Checkpoint { .. } => {}
-        }
-        Ok(())
-    }
-
-    /// Pushes the id horizon past the transaction `rec` names, if any.
-    fn use_txid(&mut self, rec: &WalRecord) {
-        if let WalRecord::Commit { txid, .. } = rec {
-            self.next_txid = self.next_txid.max(txid + 1);
-        }
-    }
-
     /// The one open sequence (module docs): opens the log of `env` — which
     /// resolves the truncation control record and trims a torn tail —
     /// picks the newest valid image, and redoes the retained records at or
@@ -145,7 +116,7 @@ impl SnapshotData {
     /// transaction ids of those records stay used); a bound below the log's
     /// low-water mark is [`DbError::TruncatedLog`]. A log that ends below
     /// the image is a checkpoint install the crash interrupted after its
-    /// image write ([`crate::replica::StandbyDb::install_checkpoint`]); the
+    /// image write (`Database::install_checkpoint`); the
     /// install's log reset is finished here. Returns the log and the image,
     /// whose `base_lsn` now names the log position it is current to.
     pub(crate) fn recover(
@@ -175,7 +146,7 @@ impl SnapshotData {
         let kept = records.partition_point(|(lsn, _)| *lsn < end);
         for (lsn, rec) in &records[..kept] {
             if *lsn >= image.base_lsn {
-                image.redo(rec)?;
+                redo(&mut image.tables, &mut image.next_txid, rec)?;
             }
         }
         image.base_lsn = end;
@@ -183,9 +154,41 @@ impl SnapshotData {
         // the tables, not that they happened: their transaction ids stay
         // used (a participant may still hold a branch under one of them).
         for (_, rec) in &records[kept..] {
-            image.use_txid(rec);
+            use_txid(&mut image.next_txid, rec);
         }
         Ok((wal, image))
+    }
+}
+
+/// What one log record does to a state — *the* recovery rule (module
+/// docs), for a recovering image and a follower's own tables alike. `Ddl` and
+/// `Commit` apply their ops (replay trusts the log); every transaction id
+/// seen pushes the id horizon. `Checkpoint` changes nothing: which image is
+/// newest is read off the snapshot slots, never off the log. The caller
+/// feeds records in log order, none below the state's base, and moves the
+/// base past what it fed.
+pub fn redo(
+    tables: &mut HashMap<String, TableStore>,
+    next_txid: &mut TxId,
+    rec: &WalRecord,
+) -> DbResult<()> {
+    use_txid(next_txid, rec);
+    match rec {
+        WalRecord::Ddl(op) => apply_op(tables, op)?,
+        WalRecord::Commit { ops, .. } => {
+            for op in ops {
+                apply_op(tables, op)?;
+            }
+        }
+        WalRecord::Checkpoint { .. } => {}
+    }
+    Ok(())
+}
+
+/// Pushes the id horizon past the transaction `rec` names, if any.
+fn use_txid(next_txid: &mut TxId, rec: &WalRecord) {
+    if let WalRecord::Commit { txid, .. } = rec {
+        *next_txid = (*next_txid).max(txid + 1);
     }
 }
 

@@ -65,7 +65,7 @@ impl Txn {
     /// Point read under a shared row lock (serializable read).
     pub fn get(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
         self.ensure_active()?;
-        let locks = &self.db.inner().locks;
+        let locks = &self.db.inner.locks;
         locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentShared)?;
         locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Shared)?;
         self.current(table, key)
@@ -75,7 +75,7 @@ impl Txn {
     /// deadlock in read-modify-write cycles.
     pub fn get_for_update(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
         self.ensure_active()?;
-        let locks = &self.db.inner().locks;
+        let locks = &self.db.inner.locks;
         locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)?;
         locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Exclusive)?;
         self.current(table, key)
@@ -86,7 +86,7 @@ impl Txn {
     /// transaction's own pending writes.
     pub fn scan(&self, table: &str) -> DbResult<Vec<Row>> {
         self.ensure_active()?;
-        let locks = &self.db.inner().locks;
+        let locks = &self.db.inner.locks;
         locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::Shared)?;
         let committed = self.db.scan_committed(table)?;
         let schema = self.db.schema(table)?;
@@ -117,7 +117,7 @@ impl Txn {
     /// Takes a table shared lock (same phantom protection as a scan).
     pub fn find_equal(&self, table: &str, column: &str, value: &Value) -> DbResult<Vec<Value>> {
         self.ensure_active()?;
-        let locks = &self.db.inner().locks;
+        let locks = &self.db.inner.locks;
         locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::Shared)?;
         let mut keys = self.db.find_committed(table, column, value)?;
         // Fold in pending writes.
@@ -144,7 +144,7 @@ impl Txn {
     // --- Writes --------------------------------------------------------------
 
     fn write_locks(&self, table: &str, key: &Value) -> DbResult<()> {
-        let locks = &self.db.inner().locks;
+        let locks = &self.db.inner.locks;
         locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)?;
         locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Exclusive)
     }
@@ -279,7 +279,7 @@ impl Txn {
     /// The redo ops: everything buffered except writes to unlogged tables,
     /// whose rows recovery is meant to lose.
     fn logged_ops(&self) -> Vec<RowOp> {
-        let tables = self.db.inner().tables.read();
+        let tables = self.db.inner.tables.read();
         self.ops
             .iter()
             .filter(|op| !tables.get(op.table()).is_some_and(|store| store.schema.unlogged))
@@ -294,7 +294,9 @@ impl Txn {
     /// participants. Returns the commit LSN — the database state identifier
     /// the archive tags file versions with (§4.4). A transaction with
     /// nothing to redo and no participants (read-only, or writing unlogged
-    /// tables only) appends nothing and returns the current tail.
+    /// tables only) appends nothing and returns the current tail. A
+    /// transaction that wrote anything fails with [`DbError::Following`] on
+    /// a follower, changing nothing.
     pub fn commit(self) -> DbResult<Lsn> {
         self.commit_inner(true)
     }
@@ -317,6 +319,9 @@ impl Txn {
 
     fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
+        if !self.ops.is_empty() {
+            self.db.refuse_if_following()?; // dropping `self` aborts
+        }
         let participants = self.db.take_participants(self.id);
 
         // Phase one.
@@ -335,7 +340,7 @@ impl Txn {
         let logged = self.logged_ops();
         let logs = !logged.is_empty() || !participants.is_empty();
         let lsn = {
-            let inner = self.db.inner();
+            let inner = &self.db.inner;
             // Shared: concurrent committers ride the same group-commit
             // batch; only checkpoint/backup take this exclusively. It keeps
             // log tail and stores in step, so a commit that logs nothing
@@ -402,7 +407,7 @@ impl Txn {
 
     fn finish_local(&mut self) {
         self.db.clear_injected(self.id);
-        self.db.inner().locks.release_all(self.id);
+        self.db.inner.locks.release_all(self.id);
         self.overlay.clear();
         self.state = TxnState::Finished;
     }

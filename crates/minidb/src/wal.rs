@@ -74,7 +74,7 @@
 //! reader can wait for growth and then read the raw frames below the
 //! watermark straight from the device. The durable watermark always lands
 //! on a frame boundary, so a shipped range is a whole number of frames —
-//! what [`crate::replica::StandbyDb`] applies byte-identically. A reader
+//! what a follower (`Database::apply`) appends byte-identically. A reader
 //! asking for frames below the truncation base gets
 //! [`DbError::TruncatedLog`] — the signal for a shipper to fall back to
 //! *checkpoint shipping* (install the latest snapshot, then tail the
@@ -93,6 +93,7 @@
 //! and it is private to this file.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -409,14 +410,23 @@ impl WalReader {
         self.view.read().base
     }
 
-    /// Blocks until the durable watermark exceeds `seen` or `timeout`
-    /// elapses; returns the current watermark either way.
-    pub fn wait_past(&self, seen: Lsn, timeout: Duration) -> Lsn {
+    /// Blocks until the durable watermark exceeds `seen`, `timeout`
+    /// elapses, or `cancel` is set and [`WalReader::wake`] called; returns
+    /// the current watermark either way. `cancel` is read under the
+    /// signal's lock, so a wake that follows setting it is never lost.
+    pub fn wait_past(&self, seen: Lsn, timeout: Duration, cancel: &AtomicBool) -> Lsn {
         let mut durable = self.signal.durable.lock();
-        if *durable <= seen {
+        if *durable <= seen && !cancel.load(Ordering::SeqCst) {
             let _ = self.signal.grew.wait_for(&mut durable, timeout);
         }
         *durable
+    }
+
+    /// Wakes every [`WalReader::wait_past`] on this log: how a shipper
+    /// being stopped leaves its wait at once instead of at its timeout.
+    pub fn wake(&self) {
+        let _durable = self.signal.durable.lock();
+        self.signal.grew.notify_all();
     }
 
     /// Reads all whole frames in `[from, durable)`. The watermark only ever
@@ -1272,16 +1282,32 @@ mod tests {
         let d = dev();
         let wal = Arc::new(Wal::open(Arc::clone(&d)).unwrap().0);
         let reader = wal.reader();
+        let never = AtomicBool::new(false);
         // Timeout path: nothing appended.
-        assert_eq!(reader.wait_past(0, std::time::Duration::from_millis(10)), 0);
+        assert_eq!(reader.wait_past(0, std::time::Duration::from_millis(10), &never), 0);
         let w = Arc::clone(&wal);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             w.append(&WalRecord::Checkpoint { generation: 1 }).unwrap()
         });
-        let durable = reader.wait_past(0, std::time::Duration::from_secs(10));
+        let durable = reader.wait_past(0, std::time::Duration::from_secs(10), &never);
         let appended = t.join().unwrap();
         assert!(durable >= appended);
+
+        // A cancelled wait returns at the wake, not at its timeout — and
+        // at once when the flag was set before it began.
+        let cancel = Arc::new(AtomicBool::new(false));
+        let (r, c) = (reader.clone(), Arc::clone(&cancel));
+        let started = std::time::Instant::now();
+        let t = std::thread::spawn(move || {
+            r.wait_past(durable, std::time::Duration::from_secs(10), &c)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        cancel.store(true, Ordering::SeqCst);
+        reader.wake();
+        assert_eq!(t.join().unwrap(), durable);
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(reader.wait_past(durable, std::time::Duration::from_secs(10), &cancel), durable);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * a [`Replicator`] daemon tails a primary's log and ships every durable
 //!   frame range to one or more [`Follower`]s — the one thing it feeds: a
-//!   `dl_minidb::StandbyDb` (apply-only physical replication, its log a
-//!   byte prefix of the primary's at all times) behind an epoch fence;
+//!   `dl_minidb::Database` in follower mode (physical replication, its log
+//!   a byte prefix of the primary's at all times) behind an epoch fence;
 //! * the ship protocol carries an **epoch** number checked against a
 //!   shared [`EpochFence`]: promotion bumps the fence, so a stale
 //!   primary's shipper — one that missed the failover — has every
@@ -64,7 +64,7 @@ use dl_dlfm::{AccessToken, ArchiveStore, ContentSource, TokenKind};
 use dl_fskit::Clock;
 use dl_minidb::{
     Column, ColumnType, Database, DbError, DbOptions, Lsn, ReplicationFeed, Schema, ShippedFrames,
-    SnapshotData, StandbyDb, StorageEnv, Value,
+    SnapshotData, StorageEnv, Value,
 };
 use parking_lot::Mutex;
 
@@ -167,31 +167,34 @@ impl ReplStats {
     }
 }
 
-/// A fenced follower: a `StandbyDb` that takes frame ranges and checkpoint
-/// images only from a shipper of the current epoch. The one thing the ship
-/// daemon feeds — a host-database standby is exactly this, a DLFM
-/// [`Standby`] wraps one. Everything it does not fence is the `StandbyDb`'s
-/// own (`applied_lsn`, `wait_applied`, `wal_retained_bytes`,
-/// `wait_snapshot_idle`, `snapshot_queue_depth`, the read-committed
-/// lookups, `env` — what a promotion reopens as a normal `Database`),
-/// reached by deref.
+/// A fenced follower: a `Database` in follower mode that takes frame
+/// ranges and checkpoint images only from a shipper of the current epoch.
+/// The one thing the ship daemon feeds — a host-database standby is
+/// exactly this, a DLFM [`Standby`] wraps one. Everything it does not fence
+/// is the database's own, reached by deref: `applied_lsn`, `wait_applied`,
+/// `wal_retained_bytes`, `wait_snapshot_idle`, `snapshot_queue_depth`, the
+/// ordinary read path — and `promote`, which a failover calls after
+/// [`ReplicaSet::freeze`] to make this database the primary in place.
 pub struct Follower {
     /// `<primary>#<ordinal>` (diagnostics).
     pub name: String,
-    db: StandbyDb,
+    db: Database,
     fence: Arc<EpochFence>,
     stats: Arc<ReplStats>,
 }
 
 impl Follower {
-    /// Opens a follower over `env` (the replicated database).
+    /// Opens a follower over `env` (the replicated database) under the
+    /// options of the primary it follows
+    /// ([`ReplicationFeed::db_options`]).
     pub fn new(
         name: String,
         env: StorageEnv,
+        opts: DbOptions,
         fence: Arc<EpochFence>,
         stats: Arc<ReplStats>,
     ) -> Result<Follower, String> {
-        let db = StandbyDb::open(env).map_err(|e| e.to_string())?;
+        let db = Database::open_follower(env, opts).map_err(|e| e.to_string())?;
         Ok(Follower { name, db, fence, stats })
     }
 
@@ -221,9 +224,9 @@ impl Follower {
 }
 
 impl std::ops::Deref for Follower {
-    type Target = StandbyDb;
+    type Target = Database;
 
-    fn deref(&self) -> &StandbyDb {
+    fn deref(&self) -> &Database {
         &self.db
     }
 }
@@ -483,6 +486,8 @@ const SHIP_POLL: Duration = Duration::from_millis(20);
 /// the group-commit leader after each batch sync) and continuously applies
 /// to the standbys. When the watermark sits still for one poll (20 ms) it
 /// flushes the primary's log, so records appended unforced ship too.
+/// [`Replicator::stop`] wakes it wherever it waits, so stopping an idle
+/// daemon costs no poll.
 pub struct Replicator {
     core: Arc<ShipCore>,
     stop: Arc<AtomicBool>,
@@ -514,12 +519,12 @@ impl Replicator {
                     break;
                 }
                 if worker_paused.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::park_timeout(Duration::from_millis(5));
                     continue;
                 }
                 let seen = worker_core.cursor();
-                let durable = worker_core.feed.reader().wait_past(seen, SHIP_POLL);
-                if worker_paused.load(Ordering::SeqCst) {
+                let durable = worker_core.feed.reader().wait_past(seen, SHIP_POLL, &worker_stop);
+                if worker_paused.load(Ordering::SeqCst) || worker_stop.load(Ordering::SeqCst) {
                     continue;
                 }
                 if durable <= seen {
@@ -547,7 +552,7 @@ impl Replicator {
                     Err(ReplError::StaleEpoch { .. }) => break,
                     // Apply/read errors: the standby refused (gap after a
                     // restart) — retry on the next wakeup rather than spin.
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                    Err(_) => std::thread::park_timeout(Duration::from_millis(5)),
                 }
             })
             .expect("spawn replication shipper");
@@ -623,10 +628,13 @@ impl Replicator {
         true
     }
 
-    /// Signals the daemon to stop and joins it. Idempotent.
+    /// Signals the daemon to stop, wakes it — from its wait for the
+    /// watermark or its paused nap — and joins it. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.core.feed.reader().wake();
         if let Some(handle) = self.handle.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -646,10 +654,6 @@ pub struct ReplicaSetOptions {
     pub server_name: String,
     /// Shared HMAC token secret (matches the server's `DlfmConfig`).
     pub token_key: Vec<u8>,
-    /// Per-sync latency of the standby/session environments — matched to
-    /// the primary repository's so a replica's durability costs what the
-    /// primary's does.
-    pub sync_latency_ns: u64,
     /// Clock for token expiry checks.
     pub clock: Arc<dyn Clock>,
     /// Content fallback for linked-but-never-updated files (no archived
@@ -673,15 +677,6 @@ pub struct ReplicaSet<S = Standby> {
     next: AtomicUsize,
 }
 
-/// A fresh standby environment syncing at `latency_ns`.
-fn standby_env(latency_ns: u64) -> StorageEnv {
-    if latency_ns > 0 {
-        StorageEnv::mem_with_sync_latency(latency_ns)
-    } else {
-        StorageEnv::mem()
-    }
-}
-
 impl ReplicaSet<Standby> {
     /// Provisions `opts.replicas` fresh standbys fed from `feed` and
     /// spawns the shipper. A fresh standby catches up by delta when the
@@ -689,11 +684,11 @@ impl ReplicaSet<Standby> {
     /// full-log replay otherwise. The caller mirrors the primary archive
     /// into each standby's store.
     pub fn build(feed: ReplicationFeed, opts: ReplicaSetOptions) -> Result<Self, String> {
-        let latency = opts.sync_latency_ns;
-        Self::provision(&opts.server_name, feed, opts.replicas, latency, 0, |follower| {
+        Self::provision(&opts.server_name, feed, opts.replicas, 0, |follower| {
+            let session_env = StorageEnv::mem_with_sync_latency(follower.env().sync_latency_ns());
             Standby::new(
                 follower,
-                standby_env(latency),
+                session_env,
                 opts.server_name.clone(),
                 opts.token_key.clone(),
                 Arc::clone(&opts.clock),
@@ -712,9 +707,8 @@ impl ReplicaSet<Standby> {
 
 impl ReplicaSet<Follower> {
     /// Provisions `replicas` fresh bare followers `<name>#<i>` fed from
-    /// `feed` — the host database's set — syncing at `sync_latency_ns`
-    /// (matched to the primary's, so replica durability costs what the
-    /// primary's does), and spawns the shipper under `epoch`, the initial
+    /// `feed` — the host database's set — and spawns the shipper under
+    /// `epoch`, the initial
     /// fence epoch: 0 for a first provisioning; a set rebuilt after
     /// `fail_over_host` passes the promoted coordinator generation so a
     /// later failover still out-ranks this one.
@@ -722,32 +716,32 @@ impl ReplicaSet<Follower> {
         name: &str,
         feed: ReplicationFeed,
         replicas: usize,
-        sync_latency_ns: u64,
         epoch: u64,
     ) -> Result<Self, String> {
-        Self::provision(name, feed, replicas, sync_latency_ns, epoch, Ok)
+        Self::provision(name, feed, replicas, epoch, Ok)
     }
 }
 
 impl<S> ReplicaSet<S> {
-    /// Opens the followers, wraps each into the set's member type and
-    /// spawns the one shipper that feeds them.
+    /// Opens the followers (in memory, syncing and configured like the
+    /// primary), wraps each into the set's member type and spawns the one
+    /// shipper that feeds them.
     fn provision(
         name: &str,
         feed: ReplicationFeed,
         replicas: usize,
-        sync_latency_ns: u64,
         epoch: u64,
         member: impl Fn(Arc<Follower>) -> Result<Arc<S>, String>,
     ) -> Result<Self, String> {
         assert!(replicas > 0, "a replica set needs at least one standby");
         let fence = Arc::new(EpochFence::at(epoch));
         let stats = Arc::new(ReplStats::default());
+        let (opts, latency) = (feed.db_options(), feed.db().env().sync_latency_ns());
         let followers = (0..replicas)
             .map(|i| {
-                let env = standby_env(sync_latency_ns);
-                Follower::new(format!("{name}#{i}"), env, Arc::clone(&fence), Arc::clone(&stats))
-                    .map(Arc::new)
+                let env = StorageEnv::mem_with_sync_latency(latency);
+                let (fence, stats) = (Arc::clone(&fence), Arc::clone(&stats));
+                Follower::new(format!("{name}#{i}"), env, opts, fence, stats).map(Arc::new)
             })
             .collect::<Result<Vec<_>, String>>()?;
         let standbys = followers.iter().cloned().map(member).collect::<Result<Vec<_>, String>>()?;
@@ -803,17 +797,17 @@ impl<S> ReplicaSet<S> {
 
     /// Fences the set for failover: bumps the epoch — every in-flight or
     /// future frame from the current shipper is now stale — and joins the
-    /// shipping daemon so no apply races the promotion that follows.
-    /// Returns the new epoch.
+    /// shipping daemon (woken, not waited out) so no apply races the
+    /// promotion that follows. Returns the new epoch.
     pub fn freeze(&self) -> u64 {
         let epoch = self.fence.bump();
         self.replicator.stop();
         epoch
     }
 
-    /// The standby a failover promotes (the first; round-robin state does
-    /// not affect durability, any standby is equally promotable after the
-    /// fence).
+    /// The standby a failover promotes in place (the first; round-robin
+    /// state does not affect durability, any standby is equally promotable
+    /// after the fence).
     pub fn promote_target(&self) -> &Arc<S> {
         &self.standbys[0]
     }
@@ -872,6 +866,7 @@ mod tests {
         let follower = Follower::new(
             name.to_string(),
             StorageEnv::mem(),
+            db.replication_feed().db_options(),
             Arc::clone(&fence),
             Arc::clone(&stats),
         );
@@ -886,7 +881,6 @@ mod tests {
             )
             .unwrap(),
         );
-        let _ = db;
         (standby, fence, stats)
     }
 
@@ -954,6 +948,7 @@ mod tests {
         let follower = Follower::new(
             "srv1#0".into(),
             StorageEnv::mem(),
+            DbOptions::default(),
             Arc::clone(&fence),
             Arc::clone(&stats),
         );
@@ -1051,7 +1046,6 @@ mod tests {
                 replicas: 1,
                 server_name: "srv1".into(),
                 token_key: b"key".to_vec(),
-                sync_latency_ns: 0,
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },
@@ -1120,7 +1114,6 @@ mod tests {
                 replicas: 3,
                 server_name: "srv1".into(),
                 token_key: b"key".to_vec(),
-                sync_latency_ns: 0,
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },
@@ -1153,7 +1146,6 @@ mod tests {
                 replicas: 1,
                 server_name: "srv1".into(),
                 token_key: b"key".to_vec(),
-                sync_latency_ns: 0,
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },
@@ -1172,13 +1164,34 @@ mod tests {
         tx.commit().unwrap();
         assert!(matches!(set.ship_once(), Err(ReplError::StaleEpoch { .. })));
 
-        // The promote target opens as a normal database with the pre-fence
-        // state only.
-        let promoted = Database::open(set.promote_target().env().clone()).unwrap();
+        // The promote target becomes the primary in place, with the
+        // pre-fence state only.
+        let promoted = set.promote_target();
+        promoted.promote().unwrap();
         assert!(promoted.get_committed("dl_files", &Value::Text("/f".into())).unwrap().is_some());
         assert!(promoted
             .get_committed("dl_files", &Value::Text("/post-fence".into()))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn freezing_an_idle_set_wakes_the_shipper_instead_of_waiting_out_its_poll() {
+        let env = StorageEnv::mem();
+        let db = repo_like_db(&env);
+        let mut took: Vec<Duration> = (0..10)
+            .map(|_| {
+                let set =
+                    ReplicaSet::<Follower>::build("host", db.replication_feed(), 1, 0).unwrap();
+                assert!(set.wait_caught_up(Duration::from_secs(5)));
+                // Idle: the daemon is parked in its wait for the watermark.
+                std::thread::sleep(Duration::from_millis(3));
+                let started = Instant::now();
+                set.freeze();
+                started.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[5] < SHIP_POLL / 2, "median freeze {:?} of {took:?}", took[5]);
     }
 }

@@ -15,7 +15,7 @@ use datalinks::dlfm::{
     WireDaemon,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
-use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv};
+use datalinks::minidb::{Column, ColumnType, Database, Schema, StorageEnv};
 use datalinks::obs::NetStats;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
@@ -43,7 +43,7 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
         DlfmServer::new(
             cfg,
             fs as Arc<dyn FileSystem>,
-            StorageEnv::mem_with_sync_latency(400_000),
+            Database::open(StorageEnv::mem_with_sync_latency(400_000)).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         )
@@ -378,7 +378,7 @@ proptest! {
         let server = Arc::new(DlfmServer::new(
             cfg,
             fs as Arc<dyn FileSystem>,
-            StorageEnv::mem(),
+            Database::open(StorageEnv::mem()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
         ).unwrap());

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use datalinks::minidb::{
-    Column, ColumnType, Database, DbError, Participant, Row, Schema, SnapshotData, StandbyDb,
-    StorageEnv, TxId, Txn, Value,
+    Column, ColumnType, Database, DbError, DbOptions, Participant, Row, Schema, StorageEnv, TxId,
+    Txn, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -119,14 +119,6 @@ impl Recovered {
     fn of_database(db: &Database) -> Recovered {
         Recovered { rows: db.scan_committed("t").unwrap(), unlogged_rows: db.count("u").unwrap() }
     }
-
-    /// The same reading of a standby's own image.
-    fn of_image(image: &SnapshotData) -> Recovered {
-        Recovered {
-            rows: image.tables["t"].iter().map(|(_, row)| row.clone()).collect(),
-            unlogged_rows: image.tables["u"].len(),
-        }
-    }
 }
 
 proptest! {
@@ -196,10 +188,9 @@ proptest! {
     /// end state must be identical either way. `flavours` picks what each
     /// committing step is: a plain commit, a coordinator commit with an
     /// enlisted participant, an unforced commit or an abort; every one
-    /// mirrors its op into the unlogged twin `u`. At the end the three
-    /// ways back — the primary reopened, the standby reopened, and the
-    /// promotion `Database::open` on the standby's disks — must be one
-    /// image.
+    /// mirrors its op into the unlogged twin `u`. At the end the two ways
+    /// back — the primary reopened, and the follower (restarted from its
+    /// own disks) promoted in place — must be one image.
     #[test]
     fn interleaved_checkpoint_truncate_ship_never_diverges(
         shape in proptest::collection::vec((0u8..8, op_strategy()), 1..24),
@@ -210,13 +201,14 @@ proptest! {
         db.create_table(schema("t")).unwrap();
         db.create_table(schema("u").unlogged()).unwrap();
         let standby_env = StorageEnv::mem();
-        let mut standby = StandbyDb::open(standby_env.clone()).unwrap();
+        let follow = || Database::open_follower(standby_env.clone(), DbOptions::default()).unwrap();
+        let mut standby = follow();
         // The transaction ids that reached the log.
         let mut logged: Vec<TxId> = Vec::new();
 
         // One full ship round: frames when available, image install when
         // the primary truncated past the standby's position.
-        let ship = |standby: &StandbyDb| {
+        let ship = |standby: &Database| {
             let feed = db.replication_feed();
             loop {
                 match feed.reader().read_from(standby.applied_lsn()) {
@@ -277,7 +269,7 @@ proptest! {
                 // Replica-node crash: reopen from its own durable state.
                 _ => {
                     drop(standby);
-                    standby = StandbyDb::open(standby_env.clone()).unwrap();
+                    standby = follow();
                 }
             }
         }
@@ -292,26 +284,22 @@ proptest! {
         // And again across a standby restart (its own snapshot + log
         // suffix must reproduce the same state).
         drop(standby);
-        let standby = StandbyDb::open(standby_env.clone()).unwrap();
+        let standby = follow();
         prop_assert_eq!(standby.applied_lsn(), db.durable_lsn());
         prop_assert_eq!(standby.scan_committed("t").unwrap(), db.scan_committed("t").unwrap());
 
-        // Three ways back, one image.
+        // Two ways back, one image.
         drop(db);
         let primary = Database::open(env).unwrap();
-        let image = standby.image();
-        let promoted = Database::open(standby_env).unwrap();
+        standby.promote().unwrap();
         let expected = Recovered::of_database(&primary);
         prop_assert_eq!(expected.unlogged_rows, 0);
-        prop_assert_eq!(&Recovered::of_image(&image), &expected, "standby reopened");
-        prop_assert_eq!(&Recovered::of_database(&promoted), &expected, "promotion");
-        // The next transaction id handed out: the standby's image and the
-        // promotion are the same fold over the same disks; the primary's
-        // own checkpoints also count ids that never reached the log (a
-        // transaction with nothing to redo), so it may be further along.
-        // Neither re-issues an id the log has seen.
-        let next = promoted.begin().id();
-        prop_assert_eq!(image.next_txid, next);
+        prop_assert_eq!(&Recovered::of_database(&standby), &expected, "promotion in place");
+        // The next transaction id handed out: the primary's own checkpoints
+        // also count ids that never reached the log (a transaction with
+        // nothing to redo), so it may be further along than the promoted
+        // follower. Neither re-issues an id the log has seen.
+        let next = standby.begin().id();
         prop_assert!(primary.begin().id() >= next);
         prop_assert!(logged.iter().all(|txid| *txid < next), "{:?} vs next {}", logged, next);
     }
