@@ -40,7 +40,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # One reconcile by the host rows (DESIGN.md "Recovery and replication"):
 # crash recovery, failover and point-in-time restore run the same per-file
 # rule — no second restore pass, no synthetic 2PC branch to re-link a file.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile"
+# One archive per node (DESIGN.md "Recovery and replication"): standbys read
+# the primary's store and a new server fences the old one by its writer
+# generation — no mirroring, no per-path forwarding order, and `fail_over`
+# makes no archive call of its own.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -50,12 +54,15 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "commit_[p]repared|abort_[p]repared|resolve_[i]n_doubt|in_doubt_[t]xns|in_doubt_[o]ps|WalRecord::[P]repare|WalRecord::[D]ecide" crates/ src/ tests/ \
   || grep -rnE "restore_to_[v]ersions|Restore[O]utcome|reconcile_files_with_[m]etadata|column_options_for_[u]rl" crates/ src/ tests/ \
   || grep -rnE "Standby[D]b|Standby[S]hared|Standby[I]nner" crates/ src/ tests/ \
+  || grep -rnE "add_[m]irror|remove_[m]irror|seal_mirror_[i]nput|mirror_[p]ut|mirror_[m]embership|path_[o]rder" \
+       crates/ src/ tests/ \
+  || awk '/fn fail_over\(/,/^    }$/' crates/core/src/system.rs | grep -n "archive_[s]tore()" \
   || awk '/fn (promote_host|fail_over)\(/,/^    }$/' crates/core/src/system.rs \
        | grep -nE "Database::[o]pen|promote_target\(\)\.[e]nv\(\)" \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC or a second reconcile reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile or archive mirroring reappeared (matches above)" >&2
   exit 1
 fi
 

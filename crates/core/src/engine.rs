@@ -321,8 +321,9 @@ impl DataLinksEngine {
     }
 
     /// Validates and serves the last committed bytes of `path` through the
-    /// routed read path: a standby's mirrored archive when replicated (the
-    /// primary does no work at all), the primary's file system otherwise.
+    /// routed read path: by a standby from the node's archive store when
+    /// replicated (the primary does no work at all), by the primary
+    /// otherwise.
     pub fn serve_read(
         &self,
         server: &str,
@@ -413,9 +414,9 @@ impl DataLinksEngine {
                     match standby.serve_read(path, uid) {
                         Ok(bytes) => Some(bytes),
                         // The standby is behind (link or version not yet
-                        // applied/mirrored): a valid-token read must not
-                        // fail on a healthy system — serve the content
-                        // from the primary instead.
+                        // applied) or the version not yet archived: a
+                        // valid-token read must not fail on a healthy
+                        // system — serve the content from the primary.
                         Err(_) => {
                             self.stats.replica_fallbacks.inc();
                             Some(primary.read_linked(path)?)

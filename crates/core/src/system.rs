@@ -14,10 +14,12 @@
 //!
 //! With [`FileServerSpec::replicas`] a node additionally runs hot standbys:
 //! a `dl_repl::Replicator` tails the primary repository's WAL and keeps N
-//! standby repositories (plus mirrored archive stores) continuously
-//! applied. The engine routes read-token validation and replica-served
-//! reads across them round-robin; [`DataLinksSystem::fail_over`] promotes a
-//! standby after a primary crash, fencing the old primary by epoch.
+//! standby repositories continuously applied; the standbys read the node's
+//! one archive store. The engine routes read-token validation and
+//! replica-served reads across them round-robin;
+//! [`DataLinksSystem::fail_over`] promotes a standby after a primary crash,
+//! fencing the old primary's shipper by epoch and its archive writes by the
+//! promoted server's store generation.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -70,6 +72,12 @@ pub struct FileServerNode {
     pub name: String,
     /// The physical file system (survives crashes — it is the disk).
     pub fs: Arc<MemFs>,
+    /// The archive store (survives crashes — it is the archive device),
+    /// written by the primary's server and read by every standby. Like
+    /// `fs`, the node holds the device itself: crash and failover drop the
+    /// server and build its successor on this store, whose next writer
+    /// generation fences the dropped one.
+    archive: Arc<ArchiveStore>,
     /// The DLFM daemon complex.
     pub server: Arc<DlfmServer>,
     /// The DLFS interposition layer.
@@ -713,6 +721,7 @@ impl DataLinksSystem {
                 Arc::new(move |path: &str| fallback_fs.read_file(&Cred::root(), path).ok());
             let set = ReplicaSet::<Standby>::build(
                 server.repository().db().replication_feed(),
+                Arc::clone(&part.archive),
                 ReplicaSetOptions {
                     replicas: part.replicas,
                     // The *logical* server name (== the node name except
@@ -724,9 +733,6 @@ impl DataLinksSystem {
                     fallback: Some(fallback),
                 },
             )?;
-            for standby in set.standbys() {
-                part.archive.add_mirror(Arc::clone(standby.archive_store()));
-            }
             Some(Arc::new(set))
         } else {
             None
@@ -743,6 +749,7 @@ impl DataLinksSystem {
             FileServerNode {
                 name: part.name,
                 fs: part.fs,
+                archive: part.archive,
                 server,
                 dlfs,
                 lfs,
@@ -1245,8 +1252,8 @@ impl DataLinksSystem {
     }
 
     /// The zero-upcall replica read: validates the token and serves the
-    /// last committed bytes — from a standby's mirrored archive when
-    /// replicated (the primary is not involved), from the primary
+    /// last committed bytes — by a standby from the node's archive store
+    /// when replicated (the primary is not involved), by the primary
     /// otherwise. Writes always stay on the primary's open/close protocol.
     pub fn serve_read(&self, server: &str, token_path: &str, uid: u32) -> Result<Vec<u8>, String> {
         let (path, token) = split_embedded_token(token_path)?;
@@ -1294,8 +1301,10 @@ impl DataLinksSystem {
     /// reconciled against the host's rows like a crash-recovered primary
     /// (whatever of the primary's log never shipped is re-derived from
     /// them), and the node re-registers with the promoted server as
-    /// primary. Remaining standby slots are re-provisioned fresh against
-    /// the new primary. Returns the promotion recovery report.
+    /// primary. The promoted server takes the archive store over by being
+    /// built: its writer generation fences the old primary's late archive
+    /// jobs. Remaining standby slots are re-provisioned fresh against the
+    /// new primary. Returns the promotion recovery report.
     pub fn fail_over(&mut self, server: &str) -> Result<RecoveryReport, String> {
         let view = self.engine.host_views()?.remove(server).unwrap_or_default();
         // Post-mortem first: the crashed primary's recorder dies with it.
@@ -1310,25 +1319,16 @@ impl DataLinksSystem {
         // anywhere, and the shipping daemon is joined (no apply can race
         // the promotion below).
         replication.freeze();
-        // Archive fencing, both ends: stop the deposed primary forwarding
-        // to the standbys, and seal every standby store against
-        // mirror-forwarded input so an archive job already in flight on
-        // the old primary cannot land in the promoted store either.
-        for standby in replication.standbys() {
-            node.server.archive_store().remove_mirror(standby.archive_store());
-            standby.archive_store().seal_mirror_input();
-        }
         // The primary "crashes": volatile state evaporates; the forced
         // intents of its open link/unlink branches survive in whatever log
         // prefix reached the standby, for the promotion to settle.
         node.server.simulate_crash();
 
-        let standby = replication.promote_target();
-        let promoted = Database::clone(standby);
-        let promoted_archive = Arc::clone(standby.archive_store());
+        let promoted = Database::clone(replication.promote_target());
         let FileServerNode {
             name,
             fs,
+            archive,
             dlfm_cfg,
             dlfs_cfg,
             replicas,
@@ -1337,7 +1337,6 @@ impl DataLinksSystem {
             server: old_server,
             ..
         } = node;
-        let crashed_archive = Arc::clone(old_server.archive_store());
         let repo_env = old_server.repository().db().env().clone();
         drop(old_server);
 
@@ -1345,7 +1344,7 @@ impl DataLinksSystem {
             name: name.clone(),
             fs: Arc::clone(&fs),
             repo_env: promoted.env().clone(),
-            archive: promoted_archive,
+            archive: Arc::clone(&archive),
             dlfm_cfg: dlfm_cfg.clone(),
             dlfs_cfg,
             // One standby became the primary; re-provision the rest fresh
@@ -1371,7 +1370,7 @@ impl DataLinksSystem {
                     name,
                     fs,
                     repo_env,
-                    archive: crashed_archive,
+                    archive,
                     dlfm_cfg,
                     dlfs_cfg,
                     replicas,
@@ -1537,7 +1536,7 @@ impl DataLinksSystem {
             });
             let mut pending = node.server.pending_host_txns();
             pending.sort_unstable();
-            for (txid, _prepared) in pending {
+            for txid in pending {
                 let commit = node.server.resolve_client_loss(txid);
                 report.in_doubt_resolved.push((name.clone(), txid, commit));
             }
@@ -1680,19 +1679,11 @@ impl DataLinksSystem {
             let _ = repo_env.apply_crash_faults();
             // Standby daemons die with the node; recovery re-provisions
             // fresh standbys of the recovered primary (NodeParts.replicas).
-            // Detach the dead standbys' archive mirrors from the surviving
-            // primary store, or every crash/recover cycle would leave it
-            // forwarding into (and retaining) one more set of dead stores.
-            if let Some(replication) = &node.replication {
-                for standby in replication.standbys() {
-                    node.server.archive_store().remove_mirror(standby.archive_store());
-                }
-            }
             parts.push(NodeParts {
                 name: node.name,
                 fs: node.fs,
                 repo_env,
-                archive: Arc::clone(node.server.archive_store()),
+                archive: node.archive,
                 dlfm_cfg: node.dlfm_cfg,
                 dlfs_cfg: node.dlfs_cfg,
                 replicas: node.replicas,

@@ -15,16 +15,25 @@
 //! file's archive job is in flight, new update requests to it are blocked
 //! (the DLFM server consults [`ArchiveStore::is_archiving`]).
 //!
-//! Like a physical archive device, the store survives simulated crashes:
-//! the crash harness keeps the `Arc<ArchiveStore>` alive while dropping the
-//! daemons and databases.
+//! Like a physical archive device, the store lives outside the file server
+//! that writes it: it survives simulated crashes (the crash harness keeps
+//! the `Arc<ArchiveStore>` alive while dropping the daemons and databases),
+//! and one store serves a node's primary and all of its standbys — a
+//! standby reads the versions where the primary put them.
+//!
+//! **One writer at a time.** Each DLFM server takes the next *writer
+//! generation* when it is built ([`ArchiveStore::take_generation`]), which
+//! fences whoever wrote before it, and stamps every mutation with it. A
+//! mutation stamped with an older generation — a deposed primary's late
+//! archive job, which reads the file lazily from the shared disk — is
+//! dropped under the store lock. Reads are not fenced.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// One archived version of one file.
 #[derive(Debug, Clone)]
@@ -37,8 +46,10 @@ pub struct ArchivedVersion {
 
 #[derive(Default)]
 struct StoreInner {
-    /// path -> versions ordered by insertion (version ascending).
-    versions: HashMap<String, Vec<ArchivedVersion>>,
+    /// path -> versions ordered by insertion (version ascending). Shared,
+    /// so a read holds the store lock for a pointer copy and copies the
+    /// bytes after releasing it: the node's standbys all read this store.
+    versions: HashMap<String, Vec<Arc<ArchivedVersion>>>,
     /// Files with an archive job in flight.
     archiving: HashMap<String, u64>,
     /// Jobs whose in-flight marker has cleared but whose completion
@@ -46,18 +57,9 @@ struct StoreInner {
     settling: usize,
     /// In-flight (dirty, rolled-back) images moved aside at recovery.
     quarantine: Vec<(String, Vec<u8>)>,
-    /// Mirror stores (replica archives): every content mutation — `put`,
-    /// `prune_to_latest`, `forget` — is forwarded so file bytes travel
-    /// with the replicated metadata. Transient job state (`archiving`,
-    /// `quarantine`) is primary-local and not mirrored.
-    mirrors: Vec<Arc<ArchiveStore>>,
-    /// Promotion fence: once set, inbound mirror-forwarded mutations are
-    /// dropped. Checked under this same lock, so after
-    /// [`ArchiveStore::seal_mirror_input`] returns, no in-flight forward
-    /// from a deposed primary can still land (forwarding snapshots the
-    /// mirror list outside the sender's lock, so sender-side
-    /// `remove_mirror` alone would race).
-    mirror_input_sealed: bool,
+    /// The current writer generation: mutations stamped with any other
+    /// are dropped.
+    writer: u64,
 }
 
 /// The versioned archive store.
@@ -65,23 +67,6 @@ struct StoreInner {
 pub struct ArchiveStore {
     inner: Mutex<StoreInner>,
     done: Condvar,
-    /// Orders content *mutators* (`put`/`prune_to_latest`/`forget`)
-    /// across their local change **and** the mirror forwarding that
-    /// follows — but only **per path**: mutations of the same file can
-    /// never reach a mirror in the opposite order they took effect
-    /// locally (e.g. an archive job's `put` landing after the unlink's
-    /// `forget` that deleted the file), while a large-file replica copy
-    /// of one path no longer serializes unrelated archive mutations the
-    /// way the old store-wide mutator lock did. Readers and the inbound
-    /// `mirror_*` side use only `inner`, so a slow forward blocks
-    /// neither; mirrors never forward further, so holding a sender's
-    /// path lock across `mirror_put` cannot chain.
-    path_order: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-    /// Mirror *membership* order: `add_mirror`/`remove_mirror` hold it
-    /// exclusively (their backfill/detach must order against mutations of
-    /// every path), per-path mutators hold it shared. This is the piece
-    /// of the old store-wide lock that genuinely had to stay global.
-    mirror_membership: RwLock<()>,
 }
 
 impl ArchiveStore {
@@ -89,117 +74,55 @@ impl ArchiveStore {
         Self::default()
     }
 
-    /// The order lock for `path`'s mutations (created on first use).
-    fn path_lock(&self, path: &str) -> Arc<Mutex<()>> {
-        let mut map = self.path_order.lock();
-        Arc::clone(map.entry(path.to_string()).or_default())
+    /// Takes the next writer generation. From here on every mutation
+    /// stamped with an earlier one is dropped, and the previous writer's
+    /// in-flight markers are cleared: a job it left queued must not keep
+    /// the new writer's write opens `Busy`.
+    pub fn take_generation(&self) -> u64 {
+        let mut inner = self.inner.lock();
+        inner.writer += 1;
+        inner.archiving.clear();
+        self.done.notify_all();
+        inner.writer
     }
 
-    /// Drops `path`'s order lock if nobody else holds a handle to it
-    /// (called after a `forget`, so the map does not grow with dead
-    /// paths). Racing acquirers keep the lock alive — worst case the
-    /// entry survives until the next forget.
-    fn gc_path_lock(&self, path: &str) {
-        let mut map = self.path_order.lock();
-        if let Some(lock) = map.get(path) {
-            if Arc::strong_count(lock) == 1 {
-                map.remove(path);
-            }
-        }
+    /// The store for a mutation by `writer`; `None` once a newer writer
+    /// has taken over.
+    fn writable(&self, writer: u64) -> Option<MutexGuard<'_, StoreInner>> {
+        let inner = self.inner.lock();
+        (inner.writer == writer).then_some(inner)
     }
 
-    /// The store-local insert shared by `put` and `mirror_put`.
-    fn put_locked(inner: &mut StoreInner, path: &str, version: u64, state_id: u64, data: Vec<u8>) {
+    /// Stores a version on behalf of `writer`. Idempotent per
+    /// (path, version).
+    pub fn put(&self, writer: u64, path: &str, version: u64, state_id: u64, data: Vec<u8>) {
+        let Some(mut inner) = self.writable(writer) else { return };
         let versions = inner.versions.entry(path.to_string()).or_default();
         if !versions.iter().any(|v| v.version == version) {
-            versions.push(ArchivedVersion { version, state_id, data });
+            versions.push(Arc::new(ArchivedVersion { version, state_id, data }));
             versions.sort_by_key(|v| v.version);
         }
     }
 
-    /// Synchronously stores a version. Idempotent per (path, version).
-    /// Mirror forwarding happens outside the reader-visible lock so a slow
-    /// replica copy never blocks readers of this store; the payload is
-    /// cloned only when mirrors actually exist.
-    pub fn put(&self, path: &str, version: u64, state_id: u64, data: Vec<u8>) {
-        let _membership = self.mirror_membership.read();
-        let order = self.path_lock(path);
-        let _order = order.lock();
-        let mirrors = self.inner.lock().mirrors.clone();
-        if mirrors.is_empty() {
-            Self::put_locked(&mut self.inner.lock(), path, version, state_id, data);
-            return;
-        }
-        Self::put_locked(&mut self.inner.lock(), path, version, state_id, data.clone());
-        for mirror in &mirrors {
-            mirror.mirror_put(path, version, state_id, data.clone());
-        }
-    }
-
-    /// Inbound side of mirror forwarding: like `put`, but dropped once the
-    /// store is sealed, and never forwarded further (one level of
-    /// fan-out). The seal check happens under this store's lock, so it
-    /// cannot race [`ArchiveStore::seal_mirror_input`].
-    fn mirror_put(&self, path: &str, version: u64, state_id: u64, data: Vec<u8>) {
-        let mut inner = self.inner.lock();
-        if inner.mirror_input_sealed {
-            return;
-        }
-        Self::put_locked(&mut inner, path, version, state_id, data);
-    }
-
-    /// Registers `mirror` as a replica of this store: every future
-    /// `put`/`prune`/`forget` is forwarded, and current contents are
-    /// backfilled (registration-before-backfill plus idempotent `put`
-    /// means a concurrent archive job cannot slip between the two).
-    /// Mirrors never forward further (one level of fan-out).
-    pub fn add_mirror(&self, mirror: Arc<ArchiveStore>) {
-        let _membership = self.mirror_membership.write();
-        let backfill: Vec<(String, Vec<ArchivedVersion>)> = {
-            let mut inner = self.inner.lock();
-            inner.mirrors.push(Arc::clone(&mirror));
-            inner.versions.iter().map(|(p, v)| (p.clone(), v.clone())).collect()
-        };
-        for (path, versions) in backfill {
-            for v in versions {
-                mirror.mirror_put(&path, v.version, v.state_id, v.data);
-            }
-        }
-    }
-
-    /// Detaches a mirror on the *sender* side (stops future forwards; an
-    /// already-snapshotted in-flight forward is stopped by the receiver's
-    /// seal instead).
-    pub fn remove_mirror(&self, mirror: &Arc<ArchiveStore>) {
-        let _membership = self.mirror_membership.write();
-        self.inner.lock().mirrors.retain(|m| !Arc::ptr_eq(m, mirror));
-    }
-
-    /// Promotion fence on the *receiver* side: after this returns, no
-    /// mirror-forwarded mutation — even one already past the sender's
-    /// mirror-list snapshot — can reach this store. Local `put`s (the new
-    /// primary's own archiver) are unaffected.
-    pub fn seal_mirror_input(&self) {
-        self.inner.lock().mirror_input_sealed = true;
-    }
-
     /// The newest archived version of `path`.
     pub fn latest(&self, path: &str) -> Option<ArchivedVersion> {
-        let inner = self.inner.lock();
-        inner.versions.get(path).and_then(|v| v.last().cloned())
+        let found = self.inner.lock().versions.get(path)?.last().cloned();
+        found.map(|v| ArchivedVersion::clone(&v))
     }
 
     /// A specific version of `path`.
     pub fn get(&self, path: &str, version: u64) -> Option<ArchivedVersion> {
-        let inner = self.inner.lock();
-        inner.versions.get(path).and_then(|v| v.iter().find(|av| av.version == version).cloned())
+        let found =
+            self.inner.lock().versions.get(path)?.iter().find(|v| v.version == version).cloned();
+        found.map(|v| ArchivedVersion::clone(&v))
     }
 
     /// The newest version whose state identifier is ≤ `state_id` — the
     /// coordinated point-in-time restore lookup.
     pub fn version_at_state(&self, path: &str, state_id: u64) -> Option<ArchivedVersion> {
-        let inner = self.inner.lock();
-        inner.versions.get(path)?.iter().rfind(|v| v.state_id <= state_id).cloned()
+        let found =
+            self.inner.lock().versions.get(path)?.iter().rfind(|v| v.state_id <= state_id).cloned();
+        found.map(|v| ArchivedVersion::clone(&v))
     }
 
     /// All versions of `path` (diagnostics, EXPERIMENTS harness).
@@ -214,58 +137,28 @@ impl ArchiveStore {
 
     /// Drops all versions older than the newest (files linked *without* the
     /// recovery option keep only the last committed image).
-    fn prune_locked(inner: &mut StoreInner, path: &str) {
+    pub fn prune_to_latest(&self, writer: u64, path: &str) {
+        let Some(mut inner) = self.writable(writer) else { return };
         if let Some(versions) = inner.versions.get_mut(path) {
             if versions.len() > 1 {
-                let last = versions.pop().expect("non-empty");
-                versions.clear();
-                versions.push(last);
-            }
-        }
-    }
-
-    pub fn prune_to_latest(&self, path: &str) {
-        let _membership = self.mirror_membership.read();
-        let order = self.path_lock(path);
-        let _order = order.lock();
-        let mirrors = {
-            let mut inner = self.inner.lock();
-            Self::prune_locked(&mut inner, path);
-            inner.mirrors.clone()
-        };
-        for mirror in &mirrors {
-            let mut inner = mirror.inner.lock();
-            if !inner.mirror_input_sealed {
-                Self::prune_locked(&mut inner, path);
+                versions.drain(..versions.len() - 1);
             }
         }
     }
 
     /// Forgets a file entirely (after unlink with ON UNLINK DELETE).
-    pub fn forget(&self, path: &str) {
-        let _membership = self.mirror_membership.read();
-        {
-            let order = self.path_lock(path);
-            let _order = order.lock();
-            let mirrors = {
-                let mut inner = self.inner.lock();
-                inner.versions.remove(path);
-                inner.mirrors.clone()
-            };
-            for mirror in &mirrors {
-                let mut inner = mirror.inner.lock();
-                if !inner.mirror_input_sealed {
-                    inner.versions.remove(path);
-                }
-            }
+    pub fn forget(&self, writer: u64, path: &str) {
+        if let Some(mut inner) = self.writable(writer) {
+            inner.versions.remove(path);
         }
-        self.gc_path_lock(path);
     }
 
     /// Moves a rolled-back in-flight image aside (§4.2: "the in-flight
     /// version of the file is moved to a temporary directory").
-    pub fn quarantine(&self, path: &str, data: Vec<u8>) {
-        self.inner.lock().quarantine.push((path.to_string(), data));
+    pub fn quarantine(&self, writer: u64, path: &str, data: Vec<u8>) {
+        if let Some(mut inner) = self.writable(writer) {
+            inner.quarantine.push((path.to_string(), data));
+        }
     }
 
     /// Quarantined images (diagnostics).
@@ -284,21 +177,22 @@ impl ArchiveStore {
 
     // --- async-archiving bookkeeping ---------------------------------------
 
-    /// Marks `path` as having an archive job in flight for `version`.
-    pub fn begin_archiving(&self, path: &str, version: u64) {
-        self.inner.lock().archiving.insert(path.to_string(), version);
-    }
-
-    fn end_archiving(&self, path: &str) {
-        self.inner.lock().archiving.remove(path);
-        self.done.notify_all();
+    /// Marks `path` as having an archive job of `writer`'s in flight for
+    /// `version`.
+    pub fn begin_archiving(&self, writer: u64, path: &str, version: u64) {
+        if let Some(mut inner) = self.writable(writer) {
+            inner.archiving.insert(path.to_string(), version);
+        }
     }
 
     /// Withdraws an in-flight marker set by [`ArchiveStore::begin_archiving`]
     /// without a completed job (the close path pre-marks before its commit
     /// so no update can sneak in guard-free; a failed commit takes it back).
-    pub fn cancel_archiving(&self, path: &str) {
-        self.end_archiving(path);
+    pub fn cancel_archiving(&self, writer: u64, path: &str) {
+        if let Some(mut inner) = self.writable(writer) {
+            inner.archiving.remove(path);
+            self.done.notify_all();
+        }
     }
 
     /// Is an archive job in flight for `path`? New updates must wait (§4.4).
@@ -306,14 +200,18 @@ impl ArchiveStore {
         self.inner.lock().archiving.contains_key(path)
     }
 
-    /// Clears `path`'s in-flight marker on behalf of a job whose
+    /// Clears `path`'s in-flight marker on behalf of `writer`'s job, whose
     /// completion callback runs next; [`ArchiveStore::wait_archived`]
     /// keeps waiting until the matching [`ArchiveStore::end_settling`].
-    fn begin_settling(&self, path: &str) {
-        let mut inner = self.inner.lock();
+    /// Returns `false` — and does neither — for a deposed writer's job: its
+    /// marker went with its generation, and its callback writes only to
+    /// the deposed writer's repository.
+    fn begin_settling(&self, writer: u64, path: &str) -> bool {
+        let Some(mut inner) = self.writable(writer) else { return false };
         inner.archiving.remove(path);
         inner.settling += 1;
         self.done.notify_all();
+        true
     }
 
     fn end_settling(&self) {
@@ -354,11 +252,12 @@ pub type ContentSource = Arc<dyn Fn(&str) -> Option<Vec<u8>> + Send + Sync>;
 /// Invoked with (path, version) after an archive job settles — successful
 /// or not — and the file's in-flight marker has cleared (so a waiter woken
 /// by the callback observes `is_archiving == false`). The job may have
-/// stored nothing (e.g. the content source failed), so a callback that
-/// acts on success must check the store first. The DLFM server uses it to
-/// eagerly clear `needs_archive` in the repository — store- and
-/// version-guarded, since by the time it runs a newer update may already
-/// be in flight — and to wake writers blocked on the in-flight archive.
+/// stored nothing (e.g. the content source failed, or a newer writer
+/// fenced it), so a callback that acts on success must check the store
+/// first. The DLFM server uses it to eagerly clear `needs_archive` in the
+/// repository — store- and version-guarded, since by the time it runs a
+/// newer update may already be in flight — and to wake writers blocked on
+/// the in-flight archive.
 pub type ArchiveCompletion = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 enum Msg {
@@ -366,80 +265,72 @@ enum Msg {
     Shutdown,
 }
 
+/// What the worker thread and the synchronous path share.
+struct Worker {
+    store: Arc<ArchiveStore>,
+    writer: u64,
+    source: ContentSource,
+    on_complete: ArchiveCompletion,
+}
+
+impl Worker {
+    /// Stores one job's content and runs the completion callback, honouring
+    /// the completion contract on both paths: store holds the version,
+    /// in-flight marker cleared, THEN the callback — so callback-driven
+    /// wakeups observe the job as finished.
+    fn run(&self, mut job: ArchiveJob) {
+        if let Some(data) = job.data.take().or_else(|| (self.source)(&job.path)) {
+            self.store.put(self.writer, &job.path, job.version, job.state_id, data);
+            if job.prune {
+                self.store.prune_to_latest(self.writer, &job.path);
+            }
+        }
+        let settling = self.store.begin_settling(self.writer, &job.path);
+        // Unconditionally: even a job that stored nothing must wake waiters
+        // blocked on the (now cleared) in-flight marker.
+        (self.on_complete)(&job.path, job.version);
+        if settling {
+            self.store.end_settling();
+        }
+    }
+}
+
 /// Asynchronous archiver daemon: a worker thread draining a job queue.
 pub struct Archiver {
     tx: Sender<Msg>,
     handle: Option<JoinHandle<()>>,
-    store: Arc<ArchiveStore>,
-    source: Option<ContentSource>,
-    on_complete: Option<ArchiveCompletion>,
-}
-
-/// Stores one job's content and runs the completion callback; shared by the
-/// async worker and the synchronous path so both honour the completion
-/// contract (store holds the version, in-flight marker cleared, THEN the
-/// callback — so callback-driven wakeups observe the job as finished).
-fn run_job(
-    store: &ArchiveStore,
-    source: &Option<ContentSource>,
-    on_complete: &Option<ArchiveCompletion>,
-    mut job: ArchiveJob,
-) {
-    let data = job.data.take().or_else(|| source.as_ref().and_then(|src| src(&job.path)));
-    if let Some(data) = data {
-        store.put(&job.path, job.version, job.state_id, data);
-        if job.prune {
-            store.prune_to_latest(&job.path);
-        }
-    }
-    store.begin_settling(&job.path);
-    // Unconditionally: even a job that stored nothing must wake waiters
-    // blocked on the (now cleared) in-flight marker.
-    if let Some(cb) = on_complete {
-        cb(&job.path, job.version);
-    }
-    store.end_settling();
+    worker: Arc<Worker>,
 }
 
 impl Archiver {
-    /// Spawns the worker without a content source (jobs must carry data).
-    pub fn spawn(store: Arc<ArchiveStore>) -> Archiver {
-        Self::spawn_with_source(store, None)
-    }
-
-    /// Spawns the worker with a content source for lazy reads.
-    pub fn spawn_with_source(store: Arc<ArchiveStore>, source: Option<ContentSource>) -> Archiver {
-        Self::spawn_with(store, source, None)
-    }
-
-    /// Spawns the worker with a content source and a completion callback.
-    pub fn spawn_with(
+    /// Spawns the worker. Every mutation it makes carries `writer`, the
+    /// owning server's generation on `store`; `source` reads the file for
+    /// jobs that carry no data, and `on_complete` runs after each job.
+    pub fn spawn(
         store: Arc<ArchiveStore>,
-        source: Option<ContentSource>,
-        on_complete: Option<ArchiveCompletion>,
+        writer: u64,
+        source: ContentSource,
+        on_complete: ArchiveCompletion,
     ) -> Archiver {
         let (tx, rx) = channel::<Msg>();
-        let worker_store = Arc::clone(&store);
-        let worker_source = source.clone();
-        let worker_complete = on_complete.clone();
+        let worker = Arc::new(Worker { store, writer, source, on_complete });
+        let thread_worker = Arc::clone(&worker);
         let handle = std::thread::Builder::new()
             .name("dlfm-archiver".into())
             .spawn(move || {
                 while let Ok(Msg::Job(job)) = rx.recv() {
-                    run_job(&worker_store, &worker_source, &worker_complete, *job);
+                    thread_worker.run(*job);
                 }
             })
             .expect("spawn archiver thread");
-        Archiver { tx, handle: Some(handle), store, source, on_complete }
+        Archiver { tx, handle: Some(handle), worker }
     }
 
     /// Enqueues an asynchronous archive job. The file is marked as
     /// archiving *before* this returns, so a subsequent update request
     /// observes the in-flight job and blocks.
     pub fn submit(&self, job: ArchiveJob) {
-        self.store.begin_archiving(&job.path, job.version);
-        // If the worker is gone (shutdown race), archive synchronously: a
-        // lost committed version is never acceptable.
+        self.worker.store.begin_archiving(self.worker.writer, &job.path, job.version);
         if self.tx.send(Msg::Job(Box::new(job))).is_err() {
             unreachable!("archiver queue is unbounded and closed only on drop");
         }
@@ -448,8 +339,8 @@ impl Archiver {
     /// Archives synchronously (used by the `sync_archive` ablation and by
     /// recovery, which must not race the worker).
     pub fn submit_sync(&self, job: ArchiveJob) {
-        self.store.begin_archiving(&job.path, job.version);
-        run_job(&self.store, &self.source, &self.on_complete, job);
+        self.worker.store.begin_archiving(self.worker.writer, &job.path, job.version);
+        self.worker.run(job);
     }
 }
 
@@ -465,12 +356,29 @@ impl Drop for Archiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    fn no_callback() -> ArchiveCompletion {
+        Arc::new(|_: &str, _: u64| {})
+    }
+
+    /// An archiver writing `store` as its current writer; jobs carry their
+    /// data (no content source).
+    fn archiver(store: &Arc<ArchiveStore>, on_complete: ArchiveCompletion) -> Archiver {
+        let writer = store.take_generation();
+        Archiver::spawn(Arc::clone(store), writer, Arc::new(|_: &str| None), on_complete)
+    }
+
+    fn job(path: &str, version: u64, state_id: u64, data: &[u8]) -> ArchiveJob {
+        ArchiveJob { path: path.into(), version, state_id, data: Some(data.to_vec()), prune: false }
+    }
 
     #[test]
     fn put_get_latest() {
         let store = ArchiveStore::new();
-        store.put("/f", 1, 100, b"v1".to_vec());
-        store.put("/f", 2, 200, b"v2".to_vec());
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 100, b"v1".to_vec());
+        store.put(w, "/f", 2, 200, b"v2".to_vec());
         assert_eq!(store.latest("/f").unwrap().data, b"v2");
         assert_eq!(store.get("/f", 1).unwrap().data, b"v1");
         assert!(store.get("/f", 3).is_none());
@@ -480,8 +388,9 @@ mod tests {
     #[test]
     fn put_is_idempotent_per_version() {
         let store = ArchiveStore::new();
-        store.put("/f", 1, 100, b"original".to_vec());
-        store.put("/f", 1, 999, b"impostor".to_vec());
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 100, b"original".to_vec());
+        store.put(w, "/f", 1, 999, b"impostor".to_vec());
         assert_eq!(store.get("/f", 1).unwrap().data, b"original");
         assert_eq!(store.versions("/f").len(), 1);
     }
@@ -489,9 +398,10 @@ mod tests {
     #[test]
     fn version_at_state_picks_correct_version() {
         let store = ArchiveStore::new();
-        store.put("/f", 1, 100, b"v1".to_vec());
-        store.put("/f", 2, 200, b"v2".to_vec());
-        store.put("/f", 3, 300, b"v3".to_vec());
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 100, b"v1".to_vec());
+        store.put(w, "/f", 2, 200, b"v2".to_vec());
+        store.put(w, "/f", 3, 300, b"v3".to_vec());
         assert_eq!(store.version_at_state("/f", 250).unwrap().version, 2);
         assert_eq!(store.version_at_state("/f", 300).unwrap().version, 3);
         assert_eq!(store.version_at_state("/f", 5000).unwrap().version, 3);
@@ -501,30 +411,26 @@ mod tests {
     #[test]
     fn prune_keeps_only_latest() {
         let store = ArchiveStore::new();
-        store.put("/f", 1, 100, b"v1".to_vec());
-        store.put("/f", 2, 200, b"v2".to_vec());
-        store.prune_to_latest("/f");
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 100, b"v1".to_vec());
+        store.put(w, "/f", 2, 200, b"v2".to_vec());
+        store.prune_to_latest(w, "/f");
         assert_eq!(store.versions("/f"), vec![(2, 200)]);
     }
 
     #[test]
     fn quarantine_records_inflight_images() {
         let store = ArchiveStore::new();
-        store.quarantine("/f", b"dirty bytes".to_vec());
+        let w = store.take_generation();
+        store.quarantine(w, "/f", b"dirty bytes".to_vec());
         assert_eq!(store.quarantined(), vec![("/f".to_string(), 11)]);
     }
 
     #[test]
     fn async_archiver_completes_and_unblocks() {
         let store = Arc::new(ArchiveStore::new());
-        let archiver = Archiver::spawn(Arc::clone(&store));
-        archiver.submit(ArchiveJob {
-            path: "/f".into(),
-            version: 1,
-            state_id: 42,
-            data: Some(b"content".to_vec()),
-            prune: false,
-        });
+        let archiver = archiver(&store, no_callback());
+        archiver.submit(job("/f", 1, 42, b"content"));
         store.wait_archived("/f");
         assert!(!store.is_archiving("/f"));
         assert_eq!(store.latest("/f").unwrap().state_id, 42);
@@ -533,17 +439,11 @@ mod tests {
     #[test]
     fn submit_marks_archiving_immediately() {
         let store = Arc::new(ArchiveStore::new());
-        let archiver = Archiver::spawn(Arc::clone(&store));
+        let archiver = archiver(&store, no_callback());
         // Submit many jobs; at least the begin markers must be visible
         // synchronously (the worker may of course finish fast).
         for v in 1..=20 {
-            archiver.submit(ArchiveJob {
-                path: format!("/f{v}"),
-                version: 1,
-                state_id: v,
-                data: Some(vec![0u8; 1024]),
-                prune: false,
-            });
+            archiver.submit(job(&format!("/f{v}"), 1, v, &[0u8; 1024]));
         }
         for v in 1..=20 {
             store.wait_archived(&format!("/f{v}"));
@@ -554,14 +454,8 @@ mod tests {
     #[test]
     fn sync_submit_is_immediate() {
         let store = Arc::new(ArchiveStore::new());
-        let archiver = Archiver::spawn(Arc::clone(&store));
-        archiver.submit_sync(ArchiveJob {
-            path: "/s".into(),
-            version: 1,
-            state_id: 7,
-            data: Some(b"now".to_vec()),
-            prune: true,
-        });
+        let archiver = archiver(&store, no_callback());
+        archiver.submit_sync(ArchiveJob { prune: true, ..job("/s", 1, 7, b"now") });
         assert!(!store.is_archiving("/s"));
         assert_eq!(store.latest("/s").unwrap().data, b"now");
     }
@@ -572,62 +466,41 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let cb_store = Arc::clone(&store);
         let cb_seen = Arc::clone(&seen);
-        let archiver = Archiver::spawn_with(
-            Arc::clone(&store),
-            None,
-            Some(Arc::new(move |path: &str, version: u64| {
+        let archiver = archiver(
+            &store,
+            Arc::new(move |path: &str, version: u64| {
                 assert!(
                     cb_store.get(path, version).is_some(),
                     "callback must observe the archived version"
                 );
                 cb_seen.lock().push((path.to_string(), version));
-            })),
+            }),
         );
-        archiver.submit(ArchiveJob {
-            path: "/f".into(),
-            version: 3,
-            state_id: 9,
-            data: Some(b"v3".to_vec()),
-            prune: false,
-        });
+        archiver.submit(job("/f", 3, 9, b"v3"));
         // The callback runs after the in-flight marker clears, on the
         // worker thread; `wait_archived` covers it too.
         store.wait_archived("/f");
         assert_eq!(seen.lock().clone(), vec![("/f".to_string(), 3)]);
 
-        archiver.submit_sync(ArchiveJob {
-            path: "/g".into(),
-            version: 1,
-            state_id: 10,
-            data: Some(b"g1".to_vec()),
-            prune: false,
-        });
+        archiver.submit_sync(job("/g", 1, 10, b"g1"));
         assert_eq!(seen.lock().len(), 2, "sync path honours the callback too");
     }
 
     #[test]
     fn wait_archived_outlasts_the_completion_callback() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::mpsc;
         let store = Arc::new(ArchiveStore::new());
         let (entered_tx, entered) = mpsc::channel();
         let (go, gate) = mpsc::channel::<()>();
         let gate = Mutex::new(gate);
-        let archiver = Archiver::spawn_with(
-            Arc::clone(&store),
-            None,
-            Some(Arc::new(move |_: &str, _: u64| {
+        let archiver = archiver(
+            &store,
+            Arc::new(move |_: &str, _: u64| {
                 entered_tx.send(()).unwrap();
                 let _ = gate.lock().recv();
-            })),
+            }),
         );
-        archiver.submit(ArchiveJob {
-            path: "/f".into(),
-            version: 1,
-            state_id: 1,
-            data: Some(b"v1".to_vec()),
-            prune: false,
-        });
+        archiver.submit(job("/f", 1, 1, b"v1"));
         entered.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         // Inside the callback the marker is already clear (what epoch
         // waiters rely on), yet a drain must keep waiting.
@@ -648,8 +521,9 @@ mod tests {
     #[test]
     fn forget_removes_all_versions() {
         let store = ArchiveStore::new();
-        store.put("/f", 1, 1, b"x".to_vec());
-        store.forget("/f");
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 1, b"x".to_vec());
+        store.forget(w, "/f");
         assert!(store.latest("/f").is_none());
     }
 
@@ -661,17 +535,18 @@ mod tests {
         // is what blocks concurrent writers — and the subsequently stored
         // version must land next to the survivor.
         let store = ArchiveStore::new();
-        store.put("/f", 1, 100, b"v1".to_vec());
-        store.put("/f", 2, 200, b"v2".to_vec());
-        store.begin_archiving("/f", 3);
+        let w = store.take_generation();
+        store.put(w, "/f", 1, 100, b"v1".to_vec());
+        store.put(w, "/f", 2, 200, b"v2".to_vec());
+        store.begin_archiving(w, "/f", 3);
 
-        store.prune_to_latest("/f");
+        store.prune_to_latest(w, "/f");
         assert_eq!(store.versions("/f"), vec![(2, 200)], "stored versions pruned to latest");
         assert!(store.is_archiving("/f"), "in-flight marker survives the prune");
 
         // The in-flight job completes; its version joins the pruned set.
-        store.put("/f", 3, 300, b"v3".to_vec());
-        store.end_archiving("/f");
+        store.put(w, "/f", 3, 300, b"v3".to_vec());
+        store.cancel_archiving(w, "/f");
         assert_eq!(store.versions("/f"), vec![(2, 200), (3, 300)]);
         assert!(!store.is_archiving("/f"));
     }
@@ -679,10 +554,11 @@ mod tests {
     #[test]
     fn quarantine_round_trips_bytes() {
         let store = ArchiveStore::new();
+        let w = store.take_generation();
         assert!(store.quarantined_data("/f").is_none(), "nothing quarantined yet");
-        store.quarantine("/f", b"first dirty".to_vec());
-        store.quarantine("/g", b"other file".to_vec());
-        store.quarantine("/f", b"second dirty".to_vec());
+        store.quarantine(w, "/f", b"first dirty".to_vec());
+        store.quarantine(w, "/g", b"other file".to_vec());
+        store.quarantine(w, "/f", b"second dirty".to_vec());
         // Round-trip: the bytes come back, newest image per path wins.
         assert_eq!(store.quarantined_data("/f").unwrap(), b"second dirty");
         assert_eq!(store.quarantined_data("/g").unwrap(), b"other file");
@@ -696,106 +572,78 @@ mod tests {
     #[test]
     fn version_at_state_on_empty_history() {
         let store = ArchiveStore::new();
+        let w = store.take_generation();
         // Never-archived path: no history at all.
         assert!(store.version_at_state("/f", u64::MAX).is_none());
         // A path whose history emptied out (forget) behaves the same.
-        store.put("/f", 1, 100, b"v1".to_vec());
-        store.forget("/f");
+        store.put(w, "/f", 1, 100, b"v1".to_vec());
+        store.forget(w, "/f");
         assert!(store.version_at_state("/f", u64::MAX).is_none());
         assert!(store.version_at_state("/f", 0).is_none());
     }
 
     #[test]
-    fn mirror_receives_existing_and_future_content() {
-        let primary = Arc::new(ArchiveStore::new());
-        let mirror = Arc::new(ArchiveStore::new());
-        primary.put("/f", 1, 100, b"v1".to_vec());
-
-        primary.add_mirror(Arc::clone(&mirror));
-        assert_eq!(mirror.get("/f", 1).unwrap().data, b"v1", "backfill on registration");
-
-        primary.put("/f", 2, 200, b"v2".to_vec());
-        assert_eq!(mirror.latest("/f").unwrap().version, 2, "forwarded put");
-
-        primary.prune_to_latest("/f");
-        assert_eq!(mirror.versions("/f"), vec![(2, 200)], "forwarded prune");
-
-        primary.forget("/f");
-        assert!(mirror.latest("/f").is_none(), "forwarded forget");
-
-        // Detach (failover fencing): later puts no longer forward.
-        primary.remove_mirror(&mirror);
-        primary.put("/g", 1, 300, b"post-detach".to_vec());
-        assert!(mirror.latest("/g").is_none(), "detached mirror receives nothing");
-    }
-
-    #[test]
-    fn concurrent_per_path_mutators_keep_mirror_convergent() {
-        // The store-wide mutator lock became per-path ordering: unrelated
-        // paths now mutate concurrently, but mutations of one path must
-        // still reach the mirror in local order — a forget can never be
-        // overtaken by the put it followed (the resurrection bug the
-        // ordering exists to prevent). Hammer puts/prunes/forgets across
-        // disjoint paths from many threads and require primary and mirror
-        // to agree exactly at the end.
-        let primary = Arc::new(ArchiveStore::new());
-        let mirror = Arc::new(ArchiveStore::new());
-        primary.add_mirror(Arc::clone(&mirror));
-        let threads = 8;
-        let rounds = 40;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let primary = Arc::clone(&primary);
-                scope.spawn(move || {
-                    let path = format!("/f{t}");
-                    for round in 0..rounds {
-                        for v in 1..=3u64 {
-                            primary.put(&path, round * 10 + v, round, vec![t as u8; 2048]);
-                        }
-                        if round % 3 == 0 {
-                            primary.prune_to_latest(&path);
-                        }
-                        if round % 5 == 0 {
-                            primary.forget(&path);
-                        }
-                    }
-                    primary.put(&path, 9_999, 9_999, vec![t as u8; 16]);
-                });
-            }
-        });
-        for t in 0..threads {
-            let path = format!("/f{t}");
-            assert_eq!(
-                primary.versions(&path),
-                mirror.versions(&path),
-                "mirror diverged on {path}"
-            );
-            assert_eq!(mirror.get(&path, 9_999).unwrap().data, vec![t as u8; 16]);
-        }
-    }
-
-    #[test]
-    fn forget_gc_keeps_path_order_map_bounded() {
+    fn a_deposed_writer_changes_nothing() {
         let store = ArchiveStore::new();
-        for i in 0..100 {
-            let path = format!("/tmp{i}");
-            store.put(&path, 1, 1, b"x".to_vec());
-            store.forget(&path);
-        }
-        assert!(
-            store.path_order.lock().len() < 100,
-            "forget must garbage-collect per-path order locks"
-        );
+        let old = store.take_generation();
+        store.put(old, "/f", 1, 100, b"v1".to_vec());
+        store.put(old, "/f", 2, 200, b"v2".to_vec());
+        store.begin_archiving(old, "/f", 3);
+        store.begin_archiving(old, "/g", 1);
+
+        // A new writer takes over, and the old one's markers go with it.
+        let new = store.take_generation();
+        assert!(!store.is_archiving("/f") && !store.is_archiving("/g"));
+        store.wait_archived("/f");
+
+        // Every mutation the deposed writer still makes is dropped.
+        store.put(old, "/f", 3, 300, b"late".to_vec());
+        store.put(old, "/h", 1, 100, b"late".to_vec());
+        store.prune_to_latest(old, "/f");
+        store.forget(old, "/f");
+        store.quarantine(old, "/f", b"dirty".to_vec());
+        store.begin_archiving(old, "/f", 4);
+        assert_eq!(store.versions("/f"), vec![(1, 100), (2, 200)]);
+        assert!(store.latest("/h").is_none());
+        assert!(store.quarantined().is_empty());
+        assert!(!store.is_archiving("/f"));
+
+        // Nor can it withdraw the current writer's marker.
+        store.begin_archiving(new, "/f", 3);
+        store.cancel_archiving(old, "/f");
+        assert!(store.is_archiving("/f"));
+        store.put(new, "/f", 3, 300, b"v3".to_vec());
+        store.cancel_archiving(new, "/f");
+        assert!(!store.is_archiving("/f"));
+        assert_eq!(store.get("/f", 3).unwrap().data, b"v3");
     }
 
     #[test]
-    fn mirror_does_not_see_transient_job_state() {
-        let primary = Arc::new(ArchiveStore::new());
-        let mirror = Arc::new(ArchiveStore::new());
-        primary.add_mirror(Arc::clone(&mirror));
-        primary.begin_archiving("/f", 1);
-        primary.quarantine("/f", b"dirty".to_vec());
-        assert!(!mirror.is_archiving("/f"));
-        assert!(mirror.quarantined().is_empty());
+    fn a_deposed_archivers_queued_job_lands_nothing() {
+        // The deposed archiver's job is stuck reading the file when a new
+        // writer takes over; released, it must neither store its bytes nor
+        // clear the marker the new writer set meanwhile.
+        let store = Arc::new(ArchiveStore::new());
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let deposed = Archiver::spawn(
+            Arc::clone(&store),
+            store.take_generation(),
+            Arc::new(move |_: &str| {
+                let _ = gate.lock().recv();
+                Some(b"read after the takeover".to_vec())
+            }),
+            no_callback(),
+        );
+        deposed.submit(ArchiveJob { data: None, ..job("/f", 2, 20, b"") });
+        assert!(store.is_archiving("/f"));
+
+        let current = store.take_generation();
+        assert!(!store.is_archiving("/f"), "the takeover clears the deposed job's marker");
+        store.begin_archiving(current, "/f", 3);
+        release.send(()).unwrap();
+        drop(deposed); // joins the worker once it has run the job
+        assert!(store.latest("/f").is_none(), "the deposed job's bytes landed");
+        assert!(store.is_archiving("/f"), "the deposed job cleared the current writer's marker");
     }
 }

@@ -200,8 +200,6 @@ struct SubTxn {
     /// what the settle rule asks the host about, and whose intents the
     /// decision clears.
     files: Vec<(String, BranchOp)>,
-    /// The coordinator asked for the vote (which the intents already cast).
-    prepared: bool,
 }
 
 /// Decision returned by the open check.
@@ -297,6 +295,10 @@ pub struct DlfmServer {
     cfg: DlfmConfig,
     repo: Arc<Repository>,
     archive: Arc<ArchiveStore>,
+    /// This server's writer generation on `archive`, stamped on every
+    /// mutation it and its archiver make: a newer server on the same store
+    /// (a promoted standby, a recovered node) fences this one.
+    generation: u64,
     archiver: Archiver,
     /// Root-credentialed logical FS over the *raw* physical file system.
     admin: Lfs,
@@ -326,9 +328,10 @@ impl DlfmServer {
     /// Creates a server over the raw physical file system `fs`, with its
     /// repository in `repo` — opened by the caller under
     /// [`DlfmConfig::db`] from its disks, or a standby promoted in place —
-    /// and a (possibly pre-existing) archive store. Whatever the
-    /// repository holds is brought to the host's rows by
-    /// [`DlfmServer::recover`], before the node serves anyone.
+    /// and the node's archive store — pre-existing or new, it takes the
+    /// store's next writer generation, which fences every server that wrote
+    /// it before. Whatever the repository holds is brought to the host's
+    /// rows by [`DlfmServer::recover`], before the node serves anyone.
     pub fn new(
         cfg: DlfmConfig,
         fs: Arc<dyn FileSystem>,
@@ -336,6 +339,7 @@ impl DlfmServer {
         archive: Arc<ArchiveStore>,
         clock: Arc<dyn Clock>,
     ) -> Result<DlfmServer, String> {
+        let generation = archive.take_generation();
         let repo = Arc::new(Repository::new(repo).map_err(|e| e.to_string())?);
         let sync_epoch = Arc::new(SyncEpoch::default());
         let source_fs = Lfs::new(Arc::clone(&fs));
@@ -359,13 +363,14 @@ impl DlfmServer {
                 }
                 cb_epoch.bump();
             });
-        let archiver = Archiver::spawn_with(Arc::clone(&archive), Some(source), Some(on_complete));
+        let archiver = Archiver::spawn(Arc::clone(&archive), generation, source, on_complete);
         let flight_source = format!("dlfm.{}", cfg.server_name);
         let flight_ring_capacity = cfg.flight_ring_capacity;
         Ok(DlfmServer {
             cfg,
             repo,
             archive,
+            generation,
             archiver,
             admin: Lfs::new(fs),
             clock,
@@ -448,13 +453,12 @@ impl DlfmServer {
         Ok(())
     }
 
-    /// Host transactions with live sub-transaction state on this server,
-    /// as `(host_txid, prepared)`. The promoted coordinator walks this
-    /// after a host failover and settles each by the replicated metadata
-    /// rows (presumed abort when no decision shipped; an unprepared one
-    /// cannot have committed).
-    pub fn pending_host_txns(&self) -> Vec<(u64, bool)> {
-        self.pending.lock().iter().map(|(txid, cell)| (*txid, cell.lock().prepared)).collect()
+    /// Host transactions with live sub-transaction state on this server.
+    /// The promoted coordinator walks this after a host failover and
+    /// settles each by the replicated metadata rows (presumed abort when
+    /// no decision shipped).
+    pub fn pending_host_txns(&self) -> Vec<u64> {
+        self.pending.lock().keys().copied().collect()
     }
 
     /// Size and mtime of a file on this server (engine metadata
@@ -465,7 +469,7 @@ impl DlfmServer {
 
     /// Reads a *linked* file's **last committed** bytes with DLFM's own
     /// credentials — the primary arm of the routed read path (replicas
-    /// serve the same request from their mirrored archive). Token
+    /// serve the same request from the same archive store). Token
     /// validation is the caller's job; unlinked paths are refused.
     ///
     /// The archive copy of `cur_version` is preferred over the live file:
@@ -521,7 +525,6 @@ impl DlfmServer {
                         undo: Vec::new(),
                         deferred: Vec::new(),
                         files: Vec::new(),
-                        prepared: false,
                     }));
                     pending.insert(host_txid, Arc::clone(&cell));
                     (cell, true)
@@ -689,10 +692,9 @@ impl DlfmServer {
     /// lost (a file-server failover) or already settled — and a yes for it
     /// would let the host commit rows with no file state behind them.
     pub fn prepare_host(&self, host_txid: u64) -> Result<(), String> {
-        let cell = self.pending.lock().get(&host_txid).cloned().ok_or_else(|| {
-            format!("no live sub-transaction for host tx{host_txid} here: vote no")
-        })?;
-        cell.lock().prepared = true;
+        if !self.pending.lock().contains_key(&host_txid) {
+            return Err(format!("no live sub-transaction for host tx{host_txid} here: vote no"));
+        }
         self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
         Ok(())
     }
@@ -734,7 +736,7 @@ impl DlfmServer {
                 }
                 DeferredFs::DeleteFile { path } => {
                     let _ = self.admin.remove(&ROOT, &path);
-                    self.archive.forget(&path);
+                    self.archive.forget(self.generation, &path);
                 }
             }
         }
@@ -993,7 +995,13 @@ impl DlfmServer {
         // captures the linked content as version 1 (state 0 = "since link").
         if self.archive.get(&entry.path, entry.cur_version).is_none() {
             match self.admin.read_file(&ROOT, &entry.path) {
-                Ok(data) => self.archive.put(&entry.path, entry.cur_version, entry.state_id, data),
+                Ok(data) => self.archive.put(
+                    self.generation,
+                    &entry.path,
+                    entry.cur_version,
+                    entry.state_id,
+                    data,
+                ),
                 Err(e) => {
                     self.repo.release_write_claim(&entry.path, opener);
                     return OpenDecision::Rejected(format!(
@@ -1111,7 +1119,7 @@ impl DlfmServer {
         // after the commit must observe either our Sync row or this marker
         // — never a guard-free window (§4.4's blocking rule, made airtight
         // for concurrent upcall workers).
-        self.archive.begin_archiving(path, uip.new_version);
+        self.archive.begin_archiving(self.generation, path, uip.new_version);
         match self.commit_file_update(&uip, new_size, new_mtime) {
             Ok(state_id) => {
                 let _ = self.repo.remove_sync(path, opener);
@@ -1121,7 +1129,7 @@ impl DlfmServer {
                 Ok(())
             }
             Err(e) => {
-                self.archive.cancel_archiving(path);
+                self.archive.cancel_archiving(self.generation, path);
                 // §4.2: roll the file back to the last committed version.
                 self.rollback_update(&entry);
                 let _ = self.repo.remove_uip(path);
@@ -1219,7 +1227,7 @@ impl DlfmServer {
     fn rollback_update(&self, entry: &FileEntry) {
         self.stats.rollbacks.inc();
         if let Ok(dirty) = self.admin.read_file(&ROOT, &entry.path) {
-            self.archive.quarantine(&entry.path, dirty);
+            self.archive.quarantine(self.generation, &entry.path, dirty);
         }
         if let Some(committed) = self.archive.get(&entry.path, entry.cur_version) {
             let _ = self.admin.write_file(&ROOT, &entry.path, &committed.data);
@@ -1422,7 +1430,13 @@ impl DlfmServer {
         for entry in self.repo.files_needing_archive() {
             if self.archive.get(&entry.path, entry.cur_version).is_none() {
                 if let Ok(data) = self.admin.read_file(&ROOT, &entry.path) {
-                    self.archive.put(&entry.path, entry.cur_version, entry.state_id, data);
+                    self.archive.put(
+                        self.generation,
+                        &entry.path,
+                        entry.cur_version,
+                        entry.state_id,
+                        data,
+                    );
                     report.archives_recovered += 1;
                 }
             }
@@ -1469,7 +1483,7 @@ impl DlfmServer {
                 self.repo.delete_file_in(txn, path).map_err(db_err)?;
                 if unlink_action == Some(OnUnlink::Delete) {
                     let _ = self.admin.remove(&ROOT, path);
-                    self.archive.forget(path);
+                    self.archive.forget(self.generation, path);
                 } else {
                     let _ = self.set_attrs(path, entry.orig_uid, entry.orig_gid, entry.orig_mode);
                 }

@@ -9,7 +9,10 @@ use dl_dlfm::{
     DlfmServer, FaultInjector, HostFile, HostHook, MainDaemon, Message, OnUnlink, OpenDecision,
     TokenKind, UpcallTransport, WireConnector, WireDaemon,
 };
-use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
+use dl_fskit::{
+    Clock, Cred, DirEntry, FileAttr, FileSystem, FsResult, Ino, Lfs, LockOp, LockOwner, MemFs,
+    OpenFlags, SetAttr, SimClock,
+};
 use dl_minidb::{Database, StorageEnv};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
@@ -1038,4 +1041,146 @@ fn a_release_between_busy_and_wait_is_never_slept_through() {
             assert!(woke.is_ok(), "{carrier}: waited on an epoch the release had already passed");
         });
     }
+}
+
+// --- one archive store per node --------------------------------------------------
+
+/// A node's disk whose content reads wait while `gate` is held for writing:
+/// how a test keeps an archive job, which reads the file lazily, queued.
+struct GatedFs {
+    fs: Arc<MemFs>,
+    gate: std::sync::RwLock<()>,
+}
+
+impl FileSystem for GatedFs {
+    fn root(&self) -> Ino {
+        self.fs.root()
+    }
+    fn fs_lookup(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<Ino> {
+        self.fs.fs_lookup(cred, parent, name)
+    }
+    fn fs_getattr(&self, cred: &Cred, ino: Ino) -> FsResult<FileAttr> {
+        self.fs.fs_getattr(cred, ino)
+    }
+    fn fs_setattr(&self, cred: &Cred, ino: Ino, set: &SetAttr) -> FsResult<FileAttr> {
+        self.fs.fs_setattr(cred, ino, set)
+    }
+    fn fs_create(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
+        self.fs.fs_create(cred, parent, name, mode)
+    }
+    fn fs_mkdir(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
+        self.fs.fs_mkdir(cred, parent, name, mode)
+    }
+    fn fs_open(&self, cred: &Cred, ino: Ino, flags: OpenFlags) -> FsResult<()> {
+        self.fs.fs_open(cred, ino, flags)
+    }
+    fn fs_close(&self, cred: &Cred, ino: Ino, flags: OpenFlags, written: bool) -> FsResult<()> {
+        self.fs.fs_close(cred, ino, flags, written)
+    }
+    fn fs_read(&self, cred: &Cred, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+        let _open = self.gate.read().unwrap();
+        self.fs.fs_read(cred, ino, offset, buf)
+    }
+    fn fs_write(&self, cred: &Cred, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.fs.fs_write(cred, ino, offset, data)
+    }
+    fn fs_remove(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<()> {
+        self.fs.fs_remove(cred, parent, name)
+    }
+    fn fs_rmdir(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<()> {
+        self.fs.fs_rmdir(cred, parent, name)
+    }
+    fn fs_rename(
+        &self,
+        cred: &Cred,
+        parent: Ino,
+        name: &str,
+        new_parent: Ino,
+        new_name: &str,
+    ) -> FsResult<()> {
+        self.fs.fs_rename(cred, parent, name, new_parent, new_name)
+    }
+    fn fs_readdir(&self, cred: &Cred, ino: Ino) -> FsResult<Vec<DirEntry>> {
+        self.fs.fs_readdir(cred, ino)
+    }
+    fn fs_lockctl(&self, cred: &Cred, ino: Ino, owner: LockOwner, op: LockOp) -> FsResult<bool> {
+        self.fs.fs_lockctl(cred, ino, owner, op)
+    }
+}
+
+/// A failover while the primary's archive job is still queued: the
+/// promoted server is a new writer of the node's one store. Its first write
+/// open of the file must not answer `Busy` on the deposed job's account;
+/// and the deposed job, once it runs, reads the promoted node's bytes — it
+/// must neither become the archived committed version nor clear the
+/// marker of the promoted node's own job.
+#[test]
+fn failover_with_an_archive_job_queued_on_the_primary() {
+    const CLIP: &str = "/data/clip.mpg";
+    let clock = Arc::new(SimClock::new(1_000_000));
+    let disk = Arc::new(MemFs::with_clock(clock.clone()));
+    let admin = Lfs::new(disk.clone() as Arc<dyn FileSystem>);
+    admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
+    admin.write_file(&ALICE, CLIP, b"committed v1").unwrap();
+    // One disk, one gate per server: each server's archive jobs can be
+    // held on their own.
+    let gated = || Arc::new(GatedFs { fs: Arc::clone(&disk), gate: Default::default() });
+    let (primary_disk, promoted_disk) = (gated(), gated());
+    let archive = Arc::new(ArchiveStore::new());
+    let repo_env = StorageEnv::mem();
+    let server = DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        primary_disk.clone() as Arc<dyn FileSystem>,
+        Database::open(repo_env.clone()).unwrap(),
+        Arc::clone(&archive),
+        clock.clone(),
+    )
+    .unwrap();
+    let f = Fixture { fs: Arc::clone(&disk), server: Arc::new(server), clock, admin };
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let dlfm = approved_write_open(&f, CLIP, 5);
+    f.admin.write_file(&dlfm, CLIP, b"committed v2").unwrap();
+    let primary_shut = primary_disk.gate.write().unwrap();
+    f.server.close_notify(CLIP, 5, true, 12, 0).unwrap();
+    assert!(archive.is_archiving(CLIP), "the job is queued behind the gate");
+
+    // The standby holds the whole log; the primary dies and the standby's
+    // server takes the node over, on the same disk and the same store.
+    f.server.repository().db().flush().unwrap();
+    f.server.simulate_crash();
+    let promoted = DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        promoted_disk.clone() as Arc<dyn FileSystem>,
+        Database::open(repo_env.fork().unwrap()).unwrap(),
+        Arc::clone(&archive),
+        f.clock.clone(),
+    )
+    .unwrap();
+    let row = HostFile {
+        version: 2,
+        mode: ControlMode::Rdd,
+        recovery: true,
+        on_unlink: OnUnlink::Restore,
+    };
+    let report = promoted.recover(&[(CLIP.to_string(), row)].into()).unwrap();
+    assert_eq!(report.archives_recovered, 1, "the promoted server archives v2 itself");
+
+    let tok = write_token(&f, CLIP);
+    promoted.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
+    let open = promoted.open_check(CLIP, ALICE.uid, TokenKind::Write, 6);
+    assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
+    f.admin.write_file(&dlfm, CLIP, b"committed v3").unwrap();
+    let promoted_shut = promoted_disk.gate.write().unwrap();
+    promoted.close_notify(CLIP, 6, true, 12, 0).unwrap();
+
+    // Only now does the deposed job read the file; dropping its server
+    // joins the archiver once the job has run.
+    drop(primary_shut);
+    drop(f);
+    assert_eq!(archive.get(CLIP, 2).unwrap().data, b"committed v2");
+    assert!(archive.is_archiving(CLIP), "the deposed job cleared the promoted node's marker");
+
+    drop(promoted_shut);
+    archive.wait_archived(CLIP);
+    assert_eq!(archive.get(CLIP, 3).unwrap().data, b"committed v3");
 }

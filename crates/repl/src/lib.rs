@@ -14,10 +14,11 @@
 //!   primary's shipper — one that missed the failover — has every
 //!   subsequent frame rejected instead of silently diverging a follower;
 //! * a [`Standby`] is a follower of a DLFM *repository* plus what only a
-//!   read replica needs: a mirror of the primary's `ArchiveStore`
-//!   (`ArchiveStore::add_mirror`), so committed file bytes travel with
-//!   the metadata, a replica-local token-session store, and a content
-//!   fallback — enough to serve reads entirely on its own;
+//!   read replica needs: a replica-local token-session store and a content
+//!   fallback. Committed file bytes do not travel at all — the node has one
+//!   `ArchiveStore`, outside its file server like the paper's archive
+//!   device, and a standby reads the primary's versions there — so it
+//!   serves reads without the primary;
 //! * a [`ReplicaSet`] bundles the standbys of one primary with their
 //!   shipper: `ReplicaSet<Standby>` is also the round-robin read router
 //!   the DataLinks engine spreads token validation and replica-served
@@ -30,8 +31,8 @@
 //! A replica validates a read token *cryptographically* (same HMAC secret
 //! the engine mints with) and records the resulting token entry in a
 //! **replica-local** session database — not the replicated repository,
-//! which is apply-only. The subsequent read is served from the mirrored
-//! archive at the file's replicated `cur_version`. Validation is
+//! which is apply-only. The subsequent read is served from the node's
+//! archive store at the file's replicated `cur_version`. Validation is
 //! serialized per replica through a single lane, modelling the paper's
 //! one-upcall-daemon-per-node prototype: a replica is one node's worth of
 //! validation capacity, and fan-out across replicas is where throughput
@@ -241,6 +242,7 @@ const SESSION_TOKENS: &str = "repl_tokens";
 /// makes it a read replica.
 pub struct Standby {
     follower: Arc<Follower>,
+    /// The node's one archive store, the primary's.
     archive: Arc<ArchiveStore>,
     /// Replica-local store for validated token entries (the replicated
     /// repository is apply-only).
@@ -258,15 +260,17 @@ pub struct Standby {
     fallback: Option<ContentSource>,
     /// Read tokens validated at this replica.
     pub validations: AtomicU64,
-    /// Reads served entirely from this replica (mirror archive/fallback).
+    /// Reads served entirely from this replica (archive store/fallback).
     pub reads_served: AtomicU64,
 }
 
 impl Standby {
     /// Wraps `follower` (the replicated repository) with a replica-local
-    /// token-session store over `session_env`.
+    /// token-session store over `session_env`; reads are served from
+    /// `archive`, the primary's store.
     pub fn new(
         follower: Arc<Follower>,
+        archive: Arc<ArchiveStore>,
         session_env: StorageEnv,
         server_name: String,
         token_key: Vec<u8>,
@@ -293,7 +297,7 @@ impl Standby {
         }
         Ok(Standby {
             follower,
-            archive: Arc::new(ArchiveStore::new()),
+            archive,
             session,
             lane: Mutex::new(()),
             server_name,
@@ -310,7 +314,7 @@ impl Standby {
         &self.follower
     }
 
-    /// The mirrored archive store.
+    /// The archive store reads are served from: the primary's.
     pub fn archive_store(&self) -> &Arc<ArchiveStore> {
         &self.archive
     }
@@ -379,7 +383,7 @@ impl Standby {
     }
 
     /// Serves the last committed bytes of `path` to a validated user: the
-    /// mirrored archive at the replicated `cur_version`, falling back to
+    /// archived version at the replicated `cur_version`, falling back to
     /// the content source for files never updated since link. The primary
     /// is not involved at all.
     pub fn serve_read(&self, path: &str, uid: u32) -> Result<Vec<u8>, String> {
@@ -399,7 +403,7 @@ impl Standby {
                 return Ok(data);
             }
         }
-        Err(format!("version {} of {path} not in the replica archive", entry.cur_version))
+        Err(format!("version {} of {path} not in the archive", entry.cur_version))
     }
 }
 
@@ -678,16 +682,20 @@ pub struct ReplicaSet<S = Standby> {
 }
 
 impl ReplicaSet<Standby> {
-    /// Provisions `opts.replicas` fresh standbys fed from `feed` and
-    /// spawns the shipper. A fresh standby catches up by delta when the
-    /// primary's log is truncated (checkpoint install + WAL suffix) and by
-    /// full-log replay otherwise. The caller mirrors the primary archive
-    /// into each standby's store.
-    pub fn build(feed: ReplicationFeed, opts: ReplicaSetOptions) -> Result<Self, String> {
+    /// Provisions `opts.replicas` fresh standbys fed from `feed`, reading
+    /// the primary's `archive`, and spawns the shipper. A fresh standby
+    /// catches up by delta when the primary's log is truncated (checkpoint
+    /// install + WAL suffix) and by full-log replay otherwise.
+    pub fn build(
+        feed: ReplicationFeed,
+        archive: Arc<ArchiveStore>,
+        opts: ReplicaSetOptions,
+    ) -> Result<Self, String> {
         Self::provision(&opts.server_name, feed, opts.replicas, 0, |follower| {
             let session_env = StorageEnv::mem_with_sync_latency(follower.env().sync_latency_ns());
             Standby::new(
                 follower,
+                Arc::clone(&archive),
                 session_env,
                 opts.server_name.clone(),
                 opts.token_key.clone(),
@@ -873,6 +881,7 @@ mod tests {
         let standby = Arc::new(
             Standby::new(
                 Arc::new(follower.unwrap()),
+                Arc::new(ArchiveStore::new()),
                 StorageEnv::mem(),
                 "srv1".to_string(),
                 b"dlfm-key-srv1".to_vec(),
@@ -952,9 +961,11 @@ mod tests {
             Arc::clone(&fence),
             Arc::clone(&stats),
         );
+        let archive = Arc::new(ArchiveStore::new());
         let standby = Arc::new(
             Standby::new(
                 Arc::new(follower.unwrap()),
+                Arc::clone(&archive),
                 StorageEnv::mem(),
                 "srv1".into(),
                 b"key".to_vec(),
@@ -975,7 +986,8 @@ mod tests {
         tx.insert("dl_files", file_row("/movies/clip.mpg", 2)).unwrap();
         tx.commit().unwrap();
         assert!(repl.wait_caught_up(Duration::from_secs(5)));
-        standby.archive_store().put("/movies/clip.mpg", 2, 9, b"v2 bytes".to_vec());
+        // The primary archives version 2 into the node's store.
+        archive.put(archive.take_generation(), "/movies/clip.mpg", 2, 9, b"v2 bytes".to_vec());
 
         // No token entry yet: the read is refused.
         assert!(standby.serve_read("/movies/clip.mpg", 42).is_err());
@@ -1042,6 +1054,7 @@ mod tests {
         let db = repo_like_db(&env);
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
+            Arc::new(ArchiveStore::new()),
             ReplicaSetOptions {
                 replicas: 1,
                 server_name: "srv1".into(),
@@ -1110,6 +1123,7 @@ mod tests {
         let db = repo_like_db(&env);
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
+            Arc::new(ArchiveStore::new()),
             ReplicaSetOptions {
                 replicas: 3,
                 server_name: "srv1".into(),
@@ -1142,6 +1156,7 @@ mod tests {
         let db = repo_like_db(&env);
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
+            Arc::new(ArchiveStore::new()),
             ReplicaSetOptions {
                 replicas: 1,
                 server_name: "srv1".into(),

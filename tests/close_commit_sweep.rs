@@ -715,7 +715,7 @@ fn host_failover_settles_a_voted_branch_by_whether_its_commit_shipped() {
         } else {
             assert!(sys.host_replication_lag() > 0, "the decision must still be unshipped");
         }
-        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![(txid, true)]);
+        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![txid]);
 
         let report = sys.fail_over_host().unwrap();
         assert_eq!(report.in_doubt_resolved, vec![(SRV.to_string(), txid, shipped)]);

@@ -356,7 +356,7 @@ mod host_failover_2pc {
         let txid = tx.id();
         agent.link(txid, "/d/new.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
         agent.prepare(txid).unwrap();
-        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![(txid, true)]);
+        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![txid]);
         // The coordinator dies with the sub-transaction prepared and no
         // decision logged anywhere.
         std::mem::forget(tx);
@@ -397,7 +397,7 @@ mod host_failover_2pc {
         // file's metadata row with it — but the phase-two message dies with
         // the coordinator.
         tx.commit().unwrap();
-        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![(txid, true)]);
+        assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![txid]);
         assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the decision must ship");
 
         let report = sys.fail_over_host().unwrap();
@@ -558,10 +558,7 @@ mod sharded_host_failover_2pc {
         tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{pb}"))]).unwrap();
         tx.commit().unwrap(); // phase two lands on A, dies on the way to B
         assert!(sys.node(&shard_name(0)).unwrap().server.pending_host_txns().is_empty());
-        assert_eq!(
-            sys.node(&shard_name(1)).unwrap().server.pending_host_txns(),
-            vec![(txid, true)]
-        );
+        assert_eq!(sys.node(&shard_name(1)).unwrap().server.pending_host_txns(), vec![txid]);
         assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the decision must ship");
 
         let report = sys.fail_over_host().unwrap();

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet};
-use datalinks::dlfm::{AgentConnection, ControlMode, TokenKind, UipEntry};
+use datalinks::dlfm::{
+    split_token_suffix, AgentConnection, ControlMode, HostHook, OpenDecision, TokenKind, UipEntry,
+};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
@@ -119,7 +121,7 @@ fn replicas_serve_reads_without_the_primary_and_lag_drains() {
     let repo = sys.node(SRV).unwrap().server.repository().db();
     assert_eq!(repo.state_id(), repo.durable_lsn());
 
-    // Routed reads validate at a replica and serve its mirrored archive.
+    // Routed reads validate at a replica and serve from the node's archive.
     let primary_validations_before = sys.node(SRV).unwrap().server.stats.token_validations.get();
     for _ in 0..6 {
         let tp = read_token_path(&sys, 0);
@@ -343,7 +345,7 @@ fn failover_to_a_standby_without_the_update_rolls_it_forward_from_the_host_row()
     let mut sys = build(1, 1);
     cut_the_standby_off(&sys);
     // Claim, close record and archive flag clear are all on the primary only;
-    // the archive copies reach the standby's mirror.
+    // the archive copies are in the node's one store, which the standby reads.
     write_once(&sys, 0, b"version two");
 
     let report = sys.fail_over(SRV).unwrap();
@@ -442,11 +444,28 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     assert!(matches!(err, datalinks::repl::ReplError::StaleEpoch { .. }), "got {err}");
     assert!(old_set.stats().stale_rejections() >= 1);
 
-    // The archive is fenced too: a late archive completion on the deposed
-    // primary must not leak into the promoted (authoritative) store.
-    old_server.archive_store().put("/d/f0.bin", 99, 0, b"stale bytes".to_vec());
+    // The archive is fenced too. The node has one store, now the promoted
+    // server's; the deposed primary runs an update of its own to the end —
+    // write open, close, archive job — and the job, reading the file from
+    // the shared disk, must land nothing there. (Its host commit is kept
+    // away from the real host rows: not this test's subject.)
+    old_server.set_host_hook(Arc::new(DetachedHost));
+    let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
+    let (path, token) = split_token_suffix(&wpath);
+    old_server.validate_token(path, token.unwrap(), APP.uid).unwrap();
+    let open = old_server.open_check(path, APP.uid, TokenKind::Write, 77);
+    assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
+    // The fenced job sets no in-flight marker, so `wait_archived` cannot
+    // wait for it. The deposed server's sync epoch can: the close bumps it
+    // once and the job's completion once more, after its (fenced) store.
+    let seen = old_server.epoch();
+    old_server.close_notify(path, 77, true, 12, 0).unwrap();
+    while old_server.epoch() < seen + 2 {
+        old_server.wait_epoch_change(old_server.epoch());
+    }
+    assert_eq!(old_server.repository().get_file(path).unwrap().cur_version, 3);
     assert!(
-        sys.node(SRV).unwrap().server.archive_store().get("/d/f0.bin", 99).is_none(),
+        sys.node(SRV).unwrap().server.archive_store().get(path, 3).is_none(),
         "deposed primary's archive jobs must not reach the promoted store"
     );
 
@@ -455,14 +474,39 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"pre-failover");
 }
 
+/// A host that acknowledges every update without touching any rows.
+struct DetachedHost;
+
+impl HostHook for DetachedHost {
+    fn state_id(&self) -> u64 {
+        0
+    }
+    fn commit_file_update(&self, _: &str, _: u64, _: u64, _: u64) -> Result<u64, String> {
+        Ok(0)
+    }
+    fn file_version(&self, _: &str) -> Option<u64> {
+        None
+    }
+}
+
+/// Every standby of the node reads its primary's archive store.
+fn assert_standbys_share_the_primary_store(sys: &DataLinksSystem) {
+    let node = sys.node(SRV).unwrap();
+    for standby in node.replication.as_ref().unwrap().standbys() {
+        assert!(
+            Arc::ptr_eq(standby.archive_store(), node.server.archive_store()),
+            "{}",
+            standby.name
+        );
+    }
+}
+
 #[test]
 fn whole_system_crash_reprovisions_replicas() {
     let sys = build(2, 1);
     write_once(&sys, 0, b"before crash");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
-    let dead_standby_store = Arc::clone(
-        sys.node(SRV).unwrap().replication.as_ref().unwrap().standbys()[0].archive_store(),
-    );
+    assert_standbys_share_the_primary_store(&sys);
 
     let image = sys.crash();
     let (sys, _) = DataLinksSystem::recover(image).unwrap();
@@ -473,19 +517,17 @@ fn whole_system_crash_reprovisions_replicas() {
     let tp = read_token_path(&sys, 0);
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"before crash");
 
-    // The pre-crash standby's store was detached at crash time: content
-    // archived after recovery must not leak into (and retain) it.
+    // The re-provisioned standbys read the recovered primary's store:
+    // there is no copy of it to leak into or to retain.
+    assert_standbys_share_the_primary_store(&sys);
     write_once(&sys, 0, b"after recover");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
-    assert!(
-        dead_standby_store.get("/d/f0.bin", 3).is_none(),
-        "dead standby store must not receive post-recovery archives"
-    );
     // And the rebuilt set still fails over cleanly. The surviving slot is
     // re-provisioned fresh, so reads route to it only after it catches up.
     let mut sys = sys;
     sys.fail_over(SRV).unwrap();
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    assert_standbys_share_the_primary_store(&sys);
     let tp = read_token_path(&sys, 0);
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"after recover");
 }
@@ -865,7 +907,7 @@ fn zombie_coordinator_decisions_are_fenced_after_host_crash() {
     );
     assert_eq!(
         server.pending_host_txns(),
-        vec![(txid, true)],
+        vec![txid],
         "the fenced decision must not settle the claim"
     );
     // Fresh work under the old generation is refused outright.

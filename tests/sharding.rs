@@ -183,7 +183,7 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     }
     assert_eq!(
         sys.node(&shard_name(0)).unwrap().server.pending_host_txns(),
-        vec![(txid, true)],
+        vec![txid],
         "shard 0 voted yes"
     );
 
@@ -296,7 +296,7 @@ fn zombie_coordinator_is_fenced_on_every_shard() {
         );
         assert_eq!(
             server.pending_host_txns(),
-            vec![(txid, true)],
+            vec![txid],
             "the fenced decision must not settle shard {i}"
         );
     }

@@ -294,7 +294,7 @@ fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
     let txid = 9_000_001;
     agent.link(txid, "/d/orphan.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
     agent.prepare(txid).unwrap();
-    assert_eq!(node.server.pending_host_txns(), vec![(txid, true)]);
+    assert_eq!(node.server.pending_host_txns(), vec![txid]);
 
     let aborts_before = wire.daemon.presumed_aborts().get();
     conn.sever();
@@ -365,7 +365,7 @@ fn host_failover_fences_stale_wire_agents() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(server.stats.stale_coord_rejections.get() > before, "stale decision must be fenced");
-    assert_eq!(server.pending_host_txns(), vec![(txid, true)], "the claim must not settle");
+    assert_eq!(server.pending_host_txns(), vec![txid], "the claim must not settle");
 
     // Fresh work under the old generation is refused outright.
     raw.write_file(&APP, "/d/cand2.bin", b"late").unwrap();
