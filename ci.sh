@@ -44,7 +44,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # the primary's store and a new server fences the old one by its writer
 # generation — no mirroring, no per-path forwarding order, and `fail_over`
 # makes no archive call of its own.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node"
+# No forced repository record on the update path (DESIGN.md "Force audit"):
+# the host's `Commit` is an update's one forced write, so neither the write
+# claim nor its removal waits on a repository sync — a lost claim is read
+# back off the file's write-grant attributes.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -57,12 +61,14 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "add_[m]irror|remove_[m]irror|seal_mirror_[i]nput|mirror_[p]ut|mirror_[m]embership|path_[o]rder" \
        crates/ src/ tests/ \
   || awk '/fn fail_over\(/,/^    }$/' crates/core/src/system.rs | grep -n "archive_[s]tore()" \
+  || awk '/fn (claim_write_open|remove_uip)\(/,/^    }$/' crates/dlfm/src/repository.rs \
+       | grep -n "txn\.[c]ommit()" \
   || awk '/fn (promote_host|fail_over)\(/,/^    }$/' crates/core/src/system.rs \
        | grep -nE "Database::[o]pen|promote_target\(\)\.[e]nv\(\)" \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile or archive mirroring reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring or a forced update-path repository record reappeared (matches above)" >&2
   exit 1
 fi
 

@@ -1749,6 +1749,12 @@ impl DataLinksSystem {
         backup: &SystemBackup,
         lsn: Lsn,
     ) -> Result<(DataLinksSystem, SystemRestoreReport), String> {
+        // A restore stops the stack cleanly: each node's unforced repository
+        // tail goes to disk first, so its rows name the versions its disk
+        // holds and a row the restore moves back reads as a move back.
+        for node in self.nodes.values() {
+            node.server.repository().db().flush().map_err(|e| e.to_string())?;
+        }
         let mut image = self.crash();
         image.host_env = backup.host_env.fork().map_err(|e| e.to_string())?;
         let opts = DbOptions { stop_at_lsn: Some(lsn), ..image.host_db };

@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
-use dl_core::{ControlMode, DataLinksSystem, DatalinkUrl, DlColumnOptions, OnUnlink, TokenKind};
+use dl_core::{
+    ControlMode, DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec, OnUnlink, TokenKind,
+};
 use dl_fskit::{Cred, FsError, OpenOptions, SimClock};
-use dl_minidb::{Column, ColumnType, DbError, Schema, Value};
+use dl_minidb::{Column, ColumnType, DbError, DiskFaults, Schema, StorageEnv, Value};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
 
@@ -24,9 +26,16 @@ fn movies_schema() -> Schema {
 }
 
 fn build_system(mode: ControlMode) -> DataLinksSystem {
+    build_system_on(mode, StorageEnv::mem())
+}
+
+/// [`build_system`] with the file server's repository log on `repo_env`.
+fn build_system_on(mode: ControlMode, repo_env: StorageEnv) -> DataLinksSystem {
+    let mut spec = FileServerSpec::new("srv1");
+    spec.repo_env = repo_env;
     let sys = DataLinksSystem::builder()
         .clock(Arc::new(SimClock::new(1_000_000)))
-        .file_server("srv1")
+        .file_server_with(spec)
         .build()
         .unwrap();
     let raw = sys.raw_fs("srv1").unwrap();
@@ -358,16 +367,33 @@ fn coordinated_point_in_time_restore() {
     assert_eq!(read_file(&sys, 1), b"alien v3", "file restored to match (§4.4)");
 }
 
+/// Arms a tear of the repository log's unforced tail — the end of the
+/// link or unlink branch just committed, whose forced intent is the last
+/// record on disk — so the crash that stops the stack loses that end even
+/// though `restore` flushed it first.
+fn tear_the_branch_end(sys: &DataLinksSystem, faults: &DiskFaults) {
+    let db = sys.node("srv1").unwrap().server.repository().db();
+    let wal = db.env().device("wal").unwrap();
+    let durable = wal.len().unwrap();
+    db.flush().unwrap();
+    let end = wal.len().unwrap() - durable;
+    assert!(end > 0, "the branch end sat in the unforced tail");
+    faults.arm_torn_tail("wal", end);
+}
+
 #[test]
 fn restore_relinks_files_unlinked_after_the_restore_point() {
-    // The restore crashes the running stack first. With the unlink's
-    // unforced `Commit` on disk the repository comes back without the link,
-    // and the reconcile pass re-links it; with the `Commit` lost the
-    // surviving intent settles by the *restored* rows, which still hold the
-    // file — the unlink aborts before the reconcile pass looks. Either way
-    // the link comes back, taken over again.
+    // The restore flushes each repository, then crashes the running stack.
+    // With the unlink's unforced `Commit` on disk the repository comes back
+    // without the link, and the reconcile pass re-links it; with the
+    // `Commit` torn off the surviving intent settles by the *restored*
+    // rows, which still hold the file — the unlink aborts before the
+    // reconcile pass looks. Either way the link comes back, taken over
+    // again.
     for end_durable in [true, false] {
-        let sys = build_system(ControlMode::Rdd);
+        let faults = DiskFaults::new();
+        let repo_env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
+        let sys = build_system_on(ControlMode::Rdd, repo_env);
         insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
         let linked_state = sys.state_id();
         let backup_early = sys.backup().unwrap();
@@ -376,10 +402,15 @@ fn restore_relinks_files_unlinked_after_the_restore_point() {
         let mut tx = sys.begin();
         tx.delete("movies", &Value::Int(1)).unwrap();
         tx.commit().unwrap();
-        let repo = sys.node("srv1").unwrap().server.repository();
-        assert!(repo.get_file("/movies/alien.mpg").is_none());
-        if end_durable {
-            repo.db().flush().unwrap();
+        assert!(sys
+            .node("srv1")
+            .unwrap()
+            .server
+            .repository()
+            .get_file("/movies/alien.mpg")
+            .is_none());
+        if !end_durable {
+            tear_the_branch_end(&sys, &faults);
         }
 
         // Restore to when it was linked: the link must come back.
@@ -397,19 +428,22 @@ fn restore_relinks_files_unlinked_after_the_restore_point() {
 
 #[test]
 fn restore_unlinks_files_linked_after_the_restore_point() {
-    // The restore crashes the running stack first. With the link's
-    // unforced `Commit` on disk the repository comes back holding the
-    // link, and the reconcile pass unlinks it; with the `Commit` lost the
-    // surviving intent settles by the *restored* rows, which no longer
-    // hold the file — aborted before the reconcile pass looks. Either way
-    // the file ends unlinked and back with its owner.
+    // The restore flushes each repository, then crashes the running stack.
+    // With the link's unforced `Commit` on disk the repository comes back
+    // holding the link, and the reconcile pass unlinks it; with the
+    // `Commit` torn off the surviving intent settles by the *restored*
+    // rows, which no longer hold the file — aborted before the reconcile
+    // pass looks. Either way the file ends unlinked and back with its
+    // owner.
     for end_durable in [true, false] {
-        let sys = build_system(ControlMode::Rdd);
+        let faults = DiskFaults::new();
+        let repo_env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
+        let sys = build_system_on(ControlMode::Rdd, repo_env);
         insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
         let before_brazil = sys.state_id();
         insert_movie(&sys, 2, "Brazil", Some("dlfs://srv1/movies/brazil.mpg"));
-        if end_durable {
-            sys.node("srv1").unwrap().server.repository().db().flush().unwrap();
+        if !end_durable {
+            tear_the_branch_end(&sys, &faults);
         }
 
         let backup = sys.backup().unwrap();
@@ -422,6 +456,33 @@ fn restore_unlinks_files_linked_after_the_restore_point() {
         assert_eq!(attr.uid, ALICE.uid, "brazil handed back to its owner");
         assert!(node.server.repository().get_file("/movies/alien.mpg").is_some());
     }
+}
+
+#[test]
+fn restore_to_before_an_unlink_takes_the_restored_version_from_the_archive() {
+    // The file was updated again after the restore point and then unlinked:
+    // the node has no record of the link, and its disk holds the later
+    // version. The re-link takes the restored row's version from the
+    // archive, not the bytes it finds.
+    let sys = build_system(ControlMode::Rdd);
+    insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+    let archive = Arc::clone(sys.node("srv1").unwrap().server.archive_store());
+    update_file(&sys, 1, b"alien v2");
+    archive.wait_archived("/movies/alien.mpg");
+    let v2_state = sys.state_id();
+    update_file(&sys, 1, b"alien v3");
+    archive.wait_archived("/movies/alien.mpg");
+    let backup = sys.backup().unwrap();
+    let mut tx = sys.begin();
+    tx.delete("movies", &Value::Int(1)).unwrap();
+    tx.commit().unwrap();
+
+    let (sys, report) = sys.restore(&backup, v2_state).unwrap();
+    assert_eq!(report.files_relinked, 1);
+    assert!(report.missing_versions.is_empty(), "{report:?}");
+    let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 2);
+    assert_eq!(read_file(&sys, 1), b"alien v2");
 }
 
 #[test]
@@ -514,10 +575,11 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
     update_file(&sys, 1, b"alien v2");
     node.server.archive_store().wait_archived("/movies/alien.mpg");
 
-    // Two forced log writes per update: the claim and the host's commit.
-    assert_eq!(syncs(&repo_wal) - repo_syncs, 1, "the repository forces the claim only");
+    // One forced log write per update: the host's commit. The claim, the
+    // close record and the flag clear wait on no sync.
+    assert_eq!(syncs(&repo_wal) - repo_syncs, 0, "the repository forces nothing");
     assert_eq!(syncs(&host_wal) - host_syncs, 1, "the host forces its one commit");
-    assert_eq!(repo_wal.unforced_appends.get() - repo_unforced, 2);
+    assert_eq!(repo_wal.unforced_appends.get() - repo_unforced, 3);
     assert_eq!(host_wal.unforced_appends.get(), 0);
 
     // The repository log of the cycle: claim, close, flag clear — three

@@ -34,7 +34,10 @@
 //! forced before it is acted on (DESIGN.md "Force audit" lists the ones
 //! that are not). A grant
 //! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
-//! one commit whose log record carries the `dl_uip` row only.
+//! one commit whose log record carries the `dl_uip` row only — unforced,
+//! like every claim removal: the update's one forced write is the host's
+//! `Commit`, and a claim a crash took is read back off the disk, where the
+//! granted file carries the write grant's attributes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -595,6 +598,11 @@ impl Repository {
     /// re-reads the committed file entry (the caller's copy may be stale),
     /// verifies no conflicting Sync entries, and inserts the UIP row for
     /// `cur_version + 1` plus the write Sync row in one transaction.
+    ///
+    /// The commit is **unforced**: nothing waits on a log sync for it. A
+    /// claim a crash takes leaves its evidence on disk — the caller grants
+    /// the file the write grant's attributes only after this returns — and
+    /// recovery rolls the write back by those.
     pub fn claim_write_open(
         &self,
         path: &str,
@@ -639,7 +647,7 @@ impl Repository {
                 Value::Int(sync.uid as i64),
             ],
         )?;
-        txn.commit()?;
+        txn.commit_unforced()?;
         self.bump();
         Ok(WriteClaim::Granted { entry, new_version })
     }
@@ -675,7 +683,8 @@ impl Repository {
     }
 
     /// Rolls a write claim back (failed take-over, archive block): removes
-    /// the UIP and Sync rows it inserted.
+    /// the UIP and Sync rows it inserted, unforced (see
+    /// [`Repository::remove_uip`]).
     pub fn release_write_claim(&self, path: &str, opener: u64) {
         let _ = self.remove_uip(path);
         let _ = self.remove_sync(path, opener);
@@ -700,11 +709,14 @@ impl Repository {
     }
 
     /// Clears the update-in-progress entry (close rollback path; the commit
-    /// path clears it inside the close transaction instead).
+    /// path clears it inside the close transaction instead). **Unforced**:
+    /// the claim it removes committed nothing, so losing the removal in a
+    /// crash leaves a claim that recovery rolls back onto the same clean
+    /// bytes.
     pub fn remove_uip(&self, path: &str) -> DbResult<()> {
         let mut txn = self.db.begin();
         txn.delete("dl_uip", &Value::Text(path.to_string()))?;
-        txn.commit()?;
+        txn.commit_unforced()?;
         self.bump();
         Ok(())
     }
@@ -1006,12 +1018,14 @@ mod tests {
         r.remove_sync("/f", 1).unwrap();
         assert_eq!(r.db().state_id(), tail);
 
-        // The write grant's UIP row is what recovery rolls back from: it is
-        // forced, alone, in the same commit that adds the Sync row.
+        // The write grant's UIP row is logged alone, in the same commit
+        // that adds the Sync row — and unforced: nothing waited on a sync.
         assert!(matches!(
             r.claim_write_open("/f", 2, 7, true).unwrap(),
             WriteClaim::Granted { .. }
         ));
+        assert!(r.db().durable_lsn() < r.db().state_id(), "the claim waited on no sync");
+        r.db().flush().unwrap();
         let frames = r.db().wal_reader().read_from(tail).unwrap();
         let [(_, dl_minidb::wal::WalRecord::Commit { ops, .. })] = &frames.records[..] else {
             panic!("one commit record expected, got {:?}", frames.records);

@@ -148,8 +148,8 @@ pub struct DlfmStats {
     pub archives: dl_obs::Counter,
     pub busy_responses: dl_obs::Counter,
     pub rollbacks: dl_obs::Counter,
-    /// Surviving claims recovery found committed on the host and rolled
-    /// forward (the close's unforced repository record was lost).
+    /// Files recovery moved forward to the host row's version: updates the
+    /// host committed whose unforced repository records were lost.
     pub updates_rolled_forward: dl_obs::Counter,
     /// 2PC traffic refused because it carried a stale coordinator epoch
     /// (a zombie host's late decisions bouncing off the fence).
@@ -249,6 +249,12 @@ pub fn lane(msg: &Message) -> Lane {
         _ => Lane::Inline,
     }
 }
+
+/// The permission bits of a write grant: the file is handed to DLFM's
+/// identity, owner read-write, for as long as the write open lasts (§4.2).
+/// No update-capable mode's at-rest attributes ([`linked_attrs`]) keep a
+/// write bit, so a file found with these is being written.
+const GRANT_MODE: u16 = 0o600;
 
 /// Mode-dependent attributes of a file *at rest* while linked.
 fn linked_attrs(mode: ControlMode, entry: &FileEntry, dlfm: &Cred) -> (u32, u32, u16) {
@@ -784,14 +790,15 @@ impl DlfmServer {
     /// one that unlinks it deletes the row, in the same forced `Commit`
     /// that decides the branch: so the branch committed iff the row of a
     /// file it touched is **present for a link, absent for an unlink**. The
-    /// row cannot have moved since: the branch still holds its `dl_files`
-    /// row locks (live), or its intent survived a crash — and every later
-    /// link, unlink or update of the path forces a repository record of its
-    /// own after this branch's unforced end, so if that end was lost, so
-    /// was everything later on the path, none of which the host can have
-    /// committed. All files of one branch agree — the host commit is
-    /// atomic — so the first decides, and a committed link finds its row at
-    /// version 1. A branch with no file is presumed aborted. One `settle`
+    /// row's presence cannot have changed since: the branch still holds its
+    /// `dl_files` row locks (live), or its intent survived a crash — and
+    /// every later link or unlink of the path forces its own intent after
+    /// this branch's unforced end, so if that end was lost, so was every
+    /// later link or unlink, none of which the host can have committed.
+    /// Later updates force nothing on this node, so a committed link may
+    /// find its row above version 1: an update only moves the version. All
+    /// files of one branch agree — the host commit is atomic — so the first
+    /// decides. A branch with no file is presumed aborted. One `settle`
     /// span per branch says what was asked and found. `version_of` reads
     /// the host row of a path (live: the host hook; recovery: the host's
     /// view of this node); `txid` only labels the span.
@@ -820,10 +827,6 @@ impl DlfmServer {
         debug_assert!(
             files.iter().all(|(path, op)| ask(path, *op).1 == committed),
             "the files of one branch disagree about its host transaction: {files:?}"
-        );
-        debug_assert!(
-            !(committed && *op == BranchOp::Link) || version == Some(1),
-            "a committed link found its host row at {version:?}, not version 1: {path}"
         );
         self.recorder.record(
             &self.flight_source,
@@ -1019,7 +1022,7 @@ impl DlfmServer {
             self.stats.takeovers.inc();
         }
         let dlfm = self.cfg.dlfm_cred;
-        if self.set_attrs(&entry.path, dlfm.uid, dlfm.gid, 0o600).is_err() {
+        if self.set_attrs(&entry.path, dlfm.uid, dlfm.gid, GRANT_MODE).is_err() {
             self.repo.release_write_claim(&entry.path, opener);
             return OpenDecision::Rejected(format!("take-over of {} failed", entry.path));
         }
@@ -1131,7 +1134,7 @@ impl DlfmServer {
             Err(e) => {
                 self.archive.cancel_archiving(self.generation, path);
                 // §4.2: roll the file back to the last committed version.
-                self.rollback_update(&entry);
+                self.rollback_update(path, entry.cur_version);
                 let _ = self.repo.remove_uip(path);
                 let _ = self.repo.remove_sync(path, opener);
                 self.release_write_grant(&entry);
@@ -1150,8 +1153,8 @@ impl DlfmServer {
     /// With a host wired, the host's forced `Commit` of the metadata row is
     /// the single commit point: the repository rows are staged first (their
     /// row locks fence the file), the host commits, and the repository
-    /// record follows **unforced** — recovery re-derives it from the claim
-    /// and the host row ([`DlfmServer::recover`]). A host error drops the
+    /// record follows **unforced** — recovery re-derives it from the host
+    /// row ([`DlfmServer::recover`]). A host error drops the
     /// staged rows and the caller rolls the file back.
     fn commit_file_update(
         &self,
@@ -1165,7 +1168,7 @@ impl DlfmServer {
         // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
         // order the open-grant claims use): the claimed version becomes
         // current and awaits archiving, the claim goes. Every value is the
-        // claim row's, forced at open.
+        // claim row's.
         let mut txn = self.repo.db().begin();
         let db_err = |e: dl_minidb::DbError| e.to_string();
         self.repo
@@ -1223,15 +1226,31 @@ impl DlfmServer {
         }
     }
 
-    /// Restores the last committed version after a failed close-commit.
-    fn rollback_update(&self, entry: &FileEntry) {
+    /// Puts committed `version`'s archived bytes back over a write that did
+    /// not commit (a failed close-commit, or one recovery finds in flight),
+    /// quarantining the dirty ones. Returns false, touching nothing, when
+    /// the store lacks the version.
+    fn rollback_update(&self, path: &str, version: u64) -> bool {
+        let Some(committed) = self.archive.get(path, version) else { return false };
         self.stats.rollbacks.inc();
-        if let Ok(dirty) = self.admin.read_file(&ROOT, &entry.path) {
-            self.archive.quarantine(self.generation, &entry.path, dirty);
+        if let Ok(dirty) = self.admin.read_file(&ROOT, path) {
+            self.archive.quarantine(self.generation, path, dirty);
         }
-        if let Some(committed) = self.archive.get(&entry.path, entry.cur_version) {
-            let _ = self.admin.write_file(&ROOT, &entry.path, &committed.data);
-        }
+        let _ = self.admin.write_file(&ROOT, path, &committed.data);
+        true
+    }
+
+    /// Whether `entry`'s file carries a write grant's attributes: the disk's
+    /// own record of a write in flight, "ascertained by examining the
+    /// ownership of the file" (§4.2). Only update-capable modes are ever
+    /// granted, and their at-rest attributes keep no write bit.
+    fn write_granted(&self, entry: &FileEntry) -> bool {
+        let dlfm = self.cfg.dlfm_cred;
+        entry.mode.supports_update()
+            && self
+                .admin
+                .stat(&ROOT, &entry.path)
+                .is_ok_and(|a| (a.uid, a.gid, a.mode) == (dlfm.uid, dlfm.gid, GRANT_MODE))
     }
 
     /// Returns the file to its at-rest linked attributes after a write.
@@ -1387,7 +1406,8 @@ impl DlfmServer {
     /// the one recovery rule, run by crash recovery, file-server failover
     /// and point-in-time restore before the node serves anyone. Every path
     /// the view, `dl_files`, an intent or a claim names settles by
-    /// `DlfmServer::reconcile_file` in one forced repository commit; then
+    /// `DlfmServer::reconcile_file` — which also reads each linked file's
+    /// attributes for a write in flight — in one forced repository commit; then
     /// versions whose archive job was lost are archived from the disk.
     /// Token entries and Sync rows are unlogged: none come back.
     pub fn recover(&self, host: &HostView) -> Result<RecoveryReport, String> {
@@ -1451,7 +1471,8 @@ impl DlfmServer {
     /// ("Recovery and replication"). `host` is the host's row, `local` what
     /// this node's log kept; the row changes go into `txn`. The host row
     /// decides every case: an intent only supplies the entry and the
-    /// original attributes, a claim the version it reserved.
+    /// original attributes, a claim the version it reserved, the disk
+    /// whether a write is in flight.
     fn reconcile_file(
         &self,
         txn: &mut dl_minidb::Txn,
@@ -1464,12 +1485,12 @@ impl DlfmServer {
         let LocalRecords { file, intent, claim } = local;
         let db_err = |e: dl_minidb::DbError| e.to_string();
         // A claim whose version the host row records committed (its close
-        // record was lost, the bytes on disk are that version's) and rolls
-        // forward below; any other claim never did, and its dirty bytes go.
-        let committed = claim.as_ref().filter(|c| host.is_some_and(|h| h.version >= c.new_version));
+        // record was lost) rolls forward below; any other claim never did,
+        // and its dirty bytes go.
+        let uncommitted = claim.as_ref().filter(|c| host.is_none_or(|h| h.version < c.new_version));
         if claim.is_some() {
-            if let (Some(entry), None) = (&file, committed) {
-                self.rollback_update(entry);
+            if let (Some(entry), Some(_)) = (&file, uncommitted) {
+                self.rollback_update(path, entry.cur_version);
                 report.updates_rolled_back += 1;
             }
             self.repo.remove_uip_in(txn, path).map_err(db_err)?;
@@ -1478,6 +1499,9 @@ impl DlfmServer {
             Some(IntentEntry { op: BranchOp::Unlink, file, .. }) => Some(file.on_unlink),
             _ => None,
         };
+        if let Some(intent) = &intent {
+            self.repo.remove_intent_in(txn, intent.host_txid, path).map_err(db_err)?;
+        }
         match (host, file) {
             (None, Some(entry)) => {
                 self.repo.delete_file_in(txn, path).map_err(db_err)?;
@@ -1498,31 +1522,45 @@ impl DlfmServer {
                     report.links_undone += 1;
                 }
             }
-            (Some(row), None) => {
-                let entry = match &intent {
-                    Some(IntentEntry { op: BranchOp::Link, file, .. }) => Some(file.clone()),
-                    _ => self.entry_on_disk(path, row),
+            (Some(row), file) => {
+                // The link as this node recorded it — its row, or the intent
+                // of a branch whose end was lost — else as the disk shows it.
+                let relink = file.is_none();
+                let entry = match (file, &intent) {
+                    (Some(entry), _) => Some(entry),
+                    (None, Some(IntentEntry { op: BranchOp::Link, file, .. })) => {
+                        Some(file.clone())
+                    }
+                    (None, _) => self.entry_on_disk(path, row),
                 };
-                if let Some(entry) = entry {
+                let Some(entry) = entry else {
+                    report.missing_versions.push((path.to_string(), row.version));
+                    return Ok(());
+                };
+                if relink {
                     self.repo.insert_file_in(txn, &entry).map_err(db_err)?;
                     report.files_relinked += u64::from(intent.is_none());
-                    self.move_to_version(txn, &entry, row.version, false, state_id, report)?;
-                    self.release_write_grant(&entry);
-                } else {
-                    report.missing_versions.push((path.to_string(), row.version));
                 }
-            }
-            (Some(row), Some(entry)) => {
-                let on_disk = committed.is_some_and(|c| c.new_version == row.version);
+                // A write in flight that no uncommitted claim accounts for:
+                // its claim was lost, or only an earlier update's committed
+                // claim survived. Its bytes may be dirty; the host version's
+                // are in the store — a grant waits until the version before
+                // it is archived — except between a close's host commit and
+                // its grant's release, when the disk holds them.
+                let in_flight = uncommitted.is_none() && self.write_granted(&entry);
+                if in_flight && self.rollback_update(path, row.version) {
+                    report.updates_rolled_back += 1;
+                }
+                // At rest the disk may hold a version past the host row's (a
+                // restore, or a host failover that lost an update's
+                // `Commit`), so a move takes the store's copy of the row's
+                // version, and the disk's only when the store lacks it.
                 let moved =
-                    self.move_to_version(txn, &entry, row.version, on_disk, state_id, report)?;
-                if moved || claim.is_some() || unlink_action.is_some() {
+                    self.move_to_version(txn, &entry, row.version, in_flight, state_id, report)?;
+                if relink || moved || in_flight || claim.is_some() || unlink_action.is_some() {
                     self.release_write_grant(&entry);
                 }
             }
-        }
-        if let Some(intent) = &intent {
-            self.repo.remove_intent_in(txn, intent.host_txid, path).map_err(db_err)?;
         }
         Ok(())
     }
@@ -1550,12 +1588,12 @@ impl DlfmServer {
         })
     }
 
-    /// Moves `entry` to the host's `version`. The bytes: the disk's when
-    /// `on_disk`, else the archived version's if the store holds it; a newer
-    /// version it lacks is on disk, and an older one (RECOVERY NO prunes)
-    /// is reported missing and the file stays. `needs_archive` is set, so
-    /// the re-archive pass copies what the store lacks. Returns whether the
-    /// version moved.
+    /// Moves `entry` to the host's `version`. The bytes: already in place
+    /// when `on_disk` (a write in flight, rolled back), else the archived
+    /// version's if the store holds it; a newer version it lacks is on
+    /// disk, and an older one (RECOVERY NO prunes) is reported missing and
+    /// the file stays. `needs_archive` is set, so the re-archive pass
+    /// copies what the store lacks. Returns whether the version moved.
     fn move_to_version(
         &self,
         txn: &mut dl_minidb::Txn,
@@ -1569,16 +1607,18 @@ impl DlfmServer {
         if version == from {
             return Ok(false);
         }
-        match self.archive.get(path, version).filter(|_| !on_disk) {
-            Some(archived) => self
-                .admin
-                .write_file(&ROOT, path, &archived.data)
-                .map_err(|e| format!("restore {path} to version {version}: {e}"))?,
-            None if version < from => {
-                report.missing_versions.push((path.clone(), version));
-                return Ok(false);
+        if !on_disk {
+            match self.archive.get(path, version) {
+                Some(archived) => self
+                    .admin
+                    .write_file(&ROOT, path, &archived.data)
+                    .map_err(|e| format!("restore {path} to version {version}: {e}"))?,
+                None if version < from => {
+                    report.missing_versions.push((path.clone(), version));
+                    return Ok(false);
+                }
+                None => {}
             }
-            None => {}
         }
         self.repo.commit_version_in(txn, path, version, state_id).map_err(|e| e.to_string())?;
         if version < from {
@@ -1646,7 +1686,9 @@ pub struct RecoveryReport {
     /// Files moved forward to the host row's version: a surviving claim
     /// whose close record was lost, or an update this node never heard of.
     pub updates_rolled_forward: u64,
-    /// Surviving claims the host never committed, rolled back.
+    /// Writes rolled back to the host row's version: surviving claims the
+    /// host never committed, and writes in flight whose claim was lost,
+    /// found by the file's write-grant attributes.
     pub updates_rolled_back: u64,
     pub archives_recovered: u64,
     /// Links (`files_relinked`) and unlinks (`files_unlinked`) the host rows

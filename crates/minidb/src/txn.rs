@@ -307,10 +307,11 @@ impl Txn {
     /// everything logged after it — if a crash comes first. Only for
     /// changes whose loss recovery repairs by itself; DLFM clears
     /// `needs_archive` this way (losing the clear re-checks one archived
-    /// version), records a committed update's version bump (losing it
-    /// re-derives it from the forced claim and the host's metadata row) and
-    /// ends a link/unlink branch (losing it re-derives it from the forced
-    /// intent and the host's metadata row).
+    /// version), claims a write open and records the update's version bump
+    /// (losing them re-derives both from the host's metadata row and the
+    /// file's write-grant attributes) and ends a link/unlink branch (losing
+    /// it re-derives it from the forced intent and the host's metadata
+    /// row).
     /// A transaction with enlisted participants is forced
     /// regardless: its commit record *is* the 2PC decision.
     pub fn commit_unforced(self) -> DbResult<Lsn> {

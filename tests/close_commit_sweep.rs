@@ -1,21 +1,23 @@
 //! Cut-point sweep of the host row as the one commit point — of an update
-//! (PR 21) and of a link or an unlink (PR 22).
+//! and of a link or an unlink.
 //!
-//! An update forces two log records — the `dl_uip` claim at open, the
-//! host's `Commit` of the metadata row at close — and appends the
-//! repository's close record (and the archiver's `needs_archive` clear)
-//! *unforced*. A link or an unlink forces two as well — its intent (the
-//! branch's vote) and the host's `Commit` (which inserts or deletes the
-//! file's metadata row) — and ends the branch with one unforced repository
-//! record: the `Commit` of its `dl_files` row and intent removal, or, on
-//! abort, the intent removal alone. (An unlink's file-system action runs
-//! before its `Commit`, so "`Commit` kept, intent removal lost" is not a
-//! state the log can be in.) So at any instant the repository's disk holds
-//! everything forced so far plus **some prefix of the unforced tail**, and
-//! recovery must reach a consistent state from each of them by one rule:
-//! what the tail lost is settled by the host's metadata row — a surviving
-//! claim by its version, a surviving intent by its row's presence (link)
-//! or absence (unlink).
+//! An update forces one log record — the host's `Commit` of the metadata
+//! row at close — and appends its repository records *unforced*: the
+//! `dl_uip` claim at open, the close record (or, for a close that commits
+//! nothing, the claim's removal) and the archiver's `needs_archive` clear.
+//! A link or an unlink forces two — its intent (the branch's vote) and the
+//! host's `Commit` (which inserts or deletes the file's metadata row) — and
+//! ends the branch with one unforced repository record: the `Commit` of its
+//! `dl_files` row and intent removal, or, on abort, the intent removal
+//! alone. (An unlink's file-system action runs before its `Commit`, so
+//! "`Commit` kept, intent removal lost" is not a state the log can be in.)
+//! So at any instant the repository's disk holds everything forced so far
+//! plus **some prefix of the unforced tail**, and recovery must reach a
+//! consistent state from each of them by one rule: what the tail lost is
+//! settled by the host's metadata row — an update by its version, a
+//! surviving intent by its row's presence (link) or absence (unlink) — and
+//! a write in flight by the file's write-grant attributes, claim or no
+//! claim.
 //!
 //! The sweep visits every record boundary of the repository log at the
 //! moment it is the crash frontier. A seeded history — updates over the
@@ -32,7 +34,8 @@
 //! everywhere. After a step that has a commit point the crash is also
 //! placed around it ([`Frontier`]): with the host log cut below the step's
 //! `Commit` (for a link or an unlink: after the forced intent, the host
-//! undecided), and — for a link or an unlink — between the `Commit` and
+//! undecided; for a close: the file still under its write grant's
+//! attributes), and — for a link or an unlink — between the `Commit` and
 //! phase two, the branch's own `Commit` never written.
 //!
 //! After each recovery, per file: user-table row, host metadata row and
@@ -49,7 +52,7 @@ use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, RecoveryReport, TokenKind};
-use datalinks::fskit::{Cred, OpenOptions, SimClock};
+use datalinks::fskit::{Cred, OpenOptions, SetAttr, SimClock};
 use datalinks::minidb::wal::{read_until, WalRecord};
 use datalinks::minidb::{
     Column, ColumnType, Database, Device, DiskFaults, Lsn, Participant, RowOp, Schema, StorageEnv,
@@ -374,8 +377,14 @@ fn replay(
 /// What an unforced repository record is to the sweep.
 #[derive(Clone, Copy, PartialEq)]
 enum Tail {
-    /// The record of a finished close: the commit that deletes the claim.
-    Close,
+    /// A write open's claim of `file`: the commit that inserts it.
+    Claim(usize),
+    /// The record of a finished close of `file`: the commit that moves its
+    /// `dl_files` version and deletes the claim.
+    Close(usize),
+    /// A claim of `file` given back with no version (a failed close): the
+    /// commit that deletes it alone.
+    Release(usize),
     /// The end of a link/unlink branch: the commit that deletes its
     /// intents — with its `dl_files` rows if it committed, alone if not.
     End {
@@ -386,14 +395,24 @@ enum Tail {
 
 fn classify(rec: &WalRecord) -> Tail {
     let WalRecord::Commit { ops, .. } = rec else { return Tail::Other };
-    let deletes =
-        |t: &str| ops.iter().any(|op| matches!(op, RowOp::Delete { table, .. } if table == t));
-    if deletes("dl_uip") {
-        Tail::Close
-    } else if deletes("dl_intents") {
-        Tail::End { commit: ops.iter().any(|op| op.table() == "dl_files") }
-    } else {
-        Tail::Other
+    let file_of = |path: &str| (0..FILES).find(|&f| path_of(f) == path).unwrap();
+    let claim = ops.iter().find_map(|op| match op {
+        RowOp::Insert { table, row } if table == "dl_uip" => row[0].as_text(),
+        _ => None,
+    });
+    let release = ops.iter().find_map(|op| match op {
+        RowOp::Delete { table, key } if table == "dl_uip" => key.as_text(),
+        _ => None,
+    });
+    let moves_files = ops.iter().any(|op| op.table() == "dl_files");
+    let deletes_intents =
+        ops.iter().any(|op| matches!(op, RowOp::Delete { table, .. } if table == "dl_intents"));
+    match (claim, release) {
+        (Some(path), _) => Tail::Claim(file_of(path)),
+        (None, Some(path)) if moves_files => Tail::Close(file_of(path)),
+        (None, Some(path)) => Tail::Release(file_of(path)),
+        (None, None) if deletes_intents => Tail::End { commit: moves_files },
+        (None, None) => Tail::Other,
     }
 }
 
@@ -522,21 +541,42 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
     let mut boundaries: Vec<Lsn> = tail.iter().map(|(lsn, _)| *lsn).collect();
     boundaries.push(end);
     let mut want = model.version;
-    let mut rolled_back = model.open.len() as u64;
-    let mut lost_commit_point = 0;
+    // Files the recovery rolls an update back on: every grant in flight,
+    // whether or not its claim survived the cut.
+    let mut rolled_back: BTreeSet<usize> = model.open.clone();
+    // The close whose host commit the crash took, if any.
+    let mut uncommitted_close = None;
     if frontier == Frontier::BeforeCommit {
         want = before;
-        if let Step::Close(_) = last {
-            // Everything from the close record on was never written either.
-            let last_close = tail.iter().rposition(|(_, kind)| *kind == Tail::Close).unwrap();
+        if let Step::Close(file) = last {
+            // Everything from the close record on was never written either,
+            // and the file still carries the write grant's attributes.
+            let last_close = tail.iter().rposition(|(_, kind)| *kind == Tail::Close(file)).unwrap();
             boundaries.truncate(last_close + 1);
-            rolled_back += 1;
-            lost_commit_point = 1;
+            rolled_back.insert(file);
+            uncommitted_close = Some(last_close);
         }
     }
     let at = boundaries[cut];
-    let lost = |kind: Tail| tail.iter().filter(|(lsn, k)| *lsn >= at && *k == kind).count() as u64;
-    let rolled_forward = lost(Tail::Close) - lost_commit_point;
+    // A close the cut lost rolls its file forward to the host's version —
+    // once per file, however many of its closes were lost.
+    let rolled_forward: BTreeSet<usize> = tail
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (lsn, kind))| match kind {
+            Tail::Close(file) if *lsn >= at && uncommitted_close != Some(i) => Some(*file),
+            _ => None,
+        })
+        .collect();
+    // A release the cut lost leaves its claim, if that survived, for the
+    // recovery to roll back.
+    for (i, (lsn, kind)) in tail.iter().enumerate() {
+        let Tail::Release(file) = *kind else { continue };
+        let claimed_at = tail[..i].iter().rev().find(|(_, k)| *k == Tail::Claim(file));
+        if *lsn >= at && claimed_at.is_none_or(|(claim, _)| *claim < at) {
+            rolled_back.insert(file);
+        }
+    }
     // The branches the cut leaves undecided, oldest first: those whose end
     // it lost, then the one whose phase two never ran.
     let mut undecided: Vec<bool> = tail
@@ -553,10 +593,21 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
     let Rig { sys, host_env, repo_env, .. } = rig;
     let (dev, base) = active_log(sys.node(SRV).unwrap().server.repository().db(), &repo_env);
     let host_log = active_log(sys.db(), &host_env);
+    let dlfm = sys.node(SRV).unwrap().server.config().dlfm_cred;
+    let raw = sys.raw_fs(SRV).unwrap();
     let image = sys.crash();
     dev.set_len(at - base).unwrap();
     if frontier == Frontier::BeforeCommit {
         cut_last_host_commit(host_log);
+        if let Step::Close(file) = last {
+            let granted = SetAttr {
+                uid: Some(dlfm.uid),
+                gid: Some(dlfm.gid),
+                mode: Some(0o600),
+                ..Default::default()
+            };
+            raw.setattr(&Cred::root(), &path_of(file), &granted).unwrap();
+        }
     }
     let context = format!(
         "seed {SEED}, crash at step {} {last:?} {frontier:?}, repository log cut at {at}",
@@ -568,8 +619,8 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
     assert_eq!(resolved, undecided, "{context}: every branch settles by the host row");
     assert_eq!(
         (report.updates_rolled_forward, report.updates_rolled_back),
-        (rolled_forward, rolled_back),
-        "{context}: every surviving claim settles by the host row"
+        (rolled_forward.len() as u64, rolled_back.len() as u64),
+        "{context}: every update settles by the host row and the file's attributes"
     );
     audit(&sys, &want, &[], &context);
     boundaries.len()
@@ -616,48 +667,43 @@ fn every_cut_of_the_unforced_tail_recovers_row_file_and_archive_together() {
     );
 }
 
-/// Whether no write open is in flight once `steps` have run.
-fn quiescent(steps: &[Step]) -> bool {
-    let opens = steps.iter().filter(|s| matches!(s, Step::Open(_))).count();
-    let closes =
-        steps.iter().filter(|s| matches!(s, Step::Close(_) | Step::CloseFailing(_))).count();
-    opens == closes
-}
-
 #[test]
 fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
     // The standby log as the cut target: shipping pauses before each step,
-    // so the standby holds nothing that step or any later one logged —
-    // not the claim, the intent, the close record or the branch's end. The
-    // primary runs on to the next point where no write open is in flight
-    // (a failover with a grant outstanding is not a state this history
-    // audits), dies, and the promoted node must agree with the host rows.
+    // so the standby holds nothing that step logged — not the claim, the
+    // intent, the close record or the branch's end. The primary runs the
+    // step, dies — with whatever write opens it holds — and the promoted
+    // node must agree with the host rows: a grant in flight, whose claim
+    // the standby may never have seen, rolls back by its attributes.
     let steps = history(SEED);
-    let (mut relinked, mut unlinked, mut forward) = (0, 0, 0);
+    let (mut relinked, mut unlinked, mut forward, mut back) = (0, 0, 0, 0);
     for cut in 0..steps.len() {
-        let end = (cut + 1..=steps.len()).find(|&end| quiescent(&steps[..end])).unwrap();
-        let (rig, model, _) = replay(&steps[..end], false, Some(cut));
+        let (rig, model, _) = replay(&steps[..=cut], false, Some(cut));
         let mut sys = rig.sys;
         let report = sys.fail_over(SRV).unwrap();
         relinked += report.files_relinked;
         unlinked += report.files_unlinked;
         forward += report.updates_rolled_forward;
+        back += report.updates_rolled_back;
+        // Rolled back: each grant in flight, and a failed close whose
+        // claim shipped without its release.
+        let released = u64::from(matches!(steps[cut], Step::CloseFailing(_)));
+        assert_eq!(report.updates_rolled_back, model.open.len() as u64 + released, "step {cut}");
         // A take-over the standby never heard of: the original owner is
         // lost with the intent.
-        let owner_lost: Vec<usize> = steps[cut..end]
-            .iter()
-            .filter_map(|step| match *step {
-                Step::Link(file) | Step::Swap(_, file) => Some(file),
-                _ => None,
-            })
-            .collect();
+        let owner_lost = match steps[cut] {
+            Step::Link(file) | Step::Swap(_, file) => vec![file],
+            _ => vec![],
+        };
         let context = format!("seed {SEED}, standby cut before step {cut} {:?}", steps[cut]);
         audit(&sys, &model.version, &owner_lost, &context);
     }
-    // Worth its name only if lost links, unlinks and updates all happened.
+    // Worth its name only if lost links, unlinks, updates and write opens
+    // all happened.
     assert!(
-        relinked >= 3 && unlinked >= 2 && forward >= 12,
-        "{relinked} re-links, {unlinked} unlinks, {forward} versions rolled forward"
+        relinked >= 3 && unlinked >= 2 && forward >= 12 && back >= 12,
+        "{relinked} re-links, {unlinked} unlinks, {forward} versions rolled forward, \
+         {back} write opens rolled back"
     );
 }
 
@@ -665,18 +711,25 @@ fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
 fn failover_to_a_standby_holding_only_the_claims_settles_each_by_the_host_row() {
     // File 0: an acknowledged update whose close record never shipped.
     // File 1: a write open still in flight. The promoted standby holds both
-    // claims and nothing else; the host row tells them apart.
+    // claims — flushed right after the opens — and nothing else; the host
+    // row tells them apart.
     let Rig { mut sys, .. } = rig(1, 0);
     let set = sys.node(SRV).unwrap().replication.clone().unwrap();
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     set.set_paused(true);
     let fs = sys.fs(SRV).unwrap();
-    let (_, token_path) =
-        sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Write).unwrap();
-    let fd = fs.open(&APP, &token_path, OpenOptions::write_truncate()).unwrap();
-    fs.write(fd, b"doomed").unwrap();
-    update(&sys, 0, &bytes_of(0, 2));
+    let open = |file: i64| {
+        let (_, token_path) =
+            sys.select_datalink("t", &Value::Int(file), "body", TokenKind::Write).unwrap();
+        fs.open(&APP, &token_path, OpenOptions::write_truncate()).unwrap()
+    };
+    let (in_flight, acked) = (open(1), open(0));
     let repo = sys.node(SRV).unwrap().server.repository().db().clone();
+    repo.flush().unwrap();
+    fs.write(in_flight, b"doomed").unwrap();
+    fs.write(acked, &bytes_of(0, 2)).unwrap();
+    fs.close(acked).unwrap();
+    sys.node(SRV).unwrap().server.archive_store().wait_archived(&path_of(0));
     assert!(repo.durable_lsn() < repo.state_id(), "the close record is batched, not synced");
     while set.lag() > 0 {
         set.ship_once().unwrap();

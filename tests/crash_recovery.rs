@@ -655,9 +655,9 @@ fn crash_between_commit_and_archive_recovers_version() {
 
 /// Token entries and Sync rows are unlogged (they describe open
 /// descriptors): a crash with a write open granted loses both — and nothing
-/// recovery needs. The forced `dl_uip` row still drives the rollback, the
-/// surviving token string must be validated afresh before it admits anyone,
-/// and no ghost Sync row blocks the unlink.
+/// recovery needs. The file's write-grant attributes still drive the
+/// rollback, the surviving token string must be validated afresh before it
+/// admits anyone, and no ghost Sync row blocks the unlink.
 #[test]
 fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     let sys = build();
@@ -683,7 +683,7 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     }
 
     let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
-    assert_eq!(reports["srv"].updates_rolled_back, 1, "the forced UIP row drove the rollback");
+    assert_eq!(reports["srv"].updates_rolled_back, 1, "the grant's attributes drove the rollback");
     let raw = sys.raw_fs("srv").unwrap();
     assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"the committed truth");
     let url = datalinks::core::DatalinkUrl::parse("dlfs://srv/d/f.bin").unwrap();
@@ -712,32 +712,73 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     assert!(repo.get_file("/d/f.bin").is_none());
 }
 
+/// A write open whose claim the crash cuts out of the repository's unforced
+/// tail: nothing in the log says a write was in flight, but the disk does —
+/// the file carries the write grant's attributes — and recovery rolls the
+/// write back by them (§4.2), to the last committed bytes and at rest.
+#[test]
+fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() {
+    let sys = build();
+    update(&sys, b"the committed truth");
+    let repo = sys.node("srv").unwrap().server.repository().db().clone();
+    repo.flush().unwrap();
+    let (_, write_path) =
+        sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs("srv").unwrap();
+    let fd = fs.open(&APP, &write_path, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"dirty").unwrap();
+    let _ = fd; // never closed: the crash takes the descriptor down
+    assert!(repo.durable_lsn() < repo.state_id(), "the claim is in the unforced tail");
+    drop(repo);
+
+    let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+    let report = &reports["srv"];
+    assert!(report.in_doubt_resolved.is_empty());
+    assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (0, 1));
+    let node = sys.node("srv").unwrap();
+    assert!(node.server.repository().list_uip().is_empty());
+    let raw = sys.raw_fs("srv").unwrap();
+    assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"the committed truth");
+    let dlfm = node.server.config().dlfm_cred;
+    let attr = raw.stat(&Cred::root(), "/d/f.bin").unwrap();
+    assert_eq!((attr.uid, attr.gid, attr.mode), (dlfm.uid, dlfm.gid, 0o400), "back at rest");
+    let quarantined = node.server.archive_store().quarantined_data("/d/f.bin");
+    assert_eq!(quarantined.as_deref(), Some(&b"dirty"[..]), "the dirty bytes are kept aside");
+
+    update(&sys, b"version-3");
+    let url = datalinks::core::DatalinkUrl::parse("dlfs://srv/d/f.bin").unwrap();
+    assert_eq!(sys.engine().file_meta(&url).unwrap().2, 3, "the next update lands at v+1");
+    assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"version-3");
+}
+
 /// The window between "the file server is ready" and "the host decided",
 /// for every kind of DLFM transaction. Link and unlink are 2PC branches:
 /// the repository's intent — the branch's vote — is durable and the crash
 /// lands (a) before the host's `Commit` record or (b) after it but before
 /// the branch's own unforced `Commit`; recovery settles the surviving
-/// intent by the *host's* metadata row. An update has no branch: its forced
-/// claim at open is its vote, the
-/// host's `Commit` of the metadata row is the one commit point, and the
-/// repository's close record is an unforced append. The same two crash
-/// points — (a) claim durable, host undecided; (b) host committed, close
-/// record lost — settle by the version in the host's metadata row: roll
-/// back under (a), roll forward under (b).
+/// intent by the *host's* metadata row. An update has no branch and forces
+/// nothing on the file server: its claim at open and its close record are
+/// unforced appends, and the host's `Commit` of the metadata row is the one
+/// commit point. The same two crash points — (a) host undecided, (b) host
+/// committed, the repository's records of the update lost either way —
+/// settle by the version in the host's metadata row and the file's
+/// attributes: a file still carrying the write grant's rolls back to the
+/// host's version under (a), a file at rest rolls forward to it under (b).
 ///
 /// The crash is staged by shearing the logs at record boundaries after a
 /// clean run (logs are append-only, so a sheared log *is* the log as of
 /// that instant). What no shear can take back is the file-server side of a
 /// finished run — the archive copy of the new version, the attributes an
-/// unlink restored — so case (a) asserts on link state, content and
-/// metadata only.
+/// unlink restored — so case (a) of a link or an unlink asserts on link
+/// state, content and metadata only, and case (a) of an update puts back
+/// the write grant's attributes a crash before the host's `Commit` finds.
 mod in_doubt_branch_follows_the_host_outcome {
     use std::sync::Arc;
 
     use datalinks::core::{DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec};
     use datalinks::dlfm::RecoveryReport;
     use datalinks::dlfm::{ControlMode, TokenKind};
-    use datalinks::fskit::{Cred, OpenOptions, SimClock};
+    use datalinks::fskit::{Cred, OpenOptions, SetAttr, SimClock};
     use datalinks::minidb::wal::{read_until, WalRecord};
     use datalinks::minidb::{Column, ColumnType, Lsn, RowOp, Schema, StorageEnv, Value};
 
@@ -750,8 +791,8 @@ mod in_doubt_branch_follows_the_host_outcome {
         repo_env: StorageEnv,
     }
 
-    /// `/d/f.bin` linked as row 1 at version 1; `/d/new.bin` on disk,
-    /// unlinked.
+    /// `/d/f.bin` linked as row 1 at version 1, the link's branch end on
+    /// the repository's disk; `/d/new.bin` on disk, unlinked.
     fn rig() -> Rig {
         let (host_env, repo_env) = (StorageEnv::mem(), StorageEnv::mem());
         let mut spec = FileServerSpec::new(SRV);
@@ -780,6 +821,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         .unwrap();
         sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
         link(&sys, 1, "/d/f.bin");
+        sys.node(SRV).unwrap().server.repository().db().flush().unwrap();
         Rig { sys, host_env, repo_env }
     }
 
@@ -869,8 +911,9 @@ mod in_doubt_branch_follows_the_host_outcome {
     /// below the update's close record — an unforced append: when nothing
     /// flushed it before the crash it is already gone, which is the same
     /// disk — and, for a crash *before* the host's decision, the host log
-    /// below the update's `Commit`; then recovers. No branch is ever in
-    /// doubt: the surviving claim settles by the host's metadata row.
+    /// below the update's `Commit`, with the file back under the write
+    /// grant's attributes it had then; then recovers. No branch is ever in
+    /// doubt: the update settles by the host's metadata row.
     fn crash_before_the_close_record(
         rig: Rig,
         host_committed: bool,
@@ -880,10 +923,19 @@ mod in_doubt_branch_follows_the_host_outcome {
         let host_mark = sys.state_id();
         let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
         update(&sys, content);
+        let dlfm = sys.node(SRV).unwrap().server.config().dlfm_cred;
+        let raw = sys.raw_fs(SRV).unwrap();
         let image = sys.crash();
         shear_from_last(&repo_env, repo_mark, is_close_record);
         if !host_committed {
             assert!(shear_from_last(&host_env, host_mark, |rec| is_meta_commit(rec, true)));
+            let granted = SetAttr {
+                uid: Some(dlfm.uid),
+                gid: Some(dlfm.gid),
+                mode: Some(0o600),
+                ..Default::default()
+            };
+            raw.setattr(&Cred::root(), "/d/f.bin", &granted).unwrap();
         }
         let (sys, mut reports) = DataLinksSystem::recover(image).unwrap();
         let report = reports.remove(SRV).unwrap();
@@ -930,14 +982,16 @@ mod in_doubt_branch_follows_the_host_outcome {
     #[test]
     fn acknowledged_update_survives_a_crash_that_takes_its_unforced_decide() {
         // No shear: the close returned, the archive copy landed, and the
-        // repository's close record (and the archiver's flag clear) are
-        // still in the group-commit batch — unforced appends nothing has
-        // flushed. The crash loses them; the claim survives, and the forced
-        // host `Commit` of the metadata row rolls it forward.
+        // update's repository records — claim, close record, the
+        // archiver's flag clear — are still in the group-commit batch:
+        // unforced appends nothing has flushed. The crash loses them all;
+        // the forced host `Commit` of the metadata row is ahead of
+        // `dl_files`, and the file is at rest, so the update rolls forward
+        // to the host's version, the archived copy of it.
         let Rig { sys, .. } = rig();
         update(&sys, b"version-2");
         let repo = sys.node(SRV).unwrap().server.repository().db().clone();
-        assert!(repo.durable_lsn() < repo.state_id(), "the close record was never synced");
+        assert!(repo.durable_lsn() < repo.state_id(), "the update's records were never synced");
         drop(repo);
 
         let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
@@ -946,7 +1000,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         assert_eq!(
             (report.updates_rolled_forward, report.updates_rolled_back),
             (1, 0),
-            "the surviving claim is committed by the host's metadata row"
+            "the lost update is committed by the host's metadata row"
         );
         assert_eq!(content(&sys, "/d/f.bin"), b"version-2");
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));

@@ -29,9 +29,12 @@ const BURST_CLIENTS: usize = 16;
 
 /// A standalone DLFM server whose repository pays a deterministic sync
 /// latency, with one linked full-control file per burst client, so every
-/// write open and its close park their upcall worker in a forced log write
-/// (the `dl_uip` claim, then its removal) — the occupancy that forces pool
-/// growth. Token entries and Sync rows are unlogged and park nobody.
+/// close that wrote parks its upcall worker in a forced log write — with no
+/// host wired, the repository's own commit is the update's commit point —
+/// the occupancy that forces pool growth. The archive copy is taken inside
+/// the close, so the next open of the file is never `Busy`. The claim is
+/// an unforced append, and token entries and Sync rows are unlogged: they
+/// park nobody.
 fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
@@ -39,6 +42,7 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
     admin.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
     let mut cfg = DlfmConfig::new(SRV).upcall_workers(min, max);
     cfg.upcall_idle_ms = 15;
+    cfg.sync_archive = true;
     let server = Arc::new(
         DlfmServer::new(
             cfg,
@@ -62,10 +66,10 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
 const BURST_CYCLES: u64 = 8;
 const UPCALLS_PER_CYCLE: u64 = 3;
 
-/// The burst: 16 threads sharing `client`, each cycling 8 write opens of
-/// its own file — token validation, the claim (~400 µs parked on the
-/// forced `dl_uip` row), and a close without a write (~400 µs again to
-/// remove it). `after_cycle` runs on the client's thread after each cycle.
+/// The burst: 16 threads sharing `client`, each cycling 8 updates of its
+/// own file — token validation, the claimed write open, and a close that
+/// commits the new version (~400 µs parked on the forced commit).
+/// `after_cycle` runs on the client's thread after each cycle.
 fn write_open_burst(
     server: &DlfmServer,
     clock: &SimClock,
@@ -86,7 +90,7 @@ fn write_open_burst(
                     let opener = (t as u64) * 100 + k;
                     let (_, decision) = client.open_check(&path, APP.uid, TokenKind::Write, opener);
                     assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
-                    client.close_notify(&path, opener, false, 4, 0).unwrap();
+                    client.close_notify(&path, opener, true, 4, 0).unwrap();
                     after_cycle();
                 }
             });

@@ -213,7 +213,8 @@ fn failover_matches_a_crash_recovered_primary() {
     let fs = sys.fs(SRV).unwrap();
     let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"doomed in-flight bytes").unwrap();
-    // The write-open claim is a durable repository commit; ship it.
+    // The write-open claim is an unforced repository commit: the catch-up
+    // flushes it and ships it.
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
 
     // What a crash-recovered PRIMARY would work from: a fork of the
@@ -378,9 +379,33 @@ fn failover_to_a_standby_without_the_unlink_finishes_it_from_the_host_row() {
 }
 
 #[test]
+fn failover_with_a_write_open_the_standby_never_saw_rolls_it_back_by_its_grant_attributes() {
+    // The claim never reached the standby, and the host row still holds the
+    // committed version: only the disk knows a write is in flight. The file
+    // carries the write grant's attributes, and the promotion rolls the
+    // write back by them.
+    let mut sys = build(1, 1);
+    write_once(&sys, 0, b"version two");
+    cut_the_standby_off(&sys);
+    let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
+    fs.write(fd, b"doomed in-flight bytes").unwrap();
+    drop(fs);
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (0, 1));
+    assert_rows_agree(&sys, 0, Some(2));
+    let disk = sys.raw_fs(SRV).unwrap().read_file(&Cred::root(), "/d/f0.bin").unwrap();
+    assert_eq!(disk, b"version two", "the last committed bytes");
+    write_once(&sys, 0, b"version three");
+    assert_rows_agree(&sys, 0, Some(3));
+}
+
+#[test]
 fn promoted_standby_starts_without_token_entries_or_sync_rows() {
     // The unlogged tables never ship: a standby promoted while a write open
-    // is granted on the primary inherits the forced UIP row (and rolls the
+    // is granted on the primary inherits the shipped UIP row (and rolls the
     // update back) but no token entry and no Sync row.
     let mut sys = build(1, 1);
     write_once(&sys, 0, b"committed state");
@@ -597,15 +622,21 @@ fn close_an_update(sys: &DataLinksSystem, id: i64, content: &[u8]) {
 /// Stages the window the close's unforced repository record opens: the
 /// shipper is paused (so its idle poll cannot flush the primary), an update
 /// commits on the host, and one synchronous ship round hands the standby
-/// everything *durable* — the claim, not the close record.
+/// everything *durable* — the claim, flushed right after the open, not the
+/// close record.
 fn standby_holding_the_claim_not_the_close(
     sys: &DataLinksSystem,
     set: &ReplicaSet,
     content: &[u8],
 ) {
     set.set_paused(true);
-    close_an_update(sys, 0, content);
+    let (_, path) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).unwrap();
     let repo = sys.node(SRV).unwrap().server.repository().db();
+    repo.flush().unwrap();
+    fs.write(fd, content).unwrap();
+    fs.close(fd).unwrap();
     assert!(repo.durable_lsn() < repo.state_id(), "the close record is batched, not synced");
     while set.lag() > 0 {
         set.ship_once().unwrap();
@@ -1020,4 +1051,34 @@ fn whole_system_crash_during_host_outage_recovers_from_the_promoted_disk() {
     write_once(&sys, 0, b"after recover");
     let tp = read_token_path(&sys, 0);
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"after recover");
+}
+
+#[test]
+fn node_crash_after_a_host_failover_lost_an_update_takes_the_host_version_from_the_archive() {
+    // Host shipping is asynchronous: the promoted host keeps v2 and loses
+    // v3's `Commit`, while the node's disk holds v3's bytes at rest. The
+    // node then crashes before its repository flushes, so `dl_files` comes
+    // back at v1 — behind the host row, which is behind the disk. The
+    // roll-forward to v2 takes v2's bytes from the archive, not the disk's.
+    let mut sys = build_host(1, 1);
+    let repo = sys.node(SRV).unwrap().server.repository().db().clone();
+    repo.flush().unwrap();
+    write_once(&sys, 0, b"version two");
+    assert!(sys.wait_host_replicas_caught_up(CATCH_UP));
+    sys.set_host_replication_paused(true).unwrap();
+    write_once(&sys, 0, b"version three");
+    assert!(sys.host_replication_lag() > 0, "v3's commit must still be unshipped");
+
+    sys.fail_over_host().unwrap();
+    assert!(repo.durable_lsn() < repo.state_id(), "both updates sit in the unforced tail");
+    drop(repo);
+    let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+    let report = &reports[SRV];
+    assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (1, 0));
+
+    assert_rows_agree(&sys, 0, Some(2));
+    let disk = sys.raw_fs(SRV).unwrap().read_file(&Cred::root(), "/d/f0.bin").unwrap();
+    assert_eq!(disk, b"version two", "the host row's bytes, not the lost update's");
+    write_once(&sys, 0, b"version three again");
+    assert_rows_agree(&sys, 0, Some(3));
 }

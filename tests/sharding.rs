@@ -391,9 +391,10 @@ fn shard_crash_mid_burst_resolves_all_in_doubt_with_zero_atomicity_violations() 
 
 /// The close path's one commit point, per shard: each shard's DLFM asks
 /// the host hook about *its* files under the logical server's URL. An
-/// acknowledged update on either shard loses its unforced close record to
-/// the crash; an open on shard 0 is still in flight. Every shard settles
-/// its own claims by the host's metadata rows.
+/// acknowledged update on either shard loses its unforced repository
+/// records to the crash; an open on shard 0 is still in flight, its claim
+/// flushed to the shard's disk. Every shard settles its own updates by the
+/// host's metadata rows.
 #[test]
 fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
     let sys = build(2, 0, 0);
@@ -408,9 +409,11 @@ fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
     let fd = fs.open(&APP, &tp, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"doomed").unwrap();
     for (i, p) in acked.iter().enumerate() {
-        update(&sys, i as i64, p, b"version-2");
+        // The links' branch ends and the in-flight claim reach the disk.
         let repo = sys.node(&shard_name(i)).unwrap().server.repository().db();
-        assert!(repo.durable_lsn() < repo.state_id(), "shard {i}: the close record is unsynced");
+        repo.flush().unwrap();
+        update(&sys, i as i64, p, b"version-2");
+        assert!(repo.durable_lsn() < repo.state_id(), "shard {i}: the update is unsynced");
     }
     drop(fs);
 
