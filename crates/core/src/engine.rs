@@ -30,7 +30,7 @@ use dl_minidb::{
     Column, ColumnType, Database, DbResult, DmlEvent, DmlObserver, InjectedDml, Lsn, Row, Schema,
     Value,
 };
-use dl_repl::ReplicaSet;
+use dl_repl::{ReplicaSet, Standby};
 use parking_lot::{Mutex, RwLock};
 
 use crate::datalink::{DatalinkUrl, DlColumnOptions};
@@ -128,11 +128,11 @@ pub struct ServerRegistration {
     pub replication: Option<Arc<ReplicaSet>>,
 }
 
-/// Per-registration read lane: the primary arm of the routed read path
-/// admits one validation at a time — the node's modelled daemon capacity,
-/// the paper's prototype shape, serialized exactly like a replica's
-/// validation daemon (`Standby::validate_read_token`), so a10's
-/// replica-count sweep compares equal per-node capacity.
+/// Per-node read lane: the routed read path admits one validation at a
+/// time per validating node — a registration's primary or one of its
+/// replicas, taken in one place above the arm split — the node's modelled
+/// daemon capacity, the paper's prototype shape, so a10's replica-count
+/// sweep compares equal per-node capacity.
 ///
 /// This is a deliberate *model*, not an accident: in-process, every
 /// "node" shares one machine, so without a per-node capacity bound the
@@ -141,6 +141,14 @@ pub struct ServerRegistration {
 /// win. The lane applies only to the routed read path — the DLFS upcall
 /// path (the elastic pool) is untouched.
 type ReadLane = Mutex<()>;
+
+/// The read-lane key of a replica of registration `node`: `srv1/srv1#0`.
+/// A registration's own name is its primary's key; the node prefix keeps
+/// apart the replicas of shard nodes, which share their logical server's
+/// standby names.
+fn replica_lane(node: &str, standby: &Standby) -> String {
+    format!("{node}/{}", standby.name)
+}
 
 /// Registered DATALINK columns of one table: (index, name, options).
 type TableDlColumns = Vec<(usize, String, DlColumnOptions)>;
@@ -259,7 +267,10 @@ impl DataLinksEngine {
     /// Re-registering a name replaces the previous registration — failover
     /// swaps the promoted server in this way.
     pub fn register_server(&self, reg: ServerRegistration) {
-        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(())));
+        let standbys = reg.replication.iter().flat_map(|set| set.standbys());
+        let replicas = standbys.map(|standby| replica_lane(&reg.name, standby));
+        let nodes = std::iter::once(reg.name.clone()).chain(replicas);
+        self.read_lanes.write().extend(nodes.map(|node| (node, Arc::new(ReadLane::new(())))));
         self.lag_ewmas.write().entry(reg.name.clone()).or_default();
         self.servers.write().insert(reg.name.clone(), reg);
     }
@@ -406,42 +417,38 @@ impl DataLinksEngine {
                 replica = None;
             }
         }
-        match replica {
-            Some(standby) => {
-                self.stats.replica_routed.inc();
-                let kind = standby.validate_read_token(path, token, uid)?;
-                let bytes = if fetch {
-                    match standby.serve_read(path, uid) {
-                        Ok(bytes) => Some(bytes),
-                        // The standby is behind (link or version not yet
-                        // applied) or the version not yet archived: a
-                        // valid-token read must not fail on a healthy
-                        // system — serve the content from the primary.
-                        Err(_) => {
-                            self.stats.replica_fallbacks.inc();
-                            Some(primary.read_linked(path)?)
-                        }
-                    }
-                } else {
-                    None
-                };
-                Ok((kind, bytes))
-            }
-            None => {
-                self.stats.primary_routed.inc();
-                // Lane covers validation only, exactly like a replica's
-                // (`Standby::validate_read_token`): content fetch is
-                // unserialized on both arms, so the a10 replica-count
-                // sweep compares equal per-node work.
-                let kind = {
-                    let lane = self.read_lanes.read().get(node).cloned();
-                    let _permit = lane.as_ref().map(|l| l.lock());
-                    primary.validate_token(path, token, uid)?
-                };
-                let bytes = if fetch { Some(primary.read_linked(path)?) } else { None };
-                Ok((kind, bytes))
-            }
+        match &replica {
+            Some(_) => self.stats.replica_routed.inc(),
+            None => self.stats.primary_routed.inc(),
         }
+        // The validating node's lane covers validation only: content fetch
+        // is unserialized on both arms, so the a10 replica-count sweep
+        // compares equal per-node work.
+        let kind = {
+            let replica_key = replica.as_ref().map(|standby| replica_lane(node, standby));
+            let lane = self.read_lanes.read().get(replica_key.as_deref().unwrap_or(node)).cloned();
+            let _permit = lane.as_ref().map(|l| l.lock());
+            match &replica {
+                Some(standby) => standby.validate_read_token(path, token, uid)?,
+                None => primary.validate_token(path, token, uid)?,
+            }
+        };
+        let bytes = match (&replica, fetch) {
+            (_, false) => None,
+            (Some(standby), true) => match standby.serve_read(path, uid) {
+                Ok(bytes) => Some(bytes),
+                // The standby is behind (link or version not yet applied)
+                // or the version not yet archived: a valid-token read must
+                // not fail on a healthy system — serve the content from the
+                // primary.
+                Err(_) => {
+                    self.stats.replica_fallbacks.inc();
+                    Some(primary.read_linked(path)?)
+                }
+            },
+            (None, true) => Some(primary.read_linked(path)?),
+        };
+        Ok((kind, bytes))
     }
 
     /// Declares `table.column` to be a DATALINK column with `opts`.

@@ -28,13 +28,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dl_dlfm::{
-    ArchiveStore, ContentSource, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HostView,
-    MainDaemon, PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector,
-    WireDaemon,
+    ArchiveStore, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HostView, MainDaemon,
+    PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
-use dl_fskit::{Clock, Cred, FileSystem, Lfs, MemFs, WallClock};
+use dl_fskit::{Clock, FileSystem, Lfs, MemFs, WallClock};
 use dl_minidb::{Database, DbOptions, Lsn, Schema, StorageEnv, Txn, Value};
 use dl_obs::{NetStats, Registry};
 use dl_repl::{Follower, ReplicaSet, ReplicaSetOptions, Standby};
@@ -713,12 +712,6 @@ impl DataLinksSystem {
                     .checkpoint_and_truncate()
                     .map_err(|e| format!("post-recovery repository checkpoint: {e}"))?;
             }
-            // Fallback content source: linked-but-never-updated files have
-            // no archived version yet; the replica reads those from the
-            // node's (surviving) physical file system.
-            let fallback_fs = Lfs::new(part.fs.clone() as Arc<dyn FileSystem>);
-            let fallback: ContentSource =
-                Arc::new(move |path: &str| fallback_fs.read_file(&Cred::root(), path).ok());
             let set = ReplicaSet::<Standby>::build(
                 server.repository().db().replication_feed(),
                 Arc::clone(&part.archive),
@@ -730,7 +723,10 @@ impl DataLinksSystem {
                     server_name: part.dlfm_cfg.server_name.clone(),
                     token_key: part.dlfm_cfg.token_key.clone(),
                     clock: Arc::clone(clock),
-                    fallback: Some(fallback),
+                    // Linked-but-never-updated files have no archived
+                    // version yet: a replica reads those live, from the
+                    // node's one content source, the archiver's.
+                    fallback: Some(Arc::clone(server.content_source())),
                 },
             )?;
             Some(Arc::new(set))

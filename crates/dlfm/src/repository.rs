@@ -28,7 +28,10 @@
 //! (`dl_minidb::Schema::unlogged`): a write to them takes its row locks and
 //! is visible at commit like any other, but forces no log record, reaches no
 //! snapshot and no standby, and every reopen of the repository — crash
-//! recovery, failover promotion, restore — finds both empty. `dl_files`,
+//! recovery, restore — finds both empty. A read replica writes token
+//! entries of its own into its follower's `dl_tokens` (a follower commits
+//! unlogged-only transactions), so a promoted standby starts with the
+//! sessions it admitted and no Sync rows. `dl_files`,
 //! `dl_uip` and `dl_intents` are the durable state recovery works
 //! from, and every write to them that recovery could not re-derive is
 //! forced before it is acted on (DESIGN.md "Force audit" lists the ones
@@ -43,8 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv, Txn, Value};
 
+use crate::archive::{ArchiveStore, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::token::TokenKind;
+use crate::token::{AccessToken, TokenKind};
 
 /// Names of all repository tables.
 pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
@@ -262,7 +266,14 @@ impl Repository {
     /// or a promoted follower — creating whatever tables it lacks.
     pub fn new(db: Database) -> DbResult<Repository> {
         Self::ensure_schema(&db)?;
-        Ok(Repository { db, update_ops: AtomicU64::new(0) })
+        Ok(Self::over(db))
+    }
+
+    /// The repository over `db` as it stands, creating nothing: a read
+    /// replica's view of its follower, which takes no DDL — the schema
+    /// arrives by shipping.
+    pub fn over(db: Database) -> Repository {
+        Repository { db, update_ops: AtomicU64::new(0) }
     }
 
     fn ensure_schema(db: &Database) -> DbResult<()> {
@@ -470,6 +481,26 @@ impl Repository {
         Ok(())
     }
 
+    /// The committed read the primary and every read replica serve: the
+    /// bytes of `path`'s `cur_version` from `archive` — a write open may be
+    /// dirtying the live file — else what `live` reads, the committed bytes
+    /// of a file never write-opened since link (the first write open
+    /// captures the before-image). The token check is the caller's.
+    pub fn read_committed(
+        &self,
+        path: &str,
+        archive: &ArchiveStore,
+        live: Option<&ContentSource>,
+    ) -> Result<Vec<u8>, String> {
+        let entry = self.get_file(path).ok_or_else(|| format!("file {path} is not linked"))?;
+        if let Some(archived) = archive.get(path, entry.cur_version) {
+            return Ok(archived.data);
+        }
+        live.and_then(|read| read(path)).ok_or_else(|| {
+            format!("version {} of {path} is neither archived nor readable", entry.cur_version)
+        })
+    }
+
     /// Files whose current version still awaits archiving (recovery).
     pub fn files_needing_archive(&self) -> Vec<FileEntry> {
         self.list_files().into_iter().filter(|f| f.needs_archive).collect()
@@ -503,6 +534,25 @@ impl Repository {
         txn.commit()?;
         self.bump();
         Ok(())
+    }
+
+    /// Token admission (§4.1) — the one the primary's upcall and every read
+    /// replica run: decodes `token`, checks its MAC under `server`'s secret
+    /// `key` and its expiry at `now_ms`, and records the token entry.
+    pub fn admit_token(
+        &self,
+        key: &[u8],
+        server: &str,
+        path: &str,
+        token: &str,
+        uid: u32,
+        now_ms: u64,
+    ) -> Result<TokenKind, String> {
+        let token = AccessToken::decode(token).map_err(|e| e.to_string())?;
+        token.verify(key, server, path, now_ms).map_err(|e| e.to_string())?;
+        self.put_token_entry(uid, path, token.kind, token.expires_at_ms)
+            .map_err(|e| e.to_string())?;
+        Ok(token.kind)
     }
 
     /// Does an unexpired token entry authorizing `wanted` exist for

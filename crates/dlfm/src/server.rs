@@ -19,10 +19,10 @@ use dl_fskit::{Clock, Cred, FileKind, FileSystem, Lfs, SetAttr};
 use dl_net::Message;
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::archive::{ArchiveJob, ArchiveStore, Archiver};
+use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
 use crate::repository::{BranchOp, FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
-use crate::token::{AccessToken, TokenKind};
+use crate::token::TokenKind;
 
 /// How the host database and DLFS reach this DLFM instance: which carrier
 /// their [`crate::DlfmClient`]s ride.
@@ -306,6 +306,8 @@ pub struct DlfmServer {
     /// (a promoted standby, a recovered node) fences this one.
     generation: u64,
     archiver: Archiver,
+    /// See [`DlfmServer::content_source`].
+    source: ContentSource,
     /// Root-credentialed logical FS over the *raw* physical file system.
     admin: Lfs,
     clock: Arc<dyn Clock>,
@@ -349,7 +351,7 @@ impl DlfmServer {
         let repo = Arc::new(Repository::new(repo).map_err(|e| e.to_string())?);
         let sync_epoch = Arc::new(SyncEpoch::default());
         let source_fs = Lfs::new(Arc::clone(&fs));
-        let source: crate::archive::ContentSource =
+        let source: ContentSource =
             Arc::new(move |path: &str| source_fs.read_file(&ROOT, path).ok());
         // Completion callback: once the store durably holds the version,
         // `needs_archive` can clear eagerly (recovery's lazy clear remains
@@ -369,7 +371,8 @@ impl DlfmServer {
                 }
                 cb_epoch.bump();
             });
-        let archiver = Archiver::spawn(Arc::clone(&archive), generation, source, on_complete);
+        let archiver =
+            Archiver::spawn(Arc::clone(&archive), generation, Arc::clone(&source), on_complete);
         let flight_source = format!("dlfm.{}", cfg.server_name);
         let flight_ring_capacity = cfg.flight_ring_capacity;
         Ok(DlfmServer {
@@ -378,6 +381,7 @@ impl DlfmServer {
             archive,
             generation,
             archiver,
+            source,
             admin: Lfs::new(fs),
             clock,
             host: RwLock::new(None),
@@ -474,22 +478,18 @@ impl DlfmServer {
     }
 
     /// Reads a *linked* file's **last committed** bytes with DLFM's own
-    /// credentials — the primary arm of the routed read path (replicas
-    /// serve the same request from the same archive store). Token
+    /// credentials — the primary arm of the routed read path, by the same
+    /// [`Repository::read_committed`] a replica serves it with. Token
     /// validation is the caller's job; unlinked paths are refused.
-    ///
-    /// The archive copy of `cur_version` is preferred over the live file:
-    /// a write open may be dirtying the live bytes right now, and the
-    /// routed read promises committed data only. The live-file fallback is
-    /// safe because the only files without an archived current version are
-    /// those never write-opened since link (the first write open captures
-    /// the before-image), whose live bytes *are* the committed bytes.
     pub fn read_linked(&self, path: &str) -> Result<Vec<u8>, String> {
-        let entry = self.repo.get_file(path).ok_or_else(|| format!("file {path} is not linked"))?;
-        if let Some(archived) = self.archive.get(path, entry.cur_version) {
-            return Ok(archived.data);
-        }
-        self.admin.read_file(&ROOT, path).map_err(|e| format!("read {path}: {e}"))
+        self.repo.read_committed(path, &self.archive, Some(&self.source))
+    }
+
+    /// The node's one live-bytes source — root reads of the raw file
+    /// system — that the archiver captures versions with and the committed
+    /// read falls back to.
+    pub fn content_source(&self) -> &ContentSource {
+        &self.source
     }
 
     fn bump_epoch(&self) {
@@ -885,23 +885,11 @@ impl DlfmServer {
 
     /// Token validation during `fs_lookup` interception (§4.1): verifies
     /// the MAC/expiry and records a token entry keyed by *userid*.
-    pub fn validate_token(
-        &self,
-        path: &str,
-        token_str: &str,
-        uid: u32,
-    ) -> Result<TokenKind, String> {
+    pub fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String> {
         self.stats.upcalls.inc();
         self.stats.token_validations.inc();
-        let token = AccessToken::decode(token_str).map_err(|e| e.to_string())?;
-        let now = self.clock.now_ms();
-        token
-            .verify(&self.cfg.token_key, &self.cfg.server_name, path, now)
-            .map_err(|e| e.to_string())?;
-        self.repo
-            .put_token_entry(uid, path, token.kind, token.expires_at_ms)
-            .map_err(|e| e.to_string())?;
-        Ok(token.kind)
+        let (key, server, now) = (&self.cfg.token_key, &self.cfg.server_name, self.clock.now_ms());
+        self.repo.admit_token(key, server, path, token, uid, now)
     }
 
     /// Open processing during `fs_open` interception (§4.2, §4.4, §4.5).

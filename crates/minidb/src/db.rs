@@ -1,7 +1,7 @@
 //! The database facade: open/recover, DDL, transactions, checkpoints,
 //! observers, 2PC participant registry, and read-committed helpers — of a
 //! primary, or of a follower of one (`crate::replica`), which refuses local
-//! writes until promoted.
+//! logged writes until promoted.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -254,7 +254,8 @@ impl Database {
         &self.inner.env
     }
 
-    /// A follower's log holds the primary's bytes only.
+    /// A follower's log holds the primary's bytes only: it takes no local
+    /// logged write, DDL or checkpoint.
     pub(crate) fn refuse_if_following(&self) -> DbResult<()> {
         match self.inner.follow.is_following() {
             true => Err(DbError::Following),
@@ -368,6 +369,10 @@ impl Database {
         if !list.iter().any(|(n, _)| n == name) {
             list.push((name.to_string(), p));
         }
+    }
+
+    pub(crate) fn has_participants(&self, txid: TxId) -> bool {
+        self.inner.participants.lock().contains_key(&txid)
     }
 
     pub(crate) fn take_participants(&self, txid: TxId) -> Vec<(String, Arc<dyn Participant>)> {

@@ -40,9 +40,9 @@ pub enum DbError {
         /// The current truncation low-water mark of the log.
         base: u64,
     },
-    /// The database follows a primary: it takes shipped frames and
-    /// checkpoint images only, and refuses local logged writes, DDL and
-    /// checkpoints until promoted.
+    /// The database follows a primary: its log takes shipped frames and
+    /// checkpoint images only, so it refuses local logged writes, DDL and
+    /// checkpoints until promoted (writes to unlogged tables commit).
     Following,
     /// Underlying storage failure.
     Io(String),
@@ -65,7 +65,7 @@ impl fmt::Display for DbError {
             DbError::TruncatedLog { base } => {
                 write!(f, "log truncated below checkpoint low-water mark {base}")
             }
-            DbError::Following => write!(f, "a follower takes no local writes until promoted"),
+            DbError::Following => write!(f, "a follower takes no logged writes until promoted"),
             DbError::Io(m) => write!(f, "i/o error: {m}"),
         }
     }

@@ -28,9 +28,11 @@
 //! * **Unlogged tables** — a table created with [`Schema::unlogged()`] keeps
 //!   2PL and commit-time visibility but its rows never reach the log, a
 //!   snapshot or a standby; a transaction that wrote nothing else commits
-//!   without a log force. It is empty after every recovery, promotion or
-//!   restore — the class for state a crash invalidates anyway (DLFM's
-//!   token entries and Sync table describe open descriptors).
+//!   without a log force. It is empty after every recovery or restore —
+//!   the class for state a crash invalidates anyway (DLFM's token entries
+//!   and Sync table describe open descriptors). A follower commits unlogged
+//!   rows of its own, and keeps them across a checkpoint install and its
+//!   promotion.
 //! * **Coordinator hooks** — external resource managers enlist in a host
 //!   transaction via [`Participant`] and are driven through
 //!   prepare/commit/abort; the commit decision is logged before participants
@@ -49,7 +51,7 @@
 //!   (the group-commit leader publishes the durable watermark after every
 //!   batch sync); a follower is the same [`Database`] in *follower mode*
 //!   ([`Database::open_follower`], module [`replica`]): it refuses local
-//!   writes, appends shipped bytes verbatim to an ordinary [`wal::Wal`]
+//!   logged writes, appends shipped bytes verbatim to an ordinary [`wal::Wal`]
 //!   (byte-identical follower logs), redoes them into its own tables by the
 //!   one recovery rule, serves reads through the ordinary read path, and
 //!   [`Database::promote`] flips it to a primary in place (the `dl-repl`

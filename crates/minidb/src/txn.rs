@@ -294,9 +294,10 @@ impl Txn {
     /// participants. Returns the commit LSN — the database state identifier
     /// the archive tags file versions with (§4.4). A transaction with
     /// nothing to redo and no participants (read-only, or writing unlogged
-    /// tables only) appends nothing and returns the current tail. A
-    /// transaction that wrote anything fails with [`DbError::Following`] on
-    /// a follower, changing nothing.
+    /// tables only) appends nothing and returns the current tail — on a
+    /// follower too, whose log holds the primary's bytes only. A
+    /// transaction that would log anything fails with [`DbError::Following`]
+    /// on a follower, changing nothing.
     pub fn commit(self) -> DbResult<Lsn> {
         self.commit_inner(true)
     }
@@ -320,7 +321,8 @@ impl Txn {
 
     fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
-        if !self.ops.is_empty() {
+        let logged = self.logged_ops();
+        if !logged.is_empty() || self.db.has_participants(self.id) {
             self.db.refuse_if_following()?; // dropping `self` aborts
         }
         let participants = self.db.take_participants(self.id);
@@ -338,7 +340,6 @@ impl Txn {
 
         // Decision + apply. The log write is for recovery: with no redo ops
         // and no participants awaiting an outcome there is nothing to force.
-        let logged = self.logged_ops();
         let logs = !logged.is_empty() || !participants.is_empty();
         let lsn = {
             let inner = &self.db.inner;

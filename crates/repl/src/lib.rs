@@ -13,9 +13,9 @@
 //!   shared [`EpochFence`]: promotion bumps the fence, so a stale
 //!   primary's shipper — one that missed the failover — has every
 //!   subsequent frame rejected instead of silently diverging a follower;
-//! * a [`Standby`] is a follower of a DLFM *repository* plus what only a
-//!   read replica needs: a replica-local token-session store and a content
-//!   fallback. Committed file bytes do not travel at all — the node has one
+//! * a [`Standby`] is a follower of a DLFM *repository* read through the
+//!   primary's own [`Repository`] type, plus the node's live-bytes source.
+//!   Committed file bytes do not travel at all — the node has one
 //!   `ArchiveStore`, outside its file server like the paper's archive
 //!   device, and a standby reads the primary's versions there — so it
 //!   serves reads without the primary;
@@ -28,15 +28,18 @@
 //!
 //! ## The replica read protocol
 //!
-//! A replica validates a read token *cryptographically* (same HMAC secret
-//! the engine mints with) and records the resulting token entry in a
-//! **replica-local** session database — not the replicated repository,
-//! which is apply-only. The subsequent read is served from the node's
-//! archive store at the file's replicated `cur_version`. Validation is
-//! serialized per replica through a single lane, modelling the paper's
-//! one-upcall-daemon-per-node prototype: a replica is one node's worth of
-//! validation capacity, and fan-out across replicas is where throughput
-//! scaling comes from (experiment a10).
+//! A replica runs the primary's two read-side functions. Token admission
+//! ([`Repository::admit_token`]) checks the token *cryptographically* (same
+//! HMAC secret the engine mints with) and records the token entry in the
+//! replicated repository's unlogged `dl_tokens` table: a follower commits
+//! unlogged rows of its own, since they never reach the log it applies.
+//! The committed read ([`Repository::read_committed`]) serves the node's
+//! archive store at the file's replicated `cur_version`. The DataLinks
+//! engine serializes validation per node — primary or replica — through a
+//! single lane, modelling the paper's one-upcall-daemon-per-node
+//! prototype: a replica is one node's worth of validation capacity, and
+//! fan-out across replicas is where throughput scaling comes from
+//! (experiment a10).
 //!
 //! ## Checkpoint shipping
 //!
@@ -60,12 +63,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dl_dlfm::repository::FileEntry;
-use dl_dlfm::{AccessToken, ArchiveStore, ContentSource, TokenKind};
+use dl_dlfm::{ArchiveStore, ContentSource, Repository, TokenKind};
 use dl_fskit::Clock;
 use dl_minidb::{
-    Column, ColumnType, Database, DbError, DbOptions, Lsn, ReplicationFeed, Schema, ShippedFrames,
-    SnapshotData, StorageEnv, Value,
+    Database, DbError, DbOptions, Lsn, ReplicationFeed, ShippedFrames, SnapshotData, StorageEnv,
 };
 use parking_lot::Mutex;
 
@@ -232,31 +233,23 @@ impl std::ops::Deref for Follower {
     }
 }
 
-/// Name of the replica-local session table holding validated token entries
-/// — unlogged, like the primary's `dl_tokens`: a replica restart ends every
-/// session it was serving.
-const SESSION_TOKENS: &str = "repl_tokens";
-
 /// One hot standby of a DLFM repository: a [`Follower`] of the repository
 /// database (reached by deref — `name`, `applied_lsn`, `env`, …) plus what
-/// makes it a read replica.
+/// makes it a read replica — the [`Repository`] over that follower, which
+/// admits tokens and serves committed reads with the primary's own code.
 pub struct Standby {
     follower: Arc<Follower>,
+    /// The replicated repository. Its token entries are the follower's own
+    /// unlogged rows: they ship nowhere, and a promotion keeps them.
+    repo: Repository,
     /// The node's one archive store, the primary's.
     archive: Arc<ArchiveStore>,
-    /// Replica-local store for validated token entries (the replicated
-    /// repository is apply-only).
-    session: Database,
-    /// Serializes validations: one validation daemon per node, as in the
-    /// paper's prototype. Replica fan-out, not per-replica concurrency, is
-    /// the scaling lever.
-    lane: Mutex<()>,
     server_name: String,
     token_key: Vec<u8>,
     clock: Arc<dyn Clock>,
-    /// Content fallback for linked-but-never-updated files, which have no
-    /// archived version yet (the primary captures the before-image on the
-    /// first write open).
+    /// The node's live-bytes source, for linked-but-never-updated files,
+    /// which have no archived version yet (the primary captures the
+    /// before-image on the first write open).
     fallback: Option<ContentSource>,
     /// Read tokens validated at this replica.
     pub validations: AtomicU64,
@@ -265,48 +258,27 @@ pub struct Standby {
 }
 
 impl Standby {
-    /// Wraps `follower` (the replicated repository) with a replica-local
-    /// token-session store over `session_env`; reads are served from
-    /// `archive`, the primary's store.
+    /// Wraps `follower` (the replicated repository) as a read replica;
+    /// reads are served from `archive`, the primary's store.
     pub fn new(
         follower: Arc<Follower>,
         archive: Arc<ArchiveStore>,
-        session_env: StorageEnv,
         server_name: String,
         token_key: Vec<u8>,
         clock: Arc<dyn Clock>,
         fallback: Option<ContentSource>,
-    ) -> Result<Standby, String> {
-        let session =
-            Database::open_with(session_env, DbOptions::default()).map_err(|e| e.to_string())?;
-        if !session.has_table(SESSION_TOKENS) {
-            session
-                .create_table(
-                    Schema::new(
-                        SESSION_TOKENS,
-                        vec![
-                            Column::new("tokkey", ColumnType::Text),
-                            Column::new("expiry", ColumnType::Int),
-                        ],
-                        "tokkey",
-                    )
-                    .expect("static schema")
-                    .unlogged(),
-                )
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(Standby {
+    ) -> Standby {
+        Standby {
+            repo: Repository::over(Database::clone(&follower)),
             follower,
             archive,
-            session,
-            lane: Mutex::new(()),
             server_name,
             token_key,
             clock,
             fallback,
             validations: AtomicU64::new(0),
             reads_served: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The fenced follower underneath — what a [`Replicator`] feeds.
@@ -314,96 +286,43 @@ impl Standby {
         &self.follower
     }
 
+    /// The replicated repository, as of the applied watermark.
+    pub fn repository(&self) -> &Repository {
+        &self.repo
+    }
+
     /// The archive store reads are served from: the primary's.
     pub fn archive_store(&self) -> &Arc<ArchiveStore> {
         &self.archive
     }
 
-    /// The replicated file entry for `path`, if linked as of the applied
-    /// watermark.
-    pub fn file_entry(&self, path: &str) -> Option<FileEntry> {
-        self.follower
-            .get_committed("dl_files", &Value::Text(path.to_string()))
-            .ok()
-            .flatten()
-            .and_then(|row| FileEntry::from_row(&row))
-    }
-
-    fn token_key_for(uid: u32, path: &str, kind: TokenKind) -> String {
-        let k = match kind {
-            TokenKind::Read => "r",
-            TokenKind::Write => "w",
-        };
-        format!("{uid}|{path}|{k}")
-    }
-
-    /// Validates a read token exactly the way the primary's upcall path
-    /// does — MAC + expiry against the shared per-server secret — and
-    /// records the token entry in the replica-local session store.
+    /// Validates a read token exactly as the primary's upcall path does
+    /// ([`Repository::admit_token`]: MAC + expiry against the shared
+    /// per-server secret) and records the token entry in this replica's
+    /// repository.
     pub fn validate_read_token(
         &self,
         path: &str,
-        token_str: &str,
+        token: &str,
         uid: u32,
     ) -> Result<TokenKind, String> {
-        let _lane = self.lane.lock();
-        let token = AccessToken::decode(token_str).map_err(|e| e.to_string())?;
-        let now = self.clock.now_ms();
-        token.verify(&self.token_key, &self.server_name, path, now).map_err(|e| e.to_string())?;
-        let key = Self::token_key_for(uid, path, token.kind);
-        let kv = Value::Text(key.clone());
-        let row = vec![Value::Text(key), Value::Int(token.expires_at_ms as i64)];
-        let mut txn = self.session.begin();
-        if txn.get_for_update(SESSION_TOKENS, &kv).map_err(|e| e.to_string())?.is_some() {
-            txn.update(SESSION_TOKENS, &kv, row).map_err(|e| e.to_string())?;
-        } else {
-            txn.insert(SESSION_TOKENS, row).map_err(|e| e.to_string())?;
-        }
-        txn.commit().map_err(|e| e.to_string())?;
+        let (key, server, now) = (&self.token_key, &self.server_name, self.clock.now_ms());
+        let kind = self.repo.admit_token(key, server, path, token, uid, now)?;
         self.validations.fetch_add(1, Ordering::Relaxed);
-        Ok(token.kind)
+        Ok(kind)
     }
 
-    fn has_token_entry(&self, uid: u32, path: &str, now_ms: u64) -> bool {
-        for kind in [TokenKind::Read, TokenKind::Write] {
-            let key = Value::Text(Self::token_key_for(uid, path, kind));
-            let live = self
-                .session
-                .get_committed(SESSION_TOKENS, &key)
-                .ok()
-                .flatten()
-                .and_then(|row| row[1].as_int())
-                .map(|exp| now_ms <= exp as u64)
-                .unwrap_or(false);
-            if live {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Serves the last committed bytes of `path` to a validated user: the
-    /// archived version at the replicated `cur_version`, falling back to
-    /// the content source for files never updated since link. The primary
-    /// is not involved at all.
+    /// Serves the last committed bytes of `path` to a user validated here
+    /// by the primary's committed read ([`Repository::read_committed`]):
+    /// the archived version at the replicated `cur_version`, else the live
+    /// bytes. The primary is not involved at all.
     pub fn serve_read(&self, path: &str, uid: u32) -> Result<Vec<u8>, String> {
-        if !self.has_token_entry(uid, path, self.clock.now_ms()) {
+        if !self.repo.check_token_entry(uid, path, TokenKind::Read, self.clock.now_ms()) {
             return Err(format!("no valid token entry for uid {uid} on {path} at this replica"));
         }
-        let entry = self
-            .file_entry(path)
-            .ok_or_else(|| format!("file {path} is not linked (as replicated)"))?;
-        if let Some(v) = self.archive.get(path, entry.cur_version) {
-            self.reads_served.fetch_add(1, Ordering::Relaxed);
-            return Ok(v.data);
-        }
-        if let Some(src) = &self.fallback {
-            if let Some(data) = src(path) {
-                self.reads_served.fetch_add(1, Ordering::Relaxed);
-                return Ok(data);
-            }
-        }
-        Err(format!("version {} of {path} not in the archive", entry.cur_version))
+        let data = self.repo.read_committed(path, &self.archive, self.fallback.as_ref())?;
+        self.reads_served.fetch_add(1, Ordering::Relaxed);
+        Ok(data)
     }
 }
 
@@ -692,17 +611,14 @@ impl ReplicaSet<Standby> {
         opts: ReplicaSetOptions,
     ) -> Result<Self, String> {
         Self::provision(&opts.server_name, feed, opts.replicas, 0, |follower| {
-            let session_env = StorageEnv::mem_with_sync_latency(follower.env().sync_latency_ns());
-            Standby::new(
+            Ok(Arc::new(Standby::new(
                 follower,
                 Arc::clone(&archive),
-                session_env,
                 opts.server_name.clone(),
                 opts.token_key.clone(),
                 Arc::clone(&opts.clock),
                 opts.fallback.clone(),
-            )
-            .map(Arc::new)
+            )))
         })
     }
 
@@ -732,8 +648,10 @@ impl ReplicaSet<Follower> {
 
 impl<S> ReplicaSet<S> {
     /// Opens the followers (in memory, syncing and configured like the
-    /// primary), wraps each into the set's member type and spawns the one
-    /// shipper that feeds them.
+    /// primary), wraps each into the set's member type, spawns the one
+    /// shipper that feeds them and ships one round before returning — so a
+    /// standby holds the repository's schema (its `dl_tokens` table among
+    /// it) before anyone can route a validation to it.
     fn provision(
         name: &str,
         feed: ReplicationFeed,
@@ -754,6 +672,7 @@ impl<S> ReplicaSet<S> {
             .collect::<Result<Vec<_>, String>>()?;
         let standbys = followers.iter().cloned().map(member).collect::<Result<Vec<_>, String>>()?;
         let replicator = Replicator::spawn(name, feed, followers, epoch, Arc::clone(&stats));
+        replicator.ship_once().map_err(|e| e.to_string())?;
         Ok(ReplicaSet { standbys, replicator, fence, stats, next: AtomicUsize::new(0) })
     }
 
@@ -824,48 +743,31 @@ impl<S> ReplicaSet<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_dlfm::repository::FileEntry;
+    use dl_dlfm::{AccessToken, ControlMode, OnUnlink};
     use dl_fskit::SimClock;
+    use dl_minidb::Value;
 
-    fn repo_like_db(env: &StorageEnv) -> Database {
-        let db = Database::open(env.clone()).unwrap();
-        db.create_table(
-            Schema::new(
-                "dl_files",
-                vec![
-                    Column::new("path", ColumnType::Text),
-                    Column::new("mode", ColumnType::Text),
-                    Column::new("recovery", ColumnType::Bool),
-                    Column::new("on_unlink", ColumnType::Text),
-                    Column::new("cur_version", ColumnType::Int),
-                    Column::new("orig_uid", ColumnType::Int),
-                    Column::new("orig_gid", ColumnType::Int),
-                    Column::new("orig_mode", ColumnType::Int),
-                    Column::new("ino", ColumnType::Int),
-                    Column::new("state_id", ColumnType::Int),
-                    Column::new("needs_archive", ColumnType::Bool),
-                ],
-                "path",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        db
+    /// A DLFM repository's database: the schema its standbys replicate.
+    fn repo_db() -> Database {
+        Repository::open(StorageEnv::mem()).unwrap().db().clone()
     }
 
-    fn file_row(path: &str, version: i64) -> Vec<Value> {
-        vec![
-            Value::Text(path.to_string()),
-            Value::Text("rdd".to_string()),
-            Value::Bool(true),
-            Value::Text("restore".to_string()),
-            Value::Int(version),
-            Value::Int(100),
-            Value::Int(100),
-            Value::Int(0o644),
-            Value::Int(1),
-            Value::Int(0),
-            Value::Bool(false),
-        ]
+    fn file_row(path: &str, version: u64) -> Vec<Value> {
+        let entry = FileEntry {
+            path: path.to_string(),
+            mode: ControlMode::Rdd,
+            recovery: true,
+            on_unlink: OnUnlink::Restore,
+            cur_version: version,
+            orig_uid: 100,
+            orig_gid: 100,
+            orig_mode: 0o644,
+            ino: 1,
+            state_id: 0,
+            needs_archive: false,
+        };
+        entry.to_row()
     }
 
     fn standby_for(db: &Database, name: &str) -> (Arc<Standby>, Arc<EpochFence>, Arc<ReplStats>) {
@@ -878,25 +780,20 @@ mod tests {
             Arc::clone(&fence),
             Arc::clone(&stats),
         );
-        let standby = Arc::new(
-            Standby::new(
-                Arc::new(follower.unwrap()),
-                Arc::new(ArchiveStore::new()),
-                StorageEnv::mem(),
-                "srv1".to_string(),
-                b"dlfm-key-srv1".to_vec(),
-                Arc::new(SimClock::new(1_000)),
-                None,
-            )
-            .unwrap(),
-        );
+        let standby = Arc::new(Standby::new(
+            Arc::new(follower.unwrap()),
+            Arc::new(ArchiveStore::new()),
+            "srv1".to_string(),
+            b"dlfm-key-srv1".to_vec(),
+            Arc::new(SimClock::new(1_000)),
+            None,
+        ));
         (standby, fence, stats)
     }
 
     #[test]
     fn replicator_ships_and_standby_serves_file_entries() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let (standby, _fence, stats) = standby_for(&db, "srv1#0");
         let repl = Replicator::spawn(
             "srv1",
@@ -912,15 +809,14 @@ mod tests {
 
         assert!(repl.wait_caught_up(Duration::from_secs(5)));
         assert_eq!(repl.lag(), 0);
-        let entry = standby.file_entry("/f").expect("replicated entry");
+        let entry = standby.repository().get_file("/f").expect("replicated entry");
         assert_eq!(entry.cur_version, 3);
         assert!(stats.batches_shipped.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn fence_bump_rejects_stale_shipper() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let (standby, fence, stats) = standby_for(&db, "srv1#0");
         let repl = Replicator::spawn(
             "srv1",
@@ -944,13 +840,12 @@ mod tests {
         // synchronous attempt; at least one rejection is recorded.
         assert!(stats.stale_rejections() >= 1);
         assert_eq!(standby.applied_lsn(), applied_before, "rejected frames are not applied");
-        assert!(standby.file_entry("/late").is_none());
+        assert!(standby.repository().get_file("/late").is_none());
     }
 
     #[test]
     fn replica_validates_tokens_and_serves_archived_bytes() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let clock = Arc::new(SimClock::new(1_000));
         let fence = Arc::new(EpochFence::new());
         let stats = Arc::new(ReplStats::default());
@@ -962,18 +857,14 @@ mod tests {
             Arc::clone(&stats),
         );
         let archive = Arc::new(ArchiveStore::new());
-        let standby = Arc::new(
-            Standby::new(
-                Arc::new(follower.unwrap()),
-                Arc::clone(&archive),
-                StorageEnv::mem(),
-                "srv1".into(),
-                b"key".to_vec(),
-                clock.clone(),
-                None,
-            )
-            .unwrap(),
-        );
+        let standby = Arc::new(Standby::new(
+            Arc::new(follower.unwrap()),
+            Arc::clone(&archive),
+            "srv1".into(),
+            b"key".to_vec(),
+            clock.clone(),
+            None,
+        ));
         let repl = Replicator::spawn(
             "srv1",
             db.replication_feed(),
@@ -1009,8 +900,7 @@ mod tests {
 
     #[test]
     fn truncated_primary_ships_checkpoint_to_fresh_standby() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         for i in 0..20i64 {
             let mut tx = db.begin();
             tx.insert("dl_files", file_row(&format!("/f{i}"), 1)).unwrap();
@@ -1031,8 +921,8 @@ mod tests {
         );
         assert!(repl.wait_caught_up(Duration::from_secs(5)));
         assert_eq!(stats.checkpoints_shipped(), 1, "delta catch-up used the image once");
-        assert!(standby.file_entry("/f0").is_some());
-        assert!(standby.file_entry("/f19").is_some());
+        assert!(standby.repository().get_file("/f0").is_some());
+        assert!(standby.repository().get_file("/f19").is_some());
         assert_eq!(
             standby.wal_retained_bytes(),
             db.wal_retained_bytes(),
@@ -1044,14 +934,13 @@ mod tests {
         tx.insert("dl_files", file_row("/after", 1)).unwrap();
         tx.commit().unwrap();
         assert!(repl.wait_caught_up(Duration::from_secs(5)));
-        assert!(standby.file_entry("/after").is_some());
+        assert!(standby.repository().get_file("/after").is_some());
         assert_eq!(stats.checkpoints_shipped(), 1, "no further installs needed");
     }
 
     #[test]
     fn paused_shipper_holds_lag_until_resumed() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             Arc::new(ArchiveStore::new()),
@@ -1080,10 +969,10 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(set.lag() > 0, "paused shipper must not drain the lag");
-        assert!(standby.file_entry("/held").is_none());
+        assert!(standby.repository().get_file("/held").is_none());
         set.set_paused(false);
         assert!(set.wait_caught_up(Duration::from_secs(5)));
-        assert!(standby.file_entry("/held").is_some());
+        assert!(standby.repository().get_file("/held").is_some());
 
         // The same under a stream of commits, so every pause lands while a
         // ship round is in flight: once `set_paused(true)` has returned that
@@ -1119,8 +1008,7 @@ mod tests {
 
     #[test]
     fn replica_set_round_robins_and_catches_up() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             Arc::new(ArchiveStore::new()),
@@ -1139,7 +1027,7 @@ mod tests {
         tx.commit().unwrap();
         assert!(set.wait_caught_up(Duration::from_secs(5)));
         for s in set.standbys() {
-            assert!(s.file_entry("/f").is_some(), "every standby applied");
+            assert!(s.repository().get_file("/f").is_some(), "every standby applied");
         }
 
         // Round-robin covers all standbys.
@@ -1152,8 +1040,7 @@ mod tests {
 
     #[test]
     fn freeze_is_idempotent_and_promotable() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let set = ReplicaSet::<Standby>::build(
             db.replication_feed(),
             Arc::new(ArchiveStore::new()),
@@ -1192,8 +1079,7 @@ mod tests {
 
     #[test]
     fn freezing_an_idle_set_wakes_the_shipper_instead_of_waiting_out_its_poll() {
-        let env = StorageEnv::mem();
-        let db = repo_like_db(&env);
+        let db = repo_db();
         let mut took: Vec<Duration> = (0..10)
             .map(|_| {
                 let set =

@@ -5,9 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet};
+use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet, Standby};
 use datalinks::dlfm::{
-    split_token_suffix, AgentConnection, ControlMode, HostHook, OpenDecision, TokenKind, UipEntry,
+    embed_token, split_token_suffix, AccessToken, AgentConnection, ControlMode, HostHook,
+    OpenDecision, TokenKind, UipEntry,
 };
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
@@ -149,6 +150,92 @@ fn replicas_serve_reads_without_the_primary_and_lag_drains() {
 
     // A tokenless path is refused outright.
     assert!(sys.serve_read(SRV, "/d/f0.bin", APP.uid).is_err());
+}
+
+/// One routed validation per standby of `SRV` (round-robin covers each
+/// once), with a token minted by hand: no linked file needed. Each standby
+/// counts exactly one; the primary's validation path is not touched.
+fn validate_once_at_every_standby(sys: &DataLinksSystem) {
+    let node = sys.node(SRV).unwrap();
+    let set = node.replication.clone().unwrap();
+    let validations = || -> Vec<u64> {
+        let count = |s: &Arc<Standby>| s.validations.load(std::sync::atomic::Ordering::Relaxed);
+        set.standbys().iter().map(count).collect()
+    };
+    let (before, primary_before) = (validations(), node.server.stats.token_validations.get());
+    let expiry = node.server.clock().now_ms() + 60_000;
+    let token = AccessToken::generate(
+        &node.server.config().token_key,
+        SRV,
+        "/d/f0.bin",
+        TokenKind::Read,
+        expiry,
+    );
+    for _ in set.standbys() {
+        let tp = embed_token("/d/f0.bin", &token);
+        assert_eq!(sys.validate_read_token(SRV, &tp, APP.uid).unwrap(), TokenKind::Read);
+    }
+    let after = validations();
+    assert!(before.iter().zip(&after).all(|(b, a)| a - b == 1), "{before:?} -> {after:?}");
+    assert_eq!(node.server.stats.token_validations.get(), primary_before);
+}
+
+#[test]
+fn fresh_standbys_validate_right_after_assembly_and_after_a_failover_reprovision() {
+    // A standby validates into its follower's `dl_tokens`, which only
+    // shipping creates. Provisioning ships one round before it returns, so
+    // no routed read meets a standby without it.
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .file_server_with(FileServerSpec::new(SRV).replicas(3))
+        .build()
+        .unwrap();
+    validate_once_at_every_standby(&sys);
+    let mut sys = seed(sys, 1);
+    assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"seed-0");
+
+    // Two standbys are re-provisioned from the promoted primary's image.
+    sys.fail_over(SRV).unwrap();
+    assert_eq!(sys.node(SRV).unwrap().replication.as_ref().unwrap().standbys().len(), 2);
+    validate_once_at_every_standby(&sys);
+    let fallbacks = sys.engine().stats.replica_fallbacks.get();
+    for _ in 0..2 {
+        let tp = read_token_path(&sys, 0);
+        assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"seed-0");
+    }
+    assert_eq!(sys.engine().stats.replica_fallbacks.get(), fallbacks, "both standbys served");
+}
+
+#[test]
+fn a_session_validated_at_the_standby_survives_its_promotion() {
+    // A replica's token entries are its follower's own unlogged rows, so
+    // promoting it in place keeps them: a failover does not end the
+    // sessions the promoted replica served.
+    let mut sys = build(1, 1);
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+    let primary_before = sys.node(SRV).unwrap().server.stats.token_validations.get();
+    let tp = read_token_path(&sys, 0);
+    assert_eq!(sys.validate_read_token(SRV, &tp, APP.uid).unwrap(), TokenKind::Read);
+    let node = sys.node(SRV).unwrap();
+    let standby = &node.replication.as_ref().unwrap().standbys()[0];
+    assert_eq!(standby.validations.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(node.server.stats.token_validations.get(), primary_before, "it ran at the standby");
+    let now = node.server.clock().now_ms();
+    assert!(!node.server.repository().check_token_entry(
+        APP.uid,
+        "/d/f0.bin",
+        TokenKind::Read,
+        now
+    ));
+
+    sys.fail_over(SRV).unwrap();
+    let node = sys.node(SRV).unwrap();
+    let now = node.server.clock().now_ms();
+    assert!(node.server.repository().check_token_entry(APP.uid, "/d/f0.bin", TokenKind::Read, now));
+    // The session admits a plain-name open on the promoted node.
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, "/d/f0.bin", OpenOptions::read_only()).unwrap();
+    fs.close(fd).unwrap();
 }
 
 #[test]
@@ -655,7 +742,7 @@ fn standby_behind_an_unforced_close_serves_the_old_version_then_converges_by_its
     // Claimed is not committed: the replica keeps answering with the
     // last version it saw closed (plain reads are not read-your-writes).
     let standby = &set.standbys()[0];
-    assert_eq!(standby.file_entry("/d/f0.bin").unwrap().cur_version, 2);
+    assert_eq!(standby.repository().get_file("/d/f0.bin").unwrap().cur_version, 2);
     assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"version two");
 
     // The primary goes idle: no forced append will ever carry the close
@@ -663,7 +750,7 @@ fn standby_behind_an_unforced_close_serves_the_old_version_then_converges_by_its
     // primary's tail itself and ships it — nobody else helps.
     set.set_paused(false);
     let waited = std::time::Instant::now();
-    while standby.file_entry("/d/f0.bin").unwrap().cur_version != 3 {
+    while standby.repository().get_file("/d/f0.bin").unwrap().cur_version != 3 {
         assert!(waited.elapsed() < CATCH_UP, "an idle primary's unforced tail never shipped");
         std::thread::sleep(Duration::from_millis(2));
     }
