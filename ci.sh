@@ -94,13 +94,17 @@ cargo test --workspace -q --no-fail-fast
 # by design: unforced log appends are carried to disk by whichever thread
 # flushes next (a committer, the shipper's idle poll, a checkpoint), and
 # these suites crash, promote and drain across that window — the cut-point
-# sweep (update, link and unlink) cuts every boundary of it. One green run
-# proves little about a race; five in a row, failing on the first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep x5"
+# sweep (update, link and unlink) cuts every boundary of it. The log's own
+# tests race too: two flushes in flight park, overlap and fail each other
+# on purpose (`wal::` in dl-minidb). One green run proves little about a
+# race; five in a row, failing on the first red.
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep \
     || { echo "flake guard: round $round failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-minidb --lib wal:: \
+    || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
 done
 
 # The socket path is load-bearing (Transport::Socket routes the whole

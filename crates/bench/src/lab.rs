@@ -240,8 +240,9 @@ fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> 
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
         (title_commits, title_cycles) = (commits as u64, cycles as u64);
         // The group arm self-tunes its gather window to the committer
-        // count (`WalOptions::tuned_for`): zero delay when a batch can't
-        // form, a bounded window once followers exist to collect.
+        // count (`WalOptions::tuned_for`): zero delay at one or two
+        // committers (two overlap their syncs instead of gathering), a
+        // bounded window once followers exist to collect.
         let grouped = WalOptions::tuned_for(threads);
         let (mut bare_per, mut bare_grp, mut stack_per, mut stack_grp) = (0.0, 0.0, 0.0, 0.0);
         for _ in &trials {

@@ -894,6 +894,7 @@ impl DataLinksSystem {
         registry.register_histogram("minidb.host.wal_batch_frames", wal.batch_frames);
         registry.register_counter("minidb.host.unforced_appends", wal.unforced_appends);
         registry.register_gauge("minidb.host.unflushed_bytes", wal.unflushed_bytes);
+        registry.register_counter("minidb.host.overlapped_flushes", wal.overlapped_flushes);
         let db_tel = self.db.telemetry();
         registry.register_histogram("minidb.host.checkpoint_ns", db_tel.checkpoint_ns);
         registry.register_gauge("minidb.host.checkpoint_bytes", db_tel.checkpoint_bytes);
@@ -1017,6 +1018,8 @@ impl DataLinksSystem {
         registry.register_histogram(&format!("minidb.{name}.wal_batch_frames"), wal.batch_frames);
         registry.register_counter(&format!("minidb.{name}.unforced_appends"), wal.unforced_appends);
         registry.register_gauge(&format!("minidb.{name}.unflushed_bytes"), wal.unflushed_bytes);
+        registry
+            .register_counter(&format!("minidb.{name}.overlapped_flushes"), wal.overlapped_flushes);
         let db_tel = repo_db.telemetry();
         registry.register_histogram(&format!("minidb.{name}.checkpoint_ns"), db_tel.checkpoint_ns);
         registry

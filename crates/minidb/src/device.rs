@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,9 +208,11 @@ impl Device for MemDevice {
     }
 }
 
-/// A device backed by an operating-system file.
+/// A device backed by an operating-system file. Every call is positional
+/// I/O on a shared `&File`, so two log flushes' `sync`s (and a reader's
+/// `read_at`) overlap instead of queueing on a lock.
 pub struct FileDevice {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
 }
 
@@ -222,7 +225,7 @@ impl FileDevice {
             .truncate(false)
             .open(&path)
             .map_err(|e| DbError::Io(format!("open {path:?}: {e}")))?;
-        Ok(FileDevice { file: Mutex::new(file), path })
+        Ok(FileDevice { file, path })
     }
 
     pub fn path(&self) -> &PathBuf {
@@ -232,12 +235,9 @@ impl FileDevice {
 
 impl Device for FileDevice {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> DbResult<usize> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(offset))?;
         let mut total = 0;
         while total < buf.len() {
-            match file.read(&mut buf[total..])? {
+            match self.file.read_at(&mut buf[total..], offset + total as u64)? {
                 0 => break,
                 n => total += n,
             }
@@ -246,24 +246,21 @@ impl Device for FileDevice {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> DbResult<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(data)?;
+        self.file.write_all_at(data, offset)?;
         Ok(())
     }
 
     fn len(&self) -> DbResult<u64> {
-        Ok(self.file.lock().metadata()?.len())
+        Ok(self.file.metadata()?.len())
     }
 
     fn sync(&self) -> DbResult<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 
     fn set_len(&self, len: u64) -> DbResult<()> {
-        self.file.lock().set_len(len)?;
+        self.file.set_len(len)?;
         Ok(())
     }
 }
@@ -567,6 +564,14 @@ mod tests {
         let mut buf = [0u8; 5];
         assert_eq!(d.read_at(0, &mut buf).unwrap(), 5);
         assert_eq!(&buf, b"hello");
+        // Positional: a write past the end extends, a read past it is short.
+        d.write_at(7, b"xy").unwrap();
+        assert_eq!(d.len().unwrap(), 9);
+        let mut tail = [9u8; 5];
+        assert_eq!(d.read_at(6, &mut tail).unwrap(), 3);
+        assert_eq!(&tail[..3], &[0, b'x', b'y']);
+        d.set_len(4).unwrap();
+        assert_eq!(d.read_at(0, &mut buf).unwrap(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

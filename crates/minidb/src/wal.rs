@@ -35,6 +35,27 @@
 //! batch always holds exactly one frame, so the log bytes are identical to
 //! the per-commit-sync mode — recovery cannot tell the modes apart.
 //!
+//! Up to `MAX_FLIGHTS` (two) flushes are in flight at once: the batch
+//! that is syncing and the batch behind it. A forced appender whose frame
+//! no flight covers, and that no flight still gathering its batch will
+//! take, leads a second flush at once instead of waiting out the first
+//! one's sync; a third parks and rides the next flush, so load still
+//! collapses syncs. Two committers thus pay one device latency each, not
+//! two. Three rules keep the log a prefix:
+//!
+//! * **Writes in log order.** A younger flush starts only once the older
+//!   one's `write_at` has returned successfully; only the `sync`s overlap,
+//!   so the device never holds a hole.
+//! * **Retirement in log order.** The durable watermark, the ship signal
+//!   and every waiter advance over a contiguous prefix of finished
+//!   flushes: a younger flush whose sync returns first waits for the older.
+//! * **A failure rewinds past everything younger.** Once no flush is still
+//!   doing I/O, the log drops every non-durable forced frame — a younger
+//!   flush's too, even if its own sync succeeded — carries the unforced
+//!   ones over in append order (below), and trims the device back to the
+//!   durable watermark before it writes again, so a shorter batch written
+//!   over the failed bytes can leave no stale frame replayable behind it.
+//!
 //! # Unforced appends
 //!
 //! Not every record is worth a wait. [`Wal::append_unforced`] encodes the
@@ -69,8 +90,8 @@
 //! # Log shipping
 //!
 //! Replication tails the log through a [`WalReader`] ([`Wal::reader`]):
-//! after every successful flush the group-commit leader (or the per-commit
-//! path) publishes the new durable watermark on a shared signal, and a
+//! whenever successful flushes retire (or the per-commit path syncs) the
+//! log publishes the new durable watermark on a shared signal, and a
 //! reader can wait for growth and then read the raw frames below the
 //! watermark straight from the device. The durable watermark always lands
 //! on a frame boundary, so a shipped range is a whole number of frames —
@@ -92,8 +113,9 @@
 //! There is one implementation of the slot swap and the control record,
 //! and it is private to this file.
 
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -279,9 +301,10 @@ impl WalOptions {
 
     /// Group-commit options tuned for an expected number of concurrent
     /// committers. The guidance the bare default (`commit_delay_us: 0`)
-    /// lacks: with one or two committers a gather window only adds latency
-    /// (the batch rarely holds a second frame), so the delay stays zero;
-    /// from three committers up, a short window — ~20 µs per expected
+    /// lacks: with one committer a gather window only adds latency, and two
+    /// committers overlap their syncs (two flushes in flight, see the
+    /// module docs) instead of gathering, so the delay stays zero; from
+    /// three committers up, a short window — ~20 µs per expected
     /// committer, capped at 200 µs so worst-case commit latency stays
     /// bounded — lets followers join the leader's batch and trades that
     /// latency for sync collapse. `max_batch` grows with the committer
@@ -307,16 +330,24 @@ struct WalState {
     /// ([`Wal::append_unforced`]): what a failed flush carries over to the
     /// next batch instead of dropping.
     batch_unforced: Vec<Range<usize>>,
-    /// A leader is currently writing/syncing `[durable, batch_base)`.
-    leader_active: bool,
+    /// The flushes in flight, oldest first, at most [`MAX_FLIGHTS`]: they
+    /// cover `[durable, batch_base)` between them. Truncation quiesces
+    /// until it is empty.
+    flights: VecDeque<Flight>,
+    /// Start number of the next flight (a leader finds its own by it).
+    next_flight: u64,
+    /// A rewind could not trim the device back to the durable watermark;
+    /// the next flush trims before it writes.
+    trim_pending: bool,
     /// Recycled batch buffer (micro-fix: no fresh frame `Vec` per append).
     spare: Vec<u8>,
     /// Durable watermark captured at each failed flush, in order. A failed
-    /// flush drops *every* non-durable frame (the failed batch and anything
-    /// batched while it was in flight) and rewinds the log to the durable
-    /// watermark; the log itself stays usable, so a transient device fault
-    /// (ENOSPC) costs exactly the commits caught in it (unforced frames are
-    /// re-enqueued rather than dropped — nobody waits on them). A waiter that
+    /// flush drops *every* non-durable frame (the failed batch, a younger
+    /// flight's and anything batched meanwhile) and rewinds the log to the
+    /// durable watermark; the log itself stays usable, so a transient
+    /// device fault (ENOSPC) costs exactly the commits caught in it
+    /// (unforced frames are re-enqueued rather than dropped — nobody waits
+    /// on them). A waiter that
     /// enqueued when this had length `e` decides its fate exactly: if a
     /// failure `failures[e]` exists, its frame survived iff it was durable
     /// before that first post-enqueue failure (`my_lsn <= failures[e]`) —
@@ -331,6 +362,33 @@ struct WalState {
     slot: u32,
     /// Sequence of the newest durable control record.
     ctl_seq: u64,
+}
+
+/// Flushes a log keeps in flight at once: the batch that is syncing and
+/// the batch behind it. A third committer parks and rides the next flush,
+/// which keeps sync collapse under load.
+const MAX_FLIGHTS: usize = 2;
+
+/// One flush in flight. Its leader pushes it on starting and sets `to`
+/// when it takes the batch — until then it is *gathering*, joined by later
+/// appenders, never overtaken. Flights retire oldest first.
+struct Flight {
+    seq: u64,
+    /// End of the batch it took; `None` while gathering.
+    to: Option<Lsn>,
+    /// The device I/O is over: its duration, or its error.
+    done: Option<DbResult<Duration>>,
+    /// The batch bytes (handed back when the I/O is over) and its unforced
+    /// frames: what retirement recycles and a rewind carries over.
+    buf: Vec<u8>,
+    unforced: Vec<Range<usize>>,
+    frames: u64,
+}
+
+impl Flight {
+    fn taken(&self) -> bool {
+        self.to.is_some()
+    }
 }
 
 /// Shared durable-watermark signal between the log and its readers: the
@@ -480,7 +538,14 @@ pub struct Wal {
     view: Arc<RwLock<LogView>>,
     opts: WalOptions,
     state: Mutex<WalState>,
+    /// Signalled when flights retire or a failure rewinds the log.
     flushed: Condvar,
+    /// Flights, by start number, whose `write_at` has returned successfully
+    /// (flight `seq` stores `seq + 1`). A younger flight starts only once
+    /// every older one is counted here, so device writes stay in log order
+    /// and only syncs overlap. Written outside the state lock, between a
+    /// leader's write and its sync.
+    flights_written: AtomicU64,
     ship: Arc<ShipSignal>,
     telemetry: WalTelemetry,
 }
@@ -502,6 +567,9 @@ pub struct WalTelemetry {
     /// frames sit here for the length of one flush; a value that *stays*
     /// above zero is an unforced tail waiting for the next flush.
     pub unflushed_bytes: Arc<Gauge>,
+    /// Flushes that took their batch while an older flush was still in
+    /// flight, so their syncs overlapped (always 0 in per-commit-sync mode).
+    pub overlapped_flushes: Arc<Counter>,
 }
 
 impl WalTelemetry {
@@ -511,6 +579,7 @@ impl WalTelemetry {
             batch_frames: Arc::new(Histogram::new()),
             unforced_appends: Arc::new(Counter::new()),
             unflushed_bytes: Arc::new(Gauge::new()),
+            overlapped_flushes: Arc::new(Counter::new()),
         }
     }
 }
@@ -569,7 +638,9 @@ impl Wal {
                     batch_base: valid_end,
                     batch_frames: 0,
                     batch_unforced: Vec::new(),
-                    leader_active: false,
+                    flights: VecDeque::with_capacity(MAX_FLIGHTS),
+                    next_flight: 0,
+                    trim_pending: false,
                     spare: Vec::new(),
                     failures: Vec::new(),
                     last_failure: None,
@@ -577,6 +648,7 @@ impl Wal {
                     ctl_seq,
                 }),
                 flushed: Condvar::new(),
+                flights_written: AtomicU64::new(0),
                 ship: Arc::new(ShipSignal { durable: Mutex::new(valid_end), grew: Condvar::new() }),
                 telemetry: WalTelemetry::new(),
             },
@@ -700,29 +772,41 @@ impl Wal {
                 let e = state.last_failure.clone().unwrap_or_default();
                 return Err(DbError::Io(format!("wal flush failed: {e}")));
             }
-            self.follow_or_lead(&mut state)?;
+            self.follow_or_lead(&mut state, target)?;
         }
         Ok(())
     }
 
-    /// One step towards durability: park until the flush in flight
-    /// finishes, or — with no leader — flush the pending batch ourselves.
-    fn follow_or_lead(&self, state: &mut parking_lot::MutexGuard<'_, WalState>) -> DbResult<()> {
-        if state.leader_active {
+    /// One step towards durability of the log below `target`: lead a new
+    /// flush when `target` lies in the pending batch and the log has room
+    /// for another flight — fewer than [`MAX_FLIGHTS`], each of them past
+    /// its `write_at` (so none is still gathering: that one will take the
+    /// batch) — else park until a flight retires.
+    fn follow_or_lead(
+        &self,
+        state: &mut parking_lot::MutexGuard<'_, WalState>,
+        target: Lsn,
+    ) -> DbResult<()> {
+        let written = self.flights_written.load(Ordering::Acquire);
+        let room = state.flights.len() < MAX_FLIGHTS
+            && state.flights.back().is_none_or(|f| f.seq < written);
+        if target > state.batch_base && room {
+            self.lead_flush(state)
+        } else {
             self.flushed.wait(state);
             Ok(())
-        } else {
-            self.lead_flush(state)
         }
     }
 
-    /// Back-pressure: a full batch must flush before growing further. An
-    /// active leader will wake us; with none, the batch holds frames nobody
-    /// is waiting on (unforced ones), so this appender leads the flush
-    /// itself instead of parking on a condvar nobody may signal.
+    /// Back-pressure: a full batch must flush before growing further. A
+    /// flight in progress will wake us; with room for another, the batch
+    /// may hold frames nobody is waiting on (unforced ones), so this
+    /// appender leads the flush itself instead of parking on a condvar
+    /// nobody may signal.
     fn make_room(&self, state: &mut parking_lot::MutexGuard<'_, WalState>) -> DbResult<()> {
         while state.batch_frames >= self.opts.max_batch.max(1) {
-            self.follow_or_lead(state)?;
+            let end = state.end;
+            self.follow_or_lead(state, end)?;
         }
         Ok(())
     }
@@ -765,20 +849,31 @@ impl Wal {
             if state.durable >= my_lsn {
                 return Ok(my_lsn);
             }
-            // Follow: a leader is flushing; it (or a successor) will cover
-            // our frame and wake us. Or lead.
-            self.follow_or_lead(&mut state)?;
+            // Follow: a flight covers our frame, or will take it, and wakes
+            // us when it retires. Or lead.
+            self.follow_or_lead(&mut state, my_lsn)?;
         }
     }
 
-    /// Leader duty: take the pending batch, write it with one `write_at`,
-    /// sync once, advance `durable`, wake everyone. The state lock is
-    /// dropped around the device I/O (and the optional commit-delay nap) so
-    /// followers keep appending into the next batch meanwhile. Truncation
-    /// cannot swap the slot device mid-flush: it waits for
-    /// `leader_active` to clear.
+    /// Leader duty: start a flight, take the pending batch, write it with
+    /// one `write_at`, sync once, then retire what has finished and wait
+    /// for this flight to retire too. The state lock is dropped around the
+    /// device I/O (and the optional commit-delay nap) so appenders keep
+    /// filling the next batch — and one of them may lead the next flight —
+    /// meanwhile.
+    /// Truncation cannot swap the slot device mid-flush: it waits for the
+    /// flight record to empty. Fails iff a failure rewound this flight.
     fn lead_flush(&self, state: &mut parking_lot::MutexGuard<'_, WalState>) -> DbResult<()> {
-        state.leader_active = true;
+        let seq = state.next_flight;
+        state.next_flight += 1;
+        state.flights.push_back(Flight {
+            seq,
+            to: None,
+            done: None,
+            buf: Vec::new(),
+            unforced: Vec::new(),
+            frames: 0,
+        });
         if self.opts.commit_delay_us > 0 {
             // Gather window: let more committers join this batch.
             parking_lot::MutexGuard::unlocked(state, || {
@@ -788,70 +883,126 @@ impl Wal {
         let next = std::mem::take(&mut state.spare);
         let buf = std::mem::replace(&mut state.batch, next);
         let unforced = std::mem::take(&mut state.batch_unforced);
+        let frames = std::mem::take(&mut state.batch_frames) as u64;
         let lsn_base = state.batch_base;
         let flush_to = state.end;
-        let frames = state.batch_frames as u64;
         state.batch_base = flush_to;
-        state.batch_frames = 0;
+        let epoch = state.failures.len();
+        let trim = std::mem::take(&mut state.trim_pending);
+        let flight = flight_mut(state, seq);
+        flight.to = Some(flush_to);
+        flight.unforced = unforced;
+        flight.frames = frames;
+        if state.flights.len() > 1 {
+            self.telemetry.overlapped_flushes.inc();
+        }
+
         let (dev, base) = {
             let view = self.view.read();
             (Arc::clone(&view.dev), view.base)
         };
-
         let flush_start = Instant::now();
-        let result = parking_lot::MutexGuard::unlocked(state, || {
-            dev.write_at(lsn_base - base, &buf).and_then(|()| dev.sync())
-        });
-
-        match result {
-            Ok(()) => {
-                self.telemetry.fsync_ns.record_duration(flush_start.elapsed());
-                self.telemetry.batch_frames.record(frames);
-                state.durable = flush_to;
-                self.telemetry.unflushed_bytes.set((state.end - flush_to) as i64);
-                let mut buf = buf;
-                buf.clear();
-                state.spare = buf;
-                state.leader_active = false;
-                self.flushed.notify_all();
-                self.ship.publish(flush_to);
-                Ok(())
+        let io = parking_lot::MutexGuard::unlocked(state, || {
+            if trim {
+                dev.set_len(lsn_base - base)?;
             }
-            Err(e) => {
-                // Transient failure: rewind to the durable watermark. Every
-                // non-durable *forced* frame is dropped — the failed batch
-                // and anything batched while it was in flight (later
-                // frames' device offsets assume the failed range was
-                // written); their waiters read the failure log and report
-                // the commit as dropped. *Unforced* frames have no waiter
-                // and describe state that is already live in memory, so
-                // they are carried over, in log order, to the head of the
-                // next batch. The log stays usable.
-                let durable = state.durable;
-                state.failures.push(durable);
-                state.last_failure = Some(e.to_string());
-                let late = std::mem::take(&mut state.batch);
-                let late_unforced = std::mem::take(&mut state.batch_unforced);
-                for (frames, ranges) in [(&buf, &unforced), (&late, &late_unforced)] {
-                    for range in ranges {
-                        let at = state.batch.len();
-                        state.batch.extend_from_slice(&frames[range.clone()]);
-                        let kept = at..state.batch.len();
-                        state.batch_unforced.push(kept);
+            dev.write_at(lsn_base - base, &buf)?;
+            // From here a younger flight may start and write behind ours.
+            // Release pairs with the Acquire in `follow_or_lead`: the
+            // younger's `write_at` follows ours.
+            self.flights_written.store(seq + 1, Ordering::Release);
+            dev.sync()
+        });
+        let flight = flight_mut(state, seq);
+        flight.buf = buf;
+        flight.done = Some(io.clone().map(|()| flush_start.elapsed()));
+        self.retire(state);
+        while state.flights.iter().any(|f| f.seq == seq) {
+            self.flushed.wait(state);
+        }
+        match state.failures.get(epoch) {
+            Some(&durable_at_failure) if flush_to > durable_at_failure => {
+                Err(io.err().unwrap_or_else(|| {
+                    let e = state.last_failure.clone().unwrap_or_default();
+                    DbError::Io(format!("wal flush failed: {e}"))
+                }))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Retires finished flights oldest first. A successful one moves the
+    /// durable watermark over its batch, so `durable`, the ship signal and
+    /// every waiter advance over a contiguous prefix only. A failed one
+    /// rewinds the log once no younger flight is still doing I/O.
+    fn retire(&self, state: &mut WalState) {
+        let mut retired = false;
+        while let Some(head) = state.flights.front() {
+            match head.done {
+                Some(Ok(elapsed)) => {
+                    let Some(Flight { to: Some(to), mut buf, frames, .. }) =
+                        state.flights.pop_front()
+                    else {
+                        unreachable!("a finished flight took its batch")
+                    };
+                    self.telemetry.fsync_ns.record_duration(elapsed);
+                    self.telemetry.batch_frames.record(frames);
+                    state.durable = to;
+                    buf.clear();
+                    if buf.capacity() > state.spare.capacity() {
+                        state.spare = buf;
                     }
+                    retired = true;
                 }
-                state.batch_frames = state.batch_unforced.len();
-                state.batch_base = durable;
-                state.end = durable + state.batch.len() as u64;
-                self.telemetry.unflushed_bytes.set(state.batch.len() as i64);
-                let mut buf = buf;
-                buf.clear();
-                state.spare = buf;
-                state.leader_active = false;
-                self.flushed.notify_all();
-                Err(e)
+                Some(Err(_)) if state.flights.iter().all(|f| f.done.is_some() || !f.taken()) => {
+                    self.rewind(state);
+                    retired = true;
+                    break;
+                }
+                _ => break,
             }
         }
+        if retired {
+            self.telemetry.unflushed_bytes.set((state.end - state.durable) as i64);
+            self.flushed.notify_all();
+            self.ship.publish(state.durable);
+        }
+    }
+
+    /// Transient failure: rewind to the durable watermark. Every
+    /// non-durable *forced* frame is dropped — the failed batch, every
+    /// younger flight's and anything batched meanwhile (later frames'
+    /// device offsets assume the failed range was written); their waiters
+    /// read the failure log and report the commit as dropped. *Unforced*
+    /// frames have no waiter and describe state that is already live in
+    /// memory, so they are carried over, in log order, to the head of the
+    /// next batch. The device is trimmed back to the durable watermark, so
+    /// the failed bytes cannot replay behind a shorter batch written over
+    /// them. The log stays usable. Called with every taken flight done.
+    fn rewind(&self, state: &mut WalState) {
+        let durable = state.durable;
+        let failure = state.flights.front().and_then(|f| f.done.clone()?.err());
+        state.failures.push(durable);
+        state.last_failure = failure.map(|e| e.to_string());
+        let gathering = state.flights.pop_back_if(|f| !f.taken());
+        let dropped: Vec<Flight> = state.flights.drain(..).collect();
+        let late = std::mem::take(&mut state.batch);
+        let late_unforced = std::mem::take(&mut state.batch_unforced);
+        let carried = dropped.iter().map(|f| (&f.buf, &f.unforced));
+        for (frames, ranges) in carried.chain([(&late, &late_unforced)]) {
+            for range in ranges {
+                let at = state.batch.len();
+                state.batch.extend_from_slice(&frames[range.clone()]);
+                let kept = at..state.batch.len();
+                state.batch_unforced.push(kept);
+            }
+        }
+        state.batch_frames = state.batch_unforced.len();
+        state.batch_base = durable;
+        state.end = durable + state.batch.len() as u64;
+        let view = self.view.read();
+        state.trim_pending = view.dev.set_len(durable - view.base).is_err();
+        state.flights.extend(gathering);
     }
 
     /// The log tail: one past the last accepted record. Records at or above
@@ -910,12 +1061,13 @@ impl Wal {
             return Err(DbError::Io("wal has no storage environment; cannot truncate".into()));
         };
         let mut state = self.state.lock();
-        // Quiesce: no leader mid-flush, no batched frames waiting. Waiting
-        // on the flush condvar releases the state lock, so in-flight
-        // leaders finish and wake us; batched frames with no leader are
-        // unforced ones nobody else will flush.
-        while state.leader_active || state.batch_frames > 0 {
-            self.follow_or_lead(&mut state)?;
+        // Quiesce: no flight in progress, no batched frames waiting.
+        // Waiting on the flush condvar releases the state lock, so flights
+        // finish and wake us; batched frames with no flight to take them
+        // are unforced ones nobody else will flush.
+        while !state.flights.is_empty() || state.batch_frames > 0 {
+            let end = state.end;
+            self.follow_or_lead(&mut state, end)?;
         }
         let mut view = self.view.write();
         let new_base = if reset { new_base } else { new_base.min(state.durable) };
@@ -946,6 +1098,12 @@ impl Wal {
         }
         Ok(new_base)
     }
+}
+
+/// The flight started as number `seq`; it stays in the record until it
+/// retires, and only its own leader asks.
+fn flight_mut(state: &mut WalState, seq: u64) -> &mut Flight {
+    state.flights.iter_mut().find(|f| f.seq == seq).expect("a flight retires after its I/O")
 }
 
 /// Appends `[len][crc][payload]` to `buf`.
@@ -1590,68 +1748,246 @@ mod tests {
         assert_eq!(logged_txids(&recs), vec![1, 2, 3, 5], "only the failed forced frame is gone");
     }
 
-    /// A device whose next armed `write_at` parks until released and then
-    /// fails: holds a leader mid-flush so a test can batch behind it.
-    struct StallThenFail {
-        inner: MemDevice,
-        armed: std::sync::atomic::AtomicBool,
-        entered: std::sync::mpsc::SyncSender<()>,
-        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    /// The device call a [`Gate`] can hold.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Step {
+        Write,
+        Sync,
     }
 
-    impl Device for StallThenFail {
+    /// A device whose armed call parks until released, then returns the
+    /// outcome the release carries: holds a flush mid-I/O so a test can act
+    /// behind it. A `sync` counts on entry, the parked one included.
+    struct Gate {
+        inner: MemDevice,
+        armed: Mutex<Option<Step>>,
+        entered: std::sync::mpsc::SyncSender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<bool>>,
+    }
+
+    impl Gate {
+        /// The device, the "a call parked" signal, and the release
+        /// (`true` lets the parked call succeed).
+        fn new() -> (Arc<Gate>, std::sync::mpsc::Receiver<()>, std::sync::mpsc::SyncSender<bool>) {
+            let (entered, parked) = std::sync::mpsc::sync_channel(1);
+            let (release, release_rx) = std::sync::mpsc::sync_channel(1);
+            let gate = Gate {
+                inner: MemDevice::new(),
+                armed: Mutex::new(None),
+                entered,
+                release: Mutex::new(release_rx),
+            };
+            (Arc::new(gate), parked, release)
+        }
+
+        fn arm(&self, step: Step) {
+            *self.armed.lock() = Some(step);
+        }
+
+        fn pass(&self, step: Step) -> DbResult<()> {
+            if self.armed.lock().take_if(|armed| *armed == step).is_none() {
+                return Ok(());
+            }
+            self.entered.send(()).unwrap();
+            if self.release.lock().recv().unwrap() {
+                Ok(())
+            } else {
+                Err(DbError::Io(format!("injected {step:?} failure")))
+            }
+        }
+
+        fn log(self: &Arc<Self>) -> Arc<dyn Device> {
+            Arc::clone(self) as Arc<dyn Device>
+        }
+    }
+
+    impl Device for Gate {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> DbResult<usize> {
             self.inner.read_at(offset, buf)
         }
         fn write_at(&self, offset: u64, data: &[u8]) -> DbResult<()> {
-            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                self.entered.send(()).unwrap();
-                self.release.lock().recv().unwrap();
-                return Err(DbError::Io("injected write failure".into()));
-            }
+            self.pass(Step::Write)?;
             self.inner.write_at(offset, data)
         }
         fn len(&self) -> DbResult<u64> {
             self.inner.len()
         }
         fn sync(&self) -> DbResult<()> {
-            self.inner.sync()
+            self.inner.sync()?;
+            self.pass(Step::Sync)
         }
         fn set_len(&self, len: u64) -> DbResult<()> {
             self.inner.set_len(len)
         }
     }
 
+    /// Polls `cond` for up to ten seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
     #[test]
     fn unforced_frames_batched_during_a_failing_flush_are_carried_over_too() {
-        // The leader's write is in flight when an unforced frame joins the
-        // *next* batch; the write then fails. Both batches' unforced
-        // frames must survive, in append order; the forced frame must not.
-        let (entered_tx, entered) = std::sync::mpsc::sync_channel(1);
-        let (release, release_rx) = std::sync::mpsc::sync_channel(1);
-        let dev = Arc::new(StallThenFail {
-            inner: MemDevice::new(),
-            armed: std::sync::atomic::AtomicBool::new(false),
-            entered: entered_tx,
-            release: Mutex::new(release_rx),
-        });
-        let wal = Arc::new(Wal::open(Arc::clone(&dev) as Arc<dyn Device>).unwrap().0);
-        wal.append(&empty(1)).unwrap();
+        // The leader's write is in flight when an unforced frame and a
+        // forced one join the *next* batch; the write then fails. Both
+        // batches' unforced frames must survive, in append order; neither
+        // forced frame may. The forced appender behind a write in flight
+        // starts no second flush: writes stay in log order.
+        let (dev, parked, release) = Gate::new();
+        let wal = Arc::new(Wal::open(dev.log()).unwrap().0);
+        let base = wal.append(&empty(1)).unwrap();
         wal.append_unforced(&empty(2)).unwrap();
-        dev.armed.store(true, std::sync::atomic::Ordering::SeqCst);
-        let leader = {
+        dev.arm(Step::Write);
+        let append = |txid| {
             let wal = Arc::clone(&wal);
-            std::thread::spawn(move || wal.append(&empty(3)))
+            std::thread::spawn(move || wal.append(&empty(txid)))
         };
-        entered.recv().unwrap(); // the leader holds [u2, F3] at the device
+        let leader = append(3);
+        parked.recv().unwrap(); // the leader holds [u2, F3] at the device
         wal.append_unforced(&empty(4)).unwrap();
-        release.send(()).unwrap();
+        let behind = append(5);
+        assert!(eventually(|| wal.tail_lsn() == 5 * base), "F5 never enqueued");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(dev.inner.len().unwrap(), base, "a younger flush wrote past a write in flight");
+        release.send(false).unwrap();
         assert!(leader.join().unwrap().is_err());
+        assert!(
+            behind.join().unwrap().is_err(),
+            "the failure drops every non-durable forced frame"
+        );
         wal.flush().unwrap();
         assert_eq!(wal.durable_lsn(), wal.tail_lsn());
         drop(wal);
-        let (_, recs) = Wal::open(dev as Arc<dyn Device>).unwrap();
+        let (_, recs) = Wal::open(dev.log()).unwrap();
         assert_eq!(logged_txids(&recs), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn a_second_flush_syncs_while_the_first_is_parked_and_retires_after_it() {
+        let (dev, parked, release) = Gate::new();
+        let wal = Arc::new(Wal::open(dev.log()).unwrap().0);
+        let reader = wal.reader();
+        let base = wal.append(&empty(0)).unwrap();
+        let frame = base; // every empty commit frame has the first one's length
+        let append = |txid| {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append(&empty(txid)))
+        };
+        dev.arm(Step::Sync);
+        let a = append(1);
+        parked.recv().unwrap(); // A is parked in its sync
+        let syncs = dev.inner.sync_count();
+
+        // B leads a second flush and reaches its own sync meanwhile.
+        let b = append(2);
+        assert!(
+            eventually(|| dev.inner.sync_count() == syncs + 1),
+            "the second committer waited out the first one's sync"
+        );
+        // Its sync returned, but it retires after A: B has not returned and
+        // no reader sees its frame.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!b.is_finished(), "B returned before the older flush retired");
+        assert_eq!((wal.durable_lsn(), reader.durable_lsn()), (base, base));
+        assert_eq!(logged_txids(&reader.read_from(0).unwrap().records), vec![0]);
+
+        // A third committer parks: two flushes are in flight already.
+        let c = append(3);
+        assert!(eventually(|| wal.tail_lsn() == base + 3 * frame), "C never enqueued");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(dev.inner.sync_count(), syncs + 1, "a third flush started");
+        assert!(!c.is_finished());
+
+        release.send(true).unwrap();
+        let acks: Vec<Lsn> = [a, b, c].map(|t| t.join().unwrap().unwrap()).into();
+        assert_eq!(acks, vec![base + frame, base + 2 * frame, base + 3 * frame]);
+        assert_eq!(wal.durable_lsn(), base + 3 * frame);
+        assert_eq!(reader.durable_lsn(), base + 3 * frame);
+        assert_eq!(wal.telemetry().overlapped_flushes.get(), 1);
+        drop(wal);
+        assert_eq!(logged_txids(&Wal::open(dev.log()).unwrap().1), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_flush_still_gathering_is_joined_not_overtaken() {
+        let d = Arc::new(MemDevice::new());
+        let opts = WalOptions { commit_delay_us: 100_000, ..Default::default() };
+        let wal = Arc::new(Wal::open_with(Arc::clone(&d) as Arc<dyn Device>, opts).unwrap().0);
+        let gatherer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append(&empty(1)))
+        };
+        assert!(eventually(|| wal.tail_lsn() > 0));
+        wal.append(&empty(2)).unwrap();
+        gatherer.join().unwrap().unwrap();
+        assert_eq!(d.sync_count(), 1, "both frames ride the gathering flush");
+        assert_eq!(wal.telemetry().overlapped_flushes.get(), 0);
+    }
+
+    #[test]
+    fn a_failed_sync_trims_its_bytes_so_a_shorter_batch_cannot_replay_them() {
+        // The write lands, the sync fails: the forced frame is dropped and
+        // the unforced one carried over. The rewritten batch is shorter
+        // than the failed one, so without a trim the failed frame would
+        // still sit, whole and valid, right behind the new tail.
+        let (dev, parked, release) = Gate::new();
+        let (wal, _) = Wal::open(dev.log()).unwrap();
+        let base = wal.append(&empty(0)).unwrap();
+        wal.append_unforced(&empty(1)).unwrap();
+        dev.arm(Step::Sync);
+        release.send(false).unwrap();
+        assert!(wal.append(&empty(2)).is_err());
+        parked.recv().unwrap();
+        assert_eq!(dev.inner.len().unwrap(), base, "the device is trimmed to the durable mark");
+        wal.flush().unwrap();
+        drop(wal);
+        assert_eq!(logged_txids(&Wal::open(dev.log()).unwrap().1), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_failed_older_flush_fails_the_younger_one_and_carries_both_unforced_frames() {
+        let (dev, parked, release) = Gate::new();
+        let wal = Arc::new(Wal::open(dev.log()).unwrap().0);
+        let reader = wal.reader();
+        let base = wal.append(&empty(0)).unwrap();
+        let frame = base;
+        let append = |txid| {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append(&empty(txid)))
+        };
+        // A takes [u1, F2] and parks in its sync; B takes [u3, F4], writes
+        // and syncs behind it; then A's sync fails.
+        wal.append_unforced(&empty(1)).unwrap();
+        dev.arm(Step::Sync);
+        let a = append(2);
+        parked.recv().unwrap();
+        let syncs = dev.inner.sync_count();
+        wal.append_unforced(&empty(3)).unwrap();
+        let b = append(4);
+        assert!(eventually(|| dev.inner.sync_count() == syncs + 1), "B never synced");
+        assert_eq!(dev.inner.len().unwrap(), base + 4 * frame, "both batches written");
+        release.send(false).unwrap();
+        assert!(a.join().unwrap().is_err());
+        assert!(b.join().unwrap().is_err(), "the younger forced appender gets the error");
+
+        // Rewound past both flushes: the unforced frames are batched again,
+        // in append order, and the device holds only the durable prefix.
+        assert_eq!((wal.durable_lsn(), reader.durable_lsn()), (base, base));
+        assert_eq!(wal.tail_lsn(), base + 2 * frame);
+        assert_eq!(dev.inner.len().unwrap(), base);
+        // The post-rewind batch [u1, u3] is shorter than what was written.
+        wal.flush().unwrap();
+        let end = wal.append(&empty(5)).unwrap();
+        assert_eq!(end, base + 3 * frame);
+        drop(wal);
+        assert_eq!(logged_txids(&Wal::open(dev.log()).unwrap().1), vec![0, 1, 3, 5]);
     }
 
     #[test]

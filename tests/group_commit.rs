@@ -280,6 +280,100 @@ fn concurrent_unforced_and_forced_commits_survive_as_per_thread_prefixes() {
     }
 }
 
+/// Two committers, each pushing a forced commit while the other's flush
+/// syncs: the log starts a second flush instead of parking the committer,
+/// so their syncs overlap — and recovery still yields exactly the
+/// acknowledged commits.
+#[test]
+fn two_committers_overlap_their_syncs_and_recover_every_acknowledged_txn() {
+    let env = StorageEnv::mem_with_sync_latency(1_000_000);
+    let overlapped;
+    {
+        let db = Database::open_with(env.clone(), group_opts(0)).unwrap();
+        db.create_table(schema()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..2i64 {
+                let db = db.clone();
+                scope.spawn(move || {
+                    for k in 0..40i64 {
+                        let mut tx = db.begin();
+                        tx.insert("t", row(t * 100 + k, "w")).unwrap();
+                        let lsn = tx.commit().unwrap();
+                        assert!(db.durable_lsn() >= lsn, "acknowledged before durable");
+                    }
+                });
+            }
+        });
+        overlapped = db.wal_telemetry().overlapped_flushes.get();
+    }
+    assert!(overlapped > 0, "no flush ever started while another synced");
+    let db = Database::open(env).unwrap();
+    assert_eq!(db.count("t").unwrap(), 80, "every acknowledged commit must replay");
+}
+
+/// Device failures hit flushes that overlap: two committers alternate
+/// unforced and forced commits while an ENOSPC burst fails some writes.
+/// Every forced commit is acknowledged iff it replays, no unforced record
+/// is lost, and once a flush succeeds the reopened log equals memory.
+#[test]
+fn failures_across_overlapping_flushes_keep_acks_exact_and_unforced_records() {
+    let faults = DiskFaults::new();
+    let env = StorageEnv::mem_with_faults(std::sync::Arc::clone(&faults), 1_000_000);
+    let db = Database::open_with(env.clone(), group_opts(0)).unwrap();
+    db.create_table(schema()).unwrap();
+    let acked = std::sync::Mutex::new(Vec::new());
+    let failed = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for t in 0..2i64 {
+            let (db, faults, acked, failed) = (db.clone(), &faults, &acked, &failed);
+            scope.spawn(move || {
+                for k in 0..400i64 {
+                    if k >= 40 && faults.enospc_remaining() == 0 {
+                        break;
+                    }
+                    let key = t * 1000 + k;
+                    let mut tx = db.begin();
+                    tx.insert("t", row(key, "w")).unwrap();
+                    if k % 2 == 0 {
+                        tx.commit_unforced().unwrap();
+                    } else if tx.commit().is_ok() {
+                        acked.lock().unwrap().push(key);
+                    } else {
+                        failed.lock().unwrap().push(key);
+                    }
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        faults.inject_enospc(3);
+    });
+    assert_eq!(faults.enospc_hits(), 3, "the armed burst must actually fire");
+    let failed = failed.into_inner().unwrap();
+    assert!(!failed.is_empty(), "some forced commit must have been caught");
+    assert!(db.wal_telemetry().overlapped_flushes.get() > 0);
+
+    db.flush().unwrap();
+    let live = {
+        let mut rows = db.scan_committed("t").unwrap();
+        rows.sort_by_key(|r| r[0].as_int().unwrap());
+        rows
+    };
+    drop(db);
+    let db = Database::open(env).unwrap();
+    let mut replayed = db.scan_committed("t").unwrap();
+    replayed.sort_by_key(|r| r[0].as_int().unwrap());
+    assert_eq!(replayed, live, "the reopened log must equal memory");
+    for key in acked.into_inner().unwrap() {
+        assert!(db.get_committed("t", &Value::Int(key)).unwrap().is_some(), "acked {key} lost");
+    }
+    for key in failed {
+        assert!(db.get_committed("t", &Value::Int(key)).unwrap().is_none(), "{key} replayed");
+    }
+    for key in (0..2i64).flat_map(|t| (0..40i64).step_by(2).map(move |k| t * 1000 + k)) {
+        assert!(db.get_committed("t", &Value::Int(key)).unwrap().is_some(), "unforced {key} lost");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 

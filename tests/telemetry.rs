@@ -51,6 +51,10 @@ fn metrics_snapshot_spans_every_layer() {
         assert!(snap.gauges.contains_key(name), "missing gauge {name}");
     }
     assert_eq!(snap.gauges["minidb.host.unflushed_bytes"], 0.0);
+    // The two-flushes-in-flight counter is adopted per database too.
+    for name in ["minidb.srv1.overlapped_flushes", "minidb.host.overlapped_flushes"] {
+        assert!(snap.counters.contains_key(name), "missing counter {name}");
+    }
     // And the flight recorder says so on the decide span of a prepared
     // branch (the fixture's links): nobody waited on a log sync for it.
     let ring = f.sys.node(SRV).unwrap().server.flight_recorder().render("dlfm.srv1", "test");
