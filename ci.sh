@@ -51,7 +51,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # A read replica is the repository over its follower (DESIGN.md "Recovery
 # and replication"): no private session database beside it, and the
 # `dl_files` schema is declared once, in the repository.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema"
+# A token rides the open that presents it (DESIGN.md "§4.1 — access tokens"):
+# `Dlfs::fs_lookup` strips and holds it, and makes no upcall.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -72,9 +74,10 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "[r]epl_tokens|SESSION_[T]OKENS|session_[e]nv" crates/ src/ tests/ \
   || grep -rn 'Column::new("[c]ur_version"' crates/ src/ tests/ examples/ \
        | grep -v "^crates/dlfm/src/repository.rs:" \
+  || awk '/fn fs_lookup\(/,/^    }$/' crates/dlfs/src/lib.rs | grep -n "self\.[u]pcall" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database or a second dl_files schema reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema or an upcall at lookup reappeared (matches above)" >&2
   exit 1
 fi
 

@@ -242,7 +242,7 @@ pub fn e2_open_close_overhead(iters: u64) -> Table {
     let plain = time_ns(iters, || {
         f.plain_read("/data/control.bin");
     });
-    // Token validated once per open (embedded in every open's lookup).
+    // Token validated once per open (the open check carries it).
     let managed = time_ns(iters, || {
         f.managed_read(0);
     });
@@ -560,7 +560,9 @@ pub fn a3_read_path(iters: u64) -> Table {
              the §5 read/write anomaly (demonstrated by test \
              rfd_write_takes_slow_path_and_reads_stay_fast)"
                 .into(),
-            "rdd: every open pays token-entry check + sync entries (per-open upcalls >= 2)".into(),
+            "rdd: every open pays the token check + sync entries: the open check (carrying the \
+             token) and the close, 2 upcalls per open"
+                .into(),
         ],
     }
 }
@@ -603,11 +605,12 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         rows,
         notes: vec![
             "repo updates/open reads Repository::update_op_count, bumped after each auto-commit \
-             update commits. on: token-entry upsert (every rdd open, tracked or not) + Sync \
-             insert + Sync purge = 3. off: the token-entry upsert = 1 (no Sync row can exist, so \
-             the close skips the purge)"
+             transaction commits. on: the claim (Sync insert + the upsert of the entry of the \
+             token the open carries) + Sync purge = 2. off: the token-entry upsert alone = 1 (no \
+             Sync row can exist, so the close skips the purge)"
                 .into(),
-            "so tracking costs the paper's two extra updates (3 vs 1); both are unlogged (a \
+            "so tracking still costs the paper's two extra row updates (Sync insert and purge), \
+             but one extra transaction: the insert shares the token entry's. All are unlogged (a \
              commit under the dl_files row lock, no log force), and the ablation drops them at \
              the price of the read/unlink race"
                 .into(),
@@ -874,25 +877,26 @@ mod tests {
         }
         assert_eq!(t1.rows.len(), 6);
 
-        // A2: 3 upcalls per session at the open/close boundary whatever the
-        // write count, against writes + 3 at a per-write boundary.
+        // A2: 2 upcalls per session at the open/close boundary whatever the
+        // write count (the token rides the open check), against writes + 2
+        // at a per-write boundary.
         let sweep = [1usize, 8, 64, 256];
         let a2 = a2_txn_boundary(&sweep);
         assert_eq!(a2.rows.len(), sweep.len());
         for writes in sweep {
             let row = writes.to_string();
-            assert_eq!(cell(&a2, &row, "upcalls (open/close boundary)"), "3");
-            assert_eq!(cell(&a2, &row, "upcalls (per-write boundary)"), (writes + 3).to_string());
+            assert_eq!(cell(&a2, &row, "upcalls (open/close boundary)"), "2");
+            assert_eq!(cell(&a2, &row, "upcalls (per-write boundary)"), (writes + 2).to_string());
         }
 
         let a3 = a3_read_path(50);
         assert_eq!(cell(&a3, "rfd", "upcalls/open"), "0.00");
-        assert_eq!(cell(&a3, "rdd", "upcalls/open"), "3.00");
+        assert_eq!(cell(&a3, "rdd", "upcalls/open"), "2.00");
 
         // A4: the paper's "two extra"; what the 3 and the 1 are is in the
         // table's own notes.
         let a4 = a4_sync_table_cost(50);
-        assert_eq!(cell(&a4, "sync entries on (default)", "repo updates/open"), "3.00");
+        assert_eq!(cell(&a4, "sync entries on (default)", "repo updates/open"), "2.00");
         assert_eq!(cell(&a4, "sync entries off (ablation)", "repo updates/open"), "1.00");
 
         let a6 = a6_crash_atomicity(3);

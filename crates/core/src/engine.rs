@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use dl_dlfm::{
     AccessToken, AgentConnection, ControlMode, DlfmClient, DlfmServer, HostFile, HostHook,
-    HostView, OnUnlink, TokenKind,
+    HostView, OnUnlink, TokenKey, TokenKind,
 };
 use dl_fskit::Clock;
 use dl_minidb::{
@@ -119,8 +119,9 @@ pub struct ServerRegistration {
     /// Agent connection carrying link/unlink requests (and 2PC), over
     /// whichever carrier the node runs; the engine cannot tell which.
     pub agent: Arc<DlfmClient>,
-    /// Shared token secret (matches the server's `DlfmConfig`).
-    pub token_key: Vec<u8>,
+    /// Shared token secret (matches the server's `DlfmConfig`), ready to
+    /// sign with.
+    pub token_key: TokenKey,
     /// Direct handle for metadata stats (in-process shortcut for what the
     /// real system fetches over the agent connection).
     pub server: Arc<DlfmServer>,

@@ -721,7 +721,7 @@ impl DataLinksSystem {
                     // for shard nodes): standbys validate tokens, and
                     // tokens are signed under the logical name.
                     server_name: part.dlfm_cfg.server_name.clone(),
-                    token_key: part.dlfm_cfg.token_key.clone(),
+                    token_key: *server.token_key(),
                     clock: Arc::clone(clock),
                     // Linked-but-never-updated files have no archived
                     // version yet: a replica reads those live, from the
@@ -737,7 +737,7 @@ impl DataLinksSystem {
         engine.register_server(ServerRegistration {
             name: part.name.clone(),
             agent: Arc::new(agent),
-            token_key: part.dlfm_cfg.token_key.clone(),
+            token_key: *server.token_key(),
             server: Arc::clone(&server),
             replication: replication.clone(),
         });
@@ -1529,7 +1529,7 @@ impl DataLinksSystem {
             engine.register_server(ServerRegistration {
                 name: name.clone(),
                 agent: Arc::new(Self::mint_client(&node.main, node.wire.as_ref(), "engine")?),
-                token_key: node.dlfm_cfg.token_key.clone(),
+                token_key: *node.server.token_key(),
                 server: Arc::clone(&node.server),
                 replication: node.replication.clone(),
             });

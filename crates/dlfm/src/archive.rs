@@ -117,6 +117,12 @@ impl ArchiveStore {
         found.map(|v| ArchivedVersion::clone(&v))
     }
 
+    /// Does the store hold `version` of `path`? A presence test that,
+    /// unlike [`ArchiveStore::get`], copies no bytes.
+    pub fn contains(&self, path: &str, version: u64) -> bool {
+        self.inner.lock().versions.get(path).is_some_and(|v| v.iter().any(|v| v.version == version))
+    }
+
     /// The newest version whose state identifier is ≤ `state_id` — the
     /// coordinated point-in-time restore lookup.
     pub fn version_at_state(&self, path: &str, state_id: u64) -> Option<ArchivedVersion> {
@@ -383,6 +389,8 @@ mod tests {
         assert_eq!(store.get("/f", 1).unwrap().data, b"v1");
         assert!(store.get("/f", 3).is_none());
         assert!(store.latest("/nope").is_none());
+        assert!(store.contains("/f", 1) && store.contains("/f", 2));
+        assert!(!store.contains("/f", 3) && !store.contains("/nope", 1));
     }
 
     #[test]

@@ -61,9 +61,11 @@ pub trait AgentConnection: Send + Sync {
 
 /// Everything DLFS needs from its upcall endpoint.
 pub trait UpcallTransport: Send + Sync {
+    /// Validates a token on its own: for an open that makes no open check.
     fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String>;
-    /// Runs the open check. The `u64` is the sync epoch as it stood
-    /// *before* the check ran — what a `Busy` caller hands to
+    /// Runs the open check, validating the `token` the open presents
+    /// first (see `DlfmServer::open_check`). The `u64` is the sync epoch
+    /// as it stood *before* the check ran — what a `Busy` caller hands to
     /// [`UpcallTransport::wait_epoch_change`], so a release that lands
     /// between the check and the wait is never slept through. It means
     /// nothing beside any other decision.
@@ -73,6 +75,7 @@ pub trait UpcallTransport: Send + Sync {
         uid: u32,
         wanted: TokenKind,
         opener: u64,
+        token: Option<&str>,
     ) -> (u64, OpenDecision);
     fn close_notify(
         &self,
@@ -229,12 +232,14 @@ impl UpcallTransport for DlfmClient {
         uid: u32,
         wanted: TokenKind,
         opener: u64,
+        token: Option<&str>,
     ) -> (u64, OpenDecision) {
         let reply = self.call(Message::OpenCheck {
             path: path.to_string(),
             uid,
             wanted: wanted.into(),
             opener,
+            token: token.unwrap_or_default().to_string(),
         });
         let decision = match reply {
             Ok(Message::OpenApproved { uid, gid }) => {

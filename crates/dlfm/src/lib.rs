@@ -49,8 +49,8 @@ pub use server::{
     RecoveryReport, Transport,
 };
 pub use token::{
-    embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKind,
-    TOKEN_MARKER,
+    embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKey,
+    TokenKind, TOKEN_MARKER,
 };
 pub use wire::{WireConn, WireConnector, WireDaemon};
 

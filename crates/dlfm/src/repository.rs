@@ -36,7 +36,8 @@
 //! from, and every write to them that recovery could not re-derive is
 //! forced before it is acted on (DESIGN.md "Force audit" lists the ones
 //! that are not). A grant
-//! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`) is
+//! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`, and
+//! the entry of the token the open carried) is
 //! one commit whose log record carries the `dl_uip` row only — unforced,
 //! like every claim removal: the update's one forced write is the host's
 //! `Commit`, and a claim a crash took is read back off the disk, where the
@@ -48,7 +49,7 @@ use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv,
 
 use crate::archive::{ArchiveStore, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::token::{AccessToken, TokenKind};
+use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// Names of all repository tables.
 pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
@@ -148,6 +149,16 @@ pub struct SyncEntry {
 impl SyncEntry {
     fn key(&self) -> String {
         sync_key(&self.path, self.opener)
+    }
+
+    fn to_row(&self) -> Row {
+        vec![
+            Value::Text(self.key()),
+            Value::Text(self.path.clone()),
+            Value::Text(kind_str(self.kind).to_string()),
+            Value::Int(self.opener as i64),
+            Value::Int(self.uid as i64),
+        ]
     }
 }
 
@@ -522,34 +533,47 @@ impl Repository {
         kind: TokenKind,
         expiry_ms: u64,
     ) -> DbResult<()> {
-        let key = Self::token_key(uid, path, kind);
         let mut txn = self.db.begin();
-        let kv = Value::Text(key.clone());
-        let row = vec![Value::Text(key), Value::Int(expiry_ms as i64)];
-        if txn.get_for_update("dl_tokens", &kv)?.is_some() {
-            txn.update("dl_tokens", &kv, row)?;
-        } else {
-            txn.insert("dl_tokens", row)?;
-        }
+        Self::put_token_in(&mut txn, uid, path, kind, expiry_ms)?;
         txn.commit()?;
         self.bump();
         Ok(())
     }
 
-    /// Token admission (§4.1) — the one the primary's upcall and every read
-    /// replica run: decodes `token`, checks its MAC under `server`'s secret
-    /// `key` and its expiry at `now_ms`, and records the token entry.
+    /// Upserts the token entry inside `txn` — on its own, or in the claim
+    /// transaction of the open that carried the token.
+    fn put_token_in(
+        txn: &mut Txn,
+        uid: u32,
+        path: &str,
+        kind: TokenKind,
+        expiry_ms: u64,
+    ) -> DbResult<()> {
+        let key = Self::token_key(uid, path, kind);
+        let kv = Value::Text(key.clone());
+        let row = vec![Value::Text(key), Value::Int(expiry_ms as i64)];
+        if txn.get_for_update("dl_tokens", &kv)?.is_some() {
+            txn.update("dl_tokens", &kv, row)
+        } else {
+            txn.insert("dl_tokens", row)
+        }
+    }
+
+    /// Token admission (§4.1) — the one the upcall of an open not under
+    /// full control, the routed read and every read replica run: decodes `token`, checks its
+    /// MAC under `server`'s secret `key` and its expiry at `now_ms`, and
+    /// records the token entry.
     pub fn admit_token(
         &self,
-        key: &[u8],
+        key: &TokenKey,
         server: &str,
         path: &str,
         token: &str,
         uid: u32,
         now_ms: u64,
     ) -> Result<TokenKind, String> {
-        let token = AccessToken::decode(token).map_err(|e| e.to_string())?;
-        token.verify(key, server, path, now_ms).map_err(|e| e.to_string())?;
+        let token = AccessToken::decode_verified(token, key, server, path, now_ms)
+            .map_err(|e| e.to_string())?;
         self.put_token_entry(uid, path, token.kind, token.expires_at_ms)
             .map_err(|e| e.to_string())?;
         Ok(token.kind)
@@ -591,16 +615,7 @@ impl Repository {
     /// like its removal at close.
     pub fn add_sync(&self, entry: &SyncEntry) -> DbResult<()> {
         let mut txn = self.db.begin();
-        txn.insert(
-            "dl_sync",
-            vec![
-                Value::Text(entry.key()),
-                Value::Text(entry.path.clone()),
-                Value::Text(kind_str(entry.kind).to_string()),
-                Value::Int(entry.opener as i64),
-                Value::Int(entry.uid as i64),
-            ],
-        )?;
+        txn.insert("dl_sync", entry.to_row())?;
         txn.commit()?;
         self.bump();
         Ok(())
@@ -609,10 +624,16 @@ impl Repository {
     /// Purges the Sync-table entry at close (§4.5).
     pub fn remove_sync(&self, path: &str, opener: u64) -> DbResult<()> {
         let mut txn = self.db.begin();
-        txn.delete("dl_sync", &Value::Text(sync_key(path, opener)))?;
+        self.remove_sync_in(&mut txn, path, opener)?;
         txn.commit()?;
         self.bump();
         Ok(())
+    }
+
+    /// Purges a Sync-table entry inside a caller-provided transaction (the
+    /// close's, for the write it ends).
+    pub fn remove_sync_in(&self, txn: &mut Txn, path: &str, opener: u64) -> DbResult<()> {
+        txn.delete("dl_sync", &Value::Text(sync_key(path, opener)))
     }
 
     /// Sync entries for `path` (index-accelerated).
@@ -647,7 +668,9 @@ impl Repository {
     /// Atomically grants a write open: under the `dl_files` row lock,
     /// re-reads the committed file entry (the caller's copy may be stale),
     /// verifies no conflicting Sync entries, and inserts the UIP row for
-    /// `cur_version + 1` plus the write Sync row in one transaction.
+    /// `cur_version + 1` plus the write Sync row in one transaction — with
+    /// the entry of `token`, the verified token the open carried (§4.1),
+    /// when there is one. A claim that is not granted records nothing.
     ///
     /// The commit is **unforced**: nothing waits on a log sync for it. A
     /// claim a crash takes leaves its evidence on disk — the caller grants
@@ -659,6 +682,7 @@ impl Repository {
         opener: u64,
         uid: u32,
         read_conflicts: bool,
+        token: Option<&AccessToken>,
     ) -> DbResult<WriteClaim> {
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
@@ -687,16 +711,10 @@ impl Repository {
             Err(e) => return Err(e),
         }
         let sync = SyncEntry { path: path.to_string(), kind: TokenKind::Write, opener, uid };
-        txn.insert(
-            "dl_sync",
-            vec![
-                Value::Text(sync.key()),
-                Value::Text(sync.path.clone()),
-                Value::Text(kind_str(sync.kind).to_string()),
-                Value::Int(sync.opener as i64),
-                Value::Int(sync.uid as i64),
-            ],
-        )?;
+        txn.insert("dl_sync", sync.to_row())?;
+        if let Some(token) = token {
+            Self::put_token_in(&mut txn, uid, path, token.kind, token.expires_at_ms)?;
+        }
         txn.commit_unforced()?;
         self.bump();
         Ok(WriteClaim::Granted { entry, new_version })
@@ -704,8 +722,16 @@ impl Repository {
 
     /// Atomically grants a tracked read open: under the `dl_files` row
     /// lock, verifies no write Sync entry exists and inserts the read Sync
-    /// row. Returns false on a write conflict.
-    pub fn claim_read_sync(&self, path: &str, opener: u64, uid: u32) -> DbResult<bool> {
+    /// row, with the entry of the carried `token` as in
+    /// [`Repository::claim_write_open`]. Returns false, recording nothing,
+    /// on a write conflict.
+    pub fn claim_read_sync(
+        &self,
+        path: &str,
+        opener: u64,
+        uid: u32,
+        token: Option<&AccessToken>,
+    ) -> DbResult<bool> {
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         if txn.get_for_update("dl_files", &key)?.is_none() {
@@ -717,16 +743,10 @@ impl Repository {
             return Ok(false);
         }
         let sync = SyncEntry { path: path.to_string(), kind: TokenKind::Read, opener, uid };
-        txn.insert(
-            "dl_sync",
-            vec![
-                Value::Text(sync.key()),
-                Value::Text(sync.path.clone()),
-                Value::Text(kind_str(sync.kind).to_string()),
-                Value::Int(sync.opener as i64),
-                Value::Int(sync.uid as i64),
-            ],
-        )?;
+        txn.insert("dl_sync", sync.to_row())?;
+        if let Some(token) = token {
+            Self::put_token_in(&mut txn, uid, path, token.kind, token.expires_at_ms)?;
+        }
         txn.commit()?;
         self.bump();
         Ok(true)
@@ -998,7 +1018,7 @@ mod tests {
         // First claim: granted against cur_version 1 → new_version 2, and
         // the UIP + write Sync rows exist atomically.
         let WriteClaim::Granted { entry: fresh, new_version } =
-            r.claim_write_open("/f", 10, 42, false).unwrap()
+            r.claim_write_open("/f", 10, 42, false, None).unwrap()
         else {
             panic!("first claim must be granted");
         };
@@ -1007,10 +1027,14 @@ mod tests {
         assert_eq!(r.get_uip("/f").unwrap().new_version, 2);
         assert_eq!(r.sync_entries("/f").len(), 1);
 
-        // Concurrent second claim conflicts (UIP slot taken).
-        assert!(matches!(r.claim_write_open("/f", 11, 42, false).unwrap(), WriteClaim::Conflict));
-        // A tracked read conflicts with the active write grant.
-        assert!(!r.claim_read_sync("/f", 12, 42).unwrap());
+        // Concurrent second claim conflicts (UIP slot taken), and a tracked
+        // read conflicts with the active write grant: neither records the
+        // entry of the token it carried.
+        let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
+        let conflict = r.claim_write_open("/f", 11, 43, false, Some(&token)).unwrap();
+        assert!(matches!(conflict, WriteClaim::Conflict));
+        assert!(!r.claim_read_sync("/f", 12, 43, Some(&token)).unwrap());
+        assert!(!r.check_token_entry(43, "/f", TokenKind::Read, 0));
 
         // Commit the update the way close processing does, then re-claim:
         // the fresh version must be observed (the lost-update race a stale
@@ -1022,7 +1046,7 @@ mod tests {
         r.remove_sync("/f", 10).unwrap();
 
         let WriteClaim::Granted { entry: fresh, new_version } =
-            r.claim_write_open("/f", 20, 42, false).unwrap()
+            r.claim_write_open("/f", 20, 42, false, None).unwrap()
         else {
             panic!("re-claim must be granted");
         };
@@ -1033,7 +1057,10 @@ mod tests {
         r.release_write_claim("/f", 20);
         assert!(r.get_uip("/f").is_none());
         assert!(r.sync_entries("/f").is_empty());
-        assert!(matches!(r.claim_write_open("/nope", 1, 1, false).unwrap(), WriteClaim::NotLinked));
+        assert!(matches!(
+            r.claim_write_open("/nope", 1, 1, false, None).unwrap(),
+            WriteClaim::NotLinked
+        ));
     }
 
     #[test]
@@ -1043,13 +1070,16 @@ mod tests {
         r.insert_file_in(&mut txn, &entry("/f")).unwrap();
         txn.commit().unwrap();
 
-        assert!(r.claim_read_sync("/f", 1, 7).unwrap());
-        assert!(r.claim_read_sync("/f", 2, 8).unwrap(), "reads don't conflict with reads");
+        assert!(r.claim_read_sync("/f", 1, 7, None).unwrap());
+        assert!(r.claim_read_sync("/f", 2, 8, None).unwrap(), "reads don't conflict with reads");
         // A full-control write claim sees the read conflict when asked to.
-        assert!(matches!(r.claim_write_open("/f", 3, 9, true).unwrap(), WriteClaim::Conflict));
+        assert!(matches!(
+            r.claim_write_open("/f", 3, 9, true, None).unwrap(),
+            WriteClaim::Conflict
+        ));
         // Without read conflicts (rfd-style), the write claim proceeds.
         assert!(matches!(
-            r.claim_write_open("/f", 3, 9, false).unwrap(),
+            r.claim_write_open("/f", 3, 9, false, None).unwrap(),
             WriteClaim::Granted { .. }
         ));
     }
@@ -1064,16 +1094,19 @@ mod tests {
         // Token entry, tracked read open, read close: all unlogged.
         let tail = r.db().state_id();
         r.put_token_entry(7, "/f", TokenKind::Read, u64::MAX).unwrap();
-        assert!(r.claim_read_sync("/f", 1, 7).unwrap());
+        assert!(r.claim_read_sync("/f", 1, 7, None).unwrap());
         r.remove_sync("/f", 1).unwrap();
         assert_eq!(r.db().state_id(), tail);
 
         // The write grant's UIP row is logged alone, in the same commit
-        // that adds the Sync row — and unforced: nothing waited on a sync.
+        // that adds the Sync row and the carried token's entry — and
+        // unforced: nothing waited on a sync.
+        let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
         assert!(matches!(
-            r.claim_write_open("/f", 2, 7, true).unwrap(),
+            r.claim_write_open("/f", 2, 7, true, Some(&token)).unwrap(),
             WriteClaim::Granted { .. }
         ));
+        assert!(r.check_token_entry(7, "/f", TokenKind::Write, 5_000));
         assert!(r.db().durable_lsn() < r.db().state_id(), "the claim waited on no sync");
         r.db().flush().unwrap();
         let frames = r.db().wal_reader().read_from(tail).unwrap();

@@ -22,7 +22,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
 use crate::repository::{BranchOp, FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
-use crate::token::TokenKind;
+use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// How the host database and DLFS reach this DLFM instance: which carrier
 /// their [`crate::DlfmClient`]s ride.
@@ -299,6 +299,8 @@ impl SyncEpoch {
 /// The DLFM server.
 pub struct DlfmServer {
     cfg: DlfmConfig,
+    /// `cfg.token_key`, ready to sign with.
+    token_key: TokenKey,
     repo: Arc<Repository>,
     archive: Arc<ArchiveStore>,
     /// This server's writer generation on `archive`, stamped on every
@@ -366,7 +368,7 @@ impl DlfmServer {
         let cb_store = Arc::clone(&archive);
         let on_complete: crate::archive::ArchiveCompletion =
             Arc::new(move |path: &str, version: u64| {
-                if cb_store.get(path, version).is_some() {
+                if cb_store.contains(path, version) {
                     let _ = cb_repo.clear_needs_archive_if_version(path, version);
                 }
                 cb_epoch.bump();
@@ -376,6 +378,7 @@ impl DlfmServer {
         let flight_source = format!("dlfm.{}", cfg.server_name);
         let flight_ring_capacity = cfg.flight_ring_capacity;
         Ok(DlfmServer {
+            token_key: TokenKey::new(&cfg.token_key),
             cfg,
             repo,
             archive,
@@ -397,6 +400,12 @@ impl DlfmServer {
 
     pub fn config(&self) -> &DlfmConfig {
         &self.cfg
+    }
+
+    /// The token secret of [`DlfmConfig::token_key`], ready to sign with:
+    /// what the engine mints this server's tokens under.
+    pub fn token_key(&self) -> &TokenKey {
+        &self.token_key
     }
 
     pub fn repository(&self) -> &Repository {
@@ -883,44 +892,98 @@ impl DlfmServer {
     // Upcall services (§4.1–§4.5) — invoked by the upcall daemon
     // =====================================================================
 
-    /// Token validation during `fs_lookup` interception (§4.1): verifies
-    /// the MAC/expiry and records a token entry keyed by *userid*.
+    /// Token validation (§4.1) for an open not under full control, ahead
+    /// of its physical open, and for the routed read: verifies the MAC/expiry
+    /// and records a token entry keyed by *userid*.
     pub fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String> {
         self.stats.upcalls.inc();
         self.stats.token_validations.inc();
-        let (key, server, now) = (&self.cfg.token_key, &self.cfg.server_name, self.clock.now_ms());
-        self.repo.admit_token(key, server, path, token, uid, now)
+        let (server, now) = (&self.cfg.server_name, self.clock.now_ms());
+        self.repo.admit_token(&self.token_key, server, path, token, uid, now)
     }
 
-    /// Open processing during `fs_open` interception (§4.2, §4.4, §4.5).
+    /// Open processing during `fs_open` interception (§4.1, §4.2, §4.4,
+    /// §4.5).
     ///
     /// For a write, this is the rfd slow path ("DLFS contacts DLFM through
     /// an upcall only if the fs_open() entry point of the file system
     /// fails", §4.2) as well as the full-control (rdd) mandatory path.
-    pub fn open_check(&self, path: &str, uid: u32, wanted: TokenKind, opener: u64) -> OpenDecision {
+    ///
+    /// `token` is the access token the open presents, stripped from the
+    /// name at lookup. It is validated here, MAC and expiry first, with the
+    /// text [`DlfmServer::validate_token`] would reject it with; a token of
+    /// a kind that authorizes `wanted` then stands in for the token-entry
+    /// lookup. Its entry is recorded whatever the decision — inside the
+    /// claim transaction when the open is granted, on its own otherwise —
+    /// so a later open by the same userid is admitted by it, as §4.1's
+    /// lookup-time validation left it.
+    pub fn open_check(
+        &self,
+        path: &str,
+        uid: u32,
+        wanted: TokenKind,
+        opener: u64,
+        token: Option<&str>,
+    ) -> OpenDecision {
         self.stats.upcalls.inc();
         self.stats.open_checks.inc();
-        let Some(entry) = self.repo.get_file(path) else {
-            if self.cfg.strict_link {
-                // Register the open anyway so link can see it.
-                let _ = self.repo.add_sync(&SyncEntry {
-                    path: path.to_string(),
-                    kind: wanted,
-                    opener,
-                    uid,
-                });
+        let mut carried = None;
+        if let Some(token) = token {
+            self.stats.token_validations.inc();
+            let (server, now) = (&self.cfg.server_name, self.clock.now_ms());
+            match AccessToken::decode_verified(token, &self.token_key, server, path, now) {
+                Ok(token) => carried = Some(token),
+                Err(e) => return OpenDecision::Rejected(e.to_string()),
             }
-            return OpenDecision::NotManaged;
-        };
-
-        match wanted {
-            TokenKind::Write => self.open_check_write(&entry, uid, opener),
-            TokenKind::Read => self.open_check_read(&entry, uid, opener),
         }
+        let decision = match self.repo.get_file(path) {
+            None => {
+                if self.cfg.strict_link {
+                    // Register the open anyway so link can see it.
+                    let _ = self.repo.add_sync(&SyncEntry {
+                        path: path.to_string(),
+                        kind: wanted,
+                        opener,
+                        uid,
+                    });
+                }
+                OpenDecision::NotManaged
+            }
+            Some(entry) => match wanted {
+                TokenKind::Write => self.open_check_write(&entry, uid, opener, &mut carried),
+                TokenKind::Read => self.open_check_read(&entry, uid, opener, &mut carried),
+            },
+        };
+        // A granted claim took the entry; every other outcome records it
+        // here.
+        if let Some(token) = carried {
+            let _ = self.repo.put_token_entry(uid, path, token.kind, token.expires_at_ms);
+        }
+        decision
     }
 
-    fn open_check_write(&self, entry: &FileEntry, uid: u32, opener: u64) -> OpenDecision {
-        let now = self.clock.now_ms();
+    /// Is `uid` admitted to `wanted` access of `path` — by the token the
+    /// open `carried`, or else by a token entry?
+    fn token_admits(
+        &self,
+        carried: &Option<AccessToken>,
+        uid: u32,
+        path: &str,
+        wanted: TokenKind,
+    ) -> bool {
+        carried.as_ref().is_some_and(|t| t.kind.authorizes(wanted))
+            || self.repo.check_token_entry(uid, path, wanted, self.clock.now_ms())
+    }
+
+    /// The write arm of [`DlfmServer::open_check`]. A granted claim records
+    /// the entry of the `carried` token and takes it.
+    fn open_check_write(
+        &self,
+        entry: &FileEntry,
+        uid: u32,
+        opener: u64,
+        carried: &mut Option<AccessToken>,
+    ) -> OpenDecision {
         if !entry.mode.supports_update() {
             return OpenDecision::Rejected(format!(
                 "write access to {} is {} while linked (mode {})",
@@ -933,7 +996,7 @@ impl DlfmServer {
                 entry.mode
             ));
         }
-        if !self.repo.check_token_entry(uid, &entry.path, TokenKind::Write, now) {
+        if !self.token_admits(carried, uid, &entry.path, TokenKind::Write) {
             return OpenDecision::Rejected(format!(
                 "no valid write token entry for uid {uid} on {}",
                 entry.path
@@ -946,7 +1009,13 @@ impl DlfmServer {
         // the UIP + write Sync rows. Upcall workers run concurrently, so
         // the caller's `entry` may be stale; the claim's is not.
         let read_conflicts = entry.mode.full_control() && self.cfg.track_read_sync;
-        let claim = match self.repo.claim_write_open(&entry.path, opener, uid, read_conflicts) {
+        let claim = match self.repo.claim_write_open(
+            &entry.path,
+            opener,
+            uid,
+            read_conflicts,
+            carried.as_ref(),
+        ) {
             Ok(claim) => claim,
             Err(_) => {
                 self.stats.busy_responses.inc();
@@ -954,7 +1023,10 @@ impl DlfmServer {
             }
         };
         let (entry, _new_version) = match claim {
-            crate::repository::WriteClaim::Granted { entry, new_version } => (entry, new_version),
+            crate::repository::WriteClaim::Granted { entry, new_version } => {
+                *carried = None;
+                (entry, new_version)
+            }
             crate::repository::WriteClaim::Conflict => {
                 self.stats.busy_responses.inc();
                 return OpenDecision::Busy;
@@ -984,7 +1056,7 @@ impl DlfmServer {
 
         // Guarantee a restorable before-image: the first update of a file
         // captures the linked content as version 1 (state 0 = "since link").
-        if self.archive.get(&entry.path, entry.cur_version).is_none() {
+        if !self.archive.contains(&entry.path, entry.cur_version) {
             match self.admin.read_file(&ROOT, &entry.path) {
                 Ok(data) => self.archive.put(
                     self.generation,
@@ -1017,8 +1089,15 @@ impl DlfmServer {
         OpenDecision::Approved { open_as: dlfm }
     }
 
-    fn open_check_read(&self, entry: &FileEntry, uid: u32, opener: u64) -> OpenDecision {
-        let now = self.clock.now_ms();
+    /// The read arm of [`DlfmServer::open_check`]; takes the `carried` token
+    /// like [`DlfmServer::open_check_write`].
+    fn open_check_read(
+        &self,
+        entry: &FileEntry,
+        uid: u32,
+        opener: u64,
+        carried: &mut Option<AccessToken>,
+    ) -> OpenDecision {
         if entry.mode.read_control() != crate::modes::AccessControl::Dbms {
             // FS-controlled reads never upcall in the fast path; reaching
             // here means DLFS was configured strictly (e.g. a linked rff
@@ -1036,7 +1115,7 @@ impl DlfmServer {
             }
             return OpenDecision::NotManaged;
         }
-        if !self.repo.check_token_entry(uid, &entry.path, TokenKind::Read, now) {
+        if !self.token_admits(carried, uid, &entry.path, TokenKind::Read) {
             return OpenDecision::Rejected(format!(
                 "no valid read token entry for uid {uid} on {}",
                 entry.path
@@ -1048,8 +1127,8 @@ impl DlfmServer {
         // write open cannot interleave; the untracked ablation keeps the
         // best-effort committed read (its documented trade-off).
         if self.cfg.track_read_sync {
-            match self.repo.claim_read_sync(&entry.path, opener, uid) {
-                Ok(true) => {}
+            match self.repo.claim_read_sync(&entry.path, opener, uid, carried.as_ref()) {
+                Ok(true) => *carried = None,
                 _ => {
                     self.stats.busy_responses.inc();
                     return OpenDecision::Busy;
@@ -1113,7 +1192,6 @@ impl DlfmServer {
         self.archive.begin_archiving(self.generation, path, uip.new_version);
         match self.commit_file_update(&uip, new_size, new_mtime) {
             Ok(state_id) => {
-                let _ = self.repo.remove_sync(path, opener);
                 self.release_write_grant(&entry);
                 self.submit_archive(&entry, uip.new_version, state_id);
                 self.bump_epoch();
@@ -1142,7 +1220,9 @@ impl DlfmServer {
     /// the single commit point: the repository rows are staged first (their
     /// row locks fence the file), the host commits, and the repository
     /// record follows **unforced** — recovery re-derives it from the host
-    /// row ([`DlfmServer::recover`]). A host error drops the
+    /// row ([`DlfmServer::recover`]). The same commit purges the write's
+    /// Sync row, which is unlogged: the record carries the version and the
+    /// claim's removal only. A host error drops the
     /// staged rows and the caller rolls the file back.
     fn commit_file_update(
         &self,
@@ -1153,16 +1233,17 @@ impl DlfmServer {
         let host = self.host.read().clone();
         let state_hint =
             host.as_ref().map(|h| h.state_id()).unwrap_or_else(|| self.repo.db().state_id());
-        // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
-        // order the open-grant claims use): the claimed version becomes
-        // current and awaits archiving, the claim goes. Every value is the
-        // claim row's.
+        // The close's rows, in lock order (`dl_files`, then `dl_uip` and
+        // `dl_sync` — the order the open-grant claims use): the claimed
+        // version becomes current and awaits archiving, the claim and the
+        // write's Sync row go. Every value is the claim row's.
         let mut txn = self.repo.db().begin();
         let db_err = |e: dl_minidb::DbError| e.to_string();
         self.repo
             .commit_version_in(&mut txn, &uip.path, uip.new_version, state_hint)
             .map_err(db_err)?;
         self.repo.remove_uip_in(&mut txn, &uip.path).map_err(db_err)?;
+        self.repo.remove_sync_in(&mut txn, &uip.path, uip.opener).map_err(db_err)?;
         let Some(hook) = host else {
             // Standalone mode (no host database wired): the repository's
             // own forced commit is the commit point.
@@ -1354,13 +1435,14 @@ impl DlfmServer {
                     Err(e) => Message::Err(e),
                 }
             }
-            Message::OpenCheck { path, uid, wanted, opener } => {
+            Message::OpenCheck { path, uid, wanted, opener, token } => {
                 let wanted = match TokenKind::try_from(wanted) {
                     Ok(wanted) => wanted,
                     Err(e) => return Message::OpenRejected(e),
                 };
+                let token = (!token.is_empty()).then_some(token.as_str());
                 let epoch = self.epoch();
-                match self.open_check(&path, uid, wanted, opener) {
+                match self.open_check(&path, uid, wanted, opener, token) {
                     OpenDecision::Approved { open_as } => {
                         Message::OpenApproved { uid: open_as.uid, gid: open_as.gid }
                     }
@@ -1436,7 +1518,7 @@ impl DlfmServer {
 
         // Re-archive committed versions whose archive job was lost.
         for entry in self.repo.files_needing_archive() {
-            if self.archive.get(&entry.path, entry.cur_version).is_none() {
+            if !self.archive.contains(&entry.path, entry.cur_version) {
                 if let Ok(data) = self.admin.read_file(&ROOT, &entry.path) {
                     self.archive.put(
                         self.generation,

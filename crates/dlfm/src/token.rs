@@ -35,85 +35,157 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// SHA-256's running state: the chaining value, the bytes of the block not
+/// yet compressed, and how many bytes were hashed. Split into the block
+/// compression and a finish step so a hash can resume from a stored
+/// chaining value (HMAC's precomputed pads, [`TokenKey`]) and take its
+/// message in parts, with no allocation.
+struct Sha256 {
+    h: [u32; 8],
+    block: [u8; 64],
+    filled: usize,
+    len: u64,
+}
+
+impl Sha256 {
+    fn new() -> Sha256 {
+        Sha256::resume(H0, 0)
+    }
+
+    /// A hash resumed from chaining value `h` after `len` bytes, a whole
+    /// number of blocks.
+    fn resume(h: [u32; 8], len: u64) -> Sha256 {
+        Sha256 { h, block: [0; 64], filled: 0, len }
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        while !data.is_empty() {
+            let take = (64 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled == 64 {
+                compress(&mut self.h, &self.block);
+                self.filled = 0;
+            }
+        }
+    }
+
+    /// Padding (0x80, zeros, the 64-bit big-endian bit length), then the
+    /// digest.
+    fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled >= 56 {
+            compress(&mut self.h, &self.block);
+            self.block = [0; 64];
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.h, &self.block);
+        let mut out = [0u8; 32];
+        for (i, word) in self.h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// SHA-256's compression function: folds one 64-byte block into `h`.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (word, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
 /// Computes SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Padding: message || 0x80 || zeros || 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut h = H0;
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
-    }
-
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut hash = Sha256::new();
+    hash.update(data);
+    hash.finish()
 }
 
 /// HMAC-SHA-256 (RFC 2104).
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    const BLOCK: usize = 64;
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    TokenKey::new(key).mac(&[message])
+}
+
+/// A token secret ready to sign with: HMAC-SHA-256's inner and outer pad
+/// blocks, compressed once. Built where a server's `token_key` bytes are
+/// read — the engine's server registration, the DLFM server, a standby —
+/// so a MAC costs the message's blocks and two finishing blocks, not the
+/// two pad blocks besides.
+#[derive(Clone, Copy)]
+pub struct TokenKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl TokenKey {
+    pub fn new(key: &[u8]) -> TokenKey {
+        let mut block = [0u8; 64];
+        if key.len() > block.len() {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
+            let mut h = H0;
+            compress(&mut h, &block.map(|b| b ^ byte));
+            h
+        };
+        TokenKey { inner: pad(0x36), outer: pad(0x5c) }
     }
-    let mut inner = Vec::with_capacity(BLOCK + message.len());
-    let mut outer = Vec::with_capacity(BLOCK + 32);
-    for &b in &key_block {
-        inner.push(b ^ 0x36);
-        outer.push(b ^ 0x5c);
+
+    /// HMAC-SHA-256 of the concatenation of `parts`.
+    pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner, 64);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::resume(self.outer, 64);
+        outer.update(&inner.finish());
+        outer.finish()
     }
-    inner.extend_from_slice(message);
-    outer.extend_from_slice(&sha256(&inner));
-    sha256(&outer)
+}
+
+/// The pads are derived from the secret: print neither.
+impl fmt::Debug for TokenKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("TokenKey(..)")
+    }
 }
 
 // --- Tokens ------------------------------------------------------------------
@@ -197,15 +269,21 @@ pub struct AccessToken {
 /// (128 bits) keeps names shorter while leaving forgery infeasible.
 const MAC_LEN: usize = 16;
 
-fn mac_message(server: &str, path: &str, kind: TokenKind, expires_at_ms: u64) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(server.len() + path.len() + 16);
-    msg.extend_from_slice(server.as_bytes());
-    msg.push(0);
-    msg.extend_from_slice(path.as_bytes());
-    msg.push(0);
-    msg.push(kind.code() as u8);
-    msg.extend_from_slice(&expires_at_ms.to_be_bytes());
-    msg
+/// The MAC of a token's binding: server, path, kind and expiry.
+fn binding_mac(
+    key: &TokenKey,
+    server: &str,
+    path: &str,
+    kind: TokenKind,
+    expires_at_ms: u64,
+) -> [u8; 32] {
+    key.mac(&[
+        server.as_bytes(),
+        &[0],
+        path.as_bytes(),
+        &[0, kind.code() as u8],
+        &expires_at_ms.to_be_bytes(),
+    ])
 }
 
 impl AccessToken {
@@ -213,13 +291,13 @@ impl AccessToken {
     /// `expires_at_ms`, signed with `key`. Only the truncated MAC (the part
     /// that travels inside file names) is retained.
     pub fn generate(
-        key: &[u8],
+        key: &TokenKey,
         server: &str,
         path: &str,
         kind: TokenKind,
         expires_at_ms: u64,
     ) -> AccessToken {
-        let mut mac = hmac_sha256(key, &mac_message(server, path, kind, expires_at_ms));
+        let mut mac = binding_mac(key, server, path, kind, expires_at_ms);
         mac[MAC_LEN..].fill(0);
         AccessToken { kind, expires_at_ms, mac }
     }
@@ -227,12 +305,12 @@ impl AccessToken {
     /// Verifies the MAC and expiry against the expected binding.
     pub fn verify(
         &self,
-        key: &[u8],
+        key: &TokenKey,
         server: &str,
         path: &str,
         now_ms: u64,
     ) -> Result<(), TokenError> {
-        let expected = hmac_sha256(key, &mac_message(server, path, self.kind, self.expires_at_ms));
+        let expected = binding_mac(key, server, path, self.kind, self.expires_at_ms);
         // Constant-time-ish comparison over the truncated MAC.
         let mut diff = 0u8;
         for (a, b) in expected[..MAC_LEN].iter().zip(&self.mac[..MAC_LEN]) {
@@ -276,6 +354,21 @@ impl AccessToken {
                 .map_err(|_| TokenError::Malformed)?;
         }
         Ok(AccessToken { kind, expires_at_ms, mac })
+    }
+
+    /// Decodes `s` and verifies it for `path` on `server` at `now_ms` — the
+    /// whole cryptographic check an admission makes before it records a
+    /// token entry.
+    pub fn decode_verified(
+        s: &str,
+        key: &TokenKey,
+        server: &str,
+        path: &str,
+        now_ms: u64,
+    ) -> Result<AccessToken, TokenError> {
+        let token = AccessToken::decode(s)?;
+        token.verify(key, server, path, now_ms)?;
+        Ok(token)
     }
 }
 
@@ -366,45 +459,106 @@ mod tests {
         );
     }
 
+    #[test]
+    fn sha256_long_message_vector() {
+        // FIPS 180-4: one million repetitions of 'a'.
+        assert_eq!(
+            hex(&sha256(&vec![b'a'; 1_000_000])),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    #[test]
+    fn hashing_in_parts_matches_one_shot_across_block_boundaries() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..data.len() {
+            let whole = sha256(&data[..len]);
+            for split in [0, 1, len / 3, len / 2, len.saturating_sub(1), len] {
+                let split = split.min(len);
+                let mut parts = Sha256::new();
+                parts.update(&data[..split]);
+                parts.update(&data[split..len]);
+                assert_eq!(parts.finish(), whole, "len {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_key_macs_like_the_one_shot_hmac() {
+        for key in [&b"Jefe"[..], &[0xaa; 131], &[0x0b; 64], b""] {
+            let prepared = TokenKey::new(key);
+            for msg in [&b""[..], b"Hi There", &[7u8; 200]] {
+                let (head, tail) = msg.split_at(msg.len() / 2);
+                assert_eq!(prepared.mac(&[head, tail]), hmac_sha256(key, msg));
+            }
+        }
+    }
+
     const KEY: &[u8] = b"per-server-secret";
+
+    fn key() -> TokenKey {
+        TokenKey::new(KEY)
+    }
 
     #[test]
     fn token_roundtrip_and_verify() {
-        let tok = AccessToken::generate(KEY, "srv1", "/movies/clip.mpg", TokenKind::Write, 5_000);
+        let tok =
+            AccessToken::generate(&key(), "srv1", "/movies/clip.mpg", TokenKind::Write, 5_000);
         let encoded = tok.encode();
         let decoded = AccessToken::decode(&encoded).unwrap();
         assert_eq!(decoded, tok);
-        assert!(decoded.verify(KEY, "srv1", "/movies/clip.mpg", 4_999).is_ok());
+        assert!(decoded.verify(&key(), "srv1", "/movies/clip.mpg", 4_999).is_ok());
+    }
+
+    #[test]
+    fn a_token_carries_the_truncated_hmac_of_its_binding() {
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Write, 9_000);
+        let binding = [&b"s\0/f\0w"[..], &9_000u64.to_be_bytes()].concat();
+        assert_eq!(tok.mac[..MAC_LEN], hmac_sha256(KEY, &binding)[..MAC_LEN]);
+        let decoded =
+            AccessToken::decode_verified(&tok.encode(), &key(), "s", "/f", 9_000).unwrap();
+        assert_eq!(decoded, tok);
+        assert_eq!(
+            AccessToken::decode_verified(&tok.encode(), &key(), "s", "/f", 9_001),
+            Err(TokenError::Expired)
+        );
+        assert_eq!(
+            AccessToken::decode_verified("r1-zz", &key(), "s", "/f", 0),
+            Err(TokenError::Malformed)
+        );
     }
 
     #[test]
     fn expired_token_rejected() {
-        let tok = AccessToken::generate(KEY, "s", "/f", TokenKind::Read, 1_000);
-        assert_eq!(tok.verify(KEY, "s", "/f", 1_001), Err(TokenError::Expired));
-        assert!(tok.verify(KEY, "s", "/f", 1_000).is_ok(), "inclusive expiry");
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Read, 1_000);
+        assert_eq!(tok.verify(&key(), "s", "/f", 1_001), Err(TokenError::Expired));
+        assert!(tok.verify(&key(), "s", "/f", 1_000).is_ok(), "inclusive expiry");
     }
 
     #[test]
     fn token_bound_to_path_server_kind() {
-        let tok = AccessToken::generate(KEY, "s", "/f", TokenKind::Read, 9_999);
-        assert_eq!(tok.verify(KEY, "s", "/other", 0), Err(TokenError::BadSignature));
-        assert_eq!(tok.verify(KEY, "other", "/f", 0), Err(TokenError::BadSignature));
-        assert_eq!(tok.verify(b"wrong-key", "s", "/f", 0), Err(TokenError::BadSignature));
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Read, 9_999);
+        assert_eq!(tok.verify(&key(), "s", "/other", 0), Err(TokenError::BadSignature));
+        assert_eq!(tok.verify(&key(), "other", "/f", 0), Err(TokenError::BadSignature));
+        assert_eq!(
+            tok.verify(&TokenKey::new(b"wrong-key"), "s", "/f", 0),
+            Err(TokenError::BadSignature)
+        );
 
         // Re-labelling a read token as a write token breaks the MAC: an
         // application cannot use a read token to open a file for update
         // (the §4.1 attack this design defends against).
         let mut forged = tok.clone();
         forged.kind = TokenKind::Write;
-        assert_eq!(forged.verify(KEY, "s", "/f", 0), Err(TokenError::BadSignature));
+        assert_eq!(forged.verify(&key(), "s", "/f", 0), Err(TokenError::BadSignature));
     }
 
     #[test]
     fn tampered_expiry_rejected() {
-        let tok = AccessToken::generate(KEY, "s", "/f", TokenKind::Read, 1_000);
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Read, 1_000);
         let mut forged = tok.clone();
         forged.expires_at_ms = u64::MAX; // try to extend lifetime
-        assert_eq!(forged.verify(KEY, "s", "/f", 2_000), Err(TokenError::BadSignature));
+        assert_eq!(forged.verify(&key(), "s", "/f", 2_000), Err(TokenError::BadSignature));
     }
 
     #[test]
@@ -417,7 +571,7 @@ mod tests {
 
     #[test]
     fn split_and_embed() {
-        let tok = AccessToken::generate(KEY, "s", "/d/f.txt", TokenKind::Read, 77);
+        let tok = AccessToken::generate(&key(), "s", "/d/f.txt", TokenKind::Read, 77);
         let with = embed_token("/d/f.txt", &tok);
         let (parent_and_name, suffix) = split_token_suffix(&with);
         assert_eq!(parent_and_name, "/d/f.txt");

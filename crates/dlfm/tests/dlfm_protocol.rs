@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dl_dlfm::{
     embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
     DlfmServer, FaultInjector, HostFile, HostHook, MainDaemon, Message, OnUnlink, OpenDecision,
-    TokenKind, UpcallTransport, WireConnector, WireDaemon,
+    TokenKey, TokenKind, UpcallTransport, WireConnector, WireDaemon,
 };
 use dl_fskit::{
     Clock, Cred, DirEntry, FileAttr, FileSystem, FsResult, Ino, Lfs, LockOp, LockOwner, MemFs,
@@ -49,7 +49,7 @@ fn fixture() -> Fixture {
 
 fn write_token(f: &Fixture, path: &str) -> AccessToken {
     AccessToken::generate(
-        &f.server.config().token_key,
+        f.server.token_key(),
         "srv1",
         path,
         TokenKind::Write,
@@ -59,7 +59,7 @@ fn write_token(f: &Fixture, path: &str) -> AccessToken {
 
 fn read_token(f: &Fixture, path: &str) -> AccessToken {
     AccessToken::generate(
-        &f.server.config().token_key,
+        f.server.token_key(),
         "srv1",
         path,
         TokenKind::Read,
@@ -79,7 +79,7 @@ fn link_committed(f: &Fixture, host_txid: u64, path: &str, mode: ControlMode) {
 fn approved_write_open(f: &Fixture, path: &str, opener: u64) -> Cred {
     let tok = write_token(f, path);
     f.server.validate_token(path, &tok.encode(), ALICE.uid).unwrap();
-    match f.server.open_check(path, ALICE.uid, TokenKind::Write, opener) {
+    match f.server.open_check(path, ALICE.uid, TokenKind::Write, opener, None) {
         OpenDecision::Approved { open_as } => open_as,
         other => panic!("expected approval, got {other:?}"),
     }
@@ -217,7 +217,7 @@ fn write_open_requires_valid_token_entry() {
     let f = fixture();
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     // No token validated yet.
-    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1) {
+    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1, None) {
         OpenDecision::Rejected(msg) => assert!(msg.contains("token")),
         other => panic!("expected rejection, got {other:?}"),
     }
@@ -228,7 +228,7 @@ fn expired_token_rejected_at_validation() {
     let f = fixture();
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let tok = AccessToken::generate(
-        &f.server.config().token_key,
+        f.server.token_key(),
         "srv1",
         "/data/clip.mpg",
         TokenKind::Write,
@@ -245,7 +245,7 @@ fn read_token_cannot_open_for_write() {
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let tok = read_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
-    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1) {
+    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1, None) {
         OpenDecision::Rejected(msg) => assert!(msg.contains("token")),
         other => panic!("read token must not grant write, got {other:?}"),
     }
@@ -337,13 +337,13 @@ fn write_write_conflict_is_busy_until_close() {
     let tok = write_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert_eq!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6, None),
         OpenDecision::Busy
     );
 
     f.server.close_notify("/data/clip.mpg", 5, false, 0, 0).unwrap();
     assert!(matches!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6, None),
         OpenDecision::Approved { .. }
     ));
 }
@@ -357,7 +357,7 @@ fn rdd_read_blocks_writer_and_vice_versa() {
     let tok = read_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert!(matches!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 1),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 1, None),
         OpenDecision::Approved { .. }
     ));
 
@@ -365,18 +365,18 @@ fn rdd_read_blocks_writer_and_vice_versa() {
     let wtok = write_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &wtok.encode(), ALICE.uid).unwrap();
     assert_eq!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 2),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 2, None),
         OpenDecision::Busy
     );
 
     // Reader closes; writer proceeds; reader now blocked by writer.
     f.server.close_notify("/data/clip.mpg", 1, false, 0, 0).unwrap();
     assert!(matches!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 2),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 2, None),
         OpenDecision::Approved { .. }
     ));
     assert_eq!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 3),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 3, None),
         OpenDecision::Busy
     );
 }
@@ -387,10 +387,108 @@ fn blocked_mode_rejects_writes_outright() {
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rfb);
     let tok = write_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
-    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1) {
+    match f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 1, None) {
         OpenDecision::Rejected(msg) => assert!(msg.contains("blocked")),
         other => panic!("rfb write must be rejected, got {other:?}"),
     }
+}
+
+/// §4.1 with the token riding the open check: the check validates the
+/// token first, lets it stand in for the token entry, and leaves the entry
+/// behind on every outcome — inside the claim transaction when the open is
+/// granted, so a granted open costs one repository transaction.
+#[test]
+fn a_presented_token_records_its_entry_on_every_outcome() {
+    const BOB: u32 = 101;
+    let f = fixture();
+    f.admin.write_file(&ALICE, "/data/rfb.bin", b"blocked").unwrap();
+    f.admin.write_file(&ALICE, "/data/plain.bin", b"unlinked").unwrap();
+    link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
+    link_committed(&f, 2, "/data/rfb.bin", ControlMode::Rfb);
+    let repo = f.server.repository();
+    let has_entry = |uid, path, kind| repo.check_token_entry(uid, path, kind, f.clock.now_ms());
+    let open = |path, uid, wanted, opener, token: &AccessToken| {
+        f.server.open_check(path, uid, wanted, opener, Some(&token.encode()))
+    };
+    let clip = "/data/clip.mpg";
+
+    // Granted: the claim records the entry, in its own transaction.
+    let ops = repo.update_op_count();
+    assert!(matches!(
+        open(clip, ALICE.uid, TokenKind::Write, 5, &write_token(&f, clip)),
+        OpenDecision::Approved { .. }
+    ));
+    assert_eq!(repo.update_op_count() - ops, 1, "one repository transaction per open");
+    assert!(has_entry(ALICE.uid, clip, TokenKind::Write));
+
+    // Busy: the write above is still open.
+    assert_eq!(open(clip, BOB, TokenKind::Write, 6, &write_token(&f, clip)), OpenDecision::Busy);
+    assert!(has_entry(BOB, clip, TokenKind::Write));
+
+    // Rejected for another reason than the token.
+    let rfb = "/data/rfb.bin";
+    match open(rfb, ALICE.uid, TokenKind::Write, 7, &write_token(&f, rfb)) {
+        OpenDecision::Rejected(msg) => assert!(msg.contains("blocked"), "{msg}"),
+        other => panic!("rfb write must be rejected, got {other:?}"),
+    }
+    assert!(has_entry(ALICE.uid, rfb, TokenKind::Write));
+
+    // Not managed.
+    let plain = "/data/plain.bin";
+    let decision = open(plain, ALICE.uid, TokenKind::Write, 8, &write_token(&f, plain));
+    assert_eq!(decision, OpenDecision::NotManaged);
+    assert!(has_entry(ALICE.uid, plain, TokenKind::Write));
+
+    // A read token for a write: a valid token of the wrong kind. The open
+    // is refused for want of a write entry, and the read entry recorded.
+    f.server.close_notify(clip, 5, false, 0, 0).unwrap();
+    match open(clip, 102, TokenKind::Write, 9, &read_token(&f, clip)) {
+        OpenDecision::Rejected(msg) => assert!(msg.contains("no valid write token"), "{msg}"),
+        other => panic!("a read token cannot open for write, got {other:?}"),
+    }
+    assert!(has_entry(102, clip, TokenKind::Read));
+    assert!(!has_entry(102, clip, TokenKind::Write));
+
+    // Forged and expired tokens are refused with validate_token's words,
+    // before anything is recorded.
+    let forged = AccessToken::generate(
+        &TokenKey::new(b"not the key"),
+        "srv1",
+        clip,
+        TokenKind::Read,
+        u64::MAX,
+    );
+    let expired = AccessToken::generate(
+        f.server.token_key(),
+        "srv1",
+        clip,
+        TokenKind::Read,
+        f.clock.now_ms() - 1,
+    );
+    for bad in [forged, expired] {
+        let refusal = f.server.validate_token(clip, &bad.encode(), 103).unwrap_err();
+        assert_eq!(open(clip, 103, TokenKind::Read, 10, &bad), OpenDecision::Rejected(refusal));
+    }
+    assert!(!has_entry(103, clip, TokenKind::Read));
+}
+
+/// The untracked-read ablation takes no claim transaction: the token's
+/// entry is recorded on its own.
+#[test]
+fn an_untracked_read_records_the_presented_tokens_entry_on_its_own() {
+    let mut cfg = DlfmConfig::new("srv1");
+    cfg.track_read_sync = false;
+    let f = fixture_with(cfg);
+    link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
+    let repo = f.server.repository();
+    let ops = repo.update_op_count();
+    let token = read_token(&f, "/data/clip.mpg").encode();
+    assert!(matches!(
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 1, Some(&token)),
+        OpenDecision::Approved { .. }
+    ));
+    assert_eq!(repo.update_op_count() - ops, 1);
+    assert!(repo.check_token_entry(ALICE.uid, "/data/clip.mpg", TokenKind::Read, 0));
 }
 
 #[test]
@@ -623,7 +721,7 @@ fn recovery_clears_transient_token_and_sync_state() {
     let tok = read_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert!(matches!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 3),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 3, None),
         OpenDecision::Approved { .. }
     ));
 
@@ -632,7 +730,7 @@ fn recovery_clears_transient_token_and_sync_state() {
     // A write open straight after recovery succeeds (no stale conflicts),
     // once a fresh token is presented.
     let tok = AccessToken::generate(
-        &server2.config().token_key,
+        server2.token_key(),
         "srv1",
         "/data/clip.mpg",
         TokenKind::Write,
@@ -640,7 +738,7 @@ fn recovery_clears_transient_token_and_sync_state() {
     );
     server2.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert!(matches!(
-        server2.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 4),
+        server2.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 4, None),
         OpenDecision::Approved { .. }
     ));
 }
@@ -657,7 +755,7 @@ fn upcall_daemon_round_trips() {
     let kind = client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert_eq!(kind, TokenKind::Write);
 
-    match client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 8).1 {
+    match client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 8, None).1 {
         OpenDecision::Approved { open_as } => assert_eq!(open_as, f.server.config().dlfm_cred),
         other => panic!("unexpected {other:?}"),
     }
@@ -710,7 +808,7 @@ fn strict_link_rejects_linking_open_files() {
     let f = fixture_with(cfg);
     // Register an open of the (unlinked) file, as strict DLFS would.
     assert_eq!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 99),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 99, None),
         OpenDecision::NotManaged
     );
     let err = f
@@ -739,7 +837,7 @@ fn archive_blocks_next_update_until_complete() {
     let tok = write_token(&f, "/data/clip.mpg");
     f.server.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
     assert!(matches!(
-        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6),
+        f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, 6, None),
         OpenDecision::Approved { .. }
     ));
 }
@@ -925,7 +1023,13 @@ fn every_request(f: &Fixture) -> Vec<Message> {
         recovery: true,
         on_unlink,
     };
-    let open = |wanted, opener| Message::OpenCheck { path: clip(), uid: ALICE.uid, wanted, opener };
+    let open = |wanted, opener, token: &str| Message::OpenCheck {
+        path: clip(),
+        uid: ALICE.uid,
+        wanted,
+        opener,
+        token: token.into(),
+    };
     vec![
         Message::Hello { client: "table".into() },
         Message::EpochGet,
@@ -939,9 +1043,13 @@ fn every_request(f: &Fixture) -> Vec<Message> {
             uid: ALICE.uid,
         },
         Message::ValidateToken { path: clip(), token: "garbage".into(), uid: ALICE.uid },
-        open(TokenKind::Write.into(), 7),
-        open(TokenKind::Write.into(), 8), // Busy, with the epoch
+        open(TokenKind::Write.into(), 7, ""),
+        open(TokenKind::Write.into(), 8, ""), // Busy, with the epoch
         Message::CloseNotify { path: clip(), opener: 7, wrote: false, size: 0, mtime: 0 },
+        // An open presenting its token, and one presenting garbage.
+        open(TokenKind::Write.into(), 11, &write_token(f, "/data/clip.mpg").encode()),
+        Message::CloseNotify { path: clip(), opener: 11, wrote: false, size: 0, mtime: 0 },
+        open(TokenKind::Write.into(), 12, "garbage"),
         Message::MutationCheck { path: clip() },
         Message::MutationCheck { path: "/data/unlinked".into() },
         Message::RegisterOpen { path: "/data/other".into(), uid: ALICE.uid, opener: 9 },
@@ -953,7 +1061,7 @@ fn every_request(f: &Fixture) -> Vec<Message> {
         // Discriminants no variant owns.
         link(3, FENCE, 6, 0),
         link(3, FENCE, 0, 2),
-        open(2, 10),
+        open(2, 10, ""),
         // A deposed coordinator's traffic.
         link(4, FENCE - 1, 0, 0),
         Message::Unlink { txid: 4, coord_epoch: FENCE - 1, path: clip() },
@@ -985,12 +1093,14 @@ fn every_request_gets_the_same_reply_from_handle_and_both_carriers() {
     assert_eq!(reply_to("ValidateToken", 0), &Message::TokenKindIs(TokenKind::Write.into()));
     assert!(matches!(reply_to("OpenCheck", 0), Message::OpenApproved { .. }));
     assert!(matches!(reply_to("OpenCheck", 1), Message::OpenBusy(_)));
+    assert!(matches!(reply_to("OpenCheck", 2), Message::OpenApproved { .. }));
+    assert_eq!(reply_to("OpenCheck", 3), &Message::OpenRejected("malformed token".into()));
     assert!(matches!(reply_to("MutationCheck", 0), Message::Err(_)));
     assert_eq!(reply_to("MutationCheck", 1), &Message::Ok);
     assert!(matches!(reply_to("Link", 1), Message::Err(e) if e.contains("control-mode")));
     assert!(matches!(reply_to("Link", 2), Message::Err(e) if e.contains("on-unlink")));
     assert!(
-        matches!(reply_to("OpenCheck", 2), Message::OpenRejected(e) if e.contains("token-kind"))
+        matches!(reply_to("OpenCheck", 4), Message::OpenRejected(e) if e.contains("token-kind"))
     );
     assert!(matches!(reply_to("Link", 3), Message::Err(e) if e.contains("stale coordinator")));
     assert_eq!(reply_to("Commit", 1), &Message::Ok, "a fenced decision is dropped, not refused");
@@ -1020,9 +1130,11 @@ fn a_release_between_busy_and_wait_is_never_slept_through() {
         let (holder, waiter) = (10 * round as u64 + 1, 10 * round as u64 + 2);
         let tok = write_token(&f, "/data/clip.mpg");
         client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
-        let (_, held) = client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, holder);
+        let (_, held) =
+            client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, holder, None);
         assert!(matches!(held, OpenDecision::Approved { .. }), "{carrier}: {held:?}");
-        let (seen, busy) = client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, waiter);
+        let (seen, busy) =
+            client.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Write, waiter, None);
         assert_eq!(busy, OpenDecision::Busy, "{carrier}");
 
         // The release lands before the waiter gets round to waiting.
@@ -1167,7 +1279,7 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
 
     let tok = write_token(&f, CLIP);
     promoted.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
-    let open = promoted.open_check(CLIP, ALICE.uid, TokenKind::Write, 6);
+    let open = promoted.open_check(CLIP, ALICE.uid, TokenKind::Write, 6, None);
     assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
     f.admin.write_file(&dlfm, CLIP, b"committed v3").unwrap();
     let promoted_shut = promoted_disk.gate.write().unwrap();

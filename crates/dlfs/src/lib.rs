@@ -10,8 +10,12 @@
 //! interception protocol:
 //!
 //! * **`fs_lookup`** — strips a `;dltoken=` suffix from the final name
-//!   component, validates it through an upcall (creating a userid-keyed
-//!   token entry at DLFM, §4.1), then delegates the lookup of the real name.
+//!   component, rejects it if it does not even decode, keeps it for the
+//!   open that follows on the same thread, then delegates the lookup of
+//!   the real name. No upcall: the open presents the token, and DLFM
+//!   validates it there and creates the userid-keyed token entry (§4.1) —
+//!   inside the open check a full-control open makes anyway, or, for any
+//!   other open, by one token validation ahead of the physical open.
 //! * **`fs_open`** — the §4.2 decision tree. A file owned by the DLFM uid is
 //!   under *full database control*, so every open upcalls for approval
 //!   (serialized via the Sync table). Any other file opens straight through
@@ -31,13 +35,15 @@
 //!
 //! Per the paper's portability goal (§2.4), DLFS keeps *no persistent
 //! DataLinks state of its own* — only a volatile ino→path cache (the moral
-//! equivalent of the dentry cache); everything durable lives at DLFM.
+//! equivalent of the dentry cache) and, per thread, the token its last
+//! lookup stripped; everything durable lives at DLFM.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dl_dlfm::{DlfmClient, OpenDecision, TokenKind, UpcallTransport};
+use dl_dlfm::{AccessToken, DlfmClient, OpenDecision, TokenKind, UpcallTransport};
 use dl_fskit::flock::{LockOp, LockOwner};
 use dl_fskit::{path as fspath, FileSystem};
 use dl_fskit::{Cred, DirEntry, FileAttr, FileKind, FsError, FsResult, Ino, OpenFlags, SetAttr};
@@ -78,9 +84,33 @@ pub struct DlfsStats {
     pub managed_opens: dl_obs::Counter,
     /// Busy retries performed.
     pub busy_waits: dl_obs::Counter,
-    /// Token suffixes found and validated during lookup.
+    /// Token suffixes stripped during lookup. Each is validated by the
+    /// open that presents it, not by the lookup.
     pub token_lookups: dl_obs::Counter,
 }
+
+/// A token stripped from a name at lookup, held for the open of the same
+/// system call — the next open on the thread that looked it up.
+struct HeldToken {
+    /// The [`Dlfs`] that stripped it.
+    dlfs: u64,
+    ino: Ino,
+    uid: u32,
+    /// The path the name resolved to: the token is bound to it, so an open
+    /// that finds the inode under another path (renamed meanwhile)
+    /// presents nothing.
+    path: String,
+    token: String,
+}
+
+thread_local! {
+    /// The token this thread's last lookup stripped. Every lookup replaces
+    /// it and every open takes it, so a token reaches only the open that
+    /// follows its lookup — never a later open whose name carried none.
+    static HELD: Cell<Option<HeldToken>> = const { Cell::new(None) };
+}
+
+static NEXT_DLFS: AtomicU64 = AtomicU64::new(1);
 
 struct OpenInstance {
     opener: u64,
@@ -100,6 +130,8 @@ pub struct Dlfs {
     paths: RwLock<HashMap<Ino, String>>,
     /// Open instances keyed by (ino, is_write).
     opens: Mutex<HashMap<(Ino, bool), Vec<OpenInstance>>>,
+    /// Tells the tokens this layer holds in [`HELD`] from another layer's.
+    id: u64,
     next_opener: AtomicU64,
     pub stats: DlfsStats,
 }
@@ -120,6 +152,7 @@ impl Dlfs {
             cfg,
             paths: RwLock::new(paths),
             opens: Mutex::new(HashMap::new()),
+            id: NEXT_DLFS.fetch_add(1, Ordering::Relaxed),
             next_opener: AtomicU64::new(1),
             stats: DlfsStats::default(),
         }
@@ -160,18 +193,30 @@ impl Dlfs {
         inst
     }
 
-    /// Runs the DLFM open check with the configured wait policy.
+    /// Validates the token an open that is not under full control presents,
+    /// before its physical open: the one upcall a lookup-time validation
+    /// would have made.
+    fn validate_presented(&self, path: &str, token: Option<&str>, cred: &Cred) -> FsResult<()> {
+        if let Some(token) = token {
+            self.upcall.validate_token(path, token, cred.uid).map_err(FsError::Rejected)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the DLFM open check with the configured wait policy, presenting
+    /// `token` on every try.
     fn checked_open(
         &self,
         path: &str,
         cred: &Cred,
         wanted: TokenKind,
         opener: u64,
+        token: Option<&str>,
     ) -> FsResult<OpenDecision> {
         loop {
             // The epoch comes back with the decision, read before the
             // check ran: over a socket that is one round trip, not two.
-            let (epoch, decision) = self.upcall.open_check(path, cred.uid, wanted, opener);
+            let (epoch, decision) = self.upcall.open_check(path, cred.uid, wanted, opener, token);
             match decision {
                 OpenDecision::Busy => match self.cfg.wait_policy {
                     WaitPolicy::Fail => return Err(FsError::Busy),
@@ -192,18 +237,28 @@ impl FileSystem for Dlfs {
     }
 
     fn fs_lookup(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<Ino> {
+        HELD.take();
         let (real_name, token) = dl_dlfm::split_token_suffix(name);
         let parent_path = self.path_of(parent)?;
         let full_path = fspath::join(&parent_path, real_name);
 
-        if let Some(token_str) = token {
+        // A token that does not decode is refused here; any other is
+        // validated by DLFM when an open presents it (§4.1).
+        if let Some(token) = token {
             self.stats.token_lookups.inc();
-            self.upcall
-                .validate_token(&full_path, token_str, cred.uid)
-                .map_err(FsError::Rejected)?;
+            AccessToken::decode(token).map_err(|e| FsError::Rejected(e.to_string()))?;
         }
 
         let ino = self.inner.fs_lookup(cred, parent, real_name)?;
+        if let Some(token) = token {
+            HELD.set(Some(HeldToken {
+                dlfs: self.id,
+                ino,
+                uid: cred.uid,
+                path: full_path.clone(),
+                token: token.to_string(),
+            }));
+        }
         self.cache_path(ino, full_path);
         Ok(ino)
     }
@@ -237,20 +292,29 @@ impl FileSystem for Dlfs {
     }
 
     fn fs_open(&self, cred: &Cred, ino: Ino, flags: OpenFlags) -> FsResult<()> {
+        let held = HELD.take();
         let attr = self.inner.fs_getattr(&ROOT, ino)?;
         if attr.kind == FileKind::Dir {
             return self.inner.fs_open(cred, ino, flags);
         }
         let wants_write = flags.wants_write();
+        let wanted = if wants_write { TokenKind::Write } else { TokenKind::Read };
         let path = self.path_of(ino)?;
+        // The token of the lookup just before this open, if it resolved
+        // this inode at this path for this user.
+        let token = held
+            .filter(|held| {
+                held.dlfs == self.id && held.ino == ino && held.uid == cred.uid && held.path == path
+            })
+            .map(|held| held.token);
+        let token = token.as_deref();
 
         // Full database control is recognizable locally by ownership
         // (§4.2: "which can be ascertained by examining the ownership of
         // the file") — no upcall needed to make that determination.
         if attr.uid == self.upcall.dlfm_uid() && cred.uid != attr.uid && !cred.is_root() {
-            let wanted = if wants_write { TokenKind::Write } else { TokenKind::Read };
             let opener = self.new_opener();
-            return match self.checked_open(&path, cred, wanted, opener)? {
+            return match self.checked_open(&path, cred, wanted, opener, token)? {
                 OpenDecision::Approved { open_as } => {
                     self.inner.fs_open(&open_as, ino, flags)?;
                     self.stats.managed_opens.inc();
@@ -300,8 +364,10 @@ impl FileSystem for Dlfs {
         }
 
         // Not under full control. Reads go straight through — the paper's
-        // fast path: no upcall, no lock (§4.2).
+        // fast path: no upcall, no lock (§4.2) — but for the token one
+        // presents.
         if !wants_write {
+            self.validate_presented(&path, token, cred)?;
             self.inner.fs_open(cred, ino, flags)?;
             self.stats.passthrough_opens.inc();
             if self.cfg.strict {
@@ -317,7 +383,10 @@ impl FileSystem for Dlfs {
         }
 
         // Write open: optimistically try the physical open; only a failure
-        // triggers the upcall (§4.2's rfd protocol).
+        // triggers the upcall (§4.2's rfd protocol). The token is validated
+        // first, since the physical open may truncate; the open check of a
+        // refused write then finds the entry that validation recorded.
+        self.validate_presented(&path, token, cred)?;
         match self.inner.fs_open(cred, ino, flags) {
             Ok(()) => {
                 self.stats.passthrough_opens.inc();
@@ -334,7 +403,7 @@ impl FileSystem for Dlfs {
             }
             Err(FsError::AccessDenied) => {
                 let opener = self.new_opener();
-                match self.checked_open(&path, cred, TokenKind::Write, opener)? {
+                match self.checked_open(&path, cred, TokenKind::Write, opener, None)? {
                     OpenDecision::Approved { open_as } => {
                         self.inner.fs_open(&open_as, ino, flags)?;
                         self.stats.managed_opens.inc();

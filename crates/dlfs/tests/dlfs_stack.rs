@@ -9,10 +9,12 @@ use std::time::Duration;
 
 use dl_dlfm::{
     embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostFile,
-    MainDaemon, OnUnlink, TokenKind,
+    MainDaemon, OnUnlink, TokenKey, TokenKind,
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
-use dl_fskit::{Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenOptions, SetAttr, SimClock};
+use dl_fskit::{
+    Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenFlags, OpenOptions, SetAttr, SimClock,
+};
 use dl_minidb::{Database, StorageEnv};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
@@ -66,13 +68,7 @@ fn link(s: &Stack, path: &str, mode: ControlMode) {
 }
 
 fn tok(s: &Stack, path: &str, kind: TokenKind) -> AccessToken {
-    AccessToken::generate(
-        &s.server.config().token_key,
-        "srv1",
-        path,
-        kind,
-        s.clock.now_ms() + 600_000,
-    )
+    AccessToken::generate(s.server.token_key(), "srv1", path, kind, s.clock.now_ms() + 600_000)
 }
 
 #[test]
@@ -323,7 +319,7 @@ fn aborted_update_restores_content_via_recovery_path() {
     server.commit_host(1);
 
     let token = AccessToken::generate(
-        &server.config().token_key,
+        server.token_key(),
         "srv1",
         "/web/a.html",
         TokenKind::Write,
@@ -404,7 +400,7 @@ fn expired_token_rejected_at_lookup_time() {
     let s = stack();
     link(&s, "/web/index.html", ControlMode::Rdd);
     let stale = AccessToken::generate(
-        &s.server.config().token_key,
+        s.server.token_key(),
         "srv1",
         "/web/index.html",
         TokenKind::Read,
@@ -423,7 +419,7 @@ fn forged_token_rejected() {
     let s = stack();
     link(&s, "/web/index.html", ControlMode::Rdd);
     let forged = AccessToken::generate(
-        b"not the real key",
+        &TokenKey::new(b"not the real key"),
         "srv1",
         "/web/index.html",
         TokenKind::Write,
@@ -460,4 +456,203 @@ fn many_concurrent_readers_on_rdd_file() {
         assert_eq!(h.join().unwrap(), b"<html>v1</html>");
     }
     assert!(s.server.repository().sync_entries("/web/index.html").is_empty());
+}
+
+#[test]
+fn a_lookup_no_open_follows_makes_no_upcall() {
+    let s = stack();
+    link(&s, "/web/index.html", ControlMode::Rdd);
+    let path = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Read));
+    s.lfs.stat(&ALICE, &path).unwrap();
+    assert_eq!(s.dlfs.stats.token_lookups.get(), 1);
+    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 0, "the token waits for an open");
+}
+
+/// A write token and a read token of one userid, looked up by two threads
+/// in turn before either opens: each open presents a token of its own kind.
+#[test]
+fn interleaved_lookups_of_one_user_each_open_with_their_own_kind() {
+    let s = stack();
+    link(&s, "/web/index.html", ControlMode::Rdd);
+    let name = |kind| embed_token("index.html", &tok(&s, "/web/index.html", kind));
+    let (wname, rname) = (name(TokenKind::Write), name(TokenKind::Read));
+    let dir = s.lfs.resolve(&ALICE, "/web").unwrap();
+    let has_entry = |kind| {
+        s.server.repository().check_token_entry(
+            ALICE.uid,
+            "/web/index.html",
+            kind,
+            s.clock.now_ms(),
+        )
+    };
+    let turn = std::sync::Barrier::new(2);
+    let write = OpenFlags { read: false, write: true, truncate: true };
+    thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let ino = s.dlfs.fs_lookup(&ALICE, dir, &wname).unwrap();
+            turn.wait(); // the writer has looked up
+            turn.wait(); // the reader has looked up, opened and closed
+            s.dlfs.fs_open(&ALICE, ino, write).unwrap();
+            s.dlfs.fs_write(&ALICE, ino, 0, b"<html>v2</html>").unwrap();
+            s.dlfs.fs_close(&ALICE, ino, write, true).unwrap();
+        });
+        let reader = scope.spawn(|| {
+            turn.wait();
+            let ino = s.dlfs.fs_lookup(&ALICE, dir, &rname).unwrap();
+            let read = OpenFlags::read_only();
+            let opened = s.dlfs.fs_open(&ALICE, ino, read).and_then(|()| {
+                s.dlfs.fs_close(&ALICE, ino, read, false)?;
+                Ok((has_entry(TokenKind::Read), has_entry(TokenKind::Write)))
+            });
+            turn.wait();
+            opened
+        });
+        // The read presented the read token: no write entry yet.
+        assert_eq!(reader.join().unwrap(), Ok((true, false)));
+        writer.join().unwrap();
+    });
+    assert!(has_entry(TokenKind::Write));
+    assert_eq!(s.server.repository().get_file("/web/index.html").unwrap().cur_version, 2);
+    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 4, "an open check and a close each");
+}
+
+#[test]
+fn a_busy_open_leaves_its_token_entry() {
+    let s = stack_with(
+        DlfsConfig { wait_policy: WaitPolicy::Fail, strict: false },
+        DlfmConfig::new("srv1"),
+    );
+    link(&s, "/web/index.html", ControlMode::Rdd);
+    let wpath = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Write));
+    let fd = s.lfs.open(&ALICE, &wpath, OpenOptions::write_truncate()).unwrap();
+    assert_eq!(s.lfs.open(&BOB, &wpath, OpenOptions::write_truncate()), Err(FsError::Busy));
+    s.lfs.close(fd).unwrap();
+    s.server.archive_store().wait_archived("/web/index.html");
+    // BOB's token was validated although the open was Busy: his plain-name
+    // open is admitted by the entry it left.
+    let fd = s.lfs.open(&BOB, "/web/index.html", OpenOptions::write_truncate()).unwrap();
+    s.lfs.close(fd).unwrap();
+}
+
+#[test]
+fn every_bad_token_is_refused_with_its_reason() {
+    let s = stack();
+    link(&s, "/web/index.html", ControlMode::Rdd);
+    let refusal = |path: &str, opts| match s.lfs.open(&ALICE, path, opts) {
+        Err(FsError::Rejected(msg)) => msg,
+        other => panic!("{path}: expected a rejection, got {other:?}"),
+    };
+    let forged = AccessToken::generate(
+        &TokenKey::new(b"wrong"),
+        "srv1",
+        "/web/index.html",
+        TokenKind::Read,
+        !0,
+    );
+    let expired = AccessToken::generate(
+        s.server.token_key(),
+        "srv1",
+        "/web/index.html",
+        TokenKind::Read,
+        s.clock.now_ms() - 1,
+    );
+    let read = tok(&s, "/web/index.html", TokenKind::Read);
+    let embed = |t: &AccessToken| embed_token("/web/index.html", t);
+    let read_only = OpenOptions::read_only;
+    assert_eq!(refusal(&embed(&forged), read_only()), "token signature mismatch");
+    assert_eq!(refusal(&embed(&expired), read_only()), "token expired");
+    assert_eq!(refusal("/web/index.html;dltoken=r1-zz", read_only()), "malformed token");
+    // None of these left an entry behind.
+    assert!(!s.server.repository().check_token_entry(
+        ALICE.uid,
+        "/web/index.html",
+        TokenKind::Read,
+        0
+    ));
+    // A valid read token cannot open for write — but it is still a valid
+    // token, whose entry then admits a plain-name read.
+    let msg = refusal(&embed(&read), OpenOptions::read_write());
+    assert!(msg.contains("no valid write token entry"), "{msg}");
+    let fd = s.lfs.open(&ALICE, "/web/index.html", read_only()).unwrap();
+    s.lfs.close(fd).unwrap();
+}
+
+#[test]
+fn a_held_token_is_not_presented_under_another_path() {
+    let s = stack();
+    // A token for the unlinked plain.txt, looked up by this thread.
+    let name = embed_token("plain.txt", &tok(&s, "/web/plain.txt", TokenKind::Read));
+    let dir = s.lfs.resolve(&ALICE, "/web").unwrap();
+    let ino = s.dlfs.fs_lookup(&ALICE, dir, &name).unwrap();
+    // Another thread renames it before the open: the inode opens under a
+    // path the token is not bound to, straight through, presenting nothing.
+    thread::scope(|scope| {
+        scope.spawn(|| s.lfs.rename(&ALICE, "/web/plain.txt", "/web/moved.txt").unwrap());
+    });
+    let round_trips = s.dlfs.upcall_client().round_trip_count();
+    let read = OpenFlags::read_only();
+    s.dlfs.fs_open(&ALICE, ino, read).unwrap();
+    s.dlfs.fs_close(&ALICE, ino, read, false).unwrap();
+    assert_eq!(s.dlfs.upcall_client().round_trip_count(), round_trips);
+}
+
+/// A token a lookup stripped reaches only the open right after it: a stat
+/// through a token name leaves nothing behind for later plain-name opens,
+/// valid or expired.
+#[test]
+fn a_token_a_stat_looked_up_reaches_no_later_open() {
+    let s = stack();
+    s.raw.write_file(&ALICE, "/web/rdd.html", b"rdd").unwrap();
+    link(&s, "/web/index.html", ControlMode::Rff);
+    link(&s, "/web/rdd.html", ControlMode::Rdd);
+    // ALICE's write entry for the rdd file, good for ten minutes.
+    let wpath = embed_token("/web/rdd.html", &tok(&s, "/web/rdd.html", TokenKind::Write));
+    let fd = s.lfs.open(&ALICE, &wpath, OpenOptions::read_write()).unwrap();
+    s.lfs.close(fd).unwrap();
+    let short = |path| {
+        let expiry = s.clock.now_ms() + 1_000;
+        let token =
+            AccessToken::generate(s.server.token_key(), "srv1", path, TokenKind::Read, expiry);
+        embed_token(path, &token)
+    };
+    // The unlinked and rff reads make no upcall; the rdd read, admitted by
+    // the write entry, one open check and one close.
+    let reads = [("/web/plain.txt", 0), ("/web/index.html", 0), ("/web/rdd.html", 2)];
+    for expired in [false, true] {
+        for (path, upcalls) in reads {
+            s.lfs.stat(&ALICE, &short(path)).unwrap();
+            if expired {
+                s.clock.advance(10_000);
+            }
+            let round_trips = s.dlfs.upcall_client().round_trip_count();
+            let fd = s.lfs.open(&ALICE, path, OpenOptions::read_only()).unwrap();
+            s.lfs.close(fd).unwrap();
+            let made = s.dlfs.upcall_client().round_trip_count() - round_trips;
+            assert_eq!(made, upcalls, "{path}, expired {expired}");
+        }
+    }
+}
+
+#[test]
+fn a_pass_through_open_validates_its_token_first() {
+    let s = stack();
+    link(&s, "/web/index.html", ControlMode::Rff);
+    // One upcall, ahead of the physical open; a bad token opens nothing.
+    let read = tok(&s, "/web/index.html", TokenKind::Read);
+    let fd = s.lfs.open(&ALICE, &embed_token("/web/index.html", &read), OpenOptions::read_only());
+    s.lfs.close(fd.unwrap()).unwrap();
+    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 1);
+    let forged = AccessToken::generate(
+        &TokenKey::new(b"wrong"),
+        "srv1",
+        "/web/index.html",
+        TokenKind::Write,
+        !0,
+    );
+    let wpath = embed_token("/web/index.html", &forged);
+    assert!(matches!(
+        s.lfs.open(&ALICE, &wpath, OpenOptions::write_truncate()),
+        Err(FsError::Rejected(_))
+    ));
+    assert_eq!(s.raw.read_file(&ALICE, "/web/index.html").unwrap(), b"<html>v1</html>");
 }

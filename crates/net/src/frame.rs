@@ -115,6 +115,9 @@ pub enum Message {
         uid: u32,
         wanted: u8,
         opener: u64,
+        /// The access token the open presents, as stripped from the name
+        /// at lookup; empty when it presents none.
+        token: String,
     },
     CloseNotify {
         path: String,
@@ -362,11 +365,12 @@ impl Message {
                 put_str(out, token);
                 put_u32(out, *uid);
             }
-            Message::OpenCheck { path, uid, wanted, opener } => {
+            Message::OpenCheck { path, uid, wanted, opener, token } => {
                 put_str(out, path);
                 put_u32(out, *uid);
                 out.push(*wanted);
                 put_u64(out, *opener);
+                put_str(out, token);
             }
             Message::CloseNotify { path, opener, wrote, size, mtime } => {
                 put_str(out, path);
@@ -430,6 +434,7 @@ impl Message {
                 uid: r.u32()?,
                 wanted: r.u8()?,
                 opener: r.u64()?,
+                token: r.string()?,
             },
             T_CLOSE_NOTIFY => Message::CloseNotify {
                 path: r.string()?,

@@ -46,9 +46,15 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             token,
             uid
         }),
-        (s, any::<u32>(), any::<u8>(), any::<u64>()).prop_map(|(path, uid, wanted, opener)| {
-            Message::OpenCheck { path, uid, wanted, opener }
-        }),
+        (s, any::<u32>(), any::<u8>(), any::<u64>(), s).prop_map(
+            |(path, uid, wanted, opener, token)| Message::OpenCheck {
+                path,
+                uid,
+                wanted,
+                opener,
+                token
+            }
+        ),
         (s, any::<u64>(), any::<bool>(), any::<u64>(), any::<u64>()).prop_map(
             |(path, opener, wrote, size, mtime)| Message::CloseNotify {
                 path,

@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dl_dlfm::{ArchiveStore, ContentSource, Repository, TokenKind};
+use dl_dlfm::{ArchiveStore, ContentSource, Repository, TokenKey, TokenKind};
 use dl_fskit::Clock;
 use dl_minidb::{
     Database, DbError, DbOptions, Lsn, ReplicationFeed, ShippedFrames, SnapshotData, StorageEnv,
@@ -245,7 +245,7 @@ pub struct Standby {
     /// The node's one archive store, the primary's.
     archive: Arc<ArchiveStore>,
     server_name: String,
-    token_key: Vec<u8>,
+    token_key: TokenKey,
     clock: Arc<dyn Clock>,
     /// The node's live-bytes source, for linked-but-never-updated files,
     /// which have no archived version yet (the primary captures the
@@ -264,7 +264,7 @@ impl Standby {
         follower: Arc<Follower>,
         archive: Arc<ArchiveStore>,
         server_name: String,
-        token_key: Vec<u8>,
+        token_key: TokenKey,
         clock: Arc<dyn Clock>,
         fallback: Option<ContentSource>,
     ) -> Standby {
@@ -575,8 +575,9 @@ pub struct ReplicaSetOptions {
     pub replicas: usize,
     /// DLFM server name (token verification scope, standby naming).
     pub server_name: String,
-    /// Shared HMAC token secret (matches the server's `DlfmConfig`).
-    pub token_key: Vec<u8>,
+    /// Shared HMAC token secret (matches the server's `DlfmConfig`), ready
+    /// to verify with.
+    pub token_key: TokenKey,
     /// Clock for token expiry checks.
     pub clock: Arc<dyn Clock>,
     /// Content fallback for linked-but-never-updated files (no archived
@@ -615,7 +616,7 @@ impl ReplicaSet<Standby> {
                 follower,
                 Arc::clone(&archive),
                 opts.server_name.clone(),
-                opts.token_key.clone(),
+                opts.token_key,
                 Arc::clone(&opts.clock),
                 opts.fallback.clone(),
             )))
@@ -784,7 +785,7 @@ mod tests {
             Arc::new(follower.unwrap()),
             Arc::new(ArchiveStore::new()),
             "srv1".to_string(),
-            b"dlfm-key-srv1".to_vec(),
+            TokenKey::new(b"dlfm-key-srv1"),
             Arc::new(SimClock::new(1_000)),
             None,
         ));
@@ -861,7 +862,7 @@ mod tests {
             Arc::new(follower.unwrap()),
             Arc::clone(&archive),
             "srv1".into(),
-            b"key".to_vec(),
+            TokenKey::new(b"key"),
             clock.clone(),
             None,
         ));
@@ -883,8 +884,13 @@ mod tests {
         // No token entry yet: the read is refused.
         assert!(standby.serve_read("/movies/clip.mpg", 42).is_err());
 
-        let token =
-            AccessToken::generate(b"key", "srv1", "/movies/clip.mpg", TokenKind::Read, 60_000);
+        let token = AccessToken::generate(
+            &TokenKey::new(b"key"),
+            "srv1",
+            "/movies/clip.mpg",
+            TokenKind::Read,
+            60_000,
+        );
         let kind = standby.validate_read_token("/movies/clip.mpg", &token.encode(), 42).unwrap();
         assert_eq!(kind, TokenKind::Read);
         assert_eq!(standby.serve_read("/movies/clip.mpg", 42).unwrap(), b"v2 bytes");
@@ -894,7 +900,13 @@ mod tests {
         // A garbage token is refused outright.
         assert!(standby.validate_read_token("/movies/clip.mpg", "nonsense", 42).is_err());
         // A token for the wrong path fails verification.
-        let wrong = AccessToken::generate(b"key", "srv1", "/other", TokenKind::Read, 60_000);
+        let wrong = AccessToken::generate(
+            &TokenKey::new(b"key"),
+            "srv1",
+            "/other",
+            TokenKind::Read,
+            60_000,
+        );
         assert!(standby.validate_read_token("/movies/clip.mpg", &wrong.encode(), 42).is_err());
     }
 
@@ -947,7 +959,7 @@ mod tests {
             ReplicaSetOptions {
                 replicas: 1,
                 server_name: "srv1".into(),
-                token_key: b"key".to_vec(),
+                token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },
@@ -1015,7 +1027,7 @@ mod tests {
             ReplicaSetOptions {
                 replicas: 3,
                 server_name: "srv1".into(),
-                token_key: b"key".to_vec(),
+                token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },
@@ -1047,7 +1059,7 @@ mod tests {
             ReplicaSetOptions {
                 replicas: 1,
                 server_name: "srv1".into(),
-                token_key: b"key".to_vec(),
+                token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
                 fallback: None,
             },

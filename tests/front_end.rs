@@ -79,7 +79,7 @@ fn write_open_burst(
     std::thread::scope(|scope| {
         for t in 0..BURST_CLIENTS {
             let after_cycle = &after_cycle;
-            let key = server.config().token_key.clone();
+            let key = *server.token_key();
             let now = clock.now_ms();
             scope.spawn(move || {
                 let path = format!("/d/f{t}.bin");
@@ -88,7 +88,8 @@ fn write_open_burst(
                         AccessToken::generate(&key, SRV, &path, TokenKind::Write, now + 60_000 + k);
                     client.validate_token(&path, &tok.encode(), APP.uid).unwrap();
                     let opener = (t as u64) * 100 + k;
-                    let (_, decision) = client.open_check(&path, APP.uid, TokenKind::Write, opener);
+                    let (_, decision) =
+                        client.open_check(&path, APP.uid, TokenKind::Write, opener, None);
                     assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
                     client.close_notify(&path, opener, true, 4, 0).unwrap();
                     after_cycle();
@@ -413,14 +414,14 @@ proptest! {
                         continue;
                     }
                     let tok = AccessToken::generate(
-                        &server.config().token_key,
+                        server.token_key(),
                         SRV,
                         "/d/f.bin",
                         TokenKind::Write,
                         clock.now_ms() + 60_000,
                     );
                     server.validate_token("/d/f.bin", &tok.encode(), APP.uid).unwrap();
-                    match server.open_check("/d/f.bin", APP.uid, TokenKind::Write, 200 + i as u64) {
+                    match server.open_check("/d/f.bin", APP.uid, TokenKind::Write, 200 + i as u64, None) {
                         OpenDecision::Approved { .. } => writing[i as usize] = true,
                         // Busy against another writer (or a registration
                         // racing in full-control mode) is legal; the claim

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use datalinks::dlfm::{embed_token, split_token_suffix, AccessToken, TokenError, TokenKind};
+use datalinks::dlfm::{
+    embed_token, split_token_suffix, AccessToken, TokenError, TokenKey, TokenKind,
+};
 use datalinks::fskit::{Cred, FileSystem, Lfs, MemFs, OpenOptions};
 use std::sync::Arc;
 
@@ -24,6 +26,7 @@ proptest! {
         kind in kind_strategy(),
         expiry in 0u64..u64::MAX / 2,
     ) {
+        let key = TokenKey::new(&key);
         let token = AccessToken::generate(&key, &server, &path, kind, expiry);
         let decoded = AccessToken::decode(&token.encode()).unwrap();
         prop_assert_eq!(&decoded, &token);
@@ -45,6 +48,7 @@ proptest! {
         kind in kind_strategy(),
     ) {
         prop_assume!(key != other_key);
+        let (key, other_key) = (TokenKey::new(&key), TokenKey::new(&other_key));
         let token = AccessToken::generate(&key, &server, &path, kind, u64::MAX / 2);
         prop_assert_eq!(
             token.verify(&other_key, &server, &path, 0),
@@ -74,7 +78,7 @@ proptest! {
         pos_seed in any::<usize>(),
         replacement in proptest::char::range('0', 'z'),
     ) {
-        let key = b"k";
+        let key = &TokenKey::new(b"k");
         let token = AccessToken::generate(key, "s", "/f", TokenKind::Write, 12345);
         let encoded = token.encode();
         let pos = pos_seed % encoded.len();
@@ -104,7 +108,7 @@ proptest! {
         kind in kind_strategy(),
         expiry in any::<u64>(),
     ) {
-        let token = AccessToken::generate(b"key", "srv", &path, kind, expiry);
+        let token = AccessToken::generate(&TokenKey::new(b"key"), "srv", &path, kind, expiry);
         let embedded = embed_token(&path, &token);
         let (name, suffix) = split_token_suffix(&embedded);
         prop_assert_eq!(name, path.as_str());

@@ -164,13 +164,8 @@ fn validate_once_at_every_standby(sys: &DataLinksSystem) {
     };
     let (before, primary_before) = (validations(), node.server.stats.token_validations.get());
     let expiry = node.server.clock().now_ms() + 60_000;
-    let token = AccessToken::generate(
-        &node.server.config().token_key,
-        SRV,
-        "/d/f0.bin",
-        TokenKind::Read,
-        expiry,
-    );
+    let token =
+        AccessToken::generate(node.server.token_key(), SRV, "/d/f0.bin", TokenKind::Read, expiry);
     for _ in set.standbys() {
         let tp = embed_token("/d/f0.bin", &token);
         assert_eq!(sys.validate_read_token(SRV, &tp, APP.uid).unwrap(), TokenKind::Read);
@@ -565,7 +560,7 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
     let (path, token) = split_token_suffix(&wpath);
     old_server.validate_token(path, token.unwrap(), APP.uid).unwrap();
-    let open = old_server.open_check(path, APP.uid, TokenKind::Write, 77);
+    let open = old_server.open_check(path, APP.uid, TokenKind::Write, 77, None);
     assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
     // The fenced job sets no in-flight marker, so `wait_archived` cannot
     // wait for it. The deposed server's sync epoch can: the close bumps it

@@ -227,15 +227,24 @@ fn sever_with_calls_in_flight_fails_them_all_promptly() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn uncontended_token_open_close_costs_three_request_frames() {
+fn uncontended_token_open_close_costs_two_request_frames() {
     let sys = build(1);
     let frames_in =
         || *sys.registry().snapshot().counters.get(&format!("net.{SRV}.frames_in")).unwrap();
     let before = frames_in();
-    write_once(&sys, 0, b"three frames");
-    // ValidateToken (lookup), OpenCheck (open), CloseNotify (close) — and
-    // no EpochGet ahead of the open check.
-    assert_eq!(frames_in() - before, 3);
+    write_once(&sys, 0, b"two frames");
+    // OpenCheck (open, the token inside it) and CloseNotify (close): the
+    // lookup makes no upcall, and no EpochGet precedes the open check.
+    assert_eq!(frames_in() - before, 2);
+
+    // A token read costs the same two.
+    let path = read_token_path(&sys, 0);
+    let fs = sys.fs(SRV).unwrap();
+    let before = frames_in();
+    let fd = fs.open(&APP, &path, OpenOptions::read_only()).unwrap();
+    assert_eq!(fs.read_to_end(fd).unwrap(), b"two frames");
+    fs.close(fd).unwrap();
+    assert_eq!(frames_in() - before, 2);
 }
 
 #[test]
