@@ -53,7 +53,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `dl_files` schema is declared once, in the repository.
 # A token rides the open that presents it (DESIGN.md "§4.1 — access tokens"):
 # `Dlfs::fs_lookup` strips and holds it, and makes no upcall.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup"
+# No prepare round (DESIGN.md "Protocol and dispatch"): the `Link`/`Unlink`
+# reply is the vote, and the host aborts an undecided transaction whose
+# branch it lost.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -75,9 +78,10 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rn 'Column::new("[c]ur_version"' crates/ src/ tests/ examples/ \
        | grep -v "^crates/dlfm/src/repository.rs:" \
   || awk '/fn fs_lookup\(/,/^    }$/' crates/dlfs/src/lib.rs | grep -n "self\.[u]pcall" \
+  || grep -rnE "Message::[P]repare|T_[P]REPARE|prepare_[h]ost|Prepare[F]ailed" crates/ src/ tests/ \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema or an upcall at lookup reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup or a prepare round reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -99,13 +103,16 @@ cargo test --workspace -q --no-fail-fast
 # these suites crash, promote and drain across that window — the cut-point
 # sweep (update, link and unlink) cuts every boundary of it. The log's own
 # tests race too: two flushes in flight park, overlap and fail each other
-# on purpose (`wal::` in dl-minidb). One green run proves little about a
-# race; five in a row, failing on the first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: x5"
+# on purpose (`wal::` in dl-minidb), and wire_transport's sever race cuts
+# an agent connection while its host transaction commits. One green run
+# proves little about a race; five in a row, failing on the first red.
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + the sever race x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep \
     || { echo "flake guard: round $round failed" >&2; exit 1; }
+  cargo test --offline -q --test wire_transport severing_the_agent_connection_mid_commit \
+    || { echo "flake guard: round $round (sever race) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-minidb --lib wal:: \
     || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
 done

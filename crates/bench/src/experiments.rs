@@ -479,7 +479,7 @@ pub fn a2_txn_boundary(writes_per_open: &[usize]) -> Table {
     let f = fixture(FixtureOptions { n_files: 1, sync_archive: true, ..Default::default() });
     let fs = f.sys.fs(SRV).expect("fs");
     let chunk = make_content(512);
-    let client = f.sys.node(SRV).expect("node").dlfs.upcall_client().clone();
+    let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
 
     let mut rows = Vec::new();
     for &n in writes_per_open {
@@ -527,7 +527,7 @@ pub fn a3_read_path(iters: u64) -> Table {
     let mut rows = Vec::new();
     for mode in [ControlMode::Rfd, ControlMode::Rdd] {
         let f = fixture(FixtureOptions { mode, n_files: 1, file_size: 4096, ..Default::default() });
-        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client().clone();
+        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
         let fs = f.sys.fs(SRV).expect("fs");
 
         // rfd reads need no token; rdd reads do (prime the token entry once
@@ -797,7 +797,7 @@ pub fn a8_strict_link(iters: u64) -> Table {
             .write_file(&APP, "/data/unlinked.bin", b"plain")
             .expect("seed");
         let fs = f.sys.fs(SRV).expect("fs");
-        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client().clone();
+        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
         let before = client.round_trip_count();
         let ns = time_ns(iters, || {
             let fd = fs.open(&APP, "/data/unlinked.bin", OpenOptions::read_only()).expect("open");

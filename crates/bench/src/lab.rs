@@ -678,15 +678,13 @@ fn settled_workers(f: &Fixture) -> usize {
     }
 }
 
-/// One link → 2PC → unlink → 2PC round on `path` through `agent`, under
-/// host transactions `link_tx` and `link_tx + 1`.
+/// One link → commit → unlink → commit round on `path` through `agent`,
+/// under host transactions `link_tx` and `link_tx + 1`.
 fn churn_cycle(agent: &DlfmClient, link_tx: u64, path: &str) -> Result<(), String> {
     agent.link(link_tx, path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-    agent.prepare(link_tx)?;
     agent.commit(link_tx);
     let unlink_tx = link_tx + 1;
     agent.unlink(unlink_tx, path)?;
-    agent.prepare(unlink_tx)?;
     agent.commit(unlink_tx);
     Ok(())
 }
@@ -1402,7 +1400,7 @@ fn mixed_trial(
     // metrics: a scenario can pin that the crash left (say) fenced decide
     // spans in the recorder without string-matching the dump itself.
     let dump = f.sys.last_flight_dump().unwrap_or_default();
-    for stage in ["claim", "prepare", "decide", "fence_raise", "fence_reject", "archive"] {
+    for stage in ["claim", "decide", "fence_raise", "fence_reject", "archive"] {
         let events = dump.matches(stage).count() as u64;
         f.sys.registry().counter(&format!("lab.flight_{stage}_events")).add(events);
     }
@@ -1729,7 +1727,7 @@ fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
 
 /// One a14 trial: `agents` real socket connections held open together
 /// against a `Transport::Socket` node. The scenario's `sever_connections`
-/// injections name how many of them link + prepare and then have their
+/// injections name how many of them link and then have their
 /// socket cut mid-2PC — the host never heard of those transactions, so
 /// the dropped claims must resolve by presumed abort. Every other
 /// connection drives `cycles` full link/2PC/unlink rounds over the wire,
@@ -1786,14 +1784,13 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
 
-    // Mid-2PC severing: the doomed connections link and prepare, then die
-    // holding the in-doubt claim.
+    // Mid-2PC severing: the doomed connections link, then die holding the
+    // in-doubt claim.
     let aborts_before = wire.daemon.presumed_aborts().get();
     for (j, (conn, agent)) in doomed.iter().enumerate() {
         let txid = 3_000_000 + 2 * j as u64;
         let path = format!("/data/doomed{j:04}.bin");
         agent.link(txid, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-        agent.prepare(txid)?;
         conn.sever();
     }
 

@@ -590,11 +590,32 @@ impl DataLinksEngine {
         &self.db
     }
 
+    /// Aborts every undecided host transaction that enlisted node `server`
+    /// (`Database::abort_undecided_enlisting`). File-server failover calls
+    /// it once the old primary is down, before it reads the host rows.
+    pub fn abort_undecided_on(&self, server: &str) {
+        self.db.abort_undecided_enlisting(&participant_name(server));
+    }
+
     /// The coordinator-side flight recorder (dumped on crash/failover
     /// alongside the per-node DLFM rings).
     pub fn flight_recorder(&self) -> &Arc<dl_obs::FlightRecorder> {
         &self.recorder
     }
+}
+
+/// The name node `server` enlists in a host transaction under.
+fn participant_name(server: &str) -> String {
+    format!("dlfm@{server}")
+}
+
+/// Enlists `reg`'s node in `txid` *before* its link/unlink is sent, so no
+/// node holds a branch the host cannot abort. Under the *shard* name: the
+/// host dedupes by name, so the decision fans out to exactly the shards a
+/// transaction touched.
+fn enlist(db: &Database, txid: u64, reg: &ServerRegistration) {
+    let agent = Arc::clone(&reg.agent) as Arc<dyn dl_minidb::Participant>;
+    db.enlist_participant(txid, &participant_name(&reg.name), agent);
 }
 
 impl DmlObserver for DataLinksEngine {
@@ -623,16 +644,8 @@ impl DmlObserver for DataLinksEngine {
                     &url.path,
                     format!("unlink server={}", reg.name),
                 );
+                enlist(db, event.txid, reg);
                 reg.agent.unlink(event.txid, &url.path)?;
-                // Enlisted under the *shard* name: a transaction touching
-                // files on several shards holds one participant per shard
-                // (the host dedupes by name), so prepare-all/decide-all
-                // fans out across exactly the shards it touched.
-                db.enlist_participant(
-                    event.txid,
-                    &format!("dlfm@{}", reg.name),
-                    Arc::clone(&reg.agent) as Arc<dyn dl_minidb::Participant>,
-                );
                 db.inject_dml(
                     event.txid,
                     InjectedDml::Delete {
@@ -651,12 +664,8 @@ impl DmlObserver for DataLinksEngine {
                     &url.path,
                     format!("link server={} mode={:?}", reg.name, opts.mode),
                 );
+                enlist(db, event.txid, reg);
                 reg.agent.link(event.txid, &url.path, opts.mode, opts.recovery, opts.on_unlink)?;
-                db.enlist_participant(
-                    event.txid,
-                    &format!("dlfm@{}", reg.name),
-                    Arc::clone(&reg.agent) as Arc<dyn dl_minidb::Participant>,
-                );
                 let (size, mtime) = reg.server.stat_file(&url.path).unwrap_or((0, 0));
                 db.inject_dml(
                     event.txid,
@@ -721,5 +730,9 @@ impl HostHook for DataLinksEngine {
 
     fn file_version(&self, url: &str) -> Option<u64> {
         self.meta_row(url).and_then(|row| row[3].as_int()).map(|v| v as u64)
+    }
+
+    fn abort_undecided(&self, host_txid: u64) {
+        self.db.abort_undecided(host_txid);
     }
 }

@@ -8,8 +8,7 @@
 //! shard keeps the full per-node stack (repository, archive store, WAL
 //! shipping, coordinator fencing), and a host transaction touching files
 //! on several shards simply enlists one 2PC participant per shard — the
-//! host's prepare-all/decide-all loop and the epoch fences fan out
-//! unchanged.
+//! host's decision and the epoch fences fan out unchanged.
 //!
 //! Two pieces live here:
 //!

@@ -1305,13 +1305,10 @@ impl DataLinksSystem {
     /// jobs. Remaining standby slots are re-provisioned fresh against the
     /// new primary. Returns the promotion recovery report.
     pub fn fail_over(&mut self, server: &str) -> Result<RecoveryReport, String> {
-        let view = self.engine.host_views()?.remove(server).unwrap_or_default();
         // Post-mortem first: the crashed primary's recorder dies with it.
         self.dump_flight(&format!("fail_over_{server}"));
-        let node =
-            self.nodes.remove(server).ok_or_else(|| format!("unknown file server {server}"))?;
+        let node = self.nodes.get(server).ok_or_else(|| format!("unknown file server {server}"))?;
         let Some(replication) = node.replication.clone() else {
-            self.nodes.insert(server.to_string(), node);
             return Err(format!("file server {server} has no replicas to fail over to"));
         };
         // Fence first: after this, nothing the old primary ships applies
@@ -1320,8 +1317,13 @@ impl DataLinksSystem {
         replication.freeze();
         // The primary "crashes": volatile state evaporates; the forced
         // intents of its open link/unlink branches survive in whatever log
-        // prefix reached the standby, for the promotion to settle.
+        // prefix reached the standby, for the promotion to settle. Then
+        // the host aborts every undecided transaction that may hold a
+        // branch there, so the rows read next are final.
         node.server.simulate_crash();
+        self.engine.abort_undecided_on(server);
+        let view = self.engine.host_views()?.remove(server).unwrap_or_default();
+        let node = self.nodes.remove(server).expect("looked up above");
 
         let promoted = Database::clone(replication.promote_target());
         let FileServerNode {

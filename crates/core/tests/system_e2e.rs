@@ -303,13 +303,12 @@ fn crash_between_prepare_and_commit_resolves_with_host_outcome() {
     let sys = build_system(ControlMode::Rdd);
     let node = sys.node("srv1").unwrap();
 
-    // A transaction that prepared at DLFM but whose decision is unknown
+    // A transaction that voted at DLFM but whose decision is unknown
     // there; the host DB has no commit record for it → presumed abort.
     let orphan_txid = 4_242;
     node.server
         .link_file(orphan_txid, "/movies/brazil.mpg", ControlMode::Rdd, true, OnUnlink::Restore)
         .unwrap();
-    node.server.prepare_host(orphan_txid).unwrap();
 
     let image = sys.crash();
     let (sys, reports) = DataLinksSystem::recover(image).unwrap();
@@ -590,7 +589,7 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
     assert_eq!(tables, [vec!["dl_uip"], vec!["dl_files", "dl_uip"], vec!["dl_files"]]);
 
     // The host log of the cycle: one commit, of the metadata row alone. It
-    // enlisted nobody — the repository log above holds no `Prepare`.
+    // enlisted nobody — no link/unlink branch rode it.
     let host_log = host.wal_reader().read_from(host_mark).unwrap().records;
     let [(_, dl_minidb::wal::WalRecord::Commit { ops, .. })] = &host_log[..] else {
         panic!("one host commit expected, got {host_log:?}");

@@ -108,9 +108,8 @@ impl Carrier for LocalCarrier {
         let lanes = &self.0;
         let (pool, upcall) = match lane(&msg) {
             // Settlement runs here, on the coordinator's own thread (see
-            // `Lane::Settle`) — like the close path's sub-transaction,
-            // which already prepares and commits on the host's committing
-            // thread.
+            // `Lane::Settle`) — like the close path, which commits on the
+            // host's committing thread.
             Lane::Inline | Lane::Settle => return Ok(lanes.service.server.handle(msg)),
             Lane::Agent => (&lanes.agent, false),
             Lane::Upcall => (&lanes.upcall, true),

@@ -3,8 +3,8 @@
 //! The DataLinks engine and DLFS each hold a [`DlfmClient`]; a client holds
 //! a [`Carrier`]; a carrier delivers a [`Message`] to a lane; a lane calls
 //! [`crate::DlfmServer::handle`]. The typed calls — the agent hat
-//! ([`AgentConnection`]: link/unlink + 2PC, §2.2's child agent) and the
-//! upcall hat ([`UpcallTransport`]: the DLFS conversation, §2.2's upcall
+//! ([`AgentConnection`]: link/unlink + the 2PC decision, §2.2's child
+//! agent) and the upcall hat (the DLFS conversation, §2.2's upcall
 //! daemon) — are written once, here, over whichever carrier the node runs:
 //! the in-process `LocalCarrier` (`crate::agent`) or a socket
 //! [`crate::WireConn`].
@@ -47,8 +47,13 @@ pub trait AgentConnection: Send + Sync {
     ) -> Result<(), String>;
     /// Unlinks a file in the context of `host_txid`.
     fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String>;
-    /// 2PC phase one for this connection's sub-transaction of `host_txid`.
-    fn prepare(&self, host_txid: u64) -> Result<(), String>;
+    /// Sends nothing and returns `Ok(())`: the protocol has no prepare
+    /// round — a `Link`/`Unlink` reply is the branch's vote. Kept only for
+    /// the repo benchmark's agent probe (`benchmark/src/layers.rs`), which
+    /// still calls it between a link or unlink and its commit.
+    fn prepare(&self, _host_txid: u64) -> Result<(), String> {
+        Ok(())
+    }
     /// 2PC decision, commit path.
     fn commit(&self, host_txid: u64);
     /// 2PC decision, abort path.
@@ -57,45 +62,6 @@ pub trait AgentConnection: Send + Sync {
     fn server_name(&self) -> &str;
     /// The coordinator epoch the connection was minted under.
     fn coord_epoch(&self) -> u64;
-}
-
-/// Everything DLFS needs from its upcall endpoint.
-pub trait UpcallTransport: Send + Sync {
-    /// Validates a token on its own: for an open that makes no open check.
-    fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String>;
-    /// Runs the open check, validating the `token` the open presents
-    /// first (see `DlfmServer::open_check`). The `u64` is the sync epoch
-    /// as it stood *before* the check ran — what a `Busy` caller hands to
-    /// [`UpcallTransport::wait_epoch_change`], so a release that lands
-    /// between the check and the wait is never slept through. It means
-    /// nothing beside any other decision.
-    fn open_check(
-        &self,
-        path: &str,
-        uid: u32,
-        wanted: TokenKind,
-        opener: u64,
-        token: Option<&str>,
-    ) -> (u64, OpenDecision);
-    fn close_notify(
-        &self,
-        path: &str,
-        opener: u64,
-        wrote: bool,
-        size: u64,
-        mtime: u64,
-    ) -> Result<(), String>;
-    fn mutation_check(&self, path: &str) -> Result<(), String>;
-    fn register_open(&self, path: &str, uid: u32, opener: u64);
-    fn unregister_open(&self, path: &str, opener: u64);
-    /// Is strict-link registration enabled on the server?
-    fn strict_link(&self) -> bool;
-    /// The identity DLFM daemons run as (DLFS compares file owners to it).
-    fn dlfm_uid(&self) -> u32;
-    /// Blocks until the epoch moves past `seen`.
-    fn wait_epoch_change(&self, seen: u64);
-    /// Round-trips made through this endpoint (benches).
-    fn round_trip_count(&self) -> u64;
 }
 
 /// One connection to a DLFM node: the typed calls of the protocol over a
@@ -173,10 +139,6 @@ impl AgentConnection for DlfmClient {
         })
     }
 
-    fn prepare(&self, host_txid: u64) -> Result<(), String> {
-        self.call_unit(Message::Prepare { txid: host_txid, coord_epoch: self.coord_epoch })
-    }
-
     fn commit(&self, host_txid: u64) {
         // A carrier lost mid-decide is fine: the server's disconnect sweep
         // reads the outcome off the host's metadata rows and applies it.
@@ -200,10 +162,6 @@ impl AgentConnection for DlfmClient {
 /// paper's "operations done in DLFM are treated as a sub-transaction of
 /// the host database transaction").
 impl dl_minidb::Participant for DlfmClient {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        AgentConnection::prepare(self, txid)
-    }
-
     fn commit(&self, txid: u64) {
         AgentConnection::commit(self, txid)
     }
@@ -213,8 +171,10 @@ impl dl_minidb::Participant for DlfmClient {
     }
 }
 
-impl UpcallTransport for DlfmClient {
-    fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String> {
+/// The upcall hat: everything DLFS asks its DLFM node.
+impl DlfmClient {
+    /// Validates a token on its own: for an open that makes no open check.
+    pub fn validate_token(&self, path: &str, token: &str, uid: u32) -> Result<TokenKind, String> {
         match self.call(Message::ValidateToken {
             path: path.to_string(),
             token: token.to_string(),
@@ -226,7 +186,13 @@ impl UpcallTransport for DlfmClient {
         }
     }
 
-    fn open_check(
+    /// Runs the open check, validating the `token` the open presents
+    /// first (see `DlfmServer::open_check`). The `u64` is the sync epoch
+    /// as it stood *before* the check ran — what a `Busy` caller hands to
+    /// [`DlfmClient::wait_epoch_change`], so a release that lands between
+    /// the check and the wait is never slept through. It means nothing
+    /// beside any other decision.
+    pub fn open_check(
         &self,
         path: &str,
         uid: u32,
@@ -253,7 +219,7 @@ impl UpcallTransport for DlfmClient {
         (0, decision)
     }
 
-    fn close_notify(
+    pub fn close_notify(
         &self,
         path: &str,
         opener: u64,
@@ -264,31 +230,35 @@ impl UpcallTransport for DlfmClient {
         self.call_unit(Message::CloseNotify { path: path.to_string(), opener, wrote, size, mtime })
     }
 
-    fn mutation_check(&self, path: &str) -> Result<(), String> {
+    pub fn mutation_check(&self, path: &str) -> Result<(), String> {
         self.call_unit(Message::MutationCheck { path: path.to_string() })
     }
 
-    fn register_open(&self, path: &str, uid: u32, opener: u64) {
+    pub fn register_open(&self, path: &str, uid: u32, opener: u64) {
         let _ = self.call(Message::RegisterOpen { path: path.to_string(), uid, opener });
     }
 
-    fn unregister_open(&self, path: &str, opener: u64) {
+    pub fn unregister_open(&self, path: &str, opener: u64) {
         let _ = self.call(Message::UnregisterOpen { path: path.to_string(), opener });
     }
 
-    fn strict_link(&self) -> bool {
+    /// Is strict-link registration enabled on the server?
+    pub fn strict_link(&self) -> bool {
         self.strict_link
     }
 
-    fn dlfm_uid(&self) -> u32 {
+    /// The identity DLFM daemons run as (DLFS compares file owners to it).
+    pub fn dlfm_uid(&self) -> u32 {
         self.dlfm_uid
     }
 
-    fn wait_epoch_change(&self, seen: u64) {
+    /// Blocks until the epoch moves past `seen`.
+    pub fn wait_epoch_change(&self, seen: u64) {
         self.carrier.wait_epoch_change(seen)
     }
 
-    fn round_trip_count(&self) -> u64 {
+    /// Round-trips made through this endpoint (benches).
+    pub fn round_trip_count(&self) -> u64 {
         self.round_trips.load(Ordering::Relaxed)
     }
 }

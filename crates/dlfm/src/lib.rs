@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
-pub use client::{AgentConnection, Carrier, DlfmClient, UpcallTransport};
+pub use client::{AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use pool::{AtomicEwma, ElasticPool, PoolOptions, PoolProbe, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};

@@ -178,6 +178,12 @@ pub trait HostHook: Send + Sync {
     /// the file, so a surviving update claim and a link/unlink branch whose
     /// decision never arrived both settle by it.
     fn file_version(&self, url: &str) -> Option<u64>;
+    /// Aborts host transaction `host_txid` if the host has not decided it
+    /// yet (`dl_minidb::Database::abort_undecided`): on return the host
+    /// either committed it, rows applied, or never will. DLFM calls this
+    /// before it settles a live branch without the host's word, so the
+    /// rows it then reads are the transaction's final outcome.
+    fn abort_undecided(&self, host_txid: u64);
 }
 
 /// A deferred file-system action executed when the sub-transaction commits.
@@ -239,7 +245,7 @@ pub enum Lane {
 pub fn lane(msg: &Message) -> Lane {
     match msg {
         Message::Link { .. } | Message::Unlink { .. } => Lane::Agent,
-        Message::Prepare { .. } | Message::Commit { .. } | Message::Abort { .. } => Lane::Settle,
+        Message::Commit { .. } | Message::Abort { .. } => Lane::Settle,
         Message::ValidateToken { .. }
         | Message::OpenCheck { .. }
         | Message::CloseNotify { .. }
@@ -321,7 +327,7 @@ pub struct DlfmServer {
     /// connections minted under an older host carry the older epoch, so a
     /// zombie coordinator's late decisions are refused rather than applied.
     coord_fence: AtomicU64,
-    /// Trace ring for 2PC span events (claim/prepare/decide/fence/archive);
+    /// Trace ring for 2PC span events (claim/decide/settle/fence/archive);
     /// dumped by the system layer on crash or failover.
     recorder: Arc<dl_obs::FlightRecorder>,
     /// `dlfm.<server_name>` — the `source` stamped on every span event.
@@ -521,10 +527,13 @@ impl DlfmServer {
     // =====================================================================
 
     /// Runs one link/unlink `op` in `host_txid`'s branch, opening the
-    /// branch on first use. A failed op that opened the branch aborts it
-    /// before the error is returned: the engine enlists this server as a
-    /// participant only after an op succeeds, so no `Commit` or `Abort`
-    /// would ever reach that branch, and its row lock would be held forever.
+    /// branch on first use. The engine enlists this server as a participant
+    /// *before* it sends the op, so the host can abort every transaction
+    /// that may hold a branch here (`HostHook::abort_undecided`). A failed
+    /// op that opened the branch aborts it before the error is returned:
+    /// the host may still commit the transaction around the failed
+    /// statement, and that commit must not apply a branch the statement
+    /// left half done. A crashed server opens no branch.
     fn in_branch(
         &self,
         host_txid: u64,
@@ -534,6 +543,9 @@ impl DlfmServer {
             let mut pending = self.pending.lock();
             match pending.get(&host_txid) {
                 Some(cell) => (Arc::clone(cell), false),
+                None if self.crashed.load(Ordering::SeqCst) => {
+                    return Err(format!("{} has crashed", self.cfg.server_name));
+                }
                 None => {
                     let cell = Arc::new(Mutex::new(SubTxn {
                         txn: Some(self.repo.db().begin()),
@@ -699,21 +711,6 @@ impl DlfmServer {
         })
     }
 
-    /// 2PC phase one for `host_txid`'s sub-transaction. Writes nothing: the
-    /// vote was forced with each intent, before the `Link`/`Unlink` reply,
-    /// so it is durable before the coordinator can decide. What is left to
-    /// check is that the branch is alive. A participant is enlisted only
-    /// after a successful `Link`/`Unlink`, so no branch here means it was
-    /// lost (a file-server failover) or already settled — and a yes for it
-    /// would let the host commit rows with no file state behind them.
-    pub fn prepare_host(&self, host_txid: u64) -> Result<(), String> {
-        if !self.pending.lock().contains_key(&host_txid) {
-            return Err(format!("no live sub-transaction for host tx{host_txid} here: vote no"));
-        }
-        self.recorder.record(&self.flight_source, "prepare", host_txid, "", "vote=yes");
-        Ok(())
-    }
-
     /// The `decide` span of a settled sub-transaction. `forced` says whether
     /// the decision waited on a log sync: under group commit the branch's
     /// end is an unforced append (the intent and the host's metadata row
@@ -732,7 +729,7 @@ impl DlfmServer {
         );
     }
 
-    /// 2PC phase two, commit path: the unlinks' file-system actions, then
+    /// 2PC decision, commit path: the unlinks' file-system actions, then
     /// one ordinary unforced `Commit` carrying the branch's rows and the
     /// removal of its intents. Both happen while the branch still holds its
     /// `dl_files` row locks, so no later branch on the same files can force
@@ -771,7 +768,7 @@ impl DlfmServer {
         self.bump_epoch();
     }
 
-    /// 2PC phase two, abort path (also called for never-prepared aborts):
+    /// 2PC decision, abort path (also a failed op's own branch):
     /// eager file-system changes are undone, the intents removed by one
     /// unforced append, and only then does the branch let go of its row
     /// locks (`Txn::abort`, which logs nothing).
@@ -856,9 +853,10 @@ impl DlfmServer {
     /// agent connection died mid-flight (the wire daemon calls this for
     /// every txid a severed connection left open), or the host itself
     /// failed over (the promoted coordinator calls it for every branch the
-    /// old one left) — by the settle rule, the same as crash recovery: a
-    /// coordinator that vanished between prepare and decide without the
-    /// host row to show for it never committed, and with no host wired
+    /// old one left) — by the settle rule, the same as crash recovery. The
+    /// host first aborts the transaction if it is still undecided, so the
+    /// rows read next are its outcome for good: a transaction without the
+    /// host row to show for it never commits, and with no host wired
     /// nothing did. Returns `true` when the transaction committed.
     /// Idempotent: a decision that raced in through another path finds no
     /// pending sub-transaction and settles nothing.
@@ -867,6 +865,7 @@ impl DlfmServer {
         let files = cell.lock().files.clone();
         let host = self.host.read().clone();
         let committed = host.is_some_and(|hook| {
+            hook.abort_undecided(host_txid);
             self.host_committed(host_txid, &files, |path| hook.file_version(&self.file_url(path)))
         });
         if committed {
@@ -1374,7 +1373,7 @@ impl DlfmServer {
     /// reply. Every carrier ends here (`crate::agent` in-process,
     /// `crate::wire` over sockets), so the rules below hold on both:
     ///
-    /// * link/unlink/prepare stamped with a fenced coordinator epoch are
+    /// * link/unlink stamped with a fenced coordinator epoch are
     ///   refused; a fenced coordinator's *decision* is dropped, not applied
     ///   (the promoted host owns the outcome now), and still answered `Ok`
     ///   so the zombie's committing thread unblocks;
@@ -1413,9 +1412,6 @@ impl DlfmServer {
             Message::Unlink { txid, coord_epoch, path } => unit(
                 self.guard_coordinator(coord_epoch).and_then(|()| self.unlink_file(txid, &path)),
             ),
-            Message::Prepare { txid, coord_epoch } => {
-                unit(self.guard_coordinator(coord_epoch).and_then(|()| self.prepare_host(txid)))
-            }
             Message::Commit { txid, coord_epoch } => {
                 if self.guard_coordinator(coord_epoch).is_ok() {
                     self.commit_host(txid);

@@ -23,10 +23,11 @@
 //!
 //! **Presumed abort on connection loss.** A severed connection's
 //! unsettled host transactions are resolved on the settle pool through
-//! [`crate::DlfmServer::resolve_client_loss`]: commit only if the host's
-//! metadata rows show the transaction committed, abort otherwise — a
-//! client that died between prepare and decide never committed. A link job racing the disconnect settles its
-//! own sub-transaction when it finds its connection no longer live, so no
+//! [`crate::DlfmServer::resolve_client_loss`]: the host aborts the
+//! transaction if it is still undecided, then the branch commits only if
+//! the host's metadata rows show the transaction committed, and aborts
+//! otherwise. A link job racing the disconnect settles its own
+//! sub-transaction when it finds its connection no longer live, so no
 //! sub-transaction leaks the resolution sweep.
 
 use std::collections::{HashMap, HashSet};
@@ -200,22 +201,21 @@ fn serve_event(ev: NetEvent, h: &ReactorHandle, front: &Arc<WireFront>) {
         NetEvent::Frame { conn, request_id, msg } => (conn, request_id, msg),
     };
 
-    let on = lane(&msg);
-    let pool = match on {
+    let pool = match lane(&msg) {
         // Cheap enough for the reactor thread.
         Lane::Inline => return h.send(conn, rid, &front.lanes.service.server.handle(msg)),
         Lane::Agent => &front.lanes.agent,
         Lane::Settle => &front.settle,
         Lane::Upcall => &front.lanes.upcall,
     };
-    // What the connection owes the sweep: a link, unlink or prepare leaves
-    // its host transaction open on this connection until a decision
-    // settles it. A link/unlink additionally *claims*: it creates the
-    // sub-transaction the sweep may already have run too early to see.
+    // What the connection owes the sweep: a link or unlink *claims* — it
+    // leaves its host transaction open on this connection until a decision
+    // settles it, and creates the sub-transaction the sweep may already
+    // have run too early to see.
     let decides = matches!(msg, Message::Commit { .. } | Message::Abort { .. });
     let settles = msg.txid().filter(|_| decides);
-    let claim = msg.txid().filter(|_| on == Lane::Agent);
-    if let Some(txid) = msg.txid().filter(|_| !decides) {
+    let claim = msg.txid().filter(|_| !decides);
+    if let Some(txid) = claim {
         front.sessions.track(conn, txid);
     }
     let (h, front) = (h.clone(), Arc::clone(front));

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dl_dlfm::{
     embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
     DlfmServer, FaultInjector, HostFile, HostHook, MainDaemon, Message, OnUnlink, OpenDecision,
-    TokenKey, TokenKind, UpcallTransport, WireConnector, WireDaemon,
+    TokenKey, TokenKind, WireConnector, WireDaemon,
 };
 use dl_fskit::{
     Clock, Cred, DirEntry, FileAttr, FileSystem, FsResult, Ino, Lfs, LockOp, LockOwner, MemFs,
@@ -71,7 +71,6 @@ fn read_token(f: &Fixture, path: &str) -> AccessToken {
 /// through the server's 2PC surface.
 fn link_committed(f: &Fixture, host_txid: u64, path: &str, mode: ControlMode) {
     f.server.link_file(host_txid, path, mode, true, OnUnlink::Restore).unwrap();
-    f.server.prepare_host(host_txid).unwrap();
     f.server.commit_host(host_txid);
 }
 
@@ -162,7 +161,6 @@ fn unlink_restores_original_attributes_at_commit() {
     f.server.unlink_file(2, "/data/clip.mpg").unwrap();
     // Deferred: constraints still in force before commit.
     assert!(f.admin.read_file(&ALICE, "/data/clip.mpg").is_err());
-    f.server.prepare_host(2).unwrap();
     f.server.commit_host(2);
 
     let attr = f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
@@ -186,11 +184,9 @@ fn unlink_abort_keeps_file_linked() {
 fn unlink_delete_removes_file_and_archive() {
     let f = fixture();
     f.server.link_file(1, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Delete).unwrap();
-    f.server.prepare_host(1).unwrap();
     f.server.commit_host(1);
 
     f.server.unlink_file(2, "/data/clip.mpg").unwrap();
-    f.server.prepare_host(2).unwrap();
     f.server.commit_host(2);
     assert!(!f.admin.exists(&Cred::root(), "/data/clip.mpg"));
     assert!(f.server.archive_store().latest("/data/clip.mpg").is_none());
@@ -208,7 +204,6 @@ fn unlink_rejected_while_file_open() {
     // After close the unlink proceeds.
     f.server.close_notify("/data/clip.mpg", 42, false, 0, 0).unwrap();
     f.server.unlink_file(3, "/data/clip.mpg").unwrap();
-    f.server.prepare_host(3).unwrap();
     f.server.commit_host(3);
 }
 
@@ -522,6 +517,7 @@ impl HostHook for FailingHook {
     fn file_version(&self, _url: &str) -> Option<u64> {
         None
     }
+    fn abort_undecided(&self, _host_txid: u64) {}
 }
 
 #[test]
@@ -566,6 +562,7 @@ impl HostHook for FixedRows {
     fn file_version(&self, url: &str) -> Option<u64> {
         self.0.get(url).copied()
     }
+    fn abort_undecided(&self, _host_txid: u64) {}
 }
 
 /// Crash = drop the server, keep fs/repo-env/archive, rebuild, recover.
@@ -675,8 +672,7 @@ fn crash_with_in_doubt_link_resolves_by_host_outcome() {
         f.server
             .link_file(77, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore)
             .unwrap();
-        f.server.prepare_host(77).unwrap();
-        // CRASH between prepare and commit: the sub-transaction is in doubt.
+        // CRASH between the vote and the decision: the branch is in doubt.
         // The host transaction that links the file inserts its metadata
         // row at version 1: the row is there iff the host committed.
         let host_rows: &[(&str, u64)] = if host_committed { &[(CLIP_URL, 1)] } else { &[] };
@@ -780,12 +776,10 @@ fn child_agents_drive_link_through_2pc() {
     assert_eq!(daemon.child_count(), 1);
 
     agent.link(11, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    agent.prepare(11).unwrap();
     agent.commit(11);
     assert!(f.server.repository().get_file("/data/clip.mpg").is_some());
 
     agent.unlink(12, "/data/clip.mpg").unwrap();
-    agent.prepare(12).unwrap();
     agent.commit(12);
     assert!(f.server.repository().get_file("/data/clip.mpg").is_none());
 }
@@ -867,7 +861,6 @@ fn versions_accumulate_with_recovery_option() {
 fn no_recovery_option_prunes_old_versions() {
     let f = fixture();
     f.server.link_file(1, "/data/clip.mpg", ControlMode::Rdd, false, OnUnlink::Restore).unwrap();
-    f.server.prepare_host(1).unwrap();
     f.server.commit_host(1);
 
     for round in 2..=3u64 {
@@ -908,7 +901,6 @@ fn strict_register_open_of_managed_file_blocks_unlink() {
     assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
     assert!(f.server.repository().get_uip("/data/clip.mpg").is_none());
     f.server.unlink_file(3, "/data/clip.mpg").unwrap();
-    f.server.prepare_host(3).unwrap();
     f.server.commit_host(3);
 }
 
@@ -1035,7 +1027,6 @@ fn every_request(f: &Fixture) -> Vec<Message> {
         Message::EpochGet,
         Message::FreshnessToken,
         link(1, FENCE, ControlMode::Rdd.into(), OnUnlink::Restore.into()),
-        Message::Prepare { txid: 1, coord_epoch: FENCE },
         Message::Commit { txid: 1, coord_epoch: FENCE },
         Message::ValidateToken {
             path: clip(),
@@ -1065,7 +1056,6 @@ fn every_request(f: &Fixture) -> Vec<Message> {
         // A deposed coordinator's traffic.
         link(4, FENCE - 1, 0, 0),
         Message::Unlink { txid: 4, coord_epoch: FENCE - 1, path: clip() },
-        Message::Prepare { txid: 4, coord_epoch: FENCE - 1 },
         Message::Commit { txid: 4, coord_epoch: FENCE - 1 },
         // A reply is not a request.
         Message::Ok,

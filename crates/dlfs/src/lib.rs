@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dl_dlfm::{AccessToken, DlfmClient, OpenDecision, TokenKind, UpcallTransport};
+use dl_dlfm::{AccessToken, DlfmClient, OpenDecision, TokenKind};
 use dl_fskit::flock::{LockOp, LockOwner};
 use dl_fskit::{path as fspath, FileSystem};
 use dl_fskit::{Cred, DirEntry, FileAttr, FileKind, FsError, FsResult, Ino, OpenFlags, SetAttr};
@@ -124,7 +124,7 @@ struct OpenInstance {
 /// constructing the application-facing `Lfs` over it.
 pub struct Dlfs {
     inner: Arc<dyn FileSystem>,
-    upcall: Arc<dyn UpcallTransport>,
+    upcall: DlfmClient,
     cfg: DlfsConfig,
     /// ino → absolute path (volatile dentry-style cache).
     paths: RwLock<HashMap<Ino, String>>,
@@ -140,10 +140,8 @@ const ROOT: Cred = Cred::root();
 
 impl Dlfs {
     /// Wraps `inner`, talking to DLFM through `upcall`. DLFS is blind to
-    /// the carrier under the client; every interception below speaks
-    /// [`UpcallTransport`].
+    /// the carrier under the client.
     pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient, cfg: DlfsConfig) -> Dlfs {
-        let upcall: Arc<dyn UpcallTransport> = Arc::new(upcall);
         let mut paths = HashMap::new();
         paths.insert(inner.root(), "/".to_string());
         Dlfs {
@@ -158,8 +156,8 @@ impl Dlfs {
         }
     }
 
-    /// The upcall transport (benches inspect its round-trip counter).
-    pub fn upcall_client(&self) -> &Arc<dyn UpcallTransport> {
+    /// The upcall client (benches inspect its round-trip counter).
+    pub fn upcall_client(&self) -> &DlfmClient {
         &self.upcall
     }
 

@@ -63,7 +63,6 @@ fn link(s: &Stack, path: &str, mode: ControlMode) {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1000);
     let txid = NEXT.fetch_add(1, Ordering::Relaxed);
     s.server.link_file(txid, path, mode, true, OnUnlink::Restore).unwrap();
-    s.server.prepare_host(txid).unwrap();
     s.server.commit_host(txid);
 }
 
@@ -315,7 +314,6 @@ fn aborted_update_restores_content_via_recovery_path() {
     let lfs = Lfs::new(dlfs.clone() as Arc<dyn FileSystem>);
 
     server.link_file(1, "/web/a.html", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    server.prepare_host(1).unwrap();
     server.commit_host(1);
 
     let token = AccessToken::generate(
@@ -377,7 +375,6 @@ fn strict_mode_blocks_link_of_open_file() {
     // After close, linking succeeds.
     s.lfs.close(fd).unwrap();
     s.server.link_file(51, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    s.server.prepare_host(51).unwrap();
     s.server.commit_host(51);
 }
 
@@ -388,7 +385,6 @@ fn non_strict_mode_has_the_link_window() {
     let s = stack();
     let fd = s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::read_only()).unwrap();
     s.server.link_file(60, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    s.server.prepare_host(60).unwrap();
     s.server.commit_host(60);
     // The reader still holds a descriptor to a now-fully-controlled file.
     assert!(s.server.repository().get_file("/web/plain.txt").is_some());

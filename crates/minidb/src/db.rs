@@ -48,15 +48,13 @@ pub trait DmlObserver: Send + Sync {
 
 /// A two-phase-commit participant enlisted in a host transaction. DLFM
 /// child agents implement this so link/unlink work commits and aborts with
-/// the host SQL transaction (§2.2).
+/// the host SQL transaction (§2.2). There is no prepare round: a
+/// participant votes before it is asked — DLFM forces its intent before it
+/// answers the statement — and is only told the decision.
 pub trait Participant: Send + Sync {
-    /// Phase one: durably promise to commit. An error aborts the host
-    /// transaction.
-    fn prepare(&self, txid: TxId) -> Result<(), String>;
-    /// Phase two, commit path. Must succeed (retries are internal).
+    /// The transaction committed. Must succeed (retries are internal).
     fn commit(&self, txid: TxId);
-    /// Abort path; also called when the host transaction never prepared.
-    /// Must be idempotent.
+    /// The transaction aborted. Must be idempotent.
     fn abort(&self, txid: TxId);
 }
 
@@ -106,8 +104,13 @@ impl DbOptions {
     pub const AUTO_CHECKPOINT_FLOOR: u64 = 128 * 1024;
 }
 
-/// Participants enlisted in one transaction, keyed by deduplication name.
-type EnlistedParticipants = Vec<(String, Arc<dyn Participant>)>;
+/// One transaction's participants, keyed by deduplication name, and
+/// whether [`Database::abort_undecided`] aborted it.
+#[derive(Default)]
+pub(crate) struct Enlisted {
+    pub(crate) participants: Vec<(String, Arc<dyn Participant>)>,
+    pub(crate) aborted: bool,
+}
 
 pub(crate) struct DbInner {
     pub(crate) env: StorageEnv,
@@ -116,11 +119,13 @@ pub(crate) struct DbInner {
     pub(crate) locks: LockManager,
     pub(crate) next_txid: AtomicU64,
     observers: RwLock<Vec<Arc<dyn DmlObserver>>>,
-    participants: Mutex<HashMap<TxId, EnlistedParticipants>>,
+    participants: Mutex<HashMap<TxId, Enlisted>>,
     /// Commit pipeline gate: committers hold it *shared* across log append
     /// and table apply (so they group-commit concurrently); checkpoints and
     /// backups take it *exclusive* to quiesce the pipeline and observe a
-    /// state where the log tail and the committed stores agree.
+    /// state where the log tail and the committed stores agree, and
+    /// [`Database::abort_undecided`] to find each transaction either
+    /// decided and applied or not yet deciding.
     pub(crate) commit_latch: RwLock<()>,
     snapshot_gen: AtomicU64,
     /// Observer-injected statements awaiting pickup by their transaction.
@@ -365,7 +370,7 @@ impl Database {
     /// (one DLFM agent per file server per transaction).
     pub fn enlist_participant(&self, txid: TxId, name: &str, p: Arc<dyn Participant>) {
         let mut map = self.inner.participants.lock();
-        let list = map.entry(txid).or_default();
+        let list = &mut map.entry(txid).or_default().participants;
         if !list.iter().any(|(n, _)| n == name) {
             list.push((name.to_string(), p));
         }
@@ -375,8 +380,29 @@ impl Database {
         self.inner.participants.lock().contains_key(&txid)
     }
 
-    pub(crate) fn take_participants(&self, txid: TxId) -> Vec<(String, Arc<dyn Participant>)> {
+    pub(crate) fn take_participants(&self, txid: TxId) -> Enlisted {
         self.inner.participants.lock().remove(&txid).unwrap_or_default()
+    }
+
+    /// Aborts transaction `txid` if it enlisted a participant and has not
+    /// decided: its commit fails with [`DbError::Aborted`] and tells its
+    /// participants so. Runs under the exclusive commit latch, which a
+    /// deciding commit holds shared until its rows are applied, so on
+    /// return the transaction has applied its rows or never will — what a
+    /// participant needs before it settles a branch by the host's rows.
+    pub fn abort_undecided(&self, txid: TxId) -> bool {
+        let _latch = self.inner.commit_latch.write();
+        self.inner.participants.lock().get_mut(&txid).map(|e| e.aborted = true).is_some()
+    }
+
+    /// [`Database::abort_undecided`] for every transaction that enlisted
+    /// the participant named `name`: all that may hold a branch on a lost
+    /// resource manager.
+    pub fn abort_undecided_enlisting(&self, name: &str) {
+        let _latch = self.inner.commit_latch.write();
+        for enlisted in self.inner.participants.lock().values_mut() {
+            enlisted.aborted |= enlisted.participants.iter().any(|(n, _)| n == name);
+        }
     }
 
     // --- Durability management ----------------------------------------------
@@ -933,24 +959,20 @@ mod tests {
 
     #[derive(Default)]
     struct FakeParticipant {
-        prepared: AtomicU64,
         committed: AtomicU64,
         aborted: AtomicU64,
-        fail_prepare: bool,
     }
     impl Participant for FakeParticipant {
-        fn prepare(&self, _txid: TxId) -> Result<(), String> {
-            if self.fail_prepare {
-                return Err("participant is unwell".into());
-            }
-            self.prepared.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        }
         fn commit(&self, _txid: TxId) {
             self.committed.fetch_add(1, Ordering::SeqCst);
         }
         fn abort(&self, _txid: TxId) {
             self.aborted.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    impl FakeParticipant {
+        fn heard(&self) -> (u64, u64) {
+            (self.committed.load(Ordering::SeqCst), self.aborted.load(Ordering::SeqCst))
         }
     }
 
@@ -964,35 +986,78 @@ mod tests {
         db.enlist_participant(txid, "dlfm@srv1", p.clone());
         tx.insert("t", row(1, "x")).unwrap();
         tx.commit().unwrap();
-        assert_eq!(p.prepared.load(Ordering::SeqCst), 1);
-        assert_eq!(p.committed.load(Ordering::SeqCst), 1);
-        assert_eq!(p.aborted.load(Ordering::SeqCst), 0);
+        assert_eq!(p.heard(), (1, 0));
         assert_eq!(db.count("t").unwrap(), 1);
     }
 
     #[test]
-    fn prepare_failure_aborts_everything() {
+    fn an_undecided_transaction_aborted_by_the_host_cannot_commit() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        let good = Arc::new(FakeParticipant::default());
-        let bad = Arc::new(FakeParticipant { fail_prepare: true, ..Default::default() });
+        let (lost, kept) =
+            (Arc::new(FakeParticipant::default()), Arc::new(FakeParticipant::default()));
         let mut tx = db.begin();
-        let txid = tx.id();
-        db.enlist_participant(txid, "good", good.clone());
-        db.enlist_participant(txid, "bad", bad.clone());
+        db.enlist_participant(tx.id(), "lost", lost.clone());
+        db.enlist_participant(tx.id(), "kept", kept.clone());
         tx.insert("t", row(1, "x")).unwrap();
-        let err = tx.commit().unwrap_err();
-        assert!(matches!(err, DbError::PrepareFailed(_)));
-        assert_eq!(good.aborted.load(Ordering::SeqCst), 1);
-        assert_eq!(bad.aborted.load(Ordering::SeqCst), 1);
-        assert_eq!(db.count("t").unwrap(), 0);
+        let mut other = db.begin();
+        db.enlist_participant(other.id(), "kept", kept.clone());
+        other.insert("t", row(2, "y")).unwrap();
+
+        db.abort_undecided_enlisting("lost");
+        assert!(matches!(tx.commit().unwrap_err(), DbError::Aborted(_)));
+        assert_eq!((lost.heard(), kept.heard()), ((0, 1), (0, 1)), "every participant hears it");
+        other.commit().expect("only the transaction that enlisted `lost` aborts");
+        assert_eq!(kept.heard(), (1, 1));
+        assert_eq!(db.count("t").unwrap(), 1);
     }
 
     #[test]
-    fn failed_commit_record_aborts_the_prepared_participants() {
+    fn a_decided_or_unknown_transaction_is_not_aborted() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let p = Arc::new(FakeParticipant::default());
+        let mut tx = db.begin();
+        let txid = tx.id();
+        db.enlist_participant(txid, "p", p.clone());
+        tx.insert("t", row(1, "x")).unwrap();
+        tx.commit().unwrap();
+        assert!(!db.abort_undecided(txid), "decided: the rows stand");
+        assert!(!db.abort_undecided(txid + 100), "never enlisted anyone");
+        assert_eq!(db.count("t").unwrap(), 1);
+        assert!(db.inner.participants.lock().is_empty(), "no mark outlives its transaction");
+    }
+
+    #[test]
+    fn a_commit_racing_abort_undecided_either_applies_or_never_does() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        for i in 0..200 {
+            let p = Arc::new(FakeParticipant::default());
+            let mut tx = db.begin();
+            let txid = tx.id();
+            db.enlist_participant(txid, "p", p.clone());
+            tx.insert("t", row(i, "x")).unwrap();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let go = Arc::clone(&start);
+            let committer = std::thread::spawn(move || {
+                go.wait();
+                tx.commit().is_ok()
+            });
+            start.wait();
+            let aborted = db.abort_undecided(txid);
+            let committed = committer.join().unwrap();
+            assert_ne!(aborted, committed, "round {i}");
+            let present = db.get_committed("t", &Value::Int(i)).unwrap().is_some();
+            assert_eq!(present, committed, "round {i}: the rows follow the decision");
+            assert_eq!(p.heard(), (committed as u64, !committed as u64), "round {i}");
+        }
+    }
+
+    #[test]
+    fn failed_commit_record_aborts_the_participants() {
         // The disk fills under the coordinator's commit record: nothing was
-        // decided, so the participant that voted yes must be rolled back,
-        // not left prepared.
+        // decided, so the participant that voted yes must be rolled back.
         let faults = crate::device::DiskFaults::new();
         let db = Database::open(StorageEnv::mem_with_faults(Arc::clone(&faults), 0)).unwrap();
         db.create_table(schema("t")).unwrap();
@@ -1002,8 +1067,7 @@ mod tests {
         tx.insert("t", row(1, "x")).unwrap();
         faults.inject_enospc(1);
         assert!(tx.commit().is_err());
-        assert_eq!(p.prepared.load(Ordering::SeqCst), 1);
-        assert_eq!((p.committed.load(Ordering::SeqCst), p.aborted.load(Ordering::SeqCst)), (0, 1));
+        assert_eq!(p.heard(), (0, 1));
         assert_eq!(db.count("t").unwrap(), 0);
     }
 
@@ -1016,8 +1080,7 @@ mod tests {
         db.enlist_participant(tx.id(), "p", p.clone());
         tx.insert("t", row(1, "x")).unwrap();
         tx.abort();
-        assert_eq!(p.aborted.load(Ordering::SeqCst), 1);
-        assert_eq!(p.prepared.load(Ordering::SeqCst), 0);
+        assert_eq!(p.heard(), (0, 1));
     }
 
     // --- unforced commits ------------------------------------------------------

@@ -27,8 +27,9 @@ pub enum DbError {
     InvalidTxnState(String),
     /// A DML observer (e.g. the DataLinks engine) vetoed the statement.
     Vetoed(String),
-    /// A 2PC participant failed to prepare; the transaction was aborted.
-    PrepareFailed(String),
+    /// The host aborted the transaction before it decided
+    /// (`Database::abort_undecided`): a participant's branch was lost.
+    Aborted(String),
     /// The write-ahead log or snapshot is corrupt beyond the recoverable
     /// prefix.
     Corrupt(String),
@@ -60,7 +61,7 @@ impl fmt::Display for DbError {
             DbError::Deadlock => write!(f, "deadlock detected; transaction must abort"),
             DbError::InvalidTxnState(m) => write!(f, "invalid transaction state: {m}"),
             DbError::Vetoed(m) => write!(f, "statement vetoed: {m}"),
-            DbError::PrepareFailed(m) => write!(f, "participant failed to prepare: {m}"),
+            DbError::Aborted(m) => write!(f, "transaction aborted: {m}"),
             DbError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
             DbError::TruncatedLog { base } => {
                 write!(f, "log truncated below checkpoint low-water mark {base}")

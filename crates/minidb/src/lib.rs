@@ -34,10 +34,11 @@
 //!   rows of its own, and keeps them across a checkpoint install and its
 //!   promotion.
 //! * **Coordinator hooks** — external resource managers enlist in a host
-//!   transaction via [`Participant`] and are driven through
-//!   prepare/commit/abort; the commit decision is logged before participants
-//!   are told to commit, and the rows it carries are what a participant
-//!   that missed phase two asks about.
+//!   transaction via [`Participant`] and are told its decision, logged
+//!   first; there is no prepare round, and the rows the decision carries
+//!   are what a participant that missed it asks about. Before a lost
+//!   branch is settled by those rows, [`Database::abort_undecided`] makes
+//!   them final.
 //! * **DML observers** — synchronous hooks invoked during statement
 //!   execution (the seam where the DataLinks engine intercepts DATALINK
 //!   column changes and turns them into link/unlink sub-transactions).

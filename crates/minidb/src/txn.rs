@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::db::{apply_op, Database, DmlEvent, InjectedDml, OpKind};
+use crate::db::{apply_op, Database, DmlEvent, Enlisted, InjectedDml, OpKind};
 use crate::error::{DbError, DbResult};
 use crate::lock::{LockMode, LockRes};
 use crate::ops::RowOp;
@@ -289,15 +289,16 @@ impl Txn {
 
     // --- Coordinator commit ----------------------------------------------------
 
-    /// Commits: prepares any enlisted participants, logs the commit decision
-    /// (with redo ops), applies to the shared stores, then completes the
-    /// participants. Returns the commit LSN — the database state identifier
-    /// the archive tags file versions with (§4.4). A transaction with
-    /// nothing to redo and no participants (read-only, or writing unlogged
-    /// tables only) appends nothing and returns the current tail — on a
-    /// follower too, whose log holds the primary's bytes only. A
-    /// transaction that would log anything fails with [`DbError::Following`]
-    /// on a follower, changing nothing.
+    /// Commits: logs the commit decision (with redo ops), applies to the
+    /// shared stores, then tells any enlisted participants. Returns the
+    /// commit LSN — the database state identifier the archive tags file
+    /// versions with (§4.4). A transaction with nothing to redo and no
+    /// participants (read-only, or writing unlogged tables only) appends
+    /// nothing and returns the current tail — on a follower too, whose log
+    /// holds the primary's bytes only. A transaction that would log
+    /// anything fails with [`DbError::Following`] on a follower, changing
+    /// nothing; one the host aborted undecided
+    /// ([`Database::abort_undecided`]) fails with [`DbError::Aborted`].
     pub fn commit(self) -> DbResult<Lsn> {
         self.commit_inner(true)
     }
@@ -322,63 +323,54 @@ impl Txn {
     fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
         let logged = self.logged_ops();
-        if !logged.is_empty() || self.db.has_participants(self.id) {
+        // The log write is for recovery: with no redo ops and no
+        // participants awaiting an outcome there is nothing to log.
+        let logs = !logged.is_empty() || self.db.has_participants(self.id);
+        if logs {
             self.db.refuse_if_following()?; // dropping `self` aborts
         }
-        let participants = self.db.take_participants(self.id);
-
-        // Phase one.
-        for (name, p) in &participants {
-            if let Err(e) = p.prepare(self.id) {
-                for (_, q) in &participants {
-                    q.abort(self.id);
+        let inner = &self.db.inner;
+        // Shared: concurrent committers ride the same group-commit batch.
+        // Held from reading the abort mark until the rows are applied, so
+        // `Database::abort_undecided` (exclusive, like checkpoint and
+        // backup) finds this transaction either undecided or applied. It
+        // keeps log tail and stores in step, so a commit that logs nothing
+        // skips it.
+        let latch = logs.then(|| inner.commit_latch.read());
+        let Enlisted { participants, aborted } = self.db.take_participants(self.id);
+        let decided = if aborted {
+            Err(DbError::Aborted(format!("tx{} lost a participant's branch", self.id)))
+        } else if logs {
+            let record = WalRecord::Commit { txid: self.id, ops: logged };
+            if force || !participants.is_empty() {
+                inner.wal.append(&record)
+            } else {
+                inner.wal.append_unforced(&record)
+            }
+        } else {
+            Ok(inner.wal.tail_lsn())
+        };
+        let lsn = match decided {
+            Ok(lsn) => lsn,
+            Err(e) => {
+                // No record: the decision is abort, and the participants
+                // must hear it.
+                drop(latch);
+                for (_, p) in &participants {
+                    p.abort(self.id);
                 }
                 self.finish_local();
-                return Err(DbError::PrepareFailed(format!("{name}: {e}")));
+                return Err(e);
+            }
+        };
+        if !self.ops.is_empty() {
+            let mut tables = inner.tables.write();
+            for op in &self.ops {
+                apply_op(&mut tables, op)?;
             }
         }
+        drop(latch);
 
-        // Decision + apply. The log write is for recovery: with no redo ops
-        // and no participants awaiting an outcome there is nothing to force.
-        let logs = !logged.is_empty() || !participants.is_empty();
-        let lsn = {
-            let inner = &self.db.inner;
-            // Shared: concurrent committers ride the same group-commit
-            // batch; only checkpoint/backup take this exclusively. It keeps
-            // log tail and stores in step, so a commit that logs nothing
-            // skips it.
-            let _latch = logs.then(|| inner.commit_latch.read());
-            let lsn = if logs {
-                let record = WalRecord::Commit { txid: self.id, ops: logged };
-                let appended = if force || !participants.is_empty() {
-                    inner.wal.append(&record)
-                } else {
-                    inner.wal.append_unforced(&record)
-                };
-                match appended {
-                    Ok(lsn) => lsn,
-                    Err(e) => {
-                        // A failed append leaves no record: the decision is
-                        // abort, and the participants that voted must hear it.
-                        for (_, p) in &participants {
-                            p.abort(self.id);
-                        }
-                        return Err(e);
-                    }
-                }
-            } else {
-                inner.wal.tail_lsn()
-            };
-            if !self.ops.is_empty() {
-                let mut tables = inner.tables.write();
-                for op in &self.ops {
-                    apply_op(&mut tables, op)?;
-                }
-            }
-            lsn
-        };
-
-        // Phase two.
         for (_, p) in &participants {
             p.commit(self.id);
         }
@@ -400,8 +392,7 @@ impl Txn {
         if self.state == TxnState::Finished {
             return;
         }
-        let participants = self.db.take_participants(self.id);
-        for (_, p) in &participants {
+        for (_, p) in &self.db.take_participants(self.id).participants {
             p.abort(self.id);
         }
         self.finish_local();

@@ -91,10 +91,6 @@ pub enum Message {
         coord_epoch: u64,
         path: String,
     },
-    Prepare {
-        txid: u64,
-        coord_epoch: u64,
-    },
     Commit {
         txid: u64,
         coord_epoch: u64,
@@ -169,7 +165,6 @@ const T_HELLO: u8 = 1;
 const T_HELLO_ACK: u8 = 2;
 const T_LINK: u8 = 3;
 const T_UNLINK: u8 = 4;
-const T_PREPARE: u8 = 5;
 const T_COMMIT: u8 = 6;
 const T_ABORT: u8 = 7;
 const T_VALIDATE_TOKEN: u8 = 8;
@@ -267,7 +262,6 @@ impl Message {
             Message::HelloAck { .. } => "HelloAck",
             Message::Link { .. } => "Link",
             Message::Unlink { .. } => "Unlink",
-            Message::Prepare { .. } => "Prepare",
             Message::Commit { .. } => "Commit",
             Message::Abort { .. } => "Abort",
             Message::ValidateToken { .. } => "ValidateToken",
@@ -295,7 +289,6 @@ impl Message {
         match self {
             Message::Link { txid, .. }
             | Message::Unlink { txid, .. }
-            | Message::Prepare { txid, .. }
             | Message::Commit { txid, .. }
             | Message::Abort { txid, .. } => Some(*txid),
             _ => None,
@@ -308,7 +301,6 @@ impl Message {
             Message::HelloAck { .. } => T_HELLO_ACK,
             Message::Link { .. } => T_LINK,
             Message::Unlink { .. } => T_UNLINK,
-            Message::Prepare { .. } => T_PREPARE,
             Message::Commit { .. } => T_COMMIT,
             Message::Abort { .. } => T_ABORT,
             Message::ValidateToken { .. } => T_VALIDATE_TOKEN,
@@ -354,9 +346,7 @@ impl Message {
                 put_u64(out, *coord_epoch);
                 put_str(out, path);
             }
-            Message::Prepare { txid, coord_epoch }
-            | Message::Commit { txid, coord_epoch }
-            | Message::Abort { txid, coord_epoch } => {
+            Message::Commit { txid, coord_epoch } | Message::Abort { txid, coord_epoch } => {
                 put_u64(out, *txid);
                 put_u64(out, *coord_epoch);
             }
@@ -423,7 +413,6 @@ impl Message {
             T_UNLINK => {
                 Message::Unlink { txid: r.u64()?, coord_epoch: r.u64()?, path: r.string()? }
             }
-            T_PREPARE => Message::Prepare { txid: r.u64()?, coord_epoch: r.u64()? },
             T_COMMIT => Message::Commit { txid: r.u64()?, coord_epoch: r.u64()? },
             T_ABORT => Message::Abort { txid: r.u64()?, coord_epoch: r.u64()? },
             T_VALIDATE_TOKEN => {

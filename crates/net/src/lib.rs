@@ -8,7 +8,7 @@
 //! that boundary made real. It is deliberately self-contained:
 //!
 //! * [`Message`] / [`encode_frame`] / [`FrameDecoder`] — the codec. Every
-//!   protocol operation (link, unlink, 2PC prepare/decide with
+//!   protocol operation (link, unlink, the 2PC decision with
 //!   coordinator-epoch stamps, token validation, open/close claims,
 //!   freshness tokens) round-trips through a `[u32 len][u64 request-id]
 //!   [u8 tag][payload]` frame. The decoder is incremental: partial reads

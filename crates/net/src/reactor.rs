@@ -512,7 +512,7 @@ mod tests {
 
         let stream = UnixStream::connect(&path).unwrap();
         let conn = client.handle().register(stream).unwrap();
-        let msg = Message::Prepare { txid: 99, coord_epoch: 1 };
+        let msg = Message::Commit { txid: 99, coord_epoch: 1 };
         client.handle().send(conn, 7, &msg);
         let (rid, echoed) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(rid, 7);

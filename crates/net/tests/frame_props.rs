@@ -36,8 +36,6 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             path
         }),
         (any::<u64>(), any::<u64>())
-            .prop_map(|(txid, coord_epoch)| Message::Prepare { txid, coord_epoch }),
-        (any::<u64>(), any::<u64>())
             .prop_map(|(txid, coord_epoch)| Message::Commit { txid, coord_epoch }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(txid, coord_epoch)| Message::Abort { txid, coord_epoch }),

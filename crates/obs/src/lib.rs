@@ -23,7 +23,7 @@
 //!   under `net.<node>.*` names.
 //! * [`FlightRecorder`] — a per-node ring buffer of [`SpanEvent`]s tracing
 //!   one link/unlink/update through the full 2PC cycle (coordinator
-//!   prepare → DLFM claim → WAL commit → archive → decision). The system
+//!   enlist → DLFM claim → WAL commit → archive → decision). The system
 //!   facade dumps every recorder automatically on `crash` / `fail_over` /
 //!   `fail_over_host`, so each failover test yields a postmortem trace.
 //!

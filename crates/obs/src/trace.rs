@@ -1,8 +1,8 @@
 //! Span-style trace events and the per-node flight recorder.
 //!
 //! A [`SpanEvent`] marks one stage of a linking operation's journey
-//! through the 2PC cycle — coordinator enlist, DLFM claim, prepare, WAL
-//! commit, archive, decision — tagged with the transaction and file it
+//! through the 2PC cycle — coordinator enlist, DLFM claim, WAL commit,
+//! archive, decision — tagged with the transaction and file it
 //! belongs to. Each node keeps the most recent events in a fixed
 //! [`FlightRecorder`] ring; when a node crashes or a coordinator fails
 //! over, the system facade renders every recorder into a postmortem dump,
@@ -19,8 +19,8 @@ pub struct SpanEvent {
     pub seq: u64,
     /// Which component recorded it (`dlfm.srv1`, `engine`).
     pub source: String,
-    /// The 2PC stage: `enlist`, `dml`, `claim`, `prepare`, `commit_update`,
-    /// `archive`, `decide`, `fence_raise`, `fence_reject`.
+    /// The 2PC stage: `enlist`, `dml`, `claim`, `commit_update`, `archive`,
+    /// `decide`, `settle`, `fence_raise`, `fence_reject`.
     pub stage: String,
     /// Transaction id the event belongs to (0 when not transactional).
     pub txid: u64,
@@ -161,11 +161,11 @@ mod tests {
     #[test]
     fn render_contains_stage_lines() {
         let fr = FlightRecorder::new(8);
-        fr.record("dlfm.srv1", "prepare", 42, "/docs/a.bin", "");
+        fr.record("dlfm.srv1", "claim", 42, "/docs/a.bin", "");
         fr.record("dlfm.srv1", "decide", 42, "/docs/a.bin", "outcome=commit epoch=3");
         let dump = fr.render("dlfm.srv1", "crash");
         assert!(dump.contains("reason: crash"));
-        assert!(dump.contains("prepare"));
+        assert!(dump.contains("claim"));
         assert!(dump.contains("decide"));
         assert!(dump.contains("outcome=commit epoch=3"));
     }

@@ -242,9 +242,6 @@ fn delete_row(tx: &mut Txn, file: usize) {
 struct Withheld(DlfmClient);
 
 impl Participant for Withheld {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        AgentConnection::prepare(&self.0, txid)
-    }
     fn commit(&self, _txid: u64) {}
     fn abort(&self, txid: u64) {
         AgentConnection::abort(&self.0, txid);

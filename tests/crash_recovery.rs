@@ -288,7 +288,7 @@ mod checkpoint_truncation_crashes {
 
 /// In-doubt edges of the host-coordinator failover: the host dies at the
 /// worst moments of its own two-phase commit. The staging drives the DLFM
-/// agent protocol directly so the crash lands exactly between phases; the
+/// agent protocol directly so the crash lands between vote and decision; the
 /// promoted standby must settle every sub-transaction the old coordinator
 /// left behind — by the replicated decision when one shipped, by presumed
 /// abort when none did.
@@ -334,14 +334,11 @@ mod host_failover_2pc {
         sys
     }
 
-    /// A participant whose phase-two message dies with the coordinator:
-    /// prepare goes through, the decision never reaches the DLFM.
+    /// A participant whose decision message dies with the coordinator: the
+    /// link's vote went through, the decision never reaches the DLFM.
     struct LostDecision(DlfmClient);
 
     impl datalinks::minidb::Participant for LostDecision {
-        fn prepare(&self, txid: u64) -> Result<(), String> {
-            AgentConnection::prepare(&self.0, txid)
-        }
         fn commit(&self, _txid: u64) {}
         fn abort(&self, txid: u64) {
             AgentConnection::abort(&self.0, txid);
@@ -355,9 +352,8 @@ mod host_failover_2pc {
         let tx = sys.begin();
         let txid = tx.id();
         agent.link(txid, "/d/new.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-        agent.prepare(txid).unwrap();
         assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![txid]);
-        // The coordinator dies with the sub-transaction prepared and no
+        // The coordinator dies with the sub-transaction voted and no
         // decision logged anywhere.
         std::mem::forget(tx);
 
@@ -365,7 +361,7 @@ mod host_failover_2pc {
         assert_eq!(
             report.in_doubt_resolved,
             vec![(SRV.to_string(), txid, false)],
-            "an undecided prepared claim is presumed aborted"
+            "an undecided voted claim is presumed aborted"
         );
         let server = Arc::clone(&sys.node(SRV).unwrap().server);
         assert!(server.pending_host_txns().is_empty(), "promotion settles every claim");
@@ -393,9 +389,8 @@ mod host_failover_2pc {
         sys.db().enlist_participant(txid, &format!("dlfm@{SRV}"), Arc::new(LostDecision(agent)));
         tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}/d/new.bin"))])
             .unwrap();
-        // Prepares the DLFM and durably logs the commit decision — the
-        // file's metadata row with it — but the phase-two message dies with
-        // the coordinator.
+        // Durably logs the commit decision — the file's metadata row with
+        // it — but the decision message dies with the coordinator.
         tx.commit().unwrap();
         assert_eq!(sys.node(SRV).unwrap().server.pending_host_txns(), vec![txid]);
         assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the decision must ship");
@@ -470,13 +465,10 @@ mod sharded_host_failover_2pc {
         sys
     }
 
-    /// A participant whose phase-two message dies with the coordinator.
+    /// A participant whose decision message dies with the coordinator.
     struct LostDecision(DlfmClient);
 
     impl datalinks::minidb::Participant for LostDecision {
-        fn prepare(&self, txid: u64) -> Result<(), String> {
-            AgentConnection::prepare(&self.0, txid)
-        }
         fn commit(&self, _txid: u64) {}
         fn abort(&self, txid: u64) {
             AgentConnection::abort(&self.0, txid);
@@ -485,10 +477,9 @@ mod sharded_host_failover_2pc {
 
     #[test]
     fn prepare_on_shard_a_without_any_decision_presumed_aborts_both_shards() {
-        // The prepare fan-out reached shard A; the coordinator died before
-        // asking shard B or logging an outcome. Failover must settle both
-        // shards by presumed abort: the voted shard and the unvoted one
-        // come out identical — untouched.
+        // Both shards voted with their links; the coordinator died before
+        // logging an outcome. Failover must settle both shards by presumed
+        // abort: both come out identical — untouched.
         let mut sys = build();
         let pa = path_on(0, "vote");
         let pb = path_on(1, "vote");
@@ -502,7 +493,6 @@ mod sharded_host_failover_2pc {
         let txid = tx.id();
         a.link(txid, &pa, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
         b.link(txid, &pb, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-        a.prepare(txid).unwrap(); // shard A votes yes; shard B never hears phase one
         std::mem::forget(tx);
 
         let report = sys.fail_over_host().unwrap();
@@ -534,7 +524,7 @@ mod sharded_host_failover_2pc {
     #[test]
     fn decision_unshipped_to_shard_b_is_finished_from_the_replicated_log() {
         // Both shards voted yes and the commit decision is durable in the
-        // replicated host log — but the phase-two message to shard B died
+        // replicated host log — but the decision message to shard B died
         // with the coordinator. The promoted host must *finish* B from the
         // logged decision, not re-decide it: both shards end committed.
         let mut sys = build();
@@ -556,7 +546,7 @@ mod sharded_host_failover_2pc {
         );
         tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}{pa}"))]).unwrap();
         tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{pb}"))]).unwrap();
-        tx.commit().unwrap(); // phase two lands on A, dies on the way to B
+        tx.commit().unwrap(); // the decision lands on A, dies on the way to B
         assert!(sys.node(&shard_name(0)).unwrap().server.pending_host_txns().is_empty());
         assert_eq!(sys.node(&shard_name(1)).unwrap().server.pending_host_txns(), vec![txid]);
         assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the decision must ship");

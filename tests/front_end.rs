@@ -11,8 +11,7 @@ use proptest::prelude::*;
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
     AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig, DlfmServer,
-    FaultInjector, MainDaemon, OnUnlink, OpenDecision, TokenKind, UpcallTransport, WireConnector,
-    WireDaemon,
+    FaultInjector, MainDaemon, OnUnlink, OpenDecision, TokenKind, WireConnector, WireDaemon,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
 use datalinks::minidb::{Column, ColumnType, Database, Schema, StorageEnv};
@@ -58,7 +57,6 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
         admin.write_file(&APP, &path, b"seed").unwrap();
         server.link_file(1, &path, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     }
-    server.prepare_host(1).unwrap();
     server.commit_host(1);
     (server, clock)
 }
@@ -235,11 +233,9 @@ fn agent_churn_storm_runs_on_a_bounded_executor() {
                     let path = format!("/d/s{t}r{r}.bin");
                     let link_tx = 500_000 + (t * ROUNDS + r) as u64 * 2;
                     agent.link(link_tx, &path, ControlMode::Rff, true, OnUnlink::Restore).unwrap();
-                    agent.prepare(link_tx).unwrap();
                     agent.commit(link_tx);
                     let unlink_tx = link_tx + 1;
                     agent.unlink(unlink_tx, &path).unwrap();
-                    agent.prepare(unlink_tx).unwrap();
                     agent.commit(unlink_tx);
                     // handle drops here: disconnect
                 }
@@ -276,7 +272,6 @@ fn many_idle_connections_cost_no_threads() {
     raw.write_file(&APP, "/d/one.bin", b"x").unwrap();
     let agent = &handles[200];
     agent.link(900_001, "/d/one.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
-    agent.prepare(900_001).unwrap();
     agent.commit(900_001);
     assert!(node.server.repository().get_file("/d/one.bin").is_some());
 }
@@ -314,12 +309,10 @@ fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
                     match agent.link(txid, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore)
                     {
                         Ok(()) => {
-                            agent.prepare(txid).unwrap();
                             agent.commit(txid);
                             linked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let untx = txid + 1;
                             agent.unlink(untx, "/d/hot.bin").unwrap();
-                            agent.prepare(untx).unwrap();
                             agent.commit(untx);
                         }
                         // Lost the race: someone else holds the link.
@@ -388,7 +381,6 @@ proptest! {
             clock.clone(),
         ).unwrap());
         server.link_file(1, "/d/f.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-        server.prepare_host(1).unwrap();
         server.commit_host(1);
 
         // Openers 0..6 of the registration flavour use ids 100+i; write
@@ -454,7 +446,6 @@ proptest! {
         prop_assert!(server.repository().get_uip("/d/f.bin").is_none(), "leaked UIP entry");
         // The file is fully releasable: unlink now succeeds.
         server.unlink_file(2, "/d/f.bin").unwrap();
-        server.prepare_host(2).unwrap();
         server.commit_host(2);
     }
 }

@@ -95,13 +95,10 @@ fn committed(db: &Database, table: &str) -> BTreeMap<i64, String> {
         .collect()
 }
 
-/// A 2PC participant that always votes yes.
+/// A 2PC participant that takes any decision.
 struct Yes;
 
 impl Participant for Yes {
-    fn prepare(&self, _txid: TxId) -> Result<(), String> {
-        Ok(())
-    }
     fn commit(&self, _txid: TxId) {}
     fn abort(&self, _txid: TxId) {}
 }

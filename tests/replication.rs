@@ -368,6 +368,30 @@ fn a_link_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
     assert_eq!(attr.uid, APP.uid, "handed back to its owner");
 }
 
+#[test]
+fn an_unlink_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
+    // The unlink's intent reaches the standby, the primary dies, and the
+    // promotion settles the intent by presumed abort: the file stays
+    // linked. The host transaction is still open — the failover aborts it
+    // on the host, or the host would delete the user row and the metadata
+    // row of a file that is still linked.
+    let mut sys = build(1, 1);
+    let mut tx = sys.begin();
+    let txid = tx.id();
+    tx.delete("t", &Value::Int(0)).unwrap();
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+
+    let report = sys.fail_over(SRV).unwrap();
+    assert_eq!(report.in_doubt_resolved, vec![(txid, false)]);
+    assert_eq!(report.unlinks_completed, 0);
+    assert!(tx.commit().is_err(), "the host aborted the undecided transaction");
+
+    assert_rows_agree(&sys, 0, Some(1));
+    assert!(sys.node(SRV).unwrap().server.repository().list_intents().is_empty());
+    let tp = read_token_path(&sys, 0);
+    assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"seed-0");
+}
+
 /// User row ⇔ `__dl_meta` ⇔ `dl_files` ⇔ attributes for row `id`: all at
 /// version `want` with the file taken over, or all gone with the file back
 /// with its owner.
@@ -594,6 +618,7 @@ impl HostHook for DetachedHost {
     fn file_version(&self, _: &str) -> Option<u64> {
         None
     }
+    fn abort_undecided(&self, _: u64) {}
 }
 
 /// Every standby of the node reads its primary's archive store.
@@ -934,14 +959,11 @@ fn freshness_bound_adapts_down_on_a_healthy_set_and_backs_off_when_stalled() {
 
 // --- PR 7: host replication & coordinator failover -----------------------------
 
-/// A participant whose phase-two message dies with the coordinator (see
+/// A participant whose decision message dies with the coordinator (see
 /// the staging notes in tests/crash_recovery.rs).
 struct LostDecision(datalinks::dlfm::DlfmClient);
 
 impl datalinks::minidb::Participant for LostDecision {
-    fn prepare(&self, txid: u64) -> Result<(), String> {
-        AgentConnection::prepare(&self.0, txid)
-    }
     fn commit(&self, _txid: u64) {}
     fn abort(&self, txid: u64) {
         AgentConnection::abort(&self.0, txid);
@@ -998,7 +1020,6 @@ fn zombie_coordinator_decisions_are_fenced_after_host_crash() {
     let tx = sys.begin();
     let txid = tx.id();
     agent.link(txid, "/d/cand.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    agent.prepare(txid).unwrap();
     std::mem::forget(tx); // the coordinator "dies" holding the decision
 
     // A read token minted before the outage keeps working through it.

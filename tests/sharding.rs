@@ -3,8 +3,8 @@
 //! A logical file server partitioned across N shard nodes must keep the
 //! paper's §4.2 atomicity story under every failure the single-node system
 //! survives: a multi-file host transaction that touches several shards
-//! commits on all of them or none, a crashed shard mid-prepare aborts the
-//! whole transaction, a crashed *coordinator* mid-fan-out leaves every
+//! commits on all of them or none, a shard whose primary fails over before
+//! the decision aborts the whole transaction, a crashed *coordinator* mid-fan-out leaves every
 //! shard presumed-aborted, and a zombie coordinator is fenced on each
 //! shard independently. Routing itself is a pure hash — stable across
 //! rebuilds and balanced — proven by proptests at the bottom.
@@ -159,8 +159,8 @@ fn aborted_cross_shard_transaction_leaves_no_shard_changed() {
 
 #[test]
 fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
-    // The coordinator's prepare fan-out reaches shard 0; shard 1 dies
-    // before voting. The coordinator must abort everywhere, and the
+    // Both shards voted with their links; shard 1 dies before the
+    // decision. The coordinator must abort everywhere, and the
     // promoted shard-1 standby must settle the claim it inherited by
     // presumed abort (the coordinator never logged an outcome).
     let mut sys = build(2, 1, 0);
@@ -178,16 +178,13 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     // Both claims are durable repository commits; ship shard 1's to its
     // standby so the promotion inherits the claim.
     assert!(sys.wait_replicas_caught_up(&shard_name(1), CATCH_UP).unwrap());
-    {
-        a0.prepare(txid).unwrap();
-    }
     assert_eq!(
         sys.node(&shard_name(0)).unwrap().server.pending_host_txns(),
         vec![txid],
         "shard 0 voted yes"
     );
 
-    // Shard 1 crashes before its prepare; its standby takes over. The
+    // Shard 1 crashes before the decision; its standby takes over. The
     // promotion itself settles the inherited intent — the vote shard 1
     // forced at link — by presumed abort: no host row stands behind it.
     let report = sys.fail_over(&shard_name(1)).unwrap();
@@ -198,7 +195,7 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     assert!(s1.server.repository().get_file(&p1).is_none(), "the aborted link left nothing");
 
     // Seeing the failed shard, the coordinator aborts the transaction:
-    // shard 0's prepared vote rolls back too.
+    // shard 0's voted branch rolls back too.
     tx.abort();
     a0.abort(txid);
     let s0 = sys.node(&shard_name(0)).unwrap();
@@ -210,6 +207,46 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}{p0}"))]).unwrap();
     tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{p1}"))]).unwrap();
     tx.commit().unwrap();
+    assert!(sys.node(&shard_name(0)).unwrap().server.repository().get_file(&p0).is_some());
+    assert!(sys.node(&shard_name(1)).unwrap().server.repository().get_file(&p1).is_some());
+}
+
+#[test]
+fn a_host_transaction_linking_on_two_shards_aborts_when_one_shard_fails_over() {
+    // The engine links a file on each shard; shard 1's primary dies before
+    // the host decides. The failover aborts the undecided host transaction
+    // before it reads the host rows, so the promotion undoes shard 1's
+    // branch, the commit fails, and shard 0 hears the abort too.
+    let mut sys = build(2, 1, 0);
+    let p0 = path_on(2, 0, "twin");
+    let p1 = path_on(2, 1, "twin");
+    seed_file(&sys, &p0, b"cand-0");
+    seed_file(&sys, &p1, b"cand-1");
+
+    let mut tx = sys.begin();
+    let txid = tx.id();
+    tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}{p0}"))]).unwrap();
+    tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{p1}"))]).unwrap();
+    assert!(sys.wait_replicas_caught_up(&shard_name(1), CATCH_UP).unwrap());
+
+    let report = sys.fail_over(&shard_name(1)).unwrap();
+    assert_eq!(report.in_doubt_resolved, vec![(txid, false)], "shard 1 presumes abort");
+    assert!(tx.commit().is_err(), "the whole host transaction aborts");
+
+    for (i, p) in [&p0, &p1].into_iter().enumerate() {
+        let node = sys.node(&shard_name(i)).unwrap();
+        assert!(node.server.pending_host_txns().is_empty(), "shard {i} settled");
+        assert!(node.server.repository().get_file(p).is_none(), "no link left on shard {i}");
+        let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), p).unwrap();
+        assert_eq!(attr.uid, APP.uid, "shard {i} handed its file back");
+        let url = datalinks::core::DatalinkUrl::parse(&format!("dlfs://{SRV}{p}")).unwrap();
+        assert!(sys.engine().file_meta(&url).is_none(), "no __dl_meta row for shard {i}");
+        assert!(sys.db().get_committed("t", &Value::Int(i as i64)).unwrap().is_none());
+    }
+
+    // The system carries the same cross-shard transaction afterwards.
+    link_row(&sys, 0, &p0);
+    link_row(&sys, 1, &p1);
     assert!(sys.node(&shard_name(0)).unwrap().server.repository().get_file(&p0).is_some());
     assert!(sys.node(&shard_name(1)).unwrap().server.repository().get_file(&p1).is_some());
 }
@@ -231,10 +268,6 @@ fn coordinator_crash_mid_fan_out_presumed_aborts_every_shard() {
     let txid = tx.id();
     a0.link(txid, &p0, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     a1.link(txid, &p1, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    {
-        a0.prepare(txid).unwrap();
-        a1.prepare(txid).unwrap();
-    }
     std::mem::forget(tx); // the coordinator dies holding both yes-votes
 
     let report = sys.fail_over_host().unwrap();
@@ -274,8 +307,6 @@ fn zombie_coordinator_is_fenced_on_every_shard() {
     let txid = tx.id();
     a0.link(txid, &p0, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     a1.link(txid, &p1, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    a0.prepare(txid).unwrap();
-    a1.prepare(txid).unwrap();
     std::mem::forget(tx);
 
     assert!(sys.wait_host_replicas_caught_up(CATCH_UP));

@@ -1,8 +1,8 @@
 //! End-to-end coverage of the unified telemetry layer: the system-wide
 //! metric registry (`DataLinksSystem::metrics` / `metrics_text`) must
 //! expose live instruments from every layer of the stack, and the crash
-//! flight recorder must dump the 2PC span trail — claim, prepare, fenced
-//! decide — when a fault scenario kills the host coordinator mid-burst.
+//! flight recorder must dump the 2PC span trail — claim, fenced decide —
+//! when a fault scenario kills the host coordinator mid-burst.
 
 use dl_bench::{fixture, make_content, FixtureOptions, SRV};
 
@@ -55,7 +55,7 @@ fn metrics_snapshot_spans_every_layer() {
     for name in ["minidb.srv1.overlapped_flushes", "minidb.host.overlapped_flushes"] {
         assert!(snap.counters.contains_key(name), "missing counter {name}");
     }
-    // And the flight recorder says so on the decide span of a prepared
+    // And the flight recorder says so on the decide span of a voted
     // branch (the fixture's links): nobody waited on a log sync for it.
     let ring = f.sys.node(SRV).unwrap().server.flight_recorder().render("dlfm.srv1", "test");
     assert!(ring.contains("outcome=commit") && ring.contains("forced=false"), "{ring}");
@@ -95,7 +95,7 @@ fn metrics_snapshot_spans_every_layer() {
 /// Running the shipped `kill_host_mid_burst` scenario with a flight-dump
 /// directory must leave flight-recorder dumps on disk there, and
 /// the host-failover dump must contain the cross-layer 2PC span trail:
-/// engine-side DML spans, DLFM claims/prepares, the fence being raised at
+/// engine-side DML spans, DLFM claims, the fence being raised at
 /// the new coordinator generation, and the promoted coordinator's fenced
 /// decide events.
 #[test]
@@ -126,9 +126,9 @@ fn kill_host_mid_burst_dumps_fenced_decision_spans() {
     assert!(promo.contains("=== flight recorder engine.host"), "dump:\n{promo}");
     assert!(promo.contains(&format!("=== flight recorder dlfm.{SRV}")), "dump:\n{promo}");
     // ...and the 2PC trail crosses the layers: host-side DML spans, DLFM
-    // claim + prepare votes, the raised fence, and fenced decide events
+    // claims (each a forced vote), the raised fence, and fenced decide events
     // from the promoted coordinator's in-doubt resolution.
-    for needle in ["dml", "claim", "prepare", "vote=yes", "fence_raise", "decide", "outcome="] {
+    for needle in ["dml", "claim", "fence_raise", "decide", "outcome="] {
         assert!(promo.contains(needle), "dump lacks {needle:?}:\n{promo}");
     }
     // The decide events carry the coordinator generation they were fenced
@@ -190,7 +190,6 @@ fn undersized_flight_ring_still_captures_the_fenced_decide_span() {
     let tx = sys.begin();
     let txid = tx.id();
     agent.link(txid, "/d/cand.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    agent.prepare(txid).unwrap();
     std::mem::forget(tx);
     let report = sys.fail_over_host().unwrap();
     assert_eq!(report.in_doubt_resolved, vec![("srv".to_string(), txid, false)]);

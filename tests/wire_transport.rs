@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
+use datalinks::core::{
+    DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec, ServerRegistration,
+};
 use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, OnUnlink, TokenKind, Transport};
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Schema, Value};
@@ -102,7 +104,7 @@ fn engine_dml_two_phase_commit_runs_over_the_socket() {
     // And the frames were real: server-side instruments counted them.
     let snap = sys.registry().snapshot();
     let counter = |k: &str| *snap.counters.get(&format!("net.{SRV}.{k}")).unwrap_or(&0);
-    assert!(counter("frames_in") > 0, "link/prepare/commit frames must be counted in");
+    assert!(counter("frames_in") > 0, "link/commit frames must be counted in");
     assert!(counter("frames_out") > 0, "replies must be counted out");
     assert!(counter("bytes_in") > counter("frames_in"), "every frame is > 1 byte");
     assert_eq!(counter("decode_errors"), 0);
@@ -248,6 +250,29 @@ fn uncontended_token_open_close_costs_two_request_frames() {
 }
 
 #[test]
+fn a_link_and_an_unlink_each_cost_two_request_frames() {
+    let sys = build(0);
+    sys.raw_fs(SRV).unwrap().write_file(&APP, "/d/f0.bin", b"two frames").unwrap();
+    let frames_in =
+        || *sys.registry().snapshot().counters.get(&format!("net.{SRV}.frames_in")).unwrap();
+
+    // `Link` — its reply is the branch's vote — then the decision: no
+    // prepare round.
+    let before = frames_in();
+    let mut tx = sys.begin();
+    tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}/d/f0.bin"))]).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(frames_in() - before, 2, "Link + Commit");
+
+    let before = frames_in();
+    let mut tx = sys.begin();
+    tx.delete("t", &Value::Int(0)).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(frames_in() - before, 2, "Unlink + Commit");
+    assert!(sys.node(SRV).unwrap().server.repository().get_file("/d/f0.bin").is_none());
+}
+
+#[test]
 fn second_writer_waits_out_busy_over_the_socket() {
     let sys = build(1);
     let busy_waits =
@@ -295,14 +320,13 @@ fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
     let node = sys.node(SRV).unwrap();
     let wire = node.wire().expect("socket transport");
 
-    // A client links and prepares, then its connection dies before the
+    // A client links, then its connection dies before the
     // decision arrives. The host database never heard of the transaction,
     // so resolution must presume abort and roll the link back.
     let conn = wire.connect("torture").unwrap();
     let agent = DlfmClient::connect(conn.clone(), "torture").unwrap();
     let txid = 9_000_001;
     agent.link(txid, "/d/orphan.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
-    agent.prepare(txid).unwrap();
     assert_eq!(node.server.pending_host_txns(), vec![txid]);
 
     let aborts_before = wire.daemon.presumed_aborts().get();
@@ -333,6 +357,71 @@ fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
     assert!(*snap.counters.get(&format!("net.{SRV}.disconnects")).unwrap() >= 1);
 }
 
+/// A real host transaction whose agent connection is cut while it commits:
+/// the disconnect sweep settles the branch without the host's word, and
+/// the host commit may be anywhere — not begun, appending its decision,
+/// applying its rows, or done. The sweep aborts the transaction on the host
+/// if it is undecided before it reads the host rows, so every round ends
+/// with the file linked exactly when the host rows say so.
+#[test]
+fn severing_the_agent_connection_mid_commit_never_splits_the_rows() {
+    const ROUNDS: i64 = 200;
+    let sys = build(0);
+    let node = sys.node(SRV).unwrap();
+    let wire = node.wire().unwrap();
+    let mut committed_rounds = 0;
+    for i in 0..ROUNDS {
+        let path = format!("/d/race{i}.bin");
+        sys.raw_fs(SRV).unwrap().write_file(&APP, &path, b"race").unwrap();
+        // The engine's agent connection for this round: the one cut.
+        let conn = wire.connect("racer").unwrap();
+        sys.engine().register_server(ServerRegistration {
+            name: SRV.to_string(),
+            agent: Arc::new(DlfmClient::connect(conn.clone(), "racer").unwrap()),
+            token_key: *node.server.token_key(),
+            server: Arc::clone(&node.server),
+            replication: None,
+        });
+        let url = format!("dlfs://{SRV}{path}");
+        let mut tx = sys.begin();
+        tx.insert("t", vec![Value::Int(i), Value::DataLink(url.clone())]).unwrap();
+
+        let start = Barrier::new(2);
+        let committed = std::thread::scope(|s| {
+            let start = &start;
+            let committer = s.spawn(move || {
+                start.wait();
+                // The cut takes a while to reach the sweep: stagger the
+                // commit so the rounds land on every side of it.
+                let stagger = Instant::now() + Duration::from_micros(i as u64 % 16 * 8);
+                while Instant::now() < stagger {
+                    std::hint::spin_loop();
+                }
+                tx.commit().is_ok()
+            });
+            start.wait();
+            conn.sever();
+            committer.join().unwrap()
+        });
+        committed_rounds += committed as usize;
+
+        // Settled: the branch has left the pending table, and the commit or
+        // abort that removes its intent has landed.
+        let repo = node.server.repository();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !node.server.pending_host_txns().is_empty() || !repo.list_intents().is_empty() {
+            assert!(Instant::now() < deadline, "round {i}: the sweep never settled the branch");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let meta = sys.engine().file_meta(&DatalinkUrl::parse(&url).unwrap()).is_some();
+        let linked = repo.get_file(&path).is_some();
+        let user_row = sys.db().get_committed("t", &Value::Int(i)).unwrap().is_some();
+        assert_eq!(meta, linked, "round {i}: __dl_meta row iff dl_files row");
+        assert_eq!((user_row, committed), (meta, meta), "round {i}: the host agrees");
+    }
+    eprintln!("{committed_rounds}/{ROUNDS} rounds committed before the cut");
+}
+
 // ---------------------------------------------------------------------------
 // coordinator fencing holds over the wire across host failover
 // ---------------------------------------------------------------------------
@@ -350,7 +439,7 @@ fn host_failover_fences_stale_wire_agents() {
     raw.write_file(&APP, "/d/cand.bin", b"candidate").unwrap();
     let server = Arc::clone(&sys.node(SRV).unwrap().server);
 
-    // A zombie coordinator: prepared over the wire, then the host crashes
+    // A zombie coordinator: voted over the wire, then the host crashes
     // while it holds the decision.
     let zombie = {
         let node = sys.node(SRV).unwrap();
@@ -359,7 +448,6 @@ fn host_failover_fences_stale_wire_agents() {
     let tx = sys.begin();
     let txid = tx.id();
     zombie.link(txid, "/d/cand.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    zombie.prepare(txid).unwrap();
     std::mem::forget(tx); // the coordinator "dies" holding the decision
 
     assert!(sys.wait_host_replicas_caught_up(Duration::from_secs(10)));
@@ -393,7 +481,6 @@ fn host_failover_fences_stale_wire_agents() {
     };
     let txid2 = 9_100_001;
     fresh.link(txid2, "/d/cand.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    fresh.prepare(txid2).unwrap();
     fresh.commit(txid2);
     assert!(server.repository().get_file("/d/cand.bin").is_some());
 
