@@ -56,7 +56,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # No prepare round (DESIGN.md "Protocol and dispatch"): the `Link`/`Unlink`
 # reply is the vote, and the host aborts an undecided transaction whose
 # branch it lost.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round"
+# A link forces once, on the host (DESIGN.md "Force audit"): its vote writes
+# nothing on the node — `link_file` commits nothing, forces no intent and
+# changes no attribute; the take-over waits for the decision — so there is
+# no undo list for an abort and no forced take-back of a vote.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
@@ -79,9 +83,12 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
        | grep -v "^crates/dlfm/src/repository.rs:" \
   || awk '/fn fs_lookup\(/,/^    }$/' crates/dlfs/src/lib.rs | grep -n "self\.[u]pcall" \
   || grep -rnE "Message::[P]repare|T_[P]REPARE|prepare_[h]ost|Prepare[F]ailed" crates/ src/ tests/ \
+  || grep -rnE "[U]ndoFs|remove_[i]ntent\(" crates/ src/ tests/ \
+  || awk '/fn link_file\(/,/^    }$/' crates/dlfm/src/server.rs \
+       | grep -nE "\.[c]ommit(_unforced)?\(\)|add_[i]ntent|set_[a]ttrs\(" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup or a prepare round reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round or a repository write in a link's vote reappeared (matches above)" >&2
   exit 1
 fi
 

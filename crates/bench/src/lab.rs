@@ -1110,8 +1110,25 @@ fn mixed_trial(
             Op::Churn => {
                 let path = format!("/data/churn_c{client:03}_{g:08}.bin");
                 f.sys.raw_fs(SRV)?.write_file(&APP, &path, b"churn").map_err(|e| e.to_string())?;
-                let agent = f.sys.node(&owner(&path))?.connect_agent();
-                churn_cycle(&agent, 2_000_000 + 2 * g, &path)
+                let node = f.sys.node(&owner(&path))?;
+                let agent = node.connect_agent();
+                let link_tx = 2_000_000 + 2 * g;
+                let cycle = churn_cycle(&agent, link_tx, &path);
+                if cycle.is_err() && node.server.repository().get_file(&path).is_some() {
+                    // The link committed and the unlink failed: a full
+                    // repository disk fails an unlink's forced intent,
+                    // while a link's vote writes nothing there. The client
+                    // re-issues the unlink, as an application re-issues a
+                    // failed DELETE, until the disk frees up; the op still
+                    // counts as failed.
+                    for _ in 0..16 {
+                        if agent.unlink(link_tx + 1, &path).is_ok() {
+                            agent.commit(link_tx + 1);
+                            break;
+                        }
+                    }
+                }
+                cycle
             }
             Op::Read { file } => {
                 let acked_version = acked[file].load(Ordering::Relaxed);

@@ -8,8 +8,10 @@
 //! * generates multi-type access tokens when a DATALINK value is retrieved
 //!   (§4.1) using the per-server shared secret;
 //! * maintains the `__dl_meta` system table (file size, modification time,
-//!   version) *within the same transaction context* as the triggering
-//!   statement (§4.3), via observer-injected DML;
+//!   version, and the original owner and permission bits a link's vote
+//!   read) *within the same transaction context* as the triggering
+//!   statement (§4.3), via observer-injected DML — the host's `Commit` of
+//!   that row is a link's one forced write;
 //! * serves as DLFM's [`HostHook`]: close processing commits its metadata
 //!   refresh — the update's one commit point — through a host transaction
 //!   here, and a live branch whose decision was lost asks it one thing
@@ -122,8 +124,7 @@ pub struct ServerRegistration {
     /// Shared token secret (matches the server's `DlfmConfig`), ready to
     /// sign with.
     pub token_key: TokenKey,
-    /// Direct handle for metadata stats (in-process shortcut for what the
-    /// real system fetches over the agent connection).
+    /// The node's server: the routed read path validates and reads on it.
     pub server: Arc<DlfmServer>,
     /// Hot standbys serving the routed read path, when provisioned.
     pub replication: Option<Arc<ReplicaSet>>,
@@ -211,6 +212,9 @@ impl DataLinksEngine {
                         Column::new("size", ColumnType::Int),
                         Column::new("mtime", ColumnType::Int),
                         Column::new("version", ColumnType::Int),
+                        Column::new("orig_uid", ColumnType::Int),
+                        Column::new("orig_gid", ColumnType::Int),
+                        Column::new("orig_mode", ColumnType::Int),
                     ],
                     "url",
                 )
@@ -505,11 +509,12 @@ impl DataLinksEngine {
     }
 
     /// The host's view of every file-server node, from the committed rows:
-    /// per node, path → the version of the file's `__dl_meta` row and the
-    /// options of the DATALINK column whose row references it (one scan
-    /// per table with such a column). A sharded logical server's paths go
-    /// to the shard its router assigns them. This is all the one reconcile
-    /// (`DlfmServer::recover`) takes from the host.
+    /// per node, path → the version and original attributes of the file's
+    /// `__dl_meta` row and the options of the DATALINK column whose row
+    /// references it (one scan per table with such a column). A sharded
+    /// logical server's paths go to the shard its router assigns them.
+    /// This is all the one reconcile (`DlfmServer::recover`) takes from
+    /// the host.
     pub fn host_views(&self) -> Result<HashMap<String, HostView>, String> {
         let mut options = HashMap::new();
         for (table, dl_columns) in self.columns.read().iter() {
@@ -531,11 +536,15 @@ impl DataLinksEngine {
                 Some(router) => router.name_of(router.shard_of(&url.path)).to_string(),
                 None => url.server,
             };
+            let int = |i: usize| row[i].as_int().unwrap_or(0);
             let file = HostFile {
                 version: row[3].as_int().unwrap_or(1) as u64,
                 mode: opts.mode,
                 recovery: opts.recovery,
                 on_unlink: opts.on_unlink,
+                orig_uid: int(4) as u32,
+                orig_gid: int(5) as u32,
+                orig_mode: int(6) as u16,
             };
             views.entry(node).or_default().insert(url.path, file);
         }
@@ -665,17 +674,25 @@ impl DmlObserver for DataLinksEngine {
                     format!("link server={} mode={:?}", reg.name, opts.mode),
                 );
                 enlist(db, event.txid, reg);
-                reg.agent.link(event.txid, &url.path, opts.mode, opts.recovery, opts.on_unlink)?;
-                let (size, mtime) = reg.server.stat_file(&url.path).unwrap_or((0, 0));
+                let vote = reg.agent.link(
+                    event.txid,
+                    &url.path,
+                    opts.mode,
+                    opts.recovery,
+                    opts.on_unlink,
+                )?;
                 db.inject_dml(
                     event.txid,
                     InjectedDml::Upsert {
                         table: META_TABLE.to_string(),
                         row: vec![
                             Value::Text(url.to_string()),
-                            Value::Int(size as i64),
-                            Value::Int(mtime as i64),
+                            Value::Int(vote.size as i64),
+                            Value::Int(vote.mtime as i64),
                             Value::Int(1),
+                            Value::Int(i64::from(vote.uid)),
+                            Value::Int(i64::from(vote.gid)),
+                            Value::Int(i64::from(vote.mode)),
                         ],
                     },
                 );
@@ -702,19 +719,16 @@ impl HostHook for DataLinksEngine {
         let mut tx = self.db.begin();
         let txid = tx.id();
         let key = Value::Text(url.to_string());
-        let row: Row = vec![
-            key.clone(),
-            Value::Int(new_size as i64),
-            Value::Int(new_mtime as i64),
-            Value::Int(new_version as i64),
-        ];
-        let exists = tx.get_for_update(META_TABLE, &key).map_err(|e| e.to_string())?;
-        let result = if exists.is_some() {
-            tx.update(META_TABLE, &key, row)
-        } else {
-            tx.insert(META_TABLE, row)
+        // The link's original attributes stay: the row keeps them for as
+        // long as the file is linked.
+        let row = tx.get_for_update(META_TABLE, &key).map_err(|e| e.to_string())?;
+        let Some(mut row) = row else {
+            return Err(format!("{url} has no metadata row: the file is not linked"));
         };
-        result.map_err(|e| e.to_string())?;
+        row[1] = Value::Int(new_size as i64);
+        row[2] = Value::Int(new_mtime as i64);
+        row[3] = Value::Int(new_version as i64);
+        tx.update(META_TABLE, &key, row).map_err(|e| e.to_string())?;
         // No participant: this commit record is the update's decision.
         let lsn = tx.commit().map_err(|e| e.to_string())?;
         self.stats.meta_updates.inc();

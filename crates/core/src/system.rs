@@ -335,7 +335,7 @@ impl SystemBuilder {
             0,
             self.clock,
             parts,
-            false,
+            None,
             self.flight_dump_dir,
         )
         .map(|(sys, _)| sys)
@@ -517,9 +517,10 @@ impl DataLinksSystem {
         coord_epoch: u64,
         clock: Arc<dyn Clock>,
         parts: Vec<NodeParts>,
-        run_recovery: bool,
+        recovery: Option<HashMap<String, HostView>>,
         flight_dump_dir: Option<PathBuf>,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
+        let run_recovery = recovery.is_some();
         let db = Database::open_with(host_env.clone(), host_db).map_err(|e| e.to_string())?;
         let engine =
             DataLinksEngine::install(db.clone(), Arc::clone(&clock)).map_err(|e| e.to_string())?;
@@ -558,14 +559,18 @@ impl DataLinksSystem {
         }
 
         let mut views = if run_recovery { engine.host_views()? } else { HashMap::new() };
+        let mut before = recovery.unwrap_or_default();
         let mut nodes = HashMap::new();
         let mut reports = HashMap::new();
         for part in parts {
             let name = part.name.clone();
-            let view = run_recovery.then(|| views.remove(&name).unwrap_or_default());
+            let rows = run_recovery.then(|| {
+                (views.remove(&name).unwrap_or_default(), before.remove(&name).unwrap_or_default())
+            });
             let repo = Self::open_repo(&part)?;
+            let recovery = rows.as_ref().map(|(view, before)| (view, before));
             let (node, report) =
-                Self::build_node(&engine, &clock, part, repo, view.as_ref(), coord_epoch)?;
+                Self::build_node(&engine, &clock, part, repo, recovery, coord_epoch)?;
             if let Some(report) = report {
                 reports.insert(name.clone(), report);
             }
@@ -651,7 +656,8 @@ impl DataLinksSystem {
     /// Builds one file-server node from its durable parts and its opened
     /// repository `repo` (see [`DataLinksSystem::open_repo`], or a standby
     /// promoted in place): the DLFM server (reconciled against `recovery`,
-    /// the host's view of the node, when given), the DLFS/LFS stack, the
+    /// the host's view of the node and the one from before a rewind —
+    /// [`DlfmServer::recover`] — when given), the DLFS/LFS stack, the
     /// daemons, the engine registration, and — when provisioned — the
     /// replica set fed from the repository's WAL. Used by initial assembly,
     /// crash recovery, point-in-time restore and failover promotion alike.
@@ -660,7 +666,7 @@ impl DataLinksSystem {
         clock: &Arc<dyn Clock>,
         part: NodeParts,
         repo: Database,
-        recovery: Option<&HostView>,
+        recovery: Option<(&HostView, &HostView)>,
         coord_epoch: u64,
     ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
         let server = Arc::new(DlfmServer::new(
@@ -675,7 +681,7 @@ impl DataLinksSystem {
         // connections below are minted at the current generation and any
         // connection minted under an older one stays refused.
         server.fence_coordinator(coord_epoch);
-        let report = recovery.map(|view| server.recover(view)).transpose()?;
+        let report = recovery.map(|(view, before)| server.recover(view, before)).transpose()?;
         let main = MainDaemon::with_fault_injector(Arc::clone(&server), part.upcall_fault.clone());
 
         // Carrier selection — the one place the transport matters. Socket
@@ -1355,7 +1361,8 @@ impl DataLinksSystem {
             shard: shard.clone(),
         };
         let rebuild = |parts, repo| {
-            Self::build_node(&self.engine, &self.clock, parts, repo, Some(&view), self.coord_epoch)
+            let recovery = Some((&view, &HostView::new()));
+            Self::build_node(&self.engine, &self.clock, parts, repo, recovery, self.coord_epoch)
         };
         let promotion = promoted.promote().map_err(|e| e.to_string());
         let (node, outcome) = match promotion.and_then(|()| rebuild(parts, promoted)) {
@@ -1488,6 +1495,17 @@ impl DataLinksSystem {
     /// Remaining host standby slots re-provision against the new
     /// host, inheriting the fence generation.
     pub fn promote_host(&mut self) -> Result<HostFailoverReport, String> {
+        if self.host_outage.is_none() {
+            return Err("host database is not down".to_string());
+        }
+        // Every node's unforced repository tail first, as `restore` does: a
+        // link the deposed host committed whose `Commit` never shipped
+        // then keeps a durable `dl_files` row on its node — the only record
+        // of its original attributes once the promoted host lacks the
+        // row — for a later recovery to hand the file back from.
+        for node in self.nodes.values() {
+            node.server.repository().db().flush().map_err(|e| e.to_string())?;
+        }
         let HostOutage { replication, epoch } =
             self.host_outage.take().ok_or("host database is not down")?;
         let db = Database::clone(replication.promote_target());
@@ -1710,6 +1728,15 @@ impl DataLinksSystem {
     pub fn recover(
         image: CrashImage,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
+        Self::recover_from(image, HashMap::new())
+    }
+
+    /// [`DataLinksSystem::recover`] with `before`, the host's views from
+    /// before a rewind (see [`DlfmServer::recover`]).
+    fn recover_from(
+        image: CrashImage,
+        before: HashMap<String, HostView>,
+    ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
         let CrashImage {
             host_env,
             host_db,
@@ -1727,7 +1754,7 @@ impl DataLinksSystem {
             coord_epoch,
             clock,
             nodes,
-            true,
+            Some(before),
             flight_dump_dir,
         )
     }
@@ -1752,10 +1779,14 @@ impl DataLinksSystem {
     ) -> Result<(DataLinksSystem, SystemRestoreReport), String> {
         // A restore stops the stack cleanly: each node's unforced repository
         // tail goes to disk first, so its rows name the versions its disk
-        // holds and a row the restore moves back reads as a move back.
+        // holds and a row the restore moves back reads as a move back. The
+        // running host's rows go along: a link made after the restore point
+        // is handed back from its row there, even where the node kept no
+        // record of it.
         for node in self.nodes.values() {
             node.server.repository().db().flush().map_err(|e| e.to_string())?;
         }
+        let before = self.engine.host_views()?;
         let mut image = self.crash();
         image.host_env = backup.host_env.fork().map_err(|e| e.to_string())?;
         let opts = DbOptions { stop_at_lsn: Some(lsn), ..image.host_db };
@@ -1765,7 +1796,7 @@ impl DataLinksSystem {
         db.checkpoint().map_err(|e| e.to_string())?;
         drop(db);
 
-        let (sys, reports) = Self::recover(image)?;
+        let (sys, reports) = Self::recover_from(image, before)?;
         let mut report = SystemRestoreReport::default();
         for node in reports.into_values() {
             report.files_rolled_back += node.versions_rolled_back;

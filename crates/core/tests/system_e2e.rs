@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dl_core::{
     ControlMode, DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec, OnUnlink, TokenKind,
 };
-use dl_fskit::{Cred, FsError, OpenOptions, SimClock};
+use dl_fskit::{Cred, FsError, FsResult, Lfs, OpenOptions, SetAttr, SimClock};
 use dl_minidb::{Column, ColumnType, DbError, DiskFaults, Schema, StorageEnv, Value};
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
@@ -251,6 +251,64 @@ fn dangling_reference_prevented_through_app_fs() {
     ));
 }
 
+/// The probe of a voted link, in every mode with referential integrity:
+/// the INSERT makes the link vote, the owner then tries `mutate` on the
+/// file through DLFS, and only then does the transaction commit. The
+/// branch is live though its row is not committed, so the mutation check
+/// refuses, and the commit links the file that is there, under its name,
+/// with the attributes the vote read.
+fn probe_voted_link(what: &str, mutate: fn(&Lfs) -> FsResult<()>) {
+    for mode in [ControlMode::Rff, ControlMode::Rfb, ControlMode::Rdb, ControlMode::Rdd] {
+        let sys = build_system(mode);
+        let mut tx = sys.begin();
+        let url = Value::DataLink("dlfs://srv1/movies/alien.mpg".into());
+        tx.insert("movies", vec![Value::Int(1), Value::Text("Alien".into()), url]).unwrap();
+        let refused = mutate(&sys.fs("srv1").unwrap());
+        assert!(matches!(refused, Err(FsError::Rejected(_))), "{mode} {what}: {refused:?}");
+        tx.commit().unwrap();
+        let repo = sys.node("srv1").unwrap().server.repository();
+        let entry = repo.get_file("/movies/alien.mpg").expect("linked");
+        assert_eq!((entry.orig_uid, entry.orig_mode), (ALICE.uid, 0o644), "{mode} {what}");
+        assert_eq!(read_file(&sys, 1), b"alien v1", "{mode} {what}");
+    }
+}
+
+#[test]
+fn a_voted_link_refuses_the_remove_of_its_file() {
+    probe_voted_link("remove", |fs| fs.remove(&ALICE, "/movies/alien.mpg"));
+}
+
+#[test]
+fn a_voted_link_refuses_the_rename_of_its_file() {
+    probe_voted_link("rename", |fs| fs.rename(&ALICE, "/movies/alien.mpg", "/movies/moved.mpg"));
+}
+
+#[test]
+fn a_voted_link_refuses_a_chmod_of_its_file() {
+    probe_voted_link("chmod", |fs| {
+        let set = SetAttr { mode: Some(0o600), ..Default::default() };
+        fs.setattr(&ALICE, "/movies/alien.mpg", &set).map(|_| ())
+    });
+}
+
+#[test]
+fn a_voted_unlink_refuses_the_remove_of_its_file() {
+    // The DELETE makes the unlink vote; the file's committed row stands
+    // until the host decides, so the owner's remove is refused, and the
+    // commit hands the file back whole.
+    for mode in [ControlMode::Rff, ControlMode::Rdd] {
+        let sys = build_system(mode);
+        insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+        let mut tx = sys.begin();
+        tx.delete("movies", &Value::Int(1)).unwrap();
+        let refused = sys.fs("srv1").unwrap().remove(&ALICE, "/movies/alien.mpg");
+        assert!(matches!(refused, Err(FsError::Rejected(_))), "{mode}: {refused:?}");
+        tx.commit().unwrap();
+        let attr = sys.raw_fs("srv1").unwrap().stat(&Cred::root(), "/movies/alien.mpg").unwrap();
+        assert_eq!((attr.uid, attr.mode), (ALICE.uid, 0o644), "{mode}");
+    }
+}
+
 #[test]
 fn rfd_mode_full_cycle_through_sql() {
     let sys = build_system(ControlMode::Rfd);
@@ -299,7 +357,9 @@ fn crash_mid_update_recovers_last_committed_everywhere() {
 #[test]
 fn crash_between_prepare_and_commit_resolves_with_host_outcome() {
     // The in-doubt path: we can't easily freeze the host mid-2PC from here,
-    // so drive the agent surface directly like the host would.
+    // so drive the agent surface directly like the host would. The link's
+    // vote wrote nothing on the node and took nothing over, so the crash
+    // leaves no branch in doubt and the file with its owner.
     let sys = build_system(ControlMode::Rdd);
     let node = sys.node("srv1").unwrap();
 
@@ -313,8 +373,7 @@ fn crash_between_prepare_and_commit_resolves_with_host_outcome() {
     let image = sys.crash();
     let (sys, reports) = DataLinksSystem::recover(image).unwrap();
     let report = &reports["srv1"];
-    assert_eq!(report.in_doubt_resolved.len(), 1);
-    assert!(!report.in_doubt_resolved[0].1, "presumed abort");
+    assert!(report.in_doubt_resolved.is_empty(), "a link leaves no intent");
 
     let node = sys.node("srv1").unwrap();
     assert!(node.server.repository().get_file("/movies/brazil.mpg").is_none());
@@ -367,9 +426,9 @@ fn coordinated_point_in_time_restore() {
 }
 
 /// Arms a tear of the repository log's unforced tail — the end of the
-/// link or unlink branch just committed, whose forced intent is the last
-/// record on disk — so the crash that stops the stack loses that end even
-/// though `restore` flushed it first.
+/// link or unlink branch just committed, after the last forced record (an
+/// unlink's intent) — so the crash that stops the stack loses that end
+/// even though `restore` flushed it first.
 fn tear_the_branch_end(sys: &DataLinksSystem, faults: &DiskFaults) {
     let db = sys.node("srv1").unwrap().server.repository().db();
     let wal = db.env().device("wal").unwrap();
@@ -378,6 +437,36 @@ fn tear_the_branch_end(sys: &DataLinksSystem, faults: &DiskFaults) {
     let end = wal.len().unwrap() - durable;
     assert!(end > 0, "the branch end sat in the unforced tail");
     faults.arm_torn_tail("wal", end);
+}
+
+#[test]
+fn a_link_whose_branch_end_a_crash_tears_is_relinked_from_the_host_row() {
+    // The host's `Commit` is the link's one forced write. A crash that
+    // tears the node's unforced tail loses the link's `dl_files` row, and
+    // recovery re-links the file from the host row, with the original
+    // attributes the vote recorded there: a later unlink gives the file
+    // back to its owner with its original mode.
+    let faults = DiskFaults::new();
+    let repo_env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
+    let sys = build_system_on(ControlMode::Rdd, repo_env);
+    insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg"));
+    tear_the_branch_end(&sys, &faults);
+
+    let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
+    let report = &reports["srv1"];
+    assert_eq!((report.files_relinked, report.in_doubt_resolved.len()), (1, 0));
+    let node = sys.node("srv1").unwrap();
+    let entry = node.server.repository().get_file("/movies/alien.mpg").unwrap();
+    assert_eq!((entry.orig_uid, entry.orig_gid, entry.orig_mode), (ALICE.uid, ALICE.gid, 0o644));
+    let attr = node.raw.stat(&Cred::root(), "/movies/alien.mpg").unwrap();
+    assert_eq!((attr.uid, attr.mode), (node.server.config().dlfm_cred.uid, 0o400));
+
+    update_file(&sys, 1, b"alien v2");
+    let mut tx = sys.begin();
+    tx.delete("movies", &Value::Int(1)).unwrap();
+    tx.commit().unwrap();
+    let attr = sys.raw_fs("srv1").unwrap().stat(&Cred::root(), "/movies/alien.mpg").unwrap();
+    assert_eq!((attr.uid, attr.gid, attr.mode), (ALICE.uid, ALICE.gid, 0o644), "owner's again");
 }
 
 #[test]
@@ -430,10 +519,10 @@ fn restore_unlinks_files_linked_after_the_restore_point() {
     // The restore flushes each repository, then crashes the running stack.
     // With the link's unforced `Commit` on disk the repository comes back
     // holding the link, and the reconcile pass unlinks it; with the
-    // `Commit` torn off the surviving intent settles by the *restored*
-    // rows, which no longer hold the file — aborted before the reconcile
-    // pass looks. Either way the file ends unlinked and back with its
-    // owner.
+    // `Commit` torn off the node has no record of the link at all, and the
+    // file is handed back from the running host's row of it, which the
+    // restore passes along. Either way the file ends unlinked and back with
+    // its owner.
     for end_durable in [true, false] {
         let faults = DiskFaults::new();
         let repo_env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
@@ -600,28 +689,30 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
 
 #[test]
 fn link_and_unlink_each_force_their_intent_and_the_host_commit_only() {
-    // The intent is the vote: a link or an unlink forces its repository
-    // intent and the host's 2PC `Commit`, and ends its branch with one
-    // unforced repository commit of its `dl_files` row and the intent's
-    // removal.
+    // An unlink's intent is its vote: it forces that intent and the host's
+    // 2PC `Commit`, and ends its branch with one unforced repository commit
+    // of its `dl_files` row and the intent's removal. A link's vote travels
+    // in its reply and writes nothing on the node: the host's `Commit` is
+    // its one forced write, and its branch ends with one unforced commit of
+    // its `dl_files` row.
     let sys = build_system(ControlMode::Rdd);
     let node = sys.node("srv1").unwrap();
     let (host, repo) = (sys.db().clone(), node.server.repository().db().clone());
     let syncs = |db: &dl_minidb::Database| db.wal_telemetry().fsync_ns.snapshot().count;
-    let repo_log_of = |op: &dyn Fn()| {
+    let repo_log_of = |intents: u64, op: &dyn Fn()| {
         repo.flush().unwrap();
         let (host_syncs, repo_syncs, mark) = (syncs(&host), syncs(&repo), repo.state_id());
         op();
-        assert_eq!(syncs(&repo) - repo_syncs, 1, "the repository forces the intent only");
+        assert_eq!(syncs(&repo) - repo_syncs, intents, "the repository forces the intent only");
         assert_eq!(syncs(&host) - host_syncs, 1, "the host forces its commit");
         repo.flush().unwrap();
         let log = repo.wal_reader().read_from(mark).unwrap().records;
         log.iter().map(|(_, rec)| op_tables(rec).join("+")).collect::<Vec<_>>()
     };
     let link =
-        repo_log_of(&|| insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg")));
-    assert_eq!(link, ["dl_intents", "dl_files+dl_intents"]);
-    let unlink = repo_log_of(&|| {
+        repo_log_of(0, &|| insert_movie(&sys, 1, "Alien", Some("dlfs://srv1/movies/alien.mpg")));
+    assert_eq!(link, ["dl_files"]);
+    let unlink = repo_log_of(1, &|| {
         let mut tx = sys.begin();
         tx.delete("movies", &Value::Int(1)).unwrap();
         tx.commit().unwrap();

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dl_net::Message;
 
 use crate::modes::{ControlMode, OnUnlink};
-use crate::server::OpenDecision;
+use crate::server::{LinkVote, OpenDecision};
 use crate::token::TokenKind;
 
 /// How a request reaches the daemons and its reply comes back. Two
@@ -36,7 +36,8 @@ pub trait Carrier: Send + Sync {
 /// are served by this child agent"), plus its part in the host
 /// transaction's two-phase commit.
 pub trait AgentConnection: Send + Sync {
-    /// Links a file in the context of `host_txid`.
+    /// Links a file in the context of `host_txid`; returns the branch's
+    /// vote, which the host's metadata row keeps.
     fn link(
         &self,
         host_txid: u64,
@@ -44,7 +45,7 @@ pub trait AgentConnection: Send + Sync {
         mode: ControlMode,
         recovery: bool,
         on_unlink: OnUnlink,
-    ) -> Result<(), String>;
+    ) -> Result<LinkVote, String>;
     /// Unlinks a file in the context of `host_txid`.
     fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String>;
     /// Sends nothing and returns `Ok(())`: the protocol has no prepare
@@ -120,15 +121,21 @@ impl AgentConnection for DlfmClient {
         mode: ControlMode,
         recovery: bool,
         on_unlink: OnUnlink,
-    ) -> Result<(), String> {
-        self.call_unit(Message::Link {
+    ) -> Result<LinkVote, String> {
+        match self.call(Message::Link {
             txid: host_txid,
             coord_epoch: self.coord_epoch,
             path: path.to_string(),
             mode: mode.into(),
             recovery,
             on_unlink: on_unlink.into(),
-        })
+        })? {
+            Message::LinkVote { size, mtime, uid, gid, mode } => {
+                Ok(LinkVote { size, mtime, uid, gid, mode })
+            }
+            Message::Err(e) => Err(e),
+            other => Err(format!("unexpected reply {other:?}")),
+        }
     }
 
     fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String> {
@@ -234,8 +241,10 @@ impl DlfmClient {
         self.call_unit(Message::MutationCheck { path: path.to_string() })
     }
 
-    pub fn register_open(&self, path: &str, uid: u32, opener: u64) {
-        let _ = self.call(Message::RegisterOpen { path: path.to_string(), uid, opener });
+    /// Registers a strict-mode open ahead of the physical open; `Err` when
+    /// the server refuses it (a live link branch holds the path).
+    pub fn register_open(&self, path: &str, uid: u32, opener: u64) -> Result<(), String> {
+        self.call_unit(Message::RegisterOpen { path: path.to_string(), uid, opener })
     }
 
     pub fn unregister_open(&self, path: &str, opener: u64) {

@@ -7,7 +7,7 @@
 //!
 //! * [`repository`] — DLFM's own transactional store (a second `dl-minidb`)
 //!   holding linked-file state, token entries, the Sync table, update-in-
-//!   progress entries and write-ahead intents.
+//!   progress entries and unlink intents.
 //! * [`server`] — link/unlink sub-transactions driven by the host's 2PC,
 //!   the open/close protocol (token entries, serialization, take-over,
 //!   metadata refresh, rollback), and crash recovery.
@@ -45,8 +45,8 @@ pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use pool::{AtomicEwma, ElasticPool, PoolOptions, PoolProbe, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
-    lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, OpenDecision,
-    RecoveryReport, Transport,
+    lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, LinkVote,
+    OpenDecision, RecoveryReport, Transport,
 };
 pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKey,

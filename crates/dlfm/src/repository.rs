@@ -11,17 +11,17 @@
 //! | `dl_tokens`  | validated token entries keyed by *userid* + path + kind (§4.1) |
 //! | `dl_sync`    | the Sync table (§4.5): one row per open of a managed file  |
 //! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
-//! | `dl_intents` | link/unlink intents: one per file a branch touches — its 2PC vote |
+//! | `dl_intents` | unlink intents: one per file an unlink branch touches — its 2PC vote |
 //!
-//! A link/unlink sub-transaction forces exactly one kind of record: an
-//! intent per file ([`IntentEntry`]), written under the file's `dl_files`
-//! row lock before the branch changes the file system or answers its
-//! coordinator. The intent *is* the branch's vote — it names the host
-//! transaction, the file, and everything needed to finish the branch
-//! either way — and the branch's own `Commit` (which removes it) is an
-//! unforced append. An intent that survives a crash is a branch whose end
-//! the crash took; the host's metadata row for the file says which way it
-//! went.
+//! An unlink sub-transaction forces exactly one kind of record: an intent
+//! per file ([`IntentEntry`]), written under the file's `dl_files` row
+//! lock before the branch answers its coordinator. The intent *is* the
+//! branch's vote — it names the host transaction, the file, and what the
+//! unlink does to it — and the branch's own `Commit` (which removes it) is
+//! an unforced append. An intent that survives a crash is a branch whose
+//! end the crash took; the host's metadata row for the file says which way
+//! it went. A link forces nothing here: its vote travels in its reply, the
+//! host's metadata row keeps it, and its `dl_files` row commits unforced.
 //!
 //! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
 //! survive a crash (every descriptor is gone). They are **unlogged** tables
@@ -53,22 +53,6 @@ use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// Names of all repository tables.
 pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
-
-/// What a link/unlink sub-transaction does to one file's `dl_files` row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchOp {
-    Link,
-    Unlink,
-}
-
-impl BranchOp {
-    fn as_str(self) -> &'static str {
-        match self {
-            BranchOp::Link => "link",
-            BranchOp::Unlink => "unlink",
-        }
-    }
-}
 
 fn on_unlink_value(on_unlink: OnUnlink) -> Value {
     Value::Text(match on_unlink {
@@ -189,19 +173,16 @@ pub struct UipEntry {
     pub opener: u64,
 }
 
-/// A row of `dl_intents` — a link/unlink branch's vote on one file,
-/// forced while the branch holds the file's `dl_files` row lock. It carries
-/// what recovery needs to finish the branch either way: the row a committed
-/// link inserts, the original attributes an aborted link (or a committed
-/// ON UNLINK RESTORE) puts back, the ON UNLINK action a committed unlink
-/// finishes.
+/// A row of `dl_intents` — an unlink branch's vote on one file, forced
+/// while the branch holds the file's `dl_files` row lock. Once the host
+/// deletes its metadata row, it is the one durable record that names the
+/// path: it carries the ON UNLINK action a committed unlink finishes and
+/// the original attributes an ON UNLINK RESTORE puts back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntentEntry {
     pub host_txid: u64,
-    pub op: BranchOp,
-    /// The file's identity and link options. For a link, the `dl_files`
-    /// row it inserts — at version 1, nothing to archive; an unlink's
-    /// version is not recorded (it reads back as 1).
+    /// The file's identity and link options; its version is not recorded
+    /// (it reads back as 1).
     pub file: FileEntry,
 }
 
@@ -214,7 +195,6 @@ impl IntentEntry {
         let f = &self.file;
         vec![
             Self::key(self.host_txid, &f.path),
-            Value::Text(self.op.as_str().to_string()),
             Value::Text(f.mode.to_string()),
             Value::Bool(f.recovery),
             on_unlink_value(f.on_unlink),
@@ -229,17 +209,16 @@ impl IntentEntry {
         let (host_txid, path) = row[0].as_text()?.split_once('|')?;
         Some(IntentEntry {
             host_txid: host_txid.parse().ok()?,
-            op: if row[1].as_text()? == "link" { BranchOp::Link } else { BranchOp::Unlink },
             file: FileEntry {
                 path: path.to_string(),
-                mode: row[2].as_text()?.parse().ok()?,
-                recovery: matches!(row[3], Value::Bool(true)),
-                on_unlink: on_unlink_from(&row[4])?,
+                mode: row[1].as_text()?.parse().ok()?,
+                recovery: matches!(row[2], Value::Bool(true)),
+                on_unlink: on_unlink_from(&row[3])?,
                 cur_version: 1,
-                orig_uid: row[5].as_int()? as u32,
-                orig_gid: row[6].as_int()? as u32,
-                orig_mode: row[7].as_int()? as u16,
-                ino: row[8].as_int()? as u64,
+                orig_uid: row[4].as_int()? as u32,
+                orig_gid: row[5].as_int()? as u32,
+                orig_mode: row[6].as_int()? as u16,
+                ino: row[7].as_int()? as u64,
                 state_id: 0,
                 needs_archive: false,
             },
@@ -363,7 +342,6 @@ impl Repository {
                     vec![
                         // `<host txid>|<path>`
                         Column::new("ikey", ColumnType::Text),
-                        Column::new("op", ColumnType::Text),
                         Column::new("mode", ColumnType::Text),
                         Column::new("recovery", ColumnType::Bool),
                         Column::new("on_unlink", ColumnType::Text),
@@ -826,8 +804,8 @@ impl Repository {
 
     // --- dl_intents -------------------------------------------------------------
 
-    /// Forces a branch's intent — its vote — before the branch mutates the
-    /// file system or answers its coordinator.
+    /// Forces an unlink branch's intent — its vote — before the branch
+    /// answers its coordinator.
     pub fn add_intent(&self, intent: &IntentEntry) -> DbResult<()> {
         let mut txn = self.db.begin();
         txn.insert("dl_intents", intent.to_row())?;
@@ -839,16 +817,6 @@ impl Repository {
     /// Removes an intent inside the committing sub-transaction.
     pub fn remove_intent_in(&self, txn: &mut Txn, host_txid: u64, path: &str) -> DbResult<()> {
         txn.delete("dl_intents", &IntentEntry::key(host_txid, path))
-    }
-
-    /// Removes an intent on its own, **forced**: a link takes its vote back
-    /// when the file changed under it before anything was applied.
-    pub fn remove_intent(&self, host_txid: u64, path: &str) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        self.remove_intent_in(&mut txn, host_txid, path)?;
-        txn.commit()?;
-        self.bump();
-        Ok(())
     }
 
     /// Removes an aborted branch's intents: one **unforced** commit. Losing
@@ -992,18 +960,14 @@ mod tests {
         let env = StorageEnv::mem();
         {
             let r = Repository::open(env.clone()).unwrap();
-            r.add_intent(&IntentEntry { host_txid: 5, op: BranchOp::Link, file: entry("/f") })
-                .unwrap();
+            r.add_intent(&IntentEntry { host_txid: 5, file: entry("/f") }).unwrap();
             r.put_token_entry(1, "/f", TokenKind::Read, u64::MAX).unwrap();
             r.add_sync(&SyncEntry { path: "/f".into(), kind: TokenKind::Read, opener: 1, uid: 1 })
                 .unwrap();
         }
         let r = Repository::open(env).unwrap();
         // Crash recovery: durable intents remain, open-file state is gone.
-        assert_eq!(
-            r.list_intents(),
-            [IntentEntry { host_txid: 5, op: BranchOp::Link, file: entry("/f") }]
-        );
+        assert_eq!(r.list_intents(), [IntentEntry { host_txid: 5, file: entry("/f") }]);
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
     }

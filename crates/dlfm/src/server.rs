@@ -7,7 +7,8 @@
 //! * root-credentialed admin access to the *raw* physical file system
 //!   (bypassing DLFS) for take-over, restore and content capture,
 //! * the link/unlink sub-transaction machinery driven by the host database
-//!   through two-phase commit,
+//!   through two-phase commit (a link's vote writes nothing durable here:
+//!   the host's `Commit` of its metadata row is its one forced write),
 //! * the upcall service logic (token validation, open check, close
 //!   processing, remove/rename vetoes) invoked by the upcall daemon.
 
@@ -21,8 +22,30 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::repository::{BranchOp, FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
+use crate::repository::{FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
 use crate::token::{AccessToken, TokenKey, TokenKind};
+
+/// What a link/unlink sub-transaction does to one file's `dl_files` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BranchOp {
+    Link,
+    Unlink,
+}
+
+/// A link's vote, as its `Link` reply carries it ([`Message::LinkVote`]):
+/// what the branch read of the file under its row lock. The host writes
+/// it into the file's metadata row — size and mtime (§4.3), and the
+/// original owner and permission bits, which the take-over at the
+/// decision replaces and an unlink, or a recovery that finds the link
+/// gone, hands back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkVote {
+    pub size: u64,
+    pub mtime: u64,
+    pub uid: u32,
+    pub gid: u32,
+    pub mode: u16,
+}
 
 /// How the host database and DLFS reach this DLFM instance: which carrier
 /// their [`crate::DlfmClient`]s ride.
@@ -186,26 +209,34 @@ pub trait HostHook: Send + Sync {
     fn abort_undecided(&self, host_txid: u64);
 }
 
-/// A deferred file-system action executed when the sub-transaction commits.
+/// A file-system action executed when the sub-transaction commits: a
+/// link's take-over, an unlink's hand-back or deletion. An abort has
+/// nothing to undo — the branch changed no file.
 enum DeferredFs {
-    RestoreAttrs { path: String, uid: u32, gid: u32, mode: u16 },
+    SetAttrs { path: String, uid: u32, gid: u32, mode: u16 },
     DeleteFile { path: String },
-}
-
-/// An undo action executed when the sub-transaction aborts.
-enum UndoFs {
-    RestoreAttrs { path: String, uid: u32, gid: u32, mode: u16 },
 }
 
 /// State of one host transaction's link/unlink work on this server.
 struct SubTxn {
     txn: Option<dl_minidb::Txn>,
-    undo: Vec<UndoFs>,
     deferred: Vec<DeferredFs>,
-    /// The files this branch linked or unlinked, one forced intent each —
-    /// what the settle rule asks the host about, and whose intents the
-    /// decision clears.
+    /// The files this branch linked or unlinked — what the settle rule
+    /// asks the host about. Each unlink forced an intent, which the
+    /// decision clears; a link wrote nothing durable.
     files: Vec<(String, BranchOp)>,
+}
+
+impl SubTxn {
+    /// The paths this branch unlinked: the ones with an intent.
+    fn unlinked(&self) -> impl Iterator<Item = &str> {
+        self.files.iter().filter(|(_, op)| *op == BranchOp::Unlink).map(|(p, _)| p.as_str())
+    }
+
+    /// The paths this branch linked.
+    fn linked(&self) -> impl Iterator<Item = &str> {
+        self.files.iter().filter(|(_, op)| *op == BranchOp::Link).map(|(p, _)| p.as_str())
+    }
 }
 
 /// Decision returned by the open check.
@@ -321,6 +352,19 @@ pub struct DlfmServer {
     clock: Arc<dyn Clock>,
     host: RwLock<Option<Arc<dyn HostHook>>>,
     pending: Mutex<HashMap<u64, Arc<Mutex<SubTxn>>>>,
+    /// Paths held by a live link branch — voted, undecided — and their
+    /// control mode. Their `dl_files` rows are not committed yet, so this
+    /// is what the mutation check and a strict-link registration see of
+    /// them. Entered under the branch's row lock, left once its decision
+    /// applied.
+    linking: Mutex<HashMap<String, ControlMode>>,
+    /// The ordering rule's memory: per path, the repository LSN of its
+    /// last committed unlink's end while that end may still sit in the
+    /// log's unforced tail (`u64::MAX` while its commit is appending). A
+    /// link makes it durable before it votes ([`DlfmServer::link_file`]).
+    /// Entries already durable are dropped at the next unlink end, so the
+    /// map is bounded by the tail, not by history.
+    unlink_ends: Mutex<HashMap<String, u64>>,
     sync_epoch: Arc<SyncEpoch>,
     /// Lowest coordinator epoch (= host generation) whose 2PC traffic this
     /// server still accepts. Host failover raises it on every node; agent
@@ -395,6 +439,8 @@ impl DlfmServer {
             clock,
             host: RwLock::new(None),
             pending: Mutex::new(HashMap::new()),
+            linking: Mutex::new(HashMap::new()),
+            unlink_ends: Mutex::new(HashMap::new()),
             sync_epoch,
             coord_fence: AtomicU64::new(0),
             recorder: Arc::new(dl_obs::FlightRecorder::new(flight_ring_capacity)),
@@ -478,16 +524,16 @@ impl DlfmServer {
         Ok(())
     }
 
-    /// Host transactions with live sub-transaction state on this server.
-    /// The promoted coordinator walks this after a host failover and
-    /// settles each by the replicated metadata rows (presumed abort when
-    /// no decision shipped).
+    /// Host transactions with live sub-transaction state on this server; a
+    /// branch leaves once its decision has applied. The promoted
+    /// coordinator walks this after a host failover and settles each by
+    /// the replicated metadata rows (presumed abort when no decision
+    /// shipped).
     pub fn pending_host_txns(&self) -> Vec<u64> {
         self.pending.lock().keys().copied().collect()
     }
 
-    /// Size and mtime of a file on this server (engine metadata
-    /// initialization at link time, §4.3).
+    /// Size and mtime of a file on this server.
     pub fn stat_file(&self, path: &str) -> Option<(u64, u64)> {
         self.admin.stat(&ROOT, path).ok().map(|a| (a.size, a.mtime))
     }
@@ -549,7 +595,6 @@ impl DlfmServer {
                 None => {
                     let cell = Arc::new(Mutex::new(SubTxn {
                         txn: Some(self.repo.db().begin()),
-                        undo: Vec::new(),
                         deferred: Vec::new(),
                         files: Vec::new(),
                     }));
@@ -572,31 +617,37 @@ impl DlfmServer {
 
     /// Simulates a process crash: pending sub-transactions are abandoned
     /// *without* running their abort paths (a real crash runs no
-    /// destructors). Their forced intents stay in the repository log for
-    /// recovery to settle; their buffered ops were never logged, and the
+    /// destructors). Their unlinks' forced intents stay in the repository
+    /// log for recovery to settle; their links left nothing there, and
+    /// changed no file; their buffered ops were never logged, and the
     /// repository log's unforced tail stays unflushed. Call before dropping
     /// the server in crash tests.
     pub fn simulate_crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
-        let mut pending = self.pending.lock();
-        for (_, cell) in pending.drain() {
+        let branches: Vec<_> = self.pending.lock().drain().collect();
+        for (_, cell) in branches {
             let mut sub = cell.lock();
             if let Some(txn) = sub.txn.take() {
                 std::mem::forget(txn);
             }
-            sub.undo.clear();
             sub.deferred.clear();
             sub.files.clear();
         }
     }
 
-    /// Links `path` under `mode` as part of host transaction `host_txid`.
+    /// Links `path` under `mode` as part of host transaction `host_txid`,
+    /// and returns the branch's vote: what it read of the file.
     ///
-    /// Under the file's `dl_files` row lock the branch forces its intent —
-    /// its vote, carrying the row it inserts and the undo information —
-    /// then applies the access constraints (chmod/chown) to the file system
-    /// *eagerly* and buffers the row, which commits with the host
-    /// transaction through 2PC.
+    /// Under the file's `dl_files` row lock the branch buffers the row it
+    /// inserts and writes nothing durable: the host's `Commit` of the
+    /// metadata row, which carries the vote, is the link's one forced
+    /// write. The take-over (chmod/chown) waits for that decision
+    /// ([`DlfmServer::commit_host`]); until then the file is guarded by the
+    /// mutation check, which sees the branch ([`DlfmServer::mutation_check`]).
+    /// One ordering rule comes first: the path's last unlink end is made
+    /// durable if it is still in the log's unforced tail. Otherwise a crash
+    /// could lose that end together with this link's, and recovery would
+    /// find the earlier life's row and intent next to this life's host row.
     pub fn link_file(
         &self,
         host_txid: u64,
@@ -604,7 +655,7 @@ impl DlfmServer {
         mode: ControlMode,
         recovery: bool,
         on_unlink: OnUnlink,
-    ) -> Result<(), String> {
+    ) -> Result<LinkVote, String> {
         self.stats.links.inc();
         self.recorder.record(
             &self.flight_source,
@@ -616,9 +667,6 @@ impl DlfmServer {
         let attr = self.admin.stat(&ROOT, path).map_err(|e| format!("cannot link {path}: {e}"))?;
         if attr.kind != FileKind::File {
             return Err(format!("cannot link {path}: not a regular file"));
-        }
-        if self.cfg.strict_link && !self.repo.sync_entries(path).is_empty() {
-            return Err(format!("file {path} is currently open (strict link mode)"));
         }
         let entry = FileEntry {
             path: path.to_string(),
@@ -638,39 +686,50 @@ impl DlfmServer {
             if self.repo.lock_file_in(txn, path).map_err(|e| e.to_string())?.is_some() {
                 return Err(format!("file {path} is already linked"));
             }
+            let unlink_end = self.unlink_ends.lock().get(path).copied();
+            if unlink_end.is_some_and(|lsn| lsn > self.repo.db().durable_lsn()) {
+                self.repo.db().flush().map_err(|e| e.to_string())?;
+            }
+            {
+                let mut linking = self.linking.lock();
+                if self.cfg.strict_link && !self.repo.sync_entries(path).is_empty() {
+                    return Err(format!("file {path} is currently open (strict link mode)"));
+                }
+                linking.insert(path.to_string(), mode);
+            }
             // §2.2: "all these changes to the DLFM repository and file
             // system are applied as part of the same DBMS transaction".
-            let intent = IntentEntry { host_txid, op: BranchOp::Link, file: entry.clone() };
-            self.repo.add_intent(&intent).map_err(|e| e.to_string())?;
             let (uid, gid, bits) = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
             if (uid, gid, bits) != (attr.uid, attr.gid, attr.mode) {
-                if let Err(e) = self.set_attrs(path, uid, gid, bits) {
-                    // The file changed under us and nothing was applied:
-                    // take the vote back, durably, so that every intent a
-                    // crash leaves belongs to a branch that holds its file.
-                    let _ = self.repo.remove_intent(host_txid, path);
-                    return Err(e);
-                }
                 if mode.takes_over_at_link() {
                     self.stats.takeovers.inc();
                 }
-                sub.undo.push(UndoFs::RestoreAttrs {
+                sub.deferred.push(DeferredFs::SetAttrs {
                     path: path.to_string(),
-                    uid: attr.uid,
-                    gid: attr.gid,
-                    mode: attr.mode,
+                    uid,
+                    gid,
+                    mode: bits,
                 });
             }
             sub.files.push((path.to_string(), BranchOp::Link));
             // Cannot fail: the row lock is held and the row is absent.
             self.repo.insert_file_in(txn, &entry).map_err(|e| e.to_string())
+        })?;
+        Ok(LinkVote {
+            size: attr.size,
+            mtime: attr.mtime,
+            uid: attr.uid,
+            gid: attr.gid,
+            mode: attr.mode,
         })
     }
 
     /// Unlinks `path` as part of host transaction `host_txid`. Rejected
     /// while the file is open (§4.5: the Sync table check). Under the
-    /// file's row lock the branch forces its intent; the file-system
-    /// restoration (or deletion, per ON UNLINK) is deferred to commit.
+    /// file's row lock the branch forces its intent — its vote, and the one
+    /// durable record that names the path once the host deletes its row —
+    /// and defers the file-system restoration (or deletion, per ON UNLINK)
+    /// to commit.
     pub fn unlink_file(&self, host_txid: u64, path: &str) -> Result<(), String> {
         self.stats.unlinks.inc();
         self.recorder.record(&self.flight_source, "claim", host_txid, path, "unlink");
@@ -694,12 +753,12 @@ impl DlfmServer {
             if self.repo.get_uip(path).is_some() {
                 return Err(format!("file {path} has an update in progress"));
             }
-            let intent = IntentEntry { host_txid, op: BranchOp::Unlink, file: entry.clone() };
+            let intent = IntentEntry { host_txid, file: entry.clone() };
             self.repo.add_intent(&intent).map_err(|e| e.to_string())?;
             sub.files.push((path.to_string(), BranchOp::Unlink));
             self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
             sub.deferred.push(match entry.on_unlink {
-                OnUnlink::Restore => DeferredFs::RestoreAttrs {
+                OnUnlink::Restore => DeferredFs::SetAttrs {
                     path: path.to_string(),
                     uid: entry.orig_uid,
                     gid: entry.orig_gid,
@@ -729,21 +788,22 @@ impl DlfmServer {
         );
     }
 
-    /// 2PC decision, commit path: the unlinks' file-system actions, then
-    /// one ordinary unforced `Commit` carrying the branch's rows and the
-    /// removal of its intents. Both happen while the branch still holds its
-    /// `dl_files` row locks, so no later branch on the same files can force
-    /// its intent before this one's is gone from the log.
+    /// 2PC decision, commit path: the branch's file-system actions — the
+    /// links' take-overs, the unlinks' hand-backs or deletions — then one
+    /// ordinary unforced `Commit` carrying the branch's rows and the
+    /// removal of its unlinks' intents. Both happen while the branch still
+    /// holds its `dl_files` row locks. A crash before that `Commit` lands
+    /// loses it: recovery then re-links from the host row, or finishes the
+    /// unlink from its intent. An unlink's end is remembered until it is
+    /// durable, for the next link of the path to wait on.
     pub fn commit_host(&self, host_txid: u64) {
-        let Some(cell) = self.pending.lock().remove(&host_txid) else { return };
+        let Some(cell) = self.branch(host_txid) else { return };
         let mut sub = cell.lock();
+        let Some(mut txn) = sub.txn.take() else { return };
         self.record_decide(host_txid, "commit");
-        // Deferred FS actions (unlink restoration/deletion). A crash before
-        // the `Commit` below lands leaves the intent, and recovery redoes
-        // them.
         for action in sub.deferred.drain(..) {
             match action {
-                DeferredFs::RestoreAttrs { path, uid, gid, mode } => {
+                DeferredFs::SetAttrs { path, uid, gid, mode } => {
                     let _ = self.set_attrs(&path, uid, gid, mode);
                 }
                 DeferredFs::DeleteFile { path } => {
@@ -752,41 +812,66 @@ impl DlfmServer {
                 }
             }
         }
-        if let Some(mut txn) = sub.txn.take() {
-            let result = sub
-                .files
-                .iter()
-                .try_for_each(|(path, _)| self.repo.remove_intent_in(&mut txn, host_txid, path))
-                .and_then(|()| txn.commit_unforced());
-            if let Err(e) = result {
-                // A failed local commit after the coordinator decided commit
-                // is a serious invariant break; surface loudly.
-                panic!("DLFM sub-transaction commit failed for host tx{host_txid}: {e}");
-            }
+        let unlinked: Vec<String> = sub.unlinked().map(str::to_string).collect();
+        if !unlinked.is_empty() {
+            let mut ends = self.unlink_ends.lock();
+            ends.extend(unlinked.iter().map(|path| (path.clone(), u64::MAX)));
         }
-        sub.undo.clear();
-        self.bump_epoch();
+        let result = unlinked
+            .iter()
+            .try_for_each(|path| self.repo.remove_intent_in(&mut txn, host_txid, path))
+            .and_then(|()| txn.commit_unforced());
+        let lsn = match result {
+            Ok(lsn) => lsn,
+            // A failed local commit after the coordinator decided commit is
+            // a serious invariant break; surface loudly.
+            Err(e) => panic!("DLFM sub-transaction commit failed for host tx{host_txid}: {e}"),
+        };
+        if !unlinked.is_empty() {
+            let durable = self.repo.db().durable_lsn();
+            let mut ends = self.unlink_ends.lock();
+            ends.extend(unlinked.into_iter().map(|path| (path, lsn)));
+            ends.retain(|_, end| *end > durable);
+        }
+        self.decided(host_txid, &sub);
     }
 
-    /// 2PC decision, abort path (also a failed op's own branch):
-    /// eager file-system changes are undone, the intents removed by one
-    /// unforced append, and only then does the branch let go of its row
-    /// locks (`Txn::abort`, which logs nothing).
+    /// 2PC decision, abort path (also a failed op's own branch): the
+    /// unlinks' intents are removed by one unforced append, and only then
+    /// does the branch let go of its row locks (`Txn::abort`, which logs
+    /// nothing). No file changed before the decision, so none is undone.
     pub fn abort_host(&self, host_txid: u64) {
-        let Some(cell) = self.pending.lock().remove(&host_txid) else { return };
+        let Some(cell) = self.branch(host_txid) else { return };
         let mut sub = cell.lock();
+        let Some(txn) = sub.txn.take() else { return };
         self.record_decide(host_txid, "abort");
-        for UndoFs::RestoreAttrs { path, uid, gid, mode } in sub.undo.drain(..) {
-            let _ = self.set_attrs(&path, uid, gid, mode);
+        if sub.unlinked().next().is_some() {
+            let _ = self.repo.remove_intents(host_txid, sub.unlinked());
         }
-        if !sub.files.is_empty() {
-            let paths = sub.files.iter().map(|(path, _)| path.as_str());
-            let _ = self.repo.remove_intents(host_txid, paths);
-        }
-        if let Some(txn) = sub.txn.take() {
-            txn.abort();
-        }
+        txn.abort();
         sub.deferred.clear();
+        self.decided(host_txid, &sub);
+    }
+
+    /// `host_txid`'s live branch. Its decider takes the branch's
+    /// transaction — a second decider finds none and does nothing — and
+    /// the branch stays in `pending` until its decision has applied
+    /// ([`DlfmServer::decided`]).
+    fn branch(&self, host_txid: u64) -> Option<Arc<Mutex<SubTxn>>> {
+        self.pending.lock().get(&host_txid).cloned()
+    }
+
+    /// Retires a branch whose decision has applied: its links leave
+    /// [`DlfmServer::linking`] — after a commit their rows are visible,
+    /// after an abort nothing holds them — and the branch leaves `pending`,
+    /// so one gone from [`DlfmServer::pending_host_txns`] is settled.
+    fn decided(&self, host_txid: u64, sub: &SubTxn) {
+        let mut linking = self.linking.lock();
+        for path in sub.linked() {
+            linking.remove(path);
+        }
+        drop(linking);
+        self.pending.lock().remove(&host_txid);
         self.bump_epoch();
     }
 
@@ -797,10 +882,12 @@ impl DlfmServer {
     /// that decides the branch: so the branch committed iff the row of a
     /// file it touched is **present for a link, absent for an unlink**. The
     /// row's presence cannot have changed since: the branch still holds its
-    /// `dl_files` row locks (live), or its intent survived a crash — and
-    /// every later link or unlink of the path forces its own intent after
-    /// this branch's unforced end, so if that end was lost, so was every
-    /// later link or unlink, none of which the host can have committed.
+    /// `dl_files` row locks (live), or it is an unlink whose intent survived
+    /// a crash — and a later unlink of the path forces its own intent after
+    /// this branch's end, and a later link forces that end before it votes
+    /// (the ordering rule of [`DlfmServer::link_file`]), so if the end was
+    /// lost, no later link or unlink reached the host. A link leaves no
+    /// intent: recovery reads a link off the host row alone.
     /// Later updates force nothing on this node, so a committed link may
     /// find its row above version 1: an update only moves the version. All
     /// files of one branch agree — the host commit is atomic — so the first
@@ -936,18 +1023,8 @@ impl DlfmServer {
             }
         }
         let decision = match self.repo.get_file(path) {
-            None => {
-                if self.cfg.strict_link {
-                    // Register the open anyway so link can see it.
-                    let _ = self.repo.add_sync(&SyncEntry {
-                        path: path.to_string(),
-                        kind: wanted,
-                        opener,
-                        uid,
-                    });
-                }
-                OpenDecision::NotManaged
-            }
+            // Register the open anyway so link can see it.
+            None => self.not_managed(path, wanted, opener, uid),
             Some(entry) => match wanted {
                 TokenKind::Write => self.open_check_write(&entry, uid, opener, &mut carried),
                 TokenKind::Read => self.open_check_read(&entry, uid, opener, &mut carried),
@@ -959,6 +1036,20 @@ impl DlfmServer {
             let _ = self.repo.put_token_entry(uid, path, token.kind, token.expires_at_ms);
         }
         decision
+    }
+
+    /// The open check's `NotManaged` answer. Under strict link it first
+    /// registers the open, so a later link sees it — or refuses the open
+    /// while a live link branch holds the path
+    /// ([`DlfmServer::register_open`]).
+    fn not_managed(&self, path: &str, kind: TokenKind, opener: u64, uid: u32) -> OpenDecision {
+        if !self.cfg.strict_link {
+            return OpenDecision::NotManaged;
+        }
+        match self.register_strict(path, kind, opener, uid) {
+            Ok(()) => OpenDecision::NotManaged,
+            Err(e) => OpenDecision::Rejected(e),
+        }
     }
 
     /// Is `uid` admitted to `wanted` access of `path` — by the token the
@@ -1033,15 +1124,7 @@ impl DlfmServer {
             crate::repository::WriteClaim::NotLinked => {
                 // Unlinked between the caller's lookup and the claim. Keep
                 // the strict NotManaged arms symmetric: register the open.
-                if self.cfg.strict_link {
-                    let _ = self.repo.add_sync(&SyncEntry {
-                        path: entry.path.clone(),
-                        kind: TokenKind::Write,
-                        opener,
-                        uid,
-                    });
-                }
-                return OpenDecision::NotManaged;
+                return self.not_managed(&entry.path, TokenKind::Write, opener, uid);
             }
         };
         // §4.4: "any new update request to the file is blocked until the
@@ -1104,15 +1187,7 @@ impl DlfmServer {
             // user — but register the open like every other NotManaged
             // arm, or strict unlink could miss it (DLFS records the
             // instance and unregisters at close).
-            if self.cfg.strict_link {
-                let _ = self.repo.add_sync(&SyncEntry {
-                    path: entry.path.clone(),
-                    kind: TokenKind::Read,
-                    opener,
-                    uid,
-                });
-            }
-            return OpenDecision::NotManaged;
+            return self.not_managed(&entry.path, TokenKind::Read, opener, uid);
         }
         if !self.token_admits(carried, uid, &entry.path, TokenKind::Read) {
             return OpenDecision::Rejected(format!(
@@ -1327,17 +1402,43 @@ impl DlfmServer {
         let _ = self.set_attrs(&entry.path, uid, gid, mode);
     }
 
-    /// Remove/rename veto (§2.3): linked files with referential integrity
-    /// cannot be removed or renamed — that would dangle the DATALINK.
+    /// Remove/rename/chmod/chown veto (§2.3): linked files with
+    /// referential integrity cannot be removed or renamed — that would
+    /// dangle the DATALINK — nor have their owner or permission bits
+    /// changed. A file a live link branch holds counts as linked: the
+    /// branch has voted on the file and its attributes, and the host may
+    /// commit it at any time. The check refuses rather than answering
+    /// `Busy`: the branch's transaction may be the caller's own, which
+    /// would wait on itself. The branch is looked at before the committed
+    /// row, which its commit makes visible before the branch is retired.
     pub fn mutation_check(&self, path: &str) -> Result<(), String> {
         self.stats.upcalls.inc();
-        match self.repo.get_file(path) {
-            Some(entry) if entry.mode.referential_integrity() => Err(format!(
-                "{path} is linked to the database (mode {}); remove/rename rejected",
-                entry.mode
+        let voted = self.linking.lock().get(path).copied();
+        match voted.or_else(|| self.repo.get_file(path).map(|entry| entry.mode)) {
+            Some(mode) if mode.referential_integrity() => Err(format!(
+                "{path} is linked to the database (mode {mode}); remove/rename/chmod rejected"
             )),
             _ => Ok(()),
         }
+    }
+
+    /// Records a strict-link registration of an open of a file this node
+    /// does not manage (§4.5) — refused while a live link branch holds the
+    /// path: that link voted on a file with no registered open, and the
+    /// check and the registration are atomic against its vote.
+    fn register_strict(
+        &self,
+        path: &str,
+        kind: TokenKind,
+        opener: u64,
+        uid: u32,
+    ) -> Result<(), String> {
+        let linking = self.linking.lock();
+        if linking.contains_key(path) {
+            return Err(format!("{path} is being linked (strict link mode); open rejected"));
+        }
+        let entry = SyncEntry { path: path.to_string(), kind, opener, uid };
+        self.repo.add_sync(&entry).map_err(|e| e.to_string())
     }
 
     /// strict-link registration of an open (§4.5 future work, implemented
@@ -1348,15 +1449,12 @@ impl DlfmServer {
     /// acquired a conflict-checked read claim on a managed path that no
     /// close-notify would release, or silently dropped the registration
     /// when the grant came back `Busy`/`Rejected` — re-opening exactly the
-    /// window strict mode exists to close.
-    pub fn register_open(&self, path: &str, uid: u32, opener: u64) {
+    /// window strict mode exists to close. DLFS registers before the
+    /// physical open, so a refusal (a live link branch holds the path)
+    /// fails the open.
+    pub fn register_open(&self, path: &str, uid: u32, opener: u64) -> Result<(), String> {
         self.stats.upcalls.inc();
-        let _ = self.repo.add_sync(&SyncEntry {
-            path: path.to_string(),
-            kind: TokenKind::Read,
-            opener,
-            uid,
-        });
+        self.register_strict(path, TokenKind::Read, opener, uid)
     }
 
     /// Close of a strict-link registered open.
@@ -1402,13 +1500,20 @@ impl DlfmServer {
             Message::EpochGet => Message::EpochIs(self.epoch()),
             Message::FreshnessToken => Message::Freshness(self.repo.db().state_id()),
 
-            Message::Link { txid, coord_epoch, path, mode, recovery, on_unlink } => unit((|| {
-                let mode = ControlMode::try_from(mode)?;
-                let on_unlink = OnUnlink::try_from(on_unlink)?;
-                self.guard_coordinator(coord_epoch)?;
-                self.link_file(txid, &path, mode, recovery, on_unlink)
-            })(
-            )),
+            Message::Link { txid, coord_epoch, path, mode, recovery, on_unlink } => {
+                let vote = (|| {
+                    let mode = ControlMode::try_from(mode)?;
+                    let on_unlink = OnUnlink::try_from(on_unlink)?;
+                    self.guard_coordinator(coord_epoch)?;
+                    self.link_file(txid, &path, mode, recovery, on_unlink)
+                })();
+                match vote {
+                    Ok(LinkVote { size, mtime, uid, gid, mode }) => {
+                        Message::LinkVote { size, mtime, uid, gid, mode }
+                    }
+                    Err(e) => Message::Err(e),
+                }
+            }
             Message::Unlink { txid, coord_epoch, path } => unit(
                 self.guard_coordinator(coord_epoch).and_then(|()| self.unlink_file(txid, &path)),
             ),
@@ -1452,8 +1557,7 @@ impl DlfmServer {
             }
             Message::MutationCheck { path } => unit(self.mutation_check(&path)),
             Message::RegisterOpen { path, uid, opener } => {
-                self.register_open(&path, uid, opener);
-                Message::Ok
+                unit(self.register_open(&path, uid, opener))
             }
             Message::UnregisterOpen { path, opener } => {
                 self.unregister_open(&path, opener);
@@ -1471,18 +1575,23 @@ impl DlfmServer {
     /// Brings this node to what `host` — the host's rows naming it — says:
     /// the one recovery rule, run by crash recovery, file-server failover
     /// and point-in-time restore before the node serves anyone. Every path
-    /// the view, `dl_files`, an intent or a claim names settles by
+    /// the views, `dl_files`, an intent or a claim names settles by
     /// `DlfmServer::reconcile_file` — which also reads each linked file's
     /// attributes for a write in flight — in one forced repository commit; then
     /// versions whose archive job was lost are archived from the disk.
-    /// Token entries and Sync rows are unlogged: none come back.
-    pub fn recover(&self, host: &HostView) -> Result<RecoveryReport, String> {
+    /// Token entries and Sync rows are unlogged: none come back. `before`
+    /// is the host's rows as they stood before the host was rewound — a
+    /// point-in-time restore passes the running host's; crash recovery and
+    /// failover, which rewind nothing, pass none. A link only they hold is
+    /// handed back from them: the node may keep no record of it, a link's
+    /// end being unforced.
+    pub fn recover(&self, host: &HostView, before: &HostView) -> Result<RecoveryReport, String> {
         let mut report = RecoveryReport::default();
         let mut local: BTreeMap<String, LocalRecords> = BTreeMap::new();
         let mut branches: BTreeMap<u64, Vec<(String, BranchOp)>> = BTreeMap::new();
         for intent in self.repo.list_intents() {
             let path = intent.file.path.clone();
-            branches.entry(intent.host_txid).or_default().push((path.clone(), intent.op));
+            branches.entry(intent.host_txid).or_default().push((path.clone(), BranchOp::Unlink));
             local.entry(path).or_default().intent = Some(intent);
         }
         // A branch's outcome is the settle rule's, asked of the same rows
@@ -1501,14 +1610,15 @@ impl DlfmServer {
             let path = claim.path.clone();
             local.entry(path).or_default().claim = Some(claim);
         }
-        for path in host.keys() {
+        for path in host.keys().chain(before.keys()) {
             local.entry(path.clone()).or_default();
         }
         let host_state = self.host.read().as_ref().map(|hook| hook.state_id());
         let state_id = host_state.unwrap_or_else(|| self.repo.db().state_id());
         let mut txn = self.repo.db().begin();
         for (path, records) in local {
-            self.reconcile_file(&mut txn, &path, host.get(&path), records, state_id, &mut report)?;
+            let rows = (host.get(&path), before.get(&path));
+            self.reconcile_file(&mut txn, &path, rows, records, state_id, &mut report)?;
         }
         txn.commit().map_err(|e| e.to_string())?;
 
@@ -1534,20 +1644,23 @@ impl DlfmServer {
     }
 
     /// **The reconcile rule** for one path — the table in DESIGN.md
-    /// ("Recovery and replication"). `host` is the host's row, `local` what
-    /// this node's log kept; the row changes go into `txn`. The host row
-    /// decides every case: an intent only supplies the entry and the
-    /// original attributes, a claim the version it reserved, the disk
+    /// ("Recovery and replication"). `rows` are the host's row and the row
+    /// from before a rewind ([`DlfmServer::recover`]'s `before`), `local`
+    /// what this node's log kept; the row changes go into `txn`. The host
+    /// row decides every case: a link's entry and original attributes come
+    /// from this node's row or else the host row, an unlink's intent says
+    /// what the unlink did, a claim the version it reserved, the disk
     /// whether a write is in flight.
     fn reconcile_file(
         &self,
         txn: &mut dl_minidb::Txn,
         path: &str,
-        host: Option<&HostFile>,
+        rows: (Option<&HostFile>, Option<&HostFile>),
         local: LocalRecords,
         state_id: u64,
         report: &mut RecoveryReport,
     ) -> Result<(), String> {
+        let (host, before) = rows;
         let LocalRecords { file, intent, claim } = local;
         let db_err = |e: dl_minidb::DbError| e.to_string();
         // A claim whose version the host row records committed (its close
@@ -1561,10 +1674,7 @@ impl DlfmServer {
             }
             self.repo.remove_uip_in(txn, path).map_err(db_err)?;
         }
-        let unlink_action = match &intent {
-            Some(IntentEntry { op: BranchOp::Unlink, file, .. }) => Some(file.on_unlink),
-            _ => None,
-        };
+        let unlink_action = intent.as_ref().map(|intent| intent.file.on_unlink);
         if let Some(intent) = &intent {
             self.repo.remove_intent_in(txn, intent.host_txid, path).map_err(db_err)?;
         }
@@ -1583,29 +1693,27 @@ impl DlfmServer {
                 }
             }
             (None, None) => {
-                if let Some(IntentEntry { op: BranchOp::Link, file, .. }) = &intent {
-                    let _ = self.set_attrs(path, file.orig_uid, file.orig_gid, file.orig_mode);
+                // A link the host was rewound past, whose row this node never
+                // kept: hand the file back as the row from before the rewind
+                // says — its take-over may have applied.
+                if let Some(row) = before {
+                    let _ = self.set_attrs(path, row.orig_uid, row.orig_gid, row.orig_mode);
                     report.links_undone += 1;
                 }
             }
             (Some(row), file) => {
-                // The link as this node recorded it — its row, or the intent
-                // of a branch whose end was lost — else as the disk shows it.
+                // The link as this node recorded it, else as the host row
+                // records it (its end was lost, or it was made before a
+                // rewind past its unlink).
                 let relink = file.is_none();
-                let entry = match (file, &intent) {
-                    (Some(entry), _) => Some(entry),
-                    (None, Some(IntentEntry { op: BranchOp::Link, file, .. })) => {
-                        Some(file.clone())
-                    }
-                    (None, _) => self.entry_on_disk(path, row),
-                };
+                let entry = file.or_else(|| self.entry_of_row(path, row));
                 let Some(entry) = entry else {
                     report.missing_versions.push((path.to_string(), row.version));
                     return Ok(());
                 };
                 if relink {
                     self.repo.insert_file_in(txn, &entry).map_err(db_err)?;
-                    report.files_relinked += u64::from(intent.is_none());
+                    report.files_relinked += 1;
                 }
                 // A write in flight that no uncommitted claim accounts for:
                 // its claim was lost, or only an earlier update's committed
@@ -1631,13 +1739,12 @@ impl DlfmServer {
         Ok(())
     }
 
-    /// The entry of a link the host committed and this node holds no
-    /// record of (a restore to before an unlink, a failover to a standby
-    /// the intent never reached): the column's options, and the attributes
-    /// on disk as the original ones — after a lost take-over those are the
-    /// linked ones, the owner being gone with the intent. `None` when the
+    /// The entry of a link the host committed and this node holds no row
+    /// of (its end was lost to a crash or a failover, or a restore went
+    /// back to before its unlink): the column's options and the original
+    /// attributes the link's vote recorded in the host row. `None` when the
     /// file is not on disk.
-    fn entry_on_disk(&self, path: &str, row: &HostFile) -> Option<FileEntry> {
+    fn entry_of_row(&self, path: &str, row: &HostFile) -> Option<FileEntry> {
         let attr = self.admin.stat(&ROOT, path).ok()?;
         Some(FileEntry {
             path: path.to_string(),
@@ -1645,9 +1752,9 @@ impl DlfmServer {
             recovery: row.recovery,
             on_unlink: row.on_unlink,
             cur_version: 1,
-            orig_uid: attr.uid,
-            orig_gid: attr.gid,
-            orig_mode: attr.mode,
+            orig_uid: row.orig_uid,
+            orig_gid: row.orig_gid,
+            orig_mode: row.orig_mode,
             ino: attr.ino,
             state_id: 0,
             needs_archive: false,
@@ -1718,7 +1825,8 @@ impl Drop for DlfmServer {
 }
 
 /// One file of a node as the host's committed rows describe it: the
-/// version its `__dl_meta` row records and the options of the DATALINK
+/// version and the original attributes its `__dl_meta` row records (the
+/// latter from the link's [`LinkVote`]) and the options of the DATALINK
 /// column whose row references it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostFile {
@@ -1726,6 +1834,9 @@ pub struct HostFile {
     pub mode: ControlMode,
     pub recovery: bool,
     pub on_unlink: OnUnlink,
+    pub orig_uid: u32,
+    pub orig_gid: u32,
+    pub orig_mode: u16,
 }
 
 /// The host's view of one node — path → [`HostFile`] for every file whose
@@ -1737,6 +1848,7 @@ pub type HostView = HashMap<String, HostFile>;
 #[derive(Default)]
 struct LocalRecords {
     file: Option<FileEntry>,
+    /// A surviving unlink intent.
     intent: Option<IntentEntry>,
     claim: Option<UipEntry>,
 }
@@ -1744,9 +1856,11 @@ struct LocalRecords {
 /// What recovery did (assertable in tests, printed by the report binary).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// One entry per link/unlink branch a surviving intent left unsettled:
-    /// `(host_txid, committed)`.
+    /// One entry per unlink branch a surviving intent left unsettled:
+    /// `(host_txid, committed)`. A link leaves no intent.
     pub in_doubt_resolved: Vec<(u64, bool)>,
+    /// Files handed back from the host's rows before a rewind: links the
+    /// host no longer holds and this node kept no row of.
     pub links_undone: u64,
     pub unlinks_completed: u64,
     /// Files moved forward to the host row's version: a surviving claim
@@ -1757,8 +1871,10 @@ pub struct RecoveryReport {
     /// found by the file's write-grant attributes.
     pub updates_rolled_back: u64,
     pub archives_recovered: u64,
-    /// Links (`files_relinked`) and unlinks (`files_unlinked`) the host rows
-    /// hold and this node had no record of.
+    /// Links the host rows hold and this node kept no row of
+    /// (`files_relinked`), and files this node held linked that the host
+    /// rows no longer do with no unlink intent to show for it
+    /// (`files_unlinked`).
     pub files_relinked: u64,
     pub files_unlinked: u64,
     /// Files moved back to the host row's older, archived version (a

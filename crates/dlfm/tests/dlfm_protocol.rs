@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use dl_dlfm::{
     embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
-    DlfmServer, FaultInjector, HostFile, HostHook, MainDaemon, Message, OnUnlink, OpenDecision,
-    TokenKey, TokenKind, WireConnector, WireDaemon,
+    DlfmServer, FaultInjector, HostFile, HostHook, HostView, MainDaemon, Message, OnUnlink,
+    OpenDecision, TokenKey, TokenKind, WireConnector, WireDaemon,
 };
 use dl_fskit::{
     Clock, Cred, DirEntry, FileAttr, FileSystem, FsResult, Ino, Lfs, LockOp, LockOwner, MemFs,
@@ -99,7 +99,7 @@ fn link_applies_constraints_and_commit_makes_durable() {
     assert_eq!(entry.mode, ControlMode::Rdd);
     assert_eq!(entry.cur_version, 1);
     assert_eq!(entry.orig_uid, ALICE.uid);
-    // The link intent was consumed by the commit.
+    // A link forces no intent.
     assert!(f.server.repository().list_intents().is_empty());
 }
 
@@ -107,12 +107,10 @@ fn link_applies_constraints_and_commit_makes_durable() {
 fn link_abort_restores_file_attributes() {
     let f = fixture();
     f.server.link_file(7, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    // Constraint applied eagerly...
-    assert_eq!(
-        f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().uid,
-        f.server.config().dlfm_cred.uid
-    );
-    // ...and undone on abort.
+    // The take-over waits for the decision...
+    assert_eq!(f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().uid, ALICE.uid);
+    assert!(f.server.repository().list_intents().is_empty(), "the vote wrote nothing");
+    // ...so an abort leaves the file as it was.
     f.server.abort_host(7);
     let attr = f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
     assert_eq!(attr.uid, ALICE.uid);
@@ -600,11 +598,14 @@ fn crash_and_recover(
                 mode: ControlMode::Rdd,
                 recovery: true,
                 on_unlink: OnUnlink::Restore,
+                orig_uid: ALICE.uid,
+                orig_gid: ALICE.gid,
+                orig_mode: 0o644,
             };
             (path, row)
         })
         .collect();
-    let report = server2.recover(&view).unwrap();
+    let report = server2.recover(&view, &HostView::new()).unwrap();
     (fs, server2, report)
 }
 
@@ -672,14 +673,15 @@ fn crash_with_in_doubt_link_resolves_by_host_outcome() {
         f.server
             .link_file(77, "/data/clip.mpg", ControlMode::Rdd, true, OnUnlink::Restore)
             .unwrap();
-        // CRASH between the vote and the decision: the branch is in doubt.
-        // The host transaction that links the file inserts its metadata
-        // row at version 1: the row is there iff the host committed.
+        // CRASH between the vote and the decision. The vote wrote nothing
+        // here: the host transaction that links the file inserts its
+        // metadata row at version 1, with the original attributes, and the
+        // row is there iff the host committed.
         let host_rows: &[(&str, u64)] = if host_committed { &[(CLIP_URL, 1)] } else { &[] };
         let (fs, server2, report) = crash_and_recover(f, repo_env, host_rows);
 
-        assert_eq!(report.in_doubt_resolved.len(), 1);
-        assert_eq!(report.in_doubt_resolved[0].1, host_committed);
+        assert!(report.in_doubt_resolved.is_empty(), "a link leaves no intent in doubt");
+        assert_eq!(report.files_relinked, u64::from(host_committed));
         let admin = Lfs::new(fs as Arc<dyn FileSystem>);
         let attr = admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
         if expect_linked {
@@ -891,7 +893,7 @@ fn strict_register_open_of_managed_file_blocks_unlink() {
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rff);
 
     let client = MainDaemon::new(Arc::clone(&f.server)).connect();
-    client.register_open("/data/clip.mpg", ALICE.uid, 41);
+    client.register_open("/data/clip.mpg", ALICE.uid, 41).unwrap();
     let err = f.server.unlink_file(2, "/data/clip.mpg").unwrap_err();
     assert!(err.contains("open"), "registered open must block unlink: {err}");
     f.server.abort_host(2);
@@ -921,7 +923,7 @@ fn strict_register_open_never_runs_the_grant_protocol() {
     // Registration while the write is open must still be recorded (the
     // grant protocol would answer Busy here and record nothing).
     let client = MainDaemon::new(Arc::clone(&f.server)).connect();
-    client.register_open("/data/clip.mpg", ALICE.uid, 8);
+    client.register_open("/data/clip.mpg", ALICE.uid, 8).unwrap();
     let sync = f.server.repository().sync_entries("/data/clip.mpg");
     assert_eq!(sync.len(), 2, "write grant + registration must both be visible: {sync:?}");
 
@@ -1079,7 +1081,7 @@ fn every_request_gets_the_same_reply_from_handle_and_both_carriers() {
         &expected.iter().filter(|(req, _)| req.name() == name).nth(nth).unwrap().1
     };
     assert!(matches!(reply_to("Hello", 0), Message::HelloAck { coord_epoch: FENCE, .. }));
-    assert_eq!(reply_to("Link", 0), &Message::Ok);
+    assert!(matches!(reply_to("Link", 0), Message::LinkVote { uid: 100, mode: 0o644, .. }));
     assert_eq!(reply_to("ValidateToken", 0), &Message::TokenKindIs(TokenKind::Write.into()));
     assert!(matches!(reply_to("OpenCheck", 0), Message::OpenApproved { .. }));
     assert!(matches!(reply_to("OpenCheck", 1), Message::OpenBusy(_)));
@@ -1263,8 +1265,11 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
         mode: ControlMode::Rdd,
         recovery: true,
         on_unlink: OnUnlink::Restore,
+        orig_uid: ALICE.uid,
+        orig_gid: ALICE.gid,
+        orig_mode: 0o644,
     };
-    let report = promoted.recover(&[(CLIP.to_string(), row)].into()).unwrap();
+    let report = promoted.recover(&[(CLIP.to_string(), row)].into(), &HostView::new()).unwrap();
     assert_eq!(report.archives_recovered, 1, "the promoted server archives v2 itself");
 
     let tok = write_token(&f, CLIP);

@@ -201,6 +201,34 @@ impl Dlfs {
         Ok(())
     }
 
+    /// The physical open of a file not under full control. Strict mode
+    /// registers it with DLFM first, so the server sees it before it
+    /// exists and can refuse it — while a live link branch holds the path
+    /// — and undoes the registration when the physical open fails.
+    fn passthrough_open(
+        &self,
+        cred: &Cred,
+        ino: Ino,
+        flags: OpenFlags,
+        path: &str,
+        write: bool,
+    ) -> FsResult<()> {
+        if !self.cfg.strict {
+            self.inner.fs_open(cred, ino, flags)?;
+            self.stats.passthrough_opens.inc();
+            return Ok(());
+        }
+        let opener = self.new_opener();
+        self.upcall.register_open(path, cred.uid, opener).map_err(FsError::Rejected)?;
+        if let Err(e) = self.inner.fs_open(cred, ino, flags) {
+            self.upcall.unregister_open(path, opener);
+            return Err(e);
+        }
+        self.stats.passthrough_opens.inc();
+        self.record_open(ino, write, OpenInstance { opener, managed: false, registered: true });
+        Ok(())
+    }
+
     /// Runs the DLFM open check with the configured wait policy, presenting
     /// `token` on every try.
     fn checked_open(
@@ -366,18 +394,7 @@ impl FileSystem for Dlfs {
         // presents.
         if !wants_write {
             self.validate_presented(&path, token, cred)?;
-            self.inner.fs_open(cred, ino, flags)?;
-            self.stats.passthrough_opens.inc();
-            if self.cfg.strict {
-                let opener = self.new_opener();
-                self.upcall.register_open(&path, cred.uid, opener);
-                self.record_open(
-                    ino,
-                    false,
-                    OpenInstance { opener, managed: false, registered: true },
-                );
-            }
-            return Ok(());
+            return self.passthrough_open(cred, ino, flags, &path, false);
         }
 
         // Write open: optimistically try the physical open; only a failure
@@ -385,20 +402,7 @@ impl FileSystem for Dlfs {
         // first, since the physical open may truncate; the open check of a
         // refused write then finds the entry that validation recorded.
         self.validate_presented(&path, token, cred)?;
-        match self.inner.fs_open(cred, ino, flags) {
-            Ok(()) => {
-                self.stats.passthrough_opens.inc();
-                if self.cfg.strict {
-                    let opener = self.new_opener();
-                    self.upcall.register_open(&path, cred.uid, opener);
-                    self.record_open(
-                        ino,
-                        true,
-                        OpenInstance { opener, managed: false, registered: true },
-                    );
-                }
-                Ok(())
-            }
+        match self.passthrough_open(cred, ino, flags, &path, true) {
             Err(FsError::AccessDenied) => {
                 let opener = self.new_opener();
                 match self.checked_open(&path, cred, TokenKind::Write, opener, None)? {
@@ -427,7 +431,7 @@ impl FileSystem for Dlfs {
                     OpenDecision::Busy => unreachable!("handled by checked_open"),
                 }
             }
-            Err(e) => Err(e),
+            other => other,
         }
     }
 

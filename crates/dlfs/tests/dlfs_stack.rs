@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use dl_dlfm::{
     embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostFile,
-    MainDaemon, OnUnlink, TokenKey, TokenKind,
+    HostView, MainDaemon, OnUnlink, TokenKey, TokenKind,
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
 use dl_fskit::{
@@ -349,8 +349,12 @@ fn aborted_update_restores_content_via_recovery_path() {
         mode: ControlMode::Rdd,
         recovery: true,
         on_unlink: OnUnlink::Restore,
+        orig_uid: ALICE.uid,
+        orig_gid: ALICE.gid,
+        orig_mode: 0o644,
     };
-    let report = server2.recover(&[("/web/a.html".to_string(), row)].into()).unwrap();
+    let report =
+        server2.recover(&[("/web/a.html".to_string(), row)].into(), &HostView::new()).unwrap();
     assert_eq!(report.updates_rolled_back, 1);
     assert_eq!(raw.read_file(&Cred::root(), "/web/a.html").unwrap(), b"stable");
 }
@@ -376,6 +380,29 @@ fn strict_mode_blocks_link_of_open_file() {
     s.lfs.close(fd).unwrap();
     s.server.link_file(51, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     s.server.commit_host(51);
+}
+
+#[test]
+fn strict_mode_refuses_an_open_during_a_live_link_branch() {
+    // The link has voted on a file no registered open held; until its
+    // decision, strict mode refuses the registration — and with it the
+    // open, which DLFS registers before the physical open.
+    let mut dlfm_cfg = DlfmConfig::new("srv1");
+    dlfm_cfg.strict_link = true;
+    let s = stack_with(DlfsConfig { wait_policy: WaitPolicy::Block, strict: true }, dlfm_cfg);
+    s.server.link_file(52, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
+    for opts in [OpenOptions::read_only(), OpenOptions::write_truncate()] {
+        let err = s.lfs.open(&ALICE, "/web/plain.txt", opts).unwrap_err();
+        assert!(matches!(&err, FsError::Rejected(e) if e.contains("being linked")), "{err:?}");
+    }
+    assert!(s.server.repository().sync_entries("/web/plain.txt").is_empty(), "nothing registered");
+
+    // Once the branch aborts, the file opens again.
+    s.server.abort_host(52);
+    let fd = s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::read_only()).unwrap();
+    assert_eq!(s.server.repository().sync_entries("/web/plain.txt").len(), 1);
+    s.lfs.close(fd).unwrap();
+    assert!(s.server.repository().sync_entries("/web/plain.txt").is_empty());
 }
 
 #[test]

@@ -23,8 +23,9 @@
 //! * **Transactions** — `begin`/`commit`/`commit_unforced`/`abort`. There
 //!   is no participant-side prepare: DLFM's repository, the participant of
 //!   the companion SIGMOD 2000 paper "DLFM: A Transactional Resource
-//!   Manager", votes with a forced row of its own (its intent) and ends its
-//!   branch with an ordinary commit.
+//!   Manager", votes on an unlink with a forced row of its own (its
+//!   intent) and on a link with its reply alone, and ends its branch with
+//!   an ordinary commit.
 //! * **Unlogged tables** — a table created with [`Schema::unlogged()`] keeps
 //!   2PL and commit-time visibility but its rows never reach the log, a
 //!   snapshot or a standby; a transaction that wrote nothing else commits

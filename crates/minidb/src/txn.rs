@@ -312,8 +312,8 @@ impl Txn {
     /// version), claims a write open and records the update's version bump
     /// (losing them re-derives both from the host's metadata row and the
     /// file's write-grant attributes) and ends a link/unlink branch (losing
-    /// it re-derives it from the forced intent and the host's metadata
-    /// row).
+    /// it re-derives it from the host's metadata row, and for an unlink
+    /// from its forced intent).
     /// A transaction with enlisted participants is forced
     /// regardless: its commit record *is* the 2PC decision.
     pub fn commit_unforced(self) -> DbResult<Lsn> {

@@ -144,6 +144,17 @@ pub enum Message {
     // --- replies ------------------------------------------------------------
     Ok,
     Err(String),
+    /// A link's vote: what the node read of the file under the branch's
+    /// row lock, for the host's metadata row — size and mtime (§4.3) and
+    /// the original owner and permission bits the decision's take-over
+    /// replaces and an unlink hands back.
+    LinkVote {
+        size: u64,
+        mtime: u64,
+        uid: u32,
+        gid: u32,
+        mode: u16,
+    },
     TokenKindIs(u8),
     OpenApproved {
         uid: u32,
@@ -184,6 +195,11 @@ const T_OPEN_BUSY: u8 = 69;
 const T_OPEN_REJECTED: u8 = 70;
 const T_EPOCH_IS: u8 = 71;
 const T_FRESHNESS: u8 = 72;
+const T_LINK_VOTE: u8 = 73;
+
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -221,6 +237,10 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
@@ -274,6 +294,7 @@ impl Message {
             Message::FreshnessToken => "FreshnessToken",
             Message::Ok => "Ok",
             Message::Err(_) => "Err",
+            Message::LinkVote { .. } => "LinkVote",
             Message::TokenKindIs(_) => "TokenKindIs",
             Message::OpenApproved { .. } => "OpenApproved",
             Message::OpenNotManaged => "OpenNotManaged",
@@ -313,6 +334,7 @@ impl Message {
             Message::FreshnessToken => T_FRESHNESS_TOKEN,
             Message::Ok => T_OK,
             Message::Err(_) => T_ERR,
+            Message::LinkVote { .. } => T_LINK_VOTE,
             Message::TokenKindIs(_) => T_TOKEN_KIND,
             Message::OpenApproved { .. } => T_OPEN_APPROVED,
             Message::OpenNotManaged => T_OPEN_NOT_MANAGED,
@@ -382,6 +404,13 @@ impl Message {
             Message::EpochGet | Message::FreshnessToken | Message::Ok | Message::OpenNotManaged => {
             }
             Message::Err(e) | Message::OpenRejected(e) => put_str(out, e),
+            Message::LinkVote { size, mtime, uid, gid, mode } => {
+                put_u64(out, *size);
+                put_u64(out, *mtime);
+                put_u32(out, *uid);
+                put_u32(out, *gid);
+                put_u16(out, *mode);
+            }
             Message::TokenKindIs(k) => out.push(*k),
             Message::OpenApproved { uid, gid } => {
                 put_u32(out, *uid);
@@ -441,6 +470,13 @@ impl Message {
             T_FRESHNESS_TOKEN => Message::FreshnessToken,
             T_OK => Message::Ok,
             T_ERR => Message::Err(r.string()?),
+            T_LINK_VOTE => Message::LinkVote {
+                size: r.u64()?,
+                mtime: r.u64()?,
+                uid: r.u32()?,
+                gid: r.u32()?,
+                mode: r.u16()?,
+            },
             T_TOKEN_KIND => Message::TokenKindIs(r.u8()?),
             T_OPEN_APPROVED => Message::OpenApproved { uid: r.u32()?, gid: r.u32()? },
             T_OPEN_NOT_MANAGED => Message::OpenNotManaged,

@@ -73,6 +73,9 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         Just(Message::FreshnessToken),
         Just(Message::Ok),
         s.prop_map(Message::Err),
+        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<u16>()).prop_map(
+            |(size, mtime, uid, gid, mode)| Message::LinkVote { size, mtime, uid, gid, mode }
+        ),
         any::<u8>().prop_map(Message::TokenKindIs),
         (any::<u32>(), any::<u32>()).prop_map(|(uid, gid)| Message::OpenApproved { uid, gid }),
         Just(Message::OpenNotManaged),

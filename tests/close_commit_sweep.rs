@@ -5,19 +5,23 @@
 //! row at close — and appends its repository records *unforced*: the
 //! `dl_uip` claim at open, the close record (or, for a close that commits
 //! nothing, the claim's removal) and the archiver's `needs_archive` clear.
-//! A link or an unlink forces two — its intent (the branch's vote) and the
-//! host's `Commit` (which inserts or deletes the file's metadata row) — and
-//! ends the branch with one unforced repository record: the `Commit` of its
-//! `dl_files` row and intent removal, or, on abort, the intent removal
-//! alone. (An unlink's file-system action runs before its `Commit`, so
-//! "`Commit` kept, intent removal lost" is not a state the log can be in.)
-//! So at any instant the repository's disk holds everything forced so far
-//! plus **some prefix of the unforced tail**, and recovery must reach a
-//! consistent state from each of them by one rule: what the tail lost is
-//! settled by the host's metadata row — an update by its version, a
-//! surviving intent by its row's presence (link) or absence (unlink) — and
-//! a write in flight by the file's write-grant attributes, claim or no
-//! claim.
+//! A link forces one too — the host's `Commit`, which inserts the file's
+//! metadata row with the original attributes the link's vote read; the
+//! vote writes nothing on the node. An unlink forces two — its intent (the
+//! branch's vote) and the host's `Commit`, which deletes the row. Either
+//! ends its branch with one unforced repository record: the `Commit` of its
+//! `dl_files` rows and intent removals, or, on abort, the intent removals
+//! alone (an aborted link writes nothing). (A branch's file-system actions
+//! run before its `Commit`, so "`Commit` kept, intent removal lost" is not
+//! a state the log can be in; and a link makes its path's last unlink end
+//! durable before it votes, so that end is never cut together with the
+//! re-link's.) So at any instant the repository's disk holds everything
+//! forced so far plus **some prefix of the unforced tail**, and recovery
+//! must reach a consistent state from each of them by one rule: what the
+//! tail lost is settled by the host's metadata row — an update by its
+//! version, a link by the row's presence (re-linked from it), a surviving
+//! unlink intent by the row's absence — and a write in flight by the
+//! file's write-grant attributes, claim or no claim.
 //!
 //! The sweep visits every record boundary of the repository log at the
 //! moment it is the crash frontier. A seeded history — updates over the
@@ -33,18 +37,18 @@
 //! history is replayed per cut instead of one finished log being sheared
 //! everywhere. After a step that has a commit point the crash is also
 //! placed around it ([`Frontier`]): with the host log cut below the step's
-//! `Commit` (for a link or an unlink: after the forced intent, the host
-//! undecided; for a close: the file still under its write grant's
+//! `Commit` (for a link or an unlink: after the vote, the host undecided;
+//! for a close: the file still under its write grant's
 //! attributes), and — for a link or an unlink — between the `Commit` and
 //! phase two, the branch's own `Commit` never written.
 //!
 //! After each recovery, per file: user-table row, host metadata row and
 //! repository row are all there at one version or all gone; the file is
-//! taken over iff linked; its bytes and the archive are that version's; no
-//! claim, intent or pending branch is left; the report's
-//! in-doubt, roll-forward and roll-back entries are exactly what the cut
-//! left unsettled; and the next update, unlink or link of every file
-//! proceeds.
+//! taken over iff linked, and handed back to its owner's attributes iff
+//! not; its bytes and the archive are that version's; no claim, intent or
+//! pending branch is left; the report's in-doubt, roll-forward and
+//! roll-back entries are exactly what the cut left unsettled; and the next
+//! update, unlink or link of every file proceeds.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -149,8 +153,8 @@ enum Step {
     Unlink(usize),
     /// One transaction that unlinks the first file and links the second.
     Swap(usize, usize),
-    /// A link whose host commit hits a full disk after the repository
-    /// voted yes: the host aborts, and tells the branch so.
+    /// A link whose host commit hits a full disk after the node voted yes:
+    /// the host aborts, and tells the branch so.
     LinkFailing(usize),
     /// `checkpoint_and_truncate` on the host and on the repository.
     Checkpoint,
@@ -160,6 +164,12 @@ impl Step {
     /// A link/unlink transaction: two-phase commit, host as coordinator.
     fn is_two_phase(self) -> bool {
         matches!(self, Step::Link(_) | Step::Unlink(_) | Step::Swap(..))
+    }
+
+    /// A transaction that unlinks a file: its branch forces an intent,
+    /// which a crash before the branch's end leaves in doubt.
+    fn unlinks(self) -> bool {
+        matches!(self, Step::Unlink(_) | Step::Swap(..))
     }
 }
 
@@ -382,8 +392,11 @@ enum Tail {
     /// A claim of `file` given back with no version (a failed close): the
     /// commit that deletes it alone.
     Release(usize),
-    /// The end of a link/unlink branch: the commit that deletes its
-    /// intents — with its `dl_files` rows if it committed, alone if not.
+    /// The end of a branch that unlinked: the commit that deletes its
+    /// intents — with its `dl_files` rows if it committed, alone if not. A
+    /// link-only branch's end inserts `dl_files` rows and nothing else
+    /// (`Other`): its loss leaves nothing in doubt, the recovery re-links
+    /// from the host row.
     End {
         commit: bool,
     },
@@ -447,15 +460,12 @@ fn cut_last_host_commit((dev, base): (Arc<dyn Device>, Lsn)) {
 }
 
 /// The audit: for every file, user row, host row and repository row agree
-/// on `want[file]`, the file is taken over iff linked, bytes and archive
-/// are the version's; nothing is left claimed, intended, in doubt or
-/// pending; and the next operation on every file commits — an update to
-/// the next version and then an unlink for a linked file, a link for an
-/// unlinked one. A file in `owner_lost` was linked by a take-over whose
-/// intent its node never received: the re-link recorded the attributes it
-/// found, so the unlink hands the file back to the DLFM, not to its owner
-/// (the known limit of a failover, ROADMAP).
-fn audit(sys: &DataLinksSystem, want: &Versions, owner_lost: &[usize], context: &str) {
+/// on `want[file]`, the file is taken over iff linked and back with its
+/// owner's attributes iff not, bytes and archive are the version's;
+/// nothing is left claimed, intended, in doubt or pending; and the next
+/// operation on every file commits — an update to the next version and
+/// then an unlink for a linked file, a link for an unlinked one.
+fn audit(sys: &DataLinksSystem, want: &Versions, context: &str) {
     let node = sys.node(SRV).unwrap();
     let repo = node.server.repository();
     let raw = sys.raw_fs(SRV).unwrap();
@@ -469,7 +479,7 @@ fn audit(sys: &DataLinksSystem, want: &Versions, owner_lost: &[usize], context: 
         assert_eq!(meta, dl_files, "{context}: host row vs dl_files");
         assert_eq!(user_row.is_some(), meta.is_some(), "{context}: user row vs host row");
         let attr = raw.stat(&Cred::root(), &path_of(file)).unwrap();
-        if meta.is_some() || owner_lost.contains(&file) {
+        if meta.is_some() {
             assert_eq!((attr.uid, attr.mode), (dlfm.uid, 0o400), "{context}: not taken over");
         } else {
             assert_eq!((attr.uid, attr.mode), (APP.uid, 0o644), "{context}: not handed back");
@@ -522,8 +532,8 @@ enum Frontier {
     /// never appended.
     BeforePhaseTwo,
     /// Inside the step, before its commit point: the host log ends below
-    /// the step's `Commit` (for a link/unlink, only its forced intents are
-    /// on the repository's disk, and phase two never ran).
+    /// the step's `Commit` (for a link/unlink, only its unlinks' forced
+    /// intents are on the repository's disk, and phase two never ran).
     BeforeCommit,
 }
 
@@ -574,8 +584,9 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
             rolled_back.insert(file);
         }
     }
-    // The branches the cut leaves undecided, oldest first: those whose end
-    // it lost, then the one whose phase two never ran.
+    // The unlink branches the cut leaves undecided, oldest first: those
+    // whose end it lost, then the one whose phase two never ran. A link
+    // leaves no intent to settle.
     let mut undecided: Vec<bool> = tail
         .iter()
         .filter_map(|(lsn, kind)| match kind {
@@ -583,7 +594,7 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
             _ => None,
         })
         .collect();
-    if withheld {
+    if withheld && last.unlinks() {
         undecided.push(frontier == Frontier::BeforePhaseTwo);
     }
 
@@ -619,7 +630,7 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
         (rolled_forward.len() as u64, rolled_back.len() as u64),
         "{context}: every update settles by the host row and the file's attributes"
     );
-    audit(&sys, &want, &[], &context);
+    audit(&sys, &want, &context);
     boundaries.len()
 }
 
@@ -686,14 +697,10 @@ fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
         // claim shipped without its release.
         let released = u64::from(matches!(steps[cut], Step::CloseFailing(_)));
         assert_eq!(report.updates_rolled_back, model.open.len() as u64 + released, "step {cut}");
-        // A take-over the standby never heard of: the original owner is
-        // lost with the intent.
-        let owner_lost = match steps[cut] {
-            Step::Link(file) | Step::Swap(_, file) => vec![file],
-            _ => vec![],
-        };
+        // A link the standby never heard of is re-linked from the host
+        // row, which keeps the original owner.
         let context = format!("seed {SEED}, standby cut before step {cut} {:?}", steps[cut]);
-        audit(&sys, &model.version, &owner_lost, &context);
+        audit(&sys, &model.version, &context);
     }
     // Worth its name only if lost links, unlinks, updates and write opens
     // all happened.
@@ -740,7 +747,7 @@ fn failover_to_a_standby_holding_only_the_claims_settles_each_by_the_host_row() 
     let ring = sys.node(SRV).unwrap().server.flight_recorder().render("dlfm.srv", "test");
     assert!(ring.contains("roll_forward") && ring.contains("version=2 host_version=2"), "{ring}");
     assert_eq!(sys.metrics().counters["dlfm.srv.updates_rolled_forward"], 1);
-    audit(&sys, &[Some(2), Some(1), Some(1), None], &[], "failover at a claim-only prefix");
+    audit(&sys, &[Some(2), Some(1), Some(1), None], "failover at a claim-only prefix");
 }
 
 #[test]
@@ -783,6 +790,60 @@ fn host_failover_settles_a_voted_branch_by_whether_its_commit_shipped() {
         } else {
             [Some(1), Some(1), Some(1), None]
         };
-        audit(&sys, &want, &[], &format!("host failover, commit shipped: {shipped}"));
+        audit(&sys, &want, &format!("host failover, commit shipped: {shipped}"));
+    }
+}
+
+#[test]
+fn a_relink_after_an_unlink_survives_every_cut_of_the_unforced_tail() {
+    // File 0's first life: linked with its version-1 bytes, updated to
+    // version 2, unlinked. Its owner then writes new bytes and links it
+    // again. A link writes nothing durable on the node, so without the
+    // ordering rule the unlink's end could sit in the unforced tail beside
+    // the re-link's end, and a cut below both would leave the first life's
+    // row and the unlink's intent next to the second life's host row: the
+    // intent would settle as aborted and the move to version 1 would
+    // write the first life's archived bytes over the owner's. The re-link
+    // makes that end durable before it votes, so every cut recovers the
+    // second life: the owner's bytes, linked at version 1, with the
+    // owner's attributes as the original ones.
+    const OWNERS: &[u8] = b"the owner's bytes, written between the lives";
+    let file = 0;
+    let replay = || {
+        let rig = rig(0, 0);
+        update(&rig.sys, file, &bytes_of(file, 2));
+        two_phase(&rig.sys, false, |tx| delete_row(tx, file));
+        rig.sys.raw_fs(SRV).unwrap().write_file(&APP, &path_of(file), OWNERS).unwrap();
+        two_phase(&rig.sys, false, |tx| insert_row(tx, file));
+        rig
+    };
+    let mut cut = 0;
+    loop {
+        let Rig { sys, repo_env, .. } = replay();
+        let (tail, end) = flushed_tail(&sys);
+        let mut boundaries: Vec<Lsn> = tail.iter().map(|(lsn, _)| *lsn).collect();
+        boundaries.push(end);
+        let (dev, base) = active_log(sys.node(SRV).unwrap().server.repository().db(), &repo_env);
+        let image = sys.crash();
+        dev.set_len(boundaries[cut] - base).unwrap();
+        let context = format!("repository log cut at {}", boundaries[cut]);
+        let (sys, _) = DataLinksSystem::recover(image).unwrap();
+        let node = sys.node(SRV).unwrap();
+        let raw = sys.raw_fs(SRV).unwrap();
+        assert_eq!(raw.read_file(&Cred::root(), &path_of(file)).unwrap(), OWNERS, "{context}");
+        let entry = node.server.repository().get_file(&path_of(file)).expect("linked");
+        assert_eq!(entry.cur_version, 1, "{context}");
+        assert_eq!((entry.orig_uid, entry.orig_mode), (APP.uid, 0o644), "{context}");
+        let url = DatalinkUrl::parse(&url_of(file)).unwrap();
+        assert_eq!(sys.engine().file_meta(&url).map(|(_, _, v)| v), Some(1), "{context}");
+        // The second life ends with the file back with its owner, whole.
+        two_phase(&sys, false, |tx| delete_row(tx, file));
+        let attr = raw.stat(&Cred::root(), &path_of(file)).unwrap();
+        assert_eq!((attr.uid, attr.mode), (APP.uid, 0o644), "{context}");
+        assert_eq!(raw.read_file(&Cred::root(), &path_of(file)).unwrap(), OWNERS, "{context}");
+        cut += 1;
+        if cut == boundaries.len() {
+            break;
+        }
     }
 }

@@ -743,10 +743,12 @@ fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() 
 
 /// The window between "the file server is ready" and "the host decided",
 /// for every kind of DLFM transaction. Link and unlink are 2PC branches:
-/// the repository's intent — the branch's vote — is durable and the crash
-/// lands (a) before the host's `Commit` record or (b) after it but before
-/// the branch's own unforced `Commit`; recovery settles the surviving
-/// intent by the *host's* metadata row. An update has no branch and forces
+/// the branch has voted and the crash lands (a) before the host's `Commit`
+/// record or (b) after it but before the branch's own unforced `Commit`.
+/// An unlink's vote is its durable intent, which recovery settles by the
+/// *host's* metadata row; a link's vote wrote nothing on the file server,
+/// so recovery finds the link in the host's row or nowhere. An update has
+/// no branch and forces
 /// nothing on the file server: its claim at open and its close record are
 /// unforced appends, and the host's `Commit` of the metadata row is the one
 /// commit point. The same two crash points — (a) host undecided, (b) host
@@ -859,24 +861,39 @@ mod in_doubt_branch_follows_the_host_outcome {
     }
 
     /// Runs `op`, crashes, shears the repository log below the branch's
-    /// end — the commit that removes its intent — and, for a crash *before*
-    /// the host's decision, the host log below the op's `Commit`; then
-    /// recovers. (The branch's end is an unforced append: when nothing
-    /// flushed it before the crash it is already gone, which is the same
-    /// disk.)
+    /// end — the commit that removes an unlink's intent or inserts a link's
+    /// row — and, for a crash *before* the host's decision, the host log
+    /// below the op's `Commit`; then recovers. (The branch's end is an
+    /// unforced append: when nothing flushed it before the crash it is
+    /// already gone, which is the same disk.) An unlink leaves its intent
+    /// in doubt; a link leaves nothing to settle. A link's take-over waits
+    /// for the decision, so a crash before the host's `Commit` finds
+    /// `/d/new.bin` still with its owner's attributes: they are put back.
     fn crash_in_the_window(
         rig: Rig,
         host_committed: bool,
+        unlinks: bool,
         op: impl FnOnce(&DataLinksSystem),
     ) -> DataLinksSystem {
         let Rig { sys, host_env, repo_env } = rig;
         let host_mark = sys.state_id();
         let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
         op(&sys);
+        let raw = sys.raw_fs(SRV).unwrap();
         let image = sys.crash();
+        if !host_committed && !unlinks {
+            let owner = SetAttr {
+                uid: Some(APP.uid),
+                gid: Some(APP.gid),
+                mode: Some(0o644),
+                ..Default::default()
+            };
+            raw.setattr(&Cred::root(), "/d/new.bin", &owner).unwrap();
+        }
         shear_from_last(&repo_env, repo_mark, |rec| {
-            matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(
-                |op| matches!(op, RowOp::Delete { table, .. } if table == "dl_intents"),
+            matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(|op| matches!(op,
+                RowOp::Delete { table, .. } if table == "dl_intents")
+                || matches!(op, RowOp::Insert { table, .. } if table == "dl_files"),
             ))
         });
         if !host_committed {
@@ -885,7 +902,8 @@ mod in_doubt_branch_follows_the_host_outcome {
         let (sys, reports) = DataLinksSystem::recover(image).unwrap();
         let resolved: Vec<bool> =
             reports[SRV].in_doubt_resolved.iter().map(|(_, commit)| *commit).collect();
-        assert_eq!(resolved, [host_committed], "one surviving branch, settled the host's way");
+        let in_doubt = if unlinks { vec![host_committed] } else { vec![] };
+        assert_eq!(resolved, in_doubt, "one surviving unlink branch, settled the host's way");
         sys
     }
 
@@ -1003,7 +1021,8 @@ mod in_doubt_branch_follows_the_host_outcome {
     #[test]
     fn link_follows_the_host_outcome() {
         for host_committed in [false, true] {
-            let sys = crash_in_the_window(rig(), host_committed, |sys| link(sys, 2, "/d/new.bin"));
+            let sys =
+                crash_in_the_window(rig(), host_committed, false, |sys| link(sys, 2, "/d/new.bin"));
             let linked = sys.node(SRV).unwrap().server.repository().get_file("/d/new.bin");
             assert_eq!(linked.is_some(), host_committed);
             assert_eq!(
@@ -1020,7 +1039,7 @@ mod in_doubt_branch_follows_the_host_outcome {
     #[test]
     fn unlink_follows_the_host_outcome() {
         for host_committed in [false, true] {
-            let sys = crash_in_the_window(rig(), host_committed, |sys| unlink(sys, 1));
+            let sys = crash_in_the_window(rig(), host_committed, true, |sys| unlink(sys, 1));
             let linked = sys.node(SRV).unwrap().server.repository().get_file("/d/f.bin");
             assert_eq!(linked.is_none(), host_committed);
             assert_eq!(

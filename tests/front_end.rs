@@ -308,7 +308,7 @@ fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
                     let txid = 700_000 + (t * 100 + r) as u64 * 2;
                     match agent.link(txid, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore)
                     {
-                        Ok(()) => {
+                        Ok(_) => {
                             agent.commit(txid);
                             linked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let untx = txid + 1;
@@ -391,7 +391,7 @@ proptest! {
             match *op {
                 FrontOp::Register(i) => {
                     if !registered[i as usize] {
-                        server.register_open("/d/f.bin", APP.uid, 100 + i as u64);
+                        server.register_open("/d/f.bin", APP.uid, 100 + i as u64).unwrap();
                         registered[i as usize] = true;
                     }
                 }

@@ -11,7 +11,7 @@ use datalinks::dlfm::{
     OpenDecision, TokenKind, UipEntry,
 };
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
-use datalinks::minidb::{Column, ColumnType, Schema, Value};
+use datalinks::minidb::{Column, ColumnType, DiskFaults, Schema, StorageEnv, Value};
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -342,11 +342,11 @@ fn failover_matches_a_crash_recovered_primary() {
 
 #[test]
 fn a_link_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
-    // The link's intent reaches the standby, the primary dies, and the
-    // promotion settles the intent by presumed abort: the file is handed
-    // back. The host transaction is still open — its participant must vote
-    // no when asked, or the host would commit a user row and a metadata row
-    // with no link behind them.
+    // The link has voted, the primary dies, and the promotion finds nothing
+    // of it: the vote wrote nothing on the node and took nothing over, so
+    // the file is still its owner's. The host transaction is still open —
+    // the failover aborts it on the host, or the host would commit a user
+    // row and a metadata row with no link behind them.
     let mut sys = build(1, 0);
     sys.raw_fs(SRV).unwrap().write_file(&APP, "/d/late.bin", b"orphan").unwrap();
     let url = format!("dlfs://{SRV}/d/late.bin");
@@ -355,7 +355,7 @@ fn a_link_whose_branch_died_with_the_primary_cannot_commit_on_the_host() {
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
 
     let report = sys.fail_over(SRV).unwrap();
-    assert_eq!(report.links_undone, 1);
+    assert_eq!((report.links_undone, report.in_doubt_resolved.len()), (0, 0));
     assert!(tx.commit().is_err(), "no live branch on the promoted node: the vote is no");
 
     let repo = sys.node(SRV).unwrap().server.repository();
@@ -426,16 +426,17 @@ fn failover_to_a_standby_without_the_link_relinks_it_from_the_host_row() {
     tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}/d/f0.bin"))]).unwrap();
     tx.commit().unwrap();
 
-    // Neither the intent nor the branch's end reached the standby.
+    // Nothing of the link reached the standby: its vote wrote nothing
+    // there, and its branch's end was never shipped.
     let report = sys.fail_over(SRV).unwrap();
     assert!(report.in_doubt_resolved.is_empty());
     assert_eq!(report.files_relinked, 1);
     assert_rows_agree(&sys, 0, Some(1));
     assert_eq!(sys.serve_read(SRV, &read_token_path(&sys, 0), APP.uid).unwrap(), b"seed-0");
 
-    // The node carries on, but the re-link recorded the attributes it found:
-    // the take-over's original owner was only in the lost intent, so an
-    // unlink hands the file back to the DLFM (a known limit, ROADMAP).
+    // The node carries on, and the re-link took the original owner from
+    // the host row, which the link's vote filled: an unlink hands the file
+    // back to its owner with its original mode.
     write_once(&sys, 0, b"after the failover");
     assert_rows_agree(&sys, 0, Some(2));
     let mut tx = sys.begin();
@@ -443,8 +444,7 @@ fn failover_to_a_standby_without_the_link_relinks_it_from_the_host_row() {
     tx.commit().unwrap();
     assert!(sys.node(SRV).unwrap().server.repository().get_file("/d/f0.bin").is_none());
     let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/f0.bin").unwrap();
-    let dlfm = sys.node(SRV).unwrap().server.config().dlfm_cred;
-    assert_eq!((attr.uid, attr.mode), (dlfm.uid, 0o400), "the attributes the re-link found");
+    assert_eq!((attr.uid, attr.gid, attr.mode), (APP.uid, APP.gid, 0o644), "back to its owner");
 }
 
 #[test]
@@ -1160,12 +1160,25 @@ fn whole_system_crash_during_host_outage_recovers_from_the_promoted_disk() {
 fn node_crash_after_a_host_failover_lost_an_update_takes_the_host_version_from_the_archive() {
     // Host shipping is asynchronous: the promoted host keeps v2 and loses
     // v3's `Commit`, while the node's disk holds v3's bytes at rest. The
-    // node then crashes before its repository flushes, so `dl_files` comes
-    // back at v1 — behind the host row, which is behind the disk. The
-    // roll-forward to v2 takes v2's bytes from the archive, not the disk's.
-    let mut sys = build_host(1, 1);
+    // node then crashes and loses both updates' unforced records — the
+    // promotion flushed them, so a torn tail stands in for a crash before
+    // that flush — and `dl_files` comes back at v1: behind the host row,
+    // which is behind the disk. The roll-forward to v2 takes v2's bytes
+    // from the archive, not the disk's.
+    let faults = DiskFaults::new();
+    let mut spec = FileServerSpec::new(SRV);
+    spec.repo_env = StorageEnv::mem_with_faults(Arc::clone(&faults), 0);
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .host_replicas(1)
+        .file_server_with(spec)
+        .build()
+        .unwrap();
+    let mut sys = seed(sys, 1);
     let repo = sys.node(SRV).unwrap().server.repository().db().clone();
     repo.flush().unwrap();
+    let wal = repo.env().device("wal").unwrap();
+    let before_updates = wal.len().unwrap();
     write_once(&sys, 0, b"version two");
     assert!(sys.wait_host_replicas_caught_up(CATCH_UP));
     sys.set_host_replication_paused(true).unwrap();
@@ -1173,8 +1186,9 @@ fn node_crash_after_a_host_failover_lost_an_update_takes_the_host_version_from_t
     assert!(sys.host_replication_lag() > 0, "v3's commit must still be unshipped");
 
     sys.fail_over_host().unwrap();
-    assert!(repo.durable_lsn() < repo.state_id(), "both updates sit in the unforced tail");
-    drop(repo);
+    assert_eq!(repo.durable_lsn(), repo.state_id(), "the promotion flushed the node's tail");
+    faults.arm_torn_tail("wal", wal.len().unwrap() - before_updates);
+    drop((repo, wal));
     let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
     let report = &reports[SRV];
     assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (1, 0));

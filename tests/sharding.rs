@@ -160,9 +160,9 @@ fn aborted_cross_shard_transaction_leaves_no_shard_changed() {
 #[test]
 fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     // Both shards voted with their links; shard 1 dies before the
-    // decision. The coordinator must abort everywhere, and the
-    // promoted shard-1 standby must settle the claim it inherited by
-    // presumed abort (the coordinator never logged an outcome).
+    // decision. The coordinator must abort everywhere, and the promoted
+    // shard-1 standby must hold no link (the coordinator never logged an
+    // outcome, and a link's vote writes nothing on the node).
     let mut sys = build(2, 1, 0);
     let p0 = path_on(2, 0, "prep");
     let p1 = path_on(2, 1, "prep");
@@ -175,8 +175,7 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
     let txid = tx.id();
     a0.link(txid, &p0, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     a1.link(txid, &p1, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
-    // Both claims are durable repository commits; ship shard 1's to its
-    // standby so the promotion inherits the claim.
+    // Whatever shard 1 logged ships to its standby before it dies.
     assert!(sys.wait_replicas_caught_up(&shard_name(1), CATCH_UP).unwrap());
     assert_eq!(
         sys.node(&shard_name(0)).unwrap().server.pending_host_txns(),
@@ -184,12 +183,12 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
         "shard 0 voted yes"
     );
 
-    // Shard 1 crashes before the decision; its standby takes over. The
-    // promotion itself settles the inherited intent — the vote shard 1
-    // forced at link — by presumed abort: no host row stands behind it.
+    // Shard 1 crashes before the decision; its standby takes over. Its
+    // vote wrote nothing and took nothing over, so the promotion has no
+    // branch to settle and no file to hand back.
     let report = sys.fail_over(&shard_name(1)).unwrap();
-    assert_eq!(report.links_undone, 1, "the link intent is undone on promotion");
-    assert_eq!(report.in_doubt_resolved, vec![(txid, false)], "one presumed-abort entry");
+    assert_eq!(report.links_undone, 0, "the link's vote left nothing to undo");
+    assert!(report.in_doubt_resolved.is_empty(), "a link leaves no intent in doubt");
     let s1 = sys.node(&shard_name(1)).unwrap();
     assert!(s1.server.pending_host_txns().is_empty(), "promotion settled shard 1's claim");
     assert!(s1.server.repository().get_file(&p1).is_none(), "the aborted link left nothing");
@@ -215,8 +214,8 @@ fn crash_of_one_shard_mid_prepare_aborts_on_both_shards() {
 fn a_host_transaction_linking_on_two_shards_aborts_when_one_shard_fails_over() {
     // The engine links a file on each shard; shard 1's primary dies before
     // the host decides. The failover aborts the undecided host transaction
-    // before it reads the host rows, so the promotion undoes shard 1's
-    // branch, the commit fails, and shard 0 hears the abort too.
+    // before it reads the host rows, so the promotion finds no link of
+    // shard 1's branch, the commit fails, and shard 0 hears the abort too.
     let mut sys = build(2, 1, 0);
     let p0 = path_on(2, 0, "twin");
     let p1 = path_on(2, 1, "twin");
@@ -224,13 +223,12 @@ fn a_host_transaction_linking_on_two_shards_aborts_when_one_shard_fails_over() {
     seed_file(&sys, &p1, b"cand-1");
 
     let mut tx = sys.begin();
-    let txid = tx.id();
     tx.insert("t", vec![Value::Int(0), Value::DataLink(format!("dlfs://{SRV}{p0}"))]).unwrap();
     tx.insert("t", vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}{p1}"))]).unwrap();
     assert!(sys.wait_replicas_caught_up(&shard_name(1), CATCH_UP).unwrap());
 
     let report = sys.fail_over(&shard_name(1)).unwrap();
-    assert_eq!(report.in_doubt_resolved, vec![(txid, false)], "shard 1 presumes abort");
+    assert!(report.in_doubt_resolved.is_empty(), "shard 1's link left no intent in doubt");
     assert!(tx.commit().is_err(), "the whole host transaction aborts");
 
     for (i, p) in [&p0, &p1].into_iter().enumerate() {
