@@ -60,9 +60,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # nothing on the node — `link_file` commits nothing, forces no intent and
 # changes no attribute; the take-over waits for the decision — so there is
 # no undo list for an abort and no forced take-back of a vote.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote"
+# A frame is served on the thread that read it (DESIGN.md "Wire transport"):
+# no settle pool, no worker threads behind a lane, no growth or retire
+# window, no client reader election — and the wire daemon never hands a
+# frame to a queue (a full lane parks it on the gate instead).
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
+  || grep -rnE "settle_stats|reply_parked|try_grow|retire_window|upcall_idle_ms|upcall_workers_min" \
+    crates/ src/ tests/ scenarios/ \
+  || grep -n "\.submit(" crates/dlfm/src/wire.rs \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "PreparedTxn[P]articipant|dlfm-[c]lose:|ensure_[s]ettled" crates/ src/ tests/ \
@@ -88,7 +95,7 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
        | grep -nE "\.[c]ommit(_unforced)?\(\)|add_[i]ntent|set_[a]ttrs\(" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round or a repository write in a link's vote reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote or a frame hand-off to a worker reappeared (matches above)" >&2
   exit 1
 fi
 

@@ -11,8 +11,8 @@
 //!   count, lag drain, failover with link-state preservation.
 //! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
 //!   and fresh-standby delta catch-up.
-//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts, fixed vs
-//!   adaptive, and agent churn over the shared executor.
+//! * [`Kind::FrontEnd`] — the a12 arms: upcall bursts through a narrow
+//!   and a wide upcall lane, and agent churn over the shared executor.
 //! * [`Kind::Mixed`] — the generic client-mix loop with fault-injection
 //!   points (crash the primary at op N, stall/resume a standby, kill
 //!   upcall workers, exhaust the repository or host disk, shear the host
@@ -665,7 +665,8 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
 // front_end — the a12 engine loop
 // ===========================================================================
 
-/// Waits out the pool's idle window and reports the settled worker count.
+/// Heads still serving the upcall lane once the burst is over (waits up
+/// to 5 s for them to leave).
 fn settled_workers(f: &Fixture) -> usize {
     let node = f.sys.node(SRV).expect("node");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -715,7 +716,7 @@ fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
     (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
 }
 
-/// Peak OS threads the node's agent executor ever ran.
+/// The most heads that ever served the node's agent executor at once.
 fn executor_peak_threads(node: &dl_core::FileServerNode) -> usize {
     node.main_daemon().executor_stats().map_or(0, |stats| stats.peak_workers())
 }
@@ -728,6 +729,15 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
     let high_clients = plan.trials.iter().filter_map(|t| t.params.clients).max().unwrap_or(0);
     let mut low_clients = u64::MAX;
     let mut fixed_rate: BTreeMap<u64, f64> = BTreeMap::new();
+    // The narrowest upcall lane of the burst arms is the fixed baseline;
+    // the wider ones are the "adaptive" arms the asserts name.
+    let narrowest = plan
+        .trials
+        .iter()
+        .filter(|t| t.params.agents.is_none())
+        .filter_map(|t| t.params.pool_max)
+        .min()
+        .unwrap_or(0);
     let burst_lat = Histogram::new();
     let p0 = &plan.trials[0].params;
     let (title_cycles, title_sync) = (p0.cycles.unwrap_or(10), p0.sync_latency_us.unwrap_or(0));
@@ -737,29 +747,28 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         let p = &t0.params;
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
         match p.agents {
-            // --- bursty upcall load: fixed vs adaptive ----------------------
+            // --- bursty upcall load: narrow vs wide lane --------------------
             None => {
                 let clients = need(sc, t0, "clients", p.clients)?;
                 let cycles = need(sc, t0, "cycles", p.cycles)? as usize;
-                let pool_min = need(sc, t0, "pool_min", p.pool_min)? as usize;
-                let pool_max = need(sc, t0, "pool_max", p.pool_max)? as usize;
+                let pool_max = need(sc, t0, "pool_max", p.pool_max)?;
                 low_clients = low_clients.min(clients);
-                let adaptive = pool_max > pool_min;
+                let adaptive = pool_max > narrowest;
                 let (mut rate_sum, mut peak, mut settled) = (0.0f64, 0usize, 0usize);
                 for _ in &trials {
                     let f = fixture(FixtureOptions {
                         n_files: clients as usize,
                         file_size: 1024,
                         db_sync_latency_ns: sync_ns,
-                        // Archive inside the close, on the upcall worker:
+                        // Archive inside the close, in the upcall lane:
                         // back-to-back updates of one file then never wait
                         // on the single archiver thread.
                         sync_archive: true,
-                        upcall_pool: Some((pool_min, pool_max)),
+                        upcall_pool: Some(pool_max as usize),
                         // A gather window on the repository's group commit:
-                        // each commit parks its upcall worker for the
-                        // window, so served concurrency — the pool's head
-                        // count — is the deterministic bottleneck (the
+                        // each commit parks its upcall-lane head for the
+                        // window, so served concurrency — the lane's width
+                        // — is the deterministic bottleneck (the
                         // point of this experiment), not the raw CPU of
                         // the machine running it.
                         db: DbOptions {
@@ -782,12 +791,10 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     rate_sum +=
                         update_cycle_rate(&f, clients as usize, cycles, 64, Some(&burst_lat));
                     peak = f.sys.node(SRV).expect("node").upcall_pool_stats().peak_workers();
-                    if adaptive {
-                        settled = settled_workers(&f);
-                    }
+                    settled = settled_workers(&f);
                 }
                 let rate = rate_sum / trials.len() as f64;
-                let (vs_fixed, settled_cell) = if adaptive {
+                let vs_fixed = if adaptive {
                     let base = fixed_rate.get(&clients).copied();
                     if clients == high_clients {
                         metrics.insert("adaptive_high_peak_workers".into(), peak as f64);
@@ -796,20 +803,17 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                             metrics.insert("adaptive_high_vs_fixed".into(), rate / base);
                         }
                     }
-                    match base {
-                        Some(base) => (format!("{:.2}x", rate / base), s(settled)),
-                        None => (s("--"), s(settled)),
-                    }
+                    base.map_or(s("--"), |base| format!("{:.2}x", rate / base))
                 } else {
                     fixed_rate.insert(clients, rate);
-                    (s("--"), s(peak))
+                    s("--")
                 };
                 rows.push(vec![
                     t0.variant.clone(),
                     s(clients),
                     s(format!("{rate:.0}")),
                     s(peak),
-                    settled_cell,
+                    s(settled),
                     vs_fixed,
                 ]);
             }
@@ -858,7 +862,7 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         table: Table {
             id: sc.name.clone(),
             title: format!(
-                "elastic front end: adaptive upcall pool + shared agent executor \
+                "front end: upcall lane width + shared agent executor \
                  ({low_clients}/{high_clients} clients x {title_cycles} cycles, \
                  {title_agents} churn agents, {title_sync} µs device sync)"
             ),
@@ -868,7 +872,7 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                 s("ops/s"),
                 s("peak workers"),
                 s("workers after idle"),
-                s("vs fixed-8 / note"),
+                s("vs narrowest / note"),
             ],
             rows,
             notes: Vec::new(),
@@ -1050,10 +1054,7 @@ fn mixed_trial(
             shards,
             sync_archive: true,
             db_sync_latency_ns: sync_ns,
-            upcall_pool: match (p.pool_min, p.pool_max) {
-                (Some(lo), Some(hi)) => Some((lo as usize, hi as usize)),
-                _ => None,
-            },
+            upcall_pool: p.pool_max.map(|width| width as usize),
             ..Default::default()
         },
         fault,
@@ -1840,8 +1841,7 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     let unresolved = node.server.pending_host_txns().len() as u64;
     let atomicity_violations = leftovers + unresolved;
 
-    let executor_peak_threads =
-        (executor_peak_threads(node) + wire.daemon.settle_stats().peak_workers()) as u64;
+    let executor_peak_threads = wire.daemon.peak_threads() as u64;
 
     // Snapshot while the surviving connections are still open, so the
     // live `net.*.connections` gauge backs the concurrency claim too.

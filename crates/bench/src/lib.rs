@@ -62,9 +62,9 @@ pub struct FixtureOptions {
     /// Hot standbys of the *host database* (coordinator failover
     /// experiments). Zero keeps the paper's unreplicated coordinator.
     pub host_replicas: usize,
-    /// Bounds of the elastic upcall pool; `None` keeps the `DlfmConfig`
-    /// defaults, `Some((n, n))` pins the PR 2 fixed shape (a12 arms).
-    pub upcall_pool: Option<(usize, usize)>,
+    /// Width of the upcall lane; `None` keeps the `DlfmConfig` default
+    /// (a12 arms).
+    pub upcall_pool: Option<usize>,
     /// DLFM namespace shards behind the node (a13 scale-out arms).
     pub shards: usize,
     /// How the engine and DLFS reach the node: in-process calls or the
@@ -120,8 +120,8 @@ pub fn fixture_with_faults(
     dlfm.strict_link = opts.strict;
     dlfm.db = opts.db;
     dlfm.transport = opts.transport;
-    if let Some((min, max)) = opts.upcall_pool {
-        dlfm = dlfm.upcall_workers(min, max);
+    if let Some(width) = opts.upcall_pool {
+        dlfm = dlfm.upcall_workers(width);
     }
     let mem_env = || {
         if opts.db_sync_latency_ns > 0 {

@@ -21,6 +21,7 @@
 //!   unlinks alike.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dl_dlfm::{
@@ -61,27 +62,32 @@ pub const FRESHNESS_WAIT_FLOOR: std::time::Duration = std::time::Duration::from_
 /// The wait bound for the next read is `4 x EWMA`, clamped to
 /// [`FRESHNESS_WAIT_FLOOR`] .. [`FRESHNESS_WAIT`]: healthy sets converge
 /// to the floor, stalled sets back off to the PR 4 fixed wait.
+///
+/// A smoothed gauge, not an invariant: the read-modify-write is
+/// deliberately racy — a lost update skews one sample of an average.
 pub struct LagEwma {
-    lag: dl_dlfm::AtomicEwma,
+    lag_ns: AtomicU64,
 }
 
 impl Default for LagEwma {
     fn default() -> Self {
         // Seed at ceiling/4 so the very first reads use the conservative
         // PR 4 bound and adapt *down* from evidence, never up from hope.
-        LagEwma { lag: dl_dlfm::AtomicEwma::seeded(FRESHNESS_WAIT / 4) }
+        LagEwma { lag_ns: AtomicU64::new((FRESHNESS_WAIT / 4).as_nanos() as u64) }
     }
 }
 
 impl LagEwma {
     /// Folds one observed catch-up wait in (alpha = 1/4).
     fn record(&self, observed: std::time::Duration) {
-        self.lag.record(observed, 2);
+        let sample = observed.as_nanos().min(u64::MAX as u128) as u64;
+        let old = self.lag_ns.load(Ordering::Relaxed);
+        self.lag_ns.store(old - (old >> 2) + (sample >> 2), Ordering::Relaxed);
     }
 
     /// Smoothed lag estimate.
     pub fn current(&self) -> std::time::Duration {
-        self.lag.current()
+        std::time::Duration::from_nanos(self.lag_ns.load(Ordering::Relaxed))
     }
 
     /// The wait bound the next freshness read should use.
@@ -141,7 +147,7 @@ pub struct ServerRegistration {
 /// group-commit pipeline would batch all concurrent validations on the
 /// primary and replica fan-out could never show its distributed-capacity
 /// win. The lane applies only to the routed read path — the DLFS upcall
-/// path (the elastic pool) is untouched.
+/// path (the upcall lane) is untouched.
 type ReadLane = Mutex<()>;
 
 /// The read-lane key of a replica of registration `node`: `srv1/srv1#0`.

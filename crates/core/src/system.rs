@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dl_dlfm::{
-    ArchiveStore, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HostView, MainDaemon,
-    PoolProbe, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
+    ArchiveStore, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HeadGate, HostView,
+    MainDaemon, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
@@ -112,8 +112,8 @@ impl FileServerNode {
         self.wire.as_ref()
     }
 
-    /// Live gauges of the node's elastic upcall pool (workers, queue
-    /// depth, growth/shrink/panic counters).
+    /// Live gauges of the node's upcall lane (heads serving, parked
+    /// frames, task and panic counters).
     pub fn upcall_pool_stats(&self) -> &dl_dlfm::PoolStats {
         self.main.upcall_pool_stats()
     }
@@ -124,12 +124,12 @@ impl FileServerNode {
         &self.main
     }
 
-    /// Blocks until the node's upcall pool drains and every worker parks
-    /// (or `timeout` elapses); returns whether it went idle. Test/bench
-    /// helper: a panicking upcall delivers its failure to the waiting
-    /// client *before* the worker finishes unwinding, so a metrics
-    /// snapshot taken the moment the client returns can read the pool's
-    /// panic counter one short.
+    /// Blocks until no head serves the node's upcall lane and nothing is
+    /// parked on it (or `timeout` elapses); returns whether it went idle.
+    /// Test/bench helper: a panicking upcall delivers its failure to the
+    /// waiting client *before* its serving thread finishes unwinding, so a
+    /// metrics snapshot taken the moment the client returns can read the
+    /// lane's panic counter one short.
     pub fn quiesce_upcalls(&self, timeout: Duration) -> bool {
         self.main.wait_upcalls_idle(timeout)
     }
@@ -155,9 +155,9 @@ pub struct FileServerSpec {
     pub replicas: usize,
     /// Fault-injection hook for the node's lanes: called with every
     /// request a lane serves, before it is dispatched, on the thread
-    /// serving it (a pool worker over the wire, the caller itself
-    /// in-process). A panic inside the hook exercises the pool's
-    /// containment path (the caller sees a rejection, not a wedged
+    /// serving it (the reactor thread that read the frame over the wire,
+    /// the caller itself in-process). A panic inside the hook exercises
+    /// the lane's containment path (the caller sees a rejection, not a wedged
     /// daemon). `None` (the default) runs the daemons unhooked; the
     /// scenario lab arms this for kill-an-upcall-worker injections.
     pub upcall_fault: Option<FaultInjector>,
@@ -444,28 +444,28 @@ pub struct HostFailoverReport {
     pub in_doubt_resolved: Vec<(String, u64, bool)>,
 }
 
-/// Live worker-pool probes of every node, keyed by node name. The
-/// aggregate `pool.total_*` gauges sample it *live* — a pool that grew
-/// under load is visible at the very next snapshot, not at some later
+/// Live lane probes of every node, keyed by node name. The aggregate
+/// `pool.total_*` gauges sample it *live* — a burst of heads or parked
+/// frames is visible at the very next snapshot, not at some later
 /// refresh. Failover replaces a node's probes in place.
 #[derive(Default)]
 pub struct PoolRoster {
-    pools: Mutex<HashMap<String, Vec<Arc<dyn PoolProbe>>>>,
+    pools: Mutex<HashMap<String, Vec<Arc<HeadGate>>>>,
 }
 
 impl PoolRoster {
-    fn set(&self, node: &str, probes: Vec<Arc<dyn PoolProbe>>) {
-        self.pools.lock().insert(node.to_string(), probes);
+    fn set(&self, node: &str, gates: Vec<Arc<HeadGate>>) {
+        self.pools.lock().insert(node.to_string(), gates);
     }
 
-    /// Workers currently alive across every registered pool.
+    /// Heads serving right now across every registered lane.
     pub fn total_workers(&self) -> usize {
-        self.pools.lock().values().flatten().map(|p| p.workers()).sum()
+        self.pools.lock().values().flatten().map(|g| g.stats().workers()).sum()
     }
 
-    /// Jobs currently queued across every registered pool.
+    /// Frames parked right now across every registered lane.
     pub fn total_queue_depth(&self) -> usize {
-        self.pools.lock().values().flatten().map(|p| p.queue_depth()).sum()
+        self.pools.lock().values().flatten().map(|g| g.stats().queue_depth()).sum()
     }
 }
 
@@ -1122,13 +1122,13 @@ impl DataLinksSystem {
     /// rebuild, so the totals count the *current* incarnation's pools.
     fn adopt_node_pools(&self, name: &str) {
         let Some(node) = self.nodes.get(name) else { return };
-        self.pool_roster.set(name, node.main.pool_probes());
+        self.pool_roster.set(name, node.main.gates());
     }
 
-    /// Pushes the live worker-pool gauges (the elastic upcall pools and the
-    /// shared agent executors, per node and aggregated system-wide) into
-    /// the registry. Pools live and die with their node, so their stats are
-    /// sampled here — at snapshot time — instead of holding them alive
+    /// Pushes the live lane gauges (the upcall lanes and the shared agent
+    /// executors, per node) and each wire daemon's serving threads into
+    /// the registry. Lanes live and die with their node, so their stats
+    /// are sampled here — at snapshot time — instead of holding them alive
     /// through registered closures.
     fn refresh_pool_gauges(&self) {
         let set =
@@ -1137,7 +1137,6 @@ impl DataLinksSystem {
             let pool = node.upcall_pool_stats();
             set(format!("dlfm.{name}.upcall_pool.workers"), pool.workers() as u64);
             set(format!("dlfm.{name}.upcall_pool.peak_workers"), pool.peak_workers() as u64);
-            set(format!("dlfm.{name}.upcall_pool.idle_workers"), pool.idle_workers() as u64);
             set(format!("dlfm.{name}.upcall_pool.queue_depth"), pool.queue_depth() as u64);
             set(
                 format!("dlfm.{name}.upcall_pool.peak_queue_depth"),
@@ -1145,8 +1144,6 @@ impl DataLinksSystem {
             );
             set(format!("dlfm.{name}.upcall_pool.tasks"), pool.tasks());
             set(format!("dlfm.{name}.upcall_pool.caller_served"), pool.caller_served());
-            set(format!("dlfm.{name}.upcall_pool.grows"), pool.grows());
-            set(format!("dlfm.{name}.upcall_pool.retires"), pool.retires());
             set(format!("dlfm.{name}.upcall_pool.panics"), pool.panics());
             let main = node.main_daemon();
             set(format!("dlfm.{name}.agent_executor.connections"), main.child_count() as u64);
@@ -1156,6 +1153,10 @@ impl DataLinksSystem {
                 set(format!("dlfm.{name}.agent_executor.tasks"), exec.tasks());
                 set(format!("dlfm.{name}.agent_executor.caller_served"), exec.caller_served());
                 set(format!("dlfm.{name}.agent_executor.panics"), exec.panics());
+            }
+            if let Some(wire) = &node.wire {
+                set(format!("net.{name}.threads"), wire.daemon.threads() as u64);
+                set(format!("net.{name}.peak_threads"), wire.daemon.peak_threads() as u64);
             }
         }
         // `pool.total_workers` / `pool.total_queue_depth` are registered

@@ -9,23 +9,22 @@
 //!
 //! The paper's shape — one thread per connection, one upcall daemon —
 //! collapses under many connections and serializes every repository commit.
-//! Here the daemons are **lanes**: two [`ElasticPool`]s a request is served
-//! on as [`crate::server::lane`] names — the shared *agent executor*
-//! (link/unlink, bounded by `DlfmConfig::agent_executor_threads`) and the
-//! elastic *upcall pool* (`DlfmConfig::upcall_workers_{min,max}`). A
-//! connection is a [`DlfmClient`], not a thread: 256 of them ride on a
-//! handful of heads.
+//! Here the daemons are **lanes**: two [`HeadGate`]s a request is served
+//! under as [`crate::server::lane`] names — the shared *agent executor*
+//! (link/unlink, `DlfmConfig::agent_executor_threads` wide) and the
+//! *upcall lane* (`DlfmConfig::upcall_workers_max` wide). A connection is
+//! a [`DlfmClient`], not a thread: 256 of them ride on a handful of heads.
 //!
 //! [`MainDaemon`] owns the lanes and mints in-process connections, whose
 //! callers serve their own requests as guests of the lane
-//! ([`ElasticPool::serve_here`]): an in-process call is a function call
+//! ([`HeadGate::serve_here`]): an in-process call is a function call
 //! under the lane's head bound, not a thread hop. The wire daemon
-//! (`crate::wire`) queues decoded frames on the *same* lanes — a frame has
-//! no caller thread to borrow — so the bounds mean one thing under both
-//! carriers. The IPC cost the paper's design keeps off the read path (§3.2,
-//! §4.2) is `Transport::Socket`'s to show (`net.<node>.round_trip_ns`); the
-//! in-process upcall columns of benches E2/E4/A2/A3 show the protocol's
-//! own work.
+//! (`crate::wire`) serves a decoded frame on the thread that read it, under
+//! the *same* gates ([`HeadGate::serve_or_park`]), so the bounds mean one
+//! thing under both carriers. The IPC cost the paper's design keeps off
+//! the read path (§3.2, §4.2) is `Transport::Socket`'s to show
+//! (`net.<node>.round_trip_ns`); the in-process upcall columns of benches
+//! E2/E4/A2/A3 show the protocol's own work.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,14 +34,14 @@ use dl_net::Message;
 use dl_obs::Histogram;
 
 use crate::client::{Carrier, DlfmClient};
-use crate::pool::{ElasticPool, PoolOptions, PoolProbe, PoolStats};
+use crate::pool::{HeadGate, PoolStats};
 use crate::server::{lane, DlfmServer, Lane};
 
 /// Test instrumentation: runs before every request a lane serves, on
-/// whichever thread serves it — a pool worker for a socket frame, the
-/// caller itself in-process; a panicking hook simulates that head dying
-/// mid-request (the panic-containment regression tests and the lab's
-/// kill-a-worker injection arm this).
+/// whichever thread serves it — the reactor thread that read a socket
+/// frame, the caller itself in-process; a panicking hook simulates that
+/// head dying mid-request (the panic-containment regression tests and the
+/// lab's kill-a-worker injection arm this).
 pub type FaultInjector = Arc<dyn Fn(&Message) + Send + Sync>;
 
 /// What a lane serves requests with.
@@ -52,12 +51,12 @@ pub(crate) struct Service {
 }
 
 impl Service {
-    /// One request's service on a lane, worker or guest: serves `msg` and
-    /// hands the reply to `deliver`. A panic in the fault hook or the
-    /// server call is contained: the caller gets it in-band, labelled,
-    /// *before* it is re-thrown for the pool to count — a poisoned request
-    /// costs one reply, never a worker or the caller's thread, and a
-    /// healthy pool is never reported down.
+    /// One request's service on a lane: serves `msg` and hands the reply
+    /// to `deliver`. A panic in the fault hook or the server call is
+    /// contained: the caller gets it in-band, labelled, *before* it is
+    /// re-thrown for the gate to count — a poisoned request costs one
+    /// reply, never the serving thread, and a healthy lane is never
+    /// reported down.
     pub(crate) fn serve(&self, msg: Message, deliver: impl FnOnce(Message)) {
         crate::pool::deliver_or_rethrow(
             msg.name(),
@@ -76,23 +75,11 @@ impl Service {
     }
 }
 
-/// What a lane queues: one request's whole service — serve it, send its
-/// reply — built by the carrier that accepted the request and run by a
-/// worker with the lane's [`Service`].
-pub(crate) type Job = Box<dyn FnOnce(&Service) + Send>;
-
-/// A lane: a pool whose workers run [`Job`]s against `service`.
-pub(crate) fn lane_pool(opts: PoolOptions, service: &Arc<Service>) -> Arc<ElasticPool<Job>> {
-    let service = Arc::clone(service);
-    Arc::new(ElasticPool::new(opts, Arc::new(move |job: Job| job(&service))))
-}
-
-/// The node's pooled lanes. Shared by the in-process carrier and the wire
-/// daemon.
+/// The node's lanes. Shared by the in-process carrier and the wire daemon.
 pub(crate) struct Lanes {
-    pub(crate) service: Arc<Service>,
-    pub(crate) agent: Arc<ElasticPool<Job>>,
-    pub(crate) upcall: Arc<ElasticPool<Job>>,
+    pub(crate) service: Service,
+    pub(crate) agent: Arc<HeadGate>,
+    pub(crate) upcall: Arc<HeadGate>,
     /// Admission wait + service of every in-process upcall: what a DLFS
     /// caller waits per upcall the paper's zero-upcall read path avoids.
     upcall_round_trip_ns: Arc<Histogram>,
@@ -106,7 +93,7 @@ struct LocalCarrier(Arc<Lanes>);
 impl Carrier for LocalCarrier {
     fn call(&self, msg: Message) -> Result<Message, String> {
         let lanes = &self.0;
-        let (pool, upcall) = match lane(&msg) {
+        let (gate, upcall) = match lane(&msg) {
             // Settlement runs here, on the coordinator's own thread (see
             // `Lane::Settle`) — like the close path, which commits on the
             // host's committing thread.
@@ -116,7 +103,7 @@ impl Carrier for LocalCarrier {
         };
         let started = upcall.then(Instant::now);
         let mut reply = None;
-        pool.serve_here(|| lanes.service.serve(msg, |served| reply = Some(served)));
+        gate.serve_here(|| lanes.service.serve(msg, |served| reply = Some(served)));
         if let Some(started) = started {
             lanes.upcall_round_trip_ns.record_duration(started.elapsed());
         }
@@ -129,7 +116,7 @@ impl Carrier for LocalCarrier {
 }
 
 /// The main daemon: owns the node's lanes and accepts connections. A
-/// connect is a queue registration, never a thread.
+/// connect is a client handle, never a thread.
 pub struct MainDaemon {
     lanes: Arc<Lanes>,
     connections: AtomicUsize,
@@ -146,26 +133,10 @@ impl MainDaemon {
         server: Arc<DlfmServer>,
         fault: Option<FaultInjector>,
     ) -> MainDaemon {
-        let service = Arc::new(Service { server, fault });
+        let service = Service { server, fault };
         let cfg = service.server.config();
-        let name = &cfg.server_name;
-        let agent = lane_pool(
-            PoolOptions::adaptive(
-                &format!("dlfm-agent-{name}"),
-                1,
-                cfg.agent_executor_threads.max(1),
-            ),
-            &service,
-        );
-        let upcall = lane_pool(
-            PoolOptions::adaptive(
-                &format!("dlfm-upcall-{name}"),
-                cfg.upcall_workers_min,
-                cfg.upcall_workers_max,
-            )
-            .idle_timeout(Duration::from_millis(cfg.upcall_idle_ms.max(1))),
-            &service,
-        );
+        let agent = Arc::new(HeadGate::new(cfg.agent_executor_threads));
+        let upcall = Arc::new(HeadGate::new(cfg.upcall_workers_max));
         let lanes =
             Lanes { service, agent, upcall, upcall_round_trip_ns: Arc::new(Histogram::new()) };
         MainDaemon { lanes: Arc::new(lanes), connections: AtomicUsize::new(0) }
@@ -191,7 +162,7 @@ impl MainDaemon {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// OS threads currently serving link/unlink requests.
+    /// Heads serving link/unlink requests right now.
     pub fn executor_threads(&self) -> usize {
         self.lanes.agent.stats().workers()
     }
@@ -203,18 +174,15 @@ impl MainDaemon {
         Some(self.lanes.agent.stats())
     }
 
-    /// Upcall-pool gauges (workers, queue depth, growth/shrink/panic
+    /// Upcall-lane gauges (heads serving, parked frames, task and panic
     /// counters).
     pub fn upcall_pool_stats(&self) -> &PoolStats {
         self.lanes.upcall.stats()
     }
 
-    /// Type-erased live sizes of both lanes, for capacity aggregation.
-    pub fn pool_probes(&self) -> Vec<Arc<dyn PoolProbe>> {
-        vec![
-            Arc::clone(&self.lanes.upcall) as Arc<dyn PoolProbe>,
-            Arc::clone(&self.lanes.agent) as Arc<dyn PoolProbe>,
-        ]
+    /// Both lanes' gates, for aggregation across nodes.
+    pub fn gates(&self) -> Vec<Arc<HeadGate>> {
+        vec![Arc::clone(&self.lanes.upcall), Arc::clone(&self.lanes.agent)]
     }
 
     /// Latency distribution of every in-process upcall (admission wait +
@@ -223,8 +191,8 @@ impl MainDaemon {
         &self.lanes.upcall_round_trip_ns
     }
 
-    /// Blocks until the upcall pool's queue drains, every worker parks and
-    /// no caller is mid-upcall (tests).
+    /// Blocks until no head serves the upcall lane and nothing is parked
+    /// on it (tests).
     pub fn wait_upcalls_idle(&self, timeout: Duration) -> bool {
         self.lanes.upcall.wait_idle(timeout)
     }

@@ -19,7 +19,7 @@ use crate::server::{LinkVote, OpenDecision};
 use crate::token::TokenKind;
 
 /// How a request reaches the daemons and its reply comes back. Two
-/// implementations: `LocalCarrier` hands the message to the node's pools
+/// implementations: `LocalCarrier` hands the message to the node's lanes
 /// in-process, [`crate::WireConn`] frames it onto a socket.
 pub trait Carrier: Send + Sync {
     /// Delivers one request and waits for its reply. `Err` means the

@@ -16,13 +16,15 @@
 //!   **one protocol with one dispatcher**. `dl_net::Message` is the only
 //!   message set; [`DlfmServer::handle`] is the only place a request
 //!   becomes a server call, and [`server::lane`] names where it runs
-//!   (inline, agent executor, settlement, upcall pool). The engine and
+//!   (inline, agent executor, settlement, upcall lane). The engine and
 //!   DLFS hold a [`DlfmClient`] — the typed calls, written once — over a
 //!   [`Carrier`]: the in-process one [`MainDaemon::connect`] mints, or a
-//!   socket [`WireConn`] served by a [`WireDaemon`]. Both carriers queue
-//!   the same messages on the same lanes.
-//! * [`pool`] — the elastic worker pool behind every lane: queue-depth
-//!   growth, idle shrink, panic containment.
+//!   socket [`WireConn`] served by a [`WireDaemon`]. Both carriers serve
+//!   the same messages under the same lanes, on the thread that has them:
+//!   the caller's in-process, the reactor thread that read the frame over
+//!   the wire.
+//! * [`pool`] — the head gate behind every lane: a width bound that owns
+//!   no thread, parks a frame that finds it full, and contains panics.
 //! * [`archive`] — the versioned archive server with asynchronous archiving
 //!   and database-state-identifier tagging (§4.4).
 //! * [`modes`] — the DATALINK control modes (Table 1 + the new rfd/rdd).
@@ -42,7 +44,7 @@ pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 pub use client::{AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
-pub use pool::{AtomicEwma, ElasticPool, PoolOptions, PoolProbe, PoolStats};
+pub use pool::{HeadGate, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
     lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, LinkVote,

@@ -50,7 +50,7 @@ pub struct LinkVote {
 /// How the host database and DLFS reach this DLFM instance: which carrier
 /// their [`crate::DlfmClient`]s ride.
 ///
-/// `Local` hands each [`dl_net::Message`] to the daemon pools in-process;
+/// `Local` hands each [`dl_net::Message`] to the daemon lanes in-process;
 /// `Socket` puts the same messages on the wire — the node runs a
 /// `WireDaemon` serving framed Unix-socket connections (see `crate::wire`),
 /// which is how the paper's host↔DLFM boundary actually ships. Both end in
@@ -88,22 +88,15 @@ pub struct DlfmConfig {
     /// Options for the repository's embedded minidb — notably the commit
     /// pipeline (group commit vs per-commit sync, batch size, delay).
     pub db: dl_minidb::DbOptions,
-    /// Floor of the elastic upcall daemon pool: workers kept resident even
-    /// when idle. More than one lets concurrent opens/closes drive
+    /// Width of the upcall lane: at most this many threads serve DLFS's
+    /// upcalls at once. More than one lets concurrent opens/closes drive
     /// concurrent repository commits (which the group-commit pipeline then
-    /// batches).
-    pub upcall_workers_min: usize,
-    /// Ceiling of the elastic upcall pool: how far a request burst may
-    /// grow the worker count before requests queue. Set equal to
-    /// `upcall_workers_min` for a fixed pool (the PR 2 shape).
+    /// batches). Past it an in-process caller waits for a head to leave
+    /// and a wire frame parks (see `crates/dlfm/src/pool.rs`).
     pub upcall_workers_max: usize,
-    /// Base idle window (milliseconds) after which an above-floor upcall
-    /// worker retires; stretched automatically with observed service time
-    /// (see `crates/dlfm/src/pool.rs`).
-    pub upcall_idle_ms: u64,
-    /// Ceiling of the shared agent executor that serves every agent
+    /// Width of the shared agent executor that serves every agent
     /// connection's link/unlink requests: 256 connections multiplex over
-    /// at most this many OS threads.
+    /// at most this many serving threads.
     pub agent_executor_threads: usize,
     /// How agents and upcalls reach this node: in-process calls
     /// ([`Transport::Local`], the default) or framed Unix-socket
@@ -111,9 +104,9 @@ pub struct DlfmConfig {
     pub transport: Transport,
     /// How long a `Transport::Socket` client call waits for its reply
     /// frame before it fails (milliseconds, > 0; counted as
-    /// `net.<node>.call_timeouts`). Generous by default: every
-    /// server-side stage is pool-queued, and a stall this long means the
-    /// daemon is gone or wedged.
+    /// `net.<node>.call_timeouts`). Generous by default: a frame may park
+    /// behind a full lane, and a stall this long means the daemon is gone
+    /// or wedged.
     pub wire_call_timeout_ms: u64,
     /// Capacity of the server's flight-recorder ring (span events retained
     /// for the crash/failover dump). An undersized ring still keeps the
@@ -133,9 +126,7 @@ impl DlfmConfig {
             track_read_sync: true,
             strict_link: false,
             db: dl_minidb::DbOptions::default(),
-            upcall_workers_min: 2,
             upcall_workers_max: 64,
-            upcall_idle_ms: 100,
             agent_executor_threads: 16,
             transport: Transport::default(),
             wire_call_timeout_ms: 30_000,
@@ -150,10 +141,9 @@ impl DlfmConfig {
         self
     }
 
-    /// Sets the elastic upcall pool bounds.
-    pub fn upcall_workers(mut self, min: usize, max: usize) -> DlfmConfig {
-        self.upcall_workers_min = min;
-        self.upcall_workers_max = max.max(min);
+    /// Sets the upcall lane's width.
+    pub fn upcall_workers(mut self, max: usize) -> DlfmConfig {
+        self.upcall_workers_max = max;
         self
     }
 }
@@ -264,9 +254,9 @@ pub enum Lane {
     /// 2PC settlement: never behind the agent executor's bound. A lane
     /// saturated with lock-waiting links would leave no slot for the one
     /// commit that releases them, so settlement runs on the coordinator's
-    /// own thread in-process and on a dedicated pool over the wire.
+    /// own thread in-process and under a gate of its own over the wire.
     Settle,
-    /// The DLFS conversation: the elastic upcall pool.
+    /// The DLFS conversation: the upcall lane.
     Upcall,
 }
 
@@ -1482,7 +1472,7 @@ impl DlfmServer {
     ///   the epoch past it and a caller waiting on it returns at once;
     /// * a reply-tagged message is not a request.
     ///
-    /// A panic inside a server call propagates; lane workers contain it
+    /// A panic inside a server call propagates; the lanes contain it
     /// (`Service::serve` in `crate::agent`).
     pub fn handle(&self, msg: Message) -> Message {
         let unit = |result: Result<(), String>| match result {

@@ -3,31 +3,32 @@
 //! The paper's host↔DLFM boundary is a network boundary: database agents
 //! and DLFS talk to the daemon complex over connections, not function
 //! calls. This module is that boundary made real on top of `dl-net`'s
-//! frame codec and poll(2) reactor:
+//! frame codec and leader/followers reactor:
 //!
-//! * [`WireDaemon`] — the server. One reactor thread serves every
-//!   connection of a node over a Unix-domain socket; each decoded frame is
-//!   queued on the lane [`crate::server::lane`] names — the *same* agent
-//!   executor and upcall pool the in-process carrier uses, plus a small
-//!   dedicated settle pool for 2PC settlement (never the agent executor:
-//!   see [`Lane::Settle`]) — where a worker runs it through
-//!   [`crate::DlfmServer::handle`]. Thousands of connections therefore ride on a
-//!   fixed thread count. What this module adds around that is session
-//!   bookkeeping only.
+//! * [`WireDaemon`] — the server. The reactor's threads serve every
+//!   connection of a node over a Unix-domain socket, and each decoded frame
+//!   is served on the thread that read it, under the gate of the lane
+//!   [`crate::server::lane`] names — the *same* agent executor and upcall
+//!   lane the in-process carrier uses, plus a settlement gate of its own
+//!   (never the agent executor: see [`Lane::Settle`]) — through
+//!   [`crate::DlfmServer::handle`]. A frame that finds its lane full is
+//!   parked on the gate, so the threads serving a node stay bounded by the
+//!   lanes' widths however many connections it has. What this module adds
+//!   around that is session bookkeeping only.
 //! * [`WireConnector`] / [`WireConn`] — the socket [`Carrier`], which has
-//!   no thread of its own: a connection is a blocking socket, and each
-//!   call writes its frame and then reads the socket itself (one caller at
-//!   a time reads for everyone waiting on the connection) until its
-//!   request-id-correlated reply is in. A [`crate::DlfmClient`] over it
-//!   gives the engine and DLFS the same typed calls they make in-process.
+//!   no thread of its own: a connection is a set of blocking sockets, one
+//!   per concurrent caller. A call checks out an idle socket (or opens
+//!   one), writes its frame and reads its reply on that socket alone, so no
+//!   caller ever reads for another. A [`crate::DlfmClient`] over it gives
+//!   the engine and DLFS the same typed calls they make in-process.
 //!
-//! **Presumed abort on connection loss.** A severed connection's
-//! unsettled host transactions are resolved on the settle pool through
+//! **Presumed abort on connection loss.** A severed socket's unsettled
+//! host transactions are resolved under the settlement gate through
 //! [`crate::DlfmServer::resolve_client_loss`]: the host aborts the
 //! transaction if it is still undecided, then the branch commits only if
 //! the host's metadata rows show the transaction committed, and aborts
-//! otherwise. A link job racing the disconnect settles its own
-//! sub-transaction when it finds its connection no longer live, so no
+//! otherwise. A link racing the disconnect settles its own
+//! sub-transaction when it finds its socket no longer live, so no
 //! sub-transaction leaks the resolution sweep.
 
 use std::collections::{HashMap, HashSet};
@@ -41,48 +42,70 @@ use std::time::{Duration, Instant};
 
 use dl_net::{encode_frame, FrameDecoder, Message, NetEvent, Reactor, ReactorHandle};
 use dl_obs::{Counter, NetStats};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 
-use crate::agent::{lane_pool, Job, Lanes, MainDaemon};
+use crate::agent::{Lanes, MainDaemon};
 use crate::client::Carrier;
-use crate::pool::{ElasticPool, PoolOptions, PoolStats};
+use crate::pool::HeadGate;
 use crate::server::{lane, Lane};
 
-/// The server's per-connection bookkeeping: which connections are live,
-/// and which host transactions each still has in flight. A connection is
-/// in the table from its `Accepted` to its `Disconnected` and at no other
-/// time, so the table is bounded by open sockets however many connections
-/// come and go. Touched from the reactor thread and the pools; the map is
-/// the serialization point.
+/// Width of the settlement gate: `Commit`/`Abort` frames and disconnect
+/// resolution, at most this many at once.
+const SETTLE_WIDTH: usize = 4;
+
+/// The server's per-socket bookkeeping: which sockets are live, and which
+/// socket claimed each host transaction not yet settled. A client's
+/// `Link` and its `Commit` may ride different sockets of one [`WireConn`],
+/// so a decision settles its transaction whichever socket claimed it. A
+/// socket is in the table from its `Accepted` to its `Disconnected` and a
+/// transaction from its claim to its settlement, so the table is bounded
+/// by open sockets and live claims however many come and go.
 #[derive(Default)]
-struct Sessions(Mutex<HashMap<u64, HashSet<u64>>>);
+struct Sessions(Mutex<SessionTable>);
+
+#[derive(Default)]
+struct SessionTable {
+    live: HashSet<u64>,
+    /// Each unsettled transaction's claiming sockets.
+    claims: HashMap<u64, Vec<u64>>,
+}
 
 impl Sessions {
     fn opened(&self, conn: u64) {
-        self.0.lock().insert(conn, HashSet::new());
+        self.0.lock().live.insert(conn);
     }
 
-    /// Forgets `conn`, returning the host transactions it left unsettled.
+    /// Forgets `conn`, returning the host transactions it claimed and left
+    /// unsettled — which the caller resolves, so they leave the table.
     fn closed(&self, conn: u64) -> Vec<u64> {
-        self.0.lock().remove(&conn).map(|s| s.into_iter().collect()).unwrap_or_default()
+        let mut table = self.0.lock();
+        table.live.remove(&conn);
+        let txids: Vec<u64> =
+            table.claims.iter().filter(|(_, by)| by.contains(&conn)).map(|(&t, _)| t).collect();
+        for txid in &txids {
+            table.claims.remove(txid);
+        }
+        txids
     }
 
-    /// Is `conn` still connected? Any queued job asks this before it
-    /// applies work or replies.
+    /// Is `conn` still connected? A claim asks this before it applies work
+    /// or replies.
     fn is_live(&self, conn: u64) -> bool {
-        self.0.lock().contains_key(&conn)
+        self.0.lock().live.contains(&conn)
     }
 
     fn track(&self, conn: u64, txid: u64) {
-        if let Some(set) = self.0.lock().get_mut(&conn) {
-            set.insert(txid);
+        let mut table = self.0.lock();
+        if table.live.contains(&conn) {
+            let by = table.claims.entry(txid).or_default();
+            if !by.contains(&conn) {
+                by.push(conn);
+            }
         }
     }
 
-    fn settled(&self, conn: u64, txid: u64) {
-        if let Some(set) = self.0.lock().get_mut(&conn) {
-            set.remove(&txid);
-        }
+    fn settled(&self, txid: u64) {
+        self.0.lock().claims.remove(&txid);
     }
 }
 
@@ -91,30 +114,30 @@ impl Sessions {
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The server side: a reactor serving framed agent/upcall connections
-/// over one Unix-domain socket, multiplexed onto the node's lanes.
+/// over one Unix-domain socket, each frame on the thread that read it.
 pub struct WireDaemon {
-    /// Owns the poller thread; dropped last-ish (field order) so handler
-    /// state stays alive while it drains.
-    _reactor: Reactor,
+    /// Stopped first (field order): its threads hold the handler state.
+    reactor: Reactor,
     path: PathBuf,
     front: Arc<WireFront>,
     stats: Arc<NetStats>,
 }
 
-/// What the reactor's handler and the jobs it queues share.
+/// What the reactor's handler shares across its threads.
 struct WireFront {
     lanes: Arc<Lanes>,
-    /// 2PC settlement + disconnect resolution. Small and dedicated: these
-    /// jobs must make progress even when every agent-executor worker
-    /// blocks on a row lock only a settlement can release.
-    settle: Arc<ElasticPool<Job>>,
+    /// 2PC settlement + disconnect resolution, [`SETTLE_WIDTH`] wide.
+    /// A gate of its own: these must make progress even when every head
+    /// of the agent executor blocks on a row lock only a settlement can
+    /// release.
+    settle: HeadGate,
     sessions: Sessions,
     presumed_aborts: Arc<Counter>,
 }
 
 impl WireDaemon {
-    /// Binds the node's wire socket and starts serving. Frames are queued
-    /// on `main`'s lanes and a dedicated settle pool; `stats` sees every
+    /// Binds the node's wire socket and starts serving. Frames are served
+    /// under `main`'s lanes and a settlement gate; `stats` sees every
     /// connection and frame.
     pub fn spawn(main: &MainDaemon, stats: Arc<NetStats>) -> Result<WireDaemon, String> {
         let lanes = Arc::clone(main.lanes());
@@ -130,11 +153,8 @@ impl WireDaemon {
             .map_err(|e| format!("bind wire socket {}: {e}", path.display()))?;
 
         let front = Arc::new(WireFront {
-            settle: lane_pool(
-                PoolOptions::adaptive(&format!("dlfm-settle-{name}"), 4, 4),
-                &lanes.service,
-            ),
             lanes,
+            settle: HeadGate::new(SETTLE_WIDTH),
             sessions: Sessions::default(),
             presumed_aborts: Arc::new(Counter::new()),
         });
@@ -146,7 +166,7 @@ impl WireDaemon {
             })
             .map_err(|e| format!("spawn wire reactor: {e}"))?
         };
-        Ok(WireDaemon { _reactor: reactor, path, front, stats })
+        Ok(WireDaemon { reactor, path, front, stats })
     }
 
     /// The Unix-socket path clients connect to.
@@ -160,9 +180,16 @@ impl WireDaemon {
         &self.front.presumed_aborts
     }
 
-    /// Live gauges of the settle pool (thread-accounting in benches).
-    pub fn settle_stats(&self) -> &PoolStats {
-        self.front.settle.stats()
+    /// OS threads serving this node's frames right now: the reactor's
+    /// leader, its followers, and every thread inside a lane or parking a
+    /// frame.
+    pub fn threads(&self) -> usize {
+        self.reactor.handle().threads()
+    }
+
+    /// The most threads that ever served this node's frames at once.
+    pub fn peak_threads(&self) -> usize {
+        self.reactor.handle().peak_threads()
     }
 
     /// This daemon's wire instruments.
@@ -177,39 +204,39 @@ impl Drop for WireDaemon {
     }
 }
 
-/// One reactor event on the server: queue a frame on its lane, or sweep a
-/// dead connection's transactions.
+/// One reactor event on the server, on the thread that took it: serve a
+/// frame under its lane's gate, or sweep a dead socket's transactions.
 fn serve_event(ev: NetEvent, h: &ReactorHandle, front: &Arc<WireFront>) {
     let (conn, rid, msg) = match ev {
         NetEvent::Accepted(conn) => return front.sessions.opened(conn),
         NetEvent::Disconnected(conn) => {
-            // Off the table first: any queued or future job for this
-            // connection must find it gone before deciding to apply work.
+            // Off the table first: any parked or future claim for this
+            // socket must find it gone before deciding to apply work.
             let txids = front.sessions.closed(conn);
             if !txids.is_empty() {
-                let presumed_aborts = Arc::clone(&front.presumed_aborts);
-                front.settle.submit(Box::new(move |service| {
+                let swept = Arc::clone(front);
+                front.settle.serve_or_park(move || {
                     for txid in txids {
-                        if !service.server.resolve_client_loss(txid) {
-                            presumed_aborts.inc();
+                        if !swept.lanes.service.server.resolve_client_loss(txid) {
+                            swept.presumed_aborts.inc();
                         }
                     }
-                }));
+                });
             }
             return;
         }
         NetEvent::Frame { conn, request_id, msg } => (conn, request_id, msg),
     };
 
-    let pool = match lane(&msg) {
-        // Cheap enough for the reactor thread.
+    let gate = match lane(&msg) {
+        // Cheap: no gate.
         Lane::Inline => return h.send(conn, rid, &front.lanes.service.server.handle(msg)),
         Lane::Agent => &front.lanes.agent,
         Lane::Settle => &front.settle,
         Lane::Upcall => &front.lanes.upcall,
     };
-    // What the connection owes the sweep: a link or unlink *claims* — it
-    // leaves its host transaction open on this connection until a decision
+    // What the socket owes the sweep: a link or unlink *claims* — it
+    // leaves its host transaction open on this socket until a decision
     // settles it, and creates the sub-transaction the sweep may already
     // have run too early to see.
     let decides = matches!(msg, Message::Commit { .. } | Message::Abort { .. });
@@ -219,25 +246,26 @@ fn serve_event(ev: NetEvent, h: &ReactorHandle, front: &Arc<WireFront>) {
         front.sessions.track(conn, txid);
     }
     let (h, front) = (h.clone(), Arc::clone(front));
-    pool.submit(Box::new(move |service| {
-        let sessions = &front.sessions;
+    gate.serve_or_park(move || {
+        let (sessions, service) = (&front.sessions, &front.lanes.service);
         if claim.is_some() && !sessions.is_live(conn) {
             return;
         }
         service.serve(msg, |reply| {
             if let Some(txid) = settles {
-                sessions.settled(conn, txid);
+                sessions.settled(txid);
             }
             if sessions.is_live(conn) {
                 h.send(conn, rid, &reply);
-            } else if let (Some(txid), Message::Ok) = (claim, &reply) {
-                // The connection died while we linked: the disconnect
-                // sweep may have run before this sub-transaction existed.
-                // Settle it here, by the sweep's own rule.
+            } else if let Some(txid) = claim.filter(|_| !matches!(reply, Message::Err(_))) {
+                // The socket died while we linked or unlinked: the
+                // disconnect sweep may have run before this
+                // sub-transaction existed. Settle it here, by the sweep's
+                // own rule.
                 service.server.resolve_client_loss(txid);
             }
         });
-    }));
+    });
 }
 
 /// The client side: mints outbound wire connections that share one set
@@ -249,7 +277,7 @@ pub struct WireConnector {
 }
 
 impl WireConnector {
-    /// `stats` sees every connection's frames and the caller-observed
+    /// `stats` sees every socket's frames and the caller-observed
     /// round-trip latency; `call_timeout` bounds each call's wait for its
     /// reply (`DlfmConfig::wire_call_timeout_ms`).
     pub fn new(stats: Arc<NetStats>, call_timeout: Duration) -> WireConnector {
@@ -261,24 +289,17 @@ impl WireConnector {
     /// the `Hello` handshake. `client` labels the connection in its own
     /// error messages.
     pub fn connect(&self, socket: &Path, client: &str) -> Result<Arc<WireConn>, String> {
-        let stream = UnixStream::connect(socket)
-            .map_err(|e| format!("connect {}: {e}", socket.display()))?;
-        // The socket's own timeouts are what wake a caller blocked in
-        // `read`/`write` to re-check its deadline.
-        stream
-            .set_read_timeout(Some(self.call_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.call_timeout)))
-            .map_err(|e| format!("wire call timeout {:?}: {e}", self.call_timeout))?;
-        self.stats.connection_opened();
-        Ok(Arc::new(WireConn {
-            stream,
-            state: Mutex::new(CallState::default()),
-            reply_parked: Condvar::new(),
+        let conn = WireConn {
+            path: socket.to_path_buf(),
+            sockets: Mutex::new(Sockets::default()),
             stats: Arc::clone(&self.stats),
             call_timeout: self.call_timeout,
             next_req: AtomicU64::new(1),
             label: client.to_string(),
-        }))
+        };
+        let first = conn.checkout()?;
+        conn.checkin(first);
+        Ok(Arc::new(conn))
     }
 
     /// This connector's wire instruments.
@@ -287,35 +308,44 @@ impl WireConnector {
     }
 }
 
-/// What the callers of one connection share, under [`WireConn::state`].
-#[derive(Default)]
-struct CallState {
+/// One socket of a [`WireConn`], held by one caller at a time.
+struct Socket {
+    stream: Arc<UnixStream>,
+    /// Bytes of a frame a read cut short, kept for the next read.
     decoder: FrameDecoder,
-    /// Calls in flight by request-id: `None` while the reply is awaited,
-    /// `Some` once the reader parked it. Replies to ids not in here (a
-    /// call that timed out) are dropped.
-    pending: HashMap<u64, Option<Message>>,
-    /// Some caller is blocked in `read` on the socket, lock released; it
-    /// reads for everyone in `pending`.
-    reading: bool,
+    /// The socket's current read timeout.
+    read_timeout: Duration,
+}
+
+/// The sockets of one connection.
+#[derive(Default)]
+struct Sockets {
+    /// Sockets no caller holds right now.
+    idle: Vec<Socket>,
+    /// Every socket opened, for [`WireConn::sever`].
+    all: Vec<Arc<UnixStream>>,
     dead: bool,
 }
 
+/// Why a call on one socket failed.
+enum Failure {
+    TimedOut,
+    Lost,
+}
+
 /// One client connection — the socket [`Carrier`]: request-id-correlated
-/// call/reply over a frame stream.
+/// call/reply over frame streams.
 ///
-/// There is no I/O thread behind it. A caller writes its frame, then
-/// either becomes the connection's reader — one caller at a time reads
-/// the socket, decodes every complete frame and parks replies for the
-/// other request-ids waiting — or sleeps until the reader parks its
-/// reply (the WAL's leader/follower shape). A lone caller therefore
-/// does write → read with nobody to hand off to.
+/// There is no I/O thread behind it, and no caller waits on another. Each
+/// concurrent caller owns a socket for the length of its call — an idle
+/// one, or one it opens — and does write → read on it alone, so the
+/// sockets never outnumber the most callers the connection ever had at
+/// once. A `Hello` holds no server state, so one on the first socket
+/// speaks for them all. A failure on any socket kills the whole
+/// connection, as [`WireConn::sever`] does.
 pub struct WireConn {
-    stream: UnixStream,
-    state: Mutex<CallState>,
-    /// Signalled after every read that had other callers waiting on it,
-    /// and when the connection dies.
-    reply_parked: Condvar,
+    path: PathBuf,
+    sockets: Mutex<Sockets>,
     stats: Arc<NetStats>,
     call_timeout: Duration,
     next_req: AtomicU64,
@@ -325,62 +355,86 @@ pub struct WireConn {
 
 impl WireConn {
     /// One frame round-trip: send `msg`, block until the correlated reply
-    /// arrives, the connection dies, or the call timeout passes. A call
-    /// that turns reader late can overshoot its deadline by up to one
-    /// more timeout (the socket's read timeout is the tick it re-checks
-    /// on); a timed-out call leaves the connection usable.
+    /// arrives, the connection dies, or the call timeout passes. Every
+    /// read after the first waits only for the time left, so a call never
+    /// overshoots its deadline by more than one read's latency; a
+    /// timed-out call leaves the connection usable, and the next call on
+    /// its socket skips the late reply.
     pub fn call(&self, msg: Message) -> Result<Message, String> {
-        let rid = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(rid, &msg);
         let started = Instant::now();
-        let deadline = started + self.call_timeout;
-
-        let mut st = self.state.lock();
-        if st.dead {
-            return Err(format!("wire connection '{}' is closed", self.label));
+        let mut sock = self.checkout()?;
+        let rid = self.next_req.fetch_add(1, Ordering::Relaxed);
+        match self.exchange(&mut sock, rid, &msg, started + self.call_timeout) {
+            Ok(reply) => {
+                self.checkin(sock);
+                self.stats.round_trip_ns.record_duration(started.elapsed());
+                Ok(reply)
+            }
+            Err(Failure::TimedOut) => {
+                self.checkin(sock);
+                self.stats.call_timeouts.inc();
+                Err(format!(
+                    "wire call on '{}' timed out after {:?}",
+                    self.label, self.call_timeout
+                ))
+            }
+            Err(Failure::Lost) => {
+                self.sever();
+                Err(self.lost())
+            }
         }
-        // Written under the state lock, so frames never interleave.
-        if (&self.stream).write_all(&frame).is_err() {
-            self.mark_dead(&mut st);
-            return Err(self.lost());
+    }
+
+    /// Writes `msg` as request `rid` on `sock`, then reads until its reply.
+    fn exchange(
+        &self,
+        sock: &mut Socket,
+        rid: u64,
+        msg: &Message,
+        deadline: Instant,
+    ) -> Result<Message, Failure> {
+        let frame = encode_frame(rid, msg);
+        if (&*sock.stream).write_all(&frame).is_err() {
+            return Err(Failure::Lost);
         }
         self.stats.frames_out.inc();
         self.stats.bytes_out.add(frame.len() as u64);
-        st.pending.insert(rid, None);
 
         let mut buf = [0u8; 4096];
+        let mut wait = self.call_timeout;
         loop {
-            if let Some(reply) = st.pending.get_mut(&rid).and_then(Option::take) {
-                st.pending.remove(&rid);
-                self.stats.round_trip_ns.record_duration(started.elapsed());
-                return Ok(reply);
-            }
-            if st.dead {
-                st.pending.remove(&rid);
-                return Err(self.lost());
+            loop {
+                match sock.decoder.next_frame() {
+                    Ok(Some((got, reply))) => {
+                        self.stats.frames_in.inc();
+                        if got == rid {
+                            return Ok(reply);
+                        }
+                        // A timed-out call's late reply: nobody waits
+                        // for it any more.
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        self.stats.decode_errors.inc();
+                        return Err(Failure::Lost);
+                    }
+                }
             }
             let now = Instant::now();
             if now >= deadline {
-                st.pending.remove(&rid);
-                self.stats.call_timeouts.inc();
-                return Err(format!(
-                    "wire call on '{}' timed out after {:?}",
-                    self.label, self.call_timeout
-                ));
+                return Err(Failure::TimedOut);
             }
-            if st.reading {
-                self.reply_parked.wait_for(&mut st, deadline - now);
-                continue;
+            if sock.read_timeout != wait {
+                if sock.stream.set_read_timeout(Some(wait)).is_err() {
+                    return Err(Failure::Lost);
+                }
+                sock.read_timeout = wait;
             }
-
-            st.reading = true;
-            let got = MutexGuard::unlocked(&mut st, || (&self.stream).read(&mut buf));
-            st.reading = false;
-            match got {
-                Ok(0) => self.mark_dead(&mut st),
+            match (&*sock.stream).read(&mut buf) {
+                Ok(0) => return Err(Failure::Lost),
                 Ok(n) => {
                     self.stats.bytes_in.add(n as u64);
-                    self.park_replies(&mut st, &buf[..n]);
+                    sock.decoder.feed(&buf[..n]);
                 }
                 // The socket's read timeout, or a signal: back to the
                 // deadline check above.
@@ -391,67 +445,88 @@ impl WireConn {
                             | io::ErrorKind::TimedOut
                             | io::ErrorKind::Interrupted
                     ) => {}
-                Err(_) => self.mark_dead(&mut st),
+                Err(_) => return Err(Failure::Lost),
             }
-            // Whoever else waits must look again: its reply may be parked,
-            // and if this caller is done one of them has to read next.
-            if st.pending.len() > 1 {
-                self.reply_parked.notify_all();
-            }
+            // Every read after the first waits only for what is left.
+            wait = deadline.saturating_duration_since(Instant::now()).max(Duration::from_micros(1));
         }
     }
 
-    /// Decodes every complete frame in `bytes` (plus what earlier reads
-    /// left over) and parks each reply some caller still waits for.
-    fn park_replies(&self, st: &mut CallState, bytes: &[u8]) {
-        st.decoder.feed(bytes);
-        loop {
-            match st.decoder.next_frame() {
-                Ok(Some((rid, msg))) => {
-                    self.stats.frames_in.inc();
-                    if let Some(slot) = st.pending.get_mut(&rid) {
-                        *slot = Some(msg);
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    self.stats.decode_errors.inc();
-                    return self.mark_dead(st);
-                }
+    /// An idle socket, or a new one when every socket is in a call.
+    fn checkout(&self) -> Result<Socket, String> {
+        {
+            let mut sockets = self.sockets.lock();
+            if sockets.dead {
+                return Err(format!("wire connection '{}' is closed", self.label));
+            }
+            if let Some(sock) = sockets.idle.pop() {
+                return Ok(sock);
             }
         }
-    }
-
-    /// Tears the connection down, once: shuts the socket (which also
-    /// unblocks a reader mid-`read`) and fails every waiting caller.
-    fn mark_dead(&self, st: &mut CallState) {
-        if !st.dead {
-            st.dead = true;
+        let sock = self.open_socket().inspect_err(|_| self.sever())?;
+        let mut sockets = self.sockets.lock();
+        if sockets.dead {
+            // Severed while it connected: this socket goes down with the rest.
+            let _ = sock.stream.shutdown(Shutdown::Both);
             self.stats.connection_closed();
-            let _ = self.stream.shutdown(Shutdown::Both);
-            self.reply_parked.notify_all();
+            return Err(self.lost());
         }
+        sockets.all.push(Arc::clone(&sock.stream));
+        Ok(sock)
+    }
+
+    fn checkin(&self, sock: Socket) {
+        let mut sockets = self.sockets.lock();
+        if !sockets.dead {
+            sockets.idle.push(sock);
+        }
+    }
+
+    /// Connects one more socket to the daemon.
+    fn open_socket(&self) -> Result<Socket, String> {
+        let stream = UnixStream::connect(&self.path)
+            .map_err(|e| format!("connect {}: {e}", self.path.display()))?;
+        // The socket's own timeouts are what wake a caller blocked in
+        // `read`/`write` to re-check its deadline.
+        stream
+            .set_read_timeout(Some(self.call_timeout))
+            .and_then(|()| stream.set_write_timeout(Some(self.call_timeout)))
+            .map_err(|e| format!("wire call timeout {:?}: {e}", self.call_timeout))?;
+        self.stats.connection_opened();
+        Ok(Socket {
+            stream: Arc::new(stream),
+            decoder: FrameDecoder::new(),
+            read_timeout: self.call_timeout,
+        })
     }
 
     fn lost(&self) -> String {
         format!("wire call on '{}' failed: connection lost", self.label)
     }
 
-    /// Severs the connection abruptly — no goodbye, no flush. This is the
-    /// a14 scenario's fault injection: whatever 2PC state the connection
-    /// held must resolve by presumed abort on the server.
+    /// Severs the connection abruptly, once — every socket, no goodbye,
+    /// no flush: shuts each socket (which also unblocks a caller
+    /// mid-`read` on it) and fails every call from here on. A failure on
+    /// any socket does this too. It is also the a14 scenario's fault
+    /// injection: whatever 2PC state the connection held, on any of its
+    /// sockets, must resolve by presumed abort on the server.
     pub fn sever(&self) {
-        // Socket first, lock second: a caller stuck in `write` holds the
-        // lock, and the shutdown is what unsticks it.
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.mark_dead(&mut self.state.lock());
+        let mut sockets = self.sockets.lock();
+        if !sockets.dead {
+            sockets.dead = true;
+            sockets.idle.clear();
+            for stream in &sockets.all {
+                let _ = stream.shutdown(Shutdown::Both);
+                self.stats.connection_closed();
+            }
+        }
     }
 
     /// Has the connection been torn down — severed, or found lost by a
     /// call? Nothing watches an idle connection: one whose server went
     /// away reads as alive until its next call.
     pub fn is_dead(&self) -> bool {
-        self.state.lock().dead
+        self.sockets.lock().dead
     }
 }
 
@@ -475,8 +550,11 @@ impl Carrier for WireConn {
 
 impl Drop for WireConn {
     fn drop(&mut self) {
-        if !self.state.get_mut().dead {
-            self.stats.connection_closed();
+        let sockets = self.sockets.get_mut();
+        if !sockets.dead {
+            for _ in &sockets.all {
+                self.stats.connection_closed();
+            }
         }
     }
 }
@@ -484,16 +562,33 @@ impl Drop for WireConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchiveStore, DlfmConfig, DlfmServer};
-    use dl_fskit::{FileSystem, MemFs, SimClock};
+    use crate::{
+        AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig, DlfmServer,
+        FaultInjector, OnUnlink,
+    };
+    use dl_fskit::{Cred, FileSystem, Lfs, MemFs, SimClock};
     use dl_minidb::{Database, StorageEnv};
+    use std::sync::{Barrier, Condvar as StdCondvar, Mutex as StdMutex};
 
-    fn daemon() -> WireDaemon {
+    const APP: Cred = Cred { uid: 100, gid: 100 };
+
+    /// A node over `cfg` with `files` seeded, served by a wire daemon.
+    struct Node {
+        daemon: WireDaemon,
+        main: MainDaemon,
+        server: Arc<DlfmServer>,
+    }
+
+    fn node_with(cfg: DlfmConfig, files: &[&str], fault: Option<FaultInjector>) -> Node {
         let clock = Arc::new(SimClock::new(1_000_000));
         let fs = Arc::new(MemFs::with_clock(clock.clone()));
+        let raw = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
+        for path in files {
+            raw.write_file(&APP, path, b"x").unwrap();
+        }
         let server = Arc::new(
             DlfmServer::new(
-                DlfmConfig::new("srv1"),
+                cfg,
                 fs as Arc<dyn FileSystem>,
                 Database::open(StorageEnv::mem()).unwrap(),
                 Arc::new(ArchiveStore::new()),
@@ -501,7 +596,21 @@ mod tests {
             )
             .unwrap(),
         );
-        WireDaemon::spawn(&MainDaemon::new(server), Arc::new(NetStats::new())).unwrap()
+        let main = MainDaemon::with_fault_injector(Arc::clone(&server), fault);
+        let daemon = WireDaemon::spawn(&main, Arc::new(NetStats::new())).unwrap();
+        Node { daemon, main, server }
+    }
+
+    fn daemon() -> WireDaemon {
+        node_with(DlfmConfig::new("srv1"), &[], None).daemon
+    }
+
+    fn connector(timeout: Duration) -> WireConnector {
+        WireConnector::new(Arc::new(NetStats::new()), timeout)
+    }
+
+    fn sockets(conn: &WireConn) -> usize {
+        conn.sockets.lock().all.len()
     }
 
     fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -512,12 +621,61 @@ mod tests {
         }
     }
 
+    /// A hook that holds every request it matches until `open` — counting
+    /// the arrivals — and lets everything else through.
+    #[derive(Default)]
+    struct Hold {
+        state: StdMutex<(usize, bool)>,
+        changed: StdCondvar,
+    }
+
+    impl Hold {
+        fn wait(&self) {
+            let mut st = self.state.lock().unwrap();
+            st.0 += 1;
+            self.changed.notify_all();
+            while !st.1 {
+                st = self.changed.wait(st).unwrap();
+            }
+        }
+
+        fn arrived(&self) -> usize {
+            self.state.lock().unwrap().0
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// A reactor standing in for a daemon: `reply` answers each frame on
+    /// the thread that read it, given the socket it came on.
+    fn fake_daemon(
+        tag: &str,
+        reply: impl Fn(u64, Message) -> Message + Send + Sync + 'static,
+    ) -> (Reactor, PathBuf) {
+        let path = std::env::temp_dir().join(format!("dl-wire-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let reactor = Reactor::spawn(tag, Some(listener), Arc::new(NetStats::new()), |h| {
+            let h = h.clone();
+            move |ev| {
+                if let NetEvent::Frame { conn, request_id, msg } = ev {
+                    h.send(conn, request_id, &reply(conn, msg));
+                }
+            }
+        })
+        .unwrap();
+        (reactor, path)
+    }
+
     #[test]
     fn connection_bookkeeping_is_bounded_by_open_sockets() {
         let daemon = daemon();
-        let tracked = || daemon.front.sessions.0.lock().len();
-        let connector = WireConnector::new(Arc::new(NetStats::new()), Duration::from_secs(30));
-        let standing = connector.connect(daemon.socket_path(), "standing").unwrap();
+        let tracked = || daemon.front.sessions.0.lock().live.len();
+        let standing =
+            connector(Duration::from_secs(30)).connect(daemon.socket_path(), "standing").unwrap();
         // A first round trip: the server has accepted the connection.
         assert!(standing.call(Message::EpochGet).is_ok());
         assert_eq!(tracked(), 1);
@@ -530,11 +688,13 @@ mod tests {
                 wait_until("churned sockets to drain", || daemon.stats.connections.get() == 1);
             }
         }
-        wait_until("every churned connection to disconnect", || {
-            daemon.stats.disconnects.get() == 10_000
+        // A `Disconnected` is served like a frame, by whichever thread
+        // takes it: the table empties once the last one is served.
+        wait_until("every churned connection to disconnect and be forgotten", || {
+            daemon.stats.disconnects.get() == 10_000 && tracked() == 1
         });
-        assert_eq!(tracked(), 1, "only the standing connection may still be tracked");
         assert!(standing.call(Message::EpochGet).is_ok());
+        assert_eq!(tracked(), 1, "only the standing connection may still be tracked");
     }
 
     #[test]
@@ -561,5 +721,315 @@ mod tests {
         assert!(waited < Duration::from_secs(5), "waited {waited:?}");
         assert_eq!(stats.call_timeouts.get(), 1);
         assert_eq!(stats.connections.get(), 0, "the abandoned connection is accounted closed");
+    }
+
+    /// A reply cut short just before the deadline: the read after it waits
+    /// only for the time left, not a whole timeout more.
+    #[test]
+    fn a_reply_stalled_mid_frame_fails_the_call_at_its_deadline() {
+        const TIMEOUT: Duration = Duration::from_millis(200);
+        let path = std::env::temp_dir().join(format!("dl-wire-torn-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            let _ = s.read(&mut buf).unwrap();
+            std::thread::sleep(TIMEOUT * 3 / 4);
+            let reply = encode_frame(1, &Message::EpochIs(7));
+            s.write_all(&reply[..reply.len() / 2]).unwrap();
+            std::thread::sleep(TIMEOUT * 3);
+        });
+        let conn = connector(TIMEOUT).connect(&path, "torn").unwrap();
+        let started = Instant::now();
+        let err = conn.call(Message::EpochGet).unwrap_err();
+        let waited = started.elapsed();
+        let _ = std::fs::remove_file(&path);
+        assert!(err.contains("timed out"), "{err}");
+        assert!(waited < TIMEOUT + Duration::from_millis(50), "overshot: {waited:?}");
+        server.join().unwrap();
+    }
+
+    /// Concurrent callers each own a socket for the length of their call,
+    /// and a connection never holds more sockets than it had callers at
+    /// once.
+    #[test]
+    fn concurrent_callers_never_share_a_socket() {
+        const CALLERS: usize = 6;
+        let meet = Arc::new(Barrier::new(CALLERS));
+        let (_fake, path) = fake_daemon("share", {
+            let meet = Arc::clone(&meet);
+            move |conn, _| {
+                // Every caller inside at once: each call is in flight.
+                meet.wait();
+                Message::Err(conn.to_string())
+            }
+        });
+        let conn = connector(Duration::from_secs(30)).connect(&path, "callers").unwrap();
+        let mut seen: Vec<String> = std::thread::scope(|s| {
+            let callers: Vec<_> =
+                (0..CALLERS).map(|_| s.spawn(|| conn.call(Message::EpochGet))).collect();
+            callers
+                .into_iter()
+                .map(|c| match c.join().unwrap() {
+                    Ok(Message::Err(socket)) => socket,
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        });
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), CALLERS, "each call rode a socket of its own");
+        assert_eq!(sockets(&conn), CALLERS);
+        // One caller at a time reuses what is there.
+        let _ = std::fs::remove_file(&path);
+        drop(meet);
+        assert_eq!(sockets(&conn), CALLERS);
+    }
+
+    /// The late reply of a call that gave up stays on its socket; the next
+    /// call there skips it and reads its own.
+    #[test]
+    fn a_timed_out_calls_late_reply_is_skipped_by_the_next_call() {
+        let path = std::env::temp_dir().join(format!("dl-wire-late-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let (answer_late, late) = std::sync::mpsc::channel::<()>();
+        let (answered_tx, answered) = std::sync::mpsc::channel::<()>();
+        // Answers every request by echoing it, the first only once told to.
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 256]);
+            for n in 0..2 {
+                let (rid, msg) = loop {
+                    if let Some(frame) = decoder.next_frame().unwrap() {
+                        break frame;
+                    }
+                    let got = s.read(&mut buf).unwrap();
+                    decoder.feed(&buf[..got]);
+                };
+                if n == 0 {
+                    late.recv().unwrap();
+                }
+                s.write_all(&encode_frame(rid, &msg)).unwrap();
+                if n == 0 {
+                    answered_tx.send(()).unwrap();
+                }
+            }
+        });
+        let conn = connector(Duration::from_millis(50)).connect(&path, "late").unwrap();
+        let err = conn.call(Message::Err("slow".into())).unwrap_err();
+        assert!(err.contains("timed out"), "{err}");
+        // The late reply lands on the idle socket before the next call.
+        answer_late.send(()).unwrap();
+        answered.recv().unwrap();
+        assert_eq!(conn.call(Message::Err("fast".into())), Ok(Message::Err("fast".into())));
+        assert_eq!(sockets(&conn), 1);
+        assert!(!conn.is_dead());
+        server.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two links in flight at once ride two sockets; a sever shuts both,
+    /// and the server sweeps the transaction each one claimed.
+    #[test]
+    fn sever_shuts_every_socket_and_the_server_sweeps_claims_on_each() {
+        let meet = Arc::new(Barrier::new(2));
+        let hook: FaultInjector = {
+            let meet = Arc::clone(&meet);
+            Arc::new(move |msg| {
+                if matches!(msg, Message::Link { .. }) {
+                    meet.wait();
+                }
+            })
+        };
+        let node = node_with(DlfmConfig::new("srv1"), &["/a.bin", "/b.bin"], Some(hook));
+        let conn = connector(Duration::from_secs(30))
+            .connect(node.daemon.socket_path(), "doomed")
+            .unwrap();
+        let agent = DlfmClient::connect(Arc::clone(&conn) as Arc<dyn Carrier>, "doomed").unwrap();
+        std::thread::scope(|s| {
+            for (txid, path) in [(11, "/a.bin"), (12, "/b.bin")] {
+                let agent = &agent;
+                s.spawn(move || {
+                    agent.link(txid, path, ControlMode::Rff, true, OnUnlink::Restore).unwrap()
+                });
+            }
+        });
+        assert_eq!(sockets(&conn), 2);
+        let mut pending = node.server.pending_host_txns();
+        pending.sort();
+        assert_eq!(pending, vec![11, 12]);
+
+        conn.sever();
+        assert!(conn.is_dead());
+        wait_until("both claims swept", || node.server.pending_host_txns().is_empty());
+        wait_until("both sockets disconnected", || node.daemon.stats.connections.get() == 0);
+        assert_eq!(node.daemon.presumed_aborts().get(), 2);
+        assert!(node.server.repository().get_file("/a.bin").is_none());
+        assert!(node.server.repository().get_file("/b.bin").is_none());
+    }
+
+    /// A link and its decision may ride different sockets of one
+    /// connection; the decision settles the claim wherever it was made,
+    /// so the session table ends empty.
+    #[test]
+    fn sessions_track_no_transaction_after_many_decided_cycles() {
+        const CYCLES: u64 = 5_000;
+        let node = node_with(DlfmConfig::new("srv1"), &["/t0.bin", "/t1.bin"], None);
+        let conn =
+            connector(Duration::from_secs(30)).connect(node.daemon.socket_path(), "two").unwrap();
+        let agent = DlfmClient::connect(Arc::clone(&conn) as Arc<dyn Carrier>, "two").unwrap();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let agent = &agent;
+                s.spawn(move || {
+                    let path = format!("/t{t}.bin");
+                    for i in 0..CYCLES {
+                        let txid = 1_000 + 2 * (t * CYCLES + i);
+                        let done = if i % 2 == 0 {
+                            agent
+                                .link(txid, &path, ControlMode::Rff, true, OnUnlink::Restore)
+                                .map(drop)
+                        } else {
+                            agent.unlink(txid, &path)
+                        };
+                        done.unwrap();
+                        agent.commit(txid);
+                    }
+                });
+            }
+        });
+        assert!(node.daemon.front.sessions.0.lock().claims.is_empty(), "no transaction tracked");
+        assert!(sockets(&conn) <= 2);
+        assert!(node.server.pending_host_txns().is_empty());
+    }
+
+    /// Links blocked on a row lock fill the agent executor and park the
+    /// rest; the commit that releases the lock has a gate of its own, so
+    /// it is served, and every link then completes.
+    #[test]
+    fn a_decision_is_served_while_links_fill_and_park_on_the_agent_gate() {
+        const WAITERS: u64 = 6;
+        let mut cfg = DlfmConfig::new("srv1");
+        cfg.agent_executor_threads = 2;
+        let node = node_with(cfg, &["/hot.bin"], None);
+        let conn =
+            connector(Duration::from_secs(30)).connect(node.daemon.socket_path(), "hot").unwrap();
+        let agent = DlfmClient::connect(Arc::clone(&conn) as Arc<dyn Carrier>, "hot").unwrap();
+        // An undecided branch holds the file's row lock.
+        agent.link(1, "/hot.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
+        let gate = node.main.executor_stats().unwrap();
+        // Its reply went out before its head left the gate.
+        wait_until("the link's head to leave", || gate.workers() == 0);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|i| {
+                    let agent = &agent;
+                    s.spawn(move || {
+                        let txid = 10 + i;
+                        let vote =
+                            agent.link(txid, "/hot.bin", ControlMode::Rff, true, OnUnlink::Restore);
+                        agent.abort(txid);
+                        vote
+                    })
+                })
+                .collect();
+            wait_until("the gate full and the rest parked", || {
+                gate.workers() == 2 && gate.queue_depth() == WAITERS as usize - 2
+            });
+            agent.commit(1);
+            for w in waiters {
+                let err = w.join().unwrap().expect_err("the file is linked by then");
+                assert!(err.contains("already linked"), "{err}");
+            }
+        });
+        assert!(node.server.repository().get_file("/hot.bin").is_some());
+        assert!(node.server.pending_host_txns().is_empty());
+        assert_eq!(gate.peak_workers(), 2);
+        assert_eq!(gate.peak_queue_depth(), WAITERS as usize - 2);
+    }
+
+    /// 256 sockets each send a request that blocks: two serve, the rest
+    /// park, and the threads serving the node stay within the lanes'
+    /// widths plus the two free ones — then fall back to those two.
+    #[test]
+    fn blocked_frames_cost_no_more_threads_than_the_lanes_are_wide() {
+        const SOCKETS: usize = 256;
+        let hold = Arc::new(Hold::default());
+        let hook: FaultInjector = {
+            let hold = Arc::clone(&hold);
+            Arc::new(move |msg| {
+                if matches!(msg, Message::MutationCheck { path } if path == "/hang") {
+                    hold.wait();
+                }
+            })
+        };
+        let mut cfg = DlfmConfig::new("srv1");
+        cfg.agent_executor_threads = 2;
+        cfg.upcall_workers_max = 2;
+        let bound = cfg.agent_executor_threads + cfg.upcall_workers_max + SETTLE_WIDTH + 2;
+        let node = node_with(cfg, &[], Some(hook));
+        let mut streams: Vec<UnixStream> =
+            (0..SOCKETS).map(|_| UnixStream::connect(node.daemon.socket_path()).unwrap()).collect();
+        let frame = encode_frame(1, &Message::MutationCheck { path: "/hang".into() });
+        for s in &mut streams {
+            s.write_all(&frame).unwrap();
+        }
+        let lane = node.main.upcall_pool_stats();
+        wait_until("two served and the rest parked", || {
+            hold.arrived() == 2 && lane.queue_depth() == SOCKETS - 2
+        });
+        hold.open();
+        for s in &mut streams {
+            let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 256]);
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            while decoder.next_frame().unwrap().is_none() {
+                let n = s.read(&mut buf).unwrap();
+                assert!(n > 0, "the daemon hung up");
+                decoder.feed(&buf[..n]);
+            }
+        }
+        let peak = node.daemon.peak_threads();
+        assert!(peak <= bound, "{peak} threads served the node; bound {bound}");
+        assert_eq!(lane.peak_workers(), 2);
+        wait_until("idle threads to retire", || node.daemon.threads() == 2);
+    }
+
+    /// A panic serving a frame costs that frame one in-band `Err` reply;
+    /// the thread it panicked on lives on and serves again.
+    #[test]
+    fn a_panicking_frame_costs_one_reply_and_not_its_thread() {
+        let panicked_on = Arc::new(StdMutex::new(None));
+        let served_on = Arc::new(StdMutex::new(Vec::new()));
+        let hook: FaultInjector = {
+            let (panicked_on, served_on) = (Arc::clone(&panicked_on), Arc::clone(&served_on));
+            Arc::new(move |msg| {
+                let me = std::thread::current().id();
+                if matches!(msg, Message::MutationCheck { path } if path == "/boom") {
+                    *panicked_on.lock().unwrap() = Some(me);
+                    panic!("injected frame fault");
+                }
+                served_on.lock().unwrap().push(me);
+            })
+        };
+        let node = node_with(DlfmConfig::new("srv1"), &[], Some(hook));
+        let conn =
+            connector(Duration::from_secs(30)).connect(node.daemon.socket_path(), "boom").unwrap();
+        let reply = conn.call(Message::MutationCheck { path: "/boom".into() }).unwrap();
+        assert_eq!(
+            reply,
+            Message::Err(
+                "DLFM worker panicked while serving MutationCheck: injected frame fault".into()
+            )
+        );
+        let victim = panicked_on.lock().unwrap().expect("the hook ran");
+        let check = Message::MutationCheck { path: "/free.bin".into() };
+        wait_until("the panicked thread to serve again", || {
+            assert_eq!(conn.call(check.clone()), Ok(Message::Ok));
+            served_on.lock().unwrap().contains(&victim)
+        });
+        assert_eq!(node.main.upcall_pool_stats().panics(), 1);
+        assert!(!conn.is_dead());
     }
 }

@@ -957,17 +957,17 @@ fn carriers(f: &Fixture, fault: Option<FaultInjector>) -> Carriers {
 }
 
 /// Regression (PR 5): a panic mid-dispatch must cost that request only,
-/// whichever thread serves it — a pool worker for the socket frame, the
-/// caller itself in-process. (The old one-shot reply channel was simply
+/// whichever thread serves it — the reactor thread that read the socket
+/// frame, the caller itself in-process. (The old one-shot reply channel was simply
 /// dropped on a panic, so the client reported "upcall daemon is down"
 /// against a healthy pool.)
 #[test]
 fn upcall_worker_panic_is_contained_and_labelled() {
-    // A lane one head wide makes the claim sharpest: the one worker must
-    // survive its own panic and keep serving, and the in-process caller's
-    // unwind must hand back the lane's only slot — leaked, the very next
-    // local call would wait for it forever.
-    let f = fixture_with(DlfmConfig::new("srv1").upcall_workers(1, 1));
+    // A lane one head wide makes the claim sharpest: the serving thread
+    // must survive its own panic and keep serving, and the unwind must hand
+    // back the lane's only slot — leaked, the very next call would wait
+    // (in-process) or park (over the wire) for it forever.
+    let f = fixture_with(DlfmConfig::new("srv1").upcall_workers(1));
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let injector: FaultInjector = Arc::new(|req| {
         if let Message::MutationCheck { path } = req {
@@ -985,17 +985,27 @@ fn upcall_worker_panic_is_contained_and_labelled() {
             "{carrier}: panic must surface in-band with its context (and no \"daemon is down\")"
         );
 
-        // The pool survives and keeps serving.
+        // A reply goes out before its head leaves the lane — before a
+        // panic has finished unwinding, too. Let the head leave before the
+        // next call (a leaked slot fails here), so each frame finds the one
+        // slot free and is served where it was read rather than parked
+        // behind the previous head.
+        let idle = || assert!(c.main.wait_upcalls_idle(std::time::Duration::from_secs(5)));
+        idle();
+
+        // The lane survives and keeps serving.
         assert!(client.mutation_check("/data/clip.mpg").is_err(), "linked file still vetoes");
+        idle();
         let tok = read_token(&f, "/data/clip.mpg");
         client.validate_token("/data/clip.mpg", &tok.encode(), ALICE.uid).unwrap();
-        assert!(c.main.wait_upcalls_idle(std::time::Duration::from_secs(5)));
+        idle();
         assert_eq!(c.main.upcall_pool_stats().panics(), served as u64 + 1);
-        assert!(c.main.upcall_pool_stats().workers() >= 1);
+        assert_eq!(c.main.upcall_pool_stats().workers(), 0, "the slot came back");
     }
-    // Three requests per carrier; the local ones never left their caller.
+    // Three requests per carrier, each served on the thread that had it:
+    // the caller's own, or the one that read the frame.
     assert_eq!(c.main.upcall_pool_stats().tasks(), 6);
-    assert_eq!(c.main.upcall_pool_stats().caller_served(), 3);
+    assert_eq!(c.main.upcall_pool_stats().caller_served(), 6);
     assert_eq!(c.main.upcall_pool_stats().peak_workers(), 1);
 }
 

@@ -121,7 +121,6 @@ mod tests {
             (r#"{"replicas":99}"#, "out of range"),
             (r#"{"clients":0}"#, "out of range"),
             (r#"{"threads":2.5}"#, "integer"),
-            (r#"{"pool_min":8,"pool_max":2}"#, "exceeds pool_max"),
             (r#"{"write_ratio":0.8,"churn_ratio":0.4}"#, "exceeds 1.0"),
         ] {
             let text = format!(

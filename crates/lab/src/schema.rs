@@ -112,7 +112,8 @@ pub enum InjectAction {
     StallStandby,
     /// Resume WAL shipping after a [`InjectAction::StallStandby`].
     ResumeStandby,
-    /// Make the next `count` admission upcalls panic inside the pool worker.
+    /// Make the next `count` admission upcalls panic on the thread serving
+    /// them.
     KillUpcallWorkers { count: u64 },
     /// Crash the host database (the 2PC coordinator) and fail over to a
     /// promoted host standby, exercising the fenced outage window.
@@ -155,7 +156,6 @@ pub struct Params {
     pub delta: Option<bool>,
     pub clients: Option<u64>,
     pub agents: Option<u64>,
-    pub pool_min: Option<u64>,
     pub pool_max: Option<u64>,
     pub ops: Option<u64>,
     pub write_ratio: Option<f64>,
@@ -189,7 +189,6 @@ impl Params {
             delta,
             clients,
             agents,
-            pool_min,
             pool_max,
             ops,
             write_ratio,
@@ -585,7 +584,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             "delta" => p.delta = Some(expect_bool(file, line, key, val)?),
             "clients" => p.clients = Some(expect_u64(file, line, key, val, 1, 4096)?),
             "agents" => p.agents = Some(expect_u64(file, line, key, val, 1, 4096)?),
-            "pool_min" => p.pool_min = Some(expect_u64(file, line, key, val, 1, 1024)?),
             "pool_max" => p.pool_max = Some(expect_u64(file, line, key, val, 1, 1024)?),
             "ops" => p.ops = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "write_ratio" => p.write_ratio = Some(expect_ratio(file, line, key, val)?),
@@ -608,11 +606,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             }
             "injections" => p.injections = Some(parse_injections(file, line, val)?),
             other => return Err(err(file, line, format!("unknown knob {other:?} in params"))),
-        }
-    }
-    if let (Some(lo), Some(hi)) = (p.pool_min, p.pool_max) {
-        if lo > hi {
-            return Err(err(file, line, format!("pool_min = {lo} exceeds pool_max = {hi}")));
         }
     }
     if let (Some(w), Some(c)) = (p.write_ratio, p.churn_ratio) {

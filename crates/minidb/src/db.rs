@@ -295,18 +295,6 @@ impl Database {
         store.create_index(column)
     }
 
-    /// Drops a table.
-    pub fn drop_table(&self, table: &str) -> DbResult<()> {
-        self.refuse_if_following()?;
-        let mut tables = self.inner.tables.write();
-        if !tables.contains_key(table) {
-            return Err(DbError::NoSuchTable(table.to_string()));
-        }
-        let op = RowOp::DropTable(table.to_string());
-        self.inner.wal.append(&WalRecord::Ddl(op.clone()))?;
-        apply_op(&mut tables, &op)
-    }
-
     pub fn has_table(&self, name: &str) -> bool {
         self.inner.tables.read().contains_key(name)
     }

@@ -1,6 +1,6 @@
 //! The wire transport: a length-prefixed binary frame codec for the DLFM
 //! agent/upcall protocol plus a small poll(2)-driven reactor serving many
-//! nonblocking Unix-domain socket connections from one thread.
+//! nonblocking Unix-domain socket connections, leader/followers.
 //!
 //! The paper's DataLinks architecture is a *networked* protocol — DLFS
 //! clients and the DLFM daemon complex exchange link/unlink, open/close
@@ -15,17 +15,19 @@
 //!   and torn frames park until more bytes arrive, garbage fails with a
 //!   [`DecodeError`] instead of a panic.
 //! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the server-side
-//!   runtime. One poller thread drives *read* readiness over nonblocking
-//!   `std::os::unix::net` sockets (hand-declared poll(2), no tokio/mio);
-//!   frame and connection events surface through a caller-supplied
-//!   handler. Replies are written by whoever sends them, straight to the
-//!   socket; the poller only drains what a full kernel buffer left
+//!   runtime, served leader/followers: one thread at a time holds the
+//!   poll set over nonblocking `std::os::unix::net` sockets
+//!   (hand-declared poll(2), no tokio/mio), reads every ready frame, hands
+//!   the poll set to a follower and runs the caller-supplied handler on
+//!   the frame it read itself. Threads are added as handlers block and
+//!   retire when idle. Replies are written by whoever sends them, straight
+//!   to the socket; the leader only drains what a full kernel buffer left
 //!   behind.
 //!
 //! Higher layers map these frames onto the in-process server machinery:
 //! `dl-dlfm`'s `WireDaemon` sits on the reactor, and its wire clients use
-//! the codec alone over blocking sockets. This crate knows nothing about
-//! DLFM itself.
+//! the codec alone over blocking sockets, one per concurrent caller. This
+//! crate knows nothing about DLFM itself.
 
 mod frame;
 mod reactor;

@@ -1,23 +1,35 @@
-//! A small poll(2)-driven reactor over nonblocking Unix-domain sockets.
+//! A small poll(2)-driven reactor over nonblocking Unix-domain sockets,
+//! served leader/followers.
 //!
-//! One thread owns the *read* side of every socket: it polls for
-//! readiness, drains readable connections through a [`FrameDecoder`] and
-//! accepts new connections from an optional listener. Everything the
-//! caller sees arrives as a [`NetEvent`] through the handler closure —
-//! the handler runs *on the poller thread*, so it must never block on
-//! work that itself needs the poller (hand such work to an executor and
-//! reply later through the [`ReactorHandle`]).
+//! A pool of threads takes turns owning the *read* side of every socket.
+//! The one that holds the poll set — the *leader* — polls for readiness,
+//! drains every readable connection through its [`FrameDecoder`] and
+//! accepts new connections from an optional listener. It keeps the first
+//! event for itself and leaves the rest on a ready list, hands the poll
+//! set to a follower, and runs the handler on its own thread: a frame is
+//! served on the thread that read it, with no queue and no wake-up
+//! between them. The next leader drains the ready list before it polls
+//! again. `Accepted` runs while the poll set is held, so it precedes
+//! every frame of its connection; frames and `Disconnected` run on the
+//! thread that takes them, so the handler must be `Fn + Sync` and may
+//! block.
+//!
+//! The thread count follows the handlers. When the last free thread
+//! starts serving it spawns a successor, so a leader is always there to
+//! read; a follower that waits one poll timeout without getting the seat
+//! retires while more than two threads are free. Handler panics are
+//! contained: they cost the event, never the thread.
 //!
 //! The *write* side belongs to whoever sends: [`ReactorHandle::send`]
 //! writes the encoded frame straight to the socket under the
 //! connection's output lock. Only when the kernel buffer is full does the
-//! unwritten remainder queue up, and only then is the poller woken to
+//! unwritten remainder queue up, and only then is the leader woken to
 //! watch `POLLOUT` and drain it. Frame order per connection is the order
 //! in which senders took that lock.
 //!
 //! Built only on `std::os::unix::net` plus a hand-declared poll(2) FFI —
 //! no tokio, no mio. A `UnixStream::pair` serves as the waker: any
-//! thread with a handle writes one byte to nudge the poller out of its
+//! thread with a handle writes one byte to nudge the leader out of its
 //! wait.
 
 use std::collections::{HashMap, VecDeque};
@@ -25,12 +37,14 @@ use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use dl_obs::NetStats;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::frame::{encode_frame, FrameDecoder, Message};
 
@@ -51,6 +65,13 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
 }
 
+/// The leader's poll timeout, and how long a follower waits for the seat
+/// before it may retire.
+const IDLE: Duration = Duration::from_millis(250);
+
+/// Free threads an idle reactor keeps: the leader and one follower.
+const FREE_FLOOR: usize = 2;
+
 /// What the reactor tells its owner. `Frame` carries the request-id so a
 /// server can stamp its reply and a client can correlate it.
 pub enum NetEvent {
@@ -64,26 +85,13 @@ pub enum NetEvent {
     Disconnected(u64),
 }
 
-enum Cmd {
-    #[cfg(test)]
-    Register {
-        id: u64,
-        conn: Arc<ConnOut>,
-    },
-    #[cfg(test)]
-    Close {
-        id: u64,
-    },
-    Shutdown,
-}
-
-/// The half of a connection that senders and the poller share.
+/// The half of a connection that senders and the leader share.
 struct ConnOut {
     stream: UnixStream,
     out: Mutex<OutQueue>,
-    /// Mirrors `!out.backlog.is_empty()` so the poller can pick its
+    /// Mirrors `!out.backlog.is_empty()` so the leader can pick its
     /// `POLLOUT` interest without taking every connection's lock. Written
-    /// under `out`; a sender raises it *before* it wakes the poller.
+    /// under `out`; a sender raises it *before* it wakes the leader.
     stalled: AtomicBool,
 }
 
@@ -91,7 +99,7 @@ struct ConnOut {
 struct OutQueue {
     /// Bytes some sender could not write because the kernel buffer was
     /// full. While it is non-empty every later frame appends here (order),
-    /// and only the poller drains it, on `POLLOUT`.
+    /// and only the leader drains it, on `POLLOUT`.
     backlog: VecDeque<u8>,
     /// Torn down: frames sent from here on are dropped, not counted.
     closed: bool,
@@ -113,19 +121,74 @@ fn write_some(mut stream: &UnixStream, bytes: &[u8]) -> io::Result<usize> {
     Ok(done)
 }
 
+/// How many threads the reactor runs, and how many of them are free —
+/// the leader plus the followers waiting for its seat.
+#[derive(Default)]
+struct Threads {
+    alive: AtomicUsize,
+    free: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Threads {
+    /// Counts a thread about to be spawned, as free.
+    fn add(&self) {
+        let alive = self.alive.fetch_add(1, Ordering::SeqCst) + 1;
+        self.free.fetch_add(1, Ordering::SeqCst);
+        self.peak.fetch_max(alive, Ordering::Relaxed);
+    }
+
+    /// A free thread leaves: the spawn failed, or the reactor stopped.
+    fn remove_free(&self) {
+        self.free.fetch_sub(1, Ordering::SeqCst);
+        self.alive.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A follower that waited out [`IDLE`] leaves, if more than
+    /// [`FREE_FLOOR`] threads are free.
+    fn retire(&self) -> bool {
+        let left = self.free.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
+            (free > FREE_FLOOR).then(|| free - 1)
+        });
+        if left.is_ok() {
+            self.alive.fetch_sub(1, Ordering::SeqCst);
+        }
+        left.is_ok()
+    }
+
+    /// The leader starts serving an event. True when it was the last free
+    /// thread: nobody is left to take the seat.
+    fn start_serving(&self) -> bool {
+        self.free.fetch_sub(1, Ordering::SeqCst) == 1
+    }
+
+    fn done_serving(&self) {
+        self.free.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+type Handler = dyn Fn(NetEvent) + Send + Sync;
+
 struct Shared {
-    cmds: Mutex<Vec<Cmd>>,
+    name: String,
     waker: UnixStream,
     next_conn: AtomicU64,
-    /// Live connections by id, for senders; the poller inserts on
-    /// accept/register and removes on teardown.
+    /// Live connections by id, for senders; the leader inserts on
+    /// accept and removes on teardown.
     conns: RwLock<HashMap<u64, Arc<ConnOut>>>,
     stats: Arc<NetStats>,
+    /// The poll set, while no leader holds it.
+    seat: Mutex<Option<Box<PollSet>>>,
+    /// Signalled when the poll set is put back, and when the reactor stops.
+    seat_free: Condvar,
+    /// Set by [`ReactorHandle::shutdown`]; the next leader stops the
+    /// reactor.
+    shutdown: AtomicBool,
+    threads: Threads,
 }
 
 impl Shared {
-    /// Gives `stream` an id and makes it sendable-to; the poller starts
-    /// reading it once it [`Poller::adopt`]s the result.
+    /// Gives an accepted `stream` an id and makes it sendable-to.
     fn add_conn(&self, stream: UnixStream) -> io::Result<(u64, Arc<ConnOut>)> {
         stream.set_nonblocking(true)?;
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
@@ -137,6 +200,28 @@ impl Shared {
         self.conns.write().insert(id, Arc::clone(&conn));
         Ok((id, conn))
     }
+
+    /// Waits up to [`IDLE`] to become the leader. `None` on timeout.
+    fn take_seat(&self) -> Option<Box<PollSet>> {
+        let deadline = Instant::now() + IDLE;
+        let mut seat = self.seat.lock();
+        loop {
+            if let Some(set) = seat.take() {
+                return Some(set);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            self.seat_free.wait_for(&mut seat, deadline - now);
+        }
+    }
+
+    /// Hands the poll set to the next leader.
+    fn give_seat(&self, set: Box<PollSet>) {
+        *self.seat.lock() = Some(set);
+        self.seat_free.notify_one();
+    }
 }
 
 /// A clonable handle for talking to the reactor from outside.
@@ -144,32 +229,16 @@ impl Shared {
 pub struct ReactorHandle(Arc<Shared>);
 
 impl ReactorHandle {
-    fn push(&self, cmd: Cmd) {
-        self.0.cmds.lock().push(cmd);
-        self.wake();
-    }
-
     fn wake(&self) {
         // A full pipe already guarantees a wakeup is pending.
         let _ = (&self.0.waker).write(&[1u8]);
-    }
-
-    /// Adopts an already-connected stream. Returns the connection id,
-    /// good for [`ReactorHandle::send`] at once; the poller emits
-    /// `Accepted` when it starts reading the stream. (Clients read their
-    /// own sockets; only this module's tests run a client-side reactor.)
-    #[cfg(test)]
-    pub fn register(&self, stream: UnixStream) -> io::Result<u64> {
-        let (id, conn) = self.0.add_conn(stream)?;
-        self.push(Cmd::Register { id, conn });
-        Ok(id)
     }
 
     /// Sends one frame on `conn`, writing it to the socket on the calling
     /// thread. Unknown or already-closed connections drop the frame
     /// silently (and uncounted) — the caller learns of the death through
     /// `Disconnected`. Never blocks: what the kernel buffer will not take
-    /// queues behind the connection for the poller to drain.
+    /// queues behind the connection for the leader to drain.
     pub fn send(&self, conn: u64, request_id: u64, msg: &Message) {
         let Some(c) = self.0.conns.read().get(&conn).map(Arc::clone) else {
             return;
@@ -186,7 +255,7 @@ impl ReactorHandle {
             out.backlog.extend(&bytes);
             return;
         }
-        // A hard write error needs no handling here: the poller sees the
+        // A hard write error needs no handling here: the leader sees the
         // same broken socket as POLLHUP/POLLERR and tears the connection
         // down.
         if let Ok(n) = write_some(&c.stream, &bytes) {
@@ -200,37 +269,56 @@ impl ReactorHandle {
         }
     }
 
-    /// Tears down `conn` from this side, flushing nothing: the socket is
-    /// shut down both ways, so the peer sees the hangup even while some
-    /// sender still holds the connection.
-    #[cfg(test)]
-    pub fn close(&self, conn: u64) {
-        self.push(Cmd::Close { id: conn });
+    /// Asks the reactor to stop; the next leader gives every live
+    /// connection its final `Disconnected`, closes the listener and
+    /// releases every thread. Returns at once.
+    fn shutdown(&self) {
+        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.wake();
     }
 
-    /// Stops the poller thread; every live connection gets a final
-    /// `Disconnected`.
-    pub fn shutdown(&self) {
-        self.push(Cmd::Shutdown);
+    /// OS threads the reactor runs now: its leader, the followers waiting
+    /// for the seat, and the threads inside the handler.
+    pub fn threads(&self) -> usize {
+        self.0.threads.alive.load(Ordering::SeqCst)
+    }
+
+    /// The most threads the reactor ever ran at once.
+    pub fn peak_threads(&self) -> usize {
+        self.0.threads.peak.load(Ordering::Relaxed)
     }
 }
 
-/// The poller's own half of a connection.
+/// The leader's own half of a connection.
 struct Conn {
     shared: Arc<ConnOut>,
     decoder: FrameDecoder,
 }
 
-/// The poller. Owned by its thread after [`Reactor::spawn`]; callers
-/// keep only [`ReactorHandle`]s.
+/// What the leader owns while it holds the seat.
+struct PollSet {
+    listener: Option<UnixListener>,
+    wake_rx: UnixStream,
+    conns: HashMap<u64, Conn>,
+    /// Events read but not yet taken by a thread.
+    ready: VecDeque<NetEvent>,
+    /// The reactor has stopped: every thread that takes the seat leaves.
+    stopped: bool,
+    pollfds: Vec<PollFd>,
+    /// pollfds[i] -> connection id, for the entries past waker/listener.
+    slot_ids: Vec<u64>,
+    read_buf: Vec<u8>,
+}
+
+/// The reactor. Its threads own themselves; callers keep only
+/// [`ReactorHandle`]s.
 pub struct Reactor {
     handle: ReactorHandle,
-    join: Option<thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns the poller thread. `listener`, when present, feeds the
-    /// accept loop. `make_handler` receives the handle first so the
+    /// Starts the reactor's first thread. `listener`, when present, feeds
+    /// the accept loop. `make_handler` receives the handle first so the
     /// handler it builds can reply to frames.
     pub fn spawn<F>(
         name: &str,
@@ -239,7 +327,7 @@ impl Reactor {
         make_handler: impl FnOnce(&ReactorHandle) -> F,
     ) -> io::Result<Reactor>
     where
-        F: FnMut(NetEvent) + Send + 'static,
+        F: Fn(NetEvent) + Send + Sync + 'static,
     {
         if let Some(l) = &listener {
             l.set_nonblocking(true)?;
@@ -247,19 +335,30 @@ impl Reactor {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
+        let set = PollSet {
+            listener,
+            wake_rx,
+            conns: HashMap::new(),
+            ready: VecDeque::new(),
+            stopped: false,
+            pollfds: Vec::new(),
+            slot_ids: Vec::new(),
+            read_buf: vec![0u8; 64 * 1024],
+        };
         let handle = ReactorHandle(Arc::new(Shared {
-            cmds: Mutex::new(Vec::new()),
+            name: format!("dl-net-{name}"),
             waker: wake_tx,
             next_conn: AtomicU64::new(1),
             conns: RwLock::new(HashMap::new()),
             stats,
+            seat: Mutex::new(Some(Box::new(set))),
+            seat_free: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            threads: Threads::default(),
         }));
-        let mut handler = make_handler(&handle);
-        let shared = Arc::clone(&handle.0);
-        let join = thread::Builder::new().name(format!("dl-net-{name}")).spawn(move || {
-            Poller { shared, conns: HashMap::new(), handler: &mut handler }.run(listener, wake_rx);
-        })?;
-        Ok(Reactor { handle, join: Some(join) })
+        let handler: Arc<Handler> = Arc::new(make_handler(&handle));
+        Worker { shared: Arc::clone(&handle.0), handler }.spawn()?;
+        Ok(Reactor { handle })
     }
 
     pub fn handle(&self) -> ReactorHandle {
@@ -268,214 +367,285 @@ impl Reactor {
 }
 
 impl Drop for Reactor {
+    /// Stops the reactor and waits until its connections are torn down;
+    /// threads still inside the handler finish their event and leave.
     fn drop(&mut self) {
         self.handle.shutdown();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
+        let shared = &self.handle.0;
+        let mut seat = shared.seat.lock();
+        while !seat.as_ref().is_some_and(|set| set.stopped) {
+            shared.seat_free.wait(&mut seat);
         }
     }
 }
 
-struct Poller<'h> {
-    shared: Arc<Shared>,
-    conns: HashMap<u64, Conn>,
-    handler: &'h mut dyn FnMut(NetEvent),
+/// Runs the handler on `event`. A panic in it has been reported by the
+/// panic hook; it costs the event, never the thread.
+fn deliver(handler: &Handler, event: NetEvent) {
+    let _ = catch_unwind(AssertUnwindSafe(|| handler(event)));
 }
 
-impl Poller<'_> {
-    fn adopt(&mut self, id: u64, shared: Arc<ConnOut>) {
-        self.conns.insert(id, Conn { shared, decoder: FrameDecoder::new() });
-        self.shared.stats.connection_opened();
-        (self.handler)(NetEvent::Accepted(id));
+/// One of the reactor's threads.
+struct Worker {
+    shared: Arc<Shared>,
+    handler: Arc<Handler>,
+}
+
+impl Worker {
+    /// Counts and starts a thread running [`Worker::run`].
+    fn spawn(self) -> io::Result<()> {
+        let shared = Arc::clone(&self.shared);
+        shared.threads.add();
+        let name = shared.name.clone();
+        thread::Builder::new().name(name).spawn(move || self.run()).map(drop).inspect_err(|_| {
+            shared.threads.remove_free();
+        })
     }
 
-    fn teardown(&mut self, id: u64) {
+    fn run(self) {
+        let shared = &*self.shared;
+        loop {
+            let Some(mut set) = shared.take_seat() else {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    shared.threads.remove_free();
+                    return;
+                }
+                if shared.threads.retire() {
+                    return;
+                }
+                continue;
+            };
+            let event = set.next_event(shared, &*self.handler);
+            let Some(event) = event else {
+                // Stopped: put the seat back for the next thread to leave by.
+                *shared.seat.lock() = Some(set);
+                shared.seat_free.notify_all();
+                shared.threads.remove_free();
+                return;
+            };
+            let last = shared.threads.start_serving();
+            shared.give_seat(set);
+            if last {
+                // A spawn failure leaves the seat to whoever is free next.
+                let _ =
+                    Worker { shared: Arc::clone(&self.shared), handler: Arc::clone(&self.handler) }
+                        .spawn();
+            }
+            deliver(&*self.handler, event);
+            shared.threads.done_serving();
+        }
+    }
+}
+
+impl PollSet {
+    fn adopt(&mut self, shared: &Shared, handler: &Handler, id: u64, conn: Arc<ConnOut>) {
+        self.conns.insert(id, Conn { shared: conn, decoder: FrameDecoder::new() });
+        shared.stats.connection_opened();
+        deliver(handler, NetEvent::Accepted(id));
+    }
+
+    /// Takes `id` out of the poll set and queues its `Disconnected`.
+    fn teardown(&mut self, shared: &Shared, id: u64) {
         let Some(c) = self.conns.remove(&id) else {
             return;
         };
-        self.shared.conns.write().remove(&id);
+        shared.conns.write().remove(&id);
         c.shared.out.lock().closed = true;
-        // The socket goes down only after the stats/handler calls:
-        // shutting it first lets the peer observe the hangup before this
-        // side's accounting exists. Shutdown, not just drop — a sender
-        // still holding the connection must not keep the peer attached.
-        self.shared.stats.connection_closed();
-        (self.handler)(NetEvent::Disconnected(id));
+        // The socket goes down only after the accounting: shutting it
+        // first lets the peer observe the hangup before this side's
+        // accounting exists. Shutdown, not just drop — a sender still
+        // holding the connection must not keep the peer attached.
+        shared.stats.connection_closed();
+        self.ready.push_back(NetEvent::Disconnected(id));
         let _ = c.shared.stream.shutdown(Shutdown::Both);
     }
 
-    fn run(mut self, listener: Option<UnixListener>, wake_rx: UnixStream) {
-        let stats = Arc::clone(&self.shared.stats);
-        let mut pollfds: Vec<PollFd> = Vec::new();
-        // pollfds[i] -> connection id, for the entries past waker/listener.
-        let mut slot_ids: Vec<u64> = Vec::new();
-        let mut wake_buf = [0u8; 64];
-        let mut read_buf = vec![0u8; 64 * 1024];
-
+    /// The leader's turn: the next ready event, polling for more while
+    /// there is none. `None` once the reactor has stopped.
+    fn next_event(&mut self, shared: &Shared, handler: &Handler) -> Option<NetEvent> {
         loop {
-            let cmds: Vec<Cmd> = std::mem::take(&mut *self.shared.cmds.lock());
-            // Outside this module's tests `Shutdown` is the only command.
-            #[cfg_attr(not(test), allow(clippy::never_loop))]
-            for cmd in cmds {
-                match cmd {
-                    #[cfg(test)]
-                    Cmd::Register { id, conn } => self.adopt(id, conn),
-                    #[cfg(test)]
-                    Cmd::Close { id } => self.teardown(id),
-                    Cmd::Shutdown => {
-                        let ids: Vec<u64> = self.conns.keys().copied().collect();
-                        for id in ids {
-                            self.teardown(id);
-                        }
-                        return;
-                    }
-                }
+            if self.stopped {
+                return None;
             }
+            if shared.shutdown.load(Ordering::SeqCst) {
+                self.stop(shared, handler);
+                return None;
+            }
+            if let Some(event) = self.ready.pop_front() {
+                return Some(event);
+            }
+            if !self.poll_once(shared, handler) {
+                // poll(2) failing for any reason but a signal is
+                // unrecoverable.
+                self.stop(shared, handler);
+                return None;
+            }
+        }
+    }
 
-            // Rebuild the poll set: waker, listener, then every connection.
-            pollfds.clear();
-            slot_ids.clear();
-            pollfds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
-            if let Some(l) = &listener {
-                pollfds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
+    /// Tears every connection down and delivers the `Disconnected`s still
+    /// owed (frames not yet taken are dropped), then closes the listener.
+    fn stop(&mut self, shared: &Shared, handler: &Handler) {
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        for id in ids {
+            self.teardown(shared, id);
+        }
+        for event in std::mem::take(&mut self.ready) {
+            if let NetEvent::Disconnected(_) = event {
+                deliver(handler, event);
             }
-            let fixed = pollfds.len();
-            for (&id, c) in self.conns.iter() {
-                let mut events = POLLIN;
-                if c.shared.stalled.load(Ordering::Acquire) {
-                    events |= POLLOUT;
-                }
-                pollfds.push(PollFd { fd: c.shared.stream.as_raw_fd(), events, revents: 0 });
-                slot_ids.push(id);
-            }
+        }
+        self.listener = None;
+        self.stopped = true;
+    }
 
-            // SAFETY: `pollfds` is a live, exclusively borrowed Vec of
-            // `#[repr(C)]` pollfd-layout structs and the count passed is
-            // its length; every fd in it is owned by `self`, `listener`
-            // or `wake_rx` and stays open across the call.
-            let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, 250) };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                // poll(2) failing for any other reason is unrecoverable.
-                return;
+    /// One poll(2) round: reads every readable connection onto the ready
+    /// list, drains write backlogs, accepts. False if poll(2) failed.
+    fn poll_once(&mut self, shared: &Shared, handler: &Handler) -> bool {
+        let stats = &shared.stats;
+        // Rebuild the poll set: waker, listener, then every connection.
+        self.pollfds.clear();
+        self.slot_ids.clear();
+        self.pollfds.push(PollFd { fd: self.wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
+        if let Some(l) = &self.listener {
+            self.pollfds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
+        }
+        let fixed = self.pollfds.len();
+        for (&id, c) in self.conns.iter() {
+            let mut events = POLLIN;
+            if c.shared.stalled.load(Ordering::Acquire) {
+                events |= POLLOUT;
             }
+            self.pollfds.push(PollFd { fd: c.shared.stream.as_raw_fd(), events, revents: 0 });
+            self.slot_ids.push(id);
+        }
 
-            // Waker: drain whatever bytes accumulated.
-            if pollfds[0].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
-                while let Ok(n) = (&wake_rx).read(&mut wake_buf) {
-                    if n < wake_buf.len() {
-                        break;
-                    }
-                }
-            }
+        // SAFETY: `pollfds` is a live, exclusively borrowed Vec of
+        // `#[repr(C)]` pollfd-layout structs and the count passed is its
+        // length; every fd in it is owned by `self` and stays open across
+        // the call.
+        let rc = unsafe {
+            poll(self.pollfds.as_mut_ptr(), self.pollfds.len() as u64, IDLE.as_millis() as i32)
+        };
+        if rc < 0 {
+            return io::Error::last_os_error().kind() == io::ErrorKind::Interrupted;
+        }
 
-            let mut dead: Vec<u64> = Vec::new();
-            for (i, &id) in slot_ids.iter().enumerate() {
-                let revents = pollfds[fixed + i].revents;
-                if revents == 0 {
-                    continue;
-                }
-                let Some(c) = self.conns.get_mut(&id) else {
-                    continue;
-                };
-                let mut alive = true;
-                // Read side. poll(2) is level-triggered: a short read
-                // means the socket is drained for now, and whatever
-                // arrives later raises POLLIN again — no second read just
-                // to collect a WouldBlock.
-                if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
-                    'read: loop {
-                        match (&c.shared.stream).read(&mut read_buf) {
-                            Ok(0) => {
-                                alive = false;
-                                break 'read;
-                            }
-                            Ok(n) => {
-                                stats.bytes_in.add(n as u64);
-                                c.decoder.feed(&read_buf[..n]);
-                                loop {
-                                    match c.decoder.next_frame() {
-                                        Ok(Some((request_id, msg))) => {
-                                            stats.frames_in.inc();
-                                            (self.handler)(NetEvent::Frame {
-                                                conn: id,
-                                                request_id,
-                                                msg,
-                                            });
-                                        }
-                                        Ok(None) => break,
-                                        Err(_) => {
-                                            stats.decode_errors.inc();
-                                            alive = false;
-                                            break 'read;
-                                        }
-                                    }
-                                }
-                                if n < read_buf.len() {
-                                    break 'read;
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'read,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                alive = false;
-                                break 'read;
-                            }
-                        }
-                    }
-                }
-                // Write side: drain the backlog senders left behind.
-                if alive && revents & POLLOUT != 0 {
-                    let mut out = c.shared.out.lock();
-                    match write_some(&c.shared.stream, out.backlog.as_slices().0) {
-                        Ok(n) => {
-                            out.backlog.drain(..n);
-                            if out.backlog.is_empty() {
-                                // Not just empty but released: a stall
-                                // can queue megabytes, and an idle
-                                // connection should not keep them.
-                                out.backlog = VecDeque::new();
-                                c.shared.stalled.store(false, Ordering::Release);
-                            }
-                        }
-                        Err(_) => alive = false,
-                    }
-                }
-                if !alive {
-                    dead.push(id);
-                }
-            }
-            for id in dead {
-                self.teardown(id);
-            }
-
-            // Accept loop: adopt every pending connection.
-            if let Some(l) = listener.as_ref().filter(|_| pollfds[1].revents != 0) {
-                loop {
-                    match l.accept() {
-                        Ok((stream, _addr)) => {
-                            if let Ok((id, conn)) = self.shared.add_conn(stream) {
-                                self.adopt(id, conn);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
+        // Waker: drain whatever bytes accumulated.
+        if self.pollfds[0].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+            let mut wake_buf = [0u8; 64];
+            while let Ok(n) = (&self.wake_rx).read(&mut wake_buf) {
+                if n < wake_buf.len() {
+                    break;
                 }
             }
         }
+
+        let mut dead: Vec<u64> = Vec::new();
+        for (i, &id) in self.slot_ids.iter().enumerate() {
+            let revents = self.pollfds[fixed + i].revents;
+            if revents == 0 {
+                continue;
+            }
+            let Some(c) = self.conns.get_mut(&id) else {
+                continue;
+            };
+            let mut alive = true;
+            // Read side. poll(2) is level-triggered: a short read means
+            // the socket is drained for now, and whatever arrives later
+            // raises POLLIN again — no second read just to collect a
+            // WouldBlock.
+            if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                'read: loop {
+                    match (&c.shared.stream).read(&mut self.read_buf) {
+                        Ok(0) => {
+                            alive = false;
+                            break 'read;
+                        }
+                        Ok(n) => {
+                            stats.bytes_in.add(n as u64);
+                            c.decoder.feed(&self.read_buf[..n]);
+                            loop {
+                                match c.decoder.next_frame() {
+                                    Ok(Some((request_id, msg))) => {
+                                        stats.frames_in.inc();
+                                        self.ready.push_back(NetEvent::Frame {
+                                            conn: id,
+                                            request_id,
+                                            msg,
+                                        });
+                                    }
+                                    Ok(None) => break,
+                                    Err(_) => {
+                                        stats.decode_errors.inc();
+                                        alive = false;
+                                        break 'read;
+                                    }
+                                }
+                            }
+                            if n < self.read_buf.len() {
+                                break 'read;
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'read,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        Err(_) => {
+                            alive = false;
+                            break 'read;
+                        }
+                    }
+                }
+            }
+            // Write side: drain the backlog senders left behind.
+            if alive && revents & POLLOUT != 0 {
+                let mut out = c.shared.out.lock();
+                match write_some(&c.shared.stream, out.backlog.as_slices().0) {
+                    Ok(n) => {
+                        out.backlog.drain(..n);
+                        if out.backlog.is_empty() {
+                            // Not just empty but released: a stall can
+                            // queue megabytes, and an idle connection
+                            // should not keep them.
+                            out.backlog = VecDeque::new();
+                            c.shared.stalled.store(false, Ordering::Release);
+                        }
+                    }
+                    Err(_) => alive = false,
+                }
+            }
+            if !alive {
+                dead.push(id);
+            }
+        }
+        for id in dead {
+            self.teardown(shared, id);
+        }
+
+        // Accept loop: adopt every pending connection.
+        let mut accepted = Vec::new();
+        if let Some(l) = self.listener.as_ref().filter(|_| self.pollfds[1].revents != 0) {
+            loop {
+                match l.accept() {
+                    Ok((stream, _addr)) => accepted.push(stream),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => break,
+                }
+            }
+        }
+        for stream in accepted {
+            if let Ok((id, conn)) = shared.add_conn(stream) {
+                self.adopt(shared, handler, id, conn);
+            }
+        }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use std::time::Duration;
+    use std::sync::{mpsc, Barrier};
 
     fn temp_sock(tag: &str) -> std::path::PathBuf {
         let p =
@@ -484,132 +654,48 @@ mod tests {
         p
     }
 
-    #[test]
-    fn echo_round_trip_over_socket() {
-        let path = temp_sock("echo");
-        let listener = UnixListener::bind(&path).unwrap();
-        let server_stats = Arc::new(NetStats::new());
-        let _server = Reactor::spawn("echo-srv", Some(listener), Arc::clone(&server_stats), |h| {
-            let h = h.clone();
-            move |ev| {
-                if let NetEvent::Frame { conn, request_id, msg } = ev {
-                    h.send(conn, request_id, &msg);
-                }
-            }
-        })
-        .unwrap();
-
-        let client_stats = Arc::new(NetStats::new());
-        let (tx, rx) = mpsc::channel();
-        let client = Reactor::spawn("echo-cli", None, Arc::clone(&client_stats), |_h| {
-            move |ev| {
-                if let NetEvent::Frame { request_id, msg, .. } = ev {
-                    tx.send((request_id, msg)).unwrap();
-                }
-            }
-        })
-        .unwrap();
-
-        let stream = UnixStream::connect(&path).unwrap();
-        let conn = client.handle().register(stream).unwrap();
-        let msg = Message::Commit { txid: 99, coord_epoch: 1 };
-        client.handle().send(conn, 7, &msg);
-        let (rid, echoed) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(rid, 7);
-        assert_eq!(echoed, msg);
-        assert!(server_stats.frames_in.get() >= 1);
-        assert!(client_stats.frames_in.get() >= 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn close_emits_disconnect_on_both_ends() {
-        let path = temp_sock("close");
-        let listener = UnixListener::bind(&path).unwrap();
-        let (srv_tx, srv_rx) = mpsc::channel();
-        let server_stats = Arc::new(NetStats::new());
-        let _server = Reactor::spawn("close-srv", Some(listener), server_stats, |_h| {
-            move |ev| {
-                if let NetEvent::Disconnected(id) = ev {
-                    srv_tx.send(id).unwrap();
-                }
-            }
-        })
-        .unwrap();
-
-        let client_stats = Arc::new(NetStats::new());
-        let client =
-            Reactor::spawn("close-cli", None, Arc::clone(&client_stats), |_h| move |_ev| {})
-                .unwrap();
-        let stream = UnixStream::connect(&path).unwrap();
-        let conn = client.handle().register(stream).unwrap();
-        // Give the server a beat to accept, then sever from the client.
-        std::thread::sleep(Duration::from_millis(50));
-        client.handle().close(conn);
-        let dead = srv_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(dead >= 1);
-        assert_eq!(client_stats.disconnects.get(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Two reactors joined by one connection — `a` accepted it from its
-    /// listener, `b` adopted the connecting end — each forwarding its
-    /// events to a channel.
-    struct Pair {
-        a: Reactor,
-        a_conn: u64,
-        a_events: mpsc::Receiver<NetEvent>,
-        a_stats: Arc<NetStats>,
-        b: Reactor,
-        b_conn: u64,
-        b_events: mpsc::Receiver<NetEvent>,
-        b_stats: Arc<NetStats>,
-    }
-
-    /// `b_gate`, when given, holds `b`'s poller inside its handler on the
-    /// first frame until the gate fires: a reader that has stopped reading.
-    fn pair(tag: &str, b_gate: Option<mpsc::Receiver<()>>) -> Pair {
-        fn forwarding(
-            name: &str,
-            listener: Option<UnixListener>,
-            mut gate: Option<mpsc::Receiver<()>>,
-        ) -> (Reactor, mpsc::Receiver<NetEvent>, Arc<NetStats>) {
-            let stats = Arc::new(NetStats::new());
-            let (tx, rx) = mpsc::channel();
-            let reactor = Reactor::spawn(name, listener, Arc::clone(&stats), |_h| {
-                move |ev| {
-                    if matches!(ev, NetEvent::Frame { .. }) {
-                        if let Some(gate) = gate.take() {
-                            let _ = gate.recv();
-                        }
-                    }
-                    let _ = tx.send(ev);
-                }
-            })
-            .unwrap();
-            (reactor, rx, stats)
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A reactor with a listener, forwarding its events to a channel, and
+    /// the path peers connect to.
+    fn forwarding(tag: &str) -> (Forwarding, std::path::PathBuf) {
         let path = temp_sock(tag);
         let listener = UnixListener::bind(&path).unwrap();
-        let (a, a_events, a_stats) = forwarding(&format!("{tag}-a"), Some(listener), None);
-        let (b, b_events, b_stats) = forwarding(&format!("{tag}-b"), None, b_gate);
-        let b_conn = b.handle().register(UnixStream::connect(&path).unwrap()).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let accepted =
-            |events: &mpsc::Receiver<NetEvent>| match events.recv_timeout(Duration::from_secs(5)) {
-                Ok(NetEvent::Accepted(id)) => id,
-                _ => panic!("expected Accepted first"),
-            };
-        let a_conn = accepted(&a_events);
-        assert_eq!(accepted(&b_events), b_conn);
-        Pair { a, a_conn, a_events, a_stats, b, b_conn, b_events, b_stats }
+        let stats = Arc::new(NetStats::new());
+        let (tx, events) = mpsc::channel();
+        let reactor = Reactor::spawn(tag, Some(listener), Arc::clone(&stats), |_h| {
+            move |ev| {
+                let _ = tx.send(ev);
+            }
+        })
+        .unwrap();
+        (Forwarding { reactor, events, stats }, path)
+    }
+
+    struct Forwarding {
+        reactor: Reactor,
+        events: mpsc::Receiver<NetEvent>,
+        stats: Arc<NetStats>,
+    }
+
+    fn accepted(events: &mpsc::Receiver<NetEvent>) -> u64 {
+        match events.recv_timeout(Duration::from_secs(5)) {
+            Ok(NetEvent::Accepted(id)) => id,
+            _ => panic!("expected Accepted first"),
+        }
     }
 
     /// Skips frames; the id of the next `Disconnected`, if one arrives in time.
     fn next_disconnect(events: &mpsc::Receiver<NetEvent>, wait: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + wait;
+        let deadline = Instant::now() + wait;
         loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             match events.recv_timeout(left) {
                 Ok(NetEvent::Disconnected(id)) => return Some(id),
                 Ok(_) => continue,
@@ -619,19 +705,44 @@ mod tests {
     }
 
     #[test]
-    fn frames_sent_to_a_closed_or_unknown_connection_are_not_counted() {
-        let p = pair("closedsend", None);
-        let h = p.a.handle();
-        h.send(p.a_conn, 1, &Message::Ok);
-        assert_eq!(p.a_stats.frames_out.get(), 1);
-        let bytes = p.a_stats.bytes_out.get();
+    fn echo_round_trip_over_socket() {
+        let (reactor, path) = blocking_echo("echo", Arc::new(Barrier::new(1)));
+        let mut client = UnixStream::connect(&path).unwrap();
+        let msg = Message::Commit { txid: 99, coord_epoch: 1 };
+        assert_eq!(call(&mut client, 7, &msg), msg);
+        let _ = std::fs::remove_file(&path);
+        drop(reactor);
+    }
 
-        h.close(p.a_conn);
-        assert_eq!(next_disconnect(&p.a_events, Duration::from_secs(5)), Some(p.a_conn));
-        h.send(p.a_conn, 2, &Message::Ok);
+    #[test]
+    fn a_peer_hangup_disconnects_exactly_once() {
+        let (f, path) = forwarding("hangup");
+        let peer = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let conn = accepted(&f.events);
+        drop(peer);
+        assert_eq!(next_disconnect(&f.events, Duration::from_secs(5)), Some(conn));
+        assert_eq!(next_disconnect(&f.events, Duration::from_millis(200)), None);
+        assert_eq!((f.stats.disconnects.get(), f.stats.connections.get()), (1, 0));
+    }
+
+    #[test]
+    fn frames_sent_to_a_closed_or_unknown_connection_are_not_counted() {
+        let (f, path) = forwarding("closedsend");
+        let peer = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let conn = accepted(&f.events);
+        let h = f.reactor.handle();
+        h.send(conn, 1, &Message::Ok);
+        assert_eq!(f.stats.frames_out.get(), 1);
+        let bytes = f.stats.bytes_out.get();
+
+        drop(peer);
+        assert_eq!(next_disconnect(&f.events, Duration::from_secs(5)), Some(conn));
+        h.send(conn, 2, &Message::Ok);
         h.send(9_999, 3, &Message::Ok);
-        assert_eq!(p.a_stats.frames_out.get(), 1, "dropped frames must not count as sent");
-        assert_eq!(p.a_stats.bytes_out.get(), bytes);
+        assert_eq!(f.stats.frames_out.get(), 1, "dropped frames must not count as sent");
+        assert_eq!(f.stats.bytes_out.get(), bytes);
     }
 
     #[test]
@@ -640,90 +751,191 @@ mod tests {
         const FRAMES: u64 = 2_000;
         let payload = |t: u64, i: u64| Message::Err(format!("{t}:{i}:{}", "x".repeat(256)));
 
-        let (release, gate) = mpsc::channel();
-        let p = pair("stall", Some(gate));
-        let start = std::sync::Barrier::new(SENDERS as usize);
+        let (a, path) = forwarding("stall");
+        // The far end is a plain socket nobody reads until the senders
+        // stall: a reader that has stopped reading.
+        let mut peer = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let a_conn = accepted(&a.events);
+        let start = Barrier::new(SENDERS as usize);
         thread::scope(|s| {
             for t in 0..SENDERS {
-                let (h, start, conn) = (p.a.handle(), &start, p.a_conn);
+                let (h, start) = (a.reactor.handle(), &start);
                 s.spawn(move || {
                     start.wait();
                     for i in 0..FRAMES {
-                        h.send(conn, t << 32 | i, &payload(t, i));
+                        h.send(a_conn, t << 32 | i, &payload(t, i));
                     }
                 });
             }
-            // The reader sits in its handler, so the ~4.5 MB the senders
-            // push must overrun the kernel buffers: wait for a sender to
-            // hit WouldBlock, then let the reader go.
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            while p.a_stats.backpressure_stalls.get() == 0 {
-                assert!(std::time::Instant::now() < deadline, "senders never stalled");
-                thread::sleep(Duration::from_millis(1));
-            }
-            release.send(()).unwrap();
-        });
-
-        let mut next = [0u64; SENDERS as usize];
-        for _ in 0..SENDERS * FRAMES {
-            match p.b_events.recv_timeout(Duration::from_secs(30)) {
-                Ok(NetEvent::Frame { request_id, msg, .. }) => {
+            // The ~4.5 MB the senders push must overrun the kernel
+            // buffers: wait for a sender to hit WouldBlock, then read.
+            wait_until("a sender to stall", || a.stats.backpressure_stalls.get() > 0);
+            let mut next = [0u64; SENDERS as usize];
+            let (mut decoder, mut buf) = (FrameDecoder::new(), vec![0u8; 64 * 1024]);
+            let mut frames = 0;
+            peer.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            while frames < SENDERS * FRAMES {
+                let n = peer.read(&mut buf).expect("stream stopped short");
+                assert!(n > 0, "connection dropped mid-stream");
+                decoder.feed(&buf[..n]);
+                while let Some((request_id, msg)) = decoder.next_frame().expect("a torn frame") {
                     let (t, i) = (request_id >> 32, request_id & 0xFFFF_FFFF);
                     assert_eq!(i, next[t as usize], "sender {t}'s frames out of order");
                     next[t as usize] += 1;
                     assert_eq!(msg, payload(t, i), "frame {t}:{i} arrived torn");
+                    frames += 1;
                 }
-                Ok(_) => panic!("connection dropped mid-stream"),
-                Err(e) => panic!("stream stopped short: {e}"),
             }
-        }
-        assert_eq!(next, [FRAMES; SENDERS as usize]);
-        assert!(p.a_stats.backpressure_stalls.get() > 0);
-        assert_eq!(p.a_stats.frames_out.get(), SENDERS * FRAMES);
-        assert_eq!(p.b_stats.frames_in.get(), SENDERS * FRAMES);
-        assert_eq!(p.b_stats.decode_errors.get(), 0);
+            assert_eq!(next, [FRAMES; SENDERS as usize]);
+        });
+        assert!(a.stats.backpressure_stalls.get() > 0);
+        assert_eq!(a.stats.frames_out.get(), SENDERS * FRAMES);
     }
 
     #[test]
-    fn sever_mid_burst_disconnects_each_side_exactly_once() {
-        let p = pair("sever", None);
+    fn sever_mid_burst_disconnects_exactly_once() {
+        let (f, path) = forwarding("sever");
+        let peer = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let conn = accepted(&f.events);
         let stop = AtomicBool::new(false);
         thread::scope(|s| {
             // Two senders each way, flat out, across the sever.
-            for (reactor, conn) in [(&p.a, p.a_conn), (&p.b, p.b_conn)] {
-                for t in 0..2u64 {
-                    let (h, stop) = (reactor.handle(), &stop);
-                    s.spawn(move || {
-                        let mut i = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            h.send(conn, t << 32 | i, &Message::Err("y".repeat(128)));
-                            i += 1;
-                        }
-                    });
-                }
+            let stop = &stop;
+            for t in 0..2u64 {
+                let h = f.reactor.handle();
+                s.spawn(move || {
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.send(conn, t << 32 | i, &Message::Err("y".repeat(128)));
+                        i += 1;
+                    }
+                });
+                let mut out = peer.try_clone().unwrap();
+                s.spawn(move || {
+                    let frame = encode_frame(t, &Message::Err("z".repeat(128)));
+                    while !stop.load(Ordering::Relaxed) && out.write_all(&frame).is_ok() {}
+                });
             }
-            // Mid-burst for certain: frames are flowing both ways.
-            for events in [&p.a_events, &p.b_events] {
-                for _ in 0..100 {
-                    assert!(matches!(
-                        events.recv_timeout(Duration::from_secs(10)),
-                        Ok(NetEvent::Frame { .. })
-                    ));
-                }
+            // Mid-burst for certain: frames are flowing in.
+            for _ in 0..100 {
+                assert!(matches!(
+                    f.events.recv_timeout(Duration::from_secs(10)),
+                    Ok(NetEvent::Frame { .. })
+                ));
             }
-            p.a.handle().close(p.a_conn);
-            assert_eq!(next_disconnect(&p.a_events, Duration::from_secs(10)), Some(p.a_conn));
-            assert_eq!(next_disconnect(&p.b_events, Duration::from_secs(10)), Some(p.b_conn));
+            peer.shutdown(Shutdown::Both).unwrap();
+            assert_eq!(next_disconnect(&f.events, Duration::from_secs(10)), Some(conn));
             // Senders keep sending into the dead connection for a while:
             // nothing may panic (the scope join would rethrow) and nothing
             // may produce a second Disconnected.
-            assert_eq!(next_disconnect(&p.a_events, Duration::from_millis(200)), None);
-            assert_eq!(next_disconnect(&p.b_events, Duration::from_millis(200)), None);
+            assert_eq!(next_disconnect(&f.events, Duration::from_millis(200)), None);
             stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(p.a_stats.disconnects.get(), 1);
-        assert_eq!(p.b_stats.disconnects.get(), 1);
-        assert_eq!(p.a_stats.connections.get(), 0);
-        assert_eq!(p.b_stats.connections.get(), 0);
+        assert_eq!(f.stats.disconnects.get(), 1);
+        assert_eq!(f.stats.connections.get(), 0);
+    }
+
+    /// Serves an echo; a frame whose payload is `"block"` waits inside the
+    /// handler until `release` fires, one whose payload is `"panic"`
+    /// panics.
+    fn blocking_echo(tag: &str, release: Arc<Barrier>) -> (Reactor, std::path::PathBuf) {
+        let path = temp_sock(tag);
+        let listener = UnixListener::bind(&path).unwrap();
+        let reactor = Reactor::spawn(tag, Some(listener), Arc::new(NetStats::new()), |h| {
+            let h = h.clone();
+            move |ev| {
+                if let NetEvent::Frame { conn, request_id, msg } = ev {
+                    match &msg {
+                        Message::Err(s) if s == "block" => {
+                            release.wait();
+                        }
+                        Message::Err(s) if s == "panic" => panic!("injected handler fault"),
+                        _ => {}
+                    }
+                    h.send(conn, request_id, &msg);
+                }
+            }
+        })
+        .unwrap();
+        (reactor, path)
+    }
+
+    fn call(stream: &mut UnixStream, rid: u64, msg: &Message) -> Message {
+        stream.write_all(&encode_frame(rid, msg)).unwrap();
+        reply(stream, rid)
+    }
+
+    fn reply(stream: &mut UnixStream, rid: u64) -> Message {
+        let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 4096]);
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        loop {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "the reactor hung up");
+            decoder.feed(&buf[..n]);
+            if let Some((got, reply)) = decoder.next_frame().unwrap() {
+                assert_eq!(got, rid);
+                return reply;
+            }
+        }
+    }
+
+    /// Leader/followers: a handler that blocks holds its own thread only.
+    /// Eight frames block together — which needs eight threads inside the
+    /// handler at once — the reactor keeps reading and serving meanwhile,
+    /// and once idle it sheds back to its floor.
+    #[test]
+    fn blocked_handlers_recruit_threads_and_idle_ones_retire_to_the_floor() {
+        const BLOCKERS: usize = 8;
+        let release = Arc::new(Barrier::new(BLOCKERS + 1));
+        let (reactor, path) = blocking_echo("grow", Arc::clone(&release));
+        let h = reactor.handle();
+        assert_eq!(h.threads(), 1, "one thread until a frame is served");
+        let mut blockers: Vec<UnixStream> =
+            (0..BLOCKERS).map(|_| UnixStream::connect(&path).unwrap()).collect();
+        for (rid, s) in blockers.iter_mut().enumerate() {
+            s.write_all(&encode_frame(rid as u64, &Message::Err("block".into()))).unwrap();
+        }
+        wait_until("every blocker inside the handler", || h.threads() > BLOCKERS);
+        // Still served while eight threads block.
+        let mut other = UnixStream::connect(&path).unwrap();
+        assert_eq!(call(&mut other, 99, &Message::Ok), Message::Ok);
+        release.wait();
+        for (rid, s) in blockers.iter_mut().enumerate() {
+            assert_eq!(reply(s, rid as u64), Message::Err("block".into()));
+        }
+        let peak = h.peak_threads();
+        assert!(peak > BLOCKERS, "peaked at {peak}");
+        assert!(peak <= BLOCKERS + FREE_FLOOR, "one successor per busy thread at most: {peak}");
+        wait_until("idle threads to retire", || h.threads() == FREE_FLOOR);
+        assert_eq!(call(&mut other, 100, &Message::Ok), Message::Ok);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_the_event_not_the_thread() {
+        let (reactor, path) = blocking_echo("panic", Arc::new(Barrier::new(1)));
+        let mut s = UnixStream::connect(&path).unwrap();
+        assert_eq!(call(&mut s, 1, &Message::Ok), Message::Ok);
+        s.write_all(&encode_frame(2, &Message::Err("panic".into()))).unwrap();
+        assert_eq!(call(&mut s, 3, &Message::Ok), Message::Ok);
+        let h = reactor.handle();
+        assert!(h.threads() >= 1 && h.threads() <= h.peak_threads());
+        assert_eq!(call(&mut s, 4, &Message::Ok), Message::Ok);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn drop_disconnects_every_connection_and_closes_the_listener() {
+        let (f, path) = forwarding("drop");
+        let _peer = UnixStream::connect(&path).unwrap();
+        let conn = accepted(&f.events);
+        let Forwarding { reactor, events, stats } = f;
+        drop(reactor);
+        assert_eq!(next_disconnect(&events, Duration::from_secs(5)), Some(conn));
+        assert_eq!(stats.connections.get(), 0);
+        assert!(UnixStream::connect(&path).is_err(), "the listener is closed");
+        let _ = std::fs::remove_file(&path);
     }
 }

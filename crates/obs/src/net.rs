@@ -26,8 +26,8 @@ pub struct NetStats {
     /// malformed payload). Each one costs the connection.
     pub decode_errors: Counter,
     /// Sends that found the peer's socket buffer full: the sender queued
-    /// the unwritten remainder behind the connection and woke the poller
-    /// to drain it on the next writability wakeup.
+    /// the unwritten remainder behind the connection and woke the leader
+    /// thread to drain it on the next writability wakeup.
     pub backpressure_stalls: Counter,
     /// Client calls that gave up waiting for their reply frame
     /// (`DlfmConfig::wire_call_timeout_ms`). The connection stays usable.
@@ -41,7 +41,7 @@ pub struct NetStats {
     /// High-water mark of `connections`.
     pub peak_connections: Gauge,
     /// Request/reply round-trip latency as the *caller* saw it: write,
-    /// the server's poller wakeup and dispatch, reply read and decode.
+    /// the server's leader wakeup and service, reply read and decode.
     pub round_trip_ns: Histogram,
 }
 

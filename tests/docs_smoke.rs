@@ -54,7 +54,6 @@ fn promised_docs_have_their_content() {
                 "BENCH_a12",
                 "checkpoint_every_bytes",
                 "replication_lag",
-                "upcall_workers_min",
                 "upcall_workers_max",
                 "agent_executor_threads",
             ],

@@ -76,7 +76,8 @@ fn metrics_snapshot_spans_every_layer() {
     for name in ["dlfm.srv1.upcall_pool.workers", "pool.total_workers"] {
         assert!(snap.gauges.contains_key(name), "missing gauge {name}");
     }
-    assert!(snap.gauges["pool.total_workers"] >= 1.0);
+    // Heads serving right now: every call has returned.
+    assert_eq!(snap.gauges["pool.total_workers"], 0.0);
     // "Queued or served in place?" — in-process, every link and every
     // upcall ran on its caller's thread.
     for lane in ["upcall_pool", "agent_executor"] {

@@ -4,10 +4,10 @@
 //! these scenarios pin that the behaviour is indistinguishable from the
 //! in-process path: engine DML 2PC, managed token writes, presumed abort
 //! when a connection dies mid-2PC, and coordinator fencing across host
-//! failover. Since PR 14 the client side has no I/O thread — callers read
-//! the socket themselves — so the shared-connection cases (concurrent
-//! calls, sever with calls in flight) and the frame cost of a managed
-//! open are pinned here too.
+//! failover. The client side has no I/O thread — each concurrent caller
+//! checks out a socket of its own and reads its reply itself — so the
+//! shared-connection cases (concurrent calls, sever with calls in flight)
+//! and the frame cost of a managed open are pinned here too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
@@ -176,9 +176,9 @@ fn concurrent_calls_on_one_connection_each_get_their_own_reply() {
 #[test]
 fn sever_with_calls_in_flight_fails_them_all_promptly() {
     const CALLERS: usize = 4;
-    // Upcall workers park inside the `/d/hang` mutation check until the
-    // test lets go, so the calls below are in flight for as long as it
-    // needs them to be.
+    // The threads serving the `/d/hang` mutation checks park inside them
+    // until the test lets go, so the calls below are in flight for as long
+    // as it needs them to be.
     let arrived = Arc::new(AtomicUsize::new(0));
     let (release, parked) = mpsc::channel::<()>();
     let parked = Mutex::new(parked);
@@ -221,7 +221,7 @@ fn sever_with_calls_in_flight_fails_them_all_promptly() {
     });
     assert!(conn.is_dead());
     assert!(conn.call(Message::EpochGet).unwrap_err().contains("is closed"));
-    drop(release); // unparks the workers: their replies go nowhere
+    drop(release); // unparks the serving threads: their replies go nowhere
 }
 
 // ---------------------------------------------------------------------------
