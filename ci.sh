@@ -64,7 +64,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # no settle pool, no worker threads behind a lane, no growth or retire
 # window, no client reader election — and the wire daemon never hands a
 # frame to a queue (a full lane parks it on the gate instead).
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker"
+# A close wakes no archiver (DESIGN.md "§4.4"): the archiver's queue is a
+# mutex and a condvar, not a channel, and a write open that meets its
+# file's archive job runs or waits it out — archiving answers no `Busy`.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "settle_stats|reply_parked|try_grow|retire_window|upcall_idle_ms|upcall_workers_min" \
@@ -94,8 +97,11 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || awk '/fn link_file\(/,/^    }$/' crates/dlfm/src/server.rs \
        | grep -nE "\.[c]ommit(_unforced)?\(\)|add_[i]ntent|set_[a]ttrs\(" \
   || grep -nE "[c]riterion" Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml \
-  || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote or a frame hand-off to a worker reappeared (matches above)" >&2
+  || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench \
+  || awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/dlfm/src/archive.rs | grep -n "[m]psc" \
+  || awk '/fn open_check_write\(/,/^    }$/' crates/dlfm/src/server.rs \
+       | grep -A4 "is_[a]rchiving" | grep -n "OpenDecision::[B]usy"; then
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote, a frame hand-off to a worker, an archiver channel or a Busy from archiving reappeared (matches above)" >&2
   exit 1
 fi
 

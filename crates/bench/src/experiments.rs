@@ -659,7 +659,9 @@ pub fn a5_archive_async(sizes_kib: &[usize], iters: u64) -> Table {
         rows,
         notes: vec![
             "async archiving moves the content copy off the close path; a new update to the \
-             same file still blocks until the archive completes (the §4.4 blocking rule)"
+             same file still starts only once the archive holds the closed version (the §4.4 \
+             blocking rule), but it waits for no other thread: the write open runs its file's \
+             queued job itself, or waits out the one the archiver has started"
                 .into(),
         ],
     }

@@ -1009,6 +1009,8 @@ impl DataLinksSystem {
         dlfm_counter!(unlinks);
         dlfm_counter!(takeovers);
         dlfm_counter!(archives);
+        dlfm_counter!(archive_wakeups);
+        dlfm_counter!(archive_jobs_by_opener);
         dlfm_counter!(busy_responses);
         dlfm_counter!(rollbacks);
         dlfm_counter!(updates_rolled_forward);

@@ -11,9 +11,22 @@
 //!
 //! The store is content-addressed by (path, version) and every version
 //! carries the host database state identifier (commit LSN) that created it.
-//! Archiving is *asynchronous*: [`Archiver`] runs a worker thread; while a
-//! file's archive job is in flight, new update requests to it are blocked
-//! (the DLFM server consults [`ArchiveStore::is_archiving`]).
+//! Archiving is *asynchronous*: a close marks its file in flight and queues
+//! the job with [`Archiver::submit`]; while the marker stands, new update
+//! requests to the file are blocked (the DLFM server consults
+//! [`ArchiveStore::is_archiving`]).
+//!
+//! **A close wakes nobody.** The queue is a mutex and a condvar, not a
+//! channel: a submit wakes the worker only when the queue was empty or has
+//! reached [`BATCH`] jobs. A woken worker lets one [`TICK`] of jobs gather,
+//! then runs them one at a time until the queue is empty, and sleeps
+//! untimed — an idle node makes no wake-ups, a busy one about one per
+//! tick. Because a job leaves the queue only when it starts, a thread that
+//! must not wait for the worker takes its file's job and runs it itself:
+//! a write open that meets the marker ([`Archiver::finish`]; the update
+//! still starts only once the store holds the version) and a drain
+//! ([`ArchiveStore::wait_archived`]). A job the worker has already started
+//! is waited out on the store's condvar, which takes microseconds.
 //!
 //! Like a physical archive device, the store lives outside the file server
 //! that writes it: it survives simulated crashes (the crash harness keeps
@@ -25,15 +38,23 @@
 //! generation* when it is built ([`ArchiveStore::take_generation`]), which
 //! fences whoever wrote before it, and stamps every mutation with it. A
 //! mutation stamped with an older generation — a deposed primary's late
-//! archive job, which reads the file lazily from the shared disk — is
-//! dropped under the store lock. Reads are not fenced.
+//! archive job, which reads the file lazily from the shared disk, run by
+//! its worker or by one of its openers — is dropped under the store lock.
+//! Reads are not fenced.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
+
+/// How long a woken worker lets jobs gather before it runs them: the most
+/// a close's archive copy lags it while nobody asks for the file.
+pub const TICK: Duration = Duration::from_millis(2);
+
+/// Queue length at which a submit wakes a worker that is still gathering.
+pub const BATCH: usize = 64;
 
 /// One archived version of one file.
 #[derive(Debug, Clone)]
@@ -60,6 +81,8 @@ struct StoreInner {
     /// The current writer generation: mutations stamped with any other
     /// are dropped.
     writer: u64,
+    /// The current writer's archiver, whose queued jobs a drain runs.
+    archiver: Weak<Shared>,
 }
 
 /// The versioned archive store.
@@ -76,12 +99,13 @@ impl ArchiveStore {
 
     /// Takes the next writer generation. From here on every mutation
     /// stamped with an earlier one is dropped, and the previous writer's
-    /// in-flight markers are cleared: a job it left queued must not keep
-    /// the new writer's write opens `Busy`.
+    /// in-flight markers are cleared: a job it left queued must not hold
+    /// the new writer's write opens.
     pub fn take_generation(&self) -> u64 {
         let mut inner = self.inner.lock();
         inner.writer += 1;
         inner.archiving.clear();
+        inner.archiver = Weak::new();
         self.done.notify_all();
         inner.writer
     }
@@ -229,7 +253,13 @@ impl ArchiveStore {
     /// job's completion callback is still running — the callback commits
     /// to the repository (`needs_archive` clears), and a caller draining
     /// the system must not see that write land after its drain returned.
+    /// A job of the current writer's that is still queued runs on the
+    /// calling thread, so a drain never waits out the worker's tick.
     pub fn wait_archived(&self, path: &str) {
+        let archiver = self.inner.lock().archiver.upgrade();
+        if let Some(archiver) = archiver {
+            archiver.finish(path);
+        }
         let mut inner = self.inner.lock();
         while inner.archiving.contains_key(path) || inner.settling > 0 {
             self.done.wait(&mut inner);
@@ -262,16 +292,11 @@ pub type ContentSource = Arc<dyn Fn(&str) -> Option<Vec<u8>> + Send + Sync>;
 /// fenced it), so a callback that acts on success must check the store
 /// first. The DLFM server uses it to eagerly clear `needs_archive` in the
 /// repository — store- and version-guarded, since by the time it runs a
-/// newer update may already be in flight — and to wake writers blocked on
-/// the in-flight archive.
+/// newer update may already be in flight — and to bump its sync epoch.
 pub type ArchiveCompletion = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
-enum Msg {
-    Job(Box<ArchiveJob>),
-    Shutdown,
-}
-
-/// What the worker thread and the synchronous path share.
+/// What runs a job — on the worker thread, an opener's, a drain's, or the
+/// closer's (the synchronous path).
 struct Worker {
     store: Arc<ArchiveStore>,
     writer: u64,
@@ -281,7 +306,7 @@ struct Worker {
 
 impl Worker {
     /// Stores one job's content and runs the completion callback, honouring
-    /// the completion contract on both paths: store holds the version,
+    /// the completion contract on every path: store holds the version,
     /// in-flight marker cleared, THEN the callback — so callback-driven
     /// wakeups observe the job as finished.
     fn run(&self, mut job: ArchiveJob) {
@@ -301,11 +326,84 @@ impl Worker {
     }
 }
 
-/// Asynchronous archiver daemon: a worker thread draining a job queue.
+/// The jobs no thread has started yet, oldest first. A file has at most
+/// one: its in-flight marker holds every other write open of it until the
+/// job has run.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<ArchiveJob>,
+    shutdown: bool,
+}
+
+/// What an [`Archiver`], its worker thread and the store's drains share.
+struct Shared {
+    worker: Worker,
+    queue: Mutex<Queue>,
+    /// Wakes the idle worker.
+    wake: Condvar,
+    /// Times the worker left its idle sleep.
+    wakeups: Arc<dl_obs::Counter>,
+}
+
+impl Shared {
+    /// The worker thread: sleep untimed while the queue is empty; once
+    /// woken, let a tick's jobs gather, then run them one at a time — each
+    /// stays stealable until it starts — until the queue is empty again.
+    /// Shutdown runs every queued job first.
+    fn drain(&self) {
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                MutexGuard::unlocked(&mut queue, || self.worker.run(job));
+                continue;
+            }
+            if queue.shutdown {
+                return;
+            }
+            self.wake.wait(&mut queue);
+            self.wakeups.inc();
+            let deadline = Instant::now() + TICK;
+            while !queue.shutdown && !queue.jobs.is_empty() && queue.jobs.len() < BATCH {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || self.wake.wait_for(&mut queue, left).timed_out() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Runs `path`'s queued job on the calling thread, or waits out the one
+    /// another thread has started (or a close has marked and not queued
+    /// yet): on return no job of this writer's is in flight for `path`.
+    /// Returns whether the calling thread ran it. A deposed writer waits
+    /// for nothing — its markers went with its generation.
+    fn finish(&self, path: &str) -> bool {
+        let store = &self.worker.store;
+        let mut inner = store.inner.lock();
+        let mut ran = false;
+        while inner.writer == self.worker.writer && inner.archiving.contains_key(path) {
+            let job = {
+                let mut queue = self.queue.lock();
+                let at = queue.jobs.iter().position(|job| job.path == path);
+                at.and_then(|at| queue.jobs.remove(at))
+            };
+            match job {
+                Some(job) => {
+                    MutexGuard::unlocked(&mut inner, || self.worker.run(job));
+                    ran = true;
+                }
+                None => store.done.wait(&mut inner),
+            }
+        }
+        ran
+    }
+}
+
+/// Asynchronous archiver daemon: a worker thread draining a job queue that
+/// write opens and drains may run jobs out of (module docs).
 pub struct Archiver {
-    tx: Sender<Msg>,
+    shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
-    worker: Arc<Worker>,
 }
 
 impl Archiver {
@@ -318,41 +416,76 @@ impl Archiver {
         source: ContentSource,
         on_complete: ArchiveCompletion,
     ) -> Archiver {
-        let (tx, rx) = channel::<Msg>();
-        let worker = Arc::new(Worker { store, writer, source, on_complete });
-        let thread_worker = Arc::clone(&worker);
+        let shared = Arc::new(Shared {
+            worker: Worker { store, writer, source, on_complete },
+            queue: Mutex::default(),
+            wake: Condvar::new(),
+            wakeups: Arc::default(),
+        });
+        if let Some(mut inner) = shared.worker.store.writable(writer) {
+            inner.archiver = Arc::downgrade(&shared);
+        }
+        let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("dlfm-archiver".into())
-            .spawn(move || {
-                while let Ok(Msg::Job(job)) = rx.recv() {
-                    thread_worker.run(*job);
-                }
-            })
+            .spawn(move || thread_shared.drain())
             .expect("spawn archiver thread");
-        Archiver { tx, handle: Some(handle), worker }
+        Archiver { shared, handle: Some(handle) }
     }
 
-    /// Enqueues an asynchronous archive job. The file is marked as
-    /// archiving *before* this returns, so a subsequent update request
-    /// observes the in-flight job and blocks.
+    /// Queues an asynchronous archive job. The file is marked as archiving
+    /// *before* this returns, so a subsequent update request observes the
+    /// in-flight job. Wakes the worker only if the queue was empty or has
+    /// just filled a batch.
     pub fn submit(&self, job: ArchiveJob) {
-        self.worker.store.begin_archiving(self.worker.writer, &job.path, job.version);
-        if self.tx.send(Msg::Job(Box::new(job))).is_err() {
-            unreachable!("archiver queue is unbounded and closed only on drop");
+        let store = &self.shared.worker.store;
+        let mut inner = store.writable(self.shared.worker.writer);
+        if let Some(inner) = inner.as_mut() {
+            inner.archiving.insert(job.path.clone(), job.version);
+        }
+        let queued = {
+            let mut queue = self.shared.queue.lock();
+            queue.jobs.push_back(job);
+            queue.jobs.len()
+        };
+        if inner.is_some() {
+            // A waiter that found the marker before the job was queued
+            // takes the job now.
+            store.done.notify_all();
+        }
+        drop(inner);
+        if queued == 1 || queued == BATCH {
+            self.shared.wake.notify_one();
         }
     }
 
     /// Archives synchronously (used by the `sync_archive` ablation and by
     /// recovery, which must not race the worker).
     pub fn submit_sync(&self, job: ArchiveJob) {
-        self.worker.store.begin_archiving(self.worker.writer, &job.path, job.version);
-        self.worker.run(job);
+        self.shared.worker.store.begin_archiving(self.shared.worker.writer, &job.path, job.version);
+        self.shared.worker.run(job);
+    }
+
+    /// The write opener's side of §4.4's blocking rule: runs `path`'s
+    /// queued job on the calling thread — under this archiver's generation,
+    /// with its completion callback — or waits out the one already
+    /// started. On return the store holds the version the job archived.
+    /// Returns whether the calling thread ran the job.
+    pub fn finish(&self, path: &str) -> bool {
+        self.shared.finish(path)
+    }
+
+    /// Times the worker thread has left its idle sleep: about one per tick
+    /// under load, none while the node is idle.
+    pub fn wakeups(&self) -> &Arc<dl_obs::Counter> {
+        &self.shared.wakeups
     }
 }
 
 impl Drop for Archiver {
     fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
+        self.shared.queue.lock().shutdown = true;
+        self.shared.wake.notify_one();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -524,6 +657,173 @@ mod tests {
             go.send(()).unwrap();
         });
         assert!(drained.load(Ordering::SeqCst));
+    }
+
+    /// A content source that reads every path as its own name, except that
+    /// a read of `gated` announces itself on the returned receiver and then
+    /// waits until the returned sender is used (or dropped).
+    fn gated_source(gated: &'static str) -> (ContentSource, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let (entered_tx, gate) = (Mutex::new(entered_tx), Mutex::new(gate));
+        let source: ContentSource = Arc::new(move |path: &str| {
+            if path == gated {
+                entered_tx.lock().send(()).unwrap();
+                let _ = gate.lock().recv();
+            }
+            Some(path.as_bytes().to_vec())
+        });
+        (source, entered, release)
+    }
+
+    /// A job that makes the worker read the file through its source.
+    fn lazy_job(path: &str, version: u64) -> ArchiveJob {
+        ArchiveJob { data: None, ..job(path, version, version, b"") }
+    }
+
+    const WAIT: std::time::Duration = std::time::Duration::from_secs(5);
+
+    #[test]
+    fn closes_below_the_batch_size_wake_the_worker_at_most_once() {
+        let store = Arc::new(ArchiveStore::new());
+        let (source, entered, release) = gated_source("/gate");
+        let archiver =
+            Archiver::spawn(Arc::clone(&store), store.take_generation(), source, no_callback());
+        let wakeups = Arc::clone(archiver.wakeups());
+        assert_eq!(wakeups.get(), 0, "an idle worker is never woken");
+        archiver.submit(lazy_job("/gate", 1));
+        entered.recv_timeout(WAIT).unwrap();
+        // The worker is running the first job: the next 20 closes queue
+        // behind it and wake nobody.
+        for v in 1..=20 {
+            archiver.submit(lazy_job(&format!("/f{v}"), 1));
+        }
+        release.send(()).unwrap();
+        let deadline = std::time::Instant::now() + WAIT;
+        while !(1..=20).all(|v| store.contains(&format!("/f{v}"), 1)) {
+            assert!(std::time::Instant::now() < deadline, "the worker never drained the queue");
+            std::thread::yield_now();
+        }
+        // One, or none if the first job beat the new worker to its sleep.
+        assert!(wakeups.get() <= 1, "21 closes, {} wake-ups", wakeups.get());
+    }
+
+    #[test]
+    fn a_lone_job_is_archived_with_no_waiter() {
+        let store = Arc::new(ArchiveStore::new());
+        let archiver = archiver(&store, no_callback());
+        archiver.submit(job("/f", 1, 1, b"v1"));
+        // Nobody drains: the worker wakes once, waits out its tick and
+        // runs the job.
+        let deadline = std::time::Instant::now() + WAIT;
+        while !store.contains("/f", 1) {
+            assert!(std::time::Instant::now() < deadline, "the job was never run");
+            std::thread::sleep(TICK / 4);
+        }
+        assert!(archiver.wakeups().get() <= 1);
+    }
+
+    #[test]
+    fn a_drain_runs_its_queued_job_without_waiting_for_the_worker() {
+        let store = Arc::new(ArchiveStore::new());
+        let (source, entered, release) = gated_source("/gate");
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let cb_ran_on = Arc::clone(&ran_on);
+        let archiver = Archiver::spawn(
+            Arc::clone(&store),
+            store.take_generation(),
+            source,
+            Arc::new(move |path: &str, _: u64| {
+                cb_ran_on.lock().push((path.to_string(), std::thread::current().id()));
+            }),
+        );
+        archiver.submit(lazy_job("/gate", 1));
+        entered.recv_timeout(WAIT).unwrap();
+        archiver.submit(lazy_job("/f", 1));
+        // The worker is stuck on the gate, so only this thread can run it.
+        store.wait_archived("/f");
+        assert_eq!(store.get("/f", 1).unwrap().data, b"/f");
+        assert_eq!(ran_on.lock().clone(), vec![("/f".to_string(), std::thread::current().id())]);
+        assert!(store.is_archiving("/gate"), "the worker's job is still held");
+        release.send(()).unwrap();
+        store.wait_archived("/gate");
+        assert!(store.contains("/gate", 1));
+    }
+
+    #[test]
+    fn an_opener_runs_its_files_queued_job_itself() {
+        let store = Arc::new(ArchiveStore::new());
+        let (source, entered, release) = gated_source("/gate");
+        let archiver =
+            Archiver::spawn(Arc::clone(&store), store.take_generation(), source, no_callback());
+        archiver.submit(lazy_job("/gate", 1));
+        entered.recv_timeout(WAIT).unwrap();
+        archiver.submit(ArchiveJob { prune: true, ..lazy_job("/f", 2) });
+        assert!(archiver.finish("/f"), "the opener ran the job");
+        assert!(!store.is_archiving("/f"));
+        assert_eq!(store.versions("/f"), vec![(2, 2)]);
+        assert!(!archiver.finish("/f"), "nothing left to run");
+        release.send(()).unwrap();
+    }
+
+    #[test]
+    fn an_opener_waits_out_the_job_the_worker_started() {
+        let store = Arc::new(ArchiveStore::new());
+        let (source, entered, release) = gated_source("/f");
+        let archiver =
+            Archiver::spawn(Arc::clone(&store), store.take_generation(), source, no_callback());
+        archiver.submit(lazy_job("/f", 1));
+        entered.recv_timeout(WAIT).unwrap();
+        let (done_tx, done) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| done_tx.send(archiver.finish("/f")).unwrap());
+            assert!(
+                done.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+                "the opener returned before the worker's job finished"
+            );
+            release.send(()).unwrap();
+            assert!(!done.recv_timeout(WAIT).unwrap(), "the worker ran it, not the opener");
+        });
+        assert!(store.contains("/f", 1));
+    }
+
+    #[test]
+    fn a_deposed_openers_job_lands_nothing() {
+        // The opener of a server about to be deposed takes its file's job
+        // and is stuck reading the file when a new writer takes over.
+        let store = Arc::new(ArchiveStore::new());
+        let (source, entered, release) = gated_source("/f");
+        let deposed =
+            Archiver::spawn(Arc::clone(&store), store.take_generation(), source, no_callback());
+        // Keep the worker busy elsewhere, so only the opener can take "/f".
+        deposed.submit(job("/busy", 1, 1, b"b"));
+        deposed.submit(lazy_job("/f", 2));
+        let (done_tx, done) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| done_tx.send(deposed.finish("/f")).unwrap());
+            entered.recv_timeout(WAIT).unwrap();
+            let current = store.take_generation();
+            store.begin_archiving(current, "/f", 3);
+            release.send(()).unwrap();
+            // Whoever ran it, the job was fenced: the deposed opener waits
+            // for no marker of the new writer's.
+            done.recv_timeout(WAIT).unwrap();
+        });
+        assert!(store.latest("/f").is_none(), "the deposed job's bytes landed");
+        assert!(store.is_archiving("/f"), "the deposed job cleared the current writer's marker");
+    }
+
+    #[test]
+    fn drop_runs_every_queued_job() {
+        let store = Arc::new(ArchiveStore::new());
+        let archiver = archiver(&store, no_callback());
+        for v in 1..=20 {
+            archiver.submit(job(&format!("/f{v}"), 1, v, b"queued"));
+        }
+        drop(archiver);
+        for v in 1..=20 {
+            assert!(store.contains(&format!("/f{v}"), 1), "/f{v} was dropped unarchived");
+        }
     }
 
     #[test]

@@ -455,19 +455,26 @@ impl Repository {
     /// The commit is **unforced** (`Txn::commit_unforced`): the flag only
     /// tells recovery which versions to look for in the archive store, so a
     /// clear lost in a crash costs one idempotent re-check, and nobody
-    /// waits on a log sync for it.
-    pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<()> {
+    /// waits on a log sync for it. For the same reason it never waits for
+    /// the row: when another transaction holds it (a read or a write open
+    /// claiming the file) the clear is skipped and the flag stays set for
+    /// recovery's re-archive pass. Returns whether the flag was cleared.
+    pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<bool> {
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
+        if !txn.try_lock_for_update("dl_files", &key)? {
+            return Ok(false);
+        }
         let row = txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?;
-        if row[4] == Value::Int(version as i64) {
+        let current = row[4] == Value::Int(version as i64);
+        if current {
             let mut row = row;
             row[10] = Value::Bool(false);
             txn.update("dl_files", &key, row)?;
         }
         txn.commit_unforced()?;
         self.bump();
-        Ok(())
+        Ok(current)
     }
 
     /// The committed read the primary and every read replica serve: the
@@ -730,7 +737,7 @@ impl Repository {
         Ok(true)
     }
 
-    /// Rolls a write claim back (failed take-over, archive block): removes
+    /// Rolls a write claim back (a failed before-image or take-over): removes
     /// the UIP and Sync rows it inserted, unforced (see
     /// [`Repository::remove_uip`]).
     pub fn release_write_claim(&self, path: &str, opener: u64) {

@@ -167,6 +167,11 @@ pub struct DlfmStats {
     /// 2PC traffic refused because it carried a stale coordinator epoch
     /// (a zombie host's late decisions bouncing off the fence).
     pub stale_coord_rejections: dl_obs::Counter,
+    /// Times the archiver's worker thread left its idle sleep (the
+    /// archiver's own counter).
+    pub archive_wakeups: Arc<dl_obs::Counter>,
+    /// Archive jobs a write open of their file ran on its own thread.
+    pub archive_jobs_by_opener: dl_obs::Counter,
 }
 
 /// Hook back into the host database, implemented by the DataLinks engine.
@@ -236,7 +241,7 @@ pub enum OpenDecision {
     Approved { open_as: Cred },
     /// The file is not managed by this DLFM.
     NotManaged,
-    /// A conflicting open or an in-flight archive; retry after a change.
+    /// A conflicting open; retry after a change.
     Busy,
     /// Denied (bad token, blocked mode, ...).
     Rejected(String),
@@ -297,8 +302,8 @@ fn linked_attrs(mode: ControlMode, entry: &FileEntry, dlfm: &Cred) -> (u32, u32,
 }
 
 /// Epoch bumped whenever sync/archive state changes; blocked opens wait on
-/// it and retry. Shared (via `Arc`) with the archiver completion callback
-/// so an asynchronous archive completion also wakes blocked writers.
+/// it and retry. Shared (via `Arc`) with the archiver completion callback,
+/// so an epoch watcher also sees an archive job settle.
 #[derive(Default)]
 struct SyncEpoch {
     epoch: Mutex<u64>,
@@ -400,9 +405,9 @@ impl DlfmServer {
         // as the backstop for crashes mid-archive). The clear is guarded
         // twice — the store must actually hold the version (a job whose
         // content read failed stores nothing) and the version must still
-        // be current (a newer update may have committed meanwhile). The
-        // epoch bump is unconditional: it wakes writers blocked on the
-        // in-flight archive marker either way.
+        // be current (a newer update may have committed meanwhile) — and it
+        // skips a row another transaction holds. The epoch bump is
+        // unconditional: it tells epoch watchers the job has settled.
         let cb_repo = Arc::clone(&repo);
         let cb_epoch = Arc::clone(&sync_epoch);
         let cb_store = Arc::clone(&archive);
@@ -423,7 +428,6 @@ impl DlfmServer {
             repo,
             archive,
             generation,
-            archiver,
             source,
             admin: Lfs::new(fs),
             clock,
@@ -436,7 +440,11 @@ impl DlfmServer {
             recorder: Arc::new(dl_obs::FlightRecorder::new(flight_ring_capacity)),
             flight_source,
             crashed: std::sync::atomic::AtomicBool::new(false),
-            stats: DlfmStats::default(),
+            stats: DlfmStats {
+                archive_wakeups: Arc::clone(archiver.wakeups()),
+                ..DlfmStats::default()
+            },
+            archiver,
         })
     }
 
@@ -1120,10 +1128,11 @@ impl DlfmServer {
         // §4.4: "any new update request to the file is blocked until the
         // archiving completes." The close path pre-marks the archive before
         // its commit, so post-claim this check cannot miss an in-flight job.
-        if self.archive.is_archiving(&entry.path) {
-            self.repo.release_write_claim(&entry.path, opener);
-            self.stats.busy_responses.inc();
-            return OpenDecision::Busy;
+        // The open does not wait for the archiver: it runs its file's queued
+        // job on this thread, or waits out the one the worker has started.
+        // Its claim has committed, so it holds no row lock meanwhile.
+        if self.archive.is_archiving(&entry.path) && self.archiver.finish(&entry.path) {
+            self.stats.archive_jobs_by_opener.inc();
         }
 
         // Guarantee a restorable before-image: the first update of a file

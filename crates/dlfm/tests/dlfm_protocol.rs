@@ -1161,9 +1161,11 @@ fn a_release_between_busy_and_wait_is_never_slept_through() {
 
 /// A node's disk whose content reads wait while `gate` is held for writing:
 /// how a test keeps an archive job, which reads the file lazily, queued.
+/// `reads` counts the reads that have reached the gate.
 struct GatedFs {
     fs: Arc<MemFs>,
     gate: std::sync::RwLock<()>,
+    reads: std::sync::atomic::AtomicUsize,
 }
 
 impl FileSystem for GatedFs {
@@ -1192,6 +1194,7 @@ impl FileSystem for GatedFs {
         self.fs.fs_close(cred, ino, flags, written)
     }
     fn fs_read(&self, cred: &Cred, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let _open = self.gate.read().unwrap();
         self.fs.fs_read(cred, ino, offset, buf)
     }
@@ -1238,7 +1241,13 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
     admin.write_file(&ALICE, CLIP, b"committed v1").unwrap();
     // One disk, one gate per server: each server's archive jobs can be
     // held on their own.
-    let gated = || Arc::new(GatedFs { fs: Arc::clone(&disk), gate: Default::default() });
+    let gated = || {
+        Arc::new(GatedFs {
+            fs: Arc::clone(&disk),
+            gate: Default::default(),
+            reads: Default::default(),
+        })
+    };
     let (primary_disk, promoted_disk) = (gated(), gated());
     let archive = Arc::new(ArchiveStore::new());
     let repo_env = StorageEnv::mem();
@@ -1300,4 +1309,141 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
     drop(promoted_shut);
     archive.wait_archived(CLIP);
     assert_eq!(archive.get(CLIP, 3).unwrap().data, b"committed v3");
+}
+
+// --- a write open finishes its file's archive job ------------------------------
+
+/// §4.4 blocks "any new update request to the file ... until the archiving
+/// completes": a write open that meets its file's queued job is granted
+/// with no `Busy`, and only once the store holds the version the close
+/// committed.
+#[test]
+fn a_write_open_right_after_a_close_is_granted_with_the_version_archived() {
+    const CLIP: &str = "/data/clip.mpg";
+    let f = fixture();
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    for version in 2..=6u64 {
+        let dlfm = approved_write_open(&f, CLIP, version);
+        assert!(
+            f.server.archive_store().contains(CLIP, version - 1),
+            "granted before v{}",
+            version - 1
+        );
+        f.admin.write_file(&dlfm, CLIP, format!("v{version}").as_bytes()).unwrap();
+        f.server.close_notify(CLIP, version, true, 2, version).unwrap();
+    }
+    f.server.archive_store().wait_archived(CLIP);
+    assert_eq!(f.server.archive_store().get(CLIP, 6).unwrap().data, b"v6");
+    assert_eq!(f.server.stats.busy_responses.get(), 0);
+}
+
+/// A write open that meets the job the archiver's worker has already
+/// started waits it out — no `Busy` — and is granted once it has run.
+#[test]
+fn a_write_open_waits_out_the_archive_job_the_worker_started() {
+    use std::sync::atomic::Ordering;
+    const CLIP: &str = "/data/clip.mpg";
+    let clock = Arc::new(SimClock::new(1_000_000));
+    let disk = Arc::new(MemFs::with_clock(clock.clone()));
+    let admin = Lfs::new(disk.clone() as Arc<dyn FileSystem>);
+    admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
+    admin.write_file(&ALICE, CLIP, b"committed v1").unwrap();
+    let gated = Arc::new(GatedFs {
+        fs: Arc::clone(&disk),
+        gate: Default::default(),
+        reads: Default::default(),
+    });
+    let server = DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        gated.clone() as Arc<dyn FileSystem>,
+        Database::open(StorageEnv::mem()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+    )
+    .unwrap();
+    let f = Fixture { fs: disk, server: Arc::new(server), clock, admin };
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let dlfm = approved_write_open(&f, CLIP, 5);
+    f.admin.write_file(&dlfm, CLIP, b"committed v2").unwrap();
+
+    let shut = gated.gate.write().unwrap();
+    let reads = gated.reads.load(Ordering::SeqCst);
+    f.server.close_notify(CLIP, 5, true, 12, 0).unwrap();
+    // Nobody else reads the disk: the next read is the worker's, stuck
+    // behind the gate with the job started.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while gated.reads.load(Ordering::SeqCst) == reads {
+        assert!(std::time::Instant::now() < deadline, "the worker never started the job");
+        std::thread::yield_now();
+    }
+    let tok = write_token(&f, CLIP);
+    f.server.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let open = f.server.open_check(CLIP, ALICE.uid, TokenKind::Write, 6, None);
+            done_tx.send(open).unwrap();
+        });
+        assert!(
+            done.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+            "the open returned while the archive job was still running"
+        );
+        drop(shut);
+        let open = done.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
+    });
+    assert_eq!(f.server.archive_store().get(CLIP, 2).unwrap().data, b"committed v2");
+    assert_eq!(f.server.stats.busy_responses.get(), 0);
+    assert_eq!(f.server.stats.archive_jobs_by_opener.get(), 0, "the worker ran the job");
+}
+
+/// The archiver's `needs_archive` clear never waits for the file's row: it
+/// skips a row another transaction holds, leaving the flag set, and
+/// recovery's re-archive pass clears it.
+#[test]
+fn a_needs_archive_clear_skips_a_held_row_and_recovery_clears_it() {
+    use dl_minidb::Value;
+    const CLIP: &str = "/data/clip.mpg";
+    let repo_env = StorageEnv::mem();
+    let clock = Arc::new(SimClock::new(1_000_000));
+    let fs = Arc::new(MemFs::with_clock(clock.clone()));
+    let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
+    admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
+    admin.write_file(&ALICE, CLIP, b"committed v1").unwrap();
+    let server = DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        fs.clone() as Arc<dyn FileSystem>,
+        Database::open(repo_env.clone()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+    )
+    .unwrap();
+    let f = Fixture { fs, server: Arc::new(server), clock, admin };
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let dlfm = approved_write_open(&f, CLIP, 5);
+    f.admin.write_file(&dlfm, CLIP, b"committed v2").unwrap();
+    f.server.close_notify(CLIP, 5, true, 12, 0).unwrap();
+    f.server.archive_store().wait_archived(CLIP);
+
+    // Whatever the job's own clear did, the flag is set again, and another
+    // transaction holds the row.
+    let repo = f.server.repository();
+    let key = Value::Text(CLIP.to_string());
+    let mut txn = repo.db().begin();
+    txn.update_column("dl_files", &key, "needs_archive", Value::Bool(true)).unwrap();
+    txn.commit().unwrap();
+    let holder = repo.db().begin();
+    holder.get_for_update("dl_files", &key).unwrap();
+    assert_eq!(
+        repo.clear_needs_archive_if_version(CLIP, 2),
+        Ok(false),
+        "the clear waited or wrote"
+    );
+    drop(holder);
+    assert!(repo.get_file(CLIP).unwrap().needs_archive, "the skipped clear cleared the flag");
+
+    repo.db().flush().unwrap();
+    let (_, server, report) = crash_and_recover(f, repo_env, &[(CLIP_URL, 2)]);
+    assert_eq!(report.archives_recovered, 0, "the store already held v2");
+    assert!(!server.repository().get_file(CLIP).unwrap().needs_archive);
 }

@@ -49,8 +49,7 @@ use dl_fskit::{path as fspath, FileSystem};
 use dl_fskit::{Cred, DirEntry, FileAttr, FileKind, FsError, FsResult, Ino, OpenFlags, SetAttr};
 use parking_lot::{Mutex, RwLock};
 
-/// What to do when DLFM answers `Busy` (conflicting open or in-flight
-/// archive).
+/// What to do when DLFM answers `Busy` (a conflicting open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitPolicy {
     /// Block until the conflict clears (lock semantics, the default).

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{FsError, FsResult};
-use crate::flock::{LockKind, LockOp, LockOwner};
+use crate::flock::{LockOp, LockOwner};
 use crate::path;
 use crate::types::{Cred, FileAttr, FileKind, Ino, OpenFlags, SetAttr};
 use crate::vnode::FileSystem;
@@ -239,11 +239,6 @@ impl Lfs {
         self.fs.fs_lockctl(&cred, ino, owner, op)
     }
 
-    /// Convenience: exclusive-lock the descriptor, blocking.
-    pub fn lock_exclusive(&self, fd: Fd) -> FsResult<()> {
-        self.lockctl(fd, LockOp::Lock(LockKind::Exclusive)).map(|_| ())
-    }
-
     /// Attributes of `abs_path`.
     pub fn stat(&self, cred: &Cred, abs_path: &str) -> FsResult<FileAttr> {
         let ino = self.resolve(cred, abs_path)?;
@@ -349,6 +344,7 @@ impl Lfs {
 mod tests {
     use super::*;
     use crate::clock::SimClock;
+    use crate::flock::LockKind;
     use crate::memfs::MemFs;
 
     const ALICE: Cred = Cred { uid: 100, gid: 100 };
@@ -464,7 +460,7 @@ mod tests {
         let lfs = lfs();
         lfs.write_file(&ALICE, "/f", b"x").unwrap();
         let fd1 = lfs.open(&ALICE, "/f", OpenOptions::read_write()).unwrap();
-        lfs.lock_exclusive(fd1).unwrap();
+        assert!(lfs.lockctl(fd1, LockOp::Lock(LockKind::Exclusive)).unwrap());
         let fd2 = lfs.open(&ALICE, "/f", OpenOptions::read_write()).unwrap();
         assert_eq!(
             lfs.lockctl(fd2, LockOp::TryLock(LockKind::Exclusive)),

@@ -74,11 +74,11 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
+    fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_f64(&mut self, v: f64) {
+    fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -147,7 +147,7 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    pub fn get_f64(&mut self) -> DbResult<f64> {
+    fn get_f64(&mut self) -> DbResult<f64> {
         let b = self.take(8)?;
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
     }

@@ -299,12 +299,6 @@ impl Database {
         self.inner.tables.read().contains_key(name)
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     pub fn schema(&self, table: &str) -> DbResult<Schema> {
         self.inner
             .tables
@@ -597,6 +591,30 @@ mod tests {
     }
 
     #[test]
+    fn try_lock_for_update_never_waits_for_a_held_row() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut tx = db.begin();
+        tx.insert("t", row(1, "a")).unwrap();
+        tx.insert("t", row(2, "b")).unwrap();
+        tx.commit().unwrap();
+
+        let holder = db.begin();
+        holder.get_for_update("t", &Value::Int(1)).unwrap();
+        let mut other = db.begin();
+        assert!(!other.try_lock_for_update("t", &Value::Int(1)).unwrap(), "row 1 is held");
+        assert!(other.try_lock_for_update("t", &Value::Int(2)).unwrap(), "row 2 is free");
+        other.update("t", &Value::Int(2), row(2, "b2")).unwrap();
+        other.commit().unwrap();
+        drop(holder);
+        let again = db.begin();
+        assert!(
+            again.try_lock_for_update("t", &Value::Int(1)).unwrap(),
+            "released with its holder"
+        );
+    }
+
+    #[test]
     fn ddl_roundtrip_through_recovery() {
         let env = StorageEnv::mem();
         {
@@ -608,7 +626,6 @@ mod tests {
         }
         let db = Database::open(env).unwrap();
         assert!(db.has_table("t"));
-        assert_eq!(db.table_names(), vec!["t".to_string()]);
     }
 
     #[test]

@@ -81,6 +81,20 @@ impl Txn {
         self.current(table, key)
     }
 
+    /// Takes the locks of [`Txn::get_for_update`] without waiting: `false`,
+    /// holding no new row lock, when another transaction holds the row or
+    /// its table in a conflicting mode.
+    pub fn try_lock_for_update(&self, table: &str, key: &Value) -> DbResult<bool> {
+        self.ensure_active()?;
+        let locks = &self.db.inner.locks;
+        Ok(locks.try_lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)
+            && locks.try_lock(
+                self.id,
+                &LockRes::Row(table.to_string(), key.clone()),
+                LockMode::Exclusive,
+            ))
+    }
+
     /// Full scan under a table shared lock (blocks concurrent writers, so
     /// no phantoms). Rows are returned in primary-key order and reflect this
     /// transaction's own pending writes.

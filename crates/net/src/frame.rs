@@ -161,7 +161,7 @@ pub enum Message {
         gid: u32,
     },
     OpenNotManaged,
-    /// A conflicting open or in-flight archive holds the file. Carries
+    /// A conflicting open holds the file. Carries
     /// the sync epoch the server read *before* it ran the check, so the
     /// client can wait for a change from that epoch without having asked
     /// for it in a separate round trip.
