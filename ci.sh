@@ -105,6 +105,22 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   exit 1
 fi
 
+# Five lab engine kinds (EXPERIMENTS.md "Writing a scenario"): a10 and a12
+# are `mixed` scenarios, and an engine emits each variant's own metrics
+# (`<metric>_v<i>`) instead of computing comparisons — a comparison between
+# variants is a ratio predicate in the scenario file. The bracketed first
+# letters keep these patterns from matching this file; the last guard
+# joins lab.rs into one line so a `metrics.insert` split across lines is
+# still read whole.
+step "guard: no replication or front_end lab kind, no readers/reads_per knob, no hand-computed comparison metric in the lab"
+if grep -rnE "Kind::[R]eplication|Kind::[F]rontEnd" crates/ src/ tests/ \
+  || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
+  || tr '\n' ' ' < crates/bench/src/lab.rs \
+       | grep -oE 'metrics\s*\.insert\(\s*(format!\()?"[^"]*"' | grep -E "_vs_|speedup|_ratio"; then
+  echo "guard: a deleted lab kind or knob, or a hand-computed comparison metric, reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release
@@ -154,8 +170,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # Every shipped scenario through the lab (EXPERIMENTS.md "Writing a
 # scenario"). Each scenario's own `assert` lines are the gate — shapes and
-# invariants, a14's wire_vs_local floor among them — and the lab exits
-# non-zero if any fails. Quick mode stays on the debug profile to avoid a
+# invariants, a14's `wire_ops_s / local_ops_s` floor among them — and the
+# lab exits non-zero if any fails; each failed assert is also printed on
+# stderr, which this step keeps. Quick mode stays on the debug profile to avoid a
 # release build it otherwise skips.
 step "lab --quick scenarios/*.jsonl (declared assertions)"
 profile_flag=""

@@ -154,16 +154,6 @@ impl CauManager {
             Ok(CheckinOutcome::Clean)
         }
     }
-
-    /// Current committed version of a master file.
-    pub fn current_version(&self, path: &str) -> u64 {
-        self.db
-            .get_committed(TABLE, &Value::Text(path.to_string()))
-            .ok()
-            .flatten()
-            .and_then(|row| row[1].as_int())
-            .unwrap_or(0) as u64
-    }
 }
 
 #[cfg(test)]
@@ -184,6 +174,12 @@ mod tests {
         CauManager::new(db, fs).unwrap()
     }
 
+    /// The committed version of a master file.
+    fn version(m: &CauManager, path: &str) -> i64 {
+        let row = m.db.get_committed(TABLE, &Value::Text(path.to_string())).unwrap().unwrap();
+        row[1].as_int().unwrap()
+    }
+
     #[test]
     fn clean_single_writer_cycle() {
         let m = manager();
@@ -191,7 +187,7 @@ mod tests {
         m.fs.write_file(&ALICE, &copy.copy, b"edited").unwrap();
         assert_eq!(m.check_in(&ALICE, &copy, MergePolicy::Reject).unwrap(), CheckinOutcome::Clean);
         assert_eq!(m.fs.read_file(&ALICE, "/page.html").unwrap(), b"edited");
-        assert_eq!(m.current_version("/page.html"), 2);
+        assert_eq!(version(&m, "/page.html"), 2);
     }
 
     #[test]
@@ -236,7 +232,7 @@ mod tests {
         assert_eq!(m.lost_updates.load(Ordering::Relaxed), 1);
         // Alice's committed update is gone — the lost update.
         assert_eq!(m.fs.read_file(&ALICE, "/page.html").unwrap(), b"bob clobbers everything");
-        assert_eq!(m.current_version("/page.html"), 3);
+        assert_eq!(version(&m, "/page.html"), 3);
     }
 
     #[test]

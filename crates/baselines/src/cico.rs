@@ -150,11 +150,6 @@ impl CicoManager {
             .and_then(|row| row[1].as_int())
             .map(|uid| uid as u32)
     }
-
-    /// Number of live checkouts (the paper's hoarding concern).
-    pub fn active_checkouts(&self) -> usize {
-        self.db.count(TABLE).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +215,7 @@ mod tests {
             m.fs.write_file(&ALICE, &format!("/f{i}"), b"x").unwrap();
             m.checkout(&ALICE, &format!("/f{i}")).unwrap();
         }
-        assert_eq!(m.active_checkouts(), 10);
+        assert_eq!(m.db.count(TABLE).unwrap(), 10);
         for i in 0..10 {
             assert!(m.checkout(&BOB, &format!("/f{i}")).is_err());
         }

@@ -13,7 +13,9 @@
 //!
 //! Exit status: `0` all scenarios ran and every predicate held, `1` at
 //! least one predicate failed (or a trial errored), `2` a scenario file
-//! failed to parse or declared an impossible configuration.
+//! failed to parse or declared an impossible configuration. Each failed
+//! predicate is printed to stderr as well (scenario, predicate, measured
+//! value), so a run with stdout discarded still names it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -93,6 +95,9 @@ fn main() -> ExitCode {
             let verdict = if outcome.pass { "PASS" } else { "FAIL" };
             println!("  assert {}: {verdict}", outcome.text);
             if !outcome.pass {
+                // Also on stderr, so a run whose stdout is discarded still
+                // says which assert failed and what it measured.
+                eprintln!("lab: FAIL {}: assert {}", sc.name, outcome.text);
                 failed_asserts += 1;
             }
         }

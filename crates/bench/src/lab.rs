@@ -4,49 +4,52 @@
 //!
 //! A scenario's [`Kind`] selects the engine loop:
 //!
+//! * [`Kind::Mixed`] — the generic client-mix loop (writes, link/unlink
+//!   churn, reads on any route) over any topology (replicas, host
+//!   standbys, shards, upcall lane width), with fault-injection points
+//!   (crash the primary or the host at op N, stall/resume a standby, kill
+//!   upcall workers, exhaust the repository or host disk, shear the host
+//!   WAL tail at a crash boundary). a10 (routed reads across a failover)
+//!   and a12 (upcall bursts through a narrow and a wide lane, agent churn)
+//!   are mixed scenarios.
 //! * [`Kind::CommitThroughput`] — the a9 sweep: bare-DB vs full-stack
 //!   commit rate, per-commit sync vs group commit, one variant per
-//!   committer count.
-//! * [`Kind::Replication`] — the a10 sweep: routed reads vs replica
-//!   count, lag drain, failover with link-state preservation.
+//!   committer count. Needs a bare-database arm and per-arm WAL options.
 //! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
-//!   and fresh-standby delta catch-up.
-//! * [`Kind::FrontEnd`] — the a12 arms: upcall bursts through a narrow
-//!   and a wide upcall lane, and agent churn over the shared executor.
-//! * [`Kind::Mixed`] — the generic client-mix loop with fault-injection
-//!   points (crash the primary at op N, stall/resume a standby, kill
-//!   upcall workers, exhaust the repository or host disk, shear the host
-//!   WAL tail at a crash boundary).
+//!   and fresh-standby delta catch-up, storage only (no DLFM).
 //! * [`Kind::Sharding`] — the a13 sweep: write-cycle throughput vs shard
-//!   count through the sharded DLFM front, fan-out proven off the
-//!   per-shard registry counters.
+//!   count through the sharded DLFM front, per-commit-sync repository WALs
+//!   beside a free host device, fan-out proven off the per-shard registry
+//!   counters.
 //! * [`Kind::WireFrontEnd`] — the a14 arms: connection-scale churn over
-//!   real Unix sockets (`Transport::Socket`), with a `sever_connections`
-//!   injection cutting live connections mid-2PC; the in-doubt claims must
-//!   resolve by presumed abort with zero atomicity violations, proven off
-//!   the `net.*` registry instruments.
+//!   real Unix sockets (`Transport::Socket`) held open at once, with a
+//!   `sever_connections` injection cutting live connections mid-2PC; the
+//!   in-doubt claims must resolve by presumed abort with zero atomicity
+//!   violations, proven off the `net.*` registry instruments.
 //!
-//! Everything the old bespoke a9–a12 runners *asserted* is emitted here
-//! as a named **metric**; the acceptance thresholds live in the scenario
-//! file's `"assert"` list ([`check_asserts`]) — the lab's only gate. Row
-//! labels come verbatim from the scenario's variant labels.
+//! An engine measures; it does not judge. Its metric map holds
+//! scenario-wide aggregates — counters summed over every trial, gauges
+//! (`failover_ms`, `max_os_threads`, ...) at their max, invariant flags
+//! (`end_lag_drained`, ...) at their min, so one bad trial fails the
+//! predicate — and, beside them, each variant's own values as
+//! `<metric>_v<i>` (`i` is the variant line's 0-based position, the value
+//! is what the variant's row reports, a rate the mean over repeats). A
+//! comparison between variants is a ratio predicate in
+//! the scenario file (`"ops_s_v3 / ops_s_v1 >= 1"`), evaluated by
+//! [`check_asserts`] — the lab's only gate. Row labels come verbatim from
+//! the scenario's variant labels.
 //!
-//! Metric aggregation across `variant × repeat` trials: counter-like
-//! metrics (`ops_failed`, `failovers`, `stale_reads`, ...) are summed,
-//! gauge-like metrics (`failover_ms`, `max_os_threads`, ...) take the
-//! max, and invariant flags (`lag_drained`, `links_preserved`, ...) take
-//! the min — one bad trial fails the predicate.
-//!
-//! The mixed engine additionally captures the system's telemetry snapshot
-//! ([`DataLinksSystem::metrics`]) at the end of every trial. Snapshots
-//! merge across trials ([`Snapshot::merge`]: counters add, gauges keep
-//! the max, histograms merge bucket-wise) and flatten into the same
-//! metric map ([`Snapshot::flatten`]), so a scenario predicate can name
-//! any exported registry metric — `dlfm_srv1_stale_coord_rejections`,
-//! `engine_freshness_wait_ns_p99`, `repl_srv1_records_shipped`, ... —
-//! exactly as it appears in the text exposition. Per-op latency rides the
-//! same pipe as the `lab.op_latency_ns` histogram, surfaced as
-//! `op_p50_ms` / `op_p99_ms` / `op_mean_ms` beside the mean-rate columns.
+//! The mixed, sharding and wire engines additionally capture the system's
+//! telemetry snapshot ([`DataLinksSystem::metrics`]) at the end of every
+//! trial. Snapshots merge across trials ([`Snapshot::merge`]: counters
+//! add, gauges keep the max, histograms merge bucket-wise) and flatten
+//! into the same metric map ([`Snapshot::flatten`]), so a scenario
+//! predicate can name any exported registry metric —
+//! `dlfm_srv1_stale_coord_rejections`, `engine_freshness_wait_ns_p99`,
+//! `repl_srv1_records_shipped`, ... — exactly as it appears in the text
+//! exposition. Per-op latency rides the same pipe as the
+//! `lab.op_latency_ns` histogram, surfaced as `op_p50_ms` / `op_p99_ms` /
+//! `op_mean_ms` beside the mean-rate columns.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -94,9 +97,7 @@ pub fn run_scenario(
     let plan = expand(sc, quick).map_err(|e| e.to_string())?;
     let mut run = match sc.kind {
         Kind::CommitThroughput => commit_throughput(sc, &plan),
-        Kind::Replication => replication(sc, &plan),
         Kind::CheckpointShipping => checkpoint_shipping(sc, &plan),
-        Kind::FrontEnd => front_end(sc, &plan),
         Kind::Mixed => mixed(sc, &plan, flight_dump_dir),
         Kind::Sharding => sharding(sc, &plan),
         Kind::WireFrontEnd => wire_front_end(sc, &plan),
@@ -110,22 +111,52 @@ pub fn run_scenario(
 
 /// Evaluates the scenario's declared predicates against the metric map.
 /// A predicate naming a metric the driver never emitted **fails** — a
-/// typo must not read as a pass.
+/// typo must not read as a pass — and so does a ratio over a zero
+/// denominator. A ratio prints both operands.
 pub fn check_asserts(sc: &Scenario, metrics: &BTreeMap<String, f64>) -> Vec<AssertOutcome> {
     sc.asserts
         .iter()
-        .map(|p| match metrics.get(&p.metric) {
-            Some(&m) => AssertOutcome { text: format!("{p}  (measured {m})"), pass: p.holds(m) },
-            None => AssertOutcome {
-                text: format!(
-                    "{p}  (metric {:?} was not emitted; known metrics: {})",
-                    p.metric,
-                    metrics.keys().cloned().collect::<Vec<_>>().join(", ")
-                ),
-                pass: false,
-            },
+        .map(|p| match p.measure(metrics) {
+            Ok(m) => {
+                let operands = match &p.per {
+                    Some(per) => format!(" = {} / {}", metrics[&p.metric], metrics[per]),
+                    None => String::new(),
+                };
+                AssertOutcome { text: format!("{p}  (measured {m}{operands})"), pass: p.holds(m) }
+            }
+            Err(why) => AssertOutcome { text: format!("{p}  ({why})"), pass: false },
         })
         .collect()
+}
+
+/// Emits one variant's own values as `<metric>_v<i>` — `i` is the
+/// variant line's 0-based position — beside the scenario-wide metrics, so
+/// a predicate can compare variants (`"write_rate_v2 / write_rate_v0 >=
+/// 2.5"`).
+fn emit_variant<'a>(
+    metrics: &mut BTreeMap<String, f64>,
+    i: usize,
+    values: impl IntoIterator<Item = (&'a str, f64)>,
+) {
+    for (name, v) in values {
+        metrics.insert(format!("{name}_v{i}"), v);
+    }
+}
+
+/// Adds every exported registry metric of `snapshots`, merged (counters
+/// add, gauges keep the max), under its flattened name. Engine-level names
+/// already in `metrics` win any collision.
+fn add_registry<'a>(
+    metrics: &mut BTreeMap<String, f64>,
+    snapshots: impl IntoIterator<Item = &'a Snapshot>,
+) {
+    let mut merged = Snapshot::default();
+    for snap in snapshots {
+        merged.merge(snap);
+    }
+    for (name, v) in merged.flatten() {
+        metrics.entry(name).or_insert(v);
+    }
 }
 
 fn s(x: impl ToString) -> String {
@@ -187,23 +218,12 @@ fn bare_db_commit_rate(
 
 /// One timed burst of update cycles against `f`: `threads` x `cycles`,
 /// every thread rewriting its own linked file with `size` bytes (write
-/// token → write open → write → close-as-commit). Records each cycle's
-/// latency into `lat` when given; returns cycles/sec.
-fn update_cycle_rate(
-    f: &Fixture,
-    threads: usize,
-    cycles: usize,
-    size: usize,
-    lat: Option<&Histogram>,
-) -> f64 {
+/// token → write open → write → close-as-commit); returns cycles/sec.
+fn update_cycle_rate(f: &Fixture, threads: usize, cycles: usize, size: usize) -> f64 {
     let content = make_content(size);
     let elapsed = run_threads(threads, |t| {
         for _ in 0..cycles {
-            let started = Instant::now();
             f.managed_update_no_wait(t, &content);
-            if let Some(lat) = lat {
-                lat.record_duration(started.elapsed());
-            }
         }
     });
     (threads * cycles) as f64 / elapsed.as_secs_f64()
@@ -221,7 +241,7 @@ fn stack_commit_rate(threads: usize, cycles: usize, sync_latency_ns: u64, wal: W
         db_sync_latency_ns: sync_latency_ns,
         ..Default::default()
     });
-    update_cycle_rate(&f, threads, cycles, 1024, None)
+    update_cycle_rate(&f, threads, cycles, 1024)
 }
 
 fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
@@ -231,7 +251,7 @@ fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> 
     let p0 = &plan.trials[0].params;
     let (mut title_commits, mut title_cycles) = (0u64, 0u64);
     let title_sync = p0.sync_latency_us.unwrap_or(0);
-    for trials in per_variant(sc, plan) {
+    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
         let t0 = &trials[0];
         let p = &t0.params;
         let threads = need(sc, t0, "threads", p.threads)? as usize;
@@ -244,18 +264,33 @@ fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> 
         // committers (two overlap their syncs instead of gathering), a
         // bounded window once followers exist to collect.
         let grouped = WalOptions::tuned_for(threads);
+        // A bare arm runs for a few milliseconds (30 commits at 2 threads
+        // under `--quick`), so one scheduling hiccup on a shared machine
+        // can halve its rate: each bare cell is the best of three runs,
+        // both arms alike.
+        let bare = |wal| {
+            (0..3).map(|_| bare_db_commit_rate(threads, commits, sync_ns, wal)).fold(0.0, f64::max)
+        };
         let (mut bare_per, mut bare_grp, mut stack_per, mut stack_grp) = (0.0, 0.0, 0.0, 0.0);
-        for _ in &trials {
-            bare_per += bare_db_commit_rate(threads, commits, sync_ns, per_commit);
-            bare_grp += bare_db_commit_rate(threads, commits, sync_ns, grouped);
+        for _ in trials {
+            bare_per += bare(per_commit);
+            bare_grp += bare(grouped);
             stack_per += stack_commit_rate(threads, cycles, sync_ns, per_commit);
             stack_grp += stack_commit_rate(threads, cycles, sync_ns, grouped);
         }
         let n = trials.len() as f64;
         let (bare_per, bare_grp) = (bare_per / n, bare_grp / n);
         let (stack_per, stack_grp) = (stack_per / n, stack_grp / n);
-        metrics.insert(format!("bare_speedup_t{threads}"), bare_grp / bare_per);
-        metrics.insert(format!("stack_speedup_t{threads}"), stack_grp / stack_per);
+        emit_variant(
+            &mut metrics,
+            i,
+            [
+                ("bare_sync_tx_s", bare_per),
+                ("bare_group_tx_s", bare_grp),
+                ("stack_sync_cyc_s", stack_per),
+                ("stack_group_cyc_s", stack_grp),
+            ],
+        );
         rows.push(vec![
             t0.variant.clone(),
             s(format!("{bare_per:.0}")),
@@ -283,174 +318,6 @@ fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> 
                 s("stack commit-sync cyc/s"),
                 s("stack group cyc/s"),
                 s("stack speedup"),
-            ],
-            rows,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
-}
-
-// ===========================================================================
-// replication — the a10 engine loop
-// ===========================================================================
-
-fn link_state(sys: &DataLinksSystem, nodes: &[String]) -> Vec<(String, u64)> {
-    let mut files: Vec<(String, u64)> = nodes
-        .iter()
-        .flat_map(|n| sys.node(n).expect("node").server.repository().list_files())
-        .map(|e| (e.path, e.cur_version))
-        .collect();
-    files.sort();
-    files
-}
-
-fn replication(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    let mut rows = Vec::new();
-    let mut metrics = BTreeMap::new();
-    let mut baseline_rate = 0.0f64;
-    let mut speedup_max = 0.0f64;
-    let mut lag_drained = 1.0f64;
-    let mut max_lag = 0u64;
-    let mut links_preserved = 1.0f64;
-    let mut failover_ms = 0.0f64;
-    let mut read_lat_all = HistogramSnapshot::default();
-    let read_mismatches = AtomicU64::new(0);
-    let p0 = &plan.trials[0].params;
-    let (title_readers, title_reads, title_sync) =
-        (p0.readers.unwrap_or(8), p0.reads_per.unwrap_or(40), p0.sync_latency_us.unwrap_or(0));
-    for trials in per_variant(sc, plan) {
-        let t0 = &trials[0];
-        let p = &t0.params;
-        let replicas = need(sc, t0, "replicas", p.replicas)? as usize;
-        let readers = need(sc, t0, "readers", p.readers)? as usize;
-        let reads_per = need(sc, t0, "reads_per", p.reads_per)? as usize;
-        let n_files = p.n_files.unwrap_or(4) as usize;
-        let file_size = p.file_size.unwrap_or(2048) as usize;
-        let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        let content = make_content(file_size);
-        let (mut rate_sum, mut drain_sum, mut failover_sum) = (0.0f64, 0.0f64, 0.0f64);
-        let mut failover_cells = (s("--"), s("--"));
-        let read_lat = Histogram::new();
-        for _ in &trials {
-            let f = fixture(FixtureOptions {
-                n_files,
-                file_size,
-                replicas,
-                sync_archive: true,
-                db_sync_latency_ns: sync_ns,
-                ..Default::default()
-            });
-            // One committed update per file so every replica archive holds
-            // the current version's bytes.
-            for i in 0..n_files {
-                f.managed_update(i, &content);
-            }
-
-            // Replication lag after the write burst must drain to zero.
-            let mut drained = false;
-            let drain = time_once(|| {
-                drained = f
-                    .sys
-                    .wait_replicas_caught_up(SRV, Duration::from_secs(30))
-                    .expect("known server");
-            });
-            if !drained {
-                lag_drained = 0.0;
-            }
-            max_lag = max_lag.max(f.sys.replication_lag(SRV).expect("lag"));
-
-            // Routed reads: token validation + last-committed bytes, spread
-            // round-robin over the standbys (all on the primary at 0
-            // replicas).
-            let elapsed = run_threads(readers, |t| {
-                for k in 0..reads_per {
-                    let i = (t + k) % n_files;
-                    let tp = f.token_path(i, TokenKind::Read);
-                    let started = Instant::now();
-                    match f.sys.serve_read(SRV, &tp, APP.uid) {
-                        Ok(data) if data == content => {}
-                        _ => {
-                            read_mismatches.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    read_lat.record_duration(started.elapsed());
-                }
-            });
-            rate_sum += (readers * reads_per) as f64 / elapsed.as_secs_f64();
-            drain_sum += drain.as_nanos() as f64;
-
-            // Failover: promote a standby and check the link state survived.
-            if replicas > 0 {
-                let Fixture { mut sys, .. } = f;
-                let before = link_state(&sys, &[SRV.to_string()]);
-                let failover = time_once(|| {
-                    sys.fail_over(SRV).expect("failover");
-                });
-                let after = link_state(&sys, &[SRV.to_string()]);
-                let preserved = before == after;
-                if !preserved {
-                    links_preserved = 0.0;
-                }
-                // The promoted node serves the same committed bytes.
-                let (_, tp) = sys
-                    .select_datalink(TABLE, &Value::Int(0), "body", TokenKind::Read)
-                    .expect("select after failover");
-                match sys.serve_read(SRV, &tp, APP.uid) {
-                    Ok(data) if data == content => {}
-                    _ => {
-                        read_mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                failover_sum += failover.as_nanos() as f64;
-                failover_ms = failover_ms.max(failover.as_nanos() as f64 / 1e6);
-                failover_cells = (fmt_ns(failover.as_nanos() as f64), s(preserved));
-            }
-        }
-        let n = trials.len() as f64;
-        let rate = rate_sum / n;
-        if rows.is_empty() {
-            baseline_rate = rate;
-        }
-        speedup_max = speedup_max.max(rate / baseline_rate);
-        if replicas > 0 {
-            failover_cells.0 = fmt_ns(failover_sum / n);
-        }
-        let vlat = read_lat.snapshot();
-        read_lat_all.merge(&vlat);
-        rows.push(vec![
-            t0.variant.clone(),
-            s(format!("{rate:.0}")),
-            s(format!("{:.2}x", rate / baseline_rate)),
-            fmt_ns(vlat.percentile(0.99) as f64),
-            fmt_ns(drain_sum / n),
-            failover_cells.0,
-            failover_cells.1,
-        ]);
-    }
-    metrics.insert("read_p99_ms".into(), read_lat_all.percentile(0.99) as f64 / 1e6);
-    metrics.insert("read_mean_ms".into(), read_lat_all.mean() / 1e6);
-    metrics.insert("lag_drained".into(), lag_drained);
-    metrics.insert("max_lag".into(), max_lag as f64);
-    metrics.insert("read_mismatches".into(), read_mismatches.into_inner() as f64);
-    metrics.insert("links_preserved".into(), links_preserved);
-    metrics.insert("failover_ms".into(), failover_ms);
-    metrics.insert("speedup_max".into(), speedup_max);
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "WAL-shipping replication: routed reads vs replica count \
-                 ({title_readers} readers x {title_reads} reads, {title_sync} µs device sync)"
-            ),
-            header: vec![
-                s("replicas"),
-                s("validated reads/s"),
-                s("speedup vs primary-only"),
-                s("read p99"),
-                s("lag drain"),
-                s("failover"),
-                s("links preserved"),
             ],
             rows,
             notes: Vec::new(),
@@ -536,62 +403,37 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
     let mut metrics = BTreeMap::new();
     let mut lag_drained = 1.0f64;
     let mut catchup_exact = 1.0f64;
-    let mut unbounded_retained: Option<u64> = None;
-    let mut full_records: Option<u64> = None;
     let p0 = &plan.trials[0].params;
     let (title_updates, title_sync) = (p0.updates.unwrap_or(400), p0.sync_latency_us.unwrap_or(0));
     let mut title_budget = 0u64;
-    for trials in per_variant(sc, plan) {
+    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
         let t0 = &trials[0];
         let p = &t0.params;
         let updates = need(sc, t0, "updates", p.updates)? as usize;
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        match p.delta {
-            // --- sustained load: budget off vs on ---------------------------
-            None => {
-                let budget = p.budget.unwrap_or(0);
-                title_budget = title_budget.max(budget);
-                let mut cells = Vec::new();
-                for _ in &trials {
+        let budget = p.budget.unwrap_or(0);
+        title_budget = title_budget.max(budget);
+        // The row (and the variant's metrics) report the last trial's
+        // byte and record counts, and the mean catch-up time.
+        let mut last = [0u64; 4];
+        let mut catch_up_sum = 0.0f64;
+        for _ in trials {
+            let (db, standby, _repl, stats) = match p.delta {
+                // Sustained load, budget off vs on: the budget bounds BOTH
+                // logs (trigger slack: one commit past the budget, plus the
+                // Checkpoint record).
+                None => {
                     let db = ckpt_primary(ROWS, budget, sync_ns);
                     let (standby, repl, stats) = ckpt_standby(&db);
                     ckpt_updates(&db, ROWS, updates);
                     if !repl.wait_caught_up(Duration::from_secs(30)) {
                         lag_drained = 0.0;
                     }
-                    let primary_wal = db.wal_retained_bytes();
-                    let standby_wal = standby.wal_retained_bytes();
-                    if budget == 0 {
-                        unbounded_retained = Some(primary_wal);
-                    } else {
-                        // The retention claim: the budget bounds BOTH logs
-                        // under sustained load (trigger slack: one commit
-                        // past the budget, plus the Checkpoint record).
-                        metrics.insert("budget_primary_wal_bytes".into(), primary_wal as f64);
-                        metrics.insert("budget_standby_wal_bytes".into(), standby_wal as f64);
-                        if let Some(unbounded) = unbounded_retained {
-                            metrics.insert(
-                                "budget_vs_unbounded".into(),
-                                primary_wal as f64 / unbounded as f64,
-                            );
-                        }
-                    }
-                    cells = vec![
-                        t0.variant.clone(),
-                        s(primary_wal),
-                        s(standby_wal),
-                        s(stats.checkpoints_shipped()),
-                        s(stats.records_shipped()),
-                        s("--"),
-                    ];
+                    (db, standby, repl, stats)
                 }
-                rows_out.push(cells);
-            }
-            // --- fresh-standby catch-up: full replay vs delta ---------------
-            Some(delta) => {
-                let mut cells = Vec::new();
-                let mut catch_up_sum = 0.0f64;
-                for _ in &trials {
+                // Fresh-standby catch-up: full replay vs delta (image +
+                // suffix).
+                Some(delta) => {
                     let db = ckpt_primary(ROWS, 0, sync_ns);
                     ckpt_updates(&db, ROWS, updates);
                     if delta {
@@ -607,34 +449,39 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
                     if standby.applied_lsn() != db.durable_lsn() {
                         catchup_exact = 0.0;
                     }
-                    if delta {
-                        metrics.insert(
-                            "delta_checkpoint_installs".into(),
-                            stats.checkpoints_shipped() as f64,
-                        );
-                        if let Some(full) = full_records {
-                            // The headline claim: delta catch-up ships a
-                            // small constant suffix, not the whole history.
-                            metrics.insert(
-                                "delta_records_ratio".into(),
-                                stats.records_shipped() as f64 / full as f64,
-                            );
-                        }
-                    } else {
-                        full_records = Some(stats.records_shipped());
-                    }
-                    cells = vec![
-                        t0.variant.clone(),
-                        s(db.wal_retained_bytes()),
-                        s(standby.wal_retained_bytes()),
-                        s(stats.checkpoints_shipped()),
-                        s(stats.records_shipped()),
-                        fmt_ns(catch_up_sum / trials.len() as f64),
-                    ];
+                    (db, standby, repl, stats)
                 }
-                rows_out.push(cells);
-            }
+            };
+            last = [
+                db.wal_retained_bytes(),
+                standby.wal_retained_bytes(),
+                stats.checkpoints_shipped(),
+                stats.records_shipped(),
+            ];
         }
+        let [primary_wal, standby_wal, installs, shipped] = last;
+        emit_variant(
+            &mut metrics,
+            i,
+            [
+                ("primary_wal_bytes", primary_wal as f64),
+                ("standby_wal_bytes", standby_wal as f64),
+                ("ckpt_installs", installs as f64),
+                ("records_shipped", shipped as f64),
+            ],
+        );
+        let catch_up = catch_up_sum / trials.len() as f64;
+        if p.delta.is_some() {
+            emit_variant(&mut metrics, i, [("catch_up_ms", catch_up / 1e6)]);
+        }
+        rows_out.push(vec![
+            t0.variant.clone(),
+            s(primary_wal),
+            s(standby_wal),
+            s(installs),
+            s(shipped),
+            if p.delta.is_some() { fmt_ns(catch_up) } else { s("--") },
+        ]);
     }
     metrics.insert("lag_drained".into(), lag_drained);
     metrics.insert("catchup_exact".into(), catchup_exact);
@@ -655,226 +502,6 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
                 s("catch-up"),
             ],
             rows: rows_out,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
-}
-
-// ===========================================================================
-// front_end — the a12 engine loop
-// ===========================================================================
-
-/// Heads still serving the upcall lane once the burst is over (waits up
-/// to 5 s for them to leave).
-fn settled_workers(f: &Fixture) -> usize {
-    let node = f.sys.node(SRV).expect("node");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let workers = node.upcall_pool_stats().workers();
-        if workers <= 2 || std::time::Instant::now() >= deadline {
-            return workers;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// One link → commit → unlink → commit round on `path` through `agent`,
-/// under host transactions `link_tx` and `link_tx + 1`.
-fn churn_cycle(agent: &DlfmClient, link_tx: u64, path: &str) -> Result<(), String> {
-    agent.link(link_tx, path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-    agent.commit(link_tx);
-    let unlink_tx = link_tx + 1;
-    agent.unlink(unlink_tx, path)?;
-    agent.commit(unlink_tx);
-    Ok(())
-}
-
-/// The file agent `i` of a churn arm links and unlinks.
-fn churn_path(i: usize) -> String {
-    format!("/data/wchurn{i:04}.bin")
-}
-
-/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
-/// [`churn_path`]`(i)`, seeded by the caller), multiplexed over 16 driver
-/// threads; link and unlink operations per second.
-fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
-    let drivers = 16.min(agents.len().max(1));
-    let elapsed = run_threads(drivers, |d| {
-        for (i, agent) in agents.iter().enumerate() {
-            if i % drivers != d {
-                continue;
-            }
-            let path = churn_path(i);
-            for r in 0..cycles {
-                // Synthetic host txids well clear of the fixture's.
-                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
-                    .expect("churn cycle");
-            }
-        }
-    });
-    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
-}
-
-/// The most heads that ever served the node's agent executor at once.
-fn executor_peak_threads(node: &dl_core::FileServerNode) -> usize {
-    node.main_daemon().executor_stats().map_or(0, |stats| stats.peak_workers())
-}
-
-fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    let mut rows = Vec::new();
-    let mut metrics = BTreeMap::new();
-    // Which burst variant carries the "high concurrency" claims: the one
-    // with the most clients.
-    let high_clients = plan.trials.iter().filter_map(|t| t.params.clients).max().unwrap_or(0);
-    let mut low_clients = u64::MAX;
-    let mut fixed_rate: BTreeMap<u64, f64> = BTreeMap::new();
-    // The narrowest upcall lane of the burst arms is the fixed baseline;
-    // the wider ones are the "adaptive" arms the asserts name.
-    let narrowest = plan
-        .trials
-        .iter()
-        .filter(|t| t.params.agents.is_none())
-        .filter_map(|t| t.params.pool_max)
-        .min()
-        .unwrap_or(0);
-    let burst_lat = Histogram::new();
-    let p0 = &plan.trials[0].params;
-    let (title_cycles, title_sync) = (p0.cycles.unwrap_or(10), p0.sync_latency_us.unwrap_or(0));
-    let mut title_agents = 0u64;
-    for trials in per_variant(sc, plan) {
-        let t0 = &trials[0];
-        let p = &t0.params;
-        let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        match p.agents {
-            // --- bursty upcall load: narrow vs wide lane --------------------
-            None => {
-                let clients = need(sc, t0, "clients", p.clients)?;
-                let cycles = need(sc, t0, "cycles", p.cycles)? as usize;
-                let pool_max = need(sc, t0, "pool_max", p.pool_max)?;
-                low_clients = low_clients.min(clients);
-                let adaptive = pool_max > narrowest;
-                let (mut rate_sum, mut peak, mut settled) = (0.0f64, 0usize, 0usize);
-                for _ in &trials {
-                    let f = fixture(FixtureOptions {
-                        n_files: clients as usize,
-                        file_size: 1024,
-                        db_sync_latency_ns: sync_ns,
-                        // Archive inside the close, in the upcall lane:
-                        // back-to-back updates of one file then never wait
-                        // on the single archiver thread.
-                        sync_archive: true,
-                        upcall_pool: Some(pool_max as usize),
-                        // A gather window on the repository's group commit:
-                        // each commit parks its upcall-lane head for the
-                        // window, so served concurrency — the lane's width
-                        // — is the deterministic bottleneck (the
-                        // point of this experiment), not the raw CPU of
-                        // the machine running it.
-                        db: DbOptions {
-                            wal: WalOptions {
-                                group_commit: true,
-                                max_batch: 64,
-                                commit_delay_us: 200,
-                            },
-                            ..Default::default()
-                        },
-                        ..Default::default()
-                    });
-                    // The burst is *update* cycles: the open and the
-                    // close-as-commit hold a head of the upcall lane through
-                    // forced log writes — the `dl_uip` claim, then the host
-                    // commit (the repository's close record is unforced). A token
-                    // *read* cycle would not do: `dl_tokens`/`dl_sync` are
-                    // unlogged, so it forces nothing and occupies a head for
-                    // its CPU time only.
-                    rate_sum +=
-                        update_cycle_rate(&f, clients as usize, cycles, 64, Some(&burst_lat));
-                    peak = f.sys.node(SRV).expect("node").upcall_pool_stats().peak_workers();
-                    settled = settled_workers(&f);
-                }
-                let rate = rate_sum / trials.len() as f64;
-                let vs_fixed = if adaptive {
-                    let base = fixed_rate.get(&clients).copied();
-                    if clients == high_clients {
-                        metrics.insert("adaptive_high_peak_workers".into(), peak as f64);
-                        metrics.insert("adaptive_high_settled_workers".into(), settled as f64);
-                        if let Some(base) = base {
-                            metrics.insert("adaptive_high_vs_fixed".into(), rate / base);
-                        }
-                    }
-                    base.map_or(s("--"), |base| format!("{:.2}x", rate / base))
-                } else {
-                    fixed_rate.insert(clients, rate);
-                    s("--")
-                };
-                rows.push(vec![
-                    t0.variant.clone(),
-                    s(clients),
-                    s(format!("{rate:.0}")),
-                    s(peak),
-                    s(settled),
-                    vs_fixed,
-                ]);
-            }
-            // --- agent churn over the shared executor -----------------------
-            Some(agents) => {
-                let agents = agents as usize;
-                title_agents = title_agents.max(agents as u64);
-                let (mut rate_sum, mut threads, mut connections) = (0.0f64, 0usize, 0usize);
-                for _ in &trials {
-                    let f = fixture(FixtureOptions {
-                        n_files: 1,
-                        db_sync_latency_ns: sync_ns,
-                        ..Default::default()
-                    });
-                    let raw = f.sys.raw_fs(SRV).expect("raw");
-                    for i in 0..agents {
-                        raw.write_file(&APP, &churn_path(i), b"x").expect("seed");
-                    }
-                    let node = f.sys.node(SRV).expect("node");
-                    let handles: Vec<_> = (0..agents).map(|_| node.connect_agent()).collect();
-                    rate_sum += churn_rate(&handles, 1);
-                    threads = executor_peak_threads(node);
-                    connections = node.main_daemon().child_count();
-                }
-                let rate = rate_sum / trials.len() as f64;
-                metrics.insert("max_os_threads".into(), threads as f64);
-                metrics.insert("churn_connections".into(), connections as f64);
-                rows.push(vec![
-                    t0.variant.clone(),
-                    s(connections),
-                    s(format!("{rate:.0}")),
-                    s(threads),
-                    s("--"),
-                    s("connections multiplexed over the shared executor"),
-                ]);
-            }
-        }
-    }
-    if low_clients == u64::MAX {
-        low_clients = 0;
-    }
-    let lat = burst_lat.snapshot();
-    metrics.insert("burst_p99_ms".into(), lat.percentile(0.99) as f64 / 1e6);
-    metrics.insert("burst_mean_ms".into(), lat.mean() / 1e6);
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "front end: upcall lane width + shared agent executor \
-                 ({low_clients}/{high_clients} clients x {title_cycles} cycles, \
-                 {title_agents} churn agents, {title_sync} µs device sync)"
-            ),
-            header: vec![
-                s("arm"),
-                s("clients/conns"),
-                s("ops/s"),
-                s("peak workers"),
-                s("workers after idle"),
-                s("vs narrowest / note"),
-            ],
-            rows,
             notes: Vec::new(),
         },
         metrics,
@@ -915,10 +542,17 @@ struct MixedOutcome {
     /// crash.
     torn_pre_commit_survived: u64,
     stale_reads: u64,
+    /// Reads whose bytes were neither the seed content nor a version this
+    /// trial wrote.
+    read_mismatches: u64,
     freshness_fallbacks: u64,
     leftover_links: u64,
     end_lag_drained: bool,
+    /// Replication lag (bytes) read after the end-of-trial drain.
+    max_lag: u64,
     peak_upcall_workers: u64,
+    /// Heads still serving the upcall lanes once the trial has quiesced.
+    settled_upcall_workers: u64,
     events: Vec<String>,
     /// The system's merged telemetry at the end of the trial — every
     /// layer's counters/gauges/histograms plus the trial's own
@@ -968,6 +602,28 @@ fn parse_version(data: &[u8]) -> u64 {
         return 0;
     }
     std::str::from_utf8(&data[..20]).ok().and_then(|t| t.parse().ok()).unwrap_or(0)
+}
+
+/// Every committed link across `nodes`, with its version.
+fn link_state(sys: &DataLinksSystem, nodes: &[String]) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = nodes
+        .iter()
+        .flat_map(|n| sys.node(n).expect("node").server.repository().list_files())
+        .map(|e| (e.path, e.cur_version))
+        .collect();
+    files.sort();
+    files
+}
+
+/// One link → commit → unlink → commit round on `path` through `agent`,
+/// under host transactions `link_tx` and `link_tx + 1`.
+fn churn_cycle(agent: &DlfmClient, link_tx: u64, path: &str) -> Result<(), String> {
+    agent.link(link_tx, path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
+    agent.commit(link_tx);
+    let unlink_tx = link_tx + 1;
+    agent.unlink(unlink_tx, path)?;
+    agent.commit(unlink_tx);
+    Ok(())
 }
 
 fn mixed_trial(
@@ -1078,6 +734,8 @@ fn mixed_trial(
     let ops_ok = AtomicU64::new(0);
     let ops_failed = AtomicU64::new(0);
     let stale_reads = AtomicU64::new(0);
+    let read_mismatches = AtomicU64::new(0);
+    let seed_content = make_content(file_size);
 
     let run_op = |g: u64, client: u64, f: &Fixture| -> Result<(), String> {
         let op = pick_op(t.seed, g, client, clients, n_files, p);
@@ -1133,47 +791,46 @@ fn mixed_trial(
             }
             Op::Read { file } => {
                 let acked_version = acked[file].load(Ordering::Relaxed);
-                match route {
-                    ReadRoute::Managed => {
-                        let (_, path) = f.sys.select_datalink(
-                            TABLE,
-                            &Value::Int(file as i64),
-                            "body",
-                            TokenKind::Read,
-                        )?;
+                // Read-your-writes: capture the acked version FIRST, then
+                // the freshness token — the token is >= the commit LSN of
+                // every acked write, so the routed read must observe a
+                // version >= acked.
+                let token = match route {
+                    ReadRoute::Fresh => Some(f.sys.freshness_token(SRV)?),
+                    _ => None,
+                };
+                let (_, path) = f.sys.select_datalink(
+                    TABLE,
+                    &Value::Int(file as i64),
+                    "body",
+                    TokenKind::Read,
+                )?;
+                let data = match (route, token) {
+                    (ReadRoute::Managed, _) => {
                         let fd = fs
                             .open(&APP, &path, OpenOptions::read_only())
                             .map_err(|e| e.to_string())?;
                         let res = fs.read_to_end(fd).map_err(|e| e.to_string());
                         fs.close(fd).map_err(|e| e.to_string())?;
-                        res?;
+                        res?
                     }
-                    ReadRoute::Routed => {
-                        let (_, path) = f.sys.select_datalink(
-                            TABLE,
-                            &Value::Int(file as i64),
-                            "body",
-                            TokenKind::Read,
-                        )?;
-                        f.sys.serve_read(SRV, &path, APP.uid)?;
-                    }
-                    ReadRoute::Fresh => {
-                        // Read-your-writes: capture the acked version FIRST,
-                        // then the freshness token — the token is >= the
-                        // commit LSN of every acked write, so the routed
-                        // read must observe a version >= acked.
-                        let token = f.sys.freshness_token(SRV)?;
-                        let (_, path) = f.sys.select_datalink(
-                            TABLE,
-                            &Value::Int(file as i64),
-                            "body",
-                            TokenKind::Read,
-                        )?;
-                        let data = f.sys.serve_read_fresh(SRV, &path, APP.uid, token)?;
-                        if parse_version(&data) < acked_version {
-                            stale_reads.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    (_, Some(token)) => f.sys.serve_read_fresh(SRV, &path, APP.uid, token)?,
+                    (_, None) => f.sys.serve_read(SRV, &path, APP.uid)?,
+                };
+                // The bytes are the seed content or a version some writer
+                // of this trial allocated (allocation precedes the write).
+                let version = parse_version(&data);
+                let known = if version == 0 {
+                    data == seed_content
+                } else {
+                    version <= next_version[file].load(Ordering::Relaxed)
+                        && data == versioned_content(version, file_size)
+                };
+                if !known {
+                    read_mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+                if route == ReadRoute::Fresh && version < acked_version {
+                    stale_reads.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(())
             }
@@ -1396,6 +1053,7 @@ fn mixed_trial(
     if any_replicated {
         f.sys.set_replication_paused(SRV, false)?;
         out.end_lag_drained = f.sys.wait_replicas_caught_up(SRV, Duration::from_secs(30))?;
+        out.max_lag = f.sys.replication_lag(SRV)?;
     }
     out.leftover_links = node_names
         .iter()
@@ -1437,6 +1095,7 @@ fn mixed_trial(
         out.peak_upcall_workers = out
             .peak_upcall_workers
             .max(gauge(format!("dlfm.{name}.upcall_pool.peak_workers")) as u64);
+        out.settled_upcall_workers += gauge(format!("dlfm.{name}.upcall_pool.workers")) as u64;
         out.stale_coord_rejections += counter(format!("dlfm.{name}.stale_coord_rejections"));
     }
     out.freshness_fallbacks = counter("engine.freshness_fallbacks".into());
@@ -1445,7 +1104,59 @@ fn mixed_trial(
     out.ops_ok = ops_ok.into_inner();
     out.ops_failed = ops_failed.into_inner();
     out.stale_reads = stale_reads.into_inner();
+    out.read_mismatches = read_mismatches.into_inner();
     Ok(out)
+}
+
+/// The engine-level metrics of a set of mixed trials — one variant's, or
+/// the whole scenario's: counters add, gauges keep the max, invariant
+/// flags keep the min, `ops_s` is the mean of the trials' rates, and the
+/// `op_*_ms` latencies come off the merged `lab.op_latency_ns`.
+fn mixed_metrics(outcomes: &[MixedOutcome]) -> BTreeMap<&'static str, f64> {
+    let sum = |f: fn(&MixedOutcome) -> u64| outcomes.iter().map(f).sum::<u64>() as f64;
+    let max = |f: fn(&MixedOutcome) -> f64| outcomes.iter().map(f).fold(0.0, f64::max);
+    let mut lat = HistogramSnapshot::default();
+    for o in outcomes {
+        if let Some(h) = o.snapshot.histograms.get("lab.op_latency_ns") {
+            lat.merge(h);
+        }
+    }
+    let rates: f64 = outcomes
+        .iter()
+        .map(|o| (o.ops_ok + o.ops_failed) as f64 / o.busy.as_secs_f64().max(1e-9))
+        .sum();
+    let peak_workers = max(|o| o.peak_upcall_workers as f64);
+    BTreeMap::from([
+        ("ops_ok", sum(|o| o.ops_ok)),
+        ("ops_failed", sum(|o| o.ops_failed)),
+        ("ops_s", rates / outcomes.len().max(1) as f64),
+        ("worker_panics", sum(|o| o.worker_panics)),
+        ("failovers", sum(|o| o.failovers)),
+        ("host_failovers", sum(|o| o.host_failovers)),
+        ("lost_acked_links", sum(|o| o.lost_acked_links)),
+        ("outage_reads_ok", sum(|o| o.outage_reads_ok)),
+        ("in_doubt_resolved", sum(|o| o.in_doubt_resolved)),
+        ("stale_coord_rejections", sum(|o| o.stale_coord_rejections)),
+        ("enospc_hits", sum(|o| o.enospc_hits)),
+        ("torn_commits_lost", sum(|o| o.torn_commits_lost)),
+        ("torn_pre_commit_survived", sum(|o| o.torn_pre_commit_survived)),
+        ("stale_reads", sum(|o| o.stale_reads)),
+        ("read_mismatches", sum(|o| o.read_mismatches)),
+        ("freshness_fallbacks", sum(|o| o.freshness_fallbacks)),
+        ("leftover_links", sum(|o| o.leftover_links)),
+        ("failover_ms", max(|o| o.failover_ms)),
+        ("host_failover_ms", max(|o| o.host_failover_ms)),
+        ("max_lag", max(|o| o.max_lag as f64)),
+        ("peak_upcall_workers", peak_workers),
+        // The only OS-thread pool a mixed trial can grow without bound is
+        // the upcall lane — exposed under a generic name as well.
+        ("max_os_threads", peak_workers),
+        ("settled_upcall_workers", max(|o| o.settled_upcall_workers as f64)),
+        ("end_lag_drained", f64::from(u8::from(outcomes.iter().all(|o| o.end_lag_drained)))),
+        ("op_p50_ms", lat.percentile(0.50) as f64 / 1e6),
+        ("op_p99_ms", lat.percentile(0.99) as f64 / 1e6),
+        ("op_mean_ms", lat.mean() / 1e6),
+    ])
 }
 
 fn mixed(
@@ -1455,93 +1166,27 @@ fn mixed(
 ) -> Result<ScenarioRun, String> {
     let mut rows = Vec::new();
     let mut metrics = BTreeMap::new();
-    let mut sums: BTreeMap<&str, f64> = BTreeMap::new();
-    let add = |m: &mut BTreeMap<&str, f64>, k: &'static str, v: f64| {
-        *m.entry(k).or_insert(0.0) += v;
-    };
-    let (mut failover_ms, mut peak_workers) = (0.0f64, 0.0f64);
-    let mut host_failover_ms = 0.0f64;
-    let mut end_lag_drained = 1.0f64;
-    let (mut first_rate, mut last_rate) = (None, 0.0f64);
-    let mut snap_all = Snapshot::default();
-    for trials in per_variant(sc, plan) {
-        let t0 = &trials[0];
-        let clients = t0.params.clients.unwrap_or(4);
-        let (mut ok, mut failed, mut busy) = (0u64, 0u64, Duration::ZERO);
-        let mut events = Vec::new();
-        let mut vlat = HistogramSnapshot::default();
-        for t in &trials {
-            let o = mixed_trial(sc, t, flight_dump_dir)?;
-            if let Some(lat) = o.snapshot.histograms.get("lab.op_latency_ns") {
-                vlat.merge(lat);
-            }
-            snap_all.merge(&o.snapshot);
-            ok += o.ops_ok;
-            failed += o.ops_failed;
-            busy += o.busy;
-            add(&mut sums, "worker_panics", o.worker_panics as f64);
-            add(&mut sums, "failovers", o.failovers as f64);
-            add(&mut sums, "host_failovers", o.host_failovers as f64);
-            add(&mut sums, "lost_acked_links", o.lost_acked_links as f64);
-            add(&mut sums, "outage_reads_ok", o.outage_reads_ok as f64);
-            add(&mut sums, "in_doubt_resolved", o.in_doubt_resolved as f64);
-            add(&mut sums, "stale_coord_rejections", o.stale_coord_rejections as f64);
-            add(&mut sums, "enospc_hits", o.enospc_hits as f64);
-            add(&mut sums, "torn_commits_lost", o.torn_commits_lost as f64);
-            add(&mut sums, "torn_pre_commit_survived", o.torn_pre_commit_survived as f64);
-            add(&mut sums, "stale_reads", o.stale_reads as f64);
-            add(&mut sums, "freshness_fallbacks", o.freshness_fallbacks as f64);
-            add(&mut sums, "leftover_links", o.leftover_links as f64);
-            failover_ms = failover_ms.max(o.failover_ms);
-            host_failover_ms = host_failover_ms.max(o.host_failover_ms);
-            peak_workers = peak_workers.max(o.peak_upcall_workers as f64);
-            if !o.end_lag_drained {
-                end_lag_drained = 0.0;
-            }
-            if events.is_empty() {
-                events = o.events;
-            }
-        }
-        let rate = (ok + failed) as f64 / busy.as_secs_f64().max(1e-9);
-        if first_rate.is_none() {
-            first_rate = Some(rate);
-        }
-        last_rate = rate;
+    let mut all = Vec::new();
+    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
+        let outcomes: Vec<MixedOutcome> =
+            trials.iter().map(|t| mixed_trial(sc, t, flight_dump_dir)).collect::<Result<_, _>>()?;
+        let variant = mixed_metrics(&outcomes);
+        let events = outcomes.iter().map(|o| &o.events).find(|e| !e.is_empty());
         rows.push(vec![
-            t0.variant.clone(),
-            s(clients),
-            s(format!("{rate:.0}")),
-            fmt_ns(vlat.percentile(0.99) as f64),
-            s(ok),
-            s(failed),
-            if events.is_empty() { s("--") } else { events.join("; ") },
+            trials[0].variant.clone(),
+            s(trials[0].params.clients.unwrap_or(4)),
+            s(format!("{:.0}", variant["ops_s"])),
+            fmt_ns(variant["op_p99_ms"] * 1e6),
+            s(variant["ops_ok"]),
+            s(variant["ops_failed"]),
+            s(variant["peak_upcall_workers"]),
+            events.map_or(s("--"), |e| e.join("; ")),
         ]);
-        add(&mut sums, "ops_ok", ok as f64);
-        add(&mut sums, "ops_failed", failed as f64);
+        emit_variant(&mut metrics, i, variant);
+        all.extend(outcomes);
     }
-    for (k, v) in sums {
-        metrics.insert(k.to_string(), v);
-    }
-    metrics.insert("failover_ms".into(), failover_ms);
-    metrics.insert("host_failover_ms".into(), host_failover_ms);
-    metrics.insert("peak_upcall_workers".into(), peak_workers);
-    // The only OS-thread pool a mixed trial can grow without bound is the
-    // upcall pool — expose it under the generic name the issue's example
-    // predicates use.
-    metrics.insert("max_os_threads".into(), peak_workers);
-    metrics.insert("end_lag_drained".into(), end_lag_drained);
-    metrics
-        .insert("throughput_ratio".into(), last_rate / first_rate.unwrap_or(last_rate).max(1e-9));
-    // Latency percentiles alongside the wall-clock mean rate.
-    let lat = snap_all.histograms.get("lab.op_latency_ns").cloned().unwrap_or_default();
-    metrics.insert("op_p50_ms".into(), lat.percentile(0.50) as f64 / 1e6);
-    metrics.insert("op_p99_ms".into(), lat.percentile(0.99) as f64 / 1e6);
-    metrics.insert("op_mean_ms".into(), lat.mean() / 1e6);
-    // Every exported registry metric is assertable under its flattened
-    // name; the engine-level names above win any collision.
-    for (name, v) in snap_all.flatten() {
-        metrics.entry(name).or_insert(v);
-    }
+    metrics.extend(mixed_metrics(&all).into_iter().map(|(k, v)| (k.to_string(), v)));
+    add_registry(&mut metrics, all.iter().map(|o| &o.snapshot));
     Ok(ScenarioRun {
         table: Table {
             id: sc.name.clone(),
@@ -1553,6 +1198,7 @@ fn mixed(
                 s("op p99"),
                 s("ops ok"),
                 s("ops failed"),
+                s("peak heads"),
                 s("events"),
             ],
             rows,
@@ -1641,12 +1287,11 @@ fn sharded_stack_rate(
 fn sharding(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
     let mut rows = Vec::new();
     let mut metrics = BTreeMap::new();
-    let mut snap_all = Snapshot::default();
-    let mut baseline_rate = 0.0f64;
+    let mut snapshots = Vec::new();
     let p0 = &plan.trials[0].params;
     let (title_threads, title_cycles, title_sync) =
         (p0.threads.unwrap_or(8), p0.cycles.unwrap_or(8), p0.sync_latency_us.unwrap_or(0));
-    for trials in per_variant(sc, plan) {
+    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
         let t0 = &trials[0];
         let p = &t0.params;
         let shards = need(sc, t0, "shards", p.shards)? as usize;
@@ -1655,7 +1300,7 @@ fn sharding(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         let file_size = p.file_size.unwrap_or(1024) as usize;
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
         let (mut rate_sum, mut busy_min) = (0.0f64, u64::MAX);
-        for _ in &trials {
+        for _ in trials {
             let (rate, snap) = sharded_stack_rate(shards, threads, cycles, file_size, sync_ns);
             rate_sum += rate;
             // Fan-out proof off the registry: every shard node's DLFS must
@@ -1669,29 +1314,14 @@ fn sharding(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                 })
                 .count() as u64;
             busy_min = busy_min.min(busy);
-            snap_all.merge(&snap);
+            snapshots.push(snap);
         }
         let rate = rate_sum / trials.len() as f64;
-        if rows.is_empty() {
-            baseline_rate = rate;
-        }
-        metrics.insert(format!("write_rate_s{shards}"), rate);
-        metrics.insert(format!("write_speedup_s{shards}"), rate / baseline_rate);
-        metrics.insert(format!("busy_shards_s{shards}"), busy_min as f64);
-        rows.push(vec![
-            t0.variant.clone(),
-            s(shards),
-            s(format!("{rate:.0}")),
-            s(format!("{:.2}x", rate / baseline_rate)),
-            s(busy_min),
-        ]);
+        emit_variant(&mut metrics, i, [("write_rate", rate), ("busy_shards", busy_min as f64)]);
+        rows.push(vec![t0.variant.clone(), s(shards), s(format!("{rate:.0}")), s(busy_min)]);
     }
-    // Every exported registry metric — per-shard router counters included
-    // (`engine_shard_srv1_s0_routed`, ...) — is assertable by its
-    // flattened name; the engine-level names above win any collision.
-    for (name, v) in snap_all.flatten() {
-        metrics.entry(name).or_insert(v);
-    }
+    // The per-shard router counters included (`engine_shard_srv1_s0_routed`).
+    add_registry(&mut metrics, &snapshots);
     Ok(ScenarioRun {
         table: Table {
             id: sc.name.clone(),
@@ -1700,13 +1330,7 @@ fn sharding(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                  ({title_threads} writers x {title_cycles} cycles, per-commit sync, \
                  {title_sync} µs device sync)"
             ),
-            header: vec![
-                s("shards"),
-                s("shard nodes"),
-                s("write cyc/s"),
-                s("speedup vs 1 shard"),
-                s("busy shards"),
-            ],
+            header: vec![s("shards"), s("shard nodes"), s("write cyc/s"), s("busy shards")],
             rows,
             notes: Vec::new(),
         },
@@ -1729,6 +1353,32 @@ struct WireOutcome {
     snapshot: Snapshot,
 }
 
+/// The file agent `i` of a churn arm links and unlinks.
+fn churn_path(i: usize) -> String {
+    format!("/data/wchurn{i:04}.bin")
+}
+
+/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
+/// [`churn_path`]`(i)`, seeded by the caller), multiplexed over 16
+/// threads; link and unlink operations per second.
+fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
+    let threads = 16.min(agents.len().max(1));
+    let elapsed = run_threads(threads, |t| {
+        for (i, agent) in agents.iter().enumerate() {
+            if i % threads != t {
+                continue;
+            }
+            let path = churn_path(i);
+            for r in 0..cycles {
+                // Synthetic host txids well clear of the fixture's.
+                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
+                    .expect("churn cycle");
+            }
+        }
+    });
+    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
+}
+
 /// The same churn workload as [`wire_trial`]'s surviving connections, but
 /// over the in-process `Transport::Local` path — the baseline the wire
 /// path's throughput is budgeted against.
@@ -1741,6 +1391,18 @@ fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
     let node = f.sys.node(SRV).expect("node");
     let handles: Vec<_> = (0..workers).map(|_| node.connect_agent()).collect();
     churn_rate(&handles, cycles)
+}
+
+/// The connections a trial's `sever_connections` injections cut, in all.
+fn severed_connections(p: &Params) -> usize {
+    let injections = p.injections.as_deref().unwrap_or_default();
+    injections
+        .iter()
+        .map(|i| match i.action {
+            InjectAction::SeverConnections { count } => count as usize,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// One a14 trial: `agents` real socket connections held open together
@@ -1756,16 +1418,7 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     let p = &t.params;
     let agents = need(sc, t, "agents", p.agents)? as usize;
     let cycles = p.cycles.unwrap_or(1) as usize;
-    let sever: usize = p
-        .injections
-        .as_deref()
-        .unwrap_or_default()
-        .iter()
-        .map(|i| match i.action {
-            InjectAction::SeverConnections { count } => count as usize,
-            _ => 0,
-        })
-        .sum();
+    let sever = severed_connections(p);
     if sever >= agents {
         return Err(format!(
             "scenario {}: sever_connections total {sever} must stay below agents = {agents}",
@@ -1860,29 +1513,31 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     })
 }
 
+/// The metrics of a set of a14 trials — one variant's, or the whole
+/// scenario's: counts add, peaks keep the max, `wire_ops_s` is the mean
+/// of the trials' rates.
+fn wire_metrics(outcomes: &[WireOutcome]) -> BTreeMap<&'static str, f64> {
+    let sum = |f: fn(&WireOutcome) -> u64| outcomes.iter().map(f).sum::<u64>() as f64;
+    let max = |f: fn(&WireOutcome) -> f64| outcomes.iter().map(f).fold(0.0, f64::max);
+    BTreeMap::from([
+        ("wire_ops_s", outcomes.iter().map(|o| o.rate).sum::<f64>() / outcomes.len() as f64),
+        ("peak_connections", max(|o| o.peak_connections)),
+        ("executor_peak_threads", max(|o| o.executor_peak_threads as f64)),
+        ("severed", sum(|o| o.severed)),
+        ("presumed_aborts", sum(|o| o.presumed_aborts)),
+        ("atomicity_violations", sum(|o| o.atomicity_violations)),
+    ])
+}
+
 fn wire_front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
     let mut rows = Vec::new();
     let mut metrics = BTreeMap::new();
-    let mut snap_all = Snapshot::default();
-    let (mut severed, mut presumed, mut violations) = (0u64, 0u64, 0u64);
-    let (mut peak_conns, mut exec_peak) = (0.0f64, 0u64);
-    let mut wire_rate_first = None;
     let p0 = &plan.trials[0].params;
     let (title_agents, title_cycles) = (p0.agents.unwrap_or(0), p0.cycles.unwrap_or(1));
 
     // The in-process baseline the wire path is budgeted against: the same
     // churn workload shape as the first variant, over `Transport::Local`.
-    let base_workers = (p0.agents.unwrap_or(64) as usize).saturating_sub(
-        p0.injections
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .map(|i| match i.action {
-                InjectAction::SeverConnections { count } => count as usize,
-                _ => 0,
-            })
-            .sum(),
-    );
+    let base_workers = (p0.agents.unwrap_or(64) as usize).saturating_sub(severed_connections(p0));
     let local_rate = local_churn_rate(base_workers, p0.cycles.unwrap_or(1) as usize);
     metrics.insert("local_ops_s".into(), local_rate);
     rows.push(vec![
@@ -1894,47 +1549,28 @@ fn wire_front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         s("in-process Transport::Local, same churn shape"),
     ]);
 
-    for trials in per_variant(sc, plan) {
-        let t0 = &trials[0];
-        let mut rate_sum = 0.0f64;
-        let mut conns_cell = 0u64;
-        for t in &trials {
-            let o = wire_trial(sc, t)?;
-            rate_sum += o.rate;
-            severed += o.severed;
-            presumed += o.presumed_aborts;
-            violations += o.atomicity_violations;
-            peak_conns = peak_conns.max(o.peak_connections);
-            exec_peak = exec_peak.max(o.executor_peak_threads);
-            conns_cell = t.params.agents.unwrap_or(0);
-            snap_all.merge(&o.snapshot);
-        }
-        let rate = rate_sum / trials.len() as f64;
-        if wire_rate_first.is_none() {
-            wire_rate_first = Some(rate);
-        }
+    let mut all = Vec::new();
+    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
+        let outcomes: Vec<WireOutcome> =
+            trials.iter().map(|t| wire_trial(sc, t)).collect::<Result<_, _>>()?;
+        let variant = wire_metrics(&outcomes);
         rows.push(vec![
-            t0.variant.clone(),
-            s(conns_cell),
-            s(format!("{rate:.0}")),
-            s(format!("{peak_conns:.0}")),
-            s(exec_peak),
-            s(format!("{severed} severed mid-2PC, {presumed} presumed aborts")),
+            trials[0].variant.clone(),
+            s(trials[0].params.agents.unwrap_or(0)),
+            s(format!("{:.0}", variant["wire_ops_s"])),
+            s(variant["peak_connections"]),
+            s(variant["executor_peak_threads"]),
+            s(format!(
+                "{} severed mid-2PC, {} presumed aborts",
+                variant["severed"], variant["presumed_aborts"]
+            )),
         ]);
+        emit_variant(&mut metrics, i, variant);
+        all.extend(outcomes);
     }
-    let wire_rate = wire_rate_first.unwrap_or(0.0);
-    metrics.insert("wire_ops_s".into(), wire_rate);
-    metrics.insert("wire_vs_local".into(), wire_rate / local_rate.max(1e-9));
-    metrics.insert("peak_connections".into(), peak_conns);
-    metrics.insert("executor_peak_threads".into(), exec_peak as f64);
-    metrics.insert("severed".into(), severed as f64);
-    metrics.insert("presumed_aborts".into(), presumed as f64);
-    metrics.insert("atomicity_violations".into(), violations as f64);
-    // Every exported registry metric — the `net.*` frame counters and
-    // round-trip histogram included — is assertable by its flattened name.
-    for (name, v) in snap_all.flatten() {
-        metrics.entry(name).or_insert(v);
-    }
+    metrics.extend(wire_metrics(&all).into_iter().map(|(k, v)| (k.to_string(), v)));
+    // The `net.*` frame counters and round-trip histogram included.
+    add_registry(&mut metrics, all.iter().map(|o| &o.snapshot));
     Ok(ScenarioRun {
         table: Table {
             id: sc.name.clone(),
@@ -1999,6 +1635,33 @@ mod tests {
         let outcomes = check_asserts(&sc, &run.metrics);
         assert!(outcomes[0].pass);
         assert!(!outcomes[1].pass, "unknown metric must fail, not silently pass");
+    }
+
+    #[test]
+    fn each_variant_emits_its_own_metrics_and_ratios_compare_them() {
+        let text = concat!(
+            r#"{"scenario":"v","kind":"mixed","seed":4,"#,
+            r#""params":{"clients":2,"ops":4,"write_ratio":0.5,"file_size":64},"#,
+            r#""assert":["ops_ok_v1 / ops_ok_v0 == 2","ops_s_v0 / ops_failed_v0 > 0","#,
+            r#""ops_ok_v0 / no_such_metric > 0"]}"#,
+            "\n",
+            r#"{"variant":"two","params":{"clients":2}}"#,
+            "\n",
+            r#"{"variant":"four","params":{"clients":4}}"#,
+        );
+        let run = run(text);
+        // Each variant's values beside the scenario-wide aggregate.
+        assert_eq!(run.metrics["ops_ok_v0"], 8.0);
+        assert_eq!(run.metrics["ops_ok_v1"], 16.0);
+        assert_eq!(run.metrics["ops_ok"], 24.0);
+        assert!(run.metrics["ops_s_v0"] > 0.0 && run.metrics["ops_s_v1"] > 0.0);
+        assert_eq!(run.metrics["read_mismatches_v1"], 0.0);
+        let sc = parse_scenario("test.jsonl", text).unwrap();
+        let outcomes = check_asserts(&sc, &run.metrics);
+        assert!(outcomes[0].pass, "{}", outcomes[0].text);
+        assert!(outcomes[0].text.contains("= 16 / 8"), "both operands print: {}", outcomes[0].text);
+        assert!(!outcomes[1].pass && outcomes[1].text.contains("is 0"), "{}", outcomes[1].text);
+        assert!(!outcomes[2].pass && outcomes[2].text.contains("no_such_metric"));
     }
 
     #[test]

@@ -382,19 +382,9 @@ pub struct CrashImage {
     coord_epoch: u64,
     clock: Arc<dyn Clock>,
     nodes: Vec<NodeParts>,
-    /// The flight-recorder dump taken at the crash boundary — the last
-    /// 2PC span events of every layer, for post-mortem reading.
-    flight_dump: Option<String>,
     /// Carried forward to the recovered system
     /// ([`SystemBuilder::flight_dump_dir`]).
     flight_dump_dir: Option<PathBuf>,
-}
-
-impl CrashImage {
-    /// The flight-recorder dump captured when the system crashed.
-    pub fn flight_dump(&self) -> Option<&str> {
-        self.flight_dump.as_deref()
-    }
 }
 
 /// A transaction-consistent backup of the host database. File versions are
@@ -464,7 +454,7 @@ impl PoolRoster {
     }
 
     /// Frames parked right now across every registered lane.
-    pub fn total_queue_depth(&self) -> usize {
+    fn total_queue_depth(&self) -> usize {
         self.pools.lock().values().flatten().map(|g| g.stats().queue_depth()).sum()
     }
 }
@@ -1151,6 +1141,7 @@ impl DataLinksSystem {
             set(format!("dlfm.{name}.agent_executor.connections"), main.child_count() as u64);
             set(format!("dlfm.{name}.agent_executor.threads"), main.executor_threads() as u64);
             if let Some(exec) = main.executor_stats() {
+                set(format!("dlfm.{name}.agent_executor.peak_workers"), exec.peak_workers() as u64);
                 set(format!("dlfm.{name}.agent_executor.queue_depth"), exec.queue_depth() as u64);
                 set(format!("dlfm.{name}.agent_executor.tasks"), exec.tasks());
                 set(format!("dlfm.{name}.agent_executor.caller_served"), exec.caller_served());
@@ -1657,7 +1648,7 @@ impl DataLinksSystem {
     /// caches, daemons, pending transactions, open descriptors) evaporates;
     /// what remains is the returned image of the disks.
     pub fn crash(self) -> CrashImage {
-        let flight_dump = self.dump_flight("crash");
+        self.dump_flight("crash");
         let DataLinksSystem {
             db,
             engine,
@@ -1720,7 +1711,6 @@ impl DataLinksSystem {
             coord_epoch,
             clock,
             nodes: parts,
-            flight_dump: Some(flight_dump),
             flight_dump_dir,
         }
     }
@@ -1747,7 +1737,6 @@ impl DataLinksSystem {
             coord_epoch,
             clock,
             nodes,
-            flight_dump: _,
             flight_dump_dir,
         } = image;
         Self::assemble(

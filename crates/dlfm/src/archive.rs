@@ -17,16 +17,20 @@
 //! [`ArchiveStore::is_archiving`]).
 //!
 //! **A close wakes nobody.** The queue is a mutex and a condvar, not a
-//! channel: a submit wakes the worker only when the queue was empty or has
-//! reached [`BATCH`] jobs. A woken worker lets one [`TICK`] of jobs gather,
-//! then runs them one at a time until the queue is empty, and sleeps
-//! untimed — an idle node makes no wake-ups, a busy one about one per
-//! tick. Because a job leaves the queue only when it starts, a thread that
-//! must not wait for the worker takes its file's job and runs it itself:
-//! a write open that meets the marker ([`Archiver::finish`]; the update
-//! still starts only once the store holds the version) and a drain
-//! ([`ArchiveStore::wait_archived`]). A job the worker has already started
-//! is waited out on the store's condvar, which takes microseconds.
+//! channel: a submit wakes the worker only from its idle sleep, or once
+//! the queue has reached [`BATCH`] jobs. A woken worker lets one [`TICK`]
+//! of jobs gather, then runs them one at a time until the queue is empty,
+//! and sleeps untimed — an idle node makes no wake-ups, a busy one about
+//! one per tick. Because a job leaves the queue only when it starts, a
+//! thread that must not wait for the worker takes its file's job and runs
+//! it itself: a write open that meets the marker ([`Archiver::finish`];
+//! the update still starts only once the store holds the version), an
+//! unlink's vote (the same call, before the file goes back to its owner)
+//! and a drain ([`ArchiveStore::wait_archived`]). Such a thread can leave
+//! the queue empty while the worker gathers, so "the queue was empty" does
+//! not mean "the worker sleeps": the queue records which it does. A job
+//! the worker has already started is waited out on the store's condvar,
+//! which takes microseconds.
 //!
 //! Like a physical archive device, the store lives outside the file server
 //! that writes it: it survives simulated crashes (the crash harness keeps
@@ -147,14 +151,6 @@ impl ArchiveStore {
         self.inner.lock().versions.get(path).is_some_and(|v| v.iter().any(|v| v.version == version))
     }
 
-    /// The newest version whose state identifier is ≤ `state_id` — the
-    /// coordinated point-in-time restore lookup.
-    pub fn version_at_state(&self, path: &str, state_id: u64) -> Option<ArchivedVersion> {
-        let found =
-            self.inner.lock().versions.get(path)?.iter().rfind(|v| v.state_id <= state_id).cloned();
-        found.map(|v| ArchivedVersion::clone(&v))
-    }
-
     /// All versions of `path` (diagnostics, EXPERIMENTS harness).
     pub fn versions(&self, path: &str) -> Vec<(u64, u64)> {
         let inner = self.inner.lock();
@@ -167,7 +163,7 @@ impl ArchiveStore {
 
     /// Drops all versions older than the newest (files linked *without* the
     /// recovery option keep only the last committed image).
-    pub fn prune_to_latest(&self, writer: u64, path: &str) {
+    fn prune_to_latest(&self, writer: u64, path: &str) {
         let Some(mut inner) = self.writable(writer) else { return };
         if let Some(versions) = inner.versions.get_mut(path) {
             if versions.len() > 1 {
@@ -333,6 +329,9 @@ impl Worker {
 struct Queue {
     jobs: VecDeque<ArchiveJob>,
     shutdown: bool,
+    /// The worker sleeps untimed: the next submit wakes it (and clears
+    /// this, so the submits after it do not).
+    idle: bool,
 }
 
 /// What an [`Archiver`], its worker thread and the store's drains share.
@@ -360,7 +359,9 @@ impl Shared {
             if queue.shutdown {
                 return;
             }
+            queue.idle = true;
             self.wake.wait(&mut queue);
+            queue.idle = false;
             self.wakeups.inc();
             let deadline = Instant::now() + TICK;
             while !queue.shutdown && !queue.jobs.is_empty() && queue.jobs.len() < BATCH {
@@ -435,18 +436,18 @@ impl Archiver {
 
     /// Queues an asynchronous archive job. The file is marked as archiving
     /// *before* this returns, so a subsequent update request observes the
-    /// in-flight job. Wakes the worker only if the queue was empty or has
-    /// just filled a batch.
+    /// in-flight job. Wakes the worker only from its idle sleep, or when
+    /// the queue has just filled a batch.
     pub fn submit(&self, job: ArchiveJob) {
         let store = &self.shared.worker.store;
         let mut inner = store.writable(self.shared.worker.writer);
         if let Some(inner) = inner.as_mut() {
             inner.archiving.insert(job.path.clone(), job.version);
         }
-        let queued = {
+        let wake = {
             let mut queue = self.shared.queue.lock();
             queue.jobs.push_back(job);
-            queue.jobs.len()
+            std::mem::take(&mut queue.idle) || queue.jobs.len() == BATCH
         };
         if inner.is_some() {
             // A waiter that found the marker before the job was queued
@@ -454,7 +455,7 @@ impl Archiver {
             store.done.notify_all();
         }
         drop(inner);
-        if queued == 1 || queued == BATCH {
+        if wake {
             self.shared.wake.notify_one();
         }
     }
@@ -534,19 +535,6 @@ mod tests {
         store.put(w, "/f", 1, 999, b"impostor".to_vec());
         assert_eq!(store.get("/f", 1).unwrap().data, b"original");
         assert_eq!(store.versions("/f").len(), 1);
-    }
-
-    #[test]
-    fn version_at_state_picks_correct_version() {
-        let store = ArchiveStore::new();
-        let w = store.take_generation();
-        store.put(w, "/f", 1, 100, b"v1".to_vec());
-        store.put(w, "/f", 2, 200, b"v2".to_vec());
-        store.put(w, "/f", 3, 300, b"v3".to_vec());
-        assert_eq!(store.version_at_state("/f", 250).unwrap().version, 2);
-        assert_eq!(store.version_at_state("/f", 300).unwrap().version, 3);
-        assert_eq!(store.version_at_state("/f", 5000).unwrap().version, 3);
-        assert!(store.version_at_state("/f", 50).is_none());
     }
 
     #[test]
@@ -875,19 +863,6 @@ mod tests {
             store.quarantined(),
             vec![("/f".to_string(), 11), ("/g".to_string(), 10), ("/f".to_string(), 12)]
         );
-    }
-
-    #[test]
-    fn version_at_state_on_empty_history() {
-        let store = ArchiveStore::new();
-        let w = store.take_generation();
-        // Never-archived path: no history at all.
-        assert!(store.version_at_state("/f", u64::MAX).is_none());
-        // A path whose history emptied out (forget) behaves the same.
-        store.put(w, "/f", 1, 100, b"v1".to_vec());
-        store.forget(w, "/f");
-        assert!(store.version_at_state("/f", u64::MAX).is_none());
-        assert!(store.version_at_state("/f", 0).is_none());
     }
 
     #[test]

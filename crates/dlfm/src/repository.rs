@@ -103,7 +103,7 @@ impl FileEntry {
         ]
     }
 
-    pub fn from_row(row: &Row) -> Option<FileEntry> {
+    fn from_row(row: &Row) -> Option<FileEntry> {
         Some(FileEntry {
             path: row[0].as_text()?.to_string(),
             mode: row[1].as_text()?.parse().ok()?,

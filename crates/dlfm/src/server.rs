@@ -504,7 +504,7 @@ impl DlfmServer {
 
     /// Admits or refuses 2PC traffic stamped with `epoch`. A refusal is
     /// counted in [`DlfmStats::stale_coord_rejections`].
-    pub fn guard_coordinator(&self, epoch: u64) -> Result<(), String> {
+    fn guard_coordinator(&self, epoch: u64) -> Result<(), String> {
         let fence = self.coord_fence.load(Ordering::SeqCst);
         if epoch < fence {
             self.stats.stale_coord_rejections.inc();
@@ -724,10 +724,10 @@ impl DlfmServer {
 
     /// Unlinks `path` as part of host transaction `host_txid`. Rejected
     /// while the file is open (§4.5: the Sync table check). Under the
-    /// file's row lock the branch forces its intent — its vote, and the one
-    /// durable record that names the path once the host deletes its row —
-    /// and defers the file-system restoration (or deletion, per ON UNLINK)
-    /// to commit.
+    /// file's row lock the branch finishes the file's queued archive job,
+    /// forces its intent — its vote, and the one durable record that names
+    /// the path once the host deletes its row — and defers the file-system
+    /// restoration (or deletion, per ON UNLINK) to commit.
     pub fn unlink_file(&self, host_txid: u64, path: &str) -> Result<(), String> {
         self.stats.unlinks.inc();
         self.recorder.record(&self.flight_source, "claim", host_txid, path, "unlink");
@@ -750,6 +750,13 @@ impl DlfmServer {
             }
             if self.repo.get_uip(path).is_some() {
                 return Err(format!("file {path} has an update in progress"));
+            }
+            // The commit hands the file back to its owner, who may write it
+            // at once: run its queued archive job now, while the file is
+            // still linked and nobody else can write it, so the job reads
+            // the committed bytes (as a write open does).
+            if self.archive.is_archiving(path) {
+                self.archiver.finish(path);
             }
             let intent = IntentEntry { host_txid, file: entry.clone() };
             self.repo.add_intent(&intent).map_err(|e| e.to_string())?;

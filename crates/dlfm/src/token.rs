@@ -170,7 +170,7 @@ impl TokenKey {
     }
 
     /// HMAC-SHA-256 of the concatenation of `parts`.
-    pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+    fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
         let mut inner = Sha256::resume(self.inner, 64);
         for part in parts {
             inner.update(part);

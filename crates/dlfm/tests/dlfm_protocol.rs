@@ -191,6 +191,27 @@ fn unlink_delete_removes_file_and_archive() {
 }
 
 #[test]
+fn unlink_finishes_the_files_queued_archive_job() {
+    // The close queues its archive job (asynchronous archiving); the
+    // unlink hands the file back to its owner at commit. Were the job
+    // still queued then, it would read whatever the owner wrote next into
+    // the committed version's slot. The unlink's vote runs the job first.
+    let f = fixture();
+    link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
+    let dlfm = approved_write_open(&f, "/data/clip.mpg", 5);
+    f.admin.write_file(&dlfm, "/data/clip.mpg", b"committed v2").unwrap();
+    let attr = f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
+    f.server.close_notify("/data/clip.mpg", 5, true, attr.size, attr.mtime).unwrap();
+
+    f.server.unlink_file(2, "/data/clip.mpg").unwrap();
+    f.server.commit_host(2);
+    f.admin.write_file(&ALICE, "/data/clip.mpg", b"the owner's own bytes").unwrap();
+
+    f.server.archive_store().wait_archived("/data/clip.mpg");
+    assert_eq!(f.server.archive_store().get("/data/clip.mpg", 2).unwrap().data, b"committed v2");
+}
+
+#[test]
 fn unlink_rejected_while_file_open() {
     let f = fixture();
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);

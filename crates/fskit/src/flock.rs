@@ -169,11 +169,6 @@ impl FileLockTable {
             self.released.notify_all();
         }
     }
-
-    /// Number of files with live lock state (diagnostics / tests).
-    pub fn active_files(&self) -> usize {
-        self.inner.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +237,7 @@ mod tests {
         assert!(t.lockctl(F, LockOwner(1), LockOp::Unlock).unwrap());
         assert!(!t.lockctl(F, LockOwner(1), LockOp::Unlock).unwrap());
         assert!(t.lockctl(F, LockOwner(2), LockOp::TryLock(LockKind::Exclusive)).unwrap());
-        assert_eq!(t.active_files(), 1);
+        assert_eq!(t.inner.lock().len(), 1);
     }
 
     #[test]
@@ -275,9 +270,9 @@ mod tests {
         for ino in 0..4 {
             assert!(t.lockctl(ino, LockOwner(9), LockOp::TryLock(LockKind::Exclusive)).unwrap());
         }
-        assert_eq!(t.active_files(), 4);
+        assert_eq!(t.inner.lock().len(), 4);
         t.release_all(LockOwner(9));
-        assert_eq!(t.active_files(), 0);
+        assert_eq!(t.inner.lock().len(), 0);
     }
 
     #[test]

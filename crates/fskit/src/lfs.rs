@@ -329,11 +329,6 @@ impl Lfs {
         self.stat(cred, abs_path).is_ok()
     }
 
-    /// Number of currently open descriptors (diagnostics).
-    pub fn open_count(&self) -> usize {
-        self.files.lock().len()
-    }
-
     /// True if `abs_path` is a directory.
     pub fn is_dir(&self, cred: &Cred, abs_path: &str) -> bool {
         self.stat(cred, abs_path).map(|a| a.kind == FileKind::Dir).unwrap_or(false)
@@ -486,10 +481,10 @@ mod tests {
     fn open_count_tracks_descriptors() {
         let lfs = lfs();
         lfs.write_file(&ALICE, "/f", b"x").unwrap();
-        assert_eq!(lfs.open_count(), 0);
+        assert_eq!(lfs.files.lock().len(), 0);
         let fd = lfs.open(&ALICE, "/f", OpenOptions::read_only()).unwrap();
-        assert_eq!(lfs.open_count(), 1);
+        assert_eq!(lfs.files.lock().len(), 1);
         lfs.close(fd).unwrap();
-        assert_eq!(lfs.open_count(), 0);
+        assert_eq!(lfs.files.lock().len(), 0);
     }
 }

@@ -187,6 +187,34 @@ mod tests {
     }
 
     #[test]
+    fn ratio_predicates_compare_two_metrics() {
+        let metrics: std::collections::BTreeMap<String, f64> =
+            [("ops_s_v3", 300.0), ("ops_s_v1", 200.0), ("idle_v0", 0.0)]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+        let p = Predicate::parse("ops_s_v3 / ops_s_v1 >= 1.5").unwrap();
+        assert_eq!(p.per.as_deref(), Some("ops_s_v1"));
+        assert_eq!(p.to_string(), "ops_s_v3 / ops_s_v1 >= 1.5");
+        assert_eq!(p.measure(&metrics), Ok(1.5));
+        assert!(p.holds(1.5));
+        // A plain predicate measures its one metric.
+        assert_eq!(Predicate::parse("ops_s_v1 > 0").unwrap().measure(&metrics), Ok(200.0));
+        // A missing operand, on either side, and a zero denominator fail
+        // with a message that names them.
+        let e = Predicate::parse("ops_s_v3 / nope >= 1").unwrap().measure(&metrics).unwrap_err();
+        assert!(e.contains("\"nope\""), "{e}");
+        let e = Predicate::parse("nope / ops_s_v3 >= 1").unwrap().measure(&metrics).unwrap_err();
+        assert!(e.contains("\"nope\""), "{e}");
+        let e = Predicate::parse("ops_s_v3 / idle_v0 >= 1").unwrap().measure(&metrics).unwrap_err();
+        assert!(e.contains("\"idle_v0\"") && e.contains("is 0"), "{e}");
+        // Malformed ratios are schema errors.
+        for bad in ["a / >= 1", "a * b >= 1", "a / b-c >= 1"] {
+            assert!(Predicate::parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
     fn identical_seed_and_scenario_yield_identical_plans() {
         let a = expand(&parse_scenario("s.jsonl", GOOD).unwrap(), false).unwrap();
         let b = expand(&parse_scenario("s.jsonl", GOOD).unwrap(), false).unwrap();

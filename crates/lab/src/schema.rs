@@ -4,17 +4,24 @@
 //! following non-blank line is one variant (one table row / trial group):
 //!
 //! ```text
-//! {"scenario":"a10","kind":"replication","seed":7,"params":{"readers":8},
-//!  "quick":{"readers":4},"assert":["max_lag == 0"]}
+//! {"scenario":"a10","kind":"mixed","seed":7,"params":{"clients":8,"ops":40},
+//!  "quick":{"ops":10},"assert":["max_lag == 0","ops_s_v1 / ops_s_v0 >= 0.5"]}
 //! {"variant":"0","params":{"replicas":0}}
 //! {"variant":"2","params":{"replicas":2}}
 //! ```
+//!
+//! An assert names a metric the scenario's engine emits, or the ratio of
+//! two. Every engine emits each variant's own values as `<metric>_v<i>`
+//! (`i` is the 0-based position of the variant line) beside the
+//! scenario-wide ones, so comparing variants is a ratio predicate, not
+//! engine code.
 //!
 //! Every field is checked here — unknown knobs, wrong types, out-of-range
 //! values, duplicate keys and duplicate variant labels are all rejected
 //! with a `file:line:` prefix so a broken scenario reads like a compiler
 //! error, not a stack trace in the middle of a bench run.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{self, Value};
@@ -40,12 +47,8 @@ impl std::error::Error for SchemaError {}
 pub enum Kind {
     /// Bare-DB vs full-stack commit throughput sweep (the a9 shape).
     CommitThroughput,
-    /// Replica read routing, lag drain and failover (the a10 shape).
-    Replication,
     /// WAL retention budgets and delta catch-up (the a11 shape).
     CheckpointShipping,
-    /// Upcall-pool burst and agent-churn front end (the a12 shape).
-    FrontEnd,
     /// The generic client-mix engine with fault injection points.
     Mixed,
     /// Write-cycle scale-out across DLFM namespace shards (the a13 shape).
@@ -59,9 +62,7 @@ impl Kind {
     fn parse(s: &str) -> Option<Kind> {
         Some(match s {
             "commit_throughput" => Kind::CommitThroughput,
-            "replication" => Kind::Replication,
             "checkpoint_shipping" => Kind::CheckpointShipping,
-            "front_end" => Kind::FrontEnd,
             "mixed" => Kind::Mixed,
             "sharding" => Kind::Sharding,
             "wire_front_end" => Kind::WireFrontEnd,
@@ -73,9 +74,7 @@ impl Kind {
     pub fn as_str(&self) -> &'static str {
         match self {
             Kind::CommitThroughput => "commit_throughput",
-            Kind::Replication => "replication",
             Kind::CheckpointShipping => "checkpoint_shipping",
-            Kind::FrontEnd => "front_end",
             Kind::Mixed => "mixed",
             Kind::Sharding => "sharding",
             Kind::WireFrontEnd => "wire_front_end",
@@ -147,8 +146,6 @@ pub struct Params {
     pub sync_latency_us: Option<u64>,
     pub replicas: Option<u64>,
     pub host_replicas: Option<u64>,
-    pub readers: Option<u64>,
-    pub reads_per: Option<u64>,
     pub n_files: Option<u64>,
     pub file_size: Option<u64>,
     pub updates: Option<u64>,
@@ -180,8 +177,6 @@ impl Params {
             sync_latency_us,
             replicas,
             host_replicas,
-            readers,
-            reads_per,
             n_files,
             file_size,
             updates,
@@ -242,38 +237,62 @@ impl CmpOp {
     }
 }
 
-/// An assertion declared in the scenario: `metric op number`, e.g.
-/// `"throughput_ratio >= 1.6"` or `"max_os_threads < 64"`. Evaluated
-/// against the metric map the scenario's driver emits; naming a metric the
-/// driver never produced is an error, not a silent pass.
+/// An assertion declared in the scenario: `metric op number`, or the
+/// ratio of two metrics, `a / b op number` — e.g. `"max_os_threads < 64"`
+/// or `"ops_s_v3 / ops_s_v1 >= 1"`. Evaluated against the metric map the
+/// scenario's engine emits; naming a metric the engine never produced is
+/// an error, not a silent pass, and so is a zero denominator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     pub metric: String,
+    /// The denominator of a ratio predicate.
+    pub per: Option<String>,
     pub op: CmpOp,
     pub value: f64,
 }
 
 impl Predicate {
-    /// Parses `metric op number` (whitespace-separated).
+    /// Parses `metric op number` or `a / b op number` (whitespace-separated).
     pub fn parse(text: &str) -> Result<Predicate, String> {
         let parts: Vec<&str> = text.split_whitespace().collect();
-        let [metric, op, value] = parts.as_slice() else {
-            return Err(format!(
-                "predicate {text:?} must be `metric op number` (e.g. \"failover_ms <= 500\")"
-            ));
+        let (metric, per, op, value) = match parts.as_slice() {
+            [metric, op, value] => (*metric, None, *op, *value),
+            [metric, "/", per, op, value] => (*metric, Some(*per), *op, *value),
+            _ => {
+                return Err(format!(
+                    "predicate {text:?} must be `metric op number` or `a / b op number` \
+                     (e.g. \"failover_ms <= 500\")"
+                ))
+            }
         };
         let op = CmpOp::parse(op)
             .ok_or_else(|| format!("predicate {text:?}: unknown operator {op:?}"))?;
         let value = value
             .parse::<f64>()
             .map_err(|_| format!("predicate {text:?}: {value:?} is not a number"))?;
-        if !metric.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        let name_ok = |m: &str| m.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+        if !name_ok(metric) || !per.is_none_or(name_ok) {
             return Err(format!("predicate {text:?}: metric names are [a-z0-9_]"));
         }
-        Ok(Predicate { metric: metric.to_string(), op, value })
+        Ok(Predicate { metric: metric.to_string(), per: per.map(str::to_string), op, value })
     }
 
-    /// Checks the predicate against a measured metric value.
+    /// The value the predicate compares: the metric, or the ratio of the
+    /// two. A missing operand or a zero denominator is an error naming it.
+    pub fn measure(&self, metrics: &BTreeMap<String, f64>) -> Result<f64, String> {
+        let get = |name: &str| {
+            metrics.get(name).copied().ok_or_else(|| format!("metric {name:?} was not emitted"))
+        };
+        let a = get(&self.metric)?;
+        let Some(per) = &self.per else { return Ok(a) };
+        let b = get(per)?;
+        if b == 0.0 {
+            return Err(format!("denominator {per:?} is 0"));
+        }
+        Ok(a / b)
+    }
+
+    /// Checks the predicate against a measured value.
     pub fn holds(&self, measured: f64) -> bool {
         match self.op {
             CmpOp::Le => measured <= self.value,
@@ -287,7 +306,11 @@ impl Predicate {
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.metric, self.op.as_str(), self.value)
+        write!(f, "{}", self.metric)?;
+        if let Some(per) = &self.per {
+            write!(f, " / {per}")?;
+        }
+        write!(f, " {} {}", self.op.as_str(), self.value)
     }
 }
 
@@ -404,7 +427,7 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
                         file,
                         line,
                         format!(
-                            "unknown kind {s:?} (expected commit_throughput, replication, checkpoint_shipping, front_end, mixed, sharding or wire_front_end)"
+                            "unknown kind {s:?} (expected commit_throughput, checkpoint_shipping, mixed, sharding or wire_front_end)"
                         ),
                     )
                 })?);
@@ -575,8 +598,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             }
             "replicas" => p.replicas = Some(expect_u64(file, line, key, val, 0, 8)?),
             "host_replicas" => p.host_replicas = Some(expect_u64(file, line, key, val, 0, 8)?),
-            "readers" => p.readers = Some(expect_u64(file, line, key, val, 1, 256)?),
-            "reads_per" => p.reads_per = Some(expect_u64(file, line, key, val, 1, 100_000)?),
             "n_files" => p.n_files = Some(expect_u64(file, line, key, val, 1, 65_536)?),
             "file_size" => p.file_size = Some(expect_u64(file, line, key, val, 1, 16 << 20)?),
             "updates" => p.updates = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),

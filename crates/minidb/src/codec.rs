@@ -86,7 +86,7 @@ impl Enc {
         self.put_u8(u8::from(v));
     }
 
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
@@ -142,7 +142,7 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    pub fn get_i64(&mut self) -> DbResult<i64> {
+    fn get_i64(&mut self) -> DbResult<i64> {
         let b = self.take(8)?;
         Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
@@ -152,11 +152,11 @@ impl<'a> Dec<'a> {
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    pub fn get_bool(&mut self) -> DbResult<bool> {
+    fn get_bool(&mut self) -> DbResult<bool> {
         Ok(self.get_u8()? != 0)
     }
 
-    pub fn get_bytes(&mut self) -> DbResult<Vec<u8>> {
+    fn get_bytes(&mut self) -> DbResult<Vec<u8>> {
         let len = self.get_u32()? as usize;
         Ok(self.take(len)?.to_vec())
     }

@@ -241,11 +241,6 @@ impl LockManager {
         out.sort();
         out
     }
-
-    /// Number of resources with lock state (tests).
-    pub fn resource_count(&self) -> usize {
-        self.inner.lock().resources.len()
-    }
 }
 
 #[cfg(test)]
@@ -373,9 +368,9 @@ mod tests {
         let lm = LockManager::new();
         lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
         lm.lock(1, &table(), LockMode::IntentExclusive).unwrap();
-        assert_eq!(lm.resource_count(), 2);
+        assert_eq!(lm.inner.lock().resources.len(), 2);
         lm.release_all(1);
-        assert_eq!(lm.resource_count(), 0);
+        assert_eq!(lm.inner.lock().resources.len(), 0);
     }
 
     #[test]

@@ -267,7 +267,7 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
 /// Reads a snapshot slot; `Ok(None)` when empty or invalid (a torn write
 /// simply invalidates the slot — the other slot still has the previous
 /// generation).
-pub fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
+fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
     let total = dev.len()?;
     if total < 16 {
         return Ok(None);

@@ -50,7 +50,7 @@ impl Value {
         )
     }
 
-    pub fn is_null(&self) -> bool {
+    fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
