@@ -67,7 +67,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # A close wakes no archiver (DESIGN.md "§4.4"): the archiver's queue is a
 # mutex and a condvar, not a channel, and a write open that meets its
 # file's archive job runs or waits it out — archiving answers no `Busy`.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving"
+# A served frame borrows the seat (DESIGN.md "Wire transport"): the
+# reactor's `Worker::run` gives the poll set to a follower only when more
+# events are ready, and otherwise lends it — no `give_seat` at the loop
+# body's own level (outside the branch on the ready list), and a
+# `lend_seat` must be there.
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving, no seat given away per frame"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ scenarios/ \
   || grep -rnE "settle_stats|reply_parked|try_grow|retire_window|upcall_idle_ms|upcall_workers_min" \
@@ -100,8 +105,12 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "mod [t]rajectory|[-]-compare|[-]-gate" crates/bench \
   || awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/dlfm/src/archive.rs | grep -n "[m]psc" \
   || awk '/fn open_check_write\(/,/^    }$/' crates/dlfm/src/server.rs \
-       | grep -A4 "is_[a]rchiving" | grep -n "OpenDecision::[B]usy"; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote, a frame hand-off to a worker, an archiver channel or a Busy from archiving reappeared (matches above)" >&2
+       | grep -A4 "is_[a]rchiving" | grep -n "OpenDecision::[B]usy" \
+  || awk '/    fn run\(self\) \{/,/^    }$/' crates/net/src/reactor.rs \
+       | grep -nE "^ {12}shared\.[g]ive_seat\(" \
+  || ! awk '/    fn run\(self\) \{/,/^    }$/' crates/net/src/reactor.rs \
+       | grep -q "shared\.[l]end_seat(set)"; then
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote, a frame hand-off to a worker, an archiver channel, a Busy from archiving or a per-frame seat give-away (no lend in Worker::run) reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -140,15 +149,21 @@ cargo test --workspace -q --no-fail-fast
 # sweep (update, link and unlink) cuts every boundary of it. The log's own
 # tests race too: two flushes in flight park, overlap and fail each other
 # on purpose (`wal::` in dl-minidb), and wire_transport's sever race cuts
-# an agent connection while its host transaction commits. One green run
-# proves little about a race; five in a row, failing on the first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + the sever race x5"
+# an agent connection while its host transaction commits. The reactor's
+# lent seat races too: the serving thread's reclaim, the park hook's
+# hand-off and a follower's take-over after the lend bound meet on one
+# mutex (`reactor::` in dl-net, and every wire_transport test rides it).
+# One green run proves little about a race; five in a row, failing on the
+# first red.
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + wire_transport + dl-net reactor:: x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep \
     || { echo "flake guard: round $round failed" >&2; exit 1; }
-  cargo test --offline -q --test wire_transport severing_the_agent_connection_mid_commit \
-    || { echo "flake guard: round $round (sever race) failed" >&2; exit 1; }
+  cargo test --offline -q --test wire_transport \
+    || { echo "flake guard: round $round (wire_transport) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-net --lib reactor:: \
+    || { echo "flake guard: round $round (reactor::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-minidb --lib wal:: \
     || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
 done

@@ -1085,6 +1085,11 @@ impl DataLinksSystem {
             net_counter!(bytes_out);
             net_counter!(decode_errors);
             net_counter!(backpressure_stalls);
+            net_counter!(seat_lends);
+            net_counter!(seat_reclaims);
+            net_counter!(seat_handoffs_ready);
+            net_counter!(seat_handoffs_park);
+            net_counter!(seat_handoffs_timeout);
             net_counter!(accepts);
             net_counter!(disconnects);
             let s = Arc::clone(&stats);

@@ -1011,6 +1011,12 @@ mod tests {
                     panic!("injected frame fault");
                 }
                 served_on.lock().unwrap().push(me);
+                // A sequential caller's frames are served by whichever
+                // thread holds the poll set, and it keeps it (a lent set)
+                // unless its handler parks: park briefly, as a lock wait
+                // would, so the set moves on and can reach the victim.
+                let idle = parking_lot::Mutex::new(());
+                parking_lot::Condvar::new().wait_for(&mut idle.lock(), Duration::from_millis(1));
             })
         };
         let node = node_with(DlfmConfig::new("srv1"), &[], Some(hook));

@@ -179,17 +179,42 @@ impl Lfs {
         self.fs.fs_read(&cred, ino, offset, buf)
     }
 
-    /// Reads from the current position to EOF.
+    /// Reads from the current position to EOF. The result is sized by the
+    /// file's length when the read starts and its capacity is its length
+    /// (callers keep these buffers, e.g. in the archive store).
     pub fn read_to_end(&self, fd: Fd) -> FsResult<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut chunk = vec![0u8; 64 * 1024];
-        loop {
-            let n = self.read(fd, &mut chunk)?;
-            if n == 0 {
-                return Ok(out);
+        let (ino, pos, cred) = self.with_file(fd, |f| {
+            if !f.flags.read {
+                return Err(FsError::BadDescriptor);
             }
-            out.extend_from_slice(&chunk[..n]);
+            Ok((f.ino, f.pos, f.cred))
+        })?;
+        let size = self.fs.fs_getattr(&cred, ino)?.size;
+        let mut out = vec![0u8; size.saturating_sub(pos) as usize];
+        let mut len = 0;
+        loop {
+            if len < out.len() {
+                let n = self.read(fd, &mut out[len..])?;
+                if n == 0 {
+                    // The file shrank since its length was read.
+                    out.truncate(len);
+                    break;
+                }
+                len += n;
+                continue;
+            }
+            // At the length read up front: one more read sees EOF, or the
+            // bytes written since.
+            let mut tail = [0u8; 512];
+            let n = self.read(fd, &mut tail)?;
+            if n == 0 {
+                break;
+            }
+            out.extend_from_slice(&tail[..n]);
+            len = out.len();
         }
+        out.shrink_to_fit();
+        Ok(out)
     }
 
     /// Sequential write at the descriptor's position.
@@ -341,6 +366,7 @@ mod tests {
     use crate::clock::SimClock;
     use crate::flock::LockKind;
     use crate::memfs::MemFs;
+    use crate::types::DirEntry;
 
     const ALICE: Cred = Cred { uid: 100, gid: 100 };
 
@@ -357,6 +383,104 @@ mod tests {
         lfs.close(fd).unwrap();
 
         assert_eq!(lfs.read_file(&ALICE, "/data/f.txt").unwrap(), b"hello");
+    }
+
+    #[test]
+    fn read_to_end_returns_an_exactly_sized_buffer() {
+        let lfs = lfs();
+        for len in [0, 4096, 64 * 1024 + 1] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            lfs.write_file(&ALICE, "/f", &data).unwrap();
+            let got = lfs.read_file(&ALICE, "/f").unwrap();
+            assert_eq!(got, data, "{len} B");
+            assert_eq!(got.capacity(), got.len(), "{len} B: no slack kept");
+
+            // From a moved position, and past the end.
+            let fd = lfs.open(&ALICE, "/f", OpenOptions::read_only()).unwrap();
+            let mut head = [0u8; 7];
+            let skipped = lfs.read(fd, &mut head).unwrap();
+            let rest = lfs.read_to_end(fd).unwrap();
+            assert_eq!(rest, &data[skipped..]);
+            assert_eq!(rest.capacity(), rest.len());
+            assert!(lfs.read_to_end(fd).unwrap().is_empty());
+            lfs.close(fd).unwrap();
+        }
+    }
+
+    /// A `MemFs` whose `fs_getattr` reports the size off by `skew` bytes,
+    /// as if the file changed length between the stat and the reads.
+    struct StaleSize {
+        fs: MemFs,
+        skew: i64,
+    }
+
+    impl FileSystem for StaleSize {
+        fn root(&self) -> Ino {
+            self.fs.root()
+        }
+        fn fs_lookup(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<Ino> {
+            self.fs.fs_lookup(cred, parent, name)
+        }
+        fn fs_getattr(&self, cred: &Cred, ino: Ino) -> FsResult<FileAttr> {
+            let mut attr = self.fs.fs_getattr(cred, ino)?;
+            attr.size = attr.size.saturating_add_signed(self.skew);
+            Ok(attr)
+        }
+        fn fs_setattr(&self, cred: &Cred, ino: Ino, set: &SetAttr) -> FsResult<FileAttr> {
+            self.fs.fs_setattr(cred, ino, set)
+        }
+        fn fs_create(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
+            self.fs.fs_create(cred, parent, name, mode)
+        }
+        fn fs_mkdir(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
+            self.fs.fs_mkdir(cred, parent, name, mode)
+        }
+        fn fs_open(&self, cred: &Cred, ino: Ino, flags: OpenFlags) -> FsResult<()> {
+            self.fs.fs_open(cred, ino, flags)
+        }
+        fn fs_close(&self, cred: &Cred, ino: Ino, flags: OpenFlags, written: bool) -> FsResult<()> {
+            self.fs.fs_close(cred, ino, flags, written)
+        }
+        fn fs_read(&self, cred: &Cred, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+            self.fs.fs_read(cred, ino, offset, buf)
+        }
+        fn fs_write(&self, cred: &Cred, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+            self.fs.fs_write(cred, ino, offset, data)
+        }
+        fn fs_remove(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<()> {
+            self.fs.fs_remove(cred, parent, name)
+        }
+        fn fs_rmdir(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<()> {
+            self.fs.fs_rmdir(cred, parent, name)
+        }
+        fn fs_rename(&self, cred: &Cred, p: Ino, n: &str, np: Ino, nn: &str) -> FsResult<()> {
+            self.fs.fs_rename(cred, p, n, np, nn)
+        }
+        fn fs_readdir(&self, cred: &Cred, ino: Ino) -> FsResult<Vec<DirEntry>> {
+            self.fs.fs_readdir(cred, ino)
+        }
+        fn fs_lockctl(
+            &self,
+            cred: &Cred,
+            ino: Ino,
+            owner: LockOwner,
+            op: LockOp,
+        ) -> FsResult<bool> {
+            self.fs.fs_lockctl(cred, ino, owner, op)
+        }
+    }
+
+    #[test]
+    fn read_to_end_reads_what_is_there_when_the_length_it_read_is_stale() {
+        let data: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
+        for skew in [-4999, -1000, -1, 1, 700, 1 << 20] {
+            let fs = MemFs::with_clock(Arc::new(SimClock::new(1_000)));
+            let lfs = Lfs::new(Arc::new(StaleSize { fs, skew }));
+            lfs.write_file(&ALICE, "/f", &data).unwrap();
+            let got = lfs.read_file(&ALICE, "/f").unwrap();
+            assert_eq!(got, data, "skew {skew}");
+            assert_eq!(got.capacity(), got.len(), "skew {skew}: no slack kept");
+        }
     }
 
     #[test]

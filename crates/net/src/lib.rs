@@ -17,10 +17,12 @@
 //! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the server-side
 //!   runtime, served leader/followers: one thread at a time holds the
 //!   poll set over nonblocking `std::os::unix::net` sockets
-//!   (hand-declared poll(2), no tokio/mio), reads every ready frame, hands
-//!   the poll set to a follower and runs the caller-supplied handler on
-//!   the frame it read itself. Threads are added as handlers block and
-//!   retire when idle. Replies are written by whoever sends them, straight
+//!   (hand-declared poll(2), no tokio/mio), reads every ready frame and
+//!   runs the caller-supplied handler on the frame it read itself. With
+//!   more frames ready it hands the poll set to a follower first; with
+//!   one, it only lends the set and polls again when the handler returns,
+//!   unless the handler parks or blocks past a 1 ms bound first. Threads
+//!   are added as handlers block and retire when idle. Replies are written by whoever sends them, straight
 //!   to the socket; the leader only drains what a full kernel buffer left
 //!   behind.
 //!

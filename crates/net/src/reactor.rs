@@ -5,14 +5,29 @@
 //! The one that holds the poll set — the *leader* — polls for readiness,
 //! drains every readable connection through its [`FrameDecoder`] and
 //! accepts new connections from an optional listener. It keeps the first
-//! event for itself and leaves the rest on a ready list, hands the poll
-//! set to a follower, and runs the handler on its own thread: a frame is
-//! served on the thread that read it, with no queue and no wake-up
-//! between them. The next leader drains the ready list before it polls
-//! again. `Accepted` runs while the poll set is held, so it precedes
-//! every frame of its connection; frames and `Disconnected` run on the
-//! thread that takes them, so the handler must be `Fn + Sync` and may
-//! block.
+//! event for itself, leaves the rest on a ready list and runs the handler
+//! on its own thread: a frame is served on the thread that read it, with
+//! no queue and no wake-up between them. `Accepted` runs while the poll
+//! set is held, so it precedes every frame of its connection; frames and
+//! `Disconnected` run on the thread that takes them, so the handler must
+//! be `Fn + Sync` and may block.
+//!
+//! Who polls next depends on what is ready. With more events on the
+//! ready list the leader *gives* the poll set to a follower before it
+//! serves, so a burst spreads over threads; the next leader drains the
+//! ready list before it polls again. With nothing else ready it only
+//! *lends* the set: the set waits in the seat marked lent, nobody is
+//! woken for it, and the serving thread takes it back and polls again
+//! when its handler returns — a sequential client costs no thread
+//! wake-up per frame. A lend ends early in two ways. A handler about to
+//! park on a `parking_lot` condvar (a lock wait, a commit flush) fires a
+//! one-shot park hook that frees the set and wakes a follower. A handler
+//! that blocks any other way (a `std` primitive, a sleep, blocking I/O —
+//! or any wait at all under a `parking_lot` without the hook) is caught
+//! by the bound: a follower watching a set lent for `LEND_BOUND` (1 ms)
+//! takes it over. That bound, not the hook, is what keeps the other
+//! connections read; the hook only makes the hand-off prompt. A lend
+//! wakes a follower to watch it only when none is watching already.
 //!
 //! The thread count follows the handlers. When the last free thread
 //! starts serving it spawns a successor, so a leader is always there to
@@ -68,6 +83,11 @@ extern "C" {
 /// The leader's poll timeout, and how long a follower waits for the seat
 /// before it may retire.
 const IDLE: Duration = Duration::from_millis(250);
+
+/// How long a poll set may stay lent before a follower takes it over: the
+/// bound on how long a handler that blocks without saying so (on a `std`
+/// primitive, a sleep, blocking I/O) keeps the other connections unread.
+const LEND_BOUND: Duration = Duration::from_millis(1);
 
 /// Free threads an idle reactor keeps: the leader and one follower.
 const FREE_FLOOR: usize = 2;
@@ -169,6 +189,35 @@ impl Threads {
 
 type Handler = dyn Fn(NetEvent) + Send + Sync;
 
+/// Where the poll set waits while no leader polls it.
+#[derive(Default)]
+struct Seat {
+    set: Option<Box<PollSet>>,
+    /// `set` is lent, since then, to the thread serving the frame it last
+    /// read: that thread takes it back when its handler returns, unless a
+    /// follower took it first. `None` while `set` is free or held; never
+    /// `Some` without `set`.
+    lent: Option<Instant>,
+    /// Bumped by every lend, so the thread that lent the set can tell its
+    /// own lend from a later one.
+    lends: u64,
+    /// Followers waiting out a lend on a short timer. A lend wakes one
+    /// follower only when none is already watching.
+    watchers: usize,
+}
+
+impl Seat {
+    /// Ends lend number `lend`, if it is still running: the set stays in
+    /// the seat, free.
+    fn end_lend(&mut self, lend: u64) -> bool {
+        let running = self.lent.is_some() && self.lends == lend;
+        if running {
+            self.lent = None;
+        }
+        running
+    }
+}
+
 struct Shared {
     name: String,
     waker: UnixStream,
@@ -178,8 +227,9 @@ struct Shared {
     conns: RwLock<HashMap<u64, Arc<ConnOut>>>,
     stats: Arc<NetStats>,
     /// The poll set, while no leader holds it.
-    seat: Mutex<Option<Box<PollSet>>>,
-    /// Signalled when the poll set is put back, and when the reactor stops.
+    seat: Mutex<Seat>,
+    /// Signalled when the poll set is put back free, when a lend finds no
+    /// follower watching, and when the reactor stops.
     seat_free: Condvar,
     /// Set by [`ReactorHandle::shutdown`]; the next leader stops the
     /// reactor.
@@ -201,26 +251,82 @@ impl Shared {
         Ok((id, conn))
     }
 
-    /// Waits up to [`IDLE`] to become the leader. `None` on timeout.
+    /// Waits up to [`IDLE`] to become the leader. `None` on timeout. A
+    /// free set is taken at once; a lent one once it has been lent for
+    /// [`LEND_BOUND`].
     fn take_seat(&self) -> Option<Box<PollSet>> {
         let deadline = Instant::now() + IDLE;
         let mut seat = self.seat.lock();
         loop {
-            if let Some(set) = seat.take() {
-                return Some(set);
-            }
             let now = Instant::now();
+            match seat.lent {
+                None if seat.set.is_some() => return seat.set.take(),
+                Some(since) if now >= since + LEND_BOUND => {
+                    self.stats.seat_handoffs_timeout.inc();
+                    seat.lent = None;
+                    return seat.set.take();
+                }
+                _ => {}
+            }
             if now >= deadline {
                 return None;
             }
-            self.seat_free.wait_for(&mut seat, deadline - now);
+            match seat.lent {
+                Some(since) => {
+                    seat.watchers += 1;
+                    self.seat_free.wait_for(&mut seat, deadline.min(since + LEND_BOUND) - now);
+                    seat.watchers -= 1;
+                }
+                None => {
+                    self.seat_free.wait_for(&mut seat, deadline - now);
+                }
+            }
         }
     }
 
-    /// Hands the poll set to the next leader.
+    /// Hands the poll set to the next leader: more events are ready than
+    /// this thread is about to serve.
     fn give_seat(&self, set: Box<PollSet>) {
-        *self.seat.lock() = Some(set);
+        self.stats.seat_handoffs_ready.inc();
+        self.seat.lock().set = Some(set);
         self.seat_free.notify_one();
+    }
+
+    /// Lends the poll set while this thread serves the one event it read;
+    /// returns the lend's number, for [`Shared::reclaim`] and
+    /// [`Shared::unlend`]. Wakes a follower only if none is watching, so
+    /// that one starts the [`LEND_BOUND`] clock.
+    fn lend_seat(&self, set: Box<PollSet>) -> u64 {
+        self.stats.seat_lends.inc();
+        let mut seat = self.seat.lock();
+        seat.set = Some(set);
+        seat.lent = Some(Instant::now());
+        seat.lends += 1;
+        let (lend, watched) = (seat.lends, seat.watchers > 0);
+        drop(seat);
+        if !watched {
+            self.seat_free.notify_one();
+        }
+        lend
+    }
+
+    /// Takes back the poll set of `lend`, unless it went to a follower.
+    fn reclaim(&self, lend: u64) -> Option<Box<PollSet>> {
+        let mut seat = self.seat.lock();
+        if !seat.end_lend(lend) {
+            return None;
+        }
+        self.stats.seat_reclaims.inc();
+        seat.set.take()
+    }
+
+    /// The thread serving `lend` is about to park: the set becomes free
+    /// for a follower.
+    fn unlend(&self, lend: u64) {
+        if self.seat.lock().end_lend(lend) {
+            self.stats.seat_handoffs_park.inc();
+            self.seat_free.notify_one();
+        }
     }
 }
 
@@ -351,7 +457,7 @@ impl Reactor {
             next_conn: AtomicU64::new(1),
             conns: RwLock::new(HashMap::new()),
             stats,
-            seat: Mutex::new(Some(Box::new(set))),
+            seat: Mutex::new(Seat { set: Some(Box::new(set)), ..Seat::default() }),
             seat_free: Condvar::new(),
             shutdown: AtomicBool::new(false),
             threads: Threads::default(),
@@ -373,7 +479,7 @@ impl Drop for Reactor {
         self.handle.shutdown();
         let shared = &self.handle.0;
         let mut seat = shared.seat.lock();
-        while !seat.as_ref().is_some_and(|set| set.stopped) {
+        while !seat.set.as_ref().is_some_and(|set| set.stopped) {
             shared.seat_free.wait(&mut seat);
         }
     }
@@ -404,8 +510,9 @@ impl Worker {
 
     fn run(self) {
         let shared = &*self.shared;
+        let mut reclaimed = None;
         loop {
-            let Some(mut set) = shared.take_seat() else {
+            let Some(mut set) = reclaimed.take().or_else(|| shared.take_seat()) else {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     shared.threads.remove_free();
                     return;
@@ -418,21 +525,39 @@ impl Worker {
             let event = set.next_event(shared, &*self.handler);
             let Some(event) = event else {
                 // Stopped: put the seat back for the next thread to leave by.
-                *shared.seat.lock() = Some(set);
+                shared.seat.lock().set = Some(set);
                 shared.seat_free.notify_all();
                 shared.threads.remove_free();
                 return;
             };
             let last = shared.threads.start_serving();
-            shared.give_seat(set);
+            // More events ready: a follower takes the seat and serves them
+            // beside this thread. Otherwise the seat is only lent, and this
+            // thread polls again when it is done, with no wake-up between —
+            // unless it parks first, or blocks past the lend bound.
+            let lend = if set.ready.is_empty() {
+                Some(shared.lend_seat(set))
+            } else {
+                shared.give_seat(set);
+                None
+            };
             if last {
                 // A spawn failure leaves the seat to whoever is free next.
                 let _ =
                     Worker { shared: Arc::clone(&self.shared), handler: Arc::clone(&self.handler) }
                         .spawn();
             }
-            deliver(&*self.handler, event);
+            if let Some(lend) = lend {
+                let on_park = Arc::clone(&self.shared);
+                parking_lot::with_park_hook(
+                    move || on_park.unlend(lend),
+                    || deliver(&*self.handler, event),
+                );
+            } else {
+                deliver(&*self.handler, event);
+            }
             shared.threads.done_serving();
+            reclaimed = lend.and_then(|lend| shared.reclaim(lend));
         }
     }
 }
@@ -841,9 +966,17 @@ mod tests {
     /// handler until `release` fires, one whose payload is `"panic"`
     /// panics.
     fn blocking_echo(tag: &str, release: Arc<Barrier>) -> (Reactor, std::path::PathBuf) {
+        blocking_echo_with(tag, release, Arc::new(NetStats::new()))
+    }
+
+    fn blocking_echo_with(
+        tag: &str,
+        release: Arc<Barrier>,
+        stats: Arc<NetStats>,
+    ) -> (Reactor, std::path::PathBuf) {
         let path = temp_sock(tag);
         let listener = UnixListener::bind(&path).unwrap();
-        let reactor = Reactor::spawn(tag, Some(listener), Arc::new(NetStats::new()), |h| {
+        let reactor = Reactor::spawn(tag, Some(listener), stats, |h| {
             let h = h.clone();
             move |ev| {
                 if let NetEvent::Frame { conn, request_id, msg } = ev {
@@ -911,6 +1044,116 @@ mod tests {
         wait_until("idle threads to retire", || h.threads() == FREE_FLOOR);
         assert_eq!(call(&mut other, 100, &Message::Ok), Message::Ok);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every lend ends exactly once: reclaimed, or handed on at a park or
+    /// after the bound. Waits for the lend of the last reply to end.
+    fn lends_settle(stats: &NetStats) {
+        wait_until("the last lend to end", || {
+            stats.seat_lends.get()
+                == stats.seat_reclaims.get()
+                    + stats.seat_handoffs_park.get()
+                    + stats.seat_handoffs_timeout.get()
+        });
+    }
+
+    /// A sequential client has one frame in flight, so each poll reads one
+    /// event: it is served on a lent poll set, and the thread that served
+    /// it takes the set back and polls again — no follower wakes per frame.
+    #[test]
+    fn sequential_calls_are_served_on_reclaimed_lends() {
+        const CALLS: u64 = 200;
+        let stats = Arc::new(NetStats::new());
+        let (reactor, path) =
+            blocking_echo_with("lend", Arc::new(Barrier::new(1)), Arc::clone(&stats));
+        let mut s = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for rid in 0..CALLS {
+            assert_eq!(call(&mut s, rid, &Message::Ok), Message::Ok);
+        }
+        lends_settle(&stats);
+        assert_eq!(stats.seat_lends.get(), CALLS, "one lend per frame");
+        assert_eq!(stats.seat_handoffs_ready.get(), 0, "never two events ready at once");
+        // A lend is lost to a follower only if the serving thread is
+        // descheduled for the whole bound; half is far below what even a
+        // loaded machine leaves.
+        let reclaims = stats.seat_reclaims.get();
+        assert!(reclaims >= CALLS / 2, "only {reclaims} of {CALLS} lends reclaimed");
+        drop(reactor);
+    }
+
+    /// A handler that parks on a condvar until a frame on another
+    /// connection arrives (a lock wait that a later request ends) hands
+    /// its lent poll set on as it parks, so the releasing frame is read
+    /// without waiting out the lend bound.
+    #[test]
+    fn a_handler_parking_on_a_condvar_hands_its_lend_on() {
+        const ROUNDS: usize = 3;
+        let path = temp_sock("park");
+        let listener = UnixListener::bind(&path).unwrap();
+        let stats = Arc::new(NetStats::new());
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let reactor = Reactor::spawn("park", Some(listener), Arc::clone(&stats), |h| {
+            let (h, gate) = (h.clone(), Arc::clone(&gate));
+            move |ev| {
+                let NetEvent::Frame { conn, request_id, msg } = ev else { return };
+                let mut open = gate.0.lock();
+                match &msg {
+                    Message::Err(s) if s == "wait" => {
+                        while !*open {
+                            gate.1.wait(&mut open);
+                        }
+                        *open = false;
+                    }
+                    _ => {
+                        *open = true;
+                        gate.1.notify_all();
+                    }
+                }
+                drop(open);
+                h.send(conn, request_id, &msg);
+            }
+        })
+        .unwrap();
+        let mut waiter = UnixStream::connect(&path).unwrap();
+        let mut releaser = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for round in 0..ROUNDS as u64 {
+            let lends = stats.seat_lends.get();
+            waiter.write_all(&encode_frame(round, &Message::Err("wait".into()))).unwrap();
+            wait_until("the waiting frame's lend", || stats.seat_lends.get() > lends);
+            assert_eq!(call(&mut releaser, round, &Message::Ok), Message::Ok);
+            assert_eq!(reply(&mut waiter, round), Message::Err("wait".into()));
+        }
+        lends_settle(&stats);
+        // Each waiting frame's lend goes on at its park, unless the
+        // machine stalls that thread past the bound before it parks; the
+        // timeout alone (no hook) would leave this at 0.
+        assert!(stats.seat_handoffs_park.get() >= 1, "no lend went on at a park");
+        drop(reactor);
+    }
+
+    /// A handler that blocks on something that is not the shim's condvar
+    /// fires no park hook: a follower takes the lent set over after the
+    /// bound, and the other connections are served meanwhile.
+    #[test]
+    fn a_lend_blocked_outside_a_condvar_is_taken_over_after_the_bound() {
+        let stats = Arc::new(NetStats::new());
+        let release = Arc::new(Barrier::new(2));
+        let (reactor, path) =
+            blocking_echo_with("takeover", Arc::clone(&release), Arc::clone(&stats));
+        let mut blocked = UnixStream::connect(&path).unwrap();
+        let mut other = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        blocked.write_all(&encode_frame(1, &Message::Err("block".into()))).unwrap();
+        wait_until("the blocking frame's lend", || stats.seat_lends.get() == 1);
+        assert_eq!(call(&mut other, 2, &Message::Ok), Message::Ok);
+        assert!(stats.seat_handoffs_timeout.get() >= 1, "served while the lend was held");
+        assert_eq!(stats.seat_handoffs_park.get(), 0, "a std barrier fires no park hook");
+        release.wait();
+        assert_eq!(reply(&mut blocked, 1), Message::Err("block".into()));
+        lends_settle(&stats);
+        drop(reactor);
     }
 
     #[test]

@@ -29,6 +29,25 @@ pub struct NetStats {
     /// the unwritten remainder behind the connection and woke the leader
     /// thread to drain it on the next writability wakeup.
     pub backpressure_stalls: Counter,
+    /// Events a server thread served on a *lent* poll set: it read one
+    /// event and nothing else was ready, so it kept the set on loan and
+    /// polls again itself once its handler returns.
+    pub seat_lends: Counter,
+    /// Lends the serving thread took back itself — a frame that cost no
+    /// thread wake-up.
+    pub seat_reclaims: Counter,
+    /// Poll sets handed to a follower because more events were ready
+    /// than the leader was about to serve (eager: a burst spreads over
+    /// threads).
+    pub seat_handoffs_ready: Counter,
+    /// Lends handed to a follower because the serving thread was about
+    /// to park on a condvar (a lock wait, a commit flush, a full lane).
+    pub seat_handoffs_park: Counter,
+    /// Lends a follower took over after the lend bound (1 ms): the handler
+    /// blocked without parking on a condvar. `seat_lends` equals
+    /// `seat_reclaims + seat_handoffs_park + seat_handoffs_timeout`, give
+    /// or take the one lend in flight.
+    pub seat_handoffs_timeout: Counter,
     /// Client calls that gave up waiting for their reply frame
     /// (`DlfmConfig::wire_call_timeout_ms`). The connection stays usable.
     pub call_timeouts: Counter,
