@@ -121,6 +121,17 @@ fi
 # letters keep these patterns from matching this file; the last guard
 # joins lab.rs into one line so a `metrics.insert` split across lines is
 # still read whole.
+# minidb's row path shares instead of copying (DESIGN.md "Substrates"): the
+# schema is one `Arc<Schema>` that `Database::schema` hands out, and a lock
+# key is a `Copy` hash — no owned `Schema` from the getter, no lock key
+# built from a cloned table name.
+step "guard: Database::schema returns the shared schema, no LockRes built from to_string()"
+if grep -nE "fn schema\(&self, table: &str\) -> DbResult<[S]chema>" crates/minidb/src/db.rs \
+  || grep -rnE "LockRes::[A-Za-z]+\([^;]*\.to_[s]tring\(\)" crates/ src/ tests/; then
+  echo "guard: an owned Schema from Database::schema or a LockRes built from to_string() reappeared (matches above)" >&2
+  exit 1
+fi
+
 step "guard: no replication or front_end lab kind, no readers/reads_per knob, no hand-computed comparison metric in the lab"
 if grep -rnE "Kind::[R]eplication|Kind::[F]rontEnd" crates/ src/ tests/ \
   || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
@@ -153,9 +164,11 @@ cargo test --workspace -q --no-fail-fast
 # lent seat races too: the serving thread's reclaim, the park hook's
 # hand-off and a follower's take-over after the lend bound meet on one
 # mutex (`reactor::` in dl-net, and every wire_transport test rides it).
+# The lock manager's tests race blocked waiters against releases and
+# deadlock victims on hashed keys (`lock::` in dl-minidb).
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + wire_transport + dl-net reactor:: x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep \
@@ -166,6 +179,8 @@ for round in 1 2 3 4 5; do
     || { echo "flake guard: round $round (reactor::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-minidb --lib wal:: \
     || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-minidb --lib lock:: \
+    || { echo "flake guard: round $round (lock::) failed" >&2; exit 1; }
 done
 
 # The socket path is load-bearing (Transport::Socket routes the whole

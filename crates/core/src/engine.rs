@@ -30,8 +30,8 @@ use dl_dlfm::{
 };
 use dl_fskit::Clock;
 use dl_minidb::{
-    Column, ColumnType, Database, DbResult, DmlEvent, DmlObserver, InjectedDml, Lsn, Row, Schema,
-    Value,
+    Column, ColumnType, Database, DbResult, DmlEvent, DmlObserver, InjectedDml, Lsn, Schema,
+    SharedRow, Value,
 };
 use dl_repl::{ReplicaSet, Standby};
 use parking_lot::{Mutex, RwLock};
@@ -183,6 +183,8 @@ pub struct DataLinksEngine {
     /// commits that open/close each 2PC cycle (the DLFM servers record the
     /// participant side into their own rings).
     recorder: Arc<dl_obs::FlightRecorder>,
+    /// `engine.host` — the `source` stamped on every span event.
+    flight_source: Arc<str>,
     pub stats: EngineStats,
 }
 
@@ -201,6 +203,7 @@ impl DataLinksEngine {
             lag_ewmas: RwLock::new(HashMap::new()),
             routers: RwLock::new(HashMap::new()),
             recorder: Arc::new(dl_obs::FlightRecorder::new(256)),
+            flight_source: Arc::from("engine.host"),
             stats: EngineStats::default(),
         });
         engine.load_column_registry()?;
@@ -596,7 +599,7 @@ impl DataLinksEngine {
     }
 
     /// The committed `__dl_meta` row keyed by `url`, if any.
-    fn meta_row(&self, url: &str) -> Option<Row> {
+    fn meta_row(&self, url: &str) -> Option<SharedRow> {
         self.db.get_committed(META_TABLE, &Value::Text(url.to_string())).ok().flatten()
     }
 
@@ -653,7 +656,7 @@ impl DmlObserver for DataLinksEngine {
             if let Some(url) = old_url {
                 let reg = self.resolve(&servers, &url.server, &url.path, true)?;
                 self.recorder.record(
-                    "engine.host",
+                    &self.flight_source,
                     "dml",
                     event.txid,
                     &url.path,
@@ -673,7 +676,7 @@ impl DmlObserver for DataLinksEngine {
             if let Some(url) = new_url {
                 let reg = self.resolve(&servers, &url.server, &url.path, true)?;
                 self.recorder.record(
-                    "engine.host",
+                    &self.flight_source,
                     "dml",
                     event.txid,
                     &url.path,
@@ -728,9 +731,10 @@ impl HostHook for DataLinksEngine {
         // The link's original attributes stay: the row keeps them for as
         // long as the file is linked.
         let row = tx.get_for_update(META_TABLE, &key).map_err(|e| e.to_string())?;
-        let Some(mut row) = row else {
+        let Some(row) = row else {
             return Err(format!("{url} has no metadata row: the file is not linked"));
         };
+        let mut row = row.to_vec();
         row[1] = Value::Int(new_size as i64);
         row[2] = Value::Int(new_mtime as i64);
         row[3] = Value::Int(new_version as i64);
@@ -739,7 +743,7 @@ impl HostHook for DataLinksEngine {
         let lsn = tx.commit().map_err(|e| e.to_string())?;
         self.stats.meta_updates.inc();
         self.recorder.record(
-            "engine.host",
+            &self.flight_source,
             "commit_update",
             txid,
             url,

@@ -103,7 +103,7 @@ impl FileEntry {
         ]
     }
 
-    fn from_row(row: &Row) -> Option<FileEntry> {
+    fn from_row(row: &[Value]) -> Option<FileEntry> {
         Some(FileEntry {
             path: row[0].as_text()?.to_string(),
             mode: row[1].as_text()?.parse().ok()?,
@@ -205,7 +205,7 @@ impl IntentEntry {
         ]
     }
 
-    fn from_row(row: &Row) -> Option<IntentEntry> {
+    fn from_row(row: &[Value]) -> Option<IntentEntry> {
         let (host_txid, path) = row[0].as_text()?.split_once('|')?;
         Some(IntentEntry {
             host_txid: host_txid.parse().ok()?,
@@ -392,7 +392,7 @@ impl Repository {
             .scan_committed("dl_files")
             .unwrap_or_default()
             .iter()
-            .filter_map(FileEntry::from_row)
+            .filter_map(|row| FileEntry::from_row(row))
             .collect()
     }
 
@@ -425,7 +425,7 @@ impl Repository {
     ) -> DbResult<()> {
         let key = Value::Text(path.to_string());
         let mut row =
-            txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?;
+            txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?.to_vec();
         row[4] = Value::Int(version as i64);
         row[9] = Value::Int(state_id as i64);
         row[10] = Value::Bool(true);
@@ -468,7 +468,7 @@ impl Repository {
         let row = txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?;
         let current = row[4] == Value::Int(version as i64);
         if current {
-            let mut row = row;
+            let mut row = row.to_vec();
             row[10] = Value::Bool(false);
             txn.update("dl_files", &key, row)?;
         }
@@ -849,7 +849,7 @@ impl Repository {
             .scan_committed("dl_intents")
             .unwrap_or_default()
             .iter()
-            .filter_map(IntentEntry::from_row)
+            .filter_map(|row| IntentEntry::from_row(row))
             .collect()
     }
 }

@@ -370,7 +370,7 @@ pub struct DlfmServer {
     /// dumped by the system layer on crash or failover.
     recorder: Arc<dl_obs::FlightRecorder>,
     /// `dlfm.<server_name>` — the `source` stamped on every span event.
-    flight_source: String,
+    flight_source: Arc<str>,
     /// Set by [`DlfmServer::simulate_crash`]: a crashed server must not
     /// tidy up on drop.
     crashed: std::sync::atomic::AtomicBool,
@@ -420,7 +420,7 @@ impl DlfmServer {
             });
         let archiver =
             Archiver::spawn(Arc::clone(&archive), generation, Arc::clone(&source), on_complete);
-        let flight_source = format!("dlfm.{}", cfg.server_name);
+        let flight_source: Arc<str> = Arc::from(format!("dlfm.{}", cfg.server_name));
         let flight_ring_capacity = cfg.flight_ring_capacity;
         Ok(DlfmServer {
             token_key: TokenKey::new(&cfg.token_key),

@@ -325,14 +325,17 @@ impl AccessToken {
         Ok(())
     }
 
-    /// Serializes to the string embedded after [`TOKEN_MARKER`].
+    /// Serializes to the string embedded after [`TOKEN_MARKER`]: kind
+    /// code, hex expiry, `-`, hex MAC — written in place into one string
+    /// sized for the longest token.
     pub fn encode(&self) -> String {
-        let mut s = String::with_capacity(2 + 16 + 1 + MAC_LEN * 2);
+        use std::fmt::Write;
+        let mut s = String::with_capacity(1 + 16 + 1 + MAC_LEN * 2);
         s.push(self.kind.code());
-        s.push_str(&format!("{:x}", self.expires_at_ms));
-        s.push('-');
+        // Writing into a `String` cannot fail.
+        let _ = write!(s, "{:x}-", self.expires_at_ms);
         for b in &self.mac[..MAC_LEN] {
-            s.push_str(&format!("{b:02x}"));
+            let _ = write!(s, "{b:02x}");
         }
         s
     }
@@ -591,5 +594,22 @@ mod tests {
             AccessToken::decode("x1-00000000000000000000000000000000"),
             Err(TokenError::Malformed)
         );
+    }
+
+    #[test]
+    fn an_encoded_token_is_pinned_byte_for_byte() {
+        // Tokens travel inside file names: the encoding must never drift.
+        let tok = AccessToken::generate(
+            &key(),
+            "srv1",
+            "/movies/clip.mpg",
+            TokenKind::Write,
+            0x1234_abcd,
+        );
+        assert_eq!(tok.encode(), "w1234abcd-8839db7d36a1a687ec029c73b6ee52c1");
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Read, 0);
+        assert_eq!(tok.encode(), "r0-7873960b32574bbb1e7a2aac27ebdc31");
+        let tok = AccessToken::generate(&key(), "s", "/f", TokenKind::Read, u64::MAX);
+        assert_eq!(tok.encode().len(), tok.encode().capacity(), "sized once, never grown");
     }
 }

@@ -220,7 +220,7 @@ pub fn get_value(dec: &mut Dec<'_>) -> DbResult<Value> {
     })
 }
 
-pub fn put_row(enc: &mut Enc, row: &Row) {
+pub fn put_row(enc: &mut Enc, row: &[Value]) {
     enc.put_u32(row.len() as u32);
     for v in row {
         put_value(enc, v);

@@ -17,7 +17,7 @@ use crate::replica::{Follow, ReplicationFeed, Snapshotter};
 use crate::snapshot::{slot_for_generation, write_snapshot, SnapshotData, SnapshotSource};
 use crate::table::TableStore;
 use crate::txn::Txn;
-use crate::value::{Row, Schema, Value};
+use crate::value::{Row, Schema, SharedRow, Value};
 use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 /// Kind of DML statement reported to observers.
@@ -36,8 +36,8 @@ pub struct DmlEvent<'a> {
     pub table: &'a str,
     pub kind: OpKind,
     pub key: &'a Value,
-    pub before: Option<&'a Row>,
-    pub after: Option<&'a Row>,
+    pub before: Option<&'a [Value]>,
+    pub after: Option<&'a [Value]>,
 }
 
 /// Synchronous DML hook. Returning `Err` vetoes the statement (the
@@ -170,32 +170,27 @@ pub struct Database {
     pub(crate) snapshotter: Arc<Snapshotter>,
 }
 
-/// Applies one logical op to the committed stores. Used by live commits and
-/// by log replay; replay trusts the log and skips validation.
-pub(crate) fn apply_op(tables: &mut HashMap<String, TableStore>, op: &RowOp) -> DbResult<()> {
+/// Applies one logical op to the committed stores, moving its row in. Used
+/// by live commits and by log replay; replay trusts the log and skips
+/// validation.
+pub(crate) fn apply_op(tables: &mut HashMap<String, TableStore>, op: RowOp) -> DbResult<()> {
+    fn store<'a>(
+        tables: &'a mut HashMap<String, TableStore>,
+        table: &str,
+    ) -> DbResult<&'a mut TableStore> {
+        tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))
+    }
     match op {
         RowOp::CreateTable(schema) => {
-            tables.entry(schema.table.clone()).or_insert_with(|| TableStore::new(schema.clone()));
+            tables.entry(schema.table.clone()).or_insert_with(|| TableStore::new(schema));
         }
         RowOp::DropTable(name) => {
-            tables.remove(name);
+            tables.remove(&name);
         }
-        RowOp::CreateIndex { table, column } => {
-            let store = tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-            store.create_index(column)?;
-        }
-        RowOp::Insert { table, row } => {
-            let store = tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-            store.apply_insert(row.clone());
-        }
-        RowOp::Update { table, key, row } => {
-            let store = tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-            store.apply_update(key, row.clone());
-        }
-        RowOp::Delete { table, key } => {
-            let store = tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-            store.apply_delete(key);
-        }
+        RowOp::CreateIndex { table, column } => store(tables, &table)?.create_index(&column)?,
+        RowOp::Insert { table, row } => store(tables, &table)?.apply_insert(row),
+        RowOp::Update { table, key, row } => store(tables, &table)?.apply_update(key, row),
+        RowOp::Delete { table, key } => store(tables, &table)?.apply_delete(&key),
     }
     Ok(())
 }
@@ -279,7 +274,7 @@ impl Database {
         }
         let op = RowOp::CreateTable(schema);
         self.inner.wal.append(&WalRecord::Ddl(op.clone()))?;
-        apply_op(&mut tables, &op)
+        apply_op(&mut tables, op)
     }
 
     /// Creates a secondary index on `table.column`, back-filling it.
@@ -299,13 +294,9 @@ impl Database {
         self.inner.tables.read().contains_key(name)
     }
 
-    pub fn schema(&self, table: &str) -> DbResult<Schema> {
-        self.inner
-            .tables
-            .read()
-            .get(table)
-            .map(|s| s.schema.clone())
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))
+    /// The table's schema: the one shared copy the table store holds.
+    pub fn schema(&self, table: &str) -> DbResult<Arc<Schema>> {
+        self.read_store(table, |store| Arc::clone(&store.schema))
     }
 
     // --- Transactions -------------------------------------------------------
@@ -541,34 +532,40 @@ impl Database {
 
     // --- Read-committed helpers (no locks) -----------------------------------
 
+    /// Runs `f` over the committed store of `table`, under the tables read
+    /// lock.
+    pub(crate) fn read_store<T>(
+        &self,
+        table: &str,
+        f: impl FnOnce(&TableStore) -> T,
+    ) -> DbResult<T> {
+        let tables = self.inner.tables.read();
+        tables.get(table).map(f).ok_or_else(|| DbError::NoSuchTable(table.to_string()))
+    }
+
     /// Reads the committed row at `key` without taking locks. The committed
     /// stores only change under the tables write lock (inside the shared
     /// commit latch), so this is a consistent read-committed point lookup.
-    pub fn get_committed(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
-        let tables = self.inner.tables.read();
-        let store = tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        Ok(store.get(key).cloned())
+    /// The row is the store's own, shared: a commit replaces it, never
+    /// changes it in place.
+    pub fn get_committed(&self, table: &str, key: &Value) -> DbResult<Option<SharedRow>> {
+        self.read_store(table, |store| store.get(key).cloned())
     }
 
     /// Scans committed rows without locks.
     pub fn scan_committed(&self, table: &str) -> DbResult<Vec<Row>> {
-        let tables = self.inner.tables.read();
-        let store = tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        Ok(store.iter().map(|(_, row)| row.clone()).collect())
+        self.read_store(table, |store| store.iter().map(|(_, row)| row.to_vec()).collect())
     }
 
     /// Committed row count.
     pub fn count(&self, table: &str) -> DbResult<usize> {
-        let tables = self.inner.tables.read();
-        tables.get(table).map(|s| s.len()).ok_or_else(|| DbError::NoSuchTable(table.to_string()))
+        self.read_store(table, TableStore::len)
     }
 
     /// Committed primary keys whose `column` equals `value` (uses the index
     /// when present).
     pub fn find_committed(&self, table: &str, column: &str, value: &Value) -> DbResult<Vec<Value>> {
-        let tables = self.inner.tables.read();
-        let store = tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        store.find_equal(column, value)
+        self.read_store(table, |store| store.find_equal(column, value))?
     }
 }
 
@@ -1177,7 +1174,10 @@ mod tests {
 
         assert_eq!((db.state_id(), db.durable_lsn()), (tail, durable), "no log bytes");
         assert_eq!(db.wal_telemetry().fsync_ns.snapshot().count, syncs, "no device sync");
-        assert_eq!(db.get_committed("u", &Value::Int(1)).unwrap(), Some(row(1, "still-open")));
+        assert_eq!(
+            db.get_committed("u", &Value::Int(1)).unwrap(),
+            Some(row(1, "still-open").into())
+        );
         assert_eq!(
             db.find_committed("u", "val", &Value::Text("still-open".into())).unwrap(),
             vec![Value::Int(1)]
@@ -1192,13 +1192,13 @@ mod tests {
         holder.insert("u", row(1, "mine")).unwrap();
 
         let reader = db.begin();
-        let res = LockRes::Row("u".into(), Value::Int(1));
+        let res = LockRes::row("u", &Value::Int(1));
         assert!(
-            !db.inner.locks.try_lock(reader.id(), &res, LockMode::Shared),
+            !db.inner.locks.try_lock(reader.id(), res, LockMode::Shared),
             "the writer's X lock is held until its commit"
         );
         holder.commit().unwrap();
-        assert_eq!(reader.get("u", &Value::Int(1)).unwrap(), Some(row(1, "mine")));
+        assert_eq!(reader.get("u", &Value::Int(1)).unwrap(), Some(row(1, "mine").into()));
     }
 
     #[test]
@@ -1209,18 +1209,37 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("u", row(1, "transient")).unwrap();
         tx.insert("t", row(1, "durable")).unwrap();
+        tx.update("t", &Value::Int(1), row(1, "durable too")).unwrap();
+        tx.delete("u", &Value::Int(1)).unwrap();
+        tx.insert("t", row(2, "gone")).unwrap();
+        tx.insert("u", row(2, "kept")).unwrap();
+        tx.delete("t", &Value::Int(2)).unwrap();
         tx.commit().unwrap();
-        assert_eq!(db.count("u").unwrap(), 1);
+        // Both parts applied, each in statement order.
+        assert_eq!(db.scan_committed("t").unwrap(), vec![row(1, "durable too")]);
+        assert_eq!(db.scan_committed("u").unwrap(), vec![row(2, "kept")]);
 
         let frames = db.wal_reader().read_from(before).unwrap();
         let [(_, WalRecord::Commit { ops, .. })] = &frames.records[..] else {
             panic!("one commit record expected, got {:?}", frames.records);
         };
-        assert_eq!(ops, &[RowOp::Insert { table: "t".into(), row: row(1, "durable") }]);
+        assert_eq!(
+            ops,
+            &[
+                RowOp::Insert { table: "t".into(), row: row(1, "durable").into() },
+                RowOp::Update {
+                    table: "t".into(),
+                    key: Value::Int(1),
+                    row: row(1, "durable too").into()
+                },
+                RowOp::Insert { table: "t".into(), row: row(2, "gone").into() },
+                RowOp::Delete { table: "t".into(), key: Value::Int(2) },
+            ]
+        );
 
         drop(db);
         let db = Database::open(env).unwrap();
-        assert_eq!(db.count("t").unwrap(), 1);
+        assert_eq!(db.scan_committed("t").unwrap(), vec![row(1, "durable too")]);
         assert_unlogged_table_empty(&db);
     }
 

@@ -91,5 +91,5 @@ pub use ops::RowOp;
 pub use replica::ReplicationFeed;
 pub use snapshot::SnapshotData;
 pub use txn::Txn;
-pub use value::{Column, ColumnType, Row, Schema, Value};
+pub use value::{Column, ColumnType, Row, Schema, SharedRow, Value};
 pub use wal::{Lsn, ShippedFrames, TxId, WalOptions, WalReader, WalTelemetry};

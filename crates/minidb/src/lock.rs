@@ -11,6 +11,8 @@
 //! abort — the simplest industrial-strength victim policy.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
+use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -77,19 +79,68 @@ impl LockMode {
     }
 }
 
-/// A lockable resource.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A lockable resource — a table, or one row of a table — hashed once, at
+/// the statement, into a `Copy` key: taking a lock clones no table name
+/// or row key. Two resources whose hashes collide
+/// share one lock, which only over-serializes them: it never admits two
+/// conflicting holders of one resource. (So [`LockManager::dump`] names
+/// resources by hash.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockRes {
-    Table(String),
-    Row(String, Value),
+    Table(u64),
+    Row(u64),
 }
 
 impl LockRes {
+    /// The lock on table `name`.
+    pub fn table(name: &str) -> LockRes {
+        LockRes::Table(keyed_hash(name))
+    }
+
+    /// The lock on the row of `table` whose primary key is `key`.
+    pub fn row(table: &str, key: &Value) -> LockRes {
+        LockRes::Row(keyed_hash((table, key)))
+    }
+
     fn describe(&self) -> String {
         match self {
-            LockRes::Table(t) => format!("table {t}"),
-            LockRes::Row(t, k) => format!("row {t}[{k}]"),
+            LockRes::Table(h) => format!("table #{h:016x}"),
+            LockRes::Row(h) => format!("row #{h:016x}"),
         }
+    }
+}
+
+/// SipHash under one random key per process. Row keys come from outside the
+/// program, so nobody can pick keys that collide and serialize rows that
+/// have nothing in common.
+fn keyed_hash(resource: impl Hash) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new).hash_one(resource)
+}
+
+/// The lock table's hasher. A [`LockRes`] already holds a keyed hash spread
+/// over all 64 bits, so the table takes it as it is, with the variant mixed
+/// in, instead of hashing it a second time.
+#[derive(Default)]
+struct Spread(u64);
+
+impl Hasher for Spread {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 ^= i;
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.0 ^= i as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -109,7 +160,7 @@ impl ResState {
 
 #[derive(Default)]
 struct LmInner {
-    resources: HashMap<LockRes, ResState>,
+    resources: HashMap<LockRes, ResState, BuildHasherDefault<Spread>>,
     /// waiter -> set of holders it waits on (wait-for graph).
     waits_for: HashMap<TxId, HashSet<TxId>>,
 }
@@ -146,11 +197,11 @@ impl LockManager {
     ///
     /// Returns [`DbError::Deadlock`] if waiting would close a cycle in the
     /// wait-for graph; the caller must abort its transaction.
-    pub fn lock(&self, txid: TxId, res: &LockRes, mode: LockMode) -> DbResult<()> {
+    pub fn lock(&self, txid: TxId, res: LockRes, mode: LockMode) -> DbResult<()> {
         let mut guard = self.inner.lock();
         loop {
             let inner = &mut *guard;
-            let state = inner.resources.entry(res.clone()).or_default();
+            let state = inner.resources.entry(res).or_default();
             if let Some(held) = state.holders.get(&txid) {
                 if held.covers(mode) {
                     return Ok(());
@@ -173,7 +224,7 @@ impl LockManager {
                 inner.reaches(*holder, txid, &mut seen)
             });
             if deadlock {
-                if let Some(state) = inner.resources.get_mut(res) {
+                if let Some(state) = inner.resources.get_mut(&res) {
                     if let Some(idx) = state.waiters.iter().position(|w| *w == txid) {
                         state.waiters.remove(idx);
                     }
@@ -184,7 +235,7 @@ impl LockManager {
             inner.waits_for.insert(txid, holders);
             self.released.wait(&mut guard);
             let inner = &mut *guard;
-            if let Some(state) = inner.resources.get_mut(res) {
+            if let Some(state) = inner.resources.get_mut(&res) {
                 if let Some(idx) = state.waiters.iter().position(|w| *w == txid) {
                     state.waiters.remove(idx);
                 }
@@ -195,9 +246,9 @@ impl LockManager {
 
     /// Non-blocking acquire; `DbError::Deadlock` is never returned, a
     /// conflicting hold yields `Err(WouldBlock)` expressed as `Ok(false)`.
-    pub fn try_lock(&self, txid: TxId, res: &LockRes, mode: LockMode) -> bool {
+    pub fn try_lock(&self, txid: TxId, res: LockRes, mode: LockMode) -> bool {
         let mut inner = self.inner.lock();
-        let state = inner.resources.entry(res.clone()).or_default();
+        let state = inner.resources.entry(res).or_default();
         if let Some(held) = state.holders.get(&txid) {
             if held.covers(mode) {
                 return true;
@@ -251,11 +302,11 @@ mod tests {
     use std::time::Duration;
 
     fn row(k: i64) -> LockRes {
-        LockRes::Row("t".into(), Value::Int(k))
+        LockRes::row("t", &Value::Int(k))
     }
 
     fn table() -> LockRes {
-        LockRes::Table("t".into())
+        LockRes::table("t")
     }
 
     #[test]
@@ -273,50 +324,50 @@ mod tests {
     #[test]
     fn shared_locks_coexist_exclusive_does_not() {
         let lm = LockManager::new();
-        lm.lock(1, &row(1), LockMode::Shared).unwrap();
-        lm.lock(2, &row(1), LockMode::Shared).unwrap();
-        assert!(!lm.try_lock(3, &row(1), LockMode::Exclusive));
+        lm.lock(1, row(1), LockMode::Shared).unwrap();
+        lm.lock(2, row(1), LockMode::Shared).unwrap();
+        assert!(!lm.try_lock(3, row(1), LockMode::Exclusive));
     }
 
     #[test]
     fn reacquire_is_idempotent() {
         let lm = LockManager::new();
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(1, &row(1), LockMode::Shared).unwrap(); // covered by X
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Shared).unwrap(); // covered by X
     }
 
     #[test]
     fn upgrade_shared_to_exclusive_when_sole_holder() {
         let lm = LockManager::new();
-        lm.lock(1, &row(1), LockMode::Shared).unwrap();
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        assert!(!lm.try_lock(2, &row(1), LockMode::Shared));
+        lm.lock(1, row(1), LockMode::Shared).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        assert!(!lm.try_lock(2, row(1), LockMode::Shared));
     }
 
     #[test]
     fn table_scan_blocks_row_writer() {
         let lm = LockManager::new();
-        lm.lock(1, &table(), LockMode::Shared).unwrap(); // scanner
-        assert!(!lm.try_lock(2, &table(), LockMode::IntentExclusive)); // writer
+        lm.lock(1, table(), LockMode::Shared).unwrap(); // scanner
+        assert!(!lm.try_lock(2, table(), LockMode::IntentExclusive)); // writer
     }
 
     #[test]
     fn intent_locks_allow_concurrent_row_writers() {
         let lm = LockManager::new();
-        lm.lock(1, &table(), LockMode::IntentExclusive).unwrap();
-        lm.lock(2, &table(), LockMode::IntentExclusive).unwrap();
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(2, &row(2), LockMode::Exclusive).unwrap();
+        lm.lock(1, table(), LockMode::IntentExclusive).unwrap();
+        lm.lock(2, table(), LockMode::IntentExclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(2, row(2), LockMode::Exclusive).unwrap();
     }
 
     #[test]
     fn release_all_unblocks_waiters() {
         let lm = Arc::new(LockManager::new());
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
 
         let lm2 = Arc::clone(&lm);
-        let h = thread::spawn(move || lm2.lock(2, &row(1), LockMode::Exclusive));
+        let h = thread::spawn(move || lm2.lock(2, row(1), LockMode::Exclusive));
         thread::sleep(Duration::from_millis(20));
         assert!(!h.is_finished());
         lm.release_all(1);
@@ -326,16 +377,16 @@ mod tests {
     #[test]
     fn two_party_deadlock_detected() {
         let lm = Arc::new(LockManager::new());
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(2, &row(2), LockMode::Exclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(2, row(2), LockMode::Exclusive).unwrap();
 
         // tx1 waits for row 2 (held by tx2)...
         let lm1 = Arc::clone(&lm);
-        let h = thread::spawn(move || lm1.lock(1, &row(2), LockMode::Exclusive));
+        let h = thread::spawn(move || lm1.lock(1, row(2), LockMode::Exclusive));
         thread::sleep(Duration::from_millis(20));
 
         // ...and tx2 requesting row 1 would close the cycle.
-        let res = lm.lock(2, &row(1), LockMode::Exclusive);
+        let res = lm.lock(2, row(1), LockMode::Exclusive);
         assert_eq!(res, Err(DbError::Deadlock));
 
         // Victim aborts; tx1 proceeds.
@@ -346,17 +397,17 @@ mod tests {
     #[test]
     fn three_party_deadlock_detected() {
         let lm = Arc::new(LockManager::new());
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(2, &row(2), LockMode::Exclusive).unwrap();
-        lm.lock(3, &row(3), LockMode::Exclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(2, row(2), LockMode::Exclusive).unwrap();
+        lm.lock(3, row(3), LockMode::Exclusive).unwrap();
 
         let lm1 = Arc::clone(&lm);
-        let h1 = thread::spawn(move || lm1.lock(1, &row(2), LockMode::Exclusive));
+        let h1 = thread::spawn(move || lm1.lock(1, row(2), LockMode::Exclusive));
         let lm2 = Arc::clone(&lm);
-        let h2 = thread::spawn(move || lm2.lock(2, &row(3), LockMode::Exclusive));
+        let h2 = thread::spawn(move || lm2.lock(2, row(3), LockMode::Exclusive));
         thread::sleep(Duration::from_millis(30));
 
-        assert_eq!(lm.lock(3, &row(1), LockMode::Exclusive), Err(DbError::Deadlock));
+        assert_eq!(lm.lock(3, row(1), LockMode::Exclusive), Err(DbError::Deadlock));
         lm.release_all(3);
         assert!(h2.join().unwrap().is_ok());
         lm.release_all(2);
@@ -366,8 +417,8 @@ mod tests {
     #[test]
     fn release_cleans_resource_table() {
         let lm = LockManager::new();
-        lm.lock(1, &row(1), LockMode::Exclusive).unwrap();
-        lm.lock(1, &table(), LockMode::IntentExclusive).unwrap();
+        lm.lock(1, row(1), LockMode::Exclusive).unwrap();
+        lm.lock(1, table(), LockMode::IntentExclusive).unwrap();
         assert_eq!(lm.inner.lock().resources.len(), 2);
         lm.release_all(1);
         assert_eq!(lm.inner.lock().resources.len(), 0);
@@ -376,9 +427,41 @@ mod tests {
     #[test]
     fn dump_lists_holders() {
         let lm = LockManager::new();
-        lm.lock(7, &table(), LockMode::Shared).unwrap();
+        lm.lock(7, table(), LockMode::Shared).unwrap();
         let dump = lm.dump();
         assert_eq!(dump.len(), 1);
         assert!(dump[0].contains("tx7"));
+    }
+
+    #[test]
+    fn one_key_in_two_tables_is_two_resources() {
+        let lm = LockManager::new();
+        let key = Value::Text("/docs/a.bin".into());
+        lm.lock(1, LockRes::row("dl_files", &key), LockMode::Exclusive).unwrap();
+        assert!(lm.try_lock(2, LockRes::row("dl_sync", &key), LockMode::Exclusive));
+        assert!(!lm.try_lock(2, LockRes::row("dl_files", &key), LockMode::Shared));
+        assert_ne!(LockRes::table("dl_files"), LockRes::table("dl_sync"));
+    }
+
+    #[test]
+    fn keys_of_two_types_with_one_rendering_are_two_resources() {
+        let lm = LockManager::new();
+        lm.lock(1, LockRes::row("t", &Value::Int(1)), LockMode::Exclusive).unwrap();
+        assert!(lm.try_lock(2, LockRes::row("t", &Value::Text("1".into())), LockMode::Exclusive));
+        assert!(lm.try_lock(
+            3,
+            LockRes::row("t", &Value::DataLink("1".into())),
+            LockMode::Exclusive
+        ));
+        assert!(!lm.try_lock(4, LockRes::row("t", &Value::Int(1)), LockMode::Shared));
+    }
+
+    #[test]
+    fn a_table_lock_and_a_row_lock_never_share_a_key() {
+        // The variant is part of the key: a row hash equal to a table hash
+        // still names a different resource.
+        let lm = LockManager::new();
+        lm.lock(1, LockRes::Table(7), LockMode::Exclusive).unwrap();
+        assert!(lm.try_lock(2, LockRes::Row(7), LockMode::Exclusive));
     }
 }

@@ -3,11 +3,13 @@
 //! The engine uses *logical* redo logging: each committed transaction's
 //! effects are described as a list of `RowOp`s that can be re-applied to the
 //! in-memory stores during recovery. DDL is logged with the same vocabulary
-//! so a log replay can rebuild the catalog from scratch.
+//! so a log replay can rebuild the catalog from scratch. A row op holds the
+//! statement's [`SharedRow`]: the transaction's overlay, its commit record
+//! and, once applied, the table store all hold that one allocation.
 
 use crate::codec::{get_row, get_schema, get_value, put_row, put_schema, put_value, Dec, Enc};
 use crate::error::{DbError, DbResult};
-use crate::value::{Row, Schema, Value};
+use crate::value::{Schema, SharedRow, Value};
 
 /// One logical operation against the catalog or a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,13 +23,13 @@ pub enum RowOp {
     },
     Insert {
         table: String,
-        row: Row,
+        row: SharedRow,
     },
     /// Full-row replacement identified by primary key.
     Update {
         table: String,
         key: Value,
-        row: Row,
+        row: SharedRow,
     },
     Delete {
         table: String,
@@ -87,8 +89,12 @@ impl RowOp {
             0 => RowOp::CreateTable(get_schema(dec)?),
             1 => RowOp::DropTable(dec.get_str()?),
             2 => RowOp::CreateIndex { table: dec.get_str()?, column: dec.get_str()? },
-            3 => RowOp::Insert { table: dec.get_str()?, row: get_row(dec)? },
-            4 => RowOp::Update { table: dec.get_str()?, key: get_value(dec)?, row: get_row(dec)? },
+            3 => RowOp::Insert { table: dec.get_str()?, row: get_row(dec)?.into() },
+            4 => RowOp::Update {
+                table: dec.get_str()?,
+                key: get_value(dec)?,
+                row: get_row(dec)?.into(),
+            },
             5 => RowOp::Delete { table: dec.get_str()?, key: get_value(dec)? },
             t => return Err(DbError::Corrupt(format!("unknown rowop tag {t}"))),
         })
@@ -126,11 +132,14 @@ mod tests {
         vec![
             RowOp::CreateTable(schema),
             RowOp::CreateIndex { table: "t".into(), column: "v".into() },
-            RowOp::Insert { table: "t".into(), row: vec![Value::Int(1), Value::Text("a".into())] },
+            RowOp::Insert {
+                table: "t".into(),
+                row: [Value::Int(1), Value::Text("a".into())].into(),
+            },
             RowOp::Update {
                 table: "t".into(),
                 key: Value::Int(1),
-                row: vec![Value::Int(1), Value::Text("b".into())],
+                row: [Value::Int(1), Value::Text("b".into())].into(),
             },
             RowOp::Delete { table: "t".into(), key: Value::Int(1) },
             RowOp::DropTable("t".into()),

@@ -162,7 +162,8 @@ impl SnapshotData {
 
 /// What one log record does to a state — *the* recovery rule (module
 /// docs), for a recovering image and a follower's own tables alike. `Ddl` and
-/// `Commit` apply their ops (replay trusts the log); every transaction id
+/// `Commit` apply their ops (replay trusts the log; an op's copy shares the
+/// record's rows, so the stores hold the decoded rows); every transaction id
 /// seen pushes the id horizon. `Checkpoint` changes nothing: which image is
 /// newest is read off the snapshot slots, never off the log. The caller
 /// feeds records in log order, none below the state's base, and moves the
@@ -174,10 +175,10 @@ pub fn redo(
 ) -> DbResult<()> {
     use_txid(next_txid, rec);
     match rec {
-        WalRecord::Ddl(op) => apply_op(tables, op)?,
+        WalRecord::Ddl(op) => apply_op(tables, op.clone())?,
         WalRecord::Commit { ops, .. } => {
             for op in ops {
-                apply_op(tables, op)?;
+                apply_op(tables, op.clone())?;
             }
         }
         WalRecord::Checkpoint { .. } => {}
@@ -309,7 +310,7 @@ fn read_snapshot(dev: &Arc<dyn Device>) -> DbResult<Option<SnapshotData>> {
         let name = schema.table.clone();
         let mut store = TableStore::new(schema);
         for _ in 0..nrows {
-            store.apply_insert(get_row(&mut dec)?);
+            store.apply_insert(get_row(&mut dec)?.into());
         }
         for col in &indexed {
             store.create_index(col)?;
@@ -336,8 +337,8 @@ mod tests {
         )
         .unwrap();
         let mut store = TableStore::new(schema);
-        store.apply_insert(vec![Value::Int(1), Value::Text("Alien".into())]);
-        store.apply_insert(vec![Value::Int(2), Value::Text("Brazil".into())]);
+        store.apply_insert(vec![Value::Int(1), Value::Text("Alien".into())].into());
+        store.apply_insert(vec![Value::Int(2), Value::Text("Brazil".into())].into());
         store.create_index("title").unwrap();
         let mut tables = HashMap::new();
         tables.insert("movies".to_string(), store);
@@ -372,7 +373,7 @@ mod tests {
         .unlogged();
         let mut store = TableStore::new(schema);
         store.create_index("path").unwrap();
-        store.apply_insert(vec![Value::Int(1), Value::Text("/f".into())]);
+        store.apply_insert(vec![Value::Int(1), Value::Text("/f".into())].into());
         let mut snap = sample();
         snap.tables.insert("opens".to_string(), store);
 

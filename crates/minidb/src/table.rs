@@ -4,25 +4,28 @@
 //! point lookups are logarithmic. Secondary indexes map column values to the
 //! set of primary keys holding them and are maintained eagerly on apply.
 //! Only *committed* data ever enters a `TableStore` — transactions buffer
-//! their writes privately until commit (deferred update).
+//! their writes privately until commit (deferred update). The schema and
+//! every row are shared allocations: a reader takes a handle, never a copy,
+//! and a commit stores the very row its statement buffered.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use crate::error::{DbError, DbResult};
-use crate::value::{Row, Schema, Value};
+use crate::value::{Schema, SharedRow, Value};
 
 /// Committed rows and indexes of one table.
 #[derive(Debug, Clone)]
 pub struct TableStore {
-    pub schema: Schema,
-    rows: BTreeMap<Value, Row>,
+    pub schema: Arc<Schema>,
+    rows: BTreeMap<Value, SharedRow>,
     /// column index -> (value -> set of primary keys)
     indexes: HashMap<usize, BTreeMap<Value, BTreeSet<Value>>>,
 }
 
 impl TableStore {
     pub fn new(schema: Schema) -> Self {
-        TableStore { schema, rows: BTreeMap::new(), indexes: HashMap::new() }
+        TableStore { schema: Arc::new(schema), rows: BTreeMap::new(), indexes: HashMap::new() }
     }
 
     pub fn len(&self) -> usize {
@@ -55,7 +58,7 @@ impl TableStore {
         self.schema.column_index(column).is_some_and(|c| self.indexes.contains_key(&c))
     }
 
-    pub fn get(&self, key: &Value) -> Option<&Row> {
+    pub fn get(&self, key: &Value) -> Option<&SharedRow> {
         self.rows.get(key)
     }
 
@@ -64,7 +67,7 @@ impl TableStore {
     }
 
     /// Ordered iterator over (key, row).
-    pub fn iter(&self) -> impl Iterator<Item = (&Value, &Row)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Value, &SharedRow)> {
         self.rows.iter()
     }
 
@@ -89,7 +92,7 @@ impl TableStore {
 
     /// Inserts a committed row. The caller has already validated the schema
     /// and uniqueness under locks; replay trusts the log.
-    pub fn apply_insert(&mut self, row: Row) {
+    pub fn apply_insert(&mut self, row: SharedRow) {
         let key = self.schema.key_of(&row);
         for (col, index) in &mut self.indexes {
             index.entry(row[*col].clone()).or_default().insert(key.clone());
@@ -98,14 +101,14 @@ impl TableStore {
     }
 
     /// Replaces the committed row at `key`.
-    pub fn apply_update(&mut self, key: &Value, row: Row) {
-        if let Some(old) = self.rows.get(key) {
+    pub fn apply_update(&mut self, key: Value, row: SharedRow) {
+        if let Some(old) = self.rows.get(&key) {
             for (col, index) in &mut self.indexes {
                 let old_val = &old[*col];
                 let new_val = &row[*col];
                 if old_val != new_val {
                     if let Some(set) = index.get_mut(old_val) {
-                        set.remove(key);
+                        set.remove(&key);
                         if set.is_empty() {
                             index.remove(old_val);
                         }
@@ -114,7 +117,7 @@ impl TableStore {
                 }
             }
         }
-        self.rows.insert(key.clone(), row);
+        self.rows.insert(key, row);
     }
 
     /// Removes the committed row at `key`.
@@ -159,8 +162,8 @@ mod tests {
         TableStore::new(schema)
     }
 
-    fn emp(id: i64, dept: &str) -> Row {
-        vec![Value::Int(id), Value::Text(dept.into()), Value::Null]
+    fn emp(id: i64, dept: &str) -> SharedRow {
+        [Value::Int(id), Value::Text(dept.into()), Value::Null].into()
     }
 
     #[test]
@@ -178,7 +181,7 @@ mod tests {
     fn update_replaces() {
         let mut s = store();
         s.apply_insert(emp(1, "eng"));
-        s.apply_update(&Value::Int(1), emp(1, "sales"));
+        s.apply_update(Value::Int(1), emp(1, "sales"));
         assert_eq!(s.get(&Value::Int(1)).unwrap()[1], Value::Text("sales".into()));
         assert_eq!(s.len(), 1);
     }
@@ -205,7 +208,7 @@ mod tests {
         let eng = s.find_equal("dept", &Value::Text("eng".into())).unwrap();
         assert_eq!(eng, vec![Value::Int(1), Value::Int(2)]);
 
-        s.apply_update(&Value::Int(2), emp(2, "sales"));
+        s.apply_update(Value::Int(2), emp(2, "sales"));
         let eng = s.find_equal("dept", &Value::Text("eng".into())).unwrap();
         assert_eq!(eng, vec![Value::Int(1)]);
         let sales = s.find_equal("dept", &Value::Text("sales".into())).unwrap();

@@ -8,7 +8,7 @@ use crate::db::{apply_op, Database, DmlEvent, Enlisted, InjectedDml, OpKind};
 use crate::error::{DbError, DbResult};
 use crate::lock::{LockMode, LockRes};
 use crate::ops::RowOp;
-use crate::value::{Row, Value};
+use crate::value::{Row, SharedRow, Value};
 use crate::wal::{Lsn, TxId, WalRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +26,22 @@ enum TxnState {
 pub struct Txn {
     db: Database,
     id: TxId,
-    /// (table, key) -> pending row (`None` = deleted). Read-your-own-writes.
-    overlay: HashMap<(String, Value), Option<Row>>,
+    /// Read-your-own-writes: per table written, key -> pending row (`None`
+    /// = deleted). A transaction writes few tables, so a lookup compares
+    /// table names and allocates nothing.
+    overlay: Vec<(String, Pending)>,
     /// Ordered op list, applied to the stores at commit; the commit record
-    /// carries the ones on logged tables ([`Txn::logged_ops`]).
+    /// carries the ones on logged tables ([`Txn::split_ops`]).
     ops: Vec<RowOp>,
     state: TxnState,
 }
 
+/// One table's buffered writes.
+type Pending = HashMap<Value, Option<SharedRow>>;
+
 impl Txn {
     pub(crate) fn new(db: Database, id: TxId) -> Self {
-        Txn { db, id, overlay: HashMap::new(), ops: Vec::new(), state: TxnState::Active }
+        Txn { db, id, overlay: Vec::new(), ops: Vec::new(), state: TxnState::Active }
     }
 
     /// This transaction's id (used to enlist participants).
@@ -52,32 +57,56 @@ impl Txn {
         }
     }
 
+    /// This transaction's buffered writes to `table`, if any.
+    fn pending(&self, table: &str) -> Option<&Pending> {
+        self.overlay.iter().find(|(t, _)| t == table).map(|(_, pending)| pending)
+    }
+
+    /// Buffers `row` (`None` = deleted) as the image of `key` in `table`.
+    fn buffer(&mut self, table: &str, key: Value, row: Option<SharedRow>) {
+        match self.overlay.iter_mut().find(|(t, _)| t == table) {
+            Some((_, pending)) => {
+                pending.insert(key, row);
+            }
+            None => self.overlay.push((table.to_string(), Pending::from([(key, row)]))),
+        }
+    }
+
     /// Committed-or-buffered current image of a row, assuming locks held.
-    fn current(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
-        if let Some(pending) = self.overlay.get(&(table.to_string(), key.clone())) {
+    fn current(&self, table: &str, key: &Value) -> DbResult<Option<SharedRow>> {
+        if let Some(pending) = self.pending(table).and_then(|p| p.get(key)) {
             return Ok(pending.clone());
         }
         self.db.get_committed(table, key)
     }
 
+    /// Takes `table` in `table_mode` and its row `key` in `row_mode`.
+    fn lock_row(
+        &self,
+        table: &str,
+        key: &Value,
+        table_mode: LockMode,
+        row_mode: LockMode,
+    ) -> DbResult<()> {
+        let locks = &self.db.inner.locks;
+        locks.lock(self.id, LockRes::table(table), table_mode)?;
+        locks.lock(self.id, LockRes::row(table, key), row_mode)
+    }
+
     // --- Reads ---------------------------------------------------------------
 
     /// Point read under a shared row lock (serializable read).
-    pub fn get(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
+    pub fn get(&self, table: &str, key: &Value) -> DbResult<Option<SharedRow>> {
         self.ensure_active()?;
-        let locks = &self.db.inner.locks;
-        locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentShared)?;
-        locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Shared)?;
+        self.lock_row(table, key, LockMode::IntentShared, LockMode::Shared)?;
         self.current(table, key)
     }
 
     /// Point read under an exclusive row lock; avoids the S→X upgrade
     /// deadlock in read-modify-write cycles.
-    pub fn get_for_update(&self, table: &str, key: &Value) -> DbResult<Option<Row>> {
+    pub fn get_for_update(&self, table: &str, key: &Value) -> DbResult<Option<SharedRow>> {
         self.ensure_active()?;
-        let locks = &self.db.inner.locks;
-        locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)?;
-        locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Exclusive)?;
+        self.write_locks(table, key)?;
         self.current(table, key)
     }
 
@@ -87,12 +116,8 @@ impl Txn {
     pub fn try_lock_for_update(&self, table: &str, key: &Value) -> DbResult<bool> {
         self.ensure_active()?;
         let locks = &self.db.inner.locks;
-        Ok(locks.try_lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)
-            && locks.try_lock(
-                self.id,
-                &LockRes::Row(table.to_string(), key.clone()),
-                LockMode::Exclusive,
-            ))
+        Ok(locks.try_lock(self.id, LockRes::table(table), LockMode::IntentExclusive)
+            && locks.try_lock(self.id, LockRes::row(table, key), LockMode::Exclusive))
     }
 
     /// Full scan under a table shared lock (blocks concurrent writers, so
@@ -101,15 +126,11 @@ impl Txn {
     pub fn scan(&self, table: &str) -> DbResult<Vec<Row>> {
         self.ensure_active()?;
         let locks = &self.db.inner.locks;
-        locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::Shared)?;
-        let committed = self.db.scan_committed(table)?;
-        let schema = self.db.schema(table)?;
-        let mut merged: BTreeMap<Value, Row> =
-            committed.into_iter().map(|row| (schema.key_of(&row), row)).collect();
-        for ((t, key), pending) in &self.overlay {
-            if t != table {
-                continue;
-            }
+        locks.lock(self.id, LockRes::table(table), LockMode::Shared)?;
+        let mut merged: BTreeMap<Value, SharedRow> = self.db.read_store(table, |store| {
+            store.iter().map(|(key, row)| (key.clone(), row.clone())).collect()
+        })?;
+        for (key, pending) in self.pending(table).into_iter().flatten() {
             match pending {
                 Some(row) => {
                     merged.insert(key.clone(), row.clone());
@@ -119,7 +140,7 @@ impl Txn {
                 }
             }
         }
-        Ok(merged.into_values().collect())
+        Ok(merged.into_values().map(|row| row.to_vec()).collect())
     }
 
     /// Scan filtered by a predicate.
@@ -132,16 +153,13 @@ impl Txn {
     pub fn find_equal(&self, table: &str, column: &str, value: &Value) -> DbResult<Vec<Value>> {
         self.ensure_active()?;
         let locks = &self.db.inner.locks;
-        locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::Shared)?;
+        locks.lock(self.id, LockRes::table(table), LockMode::Shared)?;
         let mut keys = self.db.find_committed(table, column, value)?;
         // Fold in pending writes.
         let schema = self.db.schema(table)?;
         let col =
             schema.column_index(column).ok_or_else(|| DbError::NoSuchColumn(column.to_string()))?;
-        for ((t, key), pending) in &self.overlay {
-            if t != table {
-                continue;
-            }
+        for (key, pending) in self.pending(table).into_iter().flatten() {
             match pending {
                 Some(row) if &row[col] == value => {
                     if !keys.contains(key) {
@@ -158,9 +176,7 @@ impl Txn {
     // --- Writes --------------------------------------------------------------
 
     fn write_locks(&self, table: &str, key: &Value) -> DbResult<()> {
-        let locks = &self.db.inner.locks;
-        locks.lock(self.id, &LockRes::Table(table.to_string()), LockMode::IntentExclusive)?;
-        locks.lock(self.id, &LockRes::Row(table.to_string(), key.clone()), LockMode::Exclusive)
+        self.lock_row(table, key, LockMode::IntentExclusive, LockMode::Exclusive)
     }
 
     /// Inserts a row.
@@ -181,7 +197,8 @@ impl Txn {
             before: None,
             after: Some(&row),
         })?;
-        self.overlay.insert((table.to_string(), key.clone()), Some(row.clone()));
+        let row = SharedRow::from(row);
+        self.buffer(table, key, Some(row.clone()));
         self.ops.push(RowOp::Insert { table: table.to_string(), row });
         self.apply_injected()
     }
@@ -206,7 +223,8 @@ impl Txn {
             before: Some(&before),
             after: Some(&row),
         })?;
-        self.overlay.insert((table.to_string(), key.clone()), Some(row.clone()));
+        let row = SharedRow::from(row);
+        self.buffer(table, key.clone(), Some(row.clone()));
         self.ops.push(RowOp::Update { table: table.to_string(), key: key.clone(), row });
         self.apply_injected()
     }
@@ -224,7 +242,7 @@ impl Txn {
         let col =
             schema.column_index(column).ok_or_else(|| DbError::NoSuchColumn(column.to_string()))?;
         self.write_locks(table, key)?;
-        let mut row = self.current(table, key)?.ok_or(DbError::RowNotFound)?;
+        let mut row = self.current(table, key)?.ok_or(DbError::RowNotFound)?.to_vec();
         row[col] = value;
         self.update(table, key, row)
     }
@@ -243,7 +261,7 @@ impl Txn {
             before: Some(&before),
             after: None,
         })?;
-        self.overlay.insert((table.to_string(), key.clone()), None);
+        self.buffer(table, key.clone(), None);
         self.ops.push(RowOp::Delete { table: table.to_string(), key: key.clone() });
         self.apply_injected()
     }
@@ -271,7 +289,8 @@ impl Txn {
                     let key = schema.key_of(&row);
                     self.write_locks(&table, &key)?;
                     let exists = self.current(&table, &key)?.is_some();
-                    self.overlay.insert((table.clone(), key.clone()), Some(row.clone()));
+                    let row = SharedRow::from(row);
+                    self.buffer(&table, key.clone(), Some(row.clone()));
                     self.ops.push(if exists {
                         RowOp::Update { table, key, row }
                     } else {
@@ -281,7 +300,7 @@ impl Txn {
                 InjectedDml::Delete { table, key } => {
                     self.write_locks(&table, &key)?;
                     if self.current(&table, &key)?.is_some() {
-                        self.overlay.insert((table.clone(), key.clone()), None);
+                        self.buffer(&table, key.clone(), None);
                         self.ops.push(RowOp::Delete { table, key });
                     }
                 }
@@ -290,15 +309,14 @@ impl Txn {
         Ok(())
     }
 
-    /// The redo ops: everything buffered except writes to unlogged tables,
-    /// whose rows recovery is meant to lose.
-    fn logged_ops(&self) -> Vec<RowOp> {
+    /// Moves the buffered ops out, split into the redo ops and the writes
+    /// to unlogged tables, whose rows recovery is meant to lose. Each part
+    /// keeps statement order (so each table's ops stay in order).
+    fn split_ops(&mut self) -> (Vec<RowOp>, Vec<RowOp>) {
         let tables = self.db.inner.tables.read();
-        self.ops
-            .iter()
-            .filter(|op| !tables.get(op.table()).is_some_and(|store| store.schema.unlogged))
-            .cloned()
-            .collect()
+        std::mem::take(&mut self.ops)
+            .into_iter()
+            .partition(|op| !tables.get(op.table()).is_some_and(|store| store.schema.unlogged))
     }
 
     // --- Coordinator commit ----------------------------------------------------
@@ -336,7 +354,7 @@ impl Txn {
 
     fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
-        let logged = self.logged_ops();
+        let (logged, unlogged) = self.split_ops();
         // The log write is for recovery: with no redo ops and no
         // participants awaiting an outcome there is nothing to log.
         let logs = !logged.is_empty() || self.db.has_participants(self.id);
@@ -352,10 +370,10 @@ impl Txn {
         // skips it.
         let latch = logs.then(|| inner.commit_latch.read());
         let Enlisted { participants, aborted } = self.db.take_participants(self.id);
+        let record = WalRecord::Commit { txid: self.id, ops: logged };
         let decided = if aborted {
             Err(DbError::Aborted(format!("tx{} lost a participant's branch", self.id)))
         } else if logs {
-            let record = WalRecord::Commit { txid: self.id, ops: logged };
             if force || !participants.is_empty() {
                 inner.wal.append(&record)
             } else {
@@ -377,9 +395,12 @@ impl Txn {
                 return Err(e);
             }
         };
-        if !self.ops.is_empty() {
+        // The logged ops go to the stores as the record carried them: the
+        // rows the statements buffered, moved, not copied.
+        let WalRecord::Commit { ops: logged, .. } = record else { unreachable!("a commit") };
+        if !logged.is_empty() || !unlogged.is_empty() {
             let mut tables = inner.tables.write();
-            for op in &self.ops {
+            for op in logged.into_iter().chain(unlogged) {
                 apply_op(&mut tables, op)?;
             }
         }
@@ -700,5 +721,43 @@ mod tests {
         let tx = d.begin();
         let lsn = tx.commit().unwrap();
         assert_eq!(lsn, before, "read-only commit writes nothing");
+    }
+
+    // --- the shared row path ---------------------------------------------------
+
+    #[test]
+    fn a_row_read_before_a_commit_is_unchanged_after_it() {
+        let d = db();
+        let mut setup = d.begin();
+        setup.insert("t", row(1, "old")).unwrap();
+        setup.commit().unwrap();
+
+        let committed = d.get_committed("t", &Value::Int(1)).unwrap().unwrap();
+        let reader = d.begin();
+        let read = reader.get("t", &Value::Int(1)).unwrap().unwrap();
+        reader.commit().unwrap();
+
+        let mut tx = d.begin();
+        tx.update_column("t", &Value::Int(1), "val", Value::Text("new".into())).unwrap();
+        tx.commit().unwrap();
+        let mut tx = d.begin();
+        tx.delete("t", &Value::Int(1)).unwrap();
+        tx.commit().unwrap();
+
+        assert_eq!(&committed[..], &row(1, "old")[..]);
+        assert_eq!(&read[..], &row(1, "old")[..]);
+        assert!(d.get_committed("t", &Value::Int(1)).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_commit_stores_the_row_its_statement_buffered() {
+        let d = db();
+        let mut tx = d.begin();
+        tx.insert("t", row(1, "mine")).unwrap();
+        let buffered = tx.get("t", &Value::Int(1)).unwrap().unwrap();
+        tx.commit().unwrap();
+        let stored = d.get_committed("t", &Value::Int(1)).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&buffered, &stored), "moved through the log record, not copied");
+        assert!(Arc::ptr_eq(&d.schema("t").unwrap(), &d.schema("t").unwrap()), "one schema");
     }
 }

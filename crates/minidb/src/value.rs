@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Column data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,8 +196,15 @@ impl From<bool> for Value {
     }
 }
 
-/// A row is a vector of values, positionally matching the schema's columns.
+/// A row is a vector of values, positionally matching the schema's columns:
+/// what a statement supplies ([`crate::Txn::insert`], [`crate::Txn::update`])
+/// and what a scan returns.
 pub type Row = Vec<Value>;
+
+/// A committed or buffered row image, one allocation shared by the table
+/// store, a transaction's read-your-writes overlay, its ops and the commit
+/// record: a point read hands out this handle, not a copy.
+pub type SharedRow = Arc<[Value]>;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,7 +275,7 @@ impl Schema {
 
     /// Validates a row against the schema; returns a description of the
     /// first violation.
-    pub fn validate(&self, row: &Row) -> Result<(), String> {
+    pub fn validate(&self, row: &[Value]) -> Result<(), String> {
         if row.len() != self.columns.len() {
             return Err(format!(
                 "row has {} values, table {} has {} columns",
@@ -295,7 +303,7 @@ impl Schema {
     }
 
     /// Extracts the primary-key value of a row.
-    pub fn key_of(&self, row: &Row) -> Value {
+    pub fn key_of(&self, row: &[Value]) -> Value {
         row[self.primary_key].clone()
     }
 }
@@ -354,7 +362,7 @@ mod tests {
     #[test]
     fn validate_rejects_wrong_arity_and_types() {
         let s = movie_schema();
-        assert!(s.validate(&vec![Value::Int(1)]).is_err());
+        assert!(s.validate(&[Value::Int(1)]).is_err());
         let bad_type = vec![
             Value::Int(1),
             Value::Int(2), // title must be text

@@ -1183,7 +1183,7 @@ mod tests {
     }
 
     fn insert_op(i: i64) -> RowOp {
-        RowOp::Insert { table: "t".into(), row: vec![Value::Int(i)] }
+        RowOp::Insert { table: "t".into(), row: [Value::Int(i)].into() }
     }
 
     /// The smallest record: a commit with nothing to redo.

@@ -10,18 +10,19 @@
 //! never lost to the failure itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One stage of one operation's passage through the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Global order ticket, assigned at record time.
     pub seq: u64,
-    /// Which component recorded it (`dlfm.srv1`, `engine`).
-    pub source: String,
+    /// Which component recorded it (`dlfm.srv1`, `engine.host`): a name
+    /// each component interns once and shares with every event.
+    pub source: Arc<str>,
     /// The 2PC stage: `enlist`, `dml`, `claim`, `commit_update`, `archive`,
     /// `decide`, `settle`, `fence_raise`, `fence_reject`.
-    pub stage: String,
+    pub stage: &'static str,
     /// Transaction id the event belongs to (0 when not transactional).
     pub txid: u64,
     /// File path or token the operation touches (empty when none).
@@ -60,11 +61,12 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one event, evicting the oldest if the ring is full.
+    /// Records one event, evicting the oldest if the ring is full. Source
+    /// and stage cost no allocation: the source is shared, the stage static.
     pub fn record(
         &self,
-        source: &str,
-        stage: &str,
+        source: &Arc<str>,
+        stage: &'static str,
         txid: u64,
         target: &str,
         detail: impl Into<String>,
@@ -73,8 +75,8 @@ impl FlightRecorder {
         let slot = (seq % self.slots.len() as u64) as usize;
         let event = SpanEvent {
             seq,
-            source: source.to_string(),
-            stage: stage.to_string(),
+            source: Arc::clone(source),
+            stage,
             txid,
             target: target.to_string(),
             detail: detail.into(),
@@ -131,8 +133,9 @@ mod tests {
     #[test]
     fn ring_keeps_most_recent() {
         let fr = FlightRecorder::new(4);
+        let source: Arc<str> = Arc::from("dlfm.srv1");
         for i in 0..10u64 {
-            fr.record("dlfm.srv1", "claim", i, "/f", "");
+            fr.record(&source, "claim", i, "/f", "");
         }
         let events = fr.events();
         assert_eq!(events.len(), 4);
@@ -147,8 +150,9 @@ mod tests {
             for t in 0..4 {
                 let fr = std::sync::Arc::clone(&fr);
                 s.spawn(move || {
+                    let source: Arc<str> = Arc::from("engine");
                     for i in 0..100 {
-                        fr.record("engine", "dml", t * 1000 + i, "/f", "");
+                        fr.record(&source, "dml", t * 1000 + i, "/f", "");
                     }
                 });
             }
@@ -161,12 +165,17 @@ mod tests {
     #[test]
     fn render_contains_stage_lines() {
         let fr = FlightRecorder::new(8);
-        fr.record("dlfm.srv1", "claim", 42, "/docs/a.bin", "");
-        fr.record("dlfm.srv1", "decide", 42, "/docs/a.bin", "outcome=commit epoch=3");
+        let source: Arc<str> = Arc::from("dlfm.srv1");
+        fr.record(&source, "claim", 42, "/docs/a.bin", "");
+        fr.record(&source, "decide", 42, "/docs/a.bin", "outcome=commit epoch=3");
         let dump = fr.render("dlfm.srv1", "crash");
         assert!(dump.contains("reason: crash"));
         assert!(dump.contains("claim"));
         assert!(dump.contains("decide"));
         assert!(dump.contains("outcome=commit epoch=3"));
+        // The line format is part of the dump: column widths included.
+        assert!(dump.contains(
+            "[     1] dlfm.srv1    decide         txid=42     target=/docs/a.bin outcome=commit epoch=3\n"
+        ));
     }
 }
