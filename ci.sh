@@ -132,6 +132,17 @@ if grep -nE "fn schema\(&self, table: &str\) -> DbResult<[S]chema>" crates/minid
   exit 1
 fi
 
+# Open-file state lives in DLFM's memory (DESIGN.md "§4.5"): the token
+# entries and the Sync table are the open table, not repository tables, so
+# a token read runs no repository transaction — and minidb has no table
+# class for rows recovery is meant to lose.
+step "guard: no dl_sync or dl_tokens table, no unlogged-table class in minidb"
+if grep -rnE '"dl_(sync|tokens)"' crates/*/src \
+  || grep -rni "unlogged" crates/minidb/src; then
+  echo "guard: a repository table for open-file state, or minidb's unlogged-table class, reappeared (matches above)" >&2
+  exit 1
+fi
+
 step "guard: no replication or front_end lab kind, no readers/reads_per knob, no hand-computed comparison metric in the lab"
 if grep -rnE "Kind::[R]eplication|Kind::[F]rontEnd" crates/ src/ tests/ \
   || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
@@ -165,10 +176,13 @@ cargo test --workspace -q --no-fail-fast
 # hand-off and a follower's take-over after the lend bound meet on one
 # mutex (`reactor::` in dl-net, and every wire_transport test rides it).
 # The lock manager's tests race blocked waiters against releases and
-# deadlock victims on hashed keys (`lock::` in dl-minidb).
+# deadlock victims on hashed keys (`lock::` in dl-minidb). DLFM's open
+# table races a read open against an unlink branch, read and write opens
+# against each other, and a strict registration against a link branch
+# (dlfm_protocol's `racing` and `concurrent_read_and_write` tests).
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep \
@@ -181,6 +195,8 @@ for round in 1 2 3 4 5; do
     || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-minidb --lib lock:: \
     || { echo "flake guard: round $round (lock::) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-dlfm --test dlfm_protocol -- racing concurrent_read_and_write \
+    || { echo "flake guard: round $round (open-table races) failed" >&2; exit 1; }
 done
 
 # The socket path is load-bearing (Transport::Socket routes the whole

@@ -604,15 +604,16 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         header: vec![s("configuration"), s("ns/open+close"), s("time"), s("repo updates/open")],
         rows,
         notes: vec![
-            "repo updates/open reads Repository::update_op_count, bumped after each auto-commit \
-             transaction commits. on: the claim (Sync insert + the upsert of the entry of the \
-             token the open carries) + Sync purge = 2. off: the token-entry upsert alone = 1 (no \
-             Sync row can exist, so the close skips the purge)"
+            "repo updates/open reads Repository::update_op_count: Sync-table updates (in DLFM \
+             memory), each a check-and-set of the open table counted once it took effect. on: \
+             the read claim (the Sync entry + the entry of the token the open carries) + the \
+             purge at close = 2. off: the token entry alone = 1 (no Sync entry can exist, so \
+             the close purges nothing)"
                 .into(),
-            "so tracking still costs the paper's two extra row updates (Sync insert and purge), \
-             but one extra transaction: the insert shares the token entry's. All are unlogged (a \
-             commit under the dl_files row lock, no log force), and the ablation drops them at \
-             the price of the read/unlink race"
+            "so tracking still costs the paper's two extra updates (Sync insert and purge), but \
+             neither is a repository transaction: no row lock, no commit, no log — the \
+             ns/open+close gap between on and off is two table updates under one mutex, and \
+             the ablation saves it at the price of the read/unlink race"
                 .into(),
         ],
     }

@@ -29,7 +29,8 @@ use std::time::Duration;
 
 use dl_dlfm::{
     ArchiveStore, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HeadGate, HostView,
-    MainDaemon, RecoveryReport, TokenKind, Transport, WireConn, WireConnector, WireDaemon,
+    MainDaemon, RecoveryReport, Repository, TokenKind, Transport, WireConn, WireConnector,
+    WireDaemon,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
@@ -638,16 +639,17 @@ impl DataLinksSystem {
     }
 
     /// Opens a node's repository from its disks (crash recovery included)
-    /// under the node's database options.
-    fn open_repo(part: &NodeParts) -> Result<Database, String> {
-        Database::open_with(part.repo_env.clone(), part.dlfm_cfg.db).map_err(|e| e.to_string())
+    /// under the node's database options, with an empty open table.
+    fn open_repo(part: &NodeParts) -> Result<Repository, String> {
+        let db = Database::open_with(part.repo_env.clone(), part.dlfm_cfg.db);
+        db.and_then(Repository::new).map_err(|e| e.to_string())
     }
 
     /// Builds one file-server node from its durable parts and its opened
     /// repository `repo` (see [`DataLinksSystem::open_repo`], or a standby
-    /// promoted in place): the DLFM server (reconciled against `recovery`,
-    /// the host's view of the node and the one from before a rewind —
-    /// [`DlfmServer::recover`] — when given), the DLFS/LFS stack, the
+    /// promoted in place, with its open table): the DLFM server (reconciled
+    /// against `recovery`, the host's view of the node and the one from
+    /// before a rewind — [`DlfmServer::recover`] — when given), the DLFS/LFS stack, the
     /// daemons, the engine registration, and — when provisioned — the
     /// replica set fed from the repository's WAL. Used by initial assembly,
     /// crash recovery, point-in-time restore and failover promotion alike.
@@ -655,11 +657,11 @@ impl DataLinksSystem {
         engine: &Arc<DataLinksEngine>,
         clock: &Arc<dyn Clock>,
         part: NodeParts,
-        repo: Database,
+        repo: Repository,
         recovery: Option<(&HostView, &HostView)>,
         coord_epoch: u64,
     ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
-        let server = Arc::new(DlfmServer::new(
+        let server = Arc::new(DlfmServer::with_repository(
             part.dlfm_cfg.clone(),
             part.fs.clone() as Arc<dyn FileSystem>,
             repo,
@@ -1301,8 +1303,9 @@ impl DataLinksSystem {
     /// Promotes a standby of `server` after a primary crash: the old
     /// primary's daemons are torn down and its replica set fenced (epoch
     /// bump — any frame a deposed shipper still sends is rejected), then
-    /// the first standby's repository is promoted in place (no reopen), is
-    /// reconciled against the host's rows like a crash-recovered primary
+    /// the first standby's repository is promoted in place (no reopen) —
+    /// with the standby's open table, so the sessions it admitted survive —
+    /// is reconciled against the host's rows like a crash-recovered primary
     /// (whatever of the primary's log never shipped is re-derived from
     /// them), and the node re-registers with the promoted server as
     /// primary. The promoted server takes the archive store over by being
@@ -1330,7 +1333,9 @@ impl DataLinksSystem {
         let view = self.engine.host_views()?.remove(server).unwrap_or_default();
         let node = self.nodes.remove(server).expect("looked up above");
 
-        let promoted = Database::clone(replication.promote_target());
+        let standby = replication.promote_target();
+        let promoted = Database::clone(standby);
+        let opens = Arc::clone(standby.repository().opens());
         let FileServerNode {
             name,
             fs,
@@ -1363,8 +1368,11 @@ impl DataLinksSystem {
             let recovery = Some((&view, &HostView::new()));
             Self::build_node(&self.engine, &self.clock, parts, repo, recovery, self.coord_epoch)
         };
-        let promotion = promoted.promote().map_err(|e| e.to_string());
-        let (node, outcome) = match promotion.and_then(|()| rebuild(parts, promoted)) {
+        let promotion = promoted
+            .promote()
+            .and_then(|()| Repository::with_opens(promoted, opens))
+            .map_err(|e| e.to_string());
+        let (node, outcome) = match promotion.and_then(|repo| rebuild(parts, repo)) {
             Ok((node, report)) => {
                 self.registry.counter("system.failovers").inc();
                 (node, Ok(report.expect("promotion runs recovery")))

@@ -6,8 +6,10 @@
 //! database:
 //!
 //! * [`repository`] — DLFM's own transactional store (a second `dl-minidb`)
-//!   holding linked-file state, token entries, the Sync table, update-in-
-//!   progress entries and unlink intents.
+//!   holding linked-file state, update-in-progress entries and unlink
+//!   intents, beside its [`opens`] table.
+//! * [`opens`] — open-file state, in memory: token entries, the Sync table
+//!   and live link/unlink branch marks.
 //! * [`server`] — link/unlink sub-transactions driven by the host's 2PC,
 //!   the open/close protocol (token entries, serialization, take-over,
 //!   metadata refresh, rollback), and crash recovery.
@@ -34,6 +36,7 @@ pub mod agent;
 pub mod archive;
 pub mod client;
 pub mod modes;
+pub mod opens;
 pub mod pool;
 pub mod repository;
 pub mod server;
@@ -44,6 +47,7 @@ pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 pub use client::{AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
+pub use opens::OpenTable;
 pub use pool::{HeadGate, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{

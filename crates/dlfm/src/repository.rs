@@ -8,8 +8,6 @@
 //! | table        | contents                                                   |
 //! |--------------|------------------------------------------------------------|
 //! | `dl_files`   | linked files: control mode, options, saved owner/perms, current version |
-//! | `dl_tokens`  | validated token entries keyed by *userid* + path + kind (§4.1) |
-//! | `dl_sync`    | the Sync table (§4.5): one row per open of a managed file  |
 //! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
 //! | `dl_intents` | unlink intents: one per file an unlink branch touches — its 2PC vote |
 //!
@@ -23,36 +21,25 @@
 //! it went. A link forces nothing here: its vote travels in its reply, the
 //! host's metadata row keeps it, and its `dl_files` row commits unforced.
 //!
-//! `dl_tokens` and `dl_sync` describe *open-file* state, which cannot
-//! survive a crash (every descriptor is gone). They are **unlogged** tables
-//! (`dl_minidb::Schema::unlogged`): a write to them takes its row locks and
-//! is visible at commit like any other, but forces no log record, reaches no
-//! snapshot and no standby, and every reopen of the repository — crash
-//! recovery, restore — finds both empty. A read replica writes token
-//! entries of its own into its follower's `dl_tokens` (a follower commits
-//! unlogged-only transactions), so a promoted standby starts with the
-//! sessions it admitted and no Sync rows. `dl_files`,
-//! `dl_uip` and `dl_intents` are the durable state recovery works
+//! The token entries (§4.1) and the Sync table (§4.5) describe open-file
+//! state, which no crash keeps: they live in the repository's
+//! [`OpenTable`], in memory, so a token read runs no database transaction
+//! (see `crate::opens`). The tables are the durable state recovery works
 //! from, and every write to them that recovery could not re-derive is
 //! forced before it is acted on (DESIGN.md "Force audit" lists the ones
-//! that are not). A grant
-//! that touches both classes (`claim_write_open`: `dl_uip` + `dl_sync`, and
-//! the entry of the token the open carried) is
-//! one commit whose log record carries the `dl_uip` row only — unforced,
-//! like every claim removal: the update's one forced write is the host's
-//! `Commit`, and a claim a crash took is read back off the disk, where the
-//! granted file carries the write grant's attributes.
+//! that are not — the `dl_uip` claim among them: a claim a crash took is
+//! read back off the disk, where the granted file carries the write
+//! grant's attributes).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv, Txn, Value};
 
 use crate::archive::{ArchiveStore, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
+use crate::opens::OpenTable;
 use crate::token::{AccessToken, TokenKey, TokenKind};
-
-/// Names of all repository tables.
-pub const TABLES: [&str; 5] = ["dl_files", "dl_tokens", "dl_sync", "dl_uip", "dl_intents"];
 
 fn on_unlink_value(on_unlink: OnUnlink) -> Value {
     Value::Text(match on_unlink {
@@ -120,7 +107,8 @@ impl FileEntry {
     }
 }
 
-/// A row of `dl_sync` — one open of a managed file.
+/// A Sync-table entry (§4.5) — one open of a managed file, or a strict-link
+/// registration of an open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncEntry {
     pub path: String,
@@ -130,47 +118,28 @@ pub struct SyncEntry {
     pub uid: u32,
 }
 
-impl SyncEntry {
-    fn key(&self) -> String {
-        sync_key(&self.path, self.opener)
-    }
-
-    fn to_row(&self) -> Row {
-        vec![
-            Value::Text(self.key()),
-            Value::Text(self.path.clone()),
-            Value::Text(kind_str(self.kind).to_string()),
-            Value::Int(self.opener as i64),
-            Value::Int(self.uid as i64),
-        ]
-    }
-}
-
-fn sync_key(path: &str, opener: u64) -> String {
-    format!("{path}|{opener}")
-}
-
-fn kind_str(kind: TokenKind) -> &'static str {
-    match kind {
-        TokenKind::Read => "r",
-        TokenKind::Write => "w",
-    }
-}
-
-fn kind_from(s: &str) -> TokenKind {
-    if s == "w" {
-        TokenKind::Write
-    } else {
-        TokenKind::Read
-    }
-}
-
 /// A row of `dl_uip` — an update in progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UipEntry {
     pub path: String,
     pub new_version: u64,
     pub opener: u64,
+}
+
+impl UipEntry {
+    fn to_row(&self) -> Row {
+        let (version, opener) = (self.new_version as i64, self.opener as i64);
+        vec![Value::Text(self.path.clone()), Value::Int(version), Value::Int(opener)]
+    }
+
+    fn from_row(row: &[Value]) -> Option<UipEntry> {
+        let path = row[0].as_text()?.to_string();
+        Some(UipEntry {
+            path,
+            new_version: row[1].as_int()? as u64,
+            opener: row[2].as_int()? as u64,
+        })
+    }
 }
 
 /// A row of `dl_intents` — an unlink branch's vote on one file, forced
@@ -229,7 +198,8 @@ impl IntentEntry {
 /// Outcome of [`Repository::claim_write_open`].
 #[derive(Debug)]
 pub enum WriteClaim {
-    /// The update slot is claimed: UIP + write Sync row are committed.
+    /// The update slot is claimed: the UIP row is committed and the writer
+    /// is in the open table.
     Granted { entry: FileEntry, new_version: u64 },
     /// Another update is in progress or a conflicting open exists.
     Conflict,
@@ -237,11 +207,15 @@ pub enum WriteClaim {
     NotLinked,
 }
 
-/// The repository: a typed wrapper over a `dl-minidb` database.
+/// The repository: a typed wrapper over a `dl-minidb` database, and the
+/// open table beside it.
 pub struct Repository {
     db: Database,
-    /// Auto-commit write transactions performed (the "extra database update
-    /// operations" the paper counts in §4.5), forced or unlogged alike.
+    opens: Arc<OpenTable>,
+    /// The "extra database update operations" the paper counts in §4.5:
+    /// auto-commit write transactions, and the open table's claims, purges
+    /// and standalone token entries, which stand where the paper's Sync
+    /// and token table updates do.
     pub update_ops: AtomicU64,
 }
 
@@ -255,107 +229,65 @@ impl Repository {
     /// The repository over an opened database — recovered from its disks,
     /// or a promoted follower — creating whatever tables it lacks.
     pub fn new(db: Database) -> DbResult<Repository> {
+        Self::with_opens(db, Arc::default())
+    }
+
+    /// [`Repository::new`] keeping `opens`: a promoted standby's server
+    /// takes over the open table the standby admitted sessions into.
+    pub fn with_opens(db: Database, opens: Arc<OpenTable>) -> DbResult<Repository> {
         Self::ensure_schema(&db)?;
-        Ok(Self::over(db))
+        Ok(Repository { db, opens, update_ops: AtomicU64::new(0) })
     }
 
     /// The repository over `db` as it stands, creating nothing: a read
     /// replica's view of its follower, which takes no DDL — the schema
-    /// arrives by shipping.
+    /// arrives by shipping. Its open table starts empty.
     pub fn over(db: Database) -> Repository {
-        Repository { db, update_ops: AtomicU64::new(0) }
+        Repository { db, opens: Arc::default(), update_ops: AtomicU64::new(0) }
     }
 
     fn ensure_schema(db: &Database) -> DbResult<()> {
-        if !db.has_table("dl_files") {
-            db.create_table(
-                Schema::new(
-                    "dl_files",
-                    vec![
-                        Column::new("path", ColumnType::Text),
-                        Column::new("mode", ColumnType::Text),
-                        Column::new("recovery", ColumnType::Bool),
-                        Column::new("on_unlink", ColumnType::Text),
-                        Column::new("cur_version", ColumnType::Int),
-                        Column::new("orig_uid", ColumnType::Int),
-                        Column::new("orig_gid", ColumnType::Int),
-                        Column::new("orig_mode", ColumnType::Int),
-                        Column::new("ino", ColumnType::Int),
-                        Column::new("state_id", ColumnType::Int),
-                        Column::new("needs_archive", ColumnType::Bool),
-                    ],
-                    "path",
-                )
-                .expect("static schema"),
-            )?;
-        }
-        if !db.has_table("dl_tokens") {
-            db.create_table(
-                Schema::new(
-                    "dl_tokens",
-                    vec![
-                        Column::new("tokkey", ColumnType::Text),
-                        Column::new("expiry", ColumnType::Int),
-                    ],
-                    "tokkey",
-                )
-                .expect("static schema")
-                .unlogged(),
-            )?;
-        }
-        if !db.has_table("dl_sync") {
-            db.create_table(
-                Schema::new(
-                    "dl_sync",
-                    vec![
-                        Column::new("synckey", ColumnType::Text),
-                        Column::new("path", ColumnType::Text),
-                        Column::new("kind", ColumnType::Text),
-                        Column::new("opener", ColumnType::Int),
-                        Column::new("uid", ColumnType::Int),
-                    ],
-                    "synckey",
-                )
-                .expect("static schema")
-                .unlogged(),
-            )?;
-            db.create_index("dl_sync", "path")?;
-        }
-        if !db.has_table("dl_uip") {
-            db.create_table(
-                Schema::new(
-                    "dl_uip",
-                    vec![
-                        Column::new("path", ColumnType::Text),
-                        Column::new("new_version", ColumnType::Int),
-                        Column::new("opener", ColumnType::Int),
-                    ],
-                    "path",
-                )
-                .expect("static schema"),
-            )?;
-        }
-        if !db.has_table("dl_intents") {
-            db.create_table(
-                Schema::new(
-                    "dl_intents",
-                    vec![
-                        // `<host txid>|<path>`
-                        Column::new("ikey", ColumnType::Text),
-                        Column::new("mode", ColumnType::Text),
-                        Column::new("recovery", ColumnType::Bool),
-                        Column::new("on_unlink", ColumnType::Text),
-                        Column::new("orig_uid", ColumnType::Int),
-                        Column::new("orig_gid", ColumnType::Int),
-                        Column::new("orig_mode", ColumnType::Int),
-                        Column::new("ino", ColumnType::Int),
-                    ],
-                    "ikey",
-                )
-                .expect("static schema"),
-            )?;
-        }
-        Ok(())
+        use ColumnType::{Bool, Int, Text};
+        let create = |table: &str, key: &str, columns: &[(&str, ColumnType)]| {
+            if db.has_table(table) {
+                return Ok(());
+            }
+            let columns = columns.iter().map(|&(name, ty)| Column::new(name, ty)).collect();
+            db.create_table(Schema::new(table, columns, key).expect("static schema"))
+        };
+        create(
+            "dl_files",
+            "path",
+            &[
+                ("path", Text),
+                ("mode", Text),
+                ("recovery", Bool),
+                ("on_unlink", Text),
+                ("cur_version", Int),
+                ("orig_uid", Int),
+                ("orig_gid", Int),
+                ("orig_mode", Int),
+                ("ino", Int),
+                ("state_id", Int),
+                ("needs_archive", Bool),
+            ],
+        )?;
+        create("dl_uip", "path", &[("path", Text), ("new_version", Int), ("opener", Int)])?;
+        // `ikey` is `<host txid>|<path>`.
+        create(
+            "dl_intents",
+            "ikey",
+            &[
+                ("ikey", Text),
+                ("mode", Text),
+                ("recovery", Bool),
+                ("on_unlink", Text),
+                ("orig_uid", Int),
+                ("orig_gid", Int),
+                ("orig_mode", Int),
+                ("ino", Int),
+            ],
+        )
     }
 
     /// The underlying database (sub-transactions are built on it directly).
@@ -363,9 +295,14 @@ impl Repository {
         &self.db
     }
 
-    /// Counts one auto-commit update — called after its commit succeeded,
-    /// so a call that found nothing to change (a `remove_sync` of no row)
-    /// or lost a conflict is not an update.
+    /// The open-file state: Sync entries, token entries, branch marks.
+    pub fn opens(&self) -> &Arc<OpenTable> {
+        &self.opens
+    }
+
+    /// Counts one update — called after it took effect, so a call that
+    /// found nothing to change (a `remove_sync` of no entry) or lost a
+    /// conflict is not an update.
     fn bump(&self) {
         self.update_ops.fetch_add(1, Ordering::Relaxed);
     }
@@ -456,8 +393,8 @@ impl Repository {
     /// tells recovery which versions to look for in the archive store, so a
     /// clear lost in a crash costs one idempotent re-check, and nobody
     /// waits on a log sync for it. For the same reason it never waits for
-    /// the row: when another transaction holds it (a read or a write open
-    /// claiming the file) the clear is skipped and the flag stays set for
+    /// the row: when another transaction holds it (a write open claiming
+    /// the file, a close) the clear is skipped and the flag stays set for
     /// recovery's re-archive pass. Returns whether the flag was cleared.
     pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<bool> {
         let key = Value::Text(path.to_string());
@@ -502,15 +439,11 @@ impl Repository {
         self.list_files().into_iter().filter(|f| f.needs_archive).collect()
     }
 
-    // --- dl_tokens --------------------------------------------------------------
-
-    fn token_key(uid: u32, path: &str, kind: TokenKind) -> String {
-        format!("{uid}|{path}|{}", kind_str(kind))
-    }
+    // --- token entries -----------------------------------------------------------
 
     /// Records a validated token entry: "the user has permission to access
-    /// the file till time t" (§4.1). Keyed by userid, not processid.
-    /// Unlogged: a crash closes every descriptor the entry could admit.
+    /// the file till time t" (§4.1). Keyed by userid, not processid. In
+    /// memory: a crash closes every descriptor the entry could admit.
     pub fn put_token_entry(
         &self,
         uid: u32,
@@ -518,30 +451,9 @@ impl Repository {
         kind: TokenKind,
         expiry_ms: u64,
     ) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        Self::put_token_in(&mut txn, uid, path, kind, expiry_ms)?;
-        txn.commit()?;
+        self.opens.put_token(uid, path, kind, expiry_ms);
         self.bump();
         Ok(())
-    }
-
-    /// Upserts the token entry inside `txn` — on its own, or in the claim
-    /// transaction of the open that carried the token.
-    fn put_token_in(
-        txn: &mut Txn,
-        uid: u32,
-        path: &str,
-        kind: TokenKind,
-        expiry_ms: u64,
-    ) -> DbResult<()> {
-        let key = Self::token_key(uid, path, kind);
-        let kv = Value::Text(key.clone());
-        let row = vec![Value::Text(key), Value::Int(expiry_ms as i64)];
-        if txn.get_for_update("dl_tokens", &kv)?.is_some() {
-            txn.update("dl_tokens", &kv, row)
-        } else {
-            txn.insert("dl_tokens", row)
-        }
     }
 
     /// Token admission (§4.1) — the one the upcall of an open not under
@@ -567,93 +479,57 @@ impl Repository {
     /// Does an unexpired token entry authorizing `wanted` exist for
     /// (`uid`, `path`)? A write entry authorizes reads too.
     pub fn check_token_entry(&self, uid: u32, path: &str, wanted: TokenKind, now_ms: u64) -> bool {
-        let direct = self
-            .db
-            .get_committed("dl_tokens", &Value::Text(Self::token_key(uid, path, wanted)))
-            .ok()
-            .flatten()
-            .and_then(|row| row[1].as_int())
-            .map(|exp| now_ms <= exp as u64)
-            .unwrap_or(false);
-        if direct {
-            return true;
-        }
-        if wanted == TokenKind::Read {
-            return self
-                .db
-                .get_committed(
-                    "dl_tokens",
-                    &Value::Text(Self::token_key(uid, path, TokenKind::Write)),
-                )
-                .ok()
-                .flatten()
-                .and_then(|row| row[1].as_int())
-                .map(|exp| now_ms <= exp as u64)
-                .unwrap_or(false);
-        }
-        false
+        self.opens.token_admits(uid, path, wanted, now_ms)
     }
 
-    // --- dl_sync ---------------------------------------------------------------
+    // --- the Sync table ---------------------------------------------------------
 
-    /// Inserts a Sync-table entry for an approved open (§4.5). Unlogged,
-    /// like its removal at close.
-    pub fn add_sync(&self, entry: &SyncEntry) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        txn.insert("dl_sync", entry.to_row())?;
-        txn.commit()?;
+    /// Records a strict-link registration of an open (§4.5), refused while
+    /// a live link branch holds the path ([`OpenTable::register`]).
+    pub fn register_open(
+        &self,
+        path: &str,
+        kind: TokenKind,
+        opener: u64,
+        uid: u32,
+    ) -> Result<(), String> {
+        self.opens.register(path, kind, opener, uid)?;
         self.bump();
         Ok(())
+    }
+
+    /// Purges the Sync-table entry at close (§4.5), a write open's only
+    /// when `writes_too` ([`OpenTable::end`]).
+    pub fn end_open(&self, path: &str, opener: u64, writes_too: bool) -> Option<TokenKind> {
+        let kind = self.opens.end(path, opener, writes_too);
+        if kind.is_some_and(|kind| writes_too || kind == TokenKind::Read) {
+            self.bump();
+        }
+        kind
     }
 
     /// Purges the Sync-table entry at close (§4.5).
     pub fn remove_sync(&self, path: &str, opener: u64) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        self.remove_sync_in(&mut txn, path, opener)?;
-        txn.commit()?;
-        self.bump();
+        self.end_open(path, opener, true);
         Ok(())
     }
 
-    /// Purges a Sync-table entry inside a caller-provided transaction (the
-    /// close's, for the write it ends).
-    pub fn remove_sync_in(&self, txn: &mut Txn, path: &str, opener: u64) -> DbResult<()> {
-        txn.delete("dl_sync", &Value::Text(sync_key(path, opener)))
-    }
-
-    /// Sync entries for `path` (index-accelerated).
+    /// Sync entries for `path`.
     pub fn sync_entries(&self, path: &str) -> Vec<SyncEntry> {
-        let keys = self
-            .db
-            .find_committed("dl_sync", "path", &Value::Text(path.to_string()))
-            .unwrap_or_default();
-        keys.iter()
-            .filter_map(|k| self.db.get_committed("dl_sync", k).ok().flatten())
-            .filter_map(|row| {
-                Some(SyncEntry {
-                    path: row[1].as_text()?.to_string(),
-                    kind: kind_from(row[2].as_text()?),
-                    opener: row[3].as_int()? as u64,
-                    uid: row[4].as_int()? as u32,
-                })
-            })
-            .collect()
+        self.opens.entries(path)
     }
 
     // --- open-grant claims ------------------------------------------------------
     //
-    // Open processing must be atomic: the single upcall daemon used to
-    // serialize it implicitly, but with a worker pool two opens (or an
-    // open and a close) can interleave. All grants for one file serialize
-    // on its `dl_files` row lock — every claim transaction takes that row
-    // exclusively *first* (the same first lock the close transaction
-    // takes), reads the fresh state under it, and inserts its UIP/Sync
-    // rows in the same commit.
+    // Every conflict check is a check-and-set in the open table. A write
+    // claim makes its check while it holds the file's `dl_files` row lock
+    // — the lock every link, unlink and close of the file takes first —
+    // and commits its UIP row under it.
 
     /// Atomically grants a write open: under the `dl_files` row lock,
     /// re-reads the committed file entry (the caller's copy may be stale),
-    /// verifies no conflicting Sync entries, and inserts the UIP row for
-    /// `cur_version + 1` plus the write Sync row in one transaction — with
+    /// registers the writer in the open table unless a conflicting open
+    /// exists, and inserts the UIP row for `cur_version + 1` — then records
     /// the entry of `token`, the verified token the open carried (§4.1),
     /// when there is one. A claim that is not granted records nothing.
     ///
@@ -677,39 +553,44 @@ impl Repository {
         let Some(entry) = FileEntry::from_row(&row) else {
             return Ok(WriteClaim::NotLinked);
         };
-        // Committed reads are race-free here: every grant commits (and
-        // every close commits its removal) under this row lock.
-        let conflict =
-            self.sync_entries(path).iter().any(|s| s.kind == TokenKind::Write || read_conflicts);
-        if conflict {
+        if !self.opens.claim_write(path, opener, uid, read_conflicts) {
             return Ok(WriteClaim::Conflict);
         }
         let new_version = entry.cur_version + 1;
-        let uip_row = vec![
-            Value::Text(path.to_string()),
-            Value::Int(new_version as i64),
-            Value::Int(opener as i64),
-        ];
-        match txn.insert("dl_uip", uip_row) {
-            Ok(()) => {}
-            Err(dl_minidb::DbError::DuplicateKey(_)) => return Ok(WriteClaim::Conflict),
-            Err(e) => return Err(e),
+        let uip = UipEntry { path: path.to_string(), new_version, opener };
+        if let Err(e) = txn.insert("dl_uip", uip.to_row()).and_then(|()| txn.commit_unforced()) {
+            self.opens.end(path, opener, true);
+            let duplicate = matches!(e, dl_minidb::DbError::DuplicateKey(_));
+            return if duplicate { Ok(WriteClaim::Conflict) } else { Err(e) };
         }
-        let sync = SyncEntry { path: path.to_string(), kind: TokenKind::Write, opener, uid };
-        txn.insert("dl_sync", sync.to_row())?;
         if let Some(token) = token {
-            Self::put_token_in(&mut txn, uid, path, token.kind, token.expires_at_ms)?;
+            self.opens.put_token(uid, path, token.kind, token.expires_at_ms);
         }
-        txn.commit_unforced()?;
         self.bump();
         Ok(WriteClaim::Granted { entry, new_version })
     }
 
-    /// Atomically grants a tracked read open: under the `dl_files` row
-    /// lock, verifies no write Sync entry exists and inserts the read Sync
-    /// row, with the entry of the carried `token` as in
-    /// [`Repository::claim_write_open`]. Returns false, recording nothing,
-    /// on a write conflict.
+    /// Grants a tracked read open of a file the caller found linked at
+    /// `unlinks_seen`, with the carried `token`'s entry: no database
+    /// transaction, one check-and-set ([`OpenTable::claim_read`]). Returns
+    /// false, recording nothing, on a conflict.
+    pub fn claim_read(
+        &self,
+        path: &str,
+        opener: u64,
+        uid: u32,
+        token: Option<&AccessToken>,
+        unlinks_seen: u64,
+    ) -> bool {
+        let granted = self.opens.claim_read(path, opener, uid, token, unlinks_seen);
+        if granted {
+            self.bump();
+        }
+        granted
+    }
+
+    /// [`Repository::claim_read`] with its own lookup of the file: false
+    /// when it is not linked.
     pub fn claim_read_sync(
         &self,
         path: &str,
@@ -717,29 +598,13 @@ impl Repository {
         uid: u32,
         token: Option<&AccessToken>,
     ) -> DbResult<bool> {
-        let key = Value::Text(path.to_string());
-        let mut txn = self.db.begin();
-        if txn.get_for_update("dl_files", &key)?.is_none() {
-            // Unlinked between the caller's lookup and now; treat as a
-            // conflict so the caller re-evaluates.
-            return Ok(false);
-        }
-        if self.sync_entries(path).iter().any(|s| s.kind == TokenKind::Write) {
-            return Ok(false);
-        }
-        let sync = SyncEntry { path: path.to_string(), kind: TokenKind::Read, opener, uid };
-        txn.insert("dl_sync", sync.to_row())?;
-        if let Some(token) = token {
-            Self::put_token_in(&mut txn, uid, path, token.kind, token.expires_at_ms)?;
-        }
-        txn.commit()?;
-        self.bump();
-        Ok(true)
+        let unlinks_seen = self.opens.unlinks_ended(path);
+        Ok(self.get_file(path).is_some() && self.claim_read(path, opener, uid, token, unlinks_seen))
     }
 
     /// Rolls a write claim back (a failed before-image or take-over): removes
-    /// the UIP and Sync rows it inserted, unforced (see
-    /// [`Repository::remove_uip`]).
+    /// the UIP row it inserted, unforced (see [`Repository::remove_uip`]),
+    /// and its writer.
     pub fn release_write_claim(&self, path: &str, opener: u64) {
         let _ = self.remove_uip(path);
         let _ = self.remove_sync(path, opener);
@@ -750,14 +615,7 @@ impl Repository {
     /// Records that `path` is being updated toward `new_version` (§4.4).
     pub fn put_uip(&self, entry: &UipEntry) -> DbResult<()> {
         let mut txn = self.db.begin();
-        txn.insert(
-            "dl_uip",
-            vec![
-                Value::Text(entry.path.clone()),
-                Value::Int(entry.new_version as i64),
-                Value::Int(entry.opener as i64),
-            ],
-        )?;
+        txn.insert("dl_uip", entry.to_row())?;
         txn.commit()?;
         self.bump();
         Ok(())
@@ -782,31 +640,14 @@ impl Repository {
     }
 
     pub fn get_uip(&self, path: &str) -> Option<UipEntry> {
-        self.db.get_committed("dl_uip", &Value::Text(path.to_string())).ok().flatten().and_then(
-            |row| {
-                Some(UipEntry {
-                    path: row[0].as_text()?.to_string(),
-                    new_version: row[1].as_int()? as u64,
-                    opener: row[2].as_int()? as u64,
-                })
-            },
-        )
+        let row = self.db.get_committed("dl_uip", &Value::Text(path.to_string())).ok()??;
+        UipEntry::from_row(&row)
     }
 
     /// All update-in-progress entries (crash recovery walks these).
     pub fn list_uip(&self) -> Vec<UipEntry> {
-        self.db
-            .scan_committed("dl_uip")
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|row| {
-                Some(UipEntry {
-                    path: row[0].as_text()?.to_string(),
-                    new_version: row[1].as_int()? as u64,
-                    opener: row[2].as_int()? as u64,
-                })
-            })
-            .collect()
+        let rows = self.db.scan_committed("dl_uip").unwrap_or_default();
+        rows.iter().filter_map(|row| UipEntry::from_row(row)).collect()
     }
 
     // --- dl_intents -------------------------------------------------------------
@@ -885,7 +726,7 @@ mod tests {
             let _ = Repository::open(env.clone()).unwrap();
         }
         let repo = Repository::open(env).unwrap();
-        for t in TABLES {
+        for t in ["dl_files", "dl_uip", "dl_intents"] {
             assert!(repo.db().has_table(t), "missing {t}");
         }
     }
@@ -937,12 +778,9 @@ mod tests {
     #[test]
     fn sync_entries_per_path() {
         let r = repo();
-        r.add_sync(&SyncEntry { path: "/a".into(), kind: TokenKind::Read, opener: 1, uid: 9 })
-            .unwrap();
-        r.add_sync(&SyncEntry { path: "/a".into(), kind: TokenKind::Write, opener: 2, uid: 9 })
-            .unwrap();
-        r.add_sync(&SyncEntry { path: "/b".into(), kind: TokenKind::Read, opener: 3, uid: 9 })
-            .unwrap();
+        r.register_open("/a", TokenKind::Read, 1, 9).unwrap();
+        r.register_open("/a", TokenKind::Write, 2, 9).unwrap();
+        r.register_open("/b", TokenKind::Read, 3, 9).unwrap();
         let a = r.sync_entries("/a");
         assert_eq!(a.len(), 2);
         assert!(a.iter().any(|e| e.kind == TokenKind::Write));
@@ -969,8 +807,7 @@ mod tests {
             let r = Repository::open(env.clone()).unwrap();
             r.add_intent(&IntentEntry { host_txid: 5, file: entry("/f") }).unwrap();
             r.put_token_entry(1, "/f", TokenKind::Read, u64::MAX).unwrap();
-            r.add_sync(&SyncEntry { path: "/f".into(), kind: TokenKind::Read, opener: 1, uid: 1 })
-                .unwrap();
+            r.register_open("/f", TokenKind::Read, 1, 1).unwrap();
         }
         let r = Repository::open(env).unwrap();
         // Crash recovery: durable intents remain, open-file state is gone.
@@ -1062,16 +899,16 @@ mod tests {
         r.insert_file_in(&mut txn, &entry("/f")).unwrap();
         txn.commit().unwrap();
 
-        // Token entry, tracked read open, read close: all unlogged.
+        // Token entry, tracked read open, read close: the open table only.
         let tail = r.db().state_id();
         r.put_token_entry(7, "/f", TokenKind::Read, u64::MAX).unwrap();
         assert!(r.claim_read_sync("/f", 1, 7, None).unwrap());
         r.remove_sync("/f", 1).unwrap();
         assert_eq!(r.db().state_id(), tail);
 
-        // The write grant's UIP row is logged alone, in the same commit
-        // that adds the Sync row and the carried token's entry — and
-        // unforced: nothing waited on a sync.
+        // The write grant's UIP row is logged alone — the writer and the
+        // carried token's entry are in the open table — and unforced:
+        // nothing waited on a sync.
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
         assert!(matches!(
             r.claim_write_open("/f", 2, 7, true, Some(&token)).unwrap(),
@@ -1092,8 +929,7 @@ mod tests {
     fn update_op_counter_counts_writes() {
         let r = repo();
         let before = r.update_op_count();
-        r.add_sync(&SyncEntry { path: "/x".into(), kind: TokenKind::Read, opener: 1, uid: 1 })
-            .unwrap();
+        r.register_open("/x", TokenKind::Read, 1, 1).unwrap();
         r.remove_sync("/x", 1).unwrap();
         assert_eq!(r.update_op_count() - before, 2, "one update per sync op (§4.5)");
     }

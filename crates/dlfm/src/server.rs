@@ -22,7 +22,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::repository::{FileEntry, IntentEntry, Repository, SyncEntry, UipEntry};
+use crate::repository::{FileEntry, IntentEntry, Repository, UipEntry};
 use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// What a link/unlink sub-transaction does to one file's `dl_files` row.
@@ -227,11 +227,6 @@ impl SubTxn {
     fn unlinked(&self) -> impl Iterator<Item = &str> {
         self.files.iter().filter(|(_, op)| *op == BranchOp::Unlink).map(|(p, _)| p.as_str())
     }
-
-    /// The paths this branch linked.
-    fn linked(&self) -> impl Iterator<Item = &str> {
-        self.files.iter().filter(|(_, op)| *op == BranchOp::Link).map(|(p, _)| p.as_str())
-    }
 }
 
 /// Decision returned by the open check.
@@ -347,12 +342,6 @@ pub struct DlfmServer {
     clock: Arc<dyn Clock>,
     host: RwLock<Option<Arc<dyn HostHook>>>,
     pending: Mutex<HashMap<u64, Arc<Mutex<SubTxn>>>>,
-    /// Paths held by a live link branch — voted, undecided — and their
-    /// control mode. Their `dl_files` rows are not committed yet, so this
-    /// is what the mutation check and a strict-link registration see of
-    /// them. Entered under the branch's row lock, left once its decision
-    /// applied.
-    linking: Mutex<HashMap<String, ControlMode>>,
     /// The ordering rule's memory: per path, the repository LSN of its
     /// last committed unlink's end while that end may still sit in the
     /// log's unforced tail (`u64::MAX` while its commit is appending). A
@@ -394,8 +383,22 @@ impl DlfmServer {
         archive: Arc<ArchiveStore>,
         clock: Arc<dyn Clock>,
     ) -> Result<DlfmServer, String> {
+        let repo = Repository::new(repo).map_err(|e| e.to_string())?;
+        Self::with_repository(cfg, fs, repo, archive, clock)
+    }
+
+    /// [`DlfmServer::new`] over a repository already opened — a promoted
+    /// standby's, which keeps the standby's open table
+    /// ([`Repository::with_opens`]).
+    pub fn with_repository(
+        cfg: DlfmConfig,
+        fs: Arc<dyn FileSystem>,
+        repo: Repository,
+        archive: Arc<ArchiveStore>,
+        clock: Arc<dyn Clock>,
+    ) -> Result<DlfmServer, String> {
         let generation = archive.take_generation();
-        let repo = Arc::new(Repository::new(repo).map_err(|e| e.to_string())?);
+        let repo = Arc::new(repo);
         let sync_epoch = Arc::new(SyncEpoch::default());
         let source_fs = Lfs::new(Arc::clone(&fs));
         let source: ContentSource =
@@ -433,7 +436,6 @@ impl DlfmServer {
             clock,
             host: RwLock::new(None),
             pending: Mutex::new(HashMap::new()),
-            linking: Mutex::new(HashMap::new()),
             unlink_ends: Mutex::new(HashMap::new()),
             sync_epoch,
             coord_fence: AtomicU64::new(0),
@@ -688,13 +690,11 @@ impl DlfmServer {
             if unlink_end.is_some_and(|lsn| lsn > self.repo.db().durable_lsn()) {
                 self.repo.db().flush().map_err(|e| e.to_string())?;
             }
-            {
-                let mut linking = self.linking.lock();
-                if self.cfg.strict_link && !self.repo.sync_entries(path).is_empty() {
-                    return Err(format!("file {path} is currently open (strict link mode)"));
-                }
-                linking.insert(path.to_string(), mode);
-            }
+            let strict = self.cfg.strict_link;
+            self.repo
+                .opens()
+                .begin_branch(path, Some(mode), strict)
+                .map_err(|_| format!("file {path} is currently open (strict link mode)"))?;
             // §2.2: "all these changes to the DLFM repository and file
             // system are applied as part of the same DBMS transaction".
             let (uid, gid, bits) = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
@@ -723,11 +723,12 @@ impl DlfmServer {
     }
 
     /// Unlinks `path` as part of host transaction `host_txid`. Rejected
-    /// while the file is open (§4.5: the Sync table check). Under the
-    /// file's row lock the branch finishes the file's queued archive job,
-    /// forces its intent — its vote, and the one durable record that names
-    /// the path once the host deletes its row — and defers the file-system
-    /// restoration (or deletion, per ON UNLINK) to commit.
+    /// while the file is open, for update too (§4.5: the Sync table check,
+    /// whose mark then turns read opens away until the branch is decided).
+    /// Under the file's row lock the branch finishes the file's queued
+    /// archive job, forces its intent — its vote, and the one durable record
+    /// that names the path once the host deletes its row — and defers the
+    /// file-system restoration (or deletion, per ON UNLINK) to commit.
     pub fn unlink_file(&self, host_txid: u64, path: &str) -> Result<(), String> {
         self.stats.unlinks.inc();
         self.recorder.record(&self.flight_source, "claim", host_txid, path, "unlink");
@@ -738,19 +739,12 @@ impl DlfmServer {
                 .lock_file_in(txn, path)
                 .map_err(|e| e.to_string())?
                 .ok_or_else(|| format!("file {path} is not linked"))?;
-            let sync = self.repo.sync_entries(path);
-            if !sync.is_empty() {
-                // §4.5: "when a read [or write] entry exists in the DLFM
-                // Sync table, any unlink operation by other applications
-                // will be rejected."
-                return Err(format!(
-                    "file {path} is open ({} active access(es)); unlink rejected",
-                    sync.len()
-                ));
-            }
-            if self.repo.get_uip(path).is_some() {
-                return Err(format!("file {path} has an update in progress"));
-            }
+            // §4.5: "when a read [or write] entry exists in the DLFM Sync
+            // table, any unlink operation by other applications will be
+            // rejected."
+            self.repo.opens().begin_branch(path, None, true).map_err(|opens| {
+                format!("file {path} is open ({opens} active access(es)); unlink rejected")
+            })?;
             // The commit hands the file back to its owner, who may write it
             // at once: run its queued archive job now, while the file is
             // still linked and nobody else can write it, so the job reads
@@ -759,7 +753,10 @@ impl DlfmServer {
                 self.archiver.finish(path);
             }
             let intent = IntentEntry { host_txid, file: entry.clone() };
-            self.repo.add_intent(&intent).map_err(|e| e.to_string())?;
+            if let Err(e) = self.repo.add_intent(&intent) {
+                self.repo.opens().end_branch(path);
+                return Err(e.to_string());
+            }
             sub.files.push((path.to_string(), BranchOp::Unlink));
             self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
             sub.deferred.push(match entry.on_unlink {
@@ -866,16 +863,14 @@ impl DlfmServer {
         self.pending.lock().get(&host_txid).cloned()
     }
 
-    /// Retires a branch whose decision has applied: its links leave
-    /// [`DlfmServer::linking`] — after a commit their rows are visible,
-    /// after an abort nothing holds them — and the branch leaves `pending`,
-    /// so one gone from [`DlfmServer::pending_host_txns`] is settled.
+    /// Retires a branch whose decision has applied: its files' marks leave
+    /// the open table — after a commit the rows are what the checks see —
+    /// and the branch leaves `pending`, so one gone from
+    /// [`DlfmServer::pending_host_txns`] is settled.
     fn decided(&self, host_txid: u64, sub: &SubTxn) {
-        let mut linking = self.linking.lock();
-        for path in sub.linked() {
-            linking.remove(path);
+        for (path, _) in &sub.files {
+            self.repo.opens().end_branch(path);
         }
-        drop(linking);
         self.pending.lock().remove(&host_txid);
         self.bump_epoch();
     }
@@ -1007,7 +1002,8 @@ impl DlfmServer {
     /// lookup. Its entry is recorded whatever the decision — inside the
     /// claim transaction when the open is granted, on its own otherwise —
     /// so a later open by the same userid is admitted by it, as §4.1's
-    /// lookup-time validation left it.
+    /// lookup-time validation left it. A read open runs no repository
+    /// transaction: one committed lookup, then a claim in the open table.
     pub fn open_check(
         &self,
         path: &str,
@@ -1027,12 +1023,15 @@ impl DlfmServer {
                 Err(e) => return OpenDecision::Rejected(e.to_string()),
             }
         }
+        let unlinks_seen = self.repo.opens().unlinks_ended(path);
         let decision = match self.repo.get_file(path) {
             // Register the open anyway so link can see it.
             None => self.not_managed(path, wanted, opener, uid),
             Some(entry) => match wanted {
                 TokenKind::Write => self.open_check_write(&entry, uid, opener, &mut carried),
-                TokenKind::Read => self.open_check_read(&entry, uid, opener, &mut carried),
+                TokenKind::Read => {
+                    self.open_check_read(&entry, uid, opener, &mut carried, unlinks_seen)
+                }
             },
         };
         // A granted claim took the entry; every other outcome records it
@@ -1046,12 +1045,12 @@ impl DlfmServer {
     /// The open check's `NotManaged` answer. Under strict link it first
     /// registers the open, so a later link sees it — or refuses the open
     /// while a live link branch holds the path
-    /// ([`DlfmServer::register_open`]).
+    /// ([`Repository::register_open`]).
     fn not_managed(&self, path: &str, kind: TokenKind, opener: u64, uid: u32) -> OpenDecision {
         if !self.cfg.strict_link {
             return OpenDecision::NotManaged;
         }
-        match self.register_strict(path, kind, opener, uid) {
+        match self.repo.register_open(path, kind, opener, uid) {
             Ok(()) => OpenDecision::NotManaged,
             Err(e) => OpenDecision::Rejected(e),
         }
@@ -1099,10 +1098,11 @@ impl DlfmServer {
         }
         // Serialization (§4.2): claim the update slot atomically — one
         // repository transaction, serialized on the `dl_files` row lock,
-        // re-reads the fresh version, checks conflicting Sync entries
-        // (write-write always; in full control mode reads too) and inserts
-        // the UIP + write Sync rows. Upcall workers run concurrently, so
-        // the caller's `entry` may be stale; the claim's is not.
+        // re-reads the fresh version, registers the writer in the open
+        // table unless a conflicting open exists (write-write always; in
+        // full control mode reads too) and inserts the UIP row. Upcall
+        // workers run concurrently, so the caller's `entry` may be stale;
+        // the claim's is not.
         let read_conflicts = entry.mode.full_control() && self.cfg.track_read_sync;
         let claim = match self.repo.claim_write_open(
             &entry.path,
@@ -1178,13 +1178,15 @@ impl DlfmServer {
     }
 
     /// The read arm of [`DlfmServer::open_check`]; takes the `carried` token
-    /// like [`DlfmServer::open_check_write`].
+    /// like [`DlfmServer::open_check_write`]. `unlinks_seen` is the open
+    /// table's unlink count from before `entry` was looked up.
     fn open_check_read(
         &self,
         entry: &FileEntry,
         uid: u32,
         opener: u64,
         carried: &mut Option<AccessToken>,
+        unlinks_seen: u64,
     ) -> OpenDecision {
         if entry.mode.read_control() != crate::modes::AccessControl::Dbms {
             // FS-controlled reads never upcall in the fast path; reaching
@@ -1202,18 +1204,17 @@ impl DlfmServer {
             ));
         }
         // Full-control serialization: reads conflict with writes (§4.2).
-        // With tracking on, the conflict check and the Sync insert are one
-        // claim transaction on the `dl_files` row lock so a concurrent
-        // write open cannot interleave; the untracked ablation keeps the
-        // best-effort committed read (its documented trade-off).
+        // With tracking on, the conflict check and the Sync entry are one
+        // check-and-set in the open table, so a concurrent write open or
+        // unlink cannot interleave; the untracked ablation keeps the
+        // best-effort check (its documented trade-off).
         if self.cfg.track_read_sync {
-            match self.repo.claim_read_sync(&entry.path, opener, uid, carried.as_ref()) {
-                Ok(true) => *carried = None,
-                _ => {
-                    self.stats.busy_responses.inc();
-                    return OpenDecision::Busy;
-                }
+            let token = carried.as_ref();
+            if !self.repo.claim_read(&entry.path, opener, uid, token, unlinks_seen) {
+                self.stats.busy_responses.inc();
+                return OpenDecision::Busy;
             }
+            *carried = None;
         } else if self.repo.sync_entries(&entry.path).iter().any(|s| s.kind == TokenKind::Write) {
             self.stats.busy_responses.inc();
             return OpenDecision::Busy;
@@ -1223,7 +1224,9 @@ impl DlfmServer {
 
     /// Close processing (§4.3–§4.4): metadata refresh in the host
     /// transaction context, version commit, asynchronous archiving; or, on
-    /// failure/no-write, release of the write grant.
+    /// failure/no-write, release of the write grant. A read's close is its
+    /// purge from the open table alone; a writer leaves the table after its
+    /// grant is released, so no new grant lands before that release.
     pub fn close_notify(
         &self,
         path: &str,
@@ -1234,22 +1237,19 @@ impl DlfmServer {
     ) -> Result<(), String> {
         self.stats.upcalls.inc();
         self.stats.close_notifies.inc();
-        let Some(entry) = self.repo.get_file(path) else {
-            if self.cfg.strict_link {
-                let _ = self.repo.remove_sync(path, opener);
-                self.bump_epoch();
-            }
+        if self.repo.end_open(path, opener, false) != Some(TokenKind::Write) {
+            // A read close, or a descriptor with no entry (an untracked
+            // read, a write never granted).
+            self.bump_epoch();
             return Ok(());
-        };
-
-        let uip = self.repo.get_uip(path).filter(|u| u.opener == opener);
-        let Some(uip) = uip else {
-            // Read close (or a write descriptor that never got a grant):
-            // purge the sync entry. Only tracked reads and strict-link
-            // registrations ever wrote one.
-            if self.cfg.track_read_sync || self.cfg.strict_link {
-                let _ = self.repo.remove_sync(path, opener);
-            }
+        }
+        let claim = self.repo.get_file(path).and_then(|entry| {
+            let uip = self.repo.get_uip(path).filter(|u| u.opener == opener)?;
+            Some((entry, uip))
+        });
+        let Some((entry, uip)) = claim else {
+            // A strict registration of a write open of an unmanaged file.
+            let _ = self.repo.remove_sync(path, opener);
             self.bump_epoch();
             return Ok(());
         };
@@ -1258,8 +1258,8 @@ impl DlfmServer {
             // Opened for write but never modified: no new version (§4.4
             // checks the modification time for exactly this).
             let _ = self.repo.remove_uip(path);
-            let _ = self.repo.remove_sync(path, opener);
             self.release_write_grant(&entry);
+            let _ = self.repo.remove_sync(path, opener);
             self.bump_epoch();
             return Ok(());
         }
@@ -1273,6 +1273,7 @@ impl DlfmServer {
         match self.commit_file_update(&uip, new_size, new_mtime) {
             Ok(state_id) => {
                 self.release_write_grant(&entry);
+                self.repo.opens().end(path, opener, true);
                 self.submit_archive(&entry, uip.new_version, state_id);
                 self.bump_epoch();
                 Ok(())
@@ -1282,8 +1283,8 @@ impl DlfmServer {
                 // §4.2: roll the file back to the last committed version.
                 self.rollback_update(path, entry.cur_version);
                 let _ = self.repo.remove_uip(path);
-                let _ = self.repo.remove_sync(path, opener);
                 self.release_write_grant(&entry);
+                let _ = self.repo.remove_sync(path, opener);
                 self.bump_epoch();
                 Err(format!("file update transaction aborted: {e}"))
             }
@@ -1300,10 +1301,9 @@ impl DlfmServer {
     /// the single commit point: the repository rows are staged first (their
     /// row locks fence the file), the host commits, and the repository
     /// record follows **unforced** — recovery re-derives it from the host
-    /// row ([`DlfmServer::recover`]). The same commit purges the write's
-    /// Sync row, which is unlogged: the record carries the version and the
-    /// claim's removal only. A host error drops the
-    /// staged rows and the caller rolls the file back.
+    /// row ([`DlfmServer::recover`]). The record carries the version and
+    /// the claim's removal; the writer leaves the open table after it. A
+    /// host error drops the staged rows and the caller rolls the file back.
     fn commit_file_update(
         &self,
         uip: &UipEntry,
@@ -1313,17 +1313,16 @@ impl DlfmServer {
         let host = self.host.read().clone();
         let state_hint =
             host.as_ref().map(|h| h.state_id()).unwrap_or_else(|| self.repo.db().state_id());
-        // The close's rows, in lock order (`dl_files`, then `dl_uip` and
-        // `dl_sync` — the order the open-grant claims use): the claimed
-        // version becomes current and awaits archiving, the claim and the
-        // write's Sync row go. Every value is the claim row's.
+        // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
+        // order the write claim uses): the claimed version becomes current
+        // and awaits archiving, and the claim goes. Every value is the
+        // claim row's.
         let mut txn = self.repo.db().begin();
         let db_err = |e: dl_minidb::DbError| e.to_string();
         self.repo
             .commit_version_in(&mut txn, &uip.path, uip.new_version, state_hint)
             .map_err(db_err)?;
         self.repo.remove_uip_in(&mut txn, &uip.path).map_err(db_err)?;
-        self.repo.remove_sync_in(&mut txn, &uip.path, uip.opener).map_err(db_err)?;
         let Some(hook) = host else {
             // Standalone mode (no host database wired): the repository's
             // own forced commit is the commit point.
@@ -1419,7 +1418,7 @@ impl DlfmServer {
     /// row, which its commit makes visible before the branch is retired.
     pub fn mutation_check(&self, path: &str) -> Result<(), String> {
         self.stats.upcalls.inc();
-        let voted = self.linking.lock().get(path).copied();
+        let voted = self.repo.opens().linking(path);
         match voted.or_else(|| self.repo.get_file(path).map(|entry| entry.mode)) {
             Some(mode) if mode.referential_integrity() => Err(format!(
                 "{path} is linked to the database (mode {mode}); remove/rename/chmod rejected"
@@ -1428,39 +1427,16 @@ impl DlfmServer {
         }
     }
 
-    /// Records a strict-link registration of an open of a file this node
-    /// does not manage (§4.5) — refused while a live link branch holds the
-    /// path: that link voted on a file with no registered open, and the
-    /// check and the registration are atomic against its vote.
-    fn register_strict(
-        &self,
-        path: &str,
-        kind: TokenKind,
-        opener: u64,
-        uid: u32,
-    ) -> Result<(), String> {
-        let linking = self.linking.lock();
-        if linking.contains_key(path) {
-            return Err(format!("{path} is being linked (strict link mode); open rejected"));
-        }
-        let entry = SyncEntry { path: path.to_string(), kind, opener, uid };
-        self.repo.add_sync(&entry).map_err(|e| e.to_string())
-    }
-
     /// strict-link registration of an open (§4.5 future work, implemented
     /// as an ablation): records the open in the Sync table so link (and,
     /// for managed files, unlink) can detect it. Registration is pure
-    /// bookkeeping — it must **never** run the open-grant protocol. Routing
-    /// it through [`DlfmServer::open_check`] (the pre-PR 5 bug) either
-    /// acquired a conflict-checked read claim on a managed path that no
-    /// close-notify would release, or silently dropped the registration
-    /// when the grant came back `Busy`/`Rejected` — re-opening exactly the
-    /// window strict mode exists to close. DLFS registers before the
-    /// physical open, so a refusal (a live link branch holds the path)
-    /// fails the open.
+    /// bookkeeping and never runs the open-grant protocol, whose `Busy` or
+    /// `Rejected` would drop it. DLFS registers before the physical open,
+    /// so a refusal (a live link branch, which voted on a file with no
+    /// registered open, holds the path) fails the open.
     pub fn register_open(&self, path: &str, uid: u32, opener: u64) -> Result<(), String> {
         self.stats.upcalls.inc();
-        self.register_strict(path, TokenKind::Read, opener, uid)
+        self.repo.register_open(path, TokenKind::Read, opener, uid)
     }
 
     /// Close of a strict-link registered open.
@@ -1585,7 +1561,7 @@ impl DlfmServer {
     /// `DlfmServer::reconcile_file` — which also reads each linked file's
     /// attributes for a write in flight — in one forced repository commit; then
     /// versions whose archive job was lost are archived from the disk.
-    /// Token entries and Sync rows are unlogged: none come back. `before`
+    /// Token entries and Sync entries live in memory: none come back. `before`
     /// is the host's rows as they stood before the host was rewound — a
     /// point-in-time restore passes the running host's; crash recovery and
     /// failover, which rewind nothing, pass none. A link only they hold is

@@ -1468,3 +1468,230 @@ fn a_needs_archive_clear_skips_a_held_row_and_recovery_clears_it() {
     assert_eq!(report.archives_recovered, 0, "the store already held v2");
     assert!(!server.repository().get_file(CLIP).unwrap().needs_archive);
 }
+
+// --- open-file state races ---------------------------------------------------------
+
+/// Opens `path` for `wanted` as `opener`, waiting out every `Busy` until
+/// the sync epoch moves (failing, rather than hanging, after 10 s of
+/// them). Returns the decision and whether `settled` was set when it came
+/// back.
+fn open_waiting(
+    f: &Fixture,
+    path: &str,
+    wanted: TokenKind,
+    opener: u64,
+    settled: &std::sync::atomic::AtomicBool,
+) -> (OpenDecision, bool) {
+    use std::sync::atomic::Ordering::SeqCst;
+    use std::time::{Duration, Instant};
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let epoch = f.server.epoch();
+        let decision = f.server.open_check(path, ALICE.uid, wanted, opener, None);
+        if decision != OpenDecision::Busy {
+            return (decision, settled.load(SeqCst));
+        }
+        while f.server.epoch() == epoch {
+            assert!(Instant::now() < deadline, "opener {opener}: Busy for 10 s");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+}
+
+/// A read open racing an unlink branch of its file is seen by the unlink's
+/// open check — the unlink is refused — or it is not approved until the
+/// branch is decided: never `Approved` on a file whose unlink has voted.
+/// First at fixed cuts (before the vote, then during the branch through
+/// its commit and its abort), then under free-running interleavings.
+#[test]
+fn a_read_open_racing_an_unlink_is_seen_or_waits_for_the_decision() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    const CLIP: &str = "/data/clip.mpg";
+    let f = fixture();
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let tok = read_token(&f, CLIP);
+    f.server.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
+    let mut txid = 100;
+
+    // Before the vote: the open is seen, and the unlink refused.
+    let never = AtomicBool::new(false);
+    let (opened, _) = open_waiting(&f, CLIP, TokenKind::Read, 1, &never);
+    assert!(matches!(opened, OpenDecision::Approved { .. }), "{opened:?}");
+    let err = f.server.unlink_file(txid, CLIP).unwrap_err();
+    assert!(err.contains("open"), "{err}");
+    assert!(!f.server.has_pending(txid), "a refused unlink leaves no branch");
+    f.server.close_notify(CLIP, 1, false, 0, 0).unwrap();
+
+    // During the branch: the open waits for the decision; a commit leaves
+    // the file unmanaged, an abort lets the open through.
+    for commit in [false, true] {
+        txid += 1;
+        f.server.unlink_file(txid, CLIP).unwrap();
+        let settled = AtomicBool::new(false);
+        let (decision, after) = std::thread::scope(|s| {
+            let reader = s.spawn(|| open_waiting(&f, CLIP, TokenKind::Read, 2, &settled));
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            settled.store(true, SeqCst);
+            if commit {
+                f.server.commit_host(txid);
+            } else {
+                f.server.abort_host(txid);
+            }
+            reader.join().unwrap()
+        });
+        assert!(after, "commit={commit}: {decision:?} before the branch was decided");
+        if commit {
+            assert_eq!(decision, OpenDecision::NotManaged);
+        } else {
+            assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
+            f.server.close_notify(CLIP, 2, false, 0, 0).unwrap();
+        }
+    }
+
+    // Free-running: a reader and an unlink start together.
+    txid += 1;
+    link_committed(&f, txid, CLIP, ControlMode::Rdd);
+    for round in 0..120u64 {
+        txid += 1;
+        let opener = 1_000 + round;
+        let settled = AtomicBool::new(false);
+        let (unlinked, (decision, after)) = std::thread::scope(|s| {
+            let reader = s.spawn(|| open_waiting(&f, CLIP, TokenKind::Read, opener, &settled));
+            let unlinked = f.server.unlink_file(txid, CLIP);
+            if unlinked.is_ok() {
+                settled.store(true, SeqCst);
+                if round % 2 == 0 {
+                    f.server.commit_host(txid);
+                } else {
+                    f.server.abort_host(txid);
+                }
+            }
+            (unlinked, reader.join().unwrap())
+        });
+        match unlinked {
+            Ok(()) => {
+                let approved = matches!(decision, OpenDecision::Approved { .. });
+                assert!(!approved || after, "round {round}: approved while the unlink was voted");
+            }
+            Err(e) => {
+                assert!(e.contains("open"), "round {round}: {e}");
+                assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
+            }
+        }
+        if matches!(decision, OpenDecision::Approved { .. }) {
+            f.server.close_notify(CLIP, opener, false, 0, 0).unwrap();
+        }
+        if f.server.repository().get_file(CLIP).is_none() {
+            txid += 1;
+            link_committed(&f, txid, CLIP, ControlMode::Rdd);
+        }
+    }
+}
+
+/// Four threads alternate read and write opens and closes of one rdd file;
+/// a shared count of the granted opens proves no writer ever held the file
+/// beside a reader or another writer.
+#[test]
+fn concurrent_read_and_write_opens_of_an_rdd_file_never_overlap_a_writer() {
+    use std::sync::Mutex;
+    const CLIP: &str = "/data/clip.mpg";
+    let f = fixture();
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let wtok = write_token(&f, CLIP);
+    f.server.validate_token(CLIP, &wtok.encode(), ALICE.uid).unwrap();
+    let dlfm = f.server.config().dlfm_cred;
+    // (readers, writers) holding a granted open. A thread records what it
+    // saw go wrong and carries on, so that no open stays held.
+    let held = Mutex::new((0u32, 0u32));
+    let wrong = Mutex::new(Vec::new());
+    let never = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for thread in 0..4u64 {
+            let (f, held, wrong, never) = (&f, &held, &wrong, &never);
+            s.spawn(move || {
+                for i in 0..60u64 {
+                    let opener = thread * 1_000 + i + 1;
+                    let write = (i + thread) % 2 == 0;
+                    let wanted = if write { TokenKind::Write } else { TokenKind::Read };
+                    let (decision, _) = open_waiting(f, CLIP, wanted, opener, never);
+                    if !matches!(decision, OpenDecision::Approved { .. }) {
+                        wrong.lock().unwrap().push(format!("opener {opener}: {decision:?}"));
+                        continue;
+                    }
+                    {
+                        let mut held = held.lock().unwrap();
+                        if write {
+                            held.1 += 1;
+                        } else {
+                            held.0 += 1;
+                        }
+                        if held.1 > 0 && *held != (0, 1) {
+                            wrong.lock().unwrap().push(format!("readers, writers: {held:?}"));
+                        }
+                    }
+                    std::thread::yield_now();
+                    let wrote = write && i % 4 == 0;
+                    if wrote {
+                        f.admin.write_file(&dlfm, CLIP, format!("v{opener}").as_bytes()).unwrap();
+                    }
+                    {
+                        let mut held = held.lock().unwrap();
+                        if write {
+                            held.1 -= 1;
+                        } else {
+                            held.0 -= 1;
+                        }
+                    }
+                    f.server.close_notify(CLIP, opener, wrote, 5, opener).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
+    assert!(f.server.repository().sync_entries(CLIP).is_empty());
+    assert!(f.server.repository().get_uip(CLIP).is_none());
+}
+
+/// Strict link: a registration of an open racing a link branch of its
+/// file is refused, or the link sees it and is refused — never both
+/// granted while the branch is undecided.
+#[test]
+fn a_strict_registration_racing_a_link_is_refused_or_seen() {
+    const CLIP: &str = "/data/clip.mpg";
+    let mut cfg = DlfmConfig::new("srv1");
+    cfg.strict_link = true;
+    let f = fixture_with(cfg);
+
+    // Fixed cuts: a live branch refuses the registration; a registration
+    // refuses the link.
+    f.server.link_file(1, CLIP, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
+    let err = f.server.register_open(CLIP, ALICE.uid, 7).unwrap_err();
+    assert!(err.contains("being linked"), "{err}");
+    f.server.abort_host(1);
+    f.server.register_open(CLIP, ALICE.uid, 7).unwrap();
+    let err = f.server.link_file(2, CLIP, ControlMode::Rdd, true, OnUnlink::Restore).unwrap_err();
+    assert!(err.contains("open"), "{err}");
+    f.server.unregister_open(CLIP, 7);
+
+    // Free-running: a registration and a link start together; the branch
+    // is decided only after both answered.
+    for round in 0..150u64 {
+        let (txid, opener) = (10 + round, 100 + round);
+        let (linked, registered) = std::thread::scope(|s| {
+            let registrar = s.spawn(|| f.server.register_open(CLIP, ALICE.uid, opener));
+            let linked = f.server.link_file(txid, CLIP, ControlMode::Rdd, true, OnUnlink::Restore);
+            (linked, registrar.join().unwrap())
+        });
+        assert!(
+            linked.is_err() || registered.is_err(),
+            "round {round}: a registration and a link both granted"
+        );
+        assert!(linked.is_ok() || registered.is_ok(), "round {round}: both refused");
+        if linked.is_ok() {
+            f.server.abort_host(txid);
+        } else {
+            f.server.unregister_open(CLIP, opener);
+        }
+    }
+    assert!(f.server.repository().sync_entries(CLIP).is_empty());
+}

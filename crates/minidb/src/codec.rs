@@ -268,7 +268,6 @@ pub fn put_schema(enc: &mut Enc, schema: &Schema) {
         enc.put_bool(col.nullable);
     }
     enc.put_u32(schema.primary_key as u32);
-    enc.put_bool(schema.unlogged);
 }
 
 pub fn get_schema(dec: &mut Dec<'_>) -> DbResult<Schema> {
@@ -285,8 +284,7 @@ pub fn get_schema(dec: &mut Dec<'_>) -> DbResult<Schema> {
     if primary_key >= columns.len() {
         return Err(DbError::Corrupt("primary key index out of range".into()));
     }
-    let unlogged = dec.get_bool()?;
-    Ok(Schema { table, columns, primary_key, unlogged })
+    Ok(Schema { table, columns, primary_key })
 }
 
 #[cfg(test)]
@@ -373,13 +371,11 @@ mod tests {
             "id",
         )
         .unwrap();
-        for schema in [schema.clone(), schema.unlogged()] {
-            let mut enc = Enc::new();
-            put_schema(&mut enc, &schema);
-            let bytes = enc.into_bytes();
-            let mut dec = Dec::new(&bytes);
-            assert_eq!(get_schema(&mut dec).unwrap(), schema);
-        }
+        let mut enc = Enc::new();
+        put_schema(&mut enc, &schema);
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        assert_eq!(get_schema(&mut dec).unwrap(), schema);
     }
 
     #[test]

@@ -1139,85 +1139,19 @@ mod tests {
         assert_eq!(db.durable_lsn(), lsn, "a 2PC decision never rides unforced");
     }
 
-    // --- unlogged tables -------------------------------------------------------
-
-    /// `t` (logged) beside `u` (unlogged, indexed on `val`).
-    fn db_with_unlogged(env: StorageEnv) -> Database {
-        let db = Database::open(env).unwrap();
-        db.create_table(schema("t")).unwrap();
-        db.create_table(schema("u").unlogged()).unwrap();
-        db.create_index("u", "val").unwrap();
-        db
-    }
-
-    /// `u` as every recovery path must leave it: there, indexed, empty.
-    fn assert_unlogged_table_empty(db: &Database) {
-        let tables = db.inner.tables.read();
-        let u = tables.get("u").expect("unlogged table survives as DDL");
-        assert!(u.schema.unlogged);
-        assert!(u.has_index("val"));
-        assert!(u.is_empty(), "unlogged rows must not survive");
-    }
-
     #[test]
-    fn unlogged_only_commit_skips_the_log_but_is_visible() {
-        let db = db_with_unlogged(StorageEnv::mem());
-        let (tail, durable) = (db.state_id(), db.durable_lsn());
-        let syncs = db.wal_telemetry().fsync_ns.snapshot().count;
-
-        let mut tx = db.begin();
-        tx.insert("u", row(1, "open")).unwrap();
-        assert_eq!(tx.commit().unwrap(), tail, "returns the unchanged tail");
-        let mut tx = db.begin();
-        tx.update("u", &Value::Int(1), row(1, "still-open")).unwrap();
-        tx.commit().unwrap();
-
-        assert_eq!((db.state_id(), db.durable_lsn()), (tail, durable), "no log bytes");
-        assert_eq!(db.wal_telemetry().fsync_ns.snapshot().count, syncs, "no device sync");
-        assert_eq!(
-            db.get_committed("u", &Value::Int(1)).unwrap(),
-            Some(row(1, "still-open").into())
-        );
-        assert_eq!(
-            db.find_committed("u", "val", &Value::Text("still-open".into())).unwrap(),
-            vec![Value::Int(1)]
-        );
-    }
-
-    #[test]
-    fn unlogged_writes_still_lock_their_rows() {
-        use crate::lock::{LockMode, LockRes};
-        let db = db_with_unlogged(StorageEnv::mem());
-        let mut holder = db.begin();
-        holder.insert("u", row(1, "mine")).unwrap();
-
-        let reader = db.begin();
-        let res = LockRes::row("u", &Value::Int(1));
-        assert!(
-            !db.inner.locks.try_lock(reader.id(), res, LockMode::Shared),
-            "the writer's X lock is held until its commit"
-        );
-        holder.commit().unwrap();
-        assert_eq!(reader.get("u", &Value::Int(1)).unwrap(), Some(row(1, "mine").into()));
-    }
-
-    #[test]
-    fn mixed_commit_logs_only_the_logged_ops() {
+    fn a_commit_logs_and_applies_its_ops_in_statement_order() {
         let env = StorageEnv::mem();
-        let db = db_with_unlogged(env.clone());
+        let db = Database::open(env.clone()).unwrap();
+        db.create_table(schema("t")).unwrap();
         let before = db.state_id();
         let mut tx = db.begin();
-        tx.insert("u", row(1, "transient")).unwrap();
         tx.insert("t", row(1, "durable")).unwrap();
         tx.update("t", &Value::Int(1), row(1, "durable too")).unwrap();
-        tx.delete("u", &Value::Int(1)).unwrap();
         tx.insert("t", row(2, "gone")).unwrap();
-        tx.insert("u", row(2, "kept")).unwrap();
         tx.delete("t", &Value::Int(2)).unwrap();
         tx.commit().unwrap();
-        // Both parts applied, each in statement order.
         assert_eq!(db.scan_committed("t").unwrap(), vec![row(1, "durable too")]);
-        assert_eq!(db.scan_committed("u").unwrap(), vec![row(2, "kept")]);
 
         let frames = db.wal_reader().read_from(before).unwrap();
         let [(_, WalRecord::Commit { ops, .. })] = &frames.records[..] else {
@@ -1240,32 +1174,5 @@ mod tests {
         drop(db);
         let db = Database::open(env).unwrap();
         assert_eq!(db.scan_committed("t").unwrap(), vec![row(1, "durable too")]);
-        assert_unlogged_table_empty(&db);
-    }
-
-    #[test]
-    fn unlogged_table_is_empty_after_every_way_back() {
-        let env = StorageEnv::mem();
-        let db = db_with_unlogged(env.clone());
-        let mut tx = db.begin();
-        tx.insert("t", row(1, "durable")).unwrap();
-        tx.insert("u", row(1, "transient")).unwrap();
-        let lsn = tx.commit().unwrap();
-
-        // Crash + replay of the log.
-        assert_unlogged_table_empty(&Database::open(env.fork().unwrap()).unwrap());
-        // Backup, restored to the newest state and to a point in time.
-        let backup = db.backup().unwrap();
-        assert_unlogged_table_empty(&crate::backup::restore_latest(&backup).unwrap());
-        let at = crate::backup::restore_to_lsn(&backup, lsn).unwrap();
-        assert_eq!(at.count("t").unwrap(), 1);
-        assert_unlogged_table_empty(&at);
-        // Snapshot with the log below it truncated away; the live stores
-        // keep their rows across the checkpoint.
-        db.checkpoint_and_truncate().unwrap();
-        assert_eq!(db.count("u").unwrap(), 1);
-        let reopened = Database::open(env.fork().unwrap()).unwrap();
-        assert_eq!(reopened.count("t").unwrap(), 1);
-        assert_unlogged_table_empty(&reopened);
     }
 }

@@ -43,7 +43,7 @@ pub enum DbError {
     },
     /// The database follows a primary: its log takes shipped frames and
     /// checkpoint images only, so it refuses local logged writes, DDL and
-    /// checkpoints until promoted (writes to unlogged tables commit).
+    /// checkpoints until promoted: every transaction that writes.
     Following,
     /// Underlying storage failure.
     Io(String),

@@ -26,14 +26,6 @@
 //!   Manager", votes on an unlink with a forced row of its own (its
 //!   intent) and on a link with its reply alone, and ends its branch with
 //!   an ordinary commit.
-//! * **Unlogged tables** — a table created with [`Schema::unlogged()`] keeps
-//!   2PL and commit-time visibility but its rows never reach the log, a
-//!   snapshot or a standby; a transaction that wrote nothing else commits
-//!   without a log force. It is empty after every recovery or restore —
-//!   the class for state a crash invalidates anyway (DLFM's token entries
-//!   and Sync table describe open descriptors). A follower commits unlogged
-//!   rows of its own, and keeps them across a checkpoint install and its
-//!   promotion.
 //! * **Coordinator hooks** — external resource managers enlist in a host
 //!   transaction via [`Participant`] and are told its decision, logged
 //!   first; there is no prepare round, and the rows the decision carries

@@ -438,9 +438,9 @@ mod tests {
         let lm = LockManager::new();
         let key = Value::Text("/docs/a.bin".into());
         lm.lock(1, LockRes::row("dl_files", &key), LockMode::Exclusive).unwrap();
-        assert!(lm.try_lock(2, LockRes::row("dl_sync", &key), LockMode::Exclusive));
+        assert!(lm.try_lock(2, LockRes::row("dl_uip", &key), LockMode::Exclusive));
         assert!(!lm.try_lock(2, LockRes::row("dl_files", &key), LockMode::Shared));
-        assert_ne!(LockRes::table("dl_files"), LockRes::table("dl_sync"));
+        assert_ne!(LockRes::table("dl_files"), LockRes::table("dl_uip"));
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! Following is a *mode* of the one database type. A follower
 //! ([`Database::open_follower`]) opens with the primary's open sequence
 //! under the primary's [`DbOptions`], refuses local logged writes, DDL and
-//! checkpoints ([`DbError::Following`]), keeps its rows once, in its own
-//! tables, and serves reads through the ordinary read path. A transaction
-//! that writes unlogged tables only appends nothing, so a follower commits
-//! it like a primary: those rows are the follower's own, kept across a
-//! checkpoint install and a promotion.
+//! checkpoints ([`DbError::Following`]) — every transaction that writes —
+//! keeps its rows once, in its own tables, and serves reads through the
+//! ordinary read path.
 //! [`Database::apply`] appends shipped bytes verbatim to its ordinary log
 //! (byte-identical to the primary's over the shared LSN range) and redoes
 //! them by the one recovery rule; [`Database::promote`] flips the mode in
@@ -313,7 +311,7 @@ impl Database {
 
     /// Installs a primary checkpoint image (delta catch-up): persists it to
     /// the follower's own slot, resets the log to empty at its base and
-    /// adopts its tables, keeping the follower's own unlogged rows. Returns
+    /// adopts its tables. Returns
     /// `false`, changing nothing, when the follower is already at or past
     /// the image. Crash-safe: the image is durable before the reset, and
     /// the next open finishes a reset a crash interrupted.
@@ -329,16 +327,7 @@ impl Database {
         let dev = inner.env.device(slot_for_generation(snap.generation))?;
         write_snapshot(&dev, snap.into())?;
         inner.wal.reset_to(snap.base_lsn)?;
-        // The image holds no unlogged rows; the follower's own carry over.
-        let mut tables = inner.tables.write();
-        let mut image = snap.tables.clone();
-        for (name, store) in image.iter_mut().filter(|(_, store)| store.schema.unlogged) {
-            for (_, row) in tables.get(name).into_iter().flat_map(|own| own.iter()) {
-                store.apply_insert(row.clone());
-            }
-        }
-        *tables = image;
-        drop(tables);
+        *inner.tables.write() = snap.tables.clone();
         inner.next_txid.fetch_max(snap.next_txid, Ordering::SeqCst);
         inner.note_snapshot(snap.generation, dev.len()?);
         state.applied = snap.base_lsn;
@@ -350,10 +339,9 @@ impl Database {
     /// Ends following in place: drains and joins the snapshotter, then
     /// flips the mode, so local logged transactions, DDL and checkpoints run
     /// from here on — on the tables, log and transaction-id horizon the
-    /// follower applied, which is what a recovery of its disks would reach,
-    /// plus the unlogged rows it committed itself. The
-    /// caller fences the shipper first; a range shipped after the flip is
-    /// refused. A no-op on a primary.
+    /// follower applied, which is what a recovery of its disks would reach.
+    /// The caller fences the shipper first; a range shipped after the flip
+    /// is refused. A no-op on a primary.
     pub fn promote(&self) -> DbResult<()> {
         self.snapshotter.stop();
         let follow = &self.inner.follow;
@@ -797,52 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn unlogged_rows_reach_no_standby_by_frames_or_by_image() {
-        let db = Database::open(StorageEnv::mem()).unwrap();
-        db.create_table(schema("t")).unwrap();
-        db.create_table(schema("u").unlogged()).unwrap();
-        db.create_index("u", "v").unwrap();
-        let mut tx = db.begin();
-        tx.insert("t", row(1, "durable")).unwrap();
-        tx.insert("u", row(1, "transient")).unwrap();
-        tx.commit().unwrap();
-
-        // A follower that commits an unlogged row of its own, then falls
-        // behind a truncation.
-        let installed = follower(StorageEnv::mem());
-        ship_all(&db, &installed);
-        let mut tx = installed.begin();
-        tx.insert("u", row(2, "own")).unwrap();
-        tx.commit().unwrap();
-        let mut tx = db.begin();
-        tx.insert("t", row(2, "durable")).unwrap();
-        tx.insert("u", row(3, "transient")).unwrap();
-        tx.commit().unwrap();
-
-        // Frame shipping, then promotion.
-        let tailing = follower(StorageEnv::mem());
-        ship_all(&db, &tailing);
-        // Checkpoint install (the frames are gone), then promotion.
-        db.checkpoint_and_truncate().unwrap();
-        ship_all(&db, &installed);
-        assert!(installed.wal_base_lsn() > 0, "caught up from the image");
-
-        for (standby, own) in [(tailing, 0), (installed, 1)] {
-            assert_eq!(standby.count("t").unwrap(), 2);
-            assert_eq!(standby.count("u").unwrap(), own);
-            standby.promote().unwrap();
-            let promoted = &standby;
-            assert_eq!(promoted.count("t").unwrap(), 2);
-            assert!(promoted.schema("u").unwrap().unlogged);
-            assert_eq!(promoted.count("u").unwrap(), own, "the follower's own rows only");
-            assert!(promoted.inner.tables.read()["u"].has_index("v"));
-            let found = promoted.find_committed("u", "v", &Value::Text("own".into())).unwrap();
-            assert_eq!(found.len(), own, "an own row is indexed in the installed image");
-        }
-        assert_eq!(db.count("u").unwrap(), 2, "the live primary keeps its rows");
-    }
-
-    #[test]
     fn wait_applied_times_out_and_wakes() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
@@ -869,7 +811,6 @@ mod tests {
     fn follower_refuses_local_writes_until_promoted_in_place() {
         let db = Database::open(StorageEnv::mem()).unwrap();
         db.create_table(schema("t")).unwrap();
-        db.create_table(schema("s").unlogged()).unwrap();
         let mut shipped = Vec::new();
         for i in 0..3i64 {
             let mut tx = db.begin();
@@ -884,17 +825,13 @@ mod tests {
         let mut tx = standby.begin();
         tx.insert("t", row(10, "local")).unwrap();
         assert_eq!(tx.commit(), Err(DbError::Following));
-        // One logged row refuses the whole transaction, its unlogged row too.
         let mut tx = standby.begin();
-        tx.insert("s", row(1, "session")).unwrap();
         tx.insert("t", row(11, "local")).unwrap();
-        assert_eq!(tx.commit(), Err(DbError::Following));
-        assert_eq!(standby.count("s").unwrap(), 0);
-        // Unlogged rows only: nothing to log, so the follower commits them.
-        let mut tx = standby.begin();
-        tx.insert("s", row(2, "session")).unwrap();
+        assert_eq!(tx.commit_unforced(), Err(DbError::Following), "unforced too");
+        // A read-only transaction logs nothing, so it commits.
+        let tx = standby.begin();
+        assert_eq!(tx.get("t", &Value::Int(0)).unwrap(), Some(row(0, "shipped").into()));
         assert_eq!(tx.commit(), Ok(tail));
-        assert_eq!(standby.count("s").unwrap(), 1);
         assert_eq!(standby.create_table(schema("u")), Err(DbError::Following));
         assert_eq!(standby.checkpoint(), Err(DbError::Following));
         assert_eq!((standby.applied_lsn(), standby.state_id()), (applied, tail), "nothing logged");
@@ -910,7 +847,6 @@ mod tests {
         standby.create_table(schema("u")).unwrap();
         standby.checkpoint().unwrap();
         assert_eq!(standby.count("t").unwrap(), 4);
-        assert_eq!(standby.count("s").unwrap(), 1, "its own unlogged row outlives the flip");
         // The promoted database no longer takes shipped state.
         assert!(standby.apply(&db.wal_reader().read_from(0).unwrap()).is_err());
     }

@@ -13,11 +13,10 @@
 //! ([`crate::wal::Wal::truncate_below`]): nothing recovery needs can hide
 //! in the truncated prefix.
 //!
-//! Format version 3 records each table's logged/unlogged class in its
-//! schema and writes an unlogged table's schema and indexed columns but
-//! **no rows** — the log never carried them either, so every path that
-//! rebuilds state from an image (recovery, checkpoint shipping, standby
-//! promotion, backup, point-in-time restore) yields the table empty.
+//! Format version 3 recorded a logged/rowless class in each table's
+//! schema; format version 7 drops it with the class — every table's rows
+//! are in the image. (DLFM's open-file state, the class's one user, lives
+//! in memory outside the database.)
 //!
 //! Format version 5 dropped what versions 2–4 carried for the coordinator's
 //! side of 2PC — a map of transaction outcomes, and with each prepared
@@ -51,7 +50,7 @@ use crate::table::TableStore;
 use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];
@@ -238,10 +237,6 @@ pub fn write_snapshot(dev: &Arc<dyn Device>, snap: SnapshotSource<'_>) -> DbResu
         for col in &indexed {
             body.put_str(col);
         }
-        if store.schema.unlogged {
-            body.put_u32(0);
-            continue;
-        }
         body.put_u32(store.len() as u32);
         for (_, row) in store.iter() {
             put_row(&mut body, row);
@@ -355,36 +350,11 @@ mod tests {
         assert_eq!(snap.next_txid, 10);
         let movies = &snap.tables["movies"];
         assert_eq!(movies.len(), 2);
-        assert!(movies.has_index("title"));
+        assert_eq!(movies.indexed_columns(), ["title"]);
         assert_eq!(
             movies.find_equal("title", &Value::Text("Brazil".into())).unwrap(),
             vec![Value::Int(2)]
         );
-    }
-
-    #[test]
-    fn unlogged_table_keeps_schema_and_indexes_but_no_rows() {
-        let schema = Schema::new(
-            "opens",
-            vec![Column::new("id", ColumnType::Int), Column::new("path", ColumnType::Text)],
-            "id",
-        )
-        .unwrap()
-        .unlogged();
-        let mut store = TableStore::new(schema);
-        store.create_index("path").unwrap();
-        store.apply_insert(vec![Value::Int(1), Value::Text("/f".into())].into());
-        let mut snap = sample();
-        snap.tables.insert("opens".to_string(), store);
-
-        let dev: Arc<dyn Device> = Arc::new(MemDevice::new());
-        write_snapshot(&dev, (&snap).into()).unwrap();
-        let read = read_snapshot(&dev).unwrap().expect("valid snapshot");
-        let opens = &read.tables["opens"];
-        assert!(opens.schema.unlogged);
-        assert!(opens.has_index("path"));
-        assert!(opens.is_empty(), "unlogged rows never reach an image");
-        assert_eq!(read.tables["movies"].len(), 2, "logged tables are unaffected");
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl TableStore {
         Ok(())
     }
 
-    /// True if `column` has a secondary index.
-    pub fn has_index(&self, column: &str) -> bool {
-        self.schema.column_index(column).is_some_and(|c| self.indexes.contains_key(&c))
-    }
-
     pub fn get(&self, key: &Value) -> Option<&SharedRow> {
         self.rows.get(key)
     }
@@ -203,7 +198,7 @@ mod tests {
         s.apply_insert(emp(2, "eng"));
         s.apply_insert(emp(3, "sales"));
         s.create_index("dept").unwrap();
-        assert!(s.has_index("dept"));
+        assert_eq!(s.indexed_columns(), ["dept"]);
 
         let eng = s.find_equal("dept", &Value::Text("eng".into())).unwrap();
         assert_eq!(eng, vec![Value::Int(1), Value::Int(2)]);

@@ -19,9 +19,7 @@ enum TxnState {
 
 /// An open transaction. Writes are buffered privately (deferred update) and
 /// applied to the shared stores at commit, after the commit record is
-/// durable (or merely logged, for [`Txn::commit_unforced`]). Writes to
-/// unlogged tables ([`crate::Schema::unlogged()`]) take the same locks and
-/// are applied at the same point, but stay out of the log.
+/// durable (or merely logged, for [`Txn::commit_unforced`]).
 /// Dropping an unfinished transaction aborts it.
 pub struct Txn {
     db: Database,
@@ -30,8 +28,8 @@ pub struct Txn {
     /// = deleted). A transaction writes few tables, so a lookup compares
     /// table names and allocates nothing.
     overlay: Vec<(String, Pending)>,
-    /// Ordered op list, applied to the stores at commit; the commit record
-    /// carries the ones on logged tables ([`Txn::split_ops`]).
+    /// Ordered op list: the commit record carries it, and the commit
+    /// applies it to the stores.
     ops: Vec<RowOp>,
     state: TxnState,
 }
@@ -309,25 +307,14 @@ impl Txn {
         Ok(())
     }
 
-    /// Moves the buffered ops out, split into the redo ops and the writes
-    /// to unlogged tables, whose rows recovery is meant to lose. Each part
-    /// keeps statement order (so each table's ops stay in order).
-    fn split_ops(&mut self) -> (Vec<RowOp>, Vec<RowOp>) {
-        let tables = self.db.inner.tables.read();
-        std::mem::take(&mut self.ops)
-            .into_iter()
-            .partition(|op| !tables.get(op.table()).is_some_and(|store| store.schema.unlogged))
-    }
-
     // --- Coordinator commit ----------------------------------------------------
 
     /// Commits: logs the commit decision (with redo ops), applies to the
     /// shared stores, then tells any enlisted participants. Returns the
     /// commit LSN — the database state identifier the archive tags file
-    /// versions with (§4.4). A transaction with nothing to redo and no
-    /// participants (read-only, or writing unlogged tables only) appends
-    /// nothing and returns the current tail — on a follower too, whose log
-    /// holds the primary's bytes only. A transaction that would log
+    /// versions with (§4.4). A read-only transaction with no participants
+    /// appends nothing and returns the current tail — on a follower too,
+    /// whose log holds the primary's bytes only. A transaction that wrote
     /// anything fails with [`DbError::Following`] on a follower, changing
     /// nothing; one the host aborted undecided
     /// ([`Database::abort_undecided`]) fails with [`DbError::Aborted`].
@@ -354,10 +341,10 @@ impl Txn {
 
     fn commit_inner(mut self, force: bool) -> DbResult<Lsn> {
         self.ensure_active()?;
-        let (logged, unlogged) = self.split_ops();
+        let ops = std::mem::take(&mut self.ops);
         // The log write is for recovery: with no redo ops and no
         // participants awaiting an outcome there is nothing to log.
-        let logs = !logged.is_empty() || self.db.has_participants(self.id);
+        let logs = !ops.is_empty() || self.db.has_participants(self.id);
         if logs {
             self.db.refuse_if_following()?; // dropping `self` aborts
         }
@@ -370,7 +357,7 @@ impl Txn {
         // skips it.
         let latch = logs.then(|| inner.commit_latch.read());
         let Enlisted { participants, aborted } = self.db.take_participants(self.id);
-        let record = WalRecord::Commit { txid: self.id, ops: logged };
+        let record = WalRecord::Commit { txid: self.id, ops };
         let decided = if aborted {
             Err(DbError::Aborted(format!("tx{} lost a participant's branch", self.id)))
         } else if logs {
@@ -395,12 +382,12 @@ impl Txn {
                 return Err(e);
             }
         };
-        // The logged ops go to the stores as the record carried them: the
-        // rows the statements buffered, moved, not copied.
-        let WalRecord::Commit { ops: logged, .. } = record else { unreachable!("a commit") };
-        if !logged.is_empty() || !unlogged.is_empty() {
+        // The ops go to the stores as the record carried them: the rows
+        // the statements buffered, moved, not copied.
+        let WalRecord::Commit { ops, .. } = record else { unreachable!("a commit") };
+        if !ops.is_empty() {
             let mut tables = inner.tables.write();
-            for op in logged.into_iter().chain(unlogged) {
+            for op in ops {
                 apply_op(&mut tables, op)?;
             }
         }

@@ -235,11 +235,6 @@ pub struct Schema {
     pub columns: Vec<Column>,
     /// Index into `columns` of the primary-key column.
     pub primary_key: usize,
-    /// An unlogged table's rows never reach the log or a snapshot: commits
-    /// apply them to the live stores only, so the table (its schema and
-    /// indexes are logged DDL) comes back empty after any crash, failover
-    /// or restore. For state that recovery would discard anyway.
-    pub unlogged: bool,
 }
 
 impl Schema {
@@ -258,14 +253,7 @@ impl Schema {
         if names.len() != columns.len() {
             return Err(format!("duplicate column names in table {table}"));
         }
-        Ok(Schema { table: table.to_string(), columns, primary_key, unlogged: false })
-    }
-
-    /// Declares the table unlogged; the field of the same name says what
-    /// that means.
-    pub fn unlogged(mut self) -> Self {
-        self.unlogged = true;
-        self
+        Ok(Schema { table: table.to_string(), columns, primary_key })
     }
 
     /// Index of column `name`.

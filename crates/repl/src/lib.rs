@@ -31,8 +31,8 @@
 //! A replica runs the primary's two read-side functions. Token admission
 //! ([`Repository::admit_token`]) checks the token *cryptographically* (same
 //! HMAC secret the engine mints with) and records the token entry in the
-//! replicated repository's unlogged `dl_tokens` table: a follower commits
-//! unlogged rows of its own, since they never reach the log it applies.
+//! replica's own in-memory `dl_dlfm::OpenTable` (a follower writes nothing
+//! locally), which the replica's promotion hands to the promoted server.
 //! The committed read ([`Repository::read_committed`]) serves the node's
 //! archive store at the file's replicated `cur_version`. The DataLinks
 //! engine serializes validation per node — primary or replica — through a
@@ -239,8 +239,8 @@ impl std::ops::Deref for Follower {
 /// admits tokens and serves committed reads with the primary's own code.
 pub struct Standby {
     follower: Arc<Follower>,
-    /// The replicated repository. Its token entries are the follower's own
-    /// unlogged rows: they ship nowhere, and a promotion keeps them.
+    /// The replicated repository. Its token entries are in its own open
+    /// table: they ship nowhere, and a promotion hands them over.
     repo: Repository,
     /// The node's one archive store, the primary's.
     archive: Arc<ArchiveStore>,
@@ -651,8 +651,8 @@ impl<S> ReplicaSet<S> {
     /// Opens the followers (in memory, syncing and configured like the
     /// primary), wraps each into the set's member type, spawns the one
     /// shipper that feeds them and ships one round before returning — so a
-    /// standby holds the repository's schema (its `dl_tokens` table among
-    /// it) before anyone can route a validation to it.
+    /// standby holds the repository's schema before anyone can route a read
+    /// to it.
     fn provision(
         name: &str,
         feed: ReplicationFeed,

@@ -643,7 +643,7 @@ fn crash_between_commit_and_archive_recovers_version() {
     assert_eq!(archived.unwrap().data, b"committed v2");
 }
 
-/// Token entries and Sync rows are unlogged (they describe open
+/// Token entries and Sync entries live in DLFM's memory (they describe open
 /// descriptors): a crash with a write open granted loses both — and nothing
 /// recovery needs. The file's write-grant attributes still drive the
 /// rollback, the surviving token string must be validated afresh before it

@@ -32,8 +32,8 @@ const BURST_CLIENTS: usize = 16;
 /// with no host wired, the repository's own commit is the update's commit
 /// point — the occupancy that makes a burst hold many heads at once. The archive copy is taken inside
 /// the close, so the next open of the file is never `Busy`. The claim is
-/// an unforced append, and token entries and Sync rows are unlogged: they
-/// park nobody.
+/// an unforced append, and token entries and Sync entries live in DLFM's
+/// memory: they park nobody.
 fn slow_repo_server(width: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));

@@ -103,55 +103,33 @@ impl Participant for Yes {
     fn abort(&self, _txid: TxId) {}
 }
 
-/// What recovery must agree on, whichever way a database came back:
-/// committed rows of `t` and how many rows the unlogged twin `u` kept
-/// (none).
-#[derive(Debug, PartialEq)]
-struct Recovered {
-    rows: Vec<Row>,
-    unlogged_rows: usize,
-}
-
-impl Recovered {
-    fn of_database(db: &Database) -> Recovered {
-        Recovered { rows: db.scan_committed("t").unwrap(), unlogged_rows: db.count("u").unwrap() }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Committed-state equivalence with a model across commits, aborts,
-    /// checkpoints and crashes. Every transaction mirrors its ops into an
-    /// unlogged twin table `u`: live, `u` follows its own model like any
-    /// table; across a crash it is empty while `t` is untouched.
+    /// checkpoints and crashes.
     #[test]
     fn recovery_matches_model(steps in proptest::collection::vec(step_strategy(), 1..25)) {
         let env = StorageEnv::mem();
         let mut db = Database::open(env.clone()).unwrap();
         db.create_table(schema("t")).unwrap();
-        db.create_table(schema("u").unlogged()).unwrap();
         let mut model: BTreeMap<i64, String> = BTreeMap::new();
-        let mut model_u: BTreeMap<i64, String> = BTreeMap::new();
 
         for step in steps {
             match step {
                 Step::Txn { ops, commit } => {
                     let mut tx = db.begin();
                     let mut shadow = model.clone();
-                    let mut shadow_u = model_u.clone();
                     let mut ok = true;
                     for op in &ops {
-                        ok = apply_op(&mut tx, "t", op, &mut shadow).is_ok()
-                            && apply_op(&mut tx, "u", op, &mut shadow_u).is_ok();
-                        if !ok {
+                        if apply_op(&mut tx, "t", op, &mut shadow).is_err() {
+                            ok = false;
                             break;
                         }
                     }
                     if ok && commit {
                         tx.commit().unwrap();
                         model = shadow;
-                        model_u = shadow_u;
                     } else {
                         tx.abort();
                     }
@@ -162,19 +140,16 @@ proptest! {
                 Step::Crash => {
                     drop(db);
                     db = Database::open(env.clone()).unwrap();
-                    model_u.clear();
                 }
             }
             // Invariant: committed view == model at every step boundary.
             prop_assert_eq!(&committed(&db, "t"), &model);
-            prop_assert_eq!(&committed(&db, "u"), &model_u);
         }
 
         // Final recovery must also agree.
         drop(db);
         let db = Database::open(env).unwrap();
         prop_assert_eq!(committed(&db, "t"), model);
-        prop_assert!(committed(&db, "u").is_empty());
     }
 
     /// Checkpoint shipping safety: no interleaving of commits, checkpoints,
@@ -184,8 +159,7 @@ proptest! {
     /// checkpoint-image install (when a truncation outran its cursor) — the
     /// end state must be identical either way. `flavours` picks what each
     /// committing step is: a plain commit, a coordinator commit with an
-    /// enlisted participant, an unforced commit or an abort; every one
-    /// mirrors its op into the unlogged twin `u`. At the end the two ways
+    /// enlisted participant, an unforced commit or an abort. At the end the two ways
     /// back — the primary reopened, and the follower (restarted from its
     /// own disks) promoted in place — must be one image.
     #[test]
@@ -196,7 +170,6 @@ proptest! {
         let env = StorageEnv::mem();
         let db = Database::open(env.clone()).unwrap();
         db.create_table(schema("t")).unwrap();
-        db.create_table(schema("u").unlogged()).unwrap();
         let standby_env = StorageEnv::mem();
         let follow = || Database::open_follower(standby_env.clone(), DbOptions::default()).unwrap();
         let mut standby = follow();
@@ -232,13 +205,11 @@ proptest! {
                     let mut tx = db.begin();
                     let txid = tx.id();
                     let tail = db.state_id();
-                    for table in ["t", "u"] {
-                        let _ = match &op {
-                            Op::Insert(k, v) => tx.insert(table, row(*k, v)),
-                            Op::Update(k, v) => tx.update(table, &Value::Int(*k), row(*k, v)),
-                            Op::Delete(k) => tx.delete(table, &Value::Int(*k)),
-                        };
-                    }
+                    let _ = match &op {
+                        Op::Insert(k, v) => tx.insert("t", row(*k, v)),
+                        Op::Update(k, v) => tx.update("t", &Value::Int(*k), row(*k, v)),
+                        Op::Delete(k) => tx.delete("t", &Value::Int(*k)),
+                    };
                     match flavours[step] {
                         0..=3 => {
                             tx.commit().unwrap();
@@ -289,9 +260,8 @@ proptest! {
         drop(db);
         let primary = Database::open(env).unwrap();
         standby.promote().unwrap();
-        let expected = Recovered::of_database(&primary);
-        prop_assert_eq!(expected.unlogged_rows, 0);
-        prop_assert_eq!(&Recovered::of_database(&standby), &expected, "promotion in place");
+        let expected = primary.scan_committed("t").unwrap();
+        prop_assert_eq!(&standby.scan_committed("t").unwrap(), &expected, "promotion in place");
         // The next transaction id handed out: the primary's own checkpoints
         // also count ids that never reached the log (a transaction with
         // nothing to redo), so it may be further along than the promoted

@@ -177,7 +177,7 @@ fn validate_once_at_every_standby(sys: &DataLinksSystem) {
 
 #[test]
 fn fresh_standbys_validate_right_after_assembly_and_after_a_failover_reprovision() {
-    // A standby validates into its follower's `dl_tokens`, which only
+    // A standby serves reads off its follower's schema, which only
     // shipping creates. Provisioning ships one round before it returns, so
     // no routed read meets a standby without it.
     let sys = DataLinksSystem::builder()
@@ -203,8 +203,8 @@ fn fresh_standbys_validate_right_after_assembly_and_after_a_failover_reprovision
 
 #[test]
 fn a_session_validated_at_the_standby_survives_its_promotion() {
-    // A replica's token entries are its follower's own unlogged rows, so
-    // promoting it in place keeps them: a failover does not end the
+    // A replica's token entries are in its own open table, which the
+    // promotion hands to the promoted server: a failover does not end the
     // sessions the promoted replica served.
     let mut sys = build(1, 1);
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
@@ -510,7 +510,7 @@ fn failover_with_a_write_open_the_standby_never_saw_rolls_it_back_by_its_grant_a
 
 #[test]
 fn promoted_standby_starts_without_token_entries_or_sync_rows() {
-    // The unlogged tables never ship: a standby promoted while a write open
+    // Open-file state never ships: a standby promoted while a write open
     // is granted on the primary inherits the shipped UIP row (and rolls the
     // update back) but no token entry and no Sync row.
     let mut sys = build(1, 1);
