@@ -114,8 +114,11 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   exit 1
 fi
 
-# Five lab engine kinds (EXPERIMENTS.md "Writing a scenario"): a10 and a12
-# are `mixed` scenarios, and an engine emits each variant's own metrics
+# Three lab engine kinds (EXPERIMENTS.md "Writing a scenario"): a10 and a12
+# are `mixed` scenarios, a9 and a11 left the lab for tier-1 count gates
+# (device syncs per commit and per update cycle in tests/group_commit.rs,
+# log bytes, image installs and records shipped in tests/replication.rs —
+# gates count, rates are measured), and an engine emits each variant's own metrics
 # (`<metric>_v<i>`) instead of computing comparisons — a comparison between
 # variants is a ratio predicate in the scenario file. The bracketed first
 # letters keep these patterns from matching this file; the last guard
@@ -143,9 +146,10 @@ if grep -rnE '"dl_(sync|tokens)"' crates/*/src \
   exit 1
 fi
 
-step "guard: no replication or front_end lab kind, no readers/reads_per knob, no hand-computed comparison metric in the lab"
-if grep -rnE "Kind::[R]eplication|Kind::[F]rontEnd" crates/ src/ tests/ \
+step "guard: no replication, front_end, commit_throughput or checkpoint_shipping lab kind, no readers/reads_per/commits/updates/budget/delta knob, no hand-computed comparison metric in the lab"
+if grep -rnE "Kind::([R]eplication|[F]rontEnd|[C]ommitThroughput|[C]heckpointShipping)" crates/ src/ tests/ \
   || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
+  || grep -rnE '"([c]ommits|[u]pdates|[b]udget|[d]elta)"' crates/lab crates/bench scenarios/ \
   || tr '\n' ' ' < crates/bench/src/lab.rs \
        | grep -oE 'metrics\s*\.insert\(\s*(format!\()?"[^"]*"' | grep -E "_vs_|speedup|_ratio"; then
   echo "guard: a deleted lab kind or knob, or a hand-computed comparison metric, reappeared (matches above)" >&2
@@ -180,6 +184,10 @@ cargo test --workspace -q --no-fail-fast
 # table races a read open against an unlink branch, read and write opens
 # against each other, and a strict registration against a link branch
 # (dlfm_protocol's `racing` and `concurrent_read_and_write` tests).
+# group_commit and replication also hold the count gates that replaced the
+# lab's a9 and a11 (device syncs per commit and per update cycle; log bytes
+# under a budget, image installs and records shipped on catch-up), so every
+# round re-reads them under a machine the other suites keep busy.
 # One green run proves little about a race; five in a row, failing on the
 # first red.
 step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"

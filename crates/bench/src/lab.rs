@@ -12,11 +12,6 @@
 //!   WAL tail at a crash boundary). a10 (routed reads across a failover)
 //!   and a12 (upcall bursts through a narrow and a wide lane, agent churn)
 //!   are mixed scenarios.
-//! * [`Kind::CommitThroughput`] — the a9 sweep: bare-DB vs full-stack
-//!   commit rate, per-commit sync vs group commit, one variant per
-//!   committer count. Needs a bare-database arm and per-arm WAL options.
-//! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
-//!   and fresh-standby delta catch-up, storage only (no DLFM).
 //! * [`Kind::Sharding`] — the a13 sweep: write-cycle throughput vs shard
 //!   count through the sharded DLFM front, per-commit-sync repository WALs
 //!   beside a free host device, fan-out proven off the per-shard registry
@@ -26,6 +21,12 @@
 //!   `sever_connections` injection cutting live connections mid-2PC; the
 //!   in-doubt claims must resolve by presumed abort with zero atomicity
 //!   violations, proven off the `net.*` registry instruments.
+//!
+//! Group commit (a9) and checkpoint shipping (a11) have no engine: their
+//! gates are counts in tier-1 tests — device syncs per commit and per
+//! update cycle in `tests/group_commit.rs`, log bytes, installs and
+//! records shipped in `tests/replication.rs` — and their rates are the
+//! repo benchmark's to measure.
 //!
 //! An engine measures; it does not judge. Its metric map holds
 //! scenario-wide aggregates — counters summed over every trial, gauges
@@ -63,7 +64,7 @@ use dl_core::{
 use dl_dlfm::{AgentConnection, DlfmClient, FaultInjector, Message, Transport};
 use dl_fskit::{Cred, OpenOptions};
 use dl_lab::{expand, InjectAction, Kind, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec};
-use dl_minidb::{Column, ColumnType, Database, DbOptions, Schema, StorageEnv, Value, WalOptions};
+use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value, WalOptions};
 use dl_obs::{Histogram, HistogramSnapshot, Snapshot};
 
 use crate::experiments::Table;
@@ -96,8 +97,6 @@ pub fn run_scenario(
 ) -> Result<ScenarioRun, String> {
     let plan = expand(sc, quick).map_err(|e| e.to_string())?;
     let mut run = match sc.kind {
-        Kind::CommitThroughput => commit_throughput(sc, &plan),
-        Kind::CheckpointShipping => checkpoint_shipping(sc, &plan),
         Kind::Mixed => mixed(sc, &plan, flight_dump_dir),
         Kind::Sharding => sharding(sc, &plan),
         Kind::WireFrontEnd => wire_front_end(sc, &plan),
@@ -178,334 +177,6 @@ fn need(sc: &Scenario, t: &TrialSpec, knob: &str, v: Option<u64>) -> Result<u64,
 /// The plan's trials, grouped per variant (expansion is variant-major).
 fn per_variant(sc: &Scenario, plan: &Plan) -> Vec<Vec<TrialSpec>> {
     plan.trials.chunks(sc.repeats.max(1) as usize).map(|c| c.to_vec()).collect()
-}
-
-// ===========================================================================
-// commit_throughput — the a9 engine loop
-// ===========================================================================
-
-/// Committed txns/sec of the bare database: `threads` committers each run
-/// `commits` single-row insert transactions against a WAL device with the
-/// given deterministic sync latency.
-fn bare_db_commit_rate(
-    threads: usize,
-    commits: usize,
-    sync_latency_ns: u64,
-    wal: WalOptions,
-) -> f64 {
-    let env = StorageEnv::mem_with_sync_latency(sync_latency_ns);
-    let db = Database::open_with(env, DbOptions { wal, ..Default::default() }).expect("db");
-    db.create_table(
-        Schema::new(
-            "t",
-            vec![Column::new("id", ColumnType::Int), Column::new("v", ColumnType::Int)],
-            "id",
-        )
-        .expect("schema"),
-    )
-    .expect("create table");
-    let elapsed = run_threads(threads, |t| {
-        for k in 0..commits {
-            let mut tx = db.begin();
-            tx.insert("t", vec![Value::Int((t * commits + k) as i64), Value::Int(1)])
-                .expect("insert");
-            tx.commit().expect("commit");
-        }
-    });
-    assert_eq!(db.count("t").expect("count"), threads * commits);
-    (threads * commits) as f64 / elapsed.as_secs_f64()
-}
-
-/// One timed burst of update cycles against `f`: `threads` x `cycles`,
-/// every thread rewriting its own linked file with `size` bytes (write
-/// token → write open → write → close-as-commit); returns cycles/sec.
-fn update_cycle_rate(f: &Fixture, threads: usize, cycles: usize, size: usize) -> f64 {
-    let content = make_content(size);
-    let elapsed = run_threads(threads, |t| {
-        for _ in 0..cycles {
-            f.managed_update_no_wait(t, &content);
-        }
-    });
-    (threads * cycles) as f64 / elapsed.as_secs_f64()
-}
-
-/// Committed open/write/close cycles/sec through the full DataLinks stack:
-/// every cycle drives several repository transactions plus the 2PC host
-/// commit, all over WAL devices with the given sync latency.
-fn stack_commit_rate(threads: usize, cycles: usize, sync_latency_ns: u64, wal: WalOptions) -> f64 {
-    let f = fixture(FixtureOptions {
-        n_files: threads,
-        file_size: 1024,
-        sync_archive: true,
-        db: DbOptions { wal, ..Default::default() },
-        db_sync_latency_ns: sync_latency_ns,
-        ..Default::default()
-    });
-    update_cycle_rate(&f, threads, cycles, 1024)
-}
-
-fn commit_throughput(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    let per_commit = WalOptions::per_commit_sync();
-    let mut rows = Vec::new();
-    let mut metrics = BTreeMap::new();
-    let p0 = &plan.trials[0].params;
-    let (mut title_commits, mut title_cycles) = (0u64, 0u64);
-    let title_sync = p0.sync_latency_us.unwrap_or(0);
-    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
-        let t0 = &trials[0];
-        let p = &t0.params;
-        let threads = need(sc, t0, "threads", p.threads)? as usize;
-        let commits = need(sc, t0, "commits", p.commits)? as usize;
-        let cycles = need(sc, t0, "cycles", p.cycles)? as usize;
-        let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        (title_commits, title_cycles) = (commits as u64, cycles as u64);
-        // The group arm self-tunes its gather window to the committer
-        // count (`WalOptions::tuned_for`): zero delay at one or two
-        // committers (two overlap their syncs instead of gathering), a
-        // bounded window once followers exist to collect.
-        let grouped = WalOptions::tuned_for(threads);
-        // A bare arm runs for a few milliseconds (30 commits at 2 threads
-        // under `--quick`), so one scheduling hiccup on a shared machine
-        // can halve its rate: each bare cell is the best of three runs,
-        // both arms alike.
-        let bare = |wal| {
-            (0..3).map(|_| bare_db_commit_rate(threads, commits, sync_ns, wal)).fold(0.0, f64::max)
-        };
-        let (mut bare_per, mut bare_grp, mut stack_per, mut stack_grp) = (0.0, 0.0, 0.0, 0.0);
-        for _ in trials {
-            bare_per += bare(per_commit);
-            bare_grp += bare(grouped);
-            stack_per += stack_commit_rate(threads, cycles, sync_ns, per_commit);
-            stack_grp += stack_commit_rate(threads, cycles, sync_ns, grouped);
-        }
-        let n = trials.len() as f64;
-        let (bare_per, bare_grp) = (bare_per / n, bare_grp / n);
-        let (stack_per, stack_grp) = (stack_per / n, stack_grp / n);
-        emit_variant(
-            &mut metrics,
-            i,
-            [
-                ("bare_sync_tx_s", bare_per),
-                ("bare_group_tx_s", bare_grp),
-                ("stack_sync_cyc_s", stack_per),
-                ("stack_group_cyc_s", stack_grp),
-            ],
-        );
-        rows.push(vec![
-            t0.variant.clone(),
-            s(format!("{bare_per:.0}")),
-            s(format!("{bare_grp:.0}")),
-            s(format!("{:.2}x", bare_grp / bare_per)),
-            s(format!("{stack_per:.0}")),
-            s(format!("{stack_grp:.0}")),
-            s(format!("{:.2}x", stack_grp / stack_per)),
-        ]);
-    }
-    metrics.insert("variants".into(), rows.len() as f64);
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "commit throughput, per-commit sync vs group commit \
-                 ({title_commits} txns/thread bare, {title_cycles} cycles/thread stack, \
-                 {title_sync} µs device sync)"
-            ),
-            header: vec![
-                s("threads"),
-                s("bare DB commit-sync tx/s"),
-                s("bare DB group tx/s"),
-                s("bare speedup"),
-                s("stack commit-sync cyc/s"),
-                s("stack group cyc/s"),
-                s("stack speedup"),
-            ],
-            rows,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
-}
-
-// ===========================================================================
-// checkpoint_shipping — the a11 engine loop
-// ===========================================================================
-
-/// A primary database shaped like a DLFM repository workload: `rows` hot
-/// rows, updated round-robin with ~130-byte payloads. In this engine's
-/// scenario contract `budget == 0` means *unbounded* (the full-replay
-/// arms need the log intact), which since the self-tuning default maps
-/// to [`DbOptions::NO_AUTO_CHECKPOINT`].
-fn ckpt_primary(rows: usize, budget: u64, sync_latency_ns: u64) -> Database {
-    let env = if sync_latency_ns > 0 {
-        StorageEnv::mem_with_sync_latency(sync_latency_ns)
-    } else {
-        StorageEnv::mem()
-    };
-    let budget = if budget == 0 { DbOptions::NO_AUTO_CHECKPOINT } else { budget };
-    let db = Database::open_with(
-        env,
-        DbOptions { checkpoint_every_bytes: budget, ..Default::default() },
-    )
-    .expect("db");
-    db.create_table(
-        Schema::new(
-            "t",
-            vec![Column::new("id", ColumnType::Int), Column::new("v", ColumnType::Text)],
-            "id",
-        )
-        .expect("schema"),
-    )
-    .expect("create table");
-    let mut tx = db.begin();
-    for i in 0..rows {
-        tx.insert("t", vec![Value::Int(i as i64), Value::Text("seed".into())]).expect("seed");
-    }
-    tx.commit().expect("seed commit");
-    db
-}
-
-fn ckpt_updates(db: &Database, rows: usize, updates: usize) {
-    for u in 0..updates {
-        let id = (u % rows) as i64;
-        let mut tx = db.begin();
-        tx.update("t", &Value::Int(id), vec![Value::Int(id), Value::Text(format!("{u:0>120}"))])
-            .expect("update");
-        tx.commit().expect("commit");
-    }
-}
-
-/// One fresh follower + ship daemon over `db`'s feed — this kind measures
-/// the storage layer, so no DLFM standby around it.
-fn ckpt_standby(
-    db: &Database,
-) -> (Arc<dl_repl::Follower>, dl_repl::Replicator, Arc<dl_repl::ReplStats>) {
-    let fence = Arc::new(dl_repl::EpochFence::new());
-    let stats = Arc::new(dl_repl::ReplStats::default());
-    let feed = db.replication_feed();
-    let standby = Arc::new(
-        dl_repl::Follower::new(
-            "lab#0".into(),
-            StorageEnv::mem(),
-            feed.db_options(),
-            fence,
-            Arc::clone(&stats),
-        )
-        .expect("standby"),
-    );
-    let repl =
-        dl_repl::Replicator::spawn("lab", feed, vec![Arc::clone(&standby)], 0, Arc::clone(&stats));
-    (standby, repl, stats)
-}
-
-fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    const ROWS: usize = 64;
-    let mut rows_out: Vec<Vec<String>> = Vec::new();
-    let mut metrics = BTreeMap::new();
-    let mut lag_drained = 1.0f64;
-    let mut catchup_exact = 1.0f64;
-    let p0 = &plan.trials[0].params;
-    let (title_updates, title_sync) = (p0.updates.unwrap_or(400), p0.sync_latency_us.unwrap_or(0));
-    let mut title_budget = 0u64;
-    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
-        let t0 = &trials[0];
-        let p = &t0.params;
-        let updates = need(sc, t0, "updates", p.updates)? as usize;
-        let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        let budget = p.budget.unwrap_or(0);
-        title_budget = title_budget.max(budget);
-        // The row (and the variant's metrics) report the last trial's
-        // byte and record counts, and the mean catch-up time.
-        let mut last = [0u64; 4];
-        let mut catch_up_sum = 0.0f64;
-        for _ in trials {
-            let (db, standby, _repl, stats) = match p.delta {
-                // Sustained load, budget off vs on: the budget bounds BOTH
-                // logs (trigger slack: one commit past the budget, plus the
-                // Checkpoint record).
-                None => {
-                    let db = ckpt_primary(ROWS, budget, sync_ns);
-                    let (standby, repl, stats) = ckpt_standby(&db);
-                    ckpt_updates(&db, ROWS, updates);
-                    if !repl.wait_caught_up(Duration::from_secs(30)) {
-                        lag_drained = 0.0;
-                    }
-                    (db, standby, repl, stats)
-                }
-                // Fresh-standby catch-up: full replay vs delta (image +
-                // suffix).
-                Some(delta) => {
-                    let db = ckpt_primary(ROWS, 0, sync_ns);
-                    ckpt_updates(&db, ROWS, updates);
-                    if delta {
-                        db.checkpoint_and_truncate().expect("checkpoint");
-                    }
-                    let (standby, repl, stats) = ckpt_standby(&db);
-                    let catch_up = time_once(|| {
-                        if !repl.wait_caught_up(Duration::from_secs(30)) {
-                            lag_drained = 0.0;
-                        }
-                    });
-                    catch_up_sum += catch_up.as_nanos() as f64;
-                    if standby.applied_lsn() != db.durable_lsn() {
-                        catchup_exact = 0.0;
-                    }
-                    (db, standby, repl, stats)
-                }
-            };
-            last = [
-                db.wal_retained_bytes(),
-                standby.wal_retained_bytes(),
-                stats.checkpoints_shipped(),
-                stats.records_shipped(),
-            ];
-        }
-        let [primary_wal, standby_wal, installs, shipped] = last;
-        emit_variant(
-            &mut metrics,
-            i,
-            [
-                ("primary_wal_bytes", primary_wal as f64),
-                ("standby_wal_bytes", standby_wal as f64),
-                ("ckpt_installs", installs as f64),
-                ("records_shipped", shipped as f64),
-            ],
-        );
-        let catch_up = catch_up_sum / trials.len() as f64;
-        if p.delta.is_some() {
-            emit_variant(&mut metrics, i, [("catch_up_ms", catch_up / 1e6)]);
-        }
-        rows_out.push(vec![
-            t0.variant.clone(),
-            s(primary_wal),
-            s(standby_wal),
-            s(installs),
-            s(shipped),
-            if p.delta.is_some() { fmt_ns(catch_up) } else { s("--") },
-        ]);
-    }
-    metrics.insert("lag_drained".into(), lag_drained);
-    metrics.insert("catchup_exact".into(), catchup_exact);
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "checkpoint shipping: WAL bounds and delta catch-up \
-                 ({title_updates} updates over {ROWS} rows, {title_sync} µs device sync, \
-                 {title_budget} B budget)"
-            ),
-            header: vec![
-                s("arm"),
-                s("primary WAL bytes"),
-                s("standby WAL bytes"),
-                s("ckpt installs"),
-                s("records shipped"),
-                s("catch-up"),
-            ],
-            rows: rows_out,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
 }
 
 // ===========================================================================

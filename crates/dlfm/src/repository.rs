@@ -216,7 +216,7 @@ pub struct Repository {
     /// auto-commit write transactions, and the open table's claims, purges
     /// and standalone token entries, which stand where the paper's Sync
     /// and token table updates do.
-    pub update_ops: AtomicU64,
+    update_ops: AtomicU64,
 }
 
 impl Repository {
@@ -301,7 +301,7 @@ impl Repository {
     }
 
     /// Counts one update — called after it took effect, so a call that
-    /// found nothing to change (a `remove_sync` of no entry) or lost a
+    /// found nothing to change (an `end_open` of no entry) or lost a
     /// conflict is not an update.
     fn bump(&self) {
         self.update_ops.fetch_add(1, Ordering::Relaxed);
@@ -508,12 +508,6 @@ impl Repository {
         kind
     }
 
-    /// Purges the Sync-table entry at close (§4.5).
-    pub fn remove_sync(&self, path: &str, opener: u64) -> DbResult<()> {
-        self.end_open(path, opener, true);
-        Ok(())
-    }
-
     /// Sync entries for `path`.
     pub fn sync_entries(&self, path: &str) -> Vec<SyncEntry> {
         self.opens.entries(path)
@@ -589,25 +583,12 @@ impl Repository {
         granted
     }
 
-    /// [`Repository::claim_read`] with its own lookup of the file: false
-    /// when it is not linked.
-    pub fn claim_read_sync(
-        &self,
-        path: &str,
-        opener: u64,
-        uid: u32,
-        token: Option<&AccessToken>,
-    ) -> DbResult<bool> {
-        let unlinks_seen = self.opens.unlinks_ended(path);
-        Ok(self.get_file(path).is_some() && self.claim_read(path, opener, uid, token, unlinks_seen))
-    }
-
     /// Rolls a write claim back (a failed before-image or take-over): removes
     /// the UIP row it inserted, unforced (see [`Repository::remove_uip`]),
     /// and its writer.
     pub fn release_write_claim(&self, path: &str, opener: u64) {
         let _ = self.remove_uip(path);
-        let _ = self.remove_sync(path, opener);
+        self.end_open(path, opener, true);
     }
 
     // --- dl_uip -----------------------------------------------------------------
@@ -719,6 +700,19 @@ mod tests {
         }
     }
 
+    /// A tracked read open as the server makes one: the unlink count is
+    /// read before the file's lookup.
+    fn read_open(
+        r: &Repository,
+        path: &str,
+        opener: u64,
+        uid: u32,
+        token: Option<&AccessToken>,
+    ) -> bool {
+        let unlinks_seen = r.opens().unlinks_ended(path);
+        r.get_file(path).is_some() && r.claim_read(path, opener, uid, token, unlinks_seen)
+    }
+
     #[test]
     fn schema_is_idempotent_across_reopen() {
         let env = StorageEnv::mem();
@@ -784,7 +778,7 @@ mod tests {
         let a = r.sync_entries("/a");
         assert_eq!(a.len(), 2);
         assert!(a.iter().any(|e| e.kind == TokenKind::Write));
-        r.remove_sync("/a", 2).unwrap();
+        r.end_open("/a", 2, true);
         assert_eq!(r.sync_entries("/a").len(), 1);
         assert_eq!(r.sync_entries("/b").len(), 1);
         assert_eq!(r.sync_entries("/c").len(), 0);
@@ -841,7 +835,7 @@ mod tests {
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
         let conflict = r.claim_write_open("/f", 11, 43, false, Some(&token)).unwrap();
         assert!(matches!(conflict, WriteClaim::Conflict));
-        assert!(!r.claim_read_sync("/f", 12, 43, Some(&token)).unwrap());
+        assert!(!read_open(&r, "/f", 12, 43, Some(&token)));
         assert!(!r.check_token_entry(43, "/f", TokenKind::Read, 0));
 
         // Commit the update the way close processing does, then re-claim:
@@ -851,7 +845,7 @@ mod tests {
         r.commit_version_in(&mut txn, "/f", new_version, 99).unwrap();
         r.remove_uip_in(&mut txn, "/f").unwrap();
         txn.commit().unwrap();
-        r.remove_sync("/f", 10).unwrap();
+        r.end_open("/f", 10, true);
 
         let WriteClaim::Granted { entry: fresh, new_version } =
             r.claim_write_open("/f", 20, 42, false, None).unwrap()
@@ -878,8 +872,8 @@ mod tests {
         r.insert_file_in(&mut txn, &entry("/f")).unwrap();
         txn.commit().unwrap();
 
-        assert!(r.claim_read_sync("/f", 1, 7, None).unwrap());
-        assert!(r.claim_read_sync("/f", 2, 8, None).unwrap(), "reads don't conflict with reads");
+        assert!(read_open(&r, "/f", 1, 7, None));
+        assert!(read_open(&r, "/f", 2, 8, None), "reads don't conflict with reads");
         // A full-control write claim sees the read conflict when asked to.
         assert!(matches!(
             r.claim_write_open("/f", 3, 9, true, None).unwrap(),
@@ -902,8 +896,8 @@ mod tests {
         // Token entry, tracked read open, read close: the open table only.
         let tail = r.db().state_id();
         r.put_token_entry(7, "/f", TokenKind::Read, u64::MAX).unwrap();
-        assert!(r.claim_read_sync("/f", 1, 7, None).unwrap());
-        r.remove_sync("/f", 1).unwrap();
+        assert!(read_open(&r, "/f", 1, 7, None));
+        r.end_open("/f", 1, true);
         assert_eq!(r.db().state_id(), tail);
 
         // The write grant's UIP row is logged alone — the writer and the
@@ -930,7 +924,7 @@ mod tests {
         let r = repo();
         let before = r.update_op_count();
         r.register_open("/x", TokenKind::Read, 1, 1).unwrap();
-        r.remove_sync("/x", 1).unwrap();
+        r.end_open("/x", 1, true);
         assert_eq!(r.update_op_count() - before, 2, "one update per sync op (§4.5)");
     }
 }

@@ -1249,7 +1249,7 @@ impl DlfmServer {
         });
         let Some((entry, uip)) = claim else {
             // A strict registration of a write open of an unmanaged file.
-            let _ = self.repo.remove_sync(path, opener);
+            self.repo.end_open(path, opener, true);
             self.bump_epoch();
             return Ok(());
         };
@@ -1259,7 +1259,7 @@ impl DlfmServer {
             // checks the modification time for exactly this).
             let _ = self.repo.remove_uip(path);
             self.release_write_grant(&entry);
-            let _ = self.repo.remove_sync(path, opener);
+            self.repo.end_open(path, opener, true);
             self.bump_epoch();
             return Ok(());
         }
@@ -1284,7 +1284,7 @@ impl DlfmServer {
                 self.rollback_update(path, entry.cur_version);
                 let _ = self.repo.remove_uip(path);
                 self.release_write_grant(&entry);
-                let _ = self.repo.remove_sync(path, opener);
+                self.repo.end_open(path, opener, true);
                 self.bump_epoch();
                 Err(format!("file update transaction aborted: {e}"))
             }
@@ -1441,7 +1441,7 @@ impl DlfmServer {
 
     /// Close of a strict-link registered open.
     pub fn unregister_open(&self, path: &str, opener: u64) {
-        let _ = self.repo.remove_sync(path, opener);
+        self.repo.end_open(path, opener, true);
         self.bump_epoch();
     }
 

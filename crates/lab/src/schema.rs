@@ -45,10 +45,6 @@ impl std::error::Error for SchemaError {}
 /// Which engine loop drives the scenario's trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Bare-DB vs full-stack commit throughput sweep (the a9 shape).
-    CommitThroughput,
-    /// WAL retention budgets and delta catch-up (the a11 shape).
-    CheckpointShipping,
     /// The generic client-mix engine with fault injection points.
     Mixed,
     /// Write-cycle scale-out across DLFM namespace shards (the a13 shape).
@@ -61,8 +57,6 @@ pub enum Kind {
 impl Kind {
     fn parse(s: &str) -> Option<Kind> {
         Some(match s {
-            "commit_throughput" => Kind::CommitThroughput,
-            "checkpoint_shipping" => Kind::CheckpointShipping,
             "mixed" => Kind::Mixed,
             "sharding" => Kind::Sharding,
             "wire_front_end" => Kind::WireFrontEnd,
@@ -73,8 +67,6 @@ impl Kind {
     /// The scenario-file spelling.
     pub fn as_str(&self) -> &'static str {
         match self {
-            Kind::CommitThroughput => "commit_throughput",
-            Kind::CheckpointShipping => "checkpoint_shipping",
             Kind::Mixed => "mixed",
             Kind::Sharding => "sharding",
             Kind::WireFrontEnd => "wire_front_end",
@@ -141,16 +133,12 @@ pub enum InjectAction {
 pub struct Params {
     pub threads: Option<u64>,
     pub shards: Option<u64>,
-    pub commits: Option<u64>,
     pub cycles: Option<u64>,
     pub sync_latency_us: Option<u64>,
     pub replicas: Option<u64>,
     pub host_replicas: Option<u64>,
     pub n_files: Option<u64>,
     pub file_size: Option<u64>,
-    pub updates: Option<u64>,
-    pub budget: Option<u64>,
-    pub delta: Option<bool>,
     pub clients: Option<u64>,
     pub agents: Option<u64>,
     pub pool_max: Option<u64>,
@@ -172,16 +160,12 @@ impl Params {
         pick!(
             threads,
             shards,
-            commits,
             cycles,
             sync_latency_us,
             replicas,
             host_replicas,
             n_files,
             file_size,
-            updates,
-            budget,
-            delta,
             clients,
             agents,
             pool_max,
@@ -426,9 +410,7 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
                     err(
                         file,
                         line,
-                        format!(
-                            "unknown kind {s:?} (expected commit_throughput, checkpoint_shipping, mixed, sharding or wire_front_end)"
-                        ),
+                        format!("unknown kind {s:?} (expected mixed, sharding or wire_front_end)"),
                     )
                 })?);
             }
@@ -544,12 +526,6 @@ fn expect_str<'v>(
     })
 }
 
-fn expect_bool(file: &str, line: usize, key: &str, val: &Value) -> Result<bool, SchemaError> {
-    val.as_bool().ok_or_else(|| {
-        err(file, line, format!("{key:?} must be a boolean, got {}", val.type_name()))
-    })
-}
-
 fn expect_u64(
     file: &str,
     line: usize,
@@ -591,7 +567,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
         match key.as_str() {
             "threads" => p.threads = Some(expect_u64(file, line, key, val, 1, 256)?),
             "shards" => p.shards = Some(expect_u64(file, line, key, val, 1, 64)?),
-            "commits" => p.commits = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "cycles" => p.cycles = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "sync_latency_us" => {
                 p.sync_latency_us = Some(expect_u64(file, line, key, val, 0, 1_000_000)?)
@@ -600,9 +575,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             "host_replicas" => p.host_replicas = Some(expect_u64(file, line, key, val, 0, 8)?),
             "n_files" => p.n_files = Some(expect_u64(file, line, key, val, 1, 65_536)?),
             "file_size" => p.file_size = Some(expect_u64(file, line, key, val, 1, 16 << 20)?),
-            "updates" => p.updates = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
-            "budget" => p.budget = Some(expect_u64(file, line, key, val, 0, 1 << 30)?),
-            "delta" => p.delta = Some(expect_bool(file, line, key, val)?),
             "clients" => p.clients = Some(expect_u64(file, line, key, val, 1, 4096)?),
             "agents" => p.agents = Some(expect_u64(file, line, key, val, 1, 4096)?),
             "pool_max" => p.pool_max = Some(expect_u64(file, line, key, val, 1, 1024)?),

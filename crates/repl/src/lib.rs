@@ -52,8 +52,8 @@
 //! WAL suffix, instead of replaying the primary's whole history. Standbys
 //! also truncate their own logs when a `Checkpoint` record flows through
 //! ordinary shipping, so replica logs stay bounded in lockstep with the
-//! primary's (experiment a11 measures both effects; OPERATIONS.md is the
-//! operator runbook).
+//! primary's (`tests/replication.rs` gates both effects by counts;
+//! OPERATIONS.md §3 is the operator runbook).
 
 #![warn(missing_docs)]
 
@@ -535,8 +535,8 @@ impl Replicator {
         // counters. Taking the cursor lock (held for the whole of
         // `ship_once`) fences that window, so a caller reading stats
         // right after a successful wait sees the totals for everything
-        // applied. (The a11 full-replay arm flaked exactly here: caught
-        // up with `records_shipped() == 0`.)
+        // applied. (A fresh standby's full-replay catch-up flaked exactly
+        // here: caught up with `records_shipped() == 0`.)
         drop(self.core.cursor.lock());
         // Caught up also means *bounded*: each standby truncates its log
         // on its own snapshotter thread after a shipped checkpoint, so

@@ -50,7 +50,7 @@ fn promised_docs_have_their_content() {
                 "freshness",
                 "Front-end capacity",
                 "BENCH_a10",
-                "BENCH_a11",
+                "a_log_budget_bounds_both_logs_and_a_fresh_standby_catches_up_by_delta",
                 "BENCH_a12",
                 "checkpoint_every_bytes",
                 "replication_lag",

@@ -28,7 +28,10 @@ fn scenario_files() -> Vec<PathBuf> {
 #[test]
 fn every_shipped_scenario_parses_and_expands_deterministically() {
     let files = scenario_files();
-    assert!(files.len() >= 8, "expected the a9-a12 ports plus fault scenarios, got {files:?}");
+    assert!(
+        files.len() >= 8,
+        "expected the a10, a12-a14 ports plus fault scenarios, got {files:?}"
+    );
     for file in files {
         let sc = dl_lab::load_scenario(&file)
             .unwrap_or_else(|e| panic!("{}: schema error: {e}", file.display()));

@@ -1,6 +1,8 @@
 //! End-to-end WAL-shipping replication scenarios through the full stack:
 //! replica read routing, replication-lag drain, crash failover equivalence
 //! with a crash-recovered primary, and epoch fencing of a stale primary.
+//! One test is storage only: a log budget's bound on both logs, and a fresh
+//! standby's delta catch-up, gated by byte, install and record counts.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +13,10 @@ use datalinks::dlfm::{
     OpenDecision, TokenKind, UipEntry,
 };
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
-use datalinks::minidb::{Column, ColumnType, DiskFaults, Schema, StorageEnv, Value};
+use datalinks::minidb::{
+    Column, ColumnType, Database, DbOptions, DiskFaults, Schema, StorageEnv, Value,
+};
+use datalinks::repl::{EpochFence, Follower, ReplStats, Replicator};
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -870,6 +875,108 @@ fn failover_reprovisions_siblings_by_delta_with_bounded_logs() {
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"post-failover 5");
 }
 
+/// A repository-shaped primary for the log-budget gate: 64 hot rows on a
+/// free device, with `budget` as its `checkpoint_every_bytes`.
+fn budget_primary(budget: u64) -> Database {
+    let db = Database::open_with(
+        StorageEnv::mem(),
+        DbOptions { checkpoint_every_bytes: budget, ..Default::default() },
+    )
+    .unwrap();
+    db.create_table(
+        Schema::new(
+            "t",
+            vec![Column::new("id", ColumnType::Int), Column::new("v", ColumnType::Text)],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut tx = db.begin();
+    for i in 0..64 {
+        tx.insert("t", vec![Value::Int(i), Value::Text("seed".into())]).unwrap();
+    }
+    tx.commit().unwrap();
+    db
+}
+
+/// 400 updates round-robin over the 64 rows, ~130 bytes each.
+fn budget_updates(db: &Database) {
+    for u in 0..400i64 {
+        let id = u % 64;
+        let mut tx = db.begin();
+        tx.update("t", &Value::Int(id), vec![Value::Int(id), Value::Text(format!("{u:0>120}"))])
+            .unwrap();
+        tx.commit().unwrap();
+    }
+}
+
+/// One fresh follower of `db`, and the shipper that feeds it.
+fn budget_standby(db: &Database) -> (Arc<Follower>, Replicator, Arc<ReplStats>) {
+    let stats = Arc::new(ReplStats::default());
+    let feed = db.replication_feed();
+    let standby = Arc::new(
+        Follower::new(
+            "srv#0".into(),
+            StorageEnv::mem(),
+            feed.db_options(),
+            Arc::new(EpochFence::new()),
+            Arc::clone(&stats),
+        )
+        .unwrap(),
+    );
+    let repl = Replicator::spawn("srv", feed, vec![Arc::clone(&standby)], 0, Arc::clone(&stats));
+    (standby, repl, stats)
+}
+
+/// Checkpoint shipping, storage only (no DLFM). Under sustained load a
+/// 32 KiB log budget bounds both logs in lockstep: the primary cuts at its
+/// checkpoint, the standby when the shipped `Checkpoint` record applies.
+/// A fresh standby of a truncated primary catches up by delta: one image
+/// install and the suffix, under a quarter of the records a full-log
+/// replay ships. The bounds allow one commit past the budget plus the
+/// `Checkpoint` record.
+#[test]
+fn a_log_budget_bounds_both_logs_and_a_fresh_standby_catches_up_by_delta() {
+    const BUDGET: u64 = 32 * 1024;
+    let mut primary_wal = [0u64; 2];
+    for (arm, budget) in [DbOptions::NO_AUTO_CHECKPOINT, BUDGET].into_iter().enumerate() {
+        let db = budget_primary(budget);
+        let (standby, repl, _) = budget_standby(&db);
+        budget_updates(&db);
+        assert!(repl.wait_caught_up(CATCH_UP), "lag_drained == 1");
+        primary_wal[arm] = db.wal_retained_bytes();
+        if budget == BUDGET {
+            assert!(db.wal_retained_bytes() <= 40960, "primary_wal_bytes_v1 <= 40960");
+            assert!(standby.wal_retained_bytes() <= 40960, "standby_wal_bytes_v1 <= 40960");
+        }
+    }
+    assert!(
+        (primary_wal[1] as f64) / (primary_wal[0] as f64) < 1.0,
+        "primary_wal_bytes_v1 / primary_wal_bytes_v0 < 1 ({primary_wal:?})"
+    );
+
+    let mut shipped = [0u64; 2];
+    for (arm, delta) in [false, true].into_iter().enumerate() {
+        let db = budget_primary(DbOptions::NO_AUTO_CHECKPOINT);
+        budget_updates(&db);
+        if delta {
+            db.checkpoint_and_truncate().unwrap();
+        }
+        let (standby, repl, stats) = budget_standby(&db);
+        assert!(repl.wait_caught_up(CATCH_UP), "lag_drained == 1");
+        assert_eq!(standby.applied_lsn(), db.durable_lsn(), "catchup_exact == 1");
+        if delta {
+            assert_eq!(stats.checkpoints_shipped(), 1, "ckpt_installs_v3 == 1");
+        }
+        shipped[arm] = stats.records_shipped();
+    }
+    assert!(
+        (shipped[1] as f64) / (shipped[0] as f64) < 0.25,
+        "records_shipped_v3 / records_shipped_v2 < 0.25 ({shipped:?})"
+    );
+}
+
 #[test]
 fn writes_stay_on_the_primary_while_reads_fan_out() {
     let sys = build(2, 1);
@@ -1063,8 +1170,6 @@ fn zombie_coordinator_decisions_are_fenced_after_host_crash() {
 
 #[test]
 fn host_failover_reprovisions_standbys_by_delta_with_bounded_shipping() {
-    use datalinks::minidb::DbOptions;
-
     // A deep host history under a tight checkpoint budget, with a fleet of
     // standbys. After promotion the rebuilt fleet must be seeded by delta
     // (checkpoint install + WAL suffix), never by replaying the full
