@@ -114,16 +114,6 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   exit 1
 fi
 
-# Three lab engine kinds (EXPERIMENTS.md "Writing a scenario"): a10 and a12
-# are `mixed` scenarios, a9 and a11 left the lab for tier-1 count gates
-# (device syncs per commit and per update cycle in tests/group_commit.rs,
-# log bytes, image installs and records shipped in tests/replication.rs —
-# gates count, rates are measured), and an engine emits each variant's own metrics
-# (`<metric>_v<i>`) instead of computing comparisons — a comparison between
-# variants is a ratio predicate in the scenario file. The bracketed first
-# letters keep these patterns from matching this file; the last guard
-# joins lab.rs into one line so a `metrics.insert` split across lines is
-# still read whole.
 # minidb's row path shares instead of copying (DESIGN.md "Substrates"): the
 # schema is one `Arc<Schema>` that `Database::schema` hands out, and a lock
 # key is a `Copy` hash — no owned `Schema` from the getter, no lock key
@@ -146,13 +136,29 @@ if grep -rnE '"dl_(sync|tokens)"' crates/*/src \
   exit 1
 fi
 
-step "guard: no replication, front_end, commit_throughput or checkpoint_shipping lab kind, no readers/reads_per/commits/updates/budget/delta knob, no hand-computed comparison metric in the lab"
+# One lab engine (EXPERIMENTS.md "Writing a scenario"): a10, a12 and the
+# fault scenarios run on it, and a9, a11, a13 and a14 left the lab for
+# tier-1 count gates — device syncs per commit and per update cycle in
+# tests/group_commit.rs; log bytes, image installs and records shipped in
+# tests/replication.rs; busy shards, per-shard syncs and repository syncs in
+# flight at once in tests/sharding.rs; connections, serving threads,
+# presumed aborts and seat reclaims per frame in tests/wire_transport.rs.
+# Gates count, rates are measured (by benchmark/): no engine kind, no
+# scenario header naming one, none of the deleted engines' knobs, no
+# hand-computed comparison metric, and no scenario assert on a rate. The
+# bracketed first letters keep these patterns from matching this file;
+# one guard joins lab.rs into one line so a `metrics.insert` split across
+# lines is still read whole.
+step "guard: one lab engine (no Kind, no \"kind\" key, no deleted kind or knob, no sever_connections), no hand-computed comparison metric, no rate assert"
 if grep -rnE "Kind::([R]eplication|[F]rontEnd|[C]ommitThroughput|[C]heckpointShipping)" crates/ src/ tests/ \
   || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
   || grep -rnE '"([c]ommits|[u]pdates|[b]udget|[d]elta)"' crates/lab crates/bench scenarios/ \
+  || grep -rnE 'enum [K]ind|"[k]ind"|Kind::([S]harding|[W]ireFrontEnd)|"([t]hreads|[c]ycles|[a]gents)"|[s]ever_connections' \
+       crates/lab crates/bench/src/lab.rs scenarios/ \
   || tr '\n' ' ' < crates/bench/src/lab.rs \
-       | grep -oE 'metrics\s*\.insert\(\s*(format!\()?"[^"]*"' | grep -E "_vs_|speedup|_ratio"; then
-  echo "guard: a deleted lab kind or knob, or a hand-computed comparison metric, reappeared (matches above)" >&2
+       | grep -oE 'metrics\s*\.insert\(\s*(format!\()?"[^"]*"' | grep -E "_vs_|speedup|_ratio" \
+  || grep -oE '"assert":\[[^]]*\]' scenarios/*.jsonl | grep -E '([o]ps_s|_[r]ate)(_v[0-9]+)?[ "]'; then
+  echo "guard: a lab engine kind, a deleted knob or injection, a hand-computed comparison metric, or a rate assert reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -184,16 +190,19 @@ cargo test --workspace -q --no-fail-fast
 # table races a read open against an unlink branch, read and write opens
 # against each other, and a strict registration against a link branch
 # (dlfm_protocol's `racing` and `concurrent_read_and_write` tests).
-# group_commit and replication also hold the count gates that replaced the
-# lab's a9 and a11 (device syncs per commit and per update cycle; log bytes
-# under a budget, image installs and records shipped on catch-up), so every
-# round re-reads them under a machine the other suites keep busy.
+# group_commit, replication, sharding and wire_transport also hold the
+# count gates that replaced the lab's a9, a11, a13 and a14 (device syncs
+# per commit and per update cycle; log bytes under a budget, image installs
+# and records shipped on catch-up; busy shards, per-shard syncs and
+# repository syncs in flight at once; connections, serving threads,
+# presumed aborts and seat reclaims per frame), so every round re-reads
+# them under a machine the other suites keep busy.
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
-    --test close_commit_sweep \
+    --test close_commit_sweep --test sharding \
     || { echo "flake guard: round $round failed" >&2; exit 1; }
   cargo test --offline -q --test wire_transport \
     || { echo "flake guard: round $round (wire_transport) failed" >&2; exit 1; }
@@ -223,9 +232,9 @@ step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # Every shipped scenario through the lab (EXPERIMENTS.md "Writing a
-# scenario"). Each scenario's own `assert` lines are the gate — shapes and
-# invariants, a14's `wire_ops_s / local_ops_s` floor among them — and the
-# lab exits non-zero if any fails; each failed assert is also printed on
+# scenario"). Each scenario's own `assert` lines are the gate — counts,
+# shapes and invariants, never a rate — and the lab exits non-zero if any
+# fails; each failed assert is also printed on
 # stderr, which this step keeps. Quick mode stays on the debug profile to avoid a
 # release build it otherwise skips.
 step "lab --quick scenarios/*.jsonl (declared assertions)"

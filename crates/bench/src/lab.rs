@@ -2,31 +2,24 @@
 //! [`DataLinksSystem`] and renders the results through the same
 //! [`Table`] / `BENCH_<id>.json` pipeline as the `report` binary.
 //!
-//! A scenario's [`Kind`] selects the engine loop:
+//! One engine loop runs every scenario: a generic client mix (writes,
+//! link/unlink churn, reads on any route) over any topology (replicas, host
+//! standbys, shards, upcall lane width), with fault-injection points (crash
+//! the primary or the host at op N, stall/resume a standby, kill upcall
+//! workers, exhaust the repository or host disk, shear the host WAL tail at
+//! a crash boundary). a10 (routed reads across a failover) and a12 (upcall
+//! bursts through a narrow and a wide lane, agent churn) are scenarios of
+//! it, beside the fault scenarios.
 //!
-//! * [`Kind::Mixed`] — the generic client-mix loop (writes, link/unlink
-//!   churn, reads on any route) over any topology (replicas, host
-//!   standbys, shards, upcall lane width), with fault-injection points
-//!   (crash the primary or the host at op N, stall/resume a standby, kill
-//!   upcall workers, exhaust the repository or host disk, shear the host
-//!   WAL tail at a crash boundary). a10 (routed reads across a failover)
-//!   and a12 (upcall bursts through a narrow and a wide lane, agent churn)
-//!   are mixed scenarios.
-//! * [`Kind::Sharding`] — the a13 sweep: write-cycle throughput vs shard
-//!   count through the sharded DLFM front, per-commit-sync repository WALs
-//!   beside a free host device, fan-out proven off the per-shard registry
-//!   counters.
-//! * [`Kind::WireFrontEnd`] — the a14 arms: connection-scale churn over
-//!   real Unix sockets (`Transport::Socket`) held open at once, with a
-//!   `sever_connections` injection cutting live connections mid-2PC; the
-//!   in-doubt claims must resolve by presumed abort with zero atomicity
-//!   violations, proven off the `net.*` registry instruments.
-//!
-//! Group commit (a9) and checkpoint shipping (a11) have no engine: their
-//! gates are counts in tier-1 tests — device syncs per commit and per
-//! update cycle in `tests/group_commit.rs`, log bytes, installs and
-//! records shipped in `tests/replication.rs` — and their rates are the
-//! repo benchmark's to measure.
+//! The lab gates counts; rates are the repo benchmark's to measure. So
+//! group commit (a9), checkpoint shipping (a11), the sharded namespace
+//! (a13) and the wire front end (a14) have no engine here: their gates are
+//! counts in tier-1 tests — device syncs per commit and per update cycle
+//! in `tests/group_commit.rs`; log bytes, installs and records shipped in
+//! `tests/replication.rs`; busy shards, per-shard syncs and repository
+//! syncs in flight at once in `tests/sharding.rs`; connections, serving
+//! threads, presumed aborts and seat reclaims per frame in
+//! `tests/wire_transport.rs`.
 //!
 //! An engine measures; it does not judge. Its metric map holds
 //! scenario-wide aggregates — counters summed over every trial, gauges
@@ -34,23 +27,20 @@
 //! (`end_lag_drained`, ...) at their min, so one bad trial fails the
 //! predicate — and, beside them, each variant's own values as
 //! `<metric>_v<i>` (`i` is the variant line's 0-based position, the value
-//! is what the variant's row reports, a rate the mean over repeats). A
-//! comparison between variants is a ratio predicate in
-//! the scenario file (`"ops_s_v3 / ops_s_v1 >= 1"`), evaluated by
-//! [`check_asserts`] — the lab's only gate. Row labels come verbatim from
-//! the scenario's variant labels.
+//! is what the variant's row reports). A scenario's `metric op number`
+//! predicates, evaluated by [`check_asserts`], are the lab's only gate.
+//! Row labels come verbatim from the scenario's variant labels.
 //!
-//! The mixed, sharding and wire engines additionally capture the system's
-//! telemetry snapshot ([`DataLinksSystem::metrics`]) at the end of every
-//! trial. Snapshots merge across trials ([`Snapshot::merge`]: counters
-//! add, gauges keep the max, histograms merge bucket-wise) and flatten
-//! into the same metric map ([`Snapshot::flatten`]), so a scenario
-//! predicate can name any exported registry metric —
-//! `dlfm_srv1_stale_coord_rejections`, `engine_freshness_wait_ns_p99`,
-//! `repl_srv1_records_shipped`, ... — exactly as it appears in the text
-//! exposition. Per-op latency rides the same pipe as the
-//! `lab.op_latency_ns` histogram, surfaced as `op_p50_ms` / `op_p99_ms` /
-//! `op_mean_ms` beside the mean-rate columns.
+//! The engine also captures the system's telemetry snapshot
+//! ([`DataLinksSystem::metrics`]) at the end of every trial. Snapshots
+//! merge across trials ([`Snapshot::merge`]: counters add, gauges keep the
+//! max, histograms merge bucket-wise) and flatten into the same metric map
+//! ([`Snapshot::flatten`]), so a scenario predicate can name any exported
+//! registry metric — `dlfm_srv1_stale_coord_rejections`,
+//! `engine_freshness_wait_ns_p99`, `repl_srv1_records_shipped`, ... —
+//! exactly as it appears in the text exposition. Per-op latency rides the
+//! same pipe as the `lab.op_latency_ns` histogram, surfaced as `op_p50_ms`
+//! / `op_p99_ms` / `op_mean_ms` beside the mean-rate columns.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -58,19 +48,17 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl_core::{
-    ControlMode, DataLinksSystem, DlColumnOptions, FileServerSpec, ShardRouter, TokenKind,
-};
-use dl_dlfm::{AgentConnection, DlfmClient, FaultInjector, Message, Transport};
-use dl_fskit::{Cred, OpenOptions};
-use dl_lab::{expand, InjectAction, Kind, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec};
-use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value, WalOptions};
+use dl_core::{ControlMode, DataLinksSystem, ShardRouter, TokenKind};
+use dl_dlfm::{AgentConnection, DlfmClient, FaultInjector, Message};
+use dl_fskit::OpenOptions;
+use dl_lab::{expand, InjectAction, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec};
+use dl_minidb::{Column, ColumnType, Schema, Value};
 use dl_obs::{Histogram, HistogramSnapshot, Snapshot};
 
 use crate::experiments::Table;
 use crate::{
-    fixture, fixture_with_faults, fmt_ns, make_content, run_threads, time_once, Fixture,
-    FixtureOptions, APP, SRV, TABLE,
+    fixture_with_faults, fmt_ns, make_content, run_threads, time_once, Fixture, FixtureOptions,
+    APP, SRV, TABLE,
 };
 
 /// One executed scenario: the printable/comparable table plus the metric
@@ -88,19 +76,15 @@ pub struct AssertOutcome {
 }
 
 /// Expands the scenario into its trial plan and drives every trial
-/// through the kind's engine loop. The systems a fault scenario (`mixed`)
-/// builds also write their flight-recorder dumps into `flight_dump_dir`.
+/// through the engine loop. The systems a fault scenario builds also write
+/// their flight-recorder dumps into `flight_dump_dir`.
 pub fn run_scenario(
     sc: &Scenario,
     quick: bool,
     flight_dump_dir: Option<&Path>,
 ) -> Result<ScenarioRun, String> {
     let plan = expand(sc, quick).map_err(|e| e.to_string())?;
-    let mut run = match sc.kind {
-        Kind::Mixed => mixed(sc, &plan, flight_dump_dir),
-        Kind::Sharding => sharding(sc, &plan),
-        Kind::WireFrontEnd => wire_front_end(sc, &plan),
-    }?;
+    let mut run = mixed(sc, &plan, flight_dump_dir)?;
     if let Some(title) = &sc.title {
         run.table.title = title.clone();
     }
@@ -109,20 +93,13 @@ pub fn run_scenario(
 }
 
 /// Evaluates the scenario's declared predicates against the metric map.
-/// A predicate naming a metric the driver never emitted **fails** — a
-/// typo must not read as a pass — and so does a ratio over a zero
-/// denominator. A ratio prints both operands.
+/// A predicate naming a metric the engine never emitted **fails** — a
+/// typo must not read as a pass.
 pub fn check_asserts(sc: &Scenario, metrics: &BTreeMap<String, f64>) -> Vec<AssertOutcome> {
     sc.asserts
         .iter()
         .map(|p| match p.measure(metrics) {
-            Ok(m) => {
-                let operands = match &p.per {
-                    Some(per) => format!(" = {} / {}", metrics[&p.metric], metrics[per]),
-                    None => String::new(),
-                };
-                AssertOutcome { text: format!("{p}  (measured {m}{operands})"), pass: p.holds(m) }
-            }
+            Ok(m) => AssertOutcome { text: format!("{p}  (measured {m})"), pass: p.holds(m) },
             Err(why) => AssertOutcome { text: format!("{p}  ({why})"), pass: false },
         })
         .collect()
@@ -130,8 +107,7 @@ pub fn check_asserts(sc: &Scenario, metrics: &BTreeMap<String, f64>) -> Vec<Asse
 
 /// Emits one variant's own values as `<metric>_v<i>` — `i` is the
 /// variant line's 0-based position — beside the scenario-wide metrics, so
-/// a predicate can compare variants (`"write_rate_v2 / write_rate_v0 >=
-/// 2.5"`).
+/// a predicate can gate one variant (`"peak_upcall_workers_v3 > 8"`).
 fn emit_variant<'a>(
     metrics: &mut BTreeMap<String, f64>,
     i: usize,
@@ -165,11 +141,8 @@ fn s(x: impl ToString) -> String {
 fn need(sc: &Scenario, t: &TrialSpec, knob: &str, v: Option<u64>) -> Result<u64, String> {
     v.ok_or_else(|| {
         format!(
-            "scenario {} ({}): variant {:?} is missing the {knob:?} knob its {} driver needs",
-            sc.name,
-            sc.file,
-            t.variant,
-            sc.kind.as_str()
+            "scenario {} ({}): variant {:?} is missing the {knob:?} knob the engine needs",
+            sc.name, sc.file, t.variant
         )
     })
 }
@@ -706,13 +679,6 @@ fn mixed_trial(
                 out.torn_commits_lost += u64::from(torn.is_none());
                 out.events.push(format!("torn_host_wal@{end}: sheared {sheared} B"));
             }
-            InjectAction::SeverConnections { .. } => {
-                return Err(format!(
-                    "scenario {}: sever_connections needs the socket transport — use kind \
-                     \"wire_front_end\"",
-                    sc.name
-                ));
-            }
         }
     }
 
@@ -879,392 +845,6 @@ fn mixed(
     })
 }
 
-// ===========================================================================
-// sharding — the a13 engine loop
-// ===========================================================================
-
-/// Committed open/write/close cycles/sec through a `shards`-way sharded
-/// file server, plus the run's telemetry snapshot. Each writer thread owns
-/// one file placed on shard `thread % shards`; the repository WALs run
-/// per-commit sync over devices with the given sync latency while the host
-/// database's devices are free — so the cycle rate is gated by how many
-/// repository WALs can sync concurrently, i.e. by the shard count.
-fn sharded_stack_rate(
-    shards: usize,
-    threads: usize,
-    cycles: usize,
-    file_size: usize,
-    sync_latency_ns: u64,
-) -> (f64, Snapshot) {
-    let mut spec = FileServerSpec::new(SRV).shards(shards);
-    spec.dlfm.sync_archive = true;
-    spec.dlfm.db = DbOptions { wal: WalOptions::per_commit_sync(), ..Default::default() };
-    spec.repo_env = StorageEnv::mem_with_sync_latency(sync_latency_ns);
-    let sys = DataLinksSystem::builder().file_server_with(spec).build().expect("build system");
-    let raw = sys.raw_fs(SRV).expect("raw fs");
-    raw.mkdir_p(&Cred::root(), "/data", 0o777).expect("mkdir");
-    sys.create_table(
-        Schema::new(
-            TABLE,
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::nullable("body", ColumnType::DataLink),
-            ],
-            "id",
-        )
-        .expect("schema"),
-    )
-    .expect("create table");
-    sys.define_datalink_column(
-        TABLE,
-        "body",
-        DlColumnOptions::new(ControlMode::Rdd)
-            .on_unlink(dl_dlfm::OnUnlink::Restore)
-            .token_ttl_ms(600_000),
-    )
-    .expect("define column");
-    // Deterministic placement: thread `t` writes a file owned by shard
-    // `t % shards`, so the thread→shard fan-out is exact, not hash luck.
-    let router = ShardRouter::new(SRV, shards);
-    let content = make_content(file_size);
-    for t in 0..threads {
-        let path = (0..)
-            .map(|k| format!("/data/w{t}_{k}.bin"))
-            .find(|p| router.shard_of(p) == t % shards)
-            .expect("some candidate path hashes to every shard");
-        raw.write_file(&APP, &path, &content).expect("seed file");
-        let mut tx = sys.begin();
-        tx.insert(
-            TABLE,
-            vec![Value::Int(t as i64), Value::DataLink(format!("dlfs://{SRV}{path}"))],
-        )
-        .expect("insert");
-        tx.commit().expect("link");
-    }
-    let fs = sys.fs(SRV).expect("fs");
-    let elapsed = run_threads(threads, |t| {
-        for _ in 0..cycles {
-            let (_, tp) = sys
-                .select_datalink(TABLE, &Value::Int(t as i64), "body", TokenKind::Write)
-                .expect("select");
-            let fd = fs.open(&APP, &tp, OpenOptions::write_truncate()).expect("open");
-            fs.write(fd, &content).expect("write");
-            fs.close(fd).expect("close");
-        }
-    });
-    ((threads * cycles) as f64 / elapsed.as_secs_f64(), sys.metrics())
-}
-
-fn sharding(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    let mut rows = Vec::new();
-    let mut metrics = BTreeMap::new();
-    let mut snapshots = Vec::new();
-    let p0 = &plan.trials[0].params;
-    let (title_threads, title_cycles, title_sync) =
-        (p0.threads.unwrap_or(8), p0.cycles.unwrap_or(8), p0.sync_latency_us.unwrap_or(0));
-    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
-        let t0 = &trials[0];
-        let p = &t0.params;
-        let shards = need(sc, t0, "shards", p.shards)? as usize;
-        let threads = need(sc, t0, "threads", p.threads)? as usize;
-        let cycles = need(sc, t0, "cycles", p.cycles)? as usize;
-        let file_size = p.file_size.unwrap_or(1024) as usize;
-        let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        let (mut rate_sum, mut busy_min) = (0.0f64, u64::MAX);
-        for _ in trials {
-            let (rate, snap) = sharded_stack_rate(shards, threads, cycles, file_size, sync_ns);
-            rate_sum += rate;
-            // Fan-out proof off the registry: every shard node's DLFS must
-            // have served managed opens (the unsharded arm keeps the
-            // logical node name, shard nodes register as `<srv>.s<i>`).
-            let busy = (0..shards)
-                .filter(|&i| {
-                    let node =
-                        if shards > 1 { ShardRouter::shard_name(SRV, i) } else { SRV.to_string() };
-                    snap.counters.get(&format!("dlfs.{node}.managed_opens")).is_some_and(|&c| c > 0)
-                })
-                .count() as u64;
-            busy_min = busy_min.min(busy);
-            snapshots.push(snap);
-        }
-        let rate = rate_sum / trials.len() as f64;
-        emit_variant(&mut metrics, i, [("write_rate", rate), ("busy_shards", busy_min as f64)]);
-        rows.push(vec![t0.variant.clone(), s(shards), s(format!("{rate:.0}")), s(busy_min)]);
-    }
-    // The per-shard router counters included (`engine_shard_srv1_s0_routed`).
-    add_registry(&mut metrics, &snapshots);
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "sharded write scale-out: update cycles/s vs shard count \
-                 ({title_threads} writers x {title_cycles} cycles, per-commit sync, \
-                 {title_sync} µs device sync)"
-            ),
-            header: vec![s("shards"), s("shard nodes"), s("write cyc/s"), s("busy shards")],
-            rows,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
-}
-
-// ===========================================================================
-// wire_front_end — the a14 engine loop
-// ===========================================================================
-
-/// What one a14 trial measured.
-struct WireOutcome {
-    rate: f64,
-    severed: u64,
-    presumed_aborts: u64,
-    atomicity_violations: u64,
-    executor_peak_threads: u64,
-    peak_connections: f64,
-    snapshot: Snapshot,
-}
-
-/// The file agent `i` of a churn arm links and unlinks.
-fn churn_path(i: usize) -> String {
-    format!("/data/wchurn{i:04}.bin")
-}
-
-/// Drives `cycles` churn rounds through each of `agents` (agent `i` on
-/// [`churn_path`]`(i)`, seeded by the caller), multiplexed over 16
-/// threads; link and unlink operations per second.
-fn churn_rate(agents: &[DlfmClient], cycles: usize) -> f64 {
-    let threads = 16.min(agents.len().max(1));
-    let elapsed = run_threads(threads, |t| {
-        for (i, agent) in agents.iter().enumerate() {
-            if i % threads != t {
-                continue;
-            }
-            let path = churn_path(i);
-            for r in 0..cycles {
-                // Synthetic host txids well clear of the fixture's.
-                churn_cycle(agent, 1_000_000 + 2 * (i * cycles + r) as u64, &path)
-                    .expect("churn cycle");
-            }
-        }
-    });
-    (agents.len() * cycles * 2) as f64 / elapsed.as_secs_f64()
-}
-
-/// The same churn workload as [`wire_trial`]'s surviving connections, but
-/// over the in-process `Transport::Local` path — the baseline the wire
-/// path's throughput is budgeted against.
-fn local_churn_rate(workers: usize, cycles: usize) -> f64 {
-    let f = fixture(FixtureOptions { n_files: 1, file_size: 256, ..Default::default() });
-    let raw = f.sys.raw_fs(SRV).expect("raw fs");
-    for i in 0..workers {
-        raw.write_file(&APP, &churn_path(i), b"x").expect("seed");
-    }
-    let node = f.sys.node(SRV).expect("node");
-    let handles: Vec<_> = (0..workers).map(|_| node.connect_agent()).collect();
-    churn_rate(&handles, cycles)
-}
-
-/// The connections a trial's `sever_connections` injections cut, in all.
-fn severed_connections(p: &Params) -> usize {
-    let injections = p.injections.as_deref().unwrap_or_default();
-    injections
-        .iter()
-        .map(|i| match i.action {
-            InjectAction::SeverConnections { count } => count as usize,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// One a14 trial: `agents` real socket connections held open together
-/// against a `Transport::Socket` node. The scenario's `sever_connections`
-/// injections name how many of them link and then have their
-/// socket cut mid-2PC — the host never heard of those transactions, so
-/// the dropped claims must resolve by presumed abort. Every other
-/// connection drives `cycles` full link/2PC/unlink rounds over the wire,
-/// multiplexed over 16 driver threads. Afterwards the repository must
-/// hold exactly the fixture's own links and no claim may still be
-/// pending — anything else counts as an atomicity violation.
-fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
-    let p = &t.params;
-    let agents = need(sc, t, "agents", p.agents)? as usize;
-    let cycles = p.cycles.unwrap_or(1) as usize;
-    let sever = severed_connections(p);
-    if sever >= agents {
-        return Err(format!(
-            "scenario {}: sever_connections total {sever} must stay below agents = {agents}",
-            sc.name
-        ));
-    }
-    let f = fixture(FixtureOptions {
-        n_files: 1,
-        file_size: 256,
-        transport: Transport::Socket,
-        ..Default::default()
-    });
-    let node = f.sys.node(SRV)?;
-    let wire = node.wire().ok_or("Transport::Socket must bring the wire front end up")?;
-    let raw = f.sys.raw_fs(SRV)?;
-    let workers = agents - sever;
-    for i in 0..workers {
-        raw.write_file(&APP, &churn_path(i), b"x").map_err(|e| e.to_string())?;
-    }
-    for j in 0..sever {
-        raw.write_file(&APP, &format!("/data/doomed{j:04}.bin"), b"x")
-            .map_err(|e| e.to_string())?;
-    }
-
-    // Every connection is a real socket, and they are all open at once:
-    // the concurrency the scenario claims is whatever peak the net gauge
-    // records, not an extrapolation.
-    let churners: Vec<DlfmClient> =
-        (0..workers).map(|i| wire.connect_client(&format!("a14-{i}"))).collect::<Result<_, _>>()?;
-    let doomed = (0..sever)
-        .map(|j| {
-            let conn = wire.connect(&format!("a14-doomed-{j}"))?;
-            Ok((Arc::clone(&conn), DlfmClient::connect(conn, "a14-doomed")?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-
-    // Mid-2PC severing: the doomed connections link, then die holding the
-    // in-doubt claim.
-    let aborts_before = wire.daemon.presumed_aborts().get();
-    for (j, (conn, agent)) in doomed.iter().enumerate() {
-        let txid = 3_000_000 + 2 * j as u64;
-        let path = format!("/data/doomed{j:04}.bin");
-        agent.link(txid, &path, ControlMode::Rff, true, dl_dlfm::OnUnlink::Restore)?;
-        conn.sever();
-    }
-
-    // Churn: the surviving connections drive full link/2PC/unlink rounds
-    // over the wire while the severed claims resolve underneath.
-    let rate = churn_rate(&churners, cycles);
-
-    // The severed claims must drain: presumed abort resolves each one and
-    // the pending table empties.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while (wire.daemon.presumed_aborts().get() < aborts_before + sever as u64
-        || !node.server.pending_host_txns().is_empty())
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let presumed_aborts = wire.daemon.presumed_aborts().get() - aborts_before;
-
-    // Atomicity audit, straight off the repository: any file beyond the
-    // fixture's own links (a doomed link that survived its abort, a churn
-    // link whose unlink never settled) or any still-pending claim is a
-    // violation.
-    let leftovers = node
-        .server
-        .repository()
-        .list_files()
-        .into_iter()
-        .filter(|e| !f.paths.contains(&e.path))
-        .count() as u64;
-    let unresolved = node.server.pending_host_txns().len() as u64;
-    let atomicity_violations = leftovers + unresolved;
-
-    let executor_peak_threads = wire.daemon.peak_threads() as u64;
-
-    // Snapshot while the surviving connections are still open, so the
-    // live `net.*.connections` gauge backs the concurrency claim too.
-    let snapshot = f.sys.metrics();
-    let peak_connections =
-        snapshot.gauges.get(&format!("net.{SRV}.peak_connections")).copied().unwrap_or(0.0);
-    drop(churners);
-    Ok(WireOutcome {
-        rate,
-        severed: sever as u64,
-        presumed_aborts,
-        atomicity_violations,
-        executor_peak_threads,
-        peak_connections,
-        snapshot,
-    })
-}
-
-/// The metrics of a set of a14 trials — one variant's, or the whole
-/// scenario's: counts add, peaks keep the max, `wire_ops_s` is the mean
-/// of the trials' rates.
-fn wire_metrics(outcomes: &[WireOutcome]) -> BTreeMap<&'static str, f64> {
-    let sum = |f: fn(&WireOutcome) -> u64| outcomes.iter().map(f).sum::<u64>() as f64;
-    let max = |f: fn(&WireOutcome) -> f64| outcomes.iter().map(f).fold(0.0, f64::max);
-    BTreeMap::from([
-        ("wire_ops_s", outcomes.iter().map(|o| o.rate).sum::<f64>() / outcomes.len() as f64),
-        ("peak_connections", max(|o| o.peak_connections)),
-        ("executor_peak_threads", max(|o| o.executor_peak_threads as f64)),
-        ("severed", sum(|o| o.severed)),
-        ("presumed_aborts", sum(|o| o.presumed_aborts)),
-        ("atomicity_violations", sum(|o| o.atomicity_violations)),
-    ])
-}
-
-fn wire_front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
-    let mut rows = Vec::new();
-    let mut metrics = BTreeMap::new();
-    let p0 = &plan.trials[0].params;
-    let (title_agents, title_cycles) = (p0.agents.unwrap_or(0), p0.cycles.unwrap_or(1));
-
-    // The in-process baseline the wire path is budgeted against: the same
-    // churn workload shape as the first variant, over `Transport::Local`.
-    let base_workers = (p0.agents.unwrap_or(64) as usize).saturating_sub(severed_connections(p0));
-    let local_rate = local_churn_rate(base_workers, p0.cycles.unwrap_or(1) as usize);
-    metrics.insert("local_ops_s".into(), local_rate);
-    rows.push(vec![
-        s("local baseline"),
-        s(base_workers),
-        s(format!("{local_rate:.0}")),
-        s("--"),
-        s("--"),
-        s("in-process Transport::Local, same churn shape"),
-    ]);
-
-    let mut all = Vec::new();
-    for (i, trials) in per_variant(sc, plan).iter().enumerate() {
-        let outcomes: Vec<WireOutcome> =
-            trials.iter().map(|t| wire_trial(sc, t)).collect::<Result<_, _>>()?;
-        let variant = wire_metrics(&outcomes);
-        rows.push(vec![
-            trials[0].variant.clone(),
-            s(trials[0].params.agents.unwrap_or(0)),
-            s(format!("{:.0}", variant["wire_ops_s"])),
-            s(variant["peak_connections"]),
-            s(variant["executor_peak_threads"]),
-            s(format!(
-                "{} severed mid-2PC, {} presumed aborts",
-                variant["severed"], variant["presumed_aborts"]
-            )),
-        ]);
-        emit_variant(&mut metrics, i, variant);
-        all.extend(outcomes);
-    }
-    metrics.extend(wire_metrics(&all).into_iter().map(|(k, v)| (k.to_string(), v)));
-    // The `net.*` frame counters and round-trip histogram included.
-    add_registry(&mut metrics, all.iter().map(|o| &o.snapshot));
-    Ok(ScenarioRun {
-        table: Table {
-            id: sc.name.clone(),
-            title: format!(
-                "wire front end: {title_agents} socket connections x {title_cycles} churn \
-                 cycles over the framed transport, severed mid-2PC connections resolved by \
-                 presumed abort"
-            ),
-            header: vec![
-                s("arm"),
-                s("conns"),
-                s("ops/s"),
-                s("peak conns"),
-                s("exec threads"),
-                s("note"),
-            ],
-            rows,
-            notes: Vec::new(),
-        },
-        metrics,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1278,7 +858,7 @@ mod tests {
     #[test]
     fn mixed_engine_runs_and_emits_metrics() {
         let run = run(concat!(
-            r#"{"scenario":"m","kind":"mixed","seed":7,"#,
+            r#"{"scenario":"m","seed":7,"#,
             r#""params":{"clients":2,"ops":8,"write_ratio":0.5,"file_size":64},"#,
             r#""assert":["ops_failed == 0","stale_reads == 0"]}"#,
             "\n",
@@ -1296,7 +876,7 @@ mod tests {
         let sc = parse_scenario(
             "test.jsonl",
             concat!(
-                r#"{"scenario":"m","kind":"mixed","seed":7,"#,
+                r#"{"scenario":"m","seed":7,"#,
                 r#""assert":["ops_failed == 0","no_such_metric == 1"]}"#,
                 "\n",
                 r#"{"variant":"tiny"}"#,
@@ -1309,12 +889,11 @@ mod tests {
     }
 
     #[test]
-    fn each_variant_emits_its_own_metrics_and_ratios_compare_them() {
+    fn each_variant_emits_its_own_metrics() {
         let text = concat!(
-            r#"{"scenario":"v","kind":"mixed","seed":4,"#,
+            r#"{"scenario":"v","seed":4,"#,
             r#""params":{"clients":2,"ops":4,"write_ratio":0.5,"file_size":64},"#,
-            r#""assert":["ops_ok_v1 / ops_ok_v0 == 2","ops_s_v0 / ops_failed_v0 > 0","#,
-            r#""ops_ok_v0 / no_such_metric > 0"]}"#,
+            r#""assert":["ops_ok_v1 == 16","ops_failed_v0 > 0","ops_ok_v2 > 0"]}"#,
             "\n",
             r#"{"variant":"two","params":{"clients":2}}"#,
             "\n",
@@ -1330,15 +909,20 @@ mod tests {
         let sc = parse_scenario("test.jsonl", text).unwrap();
         let outcomes = check_asserts(&sc, &run.metrics);
         assert!(outcomes[0].pass, "{}", outcomes[0].text);
-        assert!(outcomes[0].text.contains("= 16 / 8"), "both operands print: {}", outcomes[0].text);
-        assert!(!outcomes[1].pass && outcomes[1].text.contains("is 0"), "{}", outcomes[1].text);
-        assert!(!outcomes[2].pass && outcomes[2].text.contains("no_such_metric"));
+        assert!(outcomes[0].text.contains("(measured 16)"), "{}", outcomes[0].text);
+        assert!(
+            !outcomes[1].pass && outcomes[1].text.contains("measured 0"),
+            "{}",
+            outcomes[1].text
+        );
+        // A variant index past the last line names a metric never emitted.
+        assert!(!outcomes[2].pass && outcomes[2].text.contains("\"ops_ok_v2\" was not emitted"));
     }
 
     #[test]
     fn kill_injection_panics_workers_and_fails_only_those_ops() {
         let run = run(concat!(
-            r#"{"scenario":"k","kind":"mixed","seed":3,"#,
+            r#"{"scenario":"k","seed":3,"#,
             r#""params":{"clients":2,"ops":12,"file_size":64,"#,
             r#""injections":[{"at_op":8,"action":"kill_upcall_workers","count":2}]}}"#,
             "\n",
@@ -1352,7 +936,7 @@ mod tests {
     #[test]
     fn stall_and_resume_keep_fresh_reads_fresh() {
         let run = run(concat!(
-            r#"{"scenario":"sr","kind":"mixed","seed":11,"#,
+            r#"{"scenario":"sr","seed":11,"#,
             r#""params":{"clients":2,"ops":10,"replicas":1,"write_ratio":0.4,"#,
             r#""file_size":64,"read_route":"fresh","#,
             r#""injections":[{"at_op":4,"action":"stall_standby"},"#,
@@ -1372,7 +956,7 @@ mod tests {
         // serving, then kill upcall workers. Only acked links survive the
         // failover and nothing leaks.
         let run = run(concat!(
-            r#"{"scenario":"ms","kind":"mixed","seed":5,"#,
+            r#"{"scenario":"ms","seed":5,"#,
             r#""params":{"clients":2,"ops":12,"shards":2,"replicas":1,"#,
             r#""write_ratio":0.4,"churn_ratio":0.3,"file_size":64,"#,
             r#""injections":[{"at_op":6,"action":"crash_primary"},"#,
@@ -1387,48 +971,6 @@ mod tests {
         // Per-shard instruments are summed across `<srv>.s<i>` nodes, so
         // the panic shows up even though it hit only one shard.
         assert!(run.metrics["ops_ok"] > 0.0);
-    }
-
-    #[test]
-    fn wire_engine_severs_mid_2pc_and_presumes_abort() {
-        let run = run(concat!(
-            r#"{"scenario":"w","kind":"wire_front_end","seed":2,"#,
-            r#""params":{"agents":12,"cycles":1,"#,
-            r#""injections":[{"at_op":0,"action":"sever_connections","count":3}]}}"#,
-            "\n",
-            r#"{"variant":"wire"}"#,
-        ));
-        assert_eq!(run.metrics["severed"], 3.0);
-        assert_eq!(run.metrics["presumed_aborts"], 3.0, "every severed claim resolves by abort");
-        assert_eq!(run.metrics["atomicity_violations"], 0.0);
-        // 12 agent sockets + engine + DLFS standing connections.
-        assert!(run.metrics["peak_connections"] >= 14.0);
-        assert!(run.metrics["executor_peak_threads"] <= 32.0);
-        assert!(run.metrics["wire_ops_s"] > 0.0);
-        assert!(run.metrics["local_ops_s"] > 0.0);
-        // The net instruments ride the metric map under flattened names.
-        assert_eq!(run.metrics["net_srv1_decode_errors"], 0.0);
-        assert!(run.metrics["net_srv1_frames_in"] > 0.0);
-        assert!(run.metrics["net_srv1_round_trip_ns_count"] > 0.0);
-        // Two rows: the in-process baseline and the wire arm.
-        assert_eq!(run.table.rows.len(), 2);
-    }
-
-    #[test]
-    fn sever_injection_is_rejected_off_the_wire() {
-        let sc = parse_scenario(
-            "test.jsonl",
-            concat!(
-                r#"{"scenario":"bad","kind":"mixed","seed":1,"#,
-                r#""params":{"clients":1,"ops":4,"file_size":64,"#,
-                r#""injections":[{"at_op":2,"action":"sever_connections"}]}}"#,
-                "\n",
-                r#"{"variant":"x"}"#,
-            ),
-        )
-        .unwrap();
-        let err = run_scenario(&sc, true, None).err().expect("sever off the wire must fail");
-        assert!(err.contains("wire_front_end"), "must point at the wire kind: {err}");
     }
 
     #[test]

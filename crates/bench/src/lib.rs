@@ -3,7 +3,7 @@
 //!
 //! Every paper table from DESIGN.md (T1, E1–E4, A1–A8) has its runner in
 //! [`experiments`], printed by `report`; the system-level scenarios run
-//! through the engines in [`lab`], gated by each scenario's own `assert`
+//! through the engine in [`lab`], gated by each scenario's own `assert`
 //! lines. Neither is a source of performance numbers: those come from the
 //! repo benchmark (`benchmark/`), gated by its pipeline (EXPERIMENTS.md).
 
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use dl_core::{
     ControlMode, DataLinksSystem, DlColumnOptions, FileServerSpec, SystemBuilder, TokenKind,
 };
-use dl_dlfm::{DlfmConfig, FaultInjector, OnUnlink, Transport};
+use dl_dlfm::{DlfmConfig, FaultInjector, OnUnlink};
 use dl_dlfs::{DlfsConfig, WaitPolicy};
 use dl_fskit::memfs::IoModel;
 use dl_fskit::{Cred, OpenOptions};
@@ -65,11 +65,8 @@ pub struct FixtureOptions {
     /// Width of the upcall lane; `None` keeps the `DlfmConfig` default
     /// (a12 arms).
     pub upcall_pool: Option<usize>,
-    /// DLFM namespace shards behind the node (a13 scale-out arms).
+    /// DLFM namespace shards behind the node (the sharded fault matrix).
     pub shards: usize,
-    /// How the engine and DLFS reach the node: in-process calls or the
-    /// framed socket transport (a14 wire front-end arms).
-    pub transport: Transport,
 }
 
 impl Default for FixtureOptions {
@@ -90,7 +87,6 @@ impl Default for FixtureOptions {
             host_replicas: 0,
             upcall_pool: None,
             shards: 1,
-            transport: Transport::Local,
         }
     }
 }
@@ -119,7 +115,6 @@ pub fn fixture_with_faults(
     dlfm.track_read_sync = opts.track_read_sync;
     dlfm.strict_link = opts.strict;
     dlfm.db = opts.db;
-    dlfm.transport = opts.transport;
     if let Some(width) = opts.upcall_pool {
         dlfm = dlfm.upcall_workers(width);
     }

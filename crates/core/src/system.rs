@@ -30,7 +30,7 @@ use std::time::Duration;
 use dl_dlfm::{
     ArchiveStore, DlfmClient, DlfmConfig, DlfmServer, FaultInjector, HeadGate, HostView,
     MainDaemon, RecoveryReport, Repository, TokenKind, Transport, WireConn, WireConnector,
-    WireDaemon,
+    WireDaemon, WIRE_CALL_TIMEOUT,
 };
 use dl_dlfs::{Dlfs, DlfsConfig};
 use dl_fskit::memfs::IoModel;
@@ -123,16 +123,6 @@ impl FileServerNode {
     /// gauges).
     pub fn main_daemon(&self) -> &MainDaemon {
         &self.main
-    }
-
-    /// Blocks until no head serves the node's upcall lane and nothing is
-    /// parked on it (or `timeout` elapses); returns whether it went idle.
-    /// Test/bench helper: a panicking upcall delivers its failure to the
-    /// waiting client *before* its serving thread finishes unwinding, so a
-    /// metrics snapshot taken the moment the client returns can read the
-    /// lane's panic counter one short.
-    pub fn quiesce_upcalls(&self, timeout: Duration) -> bool {
-        self.main.wait_upcalls_idle(timeout)
     }
 }
 
@@ -311,11 +301,9 @@ impl SystemBuilder {
             // validated under it); the node registers everywhere else —
             // engine, 2PC participant keys, metrics — under its shard name.
             for i in 0..spec.shards {
-                let repo_env = if i == 0 {
-                    spec.repo_env.clone()
-                } else {
-                    StorageEnv::mem_with_sync_latency(spec.repo_env.sync_latency_ns())
-                };
+                // Shard 0 runs on the spec's environment; the others on
+                // fresh ones with its sync latency and its sync gauge.
+                let repo_env = if i == 0 { spec.repo_env.clone() } else { spec.repo_env.sibling() };
                 parts.push(NodeParts {
                     name: ShardRouter::shard_name(&spec.name, i),
                     fs: Arc::clone(&fs),
@@ -686,7 +674,7 @@ impl DataLinksSystem {
                 daemon: WireDaemon::spawn(&main, Arc::new(NetStats::new()))?,
                 connector: Arc::new(WireConnector::new(
                     Arc::new(NetStats::new()),
-                    Duration::from_millis(part.dlfm_cfg.wire_call_timeout_ms),
+                    WIRE_CALL_TIMEOUT,
                 )),
             }),
         };
@@ -862,13 +850,15 @@ impl DataLinksSystem {
         self.metrics().render_text()
     }
 
-    /// [`FileServerNode::quiesce_upcalls`] across every node; returns
-    /// whether all upcall pools went idle within their window. Call
-    /// before snapshotting metrics whose value a just-delivered upcall
-    /// failure may still be about to bump (the pool counts a contained
-    /// panic only after the worker finishes unwinding).
+    /// Blocks until no head serves any node's upcall lane and nothing is
+    /// parked on one (or `timeout` elapses per node); returns whether all
+    /// went idle. Call before snapshotting metrics whose value a
+    /// just-delivered upcall failure may still be about to bump: a
+    /// panicking upcall delivers its failure to the waiting client
+    /// *before* its serving thread finishes unwinding, and the lane counts
+    /// the panic only after that.
     pub fn quiesce_upcalls(&self, timeout: Duration) -> bool {
-        self.nodes.values().all(|n| n.quiesce_upcalls(timeout))
+        self.nodes.values().all(|n| n.main_daemon().wait_upcalls_idle(timeout))
     }
 
     /// The most recent flight-recorder dump (taken on `crash`, `fail_over`
@@ -925,8 +915,8 @@ impl DataLinksSystem {
         });
 
         // Per-shard routing decisions of every sharded logical server —
-        // the balance evidence the a13 scenario and the routing/metrics
-        // agreement proptest assert on.
+        // the balance evidence the scale-out gate and the routing/metrics
+        // agreement test in `tests/sharding.rs` assert on.
         for (logical, router) in &self.routers {
             for i in 0..router.shard_count() {
                 let r = Arc::clone(router);

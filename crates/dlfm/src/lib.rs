@@ -58,7 +58,7 @@ pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKey,
     TokenKind, TOKEN_MARKER,
 };
-pub use wire::{WireConn, WireConnector, WireDaemon};
+pub use wire::{WireConn, WireConnector, WireDaemon, WIRE_CALL_TIMEOUT};
 
 /// The protocol's one message set.
 pub use dl_net::Message;

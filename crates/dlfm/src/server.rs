@@ -102,12 +102,6 @@ pub struct DlfmConfig {
     /// ([`Transport::Local`], the default) or framed Unix-socket
     /// connections served by a `WireDaemon` ([`Transport::Socket`]).
     pub transport: Transport,
-    /// How long a `Transport::Socket` client call waits for its reply
-    /// frame before it fails (milliseconds, > 0; counted as
-    /// `net.<node>.call_timeouts`). Generous by default: a frame may park
-    /// behind a full lane, and a stall this long means the daemon is gone
-    /// or wedged.
-    pub wire_call_timeout_ms: u64,
     /// Capacity of the server's flight-recorder ring (span events retained
     /// for the crash/failover dump). An undersized ring still keeps the
     /// *most recent* events — the fenced decides of an in-doubt
@@ -129,7 +123,6 @@ impl DlfmConfig {
             upcall_workers_max: 64,
             agent_executor_threads: 16,
             transport: Transport::default(),
-            wire_call_timeout_ms: 30_000,
             flight_ring_capacity: 256,
         }
     }

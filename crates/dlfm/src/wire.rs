@@ -268,6 +268,13 @@ fn serve_event(ev: NetEvent, h: &ReactorHandle, front: &Arc<WireFront>) {
     });
 }
 
+/// How long a node's own client calls (the engine's and DLFS's, and any
+/// minted through `node.wire().connect`) wait for their reply frame before
+/// they fail, counted as `net.<node>.call_timeouts`. Generous: a frame may
+/// park behind a full lane, and a stall this long means the daemon is gone
+/// or wedged.
+pub const WIRE_CALL_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// The client side: mints outbound wire connections that share one set
 /// of instruments and one call timeout. It runs no thread — every
 /// connection does its own socket I/O on its callers' threads.
@@ -279,7 +286,7 @@ pub struct WireConnector {
 impl WireConnector {
     /// `stats` sees every socket's frames and the caller-observed
     /// round-trip latency; `call_timeout` bounds each call's wait for its
-    /// reply (`DlfmConfig::wire_call_timeout_ms`).
+    /// reply (a node's own connector uses [`WIRE_CALL_TIMEOUT`]).
     pub fn new(stats: Arc<NetStats>, call_timeout: Duration) -> WireConnector {
         WireConnector { stats, call_timeout }
     }
@@ -507,9 +514,9 @@ impl WireConn {
     /// Severs the connection abruptly, once — every socket, no goodbye,
     /// no flush: shuts each socket (which also unblocks a caller
     /// mid-`read` on it) and fails every call from here on. A failure on
-    /// any socket does this too. It is also the a14 scenario's fault
-    /// injection: whatever 2PC state the connection held, on any of its
-    /// sockets, must resolve by presumed abort on the server.
+    /// any socket does this too. It is also the fault the wire tests
+    /// inject mid-2PC: whatever 2PC state the connection held, on any of
+    /// its sockets, must resolve by presumed abort on the server.
     pub fn sever(&self) {
         let mut sockets = self.sockets.lock();
         if !sockets.dead {

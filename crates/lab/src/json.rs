@@ -47,13 +47,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(v) => Some(v),
@@ -277,7 +270,7 @@ mod tests {
         assert_eq!(obj[1].1.as_num(), Some(11.0));
         let params = obj[2].1.as_obj().unwrap();
         assert_eq!(params[0].1.as_num(), Some(0.5));
-        assert_eq!(params[1].1.as_bool(), Some(true));
+        assert_eq!(params[1].1, Value::Bool(true));
         assert_eq!(params[2].1, Value::Null);
         assert_eq!(obj[3].1.as_arr().unwrap()[0].as_str(), Some("a >= 1"));
     }

@@ -25,7 +25,7 @@ pub mod schema;
 
 pub use plan::{expand, LabRng, Plan, TrialSpec};
 pub use schema::{
-    parse_scenario, CmpOp, InjectAction, Injection, Kind, Params, Predicate, ReadRoute, Scenario,
+    parse_scenario, CmpOp, InjectAction, Injection, Params, Predicate, ReadRoute, Scenario,
     SchemaError, Variant,
 };
 
@@ -45,7 +45,7 @@ mod tests {
     use super::*;
 
     const GOOD: &str = concat!(
-        r#"{"scenario":"demo","kind":"mixed","seed":42,"repeats":2,"#,
+        r#"{"scenario":"demo","seed":42,"repeats":2,"#,
         r#""params":{"clients":4,"ops":50,"write_ratio":0.25},"#,
         r#""quick":{"ops":10},"assert":["failovers == 0","ops_failed == 0"]}"#,
         "\n",
@@ -59,7 +59,6 @@ mod tests {
     fn parses_a_full_scenario() {
         let sc = parse_scenario("demo.jsonl", GOOD).unwrap();
         assert_eq!(sc.name, "demo");
-        assert_eq!(sc.kind, Kind::Mixed);
         assert_eq!(sc.seed, 42);
         assert_eq!(sc.repeats, 2);
         assert_eq!(sc.params.clients, Some(4));
@@ -87,16 +86,13 @@ mod tests {
     #[test]
     fn unknown_fields_are_line_numbered_errors() {
         // Unknown header field.
-        let e = parse_scenario(
-            "s.jsonl",
-            r#"{"scenario":"x","kind":"mixed","seed":1,"frobnicate":true}"#,
-        )
-        .unwrap_err();
+        let e = parse_scenario("s.jsonl", r#"{"scenario":"x","seed":1,"frobnicate":true}"#)
+            .unwrap_err();
         assert_eq!((e.line, e.msg.contains("frobnicate")), (1, true), "{e}");
 
         // Unknown knob inside params, on a variant line.
         let text = concat!(
-            r#"{"scenario":"x","kind":"mixed","seed":1}"#,
+            r#"{"scenario":"x","seed":1}"#,
             "\n",
             r#"{"variant":"v","params":{"wirte_ratio":0.5}}"#,
         );
@@ -105,11 +101,7 @@ mod tests {
         assert!(e.msg.contains("wirte_ratio"), "{e}");
 
         // Unknown variant-level field.
-        let text = concat!(
-            r#"{"scenario":"x","kind":"mixed","seed":1}"#,
-            "\n",
-            r#"{"variant":"v","parms":{}}"#,
-        );
+        let text = concat!(r#"{"scenario":"x","seed":1}"#, "\n", r#"{"variant":"v","parms":{}}"#,);
         let e = parse_scenario("s.jsonl", text).unwrap_err();
         assert!(e.line == 2 && e.msg.contains("parms"), "{e}");
     }
@@ -120,12 +112,12 @@ mod tests {
             (r#"{"write_ratio":1.5}"#, "out of range"),
             (r#"{"replicas":99}"#, "out of range"),
             (r#"{"clients":0}"#, "out of range"),
-            (r#"{"threads":2.5}"#, "integer"),
+            (r#"{"ops":2.5}"#, "integer"),
             (r#"{"write_ratio":0.8,"churn_ratio":0.4}"#, "exceeds 1.0"),
         ] {
             let text = format!(
                 "{}\n{}\n",
-                r#"{"scenario":"x","kind":"mixed","seed":1}"#,
+                r#"{"scenario":"x","seed":1}"#,
                 format_args!(r#"{{"variant":"v","params":{knob}}}"#),
             );
             let e = parse_scenario("s.jsonl", &text).unwrap_err();
@@ -136,12 +128,11 @@ mod tests {
 
     #[test]
     fn duplicate_keys_and_labels_are_rejected() {
-        let e = parse_scenario("s.jsonl", r#"{"scenario":"x","kind":"mixed","seed":1,"seed":2}"#)
-            .unwrap_err();
+        let e = parse_scenario("s.jsonl", r#"{"scenario":"x","seed":1,"seed":2}"#).unwrap_err();
         assert!(e.msg.contains("duplicate key"), "{e}");
 
         let text = concat!(
-            r#"{"scenario":"x","kind":"mixed","seed":1}"#,
+            r#"{"scenario":"x","seed":1}"#,
             "\n",
             r#"{"variant":"same"}"#,
             "\n",
@@ -154,12 +145,11 @@ mod tests {
 
     #[test]
     fn missing_required_fields_are_errors() {
-        let e = parse_scenario("s.jsonl", r#"{"kind":"mixed","seed":1}"#).unwrap_err();
+        let e = parse_scenario("s.jsonl", r#"{"seed":1}"#).unwrap_err();
         assert!(e.msg.contains("\"scenario\""), "{e}");
-        let e = parse_scenario("s.jsonl", r#"{"scenario":"x","kind":"mixed"}"#).unwrap_err();
+        let e = parse_scenario("s.jsonl", r#"{"scenario":"x"}"#).unwrap_err();
         assert!(e.msg.contains("\"seed\""), "{e}");
-        let e =
-            parse_scenario("s.jsonl", r#"{"scenario":"x","kind":"mixed","seed":1}"#).unwrap_err();
+        let e = parse_scenario("s.jsonl", r#"{"scenario":"x","seed":1}"#).unwrap_err();
         assert!(e.msg.contains("no variants"), "{e}");
     }
 
@@ -169,8 +159,10 @@ mod tests {
             ("throughput", "metric op number"),
             ("a ~ 3", "unknown operator"),
             ("a >= fast", "not a number"),
+            // One engine, counts not rates: no ratio form, no engine kind.
+            ("ops_ok_v1 / ops_ok_v0 >= 1", "metric op number"),
         ] {
-            let text = format!(r#"{{"scenario":"x","kind":"mixed","seed":1,"assert":[{pred:?}]}}"#);
+            let text = format!(r#"{{"scenario":"x","seed":1,"assert":[{pred:?}]}}"#);
             let e = parse_scenario("s.jsonl", &text).unwrap_err();
             assert!(e.msg.contains(why), "pred {pred}: {e}");
         }
@@ -184,34 +176,11 @@ mod tests {
         assert!(p.holds(1.6) && !p.holds(1.59));
         let p = Predicate::parse("lost_acked_links == 0").unwrap();
         assert!(p.holds(0.0) && !p.holds(1.0));
-    }
-
-    #[test]
-    fn ratio_predicates_compare_two_metrics() {
-        let metrics: std::collections::BTreeMap<String, f64> =
-            [("ops_s_v3", 300.0), ("ops_s_v1", 200.0), ("idle_v0", 0.0)]
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-        let p = Predicate::parse("ops_s_v3 / ops_s_v1 >= 1.5").unwrap();
-        assert_eq!(p.per.as_deref(), Some("ops_s_v1"));
-        assert_eq!(p.to_string(), "ops_s_v3 / ops_s_v1 >= 1.5");
-        assert_eq!(p.measure(&metrics), Ok(1.5));
-        assert!(p.holds(1.5));
-        // A plain predicate measures its one metric.
-        assert_eq!(Predicate::parse("ops_s_v1 > 0").unwrap().measure(&metrics), Ok(200.0));
-        // A missing operand, on either side, and a zero denominator fail
-        // with a message that names them.
-        let e = Predicate::parse("ops_s_v3 / nope >= 1").unwrap().measure(&metrics).unwrap_err();
+        // A metric the engine never emitted fails with a message naming it.
+        let metrics = std::collections::BTreeMap::from([("ops_ok".to_string(), 3.0)]);
+        assert_eq!(Predicate::parse("ops_ok > 0").unwrap().measure(&metrics), Ok(3.0));
+        let e = Predicate::parse("nope > 0").unwrap().measure(&metrics).unwrap_err();
         assert!(e.contains("\"nope\""), "{e}");
-        let e = Predicate::parse("nope / ops_s_v3 >= 1").unwrap().measure(&metrics).unwrap_err();
-        assert!(e.contains("\"nope\""), "{e}");
-        let e = Predicate::parse("ops_s_v3 / idle_v0 >= 1").unwrap().measure(&metrics).unwrap_err();
-        assert!(e.contains("\"idle_v0\"") && e.contains("is 0"), "{e}");
-        // Malformed ratios are schema errors.
-        for bad in ["a / >= 1", "a * b >= 1", "a / b-c >= 1"] {
-            assert!(Predicate::parse(bad).is_err(), "{bad} must not parse");
-        }
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! following non-blank line is one variant (one table row / trial group):
 //!
 //! ```text
-//! {"scenario":"a10","kind":"mixed","seed":7,"params":{"clients":8,"ops":40},
-//!  "quick":{"ops":10},"assert":["max_lag == 0","ops_s_v1 / ops_s_v0 >= 0.5"]}
+//! {"scenario":"a10","seed":7,"params":{"clients":8,"ops":40},
+//!  "quick":{"ops":10},"assert":["max_lag == 0","lost_acked_links_v1 == 0"]}
 //! {"variant":"0","params":{"replicas":0}}
 //! {"variant":"2","params":{"replicas":2}}
 //! ```
 //!
-//! An assert names a metric the scenario's engine emits, or the ratio of
-//! two. Every engine emits each variant's own values as `<metric>_v<i>`
-//! (`i` is the 0-based position of the variant line) beside the
-//! scenario-wide ones, so comparing variants is a ratio predicate, not
-//! engine code.
+//! One engine runs every scenario (`dl_bench::lab`), so a header names no
+//! engine. An assert is `metric op number` over a metric the engine emits:
+//! a scenario-wide one, or a variant's own value as `<metric>_v<i>` (`i` is
+//! the 0-based position of the variant line). A gate counts; a rate is the
+//! repo benchmark's to measure, so there is no ratio form.
 //!
 //! Every field is checked here — unknown knobs, wrong types, out-of-range
 //! values, duplicate keys and duplicate variant labels are all rejected
@@ -41,38 +41,6 @@ impl fmt::Display for SchemaError {
 }
 
 impl std::error::Error for SchemaError {}
-
-/// Which engine loop drives the scenario's trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// The generic client-mix engine with fault injection points.
-    Mixed,
-    /// Write-cycle scale-out across DLFM namespace shards (the a13 shape).
-    Sharding,
-    /// Connection churn over real sockets against the wire front end,
-    /// with mid-2PC connection severing (the a14 shape).
-    WireFrontEnd,
-}
-
-impl Kind {
-    fn parse(s: &str) -> Option<Kind> {
-        Some(match s {
-            "mixed" => Kind::Mixed,
-            "sharding" => Kind::Sharding,
-            "wire_front_end" => Kind::WireFrontEnd,
-            _ => return None,
-        })
-    }
-
-    /// The scenario-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Kind::Mixed => "mixed",
-            Kind::Sharding => "sharding",
-            Kind::WireFrontEnd => "wire_front_end",
-        }
-    }
-}
 
 /// How the generic engine routes its reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,27 +88,20 @@ pub enum InjectAction {
     /// live process believed durable is sheared off at the crash
     /// boundary and recovery must lose exactly that one.
     TornHostWal,
-    /// Sever `count` live wire connections mid-flight (socket transport
-    /// only): in-doubt transactions on the dropped connections must
-    /// resolve by presumed abort with no atomicity violation.
-    SeverConnections { count: u64 },
 }
 
 /// The knob set a scenario (and each variant) may override. All fields are
-/// optional at the schema level; each [`Kind`]'s driver demands the ones it
-/// needs from the merged per-trial view and defaults the rest.
+/// optional at the schema level; the engine demands the ones it needs from
+/// the merged per-trial view and defaults the rest.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Params {
-    pub threads: Option<u64>,
     pub shards: Option<u64>,
-    pub cycles: Option<u64>,
     pub sync_latency_us: Option<u64>,
     pub replicas: Option<u64>,
     pub host_replicas: Option<u64>,
     pub n_files: Option<u64>,
     pub file_size: Option<u64>,
     pub clients: Option<u64>,
-    pub agents: Option<u64>,
     pub pool_max: Option<u64>,
     pub ops: Option<u64>,
     pub write_ratio: Option<f64>,
@@ -158,16 +119,13 @@ impl Params {
             };
         }
         pick!(
-            threads,
             shards,
-            cycles,
             sync_latency_us,
             replicas,
             host_replicas,
             n_files,
             file_size,
             clients,
-            agents,
             pool_max,
             ops,
             write_ratio,
@@ -221,59 +179,42 @@ impl CmpOp {
     }
 }
 
-/// An assertion declared in the scenario: `metric op number`, or the
-/// ratio of two metrics, `a / b op number` — e.g. `"max_os_threads < 64"`
-/// or `"ops_s_v3 / ops_s_v1 >= 1"`. Evaluated against the metric map the
+/// An assertion declared in the scenario: `metric op number` — e.g.
+/// `"max_os_threads < 64"`. Evaluated against the metric map the
 /// scenario's engine emits; naming a metric the engine never produced is
-/// an error, not a silent pass, and so is a zero denominator.
+/// an error, not a silent pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     pub metric: String,
-    /// The denominator of a ratio predicate.
-    pub per: Option<String>,
     pub op: CmpOp,
     pub value: f64,
 }
 
 impl Predicate {
-    /// Parses `metric op number` or `a / b op number` (whitespace-separated).
+    /// Parses `metric op number` (whitespace-separated).
     pub fn parse(text: &str) -> Result<Predicate, String> {
         let parts: Vec<&str> = text.split_whitespace().collect();
-        let (metric, per, op, value) = match parts.as_slice() {
-            [metric, op, value] => (*metric, None, *op, *value),
-            [metric, "/", per, op, value] => (*metric, Some(*per), *op, *value),
-            _ => {
-                return Err(format!(
-                    "predicate {text:?} must be `metric op number` or `a / b op number` \
-                     (e.g. \"failover_ms <= 500\")"
-                ))
-            }
+        let [metric, op, value] = parts.as_slice() else {
+            return Err(format!(
+                "predicate {text:?} must be `metric op number` (e.g. \"failover_ms <= 500\")"
+            ));
         };
         let op = CmpOp::parse(op)
             .ok_or_else(|| format!("predicate {text:?}: unknown operator {op:?}"))?;
         let value = value
             .parse::<f64>()
             .map_err(|_| format!("predicate {text:?}: {value:?} is not a number"))?;
-        let name_ok = |m: &str| m.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !name_ok(metric) || !per.is_none_or(name_ok) {
+        if !metric.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
             return Err(format!("predicate {text:?}: metric names are [a-z0-9_]"));
         }
-        Ok(Predicate { metric: metric.to_string(), per: per.map(str::to_string), op, value })
+        Ok(Predicate { metric: metric.to_string(), op, value })
     }
 
-    /// The value the predicate compares: the metric, or the ratio of the
-    /// two. A missing operand or a zero denominator is an error naming it.
+    /// The value the predicate compares. A metric the engine never emitted
+    /// is an error naming it.
     pub fn measure(&self, metrics: &BTreeMap<String, f64>) -> Result<f64, String> {
-        let get = |name: &str| {
-            metrics.get(name).copied().ok_or_else(|| format!("metric {name:?} was not emitted"))
-        };
-        let a = get(&self.metric)?;
-        let Some(per) = &self.per else { return Ok(a) };
-        let b = get(per)?;
-        if b == 0.0 {
-            return Err(format!("denominator {per:?} is 0"));
-        }
-        Ok(a / b)
+        let metric = &self.metric;
+        metrics.get(metric).copied().ok_or_else(|| format!("metric {metric:?} was not emitted"))
     }
 
     /// Checks the predicate against a measured value.
@@ -290,11 +231,7 @@ impl Predicate {
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.metric)?;
-        if let Some(per) = &self.per {
-            write!(f, " / {per}")?;
-        }
-        write!(f, " {} {}", self.op.as_str(), self.value)
+        write!(f, "{} {} {}", self.metric, self.op.as_str(), self.value)
     }
 }
 
@@ -303,8 +240,7 @@ impl fmt::Display for Predicate {
 pub struct Scenario {
     /// Scenario id: becomes the table id and the `BENCH_<id>.json` name.
     pub name: String,
-    pub kind: Kind,
-    /// Optional human title override; drivers synthesize one otherwise.
+    /// Optional human title override; the engine synthesizes one otherwise.
     pub title: Option<String>,
     /// Root of every trial seed (see [`crate::plan`]).
     pub seed: u64,
@@ -380,7 +316,6 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
     reject_duplicates(file, line, obj, "scenario header")?;
 
     let mut name = None;
-    let mut kind = None;
     let mut title = None;
     let mut seed = None;
     let mut repeats = 1u64;
@@ -403,16 +338,6 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
                     ));
                 }
                 name = Some(s.to_string());
-            }
-            "kind" => {
-                let s = expect_str(file, line, key, val)?;
-                kind = Some(Kind::parse(s).ok_or_else(|| {
-                    err(
-                        file,
-                        line,
-                        format!("unknown kind {s:?} (expected mixed, sharding or wire_front_end)"),
-                    )
-                })?);
             }
             "title" => title = Some(expect_str(file, line, key, val)?.to_string()),
             "seed" => seed = Some(expect_u64(file, line, key, val, 0, u64::MAX)?),
@@ -465,7 +390,6 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
 
     Ok(Scenario {
         name: name.ok_or_else(|| err(file, line, "scenario header is missing \"scenario\""))?,
-        kind: kind.ok_or_else(|| err(file, line, "scenario header is missing \"kind\""))?,
         title,
         seed: seed.ok_or_else(|| {
             err(file, line, "scenario header is missing \"seed\" (trials must be reproducible)")
@@ -565,9 +489,7 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
     let mut p = Params::default();
     for (key, val) in obj {
         match key.as_str() {
-            "threads" => p.threads = Some(expect_u64(file, line, key, val, 1, 256)?),
             "shards" => p.shards = Some(expect_u64(file, line, key, val, 1, 64)?),
-            "cycles" => p.cycles = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "sync_latency_us" => {
                 p.sync_latency_us = Some(expect_u64(file, line, key, val, 0, 1_000_000)?)
             }
@@ -576,7 +498,6 @@ fn parse_params(file: &str, line: usize, v: &Value) -> Result<Params, SchemaErro
             "n_files" => p.n_files = Some(expect_u64(file, line, key, val, 1, 65_536)?),
             "file_size" => p.file_size = Some(expect_u64(file, line, key, val, 1, 16 << 20)?),
             "clients" => p.clients = Some(expect_u64(file, line, key, val, 1, 4096)?),
-            "agents" => p.agents = Some(expect_u64(file, line, key, val, 1, 4096)?),
             "pool_max" => p.pool_max = Some(expect_u64(file, line, key, val, 1, 1024)?),
             "ops" => p.ops = Some(expect_u64(file, line, key, val, 1, 1_000_000)?),
             "write_ratio" => p.write_ratio = Some(expect_ratio(file, line, key, val)?),
@@ -663,31 +584,19 @@ fn parse_injections(file: &str, line: usize, v: &Value) -> Result<Vec<Injection>
                 host: target.unwrap_or(false),
             },
             Some("torn_host_wal") => InjectAction::TornHostWal,
-            Some("sever_connections") => {
-                InjectAction::SeverConnections { count: count.unwrap_or(1) }
-            }
             Some(other) => {
                 return Err(err(
                     file,
                     line,
                     format!(
-                        "unknown injection action {other:?} (expected crash_primary, crash_host, stall_standby, resume_standby, kill_upcall_workers, disk_enospc, torn_host_wal or sever_connections)"
+                        "unknown injection action {other:?} (expected crash_primary, crash_host, stall_standby, resume_standby, kill_upcall_workers, disk_enospc or torn_host_wal)"
                     ),
                 ))
             }
             None => return Err(err(file, line, "injection is missing \"action\"")),
         };
-        if count.is_some()
-            && !matches!(
-                action,
-                InjectAction::KillUpcallWorkers { .. } | InjectAction::SeverConnections { .. }
-            )
-        {
-            return Err(err(
-                file,
-                line,
-                "\"count\" only applies to kill_upcall_workers and sever_connections",
-            ));
+        if count.is_some() && !matches!(action, InjectAction::KillUpcallWorkers { .. }) {
+            return Err(err(file, line, "\"count\" only applies to kill_upcall_workers"));
         }
         if writes.is_some() && !matches!(action, InjectAction::DiskEnospc { .. }) {
             return Err(err(file, line, "\"writes\" only applies to disk_enospc"));

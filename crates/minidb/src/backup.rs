@@ -1,9 +1,10 @@
 //! Backup and point-in-time restore helpers.
 //!
 //! A backup is a transaction-consistent fork of the storage environment
-//! ([`crate::Database::backup`]). Restoring never consumes the backup: the
-//! functions here fork it again, so one backup image supports any number of
-//! restores to any number of points in time — exactly what §4.4's
+//! ([`crate::Database::backup`]). Restoring never consumes the backup:
+//! [`restore_to_lsn`] forks it again (the newest state is
+//! `Database::open(backup.fork()?)`), so one backup image supports any
+//! number of restores to any number of points in time — exactly what §4.4's
 //! "database may be restored to a specific time in the past for auditing
 //! purposes" requires.
 
@@ -11,11 +12,6 @@ use crate::db::{Database, DbOptions};
 use crate::device::StorageEnv;
 use crate::error::DbResult;
 use crate::wal::Lsn;
-
-/// Restores the newest committed state in `backup`.
-pub fn restore_latest(backup: &StorageEnv) -> DbResult<Database> {
-    Database::open(backup.fork()?)
-}
 
 /// Restores the state as of `lsn` (commits with LSN ≤ `lsn` are included).
 pub fn restore_to_lsn(backup: &StorageEnv, lsn: Lsn) -> DbResult<Database> {
@@ -59,10 +55,10 @@ mod tests {
     }
 
     #[test]
-    fn restore_latest_matches_source() {
+    fn restoring_the_newest_state_matches_source() {
         let (db, _) = setup();
         let backup = db.backup().unwrap();
-        let restored = restore_latest(&backup).unwrap();
+        let restored = Database::open(backup.fork().unwrap()).unwrap();
         assert_eq!(rev_of(&restored), 4);
     }
 
@@ -82,7 +78,7 @@ mod tests {
         let backup = db.backup().unwrap();
         let a = restore_to_lsn(&backup, lsns[1]).unwrap();
         let b = restore_to_lsn(&backup, lsns[3]).unwrap();
-        let c = restore_latest(&backup).unwrap();
+        let c = Database::open(backup.fork().unwrap()).unwrap();
         assert_eq!(rev_of(&a), 1);
         assert_eq!(rev_of(&b), 3);
         assert_eq!(rev_of(&c), 4);

@@ -135,6 +135,25 @@ pub struct MemDevice {
     sync_latency_ns: u64,
     /// Number of `sync` calls served (benchmarks and tests read this).
     syncs: std::sync::atomic::AtomicU64,
+    /// Syncs in flight, shared with the owning environment's other devices.
+    gauge: Arc<SyncGauge>,
+}
+
+/// Device syncs in flight at once, and the most there have been, across
+/// every device of the in-memory environments that share it (one
+/// environment and its [`StorageEnv::sibling`]s): the sharded namespace's
+/// repositories share one, so a test can tell that they sync side by side.
+#[derive(Default)]
+pub struct SyncGauge {
+    in_flight: std::sync::atomic::AtomicU64,
+    peak: std::sync::atomic::AtomicU64,
+}
+
+impl SyncGauge {
+    /// The most syncs that were in flight at one moment.
+    pub fn peak(&self) -> u64 {
+        self.peak.load(std::sync::atomic::Ordering::Relaxed)
+    }
 }
 
 impl MemDevice {
@@ -195,10 +214,14 @@ impl Device for MemDevice {
     }
 
     fn sync(&self) -> DbResult<()> {
-        self.syncs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        use std::sync::atomic::Ordering::Relaxed;
+        self.syncs.fetch_add(1, Relaxed);
+        let in_flight = self.gauge.in_flight.fetch_add(1, Relaxed) + 1;
+        self.gauge.peak.fetch_max(in_flight, Relaxed);
         if self.sync_latency_ns > 0 {
             std::thread::sleep(std::time::Duration::from_nanos(self.sync_latency_ns));
         }
+        self.gauge.in_flight.fetch_sub(1, Relaxed);
         Ok(())
     }
 
@@ -273,6 +296,9 @@ pub struct MemEnv {
     sync_latency_ns: u64,
     /// Fault handle shared with every device this environment creates.
     faults: Option<Arc<DiskFaults>>,
+    /// Sync gauge shared with every device this environment creates, and
+    /// with its siblings'.
+    gauge: Arc<SyncGauge>,
 }
 
 /// Provides the named devices a database needs and supports forking.
@@ -306,6 +332,29 @@ impl StorageEnv {
             sync_latency_ns,
             ..Default::default()
         }))
+    }
+
+    /// A fresh, empty in-memory environment with this one's sync latency
+    /// that shares its [`SyncGauge`] (no gauge to share from a directory:
+    /// then a plain [`StorageEnv::mem`]). Faults are not shared.
+    pub fn sibling(&self) -> StorageEnv {
+        match self {
+            StorageEnv::Mem(env) => StorageEnv::Mem(Arc::new(MemEnv {
+                sync_latency_ns: env.sync_latency_ns,
+                gauge: Arc::clone(&env.gauge),
+                ..Default::default()
+            })),
+            StorageEnv::Dir(_) => StorageEnv::mem(),
+        }
+    }
+
+    /// The sync gauge this environment's devices share (none for a
+    /// directory).
+    pub fn sync_gauge(&self) -> Option<&SyncGauge> {
+        match self {
+            StorageEnv::Mem(env) => Some(&env.gauge),
+            StorageEnv::Dir(_) => None,
+        }
     }
 
     /// The fault handle attached at construction, if any.
@@ -361,6 +410,7 @@ impl StorageEnv {
                     Arc::new(MemDevice {
                         sync_latency_ns: env.sync_latency_ns,
                         faults: env.faults.clone(),
+                        gauge: Arc::clone(&env.gauge),
                         ..Default::default()
                     })
                 });
@@ -389,7 +439,7 @@ impl StorageEnv {
                             data: RwLock::new(dev.snapshot()),
                             sync_latency_ns: env.sync_latency_ns,
                             faults: env.faults.clone(),
-                            syncs: Default::default(),
+                            ..Default::default()
                         }),
                     );
                 }
@@ -397,6 +447,7 @@ impl StorageEnv {
                     devices: RwLock::new(dst),
                     sync_latency_ns: env.sync_latency_ns,
                     faults: env.faults.clone(),
+                    ..Default::default()
                 })))
             }
             StorageEnv::Dir(dir) => {
@@ -491,6 +542,35 @@ mod tests {
             d.sync().unwrap();
             assert!(t.elapsed() >= std::time::Duration::from_micros(150));
         }
+    }
+
+    #[test]
+    fn siblings_share_one_sync_gauge_and_a_fork_does_not() {
+        let env = StorageEnv::mem_with_sync_latency(1_000);
+        let sibling = env.sibling();
+        assert_eq!(sibling.sync_latency_ns(), 1_000);
+        let gauge = env.sync_gauge().unwrap();
+        assert!(std::ptr::eq(gauge, sibling.sync_gauge().unwrap()));
+        assert!(!std::ptr::eq(gauge, env.fork().unwrap().sync_gauge().unwrap()));
+        // A sync leaves the flight it counted: one after the other is one
+        // at a time.
+        env.device("wal").unwrap().sync().unwrap();
+        sibling.device("wal").unwrap().sync().unwrap();
+        assert_eq!(gauge.peak(), 1);
+        // Two at once count two.
+        let barrier = std::sync::Barrier::new(2);
+        let slow = StorageEnv::mem_with_sync_latency(200_000_000);
+        let (a, b) = (slow.device("wal").unwrap(), slow.sibling().device("wal").unwrap());
+        std::thread::scope(|s| {
+            for d in [&a, &b] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    d.sync().unwrap();
+                });
+            }
+        });
+        assert_eq!(slow.sync_gauge().unwrap().peak(), 2);
     }
 
     #[test]

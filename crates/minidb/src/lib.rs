@@ -76,7 +76,7 @@ pub mod wal;
 pub use db::{
     Database, DbOptions, DbTelemetry, DmlEvent, DmlObserver, InjectedDml, OpKind, Participant,
 };
-pub use device::{Device, DiskFaults, FileDevice, MemDevice, StorageEnv};
+pub use device::{Device, DiskFaults, FileDevice, MemDevice, StorageEnv, SyncGauge};
 pub use error::{DbError, DbResult};
 pub use lock::LockMode;
 pub use ops::RowOp;

@@ -49,7 +49,7 @@ pub struct NetStats {
     /// or take the one lend in flight.
     pub seat_handoffs_timeout: Counter,
     /// Client calls that gave up waiting for their reply frame
-    /// (`DlfmConfig::wire_call_timeout_ms`). The connection stays usable.
+    /// (`dl_dlfm::wire::WIRE_CALL_TIMEOUT`, 30 s). The connection stays usable.
     pub call_timeouts: Counter,
     /// Connections accepted (server) or registered (client).
     pub accepts: Counter,

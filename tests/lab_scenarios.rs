@@ -30,7 +30,7 @@ fn every_shipped_scenario_parses_and_expands_deterministically() {
     let files = scenario_files();
     assert!(
         files.len() >= 8,
-        "expected the a10, a12-a14 ports plus fault scenarios, got {files:?}"
+        "expected the a10 and a12 ports plus the fault scenarios, got {files:?}"
     );
     for file in files {
         let sc = dl_lab::load_scenario(&file)

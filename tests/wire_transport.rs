@@ -272,6 +272,41 @@ fn a_link_and_an_unlink_each_cost_two_request_frames() {
     assert!(sys.node(SRV).unwrap().server.repository().get_file("/d/f0.bin").is_none());
 }
 
+/// A served frame borrows the seat: a sequential client has one frame in
+/// flight, so its thread reads one event per poll and serves it on a lent
+/// poll set, then takes the set back — no follower wakes per frame. Over
+/// sequential link → update → read → unlink lifecycles, nearly every
+/// request frame ends in a reclaim; a reactor that gave the seat away per
+/// frame would reclaim none.
+#[test]
+fn sequential_lifecycles_reclaim_the_seat_for_nearly_every_frame() {
+    const LIFECYCLES: i64 = 50;
+    let sys = build(0);
+    let counter = |k: &str| sys.registry().snapshot().counters[&format!("net.{SRV}.{k}")];
+    let (frames_before, reclaims_before) = (counter("frames_in"), counter("seat_reclaims"));
+    for i in 0..LIFECYCLES {
+        let path = format!("/d/life{i}.bin");
+        sys.raw_fs(SRV).unwrap().write_file(&APP, &path, b"v1").unwrap();
+        let mut tx = sys.begin();
+        tx.insert("t", vec![Value::Int(i), Value::DataLink(format!("dlfs://{SRV}{path}"))])
+            .unwrap();
+        tx.commit().unwrap();
+        write_once(&sys, i, b"v2");
+        let fs = sys.fs(SRV).unwrap();
+        let fd = fs.open(&APP, &read_token_path(&sys, i), OpenOptions::read_only()).unwrap();
+        assert_eq!(fs.read_to_end(fd).unwrap(), b"v2");
+        fs.close(fd).unwrap();
+        let mut tx = sys.begin();
+        tx.delete("t", &Value::Int(i)).unwrap();
+        tx.commit().unwrap();
+    }
+    let frames = counter("frames_in") - frames_before;
+    let reclaims = counter("seat_reclaims") - reclaims_before;
+    eprintln!("{reclaims} seat reclaims over {frames} request frames");
+    assert_eq!(frames, 8 * LIFECYCLES as u64, "a lifecycle is 8 request frames");
+    assert!(reclaims * 2 >= frames, "only {reclaims} of {frames} frames reclaimed their lend");
+}
+
 #[test]
 fn second_writer_waits_out_busy_over_the_socket() {
     let sys = build(1);
@@ -312,49 +347,136 @@ fn second_writer_waits_out_busy_over_the_socket() {
 // a severed connection mid-2PC resolves by presumed abort
 // ---------------------------------------------------------------------------
 
-#[test]
-fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
+/// What one sever-and-churn run counted.
+struct SeverRun {
+    /// `net.<srv>.peak_connections`: the most connections open at once.
+    peak_connections: f64,
+    /// The most threads that served the node's frames at once.
+    executor_peak_threads: u64,
+    /// Links left in the repository plus claims still pending.
+    atomicity_violations: u64,
+    /// `net.<srv>.presumed_aborts`.
+    presumed_aborts: u64,
+    /// Severed connections whose client endpoint knows it is dead.
+    severed: u64,
+    /// `net.<srv>.decode_errors`.
+    decode_errors: u64,
+    /// `net.<srv>.disconnects`.
+    disconnects: u64,
+    /// Link → commit → unlink → commit rounds that completed.
+    churn_cycles: u64,
+}
+
+/// `connections` real sockets held open together against one node. The
+/// first `severed` each link a file, and then their socket is cut before
+/// the decision arrives: the host database never heard of those
+/// transactions, so each in-doubt claim must resolve by presumed abort
+/// and roll its link back. Every other connection drives one full link →
+/// commit → unlink → commit round over the wire, 16 client threads in
+/// all, while the severed claims resolve underneath. Anything left in
+/// the repository afterwards, or any claim still pending, is an atomicity
+/// violation.
+fn sever_mid_two_phase_commit(connections: usize, severed: usize) -> SeverRun {
     let sys = build(0);
     let raw = sys.raw_fs(SRV).unwrap();
-    raw.write_file(&APP, "/d/orphan.bin", b"doomed").unwrap();
     let node = sys.node(SRV).unwrap();
     let wire = node.wire().expect("socket transport");
+    let doomed_path = |j: usize| format!("/d/doomed{j:04}.bin");
+    let churn_path = |i: usize| format!("/d/churn{i:04}.bin");
+    for j in 0..severed {
+        raw.write_file(&APP, &doomed_path(j), b"doomed").unwrap();
+    }
+    for i in 0..connections - severed {
+        raw.write_file(&APP, &churn_path(i), b"churn").unwrap();
+    }
 
-    // A client links, then its connection dies before the
-    // decision arrives. The host database never heard of the transaction,
-    // so resolution must presume abort and roll the link back.
-    let conn = wire.connect("torture").unwrap();
-    let agent = DlfmClient::connect(conn.clone(), "torture").unwrap();
-    let txid = 9_000_001;
-    agent.link(txid, "/d/orphan.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
-    assert_eq!(node.server.pending_host_txns(), vec![txid]);
+    // Every connection is a real socket, and they are all open at once.
+    let doomed: Vec<_> = (0..severed)
+        .map(|j| {
+            let conn = wire.connect(&format!("doomed-{j}")).unwrap();
+            (DlfmClient::connect(conn.clone(), "doomed").unwrap(), conn)
+        })
+        .collect();
+    let churners: Vec<DlfmClient> = (0..connections - severed)
+        .map(|i| wire.connect_client(&format!("churn-{i}")).unwrap())
+        .collect();
 
     let aborts_before = wire.daemon.presumed_aborts().get();
-    conn.sever();
+    for (j, (agent, conn)) in doomed.iter().enumerate() {
+        let txid = 3_000_000 + 2 * j as u64;
+        agent.link(txid, &doomed_path(j), ControlMode::Rff, true, OnUnlink::Restore).unwrap();
+        conn.sever();
+    }
 
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let threads = 16.min(churners.len().max(1));
+    let churn_cycles = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (churners, churn_cycles) = (&churners, &churn_cycles);
+            s.spawn(move || {
+                for (i, agent) in churners.iter().enumerate().filter(|(i, _)| i % threads == t) {
+                    let (link_tx, path) = (1_000_000 + 2 * i as u64, churn_path(i));
+                    agent.link(link_tx, &path, ControlMode::Rff, true, OnUnlink::Restore).unwrap();
+                    agent.commit(link_tx);
+                    agent.unlink(link_tx + 1, &path).unwrap();
+                    agent.commit(link_tx + 1);
+                    churn_cycles.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+    });
+
+    let deadline = Instant::now() + Duration::from_secs(30);
     while (!node.server.pending_host_txns().is_empty()
-        || wire.daemon.presumed_aborts().get() == aborts_before)
+        || wire.daemon.presumed_aborts().get() < aborts_before + severed as u64)
         && Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(node.server.pending_host_txns().is_empty(), "the in-doubt claim must settle");
-    assert_eq!(
-        wire.daemon.presumed_aborts().get(),
-        aborts_before + 1,
-        "the orphan must be resolved by presumed abort"
-    );
-    assert!(
-        node.server.repository().get_file("/d/orphan.bin").is_none(),
-        "the aborted link must leave no residue"
-    );
-    assert!(conn.is_dead(), "the severed client endpoint must know it is dead");
+    let atomicity_violations = (node.server.repository().list_files().len()
+        + node.server.pending_host_txns().len()) as u64;
 
-    // The registry mirrors the resolution alongside the disconnect.
+    // Read while the surviving connections are still open.
     let snap = sys.registry().snapshot();
-    assert_eq!(snap.counters.get(&format!("net.{SRV}.presumed_aborts")), Some(&1));
-    assert!(*snap.counters.get(&format!("net.{SRV}.disconnects")).unwrap() >= 1);
+    let counter = |k: &str| snap.counters.get(&format!("net.{SRV}.{k}")).copied().unwrap_or(0);
+    let run = SeverRun {
+        peak_connections: snap.gauges[&format!("net.{SRV}.peak_connections")],
+        executor_peak_threads: wire.daemon.peak_threads() as u64,
+        atomicity_violations,
+        presumed_aborts: counter("presumed_aborts"),
+        severed: doomed.iter().filter(|(_, conn)| conn.is_dead()).count() as u64,
+        decode_errors: counter("decode_errors"),
+        disconnects: counter("disconnects"),
+        churn_cycles: churn_cycles.into_inner() as u64,
+    };
+    drop(churners);
+    run
+}
+
+#[test]
+fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
+    let run = sever_mid_two_phase_commit(1, 1);
+    assert_eq!(run.presumed_aborts, 1, "the orphan must be resolved by presumed abort");
+    assert_eq!(run.atomicity_violations, 0, "the aborted link must leave no residue");
+    assert_eq!(run.severed, 1, "the severed client endpoint must know it is dead");
+    assert!(run.disconnects >= 1, "the registry mirrors the disconnect");
+}
+
+/// The wire front end at connection scale: 1,088 sockets open at once,
+/// 32 of them severed mid-2PC while the other 1,056 each run a full
+/// link/unlink round. Frames are served on the threads that read them, so
+/// the connection count costs no threads: the serving threads stay at 32
+/// or fewer.
+#[test]
+fn a_thousand_sockets_churn_while_32_are_severed_mid_two_phase_commit() {
+    let run = sever_mid_two_phase_commit(1_088, 32);
+    assert!(run.peak_connections >= 1024.0, "peak connections {}", run.peak_connections);
+    assert!(run.executor_peak_threads <= 32, "{} serving threads", run.executor_peak_threads);
+    assert_eq!(run.atomicity_violations, 0);
+    assert!(run.presumed_aborts >= 32, "{} presumed aborts", run.presumed_aborts);
+    assert_eq!(run.severed, 32);
+    assert_eq!(run.decode_errors, 0, "every byte reassembled into a legal frame");
+    assert_eq!(run.churn_cycles, 1_056, "every churn cycle completed");
 }
 
 /// A real host transaction whose agent connection is cut while it commits:
