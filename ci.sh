@@ -19,7 +19,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `DlfmServer::handle` the only dispatch. A second request/reply enum, or
 # one of the knobs deleted with the duplicate paths, must not come back.
 # Two harnesses, not four (EXPERIMENTS.md): numbers come from benchmark/,
-# gates from scenario asserts — no Criterion, no BENCH-file comparer. (The
+# gates from tier-1 tests — no Criterion, no BENCH-file comparer. (The
 # bracketed first letters keep these patterns from matching this file.)
 # One redo, one log, one database type, following is a mode (DESIGN.md
 # "Recovery and replication"): the ship daemon feeds one concrete fenced
@@ -74,12 +74,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `lend_seat` must be there.
 step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving, no seat given away per frame"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
-    crates/ src/ tests/ scenarios/ \
+    crates/ src/ tests/ \
   || grep -rnE "settle_stats|reply_parked|try_grow|retire_window|upcall_idle_ms|upcall_workers_min" \
-    crates/ src/ tests/ scenarios/ \
+    crates/ src/ tests/ \
   || grep -n "\.submit(" crates/dlfm/src/wire.rs \
   || grep -rnE "trait ShipTarget|HostStandby|HostReplicaSetOptions|read_lane_auto|set_read_lane_source|fixed_upcall_workers" \
-    crates/ src/ tests/ scenarios/ \
+    crates/ src/ tests/ \
   || grep -rnE "PreparedTxn[P]articipant|dlfm-[c]lose:|ensure_[s]ettled" crates/ src/ tests/ \
   || grep -rnE "coordinator_[o]utcome|record_[o]utcome|in_doubt_[c]oordinator|fn [o]utcome\(" crates/ src/ tests/ \
   || grep -rnE "commit_[p]repared|abort_[p]repared|resolve_[i]n_doubt|in_doubt_[t]xns|in_doubt_[o]ps|WalRecord::[P]repare|WalRecord::[D]ecide" crates/ src/ tests/ \
@@ -136,29 +136,19 @@ if grep -rnE '"dl_(sync|tokens)"' crates/*/src \
   exit 1
 fi
 
-# One lab engine (EXPERIMENTS.md "Writing a scenario"): a10, a12 and the
-# fault scenarios run on it, and a9, a11, a13 and a14 left the lab for
-# tier-1 count gates — device syncs per commit and per update cycle in
-# tests/group_commit.rs; log bytes, image installs and records shipped in
-# tests/replication.rs; busy shards, per-shard syncs and repository syncs in
-# flight at once in tests/sharding.rs; connections, serving threads,
-# presumed aborts and seat reclaims per frame in tests/wire_transport.rs.
-# Gates count, rates are measured (by benchmark/): no engine kind, no
-# scenario header naming one, none of the deleted engines' knobs, no
-# hand-computed comparison metric, and no scenario assert on a rate. The
-# bracketed first letters keep these patterns from matching this file;
-# one guard joins lab.rs into one line so a `metrics.insert` split across
-# lines is still read whole.
-step "guard: one lab engine (no Kind, no \"kind\" key, no deleted kind or knob, no sever_connections), no hand-computed comparison metric, no rate assert"
-if grep -rnE "Kind::([R]eplication|[F]rontEnd|[C]ommitThroughput|[C]heckpointShipping)" crates/ src/ tests/ \
-  || grep -rnE '"[r]eaders"|[r]eads_per' crates/ src/ tests/ scenarios/ \
-  || grep -rnE '"([c]ommits|[u]pdates|[b]udget|[d]elta)"' crates/lab crates/bench scenarios/ \
-  || grep -rnE 'enum [K]ind|"[k]ind"|Kind::([S]harding|[W]ireFrontEnd)|"([t]hreads|[c]ycles|[a]gents)"|[s]ever_connections' \
-       crates/lab crates/bench/src/lab.rs scenarios/ \
-  || tr '\n' ' ' < crates/bench/src/lab.rs \
-       | grep -oE 'metrics\s*\.insert\(\s*(format!\()?"[^"]*"' | grep -E "_vs_|speedup|_ratio" \
-  || grep -oE '"assert":\[[^]]*\]' scenarios/*.jsonl | grep -E '([o]ps_s|_[r]ate)(_v[0-9]+)?[ "]'; then
-  echo "guard: a lab engine kind, a deleted knob or injection, a hand-computed comparison metric, or a rate assert reappeared (matches above)" >&2
+# No scenario lab (EXPERIMENTS.md "Fault matrix"): the fault scenarios are
+# tier-1 tests in tests/fault_matrix.rs over one plain driver,
+# `dl_bench::mixed::run`. No scenario language, no scenario files, no lab
+# binary — and the driver counts; rates are benchmark/'s to measure, so it
+# emits no `ops_s` or `*_rate` metric. (The bracketed first letters keep
+# these patterns from matching this file.)
+step "guard: no crates/lab, no scenarios/, no dl_lab, no lab binary, no rate metric in the mixed driver"
+if [[ -e crates/lab || -e scenarios ]] \
+  || grep -rnE "dl[_-]lab" Cargo.toml Cargo.lock crates/ src/ tests/ examples/ \
+  || grep -rnE "[-]-bin lab\b" crates/ src/ tests/ examples/ README.md DESIGN.md EXPERIMENTS.md \
+       OPERATIONS.md \
+  || grep -nE '"[^"]*([o]ps_s|_[r]ate)\b[^"]*"' crates/bench/src/mixed.rs; then
+  echo "guard: the scenario lab (crates/lab, scenarios/, dl_lab, the lab binary) or a rate metric in the mixed driver reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -190,19 +180,20 @@ cargo test --workspace -q --no-fail-fast
 # table races a read open against an unlink branch, read and write opens
 # against each other, and a strict registration against a link branch
 # (dlfm_protocol's `racing` and `concurrent_read_and_write` tests).
-# group_commit, replication, sharding and wire_transport also hold the
-# count gates that replaced the lab's a9, a11, a13 and a14 (device syncs
-# per commit and per update cycle; log bytes under a budget, image installs
-# and records shipped on catch-up; busy shards, per-shard syncs and
-# repository syncs in flight at once; connections, serving threads,
-# presumed aborts and seat reclaims per frame), so every round re-reads
-# them under a machine the other suites keep busy.
+# group_commit, replication, sharding and wire_transport also hold count
+# gates (device syncs per commit and per update cycle; log bytes under a
+# budget, image installs and records shipped on catch-up; busy shards,
+# per-shard syncs and repository syncs in flight at once; connections,
+# serving threads, presumed aborts and seat reclaims per frame), so every
+# round re-reads them under a machine the other suites keep busy. The fault
+# matrix crashes, promotes and drains across the same unforced-append
+# window under concurrent clients.
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + fault_matrix + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
-    --test close_commit_sweep --test sharding \
+    --test close_commit_sweep --test sharding --test fault_matrix \
     || { echo "flake guard: round $round failed" >&2; exit 1; }
   cargo test --offline -q --test wire_transport \
     || { echo "flake guard: round $round (wire_transport) failed" >&2; exit 1; }
@@ -230,20 +221,6 @@ cargo build --examples --quiet
 # builds clean with warnings promoted to errors.
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-# Every shipped scenario through the lab (EXPERIMENTS.md "Writing a
-# scenario"). Each scenario's own `assert` lines are the gate — counts,
-# shapes and invariants, never a rate — and the lab exits non-zero if any
-# fails; each failed assert is also printed on
-# stderr, which this step keeps. Quick mode stays on the debug profile to avoid a
-# release build it otherwise skips.
-step "lab --quick scenarios/*.jsonl (declared assertions)"
-profile_flag=""
-if [[ "${1:-}" != "quick" ]]; then
-  profile_flag="--release"
-fi
-# shellcheck disable=SC2086  # $profile_flag is intentionally word-split
-cargo run -p dl-bench $profile_flag --quiet --bin lab -- --quick scenarios/*.jsonl > /dev/null
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
 # outside the workspace, so nothing above compiles it — and it may not be

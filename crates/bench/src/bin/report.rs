@@ -13,8 +13,8 @@
 //!
 //! These tables reproduce the paper's *shapes*; nothing gates on their
 //! timings. Performance numbers come from the repo benchmark
-//! (`benchmark/`), invariants from the scenario lab's `assert` lines
-//! (`cargo run -p dl-bench --bin lab -- scenarios/*.jsonl`).
+//! (`benchmark/`), invariants under injected faults from the tier-1 fault
+//! matrix (`cargo test --test fault_matrix`).
 
 use dl_bench::experiments as exp;
 

@@ -63,7 +63,7 @@ impl Table {
     }
 
     /// Machine-readable form, written as `BENCH_<id>.json` by `report
-    /// --json` and `lab --json` (see EXPERIMENTS.md). Hand-rolled
+    /// --json` (see EXPERIMENTS.md). Hand-rolled
     /// serialization: the workspace builds without serde (vendor/README.md).
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
@@ -849,7 +849,6 @@ pub fn open_latency_distribution(mode: ControlMode, samples: usize) -> (u64, u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dl_lab::json;
 
     /// The cell of the row labelled `row` (first cell) under `column`.
     fn cell<'a>(t: &'a Table, row: &str, column: &str) -> &'a str {
@@ -917,10 +916,11 @@ mod tests {
         assert_eq!(cell(&a8, "strict (window closed)", "upcalls/open"), "2.00");
     }
 
-    /// `to_json` output is well-formed for the workspace's one JSON reader,
-    /// whatever the cells hold.
+    /// `to_json` escapes what JSON requires — quote, backslash, newline,
+    /// tab and every other control character — and passes the rest (`µ`)
+    /// through as UTF-8.
     #[test]
-    fn to_json_round_trips_through_the_lab_json_reader() {
+    fn to_json_escapes_quotes_backslashes_and_control_characters() {
         let t = Table {
             id: "X1".into(),
             title: "a \"quoted\" title\nwith a newline".into(),
@@ -931,20 +931,14 @@ mod tests {
             ],
             notes: vec![s("µ, \u{1f} and \"\\\" together")],
         };
-        let parsed = json::parse(&t.to_json()).expect("to_json emits valid JSON");
-        let field = |key: &str| {
-            let obj = parsed.as_obj().expect("one object");
-            &obj.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key:?}")).1
-        };
-        let strings = |v: &json::Value| -> Vec<String> {
-            v.as_arr().expect("array").iter().map(|c| s(c.as_str().expect("string cell"))).collect()
-        };
-        assert_eq!(field("id").as_str(), Some("X1"));
-        assert_eq!(field("title").as_str(), Some(t.title.as_str()));
-        assert_eq!(strings(field("header")), t.header);
-        let rows: Vec<Vec<String>> =
-            field("rows").as_arr().expect("rows").iter().map(strings).collect();
-        assert_eq!(rows, t.rows);
-        assert_eq!(strings(field("notes")), t.notes);
+        assert_eq!(
+            t.to_json(),
+            concat!(
+                r#"{"id":"X1","title":"a \"quoted\" title\nwith a newline","#,
+                r#""header":["op","back\\slash","time"],"#,
+                r#""rows":[["read","bell\u0007","1.00 µs"],["write","","\t"]],"#,
+                r#""notes":["µ, \u001f and \"\\\" together"]}"#,
+            )
+        );
     }
 }

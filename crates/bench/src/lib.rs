@@ -1,11 +1,11 @@
 //! Benchmark support: fixtures, workload generators and measurement
-//! helpers shared by the `report` and `lab` binaries.
+//! helpers.
 //!
 //! Every paper table from DESIGN.md (T1, E1–E4, A1–A8) has its runner in
-//! [`experiments`], printed by `report`; the system-level scenarios run
-//! through the engine in [`lab`], gated by each scenario's own `assert`
-//! lines. Neither is a source of performance numbers: those come from the
-//! repo benchmark (`benchmark/`), gated by its pipeline (EXPERIMENTS.md).
+//! [`experiments`], printed by the `report` binary; the fault scenarios run
+//! the [`mixed`] driver from `tests/fault_matrix.rs`, which gates them.
+//! Neither is a source of performance numbers: those come from the repo
+//! benchmark (`benchmark/`), gated by its pipeline (EXPERIMENTS.md).
 
 use std::time::{Duration, Instant};
 
@@ -19,7 +19,7 @@ use dl_fskit::{Cred, OpenOptions};
 use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value};
 
 pub mod experiments;
-pub mod lab;
+pub mod mixed;
 
 /// The benchmark application user.
 pub const APP: Cred = Cred { uid: 100, gid: 100 };
@@ -32,11 +32,6 @@ pub const TABLE: &str = "docs";
 pub struct Fixture {
     pub sys: DataLinksSystem,
     pub paths: Vec<String>,
-    pub urls: Vec<String>,
-    /// The host database's storage environment — kept so fault scenarios
-    /// can arm crash-boundary faults (torn WAL tails) on the *host* side,
-    /// not just the repository side.
-    pub host_env: StorageEnv,
 }
 
 /// Options for building a fixture.
@@ -93,23 +88,23 @@ impl Default for FixtureOptions {
 
 /// Builds a system, seeds files, creates the table and links every file.
 pub fn fixture(opts: FixtureOptions) -> Fixture {
-    fixture_with_faults(opts, None, None, None, None)
+    fixture_with_faults(opts, None, None, None, None).0
 }
 
-/// [`fixture`] with the lab's fault surfaces: an upcall fault injector on
-/// the node (`kill_upcall_workers`), a [`dl_minidb::DiskFaults`] layer
-/// under the DLFM repository's storage environment (`disk_enospc`), one
-/// under the *host database's* (exhaust or shear the coordinator's WAL
-/// rather than the repository's), and a directory for the system's
-/// flight-recorder dumps (`SystemBuilder::flight_dump_dir`). Separate
-/// from [`FixtureOptions`] so the options stay `Copy`.
-pub fn fixture_with_faults(
+/// [`fixture`] with the [`mixed`] driver's fault surfaces: an upcall fault
+/// injector on the node, a [`dl_minidb::DiskFaults`] layer under the DLFM
+/// repository's storage environment, one under the *host database's*
+/// (exhaust or shear the coordinator's WAL rather than the repository's),
+/// and a directory for the system's flight-recorder dumps
+/// (`SystemBuilder::flight_dump_dir`). Also returns the host database's
+/// storage environment, where a torn tail is measured.
+fn fixture_with_faults(
     opts: FixtureOptions,
     fault: Option<FaultInjector>,
     repo_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
     host_faults: Option<std::sync::Arc<dl_minidb::DiskFaults>>,
     flight_dump_dir: Option<&std::path::Path>,
-) -> Fixture {
+) -> (Fixture, StorageEnv) {
     let mut dlfm = DlfmConfig::new(SRV);
     dlfm.sync_archive = opts.sync_archive;
     dlfm.track_read_sync = opts.track_read_sync;
@@ -184,18 +179,16 @@ pub fn fixture_with_faults(
     .expect("define column");
 
     let mut paths = Vec::new();
-    let mut urls = Vec::new();
     for i in 0..opts.n_files {
         let path = format!("/data/doc{i:04}.bin");
         raw.write_file(&APP, &path, &content).expect("seed file");
         let url = format!("dlfs://{SRV}{path}");
         let mut tx = sys.begin();
-        tx.insert(TABLE, vec![Value::Int(i as i64), Value::DataLink(url.clone())]).expect("insert");
+        tx.insert(TABLE, vec![Value::Int(i as i64), Value::DataLink(url)]).expect("insert");
         tx.commit().expect("commit");
         paths.push(path);
-        urls.push(url);
     }
-    Fixture { sys, paths, urls, host_env }
+    (Fixture { sys, paths }, host_env)
 }
 
 /// Deterministic pseudo-random content of `size` bytes.

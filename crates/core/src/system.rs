@@ -150,7 +150,7 @@ pub struct FileServerSpec {
     /// the caller itself in-process). A panic inside the hook exercises
     /// the lane's containment path (the caller sees a rejection, not a wedged
     /// daemon). `None` (the default) runs the daemons unhooked; the
-    /// scenario lab arms this for kill-an-upcall-worker injections.
+    /// mixed driver arms this for kill-an-upcall-worker injections.
     pub upcall_fault: Option<FaultInjector>,
     /// Number of shard nodes this *logical* server's namespace is
     /// partitioned across. 1 (the default) builds the classic single
@@ -1158,8 +1158,7 @@ impl DataLinksSystem {
     /// ring plus each node's DLFM ring) into one dump, stores it as the
     /// last dump, and — when the system was built with a
     /// [`SystemBuilder::flight_dump_dir`] — writes it to a file there. Never
-    /// prints to stdout/stderr (the lab's report pipeline owns those
-    /// streams).
+    /// prints to stdout/stderr (the caller's report owns those streams).
     fn dump_flight(&self, reason: &str) -> String {
         let mut out = self.engine.flight_recorder().render("engine.host", reason);
         let mut names: Vec<&String> = self.nodes.keys().collect();
@@ -1214,7 +1213,7 @@ impl DataLinksSystem {
     }
 
     /// Pauses (or resumes) WAL shipping to `server`'s standbys — the
-    /// slow/stalled-standby fault the scenario lab injects. While paused
+    /// slow/stalled-standby fault the mixed driver injects. While paused
     /// the standbys lag; routed reads still serve their (stale) applied
     /// state, and freshness-token reads fall back to the primary once the
     /// catch-up wait expires. Errors when `server` is unreplicated. For a
@@ -1577,7 +1576,7 @@ impl DataLinksSystem {
 
     /// Host failover in one stroke: [`DataLinksSystem::crash_host`] then
     /// [`DataLinksSystem::promote_host`]. The split exists so tests and
-    /// the scenario lab can exercise the fenced window in between (reads
+    /// the mixed driver can exercise the fenced window in between (reads
     /// during the outage, zombie-coordinator decisions).
     pub fn fail_over_host(&mut self) -> Result<HostFailoverReport, String> {
         self.crash_host()?;

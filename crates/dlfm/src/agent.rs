@@ -41,7 +41,7 @@ use crate::server::{lane, DlfmServer, Lane};
 /// whichever thread serves it — the reactor thread that read a socket
 /// frame, the caller itself in-process; a panicking hook simulates that
 /// head dying mid-request (the panic-containment regression tests and the
-/// lab's kill-a-worker injection arm this).
+/// mixed driver's kill-a-worker injection arm this).
 pub type FaultInjector = Arc<dyn Fn(&Message) + Send + Sync>;
 
 /// What a lane serves requests with.

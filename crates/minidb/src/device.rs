@@ -19,7 +19,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::{DbError, DbResult};
 
 /// Injectable disk faults shared by every device of a faulted in-memory
-/// environment ([`StorageEnv::mem_with_faults`]). Lab scenarios and crash
+/// environment ([`StorageEnv::mem_with_faults`]). The fault matrix and crash
 /// tests *declare* faults here instead of hand-editing device bytes:
 ///
 /// - **ENOSPC budget** — [`DiskFaults::inject_enospc`] arms a budget of
@@ -323,7 +323,7 @@ impl StorageEnv {
     }
 
     /// An in-memory environment whose devices consult `faults` on every
-    /// write — the injectable disk-fault layer lab scenarios declare
+    /// write — the injectable disk-fault layer the fault matrix declares
     /// ENOSPC and torn-write faults through (see [`DiskFaults`]) — and
     /// charge `sync_latency_ns` per `sync` (zero keeps sync free).
     pub fn mem_with_faults(faults: Arc<DiskFaults>, sync_latency_ns: u64) -> Self {

@@ -14,9 +14,9 @@
 //!   their instruments (they must work with no registry in sight); the
 //!   assembled system *adopts* them under `layer.node.metric` names, either
 //!   directly (`Arc`-shared) or through sampler closures over existing
-//!   stats structs. [`Registry::snapshot`] returns a mergeable [`Snapshot`]
-//!   with Prometheus-style text exposition and a flat `f64` view whose
-//!   names fit the scenario lab's `[a-z0-9_]` predicate grammar.
+//!   stats structs. [`Registry::snapshot`] returns a [`Snapshot`] with
+//!   Prometheus-style text exposition and a flat `f64` view under the same
+//!   `[a-z0-9_]` names.
 //! * [`NetStats`] — the wire transport's per-connection instruments
 //!   (frames in/out, decode errors, backpressure stalls, round-trip
 //!   latency), shared by a reactor and all of its connections and adopted

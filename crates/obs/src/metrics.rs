@@ -205,8 +205,8 @@ impl std::fmt::Debug for Histogram {
 
 /// A frozen histogram: bucket counts plus the exact running sum.
 /// Snapshots merge exactly — bucket-wise addition loses nothing — so
-/// per-trial distributions combine into per-scenario percentiles without
-/// keeping raw samples.
+/// distributions from several runs or intervals combine into one set of
+/// percentiles without keeping raw samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observation count per bucket (see [`Histogram`] for the layout).

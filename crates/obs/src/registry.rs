@@ -162,17 +162,15 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Rewrites a dotted metric name into the `[a-zA-Z0-9_]` alphabet the
-/// scenario lab's predicate grammar accepts: every non-alphanumeric byte
+/// Rewrites a dotted metric name into the `[a-zA-Z0-9_]` alphabet of the
+/// text exposition: every non-alphanumeric byte
 /// becomes `_` (`dlfm.srv1.prepares` → `dlfm_srv1_prepares`).
 pub fn flat_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
 /// A frozen read of a [`Registry`]: every counter total, gauge level and
-/// histogram distribution at one instant. Snapshots merge (counters add,
-/// gauges keep the max, histograms add bucket-wise), which is how the lab
-/// combines per-trial system state into per-scenario metrics.
+/// histogram distribution at one instant.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter totals by dotted name.
@@ -184,24 +182,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Folds `other` into `self`: counters add, gauges keep the maximum
-    /// (the interesting direction for queue depths and lag), histograms
-    /// merge bucket-wise.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            let e = self.gauges.entry(name.clone()).or_insert(f64::MIN);
-            *e = e.max(*v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Flattens everything into `flat_name → f64` for the lab's predicate
-    /// grammar. Counters and gauges map 1:1; each histogram expands into
+    /// Flattens everything into `flat_name → f64`, the names a test gates
+    /// on. Counters and gauges map 1:1; each histogram expands into
     /// `<name>_p50`, `<name>_p99`, `<name>_p999`, `<name>_mean` and
     /// `<name>_count` (empty histograms report zeros, so the names are
     /// always present for asserts).
@@ -303,22 +285,6 @@ mod tests {
         assert!(text.contains("dlfm_srv1_fence_rejections 2"));
         assert!(text.contains("engine_freshness_wait_ns{quantile=\"0.99\"}"));
         assert!(text.contains("engine_freshness_wait_ns_count 1"));
-    }
-
-    #[test]
-    fn snapshot_merge_semantics() {
-        let (a, b) = (Registry::new(), Registry::new());
-        a.counter("ops").add(5);
-        b.counter("ops").add(3);
-        a.gauge("depth").set(2);
-        b.gauge("depth").set(7);
-        a.histogram("lat").record(10);
-        b.histogram("lat").record(20);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counters["ops"], 8);
-        assert_eq!(merged.gauges["depth"], 7.0);
-        assert_eq!(merged.histograms["lat"].count, 2);
     }
 
     #[test]

@@ -62,7 +62,6 @@ use datalinks::minidb::{
     Column, ColumnType, Database, Device, DiskFaults, Lsn, Participant, RowOp, Schema, StorageEnv,
     Txn, Value,
 };
-use dl_lab::plan::splitmix64;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -171,6 +170,15 @@ impl Step {
     fn unlinks(self) -> bool {
         matches!(self, Step::Unlink(_) | Step::Swap(..))
     }
+}
+
+/// splitmix64 — the standard 64-bit mixer (Steele et al.); one step.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Twelve updates over the linked files in seeded order — every third group

@@ -1,8 +1,9 @@
 //! End-to-end coverage of the unified telemetry layer: the system-wide
 //! metric registry (`DataLinksSystem::metrics` / `metrics_text`) must
 //! expose live instruments from every layer of the stack, and the crash
-//! flight recorder must dump the 2PC span trail — claim, fenced decide —
-//! when a fault scenario kills the host coordinator mid-burst.
+//! flight recorder must keep the fenced decide span even in a tiny ring.
+//! (The full dump a host crash mid-burst leaves behind is checked by
+//! `tests/fault_matrix.rs`, `kill_host_mid_burst`.)
 
 use dl_bench::{fixture, make_content, FixtureOptions, SRV};
 
@@ -91,50 +92,6 @@ fn metrics_snapshot_spans_every_layer() {
     assert!(text.contains("# TYPE dlfm_srv1_links counter"), "exposition:\n{text}");
     assert!(text.contains("minidb_host_fsync_ns{quantile=\"0.99\"}"), "exposition:\n{text}");
     assert!(text.contains("pool_total_workers"), "exposition:\n{text}");
-}
-
-/// Running the shipped `kill_host_mid_burst` scenario with a flight-dump
-/// directory must leave flight-recorder dumps on disk there, and
-/// the host-failover dump must contain the cross-layer 2PC span trail:
-/// engine-side DML spans, DLFM claims, the fence being raised at
-/// the new coordinator generation, and the promoted coordinator's fenced
-/// decide events.
-#[test]
-fn kill_host_mid_burst_dumps_fenced_decision_spans() {
-    let dump_dir = std::env::temp_dir().join(format!("dl-flight-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dump_dir).expect("create dump dir");
-
-    let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("scenarios")
-        .join("kill_host_mid_burst.jsonl");
-    let sc = dl_lab::load_scenario(&file).expect("shipped scenario parses");
-    let run = dl_bench::lab::run_scenario(&sc, true, Some(&dump_dir)).expect("scenario runs");
-    assert_eq!(run.metrics.get("host_failovers"), Some(&1.0), "metrics: {:?}", run.metrics);
-
-    let mut dumps = Vec::new();
-    for entry in std::fs::read_dir(&dump_dir).expect("dump dir readable") {
-        let path = entry.expect("dir entry").path();
-        dumps.push(std::fs::read_to_string(&path).expect("dump readable"));
-    }
-    let _ = std::fs::remove_dir_all(&dump_dir);
-    assert!(!dumps.is_empty(), "crash_host must write at least one flight dump");
-
-    let promo = dumps
-        .iter()
-        .find(|d| d.contains("reason: fail_over_host"))
-        .expect("the host-failover dump is written at promotion");
-    // Every recorder section is present...
-    assert!(promo.contains("=== flight recorder engine.host"), "dump:\n{promo}");
-    assert!(promo.contains(&format!("=== flight recorder dlfm.{SRV}")), "dump:\n{promo}");
-    // ...and the 2PC trail crosses the layers: host-side DML spans, DLFM
-    // claims (each a forced vote), the raised fence, and fenced decide events
-    // from the promoted coordinator's in-doubt resolution.
-    for needle in ["dml", "claim", "fence_raise", "decide", "outcome="] {
-        assert!(promo.contains(needle), "dump lacks {needle:?}:\n{promo}");
-    }
-    // The decide events carry the coordinator generation they were fenced
-    // against.
-    assert!(promo.contains("fence="), "decides must carry the fence epoch:\n{promo}");
 }
 
 /// The flight-recorder ring capacity is a `DlfmConfig` knob (PR 9). Even a
