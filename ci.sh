@@ -152,6 +152,22 @@ if [[ -e crates/lab || -e scenarios ]] \
   exit 1
 fi
 
+# One daemon driver (DESIGN.md "Background daemons"): the archiver, the
+# shipper and a follower's snapshotter are steps that
+# `dl_minidb::daemon::Daemon` runs — none owns a thread, a stop flag or a
+# drain of its own, and the shipper lives in `ReplicaSet`, with no
+# replicator type beside it. (The bracketed first letters keep these
+# patterns from matching this file.)
+step "guard: no per-loop thread plumbing in the archiver, the shipper or the snapshotter"
+if grep -rnE "[S]napshotter\b|[s]napshot_loop|[w]ait_snapshot_idle|struct [R]eplicator\b|struct [S]hipCore\b" \
+    crates/ src/ tests/ examples/ \
+  || for f in crates/dlfm/src/archive.rs crates/repl/src/lib.rs crates/minidb/src/replica.rs; do
+       awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+     done | grep -E "thread::[B]uilder|thread::[s]pawn"; then
+  echo "guard: a loop's own thread plumbing (Snapshotter, snapshot_loop, wait_snapshot_idle, Replicator, ShipCore, or a thread spawned outside the daemon driver) reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release
@@ -161,8 +177,15 @@ fi
 # subset of the workspace run, so one invocation covers both.
 # --no-fail-fast: cargo otherwise stops at the first failing test binary
 # and the suites after it (wire_transport among them) never run.
+# The log is kept, and a failure names its tests: a red run whose log did
+# not say which test failed cannot be chased.
 step "cargo test --workspace -q --no-fail-fast (every crate: unit + integration + doctests)"
-cargo test --workspace -q --no-fail-fast
+mkdir -p target
+if ! cargo test --workspace -q --no-fail-fast 2>&1 | tee target/ci-test-workspace.log; then
+  echo "failed tests (log: target/ci-test-workspace.log):" >&2
+  grep -E "^    [^ ]+$|^test .* FAILED$|^error: test failed|panicked at" target/ci-test-workspace.log >&2 || true
+  exit 1
+fi
 
 # Flake guard (ROADMAP item 0(b)), scoped to the suites whose subjects race
 # by design: unforced log appends are carried to disk by whichever thread
@@ -179,7 +202,10 @@ cargo test --workspace -q --no-fail-fast
 # deadlock victims on hashed keys (`lock::` in dl-minidb). DLFM's open
 # table races a read open against an unlink branch, read and write opens
 # against each other, and a strict registration against a link branch
-# (dlfm_protocol's `racing` and `concurrent_read_and_write` tests).
+# (dlfm_protocol's `racing` and `concurrent_read_and_write` tests). The
+# daemon driver's kick, stop and idle race their threads: the snapshotter
+# (`replica::` in dl-minidb), the shipper's pause and freeze (dl-repl) and
+# the archiver's burst and steal tests (`archive::` in dl-dlfm).
 # group_commit, replication, sharding and wire_transport also hold count
 # gates (device syncs per commit and per update cycle; log bytes under a
 # budget, image installs and records shipped on catch-up; busy shards,
@@ -190,7 +216,7 @@ cargo test --workspace -q --no-fail-fast
 # window under concurrent clients.
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + fault_matrix + minidb wal:: + minidb lock:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + fault_matrix + minidb wal:: + minidb lock:: + minidb replica:: + dl-repl + dlfm archive:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep --test sharding --test fault_matrix \
@@ -203,6 +229,12 @@ for round in 1 2 3 4 5; do
     || { echo "flake guard: round $round (wal::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-minidb --lib lock:: \
     || { echo "flake guard: round $round (lock::) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-minidb --lib replica:: \
+    || { echo "flake guard: round $round (replica::) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-repl \
+    || { echo "flake guard: round $round (dl-repl) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-dlfm --lib archive:: \
+    || { echo "flake guard: round $round (archive::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-dlfm --test dlfm_protocol -- racing concurrent_read_and_write \
     || { echo "flake guard: round $round (open-table races) failed" >&2; exit 1; }
 done

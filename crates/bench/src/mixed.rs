@@ -46,7 +46,8 @@ pub enum ReadRoute {
 #[derive(Debug, PartialEq)]
 pub enum Fault {
     /// Crash the first shard's primary DLFM node and fail over to a
-    /// promoted standby.
+    /// promoted standby; its recovery report is counted
+    /// (`failover_files_relinked`, `failover_updates_rolled_forward`).
     CrashPrimary,
     /// Pause WAL shipping to the standbys (they start lagging).
     StallStandby,
@@ -55,8 +56,9 @@ pub enum Fault {
     /// Make the next `count` admission upcalls panic on the thread serving
     /// them.
     KillUpcallWorkers { count: u64 },
-    /// Crash the host database (the 2PC coordinator) and fail over to a
-    /// promoted host standby, serving reads through the fenced outage.
+    /// Crash the host database (the 2PC coordinator) with one link branch
+    /// voted and undecided, and fail over to a promoted host standby,
+    /// serving reads through the fenced outage.
     CrashHost,
     /// The next `writes` writes against the repository's storage fail with
     /// ENOSPC; then the disk frees up.
@@ -274,7 +276,8 @@ pub fn run(
 
     // What the faults tally, zero until one fires.
     let mut m: BTreeMap<String, f64> = "failovers host_failovers lost_acked_links outage_reads_ok \
-        in_doubt_resolved torn_commits_lost torn_pre_commit_survived failover_ms host_failover_ms"
+        in_doubt_resolved torn_commits_lost torn_pre_commit_survived failover_ms host_failover_ms \
+        failover_files_relinked failover_updates_rolled_forward"
         .split_whitespace()
         .map(|k| (k.to_string(), 0.0))
         .collect();
@@ -427,14 +430,19 @@ pub fn run(
                 // controlled promotion of a caught-up standby would.
                 f.sys.wait_replicas_caught_up(SRV, Duration::from_secs(30))?;
                 let before = link_state(&f.sys, &node_names);
-                let dur = time_once(|| {
-                    f.sys.fail_over(&victim).expect("failover");
-                });
+                let started = Instant::now();
+                let report = f.sys.fail_over(&victim)?;
+                let dur = started.elapsed();
                 let after = link_state(&f.sys, &node_names);
                 let lost = before.iter().filter(|e| !after.contains(e)).count();
                 add(&mut m, "failovers", 1.0, false);
                 add(&mut m, "lost_acked_links", lost as f64, false);
                 add(&mut m, "failover_ms", dur.as_nanos() as f64 / 1e6, true);
+                // What the promotion had to re-derive from the host rows:
+                // a standby that applied every shipped record needs nothing.
+                add(&mut m, "failover_files_relinked", report.files_relinked as f64, false);
+                let forward = report.updates_rolled_forward as f64;
+                add(&mut m, "failover_updates_rolled_forward", forward, false);
             }
             Fault::StallStandby => f.sys.set_replication_paused(SRV, true)?,
             Fault::ResumeStandby => f.sys.set_replication_paused(SRV, false)?,
@@ -462,6 +470,16 @@ pub fn run(
                             .map(|(_, path)| path)
                     })
                     .collect::<Result<_, _>>()?;
+                // One link branch voted and undecided: a host transaction
+                // links a fresh churn file and never commits. The crash
+                // takes its decision with the coordinator, and the
+                // promotion must settle the branch by the promoted rows.
+                let doubt = "/data/churn_in_doubt.bin";
+                f.sys.raw_fs(SRV)?.write_file(&APP, doubt, b"churn").map_err(|e| e.to_string())?;
+                let mut tx = f.sys.begin();
+                let row = vec![Value::Int(-1), Value::DataLink(format!("dlfs://{SRV}{doubt}"))];
+                tx.insert(TABLE, row).map_err(|e| e.to_string())?;
+                std::mem::forget(tx);
                 let (mut outage_reads, mut resolved) = (0u64, 0u64);
                 let dur = time_once(|| {
                     f.sys.crash_host().expect("crash host");

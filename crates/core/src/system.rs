@@ -13,9 +13,9 @@
 //! protocol (§4.2, §4.4).
 //!
 //! With [`FileServerSpec::replicas`] a node additionally runs hot standbys:
-//! a `dl_repl::Replicator` tails the primary repository's WAL and keeps N
-//! standby repositories continuously applied; the standbys read the node's
-//! one archive store. The engine routes read-token validation and
+//! a `dl_repl::ReplicaSet`'s shipper tails the primary repository's WAL and
+//! keeps N standby repositories continuously applied; the standbys read the
+//! node's one archive store. The engine routes read-token validation and
 //! replica-served reads across them round-robin;
 //! [`DataLinksSystem::fail_over`] promotes a standby after a primary crash,
 //! fencing the old primary's shipper by epoch and its archive writes by the
@@ -927,25 +927,20 @@ impl DataLinksSystem {
         }
 
         if let Some(set) = &self.host_replication {
-            Self::register_repl_metrics(registry, "host", set.stats(), {
-                let set = Arc::clone(set);
-                move || (set.lag(), set.snapshot_queue_depth())
-            });
+            Self::register_repl_metrics(registry, "host", set);
         }
     }
 
     /// Registers the WAL-shipping instruments of one replica set under
-    /// `repl.<who>.*`. `live` samples (lag bytes, snapshotter queue depth)
-    /// from the live set.
-    fn register_repl_metrics(
+    /// `repl.<who>.*`; the gauges sample the live set.
+    fn register_repl_metrics<S: Send + Sync + 'static>(
         registry: &Registry,
         who: &str,
-        stats: &Arc<dl_repl::ReplStats>,
-        live: impl Fn() -> (u64, usize) + Send + Sync + Clone + 'static,
+        set: &Arc<ReplicaSet<S>>,
     ) {
         macro_rules! repl_counter {
             ($field:ident) => {{
-                let s = Arc::clone(stats);
+                let s = Arc::clone(set.stats());
                 registry.register_counter_fn(&format!("repl.{who}.{}", stringify!($field)), {
                     move || s.$field.load(Ordering::Relaxed)
                 });
@@ -956,10 +951,11 @@ impl DataLinksSystem {
         repl_counter!(bytes_shipped);
         repl_counter!(checkpoints_shipped);
         repl_counter!(stale_rejections);
-        let l = live.clone();
-        registry.register_gauge_fn(&format!("repl.{who}.ship_lag_bytes"), move || l().0 as f64);
+        let s = Arc::clone(set);
+        registry.register_gauge_fn(&format!("repl.{who}.ship_lag_bytes"), move || s.lag() as f64);
+        let s = Arc::clone(set);
         registry.register_gauge_fn(&format!("repl.{who}.snapshot_queue_depth"), move || {
-            live().1 as f64
+            s.snapshot_queue_depth() as f64
         });
     }
 
@@ -1049,10 +1045,7 @@ impl DataLinksSystem {
         fskit_counter!(setattrs);
 
         if let Some(set) = &node.replication {
-            Self::register_repl_metrics(registry, name, set.stats(), {
-                let set = Arc::clone(set);
-                move || (set.lag(), set.snapshot_queue_depth())
-            });
+            Self::register_repl_metrics(registry, name, set);
         }
 
         registry.unregister_prefix(&format!("net.{name}"));
@@ -1672,9 +1665,9 @@ impl DataLinksSystem {
         drop(engine);
         let host_env = db.env().clone();
         drop(db);
-        // Host standby daemons die with the system (Replicator joins on
-        // drop); recovery re-provisions fresh host standbys. If the crash
-        // hits *during* a host outage, the only usable host disk is the
+        // Host standby daemons die with the system (the set's shipper
+        // joins on drop); recovery re-provisions fresh host standbys. If
+        // the crash hits *during* a host outage, the only usable host disk is the
         // promotion target's — the dead host's own log is behind the fence.
         let (host_env, host_replicas) = match host_outage {
             Some(outage) => {

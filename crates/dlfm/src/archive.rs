@@ -16,19 +16,21 @@
 //! requests to the file are blocked (the DLFM server consults
 //! [`ArchiveStore::is_archiving`]).
 //!
-//! **A close wakes nobody.** The queue is a mutex and a condvar, not a
-//! channel: a submit wakes the worker only from its idle sleep, or once
-//! the queue has reached [`BATCH`] jobs. A woken worker lets one [`TICK`]
-//! of jobs gather, then runs them one at a time until the queue is empty,
-//! and sleeps untimed — an idle node makes no wake-ups, a busy one about
-//! one per tick. Because a job leaves the queue only when it starts, a
-//! thread that must not wait for the worker takes its file's job and runs
-//! it itself: a write open that meets the marker ([`Archiver::finish`];
-//! the update still starts only once the store holds the version), an
-//! unlink's vote (the same call, before the file goes back to its owner)
-//! and a drain ([`ArchiveStore::wait_archived`]). Such a thread can leave
-//! the queue empty while the worker gathers, so "the queue was empty" does
-//! not mean "the worker sleeps": the queue records which it does. A job
+//! **A close wakes nobody.** The queue is a mutex, not a channel, and the
+//! worker is a step that a `dl_minidb::daemon::Daemon` runs: a submit
+//! kicks it only when its last step found the queue empty — it may be
+//! asleep — or the queue has just reached [`BATCH`] jobs. A worker that
+//! finds jobs after an idle sleep lets one [`TICK`] of them gather, then
+//! runs them one per step until the queue is empty, and sleeps untimed —
+//! an idle node makes no wake-ups, a busy one about one per tick. Because
+//! a job leaves the queue only when it starts, a thread that must not
+//! wait for the worker takes its file's job and runs it itself: a write
+//! open that meets the marker ([`Archiver::finish`]; the update still
+//! starts only once the store holds the version), an unlink's vote (the
+//! same call, before the file goes back to its owner) and a drain
+//! ([`ArchiveStore::wait_archived`]). Such a thread can leave the queue
+//! empty while the worker gathers, so "the queue was empty" does not mean
+//! "the worker sleeps": the worker's gather records which it does. A job
 //! the worker has already started is waited out on the store's condvar,
 //! which takes microseconds.
 //!
@@ -48,9 +50,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dl_minidb::daemon::{Daemon, Next, OnStop};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// How long a woken worker lets jobs gather before it runs them: the most
@@ -291,20 +293,49 @@ pub type ContentSource = Arc<dyn Fn(&str) -> Option<Vec<u8>> + Send + Sync>;
 /// newer update may already be in flight — and to bump its sync epoch.
 pub type ArchiveCompletion = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
-/// What runs a job — on the worker thread, an opener's, a drain's, or the
-/// closer's (the synchronous path).
-struct Worker {
+/// The jobs no thread has started yet, oldest first. A file has at most
+/// one: its in-flight marker holds every other write open of it until the
+/// job has run.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<ArchiveJob>,
+    /// When the worker's gather ends: set by the first step to find jobs
+    /// after an idle sleep, moved to the step that ends it, cleared by the
+    /// step that finds the queue empty — `None` while the worker may sleep
+    /// untimed, so the next submit kicks it.
+    gather: Option<Instant>,
+}
+
+/// The worker's step, and what an [`Archiver`], its daemon and the store's
+/// drains share.
+struct Shared {
     store: Arc<ArchiveStore>,
     writer: u64,
     source: ContentSource,
     on_complete: ArchiveCompletion,
+    queue: Mutex<Queue>,
 }
 
-impl Worker {
-    /// Stores one job's content and runs the completion callback, honouring
-    /// the completion contract on every path: store holds the version,
-    /// in-flight marker cleared, THEN the callback — so callback-driven
-    /// wakeups observe the job as finished.
+impl Shared {
+    fn new(
+        store: Arc<ArchiveStore>,
+        writer: u64,
+        source: ContentSource,
+        on_complete: ArchiveCompletion,
+    ) -> Arc<Shared> {
+        let queue = Mutex::default();
+        let shared = Arc::new(Shared { store, writer, source, on_complete, queue });
+        if let Some(mut inner) = shared.store.writable(writer) {
+            inner.archiver = Arc::downgrade(&shared);
+        }
+        shared
+    }
+
+    /// Runs one job — on the worker's thread, an opener's, a drain's, or
+    /// the closer's (the synchronous path) — honouring the completion
+    /// contract on every path: store holds the version, in-flight marker
+    /// cleared, THEN the callback, so callback-driven wakeups observe the
+    /// job as finished.
     fn run(&self, mut job: ArchiveJob) {
         if let Some(data) = job.data.take().or_else(|| (self.source)(&job.path)) {
             self.store.put(self.writer, &job.path, job.version, job.state_id, data);
@@ -320,57 +351,52 @@ impl Worker {
             self.store.end_settling();
         }
     }
-}
 
-/// The jobs no thread has started yet, oldest first. A file has at most
-/// one: its in-flight marker holds every other write open of it until the
-/// job has run.
-#[derive(Default)]
-struct Queue {
-    jobs: VecDeque<ArchiveJob>,
-    shutdown: bool,
-    /// The worker sleeps untimed: the next submit wakes it (and clears
-    /// this, so the submits after it do not).
-    idle: bool,
-}
-
-/// What an [`Archiver`], its worker thread and the store's drains share.
-struct Shared {
-    worker: Worker,
-    queue: Mutex<Queue>,
-    /// Wakes the idle worker.
-    wake: Condvar,
-    /// Times the worker left its idle sleep.
-    wakeups: Arc<dl_obs::Counter>,
-}
-
-impl Shared {
-    /// The worker thread: sleep untimed while the queue is empty; once
-    /// woken, let a tick's jobs gather, then run them one at a time — each
-    /// stays stealable until it starts — until the queue is empty again.
-    /// Shutdown runs every queued job first.
-    fn drain(&self) {
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(job) = queue.jobs.pop_front() {
-                MutexGuard::unlocked(&mut queue, || self.worker.run(job));
-                continue;
-            }
-            if queue.shutdown {
-                return;
-            }
-            queue.idle = true;
-            self.wake.wait(&mut queue);
-            queue.idle = false;
-            self.wakeups.inc();
-            let deadline = Instant::now() + TICK;
-            while !queue.shutdown && !queue.jobs.is_empty() && queue.jobs.len() < BATCH {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() || self.wake.wait_for(&mut queue, left).timed_out() {
-                    break;
-                }
-            }
+    /// Marks `job`'s file in flight and queues the job; returns whether the
+    /// worker needs a kick: its last step found the queue empty (it may be
+    /// asleep untimed) and this is the first job since, or the queue has
+    /// just filled a batch. A worker that gathers or runs jobs is not
+    /// disturbed, even when an opener has just emptied the queue.
+    fn push(&self, job: ArchiveJob) -> bool {
+        let store = &self.store;
+        let mut inner = store.writable(self.writer);
+        if let Some(inner) = inner.as_mut() {
+            inner.archiving.insert(job.path.clone(), job.version);
         }
+        let kick = {
+            let mut queue = self.queue.lock();
+            queue.jobs.push_back(job);
+            let first = queue.gather.is_none() && queue.jobs.len() == 1;
+            first || queue.jobs.len() == BATCH
+        };
+        if inner.is_some() {
+            // A waiter that found the marker before the job was queued
+            // takes the job now.
+            store.done.notify_all();
+        }
+        kick
+    }
+
+    /// The worker's step: idle while the queue is empty; once jobs come,
+    /// let a tick of them gather (a full batch ends it early), then run
+    /// them one per step — each stays stealable until it starts.
+    fn step(&self, now: Instant) -> Next {
+        let mut queue = self.queue.lock();
+        if queue.jobs.is_empty() {
+            queue.gather = None;
+            return Next::Idle;
+        }
+        let until = *queue.gather.get_or_insert(now + TICK);
+        if now < until && queue.jobs.len() < BATCH {
+            return Next::At(until);
+        }
+        // The gather is over, a full batch ended it early or not: run
+        // until the queue is empty.
+        queue.gather = Some(now);
+        let job = queue.jobs.pop_front().expect("the queue is not empty");
+        drop(queue);
+        self.run(job);
+        Next::Now
     }
 
     /// Runs `path`'s queued job on the calling thread, or waits out the one
@@ -379,10 +405,10 @@ impl Shared {
     /// Returns whether the calling thread ran it. A deposed writer waits
     /// for nothing — its markers went with its generation.
     fn finish(&self, path: &str) -> bool {
-        let store = &self.worker.store;
+        let store = &self.store;
         let mut inner = store.inner.lock();
         let mut ran = false;
-        while inner.writer == self.worker.writer && inner.archiving.contains_key(path) {
+        while inner.writer == self.writer && inner.archiving.contains_key(path) {
             let job = {
                 let mut queue = self.queue.lock();
                 let at = queue.jobs.iter().position(|job| job.path == path);
@@ -390,7 +416,7 @@ impl Shared {
             };
             match job {
                 Some(job) => {
-                    MutexGuard::unlocked(&mut inner, || self.worker.run(job));
+                    MutexGuard::unlocked(&mut inner, || self.run(job));
                     ran = true;
                 }
                 None => store.done.wait(&mut inner),
@@ -400,11 +426,12 @@ impl Shared {
     }
 }
 
-/// Asynchronous archiver daemon: a worker thread draining a job queue that
-/// write opens and drains may run jobs out of (module docs).
+/// Asynchronous archiver: a daemon stepping a job queue that write opens
+/// and drains may run jobs out of (module docs). Dropping it runs every
+/// queued job first.
 pub struct Archiver {
     shared: Arc<Shared>,
-    handle: Option<JoinHandle<()>>,
+    daemon: Daemon,
 }
 
 impl Archiver {
@@ -417,54 +444,28 @@ impl Archiver {
         source: ContentSource,
         on_complete: ArchiveCompletion,
     ) -> Archiver {
-        let shared = Arc::new(Shared {
-            worker: Worker { store, writer, source, on_complete },
-            queue: Mutex::default(),
-            wake: Condvar::new(),
-            wakeups: Arc::default(),
-        });
-        if let Some(mut inner) = shared.worker.store.writable(writer) {
-            inner.archiver = Arc::downgrade(&shared);
-        }
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dlfm-archiver".into())
-            .spawn(move || thread_shared.drain())
+        let shared = Shared::new(store, writer, source, on_complete);
+        let step = Arc::clone(&shared);
+        let daemon = Daemon::spawn("dlfm-archiver", OnStop::Drain, move |now| step.step(now))
             .expect("spawn archiver thread");
-        Archiver { shared, handle: Some(handle) }
+        Archiver { shared, daemon }
     }
 
     /// Queues an asynchronous archive job. The file is marked as archiving
     /// *before* this returns, so a subsequent update request observes the
-    /// in-flight job. Wakes the worker only from its idle sleep, or when
-    /// the queue has just filled a batch.
+    /// in-flight job. Kicks the worker only when it may be asleep untimed,
+    /// or the queue has just filled a batch.
     pub fn submit(&self, job: ArchiveJob) {
-        let store = &self.shared.worker.store;
-        let mut inner = store.writable(self.shared.worker.writer);
-        if let Some(inner) = inner.as_mut() {
-            inner.archiving.insert(job.path.clone(), job.version);
-        }
-        let wake = {
-            let mut queue = self.shared.queue.lock();
-            queue.jobs.push_back(job);
-            std::mem::take(&mut queue.idle) || queue.jobs.len() == BATCH
-        };
-        if inner.is_some() {
-            // A waiter that found the marker before the job was queued
-            // takes the job now.
-            store.done.notify_all();
-        }
-        drop(inner);
-        if wake {
-            self.shared.wake.notify_one();
+        if self.shared.push(job) {
+            self.daemon.kick();
         }
     }
 
     /// Archives synchronously (used by the `sync_archive` ablation and by
     /// recovery, which must not race the worker).
     pub fn submit_sync(&self, job: ArchiveJob) {
-        self.shared.worker.store.begin_archiving(self.shared.worker.writer, &job.path, job.version);
-        self.shared.worker.run(job);
+        self.shared.store.begin_archiving(self.shared.writer, &job.path, job.version);
+        self.shared.run(job);
     }
 
     /// The write opener's side of §4.4's blocking rule: runs `path`'s
@@ -476,26 +477,17 @@ impl Archiver {
         self.shared.finish(path)
     }
 
-    /// Times the worker thread has left its idle sleep: about one per tick
-    /// under load, none while the node is idle.
+    /// Times the worker has left its idle sleep: about one per tick under
+    /// load, none while the node is idle.
     pub fn wakeups(&self) -> &Arc<dl_obs::Counter> {
-        &self.shared.wakeups
-    }
-}
-
-impl Drop for Archiver {
-    fn drop(&mut self) {
-        self.shared.queue.lock().shutdown = true;
-        self.shared.wake.notify_one();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.daemon.wakeups()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_minidb::daemon::run_to_idle;
     use std::sync::mpsc;
 
     fn no_callback() -> ArchiveCompletion {
@@ -799,6 +791,73 @@ mod tests {
         });
         assert!(store.latest("/f").is_none(), "the deposed job's bytes landed");
         assert!(store.is_archiving("/f"), "the deposed job cleared the current writer's marker");
+    }
+
+    /// Every path's stored (version, state id) list.
+    fn stored(store: &ArchiveStore, paths: &[String]) -> Vec<Vec<(u64, u64)>> {
+        paths.iter().map(|path| store.versions(path)).collect()
+    }
+
+    #[test]
+    fn the_worker_step_alone_archives_what_the_threaded_worker_does() {
+        // The same 70 closes over 30 files, every fourth pruning.
+        let paths: Vec<String> = (0..30).map(|i| format!("/f{i}")).collect();
+        let jobs = || {
+            (1..=70u64).map(|v| ArchiveJob {
+                prune: v % 4 == 0,
+                ..job(&format!("/f{}", v % 30), v, 100 + v, &v.to_le_bytes())
+            })
+        };
+        let recorder = |seen: &Arc<Mutex<Vec<(String, u64)>>>| -> ArchiveCompletion {
+            let seen = Arc::clone(seen);
+            Arc::new(move |path: &str, version: u64| seen.lock().push((path.to_string(), version)))
+        };
+
+        // Threaded: the daemon runs them, and its drop drains the rest.
+        let threaded = Arc::new(ArchiveStore::new());
+        let threaded_seen = Arc::new(Mutex::new(Vec::new()));
+        let archiver = archiver(&threaded, recorder(&threaded_seen));
+        jobs().for_each(|job| archiver.submit(job));
+        drop(archiver);
+
+        // Stepped on a test clock, with no thread at all.
+        let stepped = Arc::new(ArchiveStore::new());
+        let stepped_seen = Arc::new(Mutex::new(Vec::new()));
+        let writer = stepped.take_generation();
+        let shared = Shared::new(
+            Arc::clone(&stepped),
+            writer,
+            Arc::new(|_: &str| None),
+            recorder(&stepped_seen),
+        );
+        let t0 = Instant::now();
+        let mut jobs = jobs();
+        assert_eq!(shared.step(t0), Next::Idle, "an empty queue sleeps untimed");
+        // The first submit kicks the sleeping worker, which lets a tick of
+        // jobs gather...
+        assert!(shared.push(jobs.next().unwrap()), "the first close kicks");
+        assert_eq!(shared.step(t0), Next::At(t0 + TICK));
+        // ... and the closes below a batch wake nobody.
+        for _ in 1..BATCH - 1 {
+            assert!(!shared.push(jobs.next().unwrap()));
+        }
+        assert_eq!(shared.step(t0 + TICK / 2), Next::At(t0 + TICK));
+        assert!(stepped_seen.lock().is_empty(), "nothing runs while the gather lasts");
+        // The close that fills a batch kicks, and ends the gather early.
+        assert!(shared.push(jobs.next().unwrap()), "a full batch kicks");
+        assert_eq!(shared.step(t0 + TICK / 2), Next::Now);
+        assert_eq!(stepped_seen.lock().len(), 1);
+        // Closes that land behind the running batch run with it, with no
+        // second gather.
+        for job in jobs {
+            shared.push(job);
+        }
+        let end = run_to_idle(t0 + TICK / 2, |now| shared.step(now));
+        assert_eq!(end, t0 + TICK / 2, "the batch ran to an empty queue without waiting");
+
+        assert_eq!(stored(&stepped, &paths), stored(&threaded, &paths));
+        assert_eq!(*stepped_seen.lock(), *threaded_seen.lock());
+        assert_eq!(stepped_seen.lock().len(), 70);
     }
 
     #[test]

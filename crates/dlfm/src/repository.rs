@@ -417,8 +417,11 @@ impl Repository {
     /// The committed read the primary and every read replica serve: the
     /// bytes of `path`'s `cur_version` from `archive` — a write open may be
     /// dirtying the live file — else what `live` reads, the committed bytes
-    /// of a file never write-opened since link (the first write open
-    /// captures the before-image). The token check is the caller's.
+    /// of a file never write-opened since link. The first write open
+    /// captures that before-image into `archive` before it grants the
+    /// write, so a live read it overlapped finds the version archived when
+    /// it looks again, and serves that instead of what it read. The token
+    /// check is the caller's.
     pub fn read_committed(
         &self,
         path: &str,
@@ -426,10 +429,12 @@ impl Repository {
         live: Option<&ContentSource>,
     ) -> Result<Vec<u8>, String> {
         let entry = self.get_file(path).ok_or_else(|| format!("file {path} is not linked"))?;
-        if let Some(archived) = archive.get(path, entry.cur_version) {
-            return Ok(archived.data);
+        let archived = || archive.get(path, entry.cur_version).map(|v| v.data);
+        if let Some(data) = archived() {
+            return Ok(data);
         }
-        live.and_then(|read| read(path)).ok_or_else(|| {
+        let data = live.and_then(|read| read(path));
+        archived().or(data).ok_or_else(|| {
             format!("version {} of {path} is neither archived nor readable", entry.cur_version)
         })
     }
@@ -808,6 +813,24 @@ mod tests {
         assert_eq!(r.list_intents(), [IntentEntry { host_txid: 5, file: entry("/f") }]);
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
+    }
+
+    #[test]
+    fn a_committed_read_that_overlaps_the_first_write_open_serves_the_before_image() {
+        let r = repo();
+        let mut txn = r.db().begin();
+        r.insert_file_in(&mut txn, &entry("/f")).unwrap();
+        txn.commit().unwrap();
+        let archive = Arc::new(ArchiveStore::new());
+        let writer = archive.take_generation();
+        // The live read runs while the first write open captures the
+        // before-image, grants the write and the writer truncates.
+        let store = Arc::clone(&archive);
+        let racing: ContentSource = Arc::new(move |path: &str| {
+            store.put(writer, path, 1, 0, b"linked content".to_vec());
+            Some(Vec::new())
+        });
+        assert_eq!(r.read_committed("/f", &archive, Some(&racing)).unwrap(), b"linked content");
     }
 
     #[test]

@@ -9,11 +9,12 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::daemon::Daemon;
 use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
 use crate::lock::LockManager;
 use crate::ops::RowOp;
-use crate::replica::{Follow, ReplicationFeed, Snapshotter};
+use crate::replica::{Follow, ReplicationFeed};
 use crate::snapshot::{slot_for_generation, write_snapshot, SnapshotData, SnapshotSource};
 use crate::table::TableStore;
 use crate::txn::Txn;
@@ -167,7 +168,8 @@ impl DbTelemetry {
 #[derive(Clone)]
 pub struct Database {
     pub(crate) inner: Arc<DbInner>,
-    pub(crate) snapshotter: Arc<Snapshotter>,
+    /// A follower's snapshotter, shared by every handle.
+    pub(crate) snapshotter: Option<Arc<Daemon>>,
 }
 
 /// Applies one logical op to the committed stores, moving its row in. Used
@@ -245,7 +247,7 @@ impl Database {
                 telemetry: DbTelemetry::new(),
                 follow: Follow::new(image.base_lsn),
             }),
-            snapshotter: Arc::default(),
+            snapshotter: None,
         })
     }
 

@@ -58,9 +58,13 @@
 //!   automates it. A [`ReplicationFeed`] couples the WAL reader with the
 //!   checkpoint images so followers do *delta catch-up* (install the latest
 //!   image, tail only the suffix) and truncate their own logs in lockstep.
+//! * **One daemon driver** — [`daemon::Daemon`] runs a background loop
+//!   written as a `step(now) -> Next`: a follower's snapshotter here, and
+//!   the DLFM archiver and the replication shipper in the crates above.
 
 pub mod backup;
 pub mod codec;
+pub mod daemon;
 pub mod db;
 pub mod device;
 pub mod error;

@@ -13,9 +13,9 @@
 //!
 //! Two mechanisms bound a follower's log. **Lockstep truncation**: a
 //! shipped [`WalRecord::Checkpoint`] queues a coalescing job for the
-//! follower's snapshotter thread — write its own image, then truncate below
-//! the record — so the slow image write never stalls a ship round or the
-//! freshness readers waiting on it. **Checkpoint install**: a follower
+//! follower's snapshotter — a [`Daemon`] whose step writes the follower's
+//! own image, then truncates below the record — so the slow image write
+//! never stalls a ship round or the freshness readers waiting on it. **Checkpoint install**: a follower
 //! whose next frame was truncated away on the primary installs the
 //! primary's latest image ([`Database::install_checkpoint`], fed by
 //! [`ReplicationFeed::latest_checkpoint`]) and tails only the suffix —
@@ -23,11 +23,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::daemon::{Daemon, Next, OnStop};
 use crate::db::{Database, DbInner, DbOptions};
 use crate::device::StorageEnv;
 use crate::error::{DbError, DbResult};
@@ -58,15 +58,6 @@ impl ReplicationFeed {
         &self.reader
     }
 
-    /// Flushes the primary's unforced log tail ([`Database::flush`]) so it
-    /// becomes shippable. The reader only ever shows durable frames, and an
-    /// unforced record otherwise waits for the next forced append: a
-    /// shipper calls this when its wait for growth times out, and before
-    /// it declares the standbys caught up.
-    pub fn flush(&self) -> DbResult<()> {
-        self.db.flush()
-    }
-
     /// The newest valid checkpoint image the primary has on disk, if any.
     /// May transiently return an older image (or `None`) while the primary
     /// is mid-checkpoint — a shipper simply retries on its next round.
@@ -94,9 +85,8 @@ pub(crate) struct Follow {
     state: Mutex<FollowState>,
     /// Signalled whenever the applied watermark advances.
     applied_grew: Condvar,
-    jobs: Mutex<SnapJobs>,
-    /// Signalled on enqueue, job completion and shutdown.
-    jobs_changed: Condvar,
+    /// The snapshot job the snapshotter has not started yet.
+    job: Mutex<Option<SnapJob>>,
     /// Held by the snapshotter across its copy-and-write and by an install:
     /// both write the ping-pong slots, and a stale snapshot landing over the
     /// image an install just reset the log against would leave a restart
@@ -121,22 +111,13 @@ struct SnapJob {
     epoch: u64,
 }
 
-#[derive(Default)]
-struct SnapJobs {
-    pending: Option<SnapJob>,
-    /// A popped job is being performed.
-    busy: bool,
-    shutdown: bool,
-}
-
 impl Follow {
     pub(crate) fn new(applied: Lsn) -> Follow {
         Follow {
             following: AtomicBool::new(false),
             state: Mutex::new(FollowState { applied, epoch: 0 }),
             applied_grew: Condvar::new(),
-            jobs: Mutex::default(),
-            jobs_changed: Condvar::new(),
+            job: Mutex::default(),
             snap_io: Mutex::new(()),
         }
     }
@@ -150,57 +131,6 @@ impl Follow {
             true => Ok(()),
             false => Err(DbError::InvalidTxnState("not a follower".into())),
         }
-    }
-}
-
-/// A follower's snapshotter thread. Every handle of the database shares
-/// it and the thread does not (it holds the database itself), so the last
-/// handle dropped — a node restart in tests, a graceful stop — drains and
-/// joins it, leaving the last shipped checkpoint's image and truncation on
-/// disk.
-#[derive(Default)]
-pub(crate) struct Snapshotter(Mutex<Option<(Arc<DbInner>, JoinHandle<()>)>>);
-
-impl Snapshotter {
-    /// Signals shutdown and joins the thread, which performs a queued job
-    /// first.
-    fn stop(&self) {
-        if let Some((db, thread)) = self.0.lock().take() {
-            db.follow.jobs.lock().shutdown = true;
-            db.follow.jobs_changed.notify_all();
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for Snapshotter {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn snapshot_loop(db: Arc<DbInner>) {
-    let follow = &db.follow;
-    loop {
-        let job = {
-            let mut jobs = follow.jobs.lock();
-            loop {
-                if let Some(job) = jobs.pending.take() {
-                    jobs.busy = true;
-                    break job;
-                }
-                if jobs.shutdown {
-                    return;
-                }
-                follow.jobs_changed.wait(&mut jobs);
-            }
-        };
-        // A failed snapshot leaves the log unbounded but the state correct,
-        // and the next shipped checkpoint retries; a detached thread has
-        // nowhere structured to report it.
-        let _ = db.perform_snapshot(job);
-        follow.jobs.lock().busy = false;
-        follow.jobs_changed.notify_all();
     }
 }
 
@@ -237,26 +167,31 @@ impl DbInner {
     }
 }
 
-/// Time left until `deadline` (zero once it passed).
-fn left(deadline: Instant) -> Duration {
-    deadline.saturating_duration_since(Instant::now())
-}
-
 impl Database {
     /// Opens (or, after a crash of its node, reopens) a follower over `env`
     /// with the primary's open sequence — newest valid image, redo of the
     /// log suffix, finishing an install a crash interrupted — under the
     /// primary's `opts` ([`ReplicationFeed::db_options`]), which a
     /// promotion inherits.
+    /// Its snapshotter is a [`Daemon`] every handle shares, and the
+    /// thread does not (it holds the database itself): the last handle
+    /// dropped — a node restart in tests, a graceful stop — drains and
+    /// joins it, leaving the last shipped checkpoint's image and
+    /// truncation on disk.
     pub fn open_follower(env: StorageEnv, opts: DbOptions) -> DbResult<Database> {
-        let db = Database::open_with(env, opts)?;
+        let mut db = Database::open_with(env, opts)?;
         db.inner.follow.following.store(true, Ordering::SeqCst);
         let inner = Arc::clone(&db.inner);
-        let thread = std::thread::Builder::new()
-            .name("follower-snapshotter".into())
-            .spawn(move || snapshot_loop(inner))
-            .map_err(|e| DbError::Io(e.to_string()))?;
-        *db.snapshotter.0.lock() = Some((Arc::clone(&db.inner), thread));
+        // The step performs the queued job, if any. A failed snapshot
+        // leaves the log unbounded but the state correct, and the next
+        // shipped checkpoint retries.
+        let snapshotter = Daemon::spawn("follower-snapshotter", OnStop::Drain, move |_| {
+            let Some(job) = inner.follow.job.lock().take() else { return Next::Idle };
+            let _ = inner.perform_snapshot(job);
+            Next::Now
+        })
+        .map_err(|e| DbError::Io(e.to_string()))?;
+        db.snapshotter = Some(Arc::new(snapshotter));
         Ok(db)
     }
 
@@ -302,8 +237,10 @@ impl Database {
         }
         state.applied = frames.end;
         if checkpoint.is_some() {
-            follow.jobs.lock().pending = checkpoint;
-            follow.jobs_changed.notify_all();
+            *follow.job.lock() = checkpoint;
+            if let Some(snapshotter) = &self.snapshotter {
+                snapshotter.kick();
+            }
         }
         follow.applied_grew.notify_all();
         Ok(())
@@ -343,13 +280,15 @@ impl Database {
     /// The caller fences the shipper first; a range shipped after the flip
     /// is refused. A no-op on a primary.
     pub fn promote(&self) -> DbResult<()> {
-        self.snapshotter.stop();
+        if let Some(snapshotter) = &self.snapshotter {
+            snapshotter.stop();
+        }
         let follow = &self.inner.follow;
         let _state = follow.state.lock();
         follow.following.store(false, Ordering::SeqCst);
         // A job queued after the drain only bounded the log; the promoted
         // database's next checkpoint does that.
-        follow.jobs.lock().pending = None;
+        *follow.job.lock() = None;
         Ok(())
     }
 
@@ -367,33 +306,28 @@ impl Database {
         let deadline = Instant::now() + timeout;
         let mut state = follow.state.lock();
         while state.applied < lsn {
-            if follow.applied_grew.wait_for(&mut state, left(deadline)).timed_out() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if follow.applied_grew.wait_for(&mut state, left).timed_out() {
                 return state.applied >= lsn;
             }
         }
         true
     }
 
-    /// Blocks until the snapshotter has no queued or running job, or
-    /// `timeout` elapses; returns whether it went idle — after which the
-    /// retained-bytes bound of the last shipped checkpoint is visible.
-    pub fn wait_snapshot_idle(&self, timeout: Duration) -> bool {
-        let follow = &self.inner.follow;
-        let deadline = Instant::now() + timeout;
-        let mut jobs = follow.jobs.lock();
-        while jobs.pending.is_some() || jobs.busy {
-            if follow.jobs_changed.wait_for(&mut jobs, left(deadline)).timed_out() {
-                return jobs.pending.is_none() && !jobs.busy;
-            }
-        }
-        true
+    /// A follower's snapshotter (`None` on a database opened as a
+    /// primary). Once it is idle ([`Daemon::wait_idle`]) no job is queued
+    /// or running, and the retained-bytes bound of the last shipped
+    /// checkpoint is visible.
+    pub fn snapshotter(&self) -> Option<&Daemon> {
+        self.snapshotter.as_deref()
     }
 
-    /// Snapshotter backlog: queued plus running jobs (0–2). Stuck at 2
-    /// means checkpoints arrive faster than images are written.
+    /// The snapshotter's backlog: the queued job plus one while it
+    /// is awake (0–2). Stuck at 2 means checkpoints arrive faster than
+    /// images are written.
     pub fn snapshot_queue_depth(&self) -> usize {
-        let jobs = self.inner.follow.jobs.lock();
-        usize::from(jobs.pending.is_some()) + usize::from(jobs.busy)
+        let awake = self.snapshotter().is_some_and(|s| !s.wait_idle(Duration::ZERO));
+        usize::from(self.inner.follow.job.lock().is_some()) + usize::from(awake)
     }
 }
 
@@ -637,7 +571,7 @@ mod tests {
             // Lockstep: the standby truncates at the shipped Checkpoint
             // record — on its snapshotter thread, so wait for it — and
             // then its retained bytes match the primary's.
-            assert!(standby.wait_snapshot_idle(std::time::Duration::from_secs(10)));
+            assert!(standby.snapshotter().unwrap().wait_idle(std::time::Duration::from_secs(10)));
             assert_eq!(standby.wal_base_lsn(), db.wal_base_lsn());
             assert_eq!(standby.wal_retained_bytes(), db.wal_retained_bytes());
         }
@@ -687,7 +621,7 @@ mod tests {
         );
 
         // The snapshot + truncation still happen — asynchronously.
-        assert!(standby.wait_snapshot_idle(std::time::Duration::from_secs(30)));
+        assert!(standby.snapshotter().unwrap().wait_idle(std::time::Duration::from_secs(30)));
         assert_eq!(standby.wal_base_lsn(), db.wal_base_lsn());
         assert_eq!(standby.count("t").unwrap(), 50);
 

@@ -115,14 +115,15 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use dl_obs::{Counter, Gauge, Histogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::codec::{crc32, Dec, Enc};
+use crate::daemon::Daemon;
 use crate::device::{Device, StorageEnv};
 use crate::error::{DbError, DbResult};
 use crate::ops::RowOp;
@@ -393,18 +394,16 @@ impl Flight {
 
 /// Shared durable-watermark signal between the log and its readers: the
 /// flush paths publish the new watermark here after every successful sync,
-/// waking shippers parked in [`WalReader::wait_past`].
+/// kicking the shippers registered by [`WalReader::kick_on_durable`].
 struct ShipSignal {
-    durable: Mutex<Lsn>,
-    grew: Condvar,
+    durable: AtomicU64,
+    shippers: Mutex<Vec<Weak<Daemon>>>,
 }
 
 impl ShipSignal {
     fn publish(&self, durable: Lsn) {
-        let mut cur = self.durable.lock();
-        if durable > *cur {
-            *cur = durable;
-            self.grew.notify_all();
+        if self.durable.fetch_max(durable, Ordering::SeqCst) < durable {
+            self.shippers.lock().retain(|shipper| shipper.upgrade().map(|d| d.kick()).is_some());
         }
     }
 }
@@ -459,7 +458,7 @@ pub struct WalReader {
 impl WalReader {
     /// The current durable watermark.
     pub fn durable_lsn(&self) -> Lsn {
-        *self.signal.durable.lock()
+        self.signal.durable.load(Ordering::SeqCst)
     }
 
     /// The truncation low-water mark: frames below it are gone from the
@@ -468,23 +467,10 @@ impl WalReader {
         self.view.read().base
     }
 
-    /// Blocks until the durable watermark exceeds `seen`, `timeout`
-    /// elapses, or `cancel` is set and [`WalReader::wake`] called; returns
-    /// the current watermark either way. `cancel` is read under the
-    /// signal's lock, so a wake that follows setting it is never lost.
-    pub fn wait_past(&self, seen: Lsn, timeout: Duration, cancel: &AtomicBool) -> Lsn {
-        let mut durable = self.signal.durable.lock();
-        if *durable <= seen && !cancel.load(Ordering::SeqCst) {
-            let _ = self.signal.grew.wait_for(&mut durable, timeout);
-        }
-        *durable
-    }
-
-    /// Wakes every [`WalReader::wait_past`] on this log: how a shipper
-    /// being stopped leaves its wait at once instead of at its timeout.
-    pub fn wake(&self) {
-        let _durable = self.signal.durable.lock();
-        self.signal.grew.notify_all();
+    /// Kicks `shipper` each time the durable watermark grows, for as long
+    /// as it lives.
+    pub fn kick_on_durable(&self, shipper: &Arc<Daemon>) {
+        self.signal.shippers.lock().push(Arc::downgrade(shipper));
     }
 
     /// Reads all whole frames in `[from, durable)`. The watermark only ever
@@ -649,7 +635,10 @@ impl Wal {
                 }),
                 flushed: Condvar::new(),
                 flights_written: AtomicU64::new(0),
-                ship: Arc::new(ShipSignal { durable: Mutex::new(valid_end), grew: Condvar::new() }),
+                ship: Arc::new(ShipSignal {
+                    durable: AtomicU64::new(valid_end),
+                    shippers: Mutex::default(),
+                }),
                 telemetry: WalTelemetry::new(),
             },
             out,
@@ -1175,6 +1164,7 @@ pub fn read_until(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{Daemon, Next, OnStop};
     use crate::device::MemDevice;
     use crate::value::Value;
 
@@ -1436,36 +1426,29 @@ mod tests {
     }
 
     #[test]
-    fn reader_wait_past_wakes_on_append() {
-        let d = dev();
-        let wal = Arc::new(Wal::open(Arc::clone(&d)).unwrap().0);
+    fn reader_kicks_its_shipper_when_the_watermark_grows() {
+        let wal = Wal::open(dev()).unwrap().0;
         let reader = wal.reader();
-        let never = AtomicBool::new(false);
-        // Timeout path: nothing appended.
-        assert_eq!(reader.wait_past(0, std::time::Duration::from_millis(10), &never), 0);
-        let w = Arc::clone(&wal);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            w.append(&WalRecord::Checkpoint { generation: 1 }).unwrap()
-        });
-        let durable = reader.wait_past(0, std::time::Duration::from_secs(10), &never);
-        let appended = t.join().unwrap();
-        assert!(durable >= appended);
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        let step_reader = reader.clone();
+        let shipper = Arc::new(
+            Daemon::spawn("shipper", OnStop::Abandon, move |_| {
+                let _ = seen_tx.send(step_reader.durable_lsn());
+                Next::Idle
+            })
+            .unwrap(),
+        );
+        reader.kick_on_durable(&shipper);
+        let wait = std::time::Duration::from_secs(10);
+        assert_eq!(seen.recv_timeout(wait).unwrap(), 0, "the first step runs at spawn");
+        let appended = wal.append(&WalRecord::Checkpoint { generation: 1 }).unwrap();
+        assert!(seen.recv_timeout(wait).unwrap() >= appended);
+        assert_eq!(shipper.wakeups().get(), 1);
 
-        // A cancelled wait returns at the wake, not at its timeout — and
-        // at once when the flag was set before it began.
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (r, c) = (reader.clone(), Arc::clone(&cancel));
-        let started = std::time::Instant::now();
-        let t = std::thread::spawn(move || {
-            r.wait_past(durable, std::time::Duration::from_secs(10), &c)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cancel.store(true, Ordering::SeqCst);
-        reader.wake();
-        assert_eq!(t.join().unwrap(), durable);
-        assert!(started.elapsed() < std::time::Duration::from_secs(5));
-        assert_eq!(reader.wait_past(durable, std::time::Duration::from_secs(10), &cancel), durable);
+        // A shipper that is gone is forgotten at the next growth.
+        drop(shipper);
+        wal.append(&WalRecord::Checkpoint { generation: 2 }).unwrap();
+        assert!(wal.ship.shippers.lock().is_empty());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! crash is a full outage until recovery replays. This crate turns the
 //! group-commit WAL (`dl_minidb::WalReader`) into a replication feed:
 //!
-//! * a [`Replicator`] daemon tails a primary's log and ships every durable
-//!   frame range to one or more [`Follower`]s — the one thing it feeds: a
+//! * a [`ReplicaSet`]'s shipper — a step that a `dl_minidb::daemon::Daemon`
+//!   runs — tails a primary's log and ships every durable frame range to
+//!   one or more [`Follower`]s — the one thing it feeds: a
 //!   `dl_minidb::Database` in follower mode (physical replication, its log
 //!   a byte prefix of the primary's at all times) behind an epoch fence;
 //! * the ship protocol carries an **epoch** number checked against a
@@ -43,31 +44,24 @@
 //!
 //! ## Checkpoint shipping
 //!
-//! The shipper consumes a [`ReplicationFeed`] rather than a bare
-//! `WalReader`: when the primary has truncated its log below the shipper's
-//! cursor (bounded-WAL operation, `DbOptions::checkpoint_every_bytes`),
-//! the read reports `TruncatedLog` and the shipper falls back to
-//! installing the primary's latest checkpoint image on every standby that
-//! is behind it — *delta catch-up*: install the image, then tail only the
-//! WAL suffix, instead of replaying the primary's whole history. Standbys
-//! also truncate their own logs when a `Checkpoint` record flows through
-//! ordinary shipping, so replica logs stay bounded in lockstep with the
-//! primary's (`tests/replication.rs` gates both effects by counts;
-//! OPERATIONS.md §3 is the operator runbook).
+//! A primary that truncated its log below the shipper's cursor has the
+//! shipper install its latest checkpoint image from the
+//! [`ReplicationFeed`] and tail only the suffix (*delta catch-up*), and a
+//! shipped `Checkpoint` record bounds each standby's log in lockstep
+//! (`tests/replication.rs` gates both by counts; OPERATIONS.md §3 is the
+//! operator runbook).
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dl_dlfm::{ArchiveStore, ContentSource, Repository, TokenKey, TokenKind};
 use dl_fskit::Clock;
-use dl_minidb::{
-    Database, DbError, DbOptions, Lsn, ReplicationFeed, ShippedFrames, SnapshotData, StorageEnv,
-};
+use dl_minidb::daemon::{Daemon, Next, OnStop};
+use dl_minidb::{Database, DbError, Lsn, ReplicationFeed, ShippedFrames, SnapshotData, StorageEnv};
 use parking_lot::Mutex;
 
 /// Replication failures.
@@ -109,11 +103,6 @@ pub struct EpochFence {
 }
 
 impl EpochFence {
-    /// A fence at epoch 0.
-    pub fn new() -> EpochFence {
-        EpochFence::default()
-    }
-
     /// A fence starting at `epoch` — how a replica set rebuilt after a
     /// failover inherits the promoted coordinator's generation instead of
     /// restarting at 0 (a second failover must still out-rank the first).
@@ -174,7 +163,7 @@ impl ReplStats {
 /// The one thing the ship daemon feeds — a host-database standby is
 /// exactly this, a DLFM [`Standby`] wraps one. Everything it does not fence
 /// is the database's own, reached by deref: `applied_lsn`, `wait_applied`,
-/// `wal_retained_bytes`, `wait_snapshot_idle`, `snapshot_queue_depth`, the
+/// `wal_retained_bytes`, `snapshotter`, `snapshot_queue_depth`, the
 /// ordinary read path — and `promote`, which a failover calls after
 /// [`ReplicaSet::freeze`] to make this database the primary in place.
 pub struct Follower {
@@ -186,20 +175,6 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// Opens a follower over `env` (the replicated database) under the
-    /// options of the primary it follows
-    /// ([`ReplicationFeed::db_options`]).
-    pub fn new(
-        name: String,
-        env: StorageEnv,
-        opts: DbOptions,
-        fence: Arc<EpochFence>,
-        stats: Arc<ReplStats>,
-    ) -> Result<Follower, String> {
-        let db = Database::open_follower(env, opts).map_err(|e| e.to_string())?;
-        Ok(Follower { name, db, fence, stats })
-    }
-
     /// Applies one shipped range, fencing stale epochs first. A rejected
     /// range leaves the follower untouched.
     pub fn apply(&self, epoch: u64, frames: &ShippedFrames) -> Result<(), ReplError> {
@@ -244,48 +219,16 @@ pub struct Standby {
     repo: Repository,
     /// The node's one archive store, the primary's.
     archive: Arc<ArchiveStore>,
-    server_name: String,
-    token_key: TokenKey,
-    clock: Arc<dyn Clock>,
-    /// The node's live-bytes source, for linked-but-never-updated files,
-    /// which have no archived version yet (the primary captures the
-    /// before-image on the first write open).
-    fallback: Option<ContentSource>,
+    /// The set's options: the server name and secret tokens are verified
+    /// under, the clock they expire by, and the node's live-bytes source
+    /// for linked-but-never-updated files, which have no archived version
+    /// yet (the primary captures the before-image on the first write open).
+    opts: Arc<ReplicaSetOptions>,
     /// Read tokens validated at this replica.
     pub validations: AtomicU64,
-    /// Reads served entirely from this replica (archive store/fallback).
-    pub reads_served: AtomicU64,
 }
 
 impl Standby {
-    /// Wraps `follower` (the replicated repository) as a read replica;
-    /// reads are served from `archive`, the primary's store.
-    pub fn new(
-        follower: Arc<Follower>,
-        archive: Arc<ArchiveStore>,
-        server_name: String,
-        token_key: TokenKey,
-        clock: Arc<dyn Clock>,
-        fallback: Option<ContentSource>,
-    ) -> Standby {
-        Standby {
-            repo: Repository::over(Database::clone(&follower)),
-            follower,
-            archive,
-            server_name,
-            token_key,
-            clock,
-            fallback,
-            validations: AtomicU64::new(0),
-            reads_served: AtomicU64::new(0),
-        }
-    }
-
-    /// The fenced follower underneath — what a [`Replicator`] feeds.
-    pub fn follower(&self) -> &Arc<Follower> {
-        &self.follower
-    }
-
     /// The replicated repository, as of the applied watermark.
     pub fn repository(&self) -> &Repository {
         &self.repo
@@ -306,7 +249,8 @@ impl Standby {
         token: &str,
         uid: u32,
     ) -> Result<TokenKind, String> {
-        let (key, server, now) = (&self.token_key, &self.server_name, self.clock.now_ms());
+        let (key, server, now) =
+            (&self.opts.token_key, &self.opts.server_name, self.opts.clock.now_ms());
         let kind = self.repo.admit_token(key, server, path, token, uid, now)?;
         self.validations.fetch_add(1, Ordering::Relaxed);
         Ok(kind)
@@ -317,12 +261,10 @@ impl Standby {
     /// the archived version at the replicated `cur_version`, else the live
     /// bytes. The primary is not involved at all.
     pub fn serve_read(&self, path: &str, uid: u32) -> Result<Vec<u8>, String> {
-        if !self.repo.check_token_entry(uid, path, TokenKind::Read, self.clock.now_ms()) {
+        if !self.repo.check_token_entry(uid, path, TokenKind::Read, self.opts.clock.now_ms()) {
             return Err(format!("no valid token entry for uid {uid} on {path} at this replica"));
         }
-        let data = self.repo.read_committed(path, &self.archive, self.fallback.as_ref())?;
-        self.reads_served.fetch_add(1, Ordering::Relaxed);
-        Ok(data)
+        self.repo.read_committed(path, &self.archive, self.opts.fallback.as_ref())
     }
 }
 
@@ -334,17 +276,47 @@ impl std::ops::Deref for Standby {
     }
 }
 
-/// The shipping core shared by the daemon thread and synchronous callers.
-struct ShipCore {
+/// How long the shipper waits for the durable watermark to grow before it
+/// flushes the primary's unforced log tail itself.
+const SHIP_POLL: Duration = Duration::from_millis(20);
+
+/// How long the shipper waits before it retries a round a standby refused.
+const SHIP_RETRY: Duration = Duration::from_millis(5);
+
+/// A replica set's shipper: the step its daemon runs, and what the set's
+/// synchronous calls ship with.
+struct Ship {
     feed: ReplicationFeed,
-    standbys: Vec<Arc<Follower>>,
-    /// Epoch this shipper was spawned under; carried on every range.
+    followers: Vec<Arc<Follower>>,
+    fence: Arc<EpochFence>,
+    /// Epoch this shipper was built under; carried on every range.
     epoch: u64,
-    cursor: Mutex<Lsn>,
     stats: Arc<ReplStats>,
+    /// Held by a round from its first read to its last counter.
+    state: Mutex<ShipState>,
 }
 
-impl ShipCore {
+struct ShipState {
+    cursor: Lsn,
+    paused: bool,
+    /// When the idle flush is due: one poll after the last round.
+    poll_at: Instant,
+}
+
+impl Ship {
+    /// A shipper feeding `followers` from their slowest one's position.
+    fn new(
+        feed: ReplicationFeed,
+        followers: Vec<Arc<Follower>>,
+        fence: Arc<EpochFence>,
+        epoch: u64,
+        stats: Arc<ReplStats>,
+    ) -> Ship {
+        let cursor = followers.iter().map(|f| f.applied_lsn()).min().unwrap_or(0);
+        let state = ShipState { cursor, paused: false, poll_at: Instant::now() + SHIP_POLL };
+        Ship { feed, followers, fence, epoch, stats, state: Mutex::new(state) }
+    }
+
     /// Ships everything durable past the cursor to every standby; the
     /// cursor only advances when *all* standbys applied (a lagging standby
     /// re-receives from its gap, never skips it). When the primary has
@@ -352,12 +324,6 @@ impl ShipCore {
     /// shipping: install the latest image on every standby behind it, move
     /// the cursor to the image's base, and resume framing from there —
     /// delta catch-up instead of full-history replay.
-    fn ship_once(&self) -> Result<usize, ReplError> {
-        self.ship_from(&mut self.cursor.lock())
-    }
-
-    /// [`ShipCore::ship_once`] for a caller that already holds the cursor
-    /// lock — a round holds it from its first read to its last counter.
     fn ship_from(&self, cursor: &mut Lsn) -> Result<usize, ReplError> {
         let frames = match self.feed.reader().read_from(*cursor) {
             Ok(frames) => frames,
@@ -372,8 +338,8 @@ impl ShipCore {
                 // mid-checkpoint — retry on the next round.
                 let Some(snap) = snap else { return Ok(0) };
                 let mut installed = 0u64;
-                for standby in &self.standbys {
-                    if standby.install_checkpoint(self.epoch, &snap)? {
+                for follower in &self.followers {
+                    if follower.install_checkpoint(self.epoch, &snap)? {
                         installed += 1;
                     }
                 }
@@ -386,8 +352,8 @@ impl ShipCore {
         if frames.is_empty() {
             return Ok(0);
         }
-        for standby in &self.standbys {
-            standby.apply(self.epoch, &frames)?;
+        for follower in &self.followers {
+            follower.apply(self.epoch, &frames)?;
         }
         *cursor = frames.end;
         self.stats.batches_shipped.fetch_add(1, Ordering::Relaxed);
@@ -396,176 +362,33 @@ impl ShipCore {
         Ok(frames.records.len())
     }
 
-    fn cursor(&self) -> Lsn {
-        *self.cursor.lock()
-    }
-}
-
-/// How long the shipper waits for the durable watermark to grow before it
-/// flushes the primary's unforced log tail itself.
-const SHIP_POLL: Duration = Duration::from_millis(20);
-
-/// The shipping daemon: wakes on the primary's durable watermark (fed by
-/// the group-commit leader after each batch sync) and continuously applies
-/// to the standbys. When the watermark sits still for one poll (20 ms) it
-/// flushes the primary's log, so records appended unforced ship too.
-/// [`Replicator::stop`] wakes it wherever it waits, so stopping an idle
-/// daemon costs no poll.
-pub struct Replicator {
-    core: Arc<ShipCore>,
-    stop: Arc<AtomicBool>,
-    paused: Arc<AtomicBool>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Replicator {
-    /// Spawns the daemon under `epoch` (the fence's current one) feeding
-    /// `standbys`: bare followers, or [`Standby::follower`]s.
-    pub fn spawn(
-        name: &str,
-        feed: ReplicationFeed,
-        standbys: Vec<Arc<Follower>>,
-        epoch: u64,
-        stats: Arc<ReplStats>,
-    ) -> Replicator {
-        let start = standbys.iter().map(|s| s.applied_lsn()).min().unwrap_or(0);
-        let core = Arc::new(ShipCore { feed, standbys, epoch, cursor: Mutex::new(start), stats });
-        let stop = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(false));
-        let worker_core = Arc::clone(&core);
-        let worker_stop = Arc::clone(&stop);
-        let worker_paused = Arc::clone(&paused);
-        let handle = std::thread::Builder::new()
-            .name(format!("dlfm-repl-{name}"))
-            .spawn(move || loop {
-                if worker_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if worker_paused.load(Ordering::SeqCst) {
-                    std::thread::park_timeout(Duration::from_millis(5));
-                    continue;
-                }
-                let seen = worker_core.cursor();
-                let durable = worker_core.feed.reader().wait_past(seen, SHIP_POLL, &worker_stop);
-                if worker_paused.load(Ordering::SeqCst) || worker_stop.load(Ordering::SeqCst) {
-                    continue;
-                }
-                if durable <= seen {
-                    // Nothing forced came by for a whole poll: whatever the
-                    // primary appended unforced since (a close record, a
-                    // branch's end, a flag clear) is waiting for a flush
-                    // nobody else will lead.
-                    // This bounds a standby's staleness at one poll of
-                    // primary idleness without a timer thread of its own.
-                    let _ = worker_core.feed.flush();
-                }
-                let shipped = {
-                    // `set_paused(true)` passes through this lock before it
-                    // returns, so a round either finished before the pause
-                    // took effect or sees it here and never starts.
-                    let mut cursor = worker_core.cursor.lock();
-                    if worker_paused.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    worker_core.ship_from(&mut cursor)
-                };
-                match shipped {
-                    Ok(_) => {}
-                    // A fenced shipper belongs to a deposed primary: stop.
-                    Err(ReplError::StaleEpoch { .. }) => break,
-                    // Apply/read errors: the standby refused (gap after a
-                    // restart) — retry on the next wakeup rather than spin.
-                    Err(_) => std::thread::park_timeout(Duration::from_millis(5)),
-                }
-            })
-            .expect("spawn replication shipper");
-        Replicator { core, stop, paused, handle: Mutex::new(Some(handle)) }
-    }
-
-    /// Synchronously ships everything durable (tests, catch-up waits).
-    pub fn ship_once(&self) -> Result<usize, ReplError> {
-        self.core.ship_once()
-    }
-
-    /// Pauses or resumes the background daemon. An operator drain hook
-    /// (OPERATIONS.md) and the deterministic way tests/experiments create
-    /// a staleness window; synchronous [`Replicator::ship_once`] calls
-    /// still work while paused. When `set_paused(true)` returns the daemon
-    /// is parked: a ship round that was in flight has finished, and the
-    /// daemon re-checks the flag under the cursor lock it ships under, so
-    /// no follower's applied watermark moves on its account until resumed.
-    pub fn set_paused(&self, paused: bool) {
-        self.paused.store(paused, Ordering::SeqCst);
-        if paused {
-            drop(self.core.cursor.lock());
+    /// The shipper's step: ships what the durable watermark grew by (the
+    /// log kicks the daemon after each batch sync). When the watermark has
+    /// sat still for a whole poll it flushes the primary first — what was
+    /// appended unforced since (a close record, a branch's end, a flag
+    /// clear) waits for a flush nobody else will lead — which bounds a
+    /// standby's staleness at one poll of primary idleness. Paused or
+    /// fenced (a deposed primary's shipper), it idles.
+    fn step(&self, now: Instant) -> Next {
+        let mut state = self.state.lock();
+        if state.paused || self.fence.current() != self.epoch {
+            return Next::Idle;
         }
-    }
-
-    /// Primary durable watermark minus the slowest standby's applied
-    /// watermark, in bytes.
-    pub fn lag(&self) -> u64 {
-        let durable = self.core.feed.reader().durable_lsn();
-        let applied = self.core.standbys.iter().map(|s| s.applied_lsn()).min().unwrap_or(durable);
-        durable.saturating_sub(applied)
-    }
-
-    /// Drives shipping until the standbys hold the primary's *whole* log
-    /// tail — unforced records included, which are flushed first — or
-    /// `timeout` elapses.
-    pub fn wait_caught_up(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // "Caught up" compares against the durable watermark, so put
-            // the unforced tail under it first (a failed flush retries on
-            // the next round, like a failed ship).
-            let flushed = self.core.feed.flush().is_ok();
-            if flushed && self.lag() == 0 {
-                break;
+        if self.feed.reader().durable_lsn() <= state.cursor {
+            if now < state.poll_at {
+                return Next::At(state.poll_at);
             }
-            if self.ship_once().is_err() || Instant::now() >= deadline {
-                if !flushed || self.lag() != 0 {
-                    return false;
-                }
-                break;
-            }
+            let _ = self.feed.db().flush();
         }
-        // Drained — but the round that drained it may still be in flight
-        // on the daemon thread: a standby's applied watermark advances
-        // inside `apply`, *before* `ship_once` publishes its ReplStats
-        // counters. Taking the cursor lock (held for the whole of
-        // `ship_once`) fences that window, so a caller reading stats
-        // right after a successful wait sees the totals for everything
-        // applied. (A fresh standby's full-replay catch-up flaked exactly
-        // here: caught up with `records_shipped() == 0`.)
-        drop(self.core.cursor.lock());
-        // Caught up also means *bounded*: each standby truncates its log
-        // on its own snapshotter thread after a shipped checkpoint, so
-        // wait for those to go idle before callers assert on retained
-        // bytes.
-        for standby in &self.core.standbys {
-            let now = Instant::now();
-            if now >= deadline || !standby.wait_snapshot_idle(deadline - now) {
-                return false;
-            }
+        let shipped = self.ship_from(&mut state.cursor);
+        state.poll_at = now + SHIP_POLL;
+        match shipped {
+            Ok(_) => Next::At(state.poll_at),
+            Err(ReplError::StaleEpoch { .. }) => Next::Idle,
+            // The standby refused (gap after a restart): retry shortly
+            // rather than spin.
+            Err(_) => Next::At(now + SHIP_RETRY),
         }
-        true
-    }
-
-    /// Signals the daemon to stop, wakes it — from its wait for the
-    /// watermark or its paused nap — and joins it. Idempotent.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.core.feed.reader().wake();
-        if let Some(handle) = self.handle.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Replicator {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -585,19 +408,19 @@ pub struct ReplicaSetOptions {
     pub fallback: Option<ContentSource>,
 }
 
-/// A primary's hot standbys plus their shipping daemon. `S` is what the
-/// set is made of: [`Standby`] for a DLFM repository (the default — such a
-/// set is also the round-robin read router), bare [`Follower`]s for the
-/// host database, the coordinator half of "no single node loss stops
-/// traffic". There the fence epoch doubles as the **coordinator
-/// generation**: promotion bumps it, every DLFM node is told the new
-/// generation, and 2PC traffic from agent connections minted under an older
-/// generation is refused (the zombie-coordinator guard).
+/// A primary's hot standbys plus their shipper, a daemon of its own. `S`
+/// is what the set is made of: [`Standby`] for a DLFM repository (the
+/// default — such a set is also the round-robin read router), bare
+/// [`Follower`]s for the host database, the coordinator half of "no single
+/// node loss stops traffic". There the fence epoch doubles as the
+/// **coordinator generation**: promotion bumps it, every DLFM node is told
+/// the new generation, and 2PC traffic from agent connections minted under
+/// an older generation is refused (the zombie-coordinator guard).
 pub struct ReplicaSet<S = Standby> {
     standbys: Vec<Arc<S>>,
-    replicator: Replicator,
-    fence: Arc<EpochFence>,
-    stats: Arc<ReplStats>,
+    ship: Arc<Ship>,
+    /// Steps `ship`; a drop stops it without a flush of the primary.
+    shipper: Arc<Daemon>,
     next: AtomicUsize,
 }
 
@@ -611,15 +434,15 @@ impl ReplicaSet<Standby> {
         archive: Arc<ArchiveStore>,
         opts: ReplicaSetOptions,
     ) -> Result<Self, String> {
+        let opts = Arc::new(opts);
         Self::provision(&opts.server_name, feed, opts.replicas, 0, |follower| {
-            Ok(Arc::new(Standby::new(
+            Arc::new(Standby {
+                repo: Repository::over(Database::clone(&follower)),
                 follower,
-                Arc::clone(&archive),
-                opts.server_name.clone(),
-                opts.token_key,
-                Arc::clone(&opts.clock),
-                opts.fallback.clone(),
-            )))
+                archive: Arc::clone(&archive),
+                opts: Arc::clone(&opts),
+                validations: AtomicU64::new(0),
+            })
         })
     }
 
@@ -632,33 +455,32 @@ impl ReplicaSet<Standby> {
 
 impl ReplicaSet<Follower> {
     /// Provisions `replicas` fresh bare followers `<name>#<i>` fed from
-    /// `feed` — the host database's set — and spawns the shipper under
-    /// `epoch`, the initial
-    /// fence epoch: 0 for a first provisioning; a set rebuilt after
-    /// `fail_over_host` passes the promoted coordinator generation so a
-    /// later failover still out-ranks this one.
+    /// `feed` — the host database's set — under the initial fence `epoch`:
+    /// 0 for a first provisioning; a set rebuilt after `fail_over_host`
+    /// passes the promoted coordinator generation so a later failover
+    /// still out-ranks this one.
     pub fn build(
         name: &str,
         feed: ReplicationFeed,
         replicas: usize,
         epoch: u64,
     ) -> Result<Self, String> {
-        Self::provision(name, feed, replicas, epoch, Ok)
+        Self::provision(name, feed, replicas, epoch, |follower| follower)
     }
 }
 
 impl<S> ReplicaSet<S> {
-    /// Opens the followers (in memory, syncing and configured like the
-    /// primary), wraps each into the set's member type, spawns the one
-    /// shipper that feeds them and ships one round before returning — so a
-    /// standby holds the repository's schema before anyone can route a read
-    /// to it.
+    /// Opens the followers `<name>#<i>` (in memory, syncing and configured
+    /// like the primary: [`ReplicationFeed::db_options`]), wraps each into
+    /// the set's member type, ships one round —
+    /// so a standby holds the repository's schema before anyone can route
+    /// a read to it — and spawns the shipper that feeds them from then on.
     fn provision(
         name: &str,
         feed: ReplicationFeed,
         replicas: usize,
         epoch: u64,
-        member: impl Fn(Arc<Follower>) -> Result<Arc<S>, String>,
+        member: impl Fn(Arc<Follower>) -> Arc<S>,
     ) -> Result<Self, String> {
         assert!(replicas > 0, "a replica set needs at least one standby");
         let fence = Arc::new(EpochFence::at(epoch));
@@ -668,13 +490,20 @@ impl<S> ReplicaSet<S> {
             .map(|i| {
                 let env = StorageEnv::mem_with_sync_latency(latency);
                 let (fence, stats) = (Arc::clone(&fence), Arc::clone(&stats));
-                Follower::new(format!("{name}#{i}"), env, opts, fence, stats).map(Arc::new)
+                let db = Database::open_follower(env, opts).map_err(|e| e.to_string())?;
+                Ok(Arc::new(Follower { name: format!("{name}#{i}"), db, fence, stats }))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let standbys = followers.iter().cloned().map(member).collect::<Result<Vec<_>, String>>()?;
-        let replicator = Replicator::spawn(name, feed, followers, epoch, Arc::clone(&stats));
-        replicator.ship_once().map_err(|e| e.to_string())?;
-        Ok(ReplicaSet { standbys, replicator, fence, stats, next: AtomicUsize::new(0) })
+        let standbys = followers.iter().cloned().map(member).collect();
+        let ship = Arc::new(Ship::new(feed, followers, fence, epoch, stats));
+        ship.ship_from(&mut ship.state.lock().cursor).map_err(|e| e.to_string())?;
+        let step = Arc::clone(&ship);
+        let shipper =
+            Daemon::spawn(&format!("dlfm-repl-{name}"), OnStop::Abandon, move |now| step.step(now))
+                .map_err(|e| format!("spawn replication shipper: {e}"))?;
+        let shipper = Arc::new(shipper);
+        ship.feed.reader().kick_on_durable(&shipper);
+        Ok(ReplicaSet { standbys, ship, shipper, next: AtomicUsize::new(0) })
     }
 
     /// The set's standbys, in provisioning order.
@@ -685,51 +514,83 @@ impl<S> ReplicaSet<S> {
     /// Primary durable watermark minus the slowest standby's applied
     /// watermark, in bytes.
     pub fn lag(&self) -> u64 {
-        self.replicator.lag()
+        let durable = self.ship.feed.reader().durable_lsn();
+        let applied = self.ship.followers.iter().map(|f| f.applied_lsn()).min().unwrap_or(durable);
+        durable.saturating_sub(applied)
     }
 
-    /// Drives shipping until the lag drains to zero or `timeout` elapses.
+    /// Drives shipping until the standbys hold the primary's *whole* log
+    /// tail — unforced records included, which are flushed first — and
+    /// every standby's snapshotter is idle, or `timeout` elapses.
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
-        self.replicator.wait_caught_up(timeout)
+        let deadline = Instant::now() + timeout;
+        loop {
+            // "Caught up" compares against the durable watermark, so put
+            // the unforced tail under it first (a failed flush retries on
+            // the next round, like a failed ship).
+            let flushed = self.ship.feed.db().flush().is_ok();
+            if flushed && self.lag() == 0 {
+                break;
+            }
+            if self.ship_once().is_err() || Instant::now() >= deadline {
+                if !flushed || self.lag() != 0 {
+                    return false;
+                }
+                break;
+            }
+        }
+        // Drained — but the round that drained it may still be in flight
+        // on the shipper's thread, its standbys' watermarks moved and its
+        // ReplStats counters not yet: taking the state lock (held for the
+        // whole round) fences that window, so a caller reading stats next
+        // sees the totals for everything applied.
+        drop(self.ship.state.lock());
+        // Caught up also means *bounded*: each standby truncates its log
+        // on its snapshotter after a shipped checkpoint, so wait for those
+        // to go idle before callers assert on retained bytes.
+        self.ship.followers.iter().filter_map(|f| f.snapshotter()).all(|snapshotter| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            !left.is_zero() && snapshotter.wait_idle(left)
+        })
     }
 
     /// Synchronous ship (tests; also how a fenced shipper's rejection is
-    /// observed deterministically).
+    /// observed deterministically). Works while the shipper is paused.
     pub fn ship_once(&self) -> Result<usize, ReplError> {
-        self.replicator.ship_once()
+        self.ship.ship_from(&mut self.ship.state.lock().cursor)
     }
 
-    /// Pauses or resumes the background shipper (operator drain hook, and
-    /// the deterministic way to hold back a standby — e.g. to stage a
-    /// decision logged on the host but not yet shipped; see
-    /// [`Replicator::set_paused`]).
+    /// Pauses or resumes the shipper — an operator drain hook
+    /// (OPERATIONS.md), and the deterministic way to hold back a standby,
+    /// e.g. to stage a decision logged on the host but not yet shipped.
+    /// When `set_paused(true)` returns the shipper is parked: a round that
+    /// was in flight has finished, and every later step sees the flag
+    /// under the lock it ships under, so no follower's applied watermark
+    /// moves on its account until resumed.
     pub fn set_paused(&self, paused: bool) {
-        self.replicator.set_paused(paused);
+        self.ship.state.lock().paused = paused;
+        if !paused {
+            self.shipper.kick();
+        }
     }
 
     /// Shipping and rejection counters.
     pub fn stats(&self) -> &Arc<ReplStats> {
-        &self.stats
+        &self.ship.stats
     }
 
     /// Deepest snapshotter backlog across this set's standbys (each 0–2).
     pub fn snapshot_queue_depth(&self) -> usize {
-        let followers = &self.replicator.core.standbys;
-        followers.iter().map(|s| s.snapshot_queue_depth()).max().unwrap_or(0)
-    }
-
-    /// The failover fence shared by this set's standbys.
-    pub fn fence(&self) -> &Arc<EpochFence> {
-        &self.fence
+        self.ship.followers.iter().map(|f| f.snapshot_queue_depth()).max().unwrap_or(0)
     }
 
     /// Fences the set for failover: bumps the epoch — every in-flight or
-    /// future frame from the current shipper is now stale — and joins the
-    /// shipping daemon (woken, not waited out) so no apply races the
-    /// promotion that follows. Returns the new epoch.
+    /// future frame from the current shipper is now stale — and stops the
+    /// shipper (woken, not waited out) so no apply races the promotion
+    /// that follows. Returns the new epoch.
     pub fn freeze(&self) -> u64 {
-        let epoch = self.fence.bump();
-        self.replicator.stop();
+        let epoch = self.ship.fence.bump();
+        self.shipper.stop();
         epoch
     }
 
@@ -748,6 +609,7 @@ mod tests {
     use dl_dlfm::{AccessToken, ControlMode, OnUnlink};
     use dl_fskit::SimClock;
     use dl_minidb::Value;
+    use std::sync::atomic::AtomicBool;
 
     /// A DLFM repository's database: the schema its standbys replicate.
     fn repo_db() -> Database {
@@ -771,75 +633,53 @@ mod tests {
         entry.to_row()
     }
 
-    fn standby_for(db: &Database, name: &str) -> (Arc<Standby>, Arc<EpochFence>, Arc<ReplStats>) {
-        let fence = Arc::new(EpochFence::new());
-        let stats = Arc::new(ReplStats::default());
-        let follower = Follower::new(
-            name.to_string(),
-            StorageEnv::mem(),
-            db.replication_feed().db_options(),
-            Arc::clone(&fence),
-            Arc::clone(&stats),
-        );
-        let standby = Arc::new(Standby::new(
-            Arc::new(follower.unwrap()),
-            Arc::new(ArchiveStore::new()),
-            "srv1".to_string(),
-            TokenKey::new(b"dlfm-key-srv1"),
-            Arc::new(SimClock::new(1_000)),
-            None,
-        ));
-        (standby, fence, stats)
+    /// A one-standby set of `db`'s repository whose reads come from
+    /// `archive`, verifying tokens under key `key` at `clock`.
+    fn standby_set(db: &Database, archive: Arc<ArchiveStore>, clock: Arc<SimClock>) -> ReplicaSet {
+        let opts = ReplicaSetOptions {
+            replicas: 1,
+            server_name: "srv1".into(),
+            token_key: TokenKey::new(b"key"),
+            clock,
+            fallback: None,
+        };
+        ReplicaSet::<Standby>::build(db.replication_feed(), archive, opts).unwrap()
     }
 
     #[test]
-    fn replicator_ships_and_standby_serves_file_entries() {
+    fn the_shipper_ships_and_the_standby_serves_file_entries() {
         let db = repo_db();
-        let (standby, _fence, stats) = standby_for(&db, "srv1#0");
-        let repl = Replicator::spawn(
-            "srv1",
-            db.replication_feed(),
-            vec![Arc::clone(standby.follower())],
-            0,
-            Arc::clone(&stats),
-        );
+        let set = standby_set(&db, Arc::new(ArchiveStore::new()), Arc::new(SimClock::new(1_000)));
+        let standby = &set.standbys()[0];
 
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/f", 3)).unwrap();
         tx.commit().unwrap();
 
-        assert!(repl.wait_caught_up(Duration::from_secs(5)));
-        assert_eq!(repl.lag(), 0);
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
+        assert_eq!(set.lag(), 0);
         let entry = standby.repository().get_file("/f").expect("replicated entry");
         assert_eq!(entry.cur_version, 3);
-        assert!(stats.batches_shipped.load(Ordering::Relaxed) >= 1);
+        assert!(set.stats().batches_shipped.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn fence_bump_rejects_stale_shipper() {
         let db = repo_db();
-        let (standby, fence, stats) = standby_for(&db, "srv1#0");
-        let repl = Replicator::spawn(
-            "srv1",
-            db.replication_feed(),
-            vec![Arc::clone(standby.follower())],
-            fence.current(),
-            Arc::clone(&stats),
-        );
-        assert!(repl.wait_caught_up(Duration::from_secs(5)));
+        let set = standby_set(&db, Arc::new(ArchiveStore::new()), Arc::new(SimClock::new(1_000)));
+        let standby = &set.standbys()[0];
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
         let applied_before = standby.applied_lsn();
 
         // Failover elsewhere: the fence moves on, this shipper is stale.
-        fence.bump();
+        set.ship.fence.bump();
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/late", 1)).unwrap();
         tx.commit().unwrap();
 
-        let err = repl.ship_once().unwrap_err();
+        let err = set.ship_once().unwrap_err();
         assert!(matches!(err, ReplError::StaleEpoch { shipped: 0, fence: 1 }));
-        // The background daemon may have been rejected too before our
-        // synchronous attempt; at least one rejection is recorded.
-        assert!(stats.stale_rejections() >= 1);
+        assert!(set.stats().stale_rejections() >= 1);
         assert_eq!(standby.applied_lsn(), applied_before, "rejected frames are not applied");
         assert!(standby.repository().get_file("/late").is_none());
     }
@@ -848,36 +688,14 @@ mod tests {
     fn replica_validates_tokens_and_serves_archived_bytes() {
         let db = repo_db();
         let clock = Arc::new(SimClock::new(1_000));
-        let fence = Arc::new(EpochFence::new());
-        let stats = Arc::new(ReplStats::default());
-        let follower = Follower::new(
-            "srv1#0".into(),
-            StorageEnv::mem(),
-            DbOptions::default(),
-            Arc::clone(&fence),
-            Arc::clone(&stats),
-        );
         let archive = Arc::new(ArchiveStore::new());
-        let standby = Arc::new(Standby::new(
-            Arc::new(follower.unwrap()),
-            Arc::clone(&archive),
-            "srv1".into(),
-            TokenKey::new(b"key"),
-            clock.clone(),
-            None,
-        ));
-        let repl = Replicator::spawn(
-            "srv1",
-            db.replication_feed(),
-            vec![Arc::clone(standby.follower())],
-            0,
-            stats,
-        );
+        let set = standby_set(&db, Arc::clone(&archive), clock);
+        let standby = &set.standbys()[0];
 
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/movies/clip.mpg", 2)).unwrap();
         tx.commit().unwrap();
-        assert!(repl.wait_caught_up(Duration::from_secs(5)));
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
         // The primary archives version 2 into the node's store.
         archive.put(archive.take_generation(), "/movies/clip.mpg", 2, 9, b"v2 bytes".to_vec());
 
@@ -923,15 +741,9 @@ mod tests {
 
         // A fresh standby's cursor (0) is below the primary's base: the
         // shipper must install the checkpoint image, then tail the suffix.
-        let (standby, _fence, stats) = standby_for(&db, "srv1#0");
-        let repl = Replicator::spawn(
-            "srv1",
-            db.replication_feed(),
-            vec![Arc::clone(standby.follower())],
-            0,
-            Arc::clone(&stats),
-        );
-        assert!(repl.wait_caught_up(Duration::from_secs(5)));
+        let set = standby_set(&db, Arc::new(ArchiveStore::new()), Arc::new(SimClock::new(1_000)));
+        let (standby, stats) = (&set.standbys()[0], set.stats());
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
         assert_eq!(stats.checkpoints_shipped(), 1, "delta catch-up used the image once");
         assert!(standby.repository().get_file("/f0").is_some());
         assert!(standby.repository().get_file("/f19").is_some());
@@ -945,7 +757,7 @@ mod tests {
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/after", 1)).unwrap();
         tx.commit().unwrap();
-        assert!(repl.wait_caught_up(Duration::from_secs(5)));
+        assert!(set.wait_caught_up(Duration::from_secs(5)));
         assert!(standby.repository().get_file("/after").is_some());
         assert_eq!(stats.checkpoints_shipped(), 1, "no further installs needed");
     }
@@ -969,12 +781,12 @@ mod tests {
         let standby = &set.standbys()[0];
         set.set_paused(true);
         // Parked means parked *now*: the commit right behind the pause is
-        // never shipped, wherever in its loop the daemon was.
+        // never shipped, wherever in its step the shipper was.
         let applied = standby.applied_lsn();
         let mut tx = db.begin();
         tx.insert("dl_files", file_row("/held", 1)).unwrap();
         tx.commit().unwrap();
-        // The daemon is parked: the lag stays.
+        // The shipper is parked: the lag stays.
         let watch_until = Instant::now() + Duration::from_millis(50);
         while Instant::now() < watch_until {
             assert_eq!(standby.applied_lsn(), applied, "a paused shipper shipped");
@@ -1003,8 +815,8 @@ mod tests {
                 }
             });
             for _ in 0..20 {
-                // Long enough for the daemon to leave its paused nap (5 ms)
-                // and be shipping the stream again.
+                // Long enough for the resumed shipper to be shipping the
+                // stream again.
                 std::thread::sleep(Duration::from_millis(6));
                 set.set_paused(true);
                 let applied = standby.applied_lsn();
@@ -1106,5 +918,79 @@ mod tests {
             .collect();
         took.sort();
         assert!(took[5] < SHIP_POLL / 2, "median freeze {:?} of {took:?}", took[5]);
+    }
+
+    /// Steps `ship` on a test clock until it asks for a deadline, twice:
+    /// the first pass ships what is durable, and the step at the poll
+    /// deadline flushes the primary's unforced tail and ships it.
+    fn step_through_two_polls(ship: &Ship, mut now: Instant) -> Instant {
+        for _ in 0..2 {
+            loop {
+                match ship.step(now) {
+                    Next::Now => {}
+                    Next::At(deadline) => break now = deadline,
+                    Next::Idle => panic!("an unpaused, unfenced shipper idled"),
+                }
+            }
+        }
+        now
+    }
+
+    #[test]
+    fn the_shipper_step_alone_reaches_the_threaded_standby_state() {
+        let db = repo_db();
+        let threaded =
+            ReplicaSet::<Follower>::build("threaded", db.replication_feed(), 1, 0).unwrap();
+        let (fence, stats) = (Arc::new(EpochFence::default()), Arc::new(ReplStats::default()));
+        let stepped = Arc::new(Follower {
+            name: "stepped#0".into(),
+            db: Database::open_follower(StorageEnv::mem(), db.replication_feed().db_options())
+                .unwrap(),
+            fence: Arc::clone(&fence),
+            stats: Arc::clone(&stats),
+        });
+        let ship = Ship::new(db.replication_feed(), vec![Arc::clone(&stepped)], fence, 0, stats);
+        let mut now = Instant::now();
+        // Forced and unforced commits, and a checkpoint that truncates the
+        // primary's log mid-stream: the standbys truncate in lockstep.
+        for round in 0..3 {
+            for i in 0..10 {
+                let mut tx = db.begin();
+                tx.insert("dl_files", file_row(&format!("/f{round}.{i}"), 1)).unwrap();
+                if i % 2 == 0 {
+                    tx.commit().unwrap();
+                } else {
+                    tx.commit_unforced().unwrap();
+                }
+            }
+            if round == 1 {
+                db.checkpoint_and_truncate().unwrap();
+            }
+            now = step_through_two_polls(&ship, now);
+        }
+        assert!(threaded.wait_caught_up(Duration::from_secs(5)));
+        assert!(stepped.snapshotter().unwrap().wait_idle(Duration::from_secs(5)));
+
+        let threaded = &threaded.standbys()[0];
+        assert_eq!(stepped.applied_lsn(), db.durable_lsn(), "the unforced tail shipped too");
+        assert_eq!(stepped.applied_lsn(), threaded.applied_lsn());
+        assert_eq!(stepped.wal_base_lsn(), threaded.wal_base_lsn());
+        assert_eq!(stepped.wal_retained_bytes(), threaded.wal_retained_bytes());
+        assert_eq!(stepped.count("dl_files").unwrap(), 30);
+        assert_eq!(
+            stepped.scan_committed("dl_files").unwrap(),
+            threaded.scan_committed("dl_files").unwrap()
+        );
+
+        // Paused, the step idles and ships nothing; resumed, it ships.
+        ship.state.lock().paused = true;
+        let mut tx = db.begin();
+        tx.insert("dl_files", file_row("/held", 1)).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(ship.step(now), Next::Idle);
+        assert!(stepped.applied_lsn() < db.durable_lsn());
+        ship.state.lock().paused = false;
+        step_through_two_polls(&ship, now);
+        assert_eq!(stepped.applied_lsn(), db.durable_lsn());
     }
 }

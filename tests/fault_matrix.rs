@@ -57,6 +57,12 @@ fn a10_routed_reads_survive_a_primary_failover_at_every_replica_count() {
         assert!(metric(&m, "lost_acked_links") == 0.0, "{at}");
         assert!(metric(&m, "leftover_links") == 0.0, "{at}");
         assert!(metric(&m, "ops_failed") == 0.0, "{at}");
+        if replicas >= 2 {
+            // The crash point drained the ship lag: the promoted standby
+            // applied every record, so its recovery re-derives nothing.
+            assert!(metric(&m, "failover_files_relinked") == 0.0, "{at}");
+            assert!(metric(&m, "failover_updates_rolled_forward") == 0.0, "{at}");
+        }
     }
 }
 
@@ -189,6 +195,7 @@ fn kill_host_mid_burst() {
     let _ = std::fs::remove_dir_all(&dump_dir);
     let m = m.expect("mixed run");
     assert!(metric(&m, "host_failovers") == 1.0, "{m:?}");
+    assert!(metric(&m, "in_doubt_resolved") >= 1.0, "{m:?}");
     assert!(metric(&m, "lost_acked_links") == 0.0, "{m:?}");
     assert!(metric(&m, "outage_reads_ok") >= 4.0, "{m:?}");
     assert!(metric(&m, "ops_failed") == 0.0, "{m:?}");
@@ -231,6 +238,8 @@ fn kill_primary_mid_burst() {
     let m = drive(&mix, &[(24, Fault::CrashPrimary)]);
     assert!(metric(&m, "failovers") == 1.0, "{m:?}");
     assert!(metric(&m, "lost_acked_links") == 0.0, "{m:?}");
+    assert!(metric(&m, "failover_files_relinked") == 0.0, "{m:?}");
+    assert!(metric(&m, "failover_updates_rolled_forward") == 0.0, "{m:?}");
     assert!(metric(&m, "ops_failed") == 0.0, "{m:?}");
     assert!(metric(&m, "end_lag_drained") == 1.0, "{m:?}");
     assert!(metric(&m, "failover_ms") <= 5000.0, "{m:?}");

@@ -16,7 +16,7 @@ use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{
     Column, ColumnType, Database, DbOptions, DiskFaults, Schema, StorageEnv, Value,
 };
-use datalinks::repl::{EpochFence, Follower, ReplStats, Replicator};
+use datalinks::repl::{Follower, ReplStats};
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -911,21 +911,10 @@ fn budget_updates(db: &Database) {
     }
 }
 
-/// One fresh follower of `db`, and the shipper that feeds it.
-fn budget_standby(db: &Database) -> (Arc<Follower>, Replicator, Arc<ReplStats>) {
-    let stats = Arc::new(ReplStats::default());
-    let feed = db.replication_feed();
-    let standby = Arc::new(
-        Follower::new(
-            "srv#0".into(),
-            StorageEnv::mem(),
-            feed.db_options(),
-            Arc::new(EpochFence::new()),
-            Arc::clone(&stats),
-        )
-        .unwrap(),
-    );
-    let repl = Replicator::spawn("srv", feed, vec![Arc::clone(&standby)], 0, Arc::clone(&stats));
+/// One fresh follower of `db`, and the set whose shipper feeds it.
+fn budget_standby(db: &Database) -> (Arc<Follower>, ReplicaSet<Follower>, Arc<ReplStats>) {
+    let repl = ReplicaSet::<Follower>::build("srv", db.replication_feed(), 1, 0).unwrap();
+    let (standby, stats) = (Arc::clone(&repl.standbys()[0]), Arc::clone(repl.stats()));
     (standby, repl, stats)
 }
 
