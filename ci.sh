@@ -168,6 +168,19 @@ if grep -rnE "[S]napshotter\b|[s]napshot_loop|[w]ait_snapshot_idle|struct [R]epl
   exit 1
 fi
 
+# One commit point (DESIGN.md "Force audit"): a DLFM server always runs
+# under a host, which its one constructor takes. No hookless mode forces a
+# repository commit of its own for an update, no `Option` stands for a
+# missing host or a missing live-bytes source, and no forced `dl_uip`
+# insert stands beside the claim. (The bracketed first letters keep these
+# patterns from matching this file.)
+step "guard: no DLFM without a host, no second update commit point"
+if grep -rnE "[S]tandalone mode|[O]ption<Arc<dyn HostHook>>|fn [w]ith_repository\b|[f]allback: Option<ContentSource>|[l]ive: Option<&ContentSource>|fn [p]ut_uip\b" \
+    crates/ src/ tests/ examples/; then
+  echo "guard: a hookless DLFM (Standalone mode, an optional host, with_repository), an optional content source or put_uip reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

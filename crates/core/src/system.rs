@@ -649,14 +649,14 @@ impl DataLinksSystem {
         recovery: Option<(&HostView, &HostView)>,
         coord_epoch: u64,
     ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
-        let server = Arc::new(DlfmServer::with_repository(
+        let server = Arc::new(DlfmServer::new(
             part.dlfm_cfg.clone(),
             part.fs.clone() as Arc<dyn FileSystem>,
             repo,
             Arc::clone(&part.archive),
             Arc::clone(clock),
-        )?);
-        server.set_host_hook(engine.clone());
+            engine.clone(),
+        ));
         // Restore the coordinator fence *before* any agent connects, so the
         // connections below are minted at the current generation and any
         // connection minted under an older one stays refused.
@@ -712,7 +712,7 @@ impl DataLinksSystem {
                     // Linked-but-never-updated files have no archived
                     // version yet: a replica reads those live, from the
                     // node's one content source, the archiver's.
-                    fallback: Some(Arc::clone(server.content_source())),
+                    fallback: Arc::clone(server.content_source()),
                 },
             )?;
             Some(Arc::new(set))

@@ -40,7 +40,7 @@ use parking_lot::{Condvar, Mutex};
 /// delivered *before* the panic is re-thrown, so a waiting client gets
 /// the failure in-band while the gate's catch still counts the panic (or
 /// a dedicated thread still dies with it).
-pub fn deliver_or_rethrow<R>(
+pub(crate) fn deliver_or_rethrow<R>(
     label: &str,
     f: impl FnOnce() -> R,
     deliver: impl FnOnce(Result<R, String>),
@@ -58,7 +58,7 @@ pub fn deliver_or_rethrow<R>(
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

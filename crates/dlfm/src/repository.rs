@@ -426,14 +426,14 @@ impl Repository {
         &self,
         path: &str,
         archive: &ArchiveStore,
-        live: Option<&ContentSource>,
+        live: &ContentSource,
     ) -> Result<Vec<u8>, String> {
         let entry = self.get_file(path).ok_or_else(|| format!("file {path} is not linked"))?;
         let archived = || archive.get(path, entry.cur_version).map(|v| v.data);
         if let Some(data) = archived() {
             return Ok(data);
         }
-        let data = live.and_then(|read| read(path));
+        let data = live(path);
         archived().or(data).ok_or_else(|| {
             format!("version {} of {path} is neither archived nor readable", entry.cur_version)
         })
@@ -597,15 +597,6 @@ impl Repository {
     }
 
     // --- dl_uip -----------------------------------------------------------------
-
-    /// Records that `path` is being updated toward `new_version` (§4.4).
-    pub fn put_uip(&self, entry: &UipEntry) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        txn.insert("dl_uip", entry.to_row())?;
-        txn.commit()?;
-        self.bump();
-        Ok(())
-    }
 
     /// Clears the update-in-progress entry (close rollback path; the commit
     /// path clears it inside the close transaction instead). **Unforced**:
@@ -792,7 +783,10 @@ mod tests {
     #[test]
     fn uip_lifecycle() {
         let r = repo();
-        r.put_uip(&UipEntry { path: "/f".into(), new_version: 2, opener: 77 }).unwrap();
+        let mut txn = r.db().begin();
+        txn.insert("dl_uip", UipEntry { path: "/f".into(), new_version: 2, opener: 77 }.to_row())
+            .unwrap();
+        txn.commit().unwrap();
         assert_eq!(r.get_uip("/f").unwrap().new_version, 2);
         assert_eq!(r.list_uip().len(), 1);
         r.remove_uip("/f").unwrap();
@@ -830,7 +824,7 @@ mod tests {
             store.put(writer, path, 1, 0, b"linked content".to_vec());
             Some(Vec::new())
         });
-        assert_eq!(r.read_committed("/f", &archive, Some(&racing)).unwrap(), b"linked content");
+        assert_eq!(r.read_committed("/f", &archive, &racing).unwrap(), b"linked content");
     }
 
     #[test]

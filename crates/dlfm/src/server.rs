@@ -167,7 +167,10 @@ pub struct DlfmStats {
     pub archive_jobs_by_opener: dl_obs::Counter,
 }
 
-/// Hook back into the host database, implemented by the DataLinks engine.
+/// The host database a DLFM server runs under, implemented by the DataLinks
+/// engine. Every server has one from construction ([`DlfmServer::new`]):
+/// its metadata rows are the commit point of every update and the record
+/// that settles every link and unlink branch.
 pub trait HostHook: Send + Sync {
     /// The host's current database state identifier (tail LSN).
     fn state_id(&self) -> u64;
@@ -333,7 +336,7 @@ pub struct DlfmServer {
     /// Root-credentialed logical FS over the *raw* physical file system.
     admin: Lfs,
     clock: Arc<dyn Clock>,
-    host: RwLock<Option<Arc<dyn HostHook>>>,
+    host: RwLock<Arc<dyn HostHook>>,
     pending: Mutex<HashMap<u64, Arc<Mutex<SubTxn>>>>,
     /// The ordering rule's memory: per path, the repository LSN of its
     /// last committed unlink's end while that end may still sit in the
@@ -362,34 +365,23 @@ pub struct DlfmServer {
 const ROOT: Cred = Cred::root();
 
 impl DlfmServer {
-    /// Creates a server over the raw physical file system `fs`, with its
-    /// repository in `repo` — opened by the caller under
-    /// [`DlfmConfig::db`] from its disks, or a standby promoted in place —
-    /// and the node's archive store — pre-existing or new, it takes the
-    /// store's next writer generation, which fences every server that wrote
-    /// it before. Whatever the repository holds is brought to the host's
-    /// rows by [`DlfmServer::recover`], before the node serves anyone.
+    /// Creates a server over the raw physical file system `fs`, under the
+    /// host database `host`, whose metadata rows commit every update and
+    /// settle every branch. `repo` is opened by the caller under
+    /// [`DlfmConfig::db`] from its disks, or is a standby promoted in place
+    /// with its open table ([`Repository::with_opens`]). `archive` is the
+    /// node's store, pre-existing or new: the server takes its next writer
+    /// generation, which fences every server that wrote it before.
+    /// Whatever the repository holds is brought to the host's rows by
+    /// [`DlfmServer::recover`], before the node serves anyone.
     pub fn new(
-        cfg: DlfmConfig,
-        fs: Arc<dyn FileSystem>,
-        repo: dl_minidb::Database,
-        archive: Arc<ArchiveStore>,
-        clock: Arc<dyn Clock>,
-    ) -> Result<DlfmServer, String> {
-        let repo = Repository::new(repo).map_err(|e| e.to_string())?;
-        Self::with_repository(cfg, fs, repo, archive, clock)
-    }
-
-    /// [`DlfmServer::new`] over a repository already opened — a promoted
-    /// standby's, which keeps the standby's open table
-    /// ([`Repository::with_opens`]).
-    pub fn with_repository(
         cfg: DlfmConfig,
         fs: Arc<dyn FileSystem>,
         repo: Repository,
         archive: Arc<ArchiveStore>,
         clock: Arc<dyn Clock>,
-    ) -> Result<DlfmServer, String> {
+        host: Arc<dyn HostHook>,
+    ) -> DlfmServer {
         let generation = archive.take_generation();
         let repo = Arc::new(repo);
         let sync_epoch = Arc::new(SyncEpoch::default());
@@ -418,7 +410,7 @@ impl DlfmServer {
             Archiver::spawn(Arc::clone(&archive), generation, Arc::clone(&source), on_complete);
         let flight_source: Arc<str> = Arc::from(format!("dlfm.{}", cfg.server_name));
         let flight_ring_capacity = cfg.flight_ring_capacity;
-        Ok(DlfmServer {
+        DlfmServer {
             token_key: TokenKey::new(&cfg.token_key),
             cfg,
             repo,
@@ -427,7 +419,7 @@ impl DlfmServer {
             source,
             admin: Lfs::new(fs),
             clock,
-            host: RwLock::new(None),
+            host: RwLock::new(host),
             pending: Mutex::new(HashMap::new()),
             unlink_ends: Mutex::new(HashMap::new()),
             sync_epoch,
@@ -440,7 +432,7 @@ impl DlfmServer {
                 ..DlfmStats::default()
             },
             archiver,
-        })
+        }
     }
 
     pub fn config(&self) -> &DlfmConfig {
@@ -465,9 +457,10 @@ impl DlfmServer {
         &self.clock
     }
 
-    /// Wires the host-database hook (the DataLinks engine).
+    /// Points the server at another host database: the engine promoted
+    /// by a host failover.
     pub fn set_host_hook(&self, hook: Arc<dyn HostHook>) {
-        *self.host.write() = Some(hook);
+        *self.host.write() = hook;
     }
 
     /// This node's flight recorder: the span events of every 2PC cycle that
@@ -536,7 +529,7 @@ impl DlfmServer {
     /// [`Repository::read_committed`] a replica serves it with. Token
     /// validation is the caller's job; unlinked paths are refused.
     pub fn read_linked(&self, path: &str) -> Result<Vec<u8>, String> {
-        self.repo.read_committed(path, &self.archive, Some(&self.source))
+        self.repo.read_committed(path, &self.archive, &self.source)
     }
 
     /// The node's one live-bytes source — root reads of the raw file
@@ -936,18 +929,16 @@ impl DlfmServer {
     /// old one left) — by the settle rule, the same as crash recovery. The
     /// host first aborts the transaction if it is still undecided, so the
     /// rows read next are its outcome for good: a transaction without the
-    /// host row to show for it never commits, and with no host wired
-    /// nothing did. Returns `true` when the transaction committed.
-    /// Idempotent: a decision that raced in through another path finds no
-    /// pending sub-transaction and settles nothing.
+    /// host row to show for it never commits. Returns `true` when the
+    /// transaction committed. Idempotent: a decision that raced in through
+    /// another path finds no pending sub-transaction and settles nothing.
     pub fn resolve_client_loss(&self, host_txid: u64) -> bool {
         let Some(cell) = self.pending.lock().get(&host_txid).cloned() else { return false };
         let files = cell.lock().files.clone();
         let host = self.host.read().clone();
-        let committed = host.is_some_and(|hook| {
-            hook.abort_undecided(host_txid);
-            self.host_committed(host_txid, &files, |path| hook.file_version(&self.file_url(path)))
-        });
+        host.abort_undecided(host_txid);
+        let committed =
+            self.host_committed(host_txid, &files, |path| host.file_version(&self.file_url(path)));
         if committed {
             self.commit_host(host_txid);
         } else {
@@ -1290,13 +1281,13 @@ impl DlfmServer {
     }
 
     /// Commits the update (§4.3: file metadata and version change together).
-    /// With a host wired, the host's forced `Commit` of the metadata row is
-    /// the single commit point: the repository rows are staged first (their
-    /// row locks fence the file), the host commits, and the repository
-    /// record follows **unforced** — recovery re-derives it from the host
-    /// row ([`DlfmServer::recover`]). The record carries the version and
-    /// the claim's removal; the writer leaves the open table after it. A
-    /// host error drops the staged rows and the caller rolls the file back.
+    /// The host's forced `Commit` of the metadata row is the single commit
+    /// point: the repository rows are staged first (their row locks fence
+    /// the file), the host commits, and the repository record follows
+    /// **unforced** — recovery re-derives it from the host row
+    /// ([`DlfmServer::recover`]). The record carries the version and the
+    /// claim's removal; the writer leaves the open table after it. A host
+    /// error drops the staged rows and the caller rolls the file back.
     fn commit_file_update(
         &self,
         uip: &UipEntry,
@@ -1304,8 +1295,7 @@ impl DlfmServer {
         new_mtime: u64,
     ) -> Result<u64, String> {
         let host = self.host.read().clone();
-        let state_hint =
-            host.as_ref().map(|h| h.state_id()).unwrap_or_else(|| self.repo.db().state_id());
+        let state_hint = host.state_id();
         // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
         // order the write claim uses): the claimed version becomes current
         // and awaits archiving, and the claim goes. Every value is the
@@ -1316,12 +1306,7 @@ impl DlfmServer {
             .commit_version_in(&mut txn, &uip.path, uip.new_version, state_hint)
             .map_err(db_err)?;
         self.repo.remove_uip_in(&mut txn, &uip.path).map_err(db_err)?;
-        let Some(hook) = host else {
-            // Standalone mode (no host database wired): the repository's
-            // own forced commit is the commit point.
-            return txn.commit().map_err(|e| e.to_string());
-        };
-        let lsn = hook.commit_file_update(
+        let lsn = host.commit_file_update(
             &self.file_url(&uip.path),
             new_size,
             new_mtime,
@@ -1588,8 +1573,7 @@ impl DlfmServer {
         for path in host.keys().chain(before.keys()) {
             local.entry(path.clone()).or_default();
         }
-        let host_state = self.host.read().as_ref().map(|hook| hook.state_id());
-        let state_id = host_state.unwrap_or_else(|| self.repo.db().state_id());
+        let state_id = self.host.read().state_id();
         let mut txn = self.repo.db().begin();
         for (path, records) in local {
             let rows = (host.get(&path), before.get(&path));

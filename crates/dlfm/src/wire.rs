@@ -567,14 +567,19 @@ impl Drop for WireConn {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/mem_host.rs"]
+mod mem_host;
+
+#[cfg(test)]
 mod tests {
+    use super::mem_host::MemHost;
     use super::*;
     use crate::{
         AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig, DlfmServer,
-        FaultInjector, OnUnlink,
+        FaultInjector, OnUnlink, Repository,
     };
     use dl_fskit::{Cred, FileSystem, Lfs, MemFs, SimClock};
-    use dl_minidb::{Database, StorageEnv};
+    use dl_minidb::StorageEnv;
     use std::sync::{Barrier, Condvar as StdCondvar, Mutex as StdMutex};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
@@ -593,16 +598,14 @@ mod tests {
         for path in files {
             raw.write_file(&APP, path, b"x").unwrap();
         }
-        let server = Arc::new(
-            DlfmServer::new(
-                cfg,
-                fs as Arc<dyn FileSystem>,
-                Database::open(StorageEnv::mem()).unwrap(),
-                Arc::new(ArchiveStore::new()),
-                clock,
-            )
-            .unwrap(),
-        );
+        let server = Arc::new(DlfmServer::new(
+            cfg,
+            fs as Arc<dyn FileSystem>,
+            Repository::open(StorageEnv::mem()).unwrap(),
+            Arc::new(ArchiveStore::new()),
+            clock,
+            MemHost::new(),
+        ));
         let main = MainDaemon::with_fault_injector(Arc::clone(&server), fault);
         let daemon = WireDaemon::spawn(&main, Arc::new(NetStats::new())).unwrap();
         Node { daemon, main, server }

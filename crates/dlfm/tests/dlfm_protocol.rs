@@ -7,13 +7,17 @@ use std::sync::Arc;
 use dl_dlfm::{
     embed_token, AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig,
     DlfmServer, FaultInjector, HostFile, HostHook, HostView, MainDaemon, Message, OnUnlink,
-    OpenDecision, TokenKey, TokenKind, WireConnector, WireDaemon,
+    OpenDecision, Repository, TokenKey, TokenKind, WireConnector, WireDaemon,
 };
 use dl_fskit::{
     Clock, Cred, DirEntry, FileAttr, FileSystem, FsResult, Ino, Lfs, LockOp, LockOwner, MemFs,
     OpenFlags, SetAttr, SimClock,
 };
-use dl_minidb::{Database, StorageEnv};
+use dl_minidb::StorageEnv;
+
+#[path = "support/mem_host.rs"]
+mod mem_host;
+use mem_host::MemHost;
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
 
@@ -25,21 +29,23 @@ struct Fixture {
 }
 
 fn fixture_with(cfg: DlfmConfig) -> Fixture {
+    fixture_under(cfg, MemHost::new())
+}
+
+fn fixture_under(cfg: DlfmConfig, host: Arc<MemHost>) -> Fixture {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
     let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
     admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
     admin.write_file(&ALICE, "/data/clip.mpg", b"committed v1").unwrap();
-    let server = Arc::new(
-        DlfmServer::new(
-            cfg,
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(StorageEnv::mem()).unwrap(),
-            Arc::new(ArchiveStore::new()),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        cfg,
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(StorageEnv::mem()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+        host,
+    ));
     Fixture { fs, server, clock, admin }
 }
 
@@ -519,31 +525,10 @@ fn mutation_check_vetoes_linked_files_only() {
     assert!(f.server.mutation_check("/data/loose.txt").is_ok());
 }
 
-struct FailingHook;
-impl HostHook for FailingHook {
-    fn state_id(&self) -> u64 {
-        0
-    }
-    fn commit_file_update(
-        &self,
-        _url: &str,
-        _size: u64,
-        _mtime: u64,
-        _version: u64,
-    ) -> Result<u64, String> {
-        Err("host metadata update failed".into())
-    }
-    fn file_version(&self, _url: &str) -> Option<u64> {
-        None
-    }
-    fn abort_undecided(&self, _host_txid: u64) {}
-}
-
 #[test]
 fn failed_close_commit_rolls_back_to_last_committed_version() {
-    let f = fixture();
+    let f = fixture_under(DlfmConfig::new("srv1"), MemHost::failing());
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
-    f.server.set_host_hook(Arc::new(FailingHook));
 
     let dlfm = approved_write_open(&f, "/data/clip.mpg", 5);
     f.admin.write_file(&dlfm, "/data/clip.mpg", b"doomed bytes").unwrap();
@@ -563,27 +548,6 @@ fn failed_close_commit_rolls_back_to_last_committed_version() {
 
 const CLIP_URL: &str = "dlfs://srv1/data/clip.mpg";
 
-/// A host whose committed `__dl_meta` rows are fixed: url -> version.
-struct FixedRows(std::collections::HashMap<String, u64>);
-impl HostHook for FixedRows {
-    fn state_id(&self) -> u64 {
-        0
-    }
-    fn commit_file_update(
-        &self,
-        _url: &str,
-        _size: u64,
-        _mtime: u64,
-        _version: u64,
-    ) -> Result<u64, String> {
-        Err("not used".into())
-    }
-    fn file_version(&self, url: &str) -> Option<u64> {
-        self.0.get(url).copied()
-    }
-    fn abort_undecided(&self, _host_txid: u64) {}
-}
-
 /// Crash = drop the server, keep fs/repo-env/archive, rebuild, recover.
 fn crash_and_recover(
     f: Fixture,
@@ -596,18 +560,14 @@ fn crash_and_recover(
     server.simulate_crash();
     drop(server); // the crash
 
-    let server2 = Arc::new(
-        DlfmServer::new(
-            cfg,
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(repo_env).unwrap(),
-            archive,
-            clock,
-        )
-        .unwrap(),
-    );
-    let rows = host_rows.iter().map(|(url, version)| (url.to_string(), *version)).collect();
-    server2.set_host_hook(Arc::new(FixedRows(rows)));
+    let server2 = Arc::new(DlfmServer::new(
+        cfg,
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(repo_env).unwrap(),
+        archive,
+        clock,
+        MemHost::with_rows(host_rows),
+    ));
     // The same rows as the host's view of this node (every file here is
     // linked rdd).
     let view = host_rows
@@ -638,16 +598,14 @@ fn crash_mid_update_restores_last_committed_version() {
     let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
     admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
     admin.write_file(&ALICE, "/data/clip.mpg", b"committed v1").unwrap();
-    let server = Arc::new(
-        DlfmServer::new(
-            DlfmConfig::new("srv1"),
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(repo_env.clone()).unwrap(),
-            Arc::new(ArchiveStore::new()),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(repo_env.clone()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+        MemHost::new(),
+    ));
     let f = Fixture { fs, server, clock, admin };
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let dlfm = approved_write_open(&f, "/data/clip.mpg", 9);
@@ -679,16 +637,14 @@ fn crash_with_in_doubt_link_resolves_by_host_outcome() {
         let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
         admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
         admin.write_file(&ALICE, "/data/clip.mpg", b"v1").unwrap();
-        let server = Arc::new(
-            DlfmServer::new(
-                DlfmConfig::new("srv1"),
-                fs.clone() as Arc<dyn FileSystem>,
-                Database::open(repo_env.clone()).unwrap(),
-                Arc::new(ArchiveStore::new()),
-                clock.clone(),
-            )
-            .unwrap(),
-        );
+        let server = Arc::new(DlfmServer::new(
+            DlfmConfig::new("srv1"),
+            fs.clone() as Arc<dyn FileSystem>,
+            Repository::open(repo_env.clone()).unwrap(),
+            Arc::new(ArchiveStore::new()),
+            clock.clone(),
+            MemHost::new(),
+        ));
         let f = Fixture { fs, server, clock, admin };
 
         f.server
@@ -725,16 +681,14 @@ fn recovery_clears_transient_token_and_sync_state() {
     let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
     admin.mkdir_p(&Cred::root(), "/data", 0o777).unwrap();
     admin.write_file(&ALICE, "/data/clip.mpg", b"v1").unwrap();
-    let server = Arc::new(
-        DlfmServer::new(
-            DlfmConfig::new("srv1"),
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(repo_env.clone()).unwrap(),
-            Arc::new(ArchiveStore::new()),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(repo_env.clone()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+        MemHost::new(),
+    ));
     let f = Fixture { fs, server, clock, admin };
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let tok = read_token(&f, "/data/clip.mpg");
@@ -1275,11 +1229,11 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
     let server = DlfmServer::new(
         DlfmConfig::new("srv1"),
         primary_disk.clone() as Arc<dyn FileSystem>,
-        Database::open(repo_env.clone()).unwrap(),
+        Repository::open(repo_env.clone()).unwrap(),
         Arc::clone(&archive),
         clock.clone(),
-    )
-    .unwrap();
+        MemHost::new(),
+    );
     let f = Fixture { fs: Arc::clone(&disk), server: Arc::new(server), clock, admin };
     link_committed(&f, 1, CLIP, ControlMode::Rdd);
     let dlfm = approved_write_open(&f, CLIP, 5);
@@ -1295,11 +1249,11 @@ fn failover_with_an_archive_job_queued_on_the_primary() {
     let promoted = DlfmServer::new(
         DlfmConfig::new("srv1"),
         promoted_disk.clone() as Arc<dyn FileSystem>,
-        Database::open(repo_env.fork().unwrap()).unwrap(),
+        Repository::open(repo_env.fork().unwrap()).unwrap(),
         Arc::clone(&archive),
         f.clock.clone(),
-    )
-    .unwrap();
+        MemHost::new(),
+    );
     let row = HostFile {
         version: 2,
         mode: ControlMode::Rdd,
@@ -1377,11 +1331,11 @@ fn a_write_open_waits_out_the_archive_job_the_worker_started() {
     let server = DlfmServer::new(
         DlfmConfig::new("srv1"),
         gated.clone() as Arc<dyn FileSystem>,
-        Database::open(StorageEnv::mem()).unwrap(),
+        Repository::open(StorageEnv::mem()).unwrap(),
         Arc::new(ArchiveStore::new()),
         clock.clone(),
-    )
-    .unwrap();
+        MemHost::new(),
+    );
     let f = Fixture { fs: disk, server: Arc::new(server), clock, admin };
     link_committed(&f, 1, CLIP, ControlMode::Rdd);
     let dlfm = approved_write_open(&f, CLIP, 5);
@@ -1434,11 +1388,11 @@ fn a_needs_archive_clear_skips_a_held_row_and_recovery_clears_it() {
     let server = DlfmServer::new(
         DlfmConfig::new("srv1"),
         fs.clone() as Arc<dyn FileSystem>,
-        Database::open(repo_env.clone()).unwrap(),
+        Repository::open(repo_env.clone()).unwrap(),
         Arc::new(ArchiveStore::new()),
         clock.clone(),
-    )
-    .unwrap();
+        MemHost::new(),
+    );
     let f = Fixture { fs, server: Arc::new(server), clock, admin };
     link_committed(&f, 1, CLIP, ControlMode::Rdd);
     let dlfm = approved_write_open(&f, CLIP, 5);

@@ -9,13 +9,17 @@ use std::time::Duration;
 
 use dl_dlfm::{
     embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostFile,
-    HostView, MainDaemon, OnUnlink, TokenKey, TokenKind,
+    HostHook, HostView, MainDaemon, OnUnlink, Repository, TokenKey, TokenKind,
 };
 use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
 use dl_fskit::{
     Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenFlags, OpenOptions, SetAttr, SimClock,
 };
-use dl_minidb::{Database, StorageEnv};
+use dl_minidb::StorageEnv;
+
+#[path = "../../dlfm/tests/support/mem_host.rs"]
+mod mem_host;
+use mem_host::MemHost;
 
 const ALICE: Cred = Cred { uid: 100, gid: 100 };
 const BOB: Cred = Cred { uid: 101, gid: 101 };
@@ -39,16 +43,14 @@ fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
     raw.write_file(&ALICE, "/web/index.html", b"<html>v1</html>").unwrap();
     raw.write_file(&ALICE, "/web/plain.txt", b"not linked").unwrap();
 
-    let server = Arc::new(
-        DlfmServer::new(
-            dlfm_cfg,
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(StorageEnv::mem()).unwrap(),
-            Arc::new(ArchiveStore::new()),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        dlfm_cfg,
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(StorageEnv::mem()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+        MemHost::new(),
+    ));
     let daemon = MainDaemon::new(Arc::clone(&server));
     let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, daemon.connect(), dlfs_cfg));
     let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
@@ -295,16 +297,14 @@ fn aborted_update_restores_content_via_recovery_path() {
     raw.write_file(&ALICE, "/web/a.html", b"stable").unwrap();
     let repo_env = StorageEnv::mem();
     let archive = Arc::new(ArchiveStore::new());
-    let server = Arc::new(
-        DlfmServer::new(
-            DlfmConfig::new("srv1"),
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(repo_env.clone()).unwrap(),
-            Arc::clone(&archive),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        DlfmConfig::new("srv1"),
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(repo_env.clone()).unwrap(),
+        Arc::clone(&archive),
+        clock.clone(),
+        MemHost::new(),
+    ));
     let daemon = MainDaemon::new(Arc::clone(&server));
     let dlfs = Arc::new(Dlfs::new(
         fs.clone() as Arc<dyn FileSystem>,
@@ -332,16 +332,14 @@ fn aborted_update_restores_content_via_recovery_path() {
     let cfg = server.config().clone();
     drop(server);
 
-    let server2 = Arc::new(
-        DlfmServer::new(
-            cfg,
-            fs.clone() as Arc<dyn FileSystem>,
-            Database::open(repo_env).unwrap(),
-            archive,
-            clock,
-        )
-        .unwrap(),
-    );
+    let server2 = Arc::new(DlfmServer::new(
+        cfg,
+        fs.clone() as Arc<dyn FileSystem>,
+        Repository::open(repo_env).unwrap(),
+        archive,
+        clock,
+        MemHost::new(),
+    ));
     // The host still records the link at version 1: the update never
     // reached its commit point.
     let row = HostFile {

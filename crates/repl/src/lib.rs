@@ -264,7 +264,7 @@ impl Standby {
         if !self.repo.check_token_entry(uid, path, TokenKind::Read, self.opts.clock.now_ms()) {
             return Err(format!("no valid token entry for uid {uid} on {path} at this replica"));
         }
-        self.repo.read_committed(path, &self.archive, self.opts.fallback.as_ref())
+        self.repo.read_committed(path, &self.archive, &self.opts.fallback)
     }
 }
 
@@ -404,8 +404,8 @@ pub struct ReplicaSetOptions {
     /// Clock for token expiry checks.
     pub clock: Arc<dyn Clock>,
     /// Content fallback for linked-but-never-updated files (no archived
-    /// version exists yet).
-    pub fallback: Option<ContentSource>,
+    /// version exists yet): the primary node's live bytes.
+    pub fallback: ContentSource,
 }
 
 /// A primary's hot standbys plus their shipper, a daemon of its own. `S`
@@ -616,6 +616,12 @@ mod tests {
         Repository::open(StorageEnv::mem()).unwrap().db().clone()
     }
 
+    /// A primary whose live files read as nothing: every read these tests
+    /// serve comes from the archive.
+    fn no_live_bytes() -> ContentSource {
+        Arc::new(|_: &str| None)
+    }
+
     fn file_row(path: &str, version: u64) -> Vec<Value> {
         let entry = FileEntry {
             path: path.to_string(),
@@ -641,7 +647,7 @@ mod tests {
             server_name: "srv1".into(),
             token_key: TokenKey::new(b"key"),
             clock,
-            fallback: None,
+            fallback: no_live_bytes(),
         };
         ReplicaSet::<Standby>::build(db.replication_feed(), archive, opts).unwrap()
     }
@@ -773,7 +779,7 @@ mod tests {
                 server_name: "srv1".into(),
                 token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
-                fallback: None,
+                fallback: no_live_bytes(),
             },
         )
         .unwrap();
@@ -841,7 +847,7 @@ mod tests {
                 server_name: "srv1".into(),
                 token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
-                fallback: None,
+                fallback: no_live_bytes(),
             },
         )
         .unwrap();
@@ -873,7 +879,7 @@ mod tests {
                 server_name: "srv1".into(),
                 token_key: TokenKey::new(b"key"),
                 clock: Arc::new(SimClock::new(1_000)),
-                fallback: None,
+                fallback: no_live_bytes(),
             },
         )
         .unwrap();

@@ -11,11 +11,16 @@ use proptest::prelude::*;
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
     AccessToken, AgentConnection, ArchiveStore, ControlMode, DlfmClient, DlfmConfig, DlfmServer,
-    FaultInjector, MainDaemon, OnUnlink, OpenDecision, TokenKind, WireConnector, WireDaemon,
+    FaultInjector, HostHook, MainDaemon, OnUnlink, OpenDecision, Repository, TokenKind,
+    WireConnector, WireDaemon,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
-use datalinks::minidb::{Column, ColumnType, Database, Schema, StorageEnv};
+use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv};
 use datalinks::obs::NetStats;
+
+#[path = "../crates/dlfm/tests/support/mem_host.rs"]
+mod mem_host;
+use mem_host::MemHost;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -26,31 +31,29 @@ const SRV: &str = "srv";
 
 const BURST_CLIENTS: usize = 16;
 
-/// A standalone DLFM server whose repository pays a deterministic sync
-/// latency, with one linked full-control file per burst client, so every
-/// close that wrote parks the thread serving it in a forced log write —
-/// with no host wired, the repository's own commit is the update's commit
-/// point — the occupancy that makes a burst hold many heads at once. The archive copy is taken inside
-/// the close, so the next open of the file is never `Busy`. The claim is
-/// an unforced append, and token entries and Sync entries live in DLFM's
-/// memory: they park nobody.
-fn slow_repo_server(width: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
+/// A DLFM server under a host whose metadata commit parks for 400 µs, as a
+/// forced log write would, with one linked full-control file per burst
+/// client. The host's commit is the update's commit point, so every close
+/// that wrote parks the thread serving it there — the occupancy that makes
+/// a burst hold many heads at once. The archive copy is taken inside the
+/// close, so the next open of the file is never `Busy`. The claim and the
+/// close record are unforced appends, and token entries and Sync entries
+/// live in DLFM's memory: they park nobody.
+fn slow_host_server(width: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
     let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
     admin.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
     let mut cfg = DlfmConfig::new(SRV).upcall_workers(width);
     cfg.sync_archive = true;
-    let server = Arc::new(
-        DlfmServer::new(
-            cfg,
-            fs as Arc<dyn FileSystem>,
-            Database::open(StorageEnv::mem_with_sync_latency(400_000)).unwrap(),
-            Arc::new(ArchiveStore::new()),
-            clock.clone(),
-        )
-        .unwrap(),
-    );
+    let server = Arc::new(DlfmServer::new(
+        cfg,
+        fs as Arc<dyn FileSystem>,
+        Repository::open(StorageEnv::mem()).unwrap(),
+        Arc::new(ArchiveStore::new()),
+        clock.clone(),
+        MemHost::parked(Duration::from_micros(400)),
+    ));
     for t in 0..BURST_CLIENTS {
         let path = format!("/d/f{t}.bin");
         admin.write_file(&APP, &path, b"seed").unwrap();
@@ -65,7 +68,7 @@ const UPCALLS_PER_CYCLE: u64 = 3;
 
 /// The burst: 16 threads sharing `client`, each cycling 8 updates of its
 /// own file — token validation, the claimed write open, and a close that
-/// commits the new version (~400 µs parked on the forced commit).
+/// commits the new version (~400 µs parked on the host's commit).
 /// `after_cycle` runs on the client's thread after each cycle.
 fn write_open_burst(
     server: &DlfmServer,
@@ -97,12 +100,12 @@ fn write_open_burst(
 }
 
 /// Over the wire: a frame is served on the reactor thread that read it, so
-/// a burst of frames parked in forced commits is what recruits serving
+/// a burst of frames parked in host commits is what recruits serving
 /// threads (16 calls in flight on one connection, a socket each). Once the
 /// burst is over they retire to the reactor's floor.
 #[test]
 fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
-    let (server, clock) = slow_repo_server(24);
+    let (server, clock) = slow_host_server(24);
     let daemon = MainDaemon::new(Arc::clone(&server));
     let wire = WireDaemon::spawn(&daemon, Arc::new(NetStats::new())).unwrap();
     let connector = WireConnector::new(Arc::new(NetStats::new()), Duration::from_secs(30));
@@ -143,7 +146,7 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
 #[test]
 fn in_process_upcall_burst_serves_on_its_callers_bounded_by_max_workers() {
     const MAX: usize = 4;
-    let (server, clock) = slow_repo_server(MAX);
+    let (server, clock) = slow_host_server(MAX);
     // Ground truth from inside the slot (the hook runs under it, right
     // before `handle`): heads in at once, and their peak. Entrants hold
     // their slot until MAX are in together, which forces the lane to its
@@ -378,10 +381,11 @@ proptest! {
         let server = Arc::new(DlfmServer::new(
             cfg,
             fs as Arc<dyn FileSystem>,
-            Database::open(StorageEnv::mem()).unwrap(),
+            Repository::open(StorageEnv::mem()).unwrap(),
             Arc::new(ArchiveStore::new()),
             clock.clone(),
-        ).unwrap());
+            MemHost::new(),
+        ));
         server.link_file(1, "/d/f.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
         server.commit_host(1);
 

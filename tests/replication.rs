@@ -10,13 +10,17 @@ use std::time::Duration;
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ReplicaSet, Standby};
 use datalinks::dlfm::{
     embed_token, split_token_suffix, AccessToken, AgentConnection, ControlMode, HostHook,
-    OpenDecision, TokenKind, UipEntry,
+    OpenDecision, TokenKind,
 };
 use datalinks::fskit::{Cred, OpenOptions, SimClock};
 use datalinks::minidb::{
     Column, ColumnType, Database, DbOptions, DiskFaults, Schema, StorageEnv, Value,
 };
 use datalinks::repl::{Follower, ReplStats};
+
+#[path = "../crates/dlfm/tests/support/mem_host.rs"]
+mod mem_host;
+use mem_host::MemHost;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -571,11 +575,11 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
 
     // The stale primary commits more work to its own (now irrelevant) log
     // and its shipper tries to ship it: the epoch fence must reject.
-    // (A forced write: token entries and Sync rows never reach the log.)
-    old_server
-        .repository()
-        .put_uip(&UipEntry { path: "/stale".into(), new_version: 2, opener: 9 })
-        .unwrap();
+    // (A forced `dl_uip` row — path, new version, opener: token entries
+    // and Sync rows never reach the log.)
+    let mut txn = old_server.repository().db().begin();
+    txn.insert("dl_uip", vec![Value::Text("/stale".into()), Value::Int(2), Value::Int(9)]).unwrap();
+    txn.commit().unwrap();
     let err = old_set.ship_once().unwrap_err();
     assert!(matches!(err, datalinks::repl::ReplError::StaleEpoch { .. }), "got {err}");
     assert!(old_set.stats().stale_rejections() >= 1);
@@ -585,7 +589,7 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     // write open, close, archive job — and the job, reading the file from
     // the shared disk, must land nothing there. (Its host commit is kept
     // away from the real host rows: not this test's subject.)
-    old_server.set_host_hook(Arc::new(DetachedHost));
+    old_server.set_host_hook(MemHost::new());
     let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
     let (path, token) = split_token_suffix(&wpath);
     old_server.validate_token(path, token.unwrap(), APP.uid).unwrap();
@@ -608,22 +612,6 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     // The promoted node is unaffected by the stale traffic.
     let tp = read_token_path(&sys, 0);
     assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"pre-failover");
-}
-
-/// A host that acknowledges every update without touching any rows.
-struct DetachedHost;
-
-impl HostHook for DetachedHost {
-    fn state_id(&self) -> u64 {
-        0
-    }
-    fn commit_file_update(&self, _: &str, _: u64, _: u64, _: u64) -> Result<u64, String> {
-        Ok(0)
-    }
-    fn file_version(&self, _: &str) -> Option<u64> {
-        None
-    }
-    fn abort_undecided(&self, _: u64) {}
 }
 
 /// Every standby of the node reads its primary's archive store.
