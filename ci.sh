@@ -181,6 +181,19 @@ if grep -rnE "[S]tandalone mode|[O]ption<Arc<dyn HostHook>>|fn [w]ith_repository
   exit 1
 fi
 
+# A node is configured once (DESIGN.md "§4.5"): strict link is the
+# server's setting, which DLFS learns at `Hello`, and a `Busy` open always
+# waits out the sync epoch — DLFS has no configuration of its own. The
+# flight-recorder ring has one size, and a node keeps its parts as one
+# value. (The bracketed first letters keep these patterns from matching
+# this file.)
+step "guard: no DLFS configuration, no wait policy, no flight-ring knob, no copied node config"
+if grep -rnE "[D]lfsConfig|[W]aitPolicy|[f]light_ring_capacity|fn [f]light_ring\b|[d]lfs_cfg" \
+    crates/ src/ tests/ examples/; then
+  echo "guard: DlfsConfig, WaitPolicy, the flight-ring knob or a dlfs_cfg field reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

@@ -13,7 +13,6 @@ use dl_core::{
     ControlMode, DataLinksSystem, DlColumnOptions, FileServerSpec, SystemBuilder, TokenKind,
 };
 use dl_dlfm::{DlfmConfig, FaultInjector, OnUnlink};
-use dl_dlfs::{DlfsConfig, WaitPolicy};
 use dl_fskit::memfs::IoModel;
 use dl_fskit::{Cred, OpenOptions};
 use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value};
@@ -44,7 +43,6 @@ pub struct FixtureOptions {
     pub sync_archive: bool,
     pub track_read_sync: bool,
     pub strict: bool,
-    pub wait_policy: WaitPolicy,
     pub recovery: bool,
     /// Commit-pipeline options applied to *both* the host database and the
     /// DLFM repository (group commit vs per-commit sync, batch, delay).
@@ -74,7 +72,6 @@ impl Default for FixtureOptions {
             sync_archive: false,
             track_read_sync: true,
             strict: false,
-            wait_policy: WaitPolicy::Block,
             recovery: true,
             db: DbOptions::default(),
             db_sync_latency_ns: 0,
@@ -129,7 +126,6 @@ fn fixture_with_faults(
     let spec = FileServerSpec {
         name: SRV.to_string(),
         dlfm,
-        dlfs: DlfsConfig { wait_policy: opts.wait_policy, strict: opts.strict },
         io: opts.io,
         repo_env,
         replicas: opts.replicas,

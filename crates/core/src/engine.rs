@@ -202,7 +202,7 @@ impl DataLinksEngine {
             read_lanes: RwLock::new(HashMap::new()),
             lag_ewmas: RwLock::new(HashMap::new()),
             routers: RwLock::new(HashMap::new()),
-            recorder: Arc::new(dl_obs::FlightRecorder::new(256)),
+            recorder: Arc::new(dl_obs::FlightRecorder::new(dl_dlfm::FLIGHT_RING_CAPACITY)),
             flight_source: Arc::from("engine.host"),
             stats: EngineStats::default(),
         });

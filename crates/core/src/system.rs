@@ -32,7 +32,7 @@ use dl_dlfm::{
     MainDaemon, RecoveryReport, Repository, TokenKind, Transport, WireConn, WireConnector,
     WireDaemon, WIRE_CALL_TIMEOUT,
 };
-use dl_dlfs::{Dlfs, DlfsConfig};
+use dl_dlfs::Dlfs;
 use dl_fskit::memfs::IoModel;
 use dl_fskit::{Clock, FileSystem, Lfs, MemFs, WallClock};
 use dl_minidb::{Database, DbOptions, Lsn, Schema, StorageEnv, Txn, Value};
@@ -69,15 +69,9 @@ impl WireLink {
 
 /// Everything one file-server node runs (Figure 1, right-hand side).
 pub struct FileServerNode {
-    pub name: String,
-    /// The physical file system (survives crashes — it is the disk).
-    pub fs: Arc<MemFs>,
-    /// The archive store (survives crashes — it is the archive device),
-    /// written by the primary's server and read by every standby. Like
-    /// `fs`, the node holds the device itself: crash and failover drop the
-    /// server and build its successor on this store, whose next writer
-    /// generation fences the dropped one.
-    archive: Arc<ArchiveStore>,
+    /// What the node was built from and what outlives it: crash and
+    /// failover hand these on to the node's successor.
+    parts: NodeParts,
     /// The DLFM daemon complex.
     pub server: Arc<DlfmServer>,
     /// The DLFS interposition layer.
@@ -91,13 +85,6 @@ pub struct FileServerNode {
     /// The wire transport, when the node runs `Transport::Socket`: every
     /// engine/DLFS round-trip of this node crosses real framed sockets.
     pub wire: Option<WireLink>,
-    dlfm_cfg: DlfmConfig,
-    dlfs_cfg: DlfsConfig,
-    replicas: usize,
-    upcall_fault: Option<FaultInjector>,
-    /// `(logical, idx, count)` when this node is one shard of a
-    /// partitioned logical server; `None` for a plain node.
-    shard: Option<(String, usize, usize)>,
     main: MainDaemon,
 }
 
@@ -130,7 +117,6 @@ impl FileServerNode {
 pub struct FileServerSpec {
     pub name: String,
     pub dlfm: DlfmConfig,
-    pub dlfs: DlfsConfig,
     /// Simulated I/O cost model for the node's physical file system
     /// (zero-cost by default; benches use a disk-like model to reproduce
     /// the paper's CPU+I/O measurements).
@@ -169,7 +155,6 @@ impl FileServerSpec {
         FileServerSpec {
             name: name.to_string(),
             dlfm: DlfmConfig::new(name),
-            dlfs: DlfsConfig::default(),
             io: IoModel::default(),
             repo_env: StorageEnv::mem(),
             replicas: 0,
@@ -280,40 +265,32 @@ impl SystemBuilder {
         let mut parts = Vec::new();
         for spec in self.servers {
             let fs = Arc::new(MemFs::with_clock(Arc::clone(&self.clock)).with_io_model(spec.io));
-            if spec.shards <= 1 {
-                parts.push(NodeParts {
-                    name: spec.name,
-                    fs,
-                    repo_env: spec.repo_env,
-                    archive: Arc::new(ArchiveStore::new()),
-                    dlfm_cfg: spec.dlfm,
-                    dlfs_cfg: spec.dlfs,
-                    replicas: spec.replicas,
-                    upcall_fault: spec.upcall_fault,
-                    shard: None,
-                });
-                continue;
-            }
-            // One logical server over N shard nodes: every shard
-            // interposes on the same physical file system but runs its own
-            // repository, archive store and standbys. The shard's DLFM
-            // keeps the *logical* server name (tokens are signed and
-            // validated under it); the node registers everywhere else —
-            // engine, 2PC participant keys, metrics — under its shard name.
-            for i in 0..spec.shards {
+            // A plain server is one node under its own name. A sharded one
+            // is N shard nodes: every shard interposes on the same
+            // physical file system but runs its own repository, archive
+            // store and standbys. The shard's DLFM keeps the *logical*
+            // server name (tokens are signed and validated under it); the
+            // node registers everywhere else — engine, 2PC participant
+            // keys, metrics — under its shard name.
+            let count = spec.shards.max(1);
+            for i in 0..count {
+                let (name, shard) = if count == 1 {
+                    (spec.name.clone(), None)
+                } else {
+                    (ShardRouter::shard_name(&spec.name, i), Some((spec.name.clone(), i, count)))
+                };
                 // Shard 0 runs on the spec's environment; the others on
                 // fresh ones with its sync latency and its sync gauge.
                 let repo_env = if i == 0 { spec.repo_env.clone() } else { spec.repo_env.sibling() };
                 parts.push(NodeParts {
-                    name: ShardRouter::shard_name(&spec.name, i),
+                    name,
                     fs: Arc::clone(&fs),
                     repo_env,
                     archive: Arc::new(ArchiveStore::new()),
                     dlfm_cfg: spec.dlfm.clone(),
-                    dlfs_cfg: spec.dlfs,
                     replicas: spec.replicas,
                     upcall_fault: spec.upcall_fault.clone(),
-                    shard: Some((spec.name.clone(), i, spec.shards)),
+                    shard,
                 });
             }
         }
@@ -338,13 +315,21 @@ impl Default for SystemBuilder {
 }
 
 /// The durable pieces of one node, as they survive a crash.
+#[derive(Clone)]
 struct NodeParts {
     name: String,
+    /// The physical file system (survives crashes — it is the disk).
     fs: Arc<MemFs>,
+    /// The storage environment the node's repository was opened on — a
+    /// promoted standby's after a failover.
     repo_env: StorageEnv,
+    /// The archive store (survives crashes — it is the archive device),
+    /// written by the primary's server and read by every standby. Like
+    /// `fs`, the node holds the device itself: crash and failover drop the
+    /// server and build its successor on this store, whose next writer
+    /// generation fences the dropped one.
     archive: Arc<ArchiveStore>,
     dlfm_cfg: DlfmConfig,
-    dlfs_cfg: DlfsConfig,
     /// Standby count to re-provision. Standbys are rebuilt fresh after a
     /// crash: their envs re-ship from offset zero of the (recovered)
     /// primary log, the simplest correct re-seeding.
@@ -569,7 +554,7 @@ impl DataLinksSystem {
                     .ok_or_else(|| format!("missing shard {i} of {logical}"))?;
                 dlfs_shards.push(Arc::clone(&shard.dlfs));
             }
-            let fs = Arc::clone(&nodes[router.name_of(0)].fs);
+            let fs = Arc::clone(&nodes[router.name_of(0)].parts.fs);
             let front = Arc::new(ShardedFs::new(
                 fs as Arc<dyn FileSystem>,
                 dlfs_shards,
@@ -680,8 +665,7 @@ impl DataLinksSystem {
         };
         let agent = Self::mint_client(&main, wire.as_ref(), "engine")?;
         let upcalls = Self::mint_client(&main, wire.as_ref(), "dlfs")?;
-        let dlfs =
-            Arc::new(Dlfs::new(part.fs.clone() as Arc<dyn FileSystem>, upcalls, part.dlfs_cfg));
+        let dlfs = Arc::new(Dlfs::new(part.fs.clone() as Arc<dyn FileSystem>, upcalls));
         let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
         let raw = Arc::new(Lfs::new(part.fs.clone() as Arc<dyn FileSystem>));
 
@@ -728,23 +712,7 @@ impl DataLinksSystem {
             replication: replication.clone(),
         });
         Ok((
-            FileServerNode {
-                name: part.name,
-                fs: part.fs,
-                archive: part.archive,
-                server,
-                dlfs,
-                lfs,
-                raw,
-                replication,
-                wire,
-                dlfm_cfg: part.dlfm_cfg,
-                dlfs_cfg: part.dlfs_cfg,
-                replicas: part.replicas,
-                upcall_fault: part.upcall_fault,
-                shard: part.shard,
-                main,
-            },
+            FileServerNode { parts: part, server, dlfs, lfs, raw, replication, wire, main },
             report,
         ))
     }
@@ -877,19 +845,7 @@ impl DataLinksSystem {
         registry.unregister_prefix("engine");
         registry.unregister_prefix("repl.host");
 
-        let wal = self.db.wal_telemetry();
-        registry.register_histogram("minidb.host.fsync_ns", wal.fsync_ns);
-        registry.register_histogram("minidb.host.wal_batch_frames", wal.batch_frames);
-        registry.register_counter("minidb.host.unforced_appends", wal.unforced_appends);
-        registry.register_gauge("minidb.host.unflushed_bytes", wal.unflushed_bytes);
-        registry.register_counter("minidb.host.overlapped_flushes", wal.overlapped_flushes);
-        let db_tel = self.db.telemetry();
-        registry.register_histogram("minidb.host.checkpoint_ns", db_tel.checkpoint_ns);
-        registry.register_gauge("minidb.host.checkpoint_bytes", db_tel.checkpoint_bytes);
-        let db = self.db.clone();
-        registry.register_gauge_fn("minidb.host.wal_retained_bytes", move || {
-            db.wal_retained_bytes() as f64
-        });
+        Self::register_db_metrics(registry, "minidb.host", &self.db);
 
         let engine = Arc::clone(&self.engine);
         macro_rules! engine_counter {
@@ -931,6 +887,24 @@ impl DataLinksSystem {
         }
     }
 
+    /// Registers one minidb instance's WAL and checkpoint instruments
+    /// under `<prefix>.*`.
+    fn register_db_metrics(registry: &Registry, prefix: &str, db: &Database) {
+        let wal = db.wal_telemetry();
+        registry.register_histogram(&format!("{prefix}.fsync_ns"), wal.fsync_ns);
+        registry.register_histogram(&format!("{prefix}.wal_batch_frames"), wal.batch_frames);
+        registry.register_counter(&format!("{prefix}.unforced_appends"), wal.unforced_appends);
+        registry.register_gauge(&format!("{prefix}.unflushed_bytes"), wal.unflushed_bytes);
+        registry.register_counter(&format!("{prefix}.overlapped_flushes"), wal.overlapped_flushes);
+        let db_tel = db.telemetry();
+        registry.register_histogram(&format!("{prefix}.checkpoint_ns"), db_tel.checkpoint_ns);
+        registry.register_gauge(&format!("{prefix}.checkpoint_bytes"), db_tel.checkpoint_bytes);
+        let db = db.clone();
+        registry.register_gauge_fn(&format!("{prefix}.wal_retained_bytes"), move || {
+            db.wal_retained_bytes() as f64
+        });
+    }
+
     /// Registers the WAL-shipping instruments of one replica set under
     /// `repl.<who>.*`; the gauges sample the live set.
     fn register_repl_metrics<S: Send + Sync + 'static>(
@@ -965,7 +939,7 @@ impl DataLinksSystem {
     /// replicated — WAL shipping. Stale registrations from a previous
     /// incarnation of the node (failover, recovery) are dropped first.
     fn register_node_metrics(registry: &Arc<Registry>, node: &FileServerNode) {
-        let name = &node.name;
+        let name = &node.parts.name;
         for prefix in ["dlfm", "dlfs", "minidb", "repl", "fskit"] {
             registry.unregister_prefix(&format!("{prefix}.{name}"));
         }
@@ -998,22 +972,11 @@ impl DataLinksSystem {
             Arc::clone(node.main.upcall_round_trip_histogram()),
         );
 
-        let repo_db = node.server.repository().db();
-        let wal = repo_db.wal_telemetry();
-        registry.register_histogram(&format!("minidb.{name}.fsync_ns"), wal.fsync_ns);
-        registry.register_histogram(&format!("minidb.{name}.wal_batch_frames"), wal.batch_frames);
-        registry.register_counter(&format!("minidb.{name}.unforced_appends"), wal.unforced_appends);
-        registry.register_gauge(&format!("minidb.{name}.unflushed_bytes"), wal.unflushed_bytes);
-        registry
-            .register_counter(&format!("minidb.{name}.overlapped_flushes"), wal.overlapped_flushes);
-        let db_tel = repo_db.telemetry();
-        registry.register_histogram(&format!("minidb.{name}.checkpoint_ns"), db_tel.checkpoint_ns);
-        registry
-            .register_gauge(&format!("minidb.{name}.checkpoint_bytes"), db_tel.checkpoint_bytes);
-        let db = repo_db.clone();
-        registry.register_gauge_fn(&format!("minidb.{name}.wal_retained_bytes"), move || {
-            db.wal_retained_bytes() as f64
-        });
+        Self::register_db_metrics(
+            registry,
+            &format!("minidb.{name}"),
+            node.server.repository().db(),
+        );
 
         let dlfs = Arc::clone(&node.dlfs);
         macro_rules! dlfs_counter {
@@ -1029,7 +992,7 @@ impl DataLinksSystem {
         dlfs_counter!(busy_waits);
         dlfs_counter!(token_lookups);
 
-        let fs = Arc::clone(&node.fs);
+        let fs = Arc::clone(&node.parts.fs);
         macro_rules! fskit_counter {
             ($field:ident) => {{
                 let f = Arc::clone(&fs);
@@ -1318,33 +1281,15 @@ impl DataLinksSystem {
         let standby = replication.promote_target();
         let promoted = Database::clone(standby);
         let opens = Arc::clone(standby.repository().opens());
-        let FileServerNode {
-            name,
-            fs,
-            archive,
-            dlfm_cfg,
-            dlfs_cfg,
-            replicas,
-            upcall_fault,
-            shard,
-            server: old_server,
-            ..
-        } = node;
-        let repo_env = old_server.repository().db().env().clone();
+        let FileServerNode { parts: fallback, server: old_server, .. } = node;
         drop(old_server);
 
         let parts = NodeParts {
-            name: name.clone(),
-            fs: Arc::clone(&fs),
             repo_env: promoted.env().clone(),
-            archive: Arc::clone(&archive),
-            dlfm_cfg: dlfm_cfg.clone(),
-            dlfs_cfg,
             // One standby became the primary; re-provision the rest fresh
             // from the new primary's log.
-            replicas: replicas.saturating_sub(1),
-            upcall_fault: upcall_fault.clone(),
-            shard: shard.clone(),
+            replicas: fallback.replicas.saturating_sub(1),
+            ..fallback.clone()
         };
         let rebuild = |parts, repo| {
             let recovery = Some((&view, &HostView::new()));
@@ -1363,17 +1308,6 @@ impl DataLinksSystem {
                 // Promotion failed. The node handle must survive: fall
                 // back to crash-recovering the old primary from its own
                 // durable parts (the ordinary no-replica recovery path).
-                let fallback = NodeParts {
-                    name,
-                    fs,
-                    repo_env,
-                    archive,
-                    dlfm_cfg,
-                    dlfs_cfg,
-                    replicas,
-                    upcall_fault,
-                    shard,
-                };
                 let (node, _) = Self::open_repo(&fallback)
                     .and_then(|repo| rebuild(fallback, repo))
                     .map_err(|e| {
@@ -1391,7 +1325,7 @@ impl DataLinksSystem {
         Self::register_node_metrics(&self.registry, &node);
         // A shard node's rebuilt DLFS must replace the dead one inside the
         // logical server's sharded front.
-        if let Some((logical, idx, _)) = &node.shard {
+        if let Some((logical, idx, _)) = &node.parts.shard {
             if let Some(front) = self.sharded.get(logical) {
                 front.replace_shard(*idx, Arc::clone(&node.dlfs));
             }
@@ -1683,21 +1617,10 @@ impl DataLinksSystem {
         let mut parts = Vec::new();
         for (_, node) in nodes {
             node.server.simulate_crash();
-            let repo_env = node.server.repository().db().env().clone();
-            let _ = repo_env.apply_crash_faults();
+            let _ = node.parts.repo_env.apply_crash_faults();
             // Standby daemons die with the node; recovery re-provisions
             // fresh standbys of the recovered primary (NodeParts.replicas).
-            parts.push(NodeParts {
-                name: node.name,
-                fs: node.fs,
-                repo_env,
-                archive: node.archive,
-                dlfm_cfg: node.dlfm_cfg,
-                dlfs_cfg: node.dlfs_cfg,
-                replicas: node.replicas,
-                upcall_fault: node.upcall_fault,
-                shard: node.shard,
-            });
+            parts.push(node.parts);
         }
         CrashImage {
             host_env,

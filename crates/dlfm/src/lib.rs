@@ -52,7 +52,7 @@ pub use pool::{HeadGate, PoolStats};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
     lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, LinkVote,
-    OpenDecision, RecoveryReport, Transport,
+    OpenDecision, RecoveryReport, Transport, FLIGHT_RING_CAPACITY,
 };
 pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKey,

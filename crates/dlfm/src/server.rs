@@ -63,6 +63,13 @@ pub enum Transport {
     Socket,
 }
 
+/// Capacity of a flight-recorder ring — each DLFM server's and the
+/// engine's: the span events retained for the crash/failover dump. A ring
+/// keeps the *most recent* events, so the fenced decides of an in-doubt
+/// resolution survive even when the burst that led up to them has been
+/// evicted.
+pub const FLIGHT_RING_CAPACITY: usize = 256;
+
 /// Server configuration.
 #[derive(Clone)]
 pub struct DlfmConfig {
@@ -102,12 +109,6 @@ pub struct DlfmConfig {
     /// ([`Transport::Local`], the default) or framed Unix-socket
     /// connections served by a `WireDaemon` ([`Transport::Socket`]).
     pub transport: Transport,
-    /// Capacity of the server's flight-recorder ring (span events retained
-    /// for the crash/failover dump). An undersized ring still keeps the
-    /// *most recent* events — the fenced decides of an in-doubt
-    /// resolution survive even when the burst that led up to them has
-    /// been evicted.
-    pub flight_ring_capacity: usize,
 }
 
 impl DlfmConfig {
@@ -123,15 +124,7 @@ impl DlfmConfig {
             upcall_workers_max: 64,
             agent_executor_threads: 16,
             transport: Transport::default(),
-            flight_ring_capacity: 256,
         }
-    }
-
-    /// Sets the flight-recorder ring capacity (see
-    /// [`DlfmConfig::flight_ring_capacity`]).
-    pub fn flight_ring(mut self, capacity: usize) -> DlfmConfig {
-        self.flight_ring_capacity = capacity;
-        self
     }
 
     /// Sets the upcall lane's width.
@@ -409,7 +402,6 @@ impl DlfmServer {
         let archiver =
             Archiver::spawn(Arc::clone(&archive), generation, Arc::clone(&source), on_complete);
         let flight_source: Arc<str> = Arc::from(format!("dlfm.{}", cfg.server_name));
-        let flight_ring_capacity = cfg.flight_ring_capacity;
         DlfmServer {
             token_key: TokenKey::new(&cfg.token_key),
             cfg,
@@ -424,7 +416,7 @@ impl DlfmServer {
             unlink_ends: Mutex::new(HashMap::new()),
             sync_epoch,
             coord_fence: AtomicU64::new(0),
-            recorder: Arc::new(dl_obs::FlightRecorder::new(flight_ring_capacity)),
+            recorder: Arc::new(dl_obs::FlightRecorder::new(FLIGHT_RING_CAPACITY)),
             flight_source,
             crashed: std::sync::atomic::AtomicBool::new(false),
             stats: DlfmStats {

@@ -49,31 +49,6 @@ use dl_fskit::{path as fspath, FileSystem};
 use dl_fskit::{Cred, DirEntry, FileAttr, FileKind, FsError, FsResult, Ino, OpenFlags, SetAttr};
 use parking_lot::{Mutex, RwLock};
 
-/// What to do when DLFM answers `Busy` (a conflicting open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitPolicy {
-    /// Block until the conflict clears (lock semantics, the default).
-    Block,
-    /// Fail the open with `FsError::Busy`.
-    Fail,
-}
-
-/// DLFS configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct DlfsConfig {
-    pub wait_policy: WaitPolicy,
-    /// Register *every* open with DLFM so link can detect open files —
-    /// closes the §4.5 "window of inconsistency" at a per-open cost
-    /// (the paper's future-work extension, implemented as an ablation).
-    pub strict: bool,
-}
-
-impl Default for DlfsConfig {
-    fn default() -> Self {
-        DlfsConfig { wait_policy: WaitPolicy::Block, strict: false }
-    }
-}
-
 /// Operation counters (benchmarks and the telemetry registry read these).
 #[derive(Debug, Default)]
 pub struct DlfsStats {
@@ -115,7 +90,7 @@ struct OpenInstance {
     opener: u64,
     /// Managed by DLFM (close must upcall) or plain pass-through.
     managed: bool,
-    /// strict-mode registration to undo at close.
+    /// Strict-link registration to undo at close.
     registered: bool,
 }
 
@@ -124,7 +99,6 @@ struct OpenInstance {
 pub struct Dlfs {
     inner: Arc<dyn FileSystem>,
     upcall: DlfmClient,
-    cfg: DlfsConfig,
     /// ino → absolute path (volatile dentry-style cache).
     paths: RwLock<HashMap<Ino, String>>,
     /// Open instances keyed by (ino, is_write).
@@ -139,14 +113,15 @@ const ROOT: Cred = Cred::root();
 
 impl Dlfs {
     /// Wraps `inner`, talking to DLFM through `upcall`. DLFS is blind to
-    /// the carrier under the client.
-    pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient, cfg: DlfsConfig) -> Dlfs {
+    /// the carrier under the client, and keeps no configuration of its
+    /// own: whether opens register for strict link is the server's call,
+    /// learnt at `Hello` ([`DlfmClient::strict_link`]).
+    pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient) -> Dlfs {
         let mut paths = HashMap::new();
         paths.insert(inner.root(), "/".to_string());
         Dlfs {
             inner,
             upcall,
-            cfg,
             paths: RwLock::new(paths),
             opens: Mutex::new(HashMap::new()),
             id: NEXT_DLFS.fetch_add(1, Ordering::Relaxed),
@@ -200,10 +175,11 @@ impl Dlfs {
         Ok(())
     }
 
-    /// The physical open of a file not under full control. Strict mode
-    /// registers it with DLFM first, so the server sees it before it
-    /// exists and can refuse it — while a live link branch holds the path
-    /// — and undoes the registration when the physical open fails.
+    /// The physical open of a file not under full control. Under a
+    /// strict-link server it is registered with DLFM first, so the server
+    /// sees it before it exists and can refuse it — while a live link
+    /// branch holds the path — and the registration is undone when the
+    /// physical open fails.
     fn passthrough_open(
         &self,
         cred: &Cred,
@@ -212,7 +188,7 @@ impl Dlfs {
         path: &str,
         write: bool,
     ) -> FsResult<()> {
-        if !self.cfg.strict {
+        if !self.upcall.strict_link() {
             self.inner.fs_open(cred, ino, flags)?;
             self.stats.passthrough_opens.inc();
             return Ok(());
@@ -228,8 +204,8 @@ impl Dlfs {
         Ok(())
     }
 
-    /// Runs the DLFM open check with the configured wait policy, presenting
-    /// `token` on every try.
+    /// Runs the DLFM open check, presenting `token` on every try; a `Busy`
+    /// answer waits out the sync epoch and tries again.
     fn checked_open(
         &self,
         path: &str,
@@ -243,13 +219,10 @@ impl Dlfs {
             // check ran: over a socket that is one round trip, not two.
             let (epoch, decision) = self.upcall.open_check(path, cred.uid, wanted, opener, token);
             match decision {
-                OpenDecision::Busy => match self.cfg.wait_policy {
-                    WaitPolicy::Fail => return Err(FsError::Busy),
-                    WaitPolicy::Block => {
-                        self.stats.busy_waits.inc();
-                        self.upcall.wait_epoch_change(epoch);
-                    }
-                },
+                OpenDecision::Busy => {
+                    self.stats.busy_waits.inc();
+                    self.upcall.wait_epoch_change(epoch);
+                }
                 decision => return Ok(decision),
             }
         }
@@ -354,19 +327,16 @@ impl FileSystem for Dlfs {
                     // A file that *happens* to be owned by the DLFM uid but
                     // is not linked (or is linked with FS-controlled
                     // access): ordinary permission rules apply. When the
-                    // *server* runs strict-link, its open-check already
+                    // server runs strict-link, its open-check already
                     // registered this open (its NotManaged arms), so
                     // either the close must unregister it — record the
                     // instance — or, if the physical open fails and no
                     // close will ever come, the registration must be
                     // undone here; leaking it would block link of the path
-                    // forever. Keyed on the server's flag, not this
-                    // layer's `strict`: the registration to balance is the
-                    // server's, and the two knobs are independent.
-                    let server_strict = self.upcall.strict_link();
+                    // forever.
                     match self.inner.fs_open(cred, ino, flags) {
                         Ok(()) => {
-                            if server_strict {
+                            if self.upcall.strict_link() {
                                 self.record_open(
                                     ino,
                                     wants_write,
@@ -376,7 +346,7 @@ impl FileSystem for Dlfs {
                             Ok(())
                         }
                         Err(e) => {
-                            if server_strict {
+                            if self.upcall.strict_link() {
                                 self.upcall.unregister_open(&path, opener);
                             }
                             Err(e)
@@ -418,8 +388,8 @@ impl FileSystem for Dlfs {
                     // Plain read-only file, not linked: surface the original
                     // error. The open failed, so no close will follow —
                     // undo the registration a strict-link server's
-                    // open-check made (server flag, same reasoning as the
-                    // full-control NotManaged arm above).
+                    // open-check made (same reasoning as the full-control
+                    // NotManaged arm above).
                     OpenDecision::NotManaged => {
                         if self.upcall.strict_link() {
                             self.upcall.unregister_open(&path, opener);

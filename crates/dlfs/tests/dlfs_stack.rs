@@ -5,13 +5,13 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dl_dlfm::{
     embed_token, AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, HostFile,
     HostHook, HostView, MainDaemon, OnUnlink, Repository, TokenKey, TokenKind,
 };
-use dl_dlfs::{Dlfs, DlfsConfig, WaitPolicy};
+use dl_dlfs::Dlfs;
 use dl_fskit::{
     Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenFlags, OpenOptions, SetAttr, SimClock,
 };
@@ -35,7 +35,7 @@ struct Stack {
     _daemon: MainDaemon,
 }
 
-fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
+fn stack_with(dlfm_cfg: DlfmConfig) -> Stack {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
     let raw = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
@@ -52,13 +52,13 @@ fn stack_with(dlfs_cfg: DlfsConfig, dlfm_cfg: DlfmConfig) -> Stack {
         MemHost::new(),
     ));
     let daemon = MainDaemon::new(Arc::clone(&server));
-    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, daemon.connect(), dlfs_cfg));
+    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, daemon.connect()));
     let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
     Stack { lfs, raw, server, dlfs, clock, _daemon: daemon }
 }
 
 fn stack() -> Stack {
-    stack_with(DlfsConfig::default(), DlfmConfig::new("srv1"))
+    stack_with(DlfmConfig::new("srv1"))
 }
 
 fn link(s: &Stack, path: &str, mode: ControlMode) {
@@ -275,19 +275,6 @@ fn write_write_blocking_across_threads() {
 }
 
 #[test]
-fn fail_policy_returns_busy_instead_of_blocking() {
-    let s = stack_with(
-        DlfsConfig { wait_policy: WaitPolicy::Fail, strict: false },
-        DlfmConfig::new("srv1"),
-    );
-    link(&s, "/web/index.html", ControlMode::Rdd);
-    let wpath = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Write));
-    let fd = s.lfs.open(&ALICE, &wpath, OpenOptions::read_write()).unwrap();
-    assert_eq!(s.lfs.open(&ALICE, &wpath, OpenOptions::read_write()), Err(FsError::Busy));
-    s.lfs.close(fd).unwrap();
-}
-
-#[test]
 fn aborted_update_restores_content_via_recovery_path() {
     // Crash while a write is in flight; recovery restores v1.
     let clock = Arc::new(SimClock::new(1_000_000));
@@ -306,11 +293,7 @@ fn aborted_update_restores_content_via_recovery_path() {
         MemHost::new(),
     ));
     let daemon = MainDaemon::new(Arc::clone(&server));
-    let dlfs = Arc::new(Dlfs::new(
-        fs.clone() as Arc<dyn FileSystem>,
-        daemon.connect(),
-        DlfsConfig::default(),
-    ));
+    let dlfs = Arc::new(Dlfs::new(fs.clone() as Arc<dyn FileSystem>, daemon.connect()));
     let lfs = Lfs::new(dlfs.clone() as Arc<dyn FileSystem>);
 
     server.link_file(1, "/web/a.html", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
@@ -361,7 +344,7 @@ fn aborted_update_restores_content_via_recovery_path() {
 fn strict_mode_blocks_link_of_open_file() {
     let mut dlfm_cfg = DlfmConfig::new("srv1");
     dlfm_cfg.strict_link = true;
-    let s = stack_with(DlfsConfig { wait_policy: WaitPolicy::Block, strict: true }, dlfm_cfg);
+    let s = stack_with(dlfm_cfg);
 
     // An application holds plain.txt open (unlinked, plain read).
     let fd = s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::read_only()).unwrap();
@@ -387,7 +370,7 @@ fn strict_mode_refuses_an_open_during_a_live_link_branch() {
     // open, which DLFS registers before the physical open.
     let mut dlfm_cfg = DlfmConfig::new("srv1");
     dlfm_cfg.strict_link = true;
-    let s = stack_with(DlfsConfig { wait_policy: WaitPolicy::Block, strict: true }, dlfm_cfg);
+    let s = stack_with(dlfm_cfg);
     s.server.link_file(52, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
     for opts in [OpenOptions::read_only(), OpenOptions::write_truncate()] {
         let err = s.lfs.open(&ALICE, "/web/plain.txt", opts).unwrap_err();
@@ -539,18 +522,32 @@ fn interleaved_lookups_of_one_user_each_open_with_their_own_kind() {
 
 #[test]
 fn a_busy_open_leaves_its_token_entry() {
-    let s = stack_with(
-        DlfsConfig { wait_policy: WaitPolicy::Fail, strict: false },
-        DlfmConfig::new("srv1"),
-    );
+    let s = stack();
     link(&s, "/web/index.html", ControlMode::Rdd);
     let wpath = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Write));
     let fd = s.lfs.open(&ALICE, &wpath, OpenOptions::write_truncate()).unwrap();
-    assert_eq!(s.lfs.open(&BOB, &wpath, OpenOptions::write_truncate()), Err(FsError::Busy));
-    s.lfs.close(fd).unwrap();
+    let bob_has_entry =
+        || s.server.repository().check_token_entry(BOB.uid, "/web/index.html", TokenKind::Write, 0);
+    assert!(!bob_has_entry());
+    thread::scope(|scope| {
+        let bob = scope.spawn(|| {
+            let fd = s.lfs.open(&BOB, &wpath, OpenOptions::write_truncate()).unwrap();
+            s.lfs.close(fd).unwrap();
+        });
+        // BOB's open answered Busy and waits out ALICE's update; his token
+        // was validated all the same.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while s.dlfs.stats.busy_waits.get() < 1 {
+            assert!(!bob.is_finished(), "BOB's open never waited");
+            assert!(Instant::now() < deadline, "BOB's open neither waited nor finished in 10 s");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(bob_has_entry(), "a busy open leaves its token entry");
+        s.lfs.close(fd).unwrap();
+        bob.join().unwrap();
+    });
     s.server.archive_store().wait_archived("/web/index.html");
-    // BOB's token was validated although the open was Busy: his plain-name
-    // open is admitted by the entry it left.
+    // His plain-name open is admitted by the entry the busy open left.
     let fd = s.lfs.open(&BOB, "/web/index.html", OpenOptions::write_truncate()).unwrap();
     s.lfs.close(fd).unwrap();
 }

@@ -27,8 +27,6 @@ pub enum FsError {
     IsADirectory,
     /// ENOTEMPTY: directory removal attempted on a non-empty directory.
     NotEmpty,
-    /// EBUSY: the object is in use (e.g. linked file being updated).
-    Busy,
     /// EAGAIN/EWOULDBLOCK: a non-blocking lock request could not be granted.
     WouldBlock,
     /// EDEADLK: granting the lock would create a deadlock.
@@ -56,7 +54,6 @@ impl fmt::Display for FsError {
             FsError::NotADirectory => write!(f, "not a directory"),
             FsError::IsADirectory => write!(f, "is a directory"),
             FsError::NotEmpty => write!(f, "directory not empty"),
-            FsError::Busy => write!(f, "resource busy"),
             FsError::WouldBlock => write!(f, "operation would block"),
             FsError::Deadlock => write!(f, "resource deadlock avoided"),
             FsError::BadDescriptor => write!(f, "bad file descriptor"),

@@ -14,8 +14,8 @@ use datalinks::dlfm::{
     FaultInjector, HostHook, MainDaemon, OnUnlink, OpenDecision, Repository, TokenKind,
     WireConnector, WireDaemon,
 };
-use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
-use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv};
+use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, OpenOptions, SimClock};
+use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv, Value};
 use datalinks::obs::NetStats;
 
 #[path = "../crates/dlfm/tests/support/mem_host.rs"]
@@ -332,6 +332,51 @@ fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
     // The eight linkers served their own requests, two at a time.
     let peak = node.main_daemon().executor_stats().expect("always runs").peak_workers();
     assert!(peak <= 2, "agent_executor_threads bounds callers too (peaked at {peak})");
+}
+
+/// Strict link is the server's setting alone: DLFS learns it at `Hello`
+/// and registers every open it passes through, so a link of a file some
+/// application holds open through the node's LFS is vetoed (§4.5's window
+/// of inconsistency, closed) — and goes through once the file is closed.
+#[test]
+fn a_strict_link_server_vetoes_linking_a_file_open_through_its_lfs() {
+    let mut spec = FileServerSpec::new(SRV);
+    spec.dlfm.strict_link = true;
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .file_server_with(spec)
+        .build()
+        .unwrap();
+    let raw = sys.raw_fs(SRV).unwrap();
+    raw.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
+    raw.write_file(&APP, "/d/f.bin", b"seed").unwrap();
+    sys.create_table(
+        Schema::new(
+            "t",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::nullable("body", ColumnType::DataLink),
+            ],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
+    let row = || vec![Value::Int(1), Value::DataLink(format!("dlfs://{SRV}/d/f.bin"))];
+
+    let fs = sys.fs(SRV).unwrap();
+    let fd = fs.open(&APP, "/d/f.bin", OpenOptions::read_only()).unwrap();
+    let mut tx = sys.begin();
+    let err = tx.insert("t", row()).expect_err("the open file must veto its link").to_string();
+    assert!(err.contains("currently open (strict link mode)"), "{err}");
+    tx.abort();
+
+    fs.close(fd).unwrap();
+    let mut tx = sys.begin();
+    tx.insert("t", row()).unwrap();
+    tx.commit().unwrap();
+    assert!(sys.node(SRV).unwrap().server.repository().get_file("/d/f.bin").is_some());
 }
 
 // ---------------------------------------------------------------------------

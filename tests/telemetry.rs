@@ -94,9 +94,9 @@ fn metrics_snapshot_spans_every_layer() {
     assert!(text.contains("pool_total_workers"), "exposition:\n{text}");
 }
 
-/// The flight-recorder ring capacity is a `DlfmConfig` knob (PR 9). Even a
-/// drastically undersized ring must still capture the span that matters
-/// most at failover — the promoted coordinator's decide on the in-doubt
+/// The flight-recorder ring holds `FLIGHT_RING_CAPACITY` events. A ring the
+/// workload has overflowed must still capture the span that matters most
+/// at failover — the promoted coordinator's decide on the in-doubt
 /// transaction — because the ring keeps the *most recent* events and the
 /// decide is by construction the last thing that happens before the dump.
 #[test]
@@ -104,17 +104,15 @@ fn undersized_flight_ring_still_captures_the_fenced_decide_span() {
     use std::sync::Arc;
 
     use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
-    use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink};
+    use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink, FLIGHT_RING_CAPACITY};
     use datalinks::fskit::{Cred, SimClock};
     use datalinks::minidb::{Column, ColumnType, Schema, Value};
 
     const APP: Cred = Cred { uid: 100, gid: 100 };
-    let mut spec = FileServerSpec::new("srv");
-    spec.dlfm = spec.dlfm.flight_ring(4);
     let mut sys = DataLinksSystem::builder()
         .clock(Arc::new(SimClock::new(1_000_000)))
         .host_replicas(1)
-        .file_server_with(spec)
+        .file_server_with(FileServerSpec::new("srv"))
         .build()
         .unwrap();
     let raw = sys.raw_fs("srv").unwrap();
@@ -133,8 +131,9 @@ fn undersized_flight_ring_still_captures_the_fenced_decide_span() {
     .unwrap();
     sys.define_datalink_column("t", "body", DlColumnOptions::new(ControlMode::Rdd)).unwrap();
 
-    // Enough committed links to overflow the 4-slot ring several times.
-    for i in 0..6i64 {
+    // Committed links until the ring has overflowed.
+    let recorder = Arc::clone(sys.node("srv").unwrap().server.flight_recorder());
+    for i in (0i64..).take_while(|_| recorder.recorded() <= FLIGHT_RING_CAPACITY as u64) {
         raw.write_file(&APP, &format!("/d/f{i}.bin"), b"seed").unwrap();
         let mut tx = sys.begin();
         tx.insert("t", vec![Value::Int(i), Value::DataLink(format!("dlfs://srv/d/f{i}.bin"))])
@@ -171,8 +170,11 @@ fn undersized_flight_ring_still_captures_the_fenced_decide_span() {
         .and_then(|rest| rest.split(' ').next())
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("header lacks the recorded count: {header}"));
-    assert!(retained <= 4, "ring capacity must cap retention: {header}");
-    assert!(recorded > 4, "the workload must have overflowed the ring: {header}");
+    assert!(retained <= FLIGHT_RING_CAPACITY, "ring capacity must cap retention: {header}");
+    assert!(
+        recorded > FLIGHT_RING_CAPACITY,
+        "the workload must have overflowed the ring: {header}"
+    );
     // ...and the retained window still holds the promotion's decide span.
     assert!(dlfm.contains("decide"), "undersized ring lost the decide span:\n{dlfm}");
     assert!(dlfm.contains("outcome="), "the decide must carry its outcome:\n{dlfm}");
