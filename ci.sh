@@ -194,6 +194,20 @@ if grep -rnE "[D]lfsConfig|[W]aitPolicy|[f]light_ring_capacity|fn [f]light_ring\
   exit 1
 fi
 
+# One recovery rule, decided by a pure plan (DESIGN.md "Recovery and
+# replication" §6): `recovery::plan` derives each path's steps and
+# `DlfmServer::recover` applies them and commits once, re-archive
+# included. No per-file function that both decides and acts, no second
+# re-archive pass forcing a commit per file, no restore summary beside the
+# nodes' reports, no second assembly path. (The bracketed first letters
+# keep these patterns from matching this file.)
+step "guard: one recovery plan, one recovery commit"
+if grep -rnE "fn [r]econcile_file|fn [m]ove_to_version|fn [e]ntry_of_row|struct [L]ocalRecords|fn [r]ecover_from|[S]ystemRestoreReport|fn [c]lear_needs_archive\(|fn [f]iles_needing_archive" \
+    crates/ src/ tests/ examples/; then
+  echo "guard: reconcile_file, move_to_version, entry_of_row, LocalRecords, recover_from, SystemRestoreReport, clear_needs_archive or files_needing_archive reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

@@ -757,16 +757,12 @@ pub fn a7_point_in_time(versions: usize) -> Table {
     let mut sys = f.sys;
     let paths = f.paths;
     for (i, state) in states.iter().enumerate().rev() {
-        let (restored, report) = sys.restore(&backup, *state).expect("restore");
+        let (restored, reports) = sys.restore(&backup, *state).expect("restore");
+        let rolled_back: u64 = reports.values().map(|r| r.versions_rolled_back).sum();
         let data =
             restored.raw_fs(SRV).expect("raw").read_file(&Cred::root(), &paths[0]).expect("read");
         let matches = data == contents[i];
-        rows.push(vec![
-            s(format!("v{}", i + 1)),
-            s(*state),
-            s(report.files_rolled_back),
-            s(matches),
-        ]);
+        rows.push(vec![s(format!("v{}", i + 1)), s(*state), s(rolled_back), s(matches)]);
         sys = restored;
     }
     Table {

@@ -85,7 +85,7 @@ pub use engine::{
 pub use shard::{ShardRouter, ShardedFs};
 pub use system::{
     CrashImage, DataLinksSystem, FileServerNode, FileServerSpec, HostFailoverReport, SystemBackup,
-    SystemBuilder, SystemRestoreReport,
+    SystemBuilder,
 };
 
 // Re-export the vocabulary types users need.

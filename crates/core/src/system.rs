@@ -294,17 +294,16 @@ impl SystemBuilder {
                 });
             }
         }
-        DataLinksSystem::assemble(
-            self.host_env,
-            self.host_db,
-            self.host_replicas,
-            0,
-            self.clock,
-            parts,
-            None,
-            self.flight_dump_dir,
-        )
-        .map(|(sys, _)| sys)
+        let image = CrashImage {
+            host_env: self.host_env,
+            host_db: self.host_db,
+            host_replicas: self.host_replicas,
+            coord_epoch: 0,
+            clock: self.clock,
+            nodes: parts,
+            flight_dump_dir: self.flight_dump_dir,
+        };
+        DataLinksSystem::assemble(image, None).map(|(sys, _)| sys)
     }
 }
 
@@ -343,7 +342,8 @@ struct NodeParts {
     shard: Option<(String, usize, usize)>,
 }
 
-/// What survives a simulated whole-system crash: the disks.
+/// What survives a simulated whole-system crash: the disks. A new system
+/// is assembled from one too, at coordinator epoch 0.
 pub struct CrashImage {
     host_env: StorageEnv,
     host_db: DbOptions,
@@ -367,16 +367,6 @@ pub struct CrashImage {
 /// architecture, where the archive server *is* the file backup.
 pub struct SystemBackup {
     host_env: StorageEnv,
-}
-
-/// Outcome summary of a coordinated point-in-time restore: what the
-/// nodes' [`RecoveryReport`]s say the restored rows settled.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct SystemRestoreReport {
-    pub files_rolled_back: u64,
-    pub files_unlinked: u64,
-    pub files_relinked: u64,
-    pub missing_versions: Vec<(String, u64)>,
 }
 
 /// Splits `path;dltoken=<tok>` into `(path, token)`; a bare path is an
@@ -473,19 +463,17 @@ pub struct DataLinksSystem {
 }
 
 impl DataLinksSystem {
-    #[allow(clippy::too_many_arguments)]
+    /// Builds a system on `image`'s disks. With `recovery` — the host's
+    /// views from before a rewind, empty when nothing was rewound — every
+    /// node is first brought to the host's rows ([`DlfmServer::recover`]),
+    /// and its report returned.
     fn assemble(
-        host_env: StorageEnv,
-        host_db: DbOptions,
-        host_replicas: usize,
-        coord_epoch: u64,
-        clock: Arc<dyn Clock>,
-        parts: Vec<NodeParts>,
+        image: CrashImage,
         recovery: Option<HashMap<String, HostView>>,
-        flight_dump_dir: Option<PathBuf>,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
+        let CrashImage { host_db, host_replicas, coord_epoch, clock, .. } = image;
         let run_recovery = recovery.is_some();
-        let db = Database::open_with(host_env.clone(), host_db).map_err(|e| e.to_string())?;
+        let db = Database::open_with(image.host_env.clone(), host_db).map_err(|e| e.to_string())?;
         let engine =
             DataLinksEngine::install(db.clone(), Arc::clone(&clock)).map_err(|e| e.to_string())?;
 
@@ -513,7 +501,7 @@ impl DataLinksSystem {
         // shard — and so the host's view of a shard node is the paths its
         // router assigns it.
         let mut routers: HashMap<String, Arc<ShardRouter>> = HashMap::new();
-        for (logical, _, count) in parts.iter().filter_map(|part| part.shard.as_ref()) {
+        for (logical, _, count) in image.nodes.iter().filter_map(|part| part.shard.as_ref()) {
             routers
                 .entry(logical.clone())
                 .or_insert_with(|| Arc::new(ShardRouter::new(logical, *count)));
@@ -526,7 +514,7 @@ impl DataLinksSystem {
         let mut before = recovery.unwrap_or_default();
         let mut nodes = HashMap::new();
         let mut reports = HashMap::new();
-        for part in parts {
+        for part in image.nodes {
             let name = part.name.clone();
             let rows = run_recovery.then(|| {
                 (views.remove(&name).unwrap_or_default(), before.remove(&name).unwrap_or_default())
@@ -588,7 +576,7 @@ impl DataLinksSystem {
             registry,
             pool_roster: Arc::new(PoolRoster::default()),
             last_flight_dump: Mutex::new(None),
-            flight_dump_dir,
+            flight_dump_dir: image.flight_dump_dir,
         };
         sys.register_host_metrics();
         // The aggregate pool gauges read the roster live — registered as
@@ -1639,34 +1627,7 @@ impl DataLinksSystem {
     pub fn recover(
         image: CrashImage,
     ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
-        Self::recover_from(image, HashMap::new())
-    }
-
-    /// [`DataLinksSystem::recover`] with `before`, the host's views from
-    /// before a rewind (see [`DlfmServer::recover`]).
-    fn recover_from(
-        image: CrashImage,
-        before: HashMap<String, HostView>,
-    ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
-        let CrashImage {
-            host_env,
-            host_db,
-            host_replicas,
-            coord_epoch,
-            clock,
-            nodes,
-            flight_dump_dir,
-        } = image;
-        Self::assemble(
-            host_env,
-            host_db,
-            host_replicas,
-            coord_epoch,
-            clock,
-            nodes,
-            Some(before),
-            flight_dump_dir,
-        )
+        Self::assemble(image, Some(HashMap::new()))
     }
 
     // --- coordinated backup / restore (§4.4) ---------------------------------------
@@ -1681,12 +1642,13 @@ impl DataLinksSystem {
     /// Coordinated point-in-time restore: consumes the running system,
     /// restores the host database from `backup` to `lsn`, then recovers the
     /// system on it — the one reconcile brings every node's files to the
-    /// links and versions the restored rows reference (§4.4).
+    /// links and versions the restored rows reference (§4.4). Returns each
+    /// node's [`RecoveryReport`], as [`DataLinksSystem::recover`] does.
     pub fn restore(
         self,
         backup: &SystemBackup,
         lsn: Lsn,
-    ) -> Result<(DataLinksSystem, SystemRestoreReport), String> {
+    ) -> Result<(DataLinksSystem, HashMap<String, RecoveryReport>), String> {
         // A restore stops the stack cleanly: each node's unforced repository
         // tail goes to disk first, so its rows name the versions its disk
         // holds and a row the restore moves back reads as a move back. The
@@ -1706,15 +1668,6 @@ impl DataLinksSystem {
         db.checkpoint().map_err(|e| e.to_string())?;
         drop(db);
 
-        let (sys, reports) = Self::recover_from(image, before)?;
-        let mut report = SystemRestoreReport::default();
-        for node in reports.into_values() {
-            report.files_rolled_back += node.versions_rolled_back;
-            report.files_unlinked += node.files_unlinked;
-            report.files_relinked += node.files_relinked;
-            report.missing_versions.extend(node.missing_versions);
-        }
-        report.missing_versions.sort();
-        Ok((sys, report))
+        Self::assemble(image, Some(before))
     }
 }

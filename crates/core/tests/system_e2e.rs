@@ -417,8 +417,9 @@ fn coordinated_point_in_time_restore() {
     let backup = sys.backup().unwrap();
 
     // Restore to the state after version 3 was committed.
-    let (sys, report) = sys.restore(&backup, state_ids[2]).unwrap();
-    assert_eq!(report.files_rolled_back, 1);
+    let (sys, reports) = sys.restore(&backup, state_ids[2]).unwrap();
+    let report = &reports["srv1"];
+    assert_eq!(report.versions_rolled_back, 1);
     let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();
     let (_, _, version) = sys.engine().file_meta(&url).unwrap();
     assert_eq!(version, 3, "metadata restored to v3");
@@ -502,7 +503,8 @@ fn restore_relinks_files_unlinked_after_the_restore_point() {
         }
 
         // Restore to when it was linked: the link must come back.
-        let (sys, report) = sys.restore(&backup_early, linked_state).unwrap();
+        let (sys, reports) = sys.restore(&backup_early, linked_state).unwrap();
+        let report = &reports["srv1"];
         assert_eq!(report.files_relinked, u64::from(end_durable));
         let node = sys.node("srv1").unwrap();
         let entry = node.server.repository().get_file("/movies/alien.mpg").unwrap();
@@ -535,7 +537,8 @@ fn restore_unlinks_files_linked_after_the_restore_point() {
         }
 
         let backup = sys.backup().unwrap();
-        let (sys, report) = sys.restore(&backup, before_brazil).unwrap();
+        let (sys, reports) = sys.restore(&backup, before_brazil).unwrap();
+        let report = &reports["srv1"];
         assert_eq!(report.files_unlinked, u64::from(end_durable));
         let node = sys.node("srv1").unwrap();
         assert!(node.server.repository().get_file("/movies/brazil.mpg").is_none());
@@ -565,7 +568,8 @@ fn restore_to_before_an_unlink_takes_the_restored_version_from_the_archive() {
     tx.delete("movies", &Value::Int(1)).unwrap();
     tx.commit().unwrap();
 
-    let (sys, report) = sys.restore(&backup, v2_state).unwrap();
+    let (sys, reports) = sys.restore(&backup, v2_state).unwrap();
+    let report = &reports["srv1"];
     assert_eq!(report.files_relinked, 1);
     assert!(report.missing_versions.is_empty(), "{report:?}");
     let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();

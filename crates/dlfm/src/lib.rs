@@ -12,7 +12,9 @@
 //!   and live link/unlink branch marks.
 //! * [`server`] — link/unlink sub-transactions driven by the host's 2PC,
 //!   the open/close protocol (token entries, serialization, take-over,
-//!   metadata refresh, rollback), and crash recovery.
+//!   metadata refresh, rollback).
+//! * [`recovery`] — the one recovery rule: a pure plan per path to the
+//!   host's committed rows, applied in one pass and committed once.
 //! * [`client`], [`agent`], [`wire`] — the host↔DLFM conversation of §2.2
 //!   (child agents for link/unlink + 2PC, the upcall daemon for DLFS) as
 //!   **one protocol with one dispatcher**. `dl_net::Message` is the only
@@ -38,6 +40,7 @@ pub mod client;
 pub mod modes;
 pub mod opens;
 pub mod pool;
+pub mod recovery;
 pub mod repository;
 pub mod server;
 pub mod token;
@@ -49,10 +52,11 @@ pub use client::{AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use opens::OpenTable;
 pub use pool::{HeadGate, PoolStats};
+pub use recovery::{HostFile, HostView, RecoveryReport};
 pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
 pub use server::{
-    lane, DlfmConfig, DlfmServer, DlfmStats, HostFile, HostHook, HostView, Lane, LinkVote,
-    OpenDecision, RecoveryReport, Transport, FLIGHT_RING_CAPACITY,
+    lane, DlfmConfig, DlfmServer, DlfmStats, HostHook, Lane, LinkVote, OpenDecision, Transport,
+    FLIGHT_RING_CAPACITY,
 };
 pub use token::{
     embed_token, hmac_sha256, sha256, split_token_suffix, AccessToken, TokenError, TokenKey,

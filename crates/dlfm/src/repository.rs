@@ -369,33 +369,20 @@ impl Repository {
         txn.update("dl_files", &key, row)
     }
 
-    /// Clears the pending-archive flag once the archive job completed.
-    pub fn clear_needs_archive(&self, path: &str) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        txn.update_column(
-            "dl_files",
-            &Value::Text(path.to_string()),
-            "needs_archive",
-            Value::Bool(false),
-        )?;
-        txn.commit()?;
-        self.bump();
-        Ok(())
+    /// Clears the pending-archive flag inside a caller-provided
+    /// transaction (recovery's, once the store holds the version).
+    pub fn clear_needs_archive_in(&self, txn: &mut Txn, path: &str) -> DbResult<()> {
+        let key = Value::Text(path.to_string());
+        txn.update_column("dl_files", &key, "needs_archive", Value::Bool(false))
     }
 
     /// Clears the pending-archive flag only while `version` is still the
-    /// current version. The archiver's completion callback uses this: by
-    /// the time it runs, a newer update may already have committed (and
-    /// re-set the flag for *its* version) — a stale clear must be a no-op
-    /// or a crash could skip re-archiving the newest committed copy.
-    ///
-    /// The commit is **unforced** (`Txn::commit_unforced`): the flag only
-    /// tells recovery which versions to look for in the archive store, so a
-    /// clear lost in a crash costs one idempotent re-check, and nobody
-    /// waits on a log sync for it. For the same reason it never waits for
-    /// the row: when another transaction holds it (a write open claiming
-    /// the file, a close) the clear is skipped and the flag stays set for
-    /// recovery's re-archive pass. Returns whether the flag was cleared.
+    /// current version (the archiver's completion callback: a newer update
+    /// may have committed and set the flag for *its* version). The commit
+    /// is **unforced**, and a row another transaction holds is skipped: the
+    /// flag only tells recovery which versions to look for in the store, so
+    /// a clear lost or skipped costs one idempotent re-check. Returns
+    /// whether the flag was cleared.
     pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<bool> {
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
@@ -437,11 +424,6 @@ impl Repository {
         archived().or(data).ok_or_else(|| {
             format!("version {} of {path} is neither archived nor readable", entry.cur_version)
         })
-    }
-
-    /// Files whose current version still awaits archiving (recovery).
-    pub fn files_needing_archive(&self) -> Vec<FileEntry> {
-        self.list_files().into_iter().filter(|f| f.needs_archive).collect()
     }
 
     // --- token entries -----------------------------------------------------------

@@ -12,7 +12,7 @@
 //! * the upcall service logic (token validation, open check, close
 //!   processing, remove/rename vetoes) invoked by the upcall daemon.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,12 +22,13 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
+use crate::recovery::Attrs;
 use crate::repository::{FileEntry, IntentEntry, Repository, UipEntry};
 use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// What a link/unlink sub-transaction does to one file's `dl_files` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BranchOp {
+pub(crate) enum BranchOp {
     Link,
     Unlink,
 }
@@ -197,7 +198,7 @@ pub trait HostHook: Send + Sync {
 /// link's take-over, an unlink's hand-back or deletion. An abort has
 /// nothing to undo — the branch changed no file.
 enum DeferredFs {
-    SetAttrs { path: String, uid: u32, gid: u32, mode: u16 },
+    SetAttrs { path: String, attrs: Attrs },
     DeleteFile { path: String },
 }
 
@@ -270,10 +271,10 @@ pub fn lane(msg: &Message) -> Lane {
 /// identity, owner read-write, for as long as the write open lasts (§4.2).
 /// No update-capable mode's at-rest attributes ([`linked_attrs`]) keep a
 /// write bit, so a file found with these is being written.
-const GRANT_MODE: u16 = 0o600;
+pub(crate) const GRANT_MODE: u16 = 0o600;
 
 /// Mode-dependent attributes of a file *at rest* while linked.
-fn linked_attrs(mode: ControlMode, entry: &FileEntry, dlfm: &Cred) -> (u32, u32, u16) {
+pub(crate) fn linked_attrs(mode: ControlMode, entry: &FileEntry, dlfm: &Cred) -> Attrs {
     if mode.takes_over_at_link() {
         // Full control: owned by DLFM, readable by no one else.
         (dlfm.uid, dlfm.gid, 0o400)
@@ -322,14 +323,14 @@ pub struct DlfmServer {
     /// This server's writer generation on `archive`, stamped on every
     /// mutation it and its archiver make: a newer server on the same store
     /// (a promoted standby, a recovered node) fences this one.
-    generation: u64,
+    pub(crate) generation: u64,
     archiver: Archiver,
     /// See [`DlfmServer::content_source`].
     source: ContentSource,
     /// Root-credentialed logical FS over the *raw* physical file system.
-    admin: Lfs,
+    pub(crate) admin: Lfs,
     clock: Arc<dyn Clock>,
-    host: RwLock<Arc<dyn HostHook>>,
+    pub(crate) host: RwLock<Arc<dyn HostHook>>,
     pending: Mutex<HashMap<u64, Arc<Mutex<SubTxn>>>>,
     /// The ordering rule's memory: per path, the repository LSN of its
     /// last committed unlink's end while that end may still sit in the
@@ -348,14 +349,14 @@ pub struct DlfmServer {
     /// dumped by the system layer on crash or failover.
     recorder: Arc<dl_obs::FlightRecorder>,
     /// `dlfm.<server_name>` — the `source` stamped on every span event.
-    flight_source: Arc<str>,
+    pub(crate) flight_source: Arc<str>,
     /// Set by [`DlfmServer::simulate_crash`]: a crashed server must not
     /// tidy up on drop.
     crashed: std::sync::atomic::AtomicBool,
     pub stats: DlfmStats,
 }
 
-const ROOT: Cred = Cred::root();
+pub(crate) const ROOT: Cred = Cred::root();
 
 impl DlfmServer {
     /// Creates a server over the raw physical file system `fs`, under the
@@ -381,14 +382,10 @@ impl DlfmServer {
         let source_fs = Lfs::new(Arc::clone(&fs));
         let source: ContentSource =
             Arc::new(move |path: &str| source_fs.read_file(&ROOT, path).ok());
-        // Completion callback: once the store durably holds the version,
-        // `needs_archive` can clear eagerly (recovery's lazy clear remains
-        // as the backstop for crashes mid-archive). The clear is guarded
-        // twice — the store must actually hold the version (a job whose
-        // content read failed stores nothing) and the version must still
-        // be current (a newer update may have committed meanwhile) — and it
-        // skips a row another transaction holds. The epoch bump is
-        // unconditional: it tells epoch watchers the job has settled.
+        // Completion callback: once the store holds the version (a job whose
+        // content read failed stores nothing), `needs_archive` clears
+        // eagerly; recovery's plan clears what a crash left set. The epoch
+        // bump is unconditional: it tells epoch watchers the job settled.
         let cb_repo = Arc::clone(&repo);
         let cb_epoch = Arc::clone(&sync_epoch);
         let cb_store = Arc::clone(&archive);
@@ -531,7 +528,7 @@ impl DlfmServer {
         &self.source
     }
 
-    fn bump_epoch(&self) {
+    pub(crate) fn bump_epoch(&self) {
         self.sync_epoch.bump();
     }
 
@@ -675,17 +672,12 @@ impl DlfmServer {
                 .map_err(|_| format!("file {path} is currently open (strict link mode)"))?;
             // §2.2: "all these changes to the DLFM repository and file
             // system are applied as part of the same DBMS transaction".
-            let (uid, gid, bits) = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
-            if (uid, gid, bits) != (attr.uid, attr.gid, attr.mode) {
+            let attrs = linked_attrs(mode, &entry, &self.cfg.dlfm_cred);
+            if attrs != (attr.uid, attr.gid, attr.mode) {
                 if mode.takes_over_at_link() {
                     self.stats.takeovers.inc();
                 }
-                sub.deferred.push(DeferredFs::SetAttrs {
-                    path: path.to_string(),
-                    uid,
-                    gid,
-                    mode: bits,
-                });
+                sub.deferred.push(DeferredFs::SetAttrs { path: path.to_string(), attrs });
             }
             sub.files.push((path.to_string(), BranchOp::Link));
             // Cannot fail: the row lock is held and the row is absent.
@@ -738,12 +730,10 @@ impl DlfmServer {
             sub.files.push((path.to_string(), BranchOp::Unlink));
             self.repo.delete_file_in(txn, path).map_err(|e| e.to_string())?;
             sub.deferred.push(match entry.on_unlink {
-                OnUnlink::Restore => DeferredFs::SetAttrs {
-                    path: path.to_string(),
-                    uid: entry.orig_uid,
-                    gid: entry.orig_gid,
-                    mode: entry.orig_mode,
-                },
+                OnUnlink::Restore => {
+                    let attrs = (entry.orig_uid, entry.orig_gid, entry.orig_mode);
+                    DeferredFs::SetAttrs { path: path.to_string(), attrs }
+                }
                 OnUnlink::Delete => DeferredFs::DeleteFile { path: path.to_string() },
             });
             Ok(())
@@ -783,8 +773,8 @@ impl DlfmServer {
         self.record_decide(host_txid, "commit");
         for action in sub.deferred.drain(..) {
             match action {
-                DeferredFs::SetAttrs { path, uid, gid, mode } => {
-                    let _ = self.set_attrs(&path, uid, gid, mode);
+                DeferredFs::SetAttrs { path, attrs } => {
+                    let _ = self.set_attrs(&path, attrs);
                 }
                 DeferredFs::DeleteFile { path } => {
                     let _ = self.admin.remove(&ROOT, &path);
@@ -873,7 +863,7 @@ impl DlfmServer {
     /// span per branch says what was asked and found. `version_of` reads
     /// the host row of a path (live: the host hook; recovery: the host's
     /// view of this node); `txid` only labels the span.
-    fn host_committed(
+    pub(crate) fn host_committed(
         &self,
         txid: u64,
         files: &[(String, BranchOp)],
@@ -939,7 +929,7 @@ impl DlfmServer {
         committed
     }
 
-    fn set_attrs(&self, path: &str, uid: u32, gid: u32, mode: u16) -> Result<(), String> {
+    pub(crate) fn set_attrs(&self, path: &str, (uid, gid, mode): Attrs) -> Result<(), String> {
         self.admin
             .setattr(
                 &ROOT,
@@ -1146,7 +1136,7 @@ impl DlfmServer {
             self.stats.takeovers.inc();
         }
         let dlfm = self.cfg.dlfm_cred;
-        if self.set_attrs(&entry.path, dlfm.uid, dlfm.gid, GRANT_MODE).is_err() {
+        if self.set_attrs(&entry.path, (dlfm.uid, dlfm.gid, GRANT_MODE)).is_err() {
             self.repo.release_write_claim(&entry.path, opener);
             return OpenDecision::Rejected(format!("take-over of {} failed", entry.path));
         }
@@ -1332,11 +1322,8 @@ impl DlfmServer {
             data: None,
             prune: !entry.recovery,
         };
-        // Either way, needs_archive stays set until the job is known
-        // complete (a crash between submit and the worker's store.put would
-        // otherwise lose the only committed copy); the archiver's completion
-        // callback clears it eagerly right after the store holds the
-        // version, with recovery's lazy clear as the crash backstop.
+        // Either way, needs_archive stays set until the store holds the
+        // version: a crash before that leaves recovery to archive it.
         if self.cfg.sync_archive {
             self.archiver.submit_sync(job);
         } else {
@@ -1346,35 +1333,20 @@ impl DlfmServer {
 
     /// Puts committed `version`'s archived bytes back over a write that did
     /// not commit (a failed close-commit, or one recovery finds in flight),
-    /// quarantining the dirty ones. Returns false, touching nothing, when
-    /// the store lacks the version.
-    fn rollback_update(&self, path: &str, version: u64) -> bool {
-        let Some(committed) = self.archive.get(path, version) else { return false };
+    /// quarantining the dirty ones. Touches nothing when the store lacks
+    /// the version.
+    pub(crate) fn rollback_update(&self, path: &str, version: u64) {
+        let Some(committed) = self.archive.get(path, version) else { return };
         self.stats.rollbacks.inc();
         if let Ok(dirty) = self.admin.read_file(&ROOT, path) {
             self.archive.quarantine(self.generation, path, dirty);
         }
         let _ = self.admin.write_file(&ROOT, path, &committed.data);
-        true
-    }
-
-    /// Whether `entry`'s file carries a write grant's attributes: the disk's
-    /// own record of a write in flight, "ascertained by examining the
-    /// ownership of the file" (§4.2). Only update-capable modes are ever
-    /// granted, and their at-rest attributes keep no write bit.
-    fn write_granted(&self, entry: &FileEntry) -> bool {
-        let dlfm = self.cfg.dlfm_cred;
-        entry.mode.supports_update()
-            && self
-                .admin
-                .stat(&ROOT, &entry.path)
-                .is_ok_and(|a| (a.uid, a.gid, a.mode) == (dlfm.uid, dlfm.gid, GRANT_MODE))
     }
 
     /// Returns the file to its at-rest linked attributes after a write.
     fn release_write_grant(&self, entry: &FileEntry) {
-        let (uid, gid, mode) = linked_attrs(entry.mode, entry, &self.cfg.dlfm_cred);
-        let _ = self.set_attrs(&entry.path, uid, gid, mode);
+        let _ = self.set_attrs(&entry.path, linked_attrs(entry.mode, entry, &self.cfg.dlfm_cred));
     }
 
     /// Remove/rename/chmod/chown veto (§2.3): linked files with
@@ -1519,247 +1491,6 @@ impl DlfmServer {
             other => Message::Err(format!("unexpected message {other:?}")),
         }
     }
-
-    // =====================================================================
-    // Recovery: one reconcile by the host rows (§4.2–§4.4)
-    // =====================================================================
-
-    /// Brings this node to what `host` — the host's rows naming it — says:
-    /// the one recovery rule, run by crash recovery, file-server failover
-    /// and point-in-time restore before the node serves anyone. Every path
-    /// the views, `dl_files`, an intent or a claim names settles by
-    /// `DlfmServer::reconcile_file` — which also reads each linked file's
-    /// attributes for a write in flight — in one forced repository commit; then
-    /// versions whose archive job was lost are archived from the disk.
-    /// Token entries and Sync entries live in memory: none come back. `before`
-    /// is the host's rows as they stood before the host was rewound — a
-    /// point-in-time restore passes the running host's; crash recovery and
-    /// failover, which rewind nothing, pass none. A link only they hold is
-    /// handed back from them: the node may keep no record of it, a link's
-    /// end being unforced.
-    pub fn recover(&self, host: &HostView, before: &HostView) -> Result<RecoveryReport, String> {
-        let mut report = RecoveryReport::default();
-        let mut local: BTreeMap<String, LocalRecords> = BTreeMap::new();
-        let mut branches: BTreeMap<u64, Vec<(String, BranchOp)>> = BTreeMap::new();
-        for intent in self.repo.list_intents() {
-            let path = intent.file.path.clone();
-            branches.entry(intent.host_txid).or_default().push((path.clone(), BranchOp::Unlink));
-            local.entry(path).or_default().intent = Some(intent);
-        }
-        // A branch's outcome is the settle rule's, asked of the same rows
-        // the per-file rule reads below — so each file of a branch is
-        // finished the way the branch ended.
-        for (txid, files) in &branches {
-            let committed =
-                self.host_committed(*txid, files, |path| host.get(path).map(|h| h.version));
-            report.in_doubt_resolved.push((*txid, committed));
-        }
-        for file in self.repo.list_files() {
-            let path = file.path.clone();
-            local.entry(path).or_default().file = Some(file);
-        }
-        for claim in self.repo.list_uip() {
-            let path = claim.path.clone();
-            local.entry(path).or_default().claim = Some(claim);
-        }
-        for path in host.keys().chain(before.keys()) {
-            local.entry(path.clone()).or_default();
-        }
-        let state_id = self.host.read().state_id();
-        let mut txn = self.repo.db().begin();
-        for (path, records) in local {
-            let rows = (host.get(&path), before.get(&path));
-            self.reconcile_file(&mut txn, &path, rows, records, state_id, &mut report)?;
-        }
-        txn.commit().map_err(|e| e.to_string())?;
-
-        // Re-archive committed versions whose archive job was lost.
-        for entry in self.repo.files_needing_archive() {
-            if !self.archive.contains(&entry.path, entry.cur_version) {
-                if let Ok(data) = self.admin.read_file(&ROOT, &entry.path) {
-                    self.archive.put(
-                        self.generation,
-                        &entry.path,
-                        entry.cur_version,
-                        entry.state_id,
-                        data,
-                    );
-                    report.archives_recovered += 1;
-                }
-            }
-            let _ = self.repo.clear_needs_archive(&entry.path);
-        }
-
-        self.bump_epoch();
-        Ok(report)
-    }
-
-    /// **The reconcile rule** for one path — the table in DESIGN.md
-    /// ("Recovery and replication"). `rows` are the host's row and the row
-    /// from before a rewind ([`DlfmServer::recover`]'s `before`), `local`
-    /// what this node's log kept; the row changes go into `txn`. The host
-    /// row decides every case: a link's entry and original attributes come
-    /// from this node's row or else the host row, an unlink's intent says
-    /// what the unlink did, a claim the version it reserved, the disk
-    /// whether a write is in flight.
-    fn reconcile_file(
-        &self,
-        txn: &mut dl_minidb::Txn,
-        path: &str,
-        rows: (Option<&HostFile>, Option<&HostFile>),
-        local: LocalRecords,
-        state_id: u64,
-        report: &mut RecoveryReport,
-    ) -> Result<(), String> {
-        let (host, before) = rows;
-        let LocalRecords { file, intent, claim } = local;
-        let db_err = |e: dl_minidb::DbError| e.to_string();
-        // A claim whose version the host row records committed (its close
-        // record was lost) rolls forward below; any other claim never did,
-        // and its dirty bytes go.
-        let uncommitted = claim.as_ref().filter(|c| host.is_none_or(|h| h.version < c.new_version));
-        if claim.is_some() {
-            if let (Some(entry), Some(_)) = (&file, uncommitted) {
-                self.rollback_update(path, entry.cur_version);
-                report.updates_rolled_back += 1;
-            }
-            self.repo.remove_uip_in(txn, path).map_err(db_err)?;
-        }
-        let unlink_action = intent.as_ref().map(|intent| intent.file.on_unlink);
-        if let Some(intent) = &intent {
-            self.repo.remove_intent_in(txn, intent.host_txid, path).map_err(db_err)?;
-        }
-        match (host, file) {
-            (None, Some(entry)) => {
-                self.repo.delete_file_in(txn, path).map_err(db_err)?;
-                if unlink_action == Some(OnUnlink::Delete) {
-                    let _ = self.admin.remove(&ROOT, path);
-                    self.archive.forget(self.generation, path);
-                } else {
-                    let _ = self.set_attrs(path, entry.orig_uid, entry.orig_gid, entry.orig_mode);
-                }
-                match unlink_action {
-                    Some(_) => report.unlinks_completed += 1,
-                    None => report.files_unlinked += 1,
-                }
-            }
-            (None, None) => {
-                // A link the host was rewound past, whose row this node never
-                // kept: hand the file back as the row from before the rewind
-                // says — its take-over may have applied.
-                if let Some(row) = before {
-                    let _ = self.set_attrs(path, row.orig_uid, row.orig_gid, row.orig_mode);
-                    report.links_undone += 1;
-                }
-            }
-            (Some(row), file) => {
-                // The link as this node recorded it, else as the host row
-                // records it (its end was lost, or it was made before a
-                // rewind past its unlink).
-                let relink = file.is_none();
-                let entry = file.or_else(|| self.entry_of_row(path, row));
-                let Some(entry) = entry else {
-                    report.missing_versions.push((path.to_string(), row.version));
-                    return Ok(());
-                };
-                if relink {
-                    self.repo.insert_file_in(txn, &entry).map_err(db_err)?;
-                    report.files_relinked += 1;
-                }
-                // A write in flight that no uncommitted claim accounts for:
-                // its claim was lost, or only an earlier update's committed
-                // claim survived. Its bytes may be dirty; the host version's
-                // are in the store — a grant waits until the version before
-                // it is archived — except between a close's host commit and
-                // its grant's release, when the disk holds them.
-                let in_flight = uncommitted.is_none() && self.write_granted(&entry);
-                if in_flight && self.rollback_update(path, row.version) {
-                    report.updates_rolled_back += 1;
-                }
-                // At rest the disk may hold a version past the host row's (a
-                // restore, or a host failover that lost an update's
-                // `Commit`), so a move takes the store's copy of the row's
-                // version, and the disk's only when the store lacks it.
-                let moved =
-                    self.move_to_version(txn, &entry, row.version, in_flight, state_id, report)?;
-                if relink || moved || in_flight || claim.is_some() || unlink_action.is_some() {
-                    self.release_write_grant(&entry);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The entry of a link the host committed and this node holds no row
-    /// of (its end was lost to a crash or a failover, or a restore went
-    /// back to before its unlink): the column's options and the original
-    /// attributes the link's vote recorded in the host row. `None` when the
-    /// file is not on disk.
-    fn entry_of_row(&self, path: &str, row: &HostFile) -> Option<FileEntry> {
-        let attr = self.admin.stat(&ROOT, path).ok()?;
-        Some(FileEntry {
-            path: path.to_string(),
-            mode: row.mode,
-            recovery: row.recovery,
-            on_unlink: row.on_unlink,
-            cur_version: 1,
-            orig_uid: row.orig_uid,
-            orig_gid: row.orig_gid,
-            orig_mode: row.orig_mode,
-            ino: attr.ino,
-            state_id: 0,
-            needs_archive: false,
-        })
-    }
-
-    /// Moves `entry` to the host's `version`. The bytes: already in place
-    /// when `on_disk` (a write in flight, rolled back), else the archived
-    /// version's if the store holds it; a newer version it lacks is on
-    /// disk, and an older one (RECOVERY NO prunes) is reported missing and
-    /// the file stays. `needs_archive` is set, so the re-archive pass
-    /// copies what the store lacks. Returns whether the version moved.
-    fn move_to_version(
-        &self,
-        txn: &mut dl_minidb::Txn,
-        entry: &FileEntry,
-        version: u64,
-        on_disk: bool,
-        state_id: u64,
-        report: &mut RecoveryReport,
-    ) -> Result<bool, String> {
-        let (path, from) = (&entry.path, entry.cur_version);
-        if version == from {
-            return Ok(false);
-        }
-        if !on_disk {
-            match self.archive.get(path, version) {
-                Some(archived) => self
-                    .admin
-                    .write_file(&ROOT, path, &archived.data)
-                    .map_err(|e| format!("restore {path} to version {version}: {e}"))?,
-                None if version < from => {
-                    report.missing_versions.push((path.clone(), version));
-                    return Ok(false);
-                }
-                None => {}
-            }
-        }
-        self.repo.commit_version_in(txn, path, version, state_id).map_err(|e| e.to_string())?;
-        if version < from {
-            report.versions_rolled_back += 1;
-            return Ok(true);
-        }
-        self.stats.updates_rolled_forward.inc();
-        self.recorder.record(
-            &self.flight_source,
-            "roll_forward",
-            0,
-            path,
-            format!("version={version} host_version={version} from={from}"),
-        );
-        report.updates_rolled_forward += 1;
-        Ok(true)
-    }
 }
 
 impl Drop for DlfmServer {
@@ -1773,65 +1504,4 @@ impl Drop for DlfmServer {
             let _ = self.repo.db().flush();
         }
     }
-}
-
-/// One file of a node as the host's committed rows describe it: the
-/// version and the original attributes its `__dl_meta` row records (the
-/// latter from the link's [`LinkVote`]) and the options of the DATALINK
-/// column whose row references it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostFile {
-    pub version: u64,
-    pub mode: ControlMode,
-    pub recovery: bool,
-    pub on_unlink: OnUnlink,
-    pub orig_uid: u32,
-    pub orig_gid: u32,
-    pub orig_mode: u16,
-}
-
-/// The host's view of one node — path → [`HostFile`] for every file whose
-/// `__dl_meta` row names the node: the one input [`DlfmServer::recover`]
-/// takes from the host.
-pub type HostView = HashMap<String, HostFile>;
-
-/// What this node's own log kept about one path.
-#[derive(Default)]
-struct LocalRecords {
-    file: Option<FileEntry>,
-    /// A surviving unlink intent.
-    intent: Option<IntentEntry>,
-    claim: Option<UipEntry>,
-}
-
-/// What recovery did (assertable in tests, printed by the report binary).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// One entry per unlink branch a surviving intent left unsettled:
-    /// `(host_txid, committed)`. A link leaves no intent.
-    pub in_doubt_resolved: Vec<(u64, bool)>,
-    /// Files handed back from the host's rows before a rewind: links the
-    /// host no longer holds and this node kept no row of.
-    pub links_undone: u64,
-    pub unlinks_completed: u64,
-    /// Files moved forward to the host row's version: a surviving claim
-    /// whose close record was lost, or an update this node never heard of.
-    pub updates_rolled_forward: u64,
-    /// Writes rolled back to the host row's version: surviving claims the
-    /// host never committed, and writes in flight whose claim was lost,
-    /// found by the file's write-grant attributes.
-    pub updates_rolled_back: u64,
-    pub archives_recovered: u64,
-    /// Links the host rows hold and this node kept no row of
-    /// (`files_relinked`), and files this node held linked that the host
-    /// rows no longer do with no unlink intent to show for it
-    /// (`files_unlinked`).
-    pub files_relinked: u64,
-    pub files_unlinked: u64,
-    /// Files moved back to the host row's older, archived version (a
-    /// point-in-time restore).
-    pub versions_rolled_back: u64,
-    /// `(path, version)` pairs the host rows name and nothing here can
-    /// supply: an old version a RECOVERY NO column pruned, a file gone.
-    pub missing_versions: Vec<(String, u64)>,
 }

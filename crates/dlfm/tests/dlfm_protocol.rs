@@ -345,7 +345,7 @@ fn needs_archive_clears_eagerly_after_async_archive() {
         );
         std::thread::yield_now();
     }
-    assert!(f.server.repository().files_needing_archive().is_empty());
+    assert!(f.server.repository().list_files().iter().all(|entry| !entry.needs_archive));
 }
 
 #[test]

@@ -84,8 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The auditor asks: "show me the system as of revision 2."
     let (_, rev2_state) = states[1];
-    let (sys, report) = sys.restore(&backup, rev2_state)?;
-    println!("restored to state {rev2_state}: {} file(s) rolled back", report.files_rolled_back);
+    let (sys, reports) = sys.restore(&backup, rev2_state)?;
+    let rolled_back: u64 = reports.values().map(|r| r.versions_rolled_back).sum();
+    println!("restored to state {rev2_state}: {rolled_back} file(s) rolled back");
 
     // Both the row and the file are back at revision 2, in lockstep.
     let row = sys

@@ -2,12 +2,14 @@
 //! (no commit acknowledged or observable before its batch syncs), recovery
 //! equivalence between the two commit modes, crash-mid-batch recovery of
 //! the whole database, and what group commit saves, gated as counts: device
-//! syncs per commit, and per update cycle through the full stack.
+//! syncs per commit, per update cycle through the full stack, and per node
+//! recovery.
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use datalinks::dlfm::HostView;
 use datalinks::minidb::{
     Column, ColumnType, Database, DbOptions, DiskFaults, Row, Schema, StorageEnv, Value, WalOptions,
 };
@@ -470,6 +472,40 @@ fn an_update_cycle_syncs_once_under_group_commit_and_four_times_per_commit() {
     assert_eq!(stack_syncs_per_update(WalOptions::per_commit_sync()), 4.0);
     let grouped = stack_syncs_per_update(WalOptions::tuned_for(1));
     assert!(grouped <= 1.1, "group commit synced {grouped} times per update cycle");
+}
+
+/// Recovery makes one forced repository commit, whatever it re-archives:
+/// four files whose archive jobs a crash lost (`needs_archive` set, the
+/// store lacking the version) are archived from the disk, and their flags
+/// clear in the same commit as every other row recovery writes. The
+/// repository's device syncs once.
+#[test]
+fn a_recovery_that_re_archives_four_files_syncs_the_repository_once() {
+    const FILES: usize = 4;
+    let f = dl_bench::fixture(dl_bench::FixtureOptions {
+        n_files: FILES,
+        db: per_commit_opts(),
+        db_sync_latency_ns: DEVICE_SYNC_NS,
+        ..Default::default()
+    });
+    let server = &f.sys.node(dl_bench::SRV).unwrap().server;
+    let repo = server.repository().db().clone();
+    let mut txn = repo.begin();
+    for path in &f.paths {
+        let key = Value::Text(path.clone());
+        txn.update_column("dl_files", &key, "needs_archive", Value::Bool(true)).unwrap();
+    }
+    txn.commit().unwrap();
+    let view = f.sys.engine().host_views().unwrap().remove(dl_bench::SRV).unwrap();
+
+    let before = syncs(&repo);
+    let report = server.recover(&view, &HostView::new()).unwrap();
+    assert_eq!(syncs(&repo) - before, 1, "repository syncs for one recovery: {report:?}");
+    assert_eq!(report.archives_recovered, FILES as u64);
+    for path in &f.paths {
+        assert!(server.archive_store().contains(path, 1), "{path} archived");
+        assert!(!server.repository().get_file(path).unwrap().needs_archive, "{path} cleared");
+    }
 }
 
 proptest! {
