@@ -44,10 +44,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 # the primary's store and a new server fences the old one by its writer
 # generation — no mirroring, no per-path forwarding order, and `fail_over`
 # makes no archive call of its own.
-# No forced repository record on the update path (DESIGN.md "Force audit"):
-# the host's `Commit` is an update's one forced write, so neither the write
-# claim nor its removal waits on a repository sync — a lost claim is read
-# back off the file's write-grant attributes.
 # A read replica is the repository over its follower (DESIGN.md "Recovery
 # and replication"): no private session database beside it, and the
 # `dl_files` schema is declared once, in the repository.
@@ -72,7 +68,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # events are ready, and otherwise lends it — no `give_seat` at the loop
 # body's own level (outside the branch on the ready list), and a
 # `lend_seat` must be there.
-step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no forced repository record on the update path, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving, no seat given away per frame"
+step "guard: no second protocol definition, no deleted knobs, no third harness, one database type (following is a mode), no second slot swap, no 2PC on the close path, no second copy of a 2PC outcome, no participant-side 2PC, no second reconcile, one archive per node, no replica session database, one dl_files schema, no upcall at lookup, no prepare round, no repository write in a link's vote, no frame hand-off to a worker, no archiver channel, no Busy from archiving, no seat given away per frame"
 if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|read_lane_width|PoolOptions::fixed" \
     crates/ src/ tests/ \
   || grep -rnE "settle_stats|reply_parked|try_grow|retire_window|upcall_idle_ms|upcall_workers_min" \
@@ -88,8 +84,6 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
   || grep -rnE "add_[m]irror|remove_[m]irror|seal_mirror_[i]nput|mirror_[p]ut|mirror_[m]embership|path_[o]rder" \
        crates/ src/ tests/ \
   || awk '/fn fail_over\(/,/^    }$/' crates/core/src/system.rs | grep -n "archive_[s]tore()" \
-  || awk '/fn (claim_write_open|remove_uip)\(/,/^    }$/' crates/dlfm/src/repository.rs \
-       | grep -n "txn\.[c]ommit()" \
   || awk '/fn (promote_host|fail_over)\(/,/^    }$/' crates/core/src/system.rs \
        | grep -nE "Database::[o]pen|promote_target\(\)\.[e]nv\(\)" \
   || grep -rn "swap_log_slot" crates/ src/ tests/ | grep -v "^crates/minidb/src/wal.rs:" \
@@ -110,7 +104,7 @@ if grep -rnE "enum (AgentRequest|UpcallRequest|UpcallReply)|thread_per_agent|rea
        | grep -nE "^ {12}shared\.[g]ive_seat\(" \
   || ! awk '/    fn run\(self\) \{/,/^    }$/' crates/net/src/reactor.rs \
        | grep -q "shared\.[l]end_seat(set)"; then
-  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a forced update-path repository record, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote, a frame hand-off to a worker, an archiver channel, a Busy from archiving or a per-frame seat give-away (no lend in Worker::run) reappeared (matches above)" >&2
+  echo "guard: a duplicate protocol definition, a deleted knob, harness, a standby type or a promotion that reopens, a second slot swap, a close-path participant, a 2PC outcome copy, participant-side 2PC, a second reconcile, archive mirroring, a replica session database, a second dl_files schema, an upcall at lookup, a prepare round, a repository write in a link's vote, a frame hand-off to a worker, an archiver channel, a Busy from archiving or a per-frame seat give-away (no lend in Worker::run) reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -171,13 +165,27 @@ fi
 # One commit point (DESIGN.md "Force audit"): a DLFM server always runs
 # under a host, which its one constructor takes. No hookless mode forces a
 # repository commit of its own for an update, no `Option` stands for a
-# missing host or a missing live-bytes source, and no forced `dl_uip`
-# insert stands beside the claim. (The bracketed first letters keep these
-# patterns from matching this file.)
+# missing host or a missing live-bytes source, and no forced insert of a
+# write claim comes back. (The bracketed first letters keep these patterns
+# from matching this file.)
 step "guard: no DLFM without a host, no second update commit point"
 if grep -rnE "[S]tandalone mode|[O]ption<Arc<dyn HostHook>>|fn [w]ith_repository\b|[f]allback: Option<ContentSource>|[l]ive: Option<&ContentSource>|fn [p]ut_uip\b" \
     crates/ src/ tests/ examples/; then
   echo "guard: a hookless DLFM (Standalone mode, an optional host, with_repository), an optional content source or put_uip reappeared (matches above)" >&2
+  exit 1
+fi
+
+# No write claim in the log (DESIGN.md "Force audit"): a write open is one
+# check-and-set of DLFM's open table, whose writer entry holds the version
+# its close commits, and the write grant's attributes on the file are the
+# one durable mark of a write in flight. An update writes no repository
+# record before its close's: no claim table or row type, no reads or
+# removals of one, no recovery step for one. (The bracketed first letters
+# keep these patterns from matching this file.)
+step "guard: no write claim in the log"
+if grep -rnE "[d]l_uip|[U]ipEntry|fn [g]et_uip|fn [l]ist_uip|fn [r]emove_uip|[D]ropClaim" \
+    crates/ src/ tests/ examples/; then
+  echo "guard: a write claim in the repository log (dl_uip, UipEntry, get_uip, list_uip, remove_uip or DropClaim) reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -240,10 +248,12 @@ fi
 # mutex (`reactor::` in dl-net, and every wire_transport test rides it).
 # The lock manager's tests race blocked waiters against releases and
 # deadlock victims on hashed keys (`lock::` in dl-minidb). DLFM's open
-# table races a read open against an unlink branch, read and write opens
-# against each other, and a strict registration against a link branch
-# (dlfm_protocol's `racing` and `concurrent_read_and_write` tests). The
-# daemon driver's kick, stop and idle race their threads: the snapshotter
+# table races a read open and a write open against an unlink branch — no
+# row lock orders either — read and write opens against each other, and a
+# strict registration against a link branch (dlfm_protocol's `racing`
+# and `concurrent_read_and_write` tests, and the open table's own claim
+# tests, `opens::` in dl-dlfm). The daemon driver's kick, stop and idle
+# race their threads: the snapshotter
 # (`replica::` in dl-minidb), the shipper's pause and freeze (dl-repl) and
 # the archiver's burst and steal tests (`archive::` in dl-dlfm).
 # group_commit, replication, sharding and wire_transport also hold count
@@ -256,7 +266,7 @@ fi
 # window under concurrent clients.
 # One green run proves little about a race; five in a row, failing on the
 # first red.
-step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + fault_matrix + minidb wal:: + minidb lock:: + minidb replica:: + dl-repl + dlfm archive:: + wire_transport + dl-net reactor:: + dlfm open-table races x5"
+step "flake guard: crash_recovery + group_commit + replication + close_commit_sweep + sharding + fault_matrix + minidb wal:: + minidb lock:: + minidb replica:: + dl-repl + dlfm archive:: + wire_transport + dl-net reactor:: + dlfm open-table races and claims x5"
 for round in 1 2 3 4 5; do
   cargo test --offline -q --test crash_recovery --test group_commit --test replication \
     --test close_commit_sweep --test sharding --test fault_matrix \
@@ -277,6 +287,8 @@ for round in 1 2 3 4 5; do
     || { echo "flake guard: round $round (archive::) failed" >&2; exit 1; }
   cargo test --offline -q -p dl-dlfm --test dlfm_protocol -- racing concurrent_read_and_write \
     || { echo "flake guard: round $round (open-table races) failed" >&2; exit 1; }
+  cargo test --offline -q -p dl-dlfm --lib opens:: \
+    || { echo "flake guard: round $round (open-table claims) failed" >&2; exit 1; }
 done
 
 # The socket path is load-bearing (Transport::Socket routes the whole

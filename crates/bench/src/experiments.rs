@@ -352,8 +352,10 @@ pub fn e4_open_write_modes(iters: u64) -> Table {
         header: vec![s("file"), s("ns/cycle"), s("time"), s("vs plain")],
         rows,
         notes: vec![
-            "rfd pays: failed physical open + takeover upcall + UIP/sync entries + release".into(),
-            "rdd pays: open-check upcall + UIP/sync entries + release".into(),
+            "rfd pays: failed physical open + takeover upcall + writer entry + release".into(),
+            "rdd pays: open-check upcall + writer entry + release (the writer entry is DLFM's \
+             in-memory open table: the write open logs nothing)"
+                .into(),
         ],
     }
 }

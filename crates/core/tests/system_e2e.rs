@@ -667,19 +667,19 @@ fn update_commits_once_on_the_host_with_no_participant_and_no_two_phase_record()
     update_file(&sys, 1, b"alien v2");
     node.server.archive_store().wait_archived("/movies/alien.mpg");
 
-    // One forced log write per update: the host's commit. The claim, the
-    // close record and the flag clear wait on no sync.
+    // One forced log write per update: the host's commit. The close record
+    // and the flag clear wait on no sync; the write open logs nothing.
     assert_eq!(syncs(&repo_wal) - repo_syncs, 0, "the repository forces nothing");
     assert_eq!(syncs(&host_wal) - host_syncs, 1, "the host forces its one commit");
-    assert_eq!(repo_wal.unforced_appends.get() - repo_unforced, 3);
+    assert_eq!(repo_wal.unforced_appends.get() - repo_unforced, 2);
     assert_eq!(host_wal.unforced_appends.get(), 0);
 
-    // The repository log of the cycle: claim, close, flag clear — three
-    // plain commits.
+    // The repository log of the cycle: close, flag clear — two plain
+    // commits of the file's row.
     repo.flush().unwrap();
     let repo_log = repo.wal_reader().read_from(repo_mark).unwrap().records;
     let tables: Vec<Vec<&str>> = repo_log.iter().map(|(_, rec)| op_tables(rec)).collect();
-    assert_eq!(tables, [vec!["dl_uip"], vec!["dl_files", "dl_uip"], vec!["dl_files"]]);
+    assert_eq!(tables, [vec!["dl_files"], vec!["dl_files"]]);
 
     // The host log of the cycle: one commit, of the metadata row alone. It
     // enlisted nobody — no link/unlink branch rode it.
@@ -758,7 +758,7 @@ fn failed_host_commit_rolls_the_file_back_and_moves_no_counter_or_version() {
     assert_eq!(sys.engine().stats.meta_updates.get(), 1, "a failed commit is not an update");
     assert_eq!(raw.read_file(&Cred::root(), "/movies/alien.mpg").unwrap(), b"alien v2");
     let repo = node.server.repository();
-    assert!(repo.get_uip("/movies/alien.mpg").is_none(), "the claim is released");
+    assert!(repo.sync_entries("/movies/alien.mpg").is_empty(), "the writer slot is released");
     assert_eq!(repo.get_file("/movies/alien.mpg").unwrap().cur_version, 2);
     let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();
     assert_eq!(sys.engine().file_meta(&url).unwrap().2, 2, "host metadata unmoved");

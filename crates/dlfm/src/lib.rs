@@ -53,7 +53,7 @@ pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use opens::OpenTable;
 pub use pool::{HeadGate, PoolStats};
 pub use recovery::{HostFile, HostView, RecoveryReport};
-pub use repository::{FileEntry, Repository, SyncEntry, UipEntry};
+pub use repository::{FileEntry, Repository, SyncEntry};
 pub use server::{
     lane, DlfmConfig, DlfmServer, DlfmStats, HostHook, Lane, LinkVote, OpenDecision, Transport,
     FLIGHT_RING_CAPACITY,

@@ -21,6 +21,20 @@ struct Open {
     opener: u64,
     kind: TokenKind,
     uid: u32,
+    /// A granted writer's: the version its close commits. The entry is the
+    /// one record of the write in flight until its close.
+    commits: Option<u64>,
+}
+
+/// What [`OpenTable::end`] found of an open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ended {
+    /// The entry is gone: a read open's, a strict registration's, or a
+    /// granted writer's ended with `writes_too`.
+    Removed,
+    /// A granted writer's entry, left in place: its close commits this
+    /// version, then ends it.
+    Writer(u64),
 }
 
 /// A live link/unlink branch holding the path: voted, undecided.
@@ -93,15 +107,19 @@ impl OpenTable {
 
     /// The Sync entries of `path`.
     pub fn entries(&self, path: &str) -> Vec<SyncEntry> {
-        let entry =
-            |&Open { opener, kind, uid }: &Open| SyncEntry { path: path.into(), kind, opener, uid };
+        let entry = |&Open { opener, kind, uid, .. }: &Open| SyncEntry {
+            path: path.into(),
+            kind,
+            opener,
+            uid,
+        };
         self.read(path, |state| state.opens.iter().map(entry).collect())
     }
 
     /// Unlink branches of `path` (and of the paths in its bucket) ended so
-    /// far. A read open reads it *before* it looks its file up, and
-    /// [`OpenTable::claim_read`] refuses when it moved since: the file found
-    /// linked may be gone.
+    /// far. An open reads it *before* it looks its file up, and
+    /// [`OpenTable::claim_read`] and [`OpenTable::claim_write`] refuse when
+    /// it moved since: the file found linked may be gone.
     pub fn unlinks_ended(&self, path: &str) -> u64 {
         self.unlinks_of(path).load(Ordering::SeqCst)
     }
@@ -129,7 +147,7 @@ impl OpenTable {
             if moved || state.has_writer() || state.branch.is_some() {
                 return false;
             }
-            state.opens.push(Open { opener, kind: TokenKind::Read, uid });
+            state.opens.push(Open { opener, kind: TokenKind::Read, uid, commits: None });
             if let Some(token) = token {
                 state.tokens.insert((uid, token.kind), token.expires_at_ms);
             }
@@ -137,17 +155,45 @@ impl OpenTable {
         })
     }
 
-    /// Registers a write open: refused while the file is open for write or,
-    /// with `read_conflicts` (full control), open at all. The caller holds
-    /// the file's `dl_files` row lock.
-    pub fn claim_write(&self, path: &str, opener: u64, uid: u32, read_conflicts: bool) -> bool {
+    /// Claims the writer slot of a file found linked at `unlinks_seen`:
+    /// refused while it is open for write or, with `read_conflicts` (full
+    /// control), open at all, while a branch holds it, or when an unlink
+    /// ended since. Whichever of a write claim and an unlink's
+    /// [`OpenTable::begin_branch`] comes second is refused, so no writer
+    /// holds an unlinked file and no unlink passes a writer (§4.5). The
+    /// claimer then reads the file's row and [`OpenTable::grant`]s.
+    pub fn claim_write(
+        &self,
+        path: &str,
+        opener: u64,
+        uid: u32,
+        read_conflicts: bool,
+        unlinks_seen: u64,
+    ) -> bool {
         self.with_path(path, |state| {
-            if state.has_writer() || (read_conflicts && !state.opens.is_empty()) {
+            let moved = self.unlinks_ended(path) != unlinks_seen;
+            let conflicts = state.has_writer() || (read_conflicts && !state.opens.is_empty());
+            if moved || conflicts || state.branch.is_some() {
                 return false;
             }
-            state.opens.push(Open { opener, kind: TokenKind::Write, uid });
+            state.opens.push(Open { opener, kind: TokenKind::Write, uid, commits: None });
             true
         })
+    }
+
+    /// Completes a write claim: the writer's entry holds `commits`, the
+    /// version its close commits, and the carried `token`'s entry is
+    /// recorded.
+    pub fn grant(&self, path: &str, opener: u64, commits: u64, token: Option<&AccessToken>) {
+        self.with_path(path, |state| {
+            let Some(writer) = state.opens.iter_mut().find(|open| open.opener == opener) else {
+                return;
+            };
+            writer.commits = Some(commits);
+            if let Some(token) = token {
+                state.tokens.insert((writer.uid, token.kind), token.expires_at_ms);
+            }
+        });
     }
 
     /// Records a strict-link registration of an open (§4.5), refused while
@@ -164,26 +210,26 @@ impl OpenTable {
             if let Some(Branch::Link(_)) = state.branch {
                 return Err(format!("{path} is being linked (strict link mode); open rejected"));
             }
-            state.opens.push(Open { opener, kind, uid });
+            state.opens.push(Open { opener, kind, uid, commits: None });
             Ok(())
         })
     }
 
-    /// Removes (`path`, `opener`)'s entry — unless it is a write open's and
-    /// not `writes_too`: a write's close ends it after its commit. Returns
-    /// the kind of the entry found, if any.
-    pub fn end(&self, path: &str, opener: u64, writes_too: bool) -> Option<TokenKind> {
+    /// Removes (`path`, `opener`)'s entry — unless it is a granted writer's
+    /// and not `writes_too`: a write's close ends it after its commit.
+    /// Returns what it found, if anything.
+    pub fn end(&self, path: &str, opener: u64, writes_too: bool) -> Option<Ended> {
         let mut paths = self.paths.lock();
         let state = paths.get_mut(path)?;
         let at = state.opens.iter().position(|open| open.opener == opener)?;
-        let kind = state.opens[at].kind;
-        if kind == TokenKind::Read || writes_too {
-            state.opens.swap_remove(at);
-            if state.is_empty() {
-                paths.remove(path);
-            }
+        if let (Some(version), false) = (state.opens[at].commits, writes_too) {
+            return Some(Ended::Writer(version));
         }
-        Some(kind)
+        state.opens.swap_remove(at);
+        if state.is_empty() {
+            paths.remove(path);
+        }
+        Some(Ended::Removed)
     }
 
     /// Marks `path` as held by a live branch: a link of `mode`, or an
@@ -247,15 +293,38 @@ mod tests {
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Read, 50);
         assert!(t.claim_read("/f", 1, 7, Some(&token), 0));
         assert!(t.token_admits(7, "/f", TokenKind::Read, 50), "the claim recorded the token");
-        assert!(!t.claim_write("/f", 2, 7, true));
-        assert!(t.claim_write("/f", 2, 7, false));
-        assert!(!t.claim_write("/f", 3, 7, false));
+        assert!(!t.claim_write("/f", 2, 7, true, 0));
+        assert!(t.claim_write("/f", 2, 7, false, 0));
+        let write = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 60);
+        t.grant("/f", 2, 5, Some(&write));
+        assert!(t.token_admits(7, "/f", TokenKind::Write, 60), "the grant recorded the token");
+        assert!(!t.claim_write("/f", 3, 7, false, 0));
         assert!(!t.claim_read("/f", 4, 7, None, 0));
-        assert_eq!(t.end("/f", 2, false), Some(TokenKind::Write), "a write close ends it itself");
+        assert_eq!(t.end("/f", 2, false), Some(Ended::Writer(5)), "a write close ends it itself");
         assert_eq!(t.entries("/f").len(), 2);
-        assert_eq!(t.end("/f", 2, true), Some(TokenKind::Write));
-        assert_eq!(t.end("/f", 1, false), Some(TokenKind::Read));
+        assert_eq!(t.end("/f", 2, true), Some(Ended::Removed));
+        assert_eq!(t.end("/f", 1, false), Some(Ended::Removed));
         assert!(t.entries("/f").is_empty());
+    }
+
+    #[test]
+    fn a_write_claim_is_refused_under_a_branch_mark_and_after_an_unlink_ended() {
+        let t = OpenTable::default();
+        t.begin_branch("/f", Some(ControlMode::Rdd), false).unwrap();
+        assert!(!t.claim_write("/f", 1, 7, false, 0), "a live link branch");
+        t.end_branch("/f");
+        let seen = t.unlinks_ended("/f");
+        t.begin_branch("/f", None, true).unwrap();
+        assert!(!t.claim_write("/f", 1, 7, false, seen), "a live unlink branch");
+        t.end_branch("/f");
+        assert!(!t.claim_write("/f", 1, 7, false, seen), "an unlink ended after the lookup");
+        assert!(t.entries("/f").is_empty(), "a refused claim records nothing");
+        assert!(t.claim_write("/f", 1, 7, false, t.unlinks_ended("/f")));
+        assert_eq!(t.begin_branch("/f", None, true), Err(1), "the writer refuses the unlink");
+        // A strict registration of a write is no granted writer: its close
+        // removes it at once.
+        t.register("/g", TokenKind::Write, 2, 7).unwrap();
+        assert_eq!(t.end("/g", 2, false), Some(Ended::Removed));
     }
 
     #[test]
@@ -276,7 +345,7 @@ mod tests {
     fn an_empty_path_leaves_the_table() {
         let t = OpenTable::default();
         t.register("/f", TokenKind::Read, 1, 7).unwrap();
-        assert_eq!(t.end("/f", 1, false), Some(TokenKind::Read));
+        assert_eq!(t.end("/f", 1, false), Some(Ended::Removed));
         assert_eq!(t.end("/f", 1, false), None);
         assert!(t.paths.lock().is_empty());
     }

@@ -48,9 +48,8 @@ pub struct Inputs {
     pub file: Option<FileEntry>,
     /// A surviving unlink intent: its host transaction and ON UNLINK action.
     pub intent: Option<(u64, OnUnlink)>,
-    /// A surviving write claim's version: committed if the host row reached it.
-    pub claim: Option<u64>,
-    /// The file carries a write grant's attributes (DLFM uid/gid, `0o600`).
+    /// The file carries a write grant's attributes (DLFM uid/gid, `0o600`):
+    /// a write was in flight.
     pub granted: bool,
     /// The file's inode number, when it is on disk.
     pub ino: Option<u64>,
@@ -67,8 +66,6 @@ pub struct Inputs {
 /// once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
-    /// Drop the write claim's `dl_uip` row.
-    DropClaim,
     /// Drop the unlink intent of this host transaction.
     DropIntent(u64),
     /// Put the store's copy of this version over a write that never
@@ -104,23 +101,12 @@ pub enum Step {
 /// **The reconcile rule** for one path: the table in DESIGN.md ("Recovery
 /// and replication" §6). The host row decides every case. A link's entry
 /// and original attributes come from this node's row or else the host
-/// row. An unlink's intent says what the unlink did, a claim which version
-/// it reserved, and the file's attributes whether a write is in flight.
-/// The last steps re-archive the version the path ends at, if the store
-/// lacks it.
+/// row. An unlink's intent says what the unlink did, and the file's
+/// attributes whether a write is in flight. The last steps re-archive the
+/// version the path ends at, if the store lacks it.
 pub fn plan(inputs: &Inputs) -> Vec<Step> {
     let mut steps = Vec::new();
     let holds = |version: u64| inputs.stored.contains(&version);
-    // A claim whose version the host row records committed (its close
-    // record was lost) rolls forward below. Any other claim never
-    // committed, and its dirty bytes go.
-    let uncommitted = inputs.claim.is_some_and(|c| inputs.host.is_none_or(|h| h.version < c));
-    if inputs.claim.is_some() {
-        if let Some(entry) = inputs.file.as_ref().filter(|e| uncommitted && holds(e.cur_version)) {
-            steps.push(Step::RollBack(entry.cur_version));
-        }
-        steps.push(Step::DropClaim);
-    }
     if let Some((txid, _)) = inputs.intent {
         steps.push(Step::DropIntent(txid));
     }
@@ -166,13 +152,12 @@ pub fn plan(inputs: &Inputs) -> Vec<Step> {
             entry
         }
     };
-    // A write in flight that no uncommitted claim accounts for: its claim
-    // was lost, or only an earlier update's committed claim survived. Its
-    // bytes may be dirty; the host version's are in the store (a grant
-    // waits until the version before it is archived), except between a
-    // close's host commit and its grant's release, when the disk holds
-    // them.
-    let in_flight = !uncommitted && inputs.granted && entry.mode.supports_update();
+    // A write in flight, found by its grant's attributes: the open logged
+    // nothing. Its bytes may be dirty; the host version's are in the store
+    // (a grant waits until the version before it is archived), except
+    // between a close's host commit and its grant's release, when the disk
+    // holds them.
+    let in_flight = inputs.granted && entry.mode.supports_update();
     if in_flight && holds(row.version) {
         steps.push(Step::RollBack(row.version));
     }
@@ -192,7 +177,7 @@ pub fn plan(inputs: &Inputs) -> Vec<Step> {
     } else if row.version != from {
         steps.push(Step::Missing(row.version));
     }
-    if file.is_none() || moved || in_flight || inputs.claim.is_some() || unlink.is_some() {
+    if file.is_none() || moved || in_flight || unlink.is_some() {
         steps.push(Step::AtRest(linked_attrs(entry.mode, &entry, &inputs.dlfm)));
     }
     // The version the path ends at awaits archiving when it moved, or when
@@ -220,11 +205,11 @@ pub struct RecoveryReport {
     pub links_undone: u64,
     /// [`Step::DropEntry`]s an unlink intent accounts for.
     pub unlinks_completed: u64,
-    /// Forward [`Step::SetVersion`]s: a claim whose close record was lost,
-    /// or an update this node never heard of.
+    /// Forward [`Step::SetVersion`]s: an update whose close record was
+    /// lost, or one this node never heard of.
     pub updates_rolled_forward: u64,
-    /// [`Step::RollBack`]s: claims the host never committed, and writes in
-    /// flight found by the write grant's attributes.
+    /// [`Step::RollBack`]s: writes in flight, found by the write grant's
+    /// attributes.
     pub updates_rolled_back: u64,
     /// [`Step::Archive`]s.
     pub archives_recovered: u64,
@@ -264,8 +249,8 @@ impl DlfmServer {
     /// Brings this node to what `host` — the host's rows naming it — says:
     /// the one recovery rule, run by crash recovery, file-server failover
     /// and point-in-time restore before the node serves anyone. It gathers
-    /// the [`Inputs`] of every path the views, `dl_files`, an intent or a
-    /// claim names, [`plan`]s each, applies the steps, and makes one forced
+    /// the [`Inputs`] of every path the views, `dl_files` or an intent
+    /// names, [`plan`]s each, applies the steps, and makes one forced
     /// repository commit, re-archive included. Token and Sync entries live
     /// in memory: none come back. `before` is the host's rows from before
     /// a rewind: a point-in-time restore passes the running host's, crash
@@ -275,14 +260,12 @@ impl DlfmServer {
         let repo = self.repository();
         let files: HashMap<_, _> =
             repo.list_files().into_iter().map(|f| (f.path.clone(), f)).collect();
-        let claims: HashMap<_, _> =
-            repo.list_uip().into_iter().map(|c| (c.path, c.new_version)).collect();
         let mut intents = HashMap::new();
         let mut branches: BTreeMap<u64, Vec<(String, BranchOp)>> = BTreeMap::new();
         for intent in repo.list_intents() {
-            let path = intent.file.path;
+            let path = intent.path;
             branches.entry(intent.host_txid).or_default().push((path.clone(), BranchOp::Unlink));
-            intents.insert(path, (intent.host_txid, intent.file.on_unlink));
+            intents.insert(path, (intent.host_txid, intent.on_unlink));
         }
         // A branch's outcome is the settle rule's, asked of the same rows
         // the plan reads: each file of a branch ends the way the branch did.
@@ -294,7 +277,7 @@ impl DlfmServer {
         }
         let (state_id, dlfm) = (self.host.read().state_id(), self.config().dlfm_cred);
         let grant = (dlfm.uid, dlfm.gid, GRANT_MODE);
-        let names = files.keys().chain(claims.keys()).chain(intents.keys());
+        let names = files.keys().chain(intents.keys());
         let paths: BTreeSet<&String> = names.chain(host.keys()).chain(before.keys()).collect();
         let gathered: Vec<Inputs> = paths
             .into_iter()
@@ -306,7 +289,6 @@ impl DlfmServer {
                     before: before.get(path).copied(),
                     file: files.get(path).cloned(),
                     intent: intents.get(path).copied(),
-                    claim: claims.get(path).copied(),
                     granted: attr.as_ref().is_some_and(|a| (a.uid, a.gid, a.mode) == grant),
                     ino: attr.map(|a| a.ino),
                     stored: self.archive_store().versions(path).into_iter().map(|v| v.0).collect(),
@@ -333,7 +315,6 @@ impl DlfmServer {
         let db_err = |e: DbError| e.to_string();
         for step in steps {
             match *step {
-                Step::DropClaim => repo.remove_uip_in(txn, path).map_err(db_err)?,
                 Step::DropIntent(txid) => repo.remove_intent_in(txn, txid, path).map_err(db_err)?,
                 Step::RollBack(version) => self.rollback_update(path, version),
                 Step::DropEntry { .. } => repo.delete_file_in(txn, path).map_err(db_err)?,
@@ -420,7 +401,6 @@ mod tests {
             before: None,
             file: file.map(|(v, needs_archive)| entry(v, mode, needs_archive)),
             intent: None,
-            claim: None,
             granted: false,
             ino: Some(7),
             stored: Vec::new(),
@@ -447,9 +427,7 @@ mod tests {
 
     /// Every input the rule distinguishes, with the disk each implies: at
     /// rest it holds the version this node's row records (a link's own
-    /// bytes are version 1), in flight or under a claim nothing vouches
-    /// for them. A claim reserves the version after the row's, and only a
-    /// node with the row has one: the claim is logged after the row.
+    /// bytes are version 1), in flight nothing vouches for them.
     fn every_node() -> Vec<Node> {
         let mut nodes = Vec::new();
         for mode in [ControlMode::Rdd, ControlMode::Rfb] {
@@ -458,12 +436,7 @@ mod tests {
             {
                 for file in [None, Some(false), Some(true)] {
                     for intent in [None, Some(OnUnlink::Restore), Some(OnUnlink::Delete)] {
-                        for (claimed, granted, on_disk) in
-                            (0..8).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0))
-                        {
-                            if claimed && file.is_none() {
-                                continue;
-                            }
+                        for (granted, on_disk) in (0..4).map(|b| (b & 1 != 0, b & 2 != 0)) {
                             for stored in 0..8u64 {
                                 let cur = if file.is_some() { 2 } else { 1 };
                                 let inputs = Inputs {
@@ -472,7 +445,6 @@ mod tests {
                                     before: before.map(|v| row(v, mode)),
                                     file: file.map(|needs| entry(cur, mode, needs)),
                                     intent: intent.map(|action| (41, action)),
-                                    claim: claimed.then_some(cur + 1),
                                     granted: granted && on_disk,
                                     ino: on_disk.then_some(7),
                                     stored: (1..=3)
@@ -481,8 +453,7 @@ mod tests {
                                     state_id: 9,
                                     dlfm: DLFM,
                                 };
-                                let writing =
-                                    inputs.claim.is_some() || (granted && mode.supports_update());
+                                let writing = granted && mode.supports_update();
                                 let bytes = if writing { Bytes::Dirty } else { Bytes::Of(cur) };
                                 let attrs = if granted { GRANT } else { OTHER };
                                 nodes
@@ -504,7 +475,6 @@ mod tests {
         let (inputs, disk) = (&mut next.inputs, &mut next.disk);
         for step in steps {
             match step {
-                Step::DropClaim => inputs.claim = None,
                 Step::DropIntent(_) => inputs.intent = None,
                 Step::RollBack(v) | Step::Restore(v) => {
                     assert!(inputs.stored.contains(v), "{step:?} of a version the store lacks");
@@ -547,7 +517,7 @@ mod tests {
     #[test]
     fn every_input_plans_to_the_host_row_and_plans_nothing_after() {
         let nodes = every_node();
-        assert_eq!(nodes.len(), 4_800);
+        assert_eq!(nodes.len(), 2_880);
         for node in &nodes {
             let i = &node.inputs;
             let steps = plan(i);
@@ -561,7 +531,7 @@ mod tests {
                 (None, None) => i.before.is_none(),
                 _ => false,
             };
-            if agree && i.claim.is_none() && i.intent.is_none() && !i.granted {
+            if agree && i.intent.is_none() && !i.granted {
                 assert!(steps.is_empty(), "a clean node planned steps{why}");
             }
             // The store's copy of the host row's version is what the disk
@@ -581,9 +551,9 @@ mod tests {
                     None => {}
                 }
             }
-            // No claim or intent survives, nor a write grant (which only an
+            // No intent survives, nor a write grant (which only an
             // update-capable file is ever given).
-            assert!(o.claim.is_none() && o.intent.is_none(), "a record survived{why}");
+            assert!(o.intent.is_none(), "an intent survived{why}");
             if let (Some(e), Some((_, attrs))) = (&o.file, disk) {
                 let survived = e.mode.supports_update() && attrs == GRANT;
                 assert!(!survived, "the write grant survived{why}");
@@ -613,7 +583,6 @@ mod tests {
     /// A step as DESIGN.md's table says it.
     fn describe(step: &Step) -> String {
         match step {
-            Step::DropClaim => "drop the claim".into(),
             Step::DropIntent(_) => "drop the intent".into(),
             Step::RollBack(v) => {
                 format!("roll back to the store's v{v}, quarantine the dirty bytes")
@@ -646,18 +615,6 @@ mod tests {
         let behind = || at(Some(1), Some((2, false)));
         let gone = || at(None, Some((2, false)));
         vec![
-            (
-                "at v3",
-                "v2, a claim of v3; the store holds v3",
-                with(ahead(), &|i| {
-                    (i.claim, i.stored) = (Some(3), vec![2, 3]);
-                }),
-            ),
-            (
-                "at v2",
-                "v2, a claim of v3",
-                with(v2(), &|i| (i.claim, i.stored) = (Some(3), vec![2])),
-            ),
             (
                 "at v2",
                 "v2 under a write grant",

@@ -8,7 +8,6 @@
 //! | table        | contents                                                   |
 //! |--------------|------------------------------------------------------------|
 //! | `dl_files`   | linked files: control mode, options, saved owner/perms, current version |
-//! | `dl_uip`     | update-in-progress entries (§4.4): files with an uncommitted update |
 //! | `dl_intents` | unlink intents: one per file an unlink branch touches — its 2PC vote |
 //!
 //! An unlink sub-transaction forces exactly one kind of record: an intent
@@ -21,15 +20,16 @@
 //! it went. A link forces nothing here: its vote travels in its reply, the
 //! host's metadata row keeps it, and its `dl_files` row commits unforced.
 //!
-//! The token entries (§4.1) and the Sync table (§4.5) describe open-file
-//! state, which no crash keeps: they live in the repository's
-//! [`OpenTable`], in memory, so a token read runs no database transaction
-//! (see `crate::opens`). The tables are the durable state recovery works
+//! The token entries (§4.1), the Sync table (§4.5) and the writer of a file
+//! in update (§4.2) describe open-file state, which no crash keeps: they
+//! live in the repository's [`OpenTable`], in memory, so neither a token
+//! read nor a write open runs a database transaction (see `crate::opens`).
+//! An update's repository records are its close's and the archiver's
+//! `needs_archive` clear. The tables are the durable state recovery works
 //! from, and every write to them that recovery could not re-derive is
 //! forced before it is acted on (DESIGN.md "Force audit" lists the ones
-//! that are not — the `dl_uip` claim among them: a claim a crash took is
-//! read back off the disk, where the granted file carries the write
-//! grant's attributes).
+//! that are not). A write a crash left in flight is read back off the
+//! disk, where the granted file carries the write grant's attributes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv,
 
 use crate::archive::{ArchiveStore, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::opens::OpenTable;
+use crate::opens::{Ended, OpenTable};
 use crate::token::{AccessToken, TokenKey, TokenKind};
 
 fn on_unlink_value(on_unlink: OnUnlink) -> Value {
@@ -118,41 +118,17 @@ pub struct SyncEntry {
     pub uid: u32,
 }
 
-/// A row of `dl_uip` — an update in progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UipEntry {
-    pub path: String,
-    pub new_version: u64,
-    pub opener: u64,
-}
-
-impl UipEntry {
-    fn to_row(&self) -> Row {
-        let (version, opener) = (self.new_version as i64, self.opener as i64);
-        vec![Value::Text(self.path.clone()), Value::Int(version), Value::Int(opener)]
-    }
-
-    fn from_row(row: &[Value]) -> Option<UipEntry> {
-        let path = row[0].as_text()?.to_string();
-        Some(UipEntry {
-            path,
-            new_version: row[1].as_int()? as u64,
-            opener: row[2].as_int()? as u64,
-        })
-    }
-}
-
 /// A row of `dl_intents` — an unlink branch's vote on one file, forced
-/// while the branch holds the file's `dl_files` row lock. Once the host
-/// deletes its metadata row, it is the one durable record that names the
-/// path: it carries the ON UNLINK action a committed unlink finishes and
-/// the original attributes an ON UNLINK RESTORE puts back.
-#[derive(Debug, Clone, PartialEq)]
+/// while the branch holds the file's `dl_files` row lock. It names the
+/// host transaction and the path, and carries the ON UNLINK action a
+/// committed unlink finishes; the original attributes an ON UNLINK RESTORE
+/// puts back are the `dl_files` row's, which the crash that leaves the
+/// intent in doubt leaves in place too (the branch's `Commit` deletes both).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntentEntry {
     pub host_txid: u64,
-    /// The file's identity and link options; its version is not recorded
-    /// (it reads back as 1).
-    pub file: FileEntry,
+    pub path: String,
+    pub on_unlink: OnUnlink,
 }
 
 impl IntentEntry {
@@ -161,50 +137,17 @@ impl IntentEntry {
     }
 
     fn to_row(&self) -> Row {
-        let f = &self.file;
-        vec![
-            Self::key(self.host_txid, &f.path),
-            Value::Text(f.mode.to_string()),
-            Value::Bool(f.recovery),
-            on_unlink_value(f.on_unlink),
-            Value::Int(f.orig_uid as i64),
-            Value::Int(f.orig_gid as i64),
-            Value::Int(f.orig_mode as i64),
-            Value::Int(f.ino as i64),
-        ]
+        vec![Self::key(self.host_txid, &self.path), on_unlink_value(self.on_unlink)]
     }
 
     fn from_row(row: &[Value]) -> Option<IntentEntry> {
         let (host_txid, path) = row[0].as_text()?.split_once('|')?;
         Some(IntentEntry {
             host_txid: host_txid.parse().ok()?,
-            file: FileEntry {
-                path: path.to_string(),
-                mode: row[1].as_text()?.parse().ok()?,
-                recovery: matches!(row[2], Value::Bool(true)),
-                on_unlink: on_unlink_from(&row[3])?,
-                cur_version: 1,
-                orig_uid: row[4].as_int()? as u32,
-                orig_gid: row[5].as_int()? as u32,
-                orig_mode: row[6].as_int()? as u16,
-                ino: row[7].as_int()? as u64,
-                state_id: 0,
-                needs_archive: false,
-            },
+            path: path.to_string(),
+            on_unlink: on_unlink_from(&row[1])?,
         })
     }
-}
-
-/// Outcome of [`Repository::claim_write_open`].
-#[derive(Debug)]
-pub enum WriteClaim {
-    /// The update slot is claimed: the UIP row is committed and the writer
-    /// is in the open table.
-    Granted { entry: FileEntry, new_version: u64 },
-    /// Another update is in progress or a conflicting open exists.
-    Conflict,
-    /// The file is not (or no longer) linked.
-    NotLinked,
 }
 
 /// The repository: a typed wrapper over a `dl-minidb` database, and the
@@ -272,22 +215,8 @@ impl Repository {
                 ("needs_archive", Bool),
             ],
         )?;
-        create("dl_uip", "path", &[("path", Text), ("new_version", Int), ("opener", Int)])?;
         // `ikey` is `<host txid>|<path>`.
-        create(
-            "dl_intents",
-            "ikey",
-            &[
-                ("ikey", Text),
-                ("mode", Text),
-                ("recovery", Bool),
-                ("on_unlink", Text),
-                ("orig_uid", Int),
-                ("orig_gid", Int),
-                ("orig_mode", Int),
-                ("ino", Int),
-            ],
-        )
+        create("dl_intents", "ikey", &[("ikey", Text), ("on_unlink", Text)])
     }
 
     /// The underlying database (sub-transactions are built on it directly).
@@ -485,14 +414,14 @@ impl Repository {
         Ok(())
     }
 
-    /// Purges the Sync-table entry at close (§4.5), a write open's only
+    /// Purges the Sync-table entry at close (§4.5), a granted writer's only
     /// when `writes_too` ([`OpenTable::end`]).
-    pub fn end_open(&self, path: &str, opener: u64, writes_too: bool) -> Option<TokenKind> {
-        let kind = self.opens.end(path, opener, writes_too);
-        if kind.is_some_and(|kind| writes_too || kind == TokenKind::Read) {
+    pub fn end_open(&self, path: &str, opener: u64, writes_too: bool) -> Option<Ended> {
+        let ended = self.opens.end(path, opener, writes_too);
+        if ended == Some(Ended::Removed) {
             self.bump();
         }
-        kind
+        ended
     }
 
     /// Sync entries for `path`.
@@ -502,53 +431,39 @@ impl Repository {
 
     // --- open-grant claims ------------------------------------------------------
     //
-    // Every conflict check is a check-and-set in the open table. A write
-    // claim makes its check while it holds the file's `dl_files` row lock
-    // — the lock every link, unlink and close of the file takes first —
-    // and commits its UIP row under it.
+    // Every conflict check is a check-and-set in the open table, and no
+    // grant runs a database transaction.
 
-    /// Atomically grants a write open: under the `dl_files` row lock,
-    /// re-reads the committed file entry (the caller's copy may be stale),
-    /// registers the writer in the open table unless a conflicting open
-    /// exists, and inserts the UIP row for `cur_version + 1` — then records
-    /// the entry of `token`, the verified token the open carried (§4.1),
-    /// when there is one. A claim that is not granted records nothing.
-    ///
-    /// The commit is **unforced**: nothing waits on a log sync for it. A
-    /// claim a crash takes leaves its evidence on disk — the caller grants
-    /// the file the write grant's attributes only after this returns — and
-    /// recovery rolls the write back by those.
-    pub fn claim_write_open(
+    /// Grants a write open of a file the caller found linked at
+    /// `unlinks_seen` ([`OpenTable::claim_write`]), then reads the file's
+    /// committed row. The row is read *after* the claim: the previous writer
+    /// left the table only once its close record applied, so the row's
+    /// version is the one this writer's close succeeds. The writer's entry
+    /// holds that next version, with the carried `token`'s entry
+    /// ([`OpenTable::grant`]). Returns the row, or `None`, recording
+    /// nothing, on a conflict.
+    pub fn claim_write(
         &self,
         path: &str,
         opener: u64,
         uid: u32,
         read_conflicts: bool,
         token: Option<&AccessToken>,
-    ) -> DbResult<WriteClaim> {
-        let key = Value::Text(path.to_string());
-        let mut txn = self.db.begin();
-        let Some(row) = txn.get_for_update("dl_files", &key)? else {
-            return Ok(WriteClaim::NotLinked);
-        };
-        let Some(entry) = FileEntry::from_row(&row) else {
-            return Ok(WriteClaim::NotLinked);
-        };
-        if !self.opens.claim_write(path, opener, uid, read_conflicts) {
-            return Ok(WriteClaim::Conflict);
+        unlinks_seen: u64,
+    ) -> Option<FileEntry> {
+        if !self.opens.claim_write(path, opener, uid, read_conflicts, unlinks_seen) {
+            return None;
         }
-        let new_version = entry.cur_version + 1;
-        let uip = UipEntry { path: path.to_string(), new_version, opener };
-        if let Err(e) = txn.insert("dl_uip", uip.to_row()).and_then(|()| txn.commit_unforced()) {
+        // Cannot be gone: an unlink that began since the lookup left its
+        // mark, or one that ended moved the count, and either refused the
+        // claim.
+        let Some(entry) = self.get_file(path) else {
             self.opens.end(path, opener, true);
-            let duplicate = matches!(e, dl_minidb::DbError::DuplicateKey(_));
-            return if duplicate { Ok(WriteClaim::Conflict) } else { Err(e) };
-        }
-        if let Some(token) = token {
-            self.opens.put_token(uid, path, token.kind, token.expires_at_ms);
-        }
+            return None;
+        };
+        self.opens.grant(path, opener, entry.cur_version + 1, token);
         self.bump();
-        Ok(WriteClaim::Granted { entry, new_version })
+        Some(entry)
     }
 
     /// Grants a tracked read open of a file the caller found linked at
@@ -568,45 +483,6 @@ impl Repository {
             self.bump();
         }
         granted
-    }
-
-    /// Rolls a write claim back (a failed before-image or take-over): removes
-    /// the UIP row it inserted, unforced (see [`Repository::remove_uip`]),
-    /// and its writer.
-    pub fn release_write_claim(&self, path: &str, opener: u64) {
-        let _ = self.remove_uip(path);
-        self.end_open(path, opener, true);
-    }
-
-    // --- dl_uip -----------------------------------------------------------------
-
-    /// Clears the update-in-progress entry (close rollback path; the commit
-    /// path clears it inside the close transaction instead). **Unforced**:
-    /// the claim it removes committed nothing, so losing the removal in a
-    /// crash leaves a claim that recovery rolls back onto the same clean
-    /// bytes.
-    pub fn remove_uip(&self, path: &str) -> DbResult<()> {
-        let mut txn = self.db.begin();
-        txn.delete("dl_uip", &Value::Text(path.to_string()))?;
-        txn.commit_unforced()?;
-        self.bump();
-        Ok(())
-    }
-
-    /// Removes the UIP row inside a caller-provided sub-transaction.
-    pub fn remove_uip_in(&self, txn: &mut Txn, path: &str) -> DbResult<()> {
-        txn.delete("dl_uip", &Value::Text(path.to_string()))
-    }
-
-    pub fn get_uip(&self, path: &str) -> Option<UipEntry> {
-        let row = self.db.get_committed("dl_uip", &Value::Text(path.to_string())).ok()??;
-        UipEntry::from_row(&row)
-    }
-
-    /// All update-in-progress entries (crash recovery walks these).
-    pub fn list_uip(&self) -> Vec<UipEntry> {
-        let rows = self.db.scan_committed("dl_uip").unwrap_or_default();
-        rows.iter().filter_map(|row| UipEntry::from_row(row)).collect()
     }
 
     // --- dl_intents -------------------------------------------------------------
@@ -678,6 +554,10 @@ mod tests {
         }
     }
 
+    fn intent() -> IntentEntry {
+        IntentEntry { host_txid: 5, path: "/f".into(), on_unlink: OnUnlink::Delete }
+    }
+
     /// A tracked read open as the server makes one: the unlink count is
     /// read before the file's lookup.
     fn read_open(
@@ -691,6 +571,21 @@ mod tests {
         r.get_file(path).is_some() && r.claim_read(path, opener, uid, token, unlinks_seen)
     }
 
+    /// A write open as the server makes one, returning the version its
+    /// close commits.
+    fn write_open(
+        r: &Repository,
+        path: &str,
+        opener: u64,
+        read_conflicts: bool,
+        token: Option<&AccessToken>,
+    ) -> Option<u64> {
+        let unlinks_seen = r.opens().unlinks_ended(path);
+        r.get_file(path)?;
+        let entry = r.claim_write(path, opener, 42, read_conflicts, token, unlinks_seen)?;
+        Some(entry.cur_version + 1)
+    }
+
     #[test]
     fn schema_is_idempotent_across_reopen() {
         let env = StorageEnv::mem();
@@ -698,7 +593,7 @@ mod tests {
             let _ = Repository::open(env.clone()).unwrap();
         }
         let repo = Repository::open(env).unwrap();
-        for t in ["dl_files", "dl_uip", "dl_intents"] {
+        for t in ["dl_files", "dl_intents"] {
             assert!(repo.db().has_table(t), "missing {t}");
         }
     }
@@ -763,30 +658,17 @@ mod tests {
     }
 
     #[test]
-    fn uip_lifecycle() {
-        let r = repo();
-        let mut txn = r.db().begin();
-        txn.insert("dl_uip", UipEntry { path: "/f".into(), new_version: 2, opener: 77 }.to_row())
-            .unwrap();
-        txn.commit().unwrap();
-        assert_eq!(r.get_uip("/f").unwrap().new_version, 2);
-        assert_eq!(r.list_uip().len(), 1);
-        r.remove_uip("/f").unwrap();
-        assert!(r.get_uip("/f").is_none());
-    }
-
-    #[test]
     fn intents_survive_reopen_but_transient_state_does_not() {
         let env = StorageEnv::mem();
         {
             let r = Repository::open(env.clone()).unwrap();
-            r.add_intent(&IntentEntry { host_txid: 5, file: entry("/f") }).unwrap();
+            r.add_intent(&intent()).unwrap();
             r.put_token_entry(1, "/f", TokenKind::Read, u64::MAX).unwrap();
             r.register_open("/f", TokenKind::Read, 1, 1).unwrap();
         }
         let r = Repository::open(env).unwrap();
         // Crash recovery: durable intents remain, open-file state is gone.
-        assert_eq!(r.list_intents(), [IntentEntry { host_txid: 5, file: entry("/f") }]);
+        assert_eq!(r.list_intents(), [intent()]);
         assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
         assert!(r.sync_entries("/f").is_empty());
     }
@@ -816,52 +698,35 @@ mod tests {
         r.insert_file_in(&mut txn, &entry("/f")).unwrap();
         txn.commit().unwrap();
 
-        // First claim: granted against cur_version 1 → new_version 2, and
-        // the UIP + write Sync rows exist atomically.
-        let WriteClaim::Granted { entry: fresh, new_version } =
-            r.claim_write_open("/f", 10, 42, false, None).unwrap()
-        else {
-            panic!("first claim must be granted");
-        };
-        assert_eq!(fresh.cur_version, 1);
-        assert_eq!(new_version, 2);
-        assert_eq!(r.get_uip("/f").unwrap().new_version, 2);
+        // First claim: granted against cur_version 1, and the writer's
+        // entry holds version 2.
+        assert_eq!(write_open(&r, "/f", 10, false, None), Some(2));
         assert_eq!(r.sync_entries("/f").len(), 1);
 
-        // Concurrent second claim conflicts (UIP slot taken), and a tracked
-        // read conflicts with the active write grant: neither records the
-        // entry of the token it carried.
+        // A concurrent second claim conflicts (the writer slot is taken),
+        // and a tracked read conflicts with the active write grant: neither
+        // records the entry of the token it carried.
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
-        let conflict = r.claim_write_open("/f", 11, 43, false, Some(&token)).unwrap();
-        assert!(matches!(conflict, WriteClaim::Conflict));
+        assert_eq!(write_open(&r, "/f", 11, false, Some(&token)), None);
         assert!(!read_open(&r, "/f", 12, 43, Some(&token)));
+        assert!(!r.check_token_entry(42, "/f", TokenKind::Read, 0));
         assert!(!r.check_token_entry(43, "/f", TokenKind::Read, 0));
 
-        // Commit the update the way close processing does, then re-claim:
-        // the fresh version must be observed (the lost-update race a stale
-        // snapshot would reintroduce).
+        // Commit the update the way close processing does — the record
+        // applies before the writer leaves — then re-claim: the fresh
+        // version is observed (the lost-update race a stale read would
+        // reintroduce).
+        assert_eq!(r.end_open("/f", 10, false), Some(Ended::Writer(2)));
         let mut txn = r.db().begin();
-        r.commit_version_in(&mut txn, "/f", new_version, 99).unwrap();
-        r.remove_uip_in(&mut txn, "/f").unwrap();
+        r.commit_version_in(&mut txn, "/f", 2, 99).unwrap();
         txn.commit().unwrap();
         r.end_open("/f", 10, true);
+        assert_eq!(write_open(&r, "/f", 20, false, None), Some(3));
 
-        let WriteClaim::Granted { entry: fresh, new_version } =
-            r.claim_write_open("/f", 20, 42, false, None).unwrap()
-        else {
-            panic!("re-claim must be granted");
-        };
-        assert_eq!(fresh.cur_version, 2);
-        assert_eq!(new_version, 3);
-
-        // Release rolls both rows back; claiming an unlinked path reports it.
-        r.release_write_claim("/f", 20);
-        assert!(r.get_uip("/f").is_none());
+        // Ending the writer frees the slot; an unlinked path is no claim.
+        r.end_open("/f", 20, true);
         assert!(r.sync_entries("/f").is_empty());
-        assert!(matches!(
-            r.claim_write_open("/nope", 1, 1, false, None).unwrap(),
-            WriteClaim::NotLinked
-        ));
+        assert_eq!(write_open(&r, "/nope", 1, false, None), None);
     }
 
     #[test]
@@ -874,19 +739,13 @@ mod tests {
         assert!(read_open(&r, "/f", 1, 7, None));
         assert!(read_open(&r, "/f", 2, 8, None), "reads don't conflict with reads");
         // A full-control write claim sees the read conflict when asked to.
-        assert!(matches!(
-            r.claim_write_open("/f", 3, 9, true, None).unwrap(),
-            WriteClaim::Conflict
-        ));
+        assert_eq!(write_open(&r, "/f", 3, true, None), None);
         // Without read conflicts (rfd-style), the write claim proceeds.
-        assert!(matches!(
-            r.claim_write_open("/f", 3, 9, false, None).unwrap(),
-            WriteClaim::Granted { .. }
-        ));
+        assert_eq!(write_open(&r, "/f", 3, false, None), Some(2));
     }
 
     #[test]
-    fn open_file_state_forces_no_log_write_and_a_write_claim_logs_only_the_uip_row() {
+    fn open_file_state_and_a_write_open_log_nothing() {
         let r = repo();
         let mut txn = r.db().begin();
         r.insert_file_in(&mut txn, &entry("/f")).unwrap();
@@ -899,23 +758,15 @@ mod tests {
         r.end_open("/f", 1, true);
         assert_eq!(r.db().state_id(), tail);
 
-        // The write grant's UIP row is logged alone — the writer and the
-        // carried token's entry are in the open table — and unforced:
-        // nothing waited on a sync.
+        // A granted write open: the writer, the version it commits and the
+        // carried token's entry are all in the open table.
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
-        assert!(matches!(
-            r.claim_write_open("/f", 2, 7, true, Some(&token)).unwrap(),
-            WriteClaim::Granted { .. }
-        ));
+        let unlinks_seen = r.opens().unlinks_ended("/f");
+        let granted = r.claim_write("/f", 2, 7, true, Some(&token), unlinks_seen);
+        assert_eq!(granted.map(|e| e.cur_version), Some(1));
         assert!(r.check_token_entry(7, "/f", TokenKind::Write, 5_000));
-        assert!(r.db().durable_lsn() < r.db().state_id(), "the claim waited on no sync");
-        r.db().flush().unwrap();
-        let frames = r.db().wal_reader().read_from(tail).unwrap();
-        let [(_, dl_minidb::wal::WalRecord::Commit { ops, .. })] = &frames.records[..] else {
-            panic!("one commit record expected, got {:?}", frames.records);
-        };
-        assert_eq!(ops.iter().map(|op| op.table()).collect::<Vec<_>>(), ["dl_uip"]);
         assert_eq!(r.sync_entries("/f").len(), 1);
+        assert_eq!(r.db().state_id(), tail, "the write open logged nothing");
     }
 
     #[test]

@@ -22,8 +22,9 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
+use crate::opens::Ended;
 use crate::recovery::Attrs;
-use crate::repository::{FileEntry, IntentEntry, Repository, UipEntry};
+use crate::repository::{FileEntry, IntentEntry, Repository};
 use crate::token::{AccessToken, TokenKey, TokenKind};
 
 /// What a link/unlink sub-transaction does to one file's `dl_files` row.
@@ -722,7 +723,8 @@ impl DlfmServer {
             if self.archive.is_archiving(path) {
                 self.archiver.finish(path);
             }
-            let intent = IntentEntry { host_txid, file: entry.clone() };
+            let intent =
+                IntentEntry { host_txid, path: path.to_string(), on_unlink: entry.on_unlink };
             if let Err(e) = self.repo.add_intent(&intent) {
                 self.repo.opens().end_branch(path);
                 return Err(e.to_string());
@@ -965,11 +967,11 @@ impl DlfmServer {
     /// name at lookup. It is validated here, MAC and expiry first, with the
     /// text [`DlfmServer::validate_token`] would reject it with; a token of
     /// a kind that authorizes `wanted` then stands in for the token-entry
-    /// lookup. Its entry is recorded whatever the decision — inside the
-    /// claim transaction when the open is granted, on its own otherwise —
-    /// so a later open by the same userid is admitted by it, as §4.1's
-    /// lookup-time validation left it. A read open runs no repository
-    /// transaction: one committed lookup, then a claim in the open table.
+    /// lookup. Its entry is recorded whatever the decision — by the claim
+    /// when the open is granted, on its own otherwise — so a later open by
+    /// the same userid is admitted by it, as §4.1's lookup-time validation
+    /// left it. No open runs a repository transaction: one committed
+    /// lookup, then a claim in the open table.
     pub fn open_check(
         &self,
         path: &str,
@@ -994,7 +996,9 @@ impl DlfmServer {
             // Register the open anyway so link can see it.
             None => self.not_managed(path, wanted, opener, uid),
             Some(entry) => match wanted {
-                TokenKind::Write => self.open_check_write(&entry, uid, opener, &mut carried),
+                TokenKind::Write => {
+                    self.open_check_write(&entry, uid, opener, &mut carried, unlinks_seen)
+                }
                 TokenKind::Read => {
                     self.open_check_read(&entry, uid, opener, &mut carried, unlinks_seen)
                 }
@@ -1036,13 +1040,15 @@ impl DlfmServer {
     }
 
     /// The write arm of [`DlfmServer::open_check`]. A granted claim records
-    /// the entry of the `carried` token and takes it.
+    /// the entry of the `carried` token and takes it. `unlinks_seen` is the
+    /// open table's unlink count from before `entry` was looked up.
     fn open_check_write(
         &self,
         entry: &FileEntry,
         uid: u32,
         opener: u64,
         carried: &mut Option<AccessToken>,
+        unlinks_seen: u64,
     ) -> OpenDecision {
         if !entry.mode.supports_update() {
             return OpenDecision::Rejected(format!(
@@ -1062,48 +1068,29 @@ impl DlfmServer {
                 entry.path
             ));
         }
-        // Serialization (§4.2): claim the update slot atomically — one
-        // repository transaction, serialized on the `dl_files` row lock,
-        // re-reads the fresh version, registers the writer in the open
-        // table unless a conflicting open exists (write-write always; in
-        // full control mode reads too) and inserts the UIP row. Upcall
-        // workers run concurrently, so the caller's `entry` may be stale;
-        // the claim's is not.
+        // Serialization (§4.2): claim the writer slot — one check-and-set
+        // in the open table, refused while a conflicting open exists
+        // (write-write always; in full control mode reads too), a branch
+        // holds the file, or an unlink ended since the lookup. The claim
+        // then reads the fresh row: upcall workers run concurrently, so the
+        // caller's `entry` may be stale; the claim's is not.
         let read_conflicts = entry.mode.full_control() && self.cfg.track_read_sync;
-        let claim = match self.repo.claim_write_open(
-            &entry.path,
-            opener,
-            uid,
-            read_conflicts,
-            carried.as_ref(),
-        ) {
-            Ok(claim) => claim,
-            Err(_) => {
-                self.stats.busy_responses.inc();
-                return OpenDecision::Busy;
-            }
+        let path = &entry.path;
+        let token = carried.as_ref();
+        let Some(entry) =
+            self.repo.claim_write(path, opener, uid, read_conflicts, token, unlinks_seen)
+        else {
+            self.stats.busy_responses.inc();
+            return OpenDecision::Busy;
         };
-        let (entry, _new_version) = match claim {
-            crate::repository::WriteClaim::Granted { entry, new_version } => {
-                *carried = None;
-                (entry, new_version)
-            }
-            crate::repository::WriteClaim::Conflict => {
-                self.stats.busy_responses.inc();
-                return OpenDecision::Busy;
-            }
-            crate::repository::WriteClaim::NotLinked => {
-                // Unlinked between the caller's lookup and the claim. Keep
-                // the strict NotManaged arms symmetric: register the open.
-                return self.not_managed(&entry.path, TokenKind::Write, opener, uid);
-            }
-        };
+        *carried = None;
         // §4.4: "any new update request to the file is blocked until the
-        // archiving completes." The close path pre-marks the archive before
-        // its commit, so post-claim this check cannot miss an in-flight job.
-        // The open does not wait for the archiver: it runs its file's queued
-        // job on this thread, or waits out the one the worker has started.
-        // Its claim has committed, so it holds no row lock meanwhile.
+        // archiving completes." The previous writer marked its archive job
+        // in flight before its commit (`begin_archiving`) and left the
+        // writer slot after it, so a claim granted since cannot miss the
+        // job. The open does not wait for the archiver: it runs its file's
+        // queued job on this thread, or waits out the one the worker has
+        // started. The claim holds no row lock meanwhile.
         if self.archive.is_archiving(&entry.path) && self.archiver.finish(&entry.path) {
             self.stats.archive_jobs_by_opener.inc();
         }
@@ -1120,7 +1107,7 @@ impl DlfmServer {
                     data,
                 ),
                 Err(e) => {
-                    self.repo.release_write_claim(&entry.path, opener);
+                    self.repo.end_open(&entry.path, opener, true);
                     return OpenDecision::Rejected(format!(
                         "cannot capture before-image of {}: {e}",
                         entry.path
@@ -1137,7 +1124,7 @@ impl DlfmServer {
         }
         let dlfm = self.cfg.dlfm_cred;
         if self.set_attrs(&entry.path, (dlfm.uid, dlfm.gid, GRANT_MODE)).is_err() {
-            self.repo.release_write_claim(&entry.path, opener);
+            self.repo.end_open(&entry.path, opener, true);
             return OpenDecision::Rejected(format!("take-over of {} failed", entry.path));
         }
         OpenDecision::Approved { open_as: dlfm }
@@ -1203,44 +1190,40 @@ impl DlfmServer {
     ) -> Result<(), String> {
         self.stats.upcalls.inc();
         self.stats.close_notifies.inc();
-        if self.repo.end_open(path, opener, false) != Some(TokenKind::Write) {
-            // A read close, or a descriptor with no entry (an untracked
-            // read, a write never granted).
+        let Some(Ended::Writer(version)) = self.repo.end_open(path, opener, false) else {
+            // A read close, a strict registration's, or a descriptor with no
+            // entry (an untracked read, a write never granted).
             self.bump_epoch();
             return Ok(());
-        }
-        let claim = self.repo.get_file(path).and_then(|entry| {
-            let uip = self.repo.get_uip(path).filter(|u| u.opener == opener)?;
-            Some((entry, uip))
-        });
-        let Some((entry, uip)) = claim else {
-            // A strict registration of a write open of an unmanaged file.
+        };
+        // The writer holds the file: no unlink and no other writer moves
+        // its row until it leaves.
+        let Some(entry) = self.repo.get_file(path) else {
             self.repo.end_open(path, opener, true);
             self.bump_epoch();
-            return Ok(());
+            return Err(format!("{path} is not linked"));
         };
 
         if !wrote {
             // Opened for write but never modified: no new version (§4.4
             // checks the modification time for exactly this).
-            let _ = self.repo.remove_uip(path);
             self.release_write_grant(&entry);
             self.repo.end_open(path, opener, true);
             self.bump_epoch();
             return Ok(());
         }
 
-        // Committed update path. Pre-mark the archive as in flight *before*
-        // the commit releases the `dl_files` row lock: a write open claimed
-        // after the commit must observe either our Sync row or this marker
-        // — never a guard-free window (§4.4's blocking rule, made airtight
-        // for concurrent upcall workers).
-        self.archive.begin_archiving(self.generation, path, uip.new_version);
-        match self.commit_file_update(&uip, new_size, new_mtime) {
+        // Committed update path. Mark the archive job in flight *before*
+        // the commit, and leave the writer slot after it: a write open
+        // granted after this writer left then observes the marker — never
+        // a guard-free window (§4.4's blocking rule, made airtight for
+        // concurrent upcall workers).
+        self.archive.begin_archiving(self.generation, path, version);
+        match self.commit_file_update(path, version, new_size, new_mtime) {
             Ok(state_id) => {
                 self.release_write_grant(&entry);
                 self.repo.opens().end(path, opener, true);
-                self.submit_archive(&entry, uip.new_version, state_id);
+                self.submit_archive(&entry, version, state_id);
                 self.bump_epoch();
                 Ok(())
             }
@@ -1248,7 +1231,6 @@ impl DlfmServer {
                 self.archive.cancel_archiving(self.generation, path);
                 // §4.2: roll the file back to the last committed version.
                 self.rollback_update(path, entry.cur_version);
-                let _ = self.repo.remove_uip(path);
                 self.release_write_grant(&entry);
                 self.repo.end_open(path, opener, true);
                 self.bump_epoch();
@@ -1262,43 +1244,35 @@ impl DlfmServer {
         format!("dlfs://{}{path}", self.cfg.server_name)
     }
 
-    /// Commits the update (§4.3: file metadata and version change together).
-    /// The host's forced `Commit` of the metadata row is the single commit
-    /// point: the repository rows are staged first (their row locks fence
-    /// the file), the host commits, and the repository record follows
-    /// **unforced** — recovery re-derives it from the host row
-    /// ([`DlfmServer::recover`]). The record carries the version and the
-    /// claim's removal; the writer leaves the open table after it. A host
-    /// error drops the staged rows and the caller rolls the file back.
+    /// Commits the update to `version` (§4.3: file metadata and version
+    /// change together). The host's forced `Commit` of the metadata row is
+    /// the single commit point: the repository row is staged first under
+    /// the file's `dl_files` row lock, the host commits, and the
+    /// repository record follows **unforced** — recovery re-derives it
+    /// from the host row ([`DlfmServer::recover`]). The writer leaves the
+    /// open table after it. A host error drops the staged row and the
+    /// caller rolls the file back.
     fn commit_file_update(
         &self,
-        uip: &UipEntry,
+        path: &str,
+        version: u64,
         new_size: u64,
         new_mtime: u64,
     ) -> Result<u64, String> {
         let host = self.host.read().clone();
         let state_hint = host.state_id();
-        // The close's rows, in lock order (`dl_files`, then `dl_uip` — the
-        // order the write claim uses): the claimed version becomes current
-        // and awaits archiving, and the claim goes. Every value is the
-        // claim row's.
+        // The close's record: the writer's version becomes current and
+        // awaits archiving.
         let mut txn = self.repo.db().begin();
-        let db_err = |e: dl_minidb::DbError| e.to_string();
         self.repo
-            .commit_version_in(&mut txn, &uip.path, uip.new_version, state_hint)
-            .map_err(db_err)?;
-        self.repo.remove_uip_in(&mut txn, &uip.path).map_err(db_err)?;
-        let lsn = host.commit_file_update(
-            &self.file_url(&uip.path),
-            new_size,
-            new_mtime,
-            uip.new_version,
-        )?;
+            .commit_version_in(&mut txn, path, version, state_hint)
+            .map_err(|e| e.to_string())?;
+        let lsn = host.commit_file_update(&self.file_url(path), new_size, new_mtime, version)?;
         if let Err(e) = txn.commit_unforced() {
             // Same rule as `commit_host`: the coordinator has decided, so a
-            // repository that cannot follow must not pretend otherwise. The
-            // claim stays; recovery rolls it forward from the host row.
-            panic!("DLFM close record failed after the host committed {}: {e}", uip.path);
+            // repository that cannot follow must not pretend otherwise.
+            // Recovery rolls the file forward from the host row.
+            panic!("DLFM close record failed after the host committed {path}: {e}");
         }
         Ok(lsn)
     }

@@ -275,21 +275,27 @@ fn read_token_cannot_open_for_write() {
 fn write_open_grants_and_close_without_write_releases() {
     let f = fixture();
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
+    let repo = f.server.repository();
+    repo.db().flush().unwrap();
+    let mark = repo.db().state_id();
     let open_as = approved_write_open(&f, "/data/clip.mpg", 5);
     assert_eq!(open_as, f.server.config().dlfm_cred);
 
-    // Grant: dlfm-owned, mode 0600; UIP + sync entries exist.
+    // Grant: dlfm-owned, mode 0600; the writer's entry is in the open
+    // table, and the open logged nothing.
     let attr = f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
     assert_eq!(attr.mode, 0o600);
-    assert!(f.server.repository().get_uip("/data/clip.mpg").is_some());
-    assert_eq!(f.server.repository().sync_entries("/data/clip.mpg").len(), 1);
+    let sync = repo.sync_entries("/data/clip.mpg");
+    assert_eq!((sync.len(), sync[0].kind, sync[0].opener), (1, TokenKind::Write, 5));
+    assert_eq!(repo.db().state_id(), mark, "the write open logged nothing");
 
-    // Closing without modification: no version bump, state released.
+    // Closing without modification: no version bump, state released, and
+    // still nothing logged.
     f.server.close_notify("/data/clip.mpg", 5, false, 12, 0).unwrap();
-    let entry = f.server.repository().get_file("/data/clip.mpg").unwrap();
+    let entry = repo.get_file("/data/clip.mpg").unwrap();
     assert_eq!(entry.cur_version, 1);
-    assert!(f.server.repository().get_uip("/data/clip.mpg").is_none());
-    assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
+    assert!(repo.sync_entries("/data/clip.mpg").is_empty());
+    assert_eq!(repo.db().state_id(), mark, "a close that wrote nothing logs nothing");
     assert_eq!(
         f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().mode,
         0o400,
@@ -432,13 +438,13 @@ fn a_presented_token_records_its_entry_on_every_outcome() {
     };
     let clip = "/data/clip.mpg";
 
-    // Granted: the claim records the entry, in its own transaction.
+    // Granted: the claim records the entry beside the writer's.
     let ops = repo.update_op_count();
     assert!(matches!(
         open(clip, ALICE.uid, TokenKind::Write, 5, &write_token(&f, clip)),
         OpenDecision::Approved { .. }
     ));
-    assert_eq!(repo.update_op_count() - ops, 1, "one repository transaction per open");
+    assert_eq!(repo.update_op_count() - ops, 1, "one open-table update per open");
     assert!(has_entry(ALICE.uid, clip, TokenKind::Write));
 
     // Busy: the write above is still open.
@@ -622,7 +628,7 @@ fn crash_mid_update_restores_last_committed_version() {
     );
     let entry = server2.repository().get_file("/data/clip.mpg").unwrap();
     assert_eq!(entry.cur_version, 1);
-    assert!(server2.repository().get_uip("/data/clip.mpg").is_none());
+    assert!(server2.repository().sync_entries("/data/clip.mpg").is_empty(), "no writer came back");
     assert_eq!(server2.archive_store().quarantined().len(), 1);
     // At-rest attributes re-enforced.
     assert_eq!(admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().mode, 0o400);
@@ -873,10 +879,12 @@ fn strict_register_open_of_managed_file_blocks_unlink() {
     assert!(err.contains("open"), "registered open must block unlink: {err}");
     f.server.abort_host(2);
 
-    // Close releases the registration — no leaked opener claims.
+    // Close releases the registration — no leaked opener entries, and
+    // nothing logged for either.
+    let mark = f.server.repository().db().state_id();
     client.unregister_open("/data/clip.mpg", 41);
     assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
-    assert!(f.server.repository().get_uip("/data/clip.mpg").is_none());
+    assert_eq!(f.server.repository().db().state_id(), mark);
     f.server.unlink_file(3, "/data/clip.mpg").unwrap();
     f.server.commit_host(3);
 }
@@ -892,7 +900,7 @@ fn strict_register_open_never_runs_the_grant_protocol() {
     let f = fixture_with(cfg);
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
 
-    // A granted write is in flight (UIP + write Sync row held by opener 7).
+    // A granted write is in flight (the writer's entry held by opener 7).
     let dlfm = approved_write_open(&f, "/data/clip.mpg", 7);
 
     // Registration while the write is open must still be recorded (the
@@ -910,7 +918,7 @@ fn strict_register_open_never_runs_the_grant_protocol() {
     f.admin.write_file(&dlfm, "/data/clip.mpg", b"v2").unwrap();
     f.server.close_notify("/data/clip.mpg", 7, true, 2, 99).unwrap();
     assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
-    assert!(f.server.repository().get_uip("/data/clip.mpg").is_none());
+    assert_eq!(f.server.repository().get_file("/data/clip.mpg").unwrap().cur_version, 2);
 }
 
 /// Both carriers over one node: an in-process connection and a framed
@@ -1542,9 +1550,114 @@ fn a_read_open_racing_an_unlink_is_seen_or_waits_for_the_decision() {
     }
 }
 
+/// A write open racing an unlink branch of its file is seen by the
+/// unlink's open check — the unlink is refused — or it is not approved
+/// until the branch is decided: no writer holds a file whose unlink has
+/// voted, and none is left on a file the unlink took (§4.5). The write
+/// claim takes no row lock, so the open table's marks and unlink count are
+/// all that order the two. First at fixed cuts, then free-running.
+#[test]
+fn a_write_open_racing_an_unlink_is_seen_or_waits_for_the_decision() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    const CLIP: &str = "/data/clip.mpg";
+    let f = fixture();
+    link_committed(&f, 1, CLIP, ControlMode::Rdd);
+    let tok = write_token(&f, CLIP);
+    f.server.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
+    let dlfm = f.server.config().dlfm_cred;
+    let no_writer = |context: &str| {
+        let writers = f.server.repository().sync_entries(CLIP);
+        assert!(writers.iter().all(|e| e.kind != TokenKind::Write), "{context}: {writers:?}");
+    };
+    let mut txid = 100;
+
+    // Before the vote: the writer is seen, and the unlink refused.
+    let never = AtomicBool::new(false);
+    let (opened, _) = open_waiting(&f, CLIP, TokenKind::Write, 1, &never);
+    assert!(matches!(opened, OpenDecision::Approved { .. }), "{opened:?}");
+    let err = f.server.unlink_file(txid, CLIP).unwrap_err();
+    assert!(err.contains("open"), "{err}");
+    assert!(!f.server.has_pending(txid), "a refused unlink leaves no branch");
+    f.server.close_notify(CLIP, 1, false, 0, 0).unwrap();
+
+    // During the branch: the open waits for the decision; a commit leaves
+    // the file unmanaged, an abort lets the writer through.
+    for commit in [false, true] {
+        txid += 1;
+        f.server.unlink_file(txid, CLIP).unwrap();
+        let settled = AtomicBool::new(false);
+        let (decision, after) = std::thread::scope(|s| {
+            let writer = s.spawn(|| open_waiting(&f, CLIP, TokenKind::Write, 2, &settled));
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            settled.store(true, SeqCst);
+            if commit {
+                f.server.commit_host(txid);
+            } else {
+                f.server.abort_host(txid);
+            }
+            writer.join().unwrap()
+        });
+        assert!(after, "commit={commit}: {decision:?} before the branch was decided");
+        if commit {
+            assert_eq!(decision, OpenDecision::NotManaged);
+            no_writer("after the unlink committed");
+        } else {
+            assert!(matches!(decision, OpenDecision::Approved { .. }), "{decision:?}");
+            f.server.close_notify(CLIP, 2, false, 0, 0).unwrap();
+        }
+    }
+
+    // Free-running: a writer and an unlink start together; every fourth
+    // granted writer commits a version.
+    txid += 1;
+    link_committed(&f, txid, CLIP, ControlMode::Rdd);
+    for round in 0..120u64 {
+        txid += 1;
+        let opener = 1_000 + round;
+        let settled = AtomicBool::new(false);
+        let (unlinked, (decision, after)) = std::thread::scope(|s| {
+            let writer = s.spawn(|| open_waiting(&f, CLIP, TokenKind::Write, opener, &settled));
+            let unlinked = f.server.unlink_file(txid, CLIP);
+            if unlinked.is_ok() {
+                settled.store(true, SeqCst);
+                if round % 2 == 0 {
+                    f.server.commit_host(txid);
+                } else {
+                    f.server.abort_host(txid);
+                }
+            }
+            (unlinked, writer.join().unwrap())
+        });
+        let approved = matches!(decision, OpenDecision::Approved { .. });
+        match unlinked {
+            Ok(()) => {
+                assert!(!approved || after, "round {round}: a writer while the unlink was voted");
+            }
+            Err(e) => {
+                assert!(e.contains("open"), "round {round}: {e}");
+                assert!(approved, "round {round}: refused for no writer: {decision:?}");
+            }
+        }
+        if approved {
+            let wrote = round % 4 == 0;
+            if wrote {
+                f.admin.write_file(&dlfm, CLIP, format!("r{round}").as_bytes()).unwrap();
+            }
+            f.server.close_notify(CLIP, opener, wrote, 3, round).unwrap();
+        }
+        if f.server.repository().get_file(CLIP).is_none() {
+            no_writer(&format!("round {round}, unlinked"));
+            txid += 1;
+            link_committed(&f, txid, CLIP, ControlMode::Rdd);
+        }
+    }
+}
+
 /// Four threads alternate read and write opens and closes of one rdd file;
 /// a shared count of the granted opens proves no writer ever held the file
-/// beside a reader or another writer.
+/// beside a reader or another writer, and the version the file ends at
+/// proves every committed write took its own: a writer reads its version
+/// after its claim, and leaves only after its close record applied.
 #[test]
 fn concurrent_read_and_write_opens_of_an_rdd_file_never_overlap_a_writer() {
     use std::sync::Mutex;
@@ -1559,9 +1672,10 @@ fn concurrent_read_and_write_opens_of_an_rdd_file_never_overlap_a_writer() {
     let held = Mutex::new((0u32, 0u32));
     let wrong = Mutex::new(Vec::new());
     let never = std::sync::atomic::AtomicBool::new(false);
+    let committed = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
         for thread in 0..4u64 {
-            let (f, held, wrong, never) = (&f, &held, &wrong, &never);
+            let (f, held, wrong, never, committed) = (&f, &held, &wrong, &never, &committed);
             s.spawn(move || {
                 for i in 0..60u64 {
                     let opener = thread * 1_000 + i + 1;
@@ -1597,13 +1711,17 @@ fn concurrent_read_and_write_opens_of_an_rdd_file_never_overlap_a_writer() {
                         }
                     }
                     f.server.close_notify(CLIP, opener, wrote, 5, opener).unwrap();
+                    if wrote {
+                        committed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    }
                 }
             });
         }
     });
     assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
-    assert!(f.server.repository().sync_entries(CLIP).is_empty());
-    assert!(f.server.repository().get_uip(CLIP).is_none());
+    assert!(f.server.repository().sync_entries(CLIP).is_empty(), "a writer's entry outlived it");
+    let version = f.server.repository().get_file(CLIP).unwrap().cur_version;
+    assert_eq!(version, 1 + committed.into_inner(), "a committed write lost its version");
 }
 
 /// Strict link: a registration of an open racing a link branch of its

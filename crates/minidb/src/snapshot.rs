@@ -27,6 +27,11 @@
 //! participant's vote is a row of its own (DLFM's intent), both of which
 //! the image holds anyway.
 //!
+//! Format version 8 marks a schema change of the one user of the format,
+//! not of the format: DLFM's repository dropped its write-claim table and
+//! five columns of its intent table, so an image of version 7 describes
+//! tables the repository no longer reads.
+//!
 //! # The recovery rule
 //!
 //! Because the image is complete, recovery is one fold: start from the
@@ -50,7 +55,7 @@ use crate::table::TableStore;
 use crate::wal::{Lsn, TxId, Wal, WalOptions, WalRecord};
 
 const MAGIC: u32 = 0x444C_534E; // "DLSN"
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 
 /// The two ping-pong slot device names.
 pub(crate) const SNAPSHOT_SLOTS: [&str; 2] = ["snap.a", "snap.b"];

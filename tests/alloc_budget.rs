@@ -79,10 +79,11 @@ const CHURN_BASE: i64 = 1_000;
 /// schema, a row and a lock key per statement access).
 const READ_BUDGET: u64 = 32;
 /// Per update: SELECT a write token, open, write 4 KiB, close — the
-/// measured 124–135 plus a 10 % margin (173–177 while the write's Sync
-/// entry and token entry were repository rows, 399 on the copying row
-/// path).
-const UPDATE_BUDGET: u64 = 149;
+/// measured 96–97 plus a 10 % margin. The write open touches DLFM's
+/// in-memory open table only; while it committed a claim row an update
+/// made 124–135 (173–177 while the write's Sync entry and token entry
+/// were repository rows too, 399 on the copying row path).
+const UPDATE_BUDGET: u64 = 107;
 /// Per link + unlink pair (two host transactions, each a DATALINK DML and
 /// its commit): the measured 181–182 plus a 10 % margin (186–187 before,
 /// 388 on the copying row path).

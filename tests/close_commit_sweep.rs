@@ -2,9 +2,10 @@
 //! and of a link or an unlink.
 //!
 //! An update forces one log record — the host's `Commit` of the metadata
-//! row at close — and appends its repository records *unforced*: the
-//! `dl_uip` claim at open, the close record (or, for a close that commits
-//! nothing, the claim's removal) and the archiver's `needs_archive` clear.
+//! row at close — and appends its repository records *unforced*: the close
+//! record and the archiver's `needs_archive` clear. Its write open logs
+//! nothing: the writer is an entry of DLFM's in-memory open table, and the
+//! file's write-grant attributes are the one durable mark of the write.
 //! A link forces one too — the host's `Commit`, which inserts the file's
 //! metadata row with the original attributes the link's vote read; the
 //! vote writes nothing on the node. An unlink forces two — its intent (the
@@ -21,12 +22,12 @@
 //! tail lost is settled by the host's metadata row — an update by its
 //! version, a link by the row's presence (re-linked from it), a surviving
 //! unlink intent by the row's absence — and a write in flight by the
-//! file's write-grant attributes, claim or no claim.
+//! file's write-grant attributes.
 //!
 //! The sweep visits every record boundary of the repository log at the
 //! moment it is the crash frontier. A seeded history — updates over the
-//! linked files, two of them interleaved so two claims can outlive their
-//! closes at once, one close made to fail; a link, an unlink, one
+//! linked files, two of them interleaved so two writes are in flight at
+//! once, one close made to fail; a link, an unlink, one
 //! transaction that unlinks one file and links another, a link whose host
 //! commit fails after the repository voted; one truncating checkpoint of
 //! host and repository — is replayed up to each step; the log tail is
@@ -45,17 +46,22 @@
 //! After each recovery, per file: user-table row, host metadata row and
 //! repository row are all there at one version or all gone; the file is
 //! taken over iff linked, and handed back to its owner's attributes iff
-//! not; its bytes and the archive are that version's; no claim, intent or
+//! not; its bytes and the archive are that version's; no writer, intent or
 //! pending branch is left; the report's in-doubt, roll-forward and
 //! roll-back entries are exactly what the cut left unsettled; and the next
-//! update, unlink or link of every file proceeds.
+//! update, unlink or link of every file proceeds. A last sweep crashes a
+//! single update of each update-capable mode inside its write: after the
+//! grant, after the write, and between the host's `Commit` and the grant's
+//! release.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use datalinks::core::{DataLinksSystem, DatalinkUrl, DlColumnOptions, FileServerSpec};
-use datalinks::dlfm::{AgentConnection, ControlMode, DlfmClient, RecoveryReport, TokenKind};
+use datalinks::dlfm::{
+    AgentConnection, ControlMode, DlfmClient, HostHook, RecoveryReport, TokenKind,
+};
 use datalinks::fskit::{Cred, OpenOptions, SetAttr, SimClock};
 use datalinks::minidb::wal::{read_until, WalRecord};
 use datalinks::minidb::{
@@ -96,6 +102,11 @@ struct Rig {
 /// `FILES` files on disk, all but the last linked at version 1; optionally
 /// with repository and host standbys.
 fn rig(replicas: usize, host_replicas: usize) -> Rig {
+    rig_in(ControlMode::Rdd, replicas, host_replicas)
+}
+
+/// [`rig`] with the DATALINK column under `mode`.
+fn rig_in(mode: ControlMode, replicas: usize, host_replicas: usize) -> Rig {
     let host_faults = DiskFaults::new();
     let host_env = StorageEnv::mem_with_faults(Arc::clone(&host_faults), 0);
     let repo_env = StorageEnv::mem();
@@ -122,12 +133,8 @@ fn rig(replicas: usize, host_replicas: usize) -> Rig {
         .unwrap(),
     )
     .unwrap();
-    sys.define_datalink_column(
-        "t",
-        "body",
-        DlColumnOptions::new(ControlMode::Rdd).token_ttl_ms(600_000),
-    )
-    .unwrap();
+    sys.define_datalink_column("t", "body", DlColumnOptions::new(mode).token_ttl_ms(600_000))
+        .unwrap();
     for file in 0..FILES {
         raw.write_file(&APP, &path_of(file), &bytes_of(file, 1)).unwrap();
         if file + 1 < FILES {
@@ -140,7 +147,7 @@ fn rig(replicas: usize, host_replicas: usize) -> Rig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Step {
     Open(usize),
-    /// Writes the bytes of the version the open claimed.
+    /// Writes the bytes of the version the open will commit.
     Write(usize),
     Close(usize),
     WriteDoomed(usize),
@@ -392,14 +399,10 @@ fn replay(
 /// What an unforced repository record is to the sweep.
 #[derive(Clone, Copy, PartialEq)]
 enum Tail {
-    /// A write open's claim of `file`: the commit that inserts it.
-    Claim(usize),
     /// The record of a finished close of `file`: the commit that moves its
-    /// `dl_files` version and deletes the claim.
+    /// `dl_files` row to the writer's version. (A write open, and a close
+    /// that commits nothing, log nothing.)
     Close(usize),
-    /// A claim of `file` given back with no version (a failed close): the
-    /// commit that deletes it alone.
-    Release(usize),
     /// The end of a branch that unlinked: the commit that deletes its
     /// intents — with its `dl_files` rows if it committed, alone if not. A
     /// link-only branch's end inserts `dl_files` rows and nothing else
@@ -411,26 +414,27 @@ enum Tail {
     Other,
 }
 
-fn classify(rec: &WalRecord) -> Tail {
+/// Classifies one record of the repository log. `awaiting` is the index of
+/// `dl_files`' `needs_archive` column: a close's version update is the one
+/// rewrite of a `dl_files` row that sets it — the archiver's clear
+/// rewrites the row at the same version with it unset, a link inserts the
+/// row and an unlink deletes it.
+fn classify(rec: &WalRecord, awaiting: usize) -> Tail {
     let WalRecord::Commit { ops, .. } = rec else { return Tail::Other };
     let file_of = |path: &str| (0..FILES).find(|&f| path_of(f) == path).unwrap();
-    let claim = ops.iter().find_map(|op| match op {
-        RowOp::Insert { table, row } if table == "dl_uip" => row[0].as_text(),
-        _ => None,
-    });
-    let release = ops.iter().find_map(|op| match op {
-        RowOp::Delete { table, key } if table == "dl_uip" => key.as_text(),
+    let closed = ops.iter().find_map(|op| match op {
+        RowOp::Update { table, key, row } if table == "dl_files" => {
+            (row[awaiting] == Value::Bool(true)).then(|| key.as_text()).flatten()
+        }
         _ => None,
     });
     let moves_files = ops.iter().any(|op| op.table() == "dl_files");
     let deletes_intents =
         ops.iter().any(|op| matches!(op, RowOp::Delete { table, .. } if table == "dl_intents"));
-    match (claim, release) {
-        (Some(path), _) => Tail::Claim(file_of(path)),
-        (None, Some(path)) if moves_files => Tail::Close(file_of(path)),
-        (None, Some(path)) => Tail::Release(file_of(path)),
-        (None, None) if deletes_intents => Tail::End { commit: moves_files },
-        (None, None) => Tail::Other,
+    match closed {
+        Some(path) => Tail::Close(file_of(path)),
+        None if deletes_intents => Tail::End { commit: moves_files },
+        None => Tail::Other,
     }
 }
 
@@ -439,10 +443,11 @@ fn classify(rec: &WalRecord) -> Tail {
 /// for the crash to cut.
 fn flushed_tail(sys: &DataLinksSystem) -> (Vec<(Lsn, Tail)>, Lsn) {
     let repo = sys.node(SRV).unwrap().server.repository().db();
+    let awaiting = repo.schema("dl_files").unwrap().column_index("needs_archive").unwrap();
     let durable = repo.durable_lsn();
     repo.flush().unwrap();
     let tail = repo.wal_reader().read_from(durable).unwrap();
-    (tail.records.iter().map(|(lsn, rec)| (*lsn, classify(rec))).collect(), tail.end)
+    (tail.records.iter().map(|(lsn, rec)| (*lsn, classify(rec, awaiting))).collect(), tail.end)
 }
 
 /// The device and base of `db`'s active log slot (the history truncates at
@@ -470,7 +475,7 @@ fn cut_last_host_commit((dev, base): (Arc<dyn Device>, Lsn)) {
 /// The audit: for every file, user row, host row and repository row agree
 /// on `want[file]`, the file is taken over iff linked and back with its
 /// owner's attributes iff not, bytes and archive are the version's;
-/// nothing is left claimed, intended, in doubt or pending; and the next
+/// nothing is left open, intended, in doubt or pending; and the next
 /// operation on every file commits — an update to the next version and
 /// then an unlink for a linked file, a link for an unlinked one.
 fn audit(sys: &DataLinksSystem, want: &Versions, context: &str) {
@@ -494,12 +499,12 @@ fn audit(sys: &DataLinksSystem, want: &Versions, context: &str) {
         }
         meta
     };
-    assert!(repo.list_uip().is_empty(), "{context}: a claim outlived recovery");
     assert!(repo.list_intents().is_empty(), "{context}: an intent outlived recovery");
     assert!(node.server.pending_host_txns().is_empty(), "{context}: a branch is still pending");
     for (file, &version) in want.iter().enumerate() {
         let path = path_of(file);
         let context = format!("{context}, file {file}");
+        assert!(repo.sync_entries(&path).is_empty(), "{context}: a writer outlived recovery");
         assert_eq!(rows(file, &context), version, "{context}");
         let Some(version) = version else { continue };
         assert_eq!(
@@ -557,7 +562,8 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
     boundaries.push(end);
     let mut want = model.version;
     // Files the recovery rolls an update back on: every grant in flight,
-    // whether or not its claim survived the cut.
+    // found by its attributes (the open logged nothing for the cut to
+    // keep or take). A failed close rolled its file back itself.
     let mut rolled_back: BTreeSet<usize> = model.open.clone();
     // The close whose host commit the crash took, if any.
     let mut uncommitted_close = None;
@@ -583,15 +589,6 @@ fn crash_at(steps: &[Step], cut: usize, frontier: Frontier) -> usize {
             _ => None,
         })
         .collect();
-    // A release the cut lost leaves its claim, if that survived, for the
-    // recovery to roll back.
-    for (i, (lsn, kind)) in tail.iter().enumerate() {
-        let Tail::Release(file) = *kind else { continue };
-        let claimed_at = tail[..i].iter().rev().find(|(_, k)| *k == Tail::Claim(file));
-        if *lsn >= at && claimed_at.is_none_or(|(claim, _)| *claim < at) {
-            rolled_back.insert(file);
-        }
-    }
     // The unlink branches the cut leaves undecided, oldest first: those
     // whose end it lost, then the one whose phase two never ran. A link
     // leaves no intent to settle.
@@ -686,11 +683,11 @@ fn every_cut_of_the_unforced_tail_recovers_row_file_and_archive_together() {
 #[test]
 fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
     // The standby log as the cut target: shipping pauses before each step,
-    // so the standby holds nothing that step logged — not the claim, the
-    // intent, the close record or the branch's end. The primary runs the
-    // step, dies — with whatever write opens it holds — and the promoted
-    // node must agree with the host rows: a grant in flight, whose claim
-    // the standby may never have seen, rolls back by its attributes.
+    // so the standby holds nothing that step logged — not the intent, the
+    // close record or the branch's end. The primary runs the step, dies —
+    // with whatever write opens it holds — and the promoted node must
+    // agree with the host rows: a grant in flight, which no log records,
+    // rolls back by its attributes.
     let steps = history(SEED);
     let (mut relinked, mut unlinked, mut forward, mut back) = (0, 0, 0, 0);
     for cut in 0..steps.len() {
@@ -701,10 +698,11 @@ fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
         unlinked += report.files_unlinked;
         forward += report.updates_rolled_forward;
         back += report.updates_rolled_back;
-        // Rolled back: each grant in flight, and a failed close whose
-        // claim shipped without its release.
-        let released = u64::from(matches!(steps[cut], Step::CloseFailing(_)));
-        assert_eq!(report.updates_rolled_back, model.open.len() as u64 + released, "step {cut}");
+        // Rolled back: each grant in flight, and nothing else. A failed
+        // close put the committed bytes back and released its grant before
+        // the crash, and logged no claim for the standby to hold without
+        // its release: it leaves nothing to roll back.
+        assert_eq!(report.updates_rolled_back, model.open.len() as u64, "step {cut}");
         // A link the standby never heard of is re-linked from the host
         // row, which keeps the original owner.
         let context = format!("seed {SEED}, standby cut before step {cut} {:?}", steps[cut]);
@@ -722,9 +720,10 @@ fn every_step_cut_from_the_standby_log_fails_over_to_the_host_rows() {
 #[test]
 fn failover_to_a_standby_holding_only_the_claims_settles_each_by_the_host_row() {
     // File 0: an acknowledged update whose close record never shipped.
-    // File 1: a write open still in flight. The promoted standby holds both
-    // claims — flushed right after the opens — and nothing else; the host
-    // row tells them apart.
+    // File 1: a write open still in flight. The promoted standby holds what
+    // the log held right after the opens — which logged nothing — and
+    // nothing after; the host row and the grant's attributes tell them
+    // apart.
     let Rig { mut sys, .. } = rig(1, 0);
     let set = sys.node(SRV).unwrap().replication.clone().unwrap();
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
@@ -854,4 +853,119 @@ fn a_relink_after_an_unlink_survives_every_cut_of_the_unforced_tail() {
             break;
         }
     }
+}
+
+/// Where a crash lands inside one update of a file.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum InWrite {
+    /// The write open is granted; nothing is written yet (the open
+    /// truncated the file).
+    AfterGrant,
+    /// The new version's bytes are written; the close has not begun.
+    AfterWrite,
+    /// The host committed the new version and the close record was
+    /// appended, unforced; the grant was never released.
+    BeforeRelease,
+}
+
+#[test]
+fn a_crash_inside_a_write_reaches_the_host_rows_bytes_in_every_update_mode() {
+    // File 0 is updated to version 2, the log flushed; then a second
+    // update is crashed at `point`, with the repository log cut at every
+    // boundary of what it appended since. A write open logs nothing, so
+    // only the close record is there to cut. Whatever the cut, recovery
+    // ends at the host row's version and bytes, found by the row and the
+    // write grant's attributes alone.
+    let file = 0;
+    let path = path_of(file);
+    let (mut crashes, mut cut_records) = (0, 0);
+    for mode in [ControlMode::Rdd, ControlMode::Rfd] {
+        assert!(mode.supports_update());
+        for point in [InWrite::AfterGrant, InWrite::AfterWrite, InWrite::BeforeRelease] {
+            let mut cut = 0;
+            loop {
+                let Rig { sys, repo_env, .. } = rig_in(mode, 0, 0);
+                update(&sys, file, &bytes_of(file, 2));
+                let repo = sys.node(SRV).unwrap().server.repository().db().clone();
+                repo.flush().unwrap();
+                let (_, token_path) = sys
+                    .select_datalink("t", &Value::Int(file as i64), "body", TokenKind::Write)
+                    .unwrap();
+                let fs = sys.fs(SRV).unwrap();
+                let fd = fs.open(&APP, &token_path, OpenOptions::write_truncate()).unwrap();
+                assert_eq!(repo.state_id(), repo.durable_lsn(), "the write open logged nothing");
+                if point != InWrite::AfterGrant {
+                    fs.write(fd, &bytes_of(file, 3)).unwrap();
+                }
+                if point == InWrite::BeforeRelease {
+                    // The close's commit, as `close_notify` makes it, up
+                    // to the release it never reached: the host's forced
+                    // `Commit` of version 3, then the close record.
+                    let size = bytes_of(file, 3).len() as u64;
+                    let engine: &dyn HostHook = &**sys.engine();
+                    engine.commit_file_update(&url_of(file), size, 9, 3).unwrap();
+                    let dlfm = sys.node(SRV).unwrap().server.repository();
+                    let mut txn = repo.begin();
+                    dlfm.commit_version_in(&mut txn, &path, 3, engine.state_id()).unwrap();
+                    txn.commit_unforced().unwrap();
+                }
+                let (tail, end) = flushed_tail(&sys);
+                let mut boundaries: Vec<Lsn> = tail.iter().map(|(lsn, _)| *lsn).collect();
+                boundaries.push(end);
+                let at = boundaries[cut];
+                // The model: the host row decides the version, the grant
+                // marks the write in flight. A write the host never
+                // committed is rolled back to the store's copy of its
+                // version; a committed one is kept, and rolled forward
+                // when the cut took its close record.
+                let want = if point == InWrite::BeforeRelease { 3 } else { 2 };
+                let rolled_back = u64::from(point != InWrite::BeforeRelease);
+                let lost_close =
+                    tail.iter().any(|(lsn, kind)| *lsn >= at && *kind == Tail::Close(file));
+                let (dev, base) = active_log(&repo, &repo_env);
+                drop((repo, fs, fd));
+                let image = sys.crash();
+                dev.set_len(at - base).unwrap();
+                let context = format!("{mode} {point:?}, repository log cut at {at}");
+                let (sys, reports) = DataLinksSystem::recover(image).unwrap();
+                let report = &reports[SRV];
+                assert!(report.in_doubt_resolved.is_empty(), "{context}");
+                assert_eq!(
+                    (report.updates_rolled_forward, report.updates_rolled_back),
+                    (u64::from(lost_close), rolled_back),
+                    "{context}: the update settles by the host row and the grant's attributes"
+                );
+                let node = sys.node(SRV).unwrap();
+                let entry = node.server.repository().get_file(&path).unwrap();
+                let url = DatalinkUrl::parse(&url_of(file)).unwrap();
+                let meta = sys.engine().file_meta(&url).map(|(_, _, version)| version);
+                assert_eq!((meta, entry.cur_version), (Some(want), want), "{context}");
+                let raw = sys.raw_fs(SRV).unwrap();
+                let bytes = raw.read_file(&Cred::root(), &path).unwrap();
+                assert_eq!(bytes, bytes_of(file, want), "{context}: the host row's bytes");
+                let archived = node.server.archive_store().get(&path, want);
+                assert_eq!(archived.map(|v| v.data), Some(bytes_of(file, want)), "{context}");
+                let attr = raw.stat(&Cred::root(), &path).unwrap();
+                let at_rest = if mode.takes_over_at_link() {
+                    (node.server.config().dlfm_cred.uid, 0o400)
+                } else {
+                    (APP.uid, 0o444)
+                };
+                assert_eq!((attr.uid, attr.mode), at_rest, "{context}: back at rest");
+                assert!(node.server.repository().sync_entries(&path).is_empty(), "{context}");
+                update(&sys, file, &bytes_of(file, want + 1));
+                let next = sys.engine().file_meta(&url).map(|(_, _, version)| version);
+                assert_eq!(next, Some(want + 1), "{context}: the next update commits");
+                crashes += 1;
+                cut_records += usize::from(lost_close);
+                cut += 1;
+                if cut == boundaries.len() {
+                    break;
+                }
+            }
+        }
+    }
+    // Two modes, three points: the grant and write points have no record
+    // to cut, the release point one close record, cut and kept.
+    assert_eq!((crashes, cut_records), (2 * (1 + 1 + 2), 2));
 }

@@ -663,8 +663,8 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
         let node = sys.node("srv").unwrap();
         let repo = node.server.repository();
         let now = node.server.clock().now_ms();
-        assert!(repo.get_uip("/d/f.bin").is_some());
-        assert_eq!(repo.sync_entries("/d/f.bin").len(), 1);
+        let writer = repo.sync_entries("/d/f.bin");
+        assert_eq!((writer.len(), writer[0].kind), (1, TokenKind::Write), "the writer's entry");
         assert!(repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now));
         // The live Sync row does its job: unlink is refused while open.
         let mut tx = sys.begin();
@@ -682,8 +682,7 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     let node = sys.node("srv").unwrap();
     let repo = node.server.repository();
     let now = node.server.clock().now_ms();
-    assert!(repo.get_uip("/d/f.bin").is_none());
-    assert!(repo.sync_entries("/d/f.bin").is_empty(), "no ghost Sync row");
+    assert!(repo.sync_entries("/d/f.bin").is_empty(), "no ghost Sync row or writer");
     assert!(
         !repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now),
         "the pre-crash token entry must not survive"
@@ -702,9 +701,9 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     assert!(repo.get_file("/d/f.bin").is_none());
 }
 
-/// A write open whose claim the crash cuts out of the repository's unforced
-/// tail: nothing in the log says a write was in flight, but the disk does —
-/// the file carries the write grant's attributes — and recovery rolls the
+/// A write open the crash leaves in flight: the open logged nothing, so
+/// nothing in the log says a write was in flight, but the disk does — the
+/// file carries the write grant's attributes — and recovery rolls the
 /// write back by them (§4.2), to the last committed bytes and at rest.
 #[test]
 fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() {
@@ -712,13 +711,14 @@ fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() 
     update(&sys, b"the committed truth");
     let repo = sys.node("srv").unwrap().server.repository().db().clone();
     repo.flush().unwrap();
+    let mark = repo.state_id();
     let (_, write_path) =
         sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Write).unwrap();
     let fs = sys.fs("srv").unwrap();
     let fd = fs.open(&APP, &write_path, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"dirty").unwrap();
     let _ = fd; // never closed: the crash takes the descriptor down
-    assert!(repo.durable_lsn() < repo.state_id(), "the claim is in the unforced tail");
+    assert_eq!(repo.state_id(), mark, "the write open logged nothing");
     drop(repo);
 
     let (sys, reports) = DataLinksSystem::recover(sys.crash()).unwrap();
@@ -726,7 +726,7 @@ fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() 
     assert!(report.in_doubt_resolved.is_empty());
     assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (0, 1));
     let node = sys.node("srv").unwrap();
-    assert!(node.server.repository().list_uip().is_empty());
+    assert!(node.server.repository().sync_entries("/d/f.bin").is_empty(), "no writer came back");
     let raw = sys.raw_fs("srv").unwrap();
     assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"the committed truth");
     let dlfm = node.server.config().dlfm_cred;
@@ -907,12 +907,14 @@ mod in_doubt_branch_follows_the_host_outcome {
         sys
     }
 
-    /// The repository's record of a finished close: the commit that
-    /// deletes the `dl_uip` claim (and bumps `dl_files` with it).
-    fn is_close_record(rec: &WalRecord) -> bool {
-        matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(
-            |op| matches!(op, RowOp::Delete { table, .. } if table == "dl_uip"),
-        ))
+    /// The repository's record of a finished close: the commit that moves
+    /// the `dl_files` row to the writer's version, awaiting archive.
+    /// `awaiting` is the index of the `needs_archive` column, which the
+    /// archiver's later clear of the same row unsets.
+    fn is_close_record(rec: &WalRecord, awaiting: usize) -> bool {
+        matches!(rec, WalRecord::Commit { ops, .. } if ops.iter().any(|op| matches!(op,
+            RowOp::Update { table, row, .. }
+                if table == "dl_files" && row[awaiting] == Value::Bool(true))))
     }
 
     /// Runs one update of `/d/f.bin`, crashes, shears the repository log
@@ -929,12 +931,15 @@ mod in_doubt_branch_follows_the_host_outcome {
     ) -> (DataLinksSystem, RecoveryReport) {
         let Rig { sys, host_env, repo_env } = rig;
         let host_mark = sys.state_id();
-        let repo_mark = sys.node(SRV).unwrap().server.repository().db().state_id();
+        let repo = sys.node(SRV).unwrap().server.repository().db().clone();
+        let repo_mark = repo.state_id();
+        let awaiting = repo.schema("dl_files").unwrap().column_index("needs_archive").unwrap();
+        drop(repo);
         update(&sys, content);
         let dlfm = sys.node(SRV).unwrap().server.config().dlfm_cred;
         let raw = sys.raw_fs(SRV).unwrap();
         let image = sys.crash();
-        shear_from_last(&repo_env, repo_mark, is_close_record);
+        shear_from_last(&repo_env, repo_mark, |rec| is_close_record(rec, awaiting));
         if !host_committed {
             assert!(shear_from_last(&host_env, host_mark, |rec| is_meta_commit(rec, true)));
             let granted = SetAttr {
@@ -968,7 +973,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(1));
         let repo = sys.node(SRV).unwrap().server.repository();
         assert_eq!(repo.get_file("/d/f.bin").unwrap().cur_version, 1);
-        assert!(repo.get_uip("/d/f.bin").is_none(), "the in-flight update is rolled back");
+        assert!(repo.sync_entries("/d/f.bin").is_empty(), "the in-flight update is rolled back");
     }
 
     #[test]
@@ -979,7 +984,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
         let server = &sys.node(SRV).unwrap().server;
         assert_eq!(server.repository().get_file("/d/f.bin").unwrap().cur_version, 2);
-        assert!(server.repository().get_uip("/d/f.bin").is_none());
+        assert!(server.repository().sync_entries("/d/f.bin").is_empty());
         let archived = server.archive_store().get("/d/f.bin", 2).expect("version 2 archived");
         assert_eq!(archived.data, b"version-2");
         // And the next update builds on version 2.

@@ -410,8 +410,8 @@ proptest! {
 
     /// Any interleaving of strict-link register/unregister with managed
     /// write open/close, followed by the matching releases, leaves the
-    /// repository with zero Sync rows and zero UIP entries — no opener
-    /// claim survives its descriptor.
+    /// open table with zero Sync entries and the repository log as it was
+    /// — no opener claim survives its descriptor, and none was logged.
     #[test]
     fn interleaved_register_and_open_close_leak_nothing(
         ops in proptest::collection::vec(front_op(), 1..24)
@@ -433,6 +433,7 @@ proptest! {
         ));
         server.link_file(1, "/d/f.bin", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
         server.commit_host(1);
+        let mark = server.repository().db().state_id();
 
         // Openers 0..6 of the registration flavour use ids 100+i; write
         // openers use 200+i — mirrors DLFS's unique opener allocation.
@@ -494,7 +495,7 @@ proptest! {
         }
         let sync = server.repository().sync_entries("/d/f.bin");
         prop_assert!(sync.is_empty(), "leaked opener claims: {sync:?}");
-        prop_assert!(server.repository().get_uip("/d/f.bin").is_none(), "leaked UIP entry");
+        prop_assert_eq!(server.repository().db().state_id(), mark, "a grant or release was logged");
         // The file is fully releasable: unlink now succeeds.
         server.unlink_file(2, "/d/f.bin").unwrap();
         server.commit_host(2);

@@ -462,14 +462,14 @@ fn stack_syncs_per_update(wal: WalOptions) -> f64 {
 }
 
 /// The paper's update costs one forced commit, the host's (§4.3). Under
-/// per-commit sync every log write of an update is forced: the write
-/// claim, the host `Commit`, the close record and the `needs_archive`
-/// clear, 4 syncs per cycle. Group commit leaves all but the host `Commit`
-/// unforced: at most 1.1 per cycle, the 0.1 for the repository's
-/// full-batch flushes.
+/// per-commit sync every log write of an update is forced: the host
+/// `Commit`, the close record and the `needs_archive` clear, 3 syncs per
+/// cycle (the write open logs nothing). Group commit leaves all but the
+/// host `Commit` unforced: at most 1.1 per cycle, the 0.1 for the
+/// repository's full-batch flushes.
 #[test]
-fn an_update_cycle_syncs_once_under_group_commit_and_four_times_per_commit() {
-    assert_eq!(stack_syncs_per_update(WalOptions::per_commit_sync()), 4.0);
+fn an_update_cycle_syncs_once_under_group_commit_and_three_times_per_commit() {
+    assert_eq!(stack_syncs_per_update(WalOptions::per_commit_sync()), 3.0);
     let grouped = stack_syncs_per_update(WalOptions::tuned_for(1));
     assert!(grouped <= 1.1, "group commit synced {grouped} times per update cycle");
 }

@@ -298,14 +298,18 @@ fn failover_matches_a_crash_recovered_primary() {
     write_once(&sys, 1, b"other file");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
 
-    // Mid-workload: an in-flight write is open (UIP claimed, bytes dirtied)
-    // when the primary dies. Keep the descriptor open across the crash.
+    // Mid-workload: an in-flight write is open (writer granted, bytes
+    // dirtied) when the primary dies. Keep the descriptor open across the
+    // crash.
+    let primary = sys.node(SRV).unwrap().server.repository().db().clone();
+    let mark = primary.state_id();
     let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
     let fs = sys.fs(SRV).unwrap();
     let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"doomed in-flight bytes").unwrap();
-    // The write-open claim is an unforced repository commit: the catch-up
-    // flushes it and ships it.
+    // The write open logged nothing: the standby, caught up, holds all the
+    // primary's log did.
+    assert_eq!(primary.state_id(), mark, "the write open logged nothing");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
 
     // What a crash-recovered PRIMARY would work from: a fork of the
@@ -318,19 +322,21 @@ fn failover_matches_a_crash_recovered_primary() {
 
     // 1. Repository equivalence: the promoted repository's durable state
     //    matches the crashed primary's (same dl_files rows after the same
-    //    recovery steps: UIP rolled back, transient state cleared).
+    //    recovery steps: the write rolled back by its grant's attributes,
+    //    transient state cleared).
     let crashed_primary = datalinks::dlfm::Repository::open(primary_fork).unwrap();
     let mut primary_files: Vec<(String, u64)> =
         crashed_primary.list_files().into_iter().map(|e| (e.path, e.cur_version)).collect();
     primary_files.sort();
     assert_eq!(link_state(&sys), primary_files);
     assert_eq!(
-        crashed_primary.list_uip().len(),
-        1,
-        "the crashed primary held the same in-flight update the standby saw"
+        crashed_primary.db().state_id(),
+        mark,
+        "the crashed primary's log holds no more of the in-flight update than the standby's"
     );
     let promoted = sys.node(SRV).unwrap();
-    assert!(promoted.server.repository().list_uip().is_empty(), "promotion settled the UIP");
+    let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/f0.bin").unwrap();
+    assert_eq!(attr.mode, 0o400, "promotion took the write grant back");
     assert!(promoted.server.repository().sync_entries("/d/f0.bin").is_empty());
 
     // 2. Archive equivalence: the promoted store holds the same versions.
@@ -520,20 +526,24 @@ fn failover_with_a_write_open_the_standby_never_saw_rolls_it_back_by_its_grant_a
 #[test]
 fn promoted_standby_starts_without_token_entries_or_sync_rows() {
     // Open-file state never ships: a standby promoted while a write open
-    // is granted on the primary inherits the shipped UIP row (and rolls the
-    // update back) but no token entry and no Sync row.
+    // is granted on the primary inherits no record of the open (and rolls
+    // the update back by the file's attributes), no token entry and no
+    // Sync row.
     let mut sys = build(1, 1);
     write_once(&sys, 0, b"committed state");
+    let primary = sys.node(SRV).unwrap().server.repository().db().clone();
+    let mark = primary.state_id();
     let (_, wpath) = sys.select_datalink("t", &Value::Int(0), "body", TokenKind::Write).unwrap();
     let fs = sys.fs(SRV).unwrap();
     let fd = fs.open(&APP, &wpath, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"doomed in-flight bytes").unwrap();
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
     {
+        assert_eq!(primary.state_id(), mark, "the write open logged nothing to ship");
         let set = sys.node(SRV).unwrap().replication.clone().unwrap();
         let standby_env = set.standbys()[0].env().fork().unwrap();
         let shipped = datalinks::dlfm::Repository::open(standby_env).unwrap();
-        assert_eq!(shipped.list_uip().len(), 1, "the claim's UIP row shipped");
+        assert_eq!(shipped.get_file("/d/f0.bin").unwrap().cur_version, 2);
         assert!(shipped.sync_entries("/d/f0.bin").is_empty(), "its Sync row did not");
         assert_eq!(sys.node(SRV).unwrap().server.repository().sync_entries("/d/f0.bin").len(), 1);
     }
@@ -575,10 +585,11 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
 
     // The stale primary commits more work to its own (now irrelevant) log
     // and its shipper tries to ship it: the epoch fence must reject.
-    // (A forced `dl_uip` row — path, new version, opener: token entries
-    // and Sync rows never reach the log.)
+    // (A forced `dl_intents` row — `<txid>|<path>`, ON UNLINK action:
+    // token entries, Sync rows and writers never reach the log.)
     let mut txn = old_server.repository().db().begin();
-    txn.insert("dl_uip", vec![Value::Text("/stale".into()), Value::Int(2), Value::Int(9)]).unwrap();
+    let intent = vec![Value::Text("9|/stale".into()), Value::Text("restore".into())];
+    txn.insert("dl_intents", intent).unwrap();
     txn.commit().unwrap();
     let err = old_set.ship_once().unwrap_err();
     assert!(matches!(err, datalinks::repl::ReplError::StaleEpoch { .. }), "got {err}");
@@ -824,8 +835,12 @@ fn freshness_token_taken_right_after_close_covers_the_unforced_close_record() {
 #[test]
 fn failover_reprovisions_siblings_by_delta_with_bounded_logs() {
     const BUDGET: u64 = 4 * 1024;
+    // Enough updates to cross the budget: an update logs two repository
+    // records, about 330 B (`repl.bytes_shipped_per_update` on the
+    // benchmark's `uip_durable`), so 20 rounds log about 1.6 times it.
+    const ROUNDS: usize = 20;
     let mut sys = build_with(2, 1, BUDGET);
-    for round in 0..12 {
+    for round in 0..ROUNDS {
         write_once(&sys, 0, format!("history {round}").as_bytes());
     }
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
@@ -850,7 +865,8 @@ fn failover_reprovisions_siblings_by_delta_with_bounded_logs() {
         "sibling re-provisioning must use delta catch-up"
     );
     let tp = read_token_path(&sys, 0);
-    assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), b"history 11");
+    let last = format!("history {}", ROUNDS - 1);
+    assert_eq!(sys.serve_read(SRV, &tp, APP.uid).unwrap(), last.as_bytes());
 
     // The promoted node keeps the budget: more load, still bounded.
     for round in 0..6 {

@@ -445,7 +445,8 @@ fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
     let fd = fs.open(&APP, &tp, OpenOptions::write_truncate()).unwrap();
     fs.write(fd, b"doomed").unwrap();
     for (i, p) in acked.iter().enumerate() {
-        // The links' branch ends and the in-flight claim reach the disk.
+        // The links' branch ends reach the disk; the in-flight write open
+        // logged nothing.
         let repo = sys.node(&shard_name(i)).unwrap().server.repository().db();
         repo.flush().unwrap();
         update(&sys, i as i64, p, b"version-2");
@@ -472,7 +473,7 @@ fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
         let server = &sys.node(&shard_name(i)).unwrap().server;
         assert_eq!(raw.read_file(&Cred::root(), p).unwrap(), b"version-2");
         assert_eq!((meta_version(p), server.repository().get_file(p).unwrap().cur_version), (2, 2));
-        assert!(server.repository().list_uip().is_empty());
+        assert!(server.repository().sync_entries(p).is_empty(), "shard {i}: a writer came back");
         assert_eq!(server.archive_store().get(p, 2).unwrap().data, b"version-2");
         update(&sys, i as i64, p, b"version-3");
         assert_eq!(meta_version(p), 3);
@@ -632,10 +633,10 @@ fn each_shard_syncs_its_own_writers_share_side_by_side() {
         for (i, &r) in run.routed.iter().enumerate() {
             assert!(r >= 1, "{shards} shards: the router sent shard {i} no link");
         }
-        // Per-commit sync: an update's three repository records — the
-        // write claim at open, the close record and the archiver's
-        // `needs_archive` clear — each sync the owning shard's log once.
-        let share: Vec<u64> = run.writers.iter().map(|w| 3 * CYCLES as u64 * w).collect();
+        // Per-commit sync: an update's two repository records — the close
+        // record and the archiver's `needs_archive` clear — each sync the
+        // owning shard's log once. The write open logs nothing.
+        let share: Vec<u64> = run.writers.iter().map(|w| 2 * CYCLES as u64 * w).collect();
         assert_eq!(run.syncs, share, "{shards} shards: each log syncs its own writers' cycles");
         assert!(
             run.peak_syncs_in_flight >= shards as u64,
