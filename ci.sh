@@ -216,6 +216,21 @@ if grep -rnE "fn [r]econcile_file|fn [m]ove_to_version|fn [e]ntry_of_row|struct 
   exit 1
 fi
 
+# One owner of open-file state (DESIGN.md "§4.5"): the open table moves
+# its own epoch whenever an entry or a branch mark leaves, and counts its
+# own updates. No second epoch that callers bump by hand, no archive
+# callback waking opens, and no repository pass-through over the table —
+# callers use `Repository::opens` (the repository keeps only `claim_write`
+# and `admit_token`, which join the table to a row or a token). (The
+# bracketed first letters keep these patterns from matching this file.)
+step "guard: one owner of open-file state"
+if grep -rnE "struct [S]yncEpoch|fn [b]ump_epoch|[c]b_epoch" crates/ \
+  || grep -nE "fn ([p]ut_token_entry|[c]heck_token_entry|[r]egister_open|[e]nd_open|[s]ync_entries|[c]laim_read|[b]ump|[u]pdate_op_count)\b|[u]pdate_ops\b" \
+       crates/dlfm/src/repository.rs; then
+  echo "guard: a hand-bumped sync epoch (SyncEpoch, bump_epoch, cb_epoch) or a Repository pass-through over the open table reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

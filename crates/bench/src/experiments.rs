@@ -584,13 +584,14 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         });
         let fs = f.sys.fs(SRV).expect("fs");
         let path = f.token_path(0, TokenKind::Read);
-        let repo_before = f.sys.node(SRV).expect("node").server.repository().update_op_count();
+        let node = f.sys.node(SRV).expect("node");
+        let opens = node.server.repository().opens();
+        let repo_before = opens.updates();
         let ns = time_ns(iters, || {
             let fd = fs.open(&APP, &path, OpenOptions::read_only()).expect("open");
             fs.close(fd).expect("close");
         });
-        let repo_ops =
-            f.sys.node(SRV).expect("node").server.repository().update_op_count() - repo_before;
+        let repo_ops = opens.updates() - repo_before;
         rows.push(vec![
             s(if track { "sync entries on (default)" } else { "sync entries off (ablation)" }),
             s(format!("{ns:.0}")),
@@ -606,8 +607,8 @@ pub fn a4_sync_table_cost(iters: u64) -> Table {
         header: vec![s("configuration"), s("ns/open+close"), s("time"), s("repo updates/open")],
         rows,
         notes: vec![
-            "repo updates/open reads Repository::update_op_count: Sync-table updates (in DLFM \
-             memory), each a check-and-set of the open table counted once it took effect. on: \
+            "repo updates/open reads OpenTable::updates: Sync-table updates (in DLFM memory), \
+             each a check-and-set of the open table counted once it took effect. on: \
              the read claim (the Sync entry + the entry of the token the open carries) + the \
              purge at close = 2. off: the token entry alone = 1 (no Sync entry can exist, so \
              the close purges nothing)"

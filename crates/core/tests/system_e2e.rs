@@ -758,7 +758,7 @@ fn failed_host_commit_rolls_the_file_back_and_moves_no_counter_or_version() {
     assert_eq!(sys.engine().stats.meta_updates.get(), 1, "a failed commit is not an update");
     assert_eq!(raw.read_file(&Cred::root(), "/movies/alien.mpg").unwrap(), b"alien v2");
     let repo = node.server.repository();
-    assert!(repo.sync_entries("/movies/alien.mpg").is_empty(), "the writer slot is released");
+    assert!(repo.opens().entries("/movies/alien.mpg").is_empty(), "the writer slot is released");
     assert_eq!(repo.get_file("/movies/alien.mpg").unwrap().cur_version, 2);
     let url = DatalinkUrl::parse("dlfs://srv1/movies/alien.mpg").unwrap();
     assert_eq!(sys.engine().file_meta(&url).unwrap().2, 2, "host metadata unmoved");

@@ -290,7 +290,8 @@ pub type ContentSource = Arc<dyn Fn(&str) -> Option<Vec<u8>> + Send + Sync>;
 /// fenced it), so a callback that acts on success must check the store
 /// first. The DLFM server uses it to eagerly clear `needs_archive` in the
 /// repository — store- and version-guarded, since by the time it runs a
-/// newer update may already be in flight — and to bump its sync epoch.
+/// newer update may already be in flight. No open waits on it: a write
+/// open runs or waits out its file's job itself (`Archiver::finish`).
 pub type ArchiveCompletion = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 /// The jobs no thread has started yet, oldest first. A file has at most
@@ -623,8 +624,8 @@ mod tests {
         );
         archiver.submit(job("/f", 1, 1, b"v1"));
         entered.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        // Inside the callback the marker is already clear (what epoch
-        // waiters rely on), yet a drain must keep waiting.
+        // Inside the callback the marker is already clear, yet a drain
+        // must keep waiting.
         assert!(!store.is_archiving("/f"));
         let drained = AtomicBool::new(false);
         std::thread::scope(|s| {

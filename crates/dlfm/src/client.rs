@@ -26,7 +26,8 @@ pub trait Carrier: Send + Sync {
     /// carrier failed (connection lost, call timed out, daemons gone) — a
     /// request the server refused comes back as `Ok(Message::Err(..))`.
     fn call(&self, msg: Message) -> Result<Message, String>;
-    /// Blocks until the server's sync epoch differs from `seen`, or the
+    /// Blocks until the server's sync epoch — its open table's count of
+    /// entries and branch marks that left — differs from `seen`, or the
     /// carrier can no longer tell.
     fn wait_epoch_change(&self, seen: u64);
 }
@@ -196,9 +197,10 @@ impl DlfmClient {
     /// Runs the open check, validating the `token` the open presents
     /// first (see `DlfmServer::open_check`). The `u64` is the sync epoch
     /// as it stood *before* the check ran — what a `Busy` caller hands to
-    /// [`DlfmClient::wait_epoch_change`], so a release that lands between
-    /// the check and the wait is never slept through. It means nothing
-    /// beside any other decision.
+    /// [`DlfmClient::wait_epoch_change`]. Every removal from the server's
+    /// open table moves that epoch, so a release that lands between the
+    /// check and the wait is never slept through. It means nothing beside
+    /// any other decision.
     pub fn open_check(
         &self,
         path: &str,

@@ -50,10 +50,10 @@ pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 pub use client::{AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
-pub use opens::OpenTable;
+pub use opens::{OpenTable, SyncEntry};
 pub use pool::{HeadGate, PoolStats};
 pub use recovery::{HostFile, HostView, RecoveryReport};
-pub use repository::{FileEntry, Repository, SyncEntry};
+pub use repository::{FileEntry, Repository};
 pub use server::{
     lane, DlfmConfig, DlfmServer, DlfmStats, HostHook, Lane, LinkVote, OpenDecision, Transport,
     FLIGHT_RING_CAPACITY,

@@ -5,17 +5,35 @@
 //! admitted sessions into ([`crate::Repository::with_opens`]). Each rule
 //! the paper states over this state is one check-and-set under the table's
 //! lock (DESIGN.md "§4.5").
+//!
+//! The table also owns what follows from those rules. Its *epoch* moves
+//! under the lock whenever an entry or a branch mark leaves — the only
+//! events that can turn a refused claim into a granted one — so an open
+//! answered `Busy` waits on it ([`OpenTable::wait_change`]) and no caller
+//! has to remember to wake it. Its *update count* is the paper's "extra
+//! database update operations" (§4.5, bench A4): each check-and-set on a
+//! token or Sync entry that took effect.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::modes::ControlMode;
-use crate::repository::SyncEntry;
 use crate::token::{AccessToken, TokenKind};
 
-/// A Sync-table entry: an open, or a strict-link registration of one.
+/// A Sync-table entry (§4.5) — one open of a managed file, or a strict-link
+/// registration of an open.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyncEntry {
+    pub path: String,
+    pub kind: TokenKind,
+    /// Unique per open-file instance; issued by DLFS.
+    pub opener: u64,
+    pub uid: u32,
+}
+
+/// A Sync-table entry as the table keeps it.
 #[derive(Debug, Clone, Copy)]
 struct Open {
     opener: u64,
@@ -63,12 +81,18 @@ impl PathState {
 }
 
 /// DLFM's open-file state (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct OpenTable {
     paths: Mutex<HashMap<String, PathState>>,
     /// Unlink branches ended so far, per bucket of path hashes (counted
     /// under the lock): an unlink of one file seldom fails a read of another.
     unlinks_ended: [AtomicU64; 32],
+    /// Entries and branch marks that left so far (moved under the lock);
+    /// `left` wakes the waiters on it.
+    epoch: AtomicU64,
+    left: Condvar,
+    /// Check-and-sets on token and Sync entries that took effect.
+    updates: AtomicU64,
 }
 
 impl OpenTable {
@@ -90,10 +114,47 @@ impl OpenTable {
         self.paths.lock().get(path).map(f).unwrap_or_default()
     }
 
+    /// Counts one check-and-set that took effect.
+    fn count(&self) {
+        self.updates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Moves the epoch and wakes its waiters: an entry or a branch mark
+    /// left. Called under the lock, so a waiter that read the old epoch
+    /// under it is already waiting.
+    fn moved(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.left.notify_all();
+    }
+
+    /// The epoch: how many entries and branch marks have left. An open
+    /// reads it *before* its check, and on `Busy` hands it to
+    /// [`OpenTable::wait_change`], so a removal that lands in between is
+    /// never slept through.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the epoch differs from `seen`.
+    pub fn wait_change(&self, seen: u64) {
+        let mut paths = self.paths.lock();
+        while self.epoch() == seen {
+            self.left.wait(&mut paths);
+        }
+    }
+
+    /// Check-and-sets on token and Sync entries that took effect so far:
+    /// a token entry put, a read or write claim, a strict registration, an
+    /// entry's removal (bench A4's "repo updates/open").
+    pub fn updates(&self) -> u64 {
+        self.updates.load(Ordering::Relaxed)
+    }
+
     /// Upserts the token entry: "the user has permission to access the
     /// file till time t" (§4.1).
     pub fn put_token(&self, uid: u32, path: &str, kind: TokenKind, expiry_ms: u64) {
         self.with_path(path, |state| state.tokens.insert((uid, kind), expiry_ms));
+        self.count();
     }
 
     /// Does an unexpired token entry authorizing `wanted` exist for
@@ -151,6 +212,7 @@ impl OpenTable {
             if let Some(token) = token {
                 state.tokens.insert((uid, token.kind), token.expires_at_ms);
             }
+            self.count();
             true
         })
     }
@@ -177,6 +239,7 @@ impl OpenTable {
                 return false;
             }
             state.opens.push(Open { opener, kind: TokenKind::Write, uid, commits: None });
+            self.count();
             true
         })
     }
@@ -211,6 +274,7 @@ impl OpenTable {
                 return Err(format!("{path} is being linked (strict link mode); open rejected"));
             }
             state.opens.push(Open { opener, kind, uid, commits: None });
+            self.count();
             Ok(())
         })
     }
@@ -229,6 +293,8 @@ impl OpenTable {
         if state.is_empty() {
             paths.remove(path);
         }
+        self.count();
+        self.moved();
         Some(Ended::Removed)
     }
 
@@ -255,9 +321,11 @@ impl OpenTable {
     /// op failed).
     pub fn end_branch(&self, path: &str) {
         self.with_path(path, |state| {
-            if let Some(Branch::Unlink) = state.branch.take() {
+            let Some(branch) = state.branch.take() else { return };
+            if let Branch::Unlink = branch {
                 self.unlinks_of(path).fetch_add(1, Ordering::SeqCst);
             }
+            self.moved();
         });
     }
 
@@ -339,6 +407,106 @@ mod tests {
         assert_eq!(t.begin_branch("/f", Some(ControlMode::Rdd), true), Err(1));
         t.begin_branch("/f", Some(ControlMode::Rdd), false).unwrap();
         assert_eq!(t.unlinks_ended("/f"), 0, "only an unlink's end is counted");
+    }
+
+    #[test]
+    fn token_entries_expire_and_subsume() {
+        let t = OpenTable::default();
+        t.put_token(42, "/f", TokenKind::Write, 1_000);
+        assert!(t.token_admits(42, "/f", TokenKind::Write, 999));
+        assert!(t.token_admits(42, "/f", TokenKind::Read, 999), "write subsumes read");
+        assert!(!t.token_admits(42, "/f", TokenKind::Write, 1_001), "expired");
+        assert!(!t.token_admits(43, "/f", TokenKind::Write, 0), "other user");
+        assert!(!t.token_admits(42, "/g", TokenKind::Write, 0), "other file");
+
+        // Same userid: a second application under uid 42 shares the grant
+        // (the paper's deliberate userid-keying consequence, §4.1).
+        assert!(t.token_admits(42, "/f", TokenKind::Write, 500));
+    }
+
+    #[test]
+    fn token_entry_refresh_extends_expiry() {
+        let t = OpenTable::default();
+        t.put_token(1, "/f", TokenKind::Read, 100);
+        t.put_token(1, "/f", TokenKind::Read, 500);
+        assert!(t.token_admits(1, "/f", TokenKind::Read, 400));
+    }
+
+    #[test]
+    fn sync_entries_per_path() {
+        let t = OpenTable::default();
+        t.register("/a", TokenKind::Read, 1, 9).unwrap();
+        t.register("/a", TokenKind::Write, 2, 9).unwrap();
+        t.register("/b", TokenKind::Read, 3, 9).unwrap();
+        let a = t.entries("/a");
+        assert_eq!(a.len(), 2);
+        assert!(a.iter().any(|e| e.kind == TokenKind::Write));
+        t.end("/a", 2, true);
+        assert_eq!(t.entries("/a").len(), 1);
+        assert_eq!(t.entries("/b").len(), 1);
+        assert_eq!(t.entries("/c").len(), 0);
+    }
+
+    #[test]
+    fn the_update_count_counts_each_entry_update_that_took_effect() {
+        let t = OpenTable::default();
+        t.register("/x", TokenKind::Read, 1, 1).unwrap();
+        t.end("/x", 1, true);
+        assert_eq!(t.updates(), 2, "one update per sync op (§4.5)");
+        t.put_token(1, "/x", TokenKind::Read, 9);
+        assert!(t.claim_read("/x", 2, 1, None, 0));
+        assert!(!t.claim_write("/x", 3, 1, true, 0), "refused: the reader conflicts");
+        assert_eq!(t.end("/x", 3, true), None, "no entry to end");
+        assert_eq!(t.updates(), 4, "a refused claim and an end of nothing are no updates");
+    }
+
+    #[test]
+    fn every_removal_moves_the_epoch_and_nothing_else_does() {
+        let t = OpenTable::default();
+        let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 50);
+        let still = |t: &OpenTable, seen: u64, what: &str| assert_eq!(t.epoch(), seen, "{what}");
+        let moved =
+            |t: &OpenTable, seen: u64, what: &str| assert_eq!(t.epoch(), seen + 1, "{what}");
+
+        // Additions and refusals leave the epoch where it was.
+        let seen = t.epoch();
+        t.put_token(7, "/f", TokenKind::Read, 50);
+        assert!(t.claim_read("/f", 1, 7, None, 0));
+        assert!(t.claim_write("/f", 2, 7, false, 0));
+        t.grant("/f", 2, 2, Some(&token));
+        assert!(!t.claim_read("/f", 3, 7, None, 0));
+        t.register("/g", TokenKind::Read, 4, 7).unwrap();
+        t.begin_branch("/h", None, true).unwrap();
+        assert_eq!(t.end("/f", 2, false), Some(Ended::Writer(2)), "a writer left in place");
+        assert_eq!(t.end("/f", 9, true), None);
+        still(&t, seen, "a claim, a grant, a token put, a registration or begin_branch");
+
+        // Every removal moves it, each by one.
+        let seen = t.epoch();
+        t.end("/f", 1, false);
+        moved(&t, seen, "a reader's end");
+        t.end("/f", 2, true);
+        moved(&t, seen + 1, "a writer's end");
+        t.end("/g", 4, true);
+        moved(&t, seen + 2, "a strict registration's end");
+        t.end_branch("/h");
+        moved(&t, seen + 3, "an unlink branch's end");
+        t.begin_branch("/h", Some(ControlMode::Rdd), false).unwrap();
+        t.end_branch("/h");
+        moved(&t, seen + 4, "a link branch's end");
+        t.end_branch("/h");
+        still(&t, seen + 5, "an end_branch with no mark");
+
+        // A waiter whose epoch has moved returns at once; one that has not
+        // returns at the next removal.
+        t.wait_change(seen);
+        let now = t.epoch();
+        t.register("/g", TokenKind::Read, 5, 7).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| t.wait_change(now));
+            t.end("/g", 5, true);
+        });
+        assert_eq!(t.epoch(), now + 1);
     }
 
     #[test]

@@ -304,7 +304,6 @@ impl DlfmServer {
             self.apply(&mut txn, &inputs.path, &steps)?;
         }
         txn.commit().map_err(|e| e.to_string())?;
-        self.bump_epoch();
         Ok(report)
     }
 

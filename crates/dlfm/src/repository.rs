@@ -24,6 +24,9 @@
 //! in update (§4.2) describe open-file state, which no crash keeps: they
 //! live in the repository's [`OpenTable`], in memory, so neither a token
 //! read nor a write open runs a database transaction (see `crate::opens`).
+//! Callers use that table directly ([`Repository::opens`]); the repository
+//! only joins it to a file row ([`Repository::claim_write`]) or to token
+//! decoding ([`Repository::admit_token`]).
 //! An update's repository records are its close's and the archiver's
 //! `needs_archive` clear. The tables are the durable state recovery works
 //! from, and every write to them that recovery could not re-derive is
@@ -31,14 +34,13 @@
 //! that are not). A write a crash left in flight is read back off the
 //! disk, where the granted file carries the write grant's attributes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dl_minidb::{Column, ColumnType, Database, DbResult, Row, Schema, StorageEnv, Txn, Value};
 
 use crate::archive::{ArchiveStore, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::opens::{Ended, OpenTable};
+use crate::opens::OpenTable;
 use crate::token::{AccessToken, TokenKey, TokenKind};
 
 fn on_unlink_value(on_unlink: OnUnlink) -> Value {
@@ -107,17 +109,6 @@ impl FileEntry {
     }
 }
 
-/// A Sync-table entry (§4.5) — one open of a managed file, or a strict-link
-/// registration of an open.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncEntry {
-    pub path: String,
-    pub kind: TokenKind,
-    /// Unique per open-file instance; issued by DLFS.
-    pub opener: u64,
-    pub uid: u32,
-}
-
 /// A row of `dl_intents` — an unlink branch's vote on one file, forced
 /// while the branch holds the file's `dl_files` row lock. It names the
 /// host transaction and the path, and carries the ON UNLINK action a
@@ -155,11 +146,6 @@ impl IntentEntry {
 pub struct Repository {
     db: Database,
     opens: Arc<OpenTable>,
-    /// The "extra database update operations" the paper counts in §4.5:
-    /// auto-commit write transactions, and the open table's claims, purges
-    /// and standalone token entries, which stand where the paper's Sync
-    /// and token table updates do.
-    update_ops: AtomicU64,
 }
 
 impl Repository {
@@ -179,14 +165,14 @@ impl Repository {
     /// takes over the open table the standby admitted sessions into.
     pub fn with_opens(db: Database, opens: Arc<OpenTable>) -> DbResult<Repository> {
         Self::ensure_schema(&db)?;
-        Ok(Repository { db, opens, update_ops: AtomicU64::new(0) })
+        Ok(Repository { db, opens })
     }
 
     /// The repository over `db` as it stands, creating nothing: a read
     /// replica's view of its follower, which takes no DDL — the schema
     /// arrives by shipping. Its open table starts empty.
     pub fn over(db: Database) -> Repository {
-        Repository { db, opens: Arc::default(), update_ops: AtomicU64::new(0) }
+        Repository { db, opens: Arc::default() }
     }
 
     fn ensure_schema(db: &Database) -> DbResult<()> {
@@ -224,21 +210,10 @@ impl Repository {
         &self.db
     }
 
-    /// The open-file state: Sync entries, token entries, branch marks.
+    /// The open-file state: Sync entries, token entries, branch marks, and
+    /// the epoch and update count they move.
     pub fn opens(&self) -> &Arc<OpenTable> {
         &self.opens
-    }
-
-    /// Counts one update — called after it took effect, so a call that
-    /// found nothing to change (an `end_open` of no entry) or lost a
-    /// conflict is not an update.
-    fn bump(&self) {
-        self.update_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of auto-commit repository updates committed so far (bench A4).
-    pub fn update_op_count(&self) -> u64 {
-        self.update_ops.load(Ordering::Relaxed)
     }
 
     // --- dl_files -------------------------------------------------------------
@@ -326,7 +301,6 @@ impl Repository {
             txn.update("dl_files", &key, row)?;
         }
         txn.commit_unforced()?;
-        self.bump();
         Ok(current)
     }
 
@@ -357,21 +331,6 @@ impl Repository {
 
     // --- token entries -----------------------------------------------------------
 
-    /// Records a validated token entry: "the user has permission to access
-    /// the file till time t" (§4.1). Keyed by userid, not processid. In
-    /// memory: a crash closes every descriptor the entry could admit.
-    pub fn put_token_entry(
-        &self,
-        uid: u32,
-        path: &str,
-        kind: TokenKind,
-        expiry_ms: u64,
-    ) -> DbResult<()> {
-        self.opens.put_token(uid, path, kind, expiry_ms);
-        self.bump();
-        Ok(())
-    }
-
     /// Token admission (§4.1) — the one the upcall of an open not under
     /// full control, the routed read and every read replica run: decodes `token`, checks its
     /// MAC under `server`'s secret `key` and its expiry at `now_ms`, and
@@ -387,46 +346,8 @@ impl Repository {
     ) -> Result<TokenKind, String> {
         let token = AccessToken::decode_verified(token, key, server, path, now_ms)
             .map_err(|e| e.to_string())?;
-        self.put_token_entry(uid, path, token.kind, token.expires_at_ms)
-            .map_err(|e| e.to_string())?;
+        self.opens.put_token(uid, path, token.kind, token.expires_at_ms);
         Ok(token.kind)
-    }
-
-    /// Does an unexpired token entry authorizing `wanted` exist for
-    /// (`uid`, `path`)? A write entry authorizes reads too.
-    pub fn check_token_entry(&self, uid: u32, path: &str, wanted: TokenKind, now_ms: u64) -> bool {
-        self.opens.token_admits(uid, path, wanted, now_ms)
-    }
-
-    // --- the Sync table ---------------------------------------------------------
-
-    /// Records a strict-link registration of an open (§4.5), refused while
-    /// a live link branch holds the path ([`OpenTable::register`]).
-    pub fn register_open(
-        &self,
-        path: &str,
-        kind: TokenKind,
-        opener: u64,
-        uid: u32,
-    ) -> Result<(), String> {
-        self.opens.register(path, kind, opener, uid)?;
-        self.bump();
-        Ok(())
-    }
-
-    /// Purges the Sync-table entry at close (§4.5), a granted writer's only
-    /// when `writes_too` ([`OpenTable::end`]).
-    pub fn end_open(&self, path: &str, opener: u64, writes_too: bool) -> Option<Ended> {
-        let ended = self.opens.end(path, opener, writes_too);
-        if ended == Some(Ended::Removed) {
-            self.bump();
-        }
-        ended
-    }
-
-    /// Sync entries for `path`.
-    pub fn sync_entries(&self, path: &str) -> Vec<SyncEntry> {
-        self.opens.entries(path)
     }
 
     // --- open-grant claims ------------------------------------------------------
@@ -462,27 +383,7 @@ impl Repository {
             return None;
         };
         self.opens.grant(path, opener, entry.cur_version + 1, token);
-        self.bump();
         Some(entry)
-    }
-
-    /// Grants a tracked read open of a file the caller found linked at
-    /// `unlinks_seen`, with the carried `token`'s entry: no database
-    /// transaction, one check-and-set ([`OpenTable::claim_read`]). Returns
-    /// false, recording nothing, on a conflict.
-    pub fn claim_read(
-        &self,
-        path: &str,
-        opener: u64,
-        uid: u32,
-        token: Option<&AccessToken>,
-        unlinks_seen: u64,
-    ) -> bool {
-        let granted = self.opens.claim_read(path, opener, uid, token, unlinks_seen);
-        if granted {
-            self.bump();
-        }
-        granted
     }
 
     // --- dl_intents -------------------------------------------------------------
@@ -493,7 +394,6 @@ impl Repository {
         let mut txn = self.db.begin();
         txn.insert("dl_intents", intent.to_row())?;
         txn.commit()?;
-        self.bump();
         Ok(())
     }
 
@@ -515,7 +415,6 @@ impl Repository {
             self.remove_intent_in(&mut txn, host_txid, path)?;
         }
         txn.commit_unforced()?;
-        self.bump();
         Ok(())
     }
 
@@ -533,6 +432,7 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opens::Ended;
 
     fn repo() -> Repository {
         Repository::open(StorageEnv::mem()).unwrap()
@@ -568,7 +468,7 @@ mod tests {
         token: Option<&AccessToken>,
     ) -> bool {
         let unlinks_seen = r.opens().unlinks_ended(path);
-        r.get_file(path).is_some() && r.claim_read(path, opener, uid, token, unlinks_seen)
+        r.get_file(path).is_some() && r.opens().claim_read(path, opener, uid, token, unlinks_seen)
     }
 
     /// A write open as the server makes one, returning the version its
@@ -620,57 +520,19 @@ mod tests {
     }
 
     #[test]
-    fn token_entries_expire_and_subsume() {
-        let r = repo();
-        r.put_token_entry(42, "/f", TokenKind::Write, 1_000).unwrap();
-        assert!(r.check_token_entry(42, "/f", TokenKind::Write, 999));
-        assert!(r.check_token_entry(42, "/f", TokenKind::Read, 999), "write subsumes read");
-        assert!(!r.check_token_entry(42, "/f", TokenKind::Write, 1_001), "expired");
-        assert!(!r.check_token_entry(43, "/f", TokenKind::Write, 0), "other user");
-        assert!(!r.check_token_entry(42, "/g", TokenKind::Write, 0), "other file");
-
-        // Same userid: a second application under uid 42 shares the grant
-        // (the paper's deliberate userid-keying consequence, §4.1).
-        assert!(r.check_token_entry(42, "/f", TokenKind::Write, 500));
-    }
-
-    #[test]
-    fn token_entry_refresh_extends_expiry() {
-        let r = repo();
-        r.put_token_entry(1, "/f", TokenKind::Read, 100).unwrap();
-        r.put_token_entry(1, "/f", TokenKind::Read, 500).unwrap();
-        assert!(r.check_token_entry(1, "/f", TokenKind::Read, 400));
-    }
-
-    #[test]
-    fn sync_entries_per_path() {
-        let r = repo();
-        r.register_open("/a", TokenKind::Read, 1, 9).unwrap();
-        r.register_open("/a", TokenKind::Write, 2, 9).unwrap();
-        r.register_open("/b", TokenKind::Read, 3, 9).unwrap();
-        let a = r.sync_entries("/a");
-        assert_eq!(a.len(), 2);
-        assert!(a.iter().any(|e| e.kind == TokenKind::Write));
-        r.end_open("/a", 2, true);
-        assert_eq!(r.sync_entries("/a").len(), 1);
-        assert_eq!(r.sync_entries("/b").len(), 1);
-        assert_eq!(r.sync_entries("/c").len(), 0);
-    }
-
-    #[test]
     fn intents_survive_reopen_but_transient_state_does_not() {
         let env = StorageEnv::mem();
         {
             let r = Repository::open(env.clone()).unwrap();
             r.add_intent(&intent()).unwrap();
-            r.put_token_entry(1, "/f", TokenKind::Read, u64::MAX).unwrap();
-            r.register_open("/f", TokenKind::Read, 1, 1).unwrap();
+            r.opens().put_token(1, "/f", TokenKind::Read, u64::MAX);
+            r.opens().register("/f", TokenKind::Read, 1, 1).unwrap();
         }
         let r = Repository::open(env).unwrap();
         // Crash recovery: durable intents remain, open-file state is gone.
         assert_eq!(r.list_intents(), [intent()]);
-        assert!(!r.check_token_entry(1, "/f", TokenKind::Read, 0));
-        assert!(r.sync_entries("/f").is_empty());
+        assert!(!r.opens().token_admits(1, "/f", TokenKind::Read, 0));
+        assert!(r.opens().entries("/f").is_empty());
     }
 
     #[test]
@@ -701,7 +563,7 @@ mod tests {
         // First claim: granted against cur_version 1, and the writer's
         // entry holds version 2.
         assert_eq!(write_open(&r, "/f", 10, false, None), Some(2));
-        assert_eq!(r.sync_entries("/f").len(), 1);
+        assert_eq!(r.opens().entries("/f").len(), 1);
 
         // A concurrent second claim conflicts (the writer slot is taken),
         // and a tracked read conflicts with the active write grant: neither
@@ -709,23 +571,23 @@ mod tests {
         let token = AccessToken::generate(&TokenKey::new(b"k"), "s", "/f", TokenKind::Write, 5_000);
         assert_eq!(write_open(&r, "/f", 11, false, Some(&token)), None);
         assert!(!read_open(&r, "/f", 12, 43, Some(&token)));
-        assert!(!r.check_token_entry(42, "/f", TokenKind::Read, 0));
-        assert!(!r.check_token_entry(43, "/f", TokenKind::Read, 0));
+        assert!(!r.opens().token_admits(42, "/f", TokenKind::Read, 0));
+        assert!(!r.opens().token_admits(43, "/f", TokenKind::Read, 0));
 
         // Commit the update the way close processing does — the record
         // applies before the writer leaves — then re-claim: the fresh
         // version is observed (the lost-update race a stale read would
         // reintroduce).
-        assert_eq!(r.end_open("/f", 10, false), Some(Ended::Writer(2)));
+        assert_eq!(r.opens().end("/f", 10, false), Some(Ended::Writer(2)));
         let mut txn = r.db().begin();
         r.commit_version_in(&mut txn, "/f", 2, 99).unwrap();
         txn.commit().unwrap();
-        r.end_open("/f", 10, true);
+        r.opens().end("/f", 10, true);
         assert_eq!(write_open(&r, "/f", 20, false, None), Some(3));
 
         // Ending the writer frees the slot; an unlinked path is no claim.
-        r.end_open("/f", 20, true);
-        assert!(r.sync_entries("/f").is_empty());
+        r.opens().end("/f", 20, true);
+        assert!(r.opens().entries("/f").is_empty());
         assert_eq!(write_open(&r, "/nope", 1, false, None), None);
     }
 
@@ -753,9 +615,9 @@ mod tests {
 
         // Token entry, tracked read open, read close: the open table only.
         let tail = r.db().state_id();
-        r.put_token_entry(7, "/f", TokenKind::Read, u64::MAX).unwrap();
+        r.opens().put_token(7, "/f", TokenKind::Read, u64::MAX);
         assert!(read_open(&r, "/f", 1, 7, None));
-        r.end_open("/f", 1, true);
+        r.opens().end("/f", 1, true);
         assert_eq!(r.db().state_id(), tail);
 
         // A granted write open: the writer, the version it commits and the
@@ -764,17 +626,8 @@ mod tests {
         let unlinks_seen = r.opens().unlinks_ended("/f");
         let granted = r.claim_write("/f", 2, 7, true, Some(&token), unlinks_seen);
         assert_eq!(granted.map(|e| e.cur_version), Some(1));
-        assert!(r.check_token_entry(7, "/f", TokenKind::Write, 5_000));
-        assert_eq!(r.sync_entries("/f").len(), 1);
+        assert!(r.opens().token_admits(7, "/f", TokenKind::Write, 5_000));
+        assert_eq!(r.opens().entries("/f").len(), 1);
         assert_eq!(r.db().state_id(), tail, "the write open logged nothing");
-    }
-
-    #[test]
-    fn update_op_counter_counts_writes() {
-        let r = repo();
-        let before = r.update_op_count();
-        r.register_open("/x", TokenKind::Read, 1, 1).unwrap();
-        r.end_open("/x", 1, true);
-        assert_eq!(r.update_op_count() - before, 2, "one update per sync op (§4.5)");
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use dl_fskit::{Clock, Cred, FileKind, FileSystem, Lfs, SetAttr};
 use dl_net::Message;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
 use crate::modes::{ControlMode, OnUnlink};
@@ -287,33 +287,6 @@ pub(crate) fn linked_attrs(mode: ControlMode, entry: &FileEntry, dlfm: &Cred) ->
     }
 }
 
-/// Epoch bumped whenever sync/archive state changes; blocked opens wait on
-/// it and retry. Shared (via `Arc`) with the archiver completion callback,
-/// so an epoch watcher also sees an archive job settle.
-#[derive(Default)]
-struct SyncEpoch {
-    epoch: Mutex<u64>,
-    changed: Condvar,
-}
-
-impl SyncEpoch {
-    fn bump(&self) {
-        *self.epoch.lock() += 1;
-        self.changed.notify_all();
-    }
-
-    fn get(&self) -> u64 {
-        *self.epoch.lock()
-    }
-
-    fn wait_change(&self, seen: u64) {
-        let mut epoch = self.epoch.lock();
-        while *epoch == seen {
-            self.changed.wait(&mut epoch);
-        }
-    }
-}
-
 /// The DLFM server.
 pub struct DlfmServer {
     cfg: DlfmConfig,
@@ -340,7 +313,6 @@ pub struct DlfmServer {
     /// Entries already durable are dropped at the next unlink end, so the
     /// map is bounded by the tail, not by history.
     unlink_ends: Mutex<HashMap<String, u64>>,
-    sync_epoch: Arc<SyncEpoch>,
     /// Lowest coordinator epoch (= host generation) whose 2PC traffic this
     /// server still accepts. Host failover raises it on every node; agent
     /// connections minted under an older host carry the older epoch, so a
@@ -379,23 +351,19 @@ impl DlfmServer {
     ) -> DlfmServer {
         let generation = archive.take_generation();
         let repo = Arc::new(repo);
-        let sync_epoch = Arc::new(SyncEpoch::default());
         let source_fs = Lfs::new(Arc::clone(&fs));
         let source: ContentSource =
             Arc::new(move |path: &str| source_fs.read_file(&ROOT, path).ok());
         // Completion callback: once the store holds the version (a job whose
         // content read failed stores nothing), `needs_archive` clears
-        // eagerly; recovery's plan clears what a crash left set. The epoch
-        // bump is unconditional: it tells epoch watchers the job settled.
+        // eagerly; recovery's plan clears what a crash left set.
         let cb_repo = Arc::clone(&repo);
-        let cb_epoch = Arc::clone(&sync_epoch);
         let cb_store = Arc::clone(&archive);
         let on_complete: crate::archive::ArchiveCompletion =
             Arc::new(move |path: &str, version: u64| {
                 if cb_store.contains(path, version) {
                     let _ = cb_repo.clear_needs_archive_if_version(path, version);
                 }
-                cb_epoch.bump();
             });
         let archiver =
             Archiver::spawn(Arc::clone(&archive), generation, Arc::clone(&source), on_complete);
@@ -412,7 +380,6 @@ impl DlfmServer {
             host: RwLock::new(host),
             pending: Mutex::new(HashMap::new()),
             unlink_ends: Mutex::new(HashMap::new()),
-            sync_epoch,
             coord_fence: AtomicU64::new(0),
             recorder: Arc::new(dl_obs::FlightRecorder::new(FLIGHT_RING_CAPACITY)),
             flight_source,
@@ -529,19 +496,17 @@ impl DlfmServer {
         &self.source
     }
 
-    pub(crate) fn bump_epoch(&self) {
-        self.sync_epoch.bump();
-    }
-
-    /// Current epoch; pass to [`DlfmServer::wait_epoch_change`] to block
-    /// until sync state moves (used by DLFS to wait out `Busy`).
+    /// The sync epoch, which the open table keeps
+    /// ([`OpenTable::epoch`](crate::OpenTable::epoch)): pass it to
+    /// [`DlfmServer::wait_epoch_change`] to block until an entry or a
+    /// branch mark leaves (DLFS waits out `Busy` so).
     pub fn epoch(&self) -> u64 {
-        self.sync_epoch.get()
+        self.repo.opens().epoch()
     }
 
     /// Blocks until the epoch differs from `seen`.
     pub fn wait_epoch_change(&self, seen: u64) {
-        self.sync_epoch.wait_change(seen);
+        self.repo.opens().wait_change(seen);
     }
 
     // =====================================================================
@@ -842,7 +807,6 @@ impl DlfmServer {
             self.repo.opens().end_branch(path);
         }
         self.pending.lock().remove(&host_txid);
-        self.bump_epoch();
     }
 
     /// **The settle rule** — the one place a link/unlink branch whose
@@ -1007,7 +971,7 @@ impl DlfmServer {
         // A granted claim took the entry; every other outcome records it
         // here.
         if let Some(token) = carried {
-            let _ = self.repo.put_token_entry(uid, path, token.kind, token.expires_at_ms);
+            self.repo.opens().put_token(uid, path, token.kind, token.expires_at_ms);
         }
         decision
     }
@@ -1015,12 +979,12 @@ impl DlfmServer {
     /// The open check's `NotManaged` answer. Under strict link it first
     /// registers the open, so a later link sees it — or refuses the open
     /// while a live link branch holds the path
-    /// ([`Repository::register_open`]).
+    /// ([`OpenTable::register`](crate::OpenTable::register)).
     fn not_managed(&self, path: &str, kind: TokenKind, opener: u64, uid: u32) -> OpenDecision {
         if !self.cfg.strict_link {
             return OpenDecision::NotManaged;
         }
-        match self.repo.register_open(path, kind, opener, uid) {
+        match self.repo.opens().register(path, kind, opener, uid) {
             Ok(()) => OpenDecision::NotManaged,
             Err(e) => OpenDecision::Rejected(e),
         }
@@ -1036,7 +1000,7 @@ impl DlfmServer {
         wanted: TokenKind,
     ) -> bool {
         carried.as_ref().is_some_and(|t| t.kind.authorizes(wanted))
-            || self.repo.check_token_entry(uid, path, wanted, self.clock.now_ms())
+            || self.repo.opens().token_admits(uid, path, wanted, self.clock.now_ms())
     }
 
     /// The write arm of [`DlfmServer::open_check`]. A granted claim records
@@ -1107,7 +1071,7 @@ impl DlfmServer {
                     data,
                 ),
                 Err(e) => {
-                    self.repo.end_open(&entry.path, opener, true);
+                    self.repo.opens().end(&entry.path, opener, true);
                     return OpenDecision::Rejected(format!(
                         "cannot capture before-image of {}: {e}",
                         entry.path
@@ -1124,7 +1088,7 @@ impl DlfmServer {
         }
         let dlfm = self.cfg.dlfm_cred;
         if self.set_attrs(&entry.path, (dlfm.uid, dlfm.gid, GRANT_MODE)).is_err() {
-            self.repo.end_open(&entry.path, opener, true);
+            self.repo.opens().end(&entry.path, opener, true);
             return OpenDecision::Rejected(format!("take-over of {} failed", entry.path));
         }
         OpenDecision::Approved { open_as: dlfm }
@@ -1161,14 +1125,15 @@ impl DlfmServer {
         // check-and-set in the open table, so a concurrent write open or
         // unlink cannot interleave; the untracked ablation keeps the
         // best-effort check (its documented trade-off).
+        let opens = self.repo.opens();
         if self.cfg.track_read_sync {
             let token = carried.as_ref();
-            if !self.repo.claim_read(&entry.path, opener, uid, token, unlinks_seen) {
+            if !opens.claim_read(&entry.path, opener, uid, token, unlinks_seen) {
                 self.stats.busy_responses.inc();
                 return OpenDecision::Busy;
             }
             *carried = None;
-        } else if self.repo.sync_entries(&entry.path).iter().any(|s| s.kind == TokenKind::Write) {
+        } else if opens.entries(&entry.path).iter().any(|s| s.kind == TokenKind::Write) {
             self.stats.busy_responses.inc();
             return OpenDecision::Busy;
         }
@@ -1190,17 +1155,16 @@ impl DlfmServer {
     ) -> Result<(), String> {
         self.stats.upcalls.inc();
         self.stats.close_notifies.inc();
-        let Some(Ended::Writer(version)) = self.repo.end_open(path, opener, false) else {
+        let opens = self.repo.opens();
+        let Some(Ended::Writer(version)) = opens.end(path, opener, false) else {
             // A read close, a strict registration's, or a descriptor with no
             // entry (an untracked read, a write never granted).
-            self.bump_epoch();
             return Ok(());
         };
         // The writer holds the file: no unlink and no other writer moves
         // its row until it leaves.
         let Some(entry) = self.repo.get_file(path) else {
-            self.repo.end_open(path, opener, true);
-            self.bump_epoch();
+            opens.end(path, opener, true);
             return Err(format!("{path} is not linked"));
         };
 
@@ -1208,8 +1172,7 @@ impl DlfmServer {
             // Opened for write but never modified: no new version (§4.4
             // checks the modification time for exactly this).
             self.release_write_grant(&entry);
-            self.repo.end_open(path, opener, true);
-            self.bump_epoch();
+            opens.end(path, opener, true);
             return Ok(());
         }
 
@@ -1222,9 +1185,8 @@ impl DlfmServer {
         match self.commit_file_update(path, version, new_size, new_mtime) {
             Ok(state_id) => {
                 self.release_write_grant(&entry);
-                self.repo.opens().end(path, opener, true);
+                opens.end(path, opener, true);
                 self.submit_archive(&entry, version, state_id);
-                self.bump_epoch();
                 Ok(())
             }
             Err(e) => {
@@ -1232,8 +1194,7 @@ impl DlfmServer {
                 // §4.2: roll the file back to the last committed version.
                 self.rollback_update(path, entry.cur_version);
                 self.release_write_grant(&entry);
-                self.repo.end_open(path, opener, true);
-                self.bump_epoch();
+                opens.end(path, opener, true);
                 Err(format!("file update transaction aborted: {e}"))
             }
         }
@@ -1352,13 +1313,12 @@ impl DlfmServer {
     /// registered open, holds the path) fails the open.
     pub fn register_open(&self, path: &str, uid: u32, opener: u64) -> Result<(), String> {
         self.stats.upcalls.inc();
-        self.repo.register_open(path, TokenKind::Read, opener, uid)
+        self.repo.opens().register(path, TokenKind::Read, opener, uid)
     }
 
     /// Close of a strict-link registered open.
     pub fn unregister_open(&self, path: &str, opener: u64) {
-        self.repo.end_open(path, opener, true);
-        self.bump_epoch();
+        self.repo.opens().end(path, opener, true);
     }
 
     // =====================================================================
@@ -1376,8 +1336,9 @@ impl DlfmServer {
     /// * a `mode`/`on_unlink`/`wanted` byte that names no variant is
     ///   refused before anything runs;
     /// * `OpenBusy` carries the sync epoch as it stood immediately before
-    ///   the check ran, so a release that lands while the check runs moves
-    ///   the epoch past it and a caller waiting on it returns at once;
+    ///   the check ran. The open table moves it on every removal, so a
+    ///   release that lands while the check runs moves the epoch past it
+    ///   and a caller waiting on it returns at once;
     /// * a reply-tagged message is not a request.
     ///
     /// A panic inside a server call propagates; the lanes contain it

@@ -285,7 +285,7 @@ fn write_open_grants_and_close_without_write_releases() {
     // table, and the open logged nothing.
     let attr = f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap();
     assert_eq!(attr.mode, 0o600);
-    let sync = repo.sync_entries("/data/clip.mpg");
+    let sync = repo.opens().entries("/data/clip.mpg");
     assert_eq!((sync.len(), sync[0].kind, sync[0].opener), (1, TokenKind::Write, 5));
     assert_eq!(repo.db().state_id(), mark, "the write open logged nothing");
 
@@ -294,7 +294,7 @@ fn write_open_grants_and_close_without_write_releases() {
     f.server.close_notify("/data/clip.mpg", 5, false, 12, 0).unwrap();
     let entry = repo.get_file("/data/clip.mpg").unwrap();
     assert_eq!(entry.cur_version, 1);
-    assert!(repo.sync_entries("/data/clip.mpg").is_empty());
+    assert!(repo.opens().entries("/data/clip.mpg").is_empty());
     assert_eq!(repo.db().state_id(), mark, "a close that wrote nothing logs nothing");
     assert_eq!(
         f.admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().mode,
@@ -419,6 +419,29 @@ fn blocked_mode_rejects_writes_outright() {
     }
 }
 
+/// A write open whose grant fails after its claim — here the first update
+/// cannot capture its before-image, the file's bytes being gone — takes
+/// the writer's entry back, and that removal moves the sync epoch like
+/// every other: a reader answered `Busy` by the claim is woken by it, not
+/// by whatever changes next.
+#[test]
+fn a_failed_write_grant_wakes_the_opens_its_claim_turned_away() {
+    let f = fixture();
+    let clip = "/data/clip.mpg";
+    link_committed(&f, 1, clip, ControlMode::Rdd);
+    f.admin.remove(&Cred::root(), clip).unwrap();
+    let seen = f.server.epoch();
+    let token = write_token(&f, clip).encode();
+    match f.server.open_check(clip, ALICE.uid, TokenKind::Write, 5, Some(&token)) {
+        OpenDecision::Rejected(msg) => {
+            assert!(msg.starts_with("cannot capture before-image of /data/clip.mpg"), "{msg}")
+        }
+        other => panic!("a write open of a file with no bytes must be rejected, got {other:?}"),
+    }
+    assert!(f.server.repository().opens().entries(clip).is_empty(), "the writer left");
+    assert_ne!(f.server.epoch(), seen, "the writer's removal must move the sync epoch");
+}
+
 /// §4.1 with the token riding the open check: the check validates the
 /// token first, lets it stand in for the token entry, and leaves the entry
 /// behind on every outcome — inside the claim transaction when the open is
@@ -432,19 +455,19 @@ fn a_presented_token_records_its_entry_on_every_outcome() {
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     link_committed(&f, 2, "/data/rfb.bin", ControlMode::Rfb);
     let repo = f.server.repository();
-    let has_entry = |uid, path, kind| repo.check_token_entry(uid, path, kind, f.clock.now_ms());
+    let has_entry = |uid, path, kind| repo.opens().token_admits(uid, path, kind, f.clock.now_ms());
     let open = |path, uid, wanted, opener, token: &AccessToken| {
         f.server.open_check(path, uid, wanted, opener, Some(&token.encode()))
     };
     let clip = "/data/clip.mpg";
 
     // Granted: the claim records the entry beside the writer's.
-    let ops = repo.update_op_count();
+    let ops = repo.opens().updates();
     assert!(matches!(
         open(clip, ALICE.uid, TokenKind::Write, 5, &write_token(&f, clip)),
         OpenDecision::Approved { .. }
     ));
-    assert_eq!(repo.update_op_count() - ops, 1, "one open-table update per open");
+    assert_eq!(repo.opens().updates() - ops, 1, "one open-table update per open");
     assert!(has_entry(ALICE.uid, clip, TokenKind::Write));
 
     // Busy: the write above is still open.
@@ -507,14 +530,14 @@ fn an_untracked_read_records_the_presented_tokens_entry_on_its_own() {
     let f = fixture_with(cfg);
     link_committed(&f, 1, "/data/clip.mpg", ControlMode::Rdd);
     let repo = f.server.repository();
-    let ops = repo.update_op_count();
+    let ops = repo.opens().updates();
     let token = read_token(&f, "/data/clip.mpg").encode();
     assert!(matches!(
         f.server.open_check("/data/clip.mpg", ALICE.uid, TokenKind::Read, 1, Some(&token)),
         OpenDecision::Approved { .. }
     ));
-    assert_eq!(repo.update_op_count() - ops, 1);
-    assert!(repo.check_token_entry(ALICE.uid, "/data/clip.mpg", TokenKind::Read, 0));
+    assert_eq!(repo.opens().updates() - ops, 1);
+    assert!(repo.opens().token_admits(ALICE.uid, "/data/clip.mpg", TokenKind::Read, 0));
 }
 
 #[test]
@@ -628,7 +651,10 @@ fn crash_mid_update_restores_last_committed_version() {
     );
     let entry = server2.repository().get_file("/data/clip.mpg").unwrap();
     assert_eq!(entry.cur_version, 1);
-    assert!(server2.repository().sync_entries("/data/clip.mpg").is_empty(), "no writer came back");
+    assert!(
+        server2.repository().opens().entries("/data/clip.mpg").is_empty(),
+        "no writer came back"
+    );
     assert_eq!(server2.archive_store().quarantined().len(), 1);
     // At-rest attributes re-enforced.
     assert_eq!(admin.stat(&Cred::root(), "/data/clip.mpg").unwrap().mode, 0o400);
@@ -705,7 +731,7 @@ fn recovery_clears_transient_token_and_sync_state() {
     ));
 
     let (_fs, server2, _report) = crash_and_recover(f, repo_env, &[(CLIP_URL, 1)]);
-    assert!(server2.repository().sync_entries("/data/clip.mpg").is_empty());
+    assert!(server2.repository().opens().entries("/data/clip.mpg").is_empty());
     // A write open straight after recovery succeeds (no stale conflicts),
     // once a fresh token is presented.
     let tok = AccessToken::generate(
@@ -883,7 +909,7 @@ fn strict_register_open_of_managed_file_blocks_unlink() {
     // nothing logged for either.
     let mark = f.server.repository().db().state_id();
     client.unregister_open("/data/clip.mpg", 41);
-    assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
+    assert!(f.server.repository().opens().entries("/data/clip.mpg").is_empty());
     assert_eq!(f.server.repository().db().state_id(), mark);
     f.server.unlink_file(3, "/data/clip.mpg").unwrap();
     f.server.commit_host(3);
@@ -907,17 +933,17 @@ fn strict_register_open_never_runs_the_grant_protocol() {
     // grant protocol would answer Busy here and record nothing).
     let client = MainDaemon::new(Arc::clone(&f.server)).connect();
     client.register_open("/data/clip.mpg", ALICE.uid, 8).unwrap();
-    let sync = f.server.repository().sync_entries("/data/clip.mpg");
+    let sync = f.server.repository().opens().entries("/data/clip.mpg");
     assert_eq!(sync.len(), 2, "write grant + registration must both be visible: {sync:?}");
 
     // And it releases without disturbing the write's claim.
     client.unregister_open("/data/clip.mpg", 8);
-    let sync = f.server.repository().sync_entries("/data/clip.mpg");
+    let sync = f.server.repository().opens().entries("/data/clip.mpg");
     assert_eq!(sync.len(), 1);
     assert_eq!(sync[0].opener, 7);
     f.admin.write_file(&dlfm, "/data/clip.mpg", b"v2").unwrap();
     f.server.close_notify("/data/clip.mpg", 7, true, 2, 99).unwrap();
-    assert!(f.server.repository().sync_entries("/data/clip.mpg").is_empty());
+    assert!(f.server.repository().opens().entries("/data/clip.mpg").is_empty());
     assert_eq!(f.server.repository().get_file("/data/clip.mpg").unwrap().cur_version, 2);
 }
 
@@ -1132,7 +1158,9 @@ fn a_release_between_busy_and_wait_is_never_slept_through() {
             });
             let woke = done_rx.recv_timeout(std::time::Duration::from_secs(10));
             if woke.is_err() {
-                // Unpark the waiter so the scope can end, then fail.
+                // Unpark the waiter so the scope can end, then fail: a
+                // removal moves the epoch.
+                f.server.register_open("/data/none", ALICE.uid, 0).unwrap();
                 f.server.unregister_open("/data/none", 0);
             }
             assert!(woke.is_ok(), "{carrier}: waited on an epoch the release had already passed");
@@ -1566,7 +1594,7 @@ fn a_write_open_racing_an_unlink_is_seen_or_waits_for_the_decision() {
     f.server.validate_token(CLIP, &tok.encode(), ALICE.uid).unwrap();
     let dlfm = f.server.config().dlfm_cred;
     let no_writer = |context: &str| {
-        let writers = f.server.repository().sync_entries(CLIP);
+        let writers = f.server.repository().opens().entries(CLIP);
         assert!(writers.iter().all(|e| e.kind != TokenKind::Write), "{context}: {writers:?}");
     };
     let mut txid = 100;
@@ -1719,7 +1747,7 @@ fn concurrent_read_and_write_opens_of_an_rdd_file_never_overlap_a_writer() {
         }
     });
     assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
-    assert!(f.server.repository().sync_entries(CLIP).is_empty(), "a writer's entry outlived it");
+    assert!(f.server.repository().opens().entries(CLIP).is_empty(), "a writer's entry outlived it");
     let version = f.server.repository().get_file(CLIP).unwrap().cur_version;
     assert_eq!(version, 1 + committed.into_inner(), "a committed write lost its version");
 }
@@ -1765,5 +1793,5 @@ fn a_strict_registration_racing_a_link_is_refused_or_seen() {
             f.server.unregister_open(CLIP, opener);
         }
     }
-    assert!(f.server.repository().sync_entries(CLIP).is_empty());
+    assert!(f.server.repository().opens().entries(CLIP).is_empty());
 }

@@ -376,14 +376,17 @@ fn strict_mode_refuses_an_open_during_a_live_link_branch() {
         let err = s.lfs.open(&ALICE, "/web/plain.txt", opts).unwrap_err();
         assert!(matches!(&err, FsError::Rejected(e) if e.contains("being linked")), "{err:?}");
     }
-    assert!(s.server.repository().sync_entries("/web/plain.txt").is_empty(), "nothing registered");
+    assert!(
+        s.server.repository().opens().entries("/web/plain.txt").is_empty(),
+        "nothing registered"
+    );
 
     // Once the branch aborts, the file opens again.
     s.server.abort_host(52);
     let fd = s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::read_only()).unwrap();
-    assert_eq!(s.server.repository().sync_entries("/web/plain.txt").len(), 1);
+    assert_eq!(s.server.repository().opens().entries("/web/plain.txt").len(), 1);
     s.lfs.close(fd).unwrap();
-    assert!(s.server.repository().sync_entries("/web/plain.txt").is_empty());
+    assert!(s.server.repository().opens().entries("/web/plain.txt").is_empty());
 }
 
 #[test]
@@ -459,7 +462,7 @@ fn many_concurrent_readers_on_rdd_file() {
     for h in handles {
         assert_eq!(h.join().unwrap(), b"<html>v1</html>");
     }
-    assert!(s.server.repository().sync_entries("/web/index.html").is_empty());
+    assert!(s.server.repository().opens().entries("/web/index.html").is_empty());
 }
 
 #[test]
@@ -482,7 +485,7 @@ fn interleaved_lookups_of_one_user_each_open_with_their_own_kind() {
     let (wname, rname) = (name(TokenKind::Write), name(TokenKind::Read));
     let dir = s.lfs.resolve(&ALICE, "/web").unwrap();
     let has_entry = |kind| {
-        s.server.repository().check_token_entry(
+        s.server.repository().opens().token_admits(
             ALICE.uid,
             "/web/index.html",
             kind,
@@ -526,8 +529,9 @@ fn a_busy_open_leaves_its_token_entry() {
     link(&s, "/web/index.html", ControlMode::Rdd);
     let wpath = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Write));
     let fd = s.lfs.open(&ALICE, &wpath, OpenOptions::write_truncate()).unwrap();
-    let bob_has_entry =
-        || s.server.repository().check_token_entry(BOB.uid, "/web/index.html", TokenKind::Write, 0);
+    let bob_has_entry = || {
+        s.server.repository().opens().token_admits(BOB.uid, "/web/index.html", TokenKind::Write, 0)
+    };
     assert!(!bob_has_entry());
     thread::scope(|scope| {
         let bob = scope.spawn(|| {
@@ -581,7 +585,7 @@ fn every_bad_token_is_refused_with_its_reason() {
     assert_eq!(refusal(&embed(&expired), read_only()), "token expired");
     assert_eq!(refusal("/web/index.html;dltoken=r1-zz", read_only()), "malformed token");
     // None of these left an entry behind.
-    assert!(!s.server.repository().check_token_entry(
+    assert!(!s.server.repository().opens().token_admits(
         ALICE.uid,
         "/web/index.html",
         TokenKind::Read,

@@ -161,10 +161,11 @@ pub enum Message {
         gid: u32,
     },
     OpenNotManaged,
-    /// A conflicting open holds the file. Carries
-    /// the sync epoch the server read *before* it ran the check, so the
-    /// client can wait for a change from that epoch without having asked
-    /// for it in a separate round trip.
+    /// A conflicting open holds the file. Carries the sync epoch — which
+    /// moves whenever an open-table entry or branch mark leaves — as the
+    /// server read it *before* it ran the check, so the client can wait
+    /// for a change from that epoch without having asked for it in a
+    /// separate round trip.
     OpenBusy(u64),
     OpenRejected(String),
     EpochIs(u64),

@@ -261,7 +261,7 @@ impl Standby {
     /// the archived version at the replicated `cur_version`, else the live
     /// bytes. The primary is not involved at all.
     pub fn serve_read(&self, path: &str, uid: u32) -> Result<Vec<u8>, String> {
-        if !self.repo.check_token_entry(uid, path, TokenKind::Read, self.opts.clock.now_ms()) {
+        if !self.repo.opens().token_admits(uid, path, TokenKind::Read, self.opts.clock.now_ms()) {
             return Err(format!("no valid token entry for uid {uid} on {path} at this replica"));
         }
         self.repo.read_committed(path, &self.archive, &self.opts.fallback)

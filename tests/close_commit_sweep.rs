@@ -504,7 +504,7 @@ fn audit(sys: &DataLinksSystem, want: &Versions, context: &str) {
     for (file, &version) in want.iter().enumerate() {
         let path = path_of(file);
         let context = format!("{context}, file {file}");
-        assert!(repo.sync_entries(&path).is_empty(), "{context}: a writer outlived recovery");
+        assert!(repo.opens().entries(&path).is_empty(), "{context}: a writer outlived recovery");
         assert_eq!(rows(file, &context), version, "{context}");
         let Some(version) = version else { continue };
         assert_eq!(
@@ -952,7 +952,7 @@ fn a_crash_inside_a_write_reaches_the_host_rows_bytes_in_every_update_mode() {
                     (APP.uid, 0o444)
                 };
                 assert_eq!((attr.uid, attr.mode), at_rest, "{context}: back at rest");
-                assert!(node.server.repository().sync_entries(&path).is_empty(), "{context}");
+                assert!(node.server.repository().opens().entries(&path).is_empty(), "{context}");
                 update(&sys, file, &bytes_of(file, want + 1));
                 let next = sys.engine().file_meta(&url).map(|(_, _, version)| version);
                 assert_eq!(next, Some(want + 1), "{context}: the next update commits");

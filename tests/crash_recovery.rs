@@ -663,9 +663,9 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
         let node = sys.node("srv").unwrap();
         let repo = node.server.repository();
         let now = node.server.clock().now_ms();
-        let writer = repo.sync_entries("/d/f.bin");
+        let writer = repo.opens().entries("/d/f.bin");
         assert_eq!((writer.len(), writer[0].kind), (1, TokenKind::Write), "the writer's entry");
-        assert!(repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now));
+        assert!(repo.opens().token_admits(APP.uid, "/d/f.bin", TokenKind::Write, now));
         // The live Sync row does its job: unlink is refused while open.
         let mut tx = sys.begin();
         assert!(tx.delete("t", &Value::Int(1)).is_err());
@@ -682,9 +682,9 @@ fn crash_with_a_granted_write_open_loses_only_the_open_file_state() {
     let node = sys.node("srv").unwrap();
     let repo = node.server.repository();
     let now = node.server.clock().now_ms();
-    assert!(repo.sync_entries("/d/f.bin").is_empty(), "no ghost Sync row or writer");
+    assert!(repo.opens().entries("/d/f.bin").is_empty(), "no ghost Sync row or writer");
     assert!(
-        !repo.check_token_entry(APP.uid, "/d/f.bin", TokenKind::Write, now),
+        !repo.opens().token_admits(APP.uid, "/d/f.bin", TokenKind::Write, now),
         "the pre-crash token entry must not survive"
     );
     // Without an entry the bare name admits nobody; the (unexpired) token
@@ -726,7 +726,7 @@ fn crash_that_cuts_a_write_claim_rolls_the_write_back_by_its_grant_attributes() 
     assert!(report.in_doubt_resolved.is_empty());
     assert_eq!((report.updates_rolled_forward, report.updates_rolled_back), (0, 1));
     let node = sys.node("srv").unwrap();
-    assert!(node.server.repository().sync_entries("/d/f.bin").is_empty(), "no writer came back");
+    assert!(node.server.repository().opens().entries("/d/f.bin").is_empty(), "no writer came back");
     let raw = sys.raw_fs("srv").unwrap();
     assert_eq!(raw.read_file(&Cred::root(), "/d/f.bin").unwrap(), b"the committed truth");
     let dlfm = node.server.config().dlfm_cred;
@@ -973,7 +973,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(1));
         let repo = sys.node(SRV).unwrap().server.repository();
         assert_eq!(repo.get_file("/d/f.bin").unwrap().cur_version, 1);
-        assert!(repo.sync_entries("/d/f.bin").is_empty(), "the in-flight update is rolled back");
+        assert!(repo.opens().entries("/d/f.bin").is_empty(), "the in-flight update is rolled back");
     }
 
     #[test]
@@ -984,7 +984,7 @@ mod in_doubt_branch_follows_the_host_outcome {
         assert_eq!(meta_version(&sys, "/d/f.bin"), Some(2));
         let server = &sys.node(SRV).unwrap().server;
         assert_eq!(server.repository().get_file("/d/f.bin").unwrap().cur_version, 2);
-        assert!(server.repository().sync_entries("/d/f.bin").is_empty());
+        assert!(server.repository().opens().entries("/d/f.bin").is_empty());
         let archived = server.archive_store().get("/d/f.bin", 2).expect("version 2 archived");
         assert_eq!(archived.data, b"version-2");
         // And the next update builds on version 2.

@@ -493,7 +493,7 @@ proptest! {
                 server.unregister_open("/d/f.bin", 100 + i as u64);
             }
         }
-        let sync = server.repository().sync_entries("/d/f.bin");
+        let sync = server.repository().opens().entries("/d/f.bin");
         prop_assert!(sync.is_empty(), "leaked opener claims: {sync:?}");
         prop_assert_eq!(server.repository().db().state_id(), mark, "a grant or release was logged");
         // The file is fully releasable: unlink now succeeds.

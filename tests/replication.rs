@@ -225,7 +225,7 @@ fn a_session_validated_at_the_standby_survives_its_promotion() {
     assert_eq!(standby.validations.load(std::sync::atomic::Ordering::Relaxed), 1);
     assert_eq!(node.server.stats.token_validations.get(), primary_before, "it ran at the standby");
     let now = node.server.clock().now_ms();
-    assert!(!node.server.repository().check_token_entry(
+    assert!(!node.server.repository().opens().token_admits(
         APP.uid,
         "/d/f0.bin",
         TokenKind::Read,
@@ -235,7 +235,12 @@ fn a_session_validated_at_the_standby_survives_its_promotion() {
     sys.fail_over(SRV).unwrap();
     let node = sys.node(SRV).unwrap();
     let now = node.server.clock().now_ms();
-    assert!(node.server.repository().check_token_entry(APP.uid, "/d/f0.bin", TokenKind::Read, now));
+    assert!(node.server.repository().opens().token_admits(
+        APP.uid,
+        "/d/f0.bin",
+        TokenKind::Read,
+        now
+    ));
     // The session admits a plain-name open on the promoted node.
     let fs = sys.fs(SRV).unwrap();
     let fd = fs.open(&APP, "/d/f0.bin", OpenOptions::read_only()).unwrap();
@@ -337,7 +342,7 @@ fn failover_matches_a_crash_recovered_primary() {
     let promoted = sys.node(SRV).unwrap();
     let attr = sys.raw_fs(SRV).unwrap().stat(&Cred::root(), "/d/f0.bin").unwrap();
     assert_eq!(attr.mode, 0o400, "promotion took the write grant back");
-    assert!(promoted.server.repository().sync_entries("/d/f0.bin").is_empty());
+    assert!(promoted.server.repository().opens().entries("/d/f0.bin").is_empty());
 
     // 2. Archive equivalence: the promoted store holds the same versions.
     assert_eq!(promoted.server.archive_store().versions("/d/f0.bin"), expected_archive);
@@ -544,8 +549,11 @@ fn promoted_standby_starts_without_token_entries_or_sync_rows() {
         let standby_env = set.standbys()[0].env().fork().unwrap();
         let shipped = datalinks::dlfm::Repository::open(standby_env).unwrap();
         assert_eq!(shipped.get_file("/d/f0.bin").unwrap().cur_version, 2);
-        assert!(shipped.sync_entries("/d/f0.bin").is_empty(), "its Sync row did not");
-        assert_eq!(sys.node(SRV).unwrap().server.repository().sync_entries("/d/f0.bin").len(), 1);
+        assert!(shipped.opens().entries("/d/f0.bin").is_empty(), "its Sync row did not");
+        assert_eq!(
+            sys.node(SRV).unwrap().server.repository().opens().entries("/d/f0.bin").len(),
+            1
+        );
     }
 
     let report = sys.fail_over(SRV).unwrap();
@@ -553,8 +561,8 @@ fn promoted_standby_starts_without_token_entries_or_sync_rows() {
     let node = sys.node(SRV).unwrap();
     let repo = node.server.repository();
     let now = node.server.clock().now_ms();
-    assert!(repo.sync_entries("/d/f0.bin").is_empty(), "no ghost Sync row");
-    assert!(!repo.check_token_entry(APP.uid, "/d/f0.bin", TokenKind::Write, now));
+    assert!(repo.opens().entries("/d/f0.bin").is_empty(), "no ghost Sync row");
+    assert!(!repo.opens().token_admits(APP.uid, "/d/f0.bin", TokenKind::Write, now));
     let raw = sys.raw_fs(SRV).unwrap();
     assert_eq!(raw.read_file(&Cred::root(), "/d/f0.bin").unwrap(), b"committed state");
 
@@ -572,7 +580,16 @@ fn promoted_standby_starts_without_token_entries_or_sync_rows() {
 
 #[test]
 fn stale_primary_frames_are_rejected_by_epoch_fencing() {
-    let mut sys = build(1, 1);
+    // Archive jobs run inline in the close: the deposed primary's fenced
+    // job below sets no in-flight marker, so nothing else could wait for it.
+    let mut spec = FileServerSpec::new(SRV).replicas(1);
+    spec.dlfm.sync_archive = true;
+    let sys = DataLinksSystem::builder()
+        .clock(Arc::new(SimClock::new(1_000_000)))
+        .file_server_with(spec)
+        .build()
+        .unwrap();
+    let mut sys = seed(sys, 1);
     write_once(&sys, 0, b"pre-failover");
     assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
 
@@ -606,14 +623,8 @@ fn stale_primary_frames_are_rejected_by_epoch_fencing() {
     old_server.validate_token(path, token.unwrap(), APP.uid).unwrap();
     let open = old_server.open_check(path, APP.uid, TokenKind::Write, 77, None);
     assert!(matches!(open, OpenDecision::Approved { .. }), "{open:?}");
-    // The fenced job sets no in-flight marker, so `wait_archived` cannot
-    // wait for it. The deposed server's sync epoch can: the close bumps it
-    // once and the job's completion once more, after its (fenced) store.
-    let seen = old_server.epoch();
+    // The close has run the (fenced) job by the time it returns.
     old_server.close_notify(path, 77, true, 12, 0).unwrap();
-    while old_server.epoch() < seen + 2 {
-        old_server.wait_epoch_change(old_server.epoch());
-    }
     assert_eq!(old_server.repository().get_file(path).unwrap().cur_version, 3);
     assert!(
         sys.node(SRV).unwrap().server.archive_store().get(path, 3).is_none(),

@@ -473,7 +473,7 @@ fn whole_system_crash_settles_each_shards_claims_by_the_host_rows() {
         let server = &sys.node(&shard_name(i)).unwrap().server;
         assert_eq!(raw.read_file(&Cred::root(), p).unwrap(), b"version-2");
         assert_eq!((meta_version(p), server.repository().get_file(p).unwrap().cur_version), (2, 2));
-        assert!(server.repository().sync_entries(p).is_empty(), "shard {i}: a writer came back");
+        assert!(server.repository().opens().entries(p).is_empty(), "shard {i}: a writer came back");
         assert_eq!(server.archive_store().get(p, 2).unwrap().data, b"version-2");
         update(&sys, i as i64, p, b"version-3");
         assert_eq!(meta_version(p), 3);
