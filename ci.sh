@@ -231,6 +231,20 @@ if grep -rnE "struct [S]yncEpoch|fn [b]ump_epoch|[c]b_epoch" crates/ \
   exit 1
 fi
 
+# An open resolves its path without a shared write or a throwaway String
+# (DESIGN.md "DLFS"): DLFS's ino→path cache holds shared paths and a lookup
+# writes it only when the path changed, and fskit splits a path into slices
+# of it. (The test module of path.rs keeps the owning splitter as the
+# reference its table test compares against, so only the code above it is
+# searched.)
+step "guard: no write per lookup, no String-building path split"
+if grep -nE "HashMap<Ino, [S]tring>" crates/dlfs/src/lib.rs \
+  || awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/fskit/src/path.rs \
+       | grep -E -- "-> FsResult<\([S]tring, String\)>"; then
+  echo "guard: a String-valued name cache in DLFS or an owning path split in fskit reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

@@ -979,6 +979,7 @@ impl DataLinksSystem {
         dlfs_counter!(managed_opens);
         dlfs_counter!(busy_waits);
         dlfs_counter!(token_lookups);
+        dlfs_counter!(name_cache_fills);
 
         let fs = Arc::clone(&node.parts.fs);
         macro_rules! fskit_counter {

@@ -336,6 +336,22 @@ impl OpenTable {
             _ => None,
         })
     }
+
+    /// The paths below directory `dir` that a live link branch holds, with
+    /// their control modes. A scan of the table: for the rare renames and
+    /// removes, never an open.
+    pub fn linking_under(&self, dir: &str) -> Vec<(String, ControlMode)> {
+        let dir = dir.trim_end_matches('/');
+        let below = |path: &str| path.strip_prefix(dir).is_some_and(|rest| rest.starts_with('/'));
+        let paths = self.paths.lock();
+        paths
+            .iter()
+            .filter_map(|(path, state)| match state.branch {
+                Some(Branch::Link(mode)) if below(path) => Some((path.clone(), mode)),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

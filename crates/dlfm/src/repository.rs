@@ -237,6 +237,21 @@ impl Repository {
             .collect()
     }
 
+    /// The linked files below directory `dir`: one keyed read of the
+    /// paths that start with `dir` and a `/`.
+    pub fn files_under(&self, dir: &str) -> Vec<FileEntry> {
+        let dir = dir.trim_end_matches('/');
+        // '0' is the character after '/': the range ends past the last
+        // path that starts with `dir/`.
+        let keys = Value::Text(format!("{dir}/"))..Value::Text(format!("{dir}0"));
+        self.db
+            .range_committed("dl_files", keys)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|row| FileEntry::from_row(row))
+            .collect()
+    }
+
     /// The file's row under an exclusive row lock held by `txn` — the lock
     /// every link, unlink, open grant and close of the file takes first.
     pub fn lock_file_in(&self, txn: &Txn, path: &str) -> DbResult<Option<FileEntry>> {

@@ -1293,14 +1293,33 @@ impl DlfmServer {
     /// `Busy`: the branch's transaction may be the caller's own, which
     /// would wait on itself. The branch is looked at before the committed
     /// row, which its commit makes visible before the branch is retired.
+    /// A directory is held the same way by each file below it.
     pub fn mutation_check(&self, path: &str) -> Result<(), String> {
         self.stats.upcalls.inc();
         let voted = self.repo.opens().linking(path);
-        match voted.or_else(|| self.repo.get_file(path).map(|entry| entry.mode)) {
-            Some(mode) if mode.referential_integrity() => Err(format!(
-                "{path} is linked to the database (mode {mode}); remove/rename/chmod rejected"
+        if let Some(mode) = voted.or_else(|| self.repo.get_file(path).map(|entry| entry.mode)) {
+            if mode.referential_integrity() {
+                return Err(format!(
+                    "{path} is linked to the database (mode {mode}); remove/rename/chmod rejected"
+                ));
+            }
+        }
+        // A directory's rename moves every file below it, and its chmod
+        // reaches them too: a file linked with referential integrity there,
+        // or one a live link branch voted on, holds the directory.
+        let files = self.repo.files_under(path).into_iter().map(|entry| (entry.path, entry.mode));
+        match self
+            .repo
+            .opens()
+            .linking_under(path)
+            .into_iter()
+            .chain(files)
+            .find(|(_, mode)| mode.referential_integrity())
+        {
+            Some((file, mode)) => Err(format!(
+                "{path} holds {file}, linked to the database (mode {mode}); rename/chmod rejected"
             )),
-            _ => Ok(()),
+            None => Ok(()),
         }
     }
 

@@ -37,6 +37,14 @@
 //! DataLinks state of its own* — only a volatile ino→path cache (the moral
 //! equivalent of the dentry cache) and, per thread, the token its last
 //! lookup stripped; everything durable lives at DLFM.
+//!
+//! The cache is read-mostly. A lookup compares the inode's cached path with
+//! its parent's path and the name under the read lock, and writes only when
+//! they differ: the inode's first lookup, or its path changed (a rename of
+//! it or of a directory above it, a re-created name). Every open after the
+//! first of a path takes no write lock and copies no path. A path is shared
+//! (`Arc<str>`), and each open keeps the one it was checked under, so its
+//! close reports that path to DLFM even if a rename moved the file since.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -61,6 +69,9 @@ pub struct DlfsStats {
     /// Token suffixes stripped during lookup. Each is validated by the
     /// open that presents it, not by the lookup.
     pub token_lookups: dl_obs::Counter,
+    /// Writes to the ino→path cache: a lookup that found its inode's path
+    /// missing or changed, a create, a mkdir, a rename.
+    pub name_cache_fills: dl_obs::Counter,
 }
 
 /// A token stripped from a name at lookup, held for the open of the same
@@ -73,7 +84,7 @@ struct HeldToken {
     /// The path the name resolved to: the token is bound to it, so an open
     /// that finds the inode under another path (renamed meanwhile)
     /// presents nothing.
-    path: String,
+    path: Arc<str>,
     token: String,
 }
 
@@ -92,6 +103,9 @@ struct OpenInstance {
     managed: bool,
     /// Strict-link registration to undo at close.
     registered: bool,
+    /// The path DLFM checked or registered the open under; its close
+    /// reports the same one.
+    path: Arc<str>,
 }
 
 /// The DLFS layer. Mount it in front of the physical file system by
@@ -99,8 +113,9 @@ struct OpenInstance {
 pub struct Dlfs {
     inner: Arc<dyn FileSystem>,
     upcall: DlfmClient,
-    /// ino → absolute path (volatile dentry-style cache).
-    paths: RwLock<HashMap<Ino, String>>,
+    /// ino → absolute path (volatile dentry-style cache), read-mostly: see
+    /// the module docs.
+    paths: RwLock<HashMap<Ino, Arc<str>>>,
     /// Open instances keyed by (ino, is_write).
     opens: Mutex<HashMap<(Ino, bool), Vec<OpenInstance>>>,
     /// Tells the tokens this layer holds in [`HELD`] from another layer's.
@@ -111,6 +126,10 @@ pub struct Dlfs {
 
 const ROOT: Cred = Cred::root();
 
+fn no_cached_path(ino: Ino) -> FsError {
+    FsError::Io(format!("dlfs: no cached path for inode {ino}"))
+}
+
 impl Dlfs {
     /// Wraps `inner`, talking to DLFM through `upcall`. DLFS is blind to
     /// the carrier under the client, and keeps no configuration of its
@@ -118,7 +137,7 @@ impl Dlfs {
     /// learnt at `Hello` ([`DlfmClient::strict_link`]).
     pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient) -> Dlfs {
         let mut paths = HashMap::new();
-        paths.insert(inner.root(), "/".to_string());
+        paths.insert(inner.root(), Arc::from("/"));
         Dlfs {
             inner,
             upcall,
@@ -135,16 +154,33 @@ impl Dlfs {
         &self.upcall
     }
 
-    fn path_of(&self, ino: Ino) -> FsResult<String> {
-        self.paths
-            .read()
-            .get(&ino)
-            .cloned()
-            .ok_or_else(|| FsError::Io(format!("dlfs: no cached path for inode {ino}")))
+    fn path_of(&self, ino: Ino) -> FsResult<Arc<str>> {
+        self.paths.read().get(&ino).cloned().ok_or_else(|| no_cached_path(ino))
     }
 
-    fn cache_path(&self, ino: Ino, path: String) {
+    fn fill(&self, ino: Ino, path: Arc<str>) {
+        self.stats.name_cache_fills.inc();
         self.paths.write().insert(ino, path);
+    }
+
+    /// The path of `ino`, found as `name` in `parent`. The cached path is
+    /// returned as it is when it already names that entry — compared under
+    /// the read lock, nothing copied or written; otherwise the joined path
+    /// replaces it.
+    fn child_path(&self, parent: Ino, name: &str, ino: Ino) -> FsResult<Arc<str>> {
+        let joined = {
+            let paths = self.paths.read();
+            let parent_path = paths.get(&parent).ok_or_else(|| no_cached_path(parent))?;
+            match paths.get(&ino) {
+                Some(path) if fspath::is_join(path, parent_path, name) => {
+                    return Ok(Arc::clone(path))
+                }
+                _ => fspath::join(parent_path, name),
+            }
+        };
+        let path: Arc<str> = joined.into();
+        self.fill(ino, Arc::clone(&path));
+        Ok(path)
     }
 
     fn new_opener(&self) -> u64 {
@@ -185,7 +221,7 @@ impl Dlfs {
         cred: &Cred,
         ino: Ino,
         flags: OpenFlags,
-        path: &str,
+        path: &Arc<str>,
         write: bool,
     ) -> FsResult<()> {
         if !self.upcall.strict_link() {
@@ -200,7 +236,12 @@ impl Dlfs {
             return Err(e);
         }
         self.stats.passthrough_opens.inc();
-        self.record_open(ino, write, OpenInstance { opener, managed: false, registered: true });
+        let path = Arc::clone(path);
+        self.record_open(
+            ino,
+            write,
+            OpenInstance { opener, managed: false, registered: true, path },
+        );
         Ok(())
     }
 
@@ -237,8 +278,6 @@ impl FileSystem for Dlfs {
     fn fs_lookup(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<Ino> {
         HELD.take();
         let (real_name, token) = dl_dlfm::split_token_suffix(name);
-        let parent_path = self.path_of(parent)?;
-        let full_path = fspath::join(&parent_path, real_name);
 
         // A token that does not decode is refused here; any other is
         // validated by DLFM when an open presents it (§4.1).
@@ -248,16 +287,11 @@ impl FileSystem for Dlfs {
         }
 
         let ino = self.inner.fs_lookup(cred, parent, real_name)?;
+        let path = self.child_path(parent, real_name, ino)?;
         if let Some(token) = token {
-            HELD.set(Some(HeldToken {
-                dlfs: self.id,
-                ino,
-                uid: cred.uid,
-                path: full_path.clone(),
-                token: token.to_string(),
-            }));
+            let token = token.to_string();
+            HELD.set(Some(HeldToken { dlfs: self.id, ino, uid: cred.uid, path, token }));
         }
-        self.cache_path(ino, full_path);
         Ok(ino)
     }
 
@@ -278,14 +312,14 @@ impl FileSystem for Dlfs {
     fn fs_create(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
         let parent_path = self.path_of(parent)?;
         let ino = self.inner.fs_create(cred, parent, name, mode)?;
-        self.cache_path(ino, fspath::join(&parent_path, name));
+        self.fill(ino, fspath::join(&parent_path, name).into());
         Ok(ino)
     }
 
     fn fs_mkdir(&self, cred: &Cred, parent: Ino, name: &str, mode: u16) -> FsResult<Ino> {
         let parent_path = self.path_of(parent)?;
         let ino = self.inner.fs_mkdir(cred, parent, name, mode)?;
-        self.cache_path(ino, fspath::join(&parent_path, name));
+        self.fill(ino, fspath::join(&parent_path, name).into());
         Ok(ino)
     }
 
@@ -319,7 +353,7 @@ impl FileSystem for Dlfs {
                     self.record_open(
                         ino,
                         wants_write,
-                        OpenInstance { opener, managed: true, registered: false },
+                        OpenInstance { opener, managed: true, registered: false, path },
                     );
                     Ok(())
                 }
@@ -340,7 +374,7 @@ impl FileSystem for Dlfs {
                                 self.record_open(
                                     ino,
                                     wants_write,
-                                    OpenInstance { opener, managed: false, registered: true },
+                                    OpenInstance { opener, managed: false, registered: true, path },
                                 );
                             }
                             Ok(())
@@ -381,7 +415,7 @@ impl FileSystem for Dlfs {
                         self.record_open(
                             ino,
                             true,
-                            OpenInstance { opener, managed: true, registered: false },
+                            OpenInstance { opener, managed: true, registered: false, path },
                         );
                         Ok(())
                     }
@@ -407,14 +441,13 @@ impl FileSystem for Dlfs {
     fn fs_close(&self, cred: &Cred, ino: Ino, flags: OpenFlags, written: bool) -> FsResult<()> {
         let wants_write = flags.wants_write();
         if let Some(inst) = self.pop_open(ino, wants_write) {
-            let path = self.path_of(ino)?;
             if inst.managed {
                 let attr = self.inner.fs_getattr(&ROOT, ino)?;
                 self.upcall
-                    .close_notify(&path, inst.opener, written, attr.size, attr.mtime)
+                    .close_notify(&inst.path, inst.opener, written, attr.size, attr.mtime)
                     .map_err(FsError::Rejected)?;
             } else if inst.registered {
-                self.upcall.unregister_open(&path, inst.opener);
+                self.upcall.unregister_open(&inst.path, inst.opener);
             }
         }
         self.inner.fs_close(cred, ino, flags, written)
@@ -454,10 +487,10 @@ impl FileSystem for Dlfs {
         let path = fspath::join(&parent_path, name);
         self.upcall.mutation_check(&path).map_err(FsError::Rejected)?;
         self.inner.fs_rename(cred, parent, name, new_parent, new_name)?;
-        // Refresh the dentry cache.
-        let new_parent_path = self.path_of(new_parent)?;
+        // Refresh the dentry cache. Entries below a moved directory keep
+        // their old paths until a lookup through the new one finds them.
         if let Ok(ino) = self.inner.fs_lookup(&ROOT, new_parent, new_name) {
-            self.cache_path(ino, fspath::join(&new_parent_path, new_name));
+            self.child_path(new_parent, new_name, ino)?;
         }
         Ok(())
     }

@@ -678,3 +678,102 @@ fn a_pass_through_open_validates_its_token_first() {
     ));
     assert_eq!(s.raw.read_file(&ALICE, "/web/index.html").unwrap(), b"<html>v1</html>");
 }
+
+/// An open keeps the path DLFM registered it under: a rename of its
+/// directory before the close does not make the close unregister another
+/// path and leave the registration behind, refusing every later link there.
+#[test]
+fn a_close_ends_the_registration_its_open_made_after_a_directory_rename() {
+    let mut dlfm_cfg = DlfmConfig::new("srv1");
+    dlfm_cfg.strict_link = true;
+    let s = stack_with(dlfm_cfg);
+    let opens = s.server.repository().opens();
+    let fd = s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::read_only()).unwrap();
+    assert_eq!(opens.entries("/web/plain.txt").len(), 1);
+    s.lfs.rename(&ALICE, "/web", "/web2").unwrap();
+    // The new path is looked up while the file is open.
+    s.lfs.stat(&ALICE, "/web2/plain.txt").unwrap();
+    s.lfs.close(fd).unwrap();
+    assert!(opens.entries("/web/plain.txt").is_empty(), "the close ended its own registration");
+    assert!(opens.entries("/web2/plain.txt").is_empty());
+
+    // A file created at the old path links.
+    s.raw.mkdir_p(&Cred::root(), "/web", 0o777).unwrap();
+    s.raw.write_file(&ALICE, "/web/plain.txt", b"new").unwrap();
+    s.server.link_file(80, "/web/plain.txt", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
+    s.server.commit_host(80);
+}
+
+/// No dangling DATALINKs (§2.3) through a directory: renaming it would move
+/// a file linked with referential integrity, or one a live link branch voted
+/// on, so the rename is refused.
+#[test]
+fn a_directory_holding_a_linked_file_does_not_rename() {
+    let s = stack();
+    link(&s, "/web/index.html", ControlMode::Rff);
+    let err = s.lfs.rename(&ALICE, "/web", "/web2").unwrap_err();
+    assert!(matches!(&err, FsError::Rejected(e) if e.contains("/web/index.html")), "{err:?}");
+    assert_eq!(s.raw.read_file(&ALICE, "/web/index.html").unwrap(), b"<html>v1</html>");
+    assert!(!s.raw.exists(&ALICE, "/web2"));
+
+    // A link that has voted but is not decided holds its directory too.
+    s.raw.mkdir_p(&Cred::root(), "/up", 0o777).unwrap();
+    s.raw.write_file(&ALICE, "/up/clip.mpg", b"clip").unwrap();
+    s.server.link_file(81, "/up/clip.mpg", ControlMode::Rfd, true, OnUnlink::Restore).unwrap();
+    assert!(matches!(s.lfs.rename(&ALICE, "/up", "/up2"), Err(FsError::Rejected(_))));
+    s.server.abort_host(81);
+    s.lfs.rename(&ALICE, "/up", "/up2").unwrap();
+    assert_eq!(s.lfs.read_file(&ALICE, "/up2/clip.mpg").unwrap(), b"clip");
+}
+
+#[test]
+fn a_directory_of_unlinked_files_renames() {
+    let s = stack();
+    // A neighbour whose name extends the directory's is not below it.
+    s.raw.mkdir_p(&Cred::root(), "/webx", 0o777).unwrap();
+    s.raw.write_file(&ALICE, "/webx/linked.html", b"x").unwrap();
+    link(&s, "/webx/linked.html", ControlMode::Rff);
+    s.lfs.rename(&ALICE, "/web", "/web2").unwrap();
+    assert_eq!(s.lfs.read_file(&ALICE, "/web2/plain.txt").unwrap(), b"not linked");
+    assert!(!s.lfs.exists(&ALICE, "/web/plain.txt"));
+}
+
+/// The name cache is written when a path is new or changed, never on a
+/// lookup that finds the path it cached: after the first open of a file,
+/// its token reads write nothing. A rename of a directory leaves the
+/// entries below it stale; the next lookup through the new path compares,
+/// refills the entry, and the open reaches DLFM under the new path — its
+/// token, bound to that path, would be refused under the old one.
+#[test]
+fn the_name_cache_is_written_only_for_a_new_or_changed_path() {
+    let s = stack();
+    let fills = || s.dlfs.stats.name_cache_fills.get();
+    let read = |path: &str| {
+        let token_path = embed_token(path, &tok(&s, path, TokenKind::Read));
+        let fd = s.lfs.open(&ALICE, &token_path, OpenOptions::read_only()).unwrap();
+        s.lfs.close(fd).unwrap();
+    };
+    link(&s, "/web/index.html", ControlMode::Rdd);
+    read("/web/index.html");
+    let after_first = fills();
+    assert_eq!(after_first, 2, "/web and /web/index.html");
+    for _ in 0..100 {
+        read("/web/index.html");
+    }
+    assert_eq!(fills(), after_first, "a hundred token reads wrote nothing");
+
+    // nff: linked without referential integrity, so its directory renames.
+    s.raw.mkdir_p(&Cred::root(), "/docs", 0o777).unwrap();
+    s.raw.write_file(&ALICE, "/docs/a.txt", b"a").unwrap();
+    link(&s, "/docs/a.txt", ControlMode::Nff);
+    read("/docs/a.txt");
+    s.lfs.rename(&ALICE, "/docs", "/docs2").unwrap();
+    let before = fills();
+    read("/docs2/a.txt");
+    assert_eq!(fills() - before, 1, "the moved file's entry, refilled under /docs2");
+    let now = s.clock.now_ms();
+    let opens = s.server.repository().opens();
+    assert!(opens.token_admits(ALICE.uid, "/docs2/a.txt", TokenKind::Read, now));
+    read("/docs2/a.txt");
+    assert_eq!(fills() - before, 1, "and then no more");
+}

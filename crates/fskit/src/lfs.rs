@@ -94,6 +94,7 @@ impl Lfs {
     }
 
     /// Walks all components of `dir_path`, returning the directory inode.
+    /// The components are borrowed from the path, one lookup each.
     fn walk_dir(&self, cred: &Cred, dir_path: &str) -> FsResult<Ino> {
         let mut ino = self.fs.root();
         for comp in path::components(dir_path)? {
@@ -109,12 +110,12 @@ impl Lfs {
             return Err(FsError::InvalidArgument("open with no access mode".into()));
         }
         let (parent_path, name) = path::split_parent(abs_path)?;
-        let parent = self.walk_dir(cred, &parent_path)?;
+        let parent = self.walk_dir(cred, parent_path)?;
 
-        let ino = match self.fs.fs_lookup(cred, parent, &name) {
+        let ino = match self.fs.fs_lookup(cred, parent, name) {
             Ok(ino) => ino,
             Err(FsError::NotFound) if opts.create => {
-                self.fs.fs_create(cred, parent, &name, opts.create_mode)?
+                self.fs.fs_create(cred, parent, name, opts.create_mode)?
             }
             Err(e) => return Err(e),
         };
@@ -276,22 +277,21 @@ impl Lfs {
             return Ok(self.fs.root());
         }
         let (parent_path, name) = path::split_parent(abs_path)?;
-        let parent = self.walk_dir(cred, &parent_path)?;
-        self.fs.fs_lookup(cred, parent, &name)
+        let parent = self.walk_dir(cred, parent_path)?;
+        self.fs.fs_lookup(cred, parent, name)
     }
 
     /// Creates a regular file, failing if it exists.
     pub fn create(&self, cred: &Cred, abs_path: &str, mode: u16) -> FsResult<Ino> {
         let (parent_path, name) = path::split_parent(abs_path)?;
-        let parent = self.walk_dir(cred, &parent_path)?;
-        self.fs.fs_create(cred, parent, &name, mode)
+        let parent = self.walk_dir(cred, parent_path)?;
+        self.fs.fs_create(cred, parent, name, mode)
     }
 
     /// Creates a directory and any missing ancestors.
     pub fn mkdir_p(&self, cred: &Cred, abs_path: &str, mode: u16) -> FsResult<Ino> {
-        let comps = path::components(abs_path)?;
         let mut ino = self.fs.root();
-        for comp in comps {
+        for comp in path::components(abs_path)? {
             ino = match self.fs.fs_lookup(cred, ino, comp) {
                 Ok(child) => child,
                 Err(FsError::NotFound) => self.fs.fs_mkdir(cred, ino, comp, mode)?,
@@ -304,17 +304,17 @@ impl Lfs {
     /// Removes a regular file.
     pub fn remove(&self, cred: &Cred, abs_path: &str) -> FsResult<()> {
         let (parent_path, name) = path::split_parent(abs_path)?;
-        let parent = self.walk_dir(cred, &parent_path)?;
-        self.fs.fs_remove(cred, parent, &name)
+        let parent = self.walk_dir(cred, parent_path)?;
+        self.fs.fs_remove(cred, parent, name)
     }
 
     /// Renames a file or directory (destination must not exist).
     pub fn rename(&self, cred: &Cred, from: &str, to: &str) -> FsResult<()> {
         let (fparent_path, fname) = path::split_parent(from)?;
         let (tparent_path, tname) = path::split_parent(to)?;
-        let fparent = self.walk_dir(cred, &fparent_path)?;
-        let tparent = self.walk_dir(cred, &tparent_path)?;
-        self.fs.fs_rename(cred, fparent, &fname, tparent, &tname)
+        let fparent = self.walk_dir(cred, fparent_path)?;
+        let tparent = self.walk_dir(cred, tparent_path)?;
+        self.fs.fs_rename(cred, fparent, fname, tparent, tname)
     }
 
     /// Applies attribute changes to a path (admin helper).

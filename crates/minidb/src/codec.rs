@@ -96,6 +96,11 @@ impl Enc {
     }
 }
 
+/// Bytes [`Enc::put_str`] writes for `v`.
+pub fn str_len(v: &str) -> usize {
+    4 + v.len()
+}
+
 /// Cursor over a byte slice with typed take operations.
 #[derive(Debug)]
 pub struct Dec<'a> {
@@ -207,6 +212,17 @@ pub fn put_value(enc: &mut Enc, v: &Value) {
     }
 }
 
+/// Bytes [`put_value`] writes for `v`.
+pub fn value_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Null => 0,
+        Value::Int(_) | Value::Float(_) => 8,
+        Value::Bool(_) => 1,
+        Value::Text(s) | Value::DataLink(s) => str_len(s),
+        Value::Bytes(b) => 4 + b.len(),
+    }
+}
+
 pub fn get_value(dec: &mut Dec<'_>) -> DbResult<Value> {
     Ok(match dec.get_u8()? {
         TAG_NULL => Value::Null,
@@ -225,6 +241,11 @@ pub fn put_row(enc: &mut Enc, row: &[Value]) {
     for v in row {
         put_value(enc, v);
     }
+}
+
+/// Bytes [`put_row`] writes for `row`.
+pub fn row_len(row: &[Value]) -> usize {
+    4 + row.iter().map(value_len).sum::<usize>()
 }
 
 pub fn get_row(dec: &mut Dec<'_>) -> DbResult<Row> {
@@ -268,6 +289,12 @@ pub fn put_schema(enc: &mut Enc, schema: &Schema) {
         enc.put_bool(col.nullable);
     }
     enc.put_u32(schema.primary_key as u32);
+}
+
+/// Bytes [`put_schema`] writes for `schema`.
+pub fn schema_len(schema: &Schema) -> usize {
+    let columns: usize = schema.columns.iter().map(|col| str_len(&col.name) + 2).sum();
+    str_len(&schema.table) + 4 + columns + 4
 }
 
 pub fn get_schema(dec: &mut Dec<'_>) -> DbResult<Schema> {

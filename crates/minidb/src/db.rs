@@ -4,6 +4,7 @@
 //! logged writes until promoted.
 
 use std::collections::HashMap;
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -559,6 +560,16 @@ impl Database {
         self.read_store(table, |store| store.iter().map(|(_, row)| row.to_vec()).collect())
     }
 
+    /// The committed rows whose primary keys lie in `keys`, in key order,
+    /// without locks: the stored rows, shared.
+    pub fn range_committed(
+        &self,
+        table: &str,
+        keys: impl RangeBounds<Value>,
+    ) -> DbResult<Vec<SharedRow>> {
+        self.read_store(table, |store| store.range(keys).map(|(_, row)| row.clone()).collect())
+    }
+
     /// Committed row count.
     pub fn count(&self, table: &str) -> DbResult<usize> {
         self.read_store(table, TableStore::len)
@@ -611,6 +622,24 @@ mod tests {
             again.try_lock_for_update("t", &Value::Int(1)).unwrap(),
             "released with its holder"
         );
+    }
+
+    #[test]
+    fn a_range_read_returns_the_committed_rows_in_its_keys_in_order() {
+        let db = Database::open(StorageEnv::mem()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        let mut tx = db.begin();
+        for k in [5, 1, 3, 4] {
+            tx.insert("t", row(k, "c")).unwrap();
+        }
+        tx.commit().unwrap();
+        let mut open = db.begin();
+        open.insert("t", row(2, "uncommitted")).unwrap();
+        let keys = |rows: Vec<SharedRow>| rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>();
+        let got = db.range_committed("t", Value::Int(1)..Value::Int(5)).unwrap();
+        assert_eq!(keys(got), [1, 3, 4].map(Value::Int));
+        assert!(db.range_committed("t", Value::Int(6)..).unwrap().is_empty());
+        assert!(db.range_committed("nope", ..).is_err());
     }
 
     #[test]

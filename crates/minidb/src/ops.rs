@@ -7,7 +7,10 @@
 //! statement's [`SharedRow`]: the transaction's overlay, its commit record
 //! and, once applied, the table store all hold that one allocation.
 
-use crate::codec::{get_row, get_schema, get_value, put_row, put_schema, put_value, Dec, Enc};
+use crate::codec::{
+    get_row, get_schema, get_value, put_row, put_schema, put_value, row_len, schema_len, str_len,
+    value_len, Dec, Enc,
+};
 use crate::error::{DbError, DbResult};
 use crate::value::{Schema, SharedRow, Value};
 
@@ -84,6 +87,18 @@ impl RowOp {
         }
     }
 
+    /// Bytes [`RowOp::encode`] writes.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            RowOp::CreateTable(schema) => schema_len(schema),
+            RowOp::DropTable(table) => str_len(table),
+            RowOp::CreateIndex { table, column } => str_len(table) + str_len(column),
+            RowOp::Insert { table, row } => str_len(table) + row_len(row),
+            RowOp::Update { table, key, row } => str_len(table) + value_len(key) + row_len(row),
+            RowOp::Delete { table, key } => str_len(table) + value_len(key),
+        }
+    }
+
     pub fn decode(dec: &mut Dec<'_>) -> DbResult<RowOp> {
         Ok(match dec.get_u8()? {
             0 => RowOp::CreateTable(get_schema(dec)?),
@@ -105,6 +120,11 @@ impl RowOp {
         for op in ops {
             op.encode(enc);
         }
+    }
+
+    /// Bytes [`RowOp::encode_list`] writes.
+    pub fn list_encoded_len(ops: &[RowOp]) -> usize {
+        4 + ops.iter().map(RowOp::encoded_len).sum::<usize>()
     }
 
     pub fn decode_list(dec: &mut Dec<'_>) -> DbResult<Vec<RowOp>> {
@@ -152,9 +172,33 @@ mod tests {
         let mut enc = Enc::new();
         RowOp::encode_list(&ops, &mut enc);
         let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), RowOp::list_encoded_len(&ops));
         let mut dec = Dec::new(&bytes);
         assert_eq!(RowOp::decode_list(&mut dec).unwrap(), ops);
         assert!(dec.is_done());
+    }
+
+    #[test]
+    fn each_op_writes_the_bytes_its_length_says() {
+        let mut ops = ops_fixture();
+        ops.push(RowOp::Insert {
+            table: "every value".into(),
+            row: [
+                Value::Null,
+                Value::Int(-1),
+                Value::Float(0.5),
+                Value::Bool(true),
+                Value::Text("txt".into()),
+                Value::Bytes(vec![1, 2, 3, 4]),
+                Value::DataLink("dlfs://srv/a/b".into()),
+            ]
+            .into(),
+        });
+        for op in &ops {
+            let mut enc = Enc::new();
+            op.encode(&mut enc);
+            assert_eq!(enc.len(), op.encoded_len(), "{op:?}");
+        }
     }
 
     #[test]

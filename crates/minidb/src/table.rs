@@ -9,6 +9,7 @@
 //! and a commit stores the very row its statement buffered.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use crate::error::{DbError, DbResult};
@@ -64,6 +65,14 @@ impl TableStore {
     /// Ordered iterator over (key, row).
     pub fn iter(&self) -> impl Iterator<Item = (&Value, &SharedRow)> {
         self.rows.iter()
+    }
+
+    /// Ordered iterator over the (key, row) pairs with keys in `keys`.
+    pub fn range<'a>(
+        &'a self,
+        keys: impl RangeBounds<Value> + 'a,
+    ) -> impl Iterator<Item = (&'a Value, &'a SharedRow)> + 'a {
+        self.rows.range(keys)
     }
 
     /// Primary keys whose `column` equals `value`, via index when present,

@@ -146,8 +146,9 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record's payload, in one allocation of its exact size.
     fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut enc = Enc::with_capacity(self.encoded_len());
         match self {
             WalRecord::Ddl(op) => {
                 enc.put_u8(0);
@@ -163,7 +164,17 @@ impl WalRecord {
                 enc.put_u64(*generation);
             }
         }
+        debug_assert_eq!(enc.len(), self.encoded_len(), "{self:?}");
         enc.into_bytes()
+    }
+
+    /// Bytes [`WalRecord::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            WalRecord::Ddl(op) => op.encoded_len(),
+            WalRecord::Commit { ops, .. } => 8 + RowOp::list_encoded_len(ops),
+            WalRecord::Checkpoint { .. } => 8,
+        }
     }
 
     fn decode(payload: &[u8]) -> DbResult<WalRecord> {
@@ -1577,6 +1588,8 @@ mod tests {
         ];
         for rec in records {
             let bytes = rec.encode();
+            assert_eq!(bytes.len(), rec.encoded_len(), "{rec:?}");
+            assert_eq!(bytes.capacity(), bytes.len(), "{rec:?}: sized once, no slack");
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
         }
     }

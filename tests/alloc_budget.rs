@@ -73,21 +73,25 @@ const N: u64 = 256;
 const CHURN_BASE: i64 = 1_000;
 
 /// Calling-thread allocations per token read: SELECT a read token, open,
-/// read 4 KiB, close — the measured 29 plus a 10 % margin. The open and
-/// the close touch DLFM's in-memory open table only; while they were two
-/// repository transactions a read made 81 (189 while minidb copied a
+/// read 4 KiB, close — the measured 14 plus a 10 % margin. The open's
+/// lookups compare DLFS's cached paths in place and the path splits borrow
+/// the name; while each lookup cached a fresh `String` and fskit built the
+/// parent path and a component `Vec`, a read made 29 (81 while the open and
+/// the close were two repository transactions, 189 while minidb copied a
 /// schema, a row and a lock key per statement access).
-const READ_BUDGET: u64 = 32;
+const READ_BUDGET: u64 = 16;
 /// Per update: SELECT a write token, open, write 4 KiB, close — the
-/// measured 96–97 plus a 10 % margin. The write open touches DLFM's
-/// in-memory open table only; while it committed a claim row an update
-/// made 124–135 (173–177 while the write's Sync entry and token entry
-/// were repository rows too, 399 on the copying row path).
-const UPDATE_BUDGET: u64 = 107;
+/// measured 59 (60 in a release build) plus a 10 % margin. 96–97 while every lookup cached a fresh
+/// path and the log encoder grew its buffer from empty; 124–135 while the
+/// write open committed a claim row (173–177 while the write's Sync entry
+/// and token entry were repository rows too, 399 on the copying row path).
+const UPDATE_BUDGET: u64 = 65;
 /// Per link + unlink pair (two host transactions, each a DATALINK DML and
-/// its commit): the measured 181–182 plus a 10 % margin (186–187 before,
-/// 388 on the copying row path).
-const LINK_UNLINK_BUDGET: u64 = 201;
+/// its commit): the measured 140 plus a 10 % margin. 180–182 while the log
+/// encoder grew each record's buffer from empty and DLFM's path lookups
+/// built the parent path and a component `Vec` (186–187 before, 388 on the
+/// copying row path).
+const LINK_UNLINK_BUDGET: u64 = 154;
 
 fn path_of(key: i64) -> String {
     format!("/data/f{key:05}.bin")
