@@ -245,6 +245,18 @@ if grep -nE "HashMap<Ino, [S]tring>" crates/dlfs/src/lib.rs \
   exit 1
 fi
 
+# One DLFS per mount (DESIGN.md "Sharded namespace"): a file server's one
+# DLFS holds one upcall client per shard and routes each upcall by its
+# path, so no sharded front with a second name cache stacks on per-shard
+# DLFS layers, and no single-client accessor comes back. (The bracketed
+# first letters keep these patterns from matching this file.)
+step "guard: one DLFS per mount, no sharded front"
+if grep -rnE "[S]hardedFs|[p]rime_directory|[r]eplace_shard|[s]hard_fronts|fn [u]pcall_client" \
+    crates/ src/ tests/ examples/; then
+  echo "guard: the sharded front (ShardedFs, prime_directory, replace_shard, shard_fronts) or Dlfs::upcall_client reappeared (matches above)" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release

@@ -481,25 +481,26 @@ pub fn a2_txn_boundary(writes_per_open: &[usize]) -> Table {
     let f = fixture(FixtureOptions { n_files: 1, sync_archive: true, ..Default::default() });
     let fs = f.sys.fs(SRV).expect("fs");
     let chunk = make_content(512);
-    let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
+    let dlfs = f.sys.dlfs(SRV).expect("dlfs");
+    let upcall = f.sys.node(SRV).expect("node").connect_agent();
 
     let mut rows = Vec::new();
     for &n in writes_per_open {
         // Actual design: upcalls only at open/close.
-        let before = client.round_trip_count();
+        let before = dlfs.round_trips();
         let path = f.token_path(0, TokenKind::Write);
         let fd = fs.open(&APP, &path, OpenOptions::write_truncate()).expect("open");
         for k in 0..n {
             fs.write_at(fd, (k * chunk.len()) as u64, &chunk).expect("write");
         }
         fs.close(fd).expect("close");
-        let actual = client.round_trip_count() - before;
+        let actual = dlfs.round_trips() - before;
 
         // Rejected design (§3.1): every fs_readwrite would also upcall —
         // cost modelled as actual + n extra round-trips of the measured
         // upcall latency.
         let upcall_ns = time_ns(200, || {
-            let _ = client.mutation_check("/data/doesnotexist");
+            let _ = upcall.mutation_check("/data/doesnotexist");
         });
         rows.push(vec![s(n), s(actual), s(actual as usize + n), fmt_ns(upcall_ns * n as f64)]);
     }
@@ -529,7 +530,7 @@ pub fn a3_read_path(iters: u64) -> Table {
     let mut rows = Vec::new();
     for mode in [ControlMode::Rfd, ControlMode::Rdd] {
         let f = fixture(FixtureOptions { mode, n_files: 1, file_size: 4096, ..Default::default() });
-        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
+        let dlfs = f.sys.dlfs(SRV).expect("dlfs");
         let fs = f.sys.fs(SRV).expect("fs");
 
         // rfd reads need no token; rdd reads do (prime the token entry once
@@ -539,12 +540,12 @@ pub fn a3_read_path(iters: u64) -> Table {
         } else {
             f.paths[0].clone()
         };
-        let before = client.round_trip_count();
+        let before = dlfs.round_trips();
         let ns = time_ns(iters, || {
             let fd = fs.open(&APP, &path, OpenOptions::read_only()).expect("open");
             fs.close(fd).expect("close");
         });
-        let upcalls = client.round_trip_count() - before;
+        let upcalls = dlfs.round_trips() - before;
         rows.push(vec![
             mode.to_string(),
             s(format!("{ns:.0}")),
@@ -799,13 +800,13 @@ pub fn a8_strict_link(iters: u64) -> Table {
             .write_file(&APP, "/data/unlinked.bin", b"plain")
             .expect("seed");
         let fs = f.sys.fs(SRV).expect("fs");
-        let client = f.sys.node(SRV).expect("node").dlfs.upcall_client();
-        let before = client.round_trip_count();
+        let dlfs = f.sys.dlfs(SRV).expect("dlfs");
+        let before = dlfs.round_trips();
         let ns = time_ns(iters, || {
             let fd = fs.open(&APP, "/data/unlinked.bin", OpenOptions::read_only()).expect("open");
             fs.close(fd).expect("close");
         });
-        let upcalls = (client.round_trip_count() - before) as f64 / iters as f64;
+        let upcalls = (dlfs.round_trips() - before) as f64 / iters as f64;
         rows.push(vec![
             s(if strict { "strict (window closed)" } else { "default (paper prototype)" }),
             s(format!("{ns:.0}")),

@@ -82,7 +82,7 @@ pub use engine::{
     DataLinksEngine, EngineStats, LagEwma, ServerRegistration, COLUMNS_TABLE, FRESHNESS_WAIT,
     FRESHNESS_WAIT_FLOOR, META_TABLE,
 };
-pub use shard::{ShardRouter, ShardedFs};
+pub use shard::ShardRouter;
 pub use system::{
     CrashImage, DataLinksSystem, FileServerNode, FileServerSpec, HostFailoverReport, SystemBackup,
     SystemBuilder,

@@ -1,6 +1,7 @@
 //! The assembled DataLinks system (Figure 1 of the paper): one host
-//! database with the DataLinks engine, plus any number of file-server nodes
-//! each running the full DLFM/DLFS stack.
+//! database with the DataLinks engine, plus any number of file servers,
+//! each one DLFS mount over its physical file system and one DLFM node per
+//! shard (one unsharded).
 //!
 //! "Enterprises can manage files on multiple distinct file servers within a
 //! DataLinks database, allowing robust centralized control over distributed
@@ -42,7 +43,7 @@ use parking_lot::Mutex;
 
 use crate::datalink::{DatalinkUrl, DlColumnOptions};
 use crate::engine::{DataLinksEngine, ServerRegistration};
-use crate::shard::{ShardRouter, ShardedFs};
+use crate::shard::ShardRouter;
 
 /// The wire front of a `Transport::Socket` node: the server-side
 /// [`WireDaemon`] listening on its Unix socket, plus the node-local
@@ -74,10 +75,6 @@ pub struct FileServerNode {
     parts: NodeParts,
     /// The DLFM daemon complex.
     pub server: Arc<DlfmServer>,
-    /// The DLFS interposition layer.
-    pub dlfs: Arc<Dlfs>,
-    /// Application-facing logical file system, mounted over DLFS.
-    pub lfs: Arc<Lfs>,
     /// Root access to the raw physical file system (fixtures, admin).
     pub raw: Arc<Lfs>,
     /// Hot standbys of the DLFM repository, when provisioned.
@@ -113,6 +110,22 @@ impl FileServerNode {
     }
 }
 
+/// One file server as applications mount it: one DLFS over its physical
+/// file system, with one upcall client per shard node. It outlives the
+/// nodes' failovers, which swap the promoted node's client into its slot.
+struct Mount {
+    dlfs: Arc<Dlfs>,
+    /// Application-facing logical file system, mounted over DLFS.
+    lfs: Arc<Lfs>,
+}
+
+impl Mount {
+    fn new(fs: Arc<MemFs>, upcalls: Vec<DlfmClient>) -> Mount {
+        let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, upcalls));
+        Mount { lfs: Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>)), dlfs }
+    }
+}
+
 /// Specification of one file server for the builder.
 pub struct FileServerSpec {
     pub name: String,
@@ -141,10 +154,11 @@ pub struct FileServerSpec {
     /// Number of shard nodes this *logical* server's namespace is
     /// partitioned across. 1 (the default) builds the classic single
     /// node. With `n > 1`, the builder expands the spec into `n` full
-    /// DLFM/DLFS nodes named `<name>.s0 .. <name>.s{n-1}`, all
-    /// interposed on one shared physical file system; a [`ShardRouter`]
-    /// hashes each file path to its owning shard and the engine fans 2PC
-    /// out across exactly the shards a transaction touches. Each shard
+    /// DLFM nodes named `<name>.s0 .. <name>.s{n-1}` over one shared
+    /// physical file system; a [`ShardRouter`] hashes each file path to
+    /// its owning shard and the engine fans 2PC out across exactly the
+    /// shards a transaction touches. Either way the server has one mount:
+    /// one DLFS that sends each upcall to its path's shard. Each shard
     /// keeps its own repository, archive store and (with
     /// [`FileServerSpec::replicas`]) its own standbys.
     pub shards: usize,
@@ -266,8 +280,8 @@ impl SystemBuilder {
         for spec in self.servers {
             let fs = Arc::new(MemFs::with_clock(Arc::clone(&self.clock)).with_io_model(spec.io));
             // A plain server is one node under its own name. A sharded one
-            // is N shard nodes: every shard interposes on the same
-            // physical file system but runs its own repository, archive
+            // is N shard nodes: every shard manages its part of the same
+            // physical file system and runs its own repository, archive
             // store and standbys. The shard's DLFM keeps the *logical*
             // server name (tokens are signed and validated under it); the
             // node registers everywhere else — engine, 2PC participant
@@ -338,8 +352,19 @@ struct NodeParts {
     upcall_fault: Option<FaultInjector>,
     /// `(logical, idx, count)` when this node is one shard of a
     /// partitioned logical server; recovery rebuilds the router and the
-    /// sharded front from this.
+    /// mount from this.
     shard: Option<(String, usize, usize)>,
+}
+
+impl NodeParts {
+    /// The file server this node serves a part of, the node's shard index
+    /// there and the shard count: `(name, 0, 1)` unsharded.
+    fn mount(&self) -> (&str, usize, usize) {
+        match &self.shard {
+            Some((logical, idx, count)) => (logical, *idx, *count),
+            None => (&self.name, 0, 1),
+        }
+    }
 }
 
 /// What survives a simulated whole-system crash: the disks. A new system
@@ -443,12 +468,9 @@ pub struct DataLinksSystem {
     /// Shard routers of logical servers built with
     /// [`FileServerSpec::shards`], keyed by logical name.
     routers: HashMap<String, Arc<ShardRouter>>,
-    /// Application-facing sharded fronts (one namespace over all shards),
-    /// keyed by logical name.
-    shard_fronts: HashMap<String, Arc<Lfs>>,
-    /// The sharded-front file systems themselves, for swapping a promoted
-    /// shard's DLFS layer in after [`DataLinksSystem::fail_over`].
-    sharded: HashMap<String, Arc<ShardedFs>>,
+    /// One mount per file server spec, keyed by its name (the logical
+    /// name of a sharded server).
+    mounts: HashMap<String, Mount>,
     /// The unified telemetry registry: every layer's counters, gauges and
     /// histograms under dotted names (`minidb.*`, `repl.*`, `dlfm.*`,
     /// `dlfs.*`, `engine.*`, `fskit.*`, `system.*`, `pool.*`).
@@ -514,6 +536,9 @@ impl DataLinksSystem {
         let mut before = recovery.unwrap_or_default();
         let mut nodes = HashMap::new();
         let mut reports = HashMap::new();
+        // Each file server's upcall clients, one slot per shard; an
+        // unsharded server is the one-shard case.
+        let mut upcalls: HashMap<String, (Arc<MemFs>, Vec<Option<DlfmClient>>)> = HashMap::new();
         for part in image.nodes {
             let name = part.name.clone();
             let rows = run_recovery.then(|| {
@@ -521,38 +546,23 @@ impl DataLinksSystem {
             });
             let repo = Self::open_repo(&part)?;
             let recovery = rows.as_ref().map(|(view, before)| (view, before));
-            let (node, report) =
+            let (node, upcall, report) =
                 Self::build_node(&engine, &clock, part, repo, recovery, coord_epoch)?;
             if let Some(report) = report {
                 reports.insert(name.clone(), report);
             }
+            let (mount, idx, count) = node.parts.mount();
+            let (_, slots) = upcalls.entry(mount.to_string()).or_insert_with(|| {
+                (Arc::clone(&node.parts.fs), (0..count).map(|_| None).collect())
+            });
+            slots[idx] = Some(upcall);
             nodes.insert(name, node);
         }
-
-        // The sharded front of each logical server: one namespace over its
-        // shard nodes' DLFS layers.
-        let mut shard_fronts = HashMap::new();
-        let mut sharded = HashMap::new();
-        for (logical, router) in &routers {
-            let count = router.shard_count();
-            let mut dlfs_shards = Vec::with_capacity(count);
-            for i in 0..count {
-                let shard = nodes
-                    .get(router.name_of(i))
-                    .ok_or_else(|| format!("missing shard {i} of {logical}"))?;
-                dlfs_shards.push(Arc::clone(&shard.dlfs));
-            }
-            let fs = Arc::clone(&nodes[router.name_of(0)].parts.fs);
-            let front = Arc::new(ShardedFs::new(
-                fs as Arc<dyn FileSystem>,
-                dlfs_shards,
-                Arc::clone(router),
-            ));
-            shard_fronts.insert(
-                logical.clone(),
-                Arc::new(Lfs::new(Arc::clone(&front) as Arc<dyn FileSystem>)),
-            );
-            sharded.insert(logical.clone(), front);
+        let mut mounts = HashMap::new();
+        for (name, (fs, slots)) in upcalls {
+            let clients: Option<Vec<DlfmClient>> = slots.into_iter().collect();
+            let clients = clients.ok_or_else(|| format!("a shard of {name} is missing"))?;
+            mounts.insert(name, Mount::new(fs, clients));
         }
 
         let registry = Arc::new(Registry::new());
@@ -571,8 +581,7 @@ impl DataLinksSystem {
             coord_epoch,
             nodes,
             routers,
-            shard_fronts,
-            sharded,
+            mounts,
             registry,
             pool_roster: Arc::new(PoolRoster::default()),
             last_flight_dump: Mutex::new(None),
@@ -596,6 +605,9 @@ impl DataLinksSystem {
             Self::register_node_metrics(&sys.registry, &sys.nodes[name]);
             sys.adopt_node_pools(name);
         }
+        for (name, mount) in &sys.mounts {
+            Self::register_dlfs_metrics(&sys.registry, name, &mount.dlfs);
+        }
         Ok((sys, reports))
     }
 
@@ -610,10 +622,12 @@ impl DataLinksSystem {
     /// repository `repo` (see [`DataLinksSystem::open_repo`], or a standby
     /// promoted in place, with its open table): the DLFM server (reconciled
     /// against `recovery`, the host's view of the node and the one from
-    /// before a rewind — [`DlfmServer::recover`] — when given), the DLFS/LFS stack, the
+    /// before a rewind — [`DlfmServer::recover`] — when given), the
     /// daemons, the engine registration, and — when provisioned — the
-    /// replica set fed from the repository's WAL. Used by initial assembly,
-    /// crash recovery, point-in-time restore and failover promotion alike.
+    /// replica set fed from the repository's WAL. Returns the node, the
+    /// upcall client its file server's DLFS takes into the node's slot, and
+    /// the recovery report. Used by initial assembly, crash recovery,
+    /// point-in-time restore and failover promotion alike.
     fn build_node(
         engine: &Arc<DataLinksEngine>,
         clock: &Arc<dyn Clock>,
@@ -621,7 +635,7 @@ impl DataLinksSystem {
         repo: Repository,
         recovery: Option<(&HostView, &HostView)>,
         coord_epoch: u64,
-    ) -> Result<(FileServerNode, Option<RecoveryReport>), String> {
+    ) -> Result<(FileServerNode, DlfmClient, Option<RecoveryReport>), String> {
         let server = Arc::new(DlfmServer::new(
             part.dlfm_cfg.clone(),
             part.fs.clone() as Arc<dyn FileSystem>,
@@ -652,9 +666,7 @@ impl DataLinksSystem {
             }),
         };
         let agent = Self::mint_client(&main, wire.as_ref(), "engine")?;
-        let upcalls = Self::mint_client(&main, wire.as_ref(), "dlfs")?;
-        let dlfs = Arc::new(Dlfs::new(part.fs.clone() as Arc<dyn FileSystem>, upcalls));
-        let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
+        let upcall = Self::mint_client(&main, wire.as_ref(), "dlfs")?;
         let raw = Arc::new(Lfs::new(part.fs.clone() as Arc<dyn FileSystem>));
 
         let replication = if part.replicas > 0 {
@@ -699,10 +711,7 @@ impl DataLinksSystem {
             server: Arc::clone(&server),
             replication: replication.clone(),
         });
-        Ok((
-            FileServerNode { parts: part, server, dlfs, lfs, raw, replication, wire, main },
-            report,
-        ))
+        Ok((FileServerNode { parts: part, server, raw, replication, wire, main }, upcall, report))
     }
 
     /// A fresh connection to a node over the carrier it runs.
@@ -739,24 +748,28 @@ impl DataLinksSystem {
         self.nodes.get(name).ok_or_else(|| format!("unknown file server {name}"))
     }
 
-    /// Application-facing file system of a node (mounted over DLFS). For a
-    /// sharded logical server this is the sharded front: one namespace,
-    /// with every operation routed to the owning shard's DLFS.
+    fn mount(&self, name: &str) -> Result<&Mount, String> {
+        self.mounts.get(name).ok_or_else(|| format!("unknown file server {name}"))
+    }
+
+    /// Application-facing file system of a file server (mounted over
+    /// DLFS): one namespace, sharded or not. The handle outlives failovers
+    /// of the server's nodes.
     pub fn fs(&self, name: &str) -> Result<Arc<Lfs>, String> {
-        if let Some(front) = self.shard_fronts.get(name) {
-            return Ok(Arc::clone(front));
-        }
-        Ok(Arc::clone(&self.node(name)?.lfs))
+        Ok(Arc::clone(&self.mount(name)?.lfs))
+    }
+
+    /// The DLFS layer of a file server (its counters and upcall round
+    /// trips).
+    pub fn dlfs(&self, name: &str) -> Result<&Arc<Dlfs>, String> {
+        Ok(&self.mount(name)?.dlfs)
     }
 
     /// Raw (root) file system of a node for fixtures and admin tasks. For
-    /// a sharded logical server all shards interpose on one physical file
-    /// system, so any shard's raw handle is *the* raw handle.
+    /// a sharded logical server all shards share one physical file system,
+    /// so shard 0's raw handle is *the* raw handle.
     pub fn raw_fs(&self, name: &str) -> Result<Arc<Lfs>, String> {
-        if self.routers.contains_key(name) {
-            return Ok(Arc::clone(&self.node(&ShardRouter::shard_name(name, 0))?.raw));
-        }
-        Ok(Arc::clone(&self.node(name)?.raw))
+        Ok(Arc::clone(&self.node(&self.member_names(name)?[0])?.raw))
     }
 
     /// The shard router of a logical server built with
@@ -921,14 +934,32 @@ impl DataLinksSystem {
         });
     }
 
+    /// Registers a file server's DLFS interposition counters under
+    /// `dlfs.<name>.*`, once: the mount outlives its nodes' failovers.
+    fn register_dlfs_metrics(registry: &Registry, name: &str, dlfs: &Arc<Dlfs>) {
+        macro_rules! dlfs_counter {
+            ($field:ident) => {{
+                let d = Arc::clone(dlfs);
+                registry.register_counter_fn(&format!("dlfs.{name}.{}", stringify!($field)), {
+                    move || d.stats.$field.get()
+                });
+            }};
+        }
+        dlfs_counter!(passthrough_opens);
+        dlfs_counter!(managed_opens);
+        dlfs_counter!(busy_waits);
+        dlfs_counter!(token_lookups);
+        dlfs_counter!(name_cache_fills);
+    }
+
     /// Registers one node's instruments: its DLFM server counters and
-    /// upcall round-trip distribution, repository minidb telemetry, DLFS
-    /// interposition counters, physical-FS op counters, and — when
-    /// replicated — WAL shipping. Stale registrations from a previous
-    /// incarnation of the node (failover, recovery) are dropped first.
+    /// upcall round-trip distribution, repository minidb telemetry,
+    /// physical-FS op counters, and — when replicated — WAL shipping.
+    /// Stale registrations from a previous incarnation of the node
+    /// (failover, recovery) are dropped first.
     fn register_node_metrics(registry: &Arc<Registry>, node: &FileServerNode) {
         let name = &node.parts.name;
-        for prefix in ["dlfm", "dlfs", "minidb", "repl", "fskit"] {
+        for prefix in ["dlfm", "minidb", "repl", "fskit"] {
             registry.unregister_prefix(&format!("{prefix}.{name}"));
         }
 
@@ -965,21 +996,6 @@ impl DataLinksSystem {
             &format!("minidb.{name}"),
             node.server.repository().db(),
         );
-
-        let dlfs = Arc::clone(&node.dlfs);
-        macro_rules! dlfs_counter {
-            ($field:ident) => {{
-                let d = Arc::clone(&dlfs);
-                registry.register_counter_fn(&format!("dlfs.{name}.{}", stringify!($field)), {
-                    move || d.stats.$field.get()
-                });
-            }};
-        }
-        dlfs_counter!(passthrough_opens);
-        dlfs_counter!(managed_opens);
-        dlfs_counter!(busy_waits);
-        dlfs_counter!(token_lookups);
-        dlfs_counter!(name_cache_fills);
 
         let fs = Arc::clone(&node.parts.fs);
         macro_rules! fskit_counter {
@@ -1288,16 +1304,16 @@ impl DataLinksSystem {
             .promote()
             .and_then(|()| Repository::with_opens(promoted, opens))
             .map_err(|e| e.to_string());
-        let (node, outcome) = match promotion.and_then(|repo| rebuild(parts, repo)) {
-            Ok((node, report)) => {
+        let (node, upcall, outcome) = match promotion.and_then(|repo| rebuild(parts, repo)) {
+            Ok((node, upcall, report)) => {
                 self.registry.counter("system.failovers").inc();
-                (node, Ok(report.expect("promotion runs recovery")))
+                (node, upcall, Ok(report.expect("promotion runs recovery")))
             }
             Err(promote_err) => {
                 // Promotion failed. The node handle must survive: fall
                 // back to crash-recovering the old primary from its own
                 // durable parts (the ordinary no-replica recovery path).
-                let (node, _) = Self::open_repo(&fallback)
+                let (node, upcall, _) = Self::open_repo(&fallback)
                     .and_then(|repo| rebuild(fallback, repo))
                     .map_err(|e| {
                         format!(
@@ -1308,17 +1324,14 @@ impl DataLinksSystem {
                 let err = format!(
                     "promotion failed: {promote_err}; crashed primary recovered in its place"
                 );
-                (node, Err(err))
+                (node, upcall, Err(err))
             }
         };
         Self::register_node_metrics(&self.registry, &node);
-        // A shard node's rebuilt DLFS must replace the dead one inside the
-        // logical server's sharded front.
-        if let Some((logical, idx, _)) = &node.parts.shard {
-            if let Some(front) = self.sharded.get(logical) {
-                front.replace_shard(*idx, Arc::clone(&node.dlfs));
-            }
-        }
+        // The file server's mount stays; its upcalls for this node's paths
+        // go to the rebuilt node from here on.
+        let (mount, idx, _) = node.parts.mount();
+        self.mount(mount)?.dlfs.replace_upcall(idx, upcall);
         self.nodes.insert(server.to_string(), node);
         self.adopt_node_pools(server);
         outcome
@@ -1578,8 +1591,7 @@ impl DataLinksSystem {
             coord_epoch,
             nodes,
             routers: _,
-            shard_fronts: _,
-            sharded: _,
+            mounts: _,
             registry: _,
             pool_roster: _,
             last_flight_dump: _,

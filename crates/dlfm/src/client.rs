@@ -18,6 +18,23 @@ use crate::modes::{ControlMode, OnUnlink};
 use crate::server::{LinkVote, OpenDecision};
 use crate::token::TokenKind;
 
+/// The shard of `shards` that owns `path`: FNV-1a (64-bit) of the path's
+/// bytes, modulo the count. Pure and salt-free, so the same path lands on
+/// the same shard in every process and on every rebuild — links never
+/// rebalance. The host's DML routing (`ShardRouter`) and DLFS's upcall
+/// routing both call this one function.
+pub fn shard_of(path: &str, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in path.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % shards as u64) as usize
+}
+
 /// How a request reaches the daemons and its reply comes back. Two
 /// implementations: `LocalCarrier` hands the message to the node's lanes
 /// in-process, [`crate::WireConn`] frames it onto a socket.

@@ -48,7 +48,7 @@ pub mod wire;
 
 pub use agent::{FaultInjector, MainDaemon};
 pub use archive::{ArchiveJob, ArchiveStore, Archiver, ContentSource};
-pub use client::{AgentConnection, Carrier, DlfmClient};
+pub use client::{shard_of, AgentConnection, Carrier, DlfmClient};
 pub use modes::{AccessControl, ControlMode, OnUnlink};
 pub use opens::{OpenTable, SyncEntry};
 pub use pool::{HeadGate, PoolStats};

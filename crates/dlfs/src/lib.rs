@@ -38,6 +38,13 @@
 //! equivalent of the dentry cache) and, per thread, the token its last
 //! lookup stripped; everything durable lives at DLFM.
 //!
+//! One DLFS serves one physical file system, whose namespace may be
+//! partitioned over several DLFM nodes (shards). It holds one upcall client
+//! per shard and sends each upcall to the shard that owns the path it
+//! computed ([`dl_dlfm::shard_of`], the hash the host's DML routing uses);
+//! a close goes by the path its open kept. A veto asks every shard: a
+//! directory's rename or chmod reaches files that other shards hold.
+//!
 //! The cache is read-mostly. A lookup compares the inode's cached path with
 //! its parent's path and the name under the read lock, and writes only when
 //! they differ: the inode's first lookup, or its path changed (a rename of
@@ -112,7 +119,12 @@ struct OpenInstance {
 /// constructing the application-facing `Lfs` over it.
 pub struct Dlfs {
     inner: Arc<dyn FileSystem>,
-    upcall: DlfmClient,
+    /// One upcall client per shard, in shard order (one when unsharded).
+    /// Behind a lock because a failover swaps the promoted node's client
+    /// into its slot ([`Dlfs::replace_upcall`]); a call clones its client
+    /// out and never holds the lock across the call — a `Busy` open can
+    /// wait indefinitely.
+    upcalls: RwLock<Vec<Arc<DlfmClient>>>,
     /// ino → absolute path (volatile dentry-style cache), read-mostly: see
     /// the module docs.
     paths: RwLock<HashMap<Ino, Arc<str>>>,
@@ -131,16 +143,18 @@ fn no_cached_path(ino: Ino) -> FsError {
 }
 
 impl Dlfs {
-    /// Wraps `inner`, talking to DLFM through `upcall`. DLFS is blind to
-    /// the carrier under the client, and keeps no configuration of its
-    /// own: whether opens register for strict link is the server's call,
-    /// learnt at `Hello` ([`DlfmClient::strict_link`]).
-    pub fn new(inner: Arc<dyn FileSystem>, upcall: DlfmClient) -> Dlfs {
+    /// Wraps `inner`, talking to DLFM through `upcalls`: one client per
+    /// shard of the file server, in shard order. DLFS is blind to the
+    /// carrier under a client, and keeps no configuration of its own:
+    /// whether opens register for strict link is the server's call, learnt
+    /// at `Hello` ([`DlfmClient::strict_link`]).
+    pub fn new(inner: Arc<dyn FileSystem>, upcalls: Vec<DlfmClient>) -> Dlfs {
+        assert!(!upcalls.is_empty(), "dlfs: one upcall client per shard");
         let mut paths = HashMap::new();
         paths.insert(inner.root(), Arc::from("/"));
         Dlfs {
             inner,
-            upcall,
+            upcalls: RwLock::new(upcalls.into_iter().map(Arc::new).collect()),
             paths: RwLock::new(paths),
             opens: Mutex::new(HashMap::new()),
             id: NEXT_DLFS.fetch_add(1, Ordering::Relaxed),
@@ -149,9 +163,33 @@ impl Dlfs {
         }
     }
 
-    /// The upcall client (benches inspect its round-trip counter).
-    pub fn upcall_client(&self) -> &DlfmClient {
-        &self.upcall
+    /// Puts `client` in shard `idx`'s slot: after a failover, upcalls for
+    /// that shard's paths reach the promoted node.
+    pub fn replace_upcall(&self, idx: usize, client: DlfmClient) {
+        self.upcalls.write()[idx] = Arc::new(client);
+    }
+
+    /// Round trips made through the current upcall clients, summed over
+    /// the shards (benches and tests).
+    pub fn round_trips(&self) -> u64 {
+        self.upcalls.read().iter().map(|c| c.round_trip_count()).sum()
+    }
+
+    /// The client of the shard that owns `path`.
+    fn upcall(&self, path: &str) -> Arc<DlfmClient> {
+        let upcalls = self.upcalls.read();
+        Arc::clone(&upcalls[dl_dlfm::shard_of(path, upcalls.len())])
+    }
+
+    /// Asks every shard whether `path` may be removed, renamed or have its
+    /// permissions changed: each answers for the links it holds, and a
+    /// directory can hold links on any shard.
+    fn mutation_check(&self, path: &str) -> FsResult<()> {
+        let upcalls = self.upcalls.read().clone();
+        for upcall in upcalls {
+            upcall.mutation_check(path).map_err(FsError::Rejected)?;
+        }
+        Ok(())
     }
 
     fn path_of(&self, ino: Ino) -> FsResult<Arc<str>> {
@@ -204,9 +242,14 @@ impl Dlfs {
     /// Validates the token an open that is not under full control presents,
     /// before its physical open: the one upcall a lookup-time validation
     /// would have made.
-    fn validate_presented(&self, path: &str, token: Option<&str>, cred: &Cred) -> FsResult<()> {
+    fn validate_presented(
+        upcall: &DlfmClient,
+        path: &str,
+        token: Option<&str>,
+        cred: &Cred,
+    ) -> FsResult<()> {
         if let Some(token) = token {
-            self.upcall.validate_token(path, token, cred.uid).map_err(FsError::Rejected)?;
+            upcall.validate_token(path, token, cred.uid).map_err(FsError::Rejected)?;
         }
         Ok(())
     }
@@ -218,21 +261,22 @@ impl Dlfs {
     /// physical open fails.
     fn passthrough_open(
         &self,
+        upcall: &DlfmClient,
         cred: &Cred,
         ino: Ino,
         flags: OpenFlags,
         path: &Arc<str>,
         write: bool,
     ) -> FsResult<()> {
-        if !self.upcall.strict_link() {
+        if !upcall.strict_link() {
             self.inner.fs_open(cred, ino, flags)?;
             self.stats.passthrough_opens.inc();
             return Ok(());
         }
         let opener = self.new_opener();
-        self.upcall.register_open(path, cred.uid, opener).map_err(FsError::Rejected)?;
+        upcall.register_open(path, cred.uid, opener).map_err(FsError::Rejected)?;
         if let Err(e) = self.inner.fs_open(cred, ino, flags) {
-            self.upcall.unregister_open(path, opener);
+            upcall.unregister_open(path, opener);
             return Err(e);
         }
         self.stats.passthrough_opens.inc();
@@ -249,6 +293,7 @@ impl Dlfs {
     /// answer waits out the sync epoch and tries again.
     fn checked_open(
         &self,
+        upcall: &DlfmClient,
         path: &str,
         cred: &Cred,
         wanted: TokenKind,
@@ -258,11 +303,11 @@ impl Dlfs {
         loop {
             // The epoch comes back with the decision, read before the
             // check ran: over a socket that is one round trip, not two.
-            let (epoch, decision) = self.upcall.open_check(path, cred.uid, wanted, opener, token);
+            let (epoch, decision) = upcall.open_check(path, cred.uid, wanted, opener, token);
             match decision {
                 OpenDecision::Busy => {
                     self.stats.busy_waits.inc();
-                    self.upcall.wait_epoch_change(epoch);
+                    upcall.wait_epoch_change(epoch);
                 }
                 decision => return Ok(decision),
             }
@@ -303,8 +348,7 @@ impl FileSystem for Dlfs {
         // Changing permissions or ownership of a linked file would bypass
         // database access control; veto like remove/rename.
         if set.mode.is_some() || set.uid.is_some() || set.gid.is_some() {
-            let path = self.path_of(ino)?;
-            self.upcall.mutation_check(&path).map_err(FsError::Rejected)?;
+            self.mutation_check(&self.path_of(ino)?)?;
         }
         self.inner.fs_setattr(cred, ino, set)
     }
@@ -332,6 +376,7 @@ impl FileSystem for Dlfs {
         let wants_write = flags.wants_write();
         let wanted = if wants_write { TokenKind::Write } else { TokenKind::Read };
         let path = self.path_of(ino)?;
+        let upcall = self.upcall(&path);
         // The token of the lookup just before this open, if it resolved
         // this inode at this path for this user.
         let token = held
@@ -344,9 +389,9 @@ impl FileSystem for Dlfs {
         // Full database control is recognizable locally by ownership
         // (§4.2: "which can be ascertained by examining the ownership of
         // the file") — no upcall needed to make that determination.
-        if attr.uid == self.upcall.dlfm_uid() && cred.uid != attr.uid && !cred.is_root() {
+        if attr.uid == upcall.dlfm_uid() && cred.uid != attr.uid && !cred.is_root() {
             let opener = self.new_opener();
-            return match self.checked_open(&path, cred, wanted, opener, token)? {
+            return match self.checked_open(&upcall, &path, cred, wanted, opener, token)? {
                 OpenDecision::Approved { open_as } => {
                     self.inner.fs_open(&open_as, ino, flags)?;
                     self.stats.managed_opens.inc();
@@ -370,7 +415,7 @@ impl FileSystem for Dlfs {
                     // forever.
                     match self.inner.fs_open(cred, ino, flags) {
                         Ok(()) => {
-                            if self.upcall.strict_link() {
+                            if upcall.strict_link() {
                                 self.record_open(
                                     ino,
                                     wants_write,
@@ -380,8 +425,8 @@ impl FileSystem for Dlfs {
                             Ok(())
                         }
                         Err(e) => {
-                            if self.upcall.strict_link() {
-                                self.upcall.unregister_open(&path, opener);
+                            if upcall.strict_link() {
+                                upcall.unregister_open(&path, opener);
                             }
                             Err(e)
                         }
@@ -396,19 +441,19 @@ impl FileSystem for Dlfs {
         // fast path: no upcall, no lock (§4.2) — but for the token one
         // presents.
         if !wants_write {
-            self.validate_presented(&path, token, cred)?;
-            return self.passthrough_open(cred, ino, flags, &path, false);
+            Self::validate_presented(&upcall, &path, token, cred)?;
+            return self.passthrough_open(&upcall, cred, ino, flags, &path, false);
         }
 
         // Write open: optimistically try the physical open; only a failure
         // triggers the upcall (§4.2's rfd protocol). The token is validated
         // first, since the physical open may truncate; the open check of a
         // refused write then finds the entry that validation recorded.
-        self.validate_presented(&path, token, cred)?;
-        match self.passthrough_open(cred, ino, flags, &path, true) {
+        Self::validate_presented(&upcall, &path, token, cred)?;
+        match self.passthrough_open(&upcall, cred, ino, flags, &path, true) {
             Err(FsError::AccessDenied) => {
                 let opener = self.new_opener();
-                match self.checked_open(&path, cred, TokenKind::Write, opener, None)? {
+                match self.checked_open(&upcall, &path, cred, TokenKind::Write, opener, None)? {
                     OpenDecision::Approved { open_as } => {
                         self.inner.fs_open(&open_as, ino, flags)?;
                         self.stats.managed_opens.inc();
@@ -425,8 +470,8 @@ impl FileSystem for Dlfs {
                     // open-check made (same reasoning as the full-control
                     // NotManaged arm above).
                     OpenDecision::NotManaged => {
-                        if self.upcall.strict_link() {
-                            self.upcall.unregister_open(&path, opener);
+                        if upcall.strict_link() {
+                            upcall.unregister_open(&path, opener);
                         }
                         Err(FsError::AccessDenied)
                     }
@@ -443,11 +488,11 @@ impl FileSystem for Dlfs {
         if let Some(inst) = self.pop_open(ino, wants_write) {
             if inst.managed {
                 let attr = self.inner.fs_getattr(&ROOT, ino)?;
-                self.upcall
+                self.upcall(&inst.path)
                     .close_notify(&inst.path, inst.opener, written, attr.size, attr.mtime)
                     .map_err(FsError::Rejected)?;
             } else if inst.registered {
-                self.upcall.unregister_open(&inst.path, inst.opener);
+                self.upcall(&inst.path).unregister_open(&inst.path, inst.opener);
             }
         }
         self.inner.fs_close(cred, ino, flags, written)
@@ -465,9 +510,8 @@ impl FileSystem for Dlfs {
 
     fn fs_remove(&self, cred: &Cred, parent: Ino, name: &str) -> FsResult<()> {
         let parent_path = self.path_of(parent)?;
-        let path = fspath::join(&parent_path, name);
         // No dangling DATALINKs (§2.3).
-        self.upcall.mutation_check(&path).map_err(FsError::Rejected)?;
+        self.mutation_check(&fspath::join(&parent_path, name))?;
         self.inner.fs_remove(cred, parent, name)
     }
 
@@ -484,8 +528,7 @@ impl FileSystem for Dlfs {
         new_name: &str,
     ) -> FsResult<()> {
         let parent_path = self.path_of(parent)?;
-        let path = fspath::join(&parent_path, name);
-        self.upcall.mutation_check(&path).map_err(FsError::Rejected)?;
+        self.mutation_check(&fspath::join(&parent_path, name))?;
         self.inner.fs_rename(cred, parent, name, new_parent, new_name)?;
         // Refresh the dentry cache. Entries below a moved directory keep
         // their old paths until a lookup through the new one finds them.

@@ -52,7 +52,7 @@ fn stack_with(dlfm_cfg: DlfmConfig) -> Stack {
         MemHost::new(),
     ));
     let daemon = MainDaemon::new(Arc::clone(&server));
-    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, daemon.connect()));
+    let dlfs = Arc::new(Dlfs::new(fs as Arc<dyn FileSystem>, vec![daemon.connect()]));
     let lfs = Arc::new(Lfs::new(dlfs.clone() as Arc<dyn FileSystem>));
     Stack { lfs, raw, server, dlfs, clock, _daemon: daemon }
 }
@@ -84,7 +84,7 @@ fn unlinked_files_behave_normally_with_zero_upcalls() {
     s.lfs.write(fd, b"rewritten").unwrap();
     s.lfs.close(fd).unwrap();
 
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 0, "no DLFM involvement");
+    assert_eq!(s.dlfs.round_trips(), 0, "no DLFM involvement");
     assert_eq!(s.dlfs.stats.passthrough_opens.get(), 2);
 }
 
@@ -169,7 +169,7 @@ fn rfd_write_takes_slow_path_and_reads_stay_fast() {
     let fd = s.lfs.open(&BOB, "/web/index.html", OpenOptions::read_only()).unwrap();
     assert_eq!(s.lfs.read_to_end(fd).unwrap(), b"<html>v1</html>");
     s.lfs.close(fd).unwrap();
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 0, "rfd read path: zero upcalls");
+    assert_eq!(s.dlfs.round_trips(), 0, "rfd read path: zero upcalls");
 
     // A write without a token fails: the physical open fails (read-only
     // file) and DLFM rejects the takeover for lack of a token entry.
@@ -211,7 +211,7 @@ fn plain_readonly_file_write_still_fails_cleanly() {
         s.lfs.open(&ALICE, "/web/plain.txt", OpenOptions::write_only()),
         Err(FsError::AccessDenied)
     );
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 1, "one upcall to ask");
+    assert_eq!(s.dlfs.round_trips(), 1, "one upcall to ask");
 }
 
 #[test]
@@ -293,7 +293,7 @@ fn aborted_update_restores_content_via_recovery_path() {
         MemHost::new(),
     ));
     let daemon = MainDaemon::new(Arc::clone(&server));
-    let dlfs = Arc::new(Dlfs::new(fs.clone() as Arc<dyn FileSystem>, daemon.connect()));
+    let dlfs = Arc::new(Dlfs::new(fs.clone() as Arc<dyn FileSystem>, vec![daemon.connect()]));
     let lfs = Lfs::new(dlfs.clone() as Arc<dyn FileSystem>);
 
     server.link_file(1, "/web/a.html", ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
@@ -472,7 +472,7 @@ fn a_lookup_no_open_follows_makes_no_upcall() {
     let path = embed_token("/web/index.html", &tok(&s, "/web/index.html", TokenKind::Read));
     s.lfs.stat(&ALICE, &path).unwrap();
     assert_eq!(s.dlfs.stats.token_lookups.get(), 1);
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 0, "the token waits for an open");
+    assert_eq!(s.dlfs.round_trips(), 0, "the token waits for an open");
 }
 
 /// A write token and a read token of one userid, looked up by two threads
@@ -520,7 +520,7 @@ fn interleaved_lookups_of_one_user_each_open_with_their_own_kind() {
     });
     assert!(has_entry(TokenKind::Write));
     assert_eq!(s.server.repository().get_file("/web/index.html").unwrap().cur_version, 2);
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 4, "an open check and a close each");
+    assert_eq!(s.dlfs.round_trips(), 4, "an open check and a close each");
 }
 
 #[test]
@@ -611,11 +611,11 @@ fn a_held_token_is_not_presented_under_another_path() {
     thread::scope(|scope| {
         scope.spawn(|| s.lfs.rename(&ALICE, "/web/plain.txt", "/web/moved.txt").unwrap());
     });
-    let round_trips = s.dlfs.upcall_client().round_trip_count();
+    let round_trips = s.dlfs.round_trips();
     let read = OpenFlags::read_only();
     s.dlfs.fs_open(&ALICE, ino, read).unwrap();
     s.dlfs.fs_close(&ALICE, ino, read, false).unwrap();
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), round_trips);
+    assert_eq!(s.dlfs.round_trips(), round_trips);
 }
 
 /// A token a lookup stripped reaches only the open right after it: a stat
@@ -646,10 +646,10 @@ fn a_token_a_stat_looked_up_reaches_no_later_open() {
             if expired {
                 s.clock.advance(10_000);
             }
-            let round_trips = s.dlfs.upcall_client().round_trip_count();
+            let round_trips = s.dlfs.round_trips();
             let fd = s.lfs.open(&ALICE, path, OpenOptions::read_only()).unwrap();
             s.lfs.close(fd).unwrap();
-            let made = s.dlfs.upcall_client().round_trip_count() - round_trips;
+            let made = s.dlfs.round_trips() - round_trips;
             assert_eq!(made, upcalls, "{path}, expired {expired}");
         }
     }
@@ -663,7 +663,7 @@ fn a_pass_through_open_validates_its_token_first() {
     let read = tok(&s, "/web/index.html", TokenKind::Read);
     let fd = s.lfs.open(&ALICE, &embed_token("/web/index.html", &read), OpenOptions::read_only());
     s.lfs.close(fd.unwrap()).unwrap();
-    assert_eq!(s.dlfs.upcall_client().round_trip_count(), 1);
+    assert_eq!(s.dlfs.round_trips(), 1);
     let forged = AccessToken::generate(
         &TokenKey::new(b"wrong"),
         "srv1",

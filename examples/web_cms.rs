@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("GET /index.html   -> {}", serve("/htdocs/index.html")?);
     println!("GET /pricing.html -> {}", serve("/htdocs/pricing.html")?);
-    let upcalls = sys.node("webfs")?.dlfs.upcall_client().round_trip_count();
+    let upcalls = sys.dlfs("webfs")?.round_trips();
     println!("upcalls made while serving reads: {upcalls}");
 
     // An editor publishes a price change: update in place with a token.

@@ -7,7 +7,10 @@
 //! in-process one the repo benchmark's `read_mix` runs: free log syncs, one
 //! file server under `rdd` control, 64 linked 4 KiB files, one client.
 //! After a warm-up round, the test runs `N` token reads, `N` updates and
-//! `N` link + unlink pairs, and pins each kind's count per op.
+//! `N` link + unlink pairs, and pins each kind's count per op. The same
+//! budgets hold when the file server's namespace is split over two shard
+//! nodes: one DLFS routes each upcall by its path, with no name cache of
+//! its own beside DLFS's.
 //!
 //! The budgets are counts, not rates: a change that copies a row, a schema
 //! or a lock key per statement again shows here on any machine, whatever
@@ -109,9 +112,8 @@ struct Stack {
 }
 
 impl Stack {
-    fn build() -> Stack {
-        let sys =
-            DataLinksSystem::builder().file_server_with(FileServerSpec::new(SRV)).build().unwrap();
+    fn build(spec: FileServerSpec) -> Stack {
+        let sys = DataLinksSystem::builder().file_server_with(spec).build().unwrap();
         let schema = Schema::new(
             TABLE,
             vec![
@@ -182,9 +184,11 @@ fn per_op(mut op: impl FnMut(u64)) -> u64 {
     (allocs() - before) / N
 }
 
-#[test]
-fn paper_operations_stay_inside_their_allocation_budgets() {
-    let stack = Stack::build();
+/// Runs the measured rounds on a stack built from `spec` and checks each
+/// kind's count against its budget.
+fn check_budgets(spec: FileServerSpec) {
+    let shards = spec.shards;
+    let stack = Stack::build(spec);
     // Warm-up: every table, index, lock-table slot and log buffer the
     // measured rounds use has grown to size.
     for key in 0..FILES {
@@ -201,7 +205,10 @@ fn paper_operations_stay_inside_their_allocation_budgets() {
         stack.link(CHURN_BASE + i as i64);
         stack.unlink(CHURN_BASE + i as i64);
     });
-    println!("allocations per op: read {read}, update {update}, link + unlink {link_unlink}");
+    println!(
+        "{shards} shard(s), allocations per op: read {read}, update {update}, \
+         link + unlink {link_unlink}"
+    );
     assert!(read <= READ_BUDGET, "a token read made {read} allocations (budget {READ_BUDGET})");
     assert!(
         update <= UPDATE_BUDGET,
@@ -211,4 +218,17 @@ fn paper_operations_stay_inside_their_allocation_budgets() {
         link_unlink <= LINK_UNLINK_BUDGET,
         "a link + unlink made {link_unlink} allocations (budget {LINK_UNLINK_BUDGET})"
     );
+}
+
+#[test]
+fn paper_operations_stay_inside_their_allocation_budgets() {
+    check_budgets(FileServerSpec::new(SRV));
+}
+
+/// Two shards, the same budgets. A read made 24 while a sharded front kept
+/// a second ino→(path, shard) cache over one DLFS per shard, and wrote it
+/// on every lookup.
+#[test]
+fn two_shards_stay_inside_the_same_allocation_budgets() {
+    check_budgets(FileServerSpec::new(SRV).shards(2));
 }

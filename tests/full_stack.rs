@@ -274,14 +274,14 @@ fn read_path_makes_zero_upcalls_for_unlinked_files() {
     let raw = sys.raw_fs("srv").unwrap();
     raw.write_file(&APP, "/d/plain.txt", b"ordinary").unwrap();
 
-    let before = sys.node("srv").unwrap().dlfs.upcall_client().round_trip_count();
+    let before = sys.dlfs("srv").unwrap().round_trips();
     let fs = sys.fs("srv").unwrap();
     for _ in 0..50 {
         let fd = fs.open(&APP, "/d/plain.txt", OpenOptions::read_only()).unwrap();
         let _ = fs.read_to_end(fd).unwrap();
         fs.close(fd).unwrap();
     }
-    let after = sys.node("srv").unwrap().dlfs.upcall_client().round_trip_count();
+    let after = sys.dlfs("srv").unwrap().round_trips();
     assert_eq!(after - before, 0, "unlinked traffic must bypass DLFM entirely");
 }
 

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec, ShardRouter};
 use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink, TokenKind};
-use datalinks::fskit::{Cred, OpenOptions, SimClock};
+use datalinks::fskit::{Cred, FsError, OpenOptions, SetAttr, SimClock};
 use datalinks::minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value, WalOptions};
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
@@ -588,7 +588,7 @@ fn scale_out(shards: usize) -> ScaleOut {
     let snap = sys.metrics();
     let counter = |name: String| snap.counters.get(&name).copied().unwrap_or(0);
     let busy_shards =
-        node_names.iter().filter(|n| counter(format!("dlfs.{n}.managed_opens")) > 0).count();
+        node_names.iter().filter(|n| counter(format!("dlfm.{n}.open_checks")) > 0).count();
     let routed = if shards > 1 {
         (0..shards).map(|i| counter(format!("engine.shard.{SRV}.s{i}.routed"))).collect()
     } else {
@@ -676,6 +676,74 @@ fn router_metrics_agree_with_per_shard_dlfm_traffic() {
         total += dml;
     }
     assert_eq!(total, n as u64 + n as u64 / 3, "every link and unlink routed exactly once");
+}
+
+/// A directory's rename or chmod reaches every file below it, whichever
+/// shard holds the file's link: DLFS asks every shard, and the one holding
+/// the link refuses, as one node does for all its files unsharded.
+#[test]
+fn a_directory_holding_a_link_on_another_shard_refuses_rename_and_chmod() {
+    let sys = build(2, 0, 0);
+    let dir = "/d0";
+    let router = ShardRouter::new(SRV, 2);
+    let file = (0..4096)
+        .map(|k| format!("{dir}/g{k}.bin"))
+        .find(|p| router.shard_of(p) != router.shard_of(dir))
+        .expect("some candidate path hashes to the other shard");
+    let raw = sys.raw_fs(SRV).unwrap();
+    raw.mkdir_p(&APP, dir, 0o777).unwrap();
+    seed_file(&sys, &file, b"linked");
+    link_row(&sys, 1, &file);
+
+    let fs = sys.fs(SRV).unwrap();
+    let refused = |outcome: Result<(), FsError>| match outcome {
+        Err(FsError::Rejected(msg)) => assert!(msg.contains(&file), "{msg}"),
+        other => panic!("{dir} holds linked {file}, yet the mutation returned {other:?}"),
+    };
+    refused(fs.rename(&APP, dir, "/d1"));
+    refused(fs.setattr(&APP, dir, &SetAttr::chmod(0o700)).map(|_| ()));
+    assert!(raw.exists(&Cred::root(), &file), "the linked file stays where its row says");
+}
+
+/// A file server handle taken before a node fails over reaches the
+/// promoted node afterwards, sharded or not: the mount outlives the
+/// failover, which swaps the promoted node's client into its slot. The
+/// node that fails over is the last shard's, and the read is of a file it
+/// holds.
+fn held_mount_reaches_the_promoted_node(shards: usize) {
+    let mut sys = build(shards, 1, 0);
+    let last = shards - 1;
+    let node = if shards == 1 { SRV.to_string() } else { shard_name(last) };
+    let path = path_on(shards, last, "held");
+    seed_file(&sys, &path, b"before the failover");
+    link_row(&sys, 1, &path);
+    assert!(sys.wait_replicas_caught_up(SRV, CATCH_UP).unwrap());
+
+    let held = sys.fs(SRV).unwrap();
+    let deposed = Arc::clone(&sys.node(&node).unwrap().server);
+    sys.fail_over(&node).unwrap();
+    let promoted = Arc::clone(&sys.node(&node).unwrap().server);
+    let checks = || (deposed.stats.open_checks.get(), promoted.stats.open_checks.get());
+    let before = checks();
+
+    let (_, tp) = sys.select_datalink("t", &Value::Int(1), "body", TokenKind::Read).unwrap();
+    let fd = held.open(&APP, &tp, OpenOptions::read_only()).unwrap();
+    assert_eq!(held.read_to_end(fd).unwrap(), b"before the failover");
+    held.close(fd).unwrap();
+
+    let after = checks();
+    assert_eq!(after.0 - before.0, 0, "{shards} shard(s): the deposed node answered");
+    assert_eq!(after.1 - before.1, 1, "{shards} shard(s): the promoted node was not asked");
+}
+
+#[test]
+fn a_mount_held_across_a_failover_reaches_the_promoted_node() {
+    held_mount_reaches_the_promoted_node(1);
+}
+
+#[test]
+fn a_mount_held_across_a_shard_failover_reaches_the_promoted_shard() {
+    held_mount_reaches_the_promoted_node(2);
 }
 
 proptest! {
